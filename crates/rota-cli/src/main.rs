@@ -90,7 +90,7 @@ fn print_usage() {
     eprintln!("                [--chaos seed=N,latency_ms=N,latency_p=P,truncate_p=P,");
     eprintln!("                         corrupt_p=P,reset_p=P,panic_nth=N]");
     eprintln!("  rota cluster  [--nodes N | --topology FILE] [--base-port P] [--seed N]");
-    eprintln!("                [--horizon T] [--gossip-ms N] [--redirects] [--shards N]");
+    eprintln!("                [--horizon T] [--gossip-ms N] [--shards N]");
     eprintln!("                [--queue N] [--duration-ms N]   (N-node federation; each");
     eprintln!("                node owns its locations, any node accepts any admission)");
     eprintln!("  rota loadtest [--policy rota|naive|optimistic|edf|all] [--nodes N]");
@@ -818,9 +818,6 @@ fn cluster_config(args: &[String], seed: u64) -> rota_cluster::ClusterConfig {
     };
     if let Some(ms) = flag(args, "--gossip-ms").and_then(|v| v.parse().ok()) {
         config.gossip_interval = std::time::Duration::from_millis(ms);
-    }
-    if args.iter().any(|a| a == "--redirects") {
-        config.redirects = true;
     }
     if let Some(shards) = flag(args, "--shards").and_then(|v| v.parse().ok()) {
         config.shards = shards;

@@ -1,15 +1,10 @@
-//! Cluster-aware client: a list of node addresses, sticky round-robin
-//! failover on transport errors, and `redirect` following.
+//! Cluster-aware client: a list of node addresses and sticky
+//! round-robin failover on transport errors.
 //!
 //! A [`ClusterClient`] stays on one node until that node stops
 //! answering, then rotates to the next address in the list and retries
 //! the in-flight request — the cluster router accepts any admission
-//! anywhere, so every node is a legitimate entry point. Servers running
-//! in redirect mode answer remote-location admissions with
-//! `Response::Redirect`; the client follows up to
-//! [`ClusterClient::with_max_redirects`] hops (default 3) before giving
-//! up, so a misconfigured redirect cycle surfaces as an error instead
-//! of a hang.
+//! anywhere, so every node is a legitimate entry point.
 
 use std::net::SocketAddr;
 use std::time::Duration;
@@ -23,13 +18,11 @@ use crate::{Client, ClientError};
 /// What the failover layer has done so far.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ClusterClientStats {
-    /// Connections dialed (first dials, failover dials, redirect dials).
+    /// Connections dialed (first dials and failover dials).
     pub dials: u64,
     /// Times the client rotated to the next node after a transport
     /// failure.
     pub failovers: u64,
-    /// `redirect` responses followed to the named owner.
-    pub redirects_followed: u64,
 }
 
 /// A blocking client over a set of cluster node addresses.
@@ -38,7 +31,6 @@ pub struct ClusterClient {
     cursor: usize,
     connection: Option<Client>,
     timeout: Duration,
-    max_redirects: usize,
     stats: ClusterClientStats,
 }
 
@@ -54,7 +46,6 @@ impl ClusterClient {
             cursor: 0,
             connection: None,
             timeout: Duration::from_secs(5),
-            max_redirects: 3,
             stats: ClusterClientStats::default(),
         })
     }
@@ -65,26 +56,20 @@ impl ClusterClient {
         self
     }
 
-    /// Bounds how many `redirect` hops a single request may follow.
-    pub fn with_max_redirects(mut self, hops: usize) -> ClusterClient {
-        self.max_redirects = hops;
-        self
-    }
-
     /// The node the next request will be sent to.
     pub fn current_addr(&self) -> SocketAddr {
         self.addrs[self.cursor]
     }
 
-    /// Failover and redirect counters.
+    /// Failover counters.
     pub fn stats(&self) -> ClusterClientStats {
         self.stats
     }
 
     /// Sends `request`, rotating through the address list on transport
-    /// errors (each node is tried once per call) and following
-    /// redirects. Server-level errors and decisions are returned as-is
-    /// — only a node that cannot answer at all triggers failover.
+    /// errors (each node is tried once per call). Server-level errors
+    /// and decisions are returned as-is — only a node that cannot
+    /// answer at all triggers failover.
     pub fn call(&mut self, request: &Request) -> Result<Response, ClientError> {
         let mut last: Option<ClientError> = None;
         for attempt in 0..self.addrs.len() {
@@ -94,11 +79,10 @@ impl ClusterClient {
                 self.cursor = (self.cursor + 1) % self.addrs.len();
             }
             match self.call_current(request) {
-                Ok(response) => return self.follow_redirects(request, response),
                 Err(err @ (ClientError::Io(_) | ClientError::Frame(_))) => {
                     last = Some(err);
                 }
-                Err(err) => return Err(err),
+                answer => return answer,
             }
         }
         Err(last.unwrap_or_else(|| ClientError::Server("no cluster addresses given".into())))
@@ -129,40 +113,6 @@ impl ClusterClient {
             }
         };
         client.call(request)
-    }
-
-    /// Chases `redirect` answers to the named owner, re-sending the
-    /// same request on a fresh connection per hop. The final node
-    /// becomes the sticky connection — a client that keeps admitting at
-    /// the same location lands on the owner directly from then on.
-    fn follow_redirects(
-        &mut self,
-        request: &Request,
-        mut response: Response,
-    ) -> Result<Response, ClientError> {
-        for _ in 0..self.max_redirects {
-            let Response::Redirect { addr, .. } = &response else {
-                return Ok(response);
-            };
-            let target: SocketAddr = addr
-                .parse()
-                .map_err(|_| ClientError::Server(format!("unparseable redirect to {addr:?}")))?;
-            self.stats.redirects_followed += 1;
-            self.stats.dials += 1;
-            let mut next = Client::connect_timeout(target, self.timeout)?;
-            response = next.call(request)?;
-            self.connection = Some(next);
-            if let Some(index) = self.addrs.iter().position(|a| *a == target) {
-                self.cursor = index;
-            }
-        }
-        match response {
-            Response::Redirect { addr, .. } => Err(ClientError::Server(format!(
-                "redirect limit ({}) exceeded; last hop pointed at {addr}",
-                self.max_redirects
-            ))),
-            response => Ok(response),
-        }
     }
 }
 
@@ -226,54 +176,6 @@ mod tests {
         let response = client.call(&Request::Ping).unwrap();
         assert!(matches!(response, Response::Pong));
         assert_eq!(client.stats().failovers, 1);
-    }
-
-    #[test]
-    fn redirects_are_followed_to_the_owner() {
-        let owner = stub_node(|_| Response::Pong);
-        let front = stub_node(move |_| Response::Redirect {
-            addr: owner.to_string(),
-            reason: "location `l1` is owned by node1".into(),
-        });
-        let mut client = ClusterClient::new(vec![front, owner]).unwrap();
-        let response = client.call(&Request::Ping).unwrap();
-        assert!(matches!(response, Response::Pong));
-        assert_eq!(client.stats().redirects_followed, 1);
-        assert_eq!(client.current_addr(), owner, "sticks to the owner");
-    }
-
-    #[test]
-    fn redirect_cycles_hit_the_hop_limit() {
-        // A node that redirects every request back to itself. Each hop
-        // dials fresh, so every connection needs its own serving
-        // thread — the earlier ones stay open while the next is served.
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        thread::spawn(move || {
-            while let Ok((stream, _)) = listener.accept() {
-                thread::spawn(move || {
-                    let mut reader = BufReader::new(stream.try_clone().unwrap());
-                    let mut writer = BufWriter::new(stream);
-                    while let Ok(_line) = read_frame(&mut reader, rota_server::MAX_FRAME_BYTES) {
-                        let response = Response::Redirect {
-                            addr: addr.to_string(),
-                            reason: "chasing my own tail".into(),
-                        };
-                        if write_frame(&mut writer, &response.to_json()).is_err() {
-                            return;
-                        }
-                    }
-                });
-            }
-        });
-        let mut client = ClusterClient::new(vec![addr]).unwrap().with_max_redirects(3);
-        match client.call(&Request::Ping) {
-            Err(ClientError::Server(message)) => {
-                assert!(message.contains("redirect limit"), "{message}");
-            }
-            other => panic!("expected a redirect-limit error, got {other:?}"),
-        }
-        assert_eq!(client.stats().redirects_followed, 3);
     }
 
     #[test]

@@ -8,8 +8,7 @@
 //! exponential backoff with seeded jitter, per-request deadline
 //! budgets, and p99-triggered hedging on top of the raw client. The
 //! [`cluster`] module adds a multi-address [`ClusterClient`] with
-//! round-robin failover and `redirect` following for rota-cluster
-//! federations.
+//! round-robin failover for rota-cluster federations.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

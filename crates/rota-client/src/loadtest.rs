@@ -301,6 +301,24 @@ fn prepare_jobs(
 
 type Sample = (Outcome, u64, Option<String>);
 
+/// Turns one admit answer into a sample: decisions and `overloaded`
+/// answers carry their latency since `start`; anything else is an error
+/// with no latency and a note saying what came back.
+fn classify(answer: Result<Response, ClientError>, start: Instant) -> Sample {
+    let ns = || u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+    match answer {
+        Ok(Response::Decision { accepted: true, .. }) => (Outcome::Accepted, ns(), None),
+        Ok(Response::Decision { .. }) => (Outcome::Rejected, ns(), None),
+        Ok(Response::Overloaded { .. }) => (Outcome::Overloaded, ns(), None),
+        Ok(other) => (
+            Outcome::Error,
+            0,
+            Some(format!("unexpected response: {:?}", other.to_json())),
+        ),
+        Err(err) => (Outcome::Error, 0, Some(err.to_string())),
+    }
+}
+
 /// How a worker picks its next job: racing a shared cursor (fast,
 /// nondeterministic interleaving) or walking a fixed index list
 /// (deterministic mode).
@@ -343,30 +361,7 @@ fn worker(
             while let Some(index) = schedule.next(jobs.len()) {
                 let (spec, granularity) = &jobs[index];
                 let start = Instant::now();
-                let sample = match client.admit(spec.clone(), *granularity) {
-                    Ok(Response::Decision { accepted, .. }) => {
-                        let ns =
-                            u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                        let outcome = if accepted {
-                            Outcome::Accepted
-                        } else {
-                            Outcome::Rejected
-                        };
-                        (outcome, ns, None)
-                    }
-                    Ok(Response::Overloaded { .. }) => {
-                        let ns =
-                            u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                        (Outcome::Overloaded, ns, None)
-                    }
-                    Ok(other) => (
-                        Outcome::Error,
-                        0,
-                        Some(format!("unexpected response: {:?}", other.to_json())),
-                    ),
-                    Err(err) => (Outcome::Error, 0, Some(err.to_string())),
-                };
-                samples.push(sample);
+                samples.push(classify(client.admit(spec.clone(), *granularity), start));
             }
             (samples, client.stats())
         }
@@ -405,40 +400,20 @@ fn raw_worker(
             forwarded: false,
         };
         let start = Instant::now();
-        match client.call(&request) {
-            Ok(Response::Decision { accepted, .. }) => {
-                let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                let outcome = if accepted {
-                    Outcome::Accepted
-                } else {
-                    Outcome::Rejected
-                };
-                samples.push((outcome, ns, None));
-            }
-            Ok(Response::Overloaded { .. }) => {
-                let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                samples.push((Outcome::Overloaded, ns, None));
-            }
-            Ok(other) => {
-                samples.push((
-                    Outcome::Error,
-                    0,
-                    Some(format!("unexpected response: {:?}", other.to_json())),
-                ));
-            }
-            Err(err) => {
-                samples.push((Outcome::Error, 0, Some(err.to_string())));
-                // The connection may be dead; try to re-establish once
-                // per failure so one hiccup doesn't doom the worker.
-                match Client::connect_timeout(addr, Duration::from_secs(5)) {
-                    Ok(fresh) => client = fresh,
-                    Err(_) => {
-                        let mut first = None;
-                        while schedule.next(jobs.len()).is_some() {
-                            samples.push((Outcome::Error, 0, first.take()));
-                        }
-                        break;
+        let answer = client.call(&request);
+        let failed = answer.is_err();
+        samples.push(classify(answer, start));
+        if failed {
+            // The connection may be dead; try to re-establish once
+            // per failure so one hiccup doesn't doom the worker.
+            match Client::connect_timeout(addr, Duration::from_secs(5)) {
+                Ok(fresh) => client = fresh,
+                Err(_) => {
+                    let mut first = None;
+                    while schedule.next(jobs.len()).is_some() {
+                        samples.push((Outcome::Error, 0, first.take()));
                     }
+                    break;
                 }
             }
         }

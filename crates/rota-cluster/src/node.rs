@@ -56,9 +56,6 @@ pub struct ClusterConfig {
     pub peer_timeout: Duration,
     /// TTL on tentative 2PC reservations.
     pub ttl: Duration,
-    /// Answer single-remote-owner admissions with `redirect` instead of
-    /// forwarding server-side.
-    pub redirects: bool,
     /// Base RNG seed; node `i` gossips with seed `seed + i`.
     pub seed: u64,
     /// Per-node fault plans for chaos drills, keyed by node id.
@@ -74,7 +71,6 @@ impl Default for ClusterConfig {
             suspect_after: 3,
             peer_timeout: Duration::from_secs(1),
             ttl: Duration::from_secs(2),
-            redirects: false,
             seed: 0,
             fault_plans: BTreeMap::new(),
         }
@@ -181,10 +177,8 @@ impl Cluster {
             let health = Arc::new(PeerHealth::new());
             let router_config = RouterConfig {
                 me: spec.id.clone(),
-                redirects: config.redirects,
                 peer_timeout: config.peer_timeout,
                 ttl: config.ttl,
-                ..RouterConfig::default()
             };
             let partitioned = Arc::new(AtomicBool::new(false));
             let hook_topology = Arc::clone(&shared);

@@ -17,9 +17,8 @@
 //!    owns is rejected immediately with the analyzer's `R0016`
 //!    diagnostic. Demand owned entirely by this node falls through to
 //!    the local core (the common, zero-overhead case). Demand owned by
-//!    one *other* node is forwarded over TCP (or answered with a
-//!    `redirect` in redirect mode). Demand spanning several owners
-//!    runs the two-phase protocol below.
+//!    one *other* node is forwarded over TCP. Demand spanning several
+//!    owners runs the two-phase protocol below.
 //! 4. **Offers** are split by location ownership and installed on the
 //!    owning nodes.
 //!
@@ -35,10 +34,10 @@
 //! all participants agree), installs the commitments tentatively
 //! under a TTL, and answers `prepared`. All prepared → `commit`
 //! everywhere; any reject → the policy's verdict is returned verbatim
-//! and the already-prepared participants are aborted; any stale epoch
-//! → abort, re-snapshot, retry (bounded). A coordinator that dies
-//! between prepare and commit leaks nothing: the TTL releases the
-//! tentative reservations (see `rota-server::shard`).
+//! and the already-prepared participants are aborted; any
+//! `stale-epoch` answer → abort, re-snapshot, retry (bounded). A
+//! coordinator that dies between prepare and commit leaks nothing: the
+//! TTL releases the tentative reservations (see `rota-server::shard`).
 //!
 //! Participants believed **suspect** by the gossip layer are never
 //! contacted: requests touching them are rejected up front with a
@@ -60,39 +59,27 @@ use rota_server::{fault, LocalHandle, Request, RequestHook, Response};
 use crate::gossip::{GossipEngine, PeerHealth};
 use crate::topology::SharedTopology;
 
+/// How many times a 2PC re-snapshots and retries after losing a race
+/// to a concurrent state change (a `stale-epoch` answer).
+const MAX_RETRIES: u32 = 4;
+
 /// Knobs for one node's router.
 #[derive(Debug, Clone)]
 pub struct RouterConfig {
     /// This node's id in the topology.
     pub me: String,
-    /// Answer single-remote-owner admissions with a `redirect` instead
-    /// of forwarding them server-side.
-    pub redirects: bool,
     /// Timeout for each peer call (connect + request).
     pub peer_timeout: Duration,
     /// TTL on tentative 2PC reservations.
     pub ttl: Duration,
-    /// How many times to re-snapshot and retry a 2PC that lost a race
-    /// to a concurrent state change (stale epoch).
-    pub max_retries: u32,
 }
 
-impl Default for RouterConfig {
-    fn default() -> Self {
-        RouterConfig {
-            me: String::new(),
-            redirects: false,
-            peer_timeout: Duration::from_secs(1),
-            ttl: Duration::from_secs(2),
-            max_retries: 4,
-        }
-    }
-}
+/// A 2PC participant: node id and address.
+type Participant = (String, String);
 
 struct RouterObs {
     gossip_exchanges: Arc<Counter>,
     forwards: Arc<Counter>,
-    redirects: Arc<Counter>,
     unowned_rejects: Arc<Counter>,
     degraded_rejects: Arc<Counter>,
     twopc_started: Arc<Counter>,
@@ -107,7 +94,6 @@ impl RouterObs {
         RouterObs {
             gossip_exchanges: registry.counter("cluster.gossip.exchanges"),
             forwards: registry.counter("cluster.router.forwards"),
-            redirects: registry.counter("cluster.router.redirects"),
             unowned_rejects: registry.counter("cluster.router.unowned_rejects"),
             degraded_rejects: registry.counter("cluster.router.degraded_rejects"),
             twopc_started: registry.counter("cluster.twopc.started"),
@@ -132,18 +118,6 @@ pub struct ClusterRouter {
     /// (and the node's runtime stops dialing out) — a deterministic
     /// full partition of the gossip plane. See `Cluster::partition`.
     partitioned: Arc<AtomicBool>,
-}
-
-/// What one 2PC attempt concluded.
-enum Attempt {
-    /// Every participant prepared; proceed to commit.
-    AllPrepared,
-    /// A participant's policy rejected; its verdict passes through.
-    Rejected(Response),
-    /// A participant's epoch moved under us; re-snapshot and retry.
-    Stale,
-    /// A participant could not be reached or answered garbage.
-    Failed(String),
 }
 
 impl ClusterRouter {
@@ -323,15 +297,6 @@ impl ClusterRouter {
                 .node(&owner)
                 .map(|n| n.addr.clone())
                 .unwrap_or_default();
-            if self.config.redirects {
-                self.obs.redirects.inc();
-                return Some(Response::Redirect {
-                    addr,
-                    reason: format!(
-                        "node `{owner}` owns every location this computation demands"
-                    ),
-                });
-            }
             self.obs.forwards.inc();
             return Some(
                 self.call_owner(
@@ -347,37 +312,40 @@ impl ClusterRouter {
             );
         }
         // Several owners (possibly including us): two-phase commit.
-        let mut participants: Vec<String> = owners.into_iter().collect();
-        if total_owners > participants.len() {
-            participants.push(self.config.me.clone());
+        if total_owners > owners.len() {
+            owners.insert(self.config.me.clone());
         }
-        participants.sort();
-        Some(self.two_phase(&topology, participants, computation, granularity, &request))
+        let participants: Vec<Participant> = owners
+            .into_iter()
+            .map(|id| {
+                let addr = topology
+                    .node(&id)
+                    .map(|n| n.addr.clone())
+                    .unwrap_or_default();
+                (id, addr)
+            })
+            .collect();
+        Some(self.two_phase(&participants, computation, granularity, &request))
     }
 
-    /// Runs one full two-phase admission across `participants`.
+    /// Runs one full two-phase admission across `participants`, in
+    /// node-id order.
     fn two_phase(
         &self,
-        topology: &crate::topology::Topology,
-        participants: Vec<String>,
+        participants: &[Participant],
         computation: &ComputationSpec,
         granularity: Granularity,
         request: &AdmissionRequest,
     ) -> Response {
         self.obs.twopc_started.inc();
         let name = request.name().to_string();
-        let addrs: Vec<String> = participants
-            .iter()
-            .map(|p| topology.node(p).map(|n| n.addr.clone()).unwrap_or_default())
-            .collect();
         let ttl_ms = u64::try_from(self.config.ttl.as_millis()).unwrap_or(u64::MAX);
-        for _attempt in 0..=self.config.max_retries {
+        for _attempt in 0..=MAX_RETRIES {
             // Snapshot every participant; the union of disjoint slices
             // is the merged single-node basis.
             let mut epochs_by: Vec<Vec<u64>> = Vec::with_capacity(participants.len());
             let mut basis: Vec<ResourceSpec> = Vec::new();
-            let mut snapshot_error = None;
-            for (participant, addr) in participants.iter().zip(&addrs) {
+            for (participant, addr) in participants {
                 match self.call_owner(participant, addr, Request::ClusterSnapshot) {
                     Ok(Response::ClusterState { epochs, resources }) => {
                         let specs = resources
@@ -390,123 +358,53 @@ impl ClusterRouter {
                         basis.extend(specs);
                         epochs_by.push(epochs);
                     }
-                    Ok(other) => {
-                        snapshot_error = Some(format!(
-                            "peer `{participant}` answered the snapshot with {other:?}"
-                        ));
-                        break;
-                    }
-                    Err(message) => {
-                        snapshot_error = Some(message);
-                        break;
-                    }
-                }
-            }
-            if let Some(message) = snapshot_error {
-                self.obs.twopc_aborted.inc();
-                return Response::Error {
-                    message: format!("two-phase admission failed before prepare: {message}"),
-                };
-            }
-            // Phase one: prepare everywhere.
-            let mut prepared: Vec<usize> = Vec::new();
-            let mut outcome = Attempt::AllPrepared;
-            for (index, (participant, addr)) in
-                participants.iter().zip(&addrs).enumerate()
-            {
-                let prepare = Request::Prepare {
-                    name: name.clone(),
-                    computation: computation.clone(),
-                    granularity,
-                    basis: basis.clone(),
-                    epochs: epochs_by[index].clone(),
-                    ttl_ms,
-                };
-                match self.call_owner(participant, addr, prepare) {
-                    Ok(Response::Prepared { .. }) => prepared.push(index),
-                    Ok(decision @ Response::Decision { .. }) => {
-                        outcome = Attempt::Rejected(decision);
-                        break;
-                    }
-                    Ok(Response::Error { message }) if message.contains("stale-epoch") => {
-                        outcome = Attempt::Stale;
-                        break;
-                    }
-                    Ok(other) => {
-                        outcome = Attempt::Failed(format!(
-                            "peer `{participant}` answered prepare with {other:?}"
-                        ));
-                        break;
-                    }
-                    Err(message) => {
-                        outcome = Attempt::Failed(message);
-                        break;
+                    other => {
+                        self.obs.twopc_aborted.inc();
+                        return Response::Error {
+                            message: format!(
+                                "two-phase admission failed before prepare: {}",
+                                unexpected(participant, "the snapshot", other)
+                            ),
+                        };
                     }
                 }
             }
-            match outcome {
-                Attempt::AllPrepared => {
-                    if self.local.take_2pc_ticket() {
-                        // PANIC-OK: deterministic chaos drill — the
-                        // coordinator dies between prepare and commit;
-                        // the connection thread unwinds and the TTL
-                        // must release every tentative reservation.
-                        std::panic::panic_any(fault::INJECTED_PANIC);
-                    }
-                    // Phase two: commit everywhere.
-                    for (participant, addr) in participants.iter().zip(&addrs) {
-                        if let Err(message) = self
-                            .call_owner(
-                                participant,
-                                addr,
-                                Request::CommitReservation { name: name.clone() },
-                            )
-                            .and_then(|response| match response {
-                                Response::Committed { .. } => Ok(()),
-                                other => Err(format!("{other:?}")),
-                            })
-                        {
-                            // Compensate: release everything, including
-                            // any participant that already committed.
-                            self.release(&participants, &addrs, &name);
-                            self.obs.twopc_aborted.inc();
-                            return Response::Error {
-                                message: format!(
-                                    "two-phase commit failed at `{participant}` \
-                                     ({message}); all reservations released"
-                                ),
-                            };
-                        }
-                    }
-                    self.obs.twopc_committed.inc();
-                    return Response::Decision {
-                        computation: name,
-                        accepted: true,
-                        shard: 0,
-                        reason: format!(
-                            "admitted across {} nodes (two-phase commit)",
-                            participants.len()
-                        ),
-                        violated_term: None,
-                        clause: None,
-                        diagnostics: Vec::new(),
+            // Phase one: prepare in order, stopping at the first
+            // participant that does not prepare — so the prepared ones
+            // are always a prefix of `participants`.
+            let failure = participants.iter().zip(epochs_by).enumerate().find_map(
+                |(index, ((participant, addr), epochs))| {
+                    let prepare = Request::Prepare {
+                        name: name.clone(),
+                        computation: computation.clone(),
+                        granularity,
+                        basis: basis.clone(),
+                        epochs,
+                        ttl_ms,
                     };
-                }
-                Attempt::Rejected(decision) => {
-                    self.release_indices(&participants, &addrs, &prepared, &name);
+                    match self.call_owner(participant, addr, prepare) {
+                        Ok(Response::Prepared { .. }) => None,
+                        other => Some((index, participant, other)),
+                    }
+                },
+            );
+            let Some((prepared, participant, answer)) = failure else {
+                return self.commit_all(participants, &name);
+            };
+            self.release(&participants[..prepared], &name);
+            match answer {
+                Ok(decision @ Response::Decision { .. }) => {
                     self.obs.twopc_rejected.inc();
                     return decision;
                 }
-                Attempt::Stale => {
-                    self.release_indices(&participants, &addrs, &prepared, &name);
-                    self.obs.twopc_retries.inc();
-                    continue;
-                }
-                Attempt::Failed(message) => {
-                    self.release_indices(&participants, &addrs, &prepared, &name);
+                Ok(Response::StaleEpoch { .. }) => self.obs.twopc_retries.inc(),
+                other => {
                     self.obs.twopc_aborted.inc();
                     return Response::Error {
-                        message: format!("two-phase admission failed: {message}"),
+                        message: format!(
+                            "two-phase admission failed: {}",
+                            unexpected(participant, "prepare", other)
+                        ),
                     };
                 }
             }
@@ -516,34 +414,63 @@ impl ClusterRouter {
             message: format!(
                 "two-phase admission for `{name}` lost {} epoch races; \
                  the cluster state keeps changing, retry later",
-                self.config.max_retries + 1
+                MAX_RETRIES + 1
             ),
         }
     }
 
-    fn release(&self, participants: &[String], addrs: &[String], name: &str) {
-        for (participant, addr) in participants.iter().zip(addrs) {
-            let _ = self.call_owner(
-                participant,
-                addr,
-                Request::AbortReservation {
-                    name: name.to_string(),
-                },
-            );
+    /// Phase two: commits `name` on every (prepared) participant. A
+    /// participant that cannot commit releases everything, including
+    /// any participant that already committed.
+    fn commit_all(&self, participants: &[Participant], name: &str) -> Response {
+        if self.local.take_2pc_ticket() {
+            // PANIC-OK: deterministic chaos drill — the coordinator dies
+            // between prepare and commit; the connection thread unwinds
+            // and the TTL must release every tentative reservation.
+            std::panic::panic_any(fault::INJECTED_PANIC);
+        }
+        for (participant, addr) in participants {
+            let commit = Request::CommitReservation {
+                name: name.to_string(),
+            };
+            if let Err(message) = self
+                .call_owner(participant, addr, commit)
+                .and_then(|response| match response {
+                    Response::Committed { .. } => Ok(()),
+                    other => Err(format!("{other:?}")),
+                })
+            {
+                self.release(participants, name);
+                self.obs.twopc_aborted.inc();
+                return Response::Error {
+                    message: format!(
+                        "two-phase commit failed at `{participant}` \
+                         ({message}); all reservations released"
+                    ),
+                };
+            }
+        }
+        self.obs.twopc_committed.inc();
+        Response::Decision {
+            computation: name.to_string(),
+            accepted: true,
+            shard: 0,
+            reason: format!(
+                "admitted across {} nodes (two-phase commit)",
+                participants.len()
+            ),
+            violated_term: None,
+            clause: None,
+            diagnostics: Vec::new(),
         }
     }
 
-    fn release_indices(
-        &self,
-        participants: &[String],
-        addrs: &[String],
-        indices: &[usize],
-        name: &str,
-    ) {
-        for &index in indices {
+    /// Asks each of `participants` to release the reservation `name`.
+    fn release(&self, participants: &[Participant], name: &str) {
+        for (participant, addr) in participants {
             let _ = self.call_owner(
-                &participants[index],
-                &addrs[index],
+                participant,
+                addr,
                 Request::AbortReservation {
                     name: name.to_string(),
                 },
@@ -630,6 +557,14 @@ impl ClusterRouter {
     }
 }
 
+/// Describes a peer call that did not get the answer its phase needs.
+fn unexpected(participant: &str, phase: &str, answer: Result<Response, String>) -> String {
+    match answer {
+        Ok(other) => format!("peer `{participant}` answered {phase} with {other:?}"),
+        Err(message) => message,
+    }
+}
+
 impl RequestHook for ClusterRouter {
     fn intercept(&self, request: &Request) -> Option<Response> {
         match request {
@@ -651,14 +586,6 @@ impl RequestHook for ClusterRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn router_config_defaults_are_sane() {
-        let config = RouterConfig::default();
-        assert!(!config.redirects);
-        assert!(config.max_retries >= 1);
-        assert!(config.ttl > Duration::ZERO);
-    }
 
     #[test]
     fn peer_unavailable_json_names_the_peer() {

@@ -1,5 +1,5 @@
 //! End-to-end cluster tests over real TCP: gossip convergence,
-//! location routing (local fast path, forward, redirect, 2PC), offer
+//! location routing (local fast path, forward, 2PC), offer
 //! splitting, the `R0016` ownership lint, and the version handshake.
 
 use std::time::Duration;
@@ -139,31 +139,6 @@ fn cross_location_demand_runs_two_phase_commit() {
 }
 
 #[test]
-fn redirect_mode_points_at_the_owner() {
-    let cluster = launch(2, ClusterConfig {
-        redirects: true,
-        ..test_config()
-    });
-    let mut client = client_for(&cluster, 0);
-    let response = client.admit(&job("redirected", &["l1"], 16), Granularity::MaximalRun).unwrap();
-    match response {
-        Response::Redirect { addr, reason } => {
-            assert_eq!(addr, cluster.addrs()[1].to_string());
-            assert!(reason.contains("node1"), "{reason}");
-            // Following the redirect decides on the owner.
-            let mut owner =
-                rota_client::Client::connect_timeout(addr.parse().unwrap(), Duration::from_secs(2))
-                    .unwrap();
-            let response =
-                owner.admit(&job("redirected", &["l1"], 16), Granularity::MaximalRun).unwrap();
-            assert!(accepted(&response), "{response:?}");
-        }
-        other => panic!("expected a redirect, got {other:?}"),
-    }
-    cluster.shutdown();
-}
-
-#[test]
 fn offers_are_split_by_owner() {
     let cluster = launch(2, test_config());
     let mut client = client_for(&cluster, 0);
@@ -213,29 +188,11 @@ fn unowned_locations_are_rejected_with_r0016() {
 }
 
 #[test]
-fn cluster_client_follows_redirects_and_fails_over() {
+fn cluster_client_fails_over() {
     use rota_client::ClusterClient;
-    // Redirect mode: the multi-address client chases the owner.
-    let cluster = launch(2, ClusterConfig {
-        redirects: true,
-        ..test_config()
-    });
-    let mut client = ClusterClient::new(cluster.addrs()).unwrap();
-    let response = client
-        .admit(&job("chased", &["l1"], 16), Granularity::MaximalRun)
-        .unwrap();
-    assert!(accepted(&response), "{response:?}");
-    assert_eq!(client.stats().redirects_followed, 1);
-    assert_eq!(
-        client.current_addr(),
-        cluster.addrs()[1],
-        "the client must stick to the owner it was redirected to"
-    );
-    cluster.shutdown();
-
-    // Failover: with node0 dead, a client given the full address list
-    // has its dial refused and rotates to the survivor, which still
-    // answers admissions for its own locations.
+    // With node0 dead, a client given the full address list has its
+    // dial refused and rotates to the survivor, which still answers
+    // admissions for its own locations.
     let mut cluster = launch(2, test_config());
     let addrs = cluster.addrs();
     cluster.kill("node0");

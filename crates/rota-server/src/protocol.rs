@@ -15,14 +15,14 @@
 //! |---|---|---|
 //! | `hello` | `version`, optional `node` | `welcome`, or `error` on a version mismatch |
 //! | `ping` | — | `pong` |
-//! | `admit` | `computation` (spec object), optional `granularity`, optional `forwarded` | `decision`, `overloaded`, or `redirect` |
+//! | `admit` | `computation` (spec object), optional `granularity`, optional `forwarded` | `decision` or `overloaded` |
 //! | `offer` | `resources` (spec array), optional `forwarded` | `offered` |
 //! | `stats` | — | `stats` (aggregated over shards) |
 //! | `metrics` | — | `metrics` (registry snapshot) |
 //! | `shutdown` | — | `bye`, then the server drains and stops |
 //! | `gossip` | `digest` | `gossip-ack` (cluster members only) |
 //! | `cluster-snapshot` | — | `cluster-state` (per-shard epochs + Θ_expire) |
-//! | `prepare` | `name`, `computation`, `granularity`, `basis`, `epochs`, `ttl_ms` | `prepared`, a rejecting `decision`, or `error` |
+//! | `prepare` | `name`, `computation`, `granularity`, `basis`, `epochs`, `ttl_ms` | `prepared`, a rejecting `decision`, `stale-epoch`, or `error` |
 //! | `commit-reservation` | `name` | `committed` or `error` |
 //! | `abort-reservation` | `name` | `aborted` |
 //!
@@ -40,7 +40,7 @@
 /// Bumped whenever a frame shape changes incompatibly; a server
 /// answers a `hello` carrying any other version with a structured
 /// `version-mismatch` error naming both versions.
-pub const PROTOCOL_VERSION: u64 = 2;
+pub const PROTOCOL_VERSION: u64 = 3;
 
 use std::io::{BufRead, Write};
 
@@ -219,7 +219,7 @@ pub enum Request {
         /// against, in spec form.
         basis: Vec<ResourceSpec>,
         /// Expected per-shard state epochs (from a `cluster-snapshot`);
-        /// a mismatch aborts the prepare with a stale-epoch error.
+        /// a mismatch aborts the prepare with a `stale-epoch` answer.
         epochs: Vec<u64>,
         /// How long the tentative reservation may sit uncommitted
         /// before it self-releases, in milliseconds.
@@ -478,13 +478,16 @@ pub enum Response {
         /// name was unknown or had already expired).
         released: bool,
     },
-    /// The receiving node does not decide this request; retry against
-    /// `addr` (cluster routing in redirect mode).
-    Redirect {
-        /// Address of the owning node (`host:port`).
-        addr: String,
-        /// Why the redirect points there.
-        reason: String,
+    /// Reply to `prepare`: a shard's state moved since the snapshot the
+    /// prepare was based on, so nothing was decided or held. The
+    /// coordinator should re-snapshot and retry.
+    StaleEpoch {
+        /// The shard whose epoch moved.
+        shard: usize,
+        /// The shard's current epoch.
+        epoch: u64,
+        /// The epoch the prepare expected.
+        expected: u64,
     },
     /// An admission verdict.
     Decision {
@@ -542,7 +545,10 @@ pub enum Response {
 impl Response {
     /// Whether this response signals success (`"ok": true` on the wire).
     pub fn is_ok(&self) -> bool {
-        !matches!(self, Response::Overloaded { .. } | Response::Error { .. })
+        !matches!(
+            self,
+            Response::Overloaded { .. } | Response::StaleEpoch { .. } | Response::Error { .. }
+        )
     }
 
     /// Serializes the response as a single-line JSON document.
@@ -577,13 +583,6 @@ impl Response {
                 vec![
                     ("name".into(), Json::Str(name.clone())),
                     ("released".into(), Json::Bool(*released)),
-                ],
-            ),
-            Response::Redirect { addr, reason } => ok_obj(
-                "redirect",
-                vec![
-                    ("addr".into(), Json::Str(addr.clone())),
-                    ("reason".into(), Json::Str(reason.clone())),
                 ],
             ),
             Response::Decision {
@@ -639,6 +638,17 @@ impl Response {
                 ("op".into(), Json::Str("overloaded".into())),
                 ("shard".into(), Json::Num(*shard as f64)),
             ]),
+            Response::StaleEpoch {
+                shard,
+                epoch,
+                expected,
+            } => Json::Obj(vec![
+                ("ok".into(), Json::Bool(false)),
+                ("op".into(), Json::Str("stale-epoch".into())),
+                ("shard".into(), Json::Num(*shard as f64)),
+                ("epoch".into(), Json::Num(*epoch as f64)),
+                ("expected".into(), Json::Num(*expected as f64)),
+            ]),
             Response::Error { message } => Json::Obj(vec![
                 ("ok".into(), Json::Bool(false)),
                 ("op".into(), Json::Str("error".into())),
@@ -688,10 +698,6 @@ impl Response {
                     .as_bool()
                     .ok_or_else(|| SpecError::Parse("response: `released` must be a bool".into()))?,
             }),
-            "redirect" => Ok(Response::Redirect {
-                addr: fields.str("addr")?,
-                reason: fields.str("reason")?,
-            }),
             "decision" => Ok(Response::Decision {
                 computation: fields.str("computation")?,
                 accepted: fields
@@ -731,6 +737,11 @@ impl Response {
             "bye" => Ok(Response::Bye),
             "overloaded" => Ok(Response::Overloaded {
                 shard: fields.u64("shard")? as usize,
+            }),
+            "stale-epoch" => Ok(Response::StaleEpoch {
+                shard: fields.u64("shard")? as usize,
+                epoch: fields.u64("epoch")?,
+                expected: fields.u64("expected")?,
             }),
             "error" => Ok(Response::Error {
                 message: fields.str("error")?,
@@ -1036,6 +1047,11 @@ mod tests {
             },
             Response::Bye,
             Response::Overloaded { shard: 1 },
+            Response::StaleEpoch {
+                shard: 1,
+                epoch: 7,
+                expected: 5,
+            },
             Response::Error {
                 message: "per-request timeout".into(),
             },
@@ -1052,6 +1068,12 @@ mod tests {
     fn ok_flag_matches_variant() {
         assert!(Response::Pong.is_ok());
         assert!(!Response::Overloaded { shard: 0 }.is_ok());
+        assert!(!Response::StaleEpoch {
+            shard: 0,
+            epoch: 1,
+            expected: 0
+        }
+        .is_ok());
         assert!(!Response::Error { message: "x".into() }.is_ok());
     }
 
@@ -1307,10 +1329,6 @@ mod tests {
             Response::Aborted {
                 name: "job".into(),
                 released: true,
-            },
-            Response::Redirect {
-                addr: "127.0.0.1:7402".into(),
-                reason: "location l3 is owned by node n2".into(),
             },
         ];
         for response in samples {

@@ -122,7 +122,7 @@ pub(crate) enum ShardMsg {
     },
     Offer {
         theta: ResourceSet,
-        reply: SyncSender<Result<u64, String>>,
+        reply: SyncSender<Result<(), String>>,
     },
     Stats {
         reply: SyncSender<ControllerStats>,
@@ -136,7 +136,7 @@ pub(crate) enum ShardMsg {
     /// Phase one of two-phase commit: decide `request` against the
     /// coordinator-supplied merged `basis` and, on accept, install the
     /// commitments tentatively with a TTL. Replies `Prepared`, a
-    /// rejection `Decision`, or an error (stale epoch / uninstallable).
+    /// rejection `Decision`, `StaleEpoch`, or an error (uninstallable).
     Prepare {
         request: Box<AdmissionRequest>,
         basis: ResourceSet,
@@ -409,35 +409,57 @@ impl ShardPool {
         }
     }
 
-    /// Splits an offered resource set across shards and installs each
-    /// slice, waiting up to `timeout` per shard.
-    pub(crate) fn offer(&self, theta: ResourceSet, timeout: Duration) -> Response {
-        let mut installed = 0u64;
-        for (shard, slice) in split_by_shard(&theta, self.shards()).into_iter().enumerate() {
-            if slice.is_empty() {
-                continue;
-            }
-            let terms = slice.term_count() as u64;
-            let (reply_tx, reply_rx) = sync_channel::<Result<u64, String>>(1);
-            let msg = ShardMsg::Offer {
-                theta: slice,
-                reply: reply_tx,
-            };
-            // Offers are rare control-plane traffic: block (with a bound)
-            // rather than 503 on a momentarily full queue.
-            if self.senders[shard].send_timeout_compat(msg, timeout).is_err() {
-                return Response::Error {
-                    message: format!("shard {shard} rejected the offer (draining or stuck)"),
-                };
-            }
-            self.obs[shard].queue_depth.add(1);
-            match reply_rx.recv_timeout(timeout) {
-                Ok(Ok(_)) => installed += terms,
-                Ok(Err(message)) => return Response::Error { message },
-                Err(_) => {
-                    return Response::Error {
-                        message: format!("offer to shard {shard} timed out"),
+    /// Sends one message per target shard, each built by `msg` around a
+    /// fresh reply channel, then waits up to `timeout` for every reply.
+    /// Results come back in target order: the shard's reply, or why
+    /// there was none. Control-plane traffic blocks (with a bound) on a
+    /// momentarily full queue rather than answering `overloaded`.
+    fn fan_out<R>(
+        &self,
+        targets: impl IntoIterator<Item = usize>,
+        timeout: Duration,
+        msg: impl Fn(usize, SyncSender<R>) -> ShardMsg,
+    ) -> Vec<Result<R, String>> {
+        let pending: Vec<_> = targets
+            .into_iter()
+            .map(|shard| {
+                let (reply_tx, reply_rx) = sync_channel::<R>(1);
+                let sent = self.senders[shard].send_timeout_compat(msg(shard, reply_tx), timeout);
+                if sent.is_ok() {
+                    self.obs[shard].queue_depth.add(1);
+                }
+                (shard, sent.map(|()| reply_rx))
+            })
+            .collect();
+        pending
+            .into_iter()
+            .map(|(shard, sent)| {
+                let reply = sent.map(|rx| rx.recv_timeout(timeout));
+                match reply {
+                    Ok(Ok(reply)) => Ok(reply),
+                    Ok(Err(RecvTimeoutError::Timeout)) => Err(format!("shard {shard} timed out")),
+                    Err(()) | Ok(Err(RecvTimeoutError::Disconnected)) => {
+                        Err(format!("shard {shard} unavailable (draining or stuck)"))
                     }
+                }
+            })
+            .collect()
+    }
+
+    /// Splits an offered resource set across shards and installs each
+    /// slice in shard order, stopping at the first slice that fails.
+    pub(crate) fn offer(&self, theta: ResourceSet, timeout: Duration) -> Response {
+        let slices = split_by_shard(&theta, self.shards());
+        let mut installed = 0u64;
+        for (shard, slice) in slices.iter().enumerate().filter(|(_, s)| !s.is_empty()) {
+            let replies = self.fan_out([shard], timeout, |_, reply| ShardMsg::Offer {
+                theta: slice.clone(),
+                reply,
+            });
+            for reply in replies {
+                match reply.and_then(std::convert::identity) {
+                    Ok(()) => installed += slice.term_count() as u64,
+                    Err(message) => return Response::Error { message },
                 }
             }
         }
@@ -446,23 +468,12 @@ impl ShardPool {
 
     /// Aggregates every shard's controller statistics.
     pub(crate) fn stats(&self, timeout: Duration) -> Response {
-        let mut receivers = Vec::with_capacity(self.shards());
-        for (shard, tx) in self.senders.iter().enumerate() {
-            let (reply_tx, reply_rx) = sync_channel::<ControllerStats>(1);
-            if tx
-                .send_timeout_compat(ShardMsg::Stats { reply: reply_tx }, timeout)
-                .is_err()
-            {
-                return Response::Error {
-                    message: format!("shard {shard} unavailable"),
-                };
-            }
-            self.obs[shard].queue_depth.add(1);
-            receivers.push(reply_rx);
-        }
         let mut total = ControllerStats::default();
-        for (shard, rx) in receivers.into_iter().enumerate() {
-            match rx.recv_timeout(timeout) {
+        let replies = self.fan_out(0..self.shards(), timeout, |_, reply| ShardMsg::Stats {
+            reply,
+        });
+        for reply in replies {
+            match reply {
                 Ok(stats) => {
                     total.accepted += stats.accepted;
                     total.rejected += stats.rejected;
@@ -470,11 +481,7 @@ impl ShardPool {
                     total.missed += stats.missed;
                     total.withdrawn += stats.withdrawn;
                 }
-                Err(_) => {
-                    return Response::Error {
-                        message: format!("stats from shard {shard} timed out"),
-                    }
-                }
+                Err(message) => return Response::Error { message },
             }
         }
         Response::Stats {
@@ -490,24 +497,13 @@ impl ShardPool {
         &self,
         timeout: Duration,
     ) -> Result<(Vec<u64>, ResourceSet), String> {
-        let mut receivers = Vec::with_capacity(self.shards());
-        for (shard, tx) in self.senders.iter().enumerate() {
-            let (reply_tx, reply_rx) = sync_channel::<(u64, ResourceSet)>(1);
-            if tx
-                .send_timeout_compat(ShardMsg::Snapshot { reply: reply_tx }, timeout)
-                .is_err()
-            {
-                return Err(format!("shard {shard} unavailable"));
-            }
-            self.obs[shard].queue_depth.add(1);
-            receivers.push(reply_rx);
-        }
+        let replies = self.fan_out(0..self.shards(), timeout, |_, reply| ShardMsg::Snapshot {
+            reply,
+        });
         let mut epochs = Vec::with_capacity(self.shards());
         let mut merged = ResourceSet::new();
-        for (shard, rx) in receivers.into_iter().enumerate() {
-            let (epoch, theta) = rx
-                .recv_timeout(timeout)
-                .map_err(|_| format!("snapshot from shard {shard} timed out"))?;
+        for (shard, reply) in replies.into_iter().enumerate() {
+            let (epoch, theta) = reply?;
             epochs.push(epoch);
             merged = merged
                 .union(&theta)
@@ -517,12 +513,12 @@ impl ShardPool {
     }
 
     /// Broadcasts a 2PC prepare to every shard. All shards must answer
-    /// `Prepared` for the prepare to stand; on any rejection, error, or
-    /// timeout the partial reservations are aborted and the first
-    /// non-prepared response is returned. Each shard installs the full
-    /// commitment set — terms at locations a shard does not own are
-    /// no-ops in its availability, so the union over shards subtracts
-    /// each term exactly once.
+    /// `Prepared` for the prepare to stand; on any rejection, stale
+    /// epoch, error, or timeout the partial reservations are aborted and
+    /// the first non-prepared response is returned. Each shard installs
+    /// the full commitment set — terms at locations a shard does not own
+    /// are no-ops in its availability, so the union over shards
+    /// subtracts each term exactly once.
     pub(crate) fn prepare(
         &self,
         request: AdmissionRequest,
@@ -541,39 +537,22 @@ impl ShardPool {
             };
         }
         let name = request.name().to_string();
-        let mut receivers = Vec::with_capacity(self.shards());
-        for (shard, tx) in self.senders.iter().enumerate() {
-            let (reply_tx, reply_rx) = sync_channel::<Response>(1);
-            let msg = ShardMsg::Prepare {
-                request: Box::new(request.clone()),
-                basis: basis.clone(),
-                expected_epoch: epochs[shard],
-                ttl,
-                reply: reply_tx,
-            };
-            if tx.send_timeout_compat(msg, timeout).is_err() {
-                self.abort(&name, timeout);
-                return Response::Error {
-                    message: format!("shard {shard} unavailable"),
-                };
-            }
-            self.obs[shard].queue_depth.add(1);
-            receivers.push(reply_rx);
-        }
-        let mut failure: Option<Response> = None;
-        for (shard, rx) in receivers.into_iter().enumerate() {
-            match rx.recv_timeout(timeout) {
-                Ok(Response::Prepared { .. }) => {}
-                Ok(other) => {
-                    failure.get_or_insert(other);
+        let failure = self
+            .fan_out(0..self.shards(), timeout, |shard, reply| {
+                ShardMsg::Prepare {
+                    request: Box::new(request.clone()),
+                    basis: basis.clone(),
+                    expected_epoch: epochs[shard],
+                    ttl,
+                    reply,
                 }
-                Err(_) => {
-                    failure.get_or_insert(Response::Error {
-                        message: format!("prepare on shard {shard} timed out"),
-                    });
-                }
-            }
-        }
+            })
+            .into_iter()
+            .find_map(|reply| match reply {
+                Ok(Response::Prepared { .. }) => None,
+                Ok(other) => Some(other),
+                Err(message) => Some(Response::Error { message }),
+            });
         match failure {
             None => Response::Prepared { name },
             Some(response) => {
@@ -587,62 +566,28 @@ impl ShardPool {
     /// reservation expired, or it timed out), already-committed shards
     /// are compensated with an abort and the error is returned.
     pub(crate) fn commit(&self, name: &str, timeout: Duration) -> Result<(), String> {
-        let mut receivers = Vec::with_capacity(self.shards());
-        for (shard, tx) in self.senders.iter().enumerate() {
-            let (reply_tx, reply_rx) = sync_channel::<Result<(), String>>(1);
-            let msg = ShardMsg::Commit {
+        let outcome: Result<(), String> = self
+            .fan_out(0..self.shards(), timeout, |_, reply| ShardMsg::Commit {
                 name: name.to_string(),
-                reply: reply_tx,
-            };
-            if tx.send_timeout_compat(msg, timeout).is_err() {
-                self.abort(name, timeout);
-                return Err(format!("shard {shard} unavailable"));
-            }
-            self.obs[shard].queue_depth.add(1);
-            receivers.push(reply_rx);
+                reply,
+            })
+            .into_iter()
+            .try_for_each(|reply| reply.and_then(std::convert::identity));
+        if outcome.is_err() {
+            self.abort(name, timeout);
         }
-        let mut failure: Option<String> = None;
-        for (shard, rx) in receivers.into_iter().enumerate() {
-            match rx.recv_timeout(timeout) {
-                Ok(Ok(())) => {}
-                Ok(Err(err)) => {
-                    failure.get_or_insert(format!("shard {shard}: {err}"));
-                }
-                Err(_) => {
-                    failure.get_or_insert(format!("commit on shard {shard} timed out"));
-                }
-            }
-        }
-        match failure {
-            None => Ok(()),
-            Some(err) => {
-                self.abort(name, timeout);
-                Err(err)
-            }
-        }
+        outcome
     }
 
     /// Broadcasts a 2PC abort; returns whether any shard actually
     /// released a reservation (tentative or, compensating, committed).
     pub(crate) fn abort(&self, name: &str, timeout: Duration) -> bool {
-        let mut receivers = Vec::with_capacity(self.shards());
-        for (shard, tx) in self.senders.iter().enumerate() {
-            let (reply_tx, reply_rx) = sync_channel::<bool>(1);
-            let msg = ShardMsg::Abort {
-                name: name.to_string(),
-                reply: reply_tx,
-            };
-            if tx.send_timeout_compat(msg, timeout).is_err() {
-                continue;
-            }
-            self.obs[shard].queue_depth.add(1);
-            receivers.push(reply_rx);
-        }
-        let mut released = false;
-        for rx in receivers {
-            released |= rx.recv_timeout(timeout).unwrap_or(false);
-        }
-        released
+        self.fan_out(0..self.shards(), timeout, |_, reply| ShardMsg::Abort {
+            name: name.to_string(),
+            reply,
+        })
+        .into_iter()
+        .any(|released| released.unwrap_or(false))
     }
 }
 
@@ -868,10 +813,7 @@ impl<P: AdmissionPolicy + Clone> ShardWorker<P> {
                     let _ = reply.try_send(response);
                 }
                 ShardMsg::Offer { theta, reply } => {
-                    let result = controller
-                        .offer_resources(theta)
-                        .map(|()| 0)
-                        .map_err(|e| e.to_string());
+                    let result = controller.offer_resources(theta).map_err(|e| e.to_string());
                     if result.is_ok() {
                         self.epoch += 1;
                     }
@@ -906,12 +848,10 @@ impl<P: AdmissionPolicy + Clone> ShardWorker<P> {
                         continue;
                     }
                     if expected_epoch != self.epoch {
-                        let _ = reply.try_send(Response::Error {
-                            message: format!(
-                                "stale-epoch: shard {} is at epoch {}, prepare expected \
-                                 {expected_epoch}; re-snapshot and retry",
-                                self.shard, self.epoch
-                            ),
+                        let _ = reply.try_send(Response::StaleEpoch {
+                            shard: self.shard,
+                            epoch: self.epoch,
+                            expected: expected_epoch,
                         });
                         continue;
                     }
@@ -969,7 +909,9 @@ impl<P: AdmissionPolicy + Clone> ShardWorker<P> {
                         Ok(())
                     } else {
                         Err(format!(
-                            "no reservation named `{name}` (expired or never prepared)"
+                            "shard {}: no reservation named `{name}` (expired or never \
+                             prepared)",
+                            self.shard
                         ))
                     };
                     let _ = reply.try_send(result);
@@ -1429,10 +1371,7 @@ mod tests {
         assert_ne!(basis2, theta, "the reservation is excluded from the snapshot");
         // A prepare against the stale basis is refused, not mis-decided.
         let stale = pool.prepare(request_at("r2", "l0", 1, 16), &basis, &epochs, ttl, timeout);
-        match &stale {
-            Response::Error { message } => assert!(message.contains("stale-epoch"), "{message}"),
-            other => panic!("unexpected {other:?}"),
-        }
+        assert!(matches!(stale, Response::StaleEpoch { shard: 0, .. }), "{stale:?}");
         // Re-preparing the same name refreshes instead of double-holding.
         let again = pool.prepare(request_at("r1", "l0", 1, 16), &basis, &epochs, ttl, timeout);
         assert!(matches!(&again, Response::Prepared { name } if name == "r1"), "{again:?}");
@@ -1454,6 +1393,50 @@ mod tests {
         let snap = registry.snapshot();
         assert_eq!(snap.counter("server.twopc.prepared{shard=0}"), Some(2));
         assert_eq!(snap.counter("server.twopc.committed{shard=0}"), Some(1));
+        assert_eq!(snap.counter("server.twopc.aborted{shard=0}"), Some(1));
+        drop(pool);
+        for handle in handles {
+            handle.join().unwrap();
+        }
+    }
+
+    #[test]
+    fn stale_prepare_on_one_shard_releases_the_others() {
+        // Every other prepare test runs one shard; here shard 0 prepares
+        // cleanly while shard 1's epoch has moved, so the pool must undo
+        // shard 0's hold before answering with the stale refusal.
+        let on_shard = |shard: usize| {
+            (0..64)
+                .map(|i| format!("l{i}"))
+                .find(|l| shard_of(&Location::new(l), 2) == shard)
+                .unwrap()
+        };
+        let (home, other) = (on_shard(0), on_shard(1));
+        let registry = Arc::new(Registry::new());
+        let journal = Arc::new(Journal::new(64));
+        let theta = theta_at(&[&home, &other], 4, 16);
+        let (pool, handles) =
+            ShardPool::spawn(RotaPolicy, &theta, 2, 8, DEDUP_CAPACITY, &registry, &journal, None);
+        let timeout = Duration::from_secs(5);
+        let ttl = Duration::from_secs(30);
+        let (stale_epochs, _) = pool.cluster_state(timeout).unwrap();
+        // An accepted admit on shard 1 moves its epoch, not shard 0's.
+        let moved = pool.admit(request_at("mover", &other, 1, 16), timeout);
+        assert!(matches!(moved, Response::Decision { accepted: true, .. }), "{moved:?}");
+        let (epochs, basis) = pool.cluster_state(timeout).unwrap();
+        assert_eq!(epochs, vec![stale_epochs[0], stale_epochs[1] + 1]);
+        let stale = pool.prepare(request_at("held", &home, 1, 16), &basis, &stale_epochs, ttl, timeout);
+        match &stale {
+            Response::StaleEpoch { shard, epoch, expected } => {
+                assert_eq!((*shard, *epoch, *expected), (1, epochs[1], stale_epochs[1]));
+            }
+            other => panic!("expected a stale-epoch answer, got {other:?}"),
+        }
+        assert_eq!(pool.cluster_state(timeout).unwrap().1, basis, "shard 0 keeps no hold");
+        let snap = registry.snapshot();
+        assert_eq!(snap.gauge("server.shard.reservations{shard=0}"), Some(0));
+        assert_eq!(snap.gauge("server.shard.reservations{shard=1}"), Some(0));
+        assert_eq!(snap.counter("server.twopc.prepared{shard=0}"), Some(1));
         assert_eq!(snap.counter("server.twopc.aborted{shard=0}"), Some(1));
         drop(pool);
         for handle in handles {

@@ -4,11 +4,19 @@
 # Build, test, and lint — the bar every change must clear. The cluster
 # and chaos-cluster drills run first (they are also part of `cargo
 # test`, but failures there should name the federation, not a test id).
+# The benchmark's own tests run last, so an API change that breaks
+# `admbench` fails here too.
 verify: cluster chaos-cluster
     cargo build --release
-    cargo test -q
+    cargo test -q --workspace
     cargo clippy --workspace --all-targets -- -D warnings
     cargo run -q -p repolint
+    just admbench-test
+
+# The benchmark harness's tests (a standalone package outside the
+# workspace; see admbench/README.md).
+admbench-test:
+    cargo test --release --manifest-path admbench/Cargo.toml
 
 # Repo conventions linter on its own (unwrap/expect bans, forbid(unsafe_code)).
 repolint:
@@ -45,8 +53,8 @@ loadtest *ARGS:
     cargo run --release -p rota-cli --bin rota-cli -- loadtest {{ARGS}}
 
 # Federation end-to-end: gossip convergence, location routing (local /
-# forward / redirect / 2PC), offer splitting, and the 3-node-vs-merged-
-# oracle verdict-equivalence property (DESIGN.md §12).
+# forward / 2PC), offer splitting, and the 3-node-vs-merged-oracle
+# verdict-equivalence property (DESIGN.md §12).
 cluster:
     cargo test -q -p rota-cluster --test e2e --test properties
 
