@@ -112,7 +112,7 @@ pub struct AdmissionController<P> {
     in_flight: Vec<(Vec<ActorName>, TimePoint)>,
     obs: Option<AdmissionObs>,
     // The most recent submit verdict, so `explain` works without an
-    // attached observability bundle.
+    // attached observability bundle (with one, the journal holds it).
     last_decision: Option<DecisionEvent>,
 }
 
@@ -213,12 +213,16 @@ impl<P: AdmissionPolicy> AdmissionController<P> {
             }
         }
         let event = self.decision_event(request, &decision);
-        if let Some(obs) = &self.obs {
-            obs.count_decision(decision.is_accept());
-            obs.set_in_flight(self.in_flight.len());
-            obs.record(event.clone());
+        // `explain` reads the journal when one is attached, so the event
+        // goes to exactly one place. (`install` already updated the
+        // in-flight gauge on accept.)
+        match &self.obs {
+            Some(obs) => {
+                obs.count_decision(decision.is_accept());
+                obs.record(event);
+            }
+            None => self.last_decision = Some(event),
         }
-        self.last_decision = Some(event);
         decision
     }
 

@@ -120,7 +120,7 @@ impl AdmissionPolicy for RotaPolicy {
         if state.now() >= request.deadline() {
             return Decision::Reject(RejectReason::DeadlinePassed);
         }
-        let expiring = state.expiring_resources();
+        let expiring = state.expiring_for(&request.requirement().total_demand());
         match schedule_concurrent(&expiring, request.requirement(), state.now()) {
             Ok(schedules) => {
                 let commitments = schedules

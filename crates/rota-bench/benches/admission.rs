@@ -30,9 +30,10 @@ fn request(name: &str, node: usize, deadline: u64) -> AdmissionRequest {
     )
 }
 
-/// A state with `n` computations already committed across 8 nodes.
-fn committed_state(n: usize) -> State {
-    let window = rota_interval::TimeInterval::from_ticks(0, HORIZON).expect("valid");
+/// A state with `n` computations already committed across 8 nodes, over
+/// `horizon` ticks of supply.
+fn committed_state(n: usize, horizon: u64) -> State {
+    let window = rota_interval::TimeInterval::from_ticks(0, horizon).expect("valid");
     let theta = ResourceSet::from_terms((0..8).map(|i| {
         ResourceTerm::new(
             Rate::new(4),
@@ -43,7 +44,7 @@ fn committed_state(n: usize) -> State {
     .expect("bounded rates");
     let mut state = State::new(theta, TimePoint::ZERO);
     for k in 0..n {
-        let req = request(&format!("pre{k}"), k % 8, HORIZON);
+        let req = request(&format!("pre{k}"), k % 8, horizon);
         if let rota_admission::Decision::Accept(cs) = RotaPolicy.decide(&state, &req) {
             for c in cs {
                 state.accommodate(c).expect("before deadline");
@@ -56,9 +57,14 @@ fn committed_state(n: usize) -> State {
 fn bench_admission_vs_committed(c: &mut Criterion) {
     let mut group = c.benchmark_group("e4/admit_vs_committed");
     group.sample_size(20);
-    for &n in &[1usize, 8, 32, 128, 512] {
-        let state = committed_state(n);
-        let probe = request("probe", 3, HORIZON);
+    for &n in &[1usize, 8, 32, 128, 512, 10_000] {
+        // The horizon grows with n so no node saturates: every point
+        // times an accept with all n computations committed.
+        let horizon = HORIZON.max(n as u64);
+        let state = committed_state(n, horizon);
+        assert_eq!(state.rho().len(), n, "every pre-committed request fits");
+        let probe = request("probe", 3, horizon);
+        assert!(RotaPolicy.decide(&state, &probe).is_accept());
         group.bench_with_input(BenchmarkId::new("rota", n), &n, |b, _| {
             b.iter(|| black_box(RotaPolicy.decide(&state, &probe).is_accept()))
         });
@@ -75,7 +81,7 @@ fn bench_edf_simulation_cost(c: &mut Criterion) {
     let mut group = c.benchmark_group("e4/edf_simulation");
     group.sample_size(10);
     for &n in &[1usize, 8, 32] {
-        let state = committed_state(n);
+        let state = committed_state(n, HORIZON);
         let probe = request("probe", 3, HORIZON);
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
             b.iter(|| black_box(GreedyEdfPolicy.decide(&state, &probe).is_accept()))

@@ -42,7 +42,7 @@ use rota_admission::{
 use rota_interval::TimePoint;
 use rota_logic::State;
 use rota_obs::{DecisionEvent, Json, Registry};
-use rota_client::{run_loadtest, Client, HedgeConfig, LoadtestConfig, RetryConfig};
+use rota_client::{run_loadtest, Client, ClientError, HedgeConfig, LoadtestConfig, RetryConfig};
 use rota_server::spec::CheckSpec;
 use rota_server::{spawn_policy_by_name, FaultPlan, ServerConfig, POLICY_NAMES};
 use rota_sim::{run_scenario_observed, run_scenario_traced_observed};
@@ -1045,6 +1045,34 @@ fn run_cluster_loadtest(
     ExitCode::SUCCESS
 }
 
+/// The loadtest report's server-side tally. The `stats` verb counts only
+/// controller verdicts; admits bounced by shard pre-validation never reach
+/// a controller, so their count (`server.shard.lint_rejects`, summed over
+/// shards) comes from the `metrics` verb. The parts add up to every admit
+/// the server decided.
+fn server_side(addr: SocketAddr) -> Result<String, ClientError> {
+    let mut client = Client::connect(addr)?;
+    let (stats, shards) = client.stats()?;
+    let Json::Obj(metrics) = client.metrics()? else {
+        return Err(ClientError::Server(
+            "metrics snapshot is not an object".into(),
+        ));
+    };
+    let linted: u64 = metrics
+        .iter()
+        .filter(|(name, _)| name.starts_with("server.shard.lint_rejects{"))
+        .filter_map(|(_, metric)| metric.get("value").and_then(Json::as_u64))
+        .sum();
+    Ok(format!(
+        "{} accepted / {} rejected / {} lint-rejected = {} decided across {} shard(s)",
+        stats.accepted,
+        stats.rejected,
+        linted,
+        stats.accepted + stats.rejected + linted,
+        shards
+    ))
+}
+
 fn cmd_loadtest(args: &[String]) -> ExitCode {
     let policy_flag = flag(args, "--policy").unwrap_or_else(|| "rota".into());
     let policies: Vec<&str> = if policy_flag == "all" {
@@ -1177,11 +1205,17 @@ fn cmd_loadtest(args: &[String]) -> ExitCode {
             }
         };
         print!("{}", report.render(policy));
-        match Client::connect(addr).and_then(|mut c| c.stats()) {
-            Ok((stats, shards)) => println!(
-                "  server side  {} accepted / {} rejected across {} shard(s)\n",
-                stats.accepted, stats.rejected, shards
-            ),
+        // Both reads are idempotent; retry the few that `--chaos`
+        // truncates or resets.
+        let mut side = server_side(addr);
+        for _ in 0..4 {
+            if side.is_ok() {
+                break;
+            }
+            side = server_side(addr);
+        }
+        match side {
+            Ok(line) => println!("  server side  {line}\n"),
             Err(e) => println!("  server side  (stats unavailable: {e})\n"),
         }
         if let Some(handle) = handle {

@@ -122,3 +122,27 @@ fn simulate_metrics_out_writes_snapshot() {
     assert!(doc.get("decisions").and_then(Json::as_array).is_some());
     std::fs::remove_file(&path).ok();
 }
+
+#[test]
+fn loadtest_server_side_line_accounts_for_lint_rejects() {
+    // Four shards: location-spanning jobs are bounced by shard
+    // pre-validation (R0006) before any policy sees them.
+    let args = "loadtest --policy optimistic --nodes 4 --jobs 120 --connections 2 --seed 7";
+    let (stdout, stderr, ok) = run_cli(&args.split(' ').collect::<Vec<_>>());
+    assert!(ok, "loadtest exits zero: {stderr}");
+    let line = stdout
+        .lines()
+        .find(|l| l.trim_start().starts_with("server side"))
+        .unwrap_or_else(|| panic!("no server side line in {stdout}"));
+    let numbers: Vec<u64> = line
+        .split_whitespace()
+        .filter_map(|word| word.parse().ok())
+        .collect();
+    let [accepted, rejected, linted, decided, shards] = numbers[..] else {
+        panic!("unexpected server side line: {line}");
+    };
+    assert_eq!(shards, 4);
+    assert!(linted > 0, "spanning jobs are lint-rejected: {line}");
+    assert_eq!(accepted + rejected + linted, decided);
+    assert_eq!(decided, 120, "every sent job is decided somewhere: {line}");
+}

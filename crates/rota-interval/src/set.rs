@@ -82,7 +82,19 @@ impl IntervalSet {
     }
 
     /// Inserts an interval, merging with any overlapping or adjacent spans.
+    ///
+    /// An interval starting at or after the last span's start can touch
+    /// only that span, so building a set from sorted input is linear.
     pub fn insert(&mut self, interval: TimeInterval) {
+        if let Some(last) = self.spans.last_mut() {
+            if interval.start() >= last.start() {
+                match last.union_contiguous(&interval) {
+                    Some(merged) => *last = merged,
+                    None => self.spans.push(interval),
+                }
+                return;
+            }
+        }
         let mut merged = interval;
         let mut out = Vec::with_capacity(self.spans.len() + 1);
         let mut placed = false;
@@ -133,23 +145,34 @@ impl IntervalSet {
         IntervalSet { spans: out }
     }
 
-    /// Relative complement `self \ other`.
+    /// Relative complement `self \ other`, in one sweep over both span
+    /// lists.
     #[must_use]
     pub fn difference(&self, other: &IntervalSet) -> IntervalSet {
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(self.spans.len());
+        let cuts = &other.spans;
+        let mut first = 0;
         for &span in &self.spans {
-            let mut rest = vec![span];
-            for &cut in &other.spans {
+            // Cuts ending by this span's start miss it and every later span.
+            while cuts.get(first).is_some_and(|cut| cut.end() <= span.start()) {
+                first += 1;
+            }
+            let mut start = span.start();
+            for cut in &cuts[first..] {
                 if cut.start() >= span.end() {
                     break;
                 }
-                let mut next = Vec::with_capacity(rest.len() + 1);
-                for piece in rest {
-                    next.extend(piece.difference(&cut));
+                if cut.start() > start {
+                    out.push(TimeInterval::new(start, cut.start()).expect("start < cut start"));
                 }
-                rest = next;
+                start = start.max(cut.end());
+                if start >= span.end() {
+                    break;
+                }
             }
-            out.extend(rest);
+            if start < span.end() {
+                out.push(TimeInterval::new(start, span.end()).expect("start < span end"));
+            }
         }
         IntervalSet { spans: out }
     }

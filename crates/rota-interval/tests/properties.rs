@@ -112,6 +112,37 @@ proptest! {
         }
     }
 
+    /// The one-sweep difference equals the tick-by-tick reference exactly,
+    /// normal form included.
+    #[test]
+    fn difference_matches_tickwise_reference(
+        a in arb_interval_set(40),
+        b in arb_interval_set(40),
+    ) {
+        let reference: IntervalSet = a
+            .ticks()
+            .filter(|&t| !b.contains_tick(t))
+            .map(TimeInterval::tick)
+            .collect();
+        prop_assert_eq!(a.difference(&b), reference);
+    }
+
+    /// Building from sorted intervals (the append path of `insert`) gives
+    /// the same normal form as any other order.
+    #[test]
+    fn sorted_build_matches_any_order(ivs in proptest::collection::vec(arb_interval(30), 0..10)) {
+        let mut sorted = ivs.clone();
+        sorted.sort_by_key(|iv| (iv.start(), iv.end()));
+        let from_sorted: IntervalSet = sorted.into_iter().collect();
+        let tickwise: IntervalSet = ivs
+            .iter()
+            .flat_map(|iv| iv.ticks())
+            .map(TimeInterval::tick)
+            .collect();
+        prop_assert_eq!(&from_sorted, &ivs.into_iter().collect::<IntervalSet>());
+        prop_assert_eq!(from_sorted, tickwise);
+    }
+
     /// (a \ b) ∪ (a ∩ b) == a — difference and intersection partition a set.
     #[test]
     fn difference_partitions(a in arb_interval_set(30), b in arb_interval_set(30)) {

@@ -203,6 +203,13 @@ impl Commitment {
         Some(total)
     }
 
+    /// Whether every pending segment carries a reservation (vacuously so
+    /// once complete): only then is the commitment's future consumption
+    /// known tick by tick.
+    pub fn is_reserved(&self) -> bool {
+        self.pending.iter().all(|seg| seg.reservation.is_some())
+    }
+
     /// Whether this commitment is entitled to `located` at `now`.
     pub fn entitled(&self, located: &LocatedType, now: TimePoint) -> bool {
         self.head()
@@ -212,21 +219,28 @@ impl Commitment {
 
     /// Applies delivered resource to the head segment: reduces its demand
     /// for `located` by up to `delivered`, popping the segment when every
-    /// type in it empties. Returns the quantity actually absorbed.
-    pub fn absorb(&mut self, located: &LocatedType, delivered: Quantity) -> Quantity {
+    /// type in it empties. Returns the quantity actually absorbed and the
+    /// popped segment, if this delivery completed it.
+    pub fn absorb(
+        &mut self,
+        located: &LocatedType,
+        delivered: Quantity,
+    ) -> (Quantity, Option<ScheduledSegment>) {
         let Some(head) = self.pending.front_mut() else {
-            return Quantity::ZERO;
+            return (Quantity::ZERO, None);
         };
         let need = head.requirement().demand().amount(located);
         let absorbed = need.min(delivered);
         if absorbed.is_zero() {
-            return Quantity::ZERO;
+            return (Quantity::ZERO, None);
         }
         head.reduce(located, absorbed);
-        if head.requirement().demand().is_empty() {
-            self.pending.pop_front();
-        }
-        absorbed
+        let finished = if head.requirement().demand().is_empty() {
+            self.pending.pop_front()
+        } else {
+            None
+        };
+        (absorbed, finished)
     }
 
     /// Whether the head segment's window has passed without completing —
@@ -330,16 +344,6 @@ impl Commitments {
         total
     }
 
-    /// Union of every pending reservation, or `None` if any commitment is
-    /// opportunistic — used for the fast Θ_expire computation.
-    pub fn total_reservation(&self) -> Option<ResourceSet> {
-        let mut total = ResourceSet::new();
-        for c in &self.entries {
-            total = total.union(&c.pending_reservation()?).ok()?;
-        }
-        Some(total)
-    }
-
     /// Actors entitled to consume `located` at `now`, in admission order —
     /// candidates for a `ξ ↦ a` transition label.
     pub fn entitled(&self, located: &LocatedType, now: TimePoint) -> Vec<&ActorName> {
@@ -407,20 +411,31 @@ mod tests {
     fn absorb_drains_head_then_pops() {
         let mut c = commitment();
         assert_eq!(c.len(), 2);
-        assert_eq!(c.absorb(&cpu("l1"), Quantity::new(5)), Quantity::new(5));
+        assert_eq!(
+            c.absorb(&cpu("l1"), Quantity::new(5)),
+            (Quantity::new(5), None)
+        );
         assert_eq!(
             c.head().unwrap().requirement().demand().amount(&cpu("l1")),
             Quantity::new(3)
         );
-        // over-delivery absorbs only what is needed
-        assert_eq!(c.absorb(&cpu("l1"), Quantity::new(100)), Quantity::new(3));
+        // over-delivery absorbs only what is needed, and pops the head
+        let (absorbed, finished) = c.absorb(&cpu("l1"), Quantity::new(100));
+        assert_eq!(absorbed, Quantity::new(3));
+        assert_eq!(
+            finished.map(|seg| seg.requirement().window()),
+            Some(window(0, 4))
+        );
         assert_eq!(c.len(), 1);
     }
 
     #[test]
     fn absorb_wrong_type_is_noop() {
         let mut c = commitment();
-        assert_eq!(c.absorb(&cpu("l9"), Quantity::new(5)), Quantity::ZERO);
+        assert_eq!(
+            c.absorb(&cpu("l9"), Quantity::new(5)),
+            (Quantity::ZERO, None)
+        );
         assert_eq!(c.len(), 2);
     }
 
@@ -510,7 +525,9 @@ mod tests {
         );
         let total = c.pending_reservation().unwrap();
         assert_eq!(total, res1.union(&res2).unwrap());
+        assert!(c.is_reserved());
         assert!(commitment().pending_reservation().is_none());
+        assert!(!commitment().is_reserved());
     }
 
     #[test]
@@ -529,7 +546,6 @@ mod tests {
         assert_eq!(rho.entitled(&cpu("l1"), TimePoint::new(3)).len(), 2);
         assert!(rho.entitled(&cpu("l9"), TimePoint::new(3)).is_empty());
         assert_eq!(rho.total_remaining().amount(&cpu("l1")), Quantity::new(12));
-        assert!(rho.total_reservation().is_none(), "opportunistic entries");
     }
 
     #[test]
@@ -545,34 +561,6 @@ mod tests {
         assert_eq!(rho.len(), 1);
         assert_eq!(rho.remove_actor(&ActorName::new("a1")).len(), 1);
         assert!(rho.is_empty());
-    }
-
-    #[test]
-    fn total_reservation_unions_across_commitments() {
-        let res1: ResourceSet = [ResourceTerm::new(Rate::new(2), window(0, 2), cpu("l1"))]
-            .into_iter()
-            .collect();
-        let res2: ResourceSet = [ResourceTerm::new(Rate::new(3), window(5, 7), cpu("l2"))]
-            .into_iter()
-            .collect();
-        let rho: Commitments = [
-            Commitment::new(
-                ActorName::new("a1"),
-                [ScheduledSegment::reserved(simple(cpu("l1"), 4, 0, 2), res1.clone())],
-                TimePoint::new(2),
-            ),
-            Commitment::new(
-                ActorName::new("a2"),
-                [ScheduledSegment::reserved(simple(cpu("l2"), 6, 5, 7), res2.clone())],
-                TimePoint::new(7),
-            ),
-        ]
-        .into_iter()
-        .collect();
-        assert_eq!(
-            rho.total_reservation().unwrap(),
-            res1.union(&res2).unwrap()
-        );
     }
 
     #[test]

@@ -22,7 +22,7 @@
 
 use core::fmt;
 
-use rota_actor::ActorName;
+use rota_actor::{ActorName, ResourceDemand};
 use rota_interval::{TickDuration, TimeInterval, TimePoint};
 use rota_resource::{LocatedType, Quantity, Rate, ResourceSet, ResourceSetError};
 
@@ -152,11 +152,20 @@ pub struct State {
     // numerator of utilization metrics. Not part of the paper's state
     // triple; bookkeeping only, and excluded from equality.
     delivered: u64,
+    // The pointwise sum of every pending segment's reservation, kept in
+    // step with `rho` by each rule that changes it, so Θ_expire never
+    // folds over all commitments. Derived from `rho`; excluded from
+    // equality.
+    reserved: ResourceSet,
+    // How many commitments have a pending segment without a reservation.
+    // While any do, Θ_expire needs the greedy-path simulation.
+    unreserved: usize,
 }
 
 impl PartialEq for State {
     /// States compare as the paper's triple `(Θ, ρ, t)`; the delivered
-    /// -units counter is bookkeeping and does not participate.
+    /// -units counter and the reserved profile derived from `ρ` do not
+    /// participate.
     fn eq(&self, other: &Self) -> bool {
         self.theta == other.theta && self.rho == other.rho && self.now == other.now
     }
@@ -168,24 +177,64 @@ impl State {
     /// Creates a state with availability `theta`, no commitments, at time
     /// `now`. Availability strictly before `now` is dropped (it has, by
     /// definition, expired).
-    pub fn new(mut theta: ResourceSet, now: TimePoint) -> Self {
+    pub fn new(theta: ResourceSet, now: TimePoint) -> Self {
+        State::with_commitments(theta, Commitments::new(), now)
+    }
+
+    /// Creates a state with commitments already in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the pending reservations' summed rate overflows `u64`.
+    /// Reservations are carved from availability, so commitments taken
+    /// from another state never do.
+    pub fn with_commitments(mut theta: ResourceSet, rho: Commitments, now: TimePoint) -> Self {
         theta.truncate_before(now);
-        State {
+        let mut state = State {
             theta,
             rho: Commitments::new(),
             now,
             delivered: 0,
+            reserved: ResourceSet::new(),
+            unreserved: 0,
+        };
+        for commitment in rho.iter() {
+            state
+                .track(commitment)
+                .expect("pending reservations' summed rate fits in u64");
         }
+        state.rho = rho;
+        state
     }
 
-    /// Creates a state with commitments already in place.
-    pub fn with_commitments(mut theta: ResourceSet, rho: Commitments, now: TimePoint) -> Self {
-        theta.truncate_before(now);
-        State {
-            theta,
-            rho,
-            now,
-            delivered: 0,
+    /// Adds `commitment`'s pending reservations to the reserved profile.
+    /// All or nothing: on overflow nothing changes.
+    fn track(&mut self, commitment: &Commitment) -> Result<(), ResourceSetError> {
+        let mut claim = ResourceSet::new();
+        for seg in commitment.pending() {
+            if let Some(res) = seg.reservation() {
+                claim.add_set(res)?;
+            }
+        }
+        self.reserved.add_set(&claim)?;
+        if !commitment.is_reserved() {
+            self.unreserved += 1;
+        }
+        Ok(())
+    }
+
+    /// Removes a departing commitment's pending reservations from the
+    /// reserved profile.
+    fn untrack(&mut self, commitment: &Commitment) {
+        for seg in commitment.pending() {
+            if let Some(res) = seg.reservation() {
+                self.reserved
+                    .subtract_set(res)
+                    .expect("a pending reservation is part of the reserved profile");
+            }
+        }
+        if !commitment.is_reserved() {
+            self.unreserved -= 1;
         }
     }
 
@@ -265,7 +314,19 @@ impl State {
                 .over(TickDuration::DELTA)
                 .expect("rate × 1 tick cannot overflow");
             let commitment = self.rho.get_mut(actor).expect("validated above");
-            let absorbed = commitment.absorb(lt, delivered);
+            let (absorbed, finished) = commitment.absorb(lt, delivered);
+            if let Some(seg) = finished {
+                match seg.reservation() {
+                    Some(res) => self
+                        .reserved
+                        .subtract_set(res)
+                        .expect("a pending reservation is part of the reserved profile"),
+                    // The last unreserved segment is gone: the rest of the
+                    // commitment's consumption is known tick by tick.
+                    None if commitment.is_reserved() => self.unreserved -= 1,
+                    None => {}
+                }
+            }
             // The whole tick of availability is spent or expires either
             // way; `absorbed` may be less than `delivered` when the
             // segment needed less than one tick's worth.
@@ -306,7 +367,7 @@ impl State {
     pub fn acquire(&mut self, theta_join: ResourceSet) -> Result<TransitionLabel, TransitionError> {
         let mut clipped = theta_join;
         clipped.truncate_before(self.now);
-        self.theta = self.theta.union(&clipped)?;
+        self.theta.add_set(&clipped)?;
         Ok(TransitionLabel::Acquire { joined: clipped })
     }
 
@@ -315,7 +376,10 @@ impl State {
     ///
     /// # Errors
     ///
-    /// Returns [`TransitionError::DeadlinePassed`] if `t ≥ d`.
+    /// Returns [`TransitionError::DeadlinePassed`] if `t ≥ d`,
+    /// [`TransitionError::ActorAlreadyCommitted`] for a duplicate actor,
+    /// and [`TransitionError::Resource`] if the reserved profile's rate
+    /// would overflow `u64`. The state is unchanged on error.
     pub fn accommodate(
         &mut self,
         commitment: Commitment,
@@ -331,6 +395,7 @@ impl State {
                 commitment.actor().clone(),
             ));
         }
+        self.track(&commitment)?;
         let actor = commitment.actor().clone();
         self.rho.push(commitment);
         Ok(TransitionLabel::Accommodate { actor })
@@ -356,7 +421,9 @@ impl State {
                 start: commitment.start(),
             });
         }
-        self.rho.remove_actor(actor);
+        for removed in self.rho.remove_actor(actor) {
+            self.untrack(&removed);
+        }
         Ok(TransitionLabel::Leave {
             actor: actor.clone(),
         })
@@ -394,21 +461,36 @@ impl State {
     /// semantics). This is exactly what Theorem 4 offers a new computation.
     ///
     /// When every commitment carries explicit reservations the result is
-    /// computed directly as `Θ \ reservations` (fast path); otherwise the
-    /// greedy path is simulated and per-tick leftovers collected.
+    /// `Θ` minus every tick of the maintained reserved profile (fast path);
+    /// otherwise the greedy path is simulated and per-tick leftovers
+    /// collected.
     pub fn expiring_resources(&self) -> ResourceSet {
-        if let Some(reserved) = self.rho.total_reservation() {
-            let mut future_reserved = reserved;
-            future_reserved.truncate_before(self.now);
+        if self.unreserved == 0 {
             // Tick-granular exclusion, not rate subtraction: a reserved
             // tick's *entire* availability goes to (or expires with) its
             // reserved consumer — the transition rules never split one
             // located type between actors within a tick. Rate left over
             // on a reserved tick (e.g. capacity that joined later) is
-            // therefore not offered to new admissions.
-            return self.theta.exclude_support(&future_reserved);
+            // therefore not offered to new admissions. Reserved ticks
+            // before `now` need no truncation: Θ holds none.
+            return self.theta.exclude_support(&self.reserved);
         }
         self.expiring_by_simulation()
+    }
+
+    /// Θ_expire restricted to the located types `demand` names — all that
+    /// a scheduler placing `demand` reads. On the fast path only those
+    /// types' profiles are touched, so the cost follows the request, not
+    /// the number of live commitments.
+    pub fn expiring_for(&self, demand: &ResourceDemand) -> ResourceSet {
+        if self.unreserved == 0 {
+            return self
+                .theta
+                .exclude_support_within(&self.reserved, demand.located_types());
+        }
+        // Excluding nothing restricts the simulated set to the types.
+        self.expiring_by_simulation()
+            .exclude_support_within(&ResourceSet::new(), demand.located_types())
     }
 
     /// Simulation fallback for [`State::expiring_resources`]: run the
@@ -430,8 +512,8 @@ impl State {
                         .expect("consuming observed rate");
                 }
             }
-            expired = expired
-                .union(&leftover)
+            expired
+                .add_set(&leftover)
                 .expect("leftover rates bounded by availability");
             probe
                 .step(&assignments)
@@ -489,7 +571,11 @@ impl State {
     /// evicting a computation whose deadline has passed so it stops
     /// consuming resources. No guard applies.
     pub fn evict(&mut self, actor: &ActorName) -> usize {
-        self.rho.remove_actor(actor).len()
+        let removed = self.rho.remove_actor(actor);
+        for commitment in &removed {
+            self.untrack(commitment);
+        }
+        removed.len()
     }
 
     /// Dissolves the state into its components.
@@ -520,8 +606,9 @@ pub fn tick_delivery(rate: Rate) -> Quantity {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::commitment::window;
-    use rota_actor::{ResourceDemand, SimpleRequirement};
+    use crate::commitment::{window, ScheduledSegment};
+    use crate::schedule::schedule_complex;
+    use rota_actor::{ComplexRequirement, SimpleRequirement};
     use rota_resource::{Location, Rate, ResourceTerm};
 
     fn cpu(l: &str) -> LocatedType {
@@ -775,6 +862,54 @@ mod tests {
         // expiration delivers nothing
         s.step_expire();
         assert_eq!(s.delivered_units(), 8);
+    }
+
+    /// A reserved commitment scheduled against `s`'s Θ_expire.
+    fn reserved(s: &State, actor: &str, lt: LocatedType, q: u64, d: u64) -> Commitment {
+        let req = ComplexRequirement::new(
+            vec![ResourceDemand::single(lt, Quantity::new(q))],
+            window(0, d),
+        );
+        schedule_complex(&s.expiring_for(&req.total_demand()), &req, s.now())
+            .expect("feasible")
+            .into_commitment(ActorName::new(actor), TimePoint::new(d))
+    }
+
+    #[test]
+    fn finished_segment_frees_its_unused_reserved_ticks() {
+        let mut s = State::new(theta(&[(cpu("l1"), 2, 0, 6)]), TimePoint::ZERO);
+        let c = reserved(&s, "a1", cpu("l1"), 4, 6); // reserves ticks (0,2)
+        s.accommodate(c).unwrap();
+        assert_eq!(s.expiring_resources(), theta(&[(cpu("l1"), 2, 2, 6)]));
+        // Capacity joining on the reserved ticks finishes the segment in
+        // one tick; its second reserved tick is offered again.
+        s.acquire(theta(&[(cpu("l1"), 2, 0, 6)])).unwrap();
+        s.step(&s.greedy_assignments()).unwrap();
+        assert!(s.rho().is_empty());
+        assert_eq!(s.expiring_resources(), theta(&[(cpu("l1"), 4, 1, 6)]));
+    }
+
+    #[test]
+    fn popping_the_last_opportunistic_segment_restores_the_fast_path() {
+        let mut s = State::new(theta(&[(cpu("l1"), 4, 0, 8)]), TimePoint::ZERO);
+        let later = reserved(&s, "probe", cpu("l1"), 4, 8);
+        let head = ScheduledSegment::opportunistic(simple(cpu("l2"), 1, 0, 8));
+        let segments: Vec<ScheduledSegment> = std::iter::once(head)
+            .chain(later.pending().cloned())
+            .collect();
+        let actor = ActorName::new("a1");
+        s.accommodate(Commitment::new(actor, segments, TimePoint::new(8)))
+            .unwrap();
+        assert_eq!(s.unreserved, 1);
+        // No l2 supply yet: evicting and re-admitting keeps the count exact.
+        let before = s.clone();
+        s.evict(&ActorName::new("a1"));
+        assert_eq!((s.unreserved, s.reserved.is_empty()), (0, true));
+        s = before;
+        s.acquire(theta(&[(cpu("l2"), 1, 0, 1)])).unwrap();
+        s.step(&s.greedy_assignments()).unwrap();
+        assert_eq!(s.unreserved, 0, "remaining segments are all reserved");
+        assert_eq!(s.expiring_resources(), s.expiring_by_simulation());
     }
 
     #[test]

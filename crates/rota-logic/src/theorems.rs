@@ -144,8 +144,8 @@ impl Admission {
 /// computations** if the resources expiring on the current path during
 /// `(s, d)` — `⋃ Θ_expire` — satisfy its complex requirement.
 ///
-/// The procedure computes `Θ_expire` from the state
-/// ([`State::expiring_resources`]), schedules the new requirement against
+/// The procedure computes `Θ_expire` over the demanded located types
+/// ([`State::expiring_for`]), schedules the new requirement against
 /// it (Theorem 2), and combines the paths by adding the reserved
 /// commitment — the executable form of the paper's concurrent-rule path
 /// combination.
@@ -160,7 +160,7 @@ pub fn accommodate_additional(
     actor: &ActorName,
     requirement: &ComplexRequirement,
 ) -> Result<Admission, InfeasibleError> {
-    let expiring = state.expiring_resources();
+    let expiring = state.expiring_for(&requirement.total_demand());
     let schedule = schedule_complex(&expiring, requirement, state.now())?;
     let mut next = state.clone();
     next.accommodate(

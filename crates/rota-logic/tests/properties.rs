@@ -2,10 +2,12 @@
 //! soundness, and admission (Theorem 4) non-interference.
 
 use proptest::prelude::*;
-use rota_actor::{ActorName, ComplexRequirement, ResourceDemand};
+use rota_actor::{ActorName, ComplexRequirement, ResourceDemand, SimpleRequirement};
 use rota_interval::{TimeInterval, TimePoint};
 use rota_logic::theorems::accommodate_additional;
-use rota_logic::{exhaustive_schedule_exists, schedule_complex, State};
+use rota_logic::{
+    exhaustive_schedule_exists, schedule_complex, Commitment, ScheduledSegment, State,
+};
 use rota_resource::{LocatedType, Location, Quantity, Rate, ResourceSet, ResourceTerm};
 
 const HORIZON: u64 = 12;
@@ -48,6 +50,152 @@ fn arb_requirement() -> impl Strategy<Value = ComplexRequirement> {
             iv(0, HORIZON),
         )
     })
+}
+
+/// Θ_expire computed from scratch: the fold of every pending
+/// reservation, excluded tick by tick from Θ — or, when some commitment
+/// is opportunistic, the greedy-path simulation.
+fn expiring_oracle(state: &State) -> ResourceSet {
+    let mut reserved = ResourceSet::new();
+    for c in state.rho().iter() {
+        match c.pending_reservation() {
+            Some(res) => reserved = reserved.union(&res).unwrap(),
+            None => return state.expiring_by_simulation(),
+        }
+    }
+    reserved.truncate_before(state.now());
+    state.theta().exclude_support(&reserved)
+}
+
+/// `set` keeping only the located types `demand` names.
+fn restricted(set: &ResourceSet, demand: &ResourceDemand) -> ResourceSet {
+    set.to_terms()
+        .into_iter()
+        .filter(|t| demand.located_types().any(|lt| lt == t.located()))
+        .collect()
+}
+
+/// One transition applied by `incremental_expire_matches_oracle`.
+#[derive(Debug, Clone)]
+enum Op {
+    /// Theorem 4 admission with exact reservations.
+    Reserved(ComplexRequirement),
+    /// Opportunistic admission of every segment over the rest of the
+    /// horizon.
+    Opportunistic(ComplexRequirement),
+    /// An opportunistic head segment followed by reserved segments.
+    Mixed(ComplexRequirement),
+    /// The leave rule for the `n`-th commitment (modulo `ρ`'s size).
+    Leave(usize),
+    /// Administrative eviction of the `n`-th commitment.
+    Evict(usize),
+    /// One tick with the greedy assignments.
+    Step,
+    /// The acquisition rule.
+    Acquire(ResourceSet),
+}
+
+fn arb_op() -> impl Strategy<Value = Op> {
+    (0u8..8, 0usize..4, arb_requirement(), arb_theta()).prop_map(
+        |(kind, n, req, join)| match kind {
+            0 => Op::Reserved(req),
+            1 => Op::Opportunistic(req),
+            2 => Op::Mixed(req),
+            3 => Op::Leave(n),
+            4 => Op::Evict(n),
+            5 | 6 => Op::Step,
+            _ => Op::Acquire(join),
+        },
+    )
+}
+
+fn apply(state: &mut State, op: &Op, name: ActorName) {
+    let now = state.now();
+    let Ok(rest) = TimeInterval::new(now, TimePoint::new(HORIZON)) else {
+        return;
+    };
+    let opportunistic = |req: &ComplexRequirement| {
+        req.segments()
+            .iter()
+            .map(|d| ScheduledSegment::opportunistic(SimpleRequirement::new(d.clone(), rest)))
+            .collect::<Vec<_>>()
+    };
+    let reserved = |state: &State, req: &ComplexRequirement| {
+        schedule_complex(&state.expiring_for(&req.total_demand()), req, now)
+            .ok()
+            .map(|schedule| schedule.segments().to_vec())
+    };
+    let deadline = TimePoint::new(HORIZON);
+    match op {
+        Op::Reserved(req) => {
+            if let Some(segments) = reserved(state, req) {
+                state
+                    .accommodate(Commitment::new(name, segments, deadline))
+                    .unwrap();
+            }
+        }
+        Op::Opportunistic(req) => {
+            state
+                .accommodate(Commitment::new(name, opportunistic(req), deadline))
+                .unwrap();
+        }
+        Op::Mixed(req) => {
+            if let Some(segments) = reserved(state, req) {
+                let mut all = opportunistic(req);
+                all.truncate(1);
+                all.extend(segments);
+                state
+                    .accommodate(Commitment::new(name, all, deadline))
+                    .unwrap();
+            }
+        }
+        Op::Leave(n) | Op::Evict(n) => {
+            let len = state.rho().len();
+            if len == 0 {
+                return;
+            }
+            let actor = state.rho().iter().nth(n % len).unwrap().actor().clone();
+            if matches!(op, Op::Leave(_)) {
+                let _ = state.leave(&actor); // may fail its t < s guard
+            } else {
+                state.evict(&actor);
+            }
+        }
+        Op::Step => {
+            let assignments = state.greedy_assignments();
+            state.step(&assignments).unwrap();
+        }
+        Op::Acquire(join) => {
+            state.acquire(join.clone()).unwrap();
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The reserved profile `State` maintains across accommodate, leave,
+    /// evict, step and acquire yields exactly the from-scratch Θ_expire
+    /// after every operation, and the demanded-types view is its
+    /// restriction.
+    #[test]
+    fn incremental_expire_matches_oracle(
+        theta in arb_theta(),
+        ops in proptest::collection::vec(arb_op(), 1..24),
+        probe in arb_requirement(),
+    ) {
+        let mut state = State::new(theta, TimePoint::ZERO);
+        for (k, op) in ops.iter().enumerate() {
+            apply(&mut state, op, ActorName::new(format!("a{k}")));
+            let full = state.expiring_resources();
+            prop_assert_eq!(&full, &expiring_oracle(&state), "after {:?}", op);
+            let demand = probe.total_demand();
+            prop_assert_eq!(state.expiring_for(&demand), restricted(&full, &demand));
+            if state.rho().iter().any(|c| !c.is_reserved()) {
+                prop_assert_eq!(&full, &state.expiring_by_simulation());
+            }
+        }
+    }
 }
 
 proptest! {

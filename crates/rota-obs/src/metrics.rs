@@ -65,13 +65,13 @@ impl Gauge {
 /// Buckets are cumulative-style upper bounds (`value <= bound` lands in
 /// the first matching bucket); observations above every bound go to an
 /// implicit overflow bucket. Bounds are fixed at registration, so
-/// `observe` is a binary search plus one atomic add.
+/// `observe` is a binary search plus two atomic adds (bucket and sum);
+/// the count is the sum of the buckets.
 #[derive(Debug)]
 pub struct Histogram {
     bounds: Vec<u64>,
     /// One slot per bound, plus the trailing overflow slot.
     buckets: Vec<AtomicU64>,
-    count: AtomicU64,
     sum: AtomicU64,
 }
 
@@ -90,7 +90,6 @@ impl Histogram {
         Histogram {
             bounds: bounds.to_vec(),
             buckets: (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect(),
-            count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
         }
     }
@@ -120,13 +119,12 @@ impl Histogram {
     pub fn observe(&self, value: u64) {
         let idx = self.bounds.partition_point(|&b| b < value);
         self.buckets[idx].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(value, Ordering::Relaxed);
     }
 
     /// Number of observations so far.
     pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
+        self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
     }
 
     /// Sum of all observed values.
@@ -135,15 +133,19 @@ impl Histogram {
     }
 
     fn snapshot(&self) -> HistogramSnapshot {
+        let buckets: Vec<(u64, u64)> = self
+            .bounds
+            .iter()
+            .enumerate()
+            .map(|(i, &b)| (b, self.buckets[i].load(Ordering::Relaxed)))
+            .collect();
+        let overflow = self.buckets[self.bounds.len()].load(Ordering::Relaxed);
+        // Counted from the loaded buckets, so the snapshot is consistent.
+        let count = buckets.iter().map(|(_, n)| n).sum::<u64>() + overflow;
         HistogramSnapshot {
-            buckets: self
-                .bounds
-                .iter()
-                .enumerate()
-                .map(|(i, &b)| (b, self.buckets[i].load(Ordering::Relaxed)))
-                .collect(),
-            overflow: self.buckets[self.bounds.len()].load(Ordering::Relaxed),
-            count: self.count(),
+            buckets,
+            overflow,
+            count,
             sum: self.sum(),
         }
     }

@@ -181,7 +181,8 @@ impl ResourceProfile {
         Ok(total)
     }
 
-    /// The set of ticks with non-zero availability.
+    /// The set of ticks with non-zero availability. The segments are
+    /// sorted, so each insert appends to (or merges with) the last span.
     pub fn support(&self) -> IntervalSet {
         self.segments.iter().map(|(iv, _)| *iv).collect()
     }
@@ -206,16 +207,26 @@ impl ResourceProfile {
         })
     }
 
-    /// Adds every segment of `other` into `self`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OverflowError`] if a summed rate exceeds `u64`.
-    pub fn add_profile(&mut self, other: &ResourceProfile) -> Result<(), OverflowError> {
-        for (iv, r) in &other.segments {
-            self.add(*iv, *r)?;
-        }
-        Ok(())
+    /// The pointwise sum `self + other`.
+    pub(crate) fn sum(&self, other: &ResourceProfile) -> Result<ResourceProfile, OverflowError> {
+        self.zip_with(other, |_, have, add| {
+            have.checked_add(add).ok_or(OverflowError)
+        })
+    }
+
+    /// The pointwise difference `self - other`, failing at the first
+    /// instant where `other` exceeds `self`.
+    pub(crate) fn difference(
+        &self,
+        other: &ResourceProfile,
+    ) -> Result<ResourceProfile, InsufficientRateError> {
+        self.zip_with(other, |at, have, sub| {
+            have.checked_sub(sub).ok_or(InsufficientRateError {
+                at,
+                available: have,
+                demanded: sub,
+            })
+        })
     }
 
     /// Subtracts `rate` over `interval` (pointwise), failing if
@@ -255,24 +266,6 @@ impl ResourceProfile {
         Ok(())
     }
 
-    /// Subtracts an entire profile.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`InsufficientRateError`] at the first shortfall; `self` may
-    /// have had earlier segments subtracted already when that happens, so
-    /// on error callers should treat `self` as poisoned (the set-level
-    /// operation in [`crate::ResourceSet`] pre-checks to avoid this).
-    pub fn subtract_profile(
-        &mut self,
-        other: &ResourceProfile,
-    ) -> Result<(), InsufficientRateError> {
-        for (iv, r) in &other.segments {
-            self.subtract(*iv, *r)?;
-        }
-        Ok(())
-    }
-
     /// Whether `self` pointwise dominates `other` (can supply at least
     /// `other`'s rate at every tick).
     pub fn dominates(&self, other: &ResourceProfile) -> bool {
@@ -302,19 +295,39 @@ impl ResourceProfile {
     /// an arbitrary tick set. Used to mark whole ticks as claimed: ROTA's
     /// transition rules deliver a located type's full tick to a single
     /// consumer, so a claimed tick offers nothing to anyone else even if
-    /// extra rate later joins on it.
+    /// extra rate later joins on it. One sweep over segments and spans.
     #[must_use]
     pub fn exclude(&self, ticks: &IntervalSet) -> ResourceProfile {
+        let cuts = ticks.spans();
         let mut segments = Vec::with_capacity(self.segments.len());
-        for (iv, r) in &self.segments {
-            let keep = IntervalSet::from_interval(*iv).difference(ticks);
-            for span in keep.spans() {
-                segments.push((*span, *r));
+        let mut first = 0;
+        for &(iv, r) in &self.segments {
+            // Cuts ending by this segment's start miss every later one too.
+            while cuts.get(first).is_some_and(|cut| cut.end() <= iv.start()) {
+                first += 1;
+            }
+            let mut start = iv.start();
+            for cut in &cuts[first..] {
+                if cut.start() >= iv.end() {
+                    break;
+                }
+                if cut.start() > start {
+                    let kept = TimeInterval::new(start, cut.start()).expect("start < cut start");
+                    segments.push((kept, r));
+                }
+                start = start.max(cut.end());
+                if start >= iv.end() {
+                    break;
+                }
+            }
+            if start < iv.end() {
+                let kept = TimeInterval::new(start, iv.end()).expect("start < segment end");
+                segments.push((kept, r));
             }
         }
-        ResourceProfile {
-            segments: canonicalize(segments),
-        }
+        // Removing ticks never makes two equal-rate pieces meet: canonical
+        // meeting segments differ in rate, so the result stays canonical.
+        ResourceProfile { segments }
     }
 
     /// Restricts the profile to `window`.
@@ -326,6 +339,52 @@ impl ResourceProfile {
             .filter_map(|(iv, r)| iv.intersect(window).map(|shared| (shared, *r)))
             .collect();
         ResourceProfile { segments }
+    }
+
+    /// Pointwise `op(t, self(t), other(t))` over every maximal piece on
+    /// which both profiles are constant and at least one is non-zero, in
+    /// one merge of the two segment lists. `op` must map two zero rates to
+    /// zero; the gaps where both profiles are zero are skipped.
+    fn zip_with<E>(
+        &self,
+        other: &ResourceProfile,
+        op: impl Fn(TimePoint, Rate, Rate) -> Result<Rate, E>,
+    ) -> Result<ResourceProfile, E> {
+        let (a, b) = (&self.segments, &other.segments);
+        let (mut i, mut j) = (0, 0);
+        let mut pieces: Vec<(TimeInterval, Rate)> = Vec::with_capacity(a.len() + b.len());
+        let mut at = TimePoint::ZERO;
+        loop {
+            while a.get(i).is_some_and(|(iv, _)| iv.end() <= at) {
+                i += 1;
+            }
+            while b.get(j).is_some_and(|(iv, _)| iv.end() <= at) {
+                j += 1;
+            }
+            // Rate and next boundary of one side at `at`.
+            let side = |seg: Option<&(TimeInterval, Rate)>| match seg {
+                Some((iv, r)) if iv.start() <= at => (*r, Some(iv.end())),
+                Some((iv, _)) => (Rate::ZERO, Some(iv.start())),
+                None => (Rate::ZERO, None),
+            };
+            let ((ra, na), (rb, nb)) = (side(a.get(i)), side(b.get(j)));
+            let next = match (na, nb) {
+                (Some(x), Some(y)) => x.min(y),
+                (Some(x), None) | (None, Some(x)) => x,
+                (None, None) => break,
+            };
+            if !(ra.is_zero() && rb.is_zero()) {
+                let value = op(at, ra, rb)?;
+                if !value.is_zero() {
+                    let piece = TimeInterval::new(at, next).expect("boundaries ascend");
+                    pieces.push((piece, value));
+                }
+            }
+            at = next;
+        }
+        Ok(ResourceProfile {
+            segments: canonicalize(pieces),
+        })
     }
 
     /// Core sweep: rebuilds the segment list with `op(current, rate)`

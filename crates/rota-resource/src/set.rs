@@ -155,10 +155,19 @@ impl ResourceSet {
     /// Returns [`ResourceSetError::Overflow`] on rate overflow.
     pub fn union(&self, other: &ResourceSet) -> Result<ResourceSet, ResourceSetError> {
         let mut out = self.clone();
-        for (lt, p) in &other.profiles {
-            out.profiles.entry(lt.clone()).or_default().add_profile(p)?;
-        }
+        out.add_set(other)?;
         Ok(out)
+    }
+
+    /// In-place union `Θ₁ := Θ₁ ∪ Θ₂`: one sweep per located type of
+    /// `other`, leaving every other type untouched.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ResourceSetError::Overflow`] on rate overflow; `self` is
+    /// unchanged on error.
+    pub fn add_set(&mut self, other: &ResourceSet) -> Result<(), ResourceSetError> {
+        self.merge_with(other, |_, have, add| Ok(have.sum(add)?))
     }
 
     /// Relative complement `Θ₁ \ Θ₂`, defined (per the paper) only when
@@ -170,31 +179,57 @@ impl ResourceSet {
     /// shortfall when the complement is undefined; `self` is not modified
     /// (the operation is non-destructive).
     pub fn relative_complement(&self, other: &ResourceSet) -> Result<ResourceSet, ResourceSetError> {
-        // Pre-check dominance everywhere so we never partially subtract.
-        for (lt, demand) in &other.profiles {
-            let have = self.profiles.get(lt).cloned().unwrap_or_default();
-            for (iv, r) in demand.segments() {
-                let available = have.min_rate_over(iv);
-                if available < *r {
-                    let at = first_shortfall(&have, iv, *r);
-                    return Err(ResourceSetError::NotDominated {
-                        located: lt.clone(),
-                        at,
-                        available: have.rate_at(at),
-                        demanded: *r,
-                    });
-                }
+        let mut out = self.clone();
+        out.subtract_set(other)?;
+        Ok(out)
+    }
+
+    /// In-place relative complement `Θ₁ := Θ₁ \ Θ₂`: one sweep per located
+    /// type of `other`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ResourceSetError::NotDominated`] describing the first
+    /// shortfall when `other` is not dominated; `self` is unchanged on
+    /// error.
+    pub fn subtract_set(&mut self, other: &ResourceSet) -> Result<(), ResourceSetError> {
+        self.merge_with(other, |located, have, sub| {
+            have.difference(sub)
+                .map_err(|e| ResourceSetError::NotDominated {
+                    located: located.clone(),
+                    at: e.at(),
+                    available: e.available(),
+                    demanded: e.demanded(),
+                })
+        })
+    }
+
+    /// Replaces each profile of a type in `other` by `op(type, ours,
+    /// theirs)`, all or nothing: every result is computed before any is
+    /// stored.
+    fn merge_with(
+        &mut self,
+        other: &ResourceSet,
+        op: impl Fn(
+            &LocatedType,
+            &ResourceProfile,
+            &ResourceProfile,
+        ) -> Result<ResourceProfile, ResourceSetError>,
+    ) -> Result<(), ResourceSetError> {
+        let empty = ResourceProfile::new();
+        let mut merged = Vec::with_capacity(other.profiles.len());
+        for (lt, theirs) in &other.profiles {
+            let ours = self.profiles.get(lt).unwrap_or(&empty);
+            merged.push((lt, op(lt, ours, theirs)?));
+        }
+        for (lt, profile) in merged {
+            if profile.is_empty() {
+                self.profiles.remove(lt);
+            } else {
+                self.profiles.insert(lt.clone(), profile);
             }
         }
-        let mut out = self.clone();
-        for (lt, demand) in &other.profiles {
-            let profile = out.profiles.entry(lt.clone()).or_default();
-            profile
-                .subtract_profile(demand)
-                .expect("dominance pre-checked");
-        }
-        out.prune();
-        Ok(out)
+        Ok(())
     }
 
     /// Consumes `rate` of `located` over `window` in place — the `ξ ↦ a`
@@ -253,8 +288,24 @@ impl ResourceSet {
     /// with any reservation on it offers nothing to anyone else.
     #[must_use]
     pub fn exclude_support(&self, claimed: &ResourceSet) -> ResourceSet {
+        self.exclude_support_within(claimed, self.profiles.keys())
+    }
+
+    /// [`exclude_support`](ResourceSet::exclude_support) restricted to
+    /// `types`: the result holds only those located types, and no other
+    /// type's profile is read. With an empty `claimed` this is plain
+    /// restriction to `types`.
+    #[must_use]
+    pub fn exclude_support_within<'a>(
+        &self,
+        claimed: &ResourceSet,
+        types: impl IntoIterator<Item = &'a LocatedType>,
+    ) -> ResourceSet {
         let mut out = ResourceSet::new();
-        for (lt, p) in &self.profiles {
+        for lt in types {
+            let Some(p) = self.profiles.get(lt) else {
+                continue;
+            };
             let trimmed = match claimed.profiles.get(lt) {
                 Some(c) => p.exclude(&c.support()),
                 None => p.clone(),
@@ -332,14 +383,6 @@ impl ResourceSet {
     fn prune(&mut self) {
         self.profiles.retain(|_, p| !p.is_empty());
     }
-}
-
-fn first_shortfall(have: &ResourceProfile, window: &TimeInterval, rate: Rate) -> TimePoint {
-    let mut at = window.start();
-    while window.contains_tick(at) && have.rate_at(at) >= rate {
-        at += rota_interval::TickDuration::DELTA;
-    }
-    at
 }
 
 impl FromIterator<ResourceTerm> for ResourceSet {

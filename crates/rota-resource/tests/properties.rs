@@ -1,7 +1,7 @@
 //! Property-based tests for resource terms, profiles and sets.
 
 use proptest::prelude::*;
-use rota_interval::{TimeInterval, TimePoint};
+use rota_interval::{IntervalSet, TimeInterval, TimePoint};
 use rota_resource::{LocatedType, Location, Rate, ResourceProfile, ResourceSet, ResourceTerm};
 
 const MAX_TICK: u64 = 24;
@@ -178,6 +178,84 @@ proptest! {
         set.consume(&lt, win, Rate::new(bite.min(base))).unwrap();
         set.insert(ResourceTerm::new(Rate::new(bite.min(base)), win, lt)).unwrap();
         prop_assert_eq!(set, original);
+    }
+
+    /// `support` is exactly the ticks with non-zero rate.
+    #[test]
+    fn support_matches_tickwise_reference(p in arb_profile()) {
+        let reference: IntervalSet = (0..=MAX_TICK)
+            .map(TimePoint::new)
+            .filter(|&t| !p.rate_at(t).is_zero())
+            .map(TimeInterval::tick)
+            .collect();
+        prop_assert_eq!(p.support(), reference);
+    }
+
+    /// `exclude` zeroes exactly the given ticks and keeps the rest, in
+    /// canonical form.
+    #[test]
+    fn exclude_matches_tickwise_reference(
+        p in arb_profile(),
+        cut in proptest::collection::vec(arb_interval(), 0..6),
+    ) {
+        let ticks: IntervalSet = cut.into_iter().collect();
+        let mut reference = ResourceProfile::new();
+        for t in (0..=MAX_TICK).map(TimePoint::new) {
+            if !ticks.contains_tick(t) {
+                reference.add(TimeInterval::tick(t), p.rate_at(t)).unwrap();
+            }
+        }
+        prop_assert_eq!(p.exclude(&ticks), reference);
+    }
+
+    /// In-place `add_set` / `subtract_set` agree with `union` /
+    /// `relative_complement` and are exact inverses.
+    #[test]
+    fn in_place_add_subtract_roundtrip(a in arb_terms(6), b in arb_terms(4)) {
+        let a = ResourceSet::from_terms(a).unwrap();
+        let b = ResourceSet::from_terms(b).unwrap();
+        let mut sum = a.clone();
+        sum.add_set(&b).unwrap();
+        prop_assert_eq!(&sum, &a.union(&b).unwrap());
+        let mut back = sum.clone();
+        back.subtract_set(&b).unwrap();
+        prop_assert_eq!(&back, &a);
+        prop_assert_eq!(&back, &sum.relative_complement(&b).unwrap());
+        // A failed subtraction leaves the set untouched.
+        let mut untouched = a.clone();
+        if untouched.subtract_set(&sum).is_err() {
+            prop_assert_eq!(untouched, a);
+        }
+    }
+
+    /// `exclude_support` drops exactly the claimed ticks of each type, and
+    /// the restricted exclusion is it with every other located type
+    /// dropped.
+    #[test]
+    fn exclude_support_within_restricts(
+        theta in arb_terms(8),
+        claimed in arb_terms(5),
+        wanted in proptest::collection::vec(arb_located(), 0..3),
+    ) {
+        let theta = ResourceSet::from_terms(theta).unwrap();
+        let claimed = ResourceSet::from_terms(claimed).unwrap();
+        let full = theta.exclude_support(&claimed);
+        let mut tickwise = ResourceSet::new();
+        for lt in theta.located_types() {
+            for t in (0..=MAX_TICK).map(TimePoint::new) {
+                if claimed.rate_at(lt, t).is_zero() {
+                    let term = ResourceTerm::new(theta.rate_at(lt, t), TimeInterval::tick(t), lt.clone());
+                    tickwise.insert(term).unwrap();
+                }
+            }
+        }
+        prop_assert_eq!(&full, &tickwise);
+        let reference: ResourceSet = full
+            .to_terms()
+            .into_iter()
+            .filter(|t| wanted.contains(t.located()))
+            .collect();
+        prop_assert_eq!(theta.exclude_support_within(&claimed, &wanted), reference);
     }
 
     /// Term dominance (`exceeds`) is a strict partial order on same-typed

@@ -35,6 +35,12 @@ check *ARGS:
 bench:
     cargo bench -p rota-bench
 
+# E4 on its own: Theorem-4 decision cost vs committed count n, up to
+# n = 10⁴ (the admission bench binary runs all its groups; this keeps
+# the E4 lines).
+bench-e4:
+    cargo bench -p rota-bench --bench admission | grep 'e4/'
+
 # The admission observability-overhead check on its own.
 bench-obs:
     cargo bench -p rota-bench --bench admission
