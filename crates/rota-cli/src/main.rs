@@ -4,11 +4,13 @@
 //! rota check <spec.json> [--granularity per-action|maximal-run] [--format text|json]
 //! rota simulate [--seed N] [--load X] [--nodes N] [--horizon T]
 //!               [--shape chain|forkjoin|pipeline|mixed]
-//!               [--policy rota|naive|optimistic|edf] [--churn P]
+//!               [--policy rota|naive|optimistic|edf] [--churn P] [--trace]
 //! rota compare  [--seed N] [--load X] [--nodes N] [--horizon T] [--shape …]
 //! rota stats    [--json] [--out <path>]
 //! rota serve    [--addr HOST:PORT] [--policy …] [--shards N] [--queue N]
+//! rota cluster  [--nodes N | --topology FILE] [--gossip-ms N] [--duration-ms N]
 //! rota loadtest [--policy …|all] [--jobs N] [--connections N] [--nodes N]
+//!               [--addr HOST:PORT | --cluster N]
 //! ```
 //!
 //! `check` reads a JSON system+computation spec (see
@@ -22,17 +24,24 @@
 //! run seeded synthetic open-system workloads. `stats` runs an
 //! instrumented demo (admission under overload plus one model-check)
 //! and dumps the metrics registry and the decision journal. `serve`
-//! runs the sharded TCP admission service; `loadtest` drives one with
-//! generated traffic and reports throughput/latency/acceptance. Every
-//! subcommand accepts `--metrics-out <path>` to write its run's metric
-//! snapshot and decisions as JSON.
+//! runs the sharded TCP admission service; `cluster` runs an in-process
+//! federation; `loadtest` drives a server or cluster with generated
+//! traffic and reports throughput/latency/acceptance.
+//!
+//! Each verb has one table of accepted flags ([`VERBS`]): an unknown
+//! flag, a missing value, or a value that does not parse exits `1` with
+//! the usage text. Every verb accepts `--metrics-out <path>`; all but
+//! `serve`, `cluster` and `loadtest` write their run's metric snapshot
+//! and decisions there as JSON.
 
 #![forbid(unsafe_code)]
 
 mod formula;
 
+use std::fmt::Display;
 use std::net::SocketAddr;
 use std::process::ExitCode;
+use std::str::FromStr;
 
 use rota_actor::Granularity;
 use rota_admission::{
@@ -44,27 +53,28 @@ use rota_logic::State;
 use rota_obs::{DecisionEvent, Json, Registry};
 use rota_client::{run_loadtest, Client, ClientError, HedgeConfig, LoadtestConfig, RetryConfig};
 use rota_server::spec::CheckSpec;
-use rota_server::{spawn_policy_by_name, FaultPlan, ServerConfig, POLICY_NAMES};
+use rota_server::{spawn_policy_by_name, FaultPlan, ServerConfig, ServerHandle, POLICY_NAMES};
 use rota_sim::{run_scenario_observed, run_scenario_traced_observed};
 use rota_workload::{base_resources, build_scenario, JobShape, WorkloadConfig};
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("check") => cmd_check(&args[1..]),
-        Some("holds") => cmd_holds(&args[1..]),
-        Some("simulate") => cmd_simulate(&args[1..], false),
-        Some("compare") => cmd_simulate(&args[1..], true),
-        Some("stats") => cmd_stats(&args[1..]),
-        Some("serve") => cmd_serve(&args[1..]),
-        Some("cluster") => cmd_cluster(&args[1..]),
-        Some("loadtest") => cmd_loadtest(&args[1..]),
+    let raw: Vec<String> = std::env::args().skip(1).collect();
+    let verb = match raw.first().map(String::as_str) {
         Some("--help") | Some("-h") | None => {
             print_usage();
-            ExitCode::SUCCESS
+            return ExitCode::SUCCESS;
         }
-        Some(other) => {
-            eprintln!("unknown subcommand `{other}`\n");
+        Some(verb) => verb,
+    };
+    let Some(&(_, flags, positional, run)) = VERBS.iter().find(|(name, ..)| *name == verb) else {
+        eprintln!("unknown subcommand `{verb}`\n");
+        print_usage();
+        return ExitCode::FAILURE;
+    };
+    match Args::parse(flags, positional, &raw[1..]) {
+        Ok(args) => run(&args),
+        Err(e) => {
+            eprintln!("{verb}: {e}\n");
             print_usage();
             ExitCode::FAILURE
         }
@@ -80,41 +90,271 @@ fn print_usage() {
     eprintln!("             errors without consulting the policy, 2 on INFEASIBLE)");
     eprintln!("  rota simulate [--seed N] [--load X] [--nodes N] [--horizon T]");
     eprintln!("                [--shape chain|forkjoin|pipeline|mixed]");
-    eprintln!("                [--policy rota|naive|optimistic|edf] [--churn P]");
+    eprintln!("                [--policy rota|naive|optimistic|edf] [--churn P] [--trace]");
     eprintln!("  rota compare  [same options as simulate, runs all policies]");
     eprintln!("  rota holds <spec.json> --formula \"<formula>\" [--depth N]");
     eprintln!("  rota holds --resources \"[4]^(0,20)_cpu@l1; …\" --formula \"…\"");
     eprintln!("  rota stats    [--json] [--out <path>]");
     eprintln!("  rota serve    [--addr HOST:PORT] [--policy rota|naive|optimistic|edf]");
     eprintln!("                [--shards N] [--queue N] [--nodes N] [--horizon T] [--seed N]");
+    eprintln!("                [--slack X] [--shape …]");
     eprintln!("                [--chaos seed=N,latency_ms=N,latency_p=P,truncate_p=P,");
     eprintln!("                         corrupt_p=P,reset_p=P,panic_nth=N]");
     eprintln!("  rota cluster  [--nodes N | --topology FILE] [--base-port P] [--seed N]");
-    eprintln!("                [--horizon T] [--gossip-ms N] [--shards N]");
-    eprintln!("                [--queue N] [--duration-ms N]   (N-node federation; each");
-    eprintln!("                node owns its locations, any node accepts any admission)");
+    eprintln!("                [--horizon T] [--slack X] [--shape …] [--gossip-ms N]");
+    eprintln!("                [--shards N] [--queue N] [--duration-ms N]   (N-node");
+    eprintln!("                federation; each node owns its locations, any node");
+    eprintln!("                accepts any admission)");
     eprintln!("  rota loadtest [--policy rota|naive|optimistic|edf|all] [--nodes N]");
-    eprintln!("                [--jobs N] [--connections N] [--shape …] [--shards N]");
-    eprintln!("                [--queue N] [--horizon T] [--seed N] [--addr HOST:PORT]");
-    eprintln!("                [--cluster N] [--chaos <spec as above>]");
+    eprintln!("                [--jobs N] [--connections N] [--shape …] [--slack X]");
+    eprintln!("                [--granularity …] [--shards N] [--queue N] [--horizon T]");
+    eprintln!("                [--seed N] [--addr HOST:PORT] [--cluster N [--gossip-ms N]]");
+    eprintln!("                [--chaos <spec as above>]");
     eprintln!();
-    eprintln!("loadtest --seed N also makes the request schedule deterministic");
-    eprintln!("(static round-robin partition); --chaos turns on the retrying,");
-    eprintln!("hedging client so injected faults are ridden out, not tallied.");
+    eprintln!("loadtest drives a fresh server per policy, the server at --addr, or");
+    eprintln!("a fresh N-node --cluster; connection i starts at node i mod N and");
+    eprintln!("moves to the next node if its node stops answering. --seed N also");
+    eprintln!("makes the request schedule deterministic (static round-robin");
+    eprintln!("partition). Each job gets one attempt, so `overloaded` answers are");
+    eprintln!("tallied; --chaos turns on retries and hedging so injected faults");
+    eprintln!("are ridden out, not tallied.");
     eprintln!();
     eprintln!("Every subcommand also accepts --metrics-out <path> to dump its");
-    eprintln!("metric snapshot and decision journal as JSON.");
+    eprintln!("metric snapshot and decision journal as JSON (serve, cluster and");
+    eprintln!("loadtest accept it but do not write it yet). An unknown flag, or a");
+    eprintln!("value that does not parse, exits 1 with this text.");
     eprintln!();
     eprintln!("FORMULAS (rota holds):");
     eprintln!("  satisfy(cpu@l1:8 in 0..10)    eventually …    always …    not …");
     eprintln!("  … and …    … or …    satisfy(cpu@l1:8, network@l1->l2:4 in 0..20)");
 }
 
-fn flag(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+/// What follows a flag: nothing (a switch), or a value the check
+/// accepts.
+#[derive(Clone, Copy)]
+enum Takes {
+    Nothing,
+    Value(fn(&str) -> Result<(), String>),
+}
+
+/// A group of flags, each with what it takes.
+type Flags = &'static [(&'static str, Takes)];
+
+fn number<T: FromStr>(value: &str) -> Result<(), String>
+where
+    T::Err: Display,
+{
+    value.parse::<T>().map(drop).map_err(|e| e.to_string())
+}
+
+fn text(_: &str) -> Result<(), String> {
+    Ok(())
+}
+
+fn parse_shape(value: &str) -> Result<JobShape, String> {
+    match value {
+        "chain" => Ok(JobShape::Chain { evals: 3 }),
+        "forkjoin" => Ok(JobShape::ForkJoin {
+            actors: 2,
+            evals_each: 2,
+        }),
+        "pipeline" => Ok(JobShape::Pipeline { hops: 2 }),
+        "mixed" => Ok(JobShape::Mixed),
+        other => Err(format!("unknown shape `{other}`")),
+    }
+}
+
+fn parse_granularity(value: &str) -> Result<Granularity, String> {
+    match value {
+        "per-action" => Ok(Granularity::PerAction),
+        "maximal-run" => Ok(Granularity::MaximalRun),
+        other => Err(format!("unknown granularity `{other}`")),
+    }
+}
+
+const SWITCH: Takes = Takes::Nothing;
+const TEXT: Takes = Takes::Value(text);
+const INT: Takes = Takes::Value(number::<u64>);
+const COUNT: Takes = Takes::Value(number::<usize>);
+const REAL: Takes = Takes::Value(number::<f64>);
+const ADDR: Takes = Takes::Value(number::<SocketAddr>);
+const SHAPE: Takes = Takes::Value(|v| parse_shape(v).map(drop));
+const GRANULARITY: Takes = Takes::Value(|v| parse_granularity(v).map(drop));
+
+const METRICS_OUT: Flags = &[("--metrics-out", TEXT)];
+const SIMULATE: Flags = &[
+    ("--seed", INT),
+    ("--load", REAL),
+    ("--nodes", COUNT),
+    ("--horizon", INT),
+    ("--churn", REAL),
+    ("--shape", SHAPE),
+    ("--policy", TEXT),
+    ("--trace", SWITCH),
+];
+/// The workload flags `serve`, `cluster` and `loadtest` share
+/// ([`service_workload`]).
+const WORKLOAD: Flags = &[
+    ("--seed", INT),
+    ("--nodes", COUNT),
+    ("--horizon", INT),
+    ("--slack", REAL),
+    ("--shape", SHAPE),
+];
+/// [`server_config`]'s flags.
+const SERVER: Flags = &[
+    ("--shards", COUNT),
+    ("--queue", COUNT),
+    ("--chaos", Takes::Value(|v| FaultPlan::parse(v).map(drop))),
+];
+/// [`cluster_config`]'s flags.
+const CLUSTER: Flags = &[
+    ("--gossip-ms", INT),
+    ("--shards", COUNT),
+    ("--queue", COUNT),
+];
+
+/// A verb's command, run once its flags have parsed.
+type Command = fn(&Args) -> ExitCode;
+
+/// Every verb: its flag groups, whether it takes one leading
+/// positional argument, and the command that runs it.
+const VERBS: &[(&str, &[Flags], bool, Command)] = &[
+    (
+        "check",
+        &[
+            METRICS_OUT,
+            &[("--granularity", GRANULARITY), ("--format", TEXT)],
+        ],
+        true,
+        cmd_check,
+    ),
+    (
+        "holds",
+        &[
+            METRICS_OUT,
+            &[
+                ("--resources", TEXT),
+                ("--formula", TEXT),
+                ("--depth", COUNT),
+            ],
+        ],
+        true,
+        cmd_holds,
+    ),
+    ("simulate", &[METRICS_OUT, SIMULATE], false, |args| {
+        run_simulation(args, false)
+    }),
+    ("compare", &[METRICS_OUT, SIMULATE], false, |args| {
+        run_simulation(args, true)
+    }),
+    (
+        "stats",
+        &[METRICS_OUT, &[("--json", SWITCH), ("--out", TEXT)]],
+        false,
+        cmd_stats,
+    ),
+    (
+        "serve",
+        &[
+            METRICS_OUT,
+            WORKLOAD,
+            SERVER,
+            &[("--policy", TEXT), ("--addr", ADDR)],
+        ],
+        false,
+        cmd_serve,
+    ),
+    (
+        "cluster",
+        &[
+            METRICS_OUT,
+            WORKLOAD,
+            CLUSTER,
+            &[
+                ("--topology", TEXT),
+                ("--base-port", Takes::Value(number::<u16>)),
+                ("--duration-ms", INT),
+            ],
+        ],
+        false,
+        cmd_cluster,
+    ),
+    (
+        "loadtest",
+        &[
+            METRICS_OUT,
+            WORKLOAD,
+            SERVER,
+            CLUSTER,
+            &[
+                ("--policy", TEXT),
+                ("--jobs", COUNT),
+                ("--connections", COUNT),
+                ("--granularity", GRANULARITY),
+                ("--addr", ADDR),
+                ("--cluster", COUNT),
+            ],
+        ],
+        false,
+        cmd_loadtest,
+    ),
+];
+
+/// One verb's command line, checked against its flag table.
+struct Args {
+    positional: Option<String>,
+    flags: Vec<(&'static str, Option<String>)>,
+}
+
+impl Args {
+    /// Parses `raw`; a leading non-flag argument is the positional one
+    /// when the verb takes it.
+    fn parse(groups: &[Flags], positional: bool, raw: &[String]) -> Result<Args, String> {
+        let mut args = Args {
+            positional: None,
+            flags: Vec::new(),
+        };
+        let mut rest = raw.iter().enumerate();
+        while let Some((i, arg)) = rest.next() {
+            let found = groups
+                .iter()
+                .flat_map(|g| g.iter())
+                .find(|(name, _)| name == arg);
+            match found {
+                Some(&(name, Takes::Nothing)) => args.flags.push((name, None)),
+                Some(&(name, Takes::Value(check))) => {
+                    let (_, value) = rest.next().ok_or(format!("`{name}` needs a value"))?;
+                    check(value).map_err(|e| format!("bad value `{value}` for `{name}`: {e}"))?;
+                    args.flags.push((name, Some(value.clone())));
+                }
+                None if i == 0 && positional && !arg.starts_with('-') => {
+                    args.positional = Some(arg.clone());
+                }
+                None => return Err(format!("unexpected argument `{arg}`")),
+            }
+        }
+        Ok(args)
+    }
+
+    /// The value of the first `name` flag given.
+    fn get(&self, name: &str) -> Option<&str> {
+        self.flags
+            .iter()
+            .find(|(flag, _)| *flag == name)
+            .and_then(|(_, value)| value.as_deref())
+    }
+
+    /// Whether `name` was given.
+    fn has(&self, name: &str) -> bool {
+        self.flags.iter().any(|(flag, _)| *flag == name)
+    }
+
+    /// The parsed value of `name`, if given (the table has already
+    /// checked that it parses).
+    fn value<T: FromStr>(&self, name: &str) -> Option<T> {
+        self.get(name)?.parse().ok()
+    }
 }
 
 /// Packages a registry snapshot plus decision journal as one JSON value:
@@ -131,12 +371,12 @@ fn observability_json(registry: &Registry, decisions: &[DecisionEvent]) -> Json 
 
 /// Honors `--metrics-out <path>`: writes the run's observability JSON.
 /// Returns `false` (printing an error) when the write fails.
-fn write_metrics_out(args: &[String], registry: &Registry, decisions: &[DecisionEvent]) -> bool {
-    let Some(path) = flag(args, "--metrics-out") else {
+fn write_metrics_out(args: &Args, registry: &Registry, decisions: &[DecisionEvent]) -> bool {
+    let Some(path) = args.get("--metrics-out") else {
         return true;
     };
     let payload = observability_json(registry, decisions).pretty();
-    match std::fs::write(&path, payload + "\n") {
+    match std::fs::write(path, payload + "\n") {
         Ok(()) => {
             eprintln!("(metrics written to {path})");
             true
@@ -148,20 +388,16 @@ fn write_metrics_out(args: &[String], registry: &Registry, decisions: &[Decision
     }
 }
 
-fn cmd_check(args: &[String]) -> ExitCode {
-    let Some(path) = args.first().filter(|a| !a.starts_with("--")) else {
+fn cmd_check(args: &Args) -> ExitCode {
+    let Some(path) = &args.positional else {
         eprintln!("check: missing spec file path");
         return ExitCode::FAILURE;
     };
-    let granularity = match flag(args, "--granularity").as_deref() {
-        Some("per-action") => Granularity::PerAction,
-        Some("maximal-run") | None => Granularity::MaximalRun,
-        Some(other) => {
-            eprintln!("check: unknown granularity `{other}`");
-            return ExitCode::FAILURE;
-        }
-    };
-    let format_json = match flag(args, "--format").as_deref() {
+    let granularity = args
+        .get("--granularity")
+        .and_then(|v| parse_granularity(v).ok())
+        .unwrap_or(Granularity::MaximalRun);
+    let format_json = match args.get("--format") {
         Some("json") => true,
         Some("text") | None => false,
         Some(other) => {
@@ -240,7 +476,7 @@ fn cmd_check(args: &[String]) -> ExitCode {
 fn check_verdict(
     spec: &CheckSpec,
     granularity: Granularity,
-    args: &[String],
+    args: &Args,
     quiet: bool,
 ) -> Result<ExitCode, ExitCode> {
     let (theta, lambda) = match (spec.resources(), spec.computation()) {
@@ -325,17 +561,15 @@ fn print_gantt(commitments: &[rota_logic::Commitment], window: rota_interval::Ti
 
 /// `rota holds`: evaluate a temporal formula against a spec's system
 /// state (with its computation admitted first, if one is given and fits).
-fn cmd_holds(args: &[String]) -> ExitCode {
-    let path = args.first().filter(|a| !a.starts_with("--"));
-    let inline = flag(args, "--resources");
-    let Some(formula_text) = flag(args, "--formula") else {
+fn cmd_holds(args: &Args) -> ExitCode {
+    let path = args.positional.as_deref();
+    let inline = args.get("--resources");
+    let Some(formula_text) = args.get("--formula") else {
         eprintln!("holds: missing --formula");
         return ExitCode::FAILURE;
     };
-    let depth = flag(args, "--depth")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(64usize);
-    let formula = match formula::parse_formula(&formula_text) {
+    let depth = args.value("--depth").unwrap_or(64usize);
+    let formula = match formula::parse_formula(formula_text) {
         Ok(f) => f,
         Err(e) => {
             eprintln!("holds: {e}");
@@ -444,35 +678,13 @@ fn cmd_holds(args: &[String]) -> ExitCode {
     }
 }
 
-fn cmd_simulate(args: &[String], compare: bool) -> ExitCode {
-    let seed = flag(args, "--seed")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(7u64);
-    let load = flag(args, "--load")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1.0f64);
-    let nodes = flag(args, "--nodes")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(6usize);
-    let horizon = flag(args, "--horizon")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(96u64);
-    let churn = flag(args, "--churn")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0.0f64);
-    let shape = match flag(args, "--shape").as_deref() {
-        Some("chain") => JobShape::Chain { evals: 3 },
-        Some("forkjoin") => JobShape::ForkJoin {
-            actors: 2,
-            evals_each: 2,
-        },
-        Some("pipeline") => JobShape::Pipeline { hops: 2 },
-        Some("mixed") | None => JobShape::Mixed,
-        Some(other) => {
-            eprintln!("simulate: unknown shape `{other}`");
-            return ExitCode::FAILURE;
-        }
-    };
+fn run_simulation(args: &Args, compare: bool) -> ExitCode {
+    let seed = args.value("--seed").unwrap_or(7u64);
+    let load = args.value("--load").unwrap_or(1.0f64);
+    let nodes = args.value("--nodes").unwrap_or(6usize);
+    let horizon = args.value("--horizon").unwrap_or(96u64);
+    let churn = args.value("--churn").unwrap_or(0.0f64);
+    let shape = workload_shape(args);
     let mut config = WorkloadConfig::new(seed)
         .with_nodes(nodes)
         .with_horizon(horizon)
@@ -510,9 +722,9 @@ fn cmd_simulate(args: &[String], compare: bool) -> ExitCode {
         }
         return ExitCode::SUCCESS;
     }
-    let policy = flag(args, "--policy").unwrap_or_else(|| "rota".into());
-    let traced = args.iter().any(|a| a == "--trace");
-    let (report, trace) = match policy.as_str() {
+    let policy = args.get("--policy").unwrap_or("rota");
+    let traced = args.has("--trace");
+    let (report, trace) = match policy {
         "rota" => run_scenario_traced_observed(
             &scenario,
             RotaPolicy,
@@ -609,7 +821,7 @@ fn compare_policies_observed(
 /// `rota stats`: run a small fully-instrumented demo — an overloaded
 /// admission scenario (2 of 8 requests fit) plus one bounded model-check
 /// — and dump the resulting metric snapshot and decision journal.
-fn cmd_stats(args: &[String]) -> ExitCode {
+fn cmd_stats(args: &Args) -> ExitCode {
     use rota_actor::{ActionKind, ActorComputation, DistributedComputation, TableCostModel};
     use rota_resource::{LocatedType, Location, Rate, ResourceSet, ResourceTerm};
 
@@ -663,7 +875,7 @@ fn cmd_stats(args: &[String]) -> ExitCode {
     let _ = checker.check(&state, &formula);
     decisions.extend(journal.snapshot());
 
-    let json = args.iter().any(|a| a == "--json");
+    let json = args.has("--json");
     let rendered = if json {
         observability_json(&registry, &decisions).pretty() + "\n"
     } else {
@@ -676,9 +888,9 @@ fn cmd_stats(args: &[String]) -> ExitCode {
         }
         out
     };
-    match flag(args, "--out") {
+    match args.get("--out") {
         Some(path) => {
-            if let Err(e) = std::fs::write(&path, &rendered) {
+            if let Err(e) = std::fs::write(path, &rendered) {
                 eprintln!("stats: cannot write {path}: {e}");
                 return ExitCode::FAILURE;
             }
@@ -696,87 +908,46 @@ fn cmd_stats(args: &[String]) -> ExitCode {
 /// Resources served are `base_resources` of this workload config, so a
 /// loadtest generated from the same flags targets exactly the capacity
 /// the server holds.
-fn service_workload(args: &[String], command: &str) -> Result<WorkloadConfig, ExitCode> {
-    let seed = flag(args, "--seed")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(7u64);
-    let nodes = flag(args, "--nodes")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4usize);
-    let horizon = flag(args, "--horizon")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(96u64);
-    let slack = flag(args, "--slack")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(3.0f64);
-    let shape = match flag(args, "--shape").as_deref() {
-        Some("chain") => JobShape::Chain { evals: 3 },
-        Some("forkjoin") => JobShape::ForkJoin {
-            actors: 2,
-            evals_each: 2,
-        },
-        Some("pipeline") => JobShape::Pipeline { hops: 2 },
-        Some("mixed") | None => JobShape::Mixed,
-        Some(other) => {
-            eprintln!("{command}: unknown shape `{other}`");
-            return Err(ExitCode::FAILURE);
-        }
-    };
-    Ok(WorkloadConfig::new(seed)
-        .with_nodes(nodes)
-        .with_horizon(horizon)
-        .with_shape(shape)
-        .with_slack(slack))
+fn service_workload(args: &Args) -> WorkloadConfig {
+    WorkloadConfig::new(args.value("--seed").unwrap_or(7))
+        .with_nodes(args.value("--nodes").unwrap_or(4))
+        .with_horizon(args.value("--horizon").unwrap_or(96))
+        .with_shape(workload_shape(args))
+        .with_slack(args.value("--slack").unwrap_or(3.0))
 }
 
-fn server_config(args: &[String], addr: SocketAddr, command: &str) -> Result<ServerConfig, ExitCode> {
-    let mut config = ServerConfig {
+/// `--shape`, `mixed` when absent.
+fn workload_shape(args: &Args) -> JobShape {
+    args.get("--shape")
+        .and_then(|v| parse_shape(v).ok())
+        .unwrap_or(JobShape::Mixed)
+}
+
+fn server_config(args: &Args, addr: SocketAddr) -> ServerConfig {
+    let defaults = ServerConfig::default();
+    ServerConfig {
         addr,
-        ..ServerConfig::default()
-    };
-    if let Some(shards) = flag(args, "--shards").and_then(|v| v.parse().ok()) {
-        config.shards = shards;
+        shards: args.value("--shards").unwrap_or(defaults.shards),
+        queue_capacity: args.value("--queue").unwrap_or(defaults.queue_capacity),
+        fault_plan: args
+            .get("--chaos")
+            .and_then(|spec| FaultPlan::parse(spec).ok()),
+        ..defaults
     }
-    if let Some(queue) = flag(args, "--queue").and_then(|v| v.parse().ok()) {
-        config.queue_capacity = queue;
-    }
-    if let Some(spec) = flag(args, "--chaos") {
-        match FaultPlan::parse(&spec) {
-            Ok(plan) => config.fault_plan = Some(plan),
-            Err(e) => {
-                eprintln!("{command}: {e}");
-                return Err(ExitCode::FAILURE);
-            }
-        }
-    }
-    Ok(config)
 }
 
-fn cmd_serve(args: &[String]) -> ExitCode {
-    let policy = flag(args, "--policy").unwrap_or_else(|| "rota".into());
-    let addr: SocketAddr = match flag(args, "--addr")
-        .unwrap_or_else(|| "127.0.0.1:7463".into())
-        .parse()
-    {
-        Ok(addr) => addr,
-        Err(e) => {
-            eprintln!("serve: bad --addr: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let workload = match service_workload(args, "serve") {
-        Ok(w) => w,
-        Err(code) => return code,
-    };
+fn cmd_serve(args: &Args) -> ExitCode {
+    let policy = args.get("--policy").unwrap_or("rota");
+    let addr = args
+        .value("--addr")
+        .unwrap_or(SocketAddr::from(([127, 0, 0, 1], 7463)));
+    let workload = service_workload(args);
     let theta = base_resources(&workload);
-    let config = match server_config(args, addr, "serve") {
-        Ok(config) => config,
-        Err(code) => return code,
-    };
+    let config = server_config(args, addr);
     let shards = config.shards;
     let queue = config.queue_capacity;
     let chaos = config.fault_plan.clone();
-    let handle = match spawn_policy_by_name(&policy, config, &theta) {
+    let handle = match spawn_policy_by_name(policy, config, &theta) {
         Some(Ok(handle)) => handle,
         Some(Err(e)) => {
             eprintln!("serve: cannot bind {addr}: {e}");
@@ -811,38 +982,31 @@ fn cmd_serve(args: &[String]) -> ExitCode {
 }
 
 /// Builds a [`rota_cluster::ClusterConfig`] from the shared flags.
-fn cluster_config(args: &[String], seed: u64) -> rota_cluster::ClusterConfig {
-    let mut config = rota_cluster::ClusterConfig {
+fn cluster_config(args: &Args, seed: u64) -> rota_cluster::ClusterConfig {
+    let defaults = rota_cluster::ClusterConfig::default();
+    rota_cluster::ClusterConfig {
         seed,
-        ..rota_cluster::ClusterConfig::default()
-    };
-    if let Some(ms) = flag(args, "--gossip-ms").and_then(|v| v.parse().ok()) {
-        config.gossip_interval = std::time::Duration::from_millis(ms);
+        gossip_interval: args
+            .value("--gossip-ms")
+            .map_or(defaults.gossip_interval, std::time::Duration::from_millis),
+        shards: args.value("--shards").unwrap_or(defaults.shards),
+        queue_capacity: args.value("--queue").unwrap_or(defaults.queue_capacity),
+        ..defaults
     }
-    if let Some(shards) = flag(args, "--shards").and_then(|v| v.parse().ok()) {
-        config.shards = shards;
-    }
-    if let Some(queue) = flag(args, "--queue").and_then(|v| v.parse().ok()) {
-        config.queue_capacity = queue;
-    }
-    config
 }
 
 /// `rota cluster`: run an N-node federation in this process. Each node
 /// is a full rota-server owning a disjoint slice of the locations;
-/// gossip keeps the peers' liveness and supply views fresh, and any
+/// gossip keeps the peers' liveness views fresh, and any
 /// node accepts any admission (forwarding or two-phase committing
 /// cross-location demand).
-fn cmd_cluster(args: &[String]) -> ExitCode {
+fn cmd_cluster(args: &Args) -> ExitCode {
     use rota_cluster::{Cluster, Topology};
 
-    let workload = match service_workload(args, "cluster") {
-        Ok(w) => w,
-        Err(code) => return code,
-    };
-    let (mut topology, theta) = match flag(args, "--topology") {
+    let workload = service_workload(args);
+    let (mut topology, theta) = match args.get("--topology") {
         Some(path) => {
-            let text = match std::fs::read_to_string(&path) {
+            let text = match std::fs::read_to_string(path) {
                 Ok(t) => t,
                 Err(e) => {
                     eprintln!("cluster: cannot read {path}: {e}");
@@ -881,7 +1045,7 @@ fn cmd_cluster(args: &[String]) -> ExitCode {
     };
     // `--base-port P` pins node addresses to consecutive ports; nodes
     // whose topology entry already names an address keep it.
-    if let Some(base) = flag(args, "--base-port").and_then(|v| v.parse::<u16>().ok()) {
+    if let Some(base) = args.value::<u16>("--base-port") {
         let unbound: Vec<String> = topology
             .nodes()
             .iter()
@@ -928,7 +1092,7 @@ fn cmd_cluster(args: &[String]) -> ExitCode {
         eprintln!("warning: gossip has not converged after 10s; serving anyway");
     }
     println!("admit at any node: owners decide locally, cross-location demand two-phase commits");
-    match flag(args, "--duration-ms").and_then(|v| v.parse::<u64>().ok()) {
+    match args.value::<u64>("--duration-ms") {
         Some(ms) => {
             std::thread::sleep(std::time::Duration::from_millis(ms));
             cluster.shutdown();
@@ -967,84 +1131,6 @@ fn cluster_counter_sums(addrs: &[SocketAddr]) -> Vec<(String, u64)> {
     sums.into_iter().collect()
 }
 
-/// `rota loadtest --cluster N`: drive an ephemeral in-process N-node
-/// federation, connections spread round-robin over the nodes, and
-/// report the routing/2PC work alongside the usual latency numbers.
-fn run_cluster_loadtest(
-    args: &[String],
-    nodes: usize,
-    workload: &WorkloadConfig,
-    jobs: usize,
-    connections: usize,
-    granularity: Granularity,
-    deterministic: bool,
-) -> ExitCode {
-    use rota_cluster::{Cluster, Topology};
-
-    // The workload's locations must be exactly the cluster's, so the
-    // node count wins over `--nodes`.
-    let workload = workload.clone().with_nodes(nodes);
-    let theta = base_resources(&workload);
-    let cluster = match Cluster::launch(
-        Topology::auto(nodes),
-        &theta,
-        RotaPolicy,
-        cluster_config(args, workload.seed),
-    ) {
-        Ok(cluster) => cluster,
-        Err(e) => {
-            eprintln!("loadtest: cannot launch cluster: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if !cluster.await_converged(std::time::Duration::from_secs(10)) {
-        eprintln!("loadtest: cluster gossip failed to converge");
-        cluster.shutdown();
-        return ExitCode::FAILURE;
-    }
-    let addrs = cluster.addrs();
-    let config = LoadtestConfig {
-        addr: addrs[0],
-        cluster: addrs.clone(),
-        connections,
-        jobs,
-        workload: workload.clone(),
-        granularity,
-        deterministic,
-        retry: None,
-        hedge: None,
-    };
-    let report = match run_loadtest(&config) {
-        Ok(report) => report,
-        Err(e) => {
-            eprintln!("loadtest: {e}");
-            cluster.shutdown();
-            return ExitCode::FAILURE;
-        }
-    };
-    print!("{}", report.render(&format!("rota ({nodes}-node cluster)")));
-    for (i, addr) in addrs.iter().enumerate() {
-        match Client::connect(*addr).and_then(|mut c| c.stats()) {
-            Ok((stats, shards)) => println!(
-                "  node{i}        {} accepted / {} rejected across {} shard(s)",
-                stats.accepted, stats.rejected, shards
-            ),
-            Err(e) => println!("  node{i}        (stats unavailable: {e})"),
-        }
-    }
-    let counters = cluster_counter_sums(&addrs);
-    if !counters.is_empty() {
-        let rendered: Vec<String> = counters
-            .into_iter()
-            .map(|(name, value)| format!("{name}={value}"))
-            .collect();
-        println!("  cluster      {}", rendered.join(" "));
-    }
-    println!();
-    cluster.shutdown();
-    ExitCode::SUCCESS
-}
-
 /// The loadtest report's server-side tally. The `stats` verb counts only
 /// controller verdicts; admits bounced by shard pre-validation never reach
 /// a controller, so their count (`server.shard.lint_rejects`, summed over
@@ -1073,12 +1159,110 @@ fn server_side(addr: SocketAddr) -> Result<String, ClientError> {
     ))
 }
 
-fn cmd_loadtest(args: &[String]) -> ExitCode {
-    let policy_flag = flag(args, "--policy").unwrap_or_else(|| "rota".into());
+/// What one loadtest run drives: a server or cluster spawned for the
+/// run, or a server already running elsewhere.
+enum Target {
+    External(SocketAddr),
+    Server(ServerHandle),
+    Cluster(rota_cluster::Cluster),
+}
+
+impl Target {
+    /// Spawns what the flags ask for: a `nodes`-node cluster, a server
+    /// running `policy`, or nothing when `external` names one.
+    fn spawn(
+        args: &Args,
+        policy: &str,
+        nodes: Option<usize>,
+        external: Option<SocketAddr>,
+        workload: &WorkloadConfig,
+    ) -> Result<Target, String> {
+        if let Some(addr) = external {
+            return Ok(Target::External(addr));
+        }
+        let theta = base_resources(workload);
+        let Some(nodes) = nodes else {
+            let config = server_config(args, SocketAddr::from(([127, 0, 0, 1], 0)));
+            return match spawn_policy_by_name(policy, config, &theta) {
+                Some(Ok(handle)) => Ok(Target::Server(handle)),
+                Some(Err(e)) => Err(format!("cannot spawn server: {e}")),
+                None => unreachable!("policy validated by the caller"),
+            };
+        };
+        let cluster = rota_cluster::Cluster::launch(
+            rota_cluster::Topology::auto(nodes),
+            &theta,
+            RotaPolicy,
+            cluster_config(args, workload.seed),
+        )
+        .map_err(|e| format!("cannot launch cluster: {e}"))?;
+        if !cluster.await_converged(std::time::Duration::from_secs(10)) {
+            cluster.shutdown();
+            return Err("cluster gossip failed to converge".into());
+        }
+        Ok(Target::Cluster(cluster))
+    }
+
+    fn addrs(&self) -> Vec<SocketAddr> {
+        match self {
+            Target::External(addr) => vec![*addr],
+            Target::Server(handle) => vec![handle.local_addr()],
+            Target::Cluster(cluster) => cluster.addrs(),
+        }
+    }
+
+    /// The target's own tally under the report: per-node stats and the
+    /// summed `cluster.*` counters for a cluster, the server-side line
+    /// otherwise.
+    fn print_tally(&self) {
+        let addrs = self.addrs();
+        if !matches!(self, Target::Cluster(_)) {
+            // Both reads are idempotent; retry the few that `--chaos`
+            // truncates or resets, up to five reads in all.
+            let side = (1..5).fold(server_side(addrs[0]), |side, _| {
+                side.or_else(|_| server_side(addrs[0]))
+            });
+            match side {
+                Ok(line) => println!("  server side  {line}\n"),
+                Err(e) => println!("  server side  (stats unavailable: {e})\n"),
+            }
+            return;
+        }
+        for (i, addr) in addrs.iter().enumerate() {
+            match Client::connect(*addr).and_then(|mut c| c.stats()) {
+                Ok((stats, shards)) => println!(
+                    "  node{i}        {} accepted / {} rejected across {} shard(s)",
+                    stats.accepted, stats.rejected, shards
+                ),
+                Err(e) => println!("  node{i}        (stats unavailable: {e})"),
+            }
+        }
+        let counters = cluster_counter_sums(&addrs);
+        if !counters.is_empty() {
+            let rendered: Vec<String> = counters
+                .into_iter()
+                .map(|(name, value)| format!("{name}={value}"))
+                .collect();
+            println!("  cluster      {}", rendered.join(" "));
+        }
+        println!();
+    }
+
+    fn shutdown(self) {
+        match self {
+            Target::External(_) => {}
+            Target::Server(handle) => handle.shutdown(),
+            Target::Cluster(cluster) => cluster.shutdown(),
+        }
+    }
+}
+
+fn cmd_loadtest(args: &Args) -> ExitCode {
+    let policy_flag = args.get("--policy").unwrap_or("rota");
     let policies: Vec<&str> = if policy_flag == "all" {
         POLICY_NAMES.to_vec()
-    } else if POLICY_NAMES.contains(&policy_flag.as_str()) {
-        vec![policy_flag.as_str()]
+    } else if POLICY_NAMES.contains(&policy_flag) {
+        vec![policy_flag]
     } else {
         eprintln!(
             "loadtest: unknown policy `{policy_flag}` (expected one of {}|all)",
@@ -1086,141 +1270,82 @@ fn cmd_loadtest(args: &[String]) -> ExitCode {
         );
         return ExitCode::FAILURE;
     };
-    let workload = match service_workload(args, "loadtest") {
-        Ok(w) => w,
-        Err(code) => return code,
-    };
-    let jobs = flag(args, "--jobs")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(400usize);
-    let connections = flag(args, "--connections")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4usize);
-    let granularity = match flag(args, "--granularity").as_deref() {
-        Some("per-action") => Granularity::PerAction,
-        Some("maximal-run") | None => Granularity::MaximalRun,
-        Some(other) => {
-            eprintln!("loadtest: unknown granularity `{other}`");
-            return ExitCode::FAILURE;
-        }
-    };
-    let external: Option<SocketAddr> = match flag(args, "--addr") {
-        Some(text) => match text.parse() {
-            Ok(addr) => Some(addr),
-            Err(e) => {
-                eprintln!("loadtest: bad --addr: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => None,
-    };
+    let external: Option<SocketAddr> = args.value("--addr");
     if external.is_some() && policies.len() > 1 {
         eprintln!("loadtest: --addr drives one external server; pick a single --policy");
         return ExitCode::FAILURE;
     }
-    if let Some(text) = flag(args, "--cluster") {
-        let nodes = match text.parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => {
-                eprintln!("loadtest: --cluster needs a node count ≥ 1");
-                return ExitCode::FAILURE;
-            }
+    let nodes: Option<usize> = args.value("--cluster");
+    let mut workload = service_workload(args);
+    if let Some(nodes) = nodes {
+        let problem = if nodes == 0 {
+            Some("--cluster needs a node count ≥ 1")
+        } else if external.is_some() {
+            Some("--cluster spawns its own nodes; drop --addr")
+        } else if policy_flag != "rota" {
+            Some("--cluster federates the rota policy; drop --policy")
+        } else if args.has("--chaos") {
+            Some("--chaos is per-server; not supported with --cluster")
+        } else {
+            None
         };
-        if external.is_some() {
-            eprintln!("loadtest: --cluster spawns its own nodes; drop --addr");
+        if let Some(problem) = problem {
+            eprintln!("loadtest: {problem}");
             return ExitCode::FAILURE;
         }
-        if policy_flag != "rota" {
-            eprintln!("loadtest: --cluster federates the rota policy; drop --policy");
-            return ExitCode::FAILURE;
-        }
-        if flag(args, "--chaos").is_some() {
-            eprintln!("loadtest: --chaos is per-server; not supported with --cluster");
-            return ExitCode::FAILURE;
-        }
-        let deterministic = args.iter().any(|a| a == "--seed");
-        return run_cluster_loadtest(
-            args,
-            nodes,
-            &workload,
-            jobs,
-            connections,
-            granularity,
-            deterministic,
-        );
+        // The workload's locations must be exactly the cluster's, so
+        // the node count wins over `--nodes`.
+        workload = workload.with_nodes(nodes);
     }
-    let theta = base_resources(&workload);
-    // `--seed` pins the whole run: the same flag set replays the exact
-    // same per-connection request schedule (static partition).
-    let deterministic = args.iter().any(|a| a == "--seed");
-    // `--chaos` arms the server's fault injector *and* the client's
-    // retry/hedge layer — injected faults get ridden out, and the
-    // report shows how much riding was needed.
-    let chaos = flag(args, "--chaos").is_some();
     for policy in policies {
-        // Spawn a fresh in-process server per policy unless the caller
-        // points us at an external one.
-        let handle = match external {
-            Some(_) => None,
-            None => {
-                let config = match server_config(
-                    args,
-                    "127.0.0.1:0".parse().expect("static addr"),
-                    "loadtest",
-                ) {
-                    Ok(config) => config,
-                    Err(code) => return code,
-                };
-                match spawn_policy_by_name(policy, config, &theta) {
-                    Some(Ok(handle)) => Some(handle),
-                    Some(Err(e)) => {
-                        eprintln!("loadtest: cannot spawn server: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                    None => unreachable!("policy validated above"),
-                }
-            }
-        };
-        let addr = external.unwrap_or_else(|| handle.as_ref().expect("spawned").local_addr());
-        let config = LoadtestConfig {
-            addr,
-            cluster: Vec::new(),
-            connections,
-            jobs,
-            workload: workload.clone(),
-            granularity,
-            deterministic,
-            retry: chaos.then(|| RetryConfig {
-                max_attempts: 8,
-                seed: workload.seed,
-                ..RetryConfig::default()
-            }),
-            hedge: chaos.then(HedgeConfig::default),
-        };
-        let report = match run_loadtest(&config) {
-            Ok(report) => report,
+        let target = match Target::spawn(args, policy, nodes, external, &workload) {
+            Ok(target) => target,
             Err(e) => {
                 eprintln!("loadtest: {e}");
                 return ExitCode::FAILURE;
             }
         };
-        print!("{}", report.render(policy));
-        // Both reads are idempotent; retry the few that `--chaos`
-        // truncates or resets.
-        let mut side = server_side(addr);
-        for _ in 0..4 {
-            if side.is_ok() {
-                break;
+        let addrs = target.addrs();
+        let mut config = LoadtestConfig {
+            addrs: addrs.clone(),
+            connections: args.value("--connections").unwrap_or(4),
+            jobs: args.value("--jobs").unwrap_or(400),
+            workload: workload.clone(),
+            granularity: args
+                .get("--granularity")
+                .and_then(|v| parse_granularity(v).ok())
+                .unwrap_or(Granularity::MaximalRun),
+            // `--seed` pins the whole run: the same flag set replays
+            // the exact same per-connection request schedule.
+            deterministic: args.has("--seed"),
+            ..LoadtestConfig::new(addrs[0])
+        };
+        // `--chaos` arms the server's fault injector *and* the client's
+        // retry/hedge layer — injected faults get ridden out, and the
+        // report shows how much riding was needed.
+        if args.has("--chaos") {
+            config.retry = RetryConfig {
+                max_attempts: 8,
+                seed: workload.seed,
+                ..RetryConfig::default()
+            };
+            config.hedge = Some(HedgeConfig::default());
+        }
+        let report = match run_loadtest(&config) {
+            Ok(report) => report,
+            Err(e) => {
+                eprintln!("loadtest: {e}");
+                target.shutdown();
+                return ExitCode::FAILURE;
             }
-            side = server_side(addr);
-        }
-        match side {
-            Ok(line) => println!("  server side  {line}\n"),
-            Err(e) => println!("  server side  (stats unavailable: {e})\n"),
-        }
-        if let Some(handle) = handle {
-            handle.shutdown();
-        }
+        };
+        let label = match &target {
+            Target::Cluster(_) => format!("rota ({}-node cluster)", addrs.len()),
+            _ => policy.to_string(),
+        };
+        print!("{}", report.render(&label));
+        target.print_tally();
+        target.shutdown();
     }
     ExitCode::SUCCESS
 }

@@ -4,16 +4,17 @@
 //! [`rota_server::protocol`], plus a multi-connection [`loadtest`]
 //! harness that drives a server with [`rota_workload`]-generated
 //! traffic and reports throughput, latency percentiles, and acceptance
-//! rates. The [`resilient`] module layers deterministic retry,
+//! rates. The [`resilient`] module's [`ResilientClient`] is the one
+//! retrying client: over a list of addresses (one server, or every node
+//! of a rota-cluster federation) it layers deterministic retry,
 //! exponential backoff with seeded jitter, per-request deadline
-//! budgets, and p99-triggered hedging on top of the raw client. The
-//! [`cluster`] module adds a multi-address [`ClusterClient`] with
-//! round-robin failover for rota-cluster federations.
+//! budgets, sticky failover on transport errors, and p99-triggered
+//! hedging on top of the raw client. The load test drives every
+//! connection through it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cluster;
 pub mod loadtest;
 pub mod resilient;
 
@@ -26,9 +27,8 @@ use rota_actor::{DistributedComputation, Granularity};
 use rota_admission::ControllerStats;
 use rota_obs::Json;
 use rota_server::protocol::{read_frame, write_frame, FrameError, Request, Response};
-use rota_server::spec::{computation_to_json, ComputationSpec, SpecError};
+use rota_server::spec::{ComputationSpec, ResourceSpec, SpecError};
 
-pub use cluster::{ClusterClient, ClusterClientStats};
 pub use loadtest::{request_schedule, run_loadtest, LoadtestConfig, LoadtestReport};
 pub use resilient::{HedgeConfig, ResilienceStats, ResilientClient, RetryConfig};
 
@@ -148,9 +148,8 @@ impl Client {
         computation: &DistributedComputation,
         granularity: Granularity,
     ) -> Result<Response, ClientError> {
-        let spec = ComputationSpec::from_json(&computation_to_json(computation))?;
         self.call(&Request::Admit {
-            computation: spec,
+            computation: ComputationSpec::from(computation),
             granularity,
             forwarded: false,
         })
@@ -158,12 +157,13 @@ impl Client {
 
     /// Offers additional resources to the server.
     pub fn offer(&mut self, theta: &rota_resource::ResourceSet) -> Result<u64, ClientError> {
-        let doc = rota_server::spec::resource_set_to_json(theta);
-        let specs = rota_server::spec::resources_from_json(
-            doc.as_array().unwrap_or(&[]),
-        )?;
+        let resources = theta
+            .to_terms()
+            .iter()
+            .map(ResourceSpec::from_term)
+            .collect::<Result<_, _>>()?;
         match self.call(&Request::Offer {
-            resources: specs,
+            resources,
             forwarded: false,
         })? {
             Response::Offered { terms } => Ok(terms),

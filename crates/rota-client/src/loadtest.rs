@@ -1,11 +1,12 @@
 //! Multi-connection load-test harness for rota-server.
 //!
 //! Pre-generates a batch of [`rota_workload`] computations, fans them
-//! out over `connections` concurrent client connections, and reports
+//! out over `connections` concurrent [`ResilientClient`]s, and reports
 //! throughput, latency percentiles, and the accept / reject /
 //! overloaded split. Overloaded answers are the server's explicit
-//! backpressure — the harness counts them instead of retrying, so a
-//! saturated server is visible in the report rather than smoothed over.
+//! backpressure — by default ([`LoadtestConfig::new`]) each job gets
+//! one attempt, so they are counted instead of retried and a saturated
+//! server is visible in the report rather than smoothed over.
 
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -14,24 +15,20 @@ use std::time::{Duration, Instant};
 
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use rota_actor::Granularity;
-use rota_server::protocol::{Request, Response};
-use rota_server::spec::{computation_to_json, ComputationSpec};
+use rota_server::protocol::Response;
+use rota_server::spec::ComputationSpec;
 use rota_workload::{generate_job, WorkloadConfig};
 
-use crate::resilient::{HedgeConfig, ResilientClient, RetryConfig};
-use crate::{Client, ClientError};
+use crate::resilient::{HedgeConfig, ResilienceStats, ResilientClient, RetryConfig};
+use crate::ClientError;
 
 /// What to throw at the server.
 #[derive(Debug, Clone)]
 pub struct LoadtestConfig {
-    /// Server address.
-    pub addr: SocketAddr,
-    /// Cluster mode: when non-empty, this is the full node address
-    /// list and connections are spread over it round-robin
-    /// (connection `i` dials `cluster[i % cluster.len()]`); `addr` is
-    /// ignored. Empty (the default) drives the single server at
-    /// `addr`.
-    pub cluster: Vec<SocketAddr>,
+    /// Target addresses: one server, or every node of a cluster.
+    /// Connection `i` starts at `addrs[i % addrs.len()]` and fails over
+    /// along the list on transport errors.
+    pub addrs: Vec<SocketAddr>,
     /// Concurrent client connections.
     pub connections: usize,
     /// Total jobs submitted across all connections.
@@ -45,25 +42,29 @@ pub struct LoadtestConfig {
     /// schedule is a pure function of the config (see
     /// [`request_schedule`]).
     pub deterministic: bool,
-    /// Retry/backoff for each connection; `None` submits each job once
-    /// and counts failures, which keeps saturation visible.
-    pub retry: Option<RetryConfig>,
-    /// Hedged requests (requires `retry`).
+    /// Retry/backoff for each connection's [`ResilientClient`] (its
+    /// seed is offset by the connection index).
+    pub retry: RetryConfig,
+    /// Hedged requests.
     pub hedge: Option<HedgeConfig>,
 }
 
 impl LoadtestConfig {
-    /// A small default battery against `addr`: 4 connections, 200 jobs.
+    /// A small default battery against `addr`: 4 connections, 200 jobs,
+    /// one attempt per job — failures and `overloaded` answers are
+    /// tallied, not retried, which keeps saturation visible.
     pub fn new(addr: SocketAddr) -> Self {
         LoadtestConfig {
-            addr,
-            cluster: Vec::new(),
+            addrs: vec![addr],
             connections: 4,
             jobs: 200,
             workload: WorkloadConfig::new(7),
             granularity: Granularity::MaximalRun,
             deterministic: false,
-            retry: None,
+            retry: RetryConfig {
+                max_attempts: 1,
+                ..RetryConfig::default()
+            },
             hedge: None,
         }
     }
@@ -97,10 +98,12 @@ pub struct LoadtestReport {
     pub latencies_ns: Vec<u64>,
     /// First transport/protocol error observed, for diagnostics.
     pub first_error: Option<String>,
-    /// Retries performed by the resilience layer (0 without `retry`).
+    /// Retries performed by the resilience layer (0 with one attempt).
     pub retries: u64,
     /// Hedge attempts fired by the resilience layer.
     pub hedges: u64,
+    /// Moves to the next address after a transport failure.
+    pub failovers: u64,
 }
 
 impl LoadtestReport {
@@ -159,11 +162,15 @@ impl LoadtestReport {
             us(self.percentile_ns(99.0)),
             us(self.latencies_ns.last().copied().unwrap_or(0)),
         ));
-        if self.retries > 0 || self.hedges > 0 {
+        if self.retries > 0 || self.hedges > 0 || self.failovers > 0 {
             out.push_str(&format!(
-                "  resilience   retries={} hedges={}\n",
+                "  resilience   retries={} hedges={}",
                 self.retries, self.hedges
             ));
+            if self.failovers > 0 {
+                out.push_str(&format!(" failovers={}", self.failovers));
+            }
+            out.push('\n');
         }
         if let Some(err) = &self.first_error {
             out.push_str(&format!("  first error  {err}\n"));
@@ -172,12 +179,12 @@ impl LoadtestReport {
     }
 }
 
-/// Runs a load test against a live server.
+/// Runs a load test against a live server or cluster.
 ///
-/// Fails only if the batch cannot be prepared; per-request failures are
+/// Fails only on an empty address list; per-request failures are
 /// tallied as `errors` in the report instead of aborting the run.
 pub fn run_loadtest(config: &LoadtestConfig) -> Result<LoadtestReport, ClientError> {
-    let jobs = prepare_jobs(config)?;
+    let jobs = prepare_jobs(config);
     let total = jobs.len();
     let shared = Arc::new(jobs);
     let cursor = Arc::new(AtomicUsize::new(0));
@@ -185,43 +192,39 @@ pub fn run_loadtest(config: &LoadtestConfig) -> Result<LoadtestReport, ClientErr
     let started = Instant::now();
     let mut handles = Vec::with_capacity(connections);
     for connection in 0..connections {
-        let shared = Arc::clone(&shared);
-        let cursor = Arc::clone(&cursor);
-        let addr = if config.cluster.is_empty() {
-            config.addr
-        } else {
-            config.cluster[connection % config.cluster.len()]
-        };
-        let schedule = if config.deterministic {
-            Schedule::Fixed(partition(total, connections, connection))
-        } else {
-            Schedule::Shared(cursor)
-        };
+        let mut addrs = config.addrs.clone();
+        addrs.rotate_left(connection % config.addrs.len().max(1));
         // Each connection gets its own jitter stream so same-seed runs
         // replay the exact same retry schedule per connection.
-        let resilience = config.retry.as_ref().map(|retry| {
-            (
-                RetryConfig {
-                    seed: retry.seed.wrapping_add(connection as u64),
-                    ..retry.clone()
-                },
-                config.hedge.clone(),
-            )
-        });
+        let retry = RetryConfig {
+            seed: config.retry.seed.wrapping_add(connection as u64),
+            ..config.retry.clone()
+        };
+        let mut client = ResilientClient::new(addrs, retry)?;
+        if let Some(hedge) = &config.hedge {
+            client = client.with_hedging(hedge.clone());
+        }
+        let shared = Arc::clone(&shared);
+        let schedule = if config.deterministic {
+            Schedule::Fixed(partition(total, connections, connection).into_iter())
+        } else {
+            Schedule::Shared(Arc::clone(&cursor))
+        };
+        let granularity = config.granularity;
         handles.push(std::thread::spawn(move || {
-            worker(addr, &shared, schedule, resilience)
+            worker(client, &shared, granularity, schedule)
         }));
     }
     let mut outcomes = Vec::with_capacity(total);
-    let mut retries = 0u64;
-    let mut hedges = 0u64;
+    let mut stats = ResilienceStats::default();
     for handle in handles {
         // PANIC-OK: a worker panic is a harness bug; crash loudly
         // rather than report a partial, silently-wrong load test.
-        let (samples, stats) = handle.join().expect("loadtest worker panicked");
+        let (samples, worker_stats) = handle.join().expect("loadtest worker panicked");
         outcomes.extend(samples);
-        retries += stats.retries;
-        hedges += stats.hedges;
+        stats.retries += worker_stats.retries;
+        stats.hedges += worker_stats.hedges;
+        stats.failovers += worker_stats.failovers;
     }
     let elapsed = started.elapsed();
 
@@ -234,8 +237,9 @@ pub fn run_loadtest(config: &LoadtestConfig) -> Result<LoadtestReport, ClientErr
         elapsed,
         latencies_ns: Vec::with_capacity(outcomes.len()),
         first_error: None,
-        retries,
-        hedges,
+        retries: stats.retries,
+        hedges: stats.hedges,
+        failovers: stats.failovers,
     };
     for (outcome, ns, err) in outcomes {
         match outcome {
@@ -267,24 +271,22 @@ fn partition(total: usize, connections: usize, index: usize) -> Vec<usize> {
 /// order. A pure function of the config — two calls with equal configs
 /// return equal schedules, which is what the `--seed` regression test
 /// pins down.
-pub fn request_schedule(config: &LoadtestConfig) -> Result<Vec<Vec<String>>, ClientError> {
-    let jobs = prepare_jobs(config)?;
+pub fn request_schedule(config: &LoadtestConfig) -> Vec<Vec<String>> {
+    let jobs = prepare_jobs(config);
     let connections = config.connections.max(1);
-    Ok((0..connections)
+    (0..connections)
         .map(|c| {
             partition(jobs.len(), connections, c)
                 .into_iter()
-                .map(|i| jobs[i].0.name.clone())
+                .map(|i| jobs[i].name.clone())
                 .collect()
         })
-        .collect())
+        .collect()
 }
 
 /// Draws the batch of computations and pre-encodes them as wire specs,
 /// so generation cost stays out of the measured window.
-fn prepare_jobs(
-    config: &LoadtestConfig,
-) -> Result<Vec<(ComputationSpec, Granularity)>, ClientError> {
+fn prepare_jobs(config: &LoadtestConfig) -> Vec<ComputationSpec> {
     let mut rng = StdRng::seed_from_u64(config.workload.seed);
     let horizon = config.workload.horizon.max(4);
     let mut jobs = Vec::with_capacity(config.jobs);
@@ -293,10 +295,9 @@ fn prepare_jobs(
         // deadlines stay inside it.
         let arrival = rng.gen_range(0..horizon / 2);
         let computation = generate_job(&config.workload, &mut rng, &format!("lt{i}"), arrival);
-        let spec = ComputationSpec::from_json(&computation_to_json(&computation))?;
-        jobs.push((spec, config.granularity));
+        jobs.push(ComputationSpec::from(&computation));
     }
-    Ok(jobs)
+    jobs
 }
 
 type Sample = (Outcome, u64, Option<String>);
@@ -324,7 +325,7 @@ fn classify(answer: Result<Response, ClientError>, start: Instant) -> Sample {
 /// (deterministic mode).
 enum Schedule {
     Shared(Arc<AtomicUsize>),
-    Fixed(Vec<usize>),
+    Fixed(std::vec::IntoIter<usize>),
 }
 
 impl Schedule {
@@ -334,89 +335,24 @@ impl Schedule {
                 let index = cursor.fetch_add(1, Ordering::Relaxed);
                 (index < total).then_some(index)
             }
-            Schedule::Fixed(indices) => {
-                if indices.is_empty() {
-                    None
-                } else {
-                    Some(indices.remove(0))
-                }
-            }
+            Schedule::Fixed(indices) => indices.next(),
         }
     }
 }
 
 fn worker(
-    addr: SocketAddr,
-    jobs: &[(ComputationSpec, Granularity)],
+    mut client: ResilientClient,
+    jobs: &[ComputationSpec],
+    granularity: Granularity,
     mut schedule: Schedule,
-    resilience: Option<(RetryConfig, Option<HedgeConfig>)>,
-) -> (Vec<Sample>, crate::resilient::ResilienceStats) {
-    match resilience {
-        Some((retry, hedge)) => {
-            let mut client = ResilientClient::new(addr, retry);
-            if let Some(hedge) = hedge {
-                client = client.with_hedging(hedge);
-            }
-            let mut samples = Vec::new();
-            while let Some(index) = schedule.next(jobs.len()) {
-                let (spec, granularity) = &jobs[index];
-                let start = Instant::now();
-                samples.push(classify(client.admit(spec.clone(), *granularity), start));
-            }
-            (samples, client.stats())
-        }
-        None => (
-            raw_worker(addr, jobs, &mut schedule),
-            crate::resilient::ResilienceStats::default(),
-        ),
-    }
-}
-
-/// The original single-shot path: one connection, no retries, failures
-/// tallied so saturation stays visible in the report.
-fn raw_worker(
-    addr: SocketAddr,
-    jobs: &[(ComputationSpec, Granularity)],
-    schedule: &mut Schedule,
-) -> Vec<Sample> {
+) -> (Vec<Sample>, ResilienceStats) {
     let mut samples = Vec::new();
-    let mut client = match Client::connect_timeout(addr, Duration::from_secs(5)) {
-        Ok(client) => client,
-        Err(err) => {
-            // Connection refused: drain our share of the work as errors
-            // so the report still accounts for every job.
-            let mut first = Some(err.to_string());
-            while schedule.next(jobs.len()).is_some() {
-                samples.push((Outcome::Error, 0, first.take()));
-            }
-            return samples;
-        }
-    };
     while let Some(index) = schedule.next(jobs.len()) {
-        let (spec, granularity) = &jobs[index];
-        let request = Request::Admit {
-            computation: spec.clone(),
-            granularity: *granularity,
-            forwarded: false,
-        };
         let start = Instant::now();
-        let answer = client.call(&request);
-        let failed = answer.is_err();
-        samples.push(classify(answer, start));
-        if failed {
-            // The connection may be dead; try to re-establish once
-            // per failure so one hiccup doesn't doom the worker.
-            match Client::connect_timeout(addr, Duration::from_secs(5)) {
-                Ok(fresh) => client = fresh,
-                Err(_) => {
-                    let mut first = None;
-                    while schedule.next(jobs.len()).is_some() {
-                        samples.push((Outcome::Error, 0, first.take()));
-                    }
-                    break;
-                }
-            }
-        }
+        samples.push(classify(
+            client.admit(jobs[index].clone(), granularity),
+            start,
+        ));
     }
-    samples
+    (samples, client.stats())
 }

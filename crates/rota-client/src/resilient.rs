@@ -1,7 +1,10 @@
-//! Retry, backoff, and hedging on top of the blocking [`Client`].
+//! Retry, backoff, failover, and hedging on top of the blocking
+//! [`Client`].
 //!
-//! A [`ResilientClient`] wraps one server address with three layers of
-//! fault tolerance, all deterministic under a seed:
+//! A [`ResilientClient`] wraps a list of server addresses — one server,
+//! or the nodes of a rota-cluster federation, where any node admits
+//! anything — with four layers of fault tolerance, all deterministic
+//! under a seed:
 //!
 //! - **retry with exponential backoff + jitter** — transport errors and
 //!   `overloaded` bounces are retried up to [`RetryConfig::max_attempts`]
@@ -12,16 +15,21 @@
 //!   [`RetryConfig::budget`] of wall-clock time; a retry that cannot
 //!   fit its backoff sleep inside the remaining budget is abandoned and
 //!   the last outcome returned;
+//! - **sticky failover** — the client stays on one address; a transport
+//!   error (`ClientError::Io`/`Frame`) drops the connection and moves it
+//!   to the next address before the next attempt, while answers —
+//!   server `error`s included — leave it where it is;
 //! - **deadline-aware hedging** — an optional second attempt fired when
 //!   the first has been in flight for the client's running p99 latency
 //!   estimate; whichever attempt answers first wins.
 //!
-//! Retrying an admit whose *response* was lost (connection reset,
-//! truncated frame) is safe because rota-server treats computation
-//! names as idempotency keys: the retry lands on the same shard
-//! (deterministic routing) and gets the original verdict from its
-//! decision cache rather than committing twice. The same property makes
-//! hedge duplicates harmless.
+//! The client sends admits only. Retrying an admit whose *response* was
+//! lost (connection reset, truncated frame) is safe because rota-server
+//! treats computation names as idempotency keys (DESIGN §10): the retry
+//! reaches the shard owning the demand and gets the original verdict
+//! from its decision cache rather than committing twice. The same
+//! property makes hedge duplicates harmless. An `offer`, `prepare` or
+//! `commit` has no such key, so none of them is ever re-sent.
 
 use std::collections::VecDeque;
 use std::net::SocketAddr;
@@ -101,15 +109,19 @@ pub struct ResilienceStats {
     pub hedge_wins: u64,
     /// Fresh connections dialed after a transport failure.
     pub reconnects: u64,
+    /// Moves to the next address after a transport failure (never with
+    /// a one-address list).
+    pub failovers: u64,
 }
 
 /// How many recent request latencies feed the p99 hedge estimate.
 const LATENCY_WINDOW: usize = 256;
 
-/// A [`Client`] wrapper that retries, backs off, and (optionally)
-/// hedges — deterministically under [`RetryConfig::seed`].
+/// A [`Client`] wrapper that retries, backs off, fails over, and
+/// (optionally) hedges — deterministically under [`RetryConfig::seed`].
 pub struct ResilientClient {
-    addr: SocketAddr,
+    addrs: Vec<SocketAddr>,
+    cursor: usize,
     retry: RetryConfig,
     hedge: Option<HedgeConfig>,
     rng: StdRng,
@@ -119,19 +131,24 @@ pub struct ResilientClient {
 }
 
 impl ResilientClient {
-    /// Builds a resilient client for `addr`; connections are dialed
-    /// lazily, so this never fails.
-    pub fn new(addr: SocketAddr, retry: RetryConfig) -> ResilientClient {
+    /// Builds a resilient client over `addrs`, starting at the first;
+    /// connections are dialed lazily, so this fails only on an empty
+    /// list.
+    pub fn new(addrs: Vec<SocketAddr>, retry: RetryConfig) -> Result<ResilientClient, ClientError> {
+        if addrs.is_empty() {
+            return Err(ClientError::Server("no server addresses given".into()));
+        }
         let rng = StdRng::seed_from_u64(retry.seed);
-        ResilientClient {
-            addr,
+        Ok(ResilientClient {
+            addrs,
+            cursor: 0,
             retry,
             hedge: None,
             rng,
             connection: None,
             latencies: VecDeque::new(),
             stats: ResilienceStats::default(),
-        }
+        })
     }
 
     /// Enables hedged requests.
@@ -143,6 +160,11 @@ impl ResilientClient {
     /// What the resilience layer has done so far.
     pub fn stats(&self) -> ResilienceStats {
         self.stats
+    }
+
+    /// The address the next attempt goes to.
+    pub fn current_addr(&self) -> SocketAddr {
+        self.addrs[self.cursor]
     }
 
     /// The hedge delay currently in force: running p99 of the latency
@@ -199,9 +221,16 @@ impl ResilientClient {
                     return Ok(response);
                 }
                 Err(err) => {
-                    // The connection is suspect after any transport
-                    // error; next attempt dials fresh.
+                    // The connection is suspect after any error; the
+                    // next attempt dials fresh, on the next address if
+                    // this one could not answer at all.
                     self.connection = None;
+                    if matches!(err, ClientError::Io(_) | ClientError::Frame(_))
+                        && self.addrs.len() > 1
+                    {
+                        self.cursor = (self.cursor + 1) % self.addrs.len();
+                        self.stats.failovers += 1;
+                    }
                     last = Err(err);
                 }
             }
@@ -222,11 +251,12 @@ impl ResilientClient {
     }
 
     fn plain_call(&mut self, request: &Request) -> Result<Response, ClientError> {
+        let addr = self.current_addr();
         let client = match &mut self.connection {
             Some(client) => client,
             slot @ None => {
                 self.stats.reconnects += u64::from(self.stats.attempts > 1);
-                slot.insert(Client::connect_timeout(self.addr, Duration::from_secs(5))?)
+                slot.insert(Client::connect_timeout(addr, Duration::from_secs(5))?)
             }
         };
         request_on(client, request)
@@ -243,7 +273,8 @@ impl ResilientClient {
         deadline: Instant,
     ) -> Result<Response, ClientError> {
         let (tx, rx) = mpsc::channel::<(bool, Result<Response, ClientError>)>();
-        spawn_attempt(self.addr, request.clone(), false, tx.clone());
+        let addr = self.current_addr();
+        spawn_attempt(addr, request.clone(), false, tx.clone());
         match rx.recv_timeout(delay) {
             Ok((_, outcome)) => return outcome,
             Err(mpsc::RecvTimeoutError::Timeout) => {}
@@ -252,7 +283,7 @@ impl ResilientClient {
             }
         }
         self.stats.hedges += 1;
-        spawn_attempt(self.addr, request.clone(), true, tx);
+        spawn_attempt(addr, request.clone(), true, tx);
         let remaining = deadline
             .saturating_duration_since(Instant::now())
             .max(Duration::from_millis(1));
@@ -316,6 +347,131 @@ fn spawn_attempt(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::{BufReader, BufWriter};
+    use std::net::TcpListener;
+    use std::thread;
+
+    use rota_server::protocol::{read_frame, write_frame};
+
+    /// A stub node answering every request, on every connection, with
+    /// `answer`.
+    fn stub_node(answer: Response) -> SocketAddr {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        thread::spawn(move || {
+            for stream in listener.incoming() {
+                let Ok(stream) = stream else { break };
+                let answer = answer.clone();
+                thread::spawn(move || {
+                    let mut reader = BufReader::new(stream.try_clone().unwrap());
+                    let mut writer = BufWriter::new(stream);
+                    while read_frame(&mut reader, rota_server::MAX_FRAME_BYTES).is_ok() {
+                        if write_frame(&mut writer, &answer.to_json()).is_err() {
+                            break;
+                        }
+                    }
+                });
+            }
+        });
+        addr
+    }
+
+    /// An address that accepts the dial and immediately hangs up.
+    fn dead_node() -> SocketAddr {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        thread::spawn(move || {
+            while let Ok((stream, _)) = listener.accept() {
+                drop(stream);
+            }
+        });
+        addr
+    }
+
+    fn job() -> ComputationSpec {
+        ComputationSpec {
+            name: "j".into(),
+            start: 0,
+            deadline: 8,
+            actors: Vec::new(),
+        }
+    }
+
+    fn decision() -> Response {
+        Response::Decision {
+            computation: "j".into(),
+            accepted: true,
+            shard: 0,
+            reason: String::new(),
+            violated_term: None,
+            clause: None,
+            diagnostics: Vec::new(),
+        }
+    }
+
+    fn quick_retries(max_attempts: u32) -> RetryConfig {
+        RetryConfig {
+            max_attempts,
+            base_delay: Duration::from_millis(1),
+            ..RetryConfig::default()
+        }
+    }
+
+    #[test]
+    fn empty_address_list_is_rejected() {
+        assert!(ResilientClient::new(Vec::new(), RetryConfig::default()).is_err());
+    }
+
+    #[test]
+    fn transport_failure_moves_to_the_next_address_then_sticks() {
+        let dead = dead_node();
+        let live = stub_node(decision());
+        let mut client = ResilientClient::new(vec![dead, live], quick_retries(2)).unwrap();
+        let response = client.admit(job(), Granularity::MaximalRun).unwrap();
+        assert!(matches!(response, Response::Decision { .. }));
+        assert_eq!(client.stats().failovers, 1);
+        assert_eq!(client.current_addr(), live, "sticks to the survivor");
+        // The next admit goes straight to the live node.
+        client.admit(job(), Granularity::MaximalRun).unwrap();
+        assert_eq!(client.stats().failovers, 1);
+        assert_eq!(client.stats().attempts, 3);
+    }
+
+    #[test]
+    fn server_errors_do_not_fail_over() {
+        let fussy = stub_node(Response::Error {
+            message: "version-mismatch".into(),
+        });
+        let never = dead_node();
+        let mut client = ResilientClient::new(vec![fussy, never], quick_retries(3)).unwrap();
+        // An `error` answer is a real answer: it is retried in place
+        // (the retry rules are unchanged) instead of burning the other
+        // address.
+        match client.admit(job(), Granularity::MaximalRun) {
+            Err(ClientError::Server(message)) => assert_eq!(message, "version-mismatch"),
+            other => panic!("expected the server's error, got {other:?}"),
+        }
+        assert_eq!(client.stats().attempts, 3);
+        assert_eq!(client.stats().failovers, 0);
+        assert_eq!(client.current_addr(), fussy);
+    }
+
+    #[test]
+    fn all_addresses_down_returns_a_transport_error() {
+        let mut client =
+            ResilientClient::new(vec![dead_node(), dead_node()], quick_retries(2)).unwrap();
+        match client.admit(job(), Granularity::MaximalRun) {
+            Err(ClientError::Io(_) | ClientError::Frame(_)) => {}
+            other => panic!("expected a transport error, got {other:?}"),
+        }
+        assert_eq!(client.stats().failovers, 2, "one move per failed attempt");
+        // A one-address list redials the same address and never counts
+        // a failover.
+        let mut single = ResilientClient::new(vec![dead_node()], quick_retries(2)).unwrap();
+        assert!(single.admit(job(), Granularity::MaximalRun).is_err());
+        assert_eq!(single.stats().failovers, 0);
+        assert_eq!(single.stats().reconnects, 1);
+    }
 
     #[test]
     fn backoff_is_bounded_and_deterministic() {
@@ -326,8 +482,8 @@ mod tests {
             ..RetryConfig::default()
         };
         let addr: SocketAddr = "127.0.0.1:1".parse().unwrap();
-        let mut a = ResilientClient::new(addr, retry.clone());
-        let mut b = ResilientClient::new(addr, retry);
+        let mut a = ResilientClient::new(vec![addr], retry.clone()).unwrap();
+        let mut b = ResilientClient::new(vec![addr], retry).unwrap();
         for attempt in 1..=10 {
             let da = a.backoff(attempt);
             let db = b.backoff(attempt);
@@ -345,12 +501,13 @@ mod tests {
         let addr: SocketAddr = "127.0.0.1:1".parse().unwrap();
         let mk = |seed| {
             ResilientClient::new(
-                addr,
+                vec![addr],
                 RetryConfig {
                     seed,
                     ..RetryConfig::default()
                 },
             )
+            .unwrap()
         };
         let (mut a, mut b) = (mk(1), mk(2));
         let schedule_a: Vec<_> = (1..=8).map(|i| a.backoff(i)).collect();
@@ -361,8 +518,9 @@ mod tests {
     #[test]
     fn hedge_delay_clamps_and_warms_up() {
         let addr: SocketAddr = "127.0.0.1:1".parse().unwrap();
-        let mut client = ResilientClient::new(addr, RetryConfig::default()).with_hedging(
-            HedgeConfig {
+        let mut client = ResilientClient::new(vec![addr], RetryConfig::default())
+            .unwrap()
+            .with_hedging(HedgeConfig {
                 min_samples: 4,
                 initial_delay: Duration::from_millis(50),
                 floor: Duration::from_millis(2),
@@ -386,7 +544,7 @@ mod tests {
     #[test]
     fn no_hedge_config_means_no_hedging() {
         let addr: SocketAddr = "127.0.0.1:1".parse().unwrap();
-        let client = ResilientClient::new(addr, RetryConfig::default());
+        let client = ResilientClient::new(vec![addr], RetryConfig::default()).unwrap();
         assert_eq!(client.hedge_delay(), None);
     }
 }

@@ -24,7 +24,7 @@ use rota_admission::{AdmissionController, AdmissionRequest, RotaPolicy};
 use rota_client::{HedgeConfig, LoadtestConfig, ResilientClient, RetryConfig};
 use rota_interval::TimePoint;
 use rota_server::protocol::Response;
-use rota_server::spec::{computation_to_json, ComputationSpec};
+use rota_server::spec::ComputationSpec;
 use rota_server::{FaultPlan, Server, ServerConfig};
 use rota_workload::{base_resources, generate_job, JobShape, WorkloadConfig};
 
@@ -66,8 +66,9 @@ fn retrying_client_agrees_with_reference_under_chaos() {
         budget: Duration::from_secs(10),
         seed: 99,
     };
-    let mut client =
-        ResilientClient::new(server.local_addr(), retry).with_hedging(HedgeConfig::default());
+    let mut client = ResilientClient::new(vec![server.local_addr()], retry)
+        .expect("one address")
+        .with_hedging(HedgeConfig::default());
 
     let mut rng = StdRng::seed_from_u64(workload.seed);
     let mut accepted = 0usize;
@@ -81,10 +82,8 @@ fn retrying_client_agrees_with_reference_under_chaos() {
                 Granularity::MaximalRun,
             ))
             .is_accept();
-        let spec = ComputationSpec::from_json(&computation_to_json(&job))
-            .expect("job encodes as a spec");
         let response = client
-            .admit(spec, Granularity::MaximalRun)
+            .admit(ComputationSpec::from(&job), Granularity::MaximalRun)
             .expect("retries exhaust every injected fault");
         match response {
             Response::Decision { accepted: got, .. } => {
@@ -135,8 +134,8 @@ fn same_config_yields_identical_request_schedules() {
     config.connections = 3;
     config.workload = chain_workload();
 
-    let first = rota_client::request_schedule(&config).expect("schedule");
-    let second = rota_client::request_schedule(&config).expect("schedule");
+    let first = rota_client::request_schedule(&config);
+    let second = rota_client::request_schedule(&config);
     assert_eq!(first, second, "same seed must give the same schedule");
 
     // Shape: every job appears exactly once, round-robin over
@@ -159,6 +158,6 @@ fn same_config_yields_identical_request_schedules() {
     other.jobs = 61;
     other.connections = 3;
     other.workload = chain_workload();
-    let third = rota_client::request_schedule(&other).expect("schedule");
+    let third = rota_client::request_schedule(&other);
     assert_ne!(first, third, "different configs must differ");
 }

@@ -1,5 +1,4 @@
-//! Seeded gossip membership: heartbeats, indirect beats, and supply
-//! piggybacking.
+//! Seeded gossip membership: heartbeats and indirect beats.
 //!
 //! Each node runs one [`GossipEngine`]. Time is counted in *rounds*,
 //! not wall clock: the node's runtime advances the round counter on a
@@ -8,8 +7,7 @@
 //! (the `gossip` op answers with the receiver's digest, so one
 //! exchange synchronizes both directions). Digests carry *indirect*
 //! beats — the freshest sequence number heard for every known node —
-//! so liveness propagates without all-to-all traffic, plus a
-//! per-location supply summary for the sender's owned locations.
+//! so liveness propagates without all-to-all traffic.
 //!
 //! Failure detection is purely local arithmetic: a peer is **suspect**
 //! once no fresher beat has arrived for `suspect_after` rounds (and
@@ -42,8 +40,6 @@ pub struct PeerView {
     /// The round a fresher beat last arrived in; `None` until the
     /// first beat (never-heard peers are suspect).
     pub last_heard_round: Option<u64>,
-    /// The peer's last piggybacked per-location supply summary.
-    pub supply: Vec<(String, u64)>,
 }
 
 /// One node's deterministic gossip state machine.
@@ -52,7 +48,6 @@ pub struct GossipEngine {
     me: String,
     addr: String,
     seq: u64,
-    supply: Vec<(String, u64)>,
     peers: BTreeMap<String, PeerView>,
     rng: StdRng,
     suspect_after: u64,
@@ -74,7 +69,6 @@ impl GossipEngine {
             me: me.to_string(),
             addr: addr.to_string(),
             seq: 0,
-            supply: Vec::new(),
             peers: peers
                 .iter()
                 .filter(|(id, _)| id != me)
@@ -85,7 +79,6 @@ impl GossipEngine {
                             addr: addr.clone(),
                             last_seq: 0,
                             last_heard_round: None,
-                            supply: Vec::new(),
                         },
                     )
                 })
@@ -105,12 +98,6 @@ impl GossipEngine {
         self.addr = addr.to_string();
     }
 
-    /// Replaces the per-location supply summary piggybacked on
-    /// outgoing digests.
-    pub fn set_supply(&mut self, supply: Vec<(String, u64)>) {
-        self.supply = supply;
-    }
-
     /// Fills in a peer's address when it is not yet known — called
     /// each round with the shared topology, whose empty addresses are
     /// patched after every node binds its (possibly ephemeral) port.
@@ -123,7 +110,6 @@ impl GossipEngine {
             addr: String::new(),
             last_seq: 0,
             last_heard_round: None,
-            supply: Vec::new(),
         });
         if view.addr.is_empty() {
             view.addr = addr.to_string();
@@ -155,7 +141,7 @@ impl GossipEngine {
     }
 
     /// This node's current digest: its own beat plus the freshest beat
-    /// it has heard for every peer, and its supply summary.
+    /// it has heard for every peer.
     pub fn digest(&self) -> GossipDigest {
         let mut beats = vec![PeerBeat {
             node: self.me.clone(),
@@ -173,12 +159,11 @@ impl GossipEngine {
             from: self.me.clone(),
             seq: self.seq,
             beats,
-            supply: self.supply.clone(),
         }
     }
 
     /// Absorbs a digest received in `round`: the sender is heard
-    /// directly (beat, address, supply), and every strictly fresher
+    /// directly (beat and address), and every strictly fresher
     /// indirect beat refreshes that peer's liveness too.
     pub fn absorb(&mut self, digest: &GossipDigest, round: u64) {
         if digest.from != self.me {
@@ -186,13 +171,11 @@ impl GossipEngine {
                 addr: String::new(),
                 last_seq: 0,
                 last_heard_round: None,
-                supply: Vec::new(),
             });
             if digest.seq > view.last_seq {
                 view.last_seq = digest.seq;
             }
             view.last_heard_round = Some(round);
-            view.supply = digest.supply.clone();
         }
         for beat in &digest.beats {
             if beat.node == self.me {
@@ -202,7 +185,6 @@ impl GossipEngine {
                 addr: String::new(),
                 last_seq: 0,
                 last_heard_round: None,
-                supply: Vec::new(),
             });
             if !beat.addr.is_empty() {
                 view.addr = beat.addr.clone();
@@ -236,11 +218,6 @@ impl GossipEngine {
             .collect();
         alive.insert(self.me.clone());
         alive
-    }
-
-    /// The last supply summary heard from `node`.
-    pub fn supply_of(&self, node: &str) -> Option<&[(String, u64)]> {
-        self.peers.get(node).map(|view| view.supply.as_slice())
     }
 
     /// The peer table, for inspection.
@@ -425,18 +402,5 @@ mod tests {
         let engines = ring(2);
         assert!(!engines[0].alive("node1", 0));
         assert!(engines[0].alive("node0", 0));
-    }
-
-    #[test]
-    fn supply_summaries_piggyback_on_digests() {
-        let mut engines = ring(2);
-        engines[1].set_supply(vec![("l1".into(), 128)]);
-        engines[1].beat();
-        let digest = engines[1].digest();
-        engines[0].absorb(&digest, 1);
-        assert_eq!(
-            engines[0].supply_of("node1"),
-            Some(&[("l1".to_string(), 128)][..])
-        );
     }
 }

@@ -11,8 +11,7 @@
 //!   from a JSON file or [`Topology::auto`]. Ownership is the routing
 //!   key for everything else.
 //! - [`gossip`] — seeded, round-based membership: heartbeats with
-//!   indirect beats and piggybacked per-location supply summaries,
-//!   deterministic given the seed. Peers missing heartbeats go
+//!   indirect beats, deterministic given the seed. Peers missing heartbeats go
 //!   **suspect**; routing degrades instead of hanging.
 //! - [`router`] — a [`RequestHook`](rota_server::RequestHook) mounted
 //!   on each node: single-owner admissions are decided locally or

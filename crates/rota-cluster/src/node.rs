@@ -118,22 +118,6 @@ pub struct Cluster {
     nodes: Vec<ClusterNode>,
 }
 
-/// Sums each owned location's total obtainable quantity, for the
-/// digest's piggybacked supply summary.
-fn supply_summary(slice: &ResourceSet) -> Vec<(String, u64)> {
-    let mut by_location: BTreeMap<String, u64> = BTreeMap::new();
-    for term in slice.to_terms() {
-        let location = term.located().locations()[0].name().to_string();
-        let units = term
-            .total_quantity()
-            .map(|q| q.units())
-            .unwrap_or(u64::MAX);
-        let entry = by_location.entry(location).or_insert(0);
-        *entry = entry.saturating_add(units);
-    }
-    by_location.into_iter().collect()
-}
-
 impl Cluster {
     /// Launches every node of `topology` over its slice of `theta`,
     /// each running `policy`.
@@ -210,7 +194,6 @@ impl Cluster {
                     .lock()
                     .unwrap_or_else(std::sync::PoisonError::into_inner);
                 engine.set_addr(&addr.to_string());
-                engine.set_supply(supply_summary(&slice));
             }
             nodes.push((spec.id.clone(), addr, handle, engine, health, partitioned));
         }
@@ -426,31 +409,5 @@ fn exchange(
     match client.call(&Request::Gossip { digest }).ok()? {
         Response::GossipAck { digest } => Some(digest),
         _ => None,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use rota_interval::TimeInterval;
-    use rota_resource::{LocatedType, Location, Rate, ResourceTerm};
-
-    #[test]
-    fn supply_summaries_total_rate_times_window() {
-        let slice = ResourceSet::from_terms([
-            ResourceTerm::new(
-                Rate::new(4),
-                TimeInterval::from_ticks(0, 10).unwrap(),
-                LocatedType::cpu(Location::new("l0")),
-            ),
-            ResourceTerm::new(
-                Rate::new(2),
-                TimeInterval::from_ticks(0, 10).unwrap(),
-                LocatedType::memory(Location::new("l0")),
-            ),
-        ])
-        .unwrap();
-        let summary = supply_summary(&slice);
-        assert_eq!(summary, vec![("l0".to_string(), 60)]);
     }
 }

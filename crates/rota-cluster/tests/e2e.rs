@@ -64,7 +64,7 @@ fn accepted(response: &Response) -> bool {
 }
 
 #[test]
-fn gossip_converges_and_piggybacks_supply() {
+fn gossip_converges() {
     let cluster = launch(3, test_config());
     for node in cluster.nodes() {
         assert_eq!(node.health().alive_nodes().len(), 3, "node {}", node.id());
@@ -188,17 +188,21 @@ fn unowned_locations_are_rejected_with_r0016() {
 }
 
 #[test]
-fn cluster_client_fails_over() {
-    use rota_client::ClusterClient;
+fn resilient_client_fails_over() {
+    use rota_client::{ResilientClient, RetryConfig};
+    use rota_server::spec::ComputationSpec;
     // With node0 dead, a client given the full address list has its
-    // dial refused and rotates to the survivor, which still answers
+    // dial refused and moves to the survivor, which still answers
     // admissions for its own locations.
     let mut cluster = launch(2, test_config());
     let addrs = cluster.addrs();
     cluster.kill("node0");
-    let mut client = ClusterClient::new(addrs.clone()).unwrap();
+    let mut client = ResilientClient::new(addrs.clone(), RetryConfig::default()).unwrap();
     let response = client
-        .admit(&job("after-kill", &["l1"], 16), Granularity::MaximalRun)
+        .admit(
+            ComputationSpec::from(&job("after-kill", &["l1"], 16)),
+            Granularity::MaximalRun,
+        )
         .unwrap();
     assert!(accepted(&response), "{response:?}");
     assert!(client.stats().failovers >= 1);

@@ -40,7 +40,7 @@
 /// Bumped whenever a frame shape changes incompatibly; a server
 /// answers a `hello` carrying any other version with a structured
 /// `version-mismatch` error naming both versions.
-pub const PROTOCOL_VERSION: u64 = 3;
+pub const PROTOCOL_VERSION: u64 = 4;
 
 use std::io::{BufRead, Write};
 
@@ -48,9 +48,7 @@ use rota_actor::Granularity;
 use rota_admission::ControllerStats;
 use rota_obs::Json;
 
-use crate::spec::{
-    computation_to_json, resources_from_json, ComputationSpec, Fields, ResourceSpec, SpecError,
-};
+use crate::spec::{resources_from_json, ComputationSpec, Fields, ResourceSpec, SpecError};
 
 /// Hard cap on one frame (request or response line), in bytes.
 ///
@@ -71,8 +69,7 @@ pub struct PeerBeat {
 }
 
 /// The payload of one gossip exchange: the sender's own heartbeat plus
-/// everything it has heard about the rest of the cluster, piggybacking
-/// a per-location supply summary.
+/// everything it has heard about the rest of the cluster.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct GossipDigest {
     /// The sending node's id.
@@ -82,9 +79,6 @@ pub struct GossipDigest {
     /// Freshest heartbeats the sender has heard, including indirect
     /// ones — how liveness propagates without all-to-all traffic.
     pub beats: Vec<PeerBeat>,
-    /// Per-location supply summary `(location, total units over the
-    /// horizon)` for the locations the sender owns.
-    pub supply: Vec<(String, u64)>,
 }
 
 impl GossipDigest {
@@ -108,20 +102,6 @@ impl GossipDigest {
                         .collect(),
                 ),
             ),
-            (
-                "supply".into(),
-                Json::Arr(
-                    self.supply
-                        .iter()
-                        .map(|(location, units)| {
-                            Json::Obj(vec![
-                                ("location".into(), Json::Str(location.clone())),
-                                ("units".into(), Json::Num(*units as f64)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
         ])
     }
 
@@ -132,7 +112,7 @@ impl GossipDigest {
     /// [`SpecError::Parse`] on schema violations.
     pub fn from_json(doc: &Json) -> Result<GossipDigest, SpecError> {
         let fields = Fields::of(doc, "gossip digest")?;
-        fields.deny_unknown(&["from", "seq", "beats", "supply"])?;
+        fields.deny_unknown(&["from", "seq", "beats"])?;
         let mut beats = Vec::new();
         for beat in fields.array("beats")? {
             let beat_fields = Fields::of(beat, "gossip beat")?;
@@ -143,17 +123,10 @@ impl GossipDigest {
                 addr: beat_fields.str("addr")?,
             });
         }
-        let mut supply = Vec::new();
-        for term in fields.array("supply")? {
-            let term_fields = Fields::of(term, "gossip supply term")?;
-            term_fields.deny_unknown(&["location", "units"])?;
-            supply.push((term_fields.str("location")?, term_fields.u64("units")?));
-        }
         Ok(GossipDigest {
             from: fields.str("from")?,
             seq: fields.u64("seq")?,
             beats,
-            supply,
         })
     }
 }
@@ -256,7 +229,7 @@ impl Request {
                 forwarded,
             } => {
                 let mut pairs = vec![
-                    ("computation".to_string(), encode_computation(computation)),
+                    ("computation".to_string(), computation.to_json()),
                     (
                         "granularity".into(),
                         Json::Str(granularity_name(*granularity).into()),
@@ -271,7 +244,7 @@ impl Request {
                 resources,
                 forwarded,
             } => {
-                let arr = resources.iter().map(raw_resource_json).collect();
+                let arr = resources.iter().map(ResourceSpec::to_json).collect();
                 let mut pairs = vec![("resources".to_string(), Json::Arr(arr))];
                 if *forwarded {
                     pairs.push(("forwarded".into(), Json::Bool(true)));
@@ -296,14 +269,14 @@ impl Request {
                 "prepare",
                 vec![
                     ("name".into(), Json::Str(name.clone())),
-                    ("computation".into(), encode_computation(computation)),
+                    ("computation".into(), computation.to_json()),
                     (
                         "granularity".into(),
                         Json::Str(granularity_name(*granularity).into()),
                     ),
                     (
                         "basis".into(),
-                        Json::Arr(basis.iter().map(raw_resource_json).collect()),
+                        Json::Arr(basis.iter().map(ResourceSpec::to_json).collect()),
                     ),
                     (
                         "epochs".into(),
@@ -771,16 +744,6 @@ fn opt_str(fields: &Fields<'_>, key: &str) -> Result<Option<String>, SpecError> 
     }
 }
 
-/// Round-trips a computation spec through the library type so the
-/// encoder stays the single source of the wire shape; an unbuildable
-/// spec still encodes structurally (the server re-validates anyway).
-fn encode_computation(computation: &ComputationSpec) -> Json {
-    match computation.build() {
-        Ok(lambda) => computation_to_json(&lambda),
-        Err(_) => raw_computation_json(computation),
-    }
-}
-
 fn decode_granularity(fields: &Fields<'_>) -> Result<Granularity, SpecError> {
     match fields.optional("granularity").map(|g| g.as_str()) {
         None => Ok(Granularity::MaximalRun),
@@ -832,73 +795,6 @@ pub fn granularity_name(granularity: Granularity) -> &'static str {
     match granularity {
         Granularity::MaximalRun => "maximal-run",
         Granularity::PerAction => "per-action",
-    }
-}
-
-fn raw_computation_json(spec: &ComputationSpec) -> Json {
-    let actors = spec
-        .actors
-        .iter()
-        .map(|a| {
-            Json::Obj(vec![
-                ("name".into(), Json::Str(a.name.clone())),
-                ("origin".into(), Json::Str(a.origin.clone())),
-                ("actions".into(), Json::Arr(vec![])),
-            ])
-        })
-        .collect();
-    Json::Obj(vec![
-        ("name".into(), Json::Str(spec.name.clone())),
-        ("start".into(), Json::Num(spec.start as f64)),
-        ("deadline".into(), Json::Num(spec.deadline as f64)),
-        ("actors".into(), Json::Arr(actors)),
-    ])
-}
-
-fn raw_resource_json(spec: &ResourceSpec) -> Json {
-    match spec {
-        ResourceSpec::Cpu {
-            location,
-            rate,
-            start,
-            end,
-        }
-        | ResourceSpec::Memory {
-            location,
-            rate,
-            start,
-            end,
-        } => Json::Obj(vec![
-            (
-                "kind".into(),
-                Json::Str(
-                    if matches!(spec, ResourceSpec::Cpu { .. }) {
-                        "cpu"
-                    } else {
-                        "memory"
-                    }
-                    .into(),
-                ),
-            ),
-            ("location".into(), Json::Str(location.clone())),
-            ("rate".into(), Json::Num(*rate as f64)),
-            ("start".into(), Json::Num(*start as f64)),
-            ("end".into(), Json::Num(*end as f64)),
-        ]),
-        ResourceSpec::Network {
-            from,
-            to,
-            rate,
-            start,
-            end,
-        } => Json::Obj(vec![
-            ("kind".into(), Json::Str("network".into())),
-            ("from".into(), Json::Str(from.clone())),
-            ("to".into(), Json::Str(to.clone())),
-            ("rate".into(), Json::Num(*rate as f64)),
-            ("start".into(), Json::Num(*start as f64)),
-            ("end".into(), Json::Num(*end as f64)),
-        ]),
     }
 }
 
@@ -1151,6 +1047,40 @@ mod tests {
     }
 
     #[test]
+    fn unbuildable_admit_keeps_its_actions_on_the_wire() {
+        // deadline ≤ start: no library computation exists, but the
+        // server must still see (and lint) exactly what was sent.
+        let computation = crate::spec::ComputationSpec {
+            name: "late".into(),
+            start: 9,
+            deadline: 9,
+            actors: vec![crate::spec::ActorSpec {
+                name: "a".into(),
+                origin: "l1".into(),
+                actions: vec![
+                    crate::spec::ActionSpec::Evaluate { work: Some(3) },
+                    crate::spec::ActionSpec::Migrate { dest: "l2".into() },
+                ],
+            }],
+        };
+        assert!(computation.build().is_err());
+        let sent = computation.to_json().to_string();
+        let request = Request::Admit {
+            computation,
+            granularity: Granularity::MaximalRun,
+            forwarded: false,
+        };
+        let line = request.to_json().to_string();
+        match Request::from_line(&line).unwrap() {
+            Request::Admit { computation, .. } => {
+                assert_eq!(computation.actors[0].actions.len(), 2);
+                assert_eq!(computation.to_json().to_string(), sent);
+            }
+            other => panic!("wrong decode: {other:?}"),
+        }
+    }
+
+    #[test]
     fn offer_request_round_trips() {
         let request = Request::Offer {
             resources: vec![
@@ -1199,7 +1129,6 @@ mod tests {
                     addr: "127.0.0.1:7402".into(),
                 },
             ],
-            supply: vec![("l0".into(), 640), ("l3".into(), 128)],
         }
     }
 

@@ -10,8 +10,10 @@
 //! `shims/README.md`) and is strict like a `deny_unknown_fields` serde
 //! derive: unknown or duplicate keys, missing fields, and wrong types
 //! are all [`SpecError::Parse`] errors naming the offending field.
-//! Encoding ([`computation_to_json`], [`resource_set_to_json`]) produces
-//! exactly the documents the decoder accepts, so requests round-trip.
+//! Each spec type's `to_json` is the exact inverse of its decoder, and
+//! the library encoders ([`computation_to_json`],
+//! [`resource_set_to_json`]) go library → spec → JSON, so there is one
+//! encoder per wire shape and requests round-trip.
 //!
 //! A spec file describes a system's resource terms and one
 //! deadline-constrained computation:
@@ -409,7 +411,81 @@ pub fn resources_from_json(values: &[Json]) -> Result<Vec<ResourceSpec>, SpecErr
 pub fn resource_set(specs: &[ResourceSpec]) -> Result<ResourceSet, SpecError> {
     let mut theta = ResourceSet::new();
     for r in specs {
-        let (located, rate, start, end) = match r {
+        let (located, rate, start, end) = r.parts();
+        let interval = TimeInterval::from_ticks(start, end)
+            .map_err(|e| SpecError::Invalid(format!("resource {located}: {e}")))?;
+        theta
+            .insert(ResourceTerm::new(Rate::new(rate), interval, located))
+            .map_err(|e| SpecError::Invalid(e.to_string()))?;
+    }
+    Ok(theta)
+}
+
+/// Serializes a [`ResourceSet`] as the spec's `resources` array, term
+/// by term through [`ResourceSpec::from_term`].
+///
+/// Terms of node kinds the spec cannot name (`disk`, custom) have no
+/// wire form and are left out; a basis missing supply can only make an
+/// admission decision more conservative.
+pub fn resource_set_to_json(theta: &ResourceSet) -> Json {
+    Json::Arr(
+        theta
+            .to_terms()
+            .iter()
+            .filter_map(|term| ResourceSpec::from_term(term).ok())
+            .map(|spec| spec.to_json())
+            .collect(),
+    )
+}
+
+impl ResourceSpec {
+    /// The spec form of a library term.
+    ///
+    /// # Errors
+    ///
+    /// [`SpecError::Invalid`] for node kinds other than `cpu` and
+    /// `memory`, which the spec cannot name.
+    pub fn from_term(term: &ResourceTerm) -> Result<ResourceSpec, SpecError> {
+        let rate = term.rate().units_per_tick();
+        let start = term.interval().start().ticks();
+        let end = term.interval().end().ticks();
+        Ok(match term.located() {
+            LocatedType::Node { kind, location } => {
+                let location = location.name().to_string();
+                match kind {
+                    NodeResourceKind::Cpu => ResourceSpec::Cpu {
+                        location,
+                        rate,
+                        start,
+                        end,
+                    },
+                    NodeResourceKind::Memory => ResourceSpec::Memory {
+                        location,
+                        rate,
+                        start,
+                        end,
+                    },
+                    other => {
+                        return Err(SpecError::Invalid(format!(
+                            "resource kind `{}` has no spec form",
+                            other.label()
+                        )))
+                    }
+                }
+            }
+            LocatedType::Link { from, to } => ResourceSpec::Network {
+                from: from.name().into(),
+                to: to.name().into(),
+                rate,
+                start,
+                end,
+            },
+        })
+    }
+
+    /// The term's located type, rate, start and end, as declared.
+    fn parts(&self) -> (LocatedType, u64, u64, u64) {
+        match self {
             ResourceSpec::Cpu {
                 location,
                 rate,
@@ -444,51 +520,52 @@ pub fn resource_set(specs: &[ResourceSpec]) -> Result<ResourceSet, SpecError> {
                 *start,
                 *end,
             ),
-        };
-        let interval = TimeInterval::from_ticks(start, end)
-            .map_err(|e| SpecError::Invalid(format!("resource {located}: {e}")))?;
-        theta
-            .insert(ResourceTerm::new(Rate::new(rate), interval, located))
-            .map_err(|e| SpecError::Invalid(e.to_string()))?;
+        }
     }
-    Ok(theta)
-}
 
-/// Serializes a [`ResourceSet`] as the spec's `resources` array.
-///
-/// Node kinds beyond `cpu`/`memory` are written with their label; the
-/// strict decoder only accepts the spec's three kinds, so exotic kinds
-/// (`disk`, custom) do not survive a wire round-trip.
-pub fn resource_set_to_json(theta: &ResourceSet) -> Json {
-    Json::Arr(
-        theta
-            .to_terms()
-            .iter()
-            .map(|term| {
-                let mut pairs = Vec::with_capacity(6);
-                match term.located() {
-                    LocatedType::Node { kind, location } => {
-                        let label = match kind {
-                            NodeResourceKind::Cpu => "cpu",
-                            NodeResourceKind::Memory => "memory",
-                            other => other.label(),
-                        };
-                        pairs.push(("kind".into(), Json::Str(label.into())));
-                        pairs.push(("location".into(), Json::Str(location.name().into())));
-                    }
-                    LocatedType::Link { from, to } => {
-                        pairs.push(("kind".into(), Json::Str("network".into())));
-                        pairs.push(("from".into(), Json::Str(from.name().into())));
-                        pairs.push(("to".into(), Json::Str(to.name().into())));
-                    }
-                }
-                pairs.push(("rate".into(), Json::Num(term.rate().units_per_tick() as f64)));
-                pairs.push(("start".into(), Json::Num(term.interval().start().ticks() as f64)));
-                pairs.push(("end".into(), Json::Num(term.interval().end().ticks() as f64)));
-                Json::Obj(pairs)
-            })
-            .collect(),
-    )
+    /// Encodes the term as the object [`resources_from_json`] decodes.
+    pub fn to_json(&self) -> Json {
+        let mut pairs = Vec::with_capacity(6);
+        let (rate, start, end) = match self {
+            ResourceSpec::Cpu {
+                location,
+                rate,
+                start,
+                end,
+            }
+            | ResourceSpec::Memory {
+                location,
+                rate,
+                start,
+                end,
+            } => {
+                let kind = if matches!(self, ResourceSpec::Cpu { .. }) {
+                    "cpu"
+                } else {
+                    "memory"
+                };
+                pairs.push(("kind".into(), Json::Str(kind.into())));
+                pairs.push(("location".into(), Json::Str(location.clone())));
+                (rate, start, end)
+            }
+            ResourceSpec::Network {
+                from,
+                to,
+                rate,
+                start,
+                end,
+            } => {
+                pairs.push(("kind".into(), Json::Str("network".into())));
+                pairs.push(("from".into(), Json::Str(from.clone())));
+                pairs.push(("to".into(), Json::Str(to.clone())));
+                (rate, start, end)
+            }
+        };
+        pairs.push(("rate".into(), Json::Num(*rate as f64)));
+        pairs.push(("start".into(), Json::Num(*start as f64)));
+        pairs.push(("end".into(), Json::Num(*end as f64)));
+        Json::Obj(pairs)
+    }
 }
 
 impl ComputationSpec {
@@ -511,6 +588,32 @@ impl ComputationSpec {
                 .map(|(i, a)| decode_actor(a, i))
                 .collect::<Result<_, _>>()?,
         })
+    }
+
+    /// Encodes the spec as the object [`ComputationSpec::from_json`]
+    /// decodes — field for field, so even a spec that does not build
+    /// (deadline not after start) survives the wire intact.
+    pub fn to_json(&self) -> Json {
+        let actors = self
+            .actors
+            .iter()
+            .map(|a| {
+                Json::Obj(vec![
+                    ("name".into(), Json::Str(a.name.clone())),
+                    ("origin".into(), Json::Str(a.origin.clone())),
+                    (
+                        "actions".into(),
+                        Json::Arr(a.actions.iter().map(ActionSpec::to_json).collect()),
+                    ),
+                ])
+            })
+            .collect();
+        Json::Obj(vec![
+            ("name".into(), Json::Str(self.name.clone())),
+            ("start".into(), Json::Num(self.start as f64)),
+            ("deadline".into(), Json::Num(self.deadline as f64)),
+            ("actors".into(), Json::Arr(actors)),
+        ])
     }
 
     /// Converts the spec into a library [`DistributedComputation`].
@@ -553,60 +656,80 @@ impl ComputationSpec {
     }
 }
 
+impl ActionSpec {
+    fn to_json(&self) -> Json {
+        let (verb, mut rest) = match self {
+            ActionSpec::Evaluate { work } => (
+                "evaluate",
+                work.map(|w| vec![("work".to_string(), Json::Num(w as f64))])
+                    .unwrap_or_default(),
+            ),
+            ActionSpec::Send { to, dest, size } => (
+                "send",
+                vec![
+                    ("to".into(), Json::Str(to.clone())),
+                    ("dest".into(), Json::Str(dest.clone())),
+                    ("size".into(), Json::Num(*size as f64)),
+                ],
+            ),
+            ActionSpec::Create { child } => {
+                ("create", vec![("child".into(), Json::Str(child.clone()))])
+            }
+            ActionSpec::Ready => ("ready", Vec::new()),
+            ActionSpec::Migrate { dest } => {
+                ("migrate", vec![("dest".into(), Json::Str(dest.clone()))])
+            }
+        };
+        let mut pairs = vec![("do".to_string(), Json::Str(verb.into()))];
+        pairs.append(&mut rest);
+        Json::Obj(pairs)
+    }
+}
+
+impl From<&DistributedComputation> for ComputationSpec {
+    fn from(lambda: &DistributedComputation) -> Self {
+        let actors = lambda
+            .actors()
+            .iter()
+            .map(|gamma| ActorSpec {
+                name: gamma.actor().to_string(),
+                origin: gamma.origin().name().into(),
+                actions: gamma
+                    .actions()
+                    .iter()
+                    .map(|action| match action {
+                        ActionKind::Evaluate { work } => ActionSpec::Evaluate {
+                            work: work.map(|q| q.units()),
+                        },
+                        ActionKind::Send { to, dest, size } => ActionSpec::Send {
+                            to: to.to_string(),
+                            dest: dest.name().into(),
+                            size: *size,
+                        },
+                        ActionKind::Create { child } => ActionSpec::Create {
+                            child: child.to_string(),
+                        },
+                        ActionKind::Ready => ActionSpec::Ready,
+                        ActionKind::Migrate { dest } => ActionSpec::Migrate {
+                            dest: dest.name().into(),
+                        },
+                    })
+                    .collect(),
+            })
+            .collect();
+        ComputationSpec {
+            name: lambda.name().into(),
+            start: lambda.start().ticks(),
+            deadline: lambda.deadline().ticks(),
+            actors,
+        }
+    }
+}
+
 /// Serializes a [`DistributedComputation`] as the spec's `computation`
-/// object — the exact shape [`ComputationSpec::from_json`] accepts, so
-/// `admit` requests round-trip between client and server.
+/// object, through its [`ComputationSpec`] form.
 pub fn computation_to_json(lambda: &DistributedComputation) -> Json {
-    let actors = lambda
-        .actors()
-        .iter()
-        .map(|gamma| {
-            let actions = gamma
-                .actions()
-                .iter()
-                .map(|action| {
-                    let mut pairs = Vec::with_capacity(4);
-                    match action {
-                        ActionKind::Evaluate { work } => {
-                            pairs.push(("do".into(), Json::Str("evaluate".into())));
-                            if let Some(q) = work {
-                                pairs.push(("work".into(), Json::Num(q.units() as f64)));
-                            }
-                        }
-                        ActionKind::Send { to, dest, size } => {
-                            pairs.push(("do".into(), Json::Str("send".into())));
-                            pairs.push(("to".into(), Json::Str(to.to_string())));
-                            pairs.push(("dest".into(), Json::Str(dest.name().into())));
-                            pairs.push(("size".into(), Json::Num(*size as f64)));
-                        }
-                        ActionKind::Create { child } => {
-                            pairs.push(("do".into(), Json::Str("create".into())));
-                            pairs.push(("child".into(), Json::Str(child.to_string())));
-                        }
-                        ActionKind::Ready => {
-                            pairs.push(("do".into(), Json::Str("ready".into())));
-                        }
-                        ActionKind::Migrate { dest } => {
-                            pairs.push(("do".into(), Json::Str("migrate".into())));
-                            pairs.push(("dest".into(), Json::Str(dest.name().into())));
-                        }
-                    }
-                    Json::Obj(pairs)
-                })
-                .collect();
-            Json::Obj(vec![
-                ("name".into(), Json::Str(gamma.actor().to_string())),
-                ("origin".into(), Json::Str(gamma.origin().name().into())),
-                ("actions".into(), Json::Arr(actions)),
-            ])
-        })
-        .collect();
-    Json::Obj(vec![
-        ("name".into(), Json::Str(lambda.name().into())),
-        ("start".into(), Json::Num(lambda.start().ticks() as f64)),
-        ("deadline".into(), Json::Num(lambda.deadline().ticks() as f64)),
-        ("actors".into(), Json::Arr(actors)),
-    ])
+    ComputationSpec::from(lambda).to_json()
 }
 
 impl CheckSpec {
@@ -646,42 +769,7 @@ impl CheckSpec {
             .resources
             .iter()
             .map(|r| {
-                let (located, rate, start, end) = match r {
-                    ResourceSpec::Cpu {
-                        location,
-                        rate,
-                        start,
-                        end,
-                    } => (
-                        LocatedType::cpu(Location::new(location)),
-                        *rate,
-                        *start,
-                        *end,
-                    ),
-                    ResourceSpec::Memory {
-                        location,
-                        rate,
-                        start,
-                        end,
-                    } => (
-                        LocatedType::memory(Location::new(location)),
-                        *rate,
-                        *start,
-                        *end,
-                    ),
-                    ResourceSpec::Network {
-                        from,
-                        to,
-                        rate,
-                        start,
-                        end,
-                    } => (
-                        LocatedType::network(Location::new(from), Location::new(to)),
-                        *rate,
-                        *start,
-                        *end,
-                    ),
-                };
+                let (located, rate, start, end) = r.parts();
                 rota_analyze::ResourceDecl {
                     located,
                     rate,
@@ -886,5 +974,25 @@ mod tests {
         let decoded =
             resource_set(&resources_from_json(encoded.as_array().unwrap()).unwrap()).unwrap();
         assert!(theta.dominates(&decoded) && decoded.dominates(&theta));
+    }
+
+    #[test]
+    fn kinds_without_a_spec_form_are_refused_or_left_out() {
+        let disk = ResourceTerm::new(
+            Rate::new(2),
+            TimeInterval::from_ticks(0, 8).unwrap(),
+            LocatedType::Node {
+                kind: NodeResourceKind::Disk,
+                location: Location::new("l1"),
+            },
+        );
+        assert!(matches!(
+            ResourceSpec::from_term(&disk),
+            Err(SpecError::Invalid(_))
+        ));
+        let mut theta = CheckSpec::from_json(SAMPLE).unwrap().resources().unwrap();
+        let without_disk = resource_set_to_json(&theta).to_string();
+        theta.insert(disk).unwrap();
+        assert_eq!(resource_set_to_json(&theta).to_string(), without_disk);
     }
 }

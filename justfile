@@ -22,6 +22,25 @@ admbench-test:
 repolint:
     cargo run -q -p repolint
 
+# Non-test Rust lines per crate, as CHANGES.md entries quote them. Each
+# source file counts up to the `#[cfg(test)]` that opens its `mod tests`
+# block; a lone `#[cfg(test)]` item further up (a test-only helper) does
+# not end the count.
+loc:
+    #!/usr/bin/env bash
+    set -euo pipefail
+    for crate in crates/*/; do
+        total=0
+        for file in $(find "$crate/src" -name '*.rs' | sort); do
+            lines=$(awk '
+                cut && /^[[:space:]]*(pub(\([a-z]+\))? )?mod tests/ { print NR - 2; found = 1; exit }
+                { cut = /^[[:space:]]*#\[cfg\(test\)\][[:space:]]*$/ }
+                END { if (!found) print NR }' "$file")
+            total=$((total + lines))
+        done
+        printf '%-16s %6d\n' "$(basename "$crate")" "$total"
+    done
+
 # Golden-file check: every lint fixture produces exactly its documented
 # diagnostic codes and exit status through the real `rota-cli check` binary.
 check-fixtures:
