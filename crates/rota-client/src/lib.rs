@@ -19,7 +19,7 @@ pub mod loadtest;
 pub mod resilient;
 
 use std::fmt;
-use std::io::{BufReader, BufWriter};
+use std::io::{BufReader, BufWriter, ErrorKind};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
@@ -103,6 +103,37 @@ impl Client {
             reader,
             writer: BufWriter::new(stream),
         })
+    }
+
+    /// Bounds how long one read or one write on this connection may
+    /// block. A call that outlives it fails with [`ClientError::Io`];
+    /// its answer may still arrive, so the connection must not carry
+    /// another call.
+    pub fn set_io_timeout(&self, timeout: Duration) -> Result<(), ClientError> {
+        let stream = self.writer.get_ref();
+        stream.set_read_timeout(Some(timeout))?;
+        stream.set_write_timeout(Some(timeout))?;
+        Ok(())
+    }
+
+    /// Whether this idle connection can carry another call: nothing of
+    /// the server's is buffered or waiting on the socket, and the server
+    /// has not closed it. An unsolicited frame (such as the idle
+    /// reaper's `idle timeout` error) makes it unusable, because the
+    /// next call would read that frame as its answer.
+    pub fn is_reusable(&self) -> bool {
+        if !self.reader.buffer().is_empty() {
+            return false;
+        }
+        let stream = self.reader.get_ref();
+        if stream.set_nonblocking(true).is_err() {
+            return false;
+        }
+        let quiet = matches!(
+            stream.peek(&mut [0u8; 1]),
+            Err(err) if err.kind() == ErrorKind::WouldBlock
+        );
+        stream.set_nonblocking(false).is_ok() && quiet
     }
 
     /// Sends one request frame and reads one response frame.

@@ -18,6 +18,8 @@
 //!   forwarded (loop-safe via the protocol's `forwarded` flag);
 //!   cross-owner admissions run a two-phase prepare/commit with
 //!   TTL-guarded tentative reservations and compensating aborts.
+//!   Every peer call reuses a persistent link (`links`) instead of
+//!   dialling per hop.
 //! - [`node`] — [`Cluster::launch`]: bind every node on its slice of
 //!   the supply, patch real addresses into the shared topology, then
 //!   start the gossip runtimes.
@@ -39,6 +41,7 @@
 #![warn(missing_docs)]
 
 pub mod gossip;
+mod links;
 pub mod node;
 pub mod router;
 pub mod topology;

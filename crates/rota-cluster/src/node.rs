@@ -52,7 +52,10 @@ pub struct ClusterConfig {
     pub gossip_interval: Duration,
     /// Beat-free rounds before a peer goes suspect.
     pub suspect_after: u64,
-    /// Timeout for peer calls (gossip, forwards, 2PC legs).
+    /// Bound on dialling a peer (gossip, forwards, 2PC legs). Once
+    /// connected, each read or write of a peer call may block for this
+    /// plus the server's request timeout, the longest a peer's
+    /// connection waits for a shard verdict.
     pub peer_timeout: Duration,
     /// TTL on tentative 2PC reservations.
     pub ttl: Duration,
@@ -405,6 +408,7 @@ fn exchange(
 ) -> Option<rota_server::GossipDigest> {
     let socket: SocketAddr = addr.parse().ok()?;
     let mut client = rota_client::Client::connect_timeout(socket, timeout).ok()?;
+    client.set_io_timeout(crate::links::io_timeout(timeout)).ok()?;
     client.hello_as(Some(me)).ok()?;
     match client.call(&Request::Gossip { digest }).ok()? {
         Response::GossipAck { digest } => Some(digest),

@@ -57,6 +57,7 @@ use rota_server::spec::{resource_set, ComputationSpec, ResourceSpec};
 use rota_server::{fault, LocalHandle, Request, RequestHook, Response};
 
 use crate::gossip::{GossipEngine, PeerHealth};
+use crate::links::{self, PeerLinks};
 use crate::topology::SharedTopology;
 
 /// How many times a 2PC re-snapshots and retries after losing a race
@@ -68,7 +69,10 @@ const MAX_RETRIES: u32 = 4;
 pub struct RouterConfig {
     /// This node's id in the topology.
     pub me: String,
-    /// Timeout for each peer call (connect + request).
+    /// Bound on dialling a peer. Once connected, each read or write of
+    /// a peer call may block for this plus the server's request timeout
+    /// (the longest a peer's connection waits for a shard verdict); a
+    /// call that outlives it fails and its link is dropped.
     pub peer_timeout: Duration,
     /// TTL on tentative 2PC reservations.
     pub ttl: Duration,
@@ -112,6 +116,7 @@ pub struct ClusterRouter {
     gossip: Arc<Mutex<GossipEngine>>,
     health: Arc<PeerHealth>,
     local: LocalHandle,
+    links: PeerLinks,
     cost_model: TableCostModel,
     obs: RouterObs,
     /// Chaos hook: while set, inbound gossip is answered with an error
@@ -133,12 +138,19 @@ impl ClusterRouter {
     ) -> ClusterRouter {
         let registry = local.registry().unwrap_or_default();
         let obs = RouterObs::new(&registry);
+        let links = PeerLinks::new(
+            &registry,
+            config.peer_timeout,
+            links::io_timeout(config.peer_timeout),
+            links::max_idle(),
+        );
         ClusterRouter {
             config,
             topology,
             gossip,
             health,
             local,
+            links,
             cost_model: TableCostModel::paper(),
             obs,
             partitioned,
@@ -153,20 +165,12 @@ impl ClusterRouter {
     }
 
     /// Calls `owner` with `request`: through the loopback handle when
-    /// the owner is this node, over TCP otherwise.
+    /// the owner is this node, over a peer link otherwise.
     fn call_owner(&self, owner: &str, addr: &str, request: Request) -> Result<Response, String> {
         if owner == self.config.me {
             return Ok(self.local.call(request));
         }
-        let socket = addr
-            .parse()
-            .map_err(|_| format!("peer `{owner}` has unusable address `{addr}`"))?;
-        let mut client =
-            rota_client::Client::connect_timeout(socket, self.config.peer_timeout)
-                .map_err(|e| format!("peer `{owner}` unreachable: {e}"))?;
-        client
-            .call(&request)
-            .map_err(|e| format!("peer `{owner}` failed: {e}"))
+        self.links.call(owner, addr, &request)
     }
 
     fn handle_gossip(&self, digest: &rota_server::GossipDigest) -> Response {

@@ -2,7 +2,10 @@
 //! location routing (local fast path, forward, 2PC), offer
 //! splitting, the `R0016` ownership lint, and the version handshake.
 
-use std::time::Duration;
+use std::net::TcpListener;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use rota_actor::{ActionKind, ActorComputation, DistributedComputation, Granularity};
 use rota_admission::RotaPolicy;
@@ -61,6 +64,16 @@ fn client_for(cluster: &Cluster, index: usize) -> rota_client::Client {
 
 fn accepted(response: &Response) -> bool {
     matches!(response, Response::Decision { accepted: true, .. })
+}
+
+fn counter(cluster: &Cluster, index: usize, name: &str) -> u64 {
+    let snapshot = client_for(cluster, index).metrics().unwrap();
+    snapshot
+        .get(name)
+        .and_then(|m| m.get("value"))
+        .and_then(rota_obs::Json::as_f64)
+        .map(|v| v as u64)
+        .unwrap_or(0)
 }
 
 #[test]
@@ -224,5 +237,81 @@ fn version_mismatch_is_a_structured_error() {
         }
         other => panic!("unexpected {other:?}"),
     }
+    cluster.shutdown();
+}
+
+#[test]
+fn spanning_admits_reuse_peer_links() {
+    let cluster = launch(3, test_config());
+    let mut client = client_for(&cluster, 0);
+    // node0 owns neither location, so every admit snapshots, prepares
+    // and commits (or aborts) on node1 and node2. The warm-up dials one
+    // link to each; after it, every hop reuses them.
+    let warm_up = client
+        .admit(&job("warm-up", &["l1", "l2"], 16), Granularity::MaximalRun)
+        .unwrap();
+    assert!(accepted(&warm_up), "{warm_up:?}");
+    let dials = counter(&cluster, 0, "cluster.peer.dials");
+    assert!(dials >= 2, "the warm-up dialled {dials} links");
+    for i in 0..40 {
+        let spanning = job(&format!("span-{i}"), &["l1", "l2"], 16);
+        let response = client.admit(&spanning, Granularity::MaximalRun).unwrap();
+        assert!(
+            matches!(response, Response::Decision { .. }),
+            "{response:?}"
+        );
+    }
+    assert_eq!(counter(&cluster, 0, "cluster.peer.dials"), dials);
+    cluster.shutdown();
+}
+
+#[test]
+fn a_stalled_peer_fails_the_call_within_the_timeout() {
+    // A listener that accepts connections and never answers stands in
+    // for node1.
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    listener.set_nonblocking(true).unwrap();
+    let stalled = listener.local_addr().unwrap().to_string();
+    let stop = Arc::new(AtomicBool::new(false));
+    let holder_stop = Arc::clone(&stop);
+    let holder = std::thread::spawn(move || {
+        let mut held = Vec::new();
+        while !holder_stop.load(Ordering::SeqCst) {
+            match listener.accept() {
+                Ok((stream, _)) => held.push(stream),
+                Err(_) => std::thread::sleep(Duration::from_millis(5)),
+            }
+        }
+    });
+    let peer_timeout = Duration::from_millis(200);
+    let cluster = launch(
+        2,
+        ClusterConfig {
+            peer_timeout,
+            ..test_config()
+        },
+    );
+    cluster
+        .topology()
+        .write()
+        .unwrap()
+        .set_addr("node1", &stalled);
+    let started = Instant::now();
+    let response = client_for(&cluster, 0)
+        .admit(&job("stalled", &["l1"], 16), Granularity::MaximalRun)
+        .unwrap();
+    let elapsed = started.elapsed();
+    match &response {
+        Response::Error { message } => assert!(message.contains("node1"), "{message}"),
+        other => panic!("expected an error naming node1, got {other:?}"),
+    }
+    // The bound is the dial timeout plus the server's 5 s request
+    // timeout; allow scheduling slack on top.
+    let bound = peer_timeout + Duration::from_secs(5);
+    assert!(elapsed < bound + Duration::from_secs(2), "took {elapsed:?}");
+    // Dropping the held connections ends node0's stalled gossip
+    // exchange too, so shutdown does not wait for its timeout.
+    stop.store(true, Ordering::SeqCst);
+    holder.join().unwrap();
     cluster.shutdown();
 }

@@ -54,6 +54,14 @@ check *ARGS:
 bench:
     cargo bench -p rota-bench
 
+# Paired evidence for a claimed gain (choosing-metrics guide, section 8):
+# N pairs of BASE (default HEAD, built in a temporary `git archive`
+# extract) against the working tree on one admbench workload, seeds
+# FIRST..FIRST+N-1, 15 s runs, alternating which side runs first. Prints
+# each end-to-end metric's medians, quartiles and the change's win count.
+bench-pair W FIRST N BASE="HEAD":
+    bash tools/bench-pair.sh {{W}} {{FIRST}} {{N}} {{BASE}}
+
 # E4 on its own: Theorem-4 decision cost vs committed count n, up to
 # n = 10⁴ (the admission bench binary runs all its groups; this keeps
 # the E4 lines).
