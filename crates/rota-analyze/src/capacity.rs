@@ -11,10 +11,10 @@
 
 use rota_actor::ResourceDemand;
 use rota_interval::TimeInterval;
-use rota_resource::{LocatedType, Quantity};
+use rota_resource::{LocatedType, Quantity, ResourceSet};
 
 use crate::diag::{Diagnostic, Report, Severity};
-use crate::model::{ActionDecl, SpecModel};
+use crate::model::{ActionDecl, ComputationDecl, SpecModel};
 
 /// Index of the first declaration supplying `lt`, if any.
 fn first_supply(model: &SpecModel, lt: &LocatedType) -> Option<usize> {
@@ -24,16 +24,16 @@ fn first_supply(model: &SpecModel, lt: &LocatedType) -> Option<usize> {
 /// Best-effort attribution of a demand back to the spec fragment that
 /// induces it: the actor origin, `migrate`, or `send` that makes the
 /// cost model charge `lt`.
-fn demand_site(model: &SpecModel, lt: &LocatedType) -> String {
+fn demand_site(computation: &ComputationDecl, lt: &LocatedType) -> String {
     match lt {
         LocatedType::Node { location, .. } => {
             let name = location.name();
-            for (i, actor) in model.computation.actors.iter().enumerate() {
+            for (i, actor) in computation.actors.iter().enumerate() {
                 if actor.origin == name {
                     return format!("computation.actors[{i}].origin");
                 }
             }
-            for (i, actor) in model.computation.actors.iter().enumerate() {
+            for (i, actor) in computation.actors.iter().enumerate() {
                 for (j, action) in actor.actions.iter().enumerate() {
                     if matches!(action, ActionDecl::Migrate { dest } if dest == name) {
                         return format!("computation.actors[{i}].actions[{j}]");
@@ -43,7 +43,7 @@ fn demand_site(model: &SpecModel, lt: &LocatedType) -> String {
         }
         LocatedType::Link { to, .. } => {
             let name = to.name();
-            for (i, actor) in model.computation.actors.iter().enumerate() {
+            for (i, actor) in computation.actors.iter().enumerate() {
                 for (j, action) in actor.actions.iter().enumerate() {
                     let hits = match action {
                         ActionDecl::Send { dest, .. } => dest == name,
@@ -60,23 +60,21 @@ fn demand_site(model: &SpecModel, lt: &LocatedType) -> String {
     "computation".to_string()
 }
 
-pub(crate) fn run(
-    model: &SpecModel,
-    theta: &rota_resource::ResourceSet,
-    demand: Option<&ResourceDemand>,
-    window: Option<TimeInterval>,
+/// R0006: positive demand on a located type with no supply anywhere —
+/// one lookup per demanded type.
+pub(crate) fn unknown_supply(
+    computation: &ComputationDecl,
+    supply: &ResourceSet,
+    demand: &ResourceDemand,
     report: &mut Report,
 ) {
-    let Some(demand) = demand else { return };
-
-    // R0006: positive demand on a located type with no supply anywhere.
     for (lt, q) in demand.iter() {
-        if !q.is_zero() && theta.profile(lt).is_empty() {
+        if !q.is_zero() && !supply.supplies(lt) {
             report.push(
                 Diagnostic::new(
                     "R0006",
                     Severity::Error,
-                    demand_site(model, lt),
+                    demand_site(computation, lt),
                     format!("computation demands {q} of {lt}, but the spec declares no such resource"),
                 )
                 .with_note("every located type a computation touches needs at least one resource term")
@@ -84,6 +82,18 @@ pub(crate) fn run(
             );
         }
     }
+}
+
+pub(crate) fn run(
+    model: &SpecModel,
+    theta: &ResourceSet,
+    demand: Option<&ResourceDemand>,
+    window: Option<TimeInterval>,
+    report: &mut Report,
+) {
+    let Some(demand) = demand else { return };
+
+    unknown_supply(&model.computation, theta, demand, report);
 
     // R0007: declared supply the computation never touches.
     for (i, decl) in model.resources.iter().enumerate() {

@@ -73,7 +73,11 @@ pub use model::{
 };
 pub use span::{locate, Loc};
 
-use rota_actor::{ConcurrentRequirement, CostModel, Granularity, TableCostModel};
+use rota_actor::{
+    ConcurrentRequirement, CostModel, DistributedComputation, Granularity, ResourceDemand,
+    TableCostModel,
+};
+use rota_resource::ResourceSet;
 
 /// Every stable code with its default severity and a one-line summary
 /// — the table DESIGN.md §11 documents, kept here so tests can assert
@@ -132,25 +136,54 @@ pub fn analyze_structural(model: &SpecModel) -> Report {
     report
 }
 
-/// Pre-admission validation for a serving layer: structural lints on
-/// the request plus the unknown-supply check (R0006) against live
-/// supply, with `model.resources` holding the *server's* current terms
-/// rather than client declarations and `demand` already priced by the
-/// admission layer.
+/// Pre-admission validation of a spec: R0001 on its resource
+/// declarations, then exactly the checks [`prevalidate_request`] runs,
+/// against the supply the declarations add up to and a `demand`
+/// already priced by the admission layer.
+pub fn prevalidate(model: &SpecModel, demand: &ResourceDemand) -> Report {
+    let mut report = Report::new();
+    structural::empty_intervals(&model.resources, &mut report);
+    check_request(&model.computation, &model.theta(), demand, &mut report);
+    report
+}
+
+/// Pre-admission validation for a serving layer: the computation half
+/// of the structural lints (R0003, R0005, R0013) on the request, then
+/// the unknown-supply check (R0006) against the live `supply`, with
+/// `demand` already priced by the admission layer. It costs one lookup
+/// per demanded located type, whatever the size of `supply`.
 ///
 /// The overcommitment sweep and the feasibility precheck are
 /// deliberately absent — the policy is about to decide those against
 /// committed state anyway, and its verdict carries the theorem-grade
-/// attribution. Style lints about the supply side (`resources[...]`
-/// warnings and notes) would blame the server's own terms on every
-/// request, so they are dropped; what remains is exactly the set of
-/// findings worth sending back to the client.
-pub fn prevalidate(model: &SpecModel, demand: &rota_actor::ResourceDemand) -> Report {
+/// attribution. Style lints about the supply side (R0002, R0004,
+/// R0007, R0014) would blame the server's own terms on every request,
+/// so they are not run; what remains is exactly the set of findings
+/// worth sending back to the client.
+pub fn prevalidate_request(
+    computation: &DistributedComputation,
+    supply: &ResourceSet,
+    demand: &ResourceDemand,
+) -> Report {
     let mut report = Report::new();
-    structural::run(model, &mut report);
-    capacity::run(model, &model.theta(), Some(demand), None, &mut report);
-    report.retain(|d| d.severity == Severity::Error || !d.path.starts_with("resources["));
+    check_request(
+        &ComputationDecl::from_computation(computation),
+        supply,
+        demand,
+        &mut report,
+    );
     report
+}
+
+/// The request-side passes both pre-admission entry points share.
+fn check_request(
+    computation: &ComputationDecl,
+    supply: &ResourceSet,
+    demand: &ResourceDemand,
+    report: &mut Report,
+) {
+    structural::computation(computation, report);
+    capacity::unknown_supply(computation, supply, demand, report);
 }
 
 /// Cluster routing validation (R0016): every located type the priced
@@ -160,7 +193,7 @@ pub fn prevalidate(model: &SpecModel, demand: &rota_actor::ResourceDemand) -> Re
 /// federation, so the router rejects it up front with this diagnostic
 /// instead of forwarding it into the void.
 pub fn check_ownership(
-    demand: &rota_actor::ResourceDemand,
+    demand: &ResourceDemand,
     owned: &std::collections::BTreeSet<String>,
 ) -> Report {
     let mut report = Report::new();

@@ -86,12 +86,12 @@ impl ActionDecl {
                 work: work.map(|q| q.units()),
             },
             ActionKind::Send { to, dest, size } => ActionDecl::Send {
-                to: to.to_string(),
+                to: to.as_str().to_owned(),
                 dest: dest.name().to_string(),
                 size: *size,
             },
             ActionKind::Create { child } => ActionDecl::Create {
-                child: child.to_string(),
+                child: child.as_str().to_owned(),
             },
             ActionKind::Ready => ActionDecl::Ready,
             ActionKind::Migrate { dest } => ActionDecl::Migrate {
@@ -152,7 +152,7 @@ impl ComputationDecl {
                 .actors()
                 .iter()
                 .map(|gamma| ActorDecl {
-                    name: gamma.actor().to_string(),
+                    name: gamma.actor().as_str().to_owned(),
                     origin: gamma.origin().name().to_string(),
                     actions: gamma.actions().iter().map(ActionDecl::from_kind).collect(),
                 })
@@ -209,7 +209,7 @@ pub struct SpecModel {
 
 impl SpecModel {
     /// Builds a model from validated library types (no constraints) —
-    /// the path `rota-workload` and the server shards use.
+    /// the path `rota-workload` uses.
     pub fn from_parts(terms: &[ResourceTerm], lambda: &DistributedComputation) -> Self {
         SpecModel {
             resources: terms.iter().map(ResourceDecl::from_term).collect(),

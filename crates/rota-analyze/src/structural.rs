@@ -1,25 +1,53 @@
 //! Structural lints: shape problems visible from the declarations
 //! alone, with no pricing and no scheduling (R0001–R0005, R0013,
 //! R0014).
+//!
+//! The pass has a resource half (R0001, R0002, R0004, R0014) and a
+//! computation half (R0003, R0005, R0013), so pre-admission validation
+//! can run the computation half on a request without the server's
+//! supply side.
 
 use crate::diag::{Diagnostic, Report, Severity};
-use crate::model::SpecModel;
+use crate::model::{ComputationDecl, ResourceDecl, SpecModel};
 
+/// The whole pass, in the order `rota-cli check` reports it.
 pub(crate) fn run(model: &SpecModel, report: &mut Report) {
-    for (i, decl) in model.resources.iter().enumerate() {
-        if decl.end <= decl.start {
-            report.push(
-                Diagnostic::new(
-                    "R0001",
-                    Severity::Error,
-                    format!("resources[{i}].end"),
-                    format!(
-                        "resource {} declares the empty interval ({}, {})",
-                        decl.located, decl.start, decl.end
-                    ),
-                )
-                .with_note("intervals are half-open (start, end); `end` must exceed `start`"),
-            );
+    resource_shape(&model.resources, report);
+    computation(&model.computation, report);
+    outside_window(model, report);
+}
+
+/// R0001 for one declaration.
+fn empty_interval(i: usize, decl: &ResourceDecl) -> Option<Diagnostic> {
+    (decl.end <= decl.start).then(|| {
+        Diagnostic::new(
+            "R0001",
+            Severity::Error,
+            format!("resources[{i}].end"),
+            format!(
+                "resource {} declares the empty interval ({}, {})",
+                decl.located, decl.start, decl.end
+            ),
+        )
+        .with_note("intervals are half-open (start, end); `end` must exceed `start`")
+    })
+}
+
+/// R0001 alone: the only resource-side error, and so the only
+/// resource-side finding pre-admission validation reports.
+pub(crate) fn empty_intervals(resources: &[ResourceDecl], report: &mut Report) {
+    for (i, decl) in resources.iter().enumerate() {
+        if let Some(d) = empty_interval(i, decl) {
+            report.push(d);
+        }
+    }
+}
+
+/// R0001, R0002 and R0004.
+fn resource_shape(resources: &[ResourceDecl], report: &mut Report) {
+    for (i, decl) in resources.iter().enumerate() {
+        if let Some(d) = empty_interval(i, decl) {
+            report.push(d);
         }
         if decl.rate == 0 {
             report.push(
@@ -34,8 +62,8 @@ pub(crate) fn run(model: &SpecModel, report: &mut Report) {
         }
     }
 
-    for (j, decl) in model.resources.iter().enumerate() {
-        if let Some(i) = model.resources[..j].iter().position(|earlier| {
+    for (j, decl) in resources.iter().enumerate() {
+        if let Some(i) = resources[..j].iter().position(|earlier| {
             earlier.located == decl.located && earlier.start == decl.start && earlier.end == decl.end
         }) {
             report.push(
@@ -52,8 +80,10 @@ pub(crate) fn run(model: &SpecModel, report: &mut Report) {
             );
         }
     }
+}
 
-    let c = &model.computation;
+/// R0003, R0005 and R0013: what the request alone can get wrong.
+pub(crate) fn computation(c: &ComputationDecl, report: &mut Report) {
     if c.deadline <= c.start {
         report.push(
             Diagnostic::new(
@@ -95,7 +125,11 @@ pub(crate) fn run(model: &SpecModel, report: &mut Report) {
             );
         }
     }
+}
 
+/// R0014.
+fn outside_window(model: &SpecModel, report: &mut Report) {
+    let c = &model.computation;
     if c.deadline > c.start {
         for (i, decl) in model.resources.iter().enumerate() {
             if decl.end > decl.start && (decl.end <= c.start || decl.start >= c.deadline) {

@@ -130,6 +130,12 @@ impl ResourceSet {
         self.profiles.get(located).cloned().unwrap_or_default()
     }
 
+    /// Whether any availability of `located` exists — `!profile(located).is_empty()`
+    /// without cloning the profile.
+    pub fn supplies(&self, located: &LocatedType) -> bool {
+        self.profiles.get(located).is_some_and(|p| !p.is_empty())
+    }
+
     /// Inserts (unions) a term into the set — the paper's `Θ ∪ {[r]^τ_ξ}`
     /// with simplification.
     ///
@@ -553,6 +559,8 @@ mod tests {
     fn consume_and_queries() {
         let mut theta: ResourceSet = [term(cpu("l1"), 5, 0, 5)].into_iter().collect();
         theta.consume(&cpu("l1"), iv(0, 2), Rate::new(5)).unwrap();
+        assert!(theta.supplies(&cpu("l1")));
+        assert!(!theta.supplies(&cpu("l2")));
         assert_eq!(theta.rate_at(&cpu("l1"), TimePoint::new(1)), Rate::ZERO);
         assert_eq!(theta.rate_at(&cpu("l1"), TimePoint::new(3)), Rate::new(5));
         assert_eq!(
@@ -572,6 +580,7 @@ mod tests {
         let mut theta: ResourceSet = [term(cpu("l1"), 5, 0, 5)].into_iter().collect();
         theta.consume(&cpu("l1"), iv(0, 5), Rate::new(5)).unwrap();
         assert!(theta.is_empty());
+        assert!(!theta.supplies(&cpu("l1")));
         assert_eq!(theta.located_types().count(), 0);
     }
 

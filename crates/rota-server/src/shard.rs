@@ -44,15 +44,16 @@
 //! ## Pre-admission validation
 //!
 //! Before a request reaches the policy, the worker runs the
-//! `rota-analyze` pre-admission lints against its live resource slice
-//! ([`rota_analyze::prevalidate`]): structural defects and demand on
-//! located types the shard has no supply for (R0006) are rejected
-//! immediately with the structured diagnostics attached to the
-//! decision, counted by `server.shard.lint_rejects{shard=N}`. Capacity
-//! and deadline feasibility stay with the policy, whose verdict
-//! carries the theorem-grade attribution.
+//! `rota-analyze` pre-admission lints against its live Θ in place
+//! ([`rota_analyze::prevalidate_request`]): structural defects and
+//! demand on located types the shard has no supply for (R0006) are
+//! rejected immediately with the structured diagnostics attached to
+//! the decision, counted by `server.shard.lint_rejects{shard=N}`.
+//! Capacity and deadline feasibility stay with the policy, whose
+//! verdict carries the theorem-grade attribution.
 
 use std::collections::{HashMap, VecDeque};
+use std::fmt::{self, Write as _};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TrySendError};
 use std::sync::Arc;
@@ -63,7 +64,7 @@ use rota_actor::ActorName;
 use rota_admission::{
     AdmissionController, AdmissionObs, AdmissionPolicy, AdmissionRequest, ControllerStats, Decision,
 };
-use rota_analyze::{prevalidate, Report as LintReport, Severity as LintSeverity, SpecModel};
+use rota_analyze::{prevalidate_request, Report as LintReport, Severity as LintSeverity};
 use rota_interval::TimePoint;
 use rota_logic::State;
 use rota_obs::{Counter, DecisionEvent, Gauge, Histogram, Journal, Registry};
@@ -78,12 +79,25 @@ use crate::protocol::Response;
 /// operators can predict placement.
 pub fn shard_of(location: &Location, shards: usize) -> usize {
     debug_assert!(shards > 0);
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in location.name().bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    let mut hash = Fnv1a(FNV_OFFSET);
+    let _ = hash.write_str(location.name());
+    (hash.0 % shards as u64) as usize
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// 64-bit FNV-1a as a [`fmt::Write`] sink, so a value's `Debug` form
+/// can be hashed as it is formatted, without building the string.
+struct Fnv1a(u64);
+
+impl fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        for byte in s.bytes() {
+            self.0 ^= u64::from(byte);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        Ok(())
     }
-    (hash % shards as u64) as usize
 }
 
 /// Splits a resource set into per-shard subsets by each term's first
@@ -203,12 +217,10 @@ impl ShardObs {
 /// request — a different body reusing a name hashes differently and
 /// is decided on its own merits.
 fn dedup_key(request: &AdmissionRequest) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in format!("{request:?}").bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
+    let mut hash = Fnv1a(FNV_OFFSET);
+    // The sink never fails, and the request's `Debug` impls are derived.
+    let _ = write!(hash, "{request:?}");
+    hash.0
 }
 
 /// What the cache knows about a retried name.
@@ -786,11 +798,9 @@ impl<P: AdmissionPolicy + Clone> ShardWorker<P> {
                     // shard's live supply: structurally broken
                     // requests bounce with machine diagnostics before
                     // the policy spends scheduling time on them.
-                    let model = SpecModel::from_parts(
-                        &controller.state().theta().to_terms(),
-                        request.computation(),
-                    );
-                    let lint = prevalidate(&model, &request.requirement().total_demand());
+                    let demand = request.requirement().total_demand();
+                    let theta = controller.state().theta();
+                    let lint = prevalidate_request(request.computation(), theta, &demand);
                     if lint.has_errors() {
                         self.obs.lint_rejects.inc();
                         let response = lint_response(&request, &lint, self.shard);
@@ -1217,6 +1227,131 @@ mod tests {
         drop(pool);
         for handle in handles {
             handle.join().unwrap();
+        }
+    }
+
+    /// The diagnostics of a pre-admission lint bounce, as
+    /// `(code, path, message)`; panics on any other response.
+    fn lint_bounce(response: &Response) -> Vec<(String, String, String)> {
+        match response {
+            Response::Decision {
+                accepted: false,
+                clause,
+                diagnostics,
+                ..
+            } if clause.as_deref() == Some("static analysis (pre-admission)") => diagnostics
+                .iter()
+                .map(|d| {
+                    let field = |key| {
+                        d.get(key)
+                            .and_then(rota_obs::Json::as_str)
+                            .unwrap_or_default()
+                            .to_string()
+                    };
+                    (field("code"), field("path"), field("message"))
+                })
+                .collect(),
+            other => panic!("expected a lint bounce, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn duplicate_actor_request_bounces_with_r0005() {
+        let registry = Arc::new(Registry::new());
+        let journal = Arc::new(Journal::new(64));
+        let theta = theta_at(&["l0"], 4, 64);
+        let (pool, handles) =
+            ShardPool::spawn(RotaPolicy, &theta, 1, 8, DEDUP_CAPACITY, &registry, &journal, None);
+        let twin = || ActorComputation::new("twin", "l0").then(ActionKind::evaluate());
+        let request = AdmissionRequest::price(
+            DistributedComputation::new("dup", vec![twin(), twin()], TimePoint::ZERO, TimePoint::new(64))
+                .unwrap(),
+            &TableCostModel::paper(),
+            Granularity::MaximalRun,
+        );
+        let diagnostics = lint_bounce(&pool.admit(request, Duration::from_secs(5)));
+        assert_eq!(diagnostics.len(), 1, "{diagnostics:?}");
+        assert_eq!(diagnostics[0].0, "R0005");
+        assert_eq!(diagnostics[0].1, "computation.actors[1].name");
+        assert_eq!(journal.len(), 0, "the policy was never consulted");
+        drop(pool);
+        for handle in handles {
+            handle.join().unwrap();
+        }
+    }
+
+    #[test]
+    fn migration_off_the_home_shard_bounces_with_r0006() {
+        // The home shard holds the origin's supply but not the
+        // destination's, which the other shard owns.
+        let names: Vec<String> = (0..16).map(|i| format!("l{i}")).collect();
+        let on_shard = |k| {
+            names
+                .iter()
+                .find(|n| shard_of(&Location::new(n.as_str()), 2) == k)
+                .unwrap()
+                .as_str()
+        };
+        let (home, away) = (on_shard(0), on_shard(1));
+        let registry = Arc::new(Registry::new());
+        let journal = Arc::new(Journal::new(64));
+        let theta = theta_at(&[home, away], 4, 64);
+        let (pool, handles) =
+            ShardPool::spawn(RotaPolicy, &theta, 2, 8, DEDUP_CAPACITY, &registry, &journal, None);
+        let gamma = ActorComputation::new("mover", home)
+            .then(ActionKind::evaluate())
+            .then(ActionKind::migrate(away))
+            .then(ActionKind::evaluate());
+        let request = AdmissionRequest::price(
+            DistributedComputation::single("mover", gamma, TimePoint::ZERO, TimePoint::new(64))
+                .unwrap(),
+            &TableCostModel::paper(),
+            Granularity::MaximalRun,
+        );
+        assert_eq!(route_request(&request, 2), 0);
+        let diagnostics = lint_bounce(&pool.admit(request, Duration::from_secs(5)));
+        assert!(!diagnostics.is_empty());
+        for (code, path, message) in &diagnostics {
+            assert_eq!(code, "R0006");
+            assert_eq!(path, "computation.actors[0].actions[1]", "the migrate");
+            assert!(message.contains(away), "{message}");
+        }
+        assert_eq!(journal.len(), 0, "the policy was never consulted");
+        drop(pool);
+        for handle in handles {
+            handle.join().unwrap();
+        }
+    }
+
+    #[test]
+    fn dedup_key_hashes_the_same_bytes_as_the_formatted_request() {
+        fn formatted_key(request: &AdmissionRequest) -> u64 {
+            let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+            for byte in format!("{request:?}").bytes() {
+                hash ^= u64::from(byte);
+                hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+            hash
+        }
+        let fork_join = AdmissionRequest::price(
+            DistributedComputation::new(
+                "fj",
+                (0..3)
+                    .map(|k| {
+                        ActorComputation::new(format!("fj-a{k}"), format!("l{k}"))
+                            .then(ActionKind::evaluate())
+                            .then(ActionKind::evaluate())
+                    })
+                    .collect(),
+                TimePoint::ZERO,
+                TimePoint::new(32),
+            )
+            .unwrap(),
+            &TableCostModel::paper(),
+            Granularity::MaximalRun,
+        );
+        for request in [request_at("one", "l0", 2, 16), fork_join] {
+            assert_eq!(dedup_key(&request), formatted_key(&request));
         }
     }
 

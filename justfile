@@ -68,6 +68,12 @@ bench-pair W FIRST N BASE="HEAD":
 bench-e4:
     cargo bench -p rota-bench --bench admission | grep 'e4/'
 
+# E15 on its own: pre-admission validation and the other lint
+# configurations against the decision, by actor count and by supply
+# size (24, 192 and 768 terms).
+bench-e15:
+    cargo bench -p rota-bench --bench analyze | grep 'e15/'
+
 # The admission observability-overhead check on its own.
 bench-obs:
     cargo bench -p rota-bench --bench admission
