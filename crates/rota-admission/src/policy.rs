@@ -102,6 +102,18 @@ pub trait AdmissionPolicy {
     fn decide(&self, state: &State, request: &AdmissionRequest) -> Decision;
 }
 
+/// A shared policy decides as the policy it points to, so one policy
+/// (or a `dyn` one) can serve several controllers.
+impl<P: AdmissionPolicy + ?Sized> AdmissionPolicy for std::sync::Arc<P> {
+    fn name(&self) -> &'static str {
+        (**self).name()
+    }
+
+    fn decide(&self, state: &State, request: &AdmissionRequest) -> Decision {
+        (**self).decide(state, request)
+    }
+}
+
 /// The paper's admission reasoning (Theorem 4): schedule every actor of
 /// the request into the resources that would otherwise expire on the
 /// current path; admit with exact reservations iff all fit.

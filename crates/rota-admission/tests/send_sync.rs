@@ -1,8 +1,8 @@
 //! Compile-time thread-safety guarantees.
 //!
-//! rota-server moves admission controllers (and the policies inside
-//! them) onto shard worker threads and shares requests across
-//! connection handlers, so these bounds are load-bearing API surface:
+//! rota-server shares admission controllers (and the policies inside
+//! them) behind per-shard locks across connection threads, so these
+//! bounds are load-bearing API surface:
 //! if a future change introduces an `Rc`/`RefCell` or a raw pointer,
 //! this file stops compiling instead of the server crate breaking at a
 //! distance.

@@ -30,12 +30,16 @@ use rota_client::{Client, ClientError};
 use rota_obs::{Counter, Gauge, Registry};
 use rota_server::{Request, Response, ServerConfig};
 
+/// How long a peer may take to answer a call it has read. Its own work
+/// is one shard decision, well under a millisecond; the rest of the
+/// budget covers a peer that is itself waiting on its peers or on a
+/// busy machine.
+const PEER_ANSWER_BUDGET: Duration = Duration::from_secs(5);
+
 /// How long one read or write of a peer call may block once the dial
-/// succeeded: the dial bound plus the longest a peer's connection waits
-/// for a shard verdict. Every node a `Cluster` launches runs
-/// [`ServerConfig`]'s default request timeout.
+/// succeeded: the dial bound plus [`PEER_ANSWER_BUDGET`].
 pub(crate) fn io_timeout(peer_timeout: Duration) -> Duration {
-    peer_timeout + ServerConfig::default().request_timeout
+    peer_timeout + PEER_ANSWER_BUDGET
 }
 
 /// The longest a link may sit idle and still be reused: half the idle

@@ -135,7 +135,7 @@ impl Cluster {
         config: ClusterConfig,
     ) -> io::Result<Cluster>
     where
-        P: AdmissionPolicy + Clone + Send + 'static,
+        P: AdmissionPolicy + Clone + Send + Sync + 'static,
     {
         let shared: SharedTopology = Arc::new(RwLock::new(topology.clone()));
         let mut nodes = Vec::new();

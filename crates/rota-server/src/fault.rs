@@ -3,7 +3,7 @@
 //!
 //! A [`FaultPlan`] describes *which* faults to inject and *how often*;
 //! a [`FaultInjector`] is the live, metric-counting instance threaded
-//! through the connection loop and the shard workers. All randomness
+//! through the connection loop and the shards. All randomness
 //! derives from the plan's seed plus a per-connection index, so a chaos
 //! run is exactly reproducible: same plan, same connection order, same
 //! faults.
@@ -16,7 +16,7 @@
 //! | reset | connection, after read, **before** handling | close without answering (the request was never decided — safe to retry) |
 //! | truncate | connection, on the response | write a prefix of the frame, then close |
 //! | corrupt | connection, on the response | flip one byte of the frame |
-//! | panic | shard worker, before the controller decides | deliberate panic; the worker restarts (see [`crate::shard`]) |
+//! | panic | shard, under its lock, before the controller decides | deliberate panic; the shard restarts (see [`crate::shard`]) |
 //! | reset_first | the first N connections, at their first frame | deterministic heal-able partition (gossip heartbeats burn the budget, then recover) |
 //! | panic_2pc | cluster router, between 2PC prepare and commit | the coordinating connection dies with reservations prepared everywhere; they must TTL-expire (see `rota-cluster`) |
 //!
@@ -159,7 +159,7 @@ fn splitmix64(state: &mut u64) -> u64 {
 /// A live fault injector: the plan plus shared counters.
 ///
 /// One per server; connections derive their own deterministic streams
-/// via [`FaultInjector::connection`], and shard workers consult
+/// via [`FaultInjector::connection`], and shards consult
 /// [`FaultInjector::take_panic_ticket`] per admit.
 pub struct FaultInjector {
     plan: FaultPlan,

@@ -7,20 +7,21 @@
 //! - a newline-delimited JSON **wire protocol** over TCP
 //!   ([`protocol`]), zero external dependencies, with an enforced frame
 //!   size cap;
-//! - **sharded admission**: N worker threads, each owning an
+//! - **sharded admission**: N shards, each a lock around an
 //!   [`AdmissionController`](rota_admission::AdmissionController) over
-//!   a disjoint, location-keyed slice of the resources ([`shard`]), so
-//!   shards never contend;
-//! - **bounded queues with explicit backpressure** — a full shard queue
-//!   answers `overloaded` instead of buffering without bound;
-//! - per-request timeouts, idle-connection reaping, and a **graceful
-//!   shutdown** that drains in-flight decisions ([`server`]);
+//!   a disjoint, location-keyed slice of the resources ([`shard`]),
+//!   decided on the connection thread, so shards never contend;
+//! - **explicit backpressure** — an admit that finds its shard busy
+//!   with `queue_capacity` admits already waiting answers `overloaded`
+//!   instead of waiting without bound;
+//! - idle-connection reaping and a **graceful shutdown** that lets
+//!   in-flight decisions finish ([`server`]);
 //! - observability through [`rota_obs`]: per-shard counters and
-//!   queue-depth gauges, decision-latency histograms, and a shared
+//!   lock-wait gauges, decision-latency histograms, and a shared
 //!   journal of admit/reject events;
 //! - **deterministic chaos**: a seeded [`fault::FaultPlan`] injects
 //!   latency, wire truncation/corruption, connection resets, and forced
-//!   shard panics ([`fault`]); panicked shard workers are isolated and
+//!   shard panics ([`fault`]); a panicking shard is isolated and
 //!   restarted instead of taking the process down ([`shard`]).
 //!
 //! The [`spec`] module is the JSON codec for resources and

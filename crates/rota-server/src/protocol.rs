@@ -501,11 +501,12 @@ pub enum Response {
     },
     /// Acknowledges `shutdown`; the server drains and stops after this.
     Bye,
-    /// Explicit backpressure: the target shard's queue is full. The
-    /// request was **not** enqueued; retry later. This is the protocol's
-    /// `503`.
+    /// Explicit backpressure: the target shard was deciding one admit
+    /// with its full quota of admits already waiting, or its decision
+    /// panicked. The request was **not** decided; retry later. This is
+    /// the protocol's `503`.
     Overloaded {
-        /// The shard whose queue was full.
+        /// The shard that turned the request away.
         shard: usize,
     },
     /// The request failed (parse error, timeout, draining, …).

@@ -1,11 +1,16 @@
 //! The TCP admission service: accept loop, connection handling,
 //! timeouts, and graceful shutdown.
 //!
-//! One acceptor thread plus one thread per connection; admission work
-//! itself happens on the shard workers (see [`crate::shard`]). The
+//! One acceptor thread plus one thread per connection. Each connection
+//! thread decides its own requests under the lock of the shard they
+//! route to (see [`crate::shard`]); there are no shard threads. The
 //! server is an *admission oracle*: controllers stay at logical time
 //! zero and answer "can the system accommodate one more computation
 //! given its commitments?" for a stream of requests.
+//!
+//! Shutdown drains: it raises a flag the acceptor and every connection
+//! poll, then takes the shard pool's write lock, which waits for every
+//! call still inside the pool before the pool is dropped.
 
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -35,14 +40,13 @@ use crate::spec;
 pub struct ServerConfig {
     /// Bind address; use port 0 for an ephemeral port.
     pub addr: SocketAddr,
-    /// Number of shard workers (each owns a disjoint resource slice).
+    /// Number of shards (each owns a disjoint resource slice).
     pub shards: usize,
-    /// Bounded queue depth per shard; a full queue answers `overloaded`.
+    /// Admits that may wait per shard behind the one deciding; past
+    /// that an admit answers `overloaded`.
     pub queue_capacity: usize,
     /// Largest accepted request frame, in bytes.
     pub max_frame_bytes: usize,
-    /// How long a connection waits for a shard verdict.
-    pub request_timeout: Duration,
     /// Connections silent for this long are reaped.
     pub idle_timeout: Duration,
     /// Deterministic fault injection (chaos testing); `None` in
@@ -57,7 +61,6 @@ impl Default for ServerConfig {
             shards: 4,
             queue_capacity: 64,
             max_frame_bytes: MAX_FRAME_BYTES,
-            request_timeout: Duration::from_secs(5),
             idle_timeout: Duration::from_secs(30),
             fault_plan: None,
         }
@@ -177,34 +180,30 @@ impl Inner {
                     }
                 };
                 let priced = AdmissionRequest::price(computation, &self.cost_model, granularity);
-                self.with_pool(|pool| pool.admit(priced, self.config.request_timeout))
+                self.with_pool(|pool| pool.admit(priced))
             }
             Request::Offer {
                 resources,
                 forwarded: _,
             } => match spec::resource_set(&resources) {
-                Ok(theta) => {
-                    self.with_pool(move |pool| pool.offer(theta, self.config.request_timeout))
-                }
+                Ok(theta) => self.with_pool(move |pool| pool.offer(theta)),
                 Err(err) => Response::Error {
                     message: format!("bad resources: {err}"),
                 },
             },
-            Request::Stats => self.with_pool(|pool| pool.stats(self.config.request_timeout)),
+            Request::Stats => self.with_pool(|pool| pool.stats()),
             Request::Shutdown => Response::Bye,
             // Gossip is meaningful only when a cluster hook intercepts
             // it; a bare server says so instead of guessing.
             Request::Gossip { .. } => Response::Error {
                 message: "not clustered: this node runs no cluster router".into(),
             },
-            Request::ClusterSnapshot => self.with_pool(|pool| {
-                match pool.cluster_state(self.config.request_timeout) {
-                    Ok((epochs, merged)) => Response::ClusterState {
-                        epochs,
-                        resources: spec::resource_set_to_json(&merged),
-                    },
-                    Err(message) => Response::Error { message },
-                }
+            Request::ClusterSnapshot => self.with_pool(|pool| match pool.cluster_state() {
+                Ok((epochs, merged)) => Response::ClusterState {
+                    epochs,
+                    resources: spec::resource_set_to_json(&merged),
+                },
+                Err(message) => Response::Error { message },
             }),
             Request::Prepare {
                 name,
@@ -240,31 +239,25 @@ impl Inner {
                 };
                 let priced = AdmissionRequest::price(computation, &self.cost_model, granularity);
                 self.with_pool(|pool| {
-                    pool.prepare(
-                        priced,
-                        &basis,
-                        &epochs,
-                        Duration::from_millis(ttl_ms),
-                        self.config.request_timeout,
-                    )
+                    pool.prepare(priced, &basis, &epochs, Duration::from_millis(ttl_ms))
                 })
             }
-            Request::CommitReservation { name } => self.with_pool(|pool| {
-                match pool.commit(&name, self.config.request_timeout) {
+            Request::CommitReservation { name } => {
+                self.with_pool(|pool| match pool.commit(&name) {
                     Ok(()) => Response::Committed { name },
                     Err(message) => Response::Error { message },
-                }
-            }),
+                })
+            }
             Request::AbortReservation { name } => self.with_pool(|pool| {
-                let released = pool.abort(&name, self.config.request_timeout);
+                let released = pool.abort(&name);
                 Response::Aborted { name, released }
             }),
         }
     }
 
     fn with_pool(&self, f: impl FnOnce(&ShardPool) -> Response) -> Response {
-        // A poisoned lock means a worker panicked mid-write; the pool
-        // itself is only ever replaced wholesale, so keep serving.
+        // The pool is only ever replaced wholesale, so a poisoned lock
+        // still guards a usable value: keep serving.
         let guard = self
             .pool
             .read()
@@ -276,6 +269,18 @@ impl Inner {
             },
         }
     }
+
+    /// Raises the shutdown flag and, the first time, drops the shard
+    /// pool. Taking the pool's write lock waits for every call still
+    /// inside it, so in-flight decisions finish before the pool goes.
+    fn begin_shutdown(&self) {
+        if !self.shutting_down.swap(true, Ordering::SeqCst) {
+            self.pool
+                .write()
+                .unwrap_or_else(std::sync::PoisonError::into_inner)
+                .take();
+        }
+    }
 }
 
 /// A running admission service; dropping the handle shuts it down.
@@ -283,7 +288,6 @@ pub struct ServerHandle {
     inner: Arc<Inner>,
     local_addr: SocketAddr,
     acceptor: Mutex<Option<JoinHandle<()>>>,
-    workers: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl ServerHandle {
@@ -312,19 +316,11 @@ impl ServerHandle {
         self.shutdown();
     }
 
-    /// Starts a graceful shutdown: stop accepting, close the shard
-    /// queues so workers drain in-flight decisions, then return once
-    /// every shard worker and the acceptor have exited.
+    /// Starts a graceful shutdown: stop accepting, let in-flight
+    /// decisions finish, drop the shard pool, then return once the
+    /// acceptor has exited.
     pub fn shutdown(&self) {
-        if !self.inner.shutting_down.swap(true, Ordering::SeqCst) {
-            // Dropping the pool drops every shard sender: workers finish
-            // the requests already queued, then exit.
-            self.inner
-                .pool
-                .write()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .take();
-        }
+        self.inner.begin_shutdown();
         // The acceptor blocks in accept(); poke it awake so it can see
         // the flag even if the flag was raised by a protocol `shutdown`
         // verb. Connect errors just mean it already exited.
@@ -335,15 +331,6 @@ impl ServerHandle {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
             .take();
         if let Some(handle) = acceptor {
-            let _ = handle.join();
-        }
-        let workers: Vec<_> = self
-            .workers
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .drain(..)
-            .collect();
-        for handle in workers {
             let _ = handle.join();
         }
     }
@@ -367,7 +354,7 @@ impl Server {
         theta: &ResourceSet,
     ) -> std::io::Result<ServerHandle>
     where
-        P: AdmissionPolicy + Clone + Send + 'static,
+        P: AdmissionPolicy + Send + Sync + 'static,
     {
         Self::spawn_internal(
             config,
@@ -389,7 +376,7 @@ impl Server {
         make_hook: F,
     ) -> std::io::Result<ServerHandle>
     where
-        P: AdmissionPolicy + Clone + Send + 'static,
+        P: AdmissionPolicy + Send + Sync + 'static,
         F: FnOnce(LocalHandle) -> Arc<dyn RequestHook>,
     {
         Self::spawn_internal(config, policy, theta, Some(make_hook))
@@ -402,7 +389,7 @@ impl Server {
         make_hook: Option<F>,
     ) -> std::io::Result<ServerHandle>
     where
-        P: AdmissionPolicy + Clone + Send + 'static,
+        P: AdmissionPolicy + Send + Sync + 'static,
         F: FnOnce(LocalHandle) -> Arc<dyn RequestHook>,
     {
         let listener = TcpListener::bind(config.addr)?;
@@ -414,7 +401,7 @@ impl Server {
             .clone()
             .filter(FaultPlan::is_active)
             .map(|plan| Arc::new(FaultInjector::new(plan, &registry)));
-        let (pool, worker_handles) = ShardPool::spawn(
+        let pool = ShardPool::new(
             policy,
             theta,
             config.shards,
@@ -451,7 +438,6 @@ impl Server {
             inner,
             local_addr,
             acceptor: Mutex::new(Some(acceptor)),
-            workers: Mutex::new(worker_handles),
         })
     }
 }
@@ -561,7 +547,7 @@ fn serve_connection(stream: TcpStream, inner: &Arc<Inner>) {
                 let bye = matches!(request, Request::Shutdown);
                 // A panic while handling (a chaos-drilled 2PC
                 // coordinator dying mid-flight, or a hook bug) kills
-                // only this connection; shard workers and the acceptor
+                // only this connection; the shards and the acceptor
                 // keep running, and any tentative reservations the dead
                 // coordinator left behind expire by TTL.
                 match catch_unwind(AssertUnwindSafe(|| inner.handle(request))) {
@@ -593,7 +579,7 @@ fn serve_connection(stream: TcpStream, inner: &Arc<Inner>) {
             Err(_) => return,
         }
         if bye {
-            inner_begin_shutdown(inner);
+            inner.begin_shutdown();
             shutdown_stream(&mut writer);
             return;
         }
@@ -638,19 +624,6 @@ fn write_response(
 fn shutdown_stream(writer: &mut BufWriter<TcpStream>) {
     let _ = writer.flush();
     let _ = writer.get_ref().shutdown(Shutdown::Both);
-}
-
-/// Out-of-band shutdown trigger used by the `shutdown` protocol verb
-/// (the [`ServerHandle`] still joins the threads).
-fn inner_begin_shutdown(inner: &Arc<Inner>) {
-    if inner.shutting_down.swap(true, Ordering::SeqCst) {
-        return;
-    }
-    inner
-        .pool
-        .write()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .take();
 }
 
 /// Names accepted by [`spawn_policy_by_name`].

@@ -1,33 +1,38 @@
-//! Sharded admission: N worker threads, each owning its own
+//! Sharded admission: each shard is one lock around its own
 //! [`AdmissionController`] over a disjoint slice of the system's
-//! resources, fed by bounded queues.
+//! resources, and a request is decided on the connection thread that
+//! read it, under its shard's lock.
 //!
 //! Sharding is by *location*: every location (and thus every resource
 //! term and every computation, keyed by its first actor's origin) is
 //! owned by exactly one shard, chosen by a stable hash. Shards never
-//! share state, so workers never contend — the queue is the only
-//! synchronization point. The cost of that isolation is honesty about
-//! multi-location computations: a request is decided against its home
-//! shard's resources only, so a computation spanning locations owned by
-//! different shards may be rejected where a monolithic controller would
-//! admit it (see DESIGN.md).
+//! share state and a call holds at most one shard lock at a time, so
+//! calls on different shards never wait for each other. The cost of
+//! that isolation is honesty about multi-location computations: a
+//! request is decided against its home shard's resources only, so a
+//! computation spanning locations owned by different shards may be
+//! rejected where a monolithic controller would admit it (see
+//! DESIGN.md).
 //!
-//! Queues are bounded ([`std::sync::mpsc::sync_channel`]); when a
-//! shard's queue is full the submitting connection gets
-//! [`Response::Overloaded`] immediately instead of the server buffering
-//! without bound.
+//! ## Backpressure
+//!
+//! Each shard counts the admits holding or waiting for its lock. Past
+//! one holder plus `queue_capacity` waiters, an admit is answered
+//! [`Response::Overloaded`] at once instead of joining the wait.
+//! Control-plane calls (offer, stats, snapshot, prepare, commit, abort)
+//! are not counted: they visit the shards one at a time in index order.
 //!
 //! ## Panic isolation and idempotency
 //!
-//! A worker body that panics (an injected chaos drill, or a genuine
-//! controller bug) is caught with [`std::panic::catch_unwind`] and the
-//! worker restarts instead of the process dying. The waiter whose reply
-//! channel died mid-decision gets [`Response::Overloaded`] — an honest
-//! "try again" — and `server.shard.restarts{shard=N}` counts the event.
-//! An *injected* panic fires before the controller mutates, so its
-//! state is kept; an unrecognized panic rebuilds the controller from
-//! the shard's pristine resource slice (an amnesiac restart: prior
-//! commitments and offered resources are forgotten — see DESIGN.md §10).
+//! Every locked section runs inside [`std::panic::catch_unwind`], so a
+//! panic (an injected chaos drill, or a genuine controller bug) never
+//! poisons the lock or kills the process. The caller gets
+//! [`Response::Overloaded`] — an honest "try again" — and
+//! `server.shard.restarts{shard=N}` counts the event. An *injected*
+//! panic fires before the controller mutates, so its state is kept; an
+//! unrecognized panic rebuilds the controller from the shard's pristine
+//! resource slice (an amnesiac restart: prior commitments and offered
+//! resources are forgotten — see DESIGN.md §10).
 //!
 //! Computation names are idempotency keys, but a verdict is only
 //! replayed when the retry's *content hash* (name, computation body,
@@ -43,7 +48,7 @@
 //!
 //! ## Pre-admission validation
 //!
-//! Before a request reaches the policy, the worker runs the
+//! Before a request reaches the policy, the shard runs the
 //! `rota-analyze` pre-admission lints against its live Θ in place
 //! ([`rota_analyze::prevalidate_request`]): structural defects and
 //! demand on located types the shard has no supply for (R0006) are
@@ -55,9 +60,8 @@
 use std::collections::{HashMap, VecDeque};
 use std::fmt::{self, Write as _};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TrySendError};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use rota_actor::ActorName;
@@ -126,51 +130,6 @@ pub fn route_request(request: &AdmissionRequest, shards: usize) -> usize {
         .actors()
         .first()
         .map_or(0, |gamma| shard_of(gamma.origin(), shards))
-}
-
-pub(crate) enum ShardMsg {
-    Admit {
-        request: Box<AdmissionRequest>,
-        enqueued: Instant,
-        reply: SyncSender<Response>,
-    },
-    Offer {
-        theta: ResourceSet,
-        reply: SyncSender<Result<(), String>>,
-    },
-    Stats {
-        reply: SyncSender<ControllerStats>,
-    },
-    /// Reports the shard's epoch and the resources still available
-    /// after every commitment and tentative reservation — the basis a
-    /// 2PC coordinator merges across shards and nodes.
-    Snapshot {
-        reply: SyncSender<(u64, ResourceSet)>,
-    },
-    /// Phase one of two-phase commit: decide `request` against the
-    /// coordinator-supplied merged `basis` and, on accept, install the
-    /// commitments tentatively with a TTL. Replies `Prepared`, a
-    /// rejection `Decision`, `StaleEpoch`, or an error (uninstallable).
-    Prepare {
-        request: Box<AdmissionRequest>,
-        basis: ResourceSet,
-        expected_epoch: u64,
-        ttl: Duration,
-        reply: SyncSender<Response>,
-    },
-    /// Phase two: make the named reservation permanent. Idempotent for
-    /// already-committed names; an expired or unknown name is an error.
-    Commit {
-        name: String,
-        reply: SyncSender<Result<(), String>>,
-    },
-    /// Release the named reservation (or compensate a committed one
-    /// after a failed commit round). Replies whether anything was
-    /// actually released.
-    Abort {
-        name: String,
-        reply: SyncSender<bool>,
-    },
 }
 
 struct ShardObs {
@@ -311,24 +270,44 @@ impl DecisionCache {
     }
 }
 
-/// A pool of shard workers behind bounded queues.
+/// The policy every shard of a pool decides with.
+type SharedPolicy = Arc<dyn AdmissionPolicy + Send + Sync>;
+
+/// The shards of one server, each a lock around its own state.
 ///
-/// Dropping the pool closes every queue; workers drain what was already
-/// enqueued and exit — that, plus joining the handles returned by
-/// [`ShardPool::spawn`], is the graceful-drain path.
+/// Calls run on the caller's thread. Dropping the pool drops every
+/// shard; the server drains by waiting for in-flight calls to leave
+/// the pool first (see `crate::server`).
 pub(crate) struct ShardPool {
-    senders: Vec<SyncSender<ShardMsg>>,
-    obs: Vec<Arc<ShardObs>>,
+    policy: SharedPolicy,
+    shards: Vec<Shard>,
+    /// Waiters an admit may join behind the lock holder before it is
+    /// answered `overloaded`.
+    queue_capacity: usize,
+    registry: Arc<Registry>,
+    journal: Arc<Journal<DecisionEvent>>,
+    faults: Option<Arc<FaultInjector>>,
+}
+
+/// One shard: its lock, plus what is needed outside it.
+struct Shard {
+    state: Mutex<ShardState>,
+    /// Admits holding or waiting for `state` — the backpressure count.
+    admits: AtomicUsize,
+    /// The shard's original resource slice, kept for amnesiac restarts.
+    pristine: ResourceSet,
+    obs: Arc<ShardObs>,
 }
 
 impl ShardPool {
-    /// Spawns `shards` workers, each owning a controller over its slice
+    /// Builds `shards` shards, each owning a controller over its slice
     /// of `theta`, all journaling into `journal` and counting into
     /// `registry` (admission metrics labeled by `policy`, server metrics
-    /// by shard). `faults` enables forced-panic chaos drills;
-    /// `dedup_capacity` bounds each worker's idempotency cache.
+    /// by shard). `queue_capacity` bounds each shard's waiting admits;
+    /// `faults` enables forced-panic chaos drills; `dedup_capacity`
+    /// bounds each shard's idempotency cache.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn spawn<P>(
+    pub(crate) fn new<P>(
         policy: P,
         theta: &ResourceSet,
         shards: usize,
@@ -337,155 +316,130 @@ impl ShardPool {
         registry: &Arc<Registry>,
         journal: &Arc<Journal<DecisionEvent>>,
         faults: Option<Arc<FaultInjector>>,
-    ) -> (ShardPool, Vec<JoinHandle<()>>)
+    ) -> ShardPool
     where
-        P: AdmissionPolicy + Clone + Send + 'static,
+        P: AdmissionPolicy + Send + Sync + 'static,
     {
-        let shards = shards.max(1);
-        let slices = split_by_shard(theta, shards);
-        let mut senders = Vec::with_capacity(shards);
-        let mut obs = Vec::with_capacity(shards);
-        let mut handles = Vec::with_capacity(shards);
-        for (shard, slice) in slices.into_iter().enumerate() {
-            let (tx, rx) = sync_channel::<ShardMsg>(queue_capacity.max(1));
-            let shard_obs = Arc::new(ShardObs::new(registry, shard));
-            let worker = ShardWorker {
-                shard,
-                policy: policy.clone(),
-                pristine: slice,
-                registry: Arc::clone(registry),
-                journal: Arc::clone(journal),
-                obs: Arc::clone(&shard_obs),
-                faults: faults.clone(),
-                dedup: DecisionCache::new(dedup_capacity),
-                reservations: HashMap::new(),
-                committed: HashMap::new(),
-                committed_order: VecDeque::new(),
-                epoch: 0,
-            };
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("rota-shard-{shard}"))
-                    .spawn(move || worker.run(&rx))
-                    // PANIC-OK: thread spawn fails only when the OS is out
-                    // of resources at startup; that is fatal by design.
-                    .expect("spawn shard worker"),
-            );
-            senders.push(tx);
-            obs.push(shard_obs);
-        }
-        (ShardPool { senders, obs }, handles)
+        let mut pool = ShardPool {
+            policy: Arc::new(policy),
+            shards: Vec::new(),
+            queue_capacity: queue_capacity.max(1),
+            registry: Arc::clone(registry),
+            journal: Arc::clone(journal),
+            faults,
+        };
+        pool.shards = split_by_shard(theta, shards.max(1))
+            .into_iter()
+            .enumerate()
+            .map(|(shard, pristine)| {
+                let obs = Arc::new(ShardObs::new(registry, shard));
+                let state = ShardState {
+                    shard,
+                    controller: pool.fresh_controller(&pristine),
+                    obs: Arc::clone(&obs),
+                    dedup: DecisionCache::new(dedup_capacity),
+                    reservations: HashMap::new(),
+                    committed: HashMap::new(),
+                    committed_order: VecDeque::new(),
+                    epoch: 0,
+                };
+                Shard {
+                    state: Mutex::new(state),
+                    admits: AtomicUsize::new(0),
+                    pristine,
+                    obs,
+                }
+            })
+            .collect();
+        pool
     }
 
     pub(crate) fn shards(&self) -> usize {
-        self.senders.len()
+        self.shards.len()
     }
 
-    /// Routes and enqueues one admission request, waiting up to
-    /// `timeout` for the verdict. Returns [`Response::Overloaded`] when
-    /// the shard's queue is full and an error response on timeout.
-    pub(crate) fn admit(&self, request: AdmissionRequest, timeout: Duration) -> Response {
-        let shard = route_request(&request, self.shards());
-        let obs = &self.obs[shard];
-        obs.requests.inc();
-        let (reply_tx, reply_rx) = sync_channel::<Response>(1);
-        let msg = ShardMsg::Admit {
-            request: Box::new(request),
-            enqueued: Instant::now(),
-            reply: reply_tx,
+    fn fresh_controller(&self, pristine: &ResourceSet) -> AdmissionController<SharedPolicy> {
+        AdmissionController::new(Arc::clone(&self.policy), pristine.clone(), TimePoint::ZERO)
+            .with_obs(
+                AdmissionObs::new(&self.registry, self.policy.name())
+                    .with_journal(Arc::clone(&self.journal)),
+            )
+    }
+
+    /// Runs `f` on shard `index` under its lock, after withdrawing the
+    /// shard's lapsed reservations. A panic is caught before the guard
+    /// drops, so the lock is never poisoned: it counts a restart, keeps
+    /// the state after an injected drill, rebuilds the controller from
+    /// the pristine slice after anything else, and comes back as `Err`.
+    fn locked<R>(&self, index: usize, f: impl FnOnce(&mut ShardState) -> R) -> Result<R, String> {
+        let shard = &self.shards[index];
+        shard.obs.queue_depth.add(1);
+        let mut state = shard.state.lock().unwrap_or_else(PoisonError::into_inner);
+        shard.obs.queue_depth.add(-1);
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            state.sweep_expired();
+            f(&mut state)
+        }));
+        outcome.map_err(|payload| {
+            shard.obs.restarts.inc();
+            if !fault::is_injected_panic(payload.as_ref()) {
+                state.forget(self.fresh_controller(&shard.pristine));
+            }
+            format!("shard {index} panicked and was restarted")
+        })
+    }
+
+    /// Routes one admission request and decides it under its shard's
+    /// lock. Returns [`Response::Overloaded`] when the shard already
+    /// has a holder and `queue_capacity` waiters, or when the decision
+    /// panicked.
+    pub(crate) fn admit(&self, request: AdmissionRequest) -> Response {
+        let index = route_request(&request, self.shards());
+        let shard = &self.shards[index];
+        shard.obs.requests.inc();
+        let arrived = Instant::now();
+        let verdict = if shard.admits.fetch_add(1, Ordering::Relaxed) > self.queue_capacity {
+            None
+        } else {
+            let faults = self.faults.as_deref();
+            self.locked(index, |state| state.admit(&request, arrived, faults))
+                .ok()
         };
-        match self.senders[shard].try_send(msg) {
-            Ok(()) => obs.queue_depth.add(1),
-            Err(TrySendError::Full(_)) => {
-                obs.overloaded.inc();
-                return Response::Overloaded { shard };
-            }
-            Err(TrySendError::Disconnected(_)) => {
-                return Response::Error {
-                    message: "server is draining".into(),
-                }
-            }
-        }
-        match reply_rx.recv_timeout(timeout) {
-            Ok(response) => response,
-            // A dropped reply sender means the worker panicked while
-            // holding our request (it restarts; the request was never
-            // decided). "Overloaded" is the honest verdict: try again.
-            Err(RecvTimeoutError::Disconnected) => {
-                obs.overloaded.inc();
-                Response::Overloaded { shard }
-            }
-            Err(RecvTimeoutError::Timeout) => Response::Error {
-                message: format!("request timed out after {}ms", timeout.as_millis()),
-            },
-        }
-    }
-
-    /// Sends one message per target shard, each built by `msg` around a
-    /// fresh reply channel, then waits up to `timeout` for every reply.
-    /// Results come back in target order: the shard's reply, or why
-    /// there was none. Control-plane traffic blocks (with a bound) on a
-    /// momentarily full queue rather than answering `overloaded`.
-    fn fan_out<R>(
-        &self,
-        targets: impl IntoIterator<Item = usize>,
-        timeout: Duration,
-        msg: impl Fn(usize, SyncSender<R>) -> ShardMsg,
-    ) -> Vec<Result<R, String>> {
-        let pending: Vec<_> = targets
-            .into_iter()
-            .map(|shard| {
-                let (reply_tx, reply_rx) = sync_channel::<R>(1);
-                let sent = self.senders[shard].send_timeout_compat(msg(shard, reply_tx), timeout);
-                if sent.is_ok() {
-                    self.obs[shard].queue_depth.add(1);
-                }
-                (shard, sent.map(|()| reply_rx))
-            })
-            .collect();
-        pending
-            .into_iter()
-            .map(|(shard, sent)| {
-                let reply = sent.map(|rx| rx.recv_timeout(timeout));
-                match reply {
-                    Ok(Ok(reply)) => Ok(reply),
-                    Ok(Err(RecvTimeoutError::Timeout)) => Err(format!("shard {shard} timed out")),
-                    Err(()) | Ok(Err(RecvTimeoutError::Disconnected)) => {
-                        Err(format!("shard {shard} unavailable (draining or stuck)"))
-                    }
-                }
-            })
-            .collect()
+        shard.admits.fetch_sub(1, Ordering::Relaxed);
+        verdict.unwrap_or_else(|| {
+            shard.obs.overloaded.inc();
+            Response::Overloaded { shard: index }
+        })
     }
 
     /// Splits an offered resource set across shards and installs each
     /// slice in shard order, stopping at the first slice that fails.
-    pub(crate) fn offer(&self, theta: ResourceSet, timeout: Duration) -> Response {
-        let slices = split_by_shard(&theta, self.shards());
+    pub(crate) fn offer(&self, theta: ResourceSet) -> Response {
         let mut installed = 0u64;
-        for (shard, slice) in slices.iter().enumerate().filter(|(_, s)| !s.is_empty()) {
-            let replies = self.fan_out([shard], timeout, |_, reply| ShardMsg::Offer {
-                theta: slice.clone(),
-                reply,
-            });
-            for reply in replies {
-                match reply.and_then(std::convert::identity) {
-                    Ok(()) => installed += slice.term_count() as u64,
-                    Err(message) => return Response::Error { message },
-                }
+        for (index, slice) in split_by_shard(&theta, self.shards())
+            .into_iter()
+            .enumerate()
+        {
+            if slice.is_empty() {
+                continue;
+            }
+            let terms = slice.term_count() as u64;
+            match self
+                .locked(index, |state| state.offer(slice))
+                .and_then(std::convert::identity)
+            {
+                Ok(()) => installed += terms,
+                Err(message) => return Response::Error { message },
             }
         }
         Response::Offered { terms: installed }
     }
 
     /// Aggregates every shard's controller statistics.
-    pub(crate) fn stats(&self, timeout: Duration) -> Response {
+    pub(crate) fn stats(&self) -> Response {
         let mut total = ControllerStats::default();
-        let replies = self.fan_out(0..self.shards(), timeout, |_, reply| ShardMsg::Stats {
-            reply,
-        });
-        for reply in replies {
-            match reply {
+        for index in 0..self.shards() {
+            match self.locked(index, |state| state.controller.stats()) {
                 Ok(stats) => {
                     total.accepted += stats.accepted;
                     total.rejected += stats.rejected;
@@ -502,42 +456,40 @@ impl ShardPool {
         }
     }
 
-    /// Collects every shard's epoch and remaining supply and merges the
+    /// Collects every shard's epoch and the resources still available
+    /// after every commitment and tentative reservation, and merges the
     /// (disjoint) supplies into one resource set — the node's
     /// contribution to a 2PC coordinator's basis.
-    pub(crate) fn cluster_state(
-        &self,
-        timeout: Duration,
-    ) -> Result<(Vec<u64>, ResourceSet), String> {
-        let replies = self.fan_out(0..self.shards(), timeout, |_, reply| ShardMsg::Snapshot {
-            reply,
-        });
+    pub(crate) fn cluster_state(&self) -> Result<(Vec<u64>, ResourceSet), String> {
         let mut epochs = Vec::with_capacity(self.shards());
         let mut merged = ResourceSet::new();
-        for (shard, reply) in replies.into_iter().enumerate() {
-            let (epoch, theta) = reply?;
+        for index in 0..self.shards() {
+            let (epoch, theta) = self.locked(index, |state| {
+                (state.epoch, state.controller.state().expiring_resources())
+            })?;
             epochs.push(epoch);
             merged = merged
                 .union(&theta)
-                .map_err(|e| format!("merging shard {shard} snapshot: {e}"))?;
+                .map_err(|e| format!("merging shard {index} snapshot: {e}"))?;
         }
         Ok((epochs, merged))
     }
 
-    /// Broadcasts a 2PC prepare to every shard. All shards must answer
-    /// `Prepared` for the prepare to stand; on any rejection, stale
-    /// epoch, error, or timeout the partial reservations are aborted and
-    /// the first non-prepared response is returned. Each shard installs
-    /// the full commitment set — terms at locations a shard does not own
-    /// are no-ops in its availability, so the union over shards
-    /// subtracts each term exactly once.
+    /// Phase one of two-phase commit: decide `request` against the
+    /// coordinator-supplied merged `basis` and, on accept, install the
+    /// commitments tentatively on every shard with a TTL. All shards
+    /// must hold the reservation for the prepare to stand; on a
+    /// rejection, stale epoch or error the partial reservations are
+    /// aborted and the first failing shard's answer is returned. Each
+    /// shard installs the full commitment set — terms at locations a
+    /// shard does not own are no-ops in its availability, so the union
+    /// over shards subtracts each term exactly once.
     pub(crate) fn prepare(
         &self,
         request: AdmissionRequest,
         basis: &ResourceSet,
         epochs: &[u64],
         ttl: Duration,
-        timeout: Duration,
     ) -> Response {
         if epochs.len() != self.shards() {
             return Response::Error {
@@ -548,83 +500,51 @@ impl ShardPool {
                 ),
             };
         }
+        // The verdict depends only on the basis and the request, so it
+        // is decided once, outside every lock: exactly the verdict a
+        // single merged node would have issued.
+        let verdict = self
+            .policy
+            .decide(&State::new(basis.clone(), TimePoint::ZERO), &request);
         let name = request.name().to_string();
-        let failure = self
-            .fan_out(0..self.shards(), timeout, |shard, reply| {
-                ShardMsg::Prepare {
-                    request: Box::new(request.clone()),
-                    basis: basis.clone(),
-                    expected_epoch: epochs[shard],
-                    ttl,
-                    reply,
-                }
-            })
-            .into_iter()
-            .find_map(|reply| match reply {
-                Ok(Response::Prepared { .. }) => None,
-                Ok(other) => Some(other),
-                Err(message) => Some(Response::Error { message }),
-            });
-        match failure {
-            None => Response::Prepared { name },
-            Some(response) => {
-                self.abort(&name, timeout);
-                response
+        for (index, &expected) in epochs.iter().enumerate() {
+            let failure = self
+                .locked(index, |state| {
+                    state.prepare(&request, &verdict, expected, ttl)
+                })
+                .unwrap_or_else(|message| Some(Response::Error { message }));
+            if let Some(failure) = failure {
+                self.abort(&name);
+                return failure;
             }
         }
+        Response::Prepared { name }
     }
 
-    /// Broadcasts a 2PC commit. If any shard cannot commit (its
-    /// reservation expired, or it timed out), already-committed shards
-    /// are compensated with an abort and the error is returned.
-    pub(crate) fn commit(&self, name: &str, timeout: Duration) -> Result<(), String> {
-        let outcome: Result<(), String> = self
-            .fan_out(0..self.shards(), timeout, |_, reply| ShardMsg::Commit {
-                name: name.to_string(),
-                reply,
-            })
-            .into_iter()
-            .try_for_each(|reply| reply.and_then(std::convert::identity));
+    /// Phase two: makes the named reservation permanent on every shard.
+    /// Idempotent for already-committed names. If any shard cannot
+    /// commit (its reservation expired), every shard is compensated
+    /// with an abort and the error is returned.
+    pub(crate) fn commit(&self, name: &str) -> Result<(), String> {
+        let outcome = (0..self.shards()).try_for_each(|index| {
+            self.locked(index, |state| state.commit(name))
+                .and_then(std::convert::identity)
+        });
         if outcome.is_err() {
-            self.abort(name, timeout);
+            self.abort(name);
         }
         outcome
     }
 
-    /// Broadcasts a 2PC abort; returns whether any shard actually
-    /// released a reservation (tentative or, compensating, committed).
-    pub(crate) fn abort(&self, name: &str, timeout: Duration) -> bool {
-        self.fan_out(0..self.shards(), timeout, |_, reply| ShardMsg::Abort {
-            name: name.to_string(),
-            reply,
-        })
-        .into_iter()
-        .any(|released| released.unwrap_or(false))
-    }
-}
-
-/// `SyncSender::send` with a deadline, built from `try_send` + park —
-/// std's `send_timeout` is unstable.
-trait SendTimeoutCompat<T> {
-    fn send_timeout_compat(&self, msg: T, timeout: Duration) -> Result<(), ()>;
-}
-
-impl<T> SendTimeoutCompat<T> for SyncSender<T> {
-    fn send_timeout_compat(&self, mut msg: T, timeout: Duration) -> Result<(), ()> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            match self.try_send(msg) {
-                Ok(()) => return Ok(()),
-                Err(TrySendError::Disconnected(_)) => return Err(()),
-                Err(TrySendError::Full(back)) => {
-                    if Instant::now() >= deadline {
-                        return Err(());
-                    }
-                    msg = back;
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-            }
+    /// Releases the named reservation on every shard (or compensates a
+    /// committed one after a failed commit round); returns whether any
+    /// shard actually released something.
+    pub(crate) fn abort(&self, name: &str) -> bool {
+        let mut released = false;
+        for index in 0..self.shards() {
+            released |= self.locked(index, |state| state.abort(name)) == Ok(true);
         }
+        released
     }
 }
 
@@ -647,17 +567,11 @@ struct Reservation {
     expires_at: Instant,
 }
 
-/// Everything a shard worker needs to serve — and to *rebuild* its
-/// controller after an unrecognized panic.
-struct ShardWorker<P> {
+/// Everything a shard's lock guards.
+struct ShardState {
     shard: usize,
-    policy: P,
-    /// The shard's original resource slice, kept for amnesiac restarts.
-    pristine: ResourceSet,
-    registry: Arc<Registry>,
-    journal: Arc<Journal<DecisionEvent>>,
+    controller: AdmissionController<SharedPolicy>,
     obs: Arc<ShardObs>,
-    faults: Option<Arc<FaultInjector>>,
     dedup: DecisionCache,
     /// Prepared-but-uncommitted 2PC holds, keyed by computation name.
     reservations: HashMap<String, Reservation>,
@@ -673,55 +587,24 @@ struct ShardWorker<P> {
     epoch: u64,
 }
 
-impl<P: AdmissionPolicy + Clone> ShardWorker<P> {
-    fn fresh_controller(&self) -> AdmissionController<P> {
-        AdmissionController::new(self.policy.clone(), self.pristine.clone(), TimePoint::ZERO)
-            .with_obs(
-                AdmissionObs::new(&self.registry, self.policy.name())
-                    .with_journal(Arc::clone(&self.journal)),
-            )
-    }
-
-    /// Runs until every sender is gone (server drop/drain), serving what
-    /// was already enqueued — the drain guarantee. Panics in the serve
-    /// loop restart the worker instead of killing it; only the message
-    /// being served is lost (its waiter gets `overloaded` via the
-    /// dropped reply sender).
-    fn run(mut self, rx: &Receiver<ShardMsg>) {
-        let mut controller = self.fresh_controller();
-        loop {
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                Self::serve(&mut self, &mut controller, rx)
-            }));
-            match outcome {
-                Ok(()) => return,
-                Err(payload) => {
-                    self.obs.restarts.inc();
-                    // An injected drill panics *before* the controller
-                    // mutates, so its state is intact. Anything else is
-                    // a real bug mid-decision: the controller may be
-                    // inconsistent, so rebuild from the pristine slice.
-                    // The dedup cache survives either way — already-
-                    // delivered verdicts stay authoritative. Tentative
-                    // reservations reference controller in-flight
-                    // entries, so the amnesiac rebuild forgets them
-                    // with the rest of the state.
-                    if !fault::is_injected_panic(payload.as_ref()) {
-                        controller = self.fresh_controller();
-                        self.reservations.clear();
-                        self.committed.clear();
-                        self.committed_order.clear();
-                        self.obs.reservations.set(0);
-                    }
-                }
-            }
-        }
+impl ShardState {
+    /// The amnesiac restart after an unrecognized panic: the controller
+    /// may be inconsistent, so it is replaced by `fresh`. Tentative and
+    /// committed 2PC holds reference the old controller's entries and
+    /// are forgotten with it. The dedup cache survives — verdicts
+    /// already delivered stay authoritative.
+    fn forget(&mut self, fresh: AdmissionController<SharedPolicy>) {
+        self.controller = fresh;
+        self.reservations.clear();
+        self.committed.clear();
+        self.committed_order.clear();
+        self.obs.reservations.set(0);
     }
 
     /// Withdraws every reservation whose TTL has lapsed — run lazily at
-    /// the head of every message, so expiry needs no timer thread and
-    /// is observable through any subsequent request (stats included).
-    fn sweep_expired(&mut self, controller: &mut AdmissionController<P>) {
+    /// the head of every locked section, so expiry needs no timer thread
+    /// and is observable through any subsequent request (stats included).
+    fn sweep_expired(&mut self) {
         if self.reservations.is_empty() {
             return;
         }
@@ -734,7 +617,7 @@ impl<P: AdmissionPolicy + Clone> ShardWorker<P> {
             .collect();
         for name in lapsed {
             if let Some(reservation) = self.reservations.remove(&name) {
-                controller.withdraw(&reservation.actors);
+                self.controller.withdraw(&reservation.actors);
                 self.epoch += 1;
                 self.obs.twopc_expired.inc();
             }
@@ -755,200 +638,158 @@ impl<P: AdmissionPolicy + Clone> ShardWorker<P> {
         }
     }
 
-    fn serve(&mut self, controller: &mut AdmissionController<P>, rx: &Receiver<ShardMsg>) {
-        while let Ok(msg) = rx.recv() {
-            self.obs.queue_depth.add(-1);
-            self.sweep_expired(controller);
-            match msg {
-                ShardMsg::Admit {
-                    request,
-                    enqueued,
-                    reply,
-                } => {
-                    let key = dedup_key(&request);
-                    match self.dedup.lookup(request.name(), key) {
-                        CacheLookup::Replay(verdict) => {
-                            self.obs.dedup_hits.inc();
-                            let verdict = verdict.clone();
-                            let _ = reply.try_send(verdict);
-                            continue;
-                        }
-                        CacheLookup::Conflict => {
-                            let _ = reply.try_send(Response::Error {
-                                message: format!(
-                                    "idempotency conflict: computation `{}` was already \
-                                     decided with different content; use a fresh name",
-                                    request.name()
-                                ),
-                            });
-                            continue;
-                        }
-                        CacheLookup::Miss => {}
-                    }
-                    if self
-                        .faults
-                        .as_ref()
-                        .is_some_and(|f| f.take_panic_ticket())
-                    {
-                        // Unwinding drops `reply`; the waiter sees a
-                        // disconnect and answers `overloaded`.
-                        panic!("{}", fault::INJECTED_PANIC);
-                    }
-                    // Pre-admission static analysis against this
-                    // shard's live supply: structurally broken
-                    // requests bounce with machine diagnostics before
-                    // the policy spends scheduling time on them.
-                    let demand = request.requirement().total_demand();
-                    let theta = controller.state().theta();
-                    let lint = prevalidate_request(request.computation(), theta, &demand);
-                    if lint.has_errors() {
-                        self.obs.lint_rejects.inc();
-                        let response = lint_response(&request, &lint, self.shard);
-                        self.dedup
-                            .insert(request.name().to_string(), key, response.clone());
-                        let _ = reply.try_send(response);
-                        continue;
-                    }
-                    let decision = controller.submit(&request);
-                    if matches!(decision, Decision::Accept(_)) {
-                        self.epoch += 1;
-                    }
-                    self.obs.request_ns.observe(
-                        u64::try_from(enqueued.elapsed().as_nanos()).unwrap_or(u64::MAX),
-                    );
-                    let response = decision_response(&request, &decision, self.shard);
-                    self.dedup
-                        .insert(request.name().to_string(), key, response.clone());
-                    // The waiter may have timed out and hung up; that's fine.
-                    let _ = reply.try_send(response);
-                }
-                ShardMsg::Offer { theta, reply } => {
-                    let result = controller.offer_resources(theta).map_err(|e| e.to_string());
-                    if result.is_ok() {
-                        self.epoch += 1;
-                    }
-                    let _ = reply.try_send(result);
-                }
-                ShardMsg::Stats { reply } => {
-                    let _ = reply.try_send(controller.stats());
-                }
-                ShardMsg::Snapshot { reply } => {
-                    let _ =
-                        reply.try_send((self.epoch, controller.state().expiring_resources()));
-                }
-                ShardMsg::Prepare {
-                    request,
-                    basis,
-                    expected_epoch,
-                    ttl,
-                    reply,
-                } => {
-                    let name = request.name().to_string();
-                    // Idempotent re-prepare: a coordinator retrying
-                    // after a lost reply refreshes the hold instead of
-                    // double-installing. Content is not re-verified —
-                    // names are the 2PC identity, as in the dedup cache.
-                    if let Some(reservation) = self.reservations.get_mut(&name) {
-                        reservation.expires_at = Instant::now() + ttl;
-                        let _ = reply.try_send(Response::Prepared { name });
-                        continue;
-                    }
-                    if self.committed.contains_key(&name) {
-                        let _ = reply.try_send(Response::Prepared { name });
-                        continue;
-                    }
-                    if expected_epoch != self.epoch {
-                        let _ = reply.try_send(Response::StaleEpoch {
-                            shard: self.shard,
-                            epoch: self.epoch,
-                            expected: expected_epoch,
-                        });
-                        continue;
-                    }
-                    // Decide against the coordinator's merged basis:
-                    // the same deterministic verdict every owner
-                    // reaches, and exactly the verdict a single merged
-                    // node would have issued.
-                    let decision = self
-                        .policy
-                        .decide(&State::new(basis, TimePoint::ZERO), &request);
-                    match decision {
-                        Decision::Reject(_) => {
-                            let _ = reply
-                                .try_send(decision_response(&request, &decision, self.shard));
-                        }
-                        Decision::Accept(commitments) => {
-                            let actors: Vec<ActorName> =
-                                commitments.iter().map(|c| c.actor().clone()).collect();
-                            match controller.install(commitments, request.deadline()) {
-                                Ok(()) => {
-                                    self.reservations.insert(
-                                        name.clone(),
-                                        Reservation {
-                                            actors,
-                                            expires_at: Instant::now() + ttl,
-                                        },
-                                    );
-                                    self.epoch += 1;
-                                    self.obs.twopc_prepared.inc();
-                                    self.obs
-                                        .reservations
-                                        .set(self.reservations.len() as i64);
-                                    let _ = reply.try_send(Response::Prepared { name });
-                                }
-                                Err(err) => {
-                                    let _ = reply.try_send(Response::Error {
-                                        message: format!(
-                                            "shard {}: prepared commitments not installable: \
-                                             {err}",
-                                            self.shard
-                                        ),
-                                    });
-                                }
-                            }
-                        }
-                    }
-                }
-                ShardMsg::Commit { name, reply } => {
-                    let result = if let Some(reservation) = self.reservations.remove(&name) {
-                        self.record_committed(name, reservation.actors);
-                        self.obs.twopc_committed.inc();
-                        self.obs.reservations.set(self.reservations.len() as i64);
-                        Ok(())
-                    } else if self.committed.contains_key(&name) {
-                        Ok(())
-                    } else {
-                        Err(format!(
-                            "shard {}: no reservation named `{name}` (expired or never \
-                             prepared)",
-                            self.shard
-                        ))
-                    };
-                    let _ = reply.try_send(result);
-                }
-                ShardMsg::Abort { name, reply } => {
-                    let released = if let Some(reservation) = self.reservations.remove(&name) {
-                        controller.withdraw(&reservation.actors);
-                        self.epoch += 1;
-                        self.obs.twopc_aborted.inc();
-                        self.obs.reservations.set(self.reservations.len() as i64);
-                        true
-                    } else if let Some(actors) = self.committed.remove(&name) {
-                        // Compensating abort: some other shard or node
-                        // failed its commit, so this already-committed
-                        // hold is rolled back to keep the cluster
-                        // atomic.
-                        self.committed_order.retain(|n| n != &name);
-                        controller.withdraw(&actors);
-                        self.epoch += 1;
-                        self.obs.twopc_aborted.inc();
-                        true
-                    } else {
-                        false
-                    };
-                    let _ = reply.try_send(released);
+    fn admit(
+        &mut self,
+        request: &AdmissionRequest,
+        arrived: Instant,
+        faults: Option<&FaultInjector>,
+    ) -> Response {
+        let key = dedup_key(request);
+        match self.dedup.lookup(request.name(), key) {
+            CacheLookup::Replay(verdict) => {
+                self.obs.dedup_hits.inc();
+                return verdict;
+            }
+            CacheLookup::Conflict => {
+                return Response::Error {
+                    message: format!(
+                        "idempotency conflict: computation `{}` was already decided with \
+                         different content; use a fresh name",
+                        request.name()
+                    ),
                 }
             }
+            CacheLookup::Miss => {}
+        }
+        if faults.is_some_and(FaultInjector::take_panic_ticket) {
+            panic!("{}", fault::INJECTED_PANIC);
+        }
+        // Pre-admission static analysis against this shard's live
+        // supply: structurally broken requests bounce with machine
+        // diagnostics before the policy spends scheduling time on them.
+        let demand = request.requirement().total_demand();
+        let lint = prevalidate_request(
+            request.computation(),
+            self.controller.state().theta(),
+            &demand,
+        );
+        let response = if lint.has_errors() {
+            self.obs.lint_rejects.inc();
+            lint_response(request, &lint, self.shard)
+        } else {
+            let decision = self.controller.submit(request);
+            if matches!(decision, Decision::Accept(_)) {
+                self.epoch += 1;
+            }
+            self.obs
+                .request_ns
+                .observe(u64::try_from(arrived.elapsed().as_nanos()).unwrap_or(u64::MAX));
+            decision_response(request, &decision, self.shard)
+        };
+        self.dedup
+            .insert(request.name().to_string(), key, response.clone());
+        response
+    }
+
+    fn offer(&mut self, theta: ResourceSet) -> Result<(), String> {
+        self.controller
+            .offer_resources(theta)
+            .map_err(|e| e.to_string())?;
+        self.epoch += 1;
+        Ok(())
+    }
+
+    /// This shard's half of a prepare whose `verdict` the pool already
+    /// decided: `None` once the shard holds the reservation, otherwise
+    /// the answer that fails the prepare.
+    fn prepare(
+        &mut self,
+        request: &AdmissionRequest,
+        verdict: &Decision,
+        expected_epoch: u64,
+        ttl: Duration,
+    ) -> Option<Response> {
+        let name = request.name();
+        // Idempotent re-prepare: a coordinator retrying after a lost
+        // reply refreshes the hold instead of double-installing. Content
+        // is not re-verified — names are the 2PC identity, as in the
+        // dedup cache.
+        if let Some(reservation) = self.reservations.get_mut(name) {
+            reservation.expires_at = Instant::now() + ttl;
+            return None;
+        }
+        if self.committed.contains_key(name) {
+            return None;
+        }
+        if expected_epoch != self.epoch {
+            return Some(Response::StaleEpoch {
+                shard: self.shard,
+                epoch: self.epoch,
+                expected: expected_epoch,
+            });
+        }
+        let Decision::Accept(commitments) = verdict else {
+            return Some(decision_response(request, verdict, self.shard));
+        };
+        let actors = commitments.iter().map(|c| c.actor().clone()).collect();
+        if let Err(err) = self
+            .controller
+            .install(commitments.clone(), request.deadline())
+        {
+            return Some(Response::Error {
+                message: format!(
+                    "shard {}: prepared commitments not installable: {err}",
+                    self.shard
+                ),
+            });
+        }
+        self.reservations.insert(
+            name.to_string(),
+            Reservation {
+                actors,
+                expires_at: Instant::now() + ttl,
+            },
+        );
+        self.epoch += 1;
+        self.obs.twopc_prepared.inc();
+        self.obs.reservations.set(self.reservations.len() as i64);
+        None
+    }
+
+    fn commit(&mut self, name: &str) -> Result<(), String> {
+        if let Some(reservation) = self.reservations.remove(name) {
+            self.record_committed(name.to_string(), reservation.actors);
+            self.obs.twopc_committed.inc();
+            self.obs.reservations.set(self.reservations.len() as i64);
+            Ok(())
+        } else if self.committed.contains_key(name) {
+            Ok(())
+        } else {
+            Err(format!(
+                "shard {}: no reservation named `{name}` (expired or never prepared)",
+                self.shard
+            ))
+        }
+    }
+
+    fn abort(&mut self, name: &str) -> bool {
+        if let Some(reservation) = self.reservations.remove(name) {
+            self.controller.withdraw(&reservation.actors);
+            self.epoch += 1;
+            self.obs.twopc_aborted.inc();
+            self.obs.reservations.set(self.reservations.len() as i64);
+            true
+        } else if let Some(actors) = self.committed.remove(name) {
+            // Compensating abort: some other shard or node failed its
+            // commit, so this already-committed hold is rolled back to
+            // keep the cluster atomic.
+            self.committed_order.retain(|n| n != name);
+            self.controller.withdraw(&actors);
+            self.epoch += 1;
+            self.obs.twopc_aborted.inc();
+            true
+        } else {
+            false
         }
     }
 }
@@ -1005,6 +846,7 @@ mod tests {
     use rota_admission::RotaPolicy;
     use rota_interval::TimeInterval;
     use rota_resource::{LocatedType, Rate, ResourceTerm};
+    use std::sync::atomic::AtomicBool;
 
     fn theta_at(locations: &[&str], rate: u64, end: u64) -> ResourceSet {
         ResourceSet::from_terms(locations.iter().map(|l| {
@@ -1061,15 +903,14 @@ mod tests {
         let registry = Arc::new(Registry::new());
         let journal = Arc::new(Journal::new(64));
         let theta = theta_at(&["l0", "l1"], 4, 16);
-        let (pool, handles) =
-            ShardPool::spawn(RotaPolicy, &theta, 2, 8, DEDUP_CAPACITY, &registry, &journal, None);
-        let timeout = Duration::from_secs(5);
+        let pool =
+            ShardPool::new(RotaPolicy, &theta, 2, 8, DEDUP_CAPACITY, &registry, &journal, None);
         // Feasible job at l0, infeasible (too much work) job at l1.
-        let yes = pool.admit(request_at("yes", "l0", 1, 16), timeout);
-        let no = pool.admit(request_at("no", "l1", 64, 16), timeout);
+        let yes = pool.admit(request_at("yes", "l0", 1, 16));
+        let no = pool.admit(request_at("no", "l1", 64, 16));
         assert!(matches!(yes, Response::Decision { accepted: true, .. }), "{yes:?}");
         assert!(matches!(no, Response::Decision { accepted: false, .. }), "{no:?}");
-        match pool.stats(timeout) {
+        match pool.stats() {
             Response::Stats { stats, shards } => {
                 assert_eq!(shards, 2);
                 assert_eq!(stats.accepted, 1);
@@ -1078,10 +919,6 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         assert_eq!(journal.len(), 2, "both verdicts journaled");
-        drop(pool);
-        for handle in handles {
-            handle.join().unwrap();
-        }
         let snap = registry.snapshot();
         let routed: u64 = (0..2)
             .map(|s| snap.counter(&format!("server.requests{{shard={s}}}")).unwrap())
@@ -1093,7 +930,7 @@ mod tests {
     fn offer_reaches_the_owning_shard() {
         let registry = Arc::new(Registry::new());
         let journal = Arc::new(Journal::new(8));
-        let (pool, handles) = ShardPool::spawn(
+        let pool = ShardPool::new(
             RotaPolicy,
             &ResourceSet::new(),
             2,
@@ -1103,20 +940,15 @@ mod tests {
             &journal,
             None,
         );
-        let timeout = Duration::from_secs(5);
         // Without resources the job is refused; after an offer it fits.
-        let before = pool.admit(request_at("j", "l0", 1, 16), timeout);
+        let before = pool.admit(request_at("j", "l0", 1, 16));
         assert!(matches!(before, Response::Decision { accepted: false, .. }));
-        match pool.offer(theta_at(&["l0"], 4, 16), timeout) {
+        match pool.offer(theta_at(&["l0"], 4, 16)) {
             Response::Offered { terms } => assert_eq!(terms, 1),
             other => panic!("unexpected {other:?}"),
         }
-        let after = pool.admit(request_at("j2", "l0", 1, 16), timeout);
+        let after = pool.admit(request_at("j2", "l0", 1, 16));
         assert!(matches!(after, Response::Decision { accepted: true, .. }), "{after:?}");
-        drop(pool);
-        for handle in handles {
-            handle.join().unwrap();
-        }
     }
 
     #[test]
@@ -1124,11 +956,10 @@ mod tests {
         let registry = Arc::new(Registry::new());
         let journal = Arc::new(Journal::new(64));
         let theta = theta_at(&["l0"], 4, 16);
-        let (pool, handles) =
-            ShardPool::spawn(RotaPolicy, &theta, 1, 8, DEDUP_CAPACITY, &registry, &journal, None);
-        let timeout = Duration::from_secs(5);
-        let first = pool.admit(request_at("same", "l0", 1, 16), timeout);
-        let again = pool.admit(request_at("same", "l0", 1, 16), timeout);
+        let pool =
+            ShardPool::new(RotaPolicy, &theta, 1, 8, DEDUP_CAPACITY, &registry, &journal, None);
+        let first = pool.admit(request_at("same", "l0", 1, 16));
+        let again = pool.admit(request_at("same", "l0", 1, 16));
         assert_eq!(first, again, "idempotent by request content");
         // Only the first submission reached the controller.
         assert_eq!(journal.len(), 1);
@@ -1138,10 +969,6 @@ mod tests {
                 .counter("server.shard.dedup_hits{shard=0}"),
             Some(1)
         );
-        drop(pool);
-        for handle in handles {
-            handle.join().unwrap();
-        }
     }
 
     #[test]
@@ -1154,14 +981,13 @@ mod tests {
         let registry = Arc::new(Registry::new());
         let journal = Arc::new(Journal::new(64));
         let theta = theta_at(&["l0"], 4, 16);
-        let (pool, handles) =
-            ShardPool::spawn(RotaPolicy, &theta, 1, 8, DEDUP_CAPACITY, &registry, &journal, None);
-        let timeout = Duration::from_secs(5);
-        let first = pool.admit(request_at("same", "l0", 1, 16), timeout);
+        let pool =
+            ShardPool::new(RotaPolicy, &theta, 1, 8, DEDUP_CAPACITY, &registry, &journal, None);
+        let first = pool.admit(request_at("same", "l0", 1, 16));
         assert!(matches!(first, Response::Decision { accepted: true, .. }), "{first:?}");
         // Same name, different body: neither the stale verdict nor a
         // double commit — an explicit conflict.
-        let conflicting = pool.admit(request_at("same", "l0", 2, 16), timeout);
+        let conflicting = pool.admit(request_at("same", "l0", 2, 16));
         match &conflicting {
             Response::Error { message } => {
                 assert!(message.contains("idempotency conflict"), "{message}");
@@ -1178,13 +1004,9 @@ mod tests {
             "a conflict is not a dedup hit"
         );
         // An identical retry of the first body still dedups.
-        let replay = pool.admit(request_at("same", "l0", 1, 16), timeout);
+        let replay = pool.admit(request_at("same", "l0", 1, 16));
         assert_eq!(replay, first);
         assert_eq!(journal.len(), 1, "the replay was served from cache");
-        drop(pool);
-        for handle in handles {
-            handle.join().unwrap();
-        }
     }
 
     #[test]
@@ -1192,12 +1014,11 @@ mod tests {
         let registry = Arc::new(Registry::new());
         let journal = Arc::new(Journal::new(64));
         let theta = theta_at(&["l0"], 4, 16);
-        let (pool, handles) =
-            ShardPool::spawn(RotaPolicy, &theta, 1, 8, DEDUP_CAPACITY, &registry, &journal, None);
-        let timeout = Duration::from_secs(5);
+        let pool =
+            ShardPool::new(RotaPolicy, &theta, 1, 8, DEDUP_CAPACITY, &registry, &journal, None);
         // Demand at a location with no declared supply: R0006, decided
         // by the analyzer, never by the policy.
-        let bounced = pool.admit(request_at("ghost", "l9", 1, 16), timeout);
+        let bounced = pool.admit(request_at("ghost", "l9", 1, 16));
         match &bounced {
             Response::Decision {
                 accepted,
@@ -1224,10 +1045,6 @@ mod tests {
                 .counter("server.shard.lint_rejects{shard=0}"),
             Some(1)
         );
-        drop(pool);
-        for handle in handles {
-            handle.join().unwrap();
-        }
     }
 
     /// The diagnostics of a pre-admission lint bounce, as
@@ -1260,8 +1077,8 @@ mod tests {
         let registry = Arc::new(Registry::new());
         let journal = Arc::new(Journal::new(64));
         let theta = theta_at(&["l0"], 4, 64);
-        let (pool, handles) =
-            ShardPool::spawn(RotaPolicy, &theta, 1, 8, DEDUP_CAPACITY, &registry, &journal, None);
+        let pool =
+            ShardPool::new(RotaPolicy, &theta, 1, 8, DEDUP_CAPACITY, &registry, &journal, None);
         let twin = || ActorComputation::new("twin", "l0").then(ActionKind::evaluate());
         let request = AdmissionRequest::price(
             DistributedComputation::new("dup", vec![twin(), twin()], TimePoint::ZERO, TimePoint::new(64))
@@ -1269,15 +1086,11 @@ mod tests {
             &TableCostModel::paper(),
             Granularity::MaximalRun,
         );
-        let diagnostics = lint_bounce(&pool.admit(request, Duration::from_secs(5)));
+        let diagnostics = lint_bounce(&pool.admit(request));
         assert_eq!(diagnostics.len(), 1, "{diagnostics:?}");
         assert_eq!(diagnostics[0].0, "R0005");
         assert_eq!(diagnostics[0].1, "computation.actors[1].name");
         assert_eq!(journal.len(), 0, "the policy was never consulted");
-        drop(pool);
-        for handle in handles {
-            handle.join().unwrap();
-        }
     }
 
     #[test]
@@ -1296,8 +1109,8 @@ mod tests {
         let registry = Arc::new(Registry::new());
         let journal = Arc::new(Journal::new(64));
         let theta = theta_at(&[home, away], 4, 64);
-        let (pool, handles) =
-            ShardPool::spawn(RotaPolicy, &theta, 2, 8, DEDUP_CAPACITY, &registry, &journal, None);
+        let pool =
+            ShardPool::new(RotaPolicy, &theta, 2, 8, DEDUP_CAPACITY, &registry, &journal, None);
         let gamma = ActorComputation::new("mover", home)
             .then(ActionKind::evaluate())
             .then(ActionKind::migrate(away))
@@ -1309,7 +1122,7 @@ mod tests {
             Granularity::MaximalRun,
         );
         assert_eq!(route_request(&request, 2), 0);
-        let diagnostics = lint_bounce(&pool.admit(request, Duration::from_secs(5)));
+        let diagnostics = lint_bounce(&pool.admit(request));
         assert!(!diagnostics.is_empty());
         for (code, path, message) in &diagnostics {
             assert_eq!(code, "R0006");
@@ -1317,10 +1130,6 @@ mod tests {
             assert!(message.contains(away), "{message}");
         }
         assert_eq!(journal.len(), 0, "the policy was never consulted");
-        drop(pool);
-        for handle in handles {
-            handle.join().unwrap();
-        }
     }
 
     #[test]
@@ -1369,29 +1178,215 @@ mod tests {
             },
             &registry,
         ));
-        let (pool, handles) =
-            ShardPool::spawn(RotaPolicy, &theta, 1, 8, DEDUP_CAPACITY, &registry, &journal, Some(faults));
-        let timeout = Duration::from_secs(5);
+        let pool =
+            ShardPool::new(RotaPolicy, &theta, 1, 8, DEDUP_CAPACITY, &registry, &journal, Some(faults));
         // First admit fills the shard's slice partially and succeeds.
-        let first = pool.admit(request_at("p1", "l0", 1, 16), timeout);
+        let first = pool.admit(request_at("p1", "l0", 1, 16));
         assert!(matches!(first, Response::Decision { accepted: true, .. }), "{first:?}");
         // Second admit trips the drill: the worker panics with our
         // request in hand, so we get the honest `overloaded` bounce.
-        let bounced = pool.admit(request_at("p2", "l0", 1, 16), timeout);
+        let bounced = pool.admit(request_at("p2", "l0", 1, 16));
         assert!(matches!(bounced, Response::Overloaded { shard: 0 }), "{bounced:?}");
         // The worker restarted with its controller intact: the retry is
         // decided normally, and the first verdict is still cached.
-        let retried = pool.admit(request_at("p2", "l0", 1, 16), timeout);
+        let retried = pool.admit(request_at("p2", "l0", 1, 16));
         assert!(matches!(retried, Response::Decision { .. }), "{retried:?}");
-        let replay = pool.admit(request_at("p1", "l0", 1, 16), timeout);
+        let replay = pool.admit(request_at("p1", "l0", 1, 16));
         assert_eq!(replay, first, "dedup cache survived the restart");
         let snap = registry.snapshot();
         assert_eq!(snap.counter("server.shard.restarts{shard=0}"), Some(1));
         assert_eq!(snap.counter("server.faults.panic"), Some(1));
-        drop(pool);
-        for handle in handles {
-            handle.join().unwrap();
+    }
+
+    /// A location owned by `shard` of `shards`.
+    fn location_on(shard: usize, shards: usize) -> String {
+        (0..64)
+            .map(|i| format!("l{i}"))
+            .find(|l| shard_of(&Location::new(l), shards) == shard)
+            .unwrap()
+    }
+
+    /// Decides like [`RotaPolicy`], but panics with an ordinary (not
+    /// injected) payload on the request named `doomed` — a stand-in
+    /// for a genuine controller bug.
+    #[derive(Clone)]
+    struct BuggyPolicy {
+        doomed: &'static str,
+    }
+
+    impl AdmissionPolicy for BuggyPolicy {
+        fn name(&self) -> &'static str {
+            "buggy"
         }
+
+        fn decide(&self, state: &State, request: &AdmissionRequest) -> Decision {
+            if request.name() == self.doomed {
+                panic!("policy bug deciding `{}`", self.doomed);
+            }
+            RotaPolicy.decide(state, request)
+        }
+    }
+
+    #[test]
+    fn unrecognized_panic_rebuilds_only_its_shard() {
+        let (home, other) = (location_on(0, 2), location_on(1, 2));
+        let registry = Arc::new(Registry::new());
+        let journal = Arc::new(Journal::new(64));
+        let theta = theta_at(&[&home, &other], 4, 16);
+        let pool = ShardPool::new(
+            BuggyPolicy { doomed: "boom" },
+            &theta,
+            2,
+            8,
+            DEDUP_CAPACITY,
+            &registry,
+            &journal,
+            None,
+        );
+        let kept = pool.admit(request_at("kept", &other, 1, 16));
+        assert!(
+            matches!(
+                kept,
+                Response::Decision {
+                    accepted: true,
+                    shard: 1,
+                    ..
+                }
+            ),
+            "{kept:?}"
+        );
+        let (_, supply_with_only_kept) = pool.cluster_state().unwrap();
+        let lost = pool.admit(request_at("lost", &home, 1, 16));
+        assert!(
+            matches!(
+                lost,
+                Response::Decision {
+                    accepted: true,
+                    shard: 0,
+                    ..
+                }
+            ),
+            "{lost:?}"
+        );
+        let boom = pool.admit(request_at("boom", &home, 1, 16));
+        assert!(
+            matches!(boom, Response::Overloaded { shard: 0 }),
+            "{boom:?}"
+        );
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter("server.shard.restarts{shard=0}"), Some(1));
+        assert_eq!(
+            snap.counter("server.shard.restarts{shard=1}").unwrap_or(0),
+            0
+        );
+        assert_eq!(snap.counter("server.overloaded{shard=0}"), Some(1));
+        // Shard 0 came back from its pristine slice and forgot `lost`;
+        // shard 1 still holds `kept`.
+        assert_eq!(pool.cluster_state().unwrap().1, supply_with_only_kept);
+        match pool.stats() {
+            Response::Stats { stats, .. } => assert_eq!(stats.accepted, 1, "only `kept` survives"),
+            other => panic!("unexpected {other:?}"),
+        }
+        // The lock was not poisoned: the rebuilt shard decides again.
+        let after = pool.admit(request_at("after", &home, 1, 16));
+        assert!(
+            matches!(
+                after,
+                Response::Decision {
+                    accepted: true,
+                    shard: 0,
+                    ..
+                }
+            ),
+            "{after:?}"
+        );
+    }
+
+    /// Decides like [`RotaPolicy`], but a request from `slow` sleeps in
+    /// the policy until `release` is set (at most 10 s).
+    #[derive(Clone)]
+    struct GatedPolicy {
+        slow: Location,
+        entered: Arc<AtomicBool>,
+        release: Arc<AtomicBool>,
+    }
+
+    impl AdmissionPolicy for GatedPolicy {
+        fn name(&self) -> &'static str {
+            "gated"
+        }
+
+        fn decide(&self, state: &State, request: &AdmissionRequest) -> Decision {
+            if request.computation().actors()[0].origin() == &self.slow {
+                self.entered.store(true, Ordering::SeqCst);
+                let give_up = Instant::now() + Duration::from_secs(10);
+                while !self.release.load(Ordering::SeqCst) && Instant::now() < give_up {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            }
+            RotaPolicy.decide(state, request)
+        }
+    }
+
+    #[test]
+    fn a_busy_shard_does_not_block_another() {
+        let (slow, fast) = (location_on(0, 2), location_on(1, 2));
+        let entered = Arc::new(AtomicBool::new(false));
+        let release = Arc::new(AtomicBool::new(false));
+        let policy = GatedPolicy {
+            slow: Location::new(slow.as_str()),
+            entered: Arc::clone(&entered),
+            release: Arc::clone(&release),
+        };
+        let registry = Arc::new(Registry::new());
+        let journal = Arc::new(Journal::new(64));
+        let theta = theta_at(&[&slow, &fast], 4, 16);
+        let pool = ShardPool::new(
+            policy,
+            &theta,
+            2,
+            8,
+            DEDUP_CAPACITY,
+            &registry,
+            &journal,
+            None,
+        );
+        std::thread::scope(|scope| {
+            let held = scope.spawn(|| pool.admit(request_at("held", &slow, 1, 16)));
+            while !entered.load(Ordering::SeqCst) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            // Shard 0 is locked inside the policy; shard 1 answers anyway.
+            let quick = pool.admit(request_at("quick", &fast, 1, 16));
+            assert!(
+                matches!(
+                    quick,
+                    Response::Decision {
+                        accepted: true,
+                        shard: 1,
+                        ..
+                    }
+                ),
+                "{quick:?}"
+            );
+            assert!(
+                !held.is_finished(),
+                "the other shard's admit came back first"
+            );
+            release.store(true, Ordering::SeqCst);
+            let held = held.join().unwrap();
+            assert!(
+                matches!(
+                    held,
+                    Response::Decision {
+                        accepted: true,
+                        shard: 0,
+                        ..
+                    }
+                ),
+                "{held:?}"
+            );
+        });
     }
 
     #[test]
@@ -1439,15 +1434,14 @@ mod tests {
         let registry = Arc::new(Registry::new());
         let journal = Arc::new(Journal::new(64));
         let theta = theta_at(&["l0"], 4, 16);
-        let (pool, handles) =
-            ShardPool::spawn(RotaPolicy, &theta, 1, 8, 1, &registry, &journal, None);
-        let timeout = Duration::from_secs(5);
-        let first = pool.admit(request_at("a", "l0", 1, 16), timeout);
+        let pool =
+            ShardPool::new(RotaPolicy, &theta, 1, 8, 1, &registry, &journal, None);
+        let first = pool.admit(request_at("a", "l0", 1, 16));
         assert!(matches!(first, Response::Decision { accepted: true, .. }), "{first:?}");
         // Capacity is 1: admitting `b` evicts `a` from the cache.
-        let second = pool.admit(request_at("b", "l0", 1, 16), timeout);
+        let second = pool.admit(request_at("b", "l0", 1, 16));
         assert!(matches!(second, Response::Decision { accepted: true, .. }), "{second:?}");
-        let resub = pool.admit(request_at("a", "l0", 1, 16), timeout);
+        let resub = pool.admit(request_at("a", "l0", 1, 16));
         match &resub {
             Response::Decision {
                 accepted, reason, ..
@@ -1457,7 +1451,7 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-        match pool.stats(timeout) {
+        match pool.stats() {
             Response::Stats { stats, .. } => {
                 assert_eq!(stats.accepted, 2, "`a` committed exactly once");
                 assert_eq!(stats.rejected, 1);
@@ -1472,10 +1466,6 @@ mod tests {
             0,
             "the duplicate install is handled, not panicked on"
         );
-        drop(pool);
-        for handle in handles {
-            handle.join().unwrap();
-        }
     }
 
     #[test]
@@ -1483,7 +1473,7 @@ mod tests {
         let registry = Arc::new(Registry::new());
         let journal = Arc::new(Journal::new(64));
         let theta = theta_at(&["l0"], 4, 16);
-        let (pool, handles) = ShardPool::spawn(
+        let pool = ShardPool::new(
             RotaPolicy,
             &theta,
             1,
@@ -1493,35 +1483,34 @@ mod tests {
             &journal,
             None,
         );
-        let timeout = Duration::from_secs(5);
         let ttl = Duration::from_secs(30);
-        let (epochs, basis) = pool.cluster_state(timeout).unwrap();
+        let (epochs, basis) = pool.cluster_state().unwrap();
         assert_eq!(epochs, vec![0]);
         assert_eq!(basis, theta, "untouched node offers its full supply");
         // Prepare holds the supply tentatively and bumps the epoch.
-        let prepared = pool.prepare(request_at("r1", "l0", 1, 16), &basis, &epochs, ttl, timeout);
+        let prepared = pool.prepare(request_at("r1", "l0", 1, 16), &basis, &epochs, ttl);
         assert!(matches!(&prepared, Response::Prepared { name } if name == "r1"), "{prepared:?}");
-        let (epochs2, basis2) = pool.cluster_state(timeout).unwrap();
+        let (epochs2, basis2) = pool.cluster_state().unwrap();
         assert_eq!(epochs2, vec![1]);
         assert_ne!(basis2, theta, "the reservation is excluded from the snapshot");
         // A prepare against the stale basis is refused, not mis-decided.
-        let stale = pool.prepare(request_at("r2", "l0", 1, 16), &basis, &epochs, ttl, timeout);
+        let stale = pool.prepare(request_at("r2", "l0", 1, 16), &basis, &epochs, ttl);
         assert!(matches!(stale, Response::StaleEpoch { shard: 0, .. }), "{stale:?}");
         // Re-preparing the same name refreshes instead of double-holding.
-        let again = pool.prepare(request_at("r1", "l0", 1, 16), &basis, &epochs, ttl, timeout);
+        let again = pool.prepare(request_at("r1", "l0", 1, 16), &basis, &epochs, ttl);
         assert!(matches!(&again, Response::Prepared { name } if name == "r1"), "{again:?}");
-        assert_eq!(pool.cluster_state(timeout).unwrap().0, vec![1], "no second install");
+        assert_eq!(pool.cluster_state().unwrap().0, vec![1], "no second install");
         // Commit is permanent and idempotent.
-        pool.commit("r1", timeout).unwrap();
-        pool.commit("r1", timeout).unwrap();
+        pool.commit("r1").unwrap();
+        pool.commit("r1").unwrap();
         // Abort of a fresh reservation releases its supply.
-        let (epochs3, basis3) = pool.cluster_state(timeout).unwrap();
-        let r2 = pool.prepare(request_at("r2", "l0", 1, 16), &basis3, &epochs3, ttl, timeout);
+        let (epochs3, basis3) = pool.cluster_state().unwrap();
+        let r2 = pool.prepare(request_at("r2", "l0", 1, 16), &basis3, &epochs3, ttl);
         assert!(matches!(r2, Response::Prepared { .. }), "{r2:?}");
-        assert!(pool.abort("r2", timeout));
-        assert!(!pool.abort("r2", timeout), "second abort finds nothing");
+        assert!(pool.abort("r2"));
+        assert!(!pool.abort("r2"), "second abort finds nothing");
         assert_eq!(
-            pool.cluster_state(timeout).unwrap().1,
+            pool.cluster_state().unwrap().1,
             basis3,
             "abort restored the supply"
         );
@@ -1529,10 +1518,6 @@ mod tests {
         assert_eq!(snap.counter("server.twopc.prepared{shard=0}"), Some(2));
         assert_eq!(snap.counter("server.twopc.committed{shard=0}"), Some(1));
         assert_eq!(snap.counter("server.twopc.aborted{shard=0}"), Some(1));
-        drop(pool);
-        for handle in handles {
-            handle.join().unwrap();
-        }
     }
 
     #[test]
@@ -1550,33 +1535,28 @@ mod tests {
         let registry = Arc::new(Registry::new());
         let journal = Arc::new(Journal::new(64));
         let theta = theta_at(&[&home, &other], 4, 16);
-        let (pool, handles) =
-            ShardPool::spawn(RotaPolicy, &theta, 2, 8, DEDUP_CAPACITY, &registry, &journal, None);
-        let timeout = Duration::from_secs(5);
+        let pool =
+            ShardPool::new(RotaPolicy, &theta, 2, 8, DEDUP_CAPACITY, &registry, &journal, None);
         let ttl = Duration::from_secs(30);
-        let (stale_epochs, _) = pool.cluster_state(timeout).unwrap();
+        let (stale_epochs, _) = pool.cluster_state().unwrap();
         // An accepted admit on shard 1 moves its epoch, not shard 0's.
-        let moved = pool.admit(request_at("mover", &other, 1, 16), timeout);
+        let moved = pool.admit(request_at("mover", &other, 1, 16));
         assert!(matches!(moved, Response::Decision { accepted: true, .. }), "{moved:?}");
-        let (epochs, basis) = pool.cluster_state(timeout).unwrap();
+        let (epochs, basis) = pool.cluster_state().unwrap();
         assert_eq!(epochs, vec![stale_epochs[0], stale_epochs[1] + 1]);
-        let stale = pool.prepare(request_at("held", &home, 1, 16), &basis, &stale_epochs, ttl, timeout);
+        let stale = pool.prepare(request_at("held", &home, 1, 16), &basis, &stale_epochs, ttl);
         match &stale {
             Response::StaleEpoch { shard, epoch, expected } => {
                 assert_eq!((*shard, *epoch, *expected), (1, epochs[1], stale_epochs[1]));
             }
             other => panic!("expected a stale-epoch answer, got {other:?}"),
         }
-        assert_eq!(pool.cluster_state(timeout).unwrap().1, basis, "shard 0 keeps no hold");
+        assert_eq!(pool.cluster_state().unwrap().1, basis, "shard 0 keeps no hold");
         let snap = registry.snapshot();
         assert_eq!(snap.gauge("server.shard.reservations{shard=0}"), Some(0));
         assert_eq!(snap.gauge("server.shard.reservations{shard=1}"), Some(0));
         assert_eq!(snap.counter("server.twopc.prepared{shard=0}"), Some(1));
         assert_eq!(snap.counter("server.twopc.aborted{shard=0}"), Some(1));
-        drop(pool);
-        for handle in handles {
-            handle.join().unwrap();
-        }
     }
 
     #[test]
@@ -1584,7 +1564,7 @@ mod tests {
         let registry = Arc::new(Registry::new());
         let journal = Arc::new(Journal::new(64));
         let theta = theta_at(&["l0"], 4, 16);
-        let (pool, handles) = ShardPool::spawn(
+        let pool = ShardPool::new(
             RotaPolicy,
             &theta,
             1,
@@ -1594,23 +1574,21 @@ mod tests {
             &journal,
             None,
         );
-        let timeout = Duration::from_secs(5);
-        let (epochs, basis) = pool.cluster_state(timeout).unwrap();
+        let (epochs, basis) = pool.cluster_state().unwrap();
         let prepared = pool.prepare(
             request_at("t1", "l0", 1, 16),
             &basis,
             &epochs,
             Duration::from_millis(30),
-            timeout,
         );
         assert!(matches!(prepared, Response::Prepared { .. }), "{prepared:?}");
         std::thread::sleep(Duration::from_millis(60));
         // The lazy sweep runs at the head of the next message: the
         // commit arrives too late and the hold is gone.
-        let err = pool.commit("t1", timeout).unwrap_err();
+        let err = pool.commit("t1").unwrap_err();
         assert!(err.contains("expired or never prepared"), "{err}");
         assert_eq!(
-            pool.cluster_state(timeout).unwrap().1,
+            pool.cluster_state().unwrap().1,
             theta,
             "expiry returned the supply — nothing leaked"
         );
@@ -1618,9 +1596,5 @@ mod tests {
             registry.snapshot().counter("server.twopc.expired{shard=0}"),
             Some(1)
         );
-        drop(pool);
-        for handle in handles {
-            handle.join().unwrap();
-        }
     }
 }

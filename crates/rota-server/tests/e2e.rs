@@ -328,7 +328,8 @@ fn protocol_shutdown_drains_and_stops_accepting() {
 
     let bye = roundtrip(&mut stream, &mut reader, "{\"op\":\"shutdown\"}");
     assert_eq!(bye.get("op").and_then(Json::as_str), Some("bye"));
-    // Joining must complete promptly: shard workers drain and exit.
+    // Joining must complete promptly: in-flight calls finish and the
+    // acceptor exits.
     let started = Instant::now();
     server.shutdown();
     assert!(
