@@ -25,6 +25,23 @@ pub enum Granularity {
     MaximalRun,
 }
 
+impl Granularity {
+    /// The name specs, the wire protocol and `--granularity` use.
+    pub fn name(self) -> &'static str {
+        match self {
+            Granularity::PerAction => "per-action",
+            Granularity::MaximalRun => "maximal-run",
+        }
+    }
+
+    /// The granularity called `name`, if there is one.
+    pub fn from_name(name: &str) -> Option<Granularity> {
+        [Granularity::PerAction, Granularity::MaximalRun]
+            .into_iter()
+            .find(|g| g.name() == name)
+    }
+}
+
 /// Splits per-action demands into segment demands according to
 /// `granularity`. Empty demands are folded into the following segment (or
 /// dropped at the tail) — an action with no cost needs no resources and

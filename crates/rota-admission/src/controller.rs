@@ -259,7 +259,7 @@ impl<P: AdmissionPolicy> AdmissionController<P> {
         self.in_flight.push((installed, deadline));
         self.stats.accepted += 1;
         if let Some(obs) = &self.obs {
-            obs.set_in_flight(self.in_flight.len());
+            obs.add_in_flight(1);
         }
         Ok(())
     }
@@ -285,7 +285,7 @@ impl<P: AdmissionPolicy> AdmissionController<P> {
         self.in_flight.remove(pos);
         self.stats.accepted = self.stats.accepted.saturating_sub(1);
         if let Some(obs) = &self.obs {
-            obs.set_in_flight(self.in_flight.len());
+            obs.add_in_flight(-1);
         }
         true
     }
@@ -358,7 +358,8 @@ impl<P: AdmissionPolicy> AdmissionController<P> {
     /// the dead commitment is evicted so it stops consuming resources).
     fn settle(&mut self) {
         let now = self.state.now();
-        let mut still = Vec::with_capacity(self.in_flight.len());
+        let before = self.in_flight.len();
+        let mut still = Vec::with_capacity(before);
         for (actors, deadline) in std::mem::take(&mut self.in_flight) {
             let all_done = actors.iter().all(|a| self.state.rho().get(a).is_none());
             if all_done {
@@ -374,7 +375,7 @@ impl<P: AdmissionPolicy> AdmissionController<P> {
         }
         self.in_flight = still;
         if let Some(obs) = &self.obs {
-            obs.set_in_flight(self.in_flight.len());
+            obs.add_in_flight(-((before - self.in_flight.len()) as i64));
         }
     }
 
@@ -419,7 +420,7 @@ impl<P: AdmissionPolicy> AdmissionController<P> {
         self.in_flight.remove(pos);
         self.stats.withdrawn += 1;
         if let Some(obs) = &self.obs {
-            obs.set_in_flight(self.in_flight.len());
+            obs.add_in_flight(-1);
         }
         true
     }

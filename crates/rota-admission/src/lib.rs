@@ -31,7 +31,7 @@ mod request;
 pub use controller::{AdmissionController, ControllerStats, ExecutionStrategy};
 pub use obs::AdmissionObs;
 pub use policy::{
-    edf_assignments, AdmissionPolicy, Decision, GreedyEdfPolicy, NaiveTotalPolicy,
-    OptimisticPolicy, RejectReason, RotaPolicy,
+    edf_assignments, standard_policies, AdmissionPolicy, Decision, GreedyEdfPolicy,
+    NaiveTotalPolicy, OptimisticPolicy, RejectReason, RotaPolicy, SharedPolicy, StandardPolicy,
 };
 pub use request::AdmissionRequest;

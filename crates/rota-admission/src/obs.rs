@@ -80,9 +80,11 @@ impl AdmissionObs {
         self.decide_ns.observe(nanos);
     }
 
-    /// Tracks how many admitted computations are still executing.
-    pub fn set_in_flight(&self, n: usize) {
-        self.in_flight.set(n as i64);
+    /// Moves the count of admitted computations still executing by
+    /// `delta`. Every controller sharing the policy label adds its own
+    /// changes, so the gauge reads their sum.
+    pub fn add_in_flight(&self, delta: i64) {
+        self.in_flight.add(delta);
     }
 
     /// Counts the LTS rule realized by an executed transition.
@@ -113,7 +115,7 @@ mod tests {
         obs.count_decision(true);
         obs.count_decision(false);
         obs.count_decision(false);
-        obs.set_in_flight(1);
+        obs.add_in_flight(1);
         obs.observe_decide_ns(5_000);
         obs.count_transition(&TransitionLabel::Accommodate {
             actor: ActorName::new("a1"),

@@ -13,10 +13,12 @@
 //! actor).
 
 use core::fmt;
+use std::sync::Arc;
 
 use rota_logic::{schedule_concurrent, Commitment, State};
 use rota_resource::Quantity;
 
+use crate::controller::ExecutionStrategy;
 use crate::request::AdmissionRequest;
 
 /// The outcome of an admission decision.
@@ -104,7 +106,7 @@ pub trait AdmissionPolicy {
 
 /// A shared policy decides as the policy it points to, so one policy
 /// (or a `dyn` one) can serve several controllers.
-impl<P: AdmissionPolicy + ?Sized> AdmissionPolicy for std::sync::Arc<P> {
+impl<P: AdmissionPolicy + ?Sized> AdmissionPolicy for Arc<P> {
     fn name(&self) -> &'static str {
         (**self).name()
     }
@@ -261,6 +263,45 @@ impl AdmissionPolicy for GreedyEdfPolicy {
             })
         }
     }
+}
+
+/// A policy that several controllers, on several threads, decide with.
+pub type SharedPolicy = Arc<dyn AdmissionPolicy + Send + Sync>;
+
+/// One of the four standard policies: ROTA or one of the baselines it
+/// is measured against.
+pub struct StandardPolicy {
+    /// The name `--policy` selects it by: `naive` and `edf` stand for
+    /// the policies whose labels are `naive-total` and `greedy-edf`.
+    pub name: &'static str,
+    /// The policy.
+    pub policy: SharedPolicy,
+    /// How a simulated controller executes the work it admits: ROTA
+    /// runs its reservations, the baselines run earliest deadline first.
+    pub strategy: ExecutionStrategy,
+}
+
+impl StandardPolicy {
+    /// The standard policy named `name`, if there is one.
+    pub fn named(name: &str) -> Option<StandardPolicy> {
+        standard_policies().into_iter().find(|p| p.name == name)
+    }
+}
+
+/// ROTA and its three baselines, in the order reports list them.
+pub fn standard_policies() -> [StandardPolicy; 4] {
+    use ExecutionStrategy::{EarliestDeadline, FirstEntitled};
+    let rows: [(&'static str, SharedPolicy, ExecutionStrategy); 4] = [
+        ("rota", Arc::new(RotaPolicy), FirstEntitled),
+        ("edf", Arc::new(GreedyEdfPolicy), EarliestDeadline),
+        ("naive", Arc::new(NaiveTotalPolicy), EarliestDeadline),
+        ("optimistic", Arc::new(OptimisticPolicy), EarliestDeadline),
+    ];
+    rows.map(|(name, policy, strategy)| StandardPolicy {
+        name,
+        policy,
+        strategy,
+    })
 }
 
 /// Earliest-deadline-first maximal assignment: every available located

@@ -150,17 +150,6 @@ impl Diagnostic {
         }
         Json::Obj(pairs)
     }
-
-    /// Decodes the machine form back into a diagnostic-like view
-    /// (code/severity/message/path; spans and notes are optional).
-    /// Used by clients displaying server-side rejections.
-    pub fn summary_from_json(value: &Json) -> Option<(String, String, String)> {
-        Some((
-            value.get("code")?.as_str()?.to_string(),
-            value.get("severity")?.as_str()?.to_string(),
-            value.get("message")?.as_str()?.to_string(),
-        ))
-    }
 }
 
 /// The outcome of an analysis run: diagnostics in pass order, errors

@@ -158,7 +158,7 @@ fn emit_policy_figure(
     metric: impl Fn(&PolicyRow) -> f64,
 ) {
     println!("\n# {title}");
-    let policies = ["rota", "greedy-edf", "naive-total", "optimistic"];
+    let policies = rota_admission::standard_policies().map(|p| p.policy.name());
     if csv {
         println!("{x_name},{}", policies.join(","));
     } else {

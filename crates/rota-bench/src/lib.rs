@@ -9,6 +9,7 @@ use rota_actor::Granularity;
 use rota_admission::{ExecutionStrategy, RotaPolicy};
 use rota_interval::TimePoint;
 use rota_logic::{exhaustive_schedule_exists, schedule_complex};
+use rota_obs::Registry;
 use rota_sim::{compare_policies, run_scenario, SimulationReport};
 use rota_workload::{build_scenario, JobShape, WorkloadConfig};
 
@@ -37,7 +38,7 @@ pub fn load_sweep(seed: u64, loads_pct: &[u32]) -> Vec<PolicyRow> {
     for &pct in loads_pct {
         let config = sweep_config(seed).with_load(pct as f64 / 100.0);
         let scenario = build_scenario(&config);
-        for (policy, report) in compare_policies(&scenario) {
+        for (policy, report) in compare_policies(&scenario, &Registry::new()) {
             rows.push(PolicyRow {
                 x: pct as f64 / 100.0,
                 policy,
@@ -76,7 +77,7 @@ pub fn churn_sweep(seed: u64, churn_pcts: &[u32]) -> Vec<PolicyRow> {
             .with_load(1.0)
             .with_churn(pct as f64 / 100.0, 12, 3);
         let scenario = build_scenario(&config);
-        for (policy, report) in compare_policies(&scenario) {
+        for (policy, report) in compare_policies(&scenario, &Registry::new()) {
             rows.push(PolicyRow {
                 x: pct as f64 / 100.0,
                 policy,
@@ -107,10 +108,7 @@ pub struct AblationRow {
 pub fn segmentation_ablation(seed: u64, action_counts: &[usize]) -> Vec<AblationRow> {
     let mut rows = Vec::new();
     for &actions in action_counts {
-        for (label, granularity) in [
-            ("per-action", Granularity::PerAction),
-            ("maximal-run", Granularity::MaximalRun),
-        ] {
+        for granularity in [Granularity::PerAction, Granularity::MaximalRun] {
             let config = WorkloadConfig::new(seed)
                 .with_nodes(4)
                 .with_horizon(96)
@@ -138,7 +136,7 @@ pub fn segmentation_ablation(seed: u64, action_counts: &[usize]) -> Vec<Ablation
             let report = run_scenario(&scenario, RotaPolicy, ExecutionStrategy::FirstEntitled);
             rows.push(AblationRow {
                 actions,
-                granularity: label,
+                granularity: granularity.name(),
                 mean_segments,
                 acceptance: report.acceptance_rate(),
                 miss_rate: report.miss_rate(),

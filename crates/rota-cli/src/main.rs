@@ -42,19 +42,20 @@ use std::fmt::Display;
 use std::net::SocketAddr;
 use std::process::ExitCode;
 use std::str::FromStr;
+use std::sync::Arc;
 
 use rota_actor::Granularity;
 use rota_admission::{
-    AdmissionController, AdmissionObs, AdmissionPolicy, AdmissionRequest, Decision,
-    GreedyEdfPolicy, NaiveTotalPolicy, OptimisticPolicy, RotaPolicy,
+    standard_policies, AdmissionController, AdmissionObs, AdmissionPolicy, AdmissionRequest,
+    Decision, RotaPolicy, StandardPolicy,
 };
 use rota_interval::TimePoint;
 use rota_logic::State;
 use rota_obs::{DecisionEvent, Json, Registry};
 use rota_client::{run_loadtest, Client, ClientError, HedgeConfig, LoadtestConfig, RetryConfig};
 use rota_server::spec::CheckSpec;
-use rota_server::{spawn_policy_by_name, FaultPlan, ServerConfig, ServerHandle, POLICY_NAMES};
-use rota_sim::{run_scenario_observed, run_scenario_traced_observed};
+use rota_server::{FaultPlan, Server, ServerConfig, ServerHandle};
+use rota_sim::{compare_policies, run_scenario_observed, run_scenario_traced_observed};
 use rota_workload::{base_resources, build_scenario, JobShape, WorkloadConfig};
 
 fn main() -> ExitCode {
@@ -165,11 +166,17 @@ fn parse_shape(value: &str) -> Result<JobShape, String> {
 }
 
 fn parse_granularity(value: &str) -> Result<Granularity, String> {
-    match value {
-        "per-action" => Ok(Granularity::PerAction),
-        "maximal-run" => Ok(Granularity::MaximalRun),
-        other => Err(format!("unknown granularity `{other}`")),
-    }
+    Granularity::from_name(value).ok_or_else(|| format!("unknown granularity `{value}`"))
+}
+
+fn parse_policy(value: &str) -> Result<StandardPolicy, String> {
+    StandardPolicy::named(value).ok_or_else(|| {
+        let names: Vec<&str> = standard_policies().iter().map(|p| p.name).collect();
+        format!(
+            "unknown policy `{value}` (expected one of {})",
+            names.join("|")
+        )
+    })
 }
 
 const SWITCH: Takes = Takes::Nothing;
@@ -180,6 +187,7 @@ const REAL: Takes = Takes::Value(number::<f64>);
 const ADDR: Takes = Takes::Value(number::<SocketAddr>);
 const SHAPE: Takes = Takes::Value(|v| parse_shape(v).map(drop));
 const GRANULARITY: Takes = Takes::Value(|v| parse_granularity(v).map(drop));
+const POLICY: Takes = Takes::Value(|v| parse_policy(v).map(drop));
 
 const METRICS_OUT: Flags = &[("--metrics-out", TEXT)];
 const SIMULATE: Flags = &[
@@ -189,7 +197,7 @@ const SIMULATE: Flags = &[
     ("--horizon", INT),
     ("--churn", REAL),
     ("--shape", SHAPE),
-    ("--policy", TEXT),
+    ("--policy", POLICY),
     ("--trace", SWITCH),
 ];
 /// The workload flags `serve`, `cluster` and `loadtest` share
@@ -260,7 +268,7 @@ const VERBS: &[(&str, &[Flags], bool, Command)] = &[
             METRICS_OUT,
             WORKLOAD,
             SERVER,
-            &[("--policy", TEXT), ("--addr", ADDR)],
+            &[("--policy", POLICY), ("--addr", ADDR)],
         ],
         false,
         cmd_serve,
@@ -288,7 +296,13 @@ const VERBS: &[(&str, &[Flags], bool, Command)] = &[
             SERVER,
             CLUSTER,
             &[
-                ("--policy", TEXT),
+                (
+                    "--policy",
+                    Takes::Value(|v| match v {
+                        "all" => Ok(()),
+                        name => parse_policy(name).map(drop),
+                    }),
+                ),
                 ("--jobs", COUNT),
                 ("--connections", COUNT),
                 ("--granularity", GRANULARITY),
@@ -705,7 +719,7 @@ fn run_simulation(args: &Args, compare: bool) -> ExitCode {
             "policy", "accept%", "miss%", "completed", "util%", "delivered"
         );
         let mut decisions = Vec::new();
-        for (name, report) in compare_policies_observed(&scenario, &registry) {
+        for (name, report) in compare_policies(&scenario, &registry) {
             println!(
                 "{:<12} {:>7.1}% {:>7.1}% {:>10} {:>6.1}% {:>12}",
                 name,
@@ -722,39 +736,11 @@ fn run_simulation(args: &Args, compare: bool) -> ExitCode {
         }
         return ExitCode::SUCCESS;
     }
-    let policy = args.get("--policy").unwrap_or("rota");
+    let policy = chosen_policy(args);
     let traced = args.has("--trace");
-    let (report, trace) = match policy {
-        "rota" => run_scenario_traced_observed(
-            &scenario,
-            RotaPolicy,
-            rota_admission::ExecutionStrategy::FirstEntitled,
-            &registry,
-        ),
-        "naive" => run_scenario_traced_observed(
-            &scenario,
-            NaiveTotalPolicy,
-            rota_admission::ExecutionStrategy::EarliestDeadline,
-            &registry,
-        ),
-        "optimistic" => run_scenario_traced_observed(
-            &scenario,
-            OptimisticPolicy,
-            rota_admission::ExecutionStrategy::EarliestDeadline,
-            &registry,
-        ),
-        "edf" => run_scenario_traced_observed(
-            &scenario,
-            GreedyEdfPolicy,
-            rota_admission::ExecutionStrategy::EarliestDeadline,
-            &registry,
-        ),
-        other => {
-            eprintln!("simulate: unknown policy `{other}`");
-            return ExitCode::FAILURE;
-        }
-    };
-    println!("policy {policy}: {report}");
+    let (report, trace) =
+        run_scenario_traced_observed(&scenario, policy.policy, policy.strategy, &registry);
+    println!("policy {}: {report}", policy.name);
     println!(
         "utilization {:.1}% ({} of {} offered units delivered), withdrawn {}",
         report.utilization() * 100.0,
@@ -774,48 +760,6 @@ fn run_simulation(args: &Args, compare: bool) -> ExitCode {
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
-}
-
-/// [`compare_policies`] with every run counting into one registry (the
-/// per-policy metric labels keep them apart).
-fn compare_policies_observed(
-    scenario: &rota_sim::Scenario,
-    registry: &Registry,
-) -> Vec<(&'static str, rota_sim::SimulationReport)> {
-    use rota_admission::ExecutionStrategy;
-    vec![
-        (
-            "rota",
-            run_scenario_observed(scenario, RotaPolicy, ExecutionStrategy::FirstEntitled, registry),
-        ),
-        (
-            "greedy-edf",
-            run_scenario_observed(
-                scenario,
-                GreedyEdfPolicy,
-                ExecutionStrategy::EarliestDeadline,
-                registry,
-            ),
-        ),
-        (
-            "naive-total",
-            run_scenario_observed(
-                scenario,
-                NaiveTotalPolicy,
-                ExecutionStrategy::EarliestDeadline,
-                registry,
-            ),
-        ),
-        (
-            "optimistic",
-            run_scenario_observed(
-                scenario,
-                OptimisticPolicy,
-                ExecutionStrategy::EarliestDeadline,
-                registry,
-            ),
-        ),
-    ]
 }
 
 /// `rota stats`: run a small fully-instrumented demo — an overloaded
@@ -923,6 +867,13 @@ fn workload_shape(args: &Args) -> JobShape {
         .unwrap_or(JobShape::Mixed)
 }
 
+/// `--policy`, `rota` when absent (`loadtest --policy all` is handled
+/// before this is asked).
+fn chosen_policy(args: &Args) -> StandardPolicy {
+    let name = args.get("--policy").unwrap_or("rota");
+    StandardPolicy::named(name).expect("the flag table checked `--policy`")
+}
+
 fn server_config(args: &Args, addr: SocketAddr) -> ServerConfig {
     let defaults = ServerConfig::default();
     ServerConfig {
@@ -937,7 +888,7 @@ fn server_config(args: &Args, addr: SocketAddr) -> ServerConfig {
 }
 
 fn cmd_serve(args: &Args) -> ExitCode {
-    let policy = args.get("--policy").unwrap_or("rota");
+    let policy = chosen_policy(args);
     let addr = args
         .value("--addr")
         .unwrap_or(SocketAddr::from(([127, 0, 0, 1], 7463)));
@@ -947,22 +898,16 @@ fn cmd_serve(args: &Args) -> ExitCode {
     let shards = config.shards;
     let queue = config.queue_capacity;
     let chaos = config.fault_plan.clone();
-    let handle = match spawn_policy_by_name(policy, config, &theta) {
-        Some(Ok(handle)) => handle,
-        Some(Err(e)) => {
+    let handle = match Server::spawn(config, policy.policy, &theta) {
+        Ok(handle) => handle,
+        Err(e) => {
             eprintln!("serve: cannot bind {addr}: {e}");
-            return ExitCode::FAILURE;
-        }
-        None => {
-            eprintln!(
-                "serve: unknown policy `{policy}` (expected one of {})",
-                POLICY_NAMES.join("|")
-            );
             return ExitCode::FAILURE;
         }
     };
     println!(
-        "serving `{policy}` admission on {} — {} shards, queue {} each, {} resource terms over {} nodes",
+        "serving `{}` admission on {} — {} shards, queue {} each, {} resource terms over {} nodes",
+        policy.name,
         handle.local_addr(),
         shards,
         queue,
@@ -1172,7 +1117,7 @@ impl Target {
     /// running `policy`, or nothing when `external` names one.
     fn spawn(
         args: &Args,
-        policy: &str,
+        policy: &StandardPolicy,
         nodes: Option<usize>,
         external: Option<SocketAddr>,
         workload: &WorkloadConfig,
@@ -1183,11 +1128,9 @@ impl Target {
         let theta = base_resources(workload);
         let Some(nodes) = nodes else {
             let config = server_config(args, SocketAddr::from(([127, 0, 0, 1], 0)));
-            return match spawn_policy_by_name(policy, config, &theta) {
-                Some(Ok(handle)) => Ok(Target::Server(handle)),
-                Some(Err(e)) => Err(format!("cannot spawn server: {e}")),
-                None => unreachable!("policy validated by the caller"),
-            };
+            return Server::spawn(config, Arc::clone(&policy.policy), &theta)
+                .map(Target::Server)
+                .map_err(|e| format!("cannot spawn server: {e}"));
         };
         let cluster = rota_cluster::Cluster::launch(
             rota_cluster::Topology::auto(nodes),
@@ -1259,16 +1202,10 @@ impl Target {
 
 fn cmd_loadtest(args: &Args) -> ExitCode {
     let policy_flag = args.get("--policy").unwrap_or("rota");
-    let policies: Vec<&str> = if policy_flag == "all" {
-        POLICY_NAMES.to_vec()
-    } else if POLICY_NAMES.contains(&policy_flag) {
-        vec![policy_flag]
+    let policies = if policy_flag == "all" {
+        Vec::from(standard_policies())
     } else {
-        eprintln!(
-            "loadtest: unknown policy `{policy_flag}` (expected one of {}|all)",
-            POLICY_NAMES.join("|")
-        );
-        return ExitCode::FAILURE;
+        vec![chosen_policy(args)]
     };
     let external: Option<SocketAddr> = args.value("--addr");
     if external.is_some() && policies.len() > 1 {
@@ -1298,7 +1235,7 @@ fn cmd_loadtest(args: &Args) -> ExitCode {
         workload = workload.with_nodes(nodes);
     }
     for policy in policies {
-        let target = match Target::spawn(args, policy, nodes, external, &workload) {
+        let target = match Target::spawn(args, &policy, nodes, external, &workload) {
             Ok(target) => target,
             Err(e) => {
                 eprintln!("loadtest: {e}");
@@ -1341,7 +1278,7 @@ fn cmd_loadtest(args: &Args) -> ExitCode {
         };
         let label = match &target {
             Target::Cluster(_) => format!("rota ({}-node cluster)", addrs.len()),
-            _ => policy.to_string(),
+            _ => policy.name.to_string(),
         };
         print!("{}", report.render(&label));
         target.print_tally();

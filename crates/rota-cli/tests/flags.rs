@@ -143,3 +143,37 @@ fn every_verb_accepts_metrics_out_and_the_service_flags() {
     );
     assert!(banner.contains("2 shards, queue 8 each"), "{banner}");
 }
+
+#[test]
+fn every_verb_knows_the_same_four_policies() {
+    let small = ["--horizon", "48", "--nodes", "3"];
+    for policy in ["rota", "naive", "optimistic", "edf"] {
+        let mut args = vec!["simulate", "--policy", policy];
+        args.extend(small);
+        let (status, stdout, stderr) = run_bounded(&args);
+        assert_eq!(status, Some(0), "{args:?}: {stderr}");
+        assert!(stdout.contains(&format!("\npolicy {policy}: ")), "{stdout}");
+    }
+
+    let mut args = vec!["compare"];
+    args.extend(small);
+    let (status, stdout, stderr) = run_bounded(&args);
+    assert_eq!(status, Some(0), "{stderr}");
+    let rows: Vec<&str> = stdout
+        .lines()
+        .skip(2)
+        .filter_map(|row| row.split_whitespace().next())
+        .collect();
+    assert_eq!(rows, ["rota", "greedy-edf", "naive-total", "optimistic"], "{stdout}");
+
+    for verb in ["serve", "loadtest", "simulate"] {
+        let (status, stdout, stderr) = run_bounded(&[verb, "--policy", "bogus"]);
+        assert_eq!(status, Some(1), "{verb}: {stderr}");
+        assert!(stdout.is_empty(), "{verb} did nothing else: {stdout}");
+        let error = stderr.lines().next().unwrap_or_default();
+        assert!(error.contains("`bogus`"), "{verb}: {error}");
+        for known in ["rota", "naive", "optimistic", "edf"] {
+            assert!(error.contains(known), "{verb} names `{known}`: {error}");
+        }
+    }
+}

@@ -54,8 +54,8 @@ pub struct ClusterConfig {
     pub suspect_after: u64,
     /// Bound on dialling a peer (gossip, forwards, 2PC legs). Once
     /// connected, each read or write of a peer call may block for this
-    /// plus the server's request timeout, the longest a peer's
-    /// connection waits for a shard verdict.
+    /// plus a fixed 5 s allowance for the peer's answer
+    /// (`PEER_ANSWER_BUDGET` in the peer-link module).
     pub peer_timeout: Duration,
     /// TTL on tentative 2PC reservations.
     pub ttl: Duration,

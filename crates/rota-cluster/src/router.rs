@@ -70,8 +70,8 @@ pub struct RouterConfig {
     /// This node's id in the topology.
     pub me: String,
     /// Bound on dialling a peer. Once connected, each read or write of
-    /// a peer call may block for this plus the server's request timeout
-    /// (the longest a peer's connection waits for a shard verdict); a
+    /// a peer call may block for this plus a fixed 5 s allowance for the
+    /// peer's answer (`PEER_ANSWER_BUDGET` in the peer-link module); a
     /// call that outlives it fails and its link is dropped.
     pub peer_timeout: Duration,
     /// TTL on tentative 2PC reservations.

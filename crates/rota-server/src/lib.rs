@@ -38,8 +38,5 @@ pub mod spec;
 
 pub use fault::{FaultInjector, FaultPlan};
 pub use protocol::{GossipDigest, PeerBeat, Request, Response, MAX_FRAME_BYTES, PROTOCOL_VERSION};
-pub use server::{
-    spawn_policy_by_name, LocalHandle, RequestHook, Server, ServerConfig, ServerHandle,
-    POLICY_NAMES,
-};
+pub use server::{LocalHandle, RequestHook, Server, ServerConfig, ServerHandle};
 pub use shard::{route_request, shard_of, split_by_shard};

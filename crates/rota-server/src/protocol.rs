@@ -230,10 +230,7 @@ impl Request {
             } => {
                 let mut pairs = vec![
                     ("computation".to_string(), computation.to_json()),
-                    (
-                        "granularity".into(),
-                        Json::Str(granularity_name(*granularity).into()),
-                    ),
+                    ("granularity".into(), Json::Str(granularity.name().into())),
                 ];
                 if *forwarded {
                     pairs.push(("forwarded".into(), Json::Bool(true)));
@@ -270,10 +267,7 @@ impl Request {
                 vec![
                     ("name".into(), Json::Str(name.clone())),
                     ("computation".into(), computation.to_json()),
-                    (
-                        "granularity".into(),
-                        Json::Str(granularity_name(*granularity).into()),
-                    ),
+                    ("granularity".into(), Json::Str(granularity.name().into())),
                     (
                         "basis".into(),
                         Json::Arr(basis.iter().map(ResourceSpec::to_json).collect()),
@@ -746,14 +740,12 @@ fn opt_str(fields: &Fields<'_>, key: &str) -> Result<Option<String>, SpecError> 
 }
 
 fn decode_granularity(fields: &Fields<'_>) -> Result<Granularity, SpecError> {
-    match fields.optional("granularity").map(|g| g.as_str()) {
-        None => Ok(Granularity::MaximalRun),
-        Some(Some("maximal-run")) => Ok(Granularity::MaximalRun),
-        Some(Some("per-action")) => Ok(Granularity::PerAction),
-        Some(other) => Err(SpecError::Parse(format!(
-            "request: unknown granularity {other:?}"
-        ))),
-    }
+    let Some(value) = fields.optional("granularity") else {
+        return Ok(Granularity::MaximalRun);
+    };
+    let name = value.as_str();
+    name.and_then(Granularity::from_name)
+        .ok_or_else(|| SpecError::Parse(format!("request: unknown granularity {name:?}")))
 }
 
 fn decode_forwarded(fields: &Fields<'_>) -> Result<bool, SpecError> {
@@ -789,14 +781,6 @@ fn ok_obj(op: &str, mut rest: Vec<(String, Json)>) -> Json {
     ];
     pairs.append(&mut rest);
     Json::Obj(pairs)
-}
-
-/// The spec's wire name for a granularity.
-pub fn granularity_name(granularity: Granularity) -> &'static str {
-    match granularity {
-        Granularity::MaximalRun => "maximal-run",
-        Granularity::PerAction => "per-action",
-    }
 }
 
 /// Reading one frame failed.
@@ -1045,6 +1029,12 @@ mod tests {
             }
             other => panic!("wrong decode: {other:?}"),
         }
+        let coarse = line.replace(r#""granularity":"per-action""#, r#""granularity":"coarse""#);
+        let refused = Request::from_line(&coarse).unwrap_err().to_string();
+        assert!(
+            refused.contains(r#"request: unknown granularity Some("coarse")"#),
+            "{refused}"
+        );
     }
 
     #[test]

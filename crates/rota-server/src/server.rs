@@ -21,9 +21,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use rota_actor::TableCostModel;
-use rota_admission::{
-    AdmissionPolicy, AdmissionRequest, GreedyEdfPolicy, NaiveTotalPolicy, OptimisticPolicy, RotaPolicy,
-};
+use rota_admission::{AdmissionPolicy, AdmissionRequest};
 use rota_obs::{DecisionEvent, Journal, Registry};
 use rota_resource::ResourceSet;
 
@@ -624,22 +622,4 @@ fn write_response(
 fn shutdown_stream(writer: &mut BufWriter<TcpStream>) {
     let _ = writer.flush();
     let _ = writer.get_ref().shutdown(Shutdown::Both);
-}
-
-/// Names accepted by [`spawn_policy_by_name`].
-pub const POLICY_NAMES: [&str; 4] = ["rota", "naive", "optimistic", "edf"];
-
-/// Spawns a server running the named policy; `None` for unknown names.
-pub fn spawn_policy_by_name(
-    name: &str,
-    config: ServerConfig,
-    theta: &ResourceSet,
-) -> Option<std::io::Result<ServerHandle>> {
-    match name {
-        "rota" => Some(Server::spawn(config, RotaPolicy, theta)),
-        "naive" => Some(Server::spawn(config, NaiveTotalPolicy, theta)),
-        "optimistic" => Some(Server::spawn(config, OptimisticPolicy, theta)),
-        "edf" => Some(Server::spawn(config, GreedyEdfPolicy, theta)),
-        _ => None,
-    }
 }

@@ -66,7 +66,8 @@ use std::time::{Duration, Instant};
 
 use rota_actor::ActorName;
 use rota_admission::{
-    AdmissionController, AdmissionObs, AdmissionPolicy, AdmissionRequest, ControllerStats, Decision,
+    AdmissionController, AdmissionObs, AdmissionPolicy, AdmissionRequest, ControllerStats,
+    Decision, SharedPolicy,
 };
 use rota_analyze::{prevalidate_request, Report as LintReport, Severity as LintSeverity};
 use rota_interval::TimePoint;
@@ -269,9 +270,6 @@ impl DecisionCache {
         self.verdicts.len()
     }
 }
-
-/// The policy every shard of a pool decides with.
-type SharedPolicy = Arc<dyn AdmissionPolicy + Send + Sync>;
 
 /// The shards of one server, each a lock around its own state.
 ///
@@ -591,9 +589,13 @@ impl ShardState {
     /// The amnesiac restart after an unrecognized panic: the controller
     /// may be inconsistent, so it is replaced by `fresh`. Tentative and
     /// committed 2PC holds reference the old controller's entries and
-    /// are forgotten with it. The dedup cache survives — verdicts
-    /// already delivered stay authoritative.
+    /// are forgotten with it; its computations leave the in-flight
+    /// gauge. The dedup cache survives — verdicts already delivered
+    /// stay authoritative.
     fn forget(&mut self, fresh: AdmissionController<SharedPolicy>) {
+        if let Some(obs) = self.controller.obs() {
+            obs.add_in_flight(-(self.controller.in_flight() as i64));
+        }
         self.controller = fresh;
         self.reservations.clear();
         self.committed.clear();
@@ -924,6 +926,24 @@ mod tests {
             .map(|s| snap.counter(&format!("server.requests{{shard={s}}}")).unwrap())
             .sum();
         assert_eq!(routed, 2);
+    }
+
+    #[test]
+    fn in_flight_gauge_sums_the_shards() {
+        let (a, b) = (location_on(0, 2), location_on(1, 2));
+        let registry = Arc::new(Registry::new());
+        let journal = Arc::new(Journal::new(8));
+        let theta = theta_at(&[&a, &b], 4, 16);
+        let pool =
+            ShardPool::new(RotaPolicy, &theta, 2, 8, DEDUP_CAPACITY, &registry, &journal, None);
+        for (name, location) in [("on-a", &a), ("on-b", &b)] {
+            let verdict = pool.admit(request_at(name, location, 1, 16));
+            assert!(matches!(verdict, Response::Decision { accepted: true, .. }), "{verdict:?}");
+        }
+        assert_eq!(
+            registry.snapshot().gauge("admission.in_flight{policy=rota}"),
+            Some(2)
+        );
     }
 
     #[test]
@@ -1280,6 +1300,7 @@ mod tests {
             0
         );
         assert_eq!(snap.counter("server.overloaded{shard=0}"), Some(1));
+        assert_eq!(snap.gauge("admission.in_flight{policy=buggy}"), Some(1));
         // Shard 0 came back from its pristine slice and forgot `lost`;
         // shard 1 still holds `kept`.
         assert_eq!(pool.cluster_state().unwrap().1, supply_with_only_kept);

@@ -219,30 +219,25 @@ fn run_impl<P: AdmissionPolicy>(
     }
 }
 
-/// Runs the same scenario under each of the four standard policies with
-/// the execution strategy that suits each (reservation-aware for ROTA,
-/// EDF for the opportunistic baselines). Returns `(policy name, report)`
-/// pairs.
-pub fn compare_policies(scenario: &Scenario) -> Vec<(&'static str, SimulationReport)> {
-    use rota_admission::{GreedyEdfPolicy, NaiveTotalPolicy, OptimisticPolicy, RotaPolicy};
-    vec![
-        (
-            "rota",
-            run_scenario(scenario, RotaPolicy, ExecutionStrategy::FirstEntitled),
-        ),
-        (
-            "greedy-edf",
-            run_scenario(scenario, GreedyEdfPolicy, ExecutionStrategy::EarliestDeadline),
-        ),
-        (
-            "naive-total",
-            run_scenario(scenario, NaiveTotalPolicy, ExecutionStrategy::EarliestDeadline),
-        ),
-        (
-            "optimistic",
-            run_scenario(scenario, OptimisticPolicy, ExecutionStrategy::EarliestDeadline),
-        ),
-    ]
+/// Runs the same scenario under each of the four
+/// [standard policies](rota_admission::standard_policies), each with its
+/// own execution strategy, counting into `registry` (the per-policy
+/// metric labels keep the runs apart). Returns `(policy label, report)`
+/// pairs in the table's order.
+pub fn compare_policies(
+    scenario: &Scenario,
+    registry: &Registry,
+) -> Vec<(&'static str, SimulationReport)> {
+    rota_admission::standard_policies()
+        .into_iter()
+        .map(|p| {
+            let label = p.policy.name();
+            (
+                label,
+                run_scenario_observed(scenario, p.policy, p.strategy, registry),
+            )
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -327,7 +322,7 @@ mod tests {
 
     #[test]
     fn compare_policies_covers_all_four() {
-        let results = compare_policies(&overload_scenario());
+        let results = compare_policies(&overload_scenario(), &Registry::new());
         let names: Vec<_> = results.iter().map(|(n, _)| *n).collect();
         assert_eq!(names, vec!["rota", "greedy-edf", "naive-total", "optimistic"]);
         let rota = &results[0].1;

@@ -19,7 +19,7 @@ fn main() {
             .with_shape(JobShape::Mixed)
             .with_load(load_pct as f64 / 100.0);
         let scenario = build_scenario(&config);
-        for (name, report) in compare_policies(&scenario) {
+        for (name, report) in compare_policies(&scenario, &Registry::new()) {
             println!(
                 "{:<6} {:>12} {:>11.1}% {:>11.1}% {:>12}",
                 format!("{:.1}", load_pct as f64 / 100.0),

@@ -22,13 +22,14 @@ admbench-test:
 repolint:
     cargo run -q -p repolint
 
-# Non-test Rust lines per crate, as CHANGES.md entries quote them. Each
-# source file counts up to the `#[cfg(test)]` that opens its `mod tests`
-# block; a lone `#[cfg(test)]` item further up (a test-only helper) does
-# not end the count.
+# Non-test Rust lines per crate, as CHANGES.md entries quote them, then
+# their total. Each source file counts up to the `#[cfg(test)]` that
+# opens its `mod tests` block; a lone `#[cfg(test)]` item further up (a
+# test-only helper) does not end the count.
 loc:
     #!/usr/bin/env bash
     set -euo pipefail
+    all=0
     for crate in crates/*/; do
         total=0
         for file in $(find "$crate/src" -name '*.rs' | sort); do
@@ -39,7 +40,9 @@ loc:
             total=$((total + lines))
         done
         printf '%-16s %6d\n' "$(basename "$crate")" "$total"
+        all=$((all + total))
     done
+    printf '%-16s %6d\n' total "$all"
 
 # Golden-file check: every lint fixture produces exactly its documented
 # diagnostic codes and exit status through the real `rota-cli check` binary.

@@ -56,6 +56,7 @@ pub use rota_cyberorgs as cyberorgs;
 pub use rota_admission as admission;
 pub use rota_interval as interval;
 pub use rota_logic as logic;
+pub use rota_obs as obs;
 pub use rota_resource as resource;
 pub use rota_sim as sim;
 pub use rota_workload as workload;
@@ -79,6 +80,7 @@ pub mod prelude {
         schedule_complex, schedule_concurrent, theorems, Commitment, ComputationPath, Formula,
         ModelChecker, Schedule, State,
     };
+    pub use rota_obs::Registry;
     pub use rota_resource::{
         LocatedType, Location, Quantity, Rate, ResourceProfile, ResourceSet, ResourceTerm,
     };

@@ -117,7 +117,7 @@ fn optimistic_accepts_at_least_as_much_as_everyone() {
         .with_shape(JobShape::Mixed)
         .with_load(1.2);
     let scenario = build_scenario(&config);
-    let results = compare_policies(&scenario);
+    let results = compare_policies(&scenario, &Registry::new());
     let optimistic = results
         .iter()
         .find(|(n, _)| *n == "optimistic")
