@@ -1,0 +1,249 @@
+//! E17 — wire codec cost against frame size: decode (`from_line`) and
+//! encode (`to_json().to_string()`) of the frames a federation ships.
+//!
+//! The 2PC frames carry the obtainable resources Θ_expire: a node's
+//! whole profile in every `cluster-state` answer and the merged basis
+//! in every `prepare`. Both are built here at 3, 27, 55 and 110 terms —
+//! CPU and network terms at `l0`–`l2` over fragmented intervals, the
+//! shape a warmed `cluster-mixed` node answers with. Two small frames
+//! ride along: the lint-reject decision a `mixed-small` client decodes
+//! most often (taken from a live server, so it is the real R0006 frame)
+//! and a small two-actor admit like the ones `rota loadtest` sends. The
+//! last frame is the worst case the frame cap admits: an admit of
+//! exactly `MAX_FRAME_BYTES` whose computation name is one string.
+//!
+//! `frame` is the writer alone, as the wire runs it: `write_frame` of
+//! an already built document into a reused buffer, newline included.
+//!
+//! Every bench id carries the frame's length in bytes and its
+//! throughput is that length, so cost per byte reads straight off the
+//! `B/s` column: a linear codec keeps it flat as frames grow.
+
+use std::time::Duration;
+
+use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
+use rota_actor::Granularity;
+use rota_admission::RotaPolicy;
+use rota_client::Client;
+use rota_interval::TimeInterval;
+use rota_obs::Json;
+use rota_resource::{LocatedType, Location, Rate, ResourceSet, ResourceTerm};
+use rota_server::protocol::write_frame;
+use rota_server::spec::{ActionSpec, ActorSpec, ComputationSpec, ResourceSpec};
+use rota_server::{Request, Response, Server, ServerConfig, MAX_FRAME_BYTES};
+
+const LOCATIONS: [&str; 3] = ["l0", "l1", "l2"];
+
+/// `n` basis terms: CPU at each location and the three ring links,
+/// each located type cut into short windows separated by gaps, as
+/// Θ_expire fragments once commitments carve up the supply.
+fn basis(n: usize) -> Vec<ResourceSpec> {
+    (0..n as u64)
+        .map(|k| {
+            let start = 1_000 + (k / 6) * 37 + k % 5;
+            let end = start + 11 + k % 7;
+            let rate = 1 + k % 8;
+            let here = LOCATIONS[(k % 3) as usize].to_string();
+            if k % 6 < 3 {
+                ResourceSpec::Cpu {
+                    location: here,
+                    rate,
+                    start,
+                    end,
+                }
+            } else {
+                ResourceSpec::Network {
+                    from: here,
+                    to: LOCATIONS[((k + 1) % 3) as usize].to_string(),
+                    rate,
+                    start,
+                    end,
+                }
+            }
+        })
+        .collect()
+}
+
+/// A two-actor job spanning `l0` and `l1`: the shape that takes the
+/// 2PC route in `cluster-mixed`.
+fn computation(name: &str) -> ComputationSpec {
+    let actor = |i: usize, origin: &str, peer: &str| ActorSpec {
+        name: format!("{name}-a{i}"),
+        origin: origin.into(),
+        actions: vec![
+            ActionSpec::Evaluate { work: None },
+            ActionSpec::Send {
+                to: format!("{name}-a{}", 1 - i),
+                dest: peer.into(),
+                size: 1,
+            },
+            ActionSpec::Evaluate { work: None },
+        ],
+    };
+    ComputationSpec {
+        name: name.into(),
+        start: 1_040,
+        deadline: 1_064,
+        actors: vec![actor(0, "l0", "l1"), actor(1, "l1", "l0")],
+    }
+}
+
+fn prepare(terms: usize) -> Request {
+    Request::Prepare {
+        name: "c4711".into(),
+        computation: computation("c4711"),
+        granularity: Granularity::MaximalRun,
+        basis: basis(terms),
+        epochs: vec![412, 398, 405, 417],
+        ttl_ms: 2_000,
+    }
+}
+
+fn cluster_state(terms: usize) -> Response {
+    Response::ClusterState {
+        epochs: vec![412, 398, 405, 417],
+        resources: Json::Arr(basis(terms).iter().map(ResourceSpec::to_json).collect()),
+    }
+}
+
+/// The decision a live server answers for a job whose actor sits at a
+/// location with no supply: a pre-admission lint reject carrying the
+/// analyzer's R0006 diagnostic.
+fn lint_reject() -> Response {
+    let window = TimeInterval::from_ticks(0, 4_096).expect("valid window");
+    let theta = ResourceSet::from_terms(
+        LOCATIONS
+            .iter()
+            .map(|l| ResourceTerm::new(Rate::new(4), window, LocatedType::cpu(Location::new(*l)))),
+    )
+    .expect("bounded rates");
+    let server =
+        Server::spawn(ServerConfig::ephemeral(), RotaPolicy, &theta).expect("spawn server");
+    let mut client =
+        Client::connect_timeout(server.local_addr(), Duration::from_secs(2)).expect("connect");
+    let mut job = computation("c4711");
+    job.actors.truncate(1);
+    job.actors[0].origin = "l7".into();
+    job.actors[0].actions.remove(1);
+    let answer = client
+        .call(&Request::Admit {
+            computation: job,
+            granularity: Granularity::MaximalRun,
+            forwarded: false,
+        })
+        .expect("admit answered");
+    server.shutdown();
+    assert!(
+        matches!(&answer, Response::Decision { diagnostics, .. }
+            if diagnostics.iter().any(|d| d.get("code").and_then(Json::as_str) == Some("R0006"))),
+        "expected an R0006 lint reject, got {answer:?}"
+    );
+    answer
+}
+
+fn admit() -> Request {
+    let actor = |i: usize, origin: &str, evaluations: usize| ActorSpec {
+        name: format!("g7-a{i}"),
+        origin: origin.into(),
+        actions: vec![ActionSpec::Evaluate { work: None }; evaluations],
+    };
+    Request::Admit {
+        computation: ComputationSpec {
+            name: "g7".into(),
+            start: 39,
+            deadline: 47,
+            actors: vec![actor(0, "l0", 2), actor(1, "l1", 1)],
+        },
+        granularity: Granularity::MaximalRun,
+        forwarded: false,
+    }
+}
+
+/// An admit exactly [`MAX_FRAME_BYTES`] long whose computation name is
+/// one string: the worst frame the server agrees to decode.
+fn cap_sized_admit() -> Request {
+    let admit = |name: String| Request::Admit {
+        computation: ComputationSpec {
+            name,
+            ..computation("c4711")
+        },
+        granularity: Granularity::MaximalRun,
+        forwarded: false,
+    };
+    let overhead = admit(String::new()).to_json().to_string().len();
+    admit("n".repeat(MAX_FRAME_BYTES - overhead))
+}
+
+/// Times decode and encode of one frame, labelled with its length.
+fn bench_frame<T>(
+    c: &mut Criterion,
+    label: &str,
+    encode: impl Fn() -> Json,
+    decode: impl Fn(&str) -> T,
+) {
+    let line = encode().to_string();
+    let bytes = line.len();
+    let mut group = c.benchmark_group("e17");
+    // The cap-sized frame takes seconds per decode at the quadratic
+    // baseline; ten samples keep that run short.
+    group.sample_size(if bytes > 64 * 1024 { 10 } else { 40 });
+    group.throughput(Throughput::Bytes(bytes as u64));
+    group.bench_function(format!("decode/{label}/{bytes}B"), |b| {
+        b.iter(|| decode(black_box(&line)))
+    });
+    group.bench_function(format!("encode/{label}/{bytes}B"), |b| {
+        b.iter(|| encode().to_string())
+    });
+    let doc = encode();
+    let mut sink = Vec::with_capacity(bytes + 1);
+    group.bench_function(format!("frame/{label}/{bytes}B"), |b| {
+        b.iter(|| {
+            sink.clear();
+            write_frame(&mut sink, black_box(&doc)).expect("a Vec takes every write");
+        })
+    });
+    group.finish();
+}
+
+fn bench_codec(c: &mut Criterion) {
+    for terms in [3, 27, 55, 110] {
+        let request = prepare(terms);
+        bench_frame(
+            c,
+            &format!("prepare-{terms}t"),
+            || request.to_json(),
+            |line| Request::from_line(line).expect("prepare decodes"),
+        );
+        let response = cluster_state(terms);
+        bench_frame(
+            c,
+            &format!("cluster-state-{terms}t"),
+            || response.to_json(),
+            |line| Response::from_line(line).expect("cluster-state decodes"),
+        );
+    }
+    let reject = lint_reject();
+    bench_frame(
+        c,
+        "r0006-decision",
+        || reject.to_json(),
+        |line| Response::from_line(line).expect("decision decodes"),
+    );
+    let request = admit();
+    bench_frame(
+        c,
+        "admit",
+        || request.to_json(),
+        |line| Request::from_line(line).expect("admit decodes"),
+    );
+    let request = cap_sized_admit();
+    bench_frame(
+        c,
+        "cap-one-string",
+        || request.to_json(),
+        |line| Request::from_line(line).expect("cap-sized admit decodes"),
+    );
+}
+
+criterion_group!(benches, bench_codec);
+criterion_main!(benches);

@@ -10,7 +10,7 @@
 //! value level; [`Json::get`] returns the first match, and spec-level
 //! validation can reject duplicates by iterating the pairs.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -122,6 +122,12 @@ impl Json {
         }
     }
 
+    /// Appends the compact serialization (what `to_string()` returns)
+    /// to `out`, so a caller can frame it without a second buffer.
+    pub fn write_compact(&self, out: &mut String) {
+        self.write(out, None, 0);
+    }
+
     /// Pretty serialization with two-space indentation.
     pub fn pretty(&self) -> String {
         let mut out = String::new();
@@ -134,12 +140,12 @@ impl Json {
             Json::Null => out.push_str("null"),
             Json::Bool(true) => out.push_str("true"),
             Json::Bool(false) => out.push_str("false"),
+            // Formatting into a `String` cannot fail.
+            Json::Num(n) if n.fract() == 0.0 && n.abs() < 1e15 => {
+                let _ = write!(out, "{}", *n as i64);
+            }
             Json::Num(n) => {
-                if n.fract() == 0.0 && n.abs() < 1e15 {
-                    out.push_str(&format!("{}", *n as i64));
-                } else {
-                    out.push_str(&format!("{n}"));
-                }
+                let _ = write!(out, "{n}");
             }
             Json::Str(s) => write_escaped(out, s),
             Json::Arr(items) => {
@@ -188,7 +194,7 @@ impl Json {
 impl fmt::Display for Json {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut out = String::new();
-        self.write(&mut out, None, 0);
+        self.write_compact(&mut out);
         f.write_str(&out)
     }
 }
@@ -204,19 +210,29 @@ fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
 
 fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{8}' => out.push_str("\\b"),
-            '\u{c}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    // Copy each run of bytes that need no escape in one step. Every
+    // escaped byte is ASCII, so each run ends on a character boundary.
+    let mut plain = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if !matches!(b, b'"' | b'\\' | 0x00..=0x1f) {
+            continue;
         }
+        out.push_str(&s[plain..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            0x08 => out.push_str("\\b"),
+            0x0c => out.push_str("\\f"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
+        }
+        plain = i + 1;
     }
+    out.push_str(&s[plain..]);
     out.push('"');
 }
 
@@ -330,6 +346,22 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run of plain bytes up to the next quote,
+            // backslash or control byte in one step. Those stop bytes
+            // are ASCII, so the run ends on a character boundary and
+            // validating it costs its own length, not the rest of the
+            // frame's.
+            let rest = &self.bytes[self.pos..];
+            let run = rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                .unwrap_or(rest.len());
+            if run > 0 {
+                let text =
+                    std::str::from_utf8(&rest[..run]).map_err(|_| self.err("invalid utf-8"))?;
+                out.push_str(text);
+                self.pos += run;
+            }
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
@@ -376,18 +408,9 @@ impl Parser<'_> {
                     }
                     self.pos += 1;
                 }
-                Some(b) if b < 0x20 => {
-                    return Err(self.err("raw control character in string"))
-                }
-                Some(_) => {
-                    // Consume one UTF-8 character (input is valid UTF-8
-                    // by construction: it came from a &str).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid utf-8"))?;
-                    let c = rest.chars().next().expect("peek saw a byte");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                // The run stopped short of a quote or backslash, so
+                // this is a byte below 0x20.
+                Some(_) => return Err(self.err("raw control character in string")),
             }
         }
     }
@@ -579,5 +602,220 @@ mod tests {
             Json::parse(r#""𝄞""#).unwrap(),
             Json::Str("𝄞".into())
         );
+    }
+
+    /// Differential test of the string scanner: `Json::parse` against a
+    /// copy of the character-at-a-time `string()` it replaced, which
+    /// re-validated the rest of the input for every character. Both
+    /// must return the same value, or fail at the same offset with the
+    /// same message.
+    mod differential {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// The replaced scanner, kept verbatim as the oracle.
+        fn reference_string(p: &mut Parser<'_>) -> Result<String, JsonError> {
+            p.expect(b'"')?;
+            let mut out = String::new();
+            loop {
+                match p.peek() {
+                    None => return Err(p.err("unterminated string")),
+                    Some(b'"') => {
+                        p.pos += 1;
+                        return Ok(out);
+                    }
+                    Some(b'\\') => {
+                        p.pos += 1;
+                        match p.peek() {
+                            Some(b'"') => out.push('"'),
+                            Some(b'\\') => out.push('\\'),
+                            Some(b'/') => out.push('/'),
+                            Some(b'b') => out.push('\u{8}'),
+                            Some(b'f') => out.push('\u{c}'),
+                            Some(b'n') => out.push('\n'),
+                            Some(b'r') => out.push('\r'),
+                            Some(b't') => out.push('\t'),
+                            Some(b'u') => {
+                                p.pos += 1;
+                                let high = p.hex4()?;
+                                let c = if (0xD800..0xDC00).contains(&high) {
+                                    if !p.bytes[p.pos..].starts_with(b"\\u") {
+                                        return Err(p.err("unpaired surrogate"));
+                                    }
+                                    p.pos += 2;
+                                    let low = p.hex4()?;
+                                    if !(0xDC00..0xE000).contains(&low) {
+                                        return Err(p.err("invalid low surrogate"));
+                                    }
+                                    let code = 0x10000 + ((high - 0xD800) << 10) + (low - 0xDC00);
+                                    char::from_u32(code)
+                                } else {
+                                    char::from_u32(high)
+                                };
+                                match c {
+                                    Some(c) => out.push(c),
+                                    None => return Err(p.err("invalid unicode escape")),
+                                }
+                                continue;
+                            }
+                            _ => return Err(p.err("invalid escape sequence")),
+                        }
+                        p.pos += 1;
+                    }
+                    Some(b) if b < 0x20 => return Err(p.err("raw control character in string")),
+                    Some(_) => {
+                        let rest = std::str::from_utf8(&p.bytes[p.pos..])
+                            .map_err(|_| p.err("invalid utf-8"))?;
+                        let c = rest.chars().next().expect("peek saw a byte");
+                        out.push(c);
+                        p.pos += c.len_utf8();
+                    }
+                }
+            }
+        }
+
+        /// `Json::parse` for a document that opens with a string,
+        /// decoded by the oracle.
+        fn reference_parse(input: &str) -> Result<Json, JsonError> {
+            let mut parser = Parser {
+                bytes: input.as_bytes(),
+                pos: 0,
+            };
+            let value = reference_string(&mut parser)?;
+            parser.skip_ws();
+            if parser.pos != parser.bytes.len() {
+                return Err(parser.err("trailing characters after document"));
+            }
+            Ok(Json::Str(value))
+        }
+
+        fn fixed(pieces: &'static [&'static str]) -> BoxedStrategy<String> {
+            (0..pieces.len())
+                .prop_map(move |i| pieces[i].to_string())
+                .boxed()
+        }
+
+        /// A code point of the given UTF-8 width.
+        fn wide(lo: u32, hi: u32) -> BoxedStrategy<String> {
+            (lo..hi)
+                .prop_filter("not a surrogate", |c| char::from_u32(*c).is_some())
+                .prop_map(|c| char::from_u32(c).expect("filtered").to_string())
+                .boxed()
+        }
+
+        /// One fragment of string content: plain and multi-byte text,
+        /// quotes, every escape form (good and bad), and raw control
+        /// bytes.
+        fn piece() -> impl Strategy<Value = String> {
+            prop_oneof![
+                (b'a'..=b'z').prop_map(|b| (b as char).to_string()),
+                fixed(&["plain text", " ", "~", "\u{7f}", "'"]),
+                wide(0x80, 0x800),
+                wide(0x800, 0x1_0000),
+                wide(0x1_0000, 0x11_0000),
+                fixed(&["é", "€", "😀", "𝄞", "\u{fffd}"]),
+                fixed(&["\"", "\\\"", "\\\\", "\\/", "\\b", "\\f", "\\n", "\\r", "\\t"]),
+                fixed(&["\\", "\\x", "\\0", "\\U0041", "\\é"]),
+                fixed(&["\\u0041", "\\u00e9", "\\u20AC", "\\uffff", "\\u0000", "\\u001f"]),
+                fixed(&["\\ud83d\\ude00", "\\uD834\\uDD1E", "\\ud83d", "\\ude00"]),
+                fixed(&["\\ud83d\\u0041", "\\ud83dx", "\\ud83d\\", "\\ud83d\\ude0"]),
+                fixed(&["\\u12", "\\u", "\\uzzzz", "\\u+123", "\\u12é", "\\u€"]),
+                (0u32..0x20).prop_map(|c| char::from_u32(c).expect("ascii").to_string()),
+            ]
+        }
+
+        /// A document opening with a quote: the pieces, then usually a
+        /// closing quote, then sometimes trailing content.
+        fn document() -> impl Strategy<Value = String> {
+            (
+                proptest::collection::vec(piece(), 0..24),
+                0u8..4,
+                prop_oneof![fixed(&["", " ", " \n", "x", "\"", ", 1"]), piece().boxed()],
+            )
+                .prop_map(|(pieces, close, tail)| {
+                    let mut doc = String::from("\"");
+                    for piece in &pieces {
+                        doc.push_str(piece);
+                    }
+                    if close > 0 {
+                        doc.push('"');
+                        if close > 1 {
+                            doc.push_str(&tail);
+                        }
+                    }
+                    doc
+                })
+        }
+
+        /// The character-at-a-time escaper the run-copying writer
+        /// replaced, kept as the oracle for its bytes.
+        fn reference_escaped(s: &str) -> String {
+            let mut out = String::from("\"");
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\r' => out.push_str("\\r"),
+                    '\t' => out.push_str("\\t"),
+                    '\u{8}' => out.push_str("\\b"),
+                    '\u{c}' => out.push_str("\\f"),
+                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                    c => out.push(c),
+                }
+            }
+            out.push('"');
+            out
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(4_000))]
+            #[test]
+            fn string_scanner_matches_reference(doc in document()) {
+                prop_assert_eq!(Json::parse(&doc), reference_parse(&doc), "document {:?}", doc);
+            }
+
+            /// The same fragments, taken as text to encode: the writer
+            /// emits exactly the old bytes, and they decode back.
+            #[test]
+            fn string_writer_matches_reference(pieces in proptest::collection::vec(piece(), 0..24)) {
+                let text = pieces.concat();
+                let encoded = Json::Str(text.clone()).to_string();
+                prop_assert_eq!(&encoded, &reference_escaped(&text));
+                prop_assert_eq!(Json::parse(&encoded), Ok(Json::Str(text)));
+            }
+        }
+
+        /// The generator reaches every outcome the comparison is meant
+        /// to cover, so a passing run is not a vacuous one.
+        #[test]
+        fn generator_covers_values_and_each_error() {
+            let mut rng = proptest::test_runner::TestRng::from_seed(11);
+            let strategy = document();
+            let mut seen = std::collections::BTreeSet::new();
+            for _ in 0..4_000 {
+                let doc = strategy.new_value(&mut rng);
+                seen.insert(match reference_parse(&doc) {
+                    Ok(_) => "ok".to_string(),
+                    Err(e) => e.message,
+                });
+            }
+            for outcome in [
+                "ok",
+                "unterminated string",
+                "invalid escape sequence",
+                "raw control character in string",
+                "unpaired surrogate",
+                "invalid low surrogate",
+                "invalid unicode escape",
+                "truncated unicode escape",
+                "trailing characters after document",
+            ] {
+                assert!(
+                    seen.contains(outcome),
+                    "never produced {outcome:?}: {seen:?}"
+                );
+            }
+        }
     }
 }

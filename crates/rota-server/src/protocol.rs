@@ -854,13 +854,15 @@ pub fn read_frame<R: BufRead>(reader: &mut R, max_bytes: usize) -> Result<String
     }
 }
 
-/// Writes one value as a frame: compact JSON plus `\n`, flushed.
+/// Writes one value as a frame: compact JSON plus `\n`, encoded into
+/// one buffer and flushed.
 ///
 /// # Errors
 ///
 /// Propagates the underlying I/O error.
 pub fn write_frame<W: Write>(writer: &mut W, doc: &Json) -> std::io::Result<()> {
-    let mut line = doc.to_string();
+    let mut line = String::new();
+    doc.write_compact(&mut line);
     line.push('\n');
     writer.write_all(line.as_bytes())?;
     writer.flush()
@@ -1258,5 +1260,78 @@ mod tests {
             let back = Response::from_line(&line).unwrap();
             assert_eq!(response, back, "round-trip through {line}");
         }
+    }
+
+    /// An admit frame exactly [`MAX_FRAME_BYTES`] long whose
+    /// computation name is one long string: the costliest frame a
+    /// connection thread can be asked to decode.
+    fn cap_sized_admit() -> String {
+        let admit = |name: String| Request::Admit {
+            computation: crate::spec::ComputationSpec {
+                name,
+                start: 0,
+                deadline: 10,
+                actors: vec![crate::spec::ActorSpec {
+                    name: "a".into(),
+                    origin: "l0".into(),
+                    actions: vec![crate::spec::ActionSpec::Evaluate { work: None }],
+                }],
+            },
+            granularity: Granularity::MaximalRun,
+            forwarded: false,
+        };
+        let overhead = admit(String::new()).to_json().to_string().len();
+        let line = admit("n".repeat(MAX_FRAME_BYTES - overhead))
+            .to_json()
+            .to_string();
+        assert_eq!(line.len(), MAX_FRAME_BYTES);
+        line
+    }
+
+    /// Decoding is linear in frame length, so the frame cap bounds a
+    /// connection's CPU as well as its memory. On a 2-vCPU VM this
+    /// decode takes 2–3 ms in an unoptimized test build; the bound is
+    /// about 100× that, so a loaded test run does not trip it. It is
+    /// still far below the 1.15 s an optimized build of a scanner that
+    /// re-validates the rest of the frame for each character takes
+    /// here, so such a scanner fails this test in any build.
+    #[test]
+    fn cap_sized_frame_decodes_within_a_cpu_bound() {
+        use std::time::{Duration, Instant};
+        const BOUND: Duration = Duration::from_millis(250);
+        let line = cap_sized_admit();
+        let name_start = line.find(r#""name":""#).expect("computation name") + 8;
+        let name_end = line.find(r#"","start""#).expect("name precedes start");
+
+        let started = Instant::now();
+        let decoded = Request::from_line(&line);
+        let elapsed = started.elapsed();
+        match decoded {
+            Ok(Request::Admit { computation, .. }) => {
+                assert_eq!(computation.name, line[name_start..name_end]);
+            }
+            other => panic!("cap-sized admit must decode: {other:?}"),
+        }
+        assert!(elapsed < BOUND, "decode took {elapsed:?}, bound {BOUND:?}");
+
+        // A raw control byte near the end fails at that byte's offset,
+        // within the same bound.
+        let offset = name_end - 16;
+        let mut hostile = line.into_bytes();
+        hostile[offset] = 0x01;
+        let hostile = String::from_utf8(hostile).expect("still utf-8");
+        let started = Instant::now();
+        let refused = Request::from_line(&hostile).unwrap_err().to_string();
+        let elapsed = started.elapsed();
+        assert!(
+            refused.ends_with(&format!(
+                "json error at byte {offset}: raw control character in string"
+            )),
+            "{refused}"
+        );
+        assert!(
+            elapsed < BOUND,
+            "rejection took {elapsed:?}, bound {BOUND:?}"
+        );
     }
 }

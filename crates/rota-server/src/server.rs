@@ -474,6 +474,12 @@ fn serve_connection(stream: TcpStream, inner: &Arc<Inner>) {
     if stream.set_read_timeout(Some(poll)).is_err() {
         return;
     }
+    // Every answer is one flushed frame: send it whole rather than let
+    // Nagle's algorithm hold back the tail segment of one larger than
+    // an MSS until the peer acknowledges the head.
+    if stream.set_nodelay(true).is_err() {
+        return;
+    }
     let mut reader = BufReader::new(match stream.try_clone() {
         Ok(clone) => clone,
         Err(_) => return,

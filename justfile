@@ -81,6 +81,12 @@ bench-e15:
 bench-obs:
     cargo bench -p rota-bench --bench admission
 
+# E17 on its own: wire codec decode and encode cost against frame
+# size (prepare and cluster-state frames of 3–110 basis terms, the
+# R0006 decision, an admit, a cap-sized one-string admit).
+bench-codec:
+    cargo bench -p rota-bench --bench codec
+
 # Regenerate the metric/journal demo dump.
 stats:
     cargo run -p rota-cli -- stats
