@@ -14,7 +14,7 @@ use rota_interval::TimeInterval;
 use rota_resource::{LocatedType, Quantity, ResourceSet};
 
 use crate::diag::{Diagnostic, Report, Severity};
-use crate::model::{ActionDecl, ComputationDecl, SpecModel};
+use crate::spec::{ActionSpec, ComputationSpec, SpecModel};
 
 /// Index of the first declaration supplying `lt`, if any.
 fn first_supply(model: &SpecModel, lt: &LocatedType) -> Option<usize> {
@@ -24,7 +24,7 @@ fn first_supply(model: &SpecModel, lt: &LocatedType) -> Option<usize> {
 /// Best-effort attribution of a demand back to the spec fragment that
 /// induces it: the actor origin, `migrate`, or `send` that makes the
 /// cost model charge `lt`.
-fn demand_site(computation: &ComputationDecl, lt: &LocatedType) -> String {
+fn demand_site(computation: &ComputationSpec, lt: &LocatedType) -> String {
     match lt {
         LocatedType::Node { location, .. } => {
             let name = location.name();
@@ -35,7 +35,7 @@ fn demand_site(computation: &ComputationDecl, lt: &LocatedType) -> String {
             }
             for (i, actor) in computation.actors.iter().enumerate() {
                 for (j, action) in actor.actions.iter().enumerate() {
-                    if matches!(action, ActionDecl::Migrate { dest } if dest == name) {
+                    if matches!(action, ActionSpec::Migrate { dest } if dest == name) {
                         return format!("computation.actors[{i}].actions[{j}]");
                     }
                 }
@@ -46,8 +46,8 @@ fn demand_site(computation: &ComputationDecl, lt: &LocatedType) -> String {
             for (i, actor) in computation.actors.iter().enumerate() {
                 for (j, action) in actor.actions.iter().enumerate() {
                     let hits = match action {
-                        ActionDecl::Send { dest, .. } => dest == name,
-                        ActionDecl::Migrate { dest } => dest == name,
+                        ActionSpec::Send { dest, .. } => dest == name,
+                        ActionSpec::Migrate { dest } => dest == name,
                         _ => false,
                     };
                     if hits {
@@ -63,7 +63,7 @@ fn demand_site(computation: &ComputationDecl, lt: &LocatedType) -> String {
 /// R0006: positive demand on a located type with no supply anywhere —
 /// one lookup per demanded type.
 pub(crate) fn unknown_supply(
-    computation: &ComputationDecl,
+    computation: &ComputationSpec,
     supply: &ResourceSet,
     demand: &ResourceDemand,
     report: &mut Report,

@@ -13,7 +13,7 @@
 use rota_interval::{AllenRelation, ConstraintNetwork, RelationSet, TimeInterval, ALL_RELATIONS};
 
 use crate::diag::{Diagnostic, Report, Severity};
-use crate::model::SpecModel;
+use crate::spec::SpecModel;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Entity {

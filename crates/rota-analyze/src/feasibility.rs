@@ -16,7 +16,7 @@ use rota_logic::{schedule_concurrent, State};
 use rota_resource::ResourceSet;
 
 use crate::diag::{Diagnostic, Report, Severity};
-use crate::model::SpecModel;
+use crate::spec::SpecModel;
 
 pub(crate) fn run(
     model: &SpecModel,

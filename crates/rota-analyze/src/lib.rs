@@ -58,8 +58,8 @@
 #![warn(missing_docs)]
 
 pub mod diag;
-pub mod model;
 pub mod span;
+pub mod spec;
 
 mod capacity;
 mod constraints;
@@ -68,10 +68,10 @@ mod structural;
 
 pub use constraints::relation_name;
 pub use diag::{Diagnostic, Report, Severity};
-pub use model::{
-    ActionDecl, ActorDecl, ComputationDecl, ConstraintDecl, ResourceDecl, SpecModel,
-};
 pub use span::{locate, Loc};
+pub use spec::{
+    ActionSpec, ActorSpec, ComputationSpec, ConstraintSpec, ResourceSpec, SpecError, SpecModel,
+};
 
 use rota_actor::{
     ConcurrentRequirement, CostModel, DistributedComputation, Granularity, ResourceDemand,
@@ -116,7 +116,7 @@ pub fn analyze_with(model: &SpecModel, cost: &dyn CostModel, granularity: Granul
     constraints::run(model, &mut report);
 
     let theta = model.theta();
-    let lambda = model.computation.build();
+    let lambda = model.computation.build().ok();
     let requirement = lambda
         .as_ref()
         .map(|l| ConcurrentRequirement::of_computation(l, cost, granularity));
@@ -167,7 +167,7 @@ pub fn prevalidate_request(
 ) -> Report {
     let mut report = Report::new();
     check_request(
-        &ComputationDecl::from_computation(computation),
+        &ComputationSpec::from(computation),
         supply,
         demand,
         &mut report,
@@ -177,7 +177,7 @@ pub fn prevalidate_request(
 
 /// The request-side passes both pre-admission entry points share.
 fn check_request(
-    computation: &ComputationDecl,
+    computation: &ComputationSpec,
     supply: &ResourceSet,
     demand: &ResourceDemand,
     report: &mut Report,
@@ -231,8 +231,8 @@ mod tests {
     use rota_interval::{TimeInterval, TimePoint};
     use rota_resource::{LocatedType, Location, Rate, ResourceTerm};
 
-    fn decl(located: LocatedType, rate: u64, start: u64, end: u64) -> ResourceDecl {
-        ResourceDecl {
+    fn decl(located: LocatedType, rate: u64, start: u64, end: u64) -> ResourceSpec {
+        ResourceSpec {
             located,
             rate,
             start,
@@ -295,7 +295,7 @@ mod tests {
         // Plenty of total supply, but only before the window closes at
         // t=2 for a 2-actor contention: actor b's send needs a link
         // that only exists early.
-        model.computation.actors[0].actions.push(ActionDecl::Send {
+        model.computation.actors[0].actions.push(ActionSpec::Send {
             to: "peer".into(),
             dest: "l2".into(),
             size: 2,
@@ -320,12 +320,12 @@ mod tests {
     #[test]
     fn constraint_conflicts_report_a_minimal_core() {
         let mut model = simple_model();
-        model.constraints.push(ConstraintDecl {
+        model.constraints.push(ConstraintSpec {
             left: "resources[0]".into(),
             rel: vec!["equals".into()],
             right: "computation".into(),
         });
-        model.constraints.push(ConstraintDecl {
+        model.constraints.push(ConstraintSpec {
             left: "resources[0]".into(),
             rel: vec!["before".into()],
             right: "computation".into(),
@@ -345,7 +345,7 @@ mod tests {
     #[test]
     fn bad_constraint_references_fire_r0012_and_r0015() {
         let mut model = simple_model();
-        model.constraints.push(ConstraintDecl {
+        model.constraints.push(ConstraintSpec {
             left: "resources[7]".into(),
             rel: vec!["befor".into()],
             right: "nonsense".into(),

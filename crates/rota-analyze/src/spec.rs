@@ -1,19 +1,24 @@
-//! The JSON specification format for systems and computations — the
-//! serialization boundary between the wire / files on disk and the
-//! library types.
+//! The spec model and its JSON codec: the one written form of the
+//! paper's objects — a resource term `[r]^τ_ξ` and a computation
+//! `(Λ, s, d)` — shared by spec files, the wire protocol and the lints.
 //!
-//! This module used to live in `rota-cli`; it moved here when the wire
-//! protocol ([`crate::protocol`]) started carrying the same shapes, so
-//! the CLI's `check` spec reader and the server's `admit`/`offer`
-//! decoder share one strict codec. Decoding is hand-rolled over
-//! [`rota_obs::Json`] (the build is offline, so there is no serde; see
-//! `shims/README.md`) and is strict like a `deny_unknown_fields` serde
-//! derive: unknown or duplicate keys, missing fields, and wrong types
-//! are all [`SpecError::Parse`] errors naming the offending field.
-//! Each spec type's `to_json` is the exact inverse of its decoder, and
-//! the library encoders ([`computation_to_json`],
-//! [`resource_set_to_json`]) go library → spec → JSON, so there is one
-//! encoder per wire shape and requests round-trip.
+//! The types hold declarations as written, before any library type
+//! swallows or rejects them. Lints need to see *invalid* content
+//! (empty intervals, inverted windows, zero rates) that
+//! `ResourceSet`/`DistributedComputation` refuse to represent, so the
+//! model keeps raw numbers and converts on demand: strictly through
+//! [`resource_set`] and [`ComputationSpec::build`], leniently through
+//! [`SpecModel::theta`].
+//!
+//! Decoding is hand-rolled over [`rota_obs::Json`] (the build is
+//! offline, so there is no serde; see `shims/README.md`) and is strict
+//! like a `deny_unknown_fields` serde derive: unknown or duplicate
+//! keys, missing fields, and wrong types are all [`SpecError::Parse`]
+//! errors naming the offending field. Each type's `to_json` is the
+//! exact inverse of its decoder, and the library encoders
+//! ([`computation_to_json`], [`resource_set_to_json`]) go library →
+//! spec → JSON, so there is one encoder per wire shape and requests
+//! round-trip.
 //!
 //! A spec file describes a system's resource terms and one
 //! deadline-constrained computation:
@@ -49,48 +54,21 @@ use rota_resource::{
     LocatedType, Location, NodeResourceKind, Quantity, Rate, ResourceSet, ResourceTerm,
 };
 
-/// A resource term in the spec file.
-#[derive(Debug, Clone)]
-pub enum ResourceSpec {
-    /// `⟨cpu, location⟩` at `rate` over `[start, end)`.
-    Cpu {
-        /// Node name.
-        location: String,
-        /// Units per tick.
-        rate: u64,
-        /// Inclusive start tick.
-        start: u64,
-        /// Exclusive end tick.
-        end: u64,
-    },
-    /// `⟨memory, location⟩` at `rate` over `[start, end)`.
-    Memory {
-        /// Node name.
-        location: String,
-        /// Units per tick.
-        rate: u64,
-        /// Inclusive start tick.
-        start: u64,
-        /// Exclusive end tick.
-        end: u64,
-    },
-    /// `⟨network, from→to⟩` at `rate` over `[start, end)`.
-    Network {
-        /// Source node.
-        from: String,
-        /// Destination node.
-        to: String,
-        /// Units per tick.
-        rate: u64,
-        /// Inclusive start tick.
-        start: u64,
-        /// Exclusive end tick.
-        end: u64,
-    },
+/// One declared resource term, as written.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ResourceSpec {
+    /// The located type `⟨kind, location⟩` the term supplies.
+    pub located: LocatedType,
+    /// Units per tick, as declared (may be zero).
+    pub rate: u64,
+    /// Inclusive start tick.
+    pub start: u64,
+    /// Exclusive end tick (may not follow `start`; that is lint R0001).
+    pub end: u64,
 }
 
-/// An action in the spec file.
-#[derive(Debug, Clone)]
+/// One action of an actor, as written.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ActionSpec {
     /// `evaluate(e)`; optional explicit `work` CPU units.
     Evaluate {
@@ -120,8 +98,8 @@ pub enum ActionSpec {
     },
 }
 
-/// One actor's computation in the spec file.
-#[derive(Debug, Clone)]
+/// One actor, as written.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ActorSpec {
     /// Actor name (globally unique).
     pub name: String,
@@ -131,14 +109,14 @@ pub struct ActorSpec {
     pub actions: Vec<ActionSpec>,
 }
 
-/// The computation `(Λ, s, d)` in the spec file.
-#[derive(Debug, Clone)]
+/// The computation `(Λ, s, d)`, as written.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ComputationSpec {
     /// Identifying name.
     pub name: String,
     /// Earliest start tick `s`.
     pub start: u64,
-    /// Deadline tick `d`.
+    /// Deadline tick `d` (may not follow `s`; that is lint R0003).
     pub deadline: u64,
     /// Participating actors.
     pub actors: Vec<ActorSpec>,
@@ -149,25 +127,25 @@ pub struct ComputationSpec {
 /// Entities are referenced by path: `"computation"` (the start/deadline
 /// window) or `"resources[i]"` (the i-th term's interval). `rel` names
 /// the allowed relations (`before`, `meets`, `during`, …); the
-/// analyzer's constraint pass checks satisfiability.
-#[derive(Debug, Clone)]
+/// constraint pass checks satisfiability.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConstraintSpec {
-    /// Left entity reference.
+    /// Left entity reference, e.g. `resources[0]`.
     pub left: String,
-    /// Allowed Allen relation names.
+    /// Allowed Allen relation names, e.g. `["before", "meets"]`.
     pub rel: Vec<String>,
-    /// Right entity reference.
+    /// Right entity reference, e.g. `computation`.
     pub right: String,
 }
 
-/// A whole check-spec file.
-#[derive(Debug, Clone)]
-pub struct CheckSpec {
-    /// The system's resource terms.
+/// A whole spec file, as the analyzer sees it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SpecModel {
+    /// Declared resource terms.
     pub resources: Vec<ResourceSpec>,
-    /// The computation to admission-check.
+    /// The deadline-constrained computation.
     pub computation: ComputationSpec,
-    /// Optional temporal constraints (empty when the file has none).
+    /// Declared temporal constraints (optional; empty when absent).
     pub constraints: Vec<ConstraintSpec>,
 }
 
@@ -193,13 +171,19 @@ impl std::error::Error for SpecError {}
 
 /// A decoded JSON object, checked field-by-field so unknown and
 /// duplicate keys are rejected like serde's `deny_unknown_fields`.
-pub(crate) struct Fields<'a> {
+/// Every error names `ctx`, the object's place in the document.
+pub struct Fields<'a> {
     ctx: &'a str,
     pairs: &'a [(String, Json)],
 }
 
 impl<'a> Fields<'a> {
-    pub(crate) fn of(value: &'a Json, ctx: &'a str) -> Result<Self, SpecError> {
+    /// Views `value` as an object.
+    ///
+    /// # Errors
+    ///
+    /// [`SpecError::Parse`] when it is not an object or repeats a key.
+    pub fn of(value: &'a Json, ctx: &'a str) -> Result<Self, SpecError> {
         let pairs = value
             .as_object()
             .ok_or_else(|| SpecError::Parse(format!("{ctx}: expected an object")))?;
@@ -211,7 +195,12 @@ impl<'a> Fields<'a> {
         Ok(Fields { ctx, pairs })
     }
 
-    pub(crate) fn deny_unknown(&self, allowed: &[&str]) -> Result<(), SpecError> {
+    /// Refuses any key outside `allowed`.
+    ///
+    /// # Errors
+    ///
+    /// [`SpecError::Parse`] naming the first unknown key.
+    pub fn deny_unknown(&self, allowed: &[&str]) -> Result<(), SpecError> {
         for (key, _) in self.pairs {
             if !allowed.contains(&key.as_str()) {
                 return Err(SpecError::Parse(format!(
@@ -223,7 +212,12 @@ impl<'a> Fields<'a> {
         Ok(())
     }
 
-    pub(crate) fn required(&self, key: &str) -> Result<&'a Json, SpecError> {
+    /// The value under `key`.
+    ///
+    /// # Errors
+    ///
+    /// [`SpecError::Parse`] when the key is absent.
+    pub fn required(&self, key: &str) -> Result<&'a Json, SpecError> {
         self.pairs
             .iter()
             .find(|(k, _)| k == key)
@@ -231,27 +225,44 @@ impl<'a> Fields<'a> {
             .ok_or_else(|| SpecError::Parse(format!("{}: missing field `{key}`", self.ctx)))
     }
 
-    pub(crate) fn optional(&self, key: &str) -> Option<&'a Json> {
+    /// The value under `key`, when present.
+    pub fn optional(&self, key: &str) -> Option<&'a Json> {
         self.pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v)
     }
 
-    pub(crate) fn str(&self, key: &str) -> Result<String, SpecError> {
-        self.required(key)?
-            .as_str()
-            .map(str::to_string)
-            .ok_or_else(|| SpecError::Parse(format!("{}: field `{key}` must be a string", self.ctx)))
+    /// The string under `key`.
+    ///
+    /// # Errors
+    ///
+    /// [`SpecError::Parse`] when absent or not a string.
+    pub fn str(&self, key: &str) -> Result<String, SpecError> {
+        self.text(key).map(str::to_string)
     }
 
-    pub(crate) fn u64(&self, key: &str) -> Result<u64, SpecError> {
-        self.required(key)?.as_u64().ok_or_else(|| {
-            SpecError::Parse(format!(
-                "{}: field `{key}` must be a non-negative integer",
-                self.ctx
-            ))
+    fn text(&self, key: &str) -> Result<&'a str, SpecError> {
+        self.required(key)?.as_str().ok_or_else(|| {
+            SpecError::Parse(format!("{}: field `{key}` must be a string", self.ctx))
         })
     }
 
-    pub(crate) fn u64_opt(&self, key: &str) -> Result<Option<u64>, SpecError> {
+    /// The non-negative integer under `key`.
+    ///
+    /// # Errors
+    ///
+    /// [`SpecError::Parse`] when absent or not an integer
+    /// [`Json::as_u64`] reads exactly.
+    pub fn u64(&self, key: &str) -> Result<u64, SpecError> {
+        self.u64_opt(key)?
+            .ok_or_else(|| SpecError::Parse(format!("{}: missing field `{key}`", self.ctx)))
+    }
+
+    /// The non-negative integer under `key`, when present.
+    ///
+    /// # Errors
+    ///
+    /// [`SpecError::Parse`] when present but not an integer
+    /// [`Json::as_u64`] reads exactly.
+    pub fn u64_opt(&self, key: &str) -> Result<Option<u64>, SpecError> {
         match self.optional(key) {
             None => Ok(None),
             Some(v) => v.as_u64().map(Some).ok_or_else(|| {
@@ -263,7 +274,12 @@ impl<'a> Fields<'a> {
         }
     }
 
-    pub(crate) fn array(&self, key: &str) -> Result<&'a [Json], SpecError> {
+    /// The array under `key`.
+    ///
+    /// # Errors
+    ///
+    /// [`SpecError::Parse`] when absent or not an array.
+    pub fn array(&self, key: &str) -> Result<&'a [Json], SpecError> {
         self.required(key)?.as_array().ok_or_else(|| {
             SpecError::Parse(format!("{}: field `{key}` must be an array", self.ctx))
         })
@@ -273,49 +289,41 @@ impl<'a> Fields<'a> {
 fn decode_resource(value: &Json, index: usize) -> Result<ResourceSpec, SpecError> {
     let ctx = format!("resources[{index}]");
     let fields = Fields::of(value, &ctx)?;
-    let kind = fields.str("kind")?;
-    match kind.as_str() {
+    let kind = fields.text("kind")?;
+    let located = match kind {
         "cpu" | "memory" => {
             fields.deny_unknown(&["kind", "location", "rate", "start", "end"])?;
-            let location = fields.str("location")?;
-            let (rate, start, end) = (fields.u64("rate")?, fields.u64("start")?, fields.u64("end")?);
-            Ok(if kind == "cpu" {
-                ResourceSpec::Cpu {
-                    location,
-                    rate,
-                    start,
-                    end,
-                }
+            let location = Location::new(fields.text("location")?);
+            if kind == "cpu" {
+                LocatedType::cpu(location)
             } else {
-                ResourceSpec::Memory {
-                    location,
-                    rate,
-                    start,
-                    end,
-                }
-            })
+                LocatedType::memory(location)
+            }
         }
         "network" => {
             fields.deny_unknown(&["kind", "from", "to", "rate", "start", "end"])?;
-            Ok(ResourceSpec::Network {
-                from: fields.str("from")?,
-                to: fields.str("to")?,
-                rate: fields.u64("rate")?,
-                start: fields.u64("start")?,
-                end: fields.u64("end")?,
-            })
+            let from = Location::new(fields.text("from")?);
+            LocatedType::network(from, Location::new(fields.text("to")?))
         }
-        other => Err(SpecError::Parse(format!(
-            "{ctx}: unknown resource kind `{other}`, expected `cpu`, `memory`, or `network`"
-        ))),
-    }
+        other => {
+            return Err(SpecError::Parse(format!(
+                "{ctx}: unknown resource kind `{other}`, expected `cpu`, `memory`, or `network`"
+            )))
+        }
+    };
+    Ok(ResourceSpec {
+        located,
+        rate: fields.u64("rate")?,
+        start: fields.u64("start")?,
+        end: fields.u64("end")?,
+    })
 }
 
 fn decode_action(value: &Json, actor: &str, index: usize) -> Result<ActionSpec, SpecError> {
     let ctx = format!("actor `{actor}` actions[{index}]");
     let fields = Fields::of(value, &ctx)?;
-    let verb = fields.str("do")?;
-    match verb.as_str() {
+    let verb = fields.text("do")?;
+    match verb {
         "evaluate" => {
             fields.deny_unknown(&["do", "work"])?;
             Ok(ActionSpec::Evaluate {
@@ -379,7 +387,9 @@ fn decode_constraint(value: &Json, index: usize) -> Result<ConstraintSpec, SpecE
         .iter()
         .map(|r| {
             r.as_str().map(str::to_string).ok_or_else(|| {
-                SpecError::Parse(format!("{ctx}: `rel` entries must be relation-name strings"))
+                SpecError::Parse(format!(
+                    "{ctx}: `rel` entries must be relation-name strings"
+                ))
             })
         })
         .collect::<Result<_, _>>()?;
@@ -411,11 +421,14 @@ pub fn resources_from_json(values: &[Json]) -> Result<Vec<ResourceSpec>, SpecErr
 pub fn resource_set(specs: &[ResourceSpec]) -> Result<ResourceSet, SpecError> {
     let mut theta = ResourceSet::new();
     for r in specs {
-        let (located, rate, start, end) = r.parts();
-        let interval = TimeInterval::from_ticks(start, end)
-            .map_err(|e| SpecError::Invalid(format!("resource {located}: {e}")))?;
+        let interval = TimeInterval::from_ticks(r.start, r.end)
+            .map_err(|e| SpecError::Invalid(format!("resource {}: {e}", r.located)))?;
         theta
-            .insert(ResourceTerm::new(Rate::new(rate), interval, located))
+            .insert(ResourceTerm::new(
+                Rate::new(r.rate),
+                interval,
+                r.located.clone(),
+            ))
             .map_err(|e| SpecError::Invalid(e.to_string()))?;
     }
     Ok(theta)
@@ -438,133 +451,156 @@ pub fn resource_set_to_json(theta: &ResourceSet) -> Json {
     )
 }
 
+/// Any library term as written, including node kinds with no JSON form
+/// (see [`ResourceSpec::from_term`]).
+impl From<&ResourceTerm> for ResourceSpec {
+    fn from(term: &ResourceTerm) -> Self {
+        ResourceSpec {
+            located: term.located().clone(),
+            rate: term.rate().units_per_tick(),
+            start: term.interval().start().ticks(),
+            end: term.interval().end().ticks(),
+        }
+    }
+}
+
 impl ResourceSpec {
-    /// The spec form of a library term.
+    /// The spec form of a library term that the JSON format can name.
     ///
     /// # Errors
     ///
     /// [`SpecError::Invalid`] for node kinds other than `cpu` and
     /// `memory`, which the spec cannot name.
     pub fn from_term(term: &ResourceTerm) -> Result<ResourceSpec, SpecError> {
-        let rate = term.rate().units_per_tick();
-        let start = term.interval().start().ticks();
-        let end = term.interval().end().ticks();
-        Ok(match term.located() {
-            LocatedType::Node { kind, location } => {
-                let location = location.name().to_string();
-                match kind {
-                    NodeResourceKind::Cpu => ResourceSpec::Cpu {
-                        location,
-                        rate,
-                        start,
-                        end,
-                    },
-                    NodeResourceKind::Memory => ResourceSpec::Memory {
-                        location,
-                        rate,
-                        start,
-                        end,
-                    },
-                    other => {
-                        return Err(SpecError::Invalid(format!(
-                            "resource kind `{}` has no spec form",
-                            other.label()
-                        )))
-                    }
-                }
+        match term.located() {
+            LocatedType::Node { kind, .. }
+                if !matches!(kind, NodeResourceKind::Cpu | NodeResourceKind::Memory) =>
+            {
+                Err(SpecError::Invalid(format!(
+                    "resource kind `{}` has no spec form",
+                    kind.label()
+                )))
             }
-            LocatedType::Link { from, to } => ResourceSpec::Network {
-                from: from.name().into(),
-                to: to.name().into(),
-                rate,
-                start,
-                end,
-            },
-        })
-    }
-
-    /// The term's located type, rate, start and end, as declared.
-    fn parts(&self) -> (LocatedType, u64, u64, u64) {
-        match self {
-            ResourceSpec::Cpu {
-                location,
-                rate,
-                start,
-                end,
-            } => (
-                LocatedType::cpu(Location::new(location)),
-                *rate,
-                *start,
-                *end,
-            ),
-            ResourceSpec::Memory {
-                location,
-                rate,
-                start,
-                end,
-            } => (
-                LocatedType::memory(Location::new(location)),
-                *rate,
-                *start,
-                *end,
-            ),
-            ResourceSpec::Network {
-                from,
-                to,
-                rate,
-                start,
-                end,
-            } => (
-                LocatedType::network(Location::new(from), Location::new(to)),
-                *rate,
-                *start,
-                *end,
-            ),
+            _ => Ok(ResourceSpec::from(term)),
         }
     }
 
+    /// The declared interval, when non-empty.
+    pub fn interval(&self) -> Option<TimeInterval> {
+        TimeInterval::from_ticks(self.start, self.end).ok()
+    }
+
+    /// The validated library term, when the interval is non-empty.
+    pub fn to_term(&self) -> Option<ResourceTerm> {
+        self.interval()
+            .map(|iv| ResourceTerm::new(Rate::new(self.rate), iv, self.located.clone()))
+    }
+
     /// Encodes the term as the object [`resources_from_json`] decodes.
+    /// A node kind the spec cannot name is written under its label,
+    /// which the decoder refuses.
     pub fn to_json(&self) -> Json {
         let mut pairs = Vec::with_capacity(6);
-        let (rate, start, end) = match self {
-            ResourceSpec::Cpu {
-                location,
-                rate,
-                start,
-                end,
+        match &self.located {
+            LocatedType::Node { kind, location } => {
+                pairs.push(("kind".into(), Json::Str(kind.label().into())));
+                pairs.push(("location".into(), Json::Str(location.name().into())));
             }
-            | ResourceSpec::Memory {
-                location,
-                rate,
-                start,
-                end,
-            } => {
-                let kind = if matches!(self, ResourceSpec::Cpu { .. }) {
-                    "cpu"
-                } else {
-                    "memory"
-                };
-                pairs.push(("kind".into(), Json::Str(kind.into())));
-                pairs.push(("location".into(), Json::Str(location.clone())));
-                (rate, start, end)
-            }
-            ResourceSpec::Network {
-                from,
-                to,
-                rate,
-                start,
-                end,
-            } => {
+            LocatedType::Link { from, to } => {
                 pairs.push(("kind".into(), Json::Str("network".into())));
-                pairs.push(("from".into(), Json::Str(from.clone())));
-                pairs.push(("to".into(), Json::Str(to.clone())));
-                (rate, start, end)
+                pairs.push(("from".into(), Json::Str(from.name().into())));
+                pairs.push(("to".into(), Json::Str(to.name().into())));
+            }
+        }
+        pairs.push(("rate".into(), Json::Num(self.rate as f64)));
+        pairs.push(("start".into(), Json::Num(self.start as f64)));
+        pairs.push(("end".into(), Json::Num(self.end as f64)));
+        Json::Obj(pairs)
+    }
+}
+
+impl ActionSpec {
+    fn from_kind(kind: &ActionKind) -> Self {
+        match kind {
+            ActionKind::Evaluate { work } => ActionSpec::Evaluate {
+                work: work.map(|q| q.units()),
+            },
+            ActionKind::Send { to, dest, size } => ActionSpec::Send {
+                to: to.as_str().to_owned(),
+                dest: dest.name().to_string(),
+                size: *size,
+            },
+            ActionKind::Create { child } => ActionSpec::Create {
+                child: child.as_str().to_owned(),
+            },
+            ActionKind::Ready => ActionSpec::Ready,
+            ActionKind::Migrate { dest } => ActionSpec::Migrate {
+                dest: dest.name().to_string(),
+            },
+        }
+    }
+
+    fn to_kind(&self) -> ActionKind {
+        match self {
+            ActionSpec::Evaluate { work } => ActionKind::Evaluate {
+                work: work.map(Quantity::new),
+            },
+            ActionSpec::Send { to, dest, size } => ActionKind::Send {
+                to: to.as_str().into(),
+                dest: Location::new(dest),
+                size: *size,
+            },
+            ActionSpec::Create { child } => ActionKind::create(child.as_str()),
+            ActionSpec::Ready => ActionKind::Ready,
+            ActionSpec::Migrate { dest } => ActionKind::migrate(dest.as_str()),
+        }
+    }
+
+    fn to_json(&self) -> Json {
+        let (verb, mut rest) = match self {
+            ActionSpec::Evaluate { work } => (
+                "evaluate",
+                work.map(|w| vec![("work".to_string(), Json::Num(w as f64))])
+                    .unwrap_or_default(),
+            ),
+            ActionSpec::Send { to, dest, size } => (
+                "send",
+                vec![
+                    ("to".into(), Json::Str(to.clone())),
+                    ("dest".into(), Json::Str(dest.clone())),
+                    ("size".into(), Json::Num(*size as f64)),
+                ],
+            ),
+            ActionSpec::Create { child } => {
+                ("create", vec![("child".into(), Json::Str(child.clone()))])
+            }
+            ActionSpec::Ready => ("ready", Vec::new()),
+            ActionSpec::Migrate { dest } => {
+                ("migrate", vec![("dest".into(), Json::Str(dest.clone()))])
             }
         };
-        pairs.push(("rate".into(), Json::Num(*rate as f64)));
-        pairs.push(("start".into(), Json::Num(*start as f64)));
-        pairs.push(("end".into(), Json::Num(*end as f64)));
+        let mut pairs = vec![("do".to_string(), Json::Str(verb.into()))];
+        pairs.append(&mut rest);
         Json::Obj(pairs)
+    }
+}
+
+impl From<&DistributedComputation> for ComputationSpec {
+    fn from(lambda: &DistributedComputation) -> Self {
+        ComputationSpec {
+            name: lambda.name().to_string(),
+            start: lambda.start().ticks(),
+            deadline: lambda.deadline().ticks(),
+            actors: lambda
+                .actors()
+                .iter()
+                .map(|gamma| ActorSpec {
+                    name: gamma.actor().as_str().to_owned(),
+                    origin: gamma.origin().name().to_string(),
+                    actions: gamma.actions().iter().map(ActionSpec::from_kind).collect(),
+                })
+                .collect(),
+        }
     }
 }
 
@@ -629,19 +665,7 @@ impl ComputationSpec {
             .map(|a| {
                 let mut gamma = ActorComputation::new(a.name.as_str(), a.origin.as_str());
                 for action in &a.actions {
-                    gamma.push(match action {
-                        ActionSpec::Evaluate { work } => ActionKind::Evaluate {
-                            work: work.map(Quantity::new),
-                        },
-                        ActionSpec::Send { to, dest, size } => ActionKind::Send {
-                            to: to.as_str().into(),
-                            dest: Location::new(dest),
-                            size: *size,
-                        },
-                        ActionSpec::Create { child } => ActionKind::create(child.as_str()),
-                        ActionSpec::Ready => ActionKind::Ready,
-                        ActionSpec::Migrate { dest } => ActionKind::migrate(dest.as_str()),
-                    });
+                    gamma.push(action.to_kind());
                 }
                 gamma
             })
@@ -656,84 +680,14 @@ impl ComputationSpec {
     }
 }
 
-impl ActionSpec {
-    fn to_json(&self) -> Json {
-        let (verb, mut rest) = match self {
-            ActionSpec::Evaluate { work } => (
-                "evaluate",
-                work.map(|w| vec![("work".to_string(), Json::Num(w as f64))])
-                    .unwrap_or_default(),
-            ),
-            ActionSpec::Send { to, dest, size } => (
-                "send",
-                vec![
-                    ("to".into(), Json::Str(to.clone())),
-                    ("dest".into(), Json::Str(dest.clone())),
-                    ("size".into(), Json::Num(*size as f64)),
-                ],
-            ),
-            ActionSpec::Create { child } => {
-                ("create", vec![("child".into(), Json::Str(child.clone()))])
-            }
-            ActionSpec::Ready => ("ready", Vec::new()),
-            ActionSpec::Migrate { dest } => {
-                ("migrate", vec![("dest".into(), Json::Str(dest.clone()))])
-            }
-        };
-        let mut pairs = vec![("do".to_string(), Json::Str(verb.into()))];
-        pairs.append(&mut rest);
-        Json::Obj(pairs)
-    }
-}
-
-impl From<&DistributedComputation> for ComputationSpec {
-    fn from(lambda: &DistributedComputation) -> Self {
-        let actors = lambda
-            .actors()
-            .iter()
-            .map(|gamma| ActorSpec {
-                name: gamma.actor().to_string(),
-                origin: gamma.origin().name().into(),
-                actions: gamma
-                    .actions()
-                    .iter()
-                    .map(|action| match action {
-                        ActionKind::Evaluate { work } => ActionSpec::Evaluate {
-                            work: work.map(|q| q.units()),
-                        },
-                        ActionKind::Send { to, dest, size } => ActionSpec::Send {
-                            to: to.to_string(),
-                            dest: dest.name().into(),
-                            size: *size,
-                        },
-                        ActionKind::Create { child } => ActionSpec::Create {
-                            child: child.to_string(),
-                        },
-                        ActionKind::Ready => ActionSpec::Ready,
-                        ActionKind::Migrate { dest } => ActionSpec::Migrate {
-                            dest: dest.name().into(),
-                        },
-                    })
-                    .collect(),
-            })
-            .collect();
-        ComputationSpec {
-            name: lambda.name().into(),
-            start: lambda.start().ticks(),
-            deadline: lambda.deadline().ticks(),
-            actors,
-        }
-    }
-}
-
 /// Serializes a [`DistributedComputation`] as the spec's `computation`
 /// object, through its [`ComputationSpec`] form.
 pub fn computation_to_json(lambda: &DistributedComputation) -> Json {
     ComputationSpec::from(lambda).to_json()
 }
 
-impl CheckSpec {
-    /// Parses a spec from JSON text.
+impl SpecModel {
+    /// Parses a spec file from JSON text.
     ///
     /// # Errors
     ///
@@ -753,98 +707,36 @@ impl CheckSpec {
                 .map(|(i, c)| decode_constraint(c, i))
                 .collect::<Result<_, _>>()?,
         };
-        Ok(CheckSpec {
+        Ok(SpecModel {
             resources: resources_from_json(fields.array("resources")?)?,
             computation: ComputationSpec::from_json(fields.required("computation")?)?,
             constraints,
         })
     }
 
-    /// The analyzer's raw view of this spec — declarations as written,
-    /// including content the library types would reject (empty
-    /// intervals, inverted windows), which is exactly what the lints
-    /// need to see.
-    pub fn analysis_model(&self) -> rota_analyze::SpecModel {
-        let resources = self
-            .resources
-            .iter()
-            .map(|r| {
-                let (located, rate, start, end) = r.parts();
-                rota_analyze::ResourceDecl {
-                    located,
-                    rate,
-                    start,
-                    end,
-                }
-            })
-            .collect();
-        let actors = self
-            .computation
-            .actors
-            .iter()
-            .map(|a| rota_analyze::ActorDecl {
-                name: a.name.clone(),
-                origin: a.origin.clone(),
-                actions: a
-                    .actions
-                    .iter()
-                    .map(|action| match action {
-                        ActionSpec::Evaluate { work } => {
-                            rota_analyze::ActionDecl::Evaluate { work: *work }
-                        }
-                        ActionSpec::Send { to, dest, size } => rota_analyze::ActionDecl::Send {
-                            to: to.clone(),
-                            dest: dest.clone(),
-                            size: *size,
-                        },
-                        ActionSpec::Create { child } => {
-                            rota_analyze::ActionDecl::Create { child: child.clone() }
-                        }
-                        ActionSpec::Ready => rota_analyze::ActionDecl::Ready,
-                        ActionSpec::Migrate { dest } => {
-                            rota_analyze::ActionDecl::Migrate { dest: dest.clone() }
-                        }
-                    })
-                    .collect(),
-            })
-            .collect();
-        rota_analyze::SpecModel {
-            resources,
-            computation: rota_analyze::ComputationDecl {
-                name: self.computation.name.clone(),
-                start: self.computation.start,
-                deadline: self.computation.deadline,
-                actors,
-            },
-            constraints: self
-                .constraints
-                .iter()
-                .map(|c| rota_analyze::ConstraintDecl {
-                    left: c.left.clone(),
-                    rel: c.rel.clone(),
-                    right: c.right.clone(),
-                })
-                .collect(),
+    /// Builds a model from validated library types (no constraints) —
+    /// the path `rota-workload` uses.
+    pub fn from_parts(terms: &[ResourceTerm], lambda: &DistributedComputation) -> Self {
+        SpecModel {
+            resources: terms.iter().map(ResourceSpec::from).collect(),
+            computation: ComputationSpec::from(lambda),
+            constraints: Vec::new(),
         }
     }
 
-    /// Converts the resource list into a library [`ResourceSet`].
-    ///
-    /// # Errors
-    ///
-    /// [`SpecError::Invalid`] for empty intervals or rate overflow.
-    pub fn resources(&self) -> Result<ResourceSet, SpecError> {
-        resource_set(&self.resources)
-    }
-
-    /// Converts the computation into a library
-    /// [`DistributedComputation`].
-    ///
-    /// # Errors
-    ///
-    /// [`SpecError::Invalid`] when the deadline does not follow the start.
-    pub fn computation(&self) -> Result<DistributedComputation, SpecError> {
-        self.computation.build()
+    /// The declared supply as a [`ResourceSet`], skipping declarations
+    /// whose interval is empty (those already carry lint R0001).
+    pub fn theta(&self) -> ResourceSet {
+        let mut theta = ResourceSet::new();
+        for decl in &self.resources {
+            if let Some(term) = decl.to_term() {
+                // Insertion only fails on rate overflow; the overflowing
+                // declaration is skipped and surfaces through capacity
+                // lints instead of a panic.
+                let _ = theta.insert(term);
+            }
+        }
+        theta
     }
 }
 
@@ -877,10 +769,10 @@ mod tests {
 
     #[test]
     fn parses_and_converts_sample() {
-        let spec = CheckSpec::from_json(SAMPLE).unwrap();
-        let theta = spec.resources().unwrap();
+        let spec = SpecModel::from_json(SAMPLE).unwrap();
+        let theta = resource_set(&spec.resources).unwrap();
         assert_eq!(theta.located_types().count(), 3);
-        let lambda = spec.computation().unwrap();
+        let lambda = spec.computation.build().unwrap();
         assert_eq!(lambda.name(), "job");
         assert_eq!(lambda.action_count(), 6);
         assert_eq!(lambda.deadline(), TimePoint::new(20));
@@ -891,7 +783,7 @@ mod tests {
         let bad = r#"{ "resources": [], "computation": {
             "name": "x", "start": 0, "deadline": 1, "actors": [], "bogus": true } }"#;
         assert!(matches!(
-            CheckSpec::from_json(bad),
+            SpecModel::from_json(bad),
             Err(SpecError::Parse(_))
         ));
     }
@@ -900,50 +792,53 @@ mod tests {
     fn rejects_missing_and_mistyped_fields() {
         let missing = r#"{ "resources": [ { "kind": "cpu", "location": "l1", "rate": 1, "start": 0 } ],
              "computation": { "name": "x", "start": 0, "deadline": 1, "actors": [] } }"#;
-        let err = CheckSpec::from_json(missing).unwrap_err();
+        let err = SpecModel::from_json(missing).unwrap_err();
         assert!(err.to_string().contains("missing field `end`"), "{err}");
 
         let mistyped = r#"{ "resources": [],
              "computation": { "name": "x", "start": -1, "deadline": 1, "actors": [] } }"#;
         assert!(matches!(
-            CheckSpec::from_json(mistyped),
+            SpecModel::from_json(mistyped),
             Err(SpecError::Parse(_))
         ));
 
         let duplicate = r#"{ "resources": [], "resources": [],
              "computation": { "name": "x", "start": 0, "deadline": 1, "actors": [] } }"#;
-        let err = CheckSpec::from_json(duplicate).unwrap_err();
+        let err = SpecModel::from_json(duplicate).unwrap_err();
         assert!(err.to_string().contains("duplicate field"), "{err}");
     }
 
     #[test]
     fn rejects_empty_interval_and_bad_window() {
-        let spec = CheckSpec::from_json(
+        let spec = SpecModel::from_json(
             r#"{ "resources": [ { "kind": "cpu", "location": "l1", "rate": 1, "start": 5, "end": 5 } ],
                  "computation": { "name": "x", "start": 0, "deadline": 1, "actors": [] } }"#,
         )
         .unwrap();
-        assert!(matches!(spec.resources(), Err(SpecError::Invalid(_))));
+        assert!(matches!(
+            resource_set(&spec.resources),
+            Err(SpecError::Invalid(_))
+        ));
 
-        let spec = CheckSpec::from_json(
+        let spec = SpecModel::from_json(
             r#"{ "resources": [],
                  "computation": { "name": "x", "start": 5, "deadline": 5, "actors": [] } }"#,
         )
         .unwrap();
-        let err = spec.computation().unwrap_err();
+        let err = spec.computation.build().unwrap_err();
         assert!(err.to_string().contains("invalid spec"));
     }
 
     #[test]
     fn default_send_size_is_one() {
-        let spec = CheckSpec::from_json(
+        let spec = SpecModel::from_json(
             r#"{ "resources": [],
                  "computation": { "name": "x", "start": 0, "deadline": 5, "actors": [
                     { "name": "a", "origin": "l1", "actions": [
                         { "do": "send", "to": "b", "dest": "l2" } ] } ] } }"#,
         )
         .unwrap();
-        let lambda = spec.computation().unwrap();
+        let lambda = spec.computation.build().unwrap();
         match &lambda.actors()[0].actions()[0] {
             ActionKind::Send { size, .. } => assert_eq!(*size, 1),
             other => panic!("unexpected action {other:?}"),
@@ -952,7 +847,11 @@ mod tests {
 
     #[test]
     fn computation_encoder_round_trips() {
-        let lambda = CheckSpec::from_json(SAMPLE).unwrap().computation().unwrap();
+        let lambda = SpecModel::from_json(SAMPLE)
+            .unwrap()
+            .computation
+            .build()
+            .unwrap();
         let encoded = computation_to_json(&lambda);
         let decoded = ComputationSpec::from_json(&encoded)
             .unwrap()
@@ -969,7 +868,7 @@ mod tests {
 
     #[test]
     fn resource_encoder_round_trips() {
-        let theta = CheckSpec::from_json(SAMPLE).unwrap().resources().unwrap();
+        let theta = resource_set(&SpecModel::from_json(SAMPLE).unwrap().resources).unwrap();
         let encoded = resource_set_to_json(&theta);
         let decoded =
             resource_set(&resources_from_json(encoded.as_array().unwrap()).unwrap()).unwrap();
@@ -990,9 +889,38 @@ mod tests {
             ResourceSpec::from_term(&disk),
             Err(SpecError::Invalid(_))
         ));
-        let mut theta = CheckSpec::from_json(SAMPLE).unwrap().resources().unwrap();
+        let mut theta = resource_set(&SpecModel::from_json(SAMPLE).unwrap().resources).unwrap();
         let without_disk = resource_set_to_json(&theta).to_string();
         theta.insert(disk).unwrap();
         assert_eq!(resource_set_to_json(&theta).to_string(), without_disk);
+    }
+
+    /// Integers past 2^53 − 1 have neighbours with the same `f64`, so
+    /// the codec refuses them instead of reading a rounded value.
+    #[test]
+    fn integers_past_the_exact_range_are_refused() {
+        let resource = |end: &str| {
+            format!(r#"{{ "kind": "cpu", "location": "l1", "rate": 1, "start": 0, "end": {end} }}"#)
+        };
+        let doc = Json::parse(&format!("[{}]", resource("9007199254740991"))).unwrap();
+        let decoded = resources_from_json(doc.as_array().unwrap()).unwrap();
+        assert_eq!(decoded[0].end, 9_007_199_254_740_991);
+        for end in ["9007199254740993", "18446744073709551616"] {
+            let doc = Json::parse(&format!("[{}]", resource(end))).unwrap();
+            let err = resources_from_json(doc.as_array().unwrap()).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                "spec parse error: resources[0]: field `end` must be a non-negative integer"
+            );
+        }
+        let doc = Json::parse(
+            r#"{ "name": "x", "start": 0, "deadline": 9007199254740995, "actors": [] }"#,
+        )
+        .unwrap();
+        let err = ComputationSpec::from_json(&doc).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "spec parse error: computation: field `deadline` must be a non-negative integer"
+        );
     }
 }

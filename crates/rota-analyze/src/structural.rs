@@ -8,7 +8,7 @@
 //! supply side.
 
 use crate::diag::{Diagnostic, Report, Severity};
-use crate::model::{ComputationDecl, ResourceDecl, SpecModel};
+use crate::spec::{ComputationSpec, ResourceSpec, SpecModel};
 
 /// The whole pass, in the order `rota-cli check` reports it.
 pub(crate) fn run(model: &SpecModel, report: &mut Report) {
@@ -18,7 +18,7 @@ pub(crate) fn run(model: &SpecModel, report: &mut Report) {
 }
 
 /// R0001 for one declaration.
-fn empty_interval(i: usize, decl: &ResourceDecl) -> Option<Diagnostic> {
+fn empty_interval(i: usize, decl: &ResourceSpec) -> Option<Diagnostic> {
     (decl.end <= decl.start).then(|| {
         Diagnostic::new(
             "R0001",
@@ -35,7 +35,7 @@ fn empty_interval(i: usize, decl: &ResourceDecl) -> Option<Diagnostic> {
 
 /// R0001 alone: the only resource-side error, and so the only
 /// resource-side finding pre-admission validation reports.
-pub(crate) fn empty_intervals(resources: &[ResourceDecl], report: &mut Report) {
+pub(crate) fn empty_intervals(resources: &[ResourceSpec], report: &mut Report) {
     for (i, decl) in resources.iter().enumerate() {
         if let Some(d) = empty_interval(i, decl) {
             report.push(d);
@@ -44,7 +44,7 @@ pub(crate) fn empty_intervals(resources: &[ResourceDecl], report: &mut Report) {
 }
 
 /// R0001, R0002 and R0004.
-fn resource_shape(resources: &[ResourceDecl], report: &mut Report) {
+fn resource_shape(resources: &[ResourceSpec], report: &mut Report) {
     for (i, decl) in resources.iter().enumerate() {
         if let Some(d) = empty_interval(i, decl) {
             report.push(d);
@@ -83,7 +83,7 @@ fn resource_shape(resources: &[ResourceDecl], report: &mut Report) {
 }
 
 /// R0003, R0005 and R0013: what the request alone can get wrong.
-pub(crate) fn computation(c: &ComputationDecl, report: &mut Report) {
+pub(crate) fn computation(c: &ComputationSpec, report: &mut Report) {
     if c.deadline <= c.start {
         report.push(
             Diagnostic::new(

@@ -43,22 +43,17 @@ fn basis(n: usize) -> Vec<ResourceSpec> {
             let start = 1_000 + (k / 6) * 37 + k % 5;
             let end = start + 11 + k % 7;
             let rate = 1 + k % 8;
-            let here = LOCATIONS[(k % 3) as usize].to_string();
-            if k % 6 < 3 {
-                ResourceSpec::Cpu {
-                    location: here,
-                    rate,
-                    start,
-                    end,
-                }
+            let here = Location::new(LOCATIONS[(k % 3) as usize]);
+            let located = if k % 6 < 3 {
+                LocatedType::cpu(here)
             } else {
-                ResourceSpec::Network {
-                    from: here,
-                    to: LOCATIONS[((k + 1) % 3) as usize].to_string(),
-                    rate,
-                    start,
-                    end,
-                }
+                LocatedType::network(here, Location::new(LOCATIONS[((k + 1) % 3) as usize]))
+            };
+            ResourceSpec {
+                located,
+                rate,
+                start,
+                end,
             }
         })
         .collect()

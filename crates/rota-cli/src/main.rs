@@ -14,7 +14,7 @@
 //! ```
 //!
 //! `check` reads a JSON system+computation spec (see
-//! `rota_server::spec`), runs the `rota-analyze` lint passes over it
+//! `rota_analyze::spec`), runs the `rota-analyze` lint passes over it
 //! (stable `R`-coded diagnostics with source spans; errors exit `1`
 //! without consulting the policy), and — when the lints pass — prints
 //! the admission verdict with the schedule ROTA would pin the
@@ -53,7 +53,7 @@ use rota_interval::TimePoint;
 use rota_logic::State;
 use rota_obs::{DecisionEvent, Json, Registry};
 use rota_client::{run_loadtest, Client, ClientError, HedgeConfig, LoadtestConfig, RetryConfig};
-use rota_server::spec::CheckSpec;
+use rota_analyze::spec::{resource_set, SpecModel};
 use rota_server::{FaultPlan, Server, ServerConfig, ServerHandle};
 use rota_sim::{compare_policies, run_scenario_observed, run_scenario_traced_observed};
 use rota_workload::{base_resources, build_scenario, JobShape, WorkloadConfig};
@@ -426,7 +426,7 @@ fn cmd_check(args: &Args) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let spec = match CheckSpec::from_json(&text) {
+    let spec = match SpecModel::from_json(&text) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("check: {e}");
@@ -437,7 +437,7 @@ fn cmd_check(args: &Args) -> ExitCode {
     // see the declarations as written, including content the library
     // types refuse to represent, and anchor findings to source spans.
     let report = rota_analyze::analyze_with(
-        &spec.analysis_model(),
+        &spec,
         &rota_actor::TableCostModel::paper(),
         granularity,
     );
@@ -488,12 +488,12 @@ fn cmd_check(args: &Args) -> ExitCode {
 /// code for a decided spec (success or the INFEASIBLE `2`); `Err`
 /// carries the code for a spec that could not be decided at all.
 fn check_verdict(
-    spec: &CheckSpec,
+    spec: &SpecModel,
     granularity: Granularity,
     args: &Args,
     quiet: bool,
 ) -> Result<ExitCode, ExitCode> {
-    let (theta, lambda) = match (spec.resources(), spec.computation()) {
+    let (theta, lambda) = match (resource_set(&spec.resources), spec.computation.build()) {
         (Ok(t), Ok(l)) => (t, l),
         (Err(e), _) | (_, Err(e)) => {
             eprintln!("check: {e}");
@@ -600,14 +600,14 @@ fn cmd_holds(args: &Args) -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             };
-            let spec = match CheckSpec::from_json(&text) {
+            let spec = match SpecModel::from_json(&text) {
                 Ok(s) => s,
                 Err(e) => {
                     eprintln!("holds: {e}");
                     return ExitCode::FAILURE;
                 }
             };
-            let theta = match spec.resources() {
+            let theta = match resource_set(&spec.resources) {
                 Ok(t) => t,
                 Err(e) => {
                     eprintln!("holds: {e}");
@@ -617,7 +617,7 @@ fn cmd_holds(args: &Args) -> ExitCode {
             state = State::new(theta, TimePoint::ZERO);
             // Admit the spec's computation if it fits, so the formula is
             // evaluated against the committed system (Θ_expire semantics).
-            if let Ok(lambda) = spec.computation() {
+            if let Ok(lambda) = spec.computation.build() {
                 if !lambda.actors().is_empty() {
                     let request = AdmissionRequest::price(
                         lambda,

@@ -7,7 +7,7 @@
 //! The routing rules, in order:
 //!
 //! 1. **Gossip** exchanges are absorbed into the node's
-//!    [`GossipEngine`](crate::gossip::GossipEngine) and answered with
+//!    [`GossipEngine`] and answered with
 //!    the node's own digest.
 //! 2. **Forwarded** requests (`forwarded: true`) fall through to the
 //!    local core untouched — a peer already routed them here, and
@@ -53,7 +53,7 @@ use rota_actor::{Granularity, TableCostModel};
 use rota_admission::AdmissionRequest;
 use rota_analyze::{check_ownership, Diagnostic, Report, Severity};
 use rota_obs::{Counter, Registry};
-use rota_server::spec::{resource_set, ComputationSpec, ResourceSpec};
+use rota_server::spec::{ComputationSpec, ResourceSpec};
 use rota_server::{fault, LocalHandle, Request, RequestHook, Response};
 
 use crate::gossip::{GossipEngine, PeerHealth};
@@ -488,13 +488,11 @@ impl ClusterRouter {
         // first (source) location — the same rule as slicing.
         let mut groups: Vec<(String, Vec<ResourceSpec>)> = Vec::new();
         for spec in resources {
-            let Ok(set) = resource_set(std::slice::from_ref(spec)) else {
-                return None; // let the local core report the spec error
-            };
-            let Some(term) = set.to_terms().into_iter().next() else {
+            spec.interval()?; // empty: let the local core report the spec error
+            if spec.rate == 0 {
                 continue; // null term: nothing to install anywhere
-            };
-            let location = term.located().locations()[0].name().to_string();
+            }
+            let location = spec.located.locations()[0].name().to_string();
             let Some(owner) = topology.owner_of(&location) else {
                 return Some(Response::Error {
                     message: format!(

@@ -181,6 +181,34 @@ fn offers_are_split_by_owner() {
     cluster.shutdown();
 }
 
+/// The router skips a zero-rate term, even at a location no node owns,
+/// and leaves an offer holding an empty interval to the local core,
+/// whose error names the term.
+#[test]
+fn offers_skip_zero_rates_and_leave_empty_intervals_to_the_core() {
+    let cluster = launch(2, test_config());
+    let mut client = client_for(&cluster, 0);
+    let offer = |terms: &str| {
+        Request::from_line(&format!(
+            r#"{{"op":"offer","resources":[{terms}],"forwarded":false}}"#
+        ))
+        .unwrap()
+    };
+    let l1 = r#"{"kind":"cpu","location":"l1","rate":2,"start":64,"end":96}"#;
+    let zero_rate = r#"{"kind":"cpu","location":"l9","rate":0,"start":0,"end":8}"#;
+    let response = client.call(&offer(&format!("{zero_rate},{l1}"))).unwrap();
+    assert!(matches!(response, Response::Offered { terms: 1 }), "{response:?}");
+    let empty = r#"{"kind":"cpu","location":"l1","rate":2,"start":5,"end":5}"#;
+    match client.call(&offer(&format!("{empty},{l1}"))).unwrap() {
+        Response::Error { message } => assert!(
+            message.starts_with("bad resources: invalid spec: resource ⟨cpu, l1⟩"),
+            "{message}"
+        ),
+        other => panic!("unexpected {other:?}"),
+    }
+    cluster.shutdown();
+}
+
 #[test]
 fn unowned_locations_are_rejected_with_r0016() {
     let cluster = launch(2, test_config());

@@ -88,12 +88,14 @@ impl Json {
     }
 
     /// The payload as a non-negative integer, when this is a number
-    /// that is one.
+    /// that is one and at most 2^53 − 1. Past that bound a parsed
+    /// number may already have been rounded to a neighbouring `f64`
+    /// (`9007199254740993` reads as …992), so it is refused rather than
+    /// returned wrong.
     pub fn as_u64(&self) -> Option<u64> {
+        const MAX_EXACT: f64 = 9_007_199_254_740_991.0;
         match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
-                Some(*n as u64)
-            }
+            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= MAX_EXACT => Some(*n as u64),
             _ => None,
         }
     }
@@ -544,6 +546,19 @@ mod tests {
         assert_eq!(Json::Num(5.0).to_string(), "5");
         assert_eq!(Json::Num(-3.0).to_string(), "-3");
         assert_eq!(Json::Num(2.5).to_string(), "2.5");
+    }
+
+    #[test]
+    fn as_u64_reads_only_integers_f64_holds_exactly() {
+        let read = |text: &str| Json::parse(text).unwrap().as_u64();
+        assert_eq!(read("0"), Some(0));
+        assert_eq!(read("9007199254740991"), Some(9_007_199_254_740_991));
+        // 2^53 is exact, but so is the rounding of 2^53 + 1 onto it.
+        assert_eq!(read("9007199254740992"), None);
+        assert_eq!(read("9007199254740993"), None);
+        assert_eq!(read("18446744073709551616"), None);
+        assert_eq!(read("-1"), None);
+        assert_eq!(read("1.5"), None);
     }
 
     #[test]

@@ -5,20 +5,19 @@
 //! is a black box, so this crate provides the measurement substrate the
 //! admission controller, simulator, and model checker report into:
 //!
-//! * [`metrics`] — a [`Registry`](metrics::Registry) of lock-free
-//!   [`Counter`](metrics::Counter)s, [`Gauge`](metrics::Gauge)s, and
-//!   fixed-bucket [`Histogram`](metrics::Histogram)s built on
-//!   `AtomicU64`. Hot-path updates are single atomic ops; registration
-//!   and snapshots take a mutex on the cold path only.
-//! * [`journal`] — a bounded ring-buffer [`Journal`](journal::Journal)
-//!   of [`DecisionEvent`](journal::DecisionEvent)s recording *why* a
-//!   request was rejected (the violated resource term and theorem
-//!   clause) or a formula falsified (the first falsifying path prefix).
+//! * [`metrics`] — a [`Registry`] of lock-free [`Counter`]s,
+//!   [`Gauge`]s, and fixed-bucket [`Histogram`]s built on `AtomicU64`.
+//!   Hot-path updates are single atomic ops; registration and
+//!   snapshots take a mutex on the cold path only.
+//! * [`journal`] — a bounded ring-buffer [`Journal`] of
+//!   [`DecisionEvent`]s recording *why* a request was rejected (the
+//!   violated resource term and theorem clause) or a formula falsified
+//!   (the first falsifying path prefix).
 //! * [`json`] — a hand-rolled JSON value type, parser, and writer, so
 //!   snapshots and journals serialize without external crates (the
 //!   build environment is offline; see `shims/README.md`).
-//! * [`timing`] — RAII [`ScopeTimer`](timing::ScopeTimer)s whose clock
-//!   reads are compiled in only under the `obs-timing` feature.
+//! * [`timing`] — RAII [`ScopeTimer`]s whose clock reads are compiled
+//!   in only under the `obs-timing` feature.
 //!
 //! Everything here is deliberately dependency-free so every other crate
 //! in the workspace can depend on it without cycles or build-time cost.

@@ -24,8 +24,8 @@
 //!   shard panics ([`fault`]); a panicking shard is isolated and
 //!   restarted instead of taking the process down ([`shard`]).
 //!
-//! The [`spec`] module is the JSON codec for resources and
-//! computations, shared with the `rota` CLI.
+//! The [`spec`] module is `rota_analyze::spec` re-exported: the spec
+//! types and their JSON codec, which the wire protocol carries.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,7 +34,7 @@ pub mod fault;
 pub mod protocol;
 pub mod server;
 pub mod shard;
-pub mod spec;
+pub use rota_analyze::spec;
 
 pub use fault::{FaultInjector, FaultPlan};
 pub use protocol::{GossipDigest, PeerBeat, Request, Response, MAX_FRAME_BYTES, PROTOCOL_VERSION};

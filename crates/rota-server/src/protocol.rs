@@ -871,6 +871,7 @@ pub fn write_frame<W: Write>(writer: &mut W, doc: &Json) -> std::io::Result<()> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rota_resource::{LocatedType, Location};
     use std::io::BufReader;
 
     #[test]
@@ -1077,15 +1078,14 @@ mod tests {
     fn offer_request_round_trips() {
         let request = Request::Offer {
             resources: vec![
-                crate::spec::ResourceSpec::Cpu {
-                    location: "l1".into(),
+                ResourceSpec {
+                    located: LocatedType::cpu(Location::new("l1")),
                     rate: 4,
                     start: 0,
                     end: 8,
                 },
-                crate::spec::ResourceSpec::Network {
-                    from: "l1".into(),
-                    to: "l2".into(),
+                ResourceSpec {
+                    located: LocatedType::network(Location::new("l1"), Location::new("l2")),
                     rate: 2,
                     start: 0,
                     end: 8,
@@ -1188,8 +1188,8 @@ mod tests {
                 }],
             },
             granularity: Granularity::MaximalRun,
-            basis: vec![crate::spec::ResourceSpec::Cpu {
-                location: "l1".into(),
+            basis: vec![ResourceSpec {
+                located: LocatedType::cpu(Location::new("l1")),
                 rate: 4,
                 start: 0,
                 end: 10,

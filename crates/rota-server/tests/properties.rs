@@ -3,7 +3,8 @@
 //! Two families:
 //!
 //! 1. **Round-trips** — arbitrary computations, resource sets, requests
-//!    and responses survive encode → decode unchanged. The JSON encoder
+//!    and responses survive encode → decode unchanged, and so do raw
+//!    spec values the library would refuse to build. The JSON encoder
 //!    must escape whatever the generators throw at it (quotes,
 //!    backslashes, control characters, non-ASCII) and the decoder must
 //!    reconstruct the exact document.
@@ -18,11 +19,12 @@ use proptest::prelude::*;
 
 use rota_actor::{ActionKind, ActorComputation, ActorName, DistributedComputation};
 use rota_interval::{TimeInterval, TimePoint};
+use rota_obs::Json;
 use rota_resource::{LocatedType, Location, Rate, ResourceSet, ResourceTerm};
 use rota_server::protocol::{read_frame, Request, Response};
 use rota_server::spec::{
-    computation_to_json, resource_set, resource_set_to_json, resources_from_json,
-    ComputationSpec,
+    computation_to_json, resource_set, resource_set_to_json, resources_from_json, ActionSpec,
+    ActorSpec, ComputationSpec, ResourceSpec,
 };
 
 // ---------------------------------------------------------------------
@@ -124,6 +126,69 @@ fn arb_resource_set() -> impl Strategy<Value = ResourceSet> {
     })
 }
 
+/// Ticks: mostly small, so empty intervals and inverted windows come
+/// up often, sometimes at the top of the range the codec reads exactly.
+fn arb_tick() -> impl Strategy<Value = u64> {
+    const MAX_EXACT: u64 = (1 << 53) - 1;
+    prop_oneof![0u64..8, (MAX_EXACT - 2)..=MAX_EXACT]
+}
+
+/// A raw resource declaration: any of the three kinds the spec names,
+/// any rate including zero, any interval including empty ones.
+fn arb_resource_spec() -> impl Strategy<Value = ResourceSpec> {
+    (0u8..3, 0u8..4, 0u8..4, 0u64..4, arb_tick(), arb_tick()).prop_map(
+        |(kind, here, there, rate, start, end)| ResourceSpec {
+            located: match kind {
+                0 => LocatedType::cpu(loc(here)),
+                1 => LocatedType::memory(loc(here)),
+                _ => LocatedType::network(loc(here), loc(there)),
+            },
+            rate,
+            start,
+            end,
+        },
+    )
+}
+
+fn arb_action_spec() -> impl Strategy<Value = ActionSpec> {
+    prop_oneof![
+        Just(ActionSpec::Evaluate { work: None }),
+        (0u64..9).prop_map(|w| ActionSpec::Evaluate { work: Some(w) }),
+        (arb_string(), arb_string(), 0u64..4)
+            .prop_map(|(to, dest, size)| ActionSpec::Send { to, dest, size }),
+        arb_string().prop_map(|child| ActionSpec::Create { child }),
+        Just(ActionSpec::Ready),
+        arb_string().prop_map(|dest| ActionSpec::Migrate { dest }),
+    ]
+}
+
+/// A raw computation: any window (the deadline may not follow the
+/// start), actors with zero or more actions, names full of escapes.
+fn arb_computation_spec() -> impl Strategy<Value = ComputationSpec> {
+    (
+        arb_string(),
+        arb_tick(),
+        arb_tick(),
+        proptest::collection::vec(
+            (arb_string(), arb_string(), proptest::collection::vec(arb_action_spec(), 0..4)),
+            0..3,
+        ),
+    )
+        .prop_map(|(name, start, deadline, actors)| ComputationSpec {
+            name,
+            start,
+            deadline,
+            actors: actors
+                .into_iter()
+                .map(|(name, origin, actions)| ActorSpec {
+                    name,
+                    origin,
+                    actions,
+                })
+                .collect(),
+        })
+}
+
 fn arb_response() -> impl Strategy<Value = Response> {
     prop_oneof![
         Just(Response::Pong),
@@ -208,6 +273,24 @@ proptest! {
         prop_assert_eq!(doc.to_string(), resource_set_to_json(&rebuilt).to_string());
     }
 
+    /// Raw specs survive their own text encoding field for field,
+    /// including content `build` and `resource_set` refuse: empty
+    /// intervals, zero rates, inverted windows, idle actors, and sends
+    /// of any size.
+    #[test]
+    fn raw_specs_round_trip_through_their_json(
+        computation in arb_computation_spec(),
+        resources in proptest::collection::vec(arb_resource_spec(), 0..4),
+    ) {
+        let text = computation.to_json().to_string();
+        let back = ComputationSpec::from_json(&Json::parse(&text).expect("encoder emits JSON"));
+        prop_assert_eq!(back.expect("encoder output decodes"), computation);
+        let text = Json::Arr(resources.iter().map(ResourceSpec::to_json).collect()).to_string();
+        let doc = Json::parse(&text).expect("encoder emits JSON");
+        let back = resources_from_json(doc.as_array().expect("array encoding"));
+        prop_assert_eq!(back.expect("encoder output decodes"), resources);
+    }
+
     /// Responses — including reasons full of quotes, control characters
     /// and non-ASCII — decode back to an equal value.
     #[test]
@@ -278,4 +361,36 @@ proptest! {
         let mut cursor = std::io::Cursor::new(bytes);
         let _ = read_frame(&mut cursor, rota_server::MAX_FRAME_BYTES);
     }
+}
+
+/// The raw generators reach every shape the library refuses, so the
+/// round trip above covers them rather than only buildable specs.
+#[test]
+fn raw_generators_reach_unbuildable_specs() {
+    let mut rng = proptest::test_runner::TestRng::from_seed(5);
+    let mut seen = std::collections::BTreeSet::new();
+    for _ in 0..2_000 {
+        let c = arb_computation_spec().new_value(&mut rng);
+        if c.deadline <= c.start {
+            seen.insert("deadline not after start");
+        }
+        if c.actors.iter().any(|a| a.actions.is_empty()) {
+            seen.insert("idle actor");
+        }
+        let mut actions = c.actors.iter().flat_map(|a| &a.actions);
+        if actions.any(|a| matches!(a, ActionSpec::Send { size, .. } if *size != 1)) {
+            seen.insert("send of a non-default size");
+        }
+        let r = arb_resource_spec().new_value(&mut rng);
+        if r.end <= r.start {
+            seen.insert("empty interval");
+        }
+        if r.rate == 0 {
+            seen.insert("zero rate");
+        }
+        if r.end >= 1 << 52 {
+            seen.insert("tick near 2^53");
+        }
+    }
+    assert_eq!(seen.len(), 6, "{seen:?}");
 }

@@ -20,7 +20,7 @@ use rota_actor::{
 };
 use rota_admission::AdmissionRequest;
 use rota_analyze::{
-    prevalidate, prevalidate_request, ActionDecl, Diagnostic, Report, ResourceDecl, Severity,
+    prevalidate, prevalidate_request, ActionSpec, Diagnostic, Report, ResourceSpec, Severity,
     SpecModel,
 };
 use rota_interval::TimeInterval;
@@ -74,14 +74,14 @@ fn mutate_resources(model: &mut SpecModel, bad: u8) {
         return;
     };
     if bad & 1 != 0 {
-        model.resources.push(ResourceDecl {
+        model.resources.push(ResourceSpec {
             start: first.end,
             end: first.start,
             ..first.clone()
         });
     }
     if bad & 2 != 0 {
-        model.resources.push(ResourceDecl {
+        model.resources.push(ResourceSpec {
             rate: 0,
             ..first.clone()
         });
@@ -257,7 +257,7 @@ fn demand_site(model: &SpecModel, lt: &LocatedType) -> String {
             }
             for (i, actor) in model.computation.actors.iter().enumerate() {
                 for (j, action) in actor.actions.iter().enumerate() {
-                    if matches!(action, ActionDecl::Migrate { dest } if dest == name) {
+                    if matches!(action, ActionSpec::Migrate { dest } if dest == name) {
                         return format!("computation.actors[{i}].actions[{j}]");
                     }
                 }
@@ -268,8 +268,8 @@ fn demand_site(model: &SpecModel, lt: &LocatedType) -> String {
             for (i, actor) in model.computation.actors.iter().enumerate() {
                 for (j, action) in actor.actions.iter().enumerate() {
                     let hits = match action {
-                        ActionDecl::Send { dest, .. } => dest == name,
-                        ActionDecl::Migrate { dest } => dest == name,
+                        ActionSpec::Send { dest, .. } => dest == name,
+                        ActionSpec::Migrate { dest } => dest == name,
                         _ => false,
                     };
                     if hits {
