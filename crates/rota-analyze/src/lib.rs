@@ -192,10 +192,11 @@ fn check_request(
 /// an unowned location can never be admitted anywhere in the
 /// federation, so the router rejects it up front with this diagnostic
 /// instead of forwarding it into the void.
-pub fn check_ownership(
-    demand: &ResourceDemand,
-    owned: &std::collections::BTreeSet<String>,
-) -> Report {
+///
+/// `owned` answers whether some node owns a location. It is called
+/// once per non-zero located term of the demand, in demand order, so a
+/// caller can collect the owners in the same pass.
+pub fn check_ownership(demand: &ResourceDemand, mut owned: impl FnMut(&str) -> bool) -> Report {
     let mut report = Report::new();
     for (lt, q) in demand.iter() {
         if q.is_zero() {
@@ -204,7 +205,7 @@ pub fn check_ownership(
         let Some(location) = lt.locations().first().copied() else {
             continue;
         };
-        if !owned.contains(location.name()) {
+        if !owned(location.name()) {
             report.push(
                 Diagnostic::new(
                     "R0016",
@@ -375,7 +376,7 @@ mod tests {
         let mut demand = rota_actor::ResourceDemand::new();
         demand.add(LocatedType::cpu(Location::new("l0")), Quantity::new(4));
         demand.add(LocatedType::cpu(Location::new("ghost")), Quantity::new(1));
-        let report = check_ownership(&demand, &owned);
+        let report = check_ownership(&demand, |l| owned.contains(l));
         assert_eq!(report.count(Severity::Error), 1);
         let diag = &report.diagnostics()[0];
         assert_eq!(diag.code, "R0016");
@@ -385,6 +386,6 @@ mod tests {
         let mut fine = rota_actor::ResourceDemand::new();
         fine.add(LocatedType::cpu(Location::new("l1")), Quantity::new(2));
         fine.add(LocatedType::cpu(Location::new("ghost")), Quantity::new(0));
-        assert!(check_ownership(&fine, &owned).is_clean());
+        assert!(check_ownership(&fine, |l| owned.contains(l)).is_clean());
     }
 }

@@ -177,3 +177,40 @@ fn every_verb_knows_the_same_four_policies() {
         }
     }
 }
+
+#[test]
+fn cluster_refuses_topology_files_it_does_not_understand() {
+    let dir = std::env::temp_dir().join(format!("rota-cli-topology-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let cases = [
+        (
+            "bad-addr",
+            r#"{"nodes": [{"id": "a", "addr": "not-an-address", "locations": ["l0"]},
+                          {"id": "b", "locations": ["l1"]}]}"#,
+            "cluster: topology: node `a`: address `not-an-address` is not `ip:port`",
+        ),
+        (
+            "unknown-key",
+            r#"{"nodes": [{"id": "a", "locations": ["l0"], "colour": "red"},
+                          {"id": "b", "locations": ["l1"]}]}"#,
+            "cluster: topology: node `a`: unknown key `colour`",
+        ),
+        (
+            "numeric-addr",
+            r#"{"nodes": [{"id": "a", "locations": ["l0"]},
+                          {"id": "b", "addr": 7, "locations": ["l1"]}]}"#,
+            "cluster: topology: node `b`: `addr` must be a string",
+        ),
+    ];
+    for (name, text, error) in cases {
+        let path = dir.join(format!("{name}.json"));
+        std::fs::write(&path, text).expect("write topology");
+        let path = path.to_str().expect("utf-8 temp path");
+        let args = ["cluster", "--topology", path, "--duration-ms", "300"];
+        let (status, stdout, stderr) = run_bounded(&args);
+        assert_eq!(status, Some(1), "{name}: {stderr}");
+        assert_eq!(stderr.lines().next(), Some(error), "{name}: {stderr}");
+        assert!(stdout.is_empty(), "{name} started no node: {stdout}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -1,40 +1,40 @@
 //! Seeded gossip membership: heartbeats and indirect beats.
 //!
 //! Each node runs one [`GossipEngine`]. Time is counted in *rounds*,
-//! not wall clock: the node's runtime advances the round counter on a
-//! fixed interval, beats its own sequence number, picks one peer with
-//! the engine's seeded RNG, and exchanges [`GossipDigest`]s with it
-//! (the `gossip` op answers with the receiver's digest, so one
-//! exchange synchronizes both directions). Digests carry *indirect*
-//! beats — the freshest sequence number heard for every known node —
-//! so liveness propagates without all-to-all traffic.
+//! not wall clock: once per round the node's runtime calls
+//! [`GossipEngine::beat`], which advances the engine's round counter
+//! (the round number doubles as the node's own heartbeat sequence
+//! number), then picks one peer with the engine's seeded RNG and
+//! exchanges [`GossipDigest`]s with it (the `gossip` op answers with
+//! the receiver's digest, so one exchange synchronizes both
+//! directions). Digests carry *indirect* beats — the freshest sequence
+//! number heard for every known node — so liveness propagates without
+//! all-to-all traffic.
 //!
-//! Failure detection is purely local arithmetic: a peer is **suspect**
-//! once no fresher beat has arrived for `suspect_after` rounds (and
-//! until its first beat ever arrives — nodes start suspect and are
-//! proven alive, not the reverse). The router consults the resulting
-//! [`PeerHealth`] and degrades: cross-location requests touching a
-//! suspect peer are rejected with a structured `peer-unavailable`
-//! diagnostic instead of hanging on a dead socket.
+//! The engine knows its peers by id only: where a peer serves is the
+//! topology's fact, looked up by whoever dials it.
+//!
+//! Failure detection is purely local arithmetic on the engine's own
+//! round counter: a peer is **suspect** once no fresher beat has
+//! arrived for `suspect_after` rounds (and until its first beat ever
+//! arrives — nodes start suspect and are proven alive, not the
+//! reverse). The router asks the engine and degrades: cross-location
+//! requests touching a suspect peer are rejected with a structured
+//! `peer-unavailable` diagnostic instead of hanging on a dead socket.
 //!
 //! Everything here is deterministic given the seed and the round
 //! schedule — the convergence tests below drive several engines
 //! synchronously and assert the exact same behaviour on every run.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::RwLock;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rota_server::{GossipDigest, PeerBeat};
 
 /// What one engine knows about one peer.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PeerView {
-    /// Address the peer serves on (`host:port`); may lag the topology
-    /// until a digest carrying the bound address arrives.
-    pub addr: String,
     /// Freshest heartbeat sequence number heard, directly or not.
     pub last_seq: u64,
     /// The round a fresher beat last arrived in; `None` until the
@@ -46,42 +46,27 @@ pub struct PeerView {
 #[derive(Debug)]
 pub struct GossipEngine {
     me: String,
-    addr: String,
-    seq: u64,
+    /// Rounds started so far; also this node's own heartbeat sequence
+    /// number.
+    round: u64,
     peers: BTreeMap<String, PeerView>,
     rng: StdRng,
     suspect_after: u64,
 }
 
 impl GossipEngine {
-    /// Creates an engine for node `me` serving on `addr`, seeded with
-    /// the peer list `(id, addr)`. A peer is suspect until its first
-    /// beat arrives; `suspect_after` is the number of beat-free rounds
-    /// after which a previously live peer goes suspect again.
-    pub fn new(
-        me: &str,
-        addr: &str,
-        peers: &[(String, String)],
-        seed: u64,
-        suspect_after: u64,
-    ) -> GossipEngine {
+    /// Creates an engine for node `me` among the cluster's `nodes` (ids;
+    /// `me` may be among them). A peer is suspect until its first beat
+    /// arrives; `suspect_after` is the number of beat-free rounds after
+    /// which a previously live peer goes suspect again.
+    pub fn new(me: &str, nodes: &[String], seed: u64, suspect_after: u64) -> GossipEngine {
         GossipEngine {
             me: me.to_string(),
-            addr: addr.to_string(),
-            seq: 0,
-            peers: peers
+            round: 0,
+            peers: nodes
                 .iter()
-                .filter(|(id, _)| id != me)
-                .map(|(id, addr)| {
-                    (
-                        id.clone(),
-                        PeerView {
-                            addr: addr.clone(),
-                            last_seq: 0,
-                            last_heard_round: None,
-                        },
-                    )
-                })
+                .filter(|id| *id != me)
+                .map(|id| (id.clone(), PeerView::default()))
                 .collect(),
             rng: StdRng::seed_from_u64(seed),
             suspect_after,
@@ -93,51 +78,22 @@ impl GossipEngine {
         &self.me
     }
 
-    /// Records the address this node actually bound (ephemeral ports).
-    pub fn set_addr(&mut self, addr: &str) {
-        self.addr = addr.to_string();
+    /// Starts the next round, which advances this node's own
+    /// heartbeat; called once per round.
+    pub fn beat(&mut self) {
+        self.round += 1;
     }
 
-    /// Fills in a peer's address when it is not yet known — called
-    /// each round with the shared topology, whose empty addresses are
-    /// patched after every node binds its (possibly ephemeral) port.
-    /// Addresses already learned, from the topology or a beat, win.
-    pub fn learn_addr(&mut self, id: &str, addr: &str) {
-        if id == self.me || addr.is_empty() {
-            return;
-        }
-        let view = self.peers.entry(id.to_string()).or_insert(PeerView {
-            addr: String::new(),
-            last_seq: 0,
-            last_heard_round: None,
-        });
-        if view.addr.is_empty() {
-            view.addr = addr.to_string();
-        }
-    }
-
-    /// Advances this node's own heartbeat; called once per round.
-    pub fn beat(&mut self) -> u64 {
-        self.seq += 1;
-        self.seq
-    }
-
-    /// Picks the round's gossip target uniformly among peers with a
-    /// known address, using the engine's seeded RNG — the whole
-    /// schedule is a pure function of the seed. Suspect peers stay in
-    /// the draw, which is what lets a recovered peer be re-proven.
-    pub fn pick_target(&mut self) -> Option<(String, String)> {
-        let candidates: Vec<(&String, &PeerView)> = self
-            .peers
-            .iter()
-            .filter(|(_, view)| !view.addr.is_empty())
-            .collect();
-        if candidates.is_empty() {
+    /// Picks the round's gossip target uniformly among the peers, using
+    /// the engine's seeded RNG — the whole schedule is a pure function
+    /// of the seed. Suspect peers stay in the draw, which is what lets
+    /// a recovered peer be re-proven.
+    pub fn pick_target(&mut self) -> Option<String> {
+        if self.peers.is_empty() {
             return None;
         }
-        let index = self.rng.gen_range(0..candidates.len());
-        let (id, view) = candidates[index];
-        Some((id.clone(), view.addr.clone()))
+        let index = self.rng.gen_range(0..self.peers.len());
+        self.peers.keys().nth(index).cloned()
     }
 
     /// This node's current digest: its own beat plus the freshest beat
@@ -145,79 +101,63 @@ impl GossipEngine {
     pub fn digest(&self) -> GossipDigest {
         let mut beats = vec![PeerBeat {
             node: self.me.clone(),
-            seq: self.seq,
-            addr: self.addr.clone(),
+            seq: self.round,
         }];
-        beats.extend(self.peers.iter().filter(|(_, v)| v.last_seq > 0).map(
-            |(id, view)| PeerBeat {
-                node: id.clone(),
-                seq: view.last_seq,
-                addr: view.addr.clone(),
-            },
-        ));
+        beats.extend(
+            self.peers
+                .iter()
+                .filter(|(_, view)| view.last_seq > 0)
+                .map(|(id, view)| PeerBeat {
+                    node: id.clone(),
+                    seq: view.last_seq,
+                }),
+        );
         GossipDigest {
             from: self.me.clone(),
-            seq: self.seq,
+            seq: self.round,
             beats,
         }
     }
 
-    /// Absorbs a digest received in `round`: the sender is heard
-    /// directly (beat and address), and every strictly fresher
-    /// indirect beat refreshes that peer's liveness too.
-    pub fn absorb(&mut self, digest: &GossipDigest, round: u64) {
-        if digest.from != self.me {
-            let view = self.peers.entry(digest.from.clone()).or_insert(PeerView {
-                addr: String::new(),
-                last_seq: 0,
-                last_heard_round: None,
-            });
-            if digest.seq > view.last_seq {
-                view.last_seq = digest.seq;
-            }
+    /// Absorbs a digest received in the current round: the sender is
+    /// heard directly, and every strictly fresher indirect beat
+    /// refreshes that peer's liveness too. Nodes outside the peer
+    /// table are ignored.
+    pub fn absorb(&mut self, digest: &GossipDigest) {
+        let round = self.round;
+        if let Some(view) = self.peers.get_mut(&digest.from) {
+            view.last_seq = view.last_seq.max(digest.seq);
             view.last_heard_round = Some(round);
         }
         for beat in &digest.beats {
-            if beat.node == self.me {
-                continue;
-            }
-            let view = self.peers.entry(beat.node.clone()).or_insert(PeerView {
-                addr: String::new(),
-                last_seq: 0,
-                last_heard_round: None,
-            });
-            if !beat.addr.is_empty() {
-                view.addr = beat.addr.clone();
-            }
-            if beat.seq > view.last_seq {
-                view.last_seq = beat.seq;
-                view.last_heard_round = Some(round);
+            if let Some(view) = self.peers.get_mut(&beat.node) {
+                if beat.seq > view.last_seq {
+                    view.last_seq = beat.seq;
+                    view.last_heard_round = Some(round);
+                }
             }
         }
     }
 
-    /// Whether `node` counts as alive at `round`: itself, or any peer
-    /// heard within the last `suspect_after` rounds.
-    pub fn alive(&self, node: &str, round: u64) -> bool {
+    /// Whether `node` counts as alive in the current round: itself, or
+    /// any peer heard within the last `suspect_after` rounds.
+    pub fn alive(&self, node: &str) -> bool {
         if node == self.me {
             return true;
         }
         self.peers
             .get(node)
             .and_then(|view| view.last_heard_round)
-            .is_some_and(|heard| round.saturating_sub(heard) <= self.suspect_after)
+            .is_some_and(|heard| self.round.saturating_sub(heard) <= self.suspect_after)
     }
 
-    /// Every node alive at `round`, including this one.
-    pub fn alive_set(&self, round: u64) -> BTreeSet<String> {
-        let mut alive: BTreeSet<String> = self
-            .peers
-            .keys()
-            .filter(|id| self.alive(id, round))
+    /// Every node alive in the current round, including this one.
+    pub fn alive_set(&self) -> BTreeSet<String> {
+        std::iter::once(&self.me)
+            .chain(self.peers.keys())
+            .filter(|id| self.alive(id))
             .cloned()
-            .collect();
-        alive.insert(self.me.clone());
-        alive
+            .collect()
     }
 
     /// The peer table, for inspection.
@@ -226,84 +166,33 @@ impl GossipEngine {
     }
 }
 
-/// The gossip runtime's published conclusion, shared with the router:
-/// which nodes are currently believed alive, and the current round.
-#[derive(Debug, Default)]
-pub struct PeerHealth {
-    alive: RwLock<BTreeSet<String>>,
-    round: AtomicU64,
-}
-
-impl PeerHealth {
-    /// An empty health view (everything suspect, round zero).
-    pub fn new() -> PeerHealth {
-        PeerHealth::default()
-    }
-
-    /// Publishes the engine's conclusion for `round`.
-    pub fn publish(&self, alive: BTreeSet<String>, round: u64) {
-        *self
-            .alive
-            .write()
-            .unwrap_or_else(std::sync::PoisonError::into_inner) = alive;
-        self.round.store(round, Ordering::SeqCst);
-    }
-
-    /// Whether `node` was alive as of the last published round.
-    pub fn is_alive(&self, node: &str) -> bool {
-        self.alive
-            .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .contains(node)
-    }
-
-    /// The nodes alive as of the last published round.
-    pub fn alive_nodes(&self) -> BTreeSet<String> {
-        self.alive
-            .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .clone()
-    }
-
-    /// The last published round.
-    pub fn round(&self) -> u64 {
-        self.round.load(Ordering::SeqCst)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn ids(n: usize) -> Vec<String> {
+        (0..n).map(|i| format!("node{i}")).collect()
+    }
+
     fn ring(n: usize) -> Vec<GossipEngine> {
-        let peers: Vec<(String, String)> = (0..n)
-            .map(|i| (format!("node{i}"), format!("127.0.0.1:{}", 9000 + i)))
-            .collect();
+        let nodes = ids(n);
         (0..n)
-            .map(|i| {
-                GossipEngine::new(
-                    &format!("node{i}"),
-                    &format!("127.0.0.1:{}", 9000 + i),
-                    &peers,
-                    7 + i as u64,
-                    3,
-                )
-            })
+            .map(|i| GossipEngine::new(&nodes[i], &nodes, 7 + i as u64, 3))
             .collect()
     }
 
     /// One synchronous round: every engine beats, picks its seeded
     /// target, and exchanges digests with it (both directions, like
     /// the `gossip`/`gossip-ack` pair on the wire). `down` engines
-    /// neither send nor answer.
-    fn run_round(engines: &mut [GossipEngine], round: u64, down: &[usize]) {
+    /// neither beat, send nor answer.
+    fn run_round(engines: &mut [GossipEngine], down: &[usize]) {
         let n = engines.len();
         for i in 0..n {
             if down.contains(&i) {
                 continue;
             }
             engines[i].beat();
-            let Some((target_id, _)) = engines[i].pick_target() else {
+            let Some(target_id) = engines[i].pick_target() else {
                 continue;
             };
             let target = (0..n)
@@ -313,32 +202,49 @@ mod tests {
                 continue;
             }
             let outbound = engines[i].digest();
-            engines[target].absorb(&outbound, round);
+            engines[target].absorb(&outbound);
             let ack = engines[target].digest();
-            engines[i].absorb(&ack, round);
+            engines[i].absorb(&ack);
         }
     }
 
     #[test]
     fn same_seed_means_same_target_schedule() {
-        let peers: Vec<(String, String)> = (0..5)
-            .map(|i| (format!("node{i}"), format!("h:{i}")))
-            .collect();
-        let mut a = GossipEngine::new("node0", "h:0", &peers, 42, 3);
-        let mut b = GossipEngine::new("node0", "h:0", &peers, 42, 3);
+        let nodes = ids(5);
+        let mut a = GossipEngine::new("node0", &nodes, 42, 3);
+        let mut b = GossipEngine::new("node0", &nodes, 42, 3);
         for _ in 0..64 {
             assert_eq!(a.pick_target(), b.pick_target());
         }
     }
 
+    /// The first 64 targets of a 5-peer engine under seed 42, as drawn
+    /// when each peer view still carried an address: dropping the
+    /// addresses must not move a single gossip round.
+    #[test]
+    fn the_seeded_target_schedule_is_pinned() {
+        let nodes = ids(6);
+        let mut engine = GossipEngine::new("node0", &nodes, 42, 3);
+        let schedule: String = (0..64)
+            .map(|_| {
+                let id = engine.pick_target().expect("five peers");
+                id.trim_start_matches("node").to_string()
+            })
+            .collect();
+        assert_eq!(
+            schedule,
+            "4245131415324121523432153132422344144455235541214154335455351334"
+        );
+    }
+
     #[test]
     fn five_nodes_converge_and_stay_converged() {
         let mut engines = ring(5);
-        let all: BTreeSet<String> = (0..5).map(|i| format!("node{i}")).collect();
+        let all: BTreeSet<String> = ids(5).into_iter().collect();
         let mut converged_at = None;
         for round in 1..=32 {
-            run_round(&mut engines, round, &[]);
-            if engines.iter().all(|e| e.alive_set(round) == all) {
+            run_round(&mut engines, &[]);
+            if engines.iter().all(|e| e.alive_set() == all) {
                 converged_at = Some(round);
                 break;
             }
@@ -346,9 +252,9 @@ mod tests {
         let round = converged_at.expect("five engines converge within 32 rounds");
         // Convergence is stable: later rounds keep everyone alive.
         for later in round + 1..round + 8 {
-            run_round(&mut engines, later, &[]);
+            run_round(&mut engines, &[]);
             for engine in &engines {
-                assert_eq!(engine.alive_set(later), all, "round {later}");
+                assert_eq!(engine.alive_set(), all, "round {later}");
             }
         }
     }
@@ -357,10 +263,10 @@ mod tests {
     fn convergence_round_is_deterministic() {
         let converge = || {
             let mut engines = ring(4);
-            let all: BTreeSet<String> = (0..4).map(|i| format!("node{i}")).collect();
+            let all: BTreeSet<String> = ids(4).into_iter().collect();
             for round in 1..=32 {
-                run_round(&mut engines, round, &[]);
-                if engines.iter().all(|e| e.alive_set(round) == all) {
+                run_round(&mut engines, &[]);
+                if engines.iter().all(|e| e.alive_set() == all) {
                     return round;
                 }
             }
@@ -372,35 +278,31 @@ mod tests {
     #[test]
     fn a_silent_peer_goes_suspect_then_recovers() {
         let mut engines = ring(3);
-        let mut round = 0;
         // Converge first.
         for _ in 0..12 {
-            round += 1;
-            run_round(&mut engines, round, &[]);
+            run_round(&mut engines, &[]);
         }
-        assert!(engines[0].alive("node2", round));
+        assert!(engines[0].alive("node2"));
         // node2 goes dark: after suspect_after rounds the others
         // notice, because no fresher beat arrives.
         for _ in 0..6 {
-            round += 1;
-            run_round(&mut engines, round, &[2]);
+            run_round(&mut engines, &[2]);
         }
-        assert!(!engines[0].alive("node2", round));
-        assert!(!engines[1].alive("node2", round));
+        assert!(!engines[0].alive("node2"));
+        assert!(!engines[1].alive("node2"));
         // node2 comes back: one successful exchange re-proves it
         // (directly or via an indirect beat within suspect_after).
         for _ in 0..8 {
-            round += 1;
-            run_round(&mut engines, round, &[]);
+            run_round(&mut engines, &[]);
         }
-        assert!(engines[0].alive("node2", round));
-        assert!(engines[1].alive("node2", round));
+        assert!(engines[0].alive("node2"));
+        assert!(engines[1].alive("node2"));
     }
 
     #[test]
     fn never_heard_peers_start_suspect() {
         let engines = ring(2);
-        assert!(!engines[0].alive("node1", 0));
-        assert!(engines[0].alive("node0", 0));
+        assert!(!engines[0].alive("node1"));
+        assert!(engines[0].alive("node0"));
     }
 }

@@ -9,17 +9,20 @@
 //!
 //! - [`topology`] — a static, disjoint location → node assignment,
 //!   from a JSON file or [`Topology::auto`]. Ownership is the routing
-//!   key for everything else.
+//!   key for everything else, and the topology is the one place node
+//!   addresses are kept.
 //! - [`gossip`] — seeded, round-based membership: heartbeats with
-//!   indirect beats, deterministic given the seed. Peers missing heartbeats go
-//!   **suspect**; routing degrades instead of hanging.
+//!   indirect beats, deterministic given the seed. Peers missing
+//!   heartbeats go **suspect**; routing degrades instead of hanging.
+//!   Each node's engine is its one source of liveness.
 //! - [`router`] — a [`RequestHook`](rota_server::RequestHook) mounted
-//!   on each node: single-owner admissions are decided locally or
-//!   forwarded (loop-safe via the protocol's `forwarded` flag);
-//!   cross-owner admissions run a two-phase prepare/commit with
-//!   TTL-guarded tentative reservations and compensating aborts.
-//!   Every peer call reuses a persistent link (`links`) instead of
-//!   dialling per hop.
+//!   on each node: one pass over an admission's priced demand routes
+//!   it. Demand the node owns entirely is decided locally; demand owned
+//!   by one other node is forwarded (loop-safe via the protocol's
+//!   `forwarded` flag); cross-owner admissions run a two-phase
+//!   prepare/commit with TTL-guarded tentative reservations and
+//!   compensating aborts. Every peer call reuses a persistent link
+//!   (`links`) instead of dialling per hop.
 //! - [`node`] — [`Cluster::launch`]: bind every node on its slice of
 //!   the supply, patch real addresses into the shared topology, then
 //!   start the gossip runtimes.
@@ -46,7 +49,25 @@ pub mod node;
 pub mod router;
 pub mod topology;
 
-pub use gossip::{GossipEngine, PeerHealth, PeerView};
+use std::sync::{Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+
+pub use gossip::{GossipEngine, PeerView};
 pub use node::{Cluster, ClusterConfig, ClusterNode};
 pub use router::{ClusterRouter, RouterConfig};
 pub use topology::{NodeSpec, SharedTopology, Topology, TopologyError};
+
+/// Locks `mutex`, recovering the value from a poisoned lock: every
+/// value this crate guards stays usable after a panicking holder.
+pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Read-locks `rwlock`, recovering from poison as [`lock`] does.
+pub(crate) fn read<T>(rwlock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+    rwlock.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Write-locks `rwlock`, recovering from poison as [`lock`] does.
+pub(crate) fn write<T>(rwlock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+    rwlock.write().unwrap_or_else(PoisonError::into_inner)
+}

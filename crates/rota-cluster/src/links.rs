@@ -23,12 +23,14 @@
 
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use rota_client::{Client, ClientError};
 use rota_obs::{Counter, Gauge, Registry};
 use rota_server::{Request, Response, ServerConfig};
+
+use crate::lock;
 
 /// How long a peer may take to answer a call it has read. Its own work
 /// is one shard decision, well under a millisecond; the rest of the
@@ -113,7 +115,7 @@ impl PeerLinks {
         request: &Request,
     ) -> Result<Response, ClientError> {
         let response = client.call(request)?;
-        let mut idle = self.lock();
+        let mut idle = lock(&self.idle);
         let links = idle.entry(addr.to_string()).or_default();
         links.retain(|link| link.since.elapsed() < self.max_idle);
         links.push(IdleLink {
@@ -129,7 +131,7 @@ impl PeerLinks {
     fn checkout(&self, addr: &str) -> Option<Client> {
         loop {
             let link = {
-                let mut idle = self.lock();
+                let mut idle = lock(&self.idle);
                 let link = idle.get_mut(addr)?.pop();
                 self.publish(&idle);
                 link?
@@ -151,12 +153,6 @@ impl PeerLinks {
                 Ok(client)
             })
             .map_err(|err| format!("peer `{peer}` unreachable: {err}"))
-    }
-
-    fn lock(&self) -> MutexGuard<'_, BTreeMap<String, Vec<IdleLink>>> {
-        // Every update leaves the map valid, so a poisoned lock is safe
-        // to recover.
-        self.idle.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     fn publish(&self, idle: &BTreeMap<String, Vec<IdleLink>>) {

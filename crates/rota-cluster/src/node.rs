@@ -9,12 +9,13 @@
 //! lives.
 //!
 //! The gossip runtime is one thread per node: every `gossip_interval`
-//! it advances the node's round counter, beats the engine, picks the
-//! round's seeded target, and exchanges digests with it over the wire
-//! (`hello` handshake first, so version mismatches surface as
-//! structured errors). The engine's conclusions are published to the
-//! node's [`PeerHealth`], which the router consults, and to per-peer
-//! `cluster.peer.alive{peer=...}` gauges in the node's registry.
+//! it starts the engine's next round, picks the round's seeded target,
+//! looks the target's address up in the topology, and exchanges
+//! digests with it over the wire (`hello` handshake first, so version
+//! mismatches surface as structured errors). The engine is the node's
+//! one source of liveness: the router, [`ClusterNode::is_alive`] and
+//! the per-peer `cluster.peer.alive{peer=...}` gauges in the node's
+//! registry all ask it.
 //!
 //! Test hooks: [`Cluster::partition`] cuts a node off the gossip
 //! plane deterministically — its runtime stops dialing out and its
@@ -22,7 +23,7 @@
 //! degraded-mode routing, and recovery can be drilled without timing
 //! races; [`Cluster::kill`] stops a node outright.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::io;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -35,9 +36,10 @@ use rota_obs::Histogram;
 use rota_resource::ResourceSet;
 use rota_server::{FaultPlan, Request, Response, Server, ServerConfig, ServerHandle};
 
-use crate::gossip::{GossipEngine, PeerHealth};
+use crate::gossip::GossipEngine;
 use crate::router::{ClusterRouter, RouterConfig};
 use crate::topology::{SharedTopology, Topology};
+use crate::{lock, read, write};
 
 /// Knobs for a whole cluster launch.
 #[derive(Debug, Clone)]
@@ -83,9 +85,8 @@ impl Default for ClusterConfig {
 /// One running node: its server plus its gossip runtime.
 pub struct ClusterNode {
     id: String,
-    addr: SocketAddr,
     handle: ServerHandle,
-    health: Arc<PeerHealth>,
+    engine: Arc<Mutex<GossipEngine>>,
     partitioned: Arc<AtomicBool>,
     stop: Arc<AtomicBool>,
     gossip_thread: Option<JoinHandle<()>>,
@@ -99,15 +100,25 @@ impl ClusterNode {
 
     /// The address the node's server bound.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.handle.local_addr()
     }
 
-    /// The node's published liveness view.
-    pub fn health(&self) -> &Arc<PeerHealth> {
-        &self.health
+    /// Whether this node's gossip engine believes `node` alive now.
+    pub fn is_alive(&self, node: &str) -> bool {
+        lock(&self.engine).alive(node)
     }
 
-    fn stop_gossip(&mut self) {
+    /// Every node this node's gossip engine believes alive now,
+    /// including itself.
+    pub fn alive_nodes(&self) -> BTreeSet<String> {
+        lock(&self.engine).alive_set()
+    }
+}
+
+/// Dropping a node stops it: gossip runtime first, then (as its
+/// server handle drops) its server.
+impl Drop for ClusterNode {
+    fn drop(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
         if let Some(thread) = self.gossip_thread.take() {
             let _ = thread.join();
@@ -138,17 +149,15 @@ impl Cluster {
         P: AdmissionPolicy + Clone + Send + Sync + 'static,
     {
         let shared: SharedTopology = Arc::new(RwLock::new(topology.clone()));
+        let ids: Vec<String> = topology.nodes().iter().map(|n| n.id.clone()).collect();
         let mut nodes = Vec::new();
         // Phase one: bind every server and record its real address.
         for (index, spec) in topology.nodes().iter().enumerate() {
             let slice = topology.slice(theta, &spec.id);
-            let bind_addr: SocketAddr = spec
-                .addr
-                .parse()
-                // PANIC-OK: the fallback is a literal loopback address.
-                .unwrap_or_else(|_| "127.0.0.1:0".parse().expect("literal parses"));
             let server_config = ServerConfig {
-                addr: bind_addr,
+                // PANIC-OK: `Topology::new` and `Topology::set_addr`
+                // admit only empty or `ip:port` addresses.
+                addr: spec.bind_addr().expect("topology addresses are empty or ip:port"),
                 shards: config.shards,
                 fault_plan: config.fault_plans.get(&spec.id).cloned(),
                 queue_capacity: config.queue_capacity,
@@ -156,12 +165,10 @@ impl Cluster {
             };
             let engine = Arc::new(Mutex::new(GossipEngine::new(
                 &spec.id,
-                &spec.addr,
-                &topology.peers_of(&spec.id),
+                &ids,
                 config.seed + index as u64,
                 config.suspect_after,
             )));
-            let health = Arc::new(PeerHealth::new());
             let router_config = RouterConfig {
                 me: spec.id.clone(),
                 peer_timeout: config.peer_timeout,
@@ -170,7 +177,6 @@ impl Cluster {
             let partitioned = Arc::new(AtomicBool::new(false));
             let hook_topology = Arc::clone(&shared);
             let hook_engine = Arc::clone(&engine);
-            let hook_health = Arc::clone(&health);
             let hook_partitioned = Arc::clone(&partitioned);
             let handle = Server::spawn_hooked(
                 server_config,
@@ -181,34 +187,21 @@ impl Cluster {
                         router_config,
                         hook_topology,
                         hook_engine,
-                        hook_health,
                         local,
                         hook_partitioned,
                     ))
                 },
             )?;
-            let addr = handle.local_addr();
-            shared
-                .write()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .set_addr(&spec.id, &addr.to_string());
-            {
-                let mut engine = engine
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                engine.set_addr(&addr.to_string());
-            }
-            nodes.push((spec.id.clone(), addr, handle, engine, health, partitioned));
+            write(&shared).set_addr(&spec.id, &handle.local_addr().to_string());
+            nodes.push((spec.id.clone(), handle, engine, partitioned));
         }
         // Phase two: every address is known; start the gossip runtimes.
         let mut running = Vec::new();
-        for (id, addr, handle, engine, health, partitioned) in nodes {
+        for (id, handle, engine, partitioned) in nodes {
             let stop = Arc::new(AtomicBool::new(false));
             let thread = spawn_gossip_runtime(
-                id.clone(),
                 Arc::clone(&shared),
-                engine,
-                Arc::clone(&health),
+                Arc::clone(&engine),
                 &handle,
                 config.gossip_interval,
                 config.peer_timeout,
@@ -217,9 +210,8 @@ impl Cluster {
             )?;
             running.push(ClusterNode {
                 id,
-                addr,
                 handle,
-                health,
+                engine,
                 partitioned,
                 stop,
                 gossip_thread: Some(thread),
@@ -248,19 +240,18 @@ impl Cluster {
 
     /// Every node's bound address, in topology order.
     pub fn addrs(&self) -> Vec<SocketAddr> {
-        self.nodes.iter().map(|n| n.addr).collect()
+        self.nodes.iter().map(ClusterNode::addr).collect()
     }
 
     /// Blocks until every node believes every other node alive, or
     /// `timeout` passes. Returns whether convergence was reached.
     pub fn await_converged(&self, timeout: Duration) -> bool {
-        let ids: Vec<String> = self.nodes.iter().map(|n| n.id.clone()).collect();
         let deadline = Instant::now() + timeout;
         loop {
-            let converged = self.nodes.iter().all(|node| {
-                ids.iter()
-                    .all(|id| id == &node.id || node.health.is_alive(id))
-            });
+            let converged = self
+                .nodes
+                .iter()
+                .all(|node| self.nodes.iter().all(|peer| node.is_alive(&peer.id)));
             if converged {
                 return true;
             }
@@ -287,40 +278,19 @@ impl Cluster {
     /// The survivors' gossip marks it suspect within `suspect_after`
     /// rounds.
     pub fn kill(&mut self, id: &str) {
-        if let Some(position) = self.nodes.iter().position(|n| n.id == id) {
-            let mut node = self.nodes.remove(position);
-            node.stop_gossip();
-            node.handle.shutdown();
-        }
+        self.nodes.retain(|node| node.id != id);
     }
 
-    /// Stops every node.
-    pub fn shutdown(mut self) {
-        for node in &mut self.nodes {
-            node.stop_gossip();
-        }
-        for node in &self.nodes {
-            node.handle.shutdown();
-        }
-    }
+    /// Stops every node, in topology order (dropping the cluster does
+    /// the same).
+    pub fn shutdown(self) {}
 }
 
-impl Drop for Cluster {
-    fn drop(&mut self) {
-        for node in &mut self.nodes {
-            node.stop_gossip();
-        }
-    }
-}
-
-/// One node's gossip loop: advance the round, beat, exchange with the
-/// round's seeded target, publish conclusions.
-#[allow(clippy::too_many_arguments)]
+/// One node's gossip loop: start the engine's next round, exchange
+/// digests with the round's seeded target, refresh the liveness gauges.
 fn spawn_gossip_runtime(
-    me: String,
     topology: SharedTopology,
     engine: Arc<Mutex<GossipEngine>>,
-    health: Arc<PeerHealth>,
     handle: &ServerHandle,
     interval: Duration,
     peer_timeout: Duration,
@@ -330,16 +300,18 @@ fn spawn_gossip_runtime(
     let registry = handle.registry();
     let round_ns: Arc<Histogram> =
         registry.histogram("cluster.gossip.round_ns", Histogram::latency_ns_bounds());
-    let peer_gauges: BTreeMap<String, _> = topology
-        .read()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .peers_of(&me)
-        .into_iter()
-        .map(|(id, _)| {
-            let gauge = registry.gauge(&format!("cluster.peer.alive{{peer={id}}}"));
-            (id, gauge)
-        })
-        .collect();
+    let (me, peer_gauges) = {
+        let engine = lock(&engine);
+        let gauges: BTreeMap<String, _> = engine
+            .peers()
+            .keys()
+            .map(|id| {
+                let gauge = registry.gauge(&format!("cluster.peer.alive{{peer={id}}}"));
+                (id.clone(), gauge)
+            })
+            .collect();
+        (engine.me().to_string(), gauges)
+    };
     std::thread::Builder::new()
         .name(format!("rota-gossip-{me}"))
         .spawn(move || {
@@ -351,47 +323,28 @@ fn spawn_gossip_runtime(
                 let started = Instant::now();
                 // Rounds advance even while partitioned, so the cut-off
                 // node's own suspicion arithmetic keeps moving too.
-                let round = health.round() + 1;
-                let peers = topology
-                    .read()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .peers_of(&me);
-                let target = {
-                    let mut engine = engine
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    for (id, addr) in &peers {
-                        engine.learn_addr(id, addr);
-                    }
+                let (target, outbound) = {
+                    let mut engine = lock(&engine);
                     engine.beat();
-                    engine.pick_target()
+                    (engine.pick_target(), engine.digest())
                 };
-                if !partitioned.load(Ordering::SeqCst) {
-                    if let Some((_, addr)) = target {
-                        let outbound = {
-                            let engine = engine
-                                .lock()
-                                .unwrap_or_else(std::sync::PoisonError::into_inner);
-                            engine.digest()
-                        };
-                        if let Some(ack) = exchange(&addr, &me, outbound, peer_timeout) {
-                            engine
-                                .lock()
-                                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                                .absorb(&ack, round);
-                        }
+                if let Some(target) = target.filter(|_| !partitioned.load(Ordering::SeqCst)) {
+                    let addr = read(&topology)
+                        .node(&target)
+                        .map(|node| node.addr.clone())
+                        .unwrap_or_default();
+                    // A still-empty address does not parse: the round
+                    // is skipped.
+                    if let Some(ack) = exchange(&addr, &me, outbound, peer_timeout) {
+                        lock(&engine).absorb(&ack);
                     }
                 }
-                let alive = {
-                    let engine = engine
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    engine.alive_set(round)
-                };
-                for (peer, gauge) in &peer_gauges {
-                    gauge.set(i64::from(alive.contains(peer)));
+                {
+                    let engine = lock(&engine);
+                    for (peer, gauge) in &peer_gauges {
+                        gauge.set(i64::from(engine.alive(peer)));
+                    }
                 }
-                health.publish(alive, round);
                 round_ns.observe(
                     u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX),
                 );

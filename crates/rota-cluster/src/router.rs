@@ -12,15 +12,20 @@
 //! 2. **Forwarded** requests (`forwarded: true`) fall through to the
 //!    local core untouched — a peer already routed them here, and
 //!    re-routing could loop.
-//! 3. Fresh **admissions** are priced locally to discover which
-//!    locations their demand touches. Demand on a location no node
-//!    owns is rejected immediately with the analyzer's `R0016`
-//!    diagnostic. Demand owned entirely by this node falls through to
-//!    the local core (the common, zero-overhead case). Demand owned by
-//!    one *other* node is forwarded over TCP. Demand spanning several
-//!    owners runs the two-phase protocol below.
+//! 3. Fresh **admissions** are priced once, and one pass over the
+//!    priced demand under the topology's read guard classifies them
+//!    (`classify`). Demand on a location no node owns is rejected
+//!    immediately with the analyzer's `R0016` diagnostic. Demand owned
+//!    entirely by this node goes straight to the local shard pool,
+//!    already priced (the common case). Demand owned by one *other*
+//!    node is forwarded over TCP. Demand spanning several owners runs
+//!    the two-phase protocol below.
 //! 4. **Offers** are split by location ownership and installed on the
 //!    owning nodes.
+//!
+//! The owners' addresses are copied out of the topology before its
+//! guard drops; no peer call and no lock of the gossip engine ever
+//! happens under it.
 //!
 //! ## Two-phase commit
 //!
@@ -39,26 +44,27 @@
 //! coordinator that dies between prepare and commit leaks nothing: the
 //! TTL releases the tentative reservations (see `rota-server::shard`).
 //!
-//! Participants believed **suspect** by the gossip layer are never
-//! contacted: requests touching them are rejected up front with a
-//! structured `peer-unavailable` diagnostic — degraded mode, not a
+//! Participants the node's gossip engine believes **suspect** are
+//! never contacted: requests touching them are rejected up front with
+//! a structured `peer-unavailable` diagnostic — degraded mode, not a
 //! hang.
 
-use std::collections::BTreeSet;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use rota_actor::{Granularity, TableCostModel};
+use rota_actor::{Granularity, ResourceDemand, TableCostModel};
 use rota_admission::AdmissionRequest;
 use rota_analyze::{check_ownership, Diagnostic, Report, Severity};
 use rota_obs::{Counter, Registry};
-use rota_server::spec::{ComputationSpec, ResourceSpec};
+use rota_server::spec::{resources_from_json, ComputationSpec, ResourceSpec};
 use rota_server::{fault, LocalHandle, Request, RequestHook, Response};
 
-use crate::gossip::{GossipEngine, PeerHealth};
+use crate::gossip::GossipEngine;
 use crate::links::{self, PeerLinks};
-use crate::topology::SharedTopology;
+use crate::topology::{SharedTopology, Topology};
+use crate::{lock, read};
 
 /// How many times a 2PC re-snapshots and retries after losing a race
 /// to a concurrent state change (a `stale-epoch` answer).
@@ -78,8 +84,51 @@ pub struct RouterConfig {
     pub ttl: Duration,
 }
 
-/// A 2PC participant: node id and address.
+/// A node the router calls: id and address.
 type Participant = (String, String);
+
+/// Where one admission goes, decided from its demand and the topology
+/// alone.
+#[derive(Debug)]
+pub(crate) enum Route {
+    /// Some demand sits at a location no node owns: the `R0016` report.
+    Unowned(Report),
+    /// This node owns all of the located demand, or there is none.
+    Local,
+    /// Exactly one other node owns all of it.
+    Forward(Participant),
+    /// Several owners, in id order; this node is among them iff it owns
+    /// some of the demand.
+    TwoPhase(Vec<Participant>),
+}
+
+/// Classifies the demand an admission received by node `me` prices
+/// to, in one pass over its non-zero terms, each keyed (like slicing)
+/// by its first location.
+pub(crate) fn classify(demand: &ResourceDemand, topology: &Topology, me: &str) -> Route {
+    let mut owners: BTreeMap<&str, &str> = BTreeMap::new();
+    let report = check_ownership(demand, |location| match topology.owner_of(location) {
+        Some(node) => {
+            owners.insert(&node.id, &node.addr);
+            true
+        }
+        None => false,
+    });
+    if report.has_errors() {
+        return Route::Unowned(report);
+    }
+    let mut participants: Vec<Participant> = owners
+        .into_iter()
+        .map(|(id, addr)| (id.to_string(), addr.to_string()))
+        .collect();
+    if participants.len() > 1 {
+        return Route::TwoPhase(participants);
+    }
+    match participants.pop() {
+        Some(owner) if owner.0 != me => Route::Forward(owner),
+        _ => Route::Local,
+    }
+}
 
 struct RouterObs {
     gossip_exchanges: Arc<Counter>,
@@ -114,7 +163,6 @@ pub struct ClusterRouter {
     config: RouterConfig,
     topology: SharedTopology,
     gossip: Arc<Mutex<GossipEngine>>,
-    health: Arc<PeerHealth>,
     local: LocalHandle,
     links: PeerLinks,
     cost_model: TableCostModel,
@@ -132,7 +180,6 @@ impl ClusterRouter {
         config: RouterConfig,
         topology: SharedTopology,
         gossip: Arc<Mutex<GossipEngine>>,
-        health: Arc<PeerHealth>,
         local: LocalHandle,
         partitioned: Arc<AtomicBool>,
     ) -> ClusterRouter {
@@ -148,7 +195,6 @@ impl ClusterRouter {
             config,
             topology,
             gossip,
-            health,
             local,
             links,
             cost_model: TableCostModel::paper(),
@@ -157,11 +203,11 @@ impl ClusterRouter {
         }
     }
 
-    fn read_topology(&self) -> crate::topology::Topology {
-        self.topology
-            .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .clone()
+    /// The first of `nodes` this node's gossip engine believes down
+    /// (this node itself is always alive).
+    fn first_suspect<'a>(&self, mut nodes: impl Iterator<Item = &'a str>) -> Option<&'a str> {
+        let engine = lock(&self.gossip);
+        nodes.find(|node| !engine.alive(node))
     }
 
     /// Calls `owner` with `request`: through the loopback handle when
@@ -180,13 +226,8 @@ impl ClusterRouter {
             };
         }
         self.obs.gossip_exchanges.inc();
-        let round = self.health.round();
-        let mut engine = self
-            .gossip
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        engine.absorb(digest, round);
-        self.health.publish(engine.alive_set(round), round);
+        let mut engine = lock(&self.gossip);
+        engine.absorb(digest);
         Response::GossipAck {
             digest: engine.digest(),
         }
@@ -254,82 +295,37 @@ impl ClusterRouter {
         let lambda = computation.build().ok()?;
         let request = AdmissionRequest::price(lambda, &self.cost_model, granularity);
         let demand = request.requirement().total_demand();
-        let topology = self.read_topology();
-        let owned = topology.locations();
-        let ownership = check_ownership(&demand, &owned);
-        if ownership.has_errors() {
-            return Some(self.unowned(request.name(), &ownership));
-        }
-        let mut owners = BTreeSet::new();
-        for (located, quantity) in demand.iter() {
-            if quantity.is_zero() {
-                continue;
+        let route = classify(&demand, &read(&self.topology), &self.config.me);
+        Some(match route {
+            Route::Unowned(report) => self.unowned(request.name(), &report),
+            Route::Local => self.local.admit(request),
+            Route::Forward(owner) => self.forward(&owner, computation, granularity, request.name()),
+            Route::TwoPhase(participants) => {
+                self.two_phase(&participants, computation, granularity, &request)
             }
-            if let Some(location) = located.locations().first() {
-                if let Some(node) = topology.owner_of(location.name()) {
-                    owners.insert(node.id.clone());
-                }
-            }
+        })
+    }
+
+    /// Sends an admission whole to its one owner, another node.
+    fn forward(
+        &self,
+        (owner, addr): &Participant,
+        computation: &ComputationSpec,
+        granularity: Granularity,
+        name: &str,
+    ) -> Response {
+        if let Some(peer) = self.first_suspect(std::iter::once(owner.as_str())) {
+            return self.peer_unavailable(name, peer);
         }
-        // No located demand, or all of it ours: the local core decides.
-        owners.remove(&self.config.me);
-        if owners.is_empty() {
-            return None;
-        }
-        for owner in &owners {
-            if !self.health.is_alive(owner) {
-                return Some(self.peer_unavailable(request.name(), owner));
-            }
-        }
-        let total_owners = owners.len()
-            + usize::from(
-                demand.iter().any(|(located, quantity)| {
-                    !quantity.is_zero()
-                        && located.locations().first().is_some_and(|l| {
-                            topology
-                                .owner_of(l.name())
-                                .is_some_and(|n| n.id == self.config.me)
-                        })
-                }),
-            );
-        if total_owners == 1 {
-            // Exactly one remote owner, nothing of ours: forward whole.
-            // PANIC-OK: total_owners == 1 was just checked, so the set
-            // holds exactly one id.
-            let owner = owners.iter().next().expect("owners is non-empty").clone();
-            let addr = topology
-                .node(&owner)
-                .map(|n| n.addr.clone())
-                .unwrap_or_default();
-            self.obs.forwards.inc();
-            return Some(
-                self.call_owner(
-                    &owner,
-                    &addr,
-                    Request::Admit {
-                        computation: computation.clone(),
-                        granularity,
-                        forwarded: true,
-                    },
-                )
-                .unwrap_or_else(|message| Response::Error { message }),
-            );
-        }
-        // Several owners (possibly including us): two-phase commit.
-        if total_owners > owners.len() {
-            owners.insert(self.config.me.clone());
-        }
-        let participants: Vec<Participant> = owners
-            .into_iter()
-            .map(|id| {
-                let addr = topology
-                    .node(&id)
-                    .map(|n| n.addr.clone())
-                    .unwrap_or_default();
-                (id, addr)
-            })
-            .collect();
-        Some(self.two_phase(&participants, computation, granularity, &request))
+        self.obs.forwards.inc();
+        let admit = Request::Admit {
+            computation: computation.clone(),
+            granularity,
+            forwarded: true,
+        };
+        self.links
+            .call(owner, addr, &admit)
+            .unwrap_or_else(|message| Response::Error { message })
     }
 
     /// Runs one full two-phase admission across `participants`, in
@@ -341,6 +337,9 @@ impl ClusterRouter {
         granularity: Granularity,
         request: &AdmissionRequest,
     ) -> Response {
+        if let Some(peer) = self.first_suspect(participants.iter().map(|(id, _)| id.as_str())) {
+            return self.peer_unavailable(request.name(), peer);
+        }
         self.obs.twopc_started.inc();
         let name = request.name().to_string();
         let ttl_ms = u64::try_from(self.config.ttl.as_millis()).unwrap_or(u64::MAX);
@@ -350,24 +349,17 @@ impl ClusterRouter {
             let mut epochs_by: Vec<Vec<u64>> = Vec::with_capacity(participants.len());
             let mut basis: Vec<ResourceSpec> = Vec::new();
             for (participant, addr) in participants {
-                match self.call_owner(participant, addr, Request::ClusterSnapshot) {
-                    Ok(Response::ClusterState { epochs, resources }) => {
-                        let specs = resources
-                            .as_array()
-                            .map(rota_server::spec::resources_from_json)
-                            .transpose()
-                            .ok()
-                            .flatten()
-                            .unwrap_or_default();
-                        basis.extend(specs);
+                let answer = self.call_owner(participant, addr, Request::ClusterSnapshot);
+                match read_snapshot(participant, answer) {
+                    Ok((epochs, terms)) => {
+                        basis.extend(terms);
                         epochs_by.push(epochs);
                     }
-                    other => {
+                    Err(message) => {
                         self.obs.twopc_aborted.inc();
                         return Response::Error {
                             message: format!(
-                                "two-phase admission failed before prepare: {}",
-                                unexpected(participant, "the snapshot", other)
+                                "two-phase admission failed before prepare: {message}"
                             ),
                         };
                     }
@@ -483,17 +475,18 @@ impl ClusterRouter {
     }
 
     fn route_offer(&self, resources: &[ResourceSpec]) -> Option<Response> {
-        let topology = self.read_topology();
+        let topology = read(&self.topology);
         // Group the offered terms by owning node, keyed on each term's
-        // first (source) location — the same rule as slicing.
-        let mut groups: Vec<(String, Vec<ResourceSpec>)> = Vec::new();
+        // first (source) location — the same rule as slicing — and copy
+        // each owner's address out while the guard is held.
+        let mut groups: Vec<(Participant, Vec<ResourceSpec>)> = Vec::new();
         for spec in resources {
             spec.interval()?; // empty: let the local core report the spec error
             if spec.rate == 0 {
                 continue; // null term: nothing to install anywhere
             }
-            let location = spec.located.locations()[0].name().to_string();
-            let Some(owner) = topology.owner_of(&location) else {
+            let location = spec.located.locations()[0].name();
+            let Some(owner) = topology.owner_of(location) else {
                 return Some(Response::Error {
                     message: format!(
                         "offer names location `{location}`, which no cluster node \
@@ -501,30 +494,26 @@ impl ClusterRouter {
                     ),
                 });
             };
-            match groups.iter_mut().find(|(id, _)| *id == owner.id) {
+            let owner = (owner.id.clone(), owner.addr.clone());
+            match groups.iter_mut().find(|(id, _)| *id == owner) {
                 Some((_, group)) => group.push(spec.clone()),
-                None => groups.push((owner.id.clone(), vec![spec.clone()])),
+                None => groups.push((owner, vec![spec.clone()])),
             }
         }
-        if groups.iter().all(|(id, _)| *id == self.config.me) {
+        drop(topology);
+        if groups.iter().all(|((id, _), _)| *id == self.config.me) {
             return None; // everything ours: the local core installs it
         }
-        for (owner, _) in &groups {
-            if owner != &self.config.me && !self.health.is_alive(owner) {
-                return Some(Response::Error {
-                    message: format!(
-                        "offer touches locations owned by `{owner}`, which is \
-                         suspected down; retry once it recovers"
-                    ),
-                });
-            }
+        if let Some(owner) = self.first_suspect(groups.iter().map(|((id, _), _)| id.as_str())) {
+            return Some(Response::Error {
+                message: format!(
+                    "offer touches locations owned by `{owner}`, which is \
+                     suspected down; retry once it recovers"
+                ),
+            });
         }
         let mut terms = 0u64;
-        for (owner, group) in groups {
-            let addr = topology
-                .node(&owner)
-                .map(|n| n.addr.clone())
-                .unwrap_or_default();
+        for ((owner, addr), group) in groups {
             if owner != self.config.me {
                 self.obs.forwards.inc();
             }
@@ -559,6 +548,27 @@ impl ClusterRouter {
     }
 }
 
+/// Reads a participant's snapshot answer: its shard epochs and its
+/// slice of the basis. A slice that does not decode is an error, never
+/// an empty slice: deciding without that participant's supply would
+/// pass a broken answer off as an ordinary policy reject.
+fn read_snapshot(
+    participant: &str,
+    answer: Result<Response, String>,
+) -> Result<(Vec<u64>, Vec<ResourceSpec>), String> {
+    match answer {
+        Ok(Response::ClusterState { epochs, resources }) => resources
+            .as_array()
+            .ok_or_else(|| "not an array".to_string())
+            .and_then(|terms| resources_from_json(terms).map_err(|err| err.to_string()))
+            .map(|terms| (epochs, terms))
+            .map_err(|err| {
+                format!("peer `{participant}` sent a snapshot whose resources do not decode: {err}")
+            }),
+        other => Err(unexpected(participant, "the snapshot", other)),
+    }
+}
+
 /// Describes a peer call that did not get the answer its phase needs.
 fn unexpected(participant: &str, phase: &str, answer: Result<Response, String>) -> String {
     match answer {
@@ -588,6 +598,91 @@ impl RequestHook for ClusterRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rota_obs::Json;
+    use rota_resource::{LocatedType, Location, Quantity};
+    use std::collections::BTreeSet;
+
+    /// Location `l{i}`; on `Topology::auto(n)` it is owned iff `i < n`.
+    fn at(i: usize) -> Location {
+        Location::new(format!("l{i}"))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        /// `classify` against its definition, over random demands on an
+        /// `n`-node auto topology, some at locations no node owns.
+        /// Each term is `(source, link destination or cpu when ≥ 6,
+        /// quantity)`; links are keyed by their source.
+        #[test]
+        fn classification_matches_its_definition(
+            n in 1usize..5,
+            me in 0usize..5,
+            terms in proptest::collection::vec((0usize..6, 0usize..8, 0u64..3), 0..6),
+        ) {
+            let topology = Topology::auto(n);
+            let me = format!("node{}", me % n);
+            let mut demand = ResourceDemand::new();
+            for &(source, dest, quantity) in &terms {
+                let located = if dest < 6 {
+                    LocatedType::network(at(source), at(dest))
+                } else {
+                    LocatedType::cpu(at(source))
+                };
+                demand.add(located, Quantity::new(quantity));
+            }
+            let demanded: Vec<usize> = terms.iter().filter(|t| t.2 > 0).map(|t| t.0).collect();
+            let owners: BTreeSet<String> =
+                demanded.iter().filter(|&&l| l < n).map(|l| format!("node{l}")).collect();
+            let route = classify(&demand, &topology, &me);
+            if demanded.iter().any(|&l| l >= n) {
+                prop_assert!(matches!(route, Route::Unowned(ref r) if r.has_errors()), "{route:?}");
+            } else if owners.is_empty() || owners == BTreeSet::from([me.clone()]) {
+                prop_assert!(matches!(route, Route::Local), "{route:?}");
+            } else if owners.len() == 1 {
+                match route {
+                    Route::Forward((id, _)) => {
+                        prop_assert!(owners.contains(&id) && id != me, "{id}");
+                    }
+                    other => panic!("expected a forward, got {other:?}"),
+                }
+            } else {
+                match route {
+                    Route::TwoPhase(participants) => {
+                        let ids: Vec<String> = participants.into_iter().map(|(id, _)| id).collect();
+                        prop_assert!(ids.windows(2).all(|w| w[0] < w[1]), "{ids:?}");
+                        prop_assert_eq!(ids.iter().cloned().collect::<BTreeSet<_>>(), owners.clone());
+                        prop_assert_eq!(ids.contains(&me), owners.contains(&me));
+                    }
+                    other => panic!("expected a two-phase commit, got {other:?}"),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_snapshot_that_does_not_decode_is_an_error_naming_the_peer() {
+        let state = |resources| {
+            Ok(Response::ClusterState {
+                epochs: vec![3],
+                resources,
+            })
+        };
+        let junk = read_snapshot("node1", state(Json::Arr(vec![Json::Str("junk".into())])));
+        let message = junk.unwrap_err();
+        assert!(
+            message.contains("`node1`") && message.contains("do not decode"),
+            "{message}"
+        );
+        assert!(read_snapshot("node1", state(Json::Num(1.0))).is_err());
+        // An empty slice is a real answer, not an error.
+        assert_eq!(
+            read_snapshot("node1", state(Json::Arr(Vec::new()))),
+            Ok((vec![3], Vec::new()))
+        );
+        let failed = read_snapshot("node2", Err("peer `node2` unreachable".into()));
+        assert!(failed.unwrap_err().contains("node2"));
+    }
 
     #[test]
     fn peer_unavailable_json_names_the_peer() {

@@ -9,13 +9,17 @@
 //! same convention `rota-server`'s shard router uses.
 //!
 //! Topologies come from a JSON file (`{"nodes": [{"id", "addr",
-//! "locations": [...]}]}`) or from [`Topology::auto`], which assigns
-//! location `l{i}` to node `node{i}` — matching the locations
-//! `rota-workload` generates. Addresses may be left empty (`""`) to
-//! mean "bind an ephemeral port"; `Cluster::launch` patches the real
-//! bound addresses back into the shared topology before gossip starts.
+//! "locations": [...]}]}`, no other keys) or from [`Topology::auto`],
+//! which assigns location `l{i}` to node `node{i}` — matching the
+//! locations `rota-workload` generates. An address is a socket address
+//! (`ip:port`), or empty or absent to mean "bind an ephemeral port";
+//! `Cluster::launch` patches the real bound addresses back into the
+//! shared topology before gossip starts. The topology is the only place
+//! a node's address is kept: the router and the gossip runtime look it
+//! up here each time they dial.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::net::SocketAddr;
 use std::sync::{Arc, RwLock};
 
 use rota_obs::Json;
@@ -27,11 +31,32 @@ use rota_resource::ResourceSet;
 pub struct NodeSpec {
     /// Unique node id (e.g. `node0`).
     pub id: String,
-    /// Address the node serves on (`host:port`), or empty for
+    /// Address the node serves on (`ip:port`), or empty for
     /// "ephemeral, patched after bind".
     pub addr: String,
     /// Names of the locations this node owns.
     pub locations: Vec<String>,
+}
+
+impl NodeSpec {
+    /// The address the node binds: its own, or an ephemeral loopback
+    /// port when it has none.
+    ///
+    /// # Errors
+    ///
+    /// [`TopologyError`] naming the node when its address is not
+    /// `ip:port`.
+    pub(crate) fn bind_addr(&self) -> Result<SocketAddr, TopologyError> {
+        if self.addr.is_empty() {
+            return Ok(SocketAddr::from(([127, 0, 0, 1], 0)));
+        }
+        self.addr.parse().map_err(|_| {
+            TopologyError(format!(
+                "node `{}`: address `{}` is not `ip:port`",
+                self.id, self.addr
+            ))
+        })
+    }
 }
 
 /// Errors building or parsing a topology.
@@ -59,7 +84,8 @@ pub type SharedTopology = Arc<RwLock<Topology>>;
 
 impl Topology {
     /// Builds a topology, validating that node ids are unique, every
-    /// node owns at least one location, and no location has two owners.
+    /// address is empty or a socket address, every node owns at least
+    /// one location, and no location has two owners.
     ///
     /// # Errors
     ///
@@ -77,6 +103,7 @@ impl Topology {
             if !ids.insert(node.id.clone()) {
                 return Err(TopologyError(format!("duplicate node id `{}`", node.id)));
             }
+            node.bind_addr()?;
             if node.locations.is_empty() {
                 return Err(TopologyError(format!(
                     "node `{}` owns no locations",
@@ -123,8 +150,12 @@ impl Topology {
     ///
     /// # Errors
     ///
-    /// [`TopologyError`] on schema violations or ownership overlaps.
+    /// [`TopologyError`] on schema violations (an unknown key, a
+    /// non-string or unparsable `addr`) or ownership overlaps.
     pub fn from_json(doc: &Json) -> Result<Topology, TopologyError> {
+        if let Some(key) = unknown_key(doc, &["nodes"]) {
+            return Err(TopologyError(format!("unknown key `{key}`")));
+        }
         let nodes_value = doc
             .get("nodes")
             .ok_or_else(|| TopologyError("missing `nodes` array".into()))?;
@@ -138,11 +169,16 @@ impl Topology {
                 .and_then(Json::as_str)
                 .ok_or_else(|| TopologyError("node entry missing string `id`".into()))?
                 .to_string();
-            let addr = entry
-                .get("addr")
-                .and_then(Json::as_str)
-                .unwrap_or_default()
-                .to_string();
+            if let Some(key) = unknown_key(entry, &["id", "addr", "locations"]) {
+                return Err(TopologyError(format!("node `{id}`: unknown key `{key}`")));
+            }
+            let addr = match entry.get("addr") {
+                None => String::new(),
+                Some(addr) => addr
+                    .as_str()
+                    .ok_or_else(|| TopologyError(format!("node `{id}`: `addr` must be a string")))?
+                    .to_string(),
+            };
             let locations_value = entry
                 .get("locations")
                 .and_then(Json::as_array)
@@ -225,19 +261,17 @@ impl Topology {
     }
 
     /// Records the address `id` actually bound (ephemeral-port launch).
+    ///
+    /// # Panics
+    ///
+    /// If `addr` is not `ip:port`: like [`Topology::new`], this keeps
+    /// every address empty or a socket address.
     pub fn set_addr(&mut self, id: &str, addr: &str) {
         if let Some(node) = self.nodes.iter_mut().find(|n| n.id == id) {
+            let valid = addr.parse::<SocketAddr>().is_ok();
+            assert!(valid, "node `{id}`: address `{addr}` is not `ip:port`");
             node.addr = addr.to_string();
         }
-    }
-
-    /// The other nodes, from `id`'s perspective: `(peer id, addr)`.
-    pub fn peers_of(&self, id: &str) -> Vec<(String, String)> {
-        self.nodes
-            .iter()
-            .filter(|n| n.id != id)
-            .map(|n| (n.id.clone(), n.addr.clone()))
-            .collect()
     }
 
     /// The slice of `theta` that `id` owns: every term whose located
@@ -258,6 +292,14 @@ impl Topology {
         // validation cannot introduce an unbounded rate.
         .expect("a filtered subset of a valid set is a valid set")
     }
+}
+
+/// The first key of the object `doc` outside `allowed`.
+fn unknown_key<'a>(doc: &'a Json, allowed: &[&str]) -> Option<&'a str> {
+    doc.as_object()?
+        .iter()
+        .map(|(key, _)| key.as_str())
+        .find(|key| !allowed.contains(key))
 }
 
 #[cfg(test)]
@@ -285,6 +327,47 @@ mod tests {
         assert_eq!(parsed.nodes(), topology.nodes());
         assert_eq!(parsed.owner_of("l2").unwrap().id, "node2");
         assert!(parsed.owner_of("l9").is_none());
+    }
+
+    #[test]
+    fn files_that_say_what_the_parser_does_not_understand_are_refused() {
+        let cases = [
+            (
+                r#"{"nodes": [{"id": "a", "addr": "not-an-address", "locations": ["l0"]}]}"#,
+                "node `a`: address `not-an-address` is not `ip:port`",
+            ),
+            (
+                r#"{"nodes": [{"id": "a", "locations": ["l0"], "colour": "red"}]}"#,
+                "node `a`: unknown key `colour`",
+            ),
+            (
+                r#"{"nodes": [{"id": "b", "addr": 7, "locations": ["l1"]}]}"#,
+                "node `b`: `addr` must be a string",
+            ),
+            (
+                r#"{"nodes": [{"id": "a", "locations": ["l0"]}], "extra": 1}"#,
+                "unknown key `extra`",
+            ),
+        ];
+        for (text, expected) in cases {
+            let err = Topology::parse(text).unwrap_err();
+            assert_eq!(err.to_string(), format!("topology: {expected}"), "{text}");
+        }
+        // Empty and absent addresses still mean "ephemeral".
+        let topology = Topology::parse(
+            r#"{"nodes": [{"id": "a", "addr": "", "locations": ["l0"]},
+                          {"id": "b", "locations": ["l1"]},
+                          {"id": "c", "addr": "127.0.0.1:7400", "locations": ["l2"]}]}"#,
+        )
+        .unwrap();
+        let addrs: Vec<&str> = topology.nodes().iter().map(|n| n.addr.as_str()).collect();
+        assert_eq!(addrs, ["", "", "127.0.0.1:7400"]);
+    }
+
+    #[test]
+    #[should_panic(expected = "node `node0`: address `not-an-address` is not `ip:port`")]
+    fn set_addr_keeps_addresses_socket_addresses() {
+        Topology::auto(1).set_addr("node0", "not-an-address");
     }
 
     #[test]

@@ -176,9 +176,9 @@ fn partition_degrades_routing_then_recovers() {
     // Cut node1 off the gossip plane. Within suspect_after rounds the
     // survivors stop hearing fresh beats and mark it suspect.
     cluster.partition("node1", true);
-    let node0_health = cluster.node("node0").unwrap().health();
+    let node0 = cluster.node("node0").unwrap();
     let deadline = Instant::now() + Duration::from_secs(5);
-    while node0_health.is_alive("node1") {
+    while node0.is_alive("node1") {
         assert!(Instant::now() < deadline, "node1 never went suspect");
         std::thread::sleep(Duration::from_millis(10));
     }
@@ -224,7 +224,7 @@ fn partition_degrades_routing_then_recovers() {
     // Heal the partition: gossip re-proves node1 and routing recovers.
     cluster.partition("node1", false);
     let deadline = Instant::now() + Duration::from_secs(5);
-    while !node0_health.is_alive("node1") {
+    while !node0.is_alive("node1") {
         assert!(Instant::now() < deadline, "node1 never recovered");
         std::thread::sleep(Duration::from_millis(10));
     }
@@ -307,9 +307,9 @@ fn killed_node_degrades_only_its_own_locations() {
     .unwrap();
     assert!(cluster.await_converged(Duration::from_secs(10)));
     cluster.kill("node2");
-    let node0_health = cluster.node("node0").unwrap().health();
+    let node0 = cluster.node("node0").unwrap();
     let deadline = Instant::now() + Duration::from_secs(5);
-    while node0_health.is_alive("node2") {
+    while node0.is_alive("node2") {
         assert!(Instant::now() < deadline, "node2 never went suspect");
         std::thread::sleep(Duration::from_millis(10));
     }

@@ -80,7 +80,7 @@ fn counter(cluster: &Cluster, index: usize, name: &str) -> u64 {
 fn gossip_converges() {
     let cluster = launch(3, test_config());
     for node in cluster.nodes() {
-        assert_eq!(node.health().alive_nodes().len(), 3, "node {}", node.id());
+        assert_eq!(node.alive_nodes().len(), 3, "node {}", node.id());
     }
     cluster.shutdown();
 }

@@ -40,7 +40,7 @@
 /// Bumped whenever a frame shape changes incompatibly; a server
 /// answers a `hello` carrying any other version with a structured
 /// `version-mismatch` error naming both versions.
-pub const PROTOCOL_VERSION: u64 = 4;
+pub const PROTOCOL_VERSION: u64 = 5;
 
 use std::io::{BufRead, Write};
 
@@ -57,15 +57,13 @@ use crate::spec::{resources_from_json, ComputationSpec, Fields, ResourceSpec, Sp
 pub const MAX_FRAME_BYTES: usize = 256 * 1024;
 
 /// One peer's view of another in a gossip digest: the freshest
-/// sequence number heard and the address it serves on.
+/// sequence number heard for it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PeerBeat {
     /// The peer's node id.
     pub node: String,
     /// Freshest heartbeat sequence number heard for that node.
     pub seq: u64,
-    /// The address the node serves on (`host:port`).
-    pub addr: String,
 }
 
 /// The payload of one gossip exchange: the sender's own heartbeat plus
@@ -96,7 +94,6 @@ impl GossipDigest {
                             Json::Obj(vec![
                                 ("node".into(), Json::Str(b.node.clone())),
                                 ("seq".into(), Json::Num(b.seq as f64)),
-                                ("addr".into(), Json::Str(b.addr.clone())),
                             ])
                         })
                         .collect(),
@@ -116,11 +113,10 @@ impl GossipDigest {
         let mut beats = Vec::new();
         for beat in fields.array("beats")? {
             let beat_fields = Fields::of(beat, "gossip beat")?;
-            beat_fields.deny_unknown(&["node", "seq", "addr"])?;
+            beat_fields.deny_unknown(&["node", "seq"])?;
             beats.push(PeerBeat {
                 node: beat_fields.str("node")?,
                 seq: beat_fields.u64("seq")?,
-                addr: beat_fields.str("addr")?,
             });
         }
         Ok(GossipDigest {
@@ -1114,12 +1110,10 @@ mod tests {
                 PeerBeat {
                     node: "n1".into(),
                     seq: 9,
-                    addr: "127.0.0.1:7401".into(),
                 },
                 PeerBeat {
                     node: "n2".into(),
                     seq: 0,
-                    addr: "127.0.0.1:7402".into(),
                 },
             ],
         }
@@ -1170,6 +1164,12 @@ mod tests {
             Request::Gossip { digest: back } => assert_eq!(back, digest),
             other => panic!("wrong decode: {other:?}"),
         }
+        // A beat carries a node and a sequence number, nothing else:
+        // where a node serves is the topology's business.
+        let stale = line.replace(r#""seq":9}"#, r#""seq":9,"addr":"127.0.0.1:7401"}"#);
+        assert_ne!(stale, line);
+        let err = Request::from_line(&stale).unwrap_err().to_string();
+        assert!(err.contains("unknown field `addr`"), "{err}");
         let line = Request::ClusterSnapshot.to_json().to_string();
         assert!(matches!(
             Request::from_line(&line).unwrap(),

@@ -16,7 +16,7 @@ use std::io::{BufReader, BufWriter, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, RwLock, Weak};
+use std::sync::{Arc, Mutex, OnceLock, RwLock, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -103,6 +103,18 @@ impl LocalHandle {
         }
     }
 
+    /// Decides an already-priced admission with the local shard pool,
+    /// so a hook that priced the request to route it does not make the
+    /// core build and price it again.
+    pub fn admit(&self, request: AdmissionRequest) -> Response {
+        match self.inner.upgrade() {
+            Some(inner) => inner.with_pool(|pool| pool.admit(request)),
+            None => Response::Error {
+                message: "server is draining".into(),
+            },
+        }
+    }
+
     /// The server's metrics registry, so a hook can publish its own
     /// gauges and counters into the same `metrics` snapshot. `None`
     /// once the server is draining.
@@ -128,23 +140,16 @@ struct Inner {
     cost_model: TableCostModel,
     config: ServerConfig,
     faults: Option<Arc<FaultInjector>>,
-    /// Installed before the acceptor starts (see
+    /// Set once, before the acceptor starts (see
     /// [`Server::spawn_hooked`]), so connections never race a
     /// half-initialized hook.
-    hook: RwLock<Option<Arc<dyn RequestHook>>>,
+    hook: OnceLock<Arc<dyn RequestHook>>,
 }
 
 impl Inner {
     fn handle(&self, request: Request) -> Response {
-        let hook = self
-            .hook
-            .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .clone();
-        if let Some(hook) = hook {
-            if let Some(response) = hook.intercept(&request) {
-                return response;
-            }
+        if let Some(response) = self.hook.get().and_then(|hook| hook.intercept(&request)) {
+            return response;
         }
         self.handle_core(request)
     }
@@ -417,16 +422,14 @@ impl Server {
             cost_model: TableCostModel::paper(),
             config,
             faults,
-            hook: RwLock::new(None),
+            hook: OnceLock::new(),
         });
         if let Some(make_hook) = make_hook {
             let hook = make_hook(LocalHandle {
                 inner: Arc::downgrade(&inner),
             });
-            *inner
-                .hook
-                .write()
-                .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(hook);
+            // The cell is new and set only here, so this cannot fail.
+            let _ = inner.hook.set(hook);
         }
         let acceptor_inner = Arc::clone(&inner);
         let acceptor = std::thread::Builder::new()

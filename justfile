@@ -104,9 +104,11 @@ loadtest *ARGS:
 
 # Federation end-to-end: gossip convergence, location routing (local /
 # forward / 2PC), offer splitting, and the 3-node-vs-merged-oracle
-# verdict-equivalence property (DESIGN.md §12).
+# verdict-equivalence property (DESIGN.md §12), plus the crate's unit
+# tests (gossip schedule, topology parsing, routing classification,
+# peer links).
 cluster:
-    cargo test -q -p rota-cluster --test e2e --test properties
+    cargo test -q -p rota-cluster --lib --test e2e --test properties
 
 # Federation failure drills: a coordinator killed mid-2PC must leak no
 # reservations and double-commit nothing; partitions degrade to
