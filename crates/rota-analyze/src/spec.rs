@@ -413,40 +413,52 @@ pub fn resources_from_json(values: &[Json]) -> Result<Vec<ResourceSpec>, SpecErr
         .collect()
 }
 
-/// Converts decoded resource specs into a library [`ResourceSet`].
+/// Converts decoded resource specs into a library [`ResourceSet`]:
+/// every interval is checked in spec order first, then the set is built
+/// in one pass ([`ResourceSet::from_terms`]).
 ///
 /// # Errors
 ///
 /// [`SpecError::Invalid`] for empty intervals or rate overflow.
 pub fn resource_set(specs: &[ResourceSpec]) -> Result<ResourceSet, SpecError> {
-    let mut theta = ResourceSet::new();
-    for r in specs {
-        let interval = TimeInterval::from_ticks(r.start, r.end)
-            .map_err(|e| SpecError::Invalid(format!("resource {}: {e}", r.located)))?;
-        theta
-            .insert(ResourceTerm::new(
+    let terms = specs
+        .iter()
+        .map(|r| {
+            let interval = TimeInterval::from_ticks(r.start, r.end)
+                .map_err(|e| SpecError::Invalid(format!("resource {}: {e}", r.located)))?;
+            Ok(ResourceTerm::new(
                 Rate::new(r.rate),
                 interval,
                 r.located.clone(),
             ))
-            .map_err(|e| SpecError::Invalid(e.to_string()))?;
-    }
-    Ok(theta)
+        })
+        .collect::<Result<Vec<_>, SpecError>>()?;
+    ResourceSet::from_terms(terms).map_err(|e| SpecError::Invalid(e.to_string()))
 }
 
-/// Serializes a [`ResourceSet`] as the spec's `resources` array, term
-/// by term through [`ResourceSpec::from_term`].
+/// The spec form of a [`ResourceSet`], term by term through
+/// [`ResourceSpec::from_term`]: what a `cluster-state` answer carries,
+/// so every participant of a two-phase commit decides on the same
+/// basis whether its slice crossed a socket or not.
 ///
 /// Terms of node kinds the spec cannot name (`disk`, custom) have no
 /// wire form and are left out; a basis missing supply can only make an
 /// admission decision more conservative.
+pub fn resource_specs(theta: &ResourceSet) -> Vec<ResourceSpec> {
+    theta
+        .to_terms()
+        .iter()
+        .filter_map(|term| ResourceSpec::from_term(term).ok())
+        .collect()
+}
+
+/// Serializes a [`ResourceSet`] as the spec's `resources` array: the
+/// [`resource_specs`] of the set, each through [`ResourceSpec::to_json`].
 pub fn resource_set_to_json(theta: &ResourceSet) -> Json {
     Json::Arr(
-        theta
-            .to_terms()
+        resource_specs(theta)
             .iter()
-            .filter_map(|term| ResourceSpec::from_term(term).ok())
-            .map(|spec| spec.to_json())
+            .map(ResourceSpec::to_json)
             .collect(),
     )
 }

@@ -1,6 +1,7 @@
 //! E16 — federation routing overhead: the cost of an admission decided
 //! on the receiving node vs forwarded to its owner vs coordinated
-//! across two owners by two-phase commit, all over real TCP.
+//! across two owners by two-phase commit, from a third node and from
+//! one of the owners, all over real TCP.
 //!
 //! Every probe is deliberately infeasible (demand beyond the horizon's
 //! total supply), so the answer is always a policy reject and the
@@ -97,6 +98,13 @@ fn bench_route_overhead(c: &mut Criterion) {
     let mut coordinator = Client::connect_timeout(addrs[2], Duration::from_secs(2)).unwrap();
     group.bench_function("two_phase_across_owners", |b| {
         b.iter(|| admit_rejected(&mut coordinator, &["l0", "l1"]))
+    });
+
+    // Two-phase commit coordinated by an owner: node0 snapshots and
+    // prepares itself in-process and node1 over a peer link.
+    let mut owner = Client::connect_timeout(addrs[0], Duration::from_secs(2)).unwrap();
+    group.bench_function("two_phase_from_an_owner", |b| {
+        b.iter(|| admit_rejected(&mut owner, &["l0", "l1"]))
     });
 
     group.finish();

@@ -1,5 +1,6 @@
 //! E2 — resource-set simplification: building the canonical form from n
-//! random terms, and the windowed queries the satisfaction function uses.
+//! random terms and from n terms on one located type in the worst
+//! orders, and the windowed queries the satisfaction function uses.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rand::rngs::StdRng;
@@ -52,6 +53,44 @@ fn bench_type_spread(c: &mut Criterion) {
     group.finish();
 }
 
+/// `n` overlapping terms on one located type, in `order`: `descending`
+/// (each term starts before the last) or `nested` (each term inside
+/// the last). A build that re-sorts the whole profile on every insert
+/// is quadratic on both.
+fn one_type_terms(order: &str, n: u64) -> Vec<ResourceTerm> {
+    let lt = LocatedType::cpu(Location::new("l0"));
+    (0..n)
+        .map(|i| {
+            let (s, e) = match order {
+                "descending" => (n - i, n - i + 2),
+                _ => (i, 2 * n - i),
+            };
+            ResourceTerm::new(
+                Rate::new(1 + i % 3),
+                TimeInterval::from_ticks(s, e).expect("s < e"),
+                lt.clone(),
+            )
+        })
+        .collect()
+}
+
+fn bench_worst_order(c: &mut Criterion) {
+    let mut group = c.benchmark_group("e2/worst_order");
+    group.sample_size(10);
+    for order in ["descending", "nested"] {
+        for &n in &[64u64, 256, 1024, 4096] {
+            let terms = one_type_terms(order, n);
+            group.throughput(Throughput::Elements(n));
+            group.bench_with_input(BenchmarkId::new(order, n), &terms, |b, terms| {
+                b.iter(|| {
+                    black_box(ResourceSet::from_terms(terms.iter().cloned()).expect("bounded rates"))
+                })
+            });
+        }
+    }
+    group.finish();
+}
+
 fn bench_queries(c: &mut Criterion) {
     let set = ResourceSet::from_terms(random_terms(1024, 16, 13)).expect("bounded rates");
     let window = TimeInterval::from_ticks(1_000, 2_000).expect("valid");
@@ -68,5 +107,11 @@ fn bench_queries(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_simplification, bench_type_spread, bench_queries);
+criterion_group!(
+    benches,
+    bench_simplification,
+    bench_type_spread,
+    bench_worst_order,
+    bench_queries
+);
 criterion_main!(benches);

@@ -43,6 +43,9 @@
 //! `stale-epoch` answer → abort, re-snapshot, retry (bounded). A
 //! coordinator that dies between prepare and commit leaks nothing: the
 //! TTL releases the tentative reservations (see `rota-server::shard`).
+//! When the coordinator is itself a participant it snapshots and
+//! prepares its own node through the [`LocalHandle`] with typed values;
+//! the basis goes through JSON only to and from remote participants.
 //!
 //! Participants the node's gossip engine believes **suspect** are
 //! never contacted: requests touching them are rejected up front with
@@ -58,7 +61,7 @@ use rota_actor::{Granularity, ResourceDemand, TableCostModel};
 use rota_admission::AdmissionRequest;
 use rota_analyze::{check_ownership, Diagnostic, Report, Severity};
 use rota_obs::{Counter, Registry};
-use rota_server::spec::{resources_from_json, ComputationSpec, ResourceSpec};
+use rota_server::spec::{self, resources_from_json, ComputationSpec, ResourceSpec};
 use rota_server::{fault, LocalHandle, Request, RequestHook, Response};
 
 use crate::gossip::GossipEngine;
@@ -329,7 +332,9 @@ impl ClusterRouter {
     }
 
     /// Runs one full two-phase admission across `participants`, in
-    /// node-id order.
+    /// node-id order. This node's own snapshot and prepare go through
+    /// the local handle as typed values; only a remote participant's
+    /// slice and basis cross a socket as JSON.
     fn two_phase(
         &self,
         participants: &[Participant],
@@ -343,14 +348,24 @@ impl ClusterRouter {
         self.obs.twopc_started.inc();
         let name = request.name().to_string();
         let ttl_ms = u64::try_from(self.config.ttl.as_millis()).unwrap_or(u64::MAX);
+        let is_me = |participant: &str| participant == self.config.me;
         for _attempt in 0..=MAX_RETRIES {
             // Snapshot every participant; the union of disjoint slices
             // is the merged single-node basis.
             let mut epochs_by: Vec<Vec<u64>> = Vec::with_capacity(participants.len());
             let mut basis: Vec<ResourceSpec> = Vec::new();
             for (participant, addr) in participants {
-                let answer = self.call_owner(participant, addr, Request::ClusterSnapshot);
-                match read_snapshot(participant, answer) {
+                let snapshot = if is_me(participant) {
+                    self.local.cluster_state().map_err(|message| {
+                        unexpected(participant, "the snapshot", Ok(Response::Error { message }))
+                    })
+                } else {
+                    let answer = self
+                        .links
+                        .call(participant, addr, &Request::ClusterSnapshot);
+                    read_snapshot(participant, answer)
+                };
+                match snapshot {
                     Ok((epochs, terms)) => {
                         basis.extend(terms);
                         epochs_by.push(epochs);
@@ -370,15 +385,20 @@ impl ClusterRouter {
             // are always a prefix of `participants`.
             let failure = participants.iter().zip(epochs_by).enumerate().find_map(
                 |(index, ((participant, addr), epochs))| {
-                    let prepare = Request::Prepare {
-                        name: name.clone(),
-                        computation: computation.clone(),
-                        granularity,
-                        basis: basis.clone(),
-                        epochs,
-                        ttl_ms,
+                    let answer = if is_me(participant) {
+                        Ok(self.prepare_here(request, &basis, &epochs, ttl_ms))
+                    } else {
+                        let prepare = Request::Prepare {
+                            name: name.clone(),
+                            computation: computation.clone(),
+                            granularity,
+                            basis: basis.clone(),
+                            epochs,
+                            ttl_ms,
+                        };
+                        self.links.call(participant, addr, &prepare)
                     };
-                    match self.call_owner(participant, addr, prepare) {
+                    match answer {
                         Ok(Response::Prepared { .. }) => None,
                         other => Some((index, participant, other)),
                     }
@@ -412,6 +432,29 @@ impl ClusterRouter {
                  the cluster state keeps changing, retry later",
                 MAX_RETRIES + 1
             ),
+        }
+    }
+
+    /// This node's own prepare, as a `prepare` frame would run it but
+    /// without the frame: the merged basis is built into a set here,
+    /// once, and the request is the one the router already priced.
+    fn prepare_here(
+        &self,
+        request: &AdmissionRequest,
+        basis: &[ResourceSpec],
+        epochs: &[u64],
+        ttl_ms: u64,
+    ) -> Response {
+        match spec::resource_set(basis) {
+            Ok(basis) => self.local.prepare(
+                request.clone(),
+                &basis,
+                epochs,
+                Duration::from_millis(ttl_ms),
+            ),
+            Err(err) => Response::Error {
+                message: format!("bad basis: {err}"),
+            },
         }
     }
 

@@ -102,9 +102,64 @@ impl ResourceProfile {
     /// Never fails for a single term; the `Result` mirrors
     /// [`add`](ResourceProfile::add) for composability.
     pub fn from_segment(interval: TimeInterval, rate: Rate) -> Result<Self, OverflowError> {
-        let mut p = ResourceProfile::new();
-        p.add(interval, rate)?;
-        Ok(p)
+        Ok(ResourceProfile::segment(interval, rate))
+    }
+
+    /// The canonical profile of one constant segment: empty when `rate`
+    /// is zero (a null term).
+    fn segment(interval: TimeInterval, rate: Rate) -> Self {
+        let segments = if rate.is_zero() {
+            Vec::new()
+        } else {
+            vec![(interval, rate)]
+        };
+        ResourceProfile { segments }
+    }
+
+    /// The pointwise sum of `segments`, in any order, all with non-zero
+    /// rates (null terms are dropped by the caller). The list is cut
+    /// into runs of ascending, disjoint segments, each of which already
+    /// is a profile, and the runs are summed by balanced pairwise
+    /// merges, each a linear [`zip_with`](ResourceProfile::zip_with).
+    /// `n` segments in `r` runs cost O(n log r): one pass when they are
+    /// sorted (a canonical basis is), O(n log n) at worst.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`OverflowError`] if a summed rate exceeds `u64` — the
+    /// rates are non-negative, so exactly when adding the segments one
+    /// by one, in any order, would overflow.
+    pub(crate) fn from_segments(
+        segments: impl IntoIterator<Item = (TimeInterval, Rate)>,
+    ) -> Result<Self, OverflowError> {
+        let mut runs: Vec<ResourceProfile> = Vec::new();
+        let mut run: Vec<(TimeInterval, Rate)> = Vec::new();
+        for (interval, rate) in segments {
+            let overlaps = run
+                .last()
+                .is_some_and(|(last, _)| last.end() > interval.start());
+            if overlaps {
+                runs.push(ResourceProfile {
+                    segments: canonicalize(std::mem::take(&mut run)),
+                });
+            }
+            run.push((interval, rate));
+        }
+        runs.push(ResourceProfile {
+            segments: canonicalize(run),
+        });
+        while runs.len() > 1 {
+            let mut next = Vec::with_capacity(runs.len().div_ceil(2));
+            let mut rest = runs.into_iter();
+            while let Some(left) = rest.next() {
+                next.push(match rest.next() {
+                    Some(right) => left.sum(&right)?,
+                    None => left,
+                });
+            }
+            runs = next;
+        }
+        Ok(runs.pop().unwrap_or_default())
     }
 
     /// Whether the profile is zero everywhere.
@@ -202,9 +257,8 @@ impl ResourceProfile {
         if rate.is_zero() {
             return Ok(()); // null term
         }
-        self.combine(interval, rate, |have, add| {
-            have.checked_add(add).ok_or(OverflowError)
-        })
+        *self = self.sum(&ResourceProfile::segment(interval, rate))?;
+        Ok(())
     }
 
     /// The pointwise sum `self + other`.
@@ -245,24 +299,7 @@ impl ResourceProfile {
         if rate.is_zero() {
             return Ok(());
         }
-        // Pre-check: the window must be fully covered with at least `rate`.
-        let min = self.min_rate_over(&interval);
-        if min < rate {
-            // Locate the first shortfall tick for the error report.
-            let mut at = interval.start();
-            while interval.contains_tick(at) && self.rate_at(at) >= rate {
-                at += rota_interval::TickDuration::DELTA;
-            }
-            return Err(InsufficientRateError {
-                at,
-                available: self.rate_at(at),
-                demanded: rate,
-            });
-        }
-        self.combine(interval, rate, |have, sub| {
-            Ok::<_, OverflowError>(have.saturating_sub(sub))
-        })
-        .expect("subtraction cannot overflow");
+        *self = self.difference(&ResourceProfile::segment(interval, rate))?;
         Ok(())
     }
 
@@ -386,57 +423,21 @@ impl ResourceProfile {
             segments: canonicalize(pieces),
         })
     }
-
-    /// Core sweep: rebuilds the segment list with `op(current, rate)`
-    /// applied over `interval` and identity elsewhere, re-canonicalizing.
-    fn combine<E>(
-        &mut self,
-        interval: TimeInterval,
-        rate: Rate,
-        op: impl Fn(Rate, Rate) -> Result<Rate, E>,
-    ) -> Result<(), E> {
-        // Collect boundary points: existing segment edges plus the new
-        // interval's edges, then evaluate each elementary piece.
-        let mut bounds: Vec<TimePoint> = Vec::with_capacity(self.segments.len() * 2 + 2);
-        bounds.push(interval.start());
-        bounds.push(interval.end());
-        for (iv, _) in &self.segments {
-            bounds.push(iv.start());
-            bounds.push(iv.end());
-        }
-        bounds.sort_unstable();
-        bounds.dedup();
-        let mut pieces: Vec<(TimeInterval, Rate)> = Vec::with_capacity(bounds.len());
-        for w in bounds.windows(2) {
-            let piece = TimeInterval::new(w[0], w[1]).expect("deduped ascending bounds");
-            let base = self.rate_at(piece.start());
-            let value = if interval.contains_interval(&piece) {
-                op(base, rate)?
-            } else {
-                base
-            };
-            if !value.is_zero() {
-                pieces.push((piece, value));
-            }
-        }
-        self.segments = canonicalize(pieces);
-        Ok(())
-    }
 }
 
-/// Merges meeting equal-rate segments; input must be sorted and disjoint.
-fn canonicalize(pieces: Vec<(TimeInterval, Rate)>) -> Vec<(TimeInterval, Rate)> {
-    let mut out: Vec<(TimeInterval, Rate)> = Vec::with_capacity(pieces.len());
-    for (iv, r) in pieces {
-        if let Some((last_iv, last_r)) = out.last_mut() {
-            if *last_r == r && last_iv.meets(&iv) {
-                *last_iv = last_iv.union_contiguous(&iv).expect("meets implies contiguous");
-                continue;
-            }
+/// Merges meeting equal-rate segments in place; input must be sorted
+/// and disjoint.
+fn canonicalize(mut pieces: Vec<(TimeInterval, Rate)>) -> Vec<(TimeInterval, Rate)> {
+    pieces.dedup_by(|(iv, r), (last_iv, last_r)| {
+        let merge = *last_r == *r && last_iv.meets(iv);
+        if merge {
+            *last_iv = last_iv
+                .union_contiguous(iv)
+                .expect("meets implies contiguous");
         }
-        out.push((iv, r));
-    }
-    out
+        merge
+    });
+    pieces
 }
 
 impl fmt::Display for ResourceProfile {

@@ -93,13 +93,17 @@ pub struct LocalHandle {
 }
 
 impl LocalHandle {
+    /// Runs `f` on the local shard pool; `None` once the server is
+    /// draining.
+    fn with_pool<T>(&self, f: impl FnOnce(&ShardPool) -> T) -> Option<T> {
+        self.inner.upgrade().and_then(|inner| inner.try_pool(f))
+    }
+
     /// Handles `request` with the local core; the hook is bypassed.
     pub fn call(&self, request: Request) -> Response {
         match self.inner.upgrade() {
             Some(inner) => inner.handle_core(request),
-            None => Response::Error {
-                message: "server is draining".into(),
-            },
+            None => draining(),
         }
     }
 
@@ -107,12 +111,37 @@ impl LocalHandle {
     /// so a hook that priced the request to route it does not make the
     /// core build and price it again.
     pub fn admit(&self, request: AdmissionRequest) -> Response {
-        match self.inner.upgrade() {
-            Some(inner) => inner.with_pool(|pool| pool.admit(request)),
-            None => Response::Error {
-                message: "server is draining".into(),
-            },
-        }
+        self.with_pool(|pool| pool.admit(request))
+            .unwrap_or_else(draining)
+    }
+
+    /// This node's `cluster-snapshot` answer as typed values: the
+    /// per-shard epochs and exactly the specs the wire answer carries
+    /// ([`spec::resource_specs`]), so a coordinator's own slice of a
+    /// two-phase basis never goes through JSON.
+    ///
+    /// # Errors
+    ///
+    /// The message a `cluster-snapshot` would answer with as an error.
+    pub fn cluster_state(&self) -> Result<(Vec<u64>, Vec<spec::ResourceSpec>), String> {
+        let (epochs, merged) = self
+            .with_pool(ShardPool::cluster_state)
+            .unwrap_or_else(|| Err(DRAINING.into()))?;
+        Ok((epochs, spec::resource_specs(&merged)))
+    }
+
+    /// Phase one of a two-phase commit on this node, as a `prepare`
+    /// frame would run it, for a request the hook already priced and a
+    /// basis it already built.
+    pub fn prepare(
+        &self,
+        request: AdmissionRequest,
+        basis: &ResourceSet,
+        epochs: &[u64],
+        ttl: Duration,
+    ) -> Response {
+        self.with_pool(|pool| pool.prepare(request, basis, epochs, ttl))
+            .unwrap_or_else(draining)
     }
 
     /// The server's metrics registry, so a hook can publish its own
@@ -129,6 +158,15 @@ impl LocalHandle {
             .upgrade()
             .and_then(|inner| inner.faults.clone())
             .is_some_and(|faults| faults.take_2pc_ticket())
+    }
+}
+
+/// What a call answers once the server is draining.
+const DRAINING: &str = "server is draining";
+
+fn draining() -> Response {
+    Response::Error {
+        message: DRAINING.into(),
     }
 }
 
@@ -201,13 +239,14 @@ impl Inner {
             Request::Gossip { .. } => Response::Error {
                 message: "not clustered: this node runs no cluster router".into(),
             },
-            Request::ClusterSnapshot => self.with_pool(|pool| match pool.cluster_state() {
-                Ok((epochs, merged)) => Response::ClusterState {
+            Request::ClusterSnapshot => match self.try_pool(ShardPool::cluster_state) {
+                Some(Ok((epochs, merged))) => Response::ClusterState {
                     epochs,
                     resources: spec::resource_set_to_json(&merged),
                 },
-                Err(message) => Response::Error { message },
-            }),
+                Some(Err(message)) => Response::Error { message },
+                None => draining(),
+            },
             Request::Prepare {
                 name,
                 computation,
@@ -259,18 +298,18 @@ impl Inner {
     }
 
     fn with_pool(&self, f: impl FnOnce(&ShardPool) -> Response) -> Response {
+        self.try_pool(f).unwrap_or_else(draining)
+    }
+
+    /// Runs `f` on the shard pool, or `None` once it has been dropped.
+    fn try_pool<T>(&self, f: impl FnOnce(&ShardPool) -> T) -> Option<T> {
         // The pool is only ever replaced wholesale, so a poisoned lock
         // still guards a usable value: keep serving.
         let guard = self
             .pool
             .read()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        match guard.as_ref() {
-            Some(pool) => f(pool),
-            None => Response::Error {
-                message: "server is draining".into(),
-            },
-        }
+        guard.as_ref().map(f)
     }
 
     /// Raises the shutdown flag and, the first time, drops the shard
@@ -443,13 +482,23 @@ impl Server {
     }
 }
 
+/// How long the acceptor sleeps after a failed `accept` (say, at the
+/// file-descriptor limit) before it tries again, so a listener that
+/// keeps failing does not spin a core.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(20);
+
 fn accept_loop(listener: &TcpListener, inner: &Arc<Inner>) {
     let connections = inner.registry.gauge("server.connections");
     let accepted = inner.registry.counter("server.connections.accepted");
+    let accept_errors = inner.registry.counter("server.connections.accept_errors");
     while !inner.shutting_down.load(Ordering::SeqCst) {
         let (stream, _peer) = match listener.accept() {
             Ok(pair) => pair,
-            Err(_) => continue,
+            Err(_) => {
+                accept_errors.inc();
+                std::thread::sleep(ACCEPT_BACKOFF);
+                continue;
+            }
         };
         if inner.shutting_down.load(Ordering::SeqCst) {
             break;
@@ -458,12 +507,16 @@ fn accept_loop(listener: &TcpListener, inner: &Arc<Inner>) {
         connections.add(1);
         let conn_inner = Arc::clone(inner);
         let conn_gauge = Arc::clone(&connections);
-        let _ = std::thread::Builder::new()
+        let spawned = std::thread::Builder::new()
             .name("rota-conn".into())
             .spawn(move || {
                 serve_connection(stream, &conn_inner);
                 conn_gauge.add(-1);
             });
+        // The connection (and its stream) died with the closure.
+        if spawned.is_err() {
+            connections.add(-1);
+        }
     }
 }
 
@@ -575,7 +628,7 @@ fn serve_connection(stream: TcpStream, inner: &Arc<Inner>) {
                 )
             }
         };
-        match write_response(&mut writer, &response, faults.as_mut()) {
+        match write_response(&mut writer, response, faults.as_mut()) {
             Ok(false) => {}
             // A wire fault destroyed the frame; the rest of the stream
             // cannot be trusted, so hang up (the client must reconnect).
@@ -598,14 +651,14 @@ fn serve_connection(stream: TcpStream, inner: &Arc<Inner>) {
 /// frame was deliberately destroyed.
 fn write_response(
     writer: &mut BufWriter<TcpStream>,
-    response: &Response,
+    response: Response,
     faults: Option<&mut ConnectionFaults<'_>>,
 ) -> std::io::Result<bool> {
     let Some(faults) = faults else {
-        write_frame(writer, &response.to_json())?;
+        write_frame(writer, &response.into_json())?;
         return Ok(false);
     };
-    let mut bytes = response.to_json().to_string().into_bytes();
+    let mut bytes = response.into_json().to_string().into_bytes();
     match faults.wire_fault(bytes.len()) {
         WireFault::None => {
             bytes.push(b'\n');

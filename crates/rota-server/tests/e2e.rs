@@ -6,17 +6,19 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use rota_actor::{ActionKind, ActorComputation, DistributedComputation, Granularity, TableCostModel};
 use rota_admission::{
     AdmissionController, AdmissionPolicy, AdmissionRequest, Decision, RotaPolicy,
 };
-use rota_interval::TimePoint;
+use rota_interval::{TimeInterval, TimePoint};
 use rota_logic::State;
 use rota_obs::Json;
-use rota_server::spec::computation_to_json;
-use rota_server::{Server, ServerConfig};
+use rota_resource::{LocatedType, NodeResourceKind, Rate, ResourceTerm};
+use rota_server::spec::{computation_to_json, resources_from_json};
+use rota_server::{LocalHandle, Request, RequestHook, Response, Server, ServerConfig};
 use rota_workload::{base_resources, generate_job, JobShape, WorkloadConfig};
 
 use rand::rngs::StdRng;
@@ -371,4 +373,77 @@ fn idle_connections_are_reaped() {
         .unwrap_or(0);
     assert_eq!(reaped, 1);
     server.shutdown();
+}
+
+/// Passes every request through to the local core.
+struct PassThrough;
+
+impl RequestHook for PassThrough {
+    fn intercept(&self, _request: &Request) -> Option<Response> {
+        None
+    }
+}
+
+/// A coordinator reads its own slice of a two-phase basis through its
+/// `LocalHandle`, a participant through a `cluster-snapshot` frame.
+/// Both must carry the same specs, so every participant decides on one
+/// basis: a term the wire cannot name (here `disk`) is left out of
+/// both.
+#[test]
+fn local_cluster_state_is_the_wire_snapshot() {
+    let mut theta = base_resources(&chain_workload());
+    let location = theta
+        .located_types()
+        .find_map(|lt| lt.locations().first().map(|l| (*l).clone()))
+        .expect("the workload supplies some location");
+    let disk = LocatedType::Node {
+        kind: NodeResourceKind::Disk,
+        location,
+    };
+    theta
+        .insert(ResourceTerm::new(
+            Rate::new(3),
+            TimeInterval::from_ticks(0, 16).expect("non-empty"),
+            disk.clone(),
+        ))
+        .expect("bounded rates");
+    let local: Arc<OnceLock<LocalHandle>> = Arc::new(OnceLock::new());
+    let server = Server::spawn_hooked(ServerConfig::ephemeral(), RotaPolicy, &theta, |handle| {
+        assert!(local.set(handle).is_ok(), "the hook is built once");
+        Arc::new(PassThrough) as Arc<dyn RequestHook>
+    })
+    .expect("spawn server");
+
+    let (epochs, specs) = local
+        .get()
+        .expect("hook installed")
+        .cluster_state()
+        .expect("local snapshot");
+    let (mut stream, mut reader) = connect(server.local_addr());
+    let answer = roundtrip(&mut stream, &mut reader, "{\"op\":\"cluster-snapshot\"}");
+    let op = answer.get("op").and_then(Json::as_str);
+    assert_eq!(op, Some("cluster-state"));
+    let wire_epochs: Vec<u64> = answer
+        .get("epochs")
+        .and_then(Json::as_array)
+        .expect("epochs")
+        .iter()
+        .map(|e| e.as_u64().expect("epoch"))
+        .collect();
+    let wire = resources_from_json(
+        answer
+            .get("resources")
+            .and_then(Json::as_array)
+            .expect("resources"),
+    )
+    .expect("the answer decodes");
+
+    assert_eq!(epochs, wire_epochs);
+    assert_eq!(specs, wire);
+    // A fresh server offers its whole supply: every term but the disk.
+    assert_eq!(specs.len() + 1, theta.term_count());
+    assert!(
+        specs.iter().all(|spec| spec.located != disk),
+        "the disk term has no wire form"
+    );
 }

@@ -67,6 +67,12 @@ bench:
 bench-pair W FIRST N BASE="HEAD":
     bash tools/bench-pair.sh {{W}} {{FIRST}} {{N}} {{BASE}}
 
+# E2 on its own: resource-set build cost against term count, type
+# diversity and term order (descending and nested terms on one located
+# type, up to n = 4096), plus the windowed queries.
+bench-e2:
+    cargo bench -p rota-bench --bench resource_set
+
 # E4 on its own: Theorem-4 decision cost vs committed count n, up to
 # n = 10⁴ (the admission bench binary runs all its groups; this keeps
 # the E4 lines).
@@ -82,6 +88,12 @@ bench-e15:
 # The admission observability-overhead check on its own.
 bench-obs:
     cargo bench -p rota-bench --bench admission
+
+# E16 on its own: one admission decided on its owner, forwarded to
+# it, and coordinated by two-phase commit across two owners, against a
+# live 3-node cluster over TCP.
+bench-e16:
+    cargo bench -p rota-bench --bench cluster
 
 # E17 on its own: wire codec decode and encode cost against frame
 # size (prepare and cluster-state frames of 3–110 basis terms, the
