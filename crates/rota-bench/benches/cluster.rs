@@ -1,7 +1,7 @@
 //! E16 — federation routing overhead: the cost of an admission decided
 //! on the receiving node vs forwarded to its owner vs coordinated
 //! across two owners by two-phase commit, from a third node and from
-//! one of the owners, all over real TCP.
+//! each of the owners, all over real TCP.
 //!
 //! Every probe is deliberately infeasible (demand beyond the horizon's
 //! total supply), so the answer is always a policy reject and the
@@ -94,17 +94,27 @@ fn bench_route_overhead(c: &mut Criterion) {
     });
 
     // Two-phase commit: node2 owns neither l0 nor l1, so it snapshots
-    // both owners, prepares both, and relays the (reject) verdict.
+    // both owners and relays the (reject) verdict. A rejected 2PC
+    // prepares only participant 1, node0, whose prepare decides it.
     let mut coordinator = Client::connect_timeout(addrs[2], Duration::from_secs(2)).unwrap();
     group.bench_function("two_phase_across_owners", |b| {
         b.iter(|| admit_rejected(&mut coordinator, &["l0", "l1"]))
     });
 
-    // Two-phase commit coordinated by an owner: node0 snapshots and
-    // prepares itself in-process and node1 over a peer link.
+    // Two-phase commit coordinated by the first owner: node0 snapshots
+    // itself in-process and node1 over a peer link; its own prepare
+    // answers the reject.
     let mut owner = Client::connect_timeout(addrs[0], Duration::from_secs(2)).unwrap();
     group.bench_function("two_phase_from_an_owner", |b| {
         b.iter(|| admit_rejected(&mut owner, &["l0", "l1"]))
+    });
+
+    // Two-phase commit coordinated by the later owner: node1 snapshots
+    // itself in-process and node0 over a peer link, decides the reject
+    // once and confirms it with its own prepare — no remote prepare.
+    let mut later_owner = Client::connect_timeout(addrs[1], Duration::from_secs(2)).unwrap();
+    group.bench_function("two_phase_from_a_later_owner", |b| {
+        b.iter(|| admit_rejected(&mut later_owner, &["l0", "l1"]))
     });
 
     group.finish();

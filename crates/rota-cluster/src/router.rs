@@ -31,21 +31,34 @@
 //!
 //! The coordinator snapshots every participant (`cluster-snapshot` →
 //! per-shard epochs + obtainable resources Θ_expire), merges the
-//! snapshots into one basis — sound because location ownership is
-//! disjoint, so the union is exactly the merged single-node state —
-//! and sends `prepare` to every participant carrying the basis and
-//! the expected epochs. Each participant re-derives the decision
-//! *itself* against the shared basis (decisions are deterministic, so
-//! all participants agree), installs the commitments tentatively
-//! under a TTL, and answers `prepared`. All prepared → `commit`
-//! everywhere; any reject → the policy's verdict is returned verbatim
-//! and the already-prepared participants are aborted; any
-//! `stale-epoch` answer → abort, re-snapshot, retry (bounded). A
-//! coordinator that dies between prepare and commit leaks nothing: the
-//! TTL releases the tentative reservations (see `rota-server::shard`).
-//! When the coordinator is itself a participant it snapshots and
-//! prepares its own node through the [`LocalHandle`] with typed values;
-//! the basis goes through JSON only to and from remote participants.
+//! snapshots into one basis in node-id order — sound because location
+//! ownership is disjoint, so the union is exactly the merged
+//! single-node state — and sends `prepare` to the participants in
+//! node-id order, carrying the basis and the expected epochs. Each
+//! remote participant re-derives the decision *itself* against the
+//! shared basis (decisions are deterministic, so all participants
+//! agree), installs the commitments tentatively under a TTL, and
+//! answers `prepared`. All prepared → `commit` everywhere; any reject →
+//! the policy's verdict is returned verbatim and the already-prepared
+//! participants are aborted; any `stale-epoch` answer → abort,
+//! re-snapshot, retry (bounded). A coordinator that dies between
+//! prepare and commit leaks nothing: the TTL releases the tentative
+//! reservations (see `rota-server::shard`).
+//!
+//! When the coordinator is itself a participant it reaches its own
+//! node through the [`LocalHandle`] with typed values (the basis goes
+//! through JSON only to and from remote participants), and it decides
+//! once: it snapshots itself first, decides on the merged basis
+//! ([`LocalHandle::decide`]), and on a reject lets its own prepare
+//! confirm the verdict before any remote prepare. That prepare answers
+//! the reject if this node's epochs have not moved since its snapshot,
+//! which was taken before every remote one — the coordinator returns it
+//! verbatim and sends no prepare; `stale-epoch` if they moved — a
+//! retry; or `prepared` if the name is already held or committed here —
+//! the ordered prepares run, so a resubmitted 2PC stays idempotent. An
+//! accept is prepared in node-id order, this node installing the
+//! verdict it already has. A coordinator that owns none of the demand
+//! keeps the plain path: participant 1's prepare decides and confirms.
 //!
 //! Participants the node's gossip engine believes **suspect** are
 //! never contacted: requests touching them are rejected up front with
@@ -58,7 +71,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use rota_actor::{Granularity, ResourceDemand, TableCostModel};
-use rota_admission::AdmissionRequest;
+use rota_admission::{AdmissionRequest, Decision};
 use rota_analyze::{check_ownership, Diagnostic, Report, Severity};
 use rota_obs::{Counter, Registry};
 use rota_server::spec::{self, resources_from_json, ComputationSpec, ResourceSpec};
@@ -143,6 +156,7 @@ struct RouterObs {
     twopc_rejected: Arc<Counter>,
     twopc_aborted: Arc<Counter>,
     twopc_retries: Arc<Counter>,
+    twopc_prepares: Arc<Counter>,
 }
 
 impl RouterObs {
@@ -157,6 +171,7 @@ impl RouterObs {
             twopc_rejected: registry.counter("cluster.twopc.rejected"),
             twopc_aborted: registry.counter("cluster.twopc.aborted"),
             twopc_retries: registry.counter("cluster.twopc.retries"),
+            twopc_prepares: registry.counter("cluster.twopc.prepares"),
         }
     }
 }
@@ -335,6 +350,11 @@ impl ClusterRouter {
     /// node-id order. This node's own snapshot and prepare go through
     /// the local handle as typed values; only a remote participant's
     /// slice and basis cross a socket as JSON.
+    ///
+    /// A coordinator that owns some of the demand decides the verdict
+    /// once, here. A reject is confirmed by this node's own prepare and
+    /// returned without a remote prepare; an accept is prepared in
+    /// node-id order, this node installing the verdict it already has.
     fn two_phase(
         &self,
         participants: &[Participant],
@@ -348,62 +368,71 @@ impl ClusterRouter {
         self.obs.twopc_started.inc();
         let name = request.name().to_string();
         let ttl_ms = u64::try_from(self.config.ttl.as_millis()).unwrap_or(u64::MAX);
-        let is_me = |participant: &str| participant == self.config.me;
+        let ttl = Duration::from_millis(ttl_ms);
+        let me = participants
+            .iter()
+            .position(|(participant, _)| *participant == self.config.me);
         for _attempt in 0..=MAX_RETRIES {
-            // Snapshot every participant; the union of disjoint slices
-            // is the merged single-node basis.
-            let mut epochs_by: Vec<Vec<u64>> = Vec::with_capacity(participants.len());
-            let mut basis: Vec<ResourceSpec> = Vec::new();
-            for (participant, addr) in participants {
-                let snapshot = if is_me(participant) {
-                    self.local.cluster_state().map_err(|message| {
-                        unexpected(participant, "the snapshot", Ok(Response::Error { message }))
-                    })
-                } else {
-                    let answer = self
-                        .links
-                        .call(participant, addr, &Request::ClusterSnapshot);
-                    read_snapshot(participant, answer)
-                };
-                match snapshot {
-                    Ok((epochs, terms)) => {
-                        basis.extend(terms);
-                        epochs_by.push(epochs);
-                    }
-                    Err(message) => {
-                        self.obs.twopc_aborted.inc();
-                        return Response::Error {
-                            message: format!(
-                                "two-phase admission failed before prepare: {message}"
-                            ),
-                        };
+            let round = self
+                .snapshot(participants, me)
+                .and_then(|(epochs_by, basis)| {
+                    let verdict = me.map(|_| self.decide_here(request, &basis)).transpose()?;
+                    Ok((epochs_by, basis, verdict))
+                });
+            let (epochs_by, basis, verdict) = match round {
+                Ok(round) => round,
+                Err(message) => {
+                    self.obs.twopc_aborted.inc();
+                    return Response::Error {
+                        message: format!("two-phase admission failed before prepare: {message}"),
+                    };
+                }
+            };
+            // A reject installs nothing, so this node's prepare confirms
+            // it first: the reject stands if this node's epochs — taken
+            // before every remote snapshot, checked after the last —
+            // have not moved. A name this node already holds answers
+            // `prepared` and falls through to the ordered prepares, as a
+            // retried 2PC must.
+            let confirmed = match (me, &verdict) {
+                (Some(index), Some(reject @ Decision::Reject(_))) => {
+                    match self.local.prepare(request, reject, &epochs_by[index], ttl) {
+                        Response::Prepared { .. } => None,
+                        other => Some((0, &participants[index].0, Ok(other))),
                     }
                 }
-            }
+                _ => None,
+            };
             // Phase one: prepare in order, stopping at the first
             // participant that does not prepare — so the prepared ones
             // are always a prefix of `participants`.
-            let failure = participants.iter().zip(epochs_by).enumerate().find_map(
-                |(index, ((participant, addr), epochs))| {
-                    let answer = if is_me(participant) {
-                        Ok(self.prepare_here(request, &basis, &epochs, ttl_ms))
-                    } else {
-                        let prepare = Request::Prepare {
-                            name: name.clone(),
-                            computation: computation.clone(),
-                            granularity,
-                            basis: basis.clone(),
-                            epochs,
-                            ttl_ms,
+            let failure = confirmed.or_else(|| {
+                participants.iter().zip(epochs_by).enumerate().find_map(
+                    |(index, ((participant, addr), epochs))| {
+                        let answer = match &verdict {
+                            Some(verdict) if Some(index) == me => {
+                                Ok(self.local.prepare(request, verdict, &epochs, ttl))
+                            }
+                            _ => {
+                                self.obs.twopc_prepares.inc();
+                                let prepare = Request::Prepare {
+                                    name: name.clone(),
+                                    computation: computation.clone(),
+                                    granularity,
+                                    basis: basis.clone(),
+                                    epochs,
+                                    ttl_ms,
+                                };
+                                self.links.call(participant, addr, &prepare)
+                            }
                         };
-                        self.links.call(participant, addr, &prepare)
-                    };
-                    match answer {
-                        Ok(Response::Prepared { .. }) => None,
-                        other => Some((index, participant, other)),
-                    }
-                },
-            );
+                        match answer {
+                            Ok(Response::Prepared { .. }) => None,
+                            other => Some((index, participant, other)),
+                        }
+                    },
+                )
+            });
             let Some((prepared, participant, answer)) = failure else {
                 return self.commit_all(participants, &name);
             };
@@ -435,27 +464,56 @@ impl ClusterRouter {
         }
     }
 
-    /// This node's own prepare, as a `prepare` frame would run it but
-    /// without the frame: the merged basis is built into a set here,
-    /// once, and the request is the one the router already priced.
-    fn prepare_here(
+    /// Snapshots every participant — this node (`participants[me]`)
+    /// first, in-process, then the others in order — and merges the
+    /// slices into the basis in node-id order; the union of disjoint
+    /// slices is the merged single-node basis. Returns each
+    /// participant's epochs, in order, with the basis.
+    fn snapshot(
+        &self,
+        participants: &[Participant],
+        me: Option<usize>,
+    ) -> Result<(Vec<Vec<u64>>, Vec<ResourceSpec>), String> {
+        let own = me
+            .map(|_| self.local.cluster_state())
+            .transpose()
+            .map_err(|message| {
+                unexpected(
+                    &self.config.me,
+                    "the snapshot",
+                    Ok(Response::Error { message }),
+                )
+            })?;
+        let mut slices = Vec::with_capacity(participants.len());
+        for (participant, addr) in participants {
+            if *participant != self.config.me {
+                let answer = self
+                    .links
+                    .call(participant, addr, &Request::ClusterSnapshot);
+                slices.push(read_snapshot(participant, answer)?);
+            }
+        }
+        if let (Some(index), Some(own)) = (me, own) {
+            slices.insert(index, own);
+        }
+        let mut epochs_by = Vec::with_capacity(slices.len());
+        let mut basis = Vec::new();
+        for (epochs, terms) in slices {
+            basis.extend(terms);
+            epochs_by.push(epochs);
+        }
+        Ok((epochs_by, basis))
+    }
+
+    /// The verdict this node decides on the merged `basis`, built into
+    /// a set here, once, for the request the router already priced.
+    fn decide_here(
         &self,
         request: &AdmissionRequest,
         basis: &[ResourceSpec],
-        epochs: &[u64],
-        ttl_ms: u64,
-    ) -> Response {
-        match spec::resource_set(basis) {
-            Ok(basis) => self.local.prepare(
-                request.clone(),
-                &basis,
-                epochs,
-                Duration::from_millis(ttl_ms),
-            ),
-            Err(err) => Response::Error {
-                message: format!("bad basis: {err}"),
-            },
-        }
+    ) -> Result<Decision, String> {
+        let basis = spec::resource_set(basis).map_err(|err| format!("bad basis: {err}"))?;
+        self.local.decide(request, &basis)
     }
 
     /// Phase two: commits `name` on every (prepared) participant. A

@@ -1,6 +1,8 @@
 //! End-to-end cluster tests over real TCP: gossip convergence,
-//! location routing (local fast path, forward, 2PC), offer
-//! splitting, the `R0016` ownership lint, and the version handshake.
+//! location routing (local fast path, forward, 2PC, including an
+//! owner coordinator's in-process reject and idempotent resubmits),
+//! offer splitting, the `R0016` ownership lint, and the version
+//! handshake.
 
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -148,6 +150,74 @@ fn cross_location_demand_runs_two_phase_commit() {
         Response::Decision { accepted: false, .. } => {}
         other => panic!("expected a policy reject, got {other:?}"),
     }
+    cluster.shutdown();
+}
+
+/// A job with one actor at l0 and one at l1, each evaluating `8 × 16`
+/// units by deadline 16: all of its location's supply before then.
+fn whole_supply(name: &str) -> DistributedComputation {
+    let actors = ["l0", "l1"]
+        .iter()
+        .enumerate()
+        .map(|(i, origin)| {
+            ActorComputation::new(format!("{name}-a{i}"), *origin)
+                .then(ActionKind::evaluate_units(8 * 16))
+        })
+        .collect();
+    DistributedComputation::new(name, actors, TimePoint::ZERO, TimePoint::new(16)).unwrap()
+}
+
+#[test]
+fn resubmitting_a_committed_spanning_job_is_idempotent() {
+    let cluster = launch(3, test_config());
+    let job = whole_supply("whole");
+    // node1 coordinates as an owner, twice; then node0, the first
+    // participant, and node2, which owns neither location. Once the
+    // job is committed the supply it took is gone, so every retry
+    // must be answered from the held name, not decided afresh.
+    for via in [1, 1, 0, 2] {
+        let response = client_for(&cluster, via)
+            .admit(&job, Granularity::MaximalRun)
+            .unwrap();
+        assert!(accepted(&response), "via node{via}: {response:?}");
+    }
+    for index in [0, 1] {
+        let (stats, _) = client_for(&cluster, index).stats().unwrap();
+        assert_eq!(stats.accepted, 1, "node{index} committed the job once");
+    }
+    cluster.shutdown();
+}
+
+#[test]
+fn a_spanning_reject_decided_by_an_owner_sends_no_prepare() {
+    let cluster = launch(3, test_config());
+    let heavy = DistributedComputation::new(
+        "heavy",
+        vec![
+            ActorComputation::new("heavy-a0", "l0").then(ActionKind::evaluate_units(64)),
+            ActorComputation::new("heavy-a1", "l1").then(ActionKind::evaluate_units(64)),
+        ],
+        TimePoint::ZERO,
+        TimePoint::new(2),
+    )
+    .unwrap();
+    // node0 and node1 own the demand and confirm the reject with their
+    // own prepare; node2 owns none of it and asks node0 to prepare.
+    let mut rejects = Vec::new();
+    for (via, prepares_sent) in [(0, 0), (1, 0), (2, 1)] {
+        let before = counter(&cluster, via, "cluster.twopc.prepares");
+        let response = client_for(&cluster, via)
+            .admit(&heavy, Granularity::MaximalRun)
+            .unwrap();
+        assert!(
+            matches!(response, Response::Decision { accepted: false, .. }),
+            "via node{via}: {response:?}"
+        );
+        let sent = counter(&cluster, via, "cluster.twopc.prepares") - before;
+        assert_eq!(sent, prepares_sent, "prepares sent via node{via}");
+        rejects.push(response.to_json().to_string());
+    }
+    assert!(rejects.windows(2).all(|w| w[0] == w[1]), "{rejects:#?}");
     cluster.shutdown();
 }
 

@@ -21,7 +21,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use rota_actor::TableCostModel;
-use rota_admission::{AdmissionPolicy, AdmissionRequest};
+use rota_admission::{AdmissionPolicy, AdmissionRequest, Decision};
 use rota_obs::{DecisionEvent, Journal, Registry};
 use rota_resource::ResourceSet;
 
@@ -130,17 +130,33 @@ impl LocalHandle {
         Ok((epochs, spec::resource_specs(&merged)))
     }
 
+    /// The verdict a `prepare` frame would decide on this node for a
+    /// request the hook already priced, against a basis it already
+    /// built: the same `policy.decide` on the merged state.
+    ///
+    /// # Errors
+    ///
+    /// The draining message, once the server is draining.
+    pub fn decide(
+        &self,
+        request: &AdmissionRequest,
+        basis: &ResourceSet,
+    ) -> Result<Decision, String> {
+        self.with_pool(|pool| pool.decide(request, basis))
+            .ok_or_else(|| DRAINING.into())
+    }
+
     /// Phase one of a two-phase commit on this node, as a `prepare`
-    /// frame would run it, for a request the hook already priced and a
-    /// basis it already built.
+    /// frame would run it, for a `verdict` the hook already decided
+    /// ([`LocalHandle::decide`]).
     pub fn prepare(
         &self,
-        request: AdmissionRequest,
-        basis: &ResourceSet,
+        request: &AdmissionRequest,
+        verdict: &Decision,
         epochs: &[u64],
         ttl: Duration,
     ) -> Response {
-        self.with_pool(|pool| pool.prepare(request, basis, epochs, ttl))
+        self.with_pool(|pool| pool.prepare(request, verdict, epochs, ttl))
             .unwrap_or_else(draining)
     }
 
@@ -281,7 +297,8 @@ impl Inner {
                 };
                 let priced = AdmissionRequest::price(computation, &self.cost_model, granularity);
                 self.with_pool(|pool| {
-                    pool.prepare(priced, &basis, &epochs, Duration::from_millis(ttl_ms))
+                    let verdict = pool.decide(&priced, &basis);
+                    pool.prepare(&priced, &verdict, &epochs, Duration::from_millis(ttl_ms))
                 })
             }
             Request::CommitReservation { name } => {

@@ -473,9 +473,19 @@ impl ShardPool {
         Ok((epochs, merged))
     }
 
-    /// Phase one of two-phase commit: decide `request` against the
-    /// coordinator-supplied merged `basis` and, on accept, install the
-    /// commitments tentatively on every shard with a TTL. All shards
+    /// The verdict a single merged node would issue for `request` on
+    /// the coordinator-supplied merged `basis`. It depends only on the
+    /// two, so it is decided outside every lock, and a node that already
+    /// holds it hands it to [`ShardPool::prepare`] instead of deciding
+    /// again.
+    pub(crate) fn decide(&self, request: &AdmissionRequest, basis: &ResourceSet) -> Decision {
+        self.policy
+            .decide(&State::new(basis.clone(), TimePoint::ZERO), request)
+    }
+
+    /// Phase one of two-phase commit for a `verdict` already decided
+    /// on the merged basis ([`ShardPool::decide`]): on accept, install
+    /// the commitments tentatively on every shard with a TTL. All shards
     /// must hold the reservation for the prepare to stand; on a
     /// rejection, stale epoch or error the partial reservations are
     /// aborted and the first failing shard's answer is returned. Each
@@ -484,8 +494,8 @@ impl ShardPool {
     /// over shards subtracts each term exactly once.
     pub(crate) fn prepare(
         &self,
-        request: AdmissionRequest,
-        basis: &ResourceSet,
+        request: &AdmissionRequest,
+        verdict: &Decision,
         epochs: &[u64],
         ttl: Duration,
     ) -> Response {
@@ -498,17 +508,11 @@ impl ShardPool {
                 ),
             };
         }
-        // The verdict depends only on the basis and the request, so it
-        // is decided once, outside every lock: exactly the verdict a
-        // single merged node would have issued.
-        let verdict = self
-            .policy
-            .decide(&State::new(basis.clone(), TimePoint::ZERO), &request);
         let name = request.name().to_string();
         for (index, &expected) in epochs.iter().enumerate() {
             let failure = self
                 .locked(index, |state| {
-                    state.prepare(&request, &verdict, expected, ttl)
+                    state.prepare(request, verdict, expected, ttl)
                 })
                 .unwrap_or_else(|message| Some(Response::Error { message }));
             if let Some(failure) = failure {
@@ -578,7 +582,7 @@ struct ShardState {
     committed: HashMap<String, Vec<ActorName>>,
     committed_order: VecDeque<String>,
     /// Bumped on every state mutation (accepted admit, offer, prepare,
-    /// abort, expiry) — never on rejects or reads. A 2PC coordinator
+    /// abort, expiry, amnesiac restart) — never on rejects or reads. A 2PC coordinator
     /// snapshots the epoch with the supply and sends it back with the
     /// prepare; a mismatch means the basis is stale and the prepare is
     /// refused rather than decided on outdated supply.
@@ -591,12 +595,15 @@ impl ShardState {
     /// committed 2PC holds reference the old controller's entries and
     /// are forgotten with it; its computations leave the in-flight
     /// gauge. The dedup cache survives — verdicts already delivered
-    /// stay authoritative.
+    /// stay authoritative. The epoch moves, like any other change of
+    /// supply: a 2PC snapshot taken before the restart must not pass a
+    /// prepare's epoch check after it.
     fn forget(&mut self, fresh: AdmissionController<SharedPolicy>) {
         if let Some(obs) = self.controller.obs() {
             obs.add_in_flight(-(self.controller.in_flight() as i64));
         }
         self.controller = fresh;
+        self.epoch += 1;
         self.reservations.clear();
         self.committed.clear();
         self.committed_order.clear();
@@ -844,6 +851,7 @@ fn lint_response(request: &AdmissionRequest, report: &LintReport, shard: usize) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rota_actor::{ActionKind, ActorComputation, DistributedComputation, Granularity, TableCostModel};
     use rota_admission::RotaPolicy;
     use rota_interval::TimeInterval;
@@ -1489,6 +1497,17 @@ mod tests {
         );
     }
 
+    /// What a `prepare` frame runs: decide on `basis`, then prepare.
+    fn decide_and_prepare(
+        pool: &ShardPool,
+        request: AdmissionRequest,
+        basis: &ResourceSet,
+        epochs: &[u64],
+        ttl: Duration,
+    ) -> Response {
+        pool.prepare(&request, &pool.decide(&request, basis), epochs, ttl)
+    }
+
     #[test]
     fn two_phase_prepare_commit_abort_lifecycle() {
         let registry = Arc::new(Registry::new());
@@ -1509,16 +1528,17 @@ mod tests {
         assert_eq!(epochs, vec![0]);
         assert_eq!(basis, theta, "untouched node offers its full supply");
         // Prepare holds the supply tentatively and bumps the epoch.
-        let prepared = pool.prepare(request_at("r1", "l0", 1, 16), &basis, &epochs, ttl);
+        let prepared =
+            decide_and_prepare(&pool, request_at("r1", "l0", 1, 16), &basis, &epochs, ttl);
         assert!(matches!(&prepared, Response::Prepared { name } if name == "r1"), "{prepared:?}");
         let (epochs2, basis2) = pool.cluster_state().unwrap();
         assert_eq!(epochs2, vec![1]);
         assert_ne!(basis2, theta, "the reservation is excluded from the snapshot");
         // A prepare against the stale basis is refused, not mis-decided.
-        let stale = pool.prepare(request_at("r2", "l0", 1, 16), &basis, &epochs, ttl);
+        let stale = decide_and_prepare(&pool, request_at("r2", "l0", 1, 16), &basis, &epochs, ttl);
         assert!(matches!(stale, Response::StaleEpoch { shard: 0, .. }), "{stale:?}");
         // Re-preparing the same name refreshes instead of double-holding.
-        let again = pool.prepare(request_at("r1", "l0", 1, 16), &basis, &epochs, ttl);
+        let again = decide_and_prepare(&pool, request_at("r1", "l0", 1, 16), &basis, &epochs, ttl);
         assert!(matches!(&again, Response::Prepared { name } if name == "r1"), "{again:?}");
         assert_eq!(pool.cluster_state().unwrap().0, vec![1], "no second install");
         // Commit is permanent and idempotent.
@@ -1526,7 +1546,7 @@ mod tests {
         pool.commit("r1").unwrap();
         // Abort of a fresh reservation releases its supply.
         let (epochs3, basis3) = pool.cluster_state().unwrap();
-        let r2 = pool.prepare(request_at("r2", "l0", 1, 16), &basis3, &epochs3, ttl);
+        let r2 = decide_and_prepare(&pool, request_at("r2", "l0", 1, 16), &basis3, &epochs3, ttl);
         assert!(matches!(r2, Response::Prepared { .. }), "{r2:?}");
         assert!(pool.abort("r2"));
         assert!(!pool.abort("r2"), "second abort finds nothing");
@@ -1565,7 +1585,8 @@ mod tests {
         assert!(matches!(moved, Response::Decision { accepted: true, .. }), "{moved:?}");
         let (epochs, basis) = pool.cluster_state().unwrap();
         assert_eq!(epochs, vec![stale_epochs[0], stale_epochs[1] + 1]);
-        let stale = pool.prepare(request_at("held", &home, 1, 16), &basis, &stale_epochs, ttl);
+        let held = request_at("held", &home, 1, 16);
+        let stale = decide_and_prepare(&pool, held, &basis, &stale_epochs, ttl);
         match &stale {
             Response::StaleEpoch { shard, epoch, expected } => {
                 assert_eq!((*shard, *epoch, *expected), (1, epochs[1], stale_epochs[1]));
@@ -1596,7 +1617,8 @@ mod tests {
             None,
         );
         let (epochs, basis) = pool.cluster_state().unwrap();
-        let prepared = pool.prepare(
+        let prepared = decide_and_prepare(
+            &pool,
             request_at("t1", "l0", 1, 16),
             &basis,
             &epochs,
@@ -1617,5 +1639,115 @@ mod tests {
             registry.snapshot().counter("server.twopc.expired{shard=0}"),
             Some(1)
         );
+    }
+
+    /// One call on a 2-shard pool, for the epoch property. Names are
+    /// drawn from a few, so retries, dedup replays, conflicts and
+    /// commits or aborts of held names all occur.
+    #[derive(Debug, Clone)]
+    enum Step {
+        /// Accepted or rejected by capacity, at a location of `shard`.
+        Admit { name: u8, shard: usize, evals: usize },
+        /// Demand at a location nobody supplies: an R0006 bounce.
+        LintReject { name: u8 },
+        Offer { shard: usize, rate: u64 },
+        /// Against the latest snapshot, or the pool's first one; a
+        /// zero TTL lapses at the next call that locks the shard.
+        Prepare { name: u8, shard: usize, evals: usize, fresh: bool, lapses: bool },
+        Commit { name: u8 },
+        Abort { name: u8 },
+        Stats,
+        ClusterState,
+        /// A panic that is not an injected drill: an amnesiac restart.
+        Panic { shard: usize },
+    }
+
+    fn step() -> impl Strategy<Value = Step> {
+        prop_oneof![
+            (0u8..4, 0usize..2, 1usize..7)
+                .prop_map(|(name, shard, evals)| Step::Admit { name, shard, evals }),
+            (0u8..4).prop_map(|name| Step::LintReject { name }),
+            (0usize..2, 1u64..3).prop_map(|(shard, rate)| Step::Offer { shard, rate }),
+            (0u8..4, 0usize..2, 1usize..7, any::<bool>(), any::<bool>()).prop_map(
+                |(name, shard, evals, fresh, lapses)| Step::Prepare {
+                    name,
+                    shard,
+                    evals,
+                    fresh,
+                    lapses,
+                }
+            ),
+            (0u8..4).prop_map(|name| Step::Commit { name }),
+            (0u8..4).prop_map(|name| Step::Abort { name }),
+            Just(Step::Stats),
+            Just(Step::ClusterState),
+            (0usize..2).prop_map(|shard| Step::Panic { shard }),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        /// Whenever an operation leaves every shard's epoch where it
+        /// was, it leaves the pool's available resources unchanged too:
+        /// the rule a 2PC prepare's epoch check, and a coordinator that
+        /// confirms its reject with its own prepare, both rest on.
+        #[test]
+        fn unchanged_epochs_mean_unchanged_resources(
+            steps in proptest::collection::vec(step(), 1..40),
+        ) {
+            let locations = [location_on(0, 2), location_on(1, 2)];
+            let registry = Arc::new(Registry::new());
+            let journal = Arc::new(Journal::new(64));
+            let theta = theta_at(&[&locations[0], &locations[1]], 4, 16);
+            let pool =
+                ShardPool::new(RotaPolicy, &theta, 2, 8, 4, &registry, &journal, None);
+            let first = pool.cluster_state().unwrap();
+            let (mut epochs, mut resources) = first.clone();
+            for step in steps {
+                let name = |n: u8| format!("j{n}");
+                match step {
+                    Step::Admit { name: n, shard, evals } => {
+                        pool.admit(request_at(&name(n), &locations[shard], evals, 16));
+                    }
+                    Step::LintReject { name: n } => {
+                        pool.admit(request_at(&name(n), "unsupplied", 1, 16));
+                    }
+                    Step::Offer { shard, rate } => {
+                        pool.offer(theta_at(&[&locations[shard]], rate, 16));
+                    }
+                    Step::Prepare { name: n, shard, evals, fresh, lapses } => {
+                        let (epochs, basis) =
+                            if fresh { (&epochs, &resources) } else { (&first.0, &first.1) };
+                        let ttl =
+                            if lapses { Duration::ZERO } else { Duration::from_secs(60) };
+                        let request = request_at(&name(n), &locations[shard], evals, 16);
+                        decide_and_prepare(&pool, request, basis, epochs, ttl);
+                    }
+                    Step::Commit { name: n } => {
+                        let _ = pool.commit(&name(n));
+                    }
+                    Step::Abort { name: n } => {
+                        pool.abort(&name(n));
+                    }
+                    Step::Stats => {
+                        pool.stats();
+                    }
+                    Step::ClusterState => {
+                        pool.cluster_state().unwrap();
+                    }
+                    Step::Panic { shard } => {
+                        let restarted: Result<(), String> =
+                            pool.locked(shard, |_| panic!("a forced controller bug"));
+                        prop_assert!(restarted.is_err());
+                    }
+                }
+                let (now_epochs, now_resources) = pool.cluster_state().unwrap();
+                if now_epochs == epochs {
+                    prop_assert_eq!(&now_resources, &resources, "epochs {:?}", epochs);
+                }
+                epochs = now_epochs;
+                resources = now_resources;
+            }
+        }
     }
 }

@@ -63,7 +63,9 @@ bench:
 # N pairs of BASE (default HEAD, built in a temporary `git archive`
 # extract) against the working tree on one admbench workload, seeds
 # FIRST..FIRST+N-1, 15 s runs, alternating which side runs first. Prints
-# each end-to-end metric's medians, quartiles and the change's win count.
+# each end-to-end metric's medians, quartiles and the change's win count,
+# with its `gain` verdict (≥ 9/10 wins and Δmedian > the base's IQR) and
+# `bound` verdict (ok / WORSE / unresolved against BENCHMARK.json).
 bench-pair W FIRST N BASE="HEAD":
     bash tools/bench-pair.sh {{W}} {{FIRST}} {{N}} {{BASE}}
 

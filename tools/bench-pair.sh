@@ -12,10 +12,22 @@
 #
 # for seeds FIRST_SEED .. FIRST_SEED+N-1, one run per side and seed,
 # alternating which side runs first. For every end-to-end metric in
-# BENCHMARK.json it prints each side's median and quartiles and how
-# many pairs the working tree won (ties count for neither side), which
-# is the evidence a claimed gain needs. Every run's result and record
-# lines are kept in .bench_out/pair-WORKLOAD-FIRST_SEED-N.jsonl.
+# BENCHMARK.json it prints each side's median and quartiles, how many
+# pairs the working tree won (ties count for neither side), and two
+# verdicts:
+#
+#   gain   `yes` when the working tree won at least 9 in 10 pairs and
+#          its median differs from the base's by more than the base's
+#          interquartile range: the evidence a claimed gain needs.
+#   bound  `ok` when the working tree's median is no worse than the
+#          base's by more than the metric's BENCHMARK.json bound (a
+#          fraction of the base median); `WORSE` when it is;
+#          `unresolved` when the base's interquartile range is wider
+#          than the bound, unless every working-tree run beats every
+#          base run.
+#
+# Every run's result and record lines are kept in
+# .bench_out/pair-WORKLOAD-FIRST_SEED-N.jsonl.
 #
 # Run it from anywhere inside the repository; it only invokes
 # admbench/run.sh and changes nothing under admbench/.
@@ -113,7 +125,18 @@ for side in ("base", "change"):
           f" failed={sum(r.get('failed', 0) for r in results)}"
           f" attempted={sum(r.get('attempted', 0) for r in results)}"
           f" time_wait_at_start={waits}")
-print(f"{'metric':20} {'base q1/median/q3':>32} {'change q1/median/q3':>32}  wins")
+def bound_verdict(base, change, bound, lower):
+    """`ok`, `WORSE` or `unresolved` for one metric's runs."""
+    (q1, median, q3), change_median = spread(base), spread(change)[1]
+    if all((c < b) if lower else (c > b) for c in change for b in base):
+        return "ok"
+    allowed = bound * abs(median)
+    if q3 - q1 > allowed:
+        return "unresolved"
+    worse_by = (change_median - median) if lower else (median - change_median)
+    return "WORSE" if worse_by > allowed else "ok"
+
+print(f"{'metric':20} {'base q1/median/q3':>32} {'change q1/median/q3':>32}  wins   gain  bound")
 for metric in metrics:
     name, lower = metric["name"], metric["better"] == "lower"
     pairs = [(value(by["base"][s], name), value(by["change"][s], name)) for s in seeds]
@@ -121,8 +144,12 @@ for metric in metrics:
     if not pairs:
         continue
     wins = sum((c < b) if lower else (c > b) for b, c in pairs)
-    base = "/".join(f"{v:.4g}" for v in spread([b for b, _ in pairs]))
-    change = "/".join(f"{v:.4g}" for v in spread([c for _, c in pairs]))
-    print(f"{name:20} {base:>32} {change:>32}  {wins}/{len(pairs)}")
+    base_runs, change_runs = [b for b, _ in pairs], [c for _, c in pairs]
+    (q1, base_median, q3), change_median = spread(base_runs), spread(change_runs)[1]
+    gain = "yes" if 10 * wins >= 9 * len(pairs) and abs(change_median - base_median) > q3 - q1 else "-"
+    bound = bound_verdict(base_runs, change_runs, metric["bound"], lower)
+    base = "/".join(f"{v:.4g}" for v in (q1, base_median, q3))
+    change = "/".join(f"{v:.4g}" for v in spread(change_runs))
+    print(f"{name:20} {base:>32} {change:>32}  {f'{wins}/{len(pairs)}':5}  {gain:4}  {bound}")
 EOF
 echo "raw results: $out" >&2
