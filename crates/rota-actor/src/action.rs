@@ -66,7 +66,7 @@ impl From<String> for ActorName {
 /// destination. The acting actor's *own* current location is tracked by
 /// [`ActorComputation`](crate::ActorComputation), since it changes as
 /// migrations execute.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum ActionKind {
     /// `send(to, m)` — transmit a message to `to`, which resides at
     /// `dest`. Consumes network resource on the link from the sender's

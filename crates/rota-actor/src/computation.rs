@@ -37,7 +37,7 @@ use crate::demand::ResourceDemand;
 /// let demands = gamma.action_demands(&TableCostModel::paper());
 /// assert_eq!(demands.len(), 3);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ActorComputation {
     actor: ActorName,
     origin: Location,
@@ -239,7 +239,7 @@ impl std::error::Error for InvalidWindowError {}
 /// Actors in `Λ` are independent ("created en masse at the beginning …
 /// and never have to wait for messages from other actors"), matching the
 /// paper's Section IV-B3 model.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct DistributedComputation {
     name: Arc<str>,
     actors: Vec<ActorComputation>,

@@ -24,7 +24,7 @@ use rota_resource::{LocatedType, Quantity};
 /// d.add(cpu.clone(), Quantity::new(5));
 /// assert_eq!(d.amount(&cpu), Quantity::new(13));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct ResourceDemand {
     amounts: BTreeMap<LocatedType, Quantity>,
 }

@@ -87,7 +87,7 @@ impl fmt::Display for SimpleRequirement {
 
 /// A complex resource requirement `ρ(Γ, s, d)`: ordered segment demands
 /// that must be scheduled into consecutive sub-windows of `(s, d)`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ComplexRequirement {
     segments: Vec<ResourceDemand>,
     window: TimeInterval,
@@ -156,7 +156,7 @@ impl fmt::Display for ComplexRequirement {
 
 /// A concurrent requirement `ρ(Λ, s, d)`: one complex requirement per
 /// participating actor, all over the same window.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ConcurrentRequirement {
     parts: Vec<ComplexRequirement>,
     window: TimeInterval,

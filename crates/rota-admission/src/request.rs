@@ -13,7 +13,7 @@ use rota_interval::{TimeInterval, TimePoint};
 /// Carries the computation together with its concurrent resource
 /// requirement `ρ(Λ, s, d)` (derived once, via Φ, at construction) so
 /// policies can decide without re-pricing.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct AdmissionRequest {
     computation: DistributedComputation,
     requirement: ConcurrentRequirement,

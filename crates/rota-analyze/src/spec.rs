@@ -47,8 +47,11 @@
 //! }
 //! ```
 
+use std::fmt;
+
 use rota_actor::{ActionKind, ActorComputation, DistributedComputation};
 use rota_interval::{TimeInterval, TimePoint};
+use rota_obs::json::Key;
 use rota_obs::Json;
 use rota_resource::{
     LocatedType, Location, NodeResourceKind, Quantity, Rate, ResourceSet, ResourceTerm,
@@ -171,10 +174,36 @@ impl std::error::Error for SpecError {}
 
 /// A decoded JSON object, checked field-by-field so unknown and
 /// duplicate keys are rejected like serde's `deny_unknown_fields`.
-/// Every error names `ctx`, the object's place in the document.
+/// Every error names `ctx`, the object's place in the document, which
+/// is formatted only into an error.
 pub struct Fields<'a> {
-    ctx: &'a str,
-    pairs: &'a [(String, Json)],
+    ctx: &'a dyn fmt::Display,
+    pairs: &'a [(Key, Json)],
+}
+
+/// Objects of up to this many keys are checked for a repeated key pair
+/// by pair, which allocates nothing; larger ones by sorting.
+const PAIRWISE_KEYS: usize = 16;
+
+/// The key of the first pair whose key an earlier pair already has, in
+/// O(k log k) for `k` pairs.
+fn first_repeated_key(pairs: &[(Key, Json)]) -> Option<&Key> {
+    let key = |i: usize| &pairs[i].0;
+    if pairs.len() <= PAIRWISE_KEYS {
+        return (0..pairs.len())
+            .find(|&i| (0..i).any(|j| key(j) == key(i)))
+            .map(key);
+    }
+    // Sorted by key, then position, every pair after the first of its
+    // run of equal keys repeats one; the first repeat is the least.
+    let mut order: Vec<usize> = (0..pairs.len()).collect();
+    order.sort_unstable_by(|&a, &b| key(a).cmp(key(b)).then(a.cmp(&b)));
+    order
+        .windows(2)
+        .filter(|w| key(w[0]) == key(w[1]))
+        .map(|w| w[1])
+        .min()
+        .map(key)
 }
 
 impl<'a> Fields<'a> {
@@ -183,14 +212,12 @@ impl<'a> Fields<'a> {
     /// # Errors
     ///
     /// [`SpecError::Parse`] when it is not an object or repeats a key.
-    pub fn of(value: &'a Json, ctx: &'a str) -> Result<Self, SpecError> {
+    pub fn of(value: &'a Json, ctx: &'a dyn fmt::Display) -> Result<Self, SpecError> {
         let pairs = value
             .as_object()
             .ok_or_else(|| SpecError::Parse(format!("{ctx}: expected an object")))?;
-        for (i, (key, _)) in pairs.iter().enumerate() {
-            if pairs[..i].iter().any(|(k, _)| k == key) {
-                return Err(SpecError::Parse(format!("{ctx}: duplicate field `{key}`")));
-            }
+        if let Some(key) = first_repeated_key(pairs) {
+            return Err(SpecError::Parse(format!("{ctx}: duplicate field `{key}`")));
         }
         Ok(Fields { ctx, pairs })
     }
@@ -202,7 +229,7 @@ impl<'a> Fields<'a> {
     /// [`SpecError::Parse`] naming the first unknown key.
     pub fn deny_unknown(&self, allowed: &[&str]) -> Result<(), SpecError> {
         for (key, _) in self.pairs {
-            if !allowed.contains(&key.as_str()) {
+            if !allowed.iter().any(|name| key == name) {
                 return Err(SpecError::Parse(format!(
                     "{}: unknown field `{key}`, expected one of {allowed:?}",
                     self.ctx
@@ -239,7 +266,12 @@ impl<'a> Fields<'a> {
         self.text(key).map(str::to_string)
     }
 
-    fn text(&self, key: &str) -> Result<&'a str, SpecError> {
+    /// The string under `key`, borrowed from the document.
+    ///
+    /// # Errors
+    ///
+    /// [`SpecError::Parse`] when absent or not a string.
+    pub fn text(&self, key: &str) -> Result<&'a str, SpecError> {
         self.required(key)?.as_str().ok_or_else(|| {
             SpecError::Parse(format!("{}: field `{key}` must be a string", self.ctx))
         })
@@ -286,14 +318,66 @@ impl<'a> Fields<'a> {
     }
 }
 
-fn decode_resource(value: &Json, index: usize) -> Result<ResourceSpec, SpecError> {
-    let ctx = format!("resources[{index}]");
+/// Where an element of a list sits in the document — `resources[2]`,
+/// or ``actor `w` actions[1]`` for an actor's action.
+struct At<'a> {
+    actor: Option<&'a str>,
+    list: &'static str,
+    index: usize,
+}
+
+impl<'a> At<'a> {
+    fn element(list: &'static str, index: usize) -> Self {
+        At {
+            actor: None,
+            list,
+            index,
+        }
+    }
+}
+
+impl fmt::Display for At<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if let Some(actor) = self.actor {
+            write!(f, "actor `{actor}` ")?;
+        }
+        write!(f, "{}[{}]", self.list, self.index)
+    }
+}
+
+/// The locations a list of terms names, each allocated once: a basis
+/// names a handful of locations across dozens of terms.
+#[derive(Default)]
+struct Locations(Vec<Location>);
+
+impl Locations {
+    /// How many distinct locations are kept for reuse.
+    const KEPT: usize = 16;
+
+    fn get(&mut self, name: &str) -> Location {
+        if let Some(known) = self.0.iter().find(|l| l.name() == name) {
+            return known.clone();
+        }
+        let location = Location::new(name);
+        if self.0.len() < Self::KEPT {
+            self.0.push(location.clone());
+        }
+        location
+    }
+}
+
+fn decode_resource(
+    value: &Json,
+    index: usize,
+    locations: &mut Locations,
+) -> Result<ResourceSpec, SpecError> {
+    let ctx = At::element("resources", index);
     let fields = Fields::of(value, &ctx)?;
     let kind = fields.text("kind")?;
     let located = match kind {
         "cpu" | "memory" => {
             fields.deny_unknown(&["kind", "location", "rate", "start", "end"])?;
-            let location = Location::new(fields.text("location")?);
+            let location = locations.get(fields.text("location")?);
             if kind == "cpu" {
                 LocatedType::cpu(location)
             } else {
@@ -302,8 +386,8 @@ fn decode_resource(value: &Json, index: usize) -> Result<ResourceSpec, SpecError
         }
         "network" => {
             fields.deny_unknown(&["kind", "from", "to", "rate", "start", "end"])?;
-            let from = Location::new(fields.text("from")?);
-            LocatedType::network(from, Location::new(fields.text("to")?))
+            let from = locations.get(fields.text("from")?);
+            LocatedType::network(from, locations.get(fields.text("to")?))
         }
         other => {
             return Err(SpecError::Parse(format!(
@@ -320,7 +404,11 @@ fn decode_resource(value: &Json, index: usize) -> Result<ResourceSpec, SpecError
 }
 
 fn decode_action(value: &Json, actor: &str, index: usize) -> Result<ActionSpec, SpecError> {
-    let ctx = format!("actor `{actor}` actions[{index}]");
+    let ctx = At {
+        actor: Some(actor),
+        list: "actions",
+        index,
+    };
     let fields = Fields::of(value, &ctx)?;
     let verb = fields.text("do")?;
     match verb {
@@ -361,7 +449,7 @@ fn decode_action(value: &Json, actor: &str, index: usize) -> Result<ActionSpec, 
 }
 
 fn decode_actor(value: &Json, index: usize) -> Result<ActorSpec, SpecError> {
-    let ctx = format!("actors[{index}]");
+    let ctx = At::element("actors", index);
     let fields = Fields::of(value, &ctx)?;
     fields.deny_unknown(&["name", "origin", "actions"])?;
     let name = fields.str("name")?;
@@ -379,7 +467,7 @@ fn decode_actor(value: &Json, index: usize) -> Result<ActorSpec, SpecError> {
 }
 
 fn decode_constraint(value: &Json, index: usize) -> Result<ConstraintSpec, SpecError> {
-    let ctx = format!("constraints[{index}]");
+    let ctx = At::element("constraints", index);
     let fields = Fields::of(value, &ctx)?;
     fields.deny_unknown(&["left", "rel", "right"])?;
     let rel = fields
@@ -406,10 +494,11 @@ fn decode_constraint(value: &Json, index: usize) -> Result<ConstraintSpec, SpecE
 ///
 /// [`SpecError::Parse`] on schema violations.
 pub fn resources_from_json(values: &[Json]) -> Result<Vec<ResourceSpec>, SpecError> {
+    let mut locations = Locations::default();
     values
         .iter()
         .enumerate()
-        .map(|(i, r)| decode_resource(r, i))
+        .map(|(i, r)| decode_resource(r, i, &mut locations))
         .collect()
 }
 
@@ -568,32 +657,24 @@ impl ActionSpec {
         }
     }
 
-    fn to_json(&self) -> Json {
-        let (verb, mut rest) = match self {
-            ActionSpec::Evaluate { work } => (
-                "evaluate",
-                work.map(|w| vec![("work".to_string(), Json::Num(w as f64))])
-                    .unwrap_or_default(),
-            ),
-            ActionSpec::Send { to, dest, size } => (
-                "send",
-                vec![
-                    ("to".into(), Json::Str(to.clone())),
-                    ("dest".into(), Json::Str(dest.clone())),
-                    ("size".into(), Json::Num(*size as f64)),
-                ],
-            ),
-            ActionSpec::Create { child } => {
-                ("create", vec![("child".into(), Json::Str(child.clone()))])
+    fn into_json(self) -> Json {
+        let verb = |name: &str| ("do".into(), Json::Str(name.into()));
+        let text = |key: &'static str, value: String| (key.into(), Json::Str(value));
+        Json::Obj(match self {
+            ActionSpec::Evaluate { work: None } => vec![verb("evaluate")],
+            ActionSpec::Evaluate { work: Some(work) } => {
+                vec![verb("evaluate"), ("work".into(), Json::Num(work as f64))]
             }
-            ActionSpec::Ready => ("ready", Vec::new()),
-            ActionSpec::Migrate { dest } => {
-                ("migrate", vec![("dest".into(), Json::Str(dest.clone()))])
-            }
-        };
-        let mut pairs = vec![("do".to_string(), Json::Str(verb.into()))];
-        pairs.append(&mut rest);
-        Json::Obj(pairs)
+            ActionSpec::Send { to, dest, size } => vec![
+                verb("send"),
+                text("to", to),
+                text("dest", dest),
+                ("size".into(), Json::Num(size as f64)),
+            ],
+            ActionSpec::Create { child } => vec![verb("create"), text("child", child)],
+            ActionSpec::Ready => vec![verb("ready")],
+            ActionSpec::Migrate { dest } => vec![verb("migrate"), text("dest", dest)],
+        })
     }
 }
 
@@ -623,7 +704,7 @@ impl ComputationSpec {
     ///
     /// [`SpecError::Parse`] on schema violations.
     pub fn from_json(value: &Json) -> Result<Self, SpecError> {
-        let fields = Fields::of(value, "computation")?;
+        let fields = Fields::of(value, &"computation")?;
         fields.deny_unknown(&["name", "start", "deadline", "actors"])?;
         Ok(ComputationSpec {
             name: fields.str("name")?,
@@ -642,22 +723,28 @@ impl ComputationSpec {
     /// decodes — field for field, so even a spec that does not build
     /// (deadline not after start) survives the wire intact.
     pub fn to_json(&self) -> Json {
+        self.clone().into_json()
+    }
+
+    /// Encodes the spec as [`to_json`](ComputationSpec::to_json) does,
+    /// moving its strings into the document instead of copying them.
+    pub fn into_json(self) -> Json {
         let actors = self
             .actors
-            .iter()
+            .into_iter()
             .map(|a| {
                 Json::Obj(vec![
-                    ("name".into(), Json::Str(a.name.clone())),
-                    ("origin".into(), Json::Str(a.origin.clone())),
+                    ("name".into(), Json::Str(a.name)),
+                    ("origin".into(), Json::Str(a.origin)),
                     (
                         "actions".into(),
-                        Json::Arr(a.actions.iter().map(ActionSpec::to_json).collect()),
+                        Json::Arr(a.actions.into_iter().map(ActionSpec::into_json).collect()),
                     ),
                 ])
             })
             .collect();
         Json::Obj(vec![
-            ("name".into(), Json::Str(self.name.clone())),
+            ("name".into(), Json::Str(self.name)),
             ("start".into(), Json::Num(self.start as f64)),
             ("deadline".into(), Json::Num(self.deadline as f64)),
             ("actors".into(), Json::Arr(actors)),
@@ -695,7 +782,7 @@ impl ComputationSpec {
 /// Serializes a [`DistributedComputation`] as the spec's `computation`
 /// object, through its [`ComputationSpec`] form.
 pub fn computation_to_json(lambda: &DistributedComputation) -> Json {
-    ComputationSpec::from(lambda).to_json()
+    ComputationSpec::from(lambda).into_json()
 }
 
 impl SpecModel {
@@ -707,7 +794,7 @@ impl SpecModel {
     /// fields, or wrong value types.
     pub fn from_json(text: &str) -> Result<Self, SpecError> {
         let doc = Json::parse(text).map_err(|e| SpecError::Parse(e.to_string()))?;
-        let fields = Fields::of(&doc, "spec")?;
+        let fields = Fields::of(&doc, &"spec")?;
         fields.deny_unknown(&["resources", "computation", "constraints"])?;
         let constraints = match fields.optional("constraints") {
             None => Vec::new(),
@@ -818,6 +905,46 @@ mod tests {
              "computation": { "name": "x", "start": 0, "deadline": 1, "actors": [] } }"#;
         let err = SpecModel::from_json(duplicate).unwrap_err();
         assert!(err.to_string().contains("duplicate field"), "{err}");
+    }
+
+    /// The sorting check names the same key as comparing each key with
+    /// every earlier one, on objects below and above the pairwise size,
+    /// with and without repeats.
+    #[test]
+    fn repeated_key_check_matches_the_pairwise_one() {
+        let mut seed = 0x2545_f491_4f6c_dd1d_u64;
+        for case in 0..2_000 {
+            let len = case % 48;
+            let alphabet = 1 + case % 97;
+            let pairs: Vec<(Key, Json)> = (0..len)
+                .map(|_| {
+                    seed ^= seed << 13;
+                    seed ^= seed >> 7;
+                    seed ^= seed << 17;
+                    (
+                        Key::from(format!("k{}", seed % alphabet as u64)),
+                        Json::Null,
+                    )
+                })
+                .collect();
+            let pairwise = (0..pairs.len())
+                .find(|&i| pairs[..i].iter().any(|(k, _)| *k == pairs[i].0))
+                .map(|i| &pairs[i].0);
+            assert_eq!(first_repeated_key(&pairs), pairwise, "{pairs:?}");
+        }
+    }
+
+    #[test]
+    fn constraint_errors_name_the_constraint() {
+        let spec = r#"{ "resources": [],
+             "computation": { "name": "x", "start": 0, "deadline": 1, "actors": [] },
+             "constraints": [
+                 { "left": "computation", "rel": ["before"], "right": "computation" },
+                 { "left": "computation", "rel": ["before", 3], "right": "computation" } ] }"#;
+        assert_eq!(
+            SpecModel::from_json(spec).unwrap_err().to_string(),
+            "spec parse error: constraints[1]: `rel` entries must be relation-name strings"
+        );
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! whole profile in every `cluster-state` answer and the merged basis
 //! in every `prepare`. Both are built here at 3, 27, 55 and 110 terms —
 //! CPU and network terms at `l0`–`l2` over fragmented intervals, the
-//! shape a warmed `cluster-mixed` node answers with. Two small frames
+//! shape a warmed `cluster-mixed` node answers with — and the answer
+//! also at 20 terms, about what one such node holds. Two small frames
 //! ride along: the lint-reject decision a `mixed-small` client decodes
 //! most often (taken from a live server, so it is the real R0006 frame)
 //! and a small two-actor admit like the ones `rota loadtest` sends. The
@@ -14,6 +15,10 @@
 //!
 //! `frame` is the writer alone, as the wire runs it: `write_frame` of
 //! an already built document into a reused buffer, newline included.
+//!
+//! `convert` is the step a 2PC coordinator takes after decoding each
+//! answer: the `resources` array into spec terms (`resources_from_json`)
+//! and those into a set (`spec::resource_set`), at 27 and 55 terms.
 //!
 //! Every bench id carries the frame's length in bytes and its
 //! throughput is that length, so cost per byte reads straight off the
@@ -29,7 +34,9 @@ use rota_interval::TimeInterval;
 use rota_obs::Json;
 use rota_resource::{LocatedType, Location, Rate, ResourceSet, ResourceTerm};
 use rota_server::protocol::write_frame;
-use rota_server::spec::{ActionSpec, ActorSpec, ComputationSpec, ResourceSpec};
+use rota_server::spec::{
+    self, resources_from_json, ActionSpec, ActorSpec, ComputationSpec, ResourceSpec,
+};
 use rota_server::{Request, Response, Server, ServerConfig, MAX_FRAME_BYTES};
 
 const LOCATIONS: [&str; 3] = ["l0", "l1", "l2"];
@@ -200,7 +207,33 @@ fn bench_frame<T>(
     group.finish();
 }
 
+/// Times converting a decoded `terms`-term `resources` array into the
+/// set a coordinator decides on.
+fn bench_convert(c: &mut Criterion, terms: usize) {
+    let doc = Json::Arr(basis(terms).iter().map(ResourceSpec::to_json).collect());
+    let values = doc.as_array().expect("an array");
+    let mut group = c.benchmark_group("e17");
+    group.sample_size(40);
+    group.bench_function(format!("convert/basis-{terms}t"), |b| {
+        b.iter(|| {
+            let specs = resources_from_json(black_box(values)).expect("terms decode");
+            spec::resource_set(&specs).expect("terms build")
+        })
+    });
+    group.finish();
+}
+
 fn bench_codec(c: &mut Criterion) {
+    let response = cluster_state(20);
+    bench_frame(
+        c,
+        "cluster-state-20t",
+        || response.to_json(),
+        |line| Response::from_line(line).expect("cluster-state decodes"),
+    );
+    for terms in [27, 55] {
+        bench_convert(c, terms);
+    }
     for terms in [3, 27, 55, 110] {
         let request = prepare(terms);
         bench_frame(

@@ -375,9 +375,9 @@ impl Args {
 /// `{"metrics": {...}, "decisions": [...]}`.
 fn observability_json(registry: &Registry, decisions: &[DecisionEvent]) -> Json {
     Json::Obj(vec![
-        ("metrics".to_string(), registry.snapshot().to_json()),
+        ("metrics".into(), registry.snapshot().to_json()),
         (
-            "decisions".to_string(),
+            "decisions".into(),
             Json::Arr(decisions.iter().map(DecisionEvent::to_json).collect()),
         ),
     ])

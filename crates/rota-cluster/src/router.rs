@@ -785,6 +785,21 @@ mod tests {
         assert!(failed.unwrap_err().contains("node2"));
     }
 
+    /// The decode error of a malformed term in a `cluster-state` answer
+    /// names the peer and the term, word for word.
+    #[test]
+    fn a_snapshot_decode_error_names_the_term() {
+        let answer = Response::from_line(
+            r#"{"ok":true,"op":"cluster-state","epochs":[3],"resources":[{"kind":"cpu","location":"l0","rate":1,"start":0,"end":4},{"kind":"cpu","location":"l0","rate":-1,"start":0,"end":4}]}"#,
+        )
+        .map_err(|err| err.to_string());
+        assert_eq!(
+            read_snapshot("node1", answer).unwrap_err(),
+            "peer `node1` sent a snapshot whose resources do not decode: spec parse error: \
+             resources[1]: field `rate` must be a non-negative integer"
+        );
+    }
+
     #[test]
     fn peer_unavailable_json_names_the_peer() {
         // The diagnostic shape is load-bearing for clients that branch

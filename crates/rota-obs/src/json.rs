@@ -9,8 +9,15 @@
 //! Objects preserve insertion order and permit duplicate keys at the
 //! value level; [`Json::get`] returns the first match, and spec-level
 //! validation can reject duplicates by iterating the pairs.
+//!
+//! Building and parsing a document costs mostly allocations, and an
+//! object's keys are most of them: a resource term has five or six. A
+//! [`Key`] holds a short key inline, so neither an encoder nor the
+//! parser allocates for one.
 
+use std::cmp::Ordering;
 use std::fmt::{self, Write as _};
+use std::ops::Deref;
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -26,7 +33,130 @@ pub enum Json {
     /// An array.
     Arr(Vec<Json>),
     /// An object as ordered key/value pairs.
-    Obj(Vec<(String, Json)>),
+    Obj(Vec<(Key, Json)>),
+}
+
+/// The longest key held inline, in bytes. Every key the workspace's own
+/// documents use fits; so does a `Key` in the 24 bytes of a `String`.
+const INLINE_KEY: usize = 22;
+
+/// An object key. A literal key (`"kind".into()`) is borrowed; a key
+/// read from text is copied inline when it has up to 22 bytes and boxed
+/// when longer. Reads as a `&str` through `Deref`, and compares with
+/// `str` by content.
+#[derive(Clone)]
+pub struct Key(KeyText);
+
+#[derive(Clone)]
+enum KeyText {
+    Static(&'static str),
+    Inline { len: u8, bytes: [u8; INLINE_KEY] },
+    Boxed(Box<str>),
+}
+
+impl Key {
+    /// A key holding a copy of `text`.
+    pub fn new(text: &str) -> Key {
+        if text.len() > INLINE_KEY {
+            return Key(KeyText::Boxed(text.into()));
+        }
+        let mut bytes = [0; INLINE_KEY];
+        bytes[..text.len()].copy_from_slice(text.as_bytes());
+        Key(KeyText::Inline {
+            // At most `INLINE_KEY`, so it fits.
+            len: text.len() as u8,
+            bytes,
+        })
+    }
+
+    /// The key's text.
+    pub fn as_str(&self) -> &str {
+        match &self.0 {
+            KeyText::Static(text) => text,
+            // PANIC-OK: inline bytes are always a whole `str` copied in
+            // by `Key::new`, so they are valid UTF-8.
+            KeyText::Inline { .. } => std::str::from_utf8(self.as_bytes())
+                .expect("an inline key holds the bytes of a whole `str`"),
+            KeyText::Boxed(text) => text,
+        }
+    }
+
+    fn as_bytes(&self) -> &[u8] {
+        match &self.0 {
+            KeyText::Static(text) => text.as_bytes(),
+            KeyText::Inline { len, bytes } => &bytes[..usize::from(*len)],
+            KeyText::Boxed(text) => text.as_bytes(),
+        }
+    }
+}
+
+impl From<&'static str> for Key {
+    fn from(text: &'static str) -> Key {
+        Key(KeyText::Static(text))
+    }
+}
+
+impl From<String> for Key {
+    fn from(text: String) -> Key {
+        if text.len() > INLINE_KEY {
+            Key(KeyText::Boxed(text.into_boxed_str()))
+        } else {
+            Key::new(&text)
+        }
+    }
+}
+
+impl Deref for Key {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        self.as_str()
+    }
+}
+
+impl PartialEq for Key {
+    fn eq(&self, other: &Key) -> bool {
+        self.as_bytes() == other.as_bytes()
+    }
+}
+
+impl Eq for Key {}
+
+impl PartialEq<str> for Key {
+    fn eq(&self, other: &str) -> bool {
+        self.as_bytes() == other.as_bytes()
+    }
+}
+
+impl PartialEq<&str> for Key {
+    fn eq(&self, other: &&str) -> bool {
+        self.as_bytes() == other.as_bytes()
+    }
+}
+
+/// The order of the keys' text.
+impl Ord for Key {
+    fn cmp(&self, other: &Key) -> Ordering {
+        self.as_bytes().cmp(other.as_bytes())
+    }
+}
+
+impl PartialOrd for Key {
+    fn partial_cmp(&self, other: &Key) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl fmt::Debug for Key {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
+}
+
+impl fmt::Display for Key {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
+    }
 }
 
 /// A parse failure with its byte offset in the input.
@@ -50,10 +180,7 @@ impl Json {
     /// Parses `input` as a single JSON document (trailing content is an
     /// error).
     pub fn parse(input: &str) -> Result<Json, JsonError> {
-        let mut parser = Parser {
-            bytes: input.as_bytes(),
-            pos: 0,
-        };
+        let mut parser = Parser::new(input);
         parser.skip_ws();
         let value = parser.value()?;
         parser.skip_ws();
@@ -66,7 +193,7 @@ impl Json {
     /// The value under `key`, when this is an object containing it.
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
-            Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            Json::Obj(pairs) => pairs.iter().find(|(k, _)| *k == key).map(|(_, v)| v),
             _ => None,
         }
     }
@@ -117,7 +244,7 @@ impl Json {
     }
 
     /// The key/value pairs, when this is an object.
-    pub fn as_object(&self) -> Option<&[(String, Json)]> {
+    pub fn as_object(&self) -> Option<&[(Key, Json)]> {
         match self {
             Json::Obj(pairs) => Some(pairs),
             _ => None,
@@ -142,10 +269,8 @@ impl Json {
             Json::Null => out.push_str("null"),
             Json::Bool(true) => out.push_str("true"),
             Json::Bool(false) => out.push_str("false"),
+            Json::Num(n) if n.fract() == 0.0 && n.abs() < 1e15 => write_integer(out, *n as i64),
             // Formatting into a `String` cannot fail.
-            Json::Num(n) if n.fract() == 0.0 && n.abs() < 1e15 => {
-                let _ = write!(out, "{}", *n as i64);
-            }
             Json::Num(n) => {
                 let _ = write!(out, "{n}");
             }
@@ -177,7 +302,7 @@ impl Json {
                         out.push(',');
                     }
                     newline_indent(out, indent, depth + 1);
-                    write_escaped(out, key);
+                    write_escaped(out, key.as_str());
                     out.push(':');
                     if indent.is_some() {
                         out.push(' ');
@@ -210,6 +335,26 @@ fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
     }
 }
 
+/// Appends `n` in decimal, the text `{n}` formats, without the
+/// formatting machinery.
+fn write_integer(out: &mut String, n: i64) {
+    if n < 0 {
+        out.push('-');
+    }
+    let mut digits = [0u8; 20];
+    let mut first = digits.len();
+    let mut rest = n.unsigned_abs();
+    loop {
+        first -= 1;
+        digits[first] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    out.extend(digits[first..].iter().map(|&digit| char::from(digit)));
+}
+
 fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
     // Copy each run of bytes that need no escape in one step. Every
@@ -239,11 +384,28 @@ fn write_escaped(out: &mut String, s: &str) {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// The elements of the arrays still open, innermost last. An array
+    /// moves its own elements off the top into an exactly sized `Vec`
+    /// when it closes, so no array or object grows by reallocation.
+    items: Vec<Json>,
+    /// The same for the members of the objects still open.
+    members: Vec<(Key, Json)>,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
+    fn new(text: &'a str) -> Self {
+        Parser {
+            text,
+            bytes: text.as_bytes(),
+            pos: 0,
+            items: Vec::new(),
+            members: Vec::new(),
+        }
+    }
+
     fn err(&self, message: impl Into<String>) -> JsonError {
         JsonError {
             offset: self.pos,
@@ -295,21 +457,22 @@ impl Parser<'_> {
 
     fn array(&mut self) -> Result<Json, JsonError> {
         self.expect(b'[')?;
-        let mut items = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
-            return Ok(Json::Arr(items));
+            return Ok(Json::Arr(Vec::new()));
         }
+        let open = self.items.len();
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            let item = self.value()?;
+            self.items.push(item);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
-                    return Ok(Json::Arr(items));
+                    return Ok(Json::Arr(self.items.split_off(open)));
                 }
                 _ => return Err(self.err("expected `,` or `]` in array")),
             }
@@ -318,52 +481,70 @@ impl Parser<'_> {
 
     fn object(&mut self) -> Result<Json, JsonError> {
         self.expect(b'{')?;
-        let mut pairs = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Json::Obj(pairs));
+            return Ok(Json::Obj(Vec::new()));
         }
+        let open = self.members.len();
         loop {
             self.skip_ws();
-            let key = self.string()?;
+            let key = self.key()?;
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
             let value = self.value()?;
-            pairs.push((key, value));
+            self.members.push((key, value));
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(Json::Obj(pairs));
+                    return Ok(Json::Obj(self.members.split_off(open)));
                 }
                 _ => return Err(self.err("expected `,` or `}` in object")),
             }
         }
     }
 
+    /// Consumes the run of plain bytes up to the next quote, backslash
+    /// or control byte (or the end of input) and returns it. Those stop
+    /// bytes are ASCII and the run starts after one, so it is already
+    /// valid text: slicing the input costs nothing per byte.
+    fn plain_run(&mut self) -> &'a str {
+        let start = self.pos;
+        let rest = &self.bytes[start..];
+        self.pos += rest
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+            .unwrap_or(rest.len());
+        &self.text[start..self.pos]
+    }
+
+    /// An object key, read like a string but built without an
+    /// allocation when it is short and has no escapes.
+    fn key(&mut self) -> Result<Key, JsonError> {
+        let start = self.pos;
+        self.expect(b'"')?;
+        let run = self.plain_run();
+        if self.peek() == Some(b'"') {
+            self.pos += 1;
+            return Ok(Key::new(run));
+        }
+        self.pos = start;
+        self.string().map(Key::from)
+    }
+
     fn string(&mut self) -> Result<String, JsonError> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let run = self.plain_run();
+        if self.peek() == Some(b'"') {
+            // No escapes: the text is copied once, into its own string.
+            self.pos += 1;
+            return Ok(run.to_owned());
+        }
+        let mut out = String::from(run);
         loop {
-            // Copy the run of plain bytes up to the next quote,
-            // backslash or control byte in one step. Those stop bytes
-            // are ASCII, so the run ends on a character boundary and
-            // validating it costs its own length, not the rest of the
-            // frame's.
-            let rest = &self.bytes[self.pos..];
-            let run = rest
-                .iter()
-                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
-                .unwrap_or(rest.len());
-            if run > 0 {
-                let text =
-                    std::str::from_utf8(&rest[..run]).map_err(|_| self.err("invalid utf-8"))?;
-                out.push_str(text);
-                self.pos += run;
-            }
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
@@ -372,77 +553,94 @@ impl Parser<'_> {
                 }
                 Some(b'\\') => {
                     self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            self.pos += 1;
-                            let high = self.hex4()?;
-                            let c = if (0xD800..0xDC00).contains(&high) {
-                                // Surrogate pair: require the low half.
-                                if !self.bytes[self.pos..].starts_with(b"\\u") {
-                                    return Err(self.err("unpaired surrogate"));
-                                }
-                                self.pos += 2;
-                                let low = self.hex4()?;
-                                if !(0xDC00..0xE000).contains(&low) {
-                                    return Err(self.err("invalid low surrogate"));
-                                }
-                                let code =
-                                    0x10000 + ((high - 0xD800) << 10) + (low - 0xDC00);
-                                char::from_u32(code)
-                            } else {
-                                char::from_u32(high)
-                            };
-                            match c {
-                                Some(c) => out.push(c),
-                                None => return Err(self.err("invalid unicode escape")),
-                            }
-                            continue;
-                        }
-                        _ => return Err(self.err("invalid escape sequence")),
-                    }
-                    self.pos += 1;
+                    let c = if self.peek() == Some(b'u') {
+                        self.unicode_escape()?
+                    } else {
+                        let c = match self.peek() {
+                            Some(b'"') => '"',
+                            Some(b'\\') => '\\',
+                            Some(b'/') => '/',
+                            Some(b'b') => '\u{8}',
+                            Some(b'f') => '\u{c}',
+                            Some(b'n') => '\n',
+                            Some(b'r') => '\r',
+                            Some(b't') => '\t',
+                            _ => return Err(self.err("invalid escape sequence")),
+                        };
+                        self.pos += 1;
+                        c
+                    };
+                    out.push(c);
                 }
                 // The run stopped short of a quote or backslash, so
                 // this is a byte below 0x20.
                 Some(_) => return Err(self.err("raw control character in string")),
             }
+            out.push_str(self.plain_run());
         }
+    }
+
+    /// Reads a `uXXXX` escape, with `pos` at the `u`; a high surrogate
+    /// must be followed by the escape of its low half.
+    fn unicode_escape(&mut self) -> Result<char, JsonError> {
+        self.pos += 1;
+        let high = self.hex4()?;
+        let code = if (0xD800..0xDC00).contains(&high) {
+            if !self.bytes[self.pos..].starts_with(b"\\u") {
+                return Err(self.err("unpaired surrogate"));
+            }
+            self.pos += 2;
+            let low = self.hex4()?;
+            if !(0xDC00..0xE000).contains(&low) {
+                return Err(self.err("invalid low surrogate"));
+            }
+            0x10000 + ((high - 0xD800) << 10) + (low - 0xDC00)
+        } else {
+            high
+        };
+        char::from_u32(code).ok_or_else(|| self.err("invalid unicode escape"))
     }
 
     fn hex4(&mut self) -> Result<u32, JsonError> {
         if self.pos + 4 > self.bytes.len() {
             return Err(self.err("truncated unicode escape"));
         }
-        let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-            .map_err(|_| self.err("invalid unicode escape"))?;
-        let value =
-            u32::from_str_radix(hex, 16).map_err(|_| self.err("invalid unicode escape"))?;
+        // `from_str_radix` also takes a leading `+`, so `\u+0e9` reads
+        // as U+00E9; the differential tests hold the parser to that.
+        let value = self
+            .text
+            .get(self.pos..self.pos + 4)
+            .and_then(|hex| u32::from_str_radix(hex, 16).ok())
+            .ok_or_else(|| self.err("invalid unicode escape"))?;
         self.pos += 4;
         Ok(value)
     }
 
     fn number(&mut self) -> Result<Json, JsonError> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
+        let negative = self.peek() == Some(b'-');
+        if negative {
             self.pos += 1;
         }
-        // Integer part: `0` alone or a nonzero-led digit run.
+        // Integer part: `0` alone or a nonzero-led digit run, whose
+        // value is kept while it is read.
+        let digits = self.pos;
+        let mut whole: u64 = 0;
         match self.peek() {
             Some(b'0') => self.pos += 1,
             Some(b'1'..=b'9') => {
-                while matches!(self.peek(), Some(b'0'..=b'9')) {
+                while let Some(digit @ b'0'..=b'9') = self.peek() {
+                    whole = whole.wrapping_mul(10).wrapping_add(u64::from(digit - b'0'));
                     self.pos += 1;
                 }
             }
             _ => return Err(self.err("invalid number")),
+        }
+        if self.pos - digits <= 15 && !matches!(self.peek(), Some(b'.' | b'e' | b'E')) {
+            // Below 10^15 < 2^53 an integer is an exact `f64`: the
+            // value parsing its text rounds to, `-0` included.
+            let magnitude = whole as f64;
+            return Ok(Json::Num(if negative { -magnitude } else { magnitude }));
         }
         if self.peek() == Some(b'.') {
             self.pos += 1;
@@ -465,9 +663,8 @@ impl Parser<'_> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("number bytes are ascii");
-        text.parse::<f64>()
+        self.text[start..self.pos]
+            .parse::<f64>()
             .map(Json::Num)
             .map_err(|_| self.err("number out of range"))
     }
@@ -586,7 +783,7 @@ mod tests {
         );
         assert_eq!(Json::parse(&encoded).unwrap(), value);
         // Same guarantee when the hostile text sits in an object key.
-        let keyed = Json::Obj(vec![(hostile, Json::Null)]);
+        let keyed = Json::Obj(vec![(hostile.into(), Json::Null)]);
         assert_eq!(Json::parse(&keyed.to_string()).unwrap(), keyed);
     }
 
@@ -692,10 +889,7 @@ mod tests {
         /// `Json::parse` for a document that opens with a string,
         /// decoded by the oracle.
         fn reference_parse(input: &str) -> Result<Json, JsonError> {
-            let mut parser = Parser {
-                bytes: input.as_bytes(),
-                pos: 0,
-            };
+            let mut parser = Parser::new(input);
             let value = reference_string(&mut parser)?;
             parser.skip_ws();
             if parser.pos != parser.bytes.len() {

@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::json::Json;
+use crate::json::{Json, Key};
 
 /// A monotonically increasing count.
 #[derive(Debug, Default)]
@@ -367,7 +367,7 @@ impl Snapshot {
                             ("overflow".into(), Json::Num(h.overflow as f64)),
                         ]),
                     };
-                    (m.name.clone(), value)
+                    (Key::new(&m.name), value)
                 })
                 .collect(),
         )

@@ -1,0 +1,382 @@
+//! The parser and writer of `rota_obs::Json` as they were before the
+//! codec stopped allocating per key and per growth step: the oracle of
+//! `json_differential.rs`. Kept verbatim but for the value type's name
+//! (`Value`, since the live one is `Json`), which holds keys as
+//! `String`s as the old type did.
+
+use std::fmt::Write as _;
+
+use rota_obs::json::JsonError;
+
+/// A JSON value.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum Value {
+    /// `null`
+    Null,
+    /// `true` / `false`
+    Bool(bool),
+    /// Any JSON number.
+    Num(f64),
+    /// A string.
+    Str(String),
+    /// An array.
+    Arr(Vec<Value>),
+    /// An object as ordered key/value pairs.
+    Obj(Vec<(String, Value)>),
+}
+
+impl Value {
+    /// Parses `input` as a single JSON document (trailing content is an
+    /// error).
+    pub(crate) fn parse(input: &str) -> Result<Value, JsonError> {
+        let mut parser = Parser {
+            bytes: input.as_bytes(),
+            pos: 0,
+        };
+        parser.skip_ws();
+        let value = parser.value()?;
+        parser.skip_ws();
+        if parser.pos != parser.bytes.len() {
+            return Err(parser.err("trailing characters after document"));
+        }
+        Ok(value)
+    }
+
+    /// Appends the compact serialization (what `to_string()` returns)
+    /// to `out`, so a caller can frame it without a second buffer.
+    pub(crate) fn write_compact(&self, out: &mut String) {
+        self.write(out, None, 0);
+    }
+
+    /// Pretty serialization with two-space indentation.
+    pub(crate) fn pretty(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out, Some(2), 0);
+        out
+    }
+
+    fn write(&self, out: &mut String, indent: Option<usize>, depth: usize) {
+        match self {
+            Value::Null => out.push_str("null"),
+            Value::Bool(true) => out.push_str("true"),
+            Value::Bool(false) => out.push_str("false"),
+            // Formatting into a `String` cannot fail.
+            Value::Num(n) if n.fract() == 0.0 && n.abs() < 1e15 => {
+                let _ = write!(out, "{}", *n as i64);
+            }
+            Value::Num(n) => {
+                let _ = write!(out, "{n}");
+            }
+            Value::Str(s) => write_escaped(out, s),
+            Value::Arr(items) => {
+                if items.is_empty() {
+                    out.push_str("[]");
+                    return;
+                }
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    newline_indent(out, indent, depth + 1);
+                    item.write(out, indent, depth + 1);
+                }
+                newline_indent(out, indent, depth);
+                out.push(']');
+            }
+            Value::Obj(pairs) => {
+                if pairs.is_empty() {
+                    out.push_str("{}");
+                    return;
+                }
+                out.push('{');
+                for (i, (key, value)) in pairs.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    newline_indent(out, indent, depth + 1);
+                    write_escaped(out, key);
+                    out.push(':');
+                    if indent.is_some() {
+                        out.push(' ');
+                    }
+                    value.write(out, indent, depth + 1);
+                }
+                newline_indent(out, indent, depth);
+                out.push('}');
+            }
+        }
+    }
+}
+
+fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
+    if let Some(step) = indent {
+        out.push('\n');
+        for _ in 0..depth * step {
+            out.push(' ');
+        }
+    }
+}
+
+fn write_escaped(out: &mut String, s: &str) {
+    out.push('"');
+    // Copy each run of bytes that need no escape in one step. Every
+    // escaped byte is ASCII, so each run ends on a character boundary.
+    let mut plain = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if !matches!(b, b'"' | b'\\' | 0x00..=0x1f) {
+            continue;
+        }
+        out.push_str(&s[plain..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            0x08 => out.push_str("\\b"),
+            0x0c => out.push_str("\\f"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
+        }
+        plain = i + 1;
+    }
+    out.push_str(&s[plain..]);
+    out.push('"');
+}
+
+struct Parser<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl Parser<'_> {
+    fn err(&self, message: impl Into<String>) -> JsonError {
+        JsonError {
+            offset: self.pos,
+            message: message.into(),
+        }
+    }
+
+    fn peek(&self) -> Option<u8> {
+        self.bytes.get(self.pos).copied()
+    }
+
+    fn skip_ws(&mut self) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
+        }
+    }
+
+    fn expect(&mut self, byte: u8) -> Result<(), JsonError> {
+        if self.peek() == Some(byte) {
+            self.pos += 1;
+            Ok(())
+        } else {
+            Err(self.err(format!("expected `{}`", byte as char)))
+        }
+    }
+
+    fn literal(&mut self, word: &str, value: Value) -> Result<Value, JsonError> {
+        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+            self.pos += word.len();
+            Ok(value)
+        } else {
+            Err(self.err(format!("expected `{word}`")))
+        }
+    }
+
+    fn value(&mut self) -> Result<Value, JsonError> {
+        match self.peek() {
+            Some(b'n') => self.literal("null", Value::Null),
+            Some(b't') => self.literal("true", Value::Bool(true)),
+            Some(b'f') => self.literal("false", Value::Bool(false)),
+            Some(b'"') => self.string().map(Value::Str),
+            Some(b'[') => self.array(),
+            Some(b'{') => self.object(),
+            Some(b'-' | b'0'..=b'9') => self.number(),
+            Some(other) => Err(self.err(format!("unexpected character `{}`", other as char))),
+            None => Err(self.err("unexpected end of input")),
+        }
+    }
+
+    fn array(&mut self) -> Result<Value, JsonError> {
+        self.expect(b'[')?;
+        let mut items = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(Value::Arr(items));
+        }
+        loop {
+            self.skip_ws();
+            items.push(self.value()?);
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
+                    self.pos += 1;
+                    return Ok(Value::Arr(items));
+                }
+                _ => return Err(self.err("expected `,` or `]` in array")),
+            }
+        }
+    }
+
+    fn object(&mut self) -> Result<Value, JsonError> {
+        self.expect(b'{')?;
+        let mut pairs = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(Value::Obj(pairs));
+        }
+        loop {
+            self.skip_ws();
+            let key = self.string()?;
+            self.skip_ws();
+            self.expect(b':')?;
+            self.skip_ws();
+            let value = self.value()?;
+            pairs.push((key, value));
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    return Ok(Value::Obj(pairs));
+                }
+                _ => return Err(self.err("expected `,` or `}` in object")),
+            }
+        }
+    }
+
+    fn string(&mut self) -> Result<String, JsonError> {
+        self.expect(b'"')?;
+        let mut out = String::new();
+        loop {
+            // Copy the run of plain bytes up to the next quote,
+            // backslash or control byte in one step. Those stop bytes
+            // are ASCII, so the run ends on a character boundary and
+            // validating it costs its own length, not the rest of the
+            // frame's.
+            let rest = &self.bytes[self.pos..];
+            let run = rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                .unwrap_or(rest.len());
+            if run > 0 {
+                let text =
+                    std::str::from_utf8(&rest[..run]).map_err(|_| self.err("invalid utf-8"))?;
+                out.push_str(text);
+                self.pos += run;
+            }
+            match self.peek() {
+                None => return Err(self.err("unterminated string")),
+                Some(b'"') => {
+                    self.pos += 1;
+                    return Ok(out);
+                }
+                Some(b'\\') => {
+                    self.pos += 1;
+                    match self.peek() {
+                        Some(b'"') => out.push('"'),
+                        Some(b'\\') => out.push('\\'),
+                        Some(b'/') => out.push('/'),
+                        Some(b'b') => out.push('\u{8}'),
+                        Some(b'f') => out.push('\u{c}'),
+                        Some(b'n') => out.push('\n'),
+                        Some(b'r') => out.push('\r'),
+                        Some(b't') => out.push('\t'),
+                        Some(b'u') => {
+                            self.pos += 1;
+                            let high = self.hex4()?;
+                            let c = if (0xD800..0xDC00).contains(&high) {
+                                // Surrogate pair: require the low half.
+                                if !self.bytes[self.pos..].starts_with(b"\\u") {
+                                    return Err(self.err("unpaired surrogate"));
+                                }
+                                self.pos += 2;
+                                let low = self.hex4()?;
+                                if !(0xDC00..0xE000).contains(&low) {
+                                    return Err(self.err("invalid low surrogate"));
+                                }
+                                let code =
+                                    0x10000 + ((high - 0xD800) << 10) + (low - 0xDC00);
+                                char::from_u32(code)
+                            } else {
+                                char::from_u32(high)
+                            };
+                            match c {
+                                Some(c) => out.push(c),
+                                None => return Err(self.err("invalid unicode escape")),
+                            }
+                            continue;
+                        }
+                        _ => return Err(self.err("invalid escape sequence")),
+                    }
+                    self.pos += 1;
+                }
+                // The run stopped short of a quote or backslash, so
+                // this is a byte below 0x20.
+                Some(_) => return Err(self.err("raw control character in string")),
+            }
+        }
+    }
+
+    fn hex4(&mut self) -> Result<u32, JsonError> {
+        if self.pos + 4 > self.bytes.len() {
+            return Err(self.err("truncated unicode escape"));
+        }
+        let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
+            .map_err(|_| self.err("invalid unicode escape"))?;
+        let value =
+            u32::from_str_radix(hex, 16).map_err(|_| self.err("invalid unicode escape"))?;
+        self.pos += 4;
+        Ok(value)
+    }
+
+    fn number(&mut self) -> Result<Value, JsonError> {
+        let start = self.pos;
+        if self.peek() == Some(b'-') {
+            self.pos += 1;
+        }
+        // Integer part: `0` alone or a nonzero-led digit run.
+        match self.peek() {
+            Some(b'0') => self.pos += 1,
+            Some(b'1'..=b'9') => {
+                while matches!(self.peek(), Some(b'0'..=b'9')) {
+                    self.pos += 1;
+                }
+            }
+            _ => return Err(self.err("invalid number")),
+        }
+        if self.peek() == Some(b'.') {
+            self.pos += 1;
+            if !matches!(self.peek(), Some(b'0'..=b'9')) {
+                return Err(self.err("digits required after decimal point"));
+            }
+            while matches!(self.peek(), Some(b'0'..=b'9')) {
+                self.pos += 1;
+            }
+        }
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            if !matches!(self.peek(), Some(b'0'..=b'9')) {
+                return Err(self.err("digits required in exponent"));
+            }
+            while matches!(self.peek(), Some(b'0'..=b'9')) {
+                self.pos += 1;
+            }
+        }
+        let text = std::str::from_utf8(&self.bytes[start..self.pos])
+            .expect("number bytes are ascii");
+        text.parse::<f64>()
+            .map(Value::Num)
+            .map_err(|_| self.err("number out of range"))
+    }
+}

@@ -46,6 +46,7 @@ use std::io::{BufRead, Write};
 
 use rota_actor::Granularity;
 use rota_admission::ControllerStats;
+use rota_obs::json::Key;
 use rota_obs::Json;
 
 use crate::spec::{resources_from_json, ComputationSpec, Fields, ResourceSpec, SpecError};
@@ -108,11 +109,11 @@ impl GossipDigest {
     ///
     /// [`SpecError::Parse`] on schema violations.
     pub fn from_json(doc: &Json) -> Result<GossipDigest, SpecError> {
-        let fields = Fields::of(doc, "gossip digest")?;
+        let fields = Fields::of(doc, &"gossip digest")?;
         fields.deny_unknown(&["from", "seq", "beats"])?;
         let mut beats = Vec::new();
         for beat in fields.array("beats")? {
-            let beat_fields = Fields::of(beat, "gossip beat")?;
+            let beat_fields = Fields::of(beat, &"gossip beat")?;
             beat_fields.deny_unknown(&["node", "seq"])?;
             beats.push(PeerBeat {
                 node: beat_fields.str("node")?,
@@ -211,46 +212,46 @@ impl Request {
     /// Serializes the request as a single-line JSON document.
     pub fn to_json(&self) -> Json {
         match self {
-            Request::Hello { version, node } => {
-                let mut pairs = vec![("version".to_string(), Json::Num(*version as f64))];
-                if let Some(node) = node {
-                    pairs.push(("node".into(), Json::Str(node.clone())));
-                }
-                op_obj("hello", pairs)
-            }
-            Request::Ping => op_obj("ping", vec![]),
+            Request::Hello { version, node } => op_obj(
+                "hello",
+                [("version".into(), Json::Num(*version as f64))]
+                    .into_iter()
+                    .chain(
+                        node.as_ref()
+                            .map(|node| ("node".into(), Json::Str(node.clone()))),
+                    ),
+            ),
+            Request::Ping => op_obj("ping", []),
             Request::Admit {
                 computation,
                 granularity,
                 forwarded,
-            } => {
-                let mut pairs = vec![
-                    ("computation".to_string(), computation.to_json()),
+            } => op_obj(
+                "admit",
+                [
+                    ("computation".into(), computation.to_json()),
                     ("granularity".into(), Json::Str(granularity.name().into())),
-                ];
-                if *forwarded {
-                    pairs.push(("forwarded".into(), Json::Bool(true)));
-                }
-                op_obj("admit", pairs)
-            }
+                ]
+                .into_iter()
+                .chain(forwarded_flag(*forwarded)),
+            ),
             Request::Offer {
                 resources,
                 forwarded,
-            } => {
-                let arr = resources.iter().map(ResourceSpec::to_json).collect();
-                let mut pairs = vec![("resources".to_string(), Json::Arr(arr))];
-                if *forwarded {
-                    pairs.push(("forwarded".into(), Json::Bool(true)));
-                }
-                op_obj("offer", pairs)
-            }
-            Request::Stats => op_obj("stats", vec![]),
-            Request::Metrics => op_obj("metrics", vec![]),
-            Request::Shutdown => op_obj("shutdown", vec![]),
-            Request::Gossip { digest } => {
-                op_obj("gossip", vec![("digest".into(), digest.to_json())])
-            }
-            Request::ClusterSnapshot => op_obj("cluster-snapshot", vec![]),
+            } => op_obj(
+                "offer",
+                [(
+                    "resources".into(),
+                    Json::Arr(resources.iter().map(ResourceSpec::to_json).collect()),
+                )]
+                .into_iter()
+                .chain(forwarded_flag(*forwarded)),
+            ),
+            Request::Stats => op_obj("stats", []),
+            Request::Metrics => op_obj("metrics", []),
+            Request::Shutdown => op_obj("shutdown", []),
+            Request::Gossip { digest } => op_obj("gossip", [("digest".into(), digest.to_json())]),
+            Request::ClusterSnapshot => op_obj("cluster-snapshot", []),
             Request::Prepare {
                 name,
                 computation,
@@ -260,7 +261,7 @@ impl Request {
                 ttl_ms,
             } => op_obj(
                 "prepare",
-                vec![
+                [
                     ("name".into(), Json::Str(name.clone())),
                     ("computation".into(), computation.to_json()),
                     ("granularity".into(), Json::Str(granularity.name().into())),
@@ -277,11 +278,11 @@ impl Request {
             ),
             Request::CommitReservation { name } => op_obj(
                 "commit-reservation",
-                vec![("name".into(), Json::Str(name.clone()))],
+                [("name".into(), Json::Str(name.clone()))],
             ),
             Request::AbortReservation { name } => op_obj(
                 "abort-reservation",
-                vec![("name".into(), Json::Str(name.clone()))],
+                [("name".into(), Json::Str(name.clone()))],
             ),
         }
     }
@@ -292,9 +293,9 @@ impl Request {
     ///
     /// [`SpecError::Parse`] on unknown ops or schema violations.
     pub fn from_json(doc: &Json) -> Result<Request, SpecError> {
-        let fields = Fields::of(doc, "request")?;
-        let op = fields.str("op")?;
-        match op.as_str() {
+        let fields = Fields::of(doc, &"request")?;
+        let op = fields.text("op")?;
+        match op {
             "hello" => {
                 fields.deny_unknown(&["op", "version", "node"])?;
                 Ok(Request::Hello {
@@ -526,17 +527,19 @@ impl Response {
     /// snapshot, diagnostics) into it instead of copying them.
     pub fn into_json(self) -> Json {
         match self {
-            Response::Welcome { version } => ok_obj(
+            Response::Welcome { version } => answer(
+                true,
                 "welcome",
-                vec![("version".into(), Json::Num(version as f64))],
+                [("version".into(), Json::Num(version as f64))],
             ),
-            Response::Pong => ok_obj("pong", vec![]),
+            Response::Pong => answer(true, "pong", []),
             Response::GossipAck { digest } => {
-                ok_obj("gossip-ack", vec![("digest".into(), digest.to_json())])
+                answer(true, "gossip-ack", [("digest".into(), digest.to_json())])
             }
-            Response::ClusterState { epochs, resources } => ok_obj(
+            Response::ClusterState { epochs, resources } => answer(
+                true,
                 "cluster-state",
-                vec![
+                [
                     (
                         "epochs".into(),
                         Json::Arr(epochs.into_iter().map(|e| Json::Num(e as f64)).collect()),
@@ -545,14 +548,15 @@ impl Response {
                 ],
             ),
             Response::Prepared { name } => {
-                ok_obj("prepared", vec![("name".into(), Json::Str(name))])
+                answer(true, "prepared", [("name".into(), Json::Str(name))])
             }
             Response::Committed { name } => {
-                ok_obj("committed", vec![("name".into(), Json::Str(name))])
+                answer(true, "committed", [("name".into(), Json::Str(name))])
             }
-            Response::Aborted { name, released } => ok_obj(
+            Response::Aborted { name, released } => answer(
+                true,
                 "aborted",
-                vec![
+                [
                     ("name".into(), Json::Str(name)),
                     ("released".into(), Json::Bool(released)),
                 ],
@@ -565,8 +569,10 @@ impl Response {
                 violated_term,
                 clause,
                 diagnostics,
-            } => {
-                let mut pairs = vec![
+            } => answer(
+                true,
+                "decision",
+                [
                     ("computation".into(), Json::Str(computation)),
                     ("accepted".into(), Json::Bool(accepted)),
                     ("shard".into(), Json::Num(shard as f64)),
@@ -576,18 +582,20 @@ impl Response {
                         violated_term.map_or(Json::Null, Json::Str),
                     ),
                     ("clause".into(), clause.map_or(Json::Null, Json::Str)),
-                ];
-                if !diagnostics.is_empty() {
-                    pairs.push(("diagnostics".into(), Json::Arr(diagnostics)));
-                }
-                ok_obj("decision", pairs)
-            }
+                ]
+                .into_iter()
+                .chain(
+                    (!diagnostics.is_empty())
+                        .then(|| ("diagnostics".into(), Json::Arr(diagnostics))),
+                ),
+            ),
             Response::Offered { terms } => {
-                ok_obj("offered", vec![("terms".into(), Json::Num(terms as f64))])
+                answer(true, "offered", [("terms".into(), Json::Num(terms as f64))])
             }
-            Response::Stats { stats, shards } => ok_obj(
+            Response::Stats { stats, shards } => answer(
+                true,
                 "stats",
-                vec![
+                [
                     ("accepted".into(), Json::Num(stats.accepted as f64)),
                     ("rejected".into(), Json::Num(stats.rejected as f64)),
                     ("completed".into(), Json::Num(stats.completed as f64)),
@@ -596,29 +604,31 @@ impl Response {
                     ("shards".into(), Json::Num(shards as f64)),
                 ],
             ),
-            Response::Metrics { snapshot } => ok_obj("metrics", vec![("metrics".into(), snapshot)]),
-            Response::Bye => ok_obj("bye", vec![]),
-            Response::Overloaded { shard } => Json::Obj(vec![
-                ("ok".into(), Json::Bool(false)),
-                ("op".into(), Json::Str("overloaded".into())),
-                ("shard".into(), Json::Num(shard as f64)),
-            ]),
+            Response::Metrics { snapshot } => {
+                answer(true, "metrics", [("metrics".into(), snapshot)])
+            }
+            Response::Bye => answer(true, "bye", []),
+            Response::Overloaded { shard } => answer(
+                false,
+                "overloaded",
+                [("shard".into(), Json::Num(shard as f64))],
+            ),
             Response::StaleEpoch {
                 shard,
                 epoch,
                 expected,
-            } => Json::Obj(vec![
-                ("ok".into(), Json::Bool(false)),
-                ("op".into(), Json::Str("stale-epoch".into())),
-                ("shard".into(), Json::Num(shard as f64)),
-                ("epoch".into(), Json::Num(epoch as f64)),
-                ("expected".into(), Json::Num(expected as f64)),
-            ]),
-            Response::Error { message } => Json::Obj(vec![
-                ("ok".into(), Json::Bool(false)),
-                ("op".into(), Json::Str("error".into())),
-                ("error".into(), Json::Str(message)),
-            ]),
+            } => answer(
+                false,
+                "stale-epoch",
+                [
+                    ("shard".into(), Json::Num(shard as f64)),
+                    ("epoch".into(), Json::Num(epoch as f64)),
+                    ("expected".into(), Json::Num(expected as f64)),
+                ],
+            ),
+            Response::Error { message } => {
+                answer(false, "error", [("error".into(), Json::Str(message))])
+            }
         }
     }
 
@@ -630,9 +640,9 @@ impl Response {
     ///
     /// [`SpecError::Parse`] on unknown ops or schema violations.
     pub fn from_json(mut doc: Json) -> Result<Response, SpecError> {
-        let fields = Fields::of(&doc, "response")?;
-        let op = fields.str("op")?;
-        match op.as_str() {
+        let fields = Fields::of(&doc, &"response")?;
+        let op = fields.text("op")?;
+        match op {
             "welcome" => Ok(Response::Welcome {
                 version: fields.u64("version")?,
             }),
@@ -785,18 +795,29 @@ pub fn version_mismatch(theirs: u64) -> Response {
     }
 }
 
-fn op_obj(op: &str, mut rest: Vec<(String, Json)>) -> Json {
-    let mut pairs = vec![("op".to_string(), Json::Str(op.into()))];
-    pairs.append(&mut rest);
-    Json::Obj(pairs)
+/// The `forwarded` flag's pair, present only when the flag is set.
+fn forwarded_flag(forwarded: bool) -> Option<(Key, Json)> {
+    forwarded.then(|| ("forwarded".into(), Json::Bool(true)))
 }
 
-fn ok_obj(op: &str, mut rest: Vec<(String, Json)>) -> Json {
-    let mut pairs = vec![
-        ("ok".to_string(), Json::Bool(true)),
-        ("op".to_string(), Json::Str(op.into())),
-    ];
-    pairs.append(&mut rest);
+/// A request: `op`, then `rest`, built in one allocation.
+fn op_obj(op: &str, rest: impl IntoIterator<Item = (Key, Json)>) -> Json {
+    tagged(None, op, rest.into_iter())
+}
+
+/// A response: `ok`, `op`, then `rest`, built in one allocation.
+fn answer(ok: bool, op: &str, rest: impl IntoIterator<Item = (Key, Json)>) -> Json {
+    tagged(Some(ok), op, rest.into_iter())
+}
+
+fn tagged(ok: Option<bool>, op: &str, rest: impl Iterator<Item = (Key, Json)>) -> Json {
+    let (fewest, most) = rest.size_hint();
+    let mut pairs = Vec::with_capacity(usize::from(ok.is_some()) + 1 + most.unwrap_or(fewest));
+    if let Some(ok) = ok {
+        pairs.push(("ok".into(), Json::Bool(ok)));
+    }
+    pairs.push(("op".into(), Json::Str(op.into())));
+    pairs.extend(rest);
     Json::Obj(pairs)
 }
 
@@ -871,6 +892,11 @@ pub fn read_frame<R: BufRead>(reader: &mut R, max_bytes: usize) -> Result<String
     }
 }
 
+/// The buffer a frame is encoded into starts this large: admits and
+/// decisions, the frames sent most, take 250–550 bytes and fit without
+/// growing it, and a 4 KiB basis grows it twice.
+const FRAME_BUFFER_BYTES: usize = 1024;
+
 /// Writes one value as a frame: compact JSON plus `\n`, encoded into
 /// one buffer and flushed.
 ///
@@ -878,7 +904,7 @@ pub fn read_frame<R: BufRead>(reader: &mut R, max_bytes: usize) -> Result<String
 ///
 /// Propagates the underlying I/O error.
 pub fn write_frame<W: Write>(writer: &mut W, doc: &Json) -> std::io::Result<()> {
-    let mut line = String::new();
+    let mut line = String::with_capacity(FRAME_BUFFER_BYTES);
     doc.write_compact(&mut line);
     line.push('\n');
     writer.write_all(line.as_bytes())?;
@@ -985,6 +1011,56 @@ mod tests {
         assert!(Request::from_line("not json").is_err());
         assert!(Request::from_line("").is_err());
         assert!(Response::from_line("{\"ok\":true}").is_err());
+    }
+
+    /// Each decode error names the element it is about, word for word:
+    /// a resource term of an `offer` or of a `prepare` basis, an actor
+    /// and one of its actions in an `admit`, and a repeated field.
+    #[test]
+    fn wire_decode_errors_name_the_failing_element() {
+        let refused = |line: &str| Request::from_line(line).unwrap_err().to_string();
+        let cpu = r#"{"kind":"cpu","location":"l1","rate":1,"start":0,"end":4}"#;
+        assert_eq!(
+            refused(&format!(
+                r#"{{"op":"offer","resources":[{cpu},{{"kind":"gpu","location":"l1","rate":1,"start":0,"end":4}}]}}"#
+            )),
+            "spec parse error: resources[1]: unknown resource kind `gpu`, \
+             expected `cpu`, `memory`, or `network`"
+        );
+        let job = r#"{"name":"j","start":0,"deadline":10,"actors":[]}"#;
+        assert_eq!(
+            refused(&format!(
+                r#"{{"op":"prepare","name":"j","computation":{job},"granularity":"maximal-run","basis":[{cpu},{cpu},{{"kind":"cpu","location":"l1","rate":1,"start":0}}],"epochs":[0],"ttl_ms":5}}"#
+            )),
+            "spec parse error: resources[2]: missing field `end`"
+        );
+        let admit = |actors: &str| {
+            format!(
+                r#"{{"op":"admit","computation":{{"name":"j","start":0,"deadline":10,"actors":[{actors}]}}}}"#
+            )
+        };
+        let worker = r#"{"name":"w","origin":"l1","actions":[{"do":"evaluate"}]}"#;
+        assert_eq!(
+            refused(&admit(&format!(
+                r#"{worker},{{"name":"v","origin":"l2","actions":[{{"do":"ready"}},{{"do":"fly"}}]}}"#
+            ))),
+            "spec parse error: actor `v` actions[1]: unknown action `fly`, expected \
+             `evaluate`, `send`, `create`, `ready`, or `migrate`"
+        );
+        assert_eq!(
+            refused(&admit(&format!(r#"{worker},{{"name":"v","actions":[]}}"#))),
+            "spec parse error: actors[1]: missing field `origin`"
+        );
+        assert_eq!(
+            refused(r#"{"op":"ping","op":"ping"}"#),
+            "spec parse error: request: duplicate field `op`"
+        );
+        assert_eq!(
+            refused(&format!(
+                r#"{{"op":"offer","resources":[{cpu},{{"kind":"cpu","rate":1,"location":"l1","rate":2,"start":0,"end":4}}]}}"#
+            )),
+            "spec parse error: resources[1]: duplicate field `rate`"
+        );
     }
 
     #[test]
@@ -1353,6 +1429,67 @@ mod tests {
         assert!(
             elapsed < BOUND,
             "rejection took {elapsed:?}, bound {BOUND:?}"
+        );
+    }
+
+    /// The largest frame within [`MAX_FRAME_BYTES`] made of `head`,
+    /// then distinct keys `,"k0":0,"k1":0,…` of one object, then `tail`.
+    fn cap_sized_many_keys(head: &str, tail: &str) -> String {
+        let mut line = head.to_string();
+        for i in 0.. {
+            let key = format!(r#","k{i}":0"#);
+            if line.len() + key.len() + tail.len() > MAX_FRAME_BYTES {
+                break;
+            }
+            line.push_str(&key);
+        }
+        line.push_str(tail);
+        line
+    }
+
+    /// The duplicate-key check is O(k log k) in an object's `k` keys, so
+    /// an object of ~25,000 distinct keys, as many as a frame holds, is
+    /// refused or decoded within the bound whether it is the request,
+    /// an action or a response. On a 2-vCPU VM an unoptimized test build
+    /// takes 58–66 ms for each, mostly parsing. A check that compares
+    /// every key with every earlier one took 4.5 s for the request in the
+    /// same build.
+    #[test]
+    fn cap_sized_many_key_frames_decode_within_a_cpu_bound() {
+        use std::time::{Duration, Instant};
+        const BOUND: Duration = Duration::from_millis(250);
+        let timed = |line: &str, decode: &dyn Fn(&str) -> String| {
+            assert!(line.len() > MAX_FRAME_BYTES - 16, "short frame");
+            let started = Instant::now();
+            let outcome = decode(line);
+            let elapsed = started.elapsed();
+            assert!(
+                elapsed < BOUND,
+                "took {elapsed:?}, bound {BOUND:?}: {outcome}"
+            );
+            outcome
+        };
+        let request = |line: &str| match Request::from_line(line) {
+            Ok(other) => format!("{other:?}"),
+            Err(err) => err.to_string(),
+        };
+        assert_eq!(
+            timed(&cap_sized_many_keys(r#"{"op":"ping""#, "}"), &request),
+            r#"spec parse error: request: unknown field `k0`, expected one of ["op"]"#
+        );
+        let admit = r#"{"op":"admit","computation":{"name":"j","start":0,"deadline":9,"actors":[{"name":"w","origin":"l0","actions":[{"do":"ready""#;
+        assert_eq!(
+            timed(&cap_sized_many_keys(admit, "}]}]}}"), &request),
+            r#"spec parse error: actor `w` actions[0]: unknown field `k0`, expected one of ["do"]"#
+        );
+        let response =
+            |line: &str| format!("{:?}", Response::from_line(line).map_err(|e| e.to_string()));
+        assert_eq!(
+            timed(
+                &cap_sized_many_keys(r#"{"ok":true,"op":"pong""#, "}"),
+                &response
+            ),
+            "Ok(Pong)"
         );
     }
 

@@ -58,7 +58,7 @@
 //! verdict carries the theorem-grade attribution.
 
 use std::collections::{HashMap, VecDeque};
-use std::fmt::{self, Write as _};
+use std::hash::{Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -85,23 +85,26 @@ use crate::protocol::Response;
 pub fn shard_of(location: &Location, shards: usize) -> usize {
     debug_assert!(shards > 0);
     let mut hash = Fnv1a(FNV_OFFSET);
-    let _ = hash.write_str(location.name());
-    (hash.0 % shards as u64) as usize
+    hash.write(location.name().as_bytes());
+    (hash.finish() % shards as u64) as usize
 }
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
-/// 64-bit FNV-1a as a [`fmt::Write`] sink, so a value's `Debug` form
-/// can be hashed as it is formatted, without building the string.
+/// 64-bit FNV-1a: deterministic across runs and processes, unlike the
+/// standard library's seeded hasher.
 struct Fnv1a(u64);
 
-impl fmt::Write for Fnv1a {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        for byte in s.bytes() {
+impl Hasher for Fnv1a {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
             self.0 ^= u64::from(byte);
             self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
         }
-        Ok(())
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
     }
 }
 
@@ -171,16 +174,15 @@ impl ShardObs {
     }
 }
 
-/// The idempotency identity of a request: FNV-1a over its full debug
-/// form, which covers the name, the computation body, and the priced
-/// requirement. Two submissions dedup only when they are the *same*
-/// request — a different body reusing a name hashes differently and
-/// is decided on its own merits.
+/// The idempotency identity of a request: FNV-1a over every field of
+/// it (its derived `Hash`), which covers the name, the computation body,
+/// and the priced requirement. Two submissions dedup only when they are
+/// the *same* request — a different body reusing a name hashes
+/// differently and is decided on its own merits.
 fn dedup_key(request: &AdmissionRequest) -> u64 {
     let mut hash = Fnv1a(FNV_OFFSET);
-    // The sink never fails, and the request's `Debug` impls are derived.
-    let _ = write!(hash, "{request:?}");
-    hash.0
+    request.hash(&mut hash);
+    hash.finish()
 }
 
 /// What the cache knows about a retried name.
@@ -1160,35 +1162,82 @@ mod tests {
         assert_eq!(journal.len(), 0, "the policy was never consulted");
     }
 
-    #[test]
-    fn dedup_key_hashes_the_same_bytes_as_the_formatted_request() {
-        fn formatted_key(request: &AdmissionRequest) -> u64 {
-            let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-            for byte in format!("{request:?}").bytes() {
-                hash ^= u64::from(byte);
-                hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-            hash
-        }
-        let fork_join = AdmissionRequest::price(
+    /// A two-actor request: `name`, and its first actor at `origin`
+    /// evaluating, then doing `second`, within `(0, deadline)`.
+    fn keyed(
+        name: &str,
+        second: ActionKind,
+        origin: &str,
+        deadline: u64,
+        granularity: Granularity,
+    ) -> AdmissionRequest {
+        let first = ActorComputation::new("a0", origin)
+            .then(ActionKind::evaluate())
+            .then(second);
+        let other = ActorComputation::new("a1", "l1")
+            .then(ActionKind::evaluate())
+            .then(ActionKind::evaluate());
+        AdmissionRequest::price(
             DistributedComputation::new(
-                "fj",
-                (0..3)
-                    .map(|k| {
-                        ActorComputation::new(format!("fj-a{k}"), format!("l{k}"))
-                            .then(ActionKind::evaluate())
-                            .then(ActionKind::evaluate())
-                    })
-                    .collect(),
+                name,
+                vec![first, other],
                 TimePoint::ZERO,
-                TimePoint::new(32),
+                TimePoint::new(deadline),
             )
             .unwrap(),
             &TableCostModel::paper(),
-            Granularity::MaximalRun,
+            granularity,
+        )
+    }
+
+    #[test]
+    fn dedup_key_is_equal_for_equal_requests() {
+        let request = || {
+            keyed(
+                "k",
+                ActionKind::evaluate(),
+                "l0",
+                32,
+                Granularity::MaximalRun,
+            )
+        };
+        assert_eq!(dedup_key(&request()), dedup_key(&request()));
+        assert_eq!(
+            dedup_key(&request_at("one", "l0", 2, 16)),
+            dedup_key(&request_at("one", "l0", 2, 16))
         );
-        for request in [request_at("one", "l0", 2, 16), fork_join] {
-            assert_eq!(dedup_key(&request), formatted_key(&request));
+    }
+
+    #[test]
+    fn dedup_key_changes_with_each_part_of_the_request() {
+        let key = |name, second, origin, deadline, granularity| {
+            dedup_key(&keyed(name, second, origin, deadline, granularity))
+        };
+        let evaluate = ActionKind::evaluate;
+        let base = key("k", evaluate(), "l0", 32, Granularity::MaximalRun);
+        for (part, changed) in [
+            (
+                "the name",
+                key("j", evaluate(), "l0", 32, Granularity::MaximalRun),
+            ),
+            (
+                "an action",
+                key("k", ActionKind::Ready, "l0", 32, Granularity::MaximalRun),
+            ),
+            (
+                "an origin",
+                key("k", evaluate(), "l2", 32, Granularity::MaximalRun),
+            ),
+            (
+                "the deadline",
+                key("k", evaluate(), "l0", 33, Granularity::MaximalRun),
+            ),
+            (
+                "the granularity",
+                key("k", evaluate(), "l0", 32, Granularity::PerAction),
+            ),
+        ] {
+            assert_ne!(changed, base, "changing {part} must change the key");
         }
     }
 

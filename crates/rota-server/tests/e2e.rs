@@ -46,10 +46,10 @@ fn connect(addr: std::net::SocketAddr) -> (TcpStream, BufReader<TcpStream>) {
 
 fn admit_line(computation: &rota_actor::DistributedComputation) -> String {
     let mut pairs = vec![
-        ("op".to_string(), Json::Str("admit".into())),
-        ("granularity".to_string(), Json::Str("maximal-run".into())),
+        ("op".into(), Json::Str("admit".into())),
+        ("granularity".into(), Json::Str("maximal-run".into())),
     ];
-    pairs.push(("computation".to_string(), computation_to_json(computation)));
+    pairs.push(("computation".into(), computation_to_json(computation)));
     Json::Obj(pairs).to_string()
 }
 
