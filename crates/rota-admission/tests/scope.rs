@@ -1,0 +1,173 @@
+//! Soundness of scoped snapshots: every standard policy decides a
+//! request on the obtainable resources restricted to the request's
+//! scope — its demanded located types over its window `[s, d)`, what a
+//! two-phase commit's snapshots and basis carry — exactly as on the
+//! whole of them: the same verdict, the same commitments, the same
+//! reject reason.
+
+use proptest::prelude::*;
+use proptest::strategy::Strategy;
+use proptest::test_runner::TestRng;
+use rota_actor::{
+    ActionKind, ActorComputation, DistributedComputation, Granularity, TableCostModel,
+};
+use rota_admission::{standard_policies, AdmissionRequest};
+use rota_interval::{TimeInterval, TimePoint};
+use rota_logic::{Scope, State};
+use rota_resource::{LocatedType, Location, Rate, ResourceSet, ResourceTerm};
+
+/// Locations `l0`..`l2`; a basis and a request draw from the same ones,
+/// so some basis types are demanded and others are not.
+const LOCATIONS: usize = 3;
+/// Ticks a basis term may reach; requests close by tick 30.
+const HORIZON: u64 = 36;
+
+fn location(i: usize) -> Location {
+    Location::new(format!("l{i}"))
+}
+
+/// Located type `i` of the `LOCATIONS + LOCATIONS²` there are: a CPU,
+/// then every link (self-links included, the cost model never uses
+/// them).
+fn located(i: usize) -> LocatedType {
+    if i < LOCATIONS {
+        LocatedType::cpu(location(i))
+    } else {
+        let link = i - LOCATIONS;
+        LocatedType::network(location(link / LOCATIONS), location(link % LOCATIONS))
+    }
+}
+
+/// A fragmented basis: terms of rate 0–4 over short, overlapping
+/// intervals anywhere in `[0, HORIZON)`, on any located type.
+fn arb_basis() -> impl Strategy<Value = Vec<(usize, u64, u64, u64)>> {
+    proptest::collection::vec(
+        (
+            0..LOCATIONS + LOCATIONS * LOCATIONS,
+            0u64..5,
+            0u64..HORIZON - 1,
+            1u64..16,
+        ),
+        0..64,
+    )
+}
+
+fn basis(terms: &[(usize, u64, u64, u64)]) -> ResourceSet {
+    ResourceSet::from_terms(terms.iter().map(|&(lt, rate, start, len)| {
+        let end = (start + len).min(HORIZON);
+        ResourceTerm::new(
+            Rate::new(rate),
+            TimeInterval::from_ticks(start, end).unwrap(),
+            located(lt),
+        )
+    }))
+    .unwrap()
+}
+
+/// One actor: its origin and one or two actions, each `(verb, location, work)`
+/// with verb 0–2 an evaluate of `work` units, 3 a send to `location`
+/// and 4 a migration there.
+type Actor = (usize, Vec<(u8, usize, u64)>);
+
+/// One to three actors, whose origins may coincide (shared types) or
+/// not, and a window `[s, d)` with `s` in 0–15 and `d ≤ 30`.
+fn arb_request() -> impl Strategy<Value = (Vec<Actor>, u64, u64)> {
+    let action = (0u8..5, 0..LOCATIONS, 1u64..6);
+    let actor = (0..LOCATIONS, proptest::collection::vec(action, 1..3));
+    (proptest::collection::vec(actor, 1..4), 0u64..16, 1u64..15)
+}
+
+fn request((actors, start, span): &(Vec<Actor>, u64, u64)) -> AdmissionRequest {
+    let actors = actors
+        .iter()
+        .enumerate()
+        .map(|(i, (origin, actions))| {
+            let mut gamma = ActorComputation::new(format!("a{i}"), location(*origin));
+            for &(verb, at, work) in actions {
+                gamma.push(match verb {
+                    0..=2 => ActionKind::evaluate_units(work),
+                    3 => ActionKind::send(format!("a{}", (i + 1) % actors.len()), location(at)),
+                    _ => ActionKind::migrate(location(at)),
+                });
+            }
+            gamma
+        })
+        .collect();
+    let lambda = DistributedComputation::new(
+        "job",
+        actors,
+        TimePoint::new(*start),
+        TimePoint::new(start + span),
+    )
+    .unwrap();
+    AdmissionRequest::price(lambda, &TableCostModel::paper(), Granularity::MaximalRun)
+}
+
+/// The request's scope, as a two-phase commit's router takes it.
+fn scope_of(request: &AdmissionRequest) -> Scope {
+    Scope::of(&request.requirement().total_demand(), request.window())
+}
+
+/// `basis` restricted to `scope`, as a participant's shards answer a
+/// scoped snapshot: Θ_expire of the state, within the scope.
+fn scoped(basis: &ResourceSet, scope: &Scope) -> ResourceSet {
+    State::new(basis.clone(), TimePoint::ZERO).expiring_in(scope)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2_500))]
+
+    #[test]
+    fn every_standard_policy_decides_alike_on_the_scoped_basis(
+        terms in arb_basis(),
+        shape in arb_request(),
+    ) {
+        let whole = basis(&terms);
+        let request = request(&shape);
+        let scoped = scoped(&whole, &scope_of(&request));
+        for row in standard_policies() {
+            let on_whole = row.policy.decide(&State::new(whole.clone(), TimePoint::ZERO), &request);
+            let on_scope = row.policy.decide(&State::new(scoped.clone(), TimePoint::ZERO), &request);
+            prop_assert_eq!(on_whole, on_scope, "policy {}", row.name);
+        }
+    }
+}
+
+/// The property above sees accepts and rejects from every policy but
+/// the optimistic one, and bases that the scope really cuts: terms on
+/// types the request does not demand, before `s` and from `d` on.
+#[test]
+fn the_generators_exercise_both_verdicts_and_every_cut() {
+    let mut rng = TestRng::for_test("scope_generators");
+    let (mut accepts, mut rejects) = ([0usize; 4], [0usize; 4]);
+    let (mut undemanded, mut early, mut late) = (0, 0, 0);
+    for _ in 0..600 {
+        let whole = basis(&arb_basis().new_value(&mut rng));
+        let request = request(&arb_request().new_value(&mut rng));
+        let scope = scope_of(&request);
+        let window = scope.window();
+        for term in whole.to_terms() {
+            undemanded += usize::from(!scope.types().contains(term.located()));
+            early += usize::from(term.interval().start() < window.start());
+            late += usize::from(term.interval().end() > window.end());
+        }
+        for (i, row) in standard_policies().iter().enumerate() {
+            let state = State::new(whole.clone(), TimePoint::ZERO);
+            if row.policy.decide(&state, &request).is_accept() {
+                accepts[i] += 1;
+            } else {
+                rejects[i] += 1;
+            }
+        }
+    }
+    for (i, row) in standard_policies().iter().enumerate() {
+        assert!(accepts[i] >= 30, "{}: {} accepts", row.name, accepts[i]);
+        if row.name != "optimistic" {
+            assert!(rejects[i] >= 30, "{}: {} rejects", row.name, rejects[i]);
+        }
+    }
+    assert!(
+        undemanded > 0 && early > 0 && late > 0,
+        "{undemanded} {early} {late}"
+    );
+}

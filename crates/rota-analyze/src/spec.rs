@@ -51,6 +51,7 @@ use std::fmt;
 
 use rota_actor::{ActionKind, ActorComputation, DistributedComputation};
 use rota_interval::{TimeInterval, TimePoint};
+use rota_logic::Scope;
 use rota_obs::json::Key;
 use rota_obs::Json;
 use rota_resource::{
@@ -373,34 +374,133 @@ fn decode_resource(
 ) -> Result<ResourceSpec, SpecError> {
     let ctx = At::element("resources", index);
     let fields = Fields::of(value, &ctx)?;
-    let kind = fields.text("kind")?;
-    let located = match kind {
-        "cpu" | "memory" => {
-            fields.deny_unknown(&["kind", "location", "rate", "start", "end"])?;
-            let location = locations.get(fields.text("location")?);
-            if kind == "cpu" {
-                LocatedType::cpu(location)
-            } else {
-                LocatedType::memory(location)
-            }
-        }
-        "network" => {
-            fields.deny_unknown(&["kind", "from", "to", "rate", "start", "end"])?;
-            let from = locations.get(fields.text("from")?);
-            LocatedType::network(from, locations.get(fields.text("to")?))
-        }
-        other => {
-            return Err(SpecError::Parse(format!(
-                "{ctx}: unknown resource kind `{other}`, expected `cpu`, `memory`, or `network`"
-            )))
-        }
-    };
+    let located = decode_located(
+        &fields,
+        &ctx,
+        locations,
+        &["kind", "location", "rate", "start", "end"],
+        &["kind", "from", "to", "rate", "start", "end"],
+    )?;
     Ok(ResourceSpec {
         located,
         rate: fields.u64("rate")?,
         start: fields.u64("start")?,
         end: fields.u64("end")?,
     })
+}
+
+/// The located type of a term-shaped object: `kind` with `location`,
+/// or `network` with `from` and `to`. A node kind's object may carry
+/// only `node_keys`, a link's only `link_keys`.
+fn decode_located(
+    fields: &Fields<'_>,
+    ctx: &dyn fmt::Display,
+    locations: &mut Locations,
+    node_keys: &[&str],
+    link_keys: &[&str],
+) -> Result<LocatedType, SpecError> {
+    let kind = fields.text("kind")?;
+    match kind {
+        "cpu" | "memory" => {
+            fields.deny_unknown(node_keys)?;
+            let location = locations.get(fields.text("location")?);
+            Ok(if kind == "cpu" {
+                LocatedType::cpu(location)
+            } else {
+                LocatedType::memory(location)
+            })
+        }
+        "network" => {
+            fields.deny_unknown(link_keys)?;
+            let from = locations.get(fields.text("from")?);
+            Ok(LocatedType::network(
+                from,
+                locations.get(fields.text("to")?),
+            ))
+        }
+        other => Err(SpecError::Parse(format!(
+            "{ctx}: unknown resource kind `{other}`, expected `cpu`, `memory`, or `network`"
+        ))),
+    }
+}
+
+/// Writes `located`'s `kind` and location keys, as a term names them.
+fn located_pairs(located: &LocatedType, pairs: &mut Vec<(Key, Json)>) {
+    match located {
+        LocatedType::Node { kind, location } => {
+            pairs.push(("kind".into(), Json::Str(kind.label().into())));
+            pairs.push(("location".into(), Json::Str(location.name().into())));
+        }
+        LocatedType::Link { from, to } => {
+            pairs.push(("kind".into(), Json::Str("network".into())));
+            pairs.push(("from".into(), Json::Str(from.name().into())));
+            pairs.push(("to".into(), Json::Str(to.name().into())));
+        }
+    }
+}
+
+/// Encodes a [`Scope`] as the object [`scope_from_json`] decodes: its
+/// located types, each written as a term names it without `rate`,
+/// `start` and `end`, and its window as `start` and `end` ticks.
+///
+/// ```json
+/// { "types": [ { "kind": "cpu", "location": "l1" },
+///              { "kind": "network", "from": "l1", "to": "l2" } ],
+///   "start": 4, "end": 20 }
+/// ```
+pub fn scope_to_json(scope: &Scope) -> Json {
+    let types = scope
+        .types()
+        .iter()
+        .map(|located| {
+            let mut pairs = Vec::with_capacity(3);
+            located_pairs(located, &mut pairs);
+            Json::Obj(pairs)
+        })
+        .collect();
+    Json::Obj(vec![
+        ("types".into(), Json::Arr(types)),
+        (
+            "start".into(),
+            Json::Num(scope.window().start().ticks() as f64),
+        ),
+        ("end".into(), Json::Num(scope.window().end().ticks() as f64)),
+    ])
+}
+
+/// Decodes the object [`scope_to_json`] writes, as strictly as a term:
+/// an unknown key, an unknown kind, a tick that is not a non-negative
+/// integer or an empty window is an error.
+///
+/// # Errors
+///
+/// [`SpecError::Parse`] naming the first violation.
+pub fn scope_from_json(value: &Json) -> Result<Scope, SpecError> {
+    let fields = Fields::of(value, &"scope")?;
+    fields.deny_unknown(&["types", "start", "end"])?;
+    let mut locations = Locations::default();
+    let types = fields
+        .array("types")?
+        .iter()
+        .enumerate()
+        .map(|(index, value)| {
+            let ctx = At::element("scope types", index);
+            decode_located(
+                &Fields::of(value, &ctx)?,
+                &ctx,
+                &mut locations,
+                &["kind", "location"],
+                &["kind", "from", "to"],
+            )
+        })
+        .collect::<Result<Vec<_>, SpecError>>()?;
+    let (start, end) = (fields.u64("start")?, fields.u64("end")?);
+    let window = TimeInterval::from_ticks(start, end).map_err(|_| {
+        SpecError::Parse(format!(
+            "scope: `end` ({end}) must follow `start` ({start})"
+        ))
+    })?;
+    Ok(Scope::new(types, window))
 }
 
 fn decode_action(value: &Json, actor: &str, index: usize) -> Result<ActionSpec, SpecError> {
@@ -602,17 +702,7 @@ impl ResourceSpec {
     /// which the decoder refuses.
     pub fn to_json(&self) -> Json {
         let mut pairs = Vec::with_capacity(6);
-        match &self.located {
-            LocatedType::Node { kind, location } => {
-                pairs.push(("kind".into(), Json::Str(kind.label().into())));
-                pairs.push(("location".into(), Json::Str(location.name().into())));
-            }
-            LocatedType::Link { from, to } => {
-                pairs.push(("kind".into(), Json::Str("network".into())));
-                pairs.push(("from".into(), Json::Str(from.name().into())));
-                pairs.push(("to".into(), Json::Str(to.name().into())));
-            }
-        }
+        located_pairs(&self.located, &mut pairs);
         pairs.push(("rate".into(), Json::Num(self.rate as f64)));
         pairs.push(("start".into(), Json::Num(self.start as f64)));
         pairs.push(("end".into(), Json::Num(self.end as f64)));

@@ -13,7 +13,8 @@
 //! - **Any error drops the link.** After an I/O, frame, decode or
 //!   timeout error the answer may still be in flight.
 //! - **Only a snapshot is re-sent.** A reused link can die while idle.
-//!   A snapshot is read-only, so one that fails on a reused link with a
+//!   A snapshot, bare or scoped, is read-only, so one that fails on a
+//!   reused link with a
 //!   transport error is sent once more on a fresh dial. Any other call
 //!   may already have taken effect at the peer: its transport error ends
 //!   the attempt, and the TTL sweep releases an orphaned reservation.
@@ -97,7 +98,10 @@ impl PeerLinks {
         if let Some(client) = self.checkout(addr) {
             match self.call_on(addr, client, request) {
                 Err(ClientError::Io(_) | ClientError::Frame(_))
-                    if matches!(request, Request::ClusterSnapshot) => {}
+                    if matches!(
+                        request,
+                        Request::ClusterSnapshot | Request::ScopedSnapshot { .. }
+                    ) => {}
                 outcome => return outcome.map_err(|err| format!("peer `{peer}` failed: {err}")),
             }
         }
@@ -171,6 +175,9 @@ mod tests {
     use std::sync::mpsc;
     use std::thread::JoinHandle;
 
+    use rota_interval::TimeInterval;
+    use rota_logic::Scope;
+    use rota_resource::{LocatedType, Location};
     use rota_server::protocol::{read_frame, write_frame};
 
     /// What the fake peer does with one request.
@@ -378,7 +385,17 @@ mod tests {
                 Act::Answer
             }
         };
-        for (request, resent) in [(Request::ClusterSnapshot, true), (Request::Ping, false)] {
+        let scoped = Request::ScopedSnapshot {
+            scope: Scope::new(
+                [LocatedType::cpu(Location::new("l0"))],
+                TimeInterval::from_ticks(2, 9).unwrap(),
+            ),
+        };
+        for (request, resent) in [
+            (Request::ClusterSnapshot, true),
+            (scoped, true),
+            (Request::Ping, false),
+        ] {
             let peer = FakePeer::start(script);
             let links = pooled(&Registry::new());
             assert_eq!(ping(&links, &peer), Ok(Response::Pong));

@@ -73,7 +73,8 @@ use std::time::Duration;
 use rota_actor::{Granularity, ResourceDemand, TableCostModel};
 use rota_admission::{AdmissionRequest, Decision};
 use rota_analyze::{check_ownership, Diagnostic, Report, Severity};
-use rota_obs::{Counter, Registry};
+use rota_logic::Scope;
+use rota_obs::{Counter, Histogram, Registry};
 use rota_server::spec::{self, resources_from_json, ComputationSpec, ResourceSpec};
 use rota_server::{fault, LocalHandle, Request, RequestHook, Response};
 
@@ -157,6 +158,8 @@ struct RouterObs {
     twopc_aborted: Arc<Counter>,
     twopc_retries: Arc<Counter>,
     twopc_prepares: Arc<Counter>,
+    /// Terms in the merged basis of each snapshot round.
+    twopc_basis_terms: Arc<Histogram>,
 }
 
 impl RouterObs {
@@ -172,6 +175,8 @@ impl RouterObs {
             twopc_aborted: registry.counter("cluster.twopc.aborted"),
             twopc_retries: registry.counter("cluster.twopc.retries"),
             twopc_prepares: registry.counter("cluster.twopc.prepares"),
+            twopc_basis_terms: registry
+                .histogram("cluster.twopc.basis_terms", Histogram::depth_bounds()),
         }
     }
 }
@@ -319,7 +324,8 @@ impl ClusterRouter {
             Route::Local => self.local.admit(request),
             Route::Forward(owner) => self.forward(&owner, computation, granularity, request.name()),
             Route::TwoPhase(participants) => {
-                self.two_phase(&participants, computation, granularity, &request)
+                let scope = Scope::of(&demand, request.window());
+                self.two_phase(&participants, computation, granularity, &request, &scope)
             }
         })
     }
@@ -349,7 +355,9 @@ impl ClusterRouter {
     /// Runs one full two-phase admission across `participants`, in
     /// node-id order. This node's own snapshot and prepare go through
     /// the local handle as typed values; only a remote participant's
-    /// slice and basis cross a socket as JSON.
+    /// slice and basis cross a socket as JSON. Every snapshot is taken
+    /// within `scope`, the request's demanded located types over its
+    /// window, so the basis holds only what the decision reads.
     ///
     /// A coordinator that owns some of the demand decides the verdict
     /// once, here. A reject is confirmed by this node's own prepare and
@@ -361,6 +369,7 @@ impl ClusterRouter {
         computation: &ComputationSpec,
         granularity: Granularity,
         request: &AdmissionRequest,
+        scope: &Scope,
     ) -> Response {
         if let Some(peer) = self.first_suspect(participants.iter().map(|(id, _)| id.as_str())) {
             return self.peer_unavailable(request.name(), peer);
@@ -374,7 +383,7 @@ impl ClusterRouter {
             .position(|(participant, _)| *participant == self.config.me);
         for _attempt in 0..=MAX_RETRIES {
             let round = self
-                .snapshot(participants, me)
+                .snapshot(participants, me, scope)
                 .and_then(|(epochs_by, basis)| {
                     let verdict = me.map(|_| self.decide_here(request, &basis)).transpose()?;
                     Ok((epochs_by, basis, verdict))
@@ -464,18 +473,19 @@ impl ClusterRouter {
         }
     }
 
-    /// Snapshots every participant — this node (`participants[me]`)
-    /// first, in-process, then the others in order — and merges the
-    /// slices into the basis in node-id order; the union of disjoint
-    /// slices is the merged single-node basis. Returns each
-    /// participant's epochs, in order, with the basis.
+    /// Snapshots every participant within `scope` — this node
+    /// (`participants[me]`) first, in-process, then the others in order
+    /// — and merges the slices into the basis in node-id order; the
+    /// union of disjoint slices is the merged single-node basis. Returns
+    /// each participant's epochs, in order, with the basis.
     fn snapshot(
         &self,
         participants: &[Participant],
         me: Option<usize>,
+        scope: &Scope,
     ) -> Result<(Vec<Vec<u64>>, Vec<ResourceSpec>), String> {
         let own = me
-            .map(|_| self.local.cluster_state())
+            .map(|_| self.local.cluster_state_in(Some(scope)))
             .transpose()
             .map_err(|message| {
                 unexpected(
@@ -484,12 +494,13 @@ impl ClusterRouter {
                     Ok(Response::Error { message }),
                 )
             })?;
+        let request = Request::ScopedSnapshot {
+            scope: scope.clone(),
+        };
         let mut slices = Vec::with_capacity(participants.len());
         for (participant, addr) in participants {
             if *participant != self.config.me {
-                let answer = self
-                    .links
-                    .call(participant, addr, &Request::ClusterSnapshot);
+                let answer = self.links.call(participant, addr, &request);
                 slices.push(read_snapshot(participant, answer)?);
             }
         }
@@ -502,6 +513,7 @@ impl ClusterRouter {
             basis.extend(terms);
             epochs_by.push(epochs);
         }
+        self.obs.twopc_basis_terms.observe(basis.len() as u64);
         Ok((epochs_by, basis))
     }
 

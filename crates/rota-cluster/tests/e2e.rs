@@ -1,19 +1,23 @@
 //! End-to-end cluster tests over real TCP: gossip convergence,
 //! location routing (local fast path, forward, 2PC, including an
-//! owner coordinator's in-process reject and idempotent resubmits),
-//! offer splitting, the `R0016` ownership lint, and the version
-//! handshake.
+//! owner coordinator's in-process reject, idempotent resubmits and
+//! snapshots scoped to the request), offer splitting, the `R0016`
+//! ownership lint, and the version handshake.
 
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use rota_actor::{ActionKind, ActorComputation, DistributedComputation, Granularity};
-use rota_admission::RotaPolicy;
+use rota_actor::{
+    ActionKind, ActorComputation, DistributedComputation, Granularity, TableCostModel,
+};
+use rota_admission::{AdmissionRequest, RotaPolicy};
 use rota_cluster::{Cluster, ClusterConfig, Topology};
 use rota_interval::{TimeInterval, TimePoint};
+use rota_logic::{Scope, State};
 use rota_resource::{LocatedType, Location, Rate, ResourceSet, ResourceTerm};
+use rota_server::spec::{self, resources_from_json};
 use rota_server::{Request, Response};
 
 fn theta(locations: &[&str]) -> ResourceSet {
@@ -335,6 +339,99 @@ fn version_mismatch_is_a_structured_error() {
         }
         other => panic!("unexpected {other:?}"),
     }
+    cluster.shutdown();
+}
+
+/// The `resources` of `index`'s answer to a `cluster-snapshot` frame,
+/// as a set.
+fn snapshot_set(cluster: &Cluster, index: usize, request: &Request) -> ResourceSet {
+    match client_for(cluster, index).call(request).unwrap() {
+        Response::ClusterState { resources, .. } => {
+            let specs = resources_from_json(resources.as_array().expect("an array")).unwrap();
+            spec::resource_set(&specs).unwrap()
+        }
+        other => panic!("unexpected {other:?}"),
+    }
+}
+
+/// A spanning admit snapshots each participant within its scope: the
+/// demanded located types over its window. Every owner supplies CPU in
+/// four pieces, before, inside and after the window, and a link no
+/// request here demands; only the in-window CPU reaches the basis.
+#[test]
+fn a_spanning_admit_snapshots_only_its_scope() {
+    let mut supply = Vec::new();
+    for l in ["l0", "l1", "l2"] {
+        for (rate, start, end) in [(2, 0, 4), (3, 4, 10), (1, 10, 20), (4, 20, 64)] {
+            supply.push(ResourceTerm::new(
+                Rate::new(rate),
+                TimeInterval::from_ticks(start, end).unwrap(),
+                LocatedType::cpu(Location::new(l)),
+            ));
+        }
+        supply.push(ResourceTerm::new(
+            Rate::new(2),
+            TimeInterval::from_ticks(0, 64).unwrap(),
+            LocatedType::network(Location::new(l), Location::new("l0")),
+        ));
+    }
+    let theta = ResourceSet::from_terms(supply).unwrap();
+    let cluster = Cluster::launch(Topology::auto(3), &theta, RotaPolicy, test_config()).unwrap();
+    assert!(
+        cluster.await_converged(Duration::from_secs(10)),
+        "gossip failed to converge"
+    );
+    let actors = ["l0", "l1"]
+        .iter()
+        .enumerate()
+        .map(|(i, l)| {
+            ActorComputation::new(format!("a{i}"), *l).then(ActionKind::evaluate_units(6))
+        })
+        .collect();
+    let lambda =
+        DistributedComputation::new("scoped", actors, TimePoint::new(5), TimePoint::new(15))
+            .unwrap();
+    let priced = AdmissionRequest::price(
+        lambda.clone(),
+        &TableCostModel::paper(),
+        Granularity::MaximalRun,
+    );
+    let scope = Scope::of(&priced.requirement().total_demand(), priced.window());
+    let scoped = Request::ScopedSnapshot {
+        scope: scope.clone(),
+    };
+    // Each owner's scoped answer is its whole answer on the scope's
+    // types, clamped to the window: two of its five terms.
+    let mut in_scope = 0;
+    for index in [0, 1] {
+        let whole = snapshot_set(&cluster, index, &Request::ClusterSnapshot);
+        let expected = State::new(whole.clone(), TimePoint::ZERO).expiring_in(&scope);
+        assert_eq!(
+            snapshot_set(&cluster, index, &scoped),
+            expected,
+            "node{index}"
+        );
+        assert_eq!(
+            (whole.term_count(), expected.term_count()),
+            (5, 2),
+            "node{index}"
+        );
+        in_scope += expected.term_count();
+    }
+    // node2 owns neither demanded location, so both slices of its basis
+    // are remote `cluster-state` answers, and they hold the in-scope
+    // terms only.
+    let response = client_for(&cluster, 2)
+        .admit(&lambda, Granularity::MaximalRun)
+        .unwrap();
+    assert!(accepted(&response), "{response:?}");
+    let snapshot = client_for(&cluster, 2).metrics().unwrap();
+    let basis_terms = snapshot
+        .get("cluster.twopc.basis_terms")
+        .expect("published");
+    let field = |name: &str| basis_terms.get(name).and_then(rota_obs::Json::as_u64);
+    assert_eq!(field("count"), Some(1), "one snapshot round");
+    assert_eq!(field("sum"), Some(in_scope as u64), "{basis_terms}");
     cluster.shutdown();
 }
 

@@ -76,5 +76,5 @@ pub use planner::{choose_plan, PlanChoice, PlanObjective};
 pub use schedule::{
     exhaustive_schedule_exists, schedule_complex, schedule_concurrent, InfeasibleError, Schedule,
 };
-pub use state::{tick_delivery, State, TransitionError, TransitionLabel};
+pub use state::{tick_delivery, Scope, State, TransitionError, TransitionLabel};
 pub use workflow::{schedule_workflow, WorkflowError, WorkflowRequirement};

@@ -28,6 +28,43 @@ use rota_resource::{LocatedType, Quantity, Rate, ResourceSet, ResourceSetError};
 
 use crate::commitment::{Commitment, Commitments};
 
+/// What one admission decision reads of the obtainable resources: the
+/// located types a request `(Λ, s, d)` demands, over its window
+/// `[s, d)`. Theorem 4 places the request only there, so a decision at
+/// any `now ≤ s` on Θ_expire restricted to the scope
+/// ([`State::expiring_in`]) equals the decision on the whole of it — a
+/// two-phase commit's snapshots and basis carry only this slice.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct Scope {
+    types: Vec<LocatedType>,
+    window: TimeInterval,
+}
+
+impl Scope {
+    /// The scope of `types` over `window`.
+    pub fn new(types: impl IntoIterator<Item = LocatedType>, window: TimeInterval) -> Scope {
+        Scope {
+            types: types.into_iter().collect(),
+            window,
+        }
+    }
+
+    /// The scope of a request demanding `demand` over `window`.
+    pub fn of(demand: &ResourceDemand, window: TimeInterval) -> Scope {
+        Scope::new(demand.located_types().cloned(), window)
+    }
+
+    /// The located types.
+    pub fn types(&self) -> &[LocatedType] {
+        &self.types
+    }
+
+    /// The window `[s, d)`.
+    pub fn window(&self) -> TimeInterval {
+        self.window
+    }
+}
+
 /// Error from applying a transition rule whose guard fails.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TransitionError {
@@ -483,14 +520,23 @@ impl State {
     /// types' profiles are touched, so the cost follows the request, not
     /// the number of live commitments.
     pub fn expiring_for(&self, demand: &ResourceDemand) -> ResourceSet {
+        self.expiring_on(demand.located_types())
+    }
+
+    /// Θ_expire within `scope`: its located types, clamped to its
+    /// window — the slice of Θ_expire a decision on the request the
+    /// scope was taken from reads (see [`Scope`]).
+    pub fn expiring_in(&self, scope: &Scope) -> ResourceSet {
+        self.expiring_on(&scope.types).clamp(&scope.window)
+    }
+
+    fn expiring_on<'a>(&self, types: impl IntoIterator<Item = &'a LocatedType>) -> ResourceSet {
         if self.unreserved == 0 {
-            return self
-                .theta
-                .exclude_support_within(&self.reserved, demand.located_types());
+            return self.theta.exclude_support_within(&self.reserved, types);
         }
         // Excluding nothing restricts the simulated set to the types.
         self.expiring_by_simulation()
-            .exclude_support_within(&ResourceSet::new(), demand.located_types())
+            .exclude_support_within(&ResourceSet::new(), types)
     }
 
     /// Simulation fallback for [`State::expiring_resources`]: run the

@@ -6,7 +6,7 @@ use rota_actor::{ActorName, ComplexRequirement, ResourceDemand, SimpleRequiremen
 use rota_interval::{TimeInterval, TimePoint};
 use rota_logic::theorems::accommodate_additional;
 use rota_logic::{
-    exhaustive_schedule_exists, schedule_complex, Commitment, ScheduledSegment, State,
+    exhaustive_schedule_exists, schedule_complex, Commitment, ScheduledSegment, Scope, State,
 };
 use rota_resource::{LocatedType, Location, Quantity, Rate, ResourceSet, ResourceTerm};
 
@@ -176,14 +176,17 @@ proptest! {
 
     /// The reserved profile `State` maintains across accommodate, leave,
     /// evict, step and acquire yields exactly the from-scratch Θ_expire
-    /// after every operation, and the demanded-types view is its
-    /// restriction.
+    /// after every operation, the demanded-types view is its
+    /// restriction, and a scope's view that restriction clamped to the
+    /// scope's window.
     #[test]
     fn incremental_expire_matches_oracle(
         theta in arb_theta(),
         ops in proptest::collection::vec(arb_op(), 1..24),
         probe in arb_requirement(),
+        cut in (0u64..HORIZON, 1u64..6),
     ) {
+        let window = TimeInterval::from_ticks(cut.0, cut.0 + cut.1).unwrap();
         let mut state = State::new(theta, TimePoint::ZERO);
         for (k, op) in ops.iter().enumerate() {
             apply(&mut state, op, ActorName::new(format!("a{k}")));
@@ -191,6 +194,10 @@ proptest! {
             prop_assert_eq!(&full, &expiring_oracle(&state), "after {:?}", op);
             let demand = probe.total_demand();
             prop_assert_eq!(state.expiring_for(&demand), restricted(&full, &demand));
+            prop_assert_eq!(
+                state.expiring_in(&Scope::of(&demand, window)),
+                restricted(&full, &demand).clamp(&window)
+            );
             if state.rho().iter().any(|c| !c.is_reserved()) {
                 prop_assert_eq!(&full, &state.expiring_by_simulation());
             }

@@ -21,7 +21,7 @@
 //! | `metrics` | — | `metrics` (registry snapshot) |
 //! | `shutdown` | — | `bye`, then the server drains and stops |
 //! | `gossip` | `digest` | `gossip-ack` (cluster members only) |
-//! | `cluster-snapshot` | — | `cluster-state` (per-shard epochs + Θ_expire) |
+//! | `cluster-snapshot` | optional `scope` (`types`, `start`, `end`) | `cluster-state` (per-shard epochs + Θ_expire, within the scope when one is given) |
 //! | `prepare` | `name`, `computation`, `granularity`, `basis`, `epochs`, `ttl_ms` | `prepared`, a rejecting `decision`, `stale-epoch`, or `error` |
 //! | `commit-reservation` | `name` | `committed` or `error` |
 //! | `abort-reservation` | `name` | `aborted` |
@@ -40,16 +40,20 @@
 /// Bumped whenever a frame shape changes incompatibly; a server
 /// answers a `hello` carrying any other version with a structured
 /// `version-mismatch` error naming both versions.
-pub const PROTOCOL_VERSION: u64 = 5;
+pub const PROTOCOL_VERSION: u64 = 6;
 
 use std::io::{BufRead, Write};
 
 use rota_actor::Granularity;
 use rota_admission::ControllerStats;
+use rota_logic::Scope;
 use rota_obs::json::Key;
 use rota_obs::Json;
 
-use crate::spec::{resources_from_json, ComputationSpec, Fields, ResourceSpec, SpecError};
+use crate::spec::{
+    resources_from_json, scope_from_json, scope_to_json, ComputationSpec, Fields, ResourceSpec,
+    SpecError,
+};
 
 /// Hard cap on one frame (request or response line), in bytes.
 ///
@@ -175,6 +179,16 @@ pub enum Request {
     /// Ask for the per-shard state epochs and the currently obtainable
     /// resources Θ_expire — the basis a 2PC coordinator merges.
     ClusterSnapshot,
+    /// [`Request::ClusterSnapshot`] within `scope`: the same
+    /// `cluster-snapshot` op carrying a `scope`, answered by the same
+    /// handler with Θ_expire on the scope's located types, clamped to
+    /// its window — all a decision on the request it was taken from
+    /// reads. The epochs are the whole node's, as for the bare op.
+    ScopedSnapshot {
+        /// The demanded located types and the window `[s, d)` of the
+        /// request a two-phase commit is deciding.
+        scope: Scope,
+    },
     /// Phase one of a cross-location admission: tentatively install the
     /// commitments this node's policy derives for `computation` against
     /// the merged `basis`, guarded by a TTL.
@@ -185,7 +199,8 @@ pub enum Request {
         computation: ComputationSpec,
         /// Segmentation granularity for pricing.
         granularity: Granularity,
-        /// The merged cross-node basis (Θ_expire union) to decide
+        /// The merged cross-node basis (Θ_expire union, within the
+        /// request's scope when the snapshots were scoped) to decide
         /// against, in spec form.
         basis: Vec<ResourceSpec>,
         /// Expected per-shard state epochs (from a `cluster-snapshot`);
@@ -252,6 +267,9 @@ impl Request {
             Request::Shutdown => op_obj("shutdown", []),
             Request::Gossip { digest } => op_obj("gossip", [("digest".into(), digest.to_json())]),
             Request::ClusterSnapshot => op_obj("cluster-snapshot", []),
+            Request::ScopedSnapshot { scope } => {
+                op_obj("cluster-snapshot", [("scope".into(), scope_to_json(scope))])
+            }
             Request::Prepare {
                 name,
                 computation,
@@ -342,8 +360,13 @@ impl Request {
                 })
             }
             "cluster-snapshot" => {
-                fields.deny_unknown(&["op"])?;
-                Ok(Request::ClusterSnapshot)
+                fields.deny_unknown(&["op", "scope"])?;
+                Ok(match fields.optional("scope") {
+                    None => Request::ClusterSnapshot,
+                    Some(scope) => Request::ScopedSnapshot {
+                        scope: scope_from_json(scope)?,
+                    },
+                })
             }
             "prepare" => {
                 fields.deny_unknown(&[
@@ -1060,6 +1083,102 @@ mod tests {
                 r#"{{"op":"offer","resources":[{cpu},{{"kind":"cpu","rate":1,"location":"l1","rate":2,"start":0,"end":4}}]}}"#
             )),
             "spec parse error: resources[1]: duplicate field `rate`"
+        );
+    }
+
+    /// A scoped `cluster-snapshot` carries its located types and window
+    /// and decodes to the same scope; the bare frame stays bare.
+    #[test]
+    fn scoped_snapshot_round_trips() {
+        let window = |start, end| rota_interval::TimeInterval::from_ticks(start, end).unwrap();
+        let scope = Scope::new(
+            [
+                LocatedType::network(Location::new("l1"), Location::new("l2")),
+                LocatedType::cpu(Location::new("l2")),
+                LocatedType::memory(Location::new("l1")),
+                LocatedType::cpu(Location::new("l1")),
+            ],
+            window(4, 20),
+        );
+        let line = Request::ScopedSnapshot {
+            scope: scope.clone(),
+        }
+        .to_json()
+        .to_string();
+        assert_eq!(
+            line,
+            r#"{"op":"cluster-snapshot","scope":{"types":[{"kind":"network","from":"l1","to":"l2"},{"kind":"cpu","location":"l2"},{"kind":"memory","location":"l1"},{"kind":"cpu","location":"l1"}],"start":4,"end":20}}"#
+        );
+        match Request::from_line(&line).unwrap() {
+            Request::ScopedSnapshot { scope: back } => assert_eq!(back, scope),
+            other => panic!("wrong decode: {other:?}"),
+        }
+        let empty = Scope::new([], window(0, 1));
+        let line = Request::ScopedSnapshot {
+            scope: empty.clone(),
+        }
+        .to_json()
+        .to_string();
+        assert!(matches!(
+            Request::from_line(&line).unwrap(),
+            Request::ScopedSnapshot { scope } if scope == empty
+        ));
+        assert!(matches!(
+            Request::from_line(r#"{"op":"cluster-snapshot"}"#).unwrap(),
+            Request::ClusterSnapshot
+        ));
+    }
+
+    /// The scope decoder is as strict as a term's: each refusal, word
+    /// for word.
+    #[test]
+    fn scoped_snapshot_refusals_are_pinned() {
+        let refused = |scope: &str| {
+            Request::from_line(&format!(r#"{{"op":"cluster-snapshot","scope":{scope}}}"#))
+                .unwrap_err()
+                .to_string()
+        };
+        let cpu = r#"{"kind":"cpu","location":"l1"}"#;
+        assert_eq!(
+            refused(&format!(
+                r#"{{"types":[{cpu}],"start":0,"end":4,"epoch":2}}"#
+            )),
+            "spec parse error: scope: unknown field `epoch`, expected one of \
+             [\"types\", \"start\", \"end\"]"
+        );
+        assert_eq!(
+            refused(&format!(
+                r#"{{"types":[{cpu},{{"kind":"cpu","location":"l2","rate":1}}],"start":0,"end":4}}"#
+            )),
+            "spec parse error: scope types[1]: unknown field `rate`, expected one of \
+             [\"kind\", \"location\"]"
+        );
+        assert_eq!(
+            refused(&format!(
+                r#"{{"types":[{cpu},{{"kind":"disk","location":"l1"}}],"start":0,"end":4}}"#
+            )),
+            "spec parse error: scope types[1]: unknown resource kind `disk`, \
+             expected `cpu`, `memory`, or `network`"
+        );
+        assert_eq!(
+            refused(&format!(r#"{{"types":[{cpu}],"start":5,"end":5}}"#)),
+            "spec parse error: scope: `end` (5) must follow `start` (5)"
+        );
+        assert_eq!(
+            refused(&format!(r#"{{"types":[{cpu}],"start":6,"end":2}}"#)),
+            "spec parse error: scope: `end` (2) must follow `start` (6)"
+        );
+        assert_eq!(
+            refused(&format!(r#"{{"types":[{cpu}],"start":1.5,"end":4}}"#)),
+            "spec parse error: scope: field `start` must be a non-negative integer"
+        );
+        assert_eq!(
+            refused(&format!(r#"{{"types":[{cpu}],"start":0,"end":"4"}}"#)),
+            "spec parse error: scope: field `end` must be a non-negative integer"
+        );
+        assert_eq!(
+            refused(r#"{"types":{},"start":0,"end":4}"#),
+            "spec parse error: scope: field `types` must be an array"
         );
     }
 

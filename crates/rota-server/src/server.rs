@@ -22,6 +22,7 @@ use std::time::{Duration, Instant};
 
 use rota_actor::TableCostModel;
 use rota_admission::{AdmissionPolicy, AdmissionRequest, Decision};
+use rota_logic::Scope;
 use rota_obs::{DecisionEvent, Journal, Registry};
 use rota_resource::ResourceSet;
 
@@ -115,17 +116,30 @@ impl LocalHandle {
             .unwrap_or_else(draining)
     }
 
-    /// This node's `cluster-snapshot` answer as typed values: the
+    /// This node's bare `cluster-snapshot` answer as typed values: the
     /// per-shard epochs and exactly the specs the wire answer carries
-    /// ([`spec::resource_specs`]), so a coordinator's own slice of a
-    /// two-phase basis never goes through JSON.
+    /// ([`spec::resource_specs`]).
     ///
     /// # Errors
     ///
     /// The message a `cluster-snapshot` would answer with as an error.
     pub fn cluster_state(&self) -> Result<(Vec<u64>, Vec<spec::ResourceSpec>), String> {
+        self.cluster_state_in(None)
+    }
+
+    /// This node's `cluster-snapshot` answer within `scope` (the whole
+    /// node for `None`) as typed values, so a coordinator's own slice
+    /// of a two-phase basis never goes through JSON.
+    ///
+    /// # Errors
+    ///
+    /// The message a `cluster-snapshot` would answer with as an error.
+    pub fn cluster_state_in(
+        &self,
+        scope: Option<&Scope>,
+    ) -> Result<(Vec<u64>, Vec<spec::ResourceSpec>), String> {
         let (epochs, merged) = self
-            .with_pool(ShardPool::cluster_state)
+            .with_pool(|pool| pool.cluster_state(scope))
             .unwrap_or_else(|| Err(DRAINING.into()))?;
         Ok((epochs, spec::resource_specs(&merged)))
     }
@@ -255,14 +269,8 @@ impl Inner {
             Request::Gossip { .. } => Response::Error {
                 message: "not clustered: this node runs no cluster router".into(),
             },
-            Request::ClusterSnapshot => match self.try_pool(ShardPool::cluster_state) {
-                Some(Ok((epochs, merged))) => Response::ClusterState {
-                    epochs,
-                    resources: spec::resource_set_to_json(&merged),
-                },
-                Some(Err(message)) => Response::Error { message },
-                None => draining(),
-            },
+            Request::ClusterSnapshot => self.cluster_state(None),
+            Request::ScopedSnapshot { scope } => self.cluster_state(Some(&scope)),
             Request::Prepare {
                 name,
                 computation,
@@ -312,6 +320,17 @@ impl Inner {
                 Response::Aborted { name, released }
             }),
         }
+    }
+
+    /// Answers `cluster-snapshot`, bare (`None`) or within a scope.
+    fn cluster_state(&self, scope: Option<&Scope>) -> Response {
+        self.with_pool(|pool| match pool.cluster_state(scope) {
+            Ok((epochs, merged)) => Response::ClusterState {
+                epochs,
+                resources: spec::resource_set_to_json(&merged),
+            },
+            Err(message) => Response::Error { message },
+        })
     }
 
     fn with_pool(&self, f: impl FnOnce(&ShardPool) -> Response) -> Response {

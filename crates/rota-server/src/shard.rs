@@ -71,7 +71,7 @@ use rota_admission::{
 };
 use rota_analyze::{prevalidate_request, Report as LintReport, Severity as LintSeverity};
 use rota_interval::TimePoint;
-use rota_logic::State;
+use rota_logic::{Scope, State};
 use rota_obs::{Counter, DecisionEvent, Gauge, Histogram, Journal, Registry};
 use rota_resource::{Location, ResourceSet};
 
@@ -457,15 +457,24 @@ impl ShardPool {
     }
 
     /// Collects every shard's epoch and the resources still available
-    /// after every commitment and tentative reservation, and merges the
-    /// (disjoint) supplies into one resource set — the node's
+    /// after every commitment and tentative reservation — within
+    /// `scope` when one is given, else all of them — and merges the
+    /// (disjoint) supplies into one resource set: the node's
     /// contribution to a 2PC coordinator's basis.
-    pub(crate) fn cluster_state(&self) -> Result<(Vec<u64>, ResourceSet), String> {
+    pub(crate) fn cluster_state(
+        &self,
+        scope: Option<&Scope>,
+    ) -> Result<(Vec<u64>, ResourceSet), String> {
         let mut epochs = Vec::with_capacity(self.shards());
         let mut merged = ResourceSet::new();
         for index in 0..self.shards() {
             let (epoch, theta) = self.locked(index, |state| {
-                (state.epoch, state.controller.state().expiring_resources())
+                let logic = state.controller.state();
+                let theta = match scope {
+                    Some(scope) => logic.expiring_in(scope),
+                    None => logic.expiring_resources(),
+                };
+                (state.epoch, theta)
             })?;
             epochs.push(epoch);
             merged = merged
@@ -1332,7 +1341,7 @@ mod tests {
             ),
             "{kept:?}"
         );
-        let (_, supply_with_only_kept) = pool.cluster_state().unwrap();
+        let (_, supply_with_only_kept) = pool.cluster_state(None).unwrap();
         let lost = pool.admit(request_at("lost", &home, 1, 16));
         assert!(
             matches!(
@@ -1360,7 +1369,7 @@ mod tests {
         assert_eq!(snap.gauge("admission.in_flight{policy=buggy}"), Some(1));
         // Shard 0 came back from its pristine slice and forgot `lost`;
         // shard 1 still holds `kept`.
-        assert_eq!(pool.cluster_state().unwrap().1, supply_with_only_kept);
+        assert_eq!(pool.cluster_state(None).unwrap().1, supply_with_only_kept);
         match pool.stats() {
             Response::Stats { stats, .. } => assert_eq!(stats.accepted, 1, "only `kept` survives"),
             other => panic!("unexpected {other:?}"),
@@ -1573,14 +1582,14 @@ mod tests {
             None,
         );
         let ttl = Duration::from_secs(30);
-        let (epochs, basis) = pool.cluster_state().unwrap();
+        let (epochs, basis) = pool.cluster_state(None).unwrap();
         assert_eq!(epochs, vec![0]);
         assert_eq!(basis, theta, "untouched node offers its full supply");
         // Prepare holds the supply tentatively and bumps the epoch.
         let prepared =
             decide_and_prepare(&pool, request_at("r1", "l0", 1, 16), &basis, &epochs, ttl);
         assert!(matches!(&prepared, Response::Prepared { name } if name == "r1"), "{prepared:?}");
-        let (epochs2, basis2) = pool.cluster_state().unwrap();
+        let (epochs2, basis2) = pool.cluster_state(None).unwrap();
         assert_eq!(epochs2, vec![1]);
         assert_ne!(basis2, theta, "the reservation is excluded from the snapshot");
         // A prepare against the stale basis is refused, not mis-decided.
@@ -1589,18 +1598,18 @@ mod tests {
         // Re-preparing the same name refreshes instead of double-holding.
         let again = decide_and_prepare(&pool, request_at("r1", "l0", 1, 16), &basis, &epochs, ttl);
         assert!(matches!(&again, Response::Prepared { name } if name == "r1"), "{again:?}");
-        assert_eq!(pool.cluster_state().unwrap().0, vec![1], "no second install");
+        assert_eq!(pool.cluster_state(None).unwrap().0, vec![1], "no second install");
         // Commit is permanent and idempotent.
         pool.commit("r1").unwrap();
         pool.commit("r1").unwrap();
         // Abort of a fresh reservation releases its supply.
-        let (epochs3, basis3) = pool.cluster_state().unwrap();
+        let (epochs3, basis3) = pool.cluster_state(None).unwrap();
         let r2 = decide_and_prepare(&pool, request_at("r2", "l0", 1, 16), &basis3, &epochs3, ttl);
         assert!(matches!(r2, Response::Prepared { .. }), "{r2:?}");
         assert!(pool.abort("r2"));
         assert!(!pool.abort("r2"), "second abort finds nothing");
         assert_eq!(
-            pool.cluster_state().unwrap().1,
+            pool.cluster_state(None).unwrap().1,
             basis3,
             "abort restored the supply"
         );
@@ -1628,11 +1637,11 @@ mod tests {
         let pool =
             ShardPool::new(RotaPolicy, &theta, 2, 8, DEDUP_CAPACITY, &registry, &journal, None);
         let ttl = Duration::from_secs(30);
-        let (stale_epochs, _) = pool.cluster_state().unwrap();
+        let (stale_epochs, _) = pool.cluster_state(None).unwrap();
         // An accepted admit on shard 1 moves its epoch, not shard 0's.
         let moved = pool.admit(request_at("mover", &other, 1, 16));
         assert!(matches!(moved, Response::Decision { accepted: true, .. }), "{moved:?}");
-        let (epochs, basis) = pool.cluster_state().unwrap();
+        let (epochs, basis) = pool.cluster_state(None).unwrap();
         assert_eq!(epochs, vec![stale_epochs[0], stale_epochs[1] + 1]);
         let held = request_at("held", &home, 1, 16);
         let stale = decide_and_prepare(&pool, held, &basis, &stale_epochs, ttl);
@@ -1642,7 +1651,7 @@ mod tests {
             }
             other => panic!("expected a stale-epoch answer, got {other:?}"),
         }
-        assert_eq!(pool.cluster_state().unwrap().1, basis, "shard 0 keeps no hold");
+        assert_eq!(pool.cluster_state(None).unwrap().1, basis, "shard 0 keeps no hold");
         let snap = registry.snapshot();
         assert_eq!(snap.gauge("server.shard.reservations{shard=0}"), Some(0));
         assert_eq!(snap.gauge("server.shard.reservations{shard=1}"), Some(0));
@@ -1665,7 +1674,7 @@ mod tests {
             &journal,
             None,
         );
-        let (epochs, basis) = pool.cluster_state().unwrap();
+        let (epochs, basis) = pool.cluster_state(None).unwrap();
         let prepared = decide_and_prepare(
             &pool,
             request_at("t1", "l0", 1, 16),
@@ -1680,7 +1689,7 @@ mod tests {
         let err = pool.commit("t1").unwrap_err();
         assert!(err.contains("expired or never prepared"), "{err}");
         assert_eq!(
-            pool.cluster_state().unwrap().1,
+            pool.cluster_state(None).unwrap().1,
             theta,
             "expiry returned the supply — nothing leaked"
         );
@@ -1750,7 +1759,7 @@ mod tests {
             let theta = theta_at(&[&locations[0], &locations[1]], 4, 16);
             let pool =
                 ShardPool::new(RotaPolicy, &theta, 2, 8, 4, &registry, &journal, None);
-            let first = pool.cluster_state().unwrap();
+            let first = pool.cluster_state(None).unwrap();
             let (mut epochs, mut resources) = first.clone();
             for step in steps {
                 let name = |n: u8| format!("j{n}");
@@ -1782,7 +1791,7 @@ mod tests {
                         pool.stats();
                     }
                     Step::ClusterState => {
-                        pool.cluster_state().unwrap();
+                        pool.cluster_state(None).unwrap();
                     }
                     Step::Panic { shard } => {
                         let restarted: Result<(), String> =
@@ -1790,7 +1799,7 @@ mod tests {
                         prop_assert!(restarted.is_err());
                     }
                 }
-                let (now_epochs, now_resources) = pool.cluster_state().unwrap();
+                let (now_epochs, now_resources) = pool.cluster_state(None).unwrap();
                 if now_epochs == epochs {
                     prop_assert_eq!(&now_resources, &resources, "epochs {:?}", epochs);
                 }

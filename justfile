@@ -69,6 +69,18 @@ bench:
 bench-pair W FIRST N BASE="HEAD":
     bash tools/bench-pair.sh {{W}} {{FIRST}} {{N}} {{BASE}}
 
+# The perf record (ROADMAP item 14): writes BENCH_<NUMBER>.json with each
+# workload's end-to-end medians and IQRs over five fixed seeds, one
+# traced run's `server.request_p50_us` and `cluster.*_p50_us`, and the
+# revision, date, nproc and CPU model. Measures the working tree, or
+# REV when given (built in a temporary `git archive` extract).
+bench-json NUMBER REV="":
+    bash tools/bench-json.sh {{NUMBER}} {{REV}}
+
+# Each metric's ratio between two BENCH_*.json files (B / A).
+bench-diff A B:
+    bash tools/bench-diff.sh {{A}} {{B}}
+
 # E2 on its own: resource-set build cost against term count, type
 # diversity and term order (descending and nested terms on one located
 # type, up to n = 4096), plus the windowed queries.

@@ -1,0 +1,47 @@
+#!/usr/bin/env bash
+# Compares two records written by tools/bench-json.sh.
+#
+#   bash tools/bench-diff.sh BENCH_A.json BENCH_B.json
+#
+# For every workload and metric the two files share, prints A's and B's
+# value and the ratio B / A: for an end-to-end metric the medians, with
+# A's interquartile range beside them, and for a traced per-layer metric
+# the single traced reading. A ratio below 1 is an improvement for a
+# metric where lower is better (latencies, CPU), above 1 for one where
+# higher is better (throughput, ratios); the `better` column names the
+# direction. It only reads the two files and gates nothing.
+set -euo pipefail
+
+if [[ $# -ne 2 ]]; then
+    echo "usage: bash tools/bench-diff.sh BENCH_A.json BENCH_B.json" >&2
+    exit 1
+fi
+python3 - "$1" "$2" <<'EOF'
+import json, sys
+a, b = (json.load(open(path)) for path in sys.argv[1:3])
+for label, path, doc in (("A", sys.argv[1], a), ("B", sys.argv[2], b)):
+    revision = doc["revision"][:12] + ("-dirty" if doc["revision"].endswith("-dirty") else "")
+    print(f"{label}: {path} ({revision}, {doc['date']}, {doc['nproc']} CPUs, {doc['cpu_model']})")
+
+def ratio(x, y):
+    return f"{y / x:.3f}" if x else "-"
+
+for workload, wa in a["workloads"].items():
+    wb = b["workloads"].get(workload)
+    if wb is None:
+        continue
+    print(f"\n{workload}: A correct {wa['correct']}/{wa['runs']} failed {wa['failed']}; "
+          f"B correct {wb['correct']}/{wb['runs']} failed {wb['failed']}")
+    print(f"  {'metric':28} {'A median':>12} {'A IQR':>10} {'B median':>12} {'B/A':>7}  better")
+    for name, ma in wa["end_to_end"].items():
+        mb = wb["end_to_end"].get(name)
+        if mb is None:
+            continue
+        print(f"  {name:28} {ma['median']:12.4g} {ma['iqr']:10.3g} {mb['median']:12.4g} "
+              f"{ratio(ma['median'], mb['median']):>7}  {ma['better']}")
+    for name, va in wa["per_layer"].items():
+        vb = wb["per_layer"].get(name)
+        if va is None or vb is None:
+            continue
+        print(f"  {name:28} {va:12.4g} {'(traced)':>10} {vb:12.4g} {ratio(va, vb):>7}  lower")
+EOF
