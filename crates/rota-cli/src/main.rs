@@ -31,8 +31,9 @@
 //! Each verb has one table of accepted flags ([`VERBS`]): an unknown
 //! flag, a missing value, or a value that does not parse exits `1` with
 //! the usage text. Every verb accepts `--metrics-out <path>`; all but
-//! `serve`, `cluster` and `loadtest` write their run's metric snapshot
-//! and decisions there as JSON.
+//! `loadtest` write their run's metric snapshot and decisions there as
+//! JSON (`serve` once it has drained, `cluster` one document keyed by
+//! node id once `--duration-ms` elapses).
 
 #![forbid(unsafe_code)]
 
@@ -105,7 +106,8 @@ fn print_usage() {
     eprintln!("                [--horizon T] [--slack X] [--shape …] [--gossip-ms N]");
     eprintln!("                [--shards N] [--queue N] [--duration-ms N]   (N-node");
     eprintln!("                federation; each node owns its locations, any node");
-    eprintln!("                accepts any admission)");
+    eprintln!("                accepts any admission; --metrics-out is written per");
+    eprintln!("                node when --duration-ms elapses)");
     eprintln!("  rota loadtest [--policy rota|naive|optimistic|edf|all] [--nodes N]");
     eprintln!("                [--jobs N] [--connections N] [--shape …] [--slack X]");
     eprintln!("                [--granularity …] [--shards N] [--queue N] [--horizon T]");
@@ -121,9 +123,9 @@ fn print_usage() {
     eprintln!("are ridden out, not tallied.");
     eprintln!();
     eprintln!("Every subcommand also accepts --metrics-out <path> to dump its");
-    eprintln!("metric snapshot and decision journal as JSON (serve, cluster and");
-    eprintln!("loadtest accept it but do not write it yet). An unknown flag, or a");
-    eprintln!("value that does not parse, exits 1 with this text.");
+    eprintln!("metric snapshot and decision journal as JSON (loadtest accepts it");
+    eprintln!("but does not write it yet). An unknown flag, or a value that does");
+    eprintln!("not parse, exits 1 with this text.");
     eprintln!();
     eprintln!("FORMULAS (rota holds):");
     eprintln!("  satisfy(cpu@l1:8 in 0..10)    eventually …    always …    not …");
@@ -386,10 +388,17 @@ fn observability_json(registry: &Registry, decisions: &[DecisionEvent]) -> Json 
 /// Honors `--metrics-out <path>`: writes the run's observability JSON.
 /// Returns `false` (printing an error) when the write fails.
 fn write_metrics_out(args: &Args, registry: &Registry, decisions: &[DecisionEvent]) -> bool {
+    write_metrics_doc(args, || observability_json(registry, decisions))
+}
+
+/// Writes the document `doc` builds to the `--metrics-out` path, if
+/// one was given. Returns `false` (printing an error) when the write
+/// fails.
+fn write_metrics_doc(args: &Args, doc: impl FnOnce() -> Json) -> bool {
     let Some(path) = args.get("--metrics-out") else {
         return true;
     };
-    let payload = observability_json(registry, decisions).pretty();
+    let payload = doc().pretty();
     match std::fs::write(path, payload + "\n") {
         Ok(()) => {
             eprintln!("(metrics written to {path})");
@@ -922,6 +931,9 @@ fn cmd_serve(args: &Args) -> ExitCode {
     }
     println!("send {{\"op\":\"shutdown\"}} (or drop the process) to stop; draining is graceful");
     handle.wait();
+    if !write_metrics_out(args, &handle.registry(), &handle.journal().snapshot()) {
+        return ExitCode::FAILURE;
+    }
     println!("drained; bye");
     ExitCode::SUCCESS
 }
@@ -1040,8 +1052,24 @@ fn cmd_cluster(args: &Args) -> ExitCode {
     match args.value::<u64>("--duration-ms") {
         Some(ms) => {
             std::thread::sleep(std::time::Duration::from_millis(ms));
+            let written = write_metrics_doc(args, || {
+                Json::Obj(
+                    cluster
+                        .nodes()
+                        .iter()
+                        .map(|node| {
+                            let journal = node.journal().snapshot();
+                            let doc = observability_json(&node.registry(), &journal);
+                            (node.id().to_string().into(), doc)
+                        })
+                        .collect(),
+                )
+            });
             cluster.shutdown();
             println!("duration elapsed; cluster stopped");
+            if !written {
+                return ExitCode::FAILURE;
+            }
         }
         None => {
             println!("(drop the process to stop)");

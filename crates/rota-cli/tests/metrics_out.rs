@@ -1,0 +1,145 @@
+//! `serve` and `cluster` honour `--metrics-out`: through the real
+//! binary, `serve` writes its registry snapshot and decision journal
+//! once it has drained, and `cluster` writes one document keyed by node
+//! id once `--duration-ms` elapses.
+
+use std::io::{BufRead, BufReader};
+use std::net::SocketAddr;
+use std::path::PathBuf;
+use std::process::{Child, Command, Stdio};
+use std::time::{Duration, Instant};
+
+use rota_actor::{ActionKind, ActorComputation, DistributedComputation, Granularity};
+use rota_interval::TimePoint;
+use rota_obs::Json;
+
+/// A fresh path for this test's output file.
+fn out_path(name: &str) -> PathBuf {
+    let path = std::env::temp_dir().join(format!("rota-{name}-{}.json", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    path
+}
+
+/// Waits at most 20 s for the child to exit and returns whether it
+/// succeeded.
+fn wait_bounded(child: &mut Child) -> bool {
+    let deadline = Instant::now() + Duration::from_secs(20);
+    loop {
+        if let Some(status) = child.try_wait().expect("wait") {
+            return status.success();
+        }
+        if Instant::now() > deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("rota-cli did not exit");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+}
+
+fn read_doc(path: &PathBuf) -> Json {
+    let text = std::fs::read_to_string(path).expect("metrics file written");
+    let _ = std::fs::remove_file(path);
+    Json::parse(&text).expect("metrics file is JSON")
+}
+
+fn counter(metrics: &Json, name: &str) -> u64 {
+    metrics
+        .get(name)
+        .and_then(|m| m.get("value"))
+        .and_then(Json::as_u64)
+        .unwrap_or_else(|| panic!("metric {name} missing from snapshot"))
+}
+
+#[test]
+fn serve_writes_metrics_after_it_drains() {
+    let path = out_path("serve");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_rota-cli"))
+        .args([
+            "serve",
+            "--addr",
+            "127.0.0.1:0",
+            "--shards",
+            "1",
+            "--metrics-out",
+        ])
+        .arg(&path)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("binary runs");
+    let mut lines = BufReader::new(child.stdout.take().expect("piped")).lines();
+    let banner = lines
+        .by_ref()
+        .map(|line| line.expect("utf-8"))
+        .find(|line| line.starts_with("serving"))
+        .expect("serve prints its address");
+    // Keep reading, so serve's later lines do not meet a closed pipe.
+    let drain = std::thread::spawn(move || lines.count());
+    let addr: SocketAddr = banner
+        .split_whitespace()
+        .nth(4)
+        .and_then(|word| word.parse().ok())
+        .unwrap_or_else(|| panic!("no address in `{banner}`"));
+
+    let mut client = rota_client::Client::connect(addr).expect("serve accepts");
+    let job = DistributedComputation::new(
+        "metrics-job",
+        vec![ActorComputation::new("metrics-job-a0", "l0").then(ActionKind::evaluate())],
+        TimePoint::ZERO,
+        TimePoint::new(16),
+    )
+    .expect("valid job");
+    client
+        .admit(&job, Granularity::MaximalRun)
+        .expect("decided");
+    client.shutdown().expect("shutdown verb");
+    assert!(wait_bounded(&mut child), "serve exits zero");
+    drain.join().expect("stdout drained");
+
+    let doc = read_doc(&path);
+    let metrics = doc.get("metrics").expect("snapshot present");
+    assert_eq!(counter(metrics, "server.connections.accepted"), 1);
+    let decisions = doc
+        .get("decisions")
+        .and_then(Json::as_array)
+        .expect("journal");
+    assert_eq!(decisions.len(), 1, "{doc}");
+}
+
+#[test]
+fn cluster_writes_one_document_keyed_by_node_id() {
+    let path = out_path("cluster");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_rota-cli"))
+        .args([
+            "cluster",
+            "--nodes",
+            "3",
+            "--gossip-ms",
+            "20",
+            "--duration-ms",
+            "200",
+        ])
+        .arg("--metrics-out")
+        .arg(&path)
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("binary runs");
+    assert!(wait_bounded(&mut child), "cluster exits zero");
+
+    let doc = read_doc(&path);
+    let ids = ["node0", "node1", "node2"];
+    for id in ids {
+        let node = doc.get(id).unwrap_or_else(|| panic!("{id} missing: {doc}"));
+        let metrics = node.get("metrics").expect("snapshot present");
+        for peer in ids.iter().filter(|peer| **peer != id) {
+            let gauge = format!("cluster.peer.alive{{peer={peer}}}");
+            assert_eq!(counter(metrics, &gauge), 1, "{id} sees {peer} alive");
+        }
+        assert!(
+            node.get("decisions").and_then(Json::as_array).is_some(),
+            "{id} has a journal"
+        );
+    }
+}

@@ -24,8 +24,9 @@
 //!   compensating aborts. Every peer call reuses a persistent link
 //!   (`links`) instead of dialling per hop.
 //! - [`node`] — [`Cluster::launch`]: bind every node on its slice of
-//!   the supply, patch real addresses into the shared topology, then
-//!   start the gossip runtimes.
+//!   the supply, patch real addresses into the shared topology, prove
+//!   every reachable peer alive with one exchange per node pair, then
+//!   start the gossip runtimes that keep membership.
 //!
 //! ## Why the federation is sound
 //!

@@ -2,20 +2,28 @@
 //!
 //! [`Cluster::launch`] starts one `rota-server` per topology node, each
 //! serving the slice of the supply its node owns and mounting a
-//! [`ClusterRouter`] as its request hook. Launch is two-phase so
-//! ephemeral ports work: first every server binds (recording its real
-//! address into the shared topology), then every node's gossip runtime
-//! starts — so the first gossip round already knows where everyone
-//! lives.
+//! [`ClusterRouter`] as its request hook. Launch proves membership
+//! before it returns, in three steps so ephemeral ports work: first
+//! every server binds (recording its real address into the shared
+//! topology); then, for every pair of nodes, the first in topology
+//! order dials the second and the two exchange digests once, so each
+//! reachable peer is heard directly at round 0 and the federation is
+//! live when launch returns; then every node's gossip runtime starts.
+//! Liveness is still earned by a dial and a `hello`, never assumed: a
+//! peer unreachable at launch stays suspect until a gossip round
+//! proves it alive.
 //!
-//! The gossip runtime is one thread per node: every `gossip_interval`
-//! it starts the engine's next round, picks the round's seeded target,
-//! looks the target's address up in the topology, and exchanges
-//! digests with it over the wire (`hello` handshake first, so version
-//! mismatches surface as structured errors). The engine is the node's
-//! one source of liveness: the router, [`ClusterNode::is_alive`] and
-//! the per-peer `cluster.peer.alive{peer=...}` gauges in the node's
-//! registry all ask it.
+//! The gossip runtime is one thread per node, and it keeps membership:
+//! every `gossip_interval` it starts the engine's next round, picks the
+//! round's seeded target, looks the target's address up in the
+//! topology, and exchanges digests with it over the wire (`hello`
+//! handshake first, so version mismatches surface as structured
+//! errors). The engine is the node's one source of liveness: the
+//! router, [`ClusterNode::is_alive`] and the per-peer
+//! `cluster.peer.alive{peer=...}` gauges in the node's registry all
+//! ask it. Stopping a node is prompt: its runtime waits for the next
+//! round on a channel the node drops, so it wakes and ends at once
+//! instead of sleeping out the interval.
 //!
 //! Test hooks: [`Cluster::partition`] cuts a node off the gossip
 //! plane deterministically — its runtime stops dialing out and its
@@ -27,12 +35,13 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::io;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use rota_admission::AdmissionPolicy;
-use rota_obs::Histogram;
+use rota_obs::{DecisionEvent, Histogram, Journal, Registry};
 use rota_resource::ResourceSet;
 use rota_server::{FaultPlan, Request, Response, Server, ServerConfig, ServerHandle};
 
@@ -88,7 +97,8 @@ pub struct ClusterNode {
     handle: ServerHandle,
     engine: Arc<Mutex<GossipEngine>>,
     partitioned: Arc<AtomicBool>,
-    stop: Arc<AtomicBool>,
+    /// Dropping it wakes the gossip runtime out of its wait and ends it.
+    stop: Option<mpsc::Sender<()>>,
     gossip_thread: Option<JoinHandle<()>>,
 }
 
@@ -113,13 +123,23 @@ impl ClusterNode {
     pub fn alive_nodes(&self) -> BTreeSet<String> {
         lock(&self.engine).alive_set()
     }
+
+    /// The node's metrics registry, shared by its server and router.
+    pub fn registry(&self) -> Arc<Registry> {
+        self.handle.registry()
+    }
+
+    /// The node's journal of admit/reject decision events.
+    pub fn journal(&self) -> Arc<Journal<DecisionEvent>> {
+        self.handle.journal()
+    }
 }
 
-/// Dropping a node stops it: gossip runtime first, then (as its
-/// server handle drops) its server.
+/// Dropping a node stops it: gossip runtime first (woken at once, not
+/// after its interval), then (as its server handle drops) its server.
 impl Drop for ClusterNode {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
+        drop(self.stop.take());
         if let Some(thread) = self.gossip_thread.take() {
             let _ = thread.join();
         }
@@ -195,10 +215,18 @@ impl Cluster {
             write(&shared).set_addr(&spec.id, &handle.local_addr().to_string());
             nodes.push((spec.id.clone(), handle, engine, partitioned));
         }
-        // Phase two: every address is known; start the gossip runtimes.
+        // Phase two: every address is known; one exchange per pair
+        // proves each reachable peer alive at round 0. A failed
+        // exchange leaves the pair suspect for the rounds to settle.
+        for (i, (_, _, engine, _)) in nodes.iter().enumerate() {
+            for (peer, ..) in &nodes[i + 1..] {
+                exchange(&shared, engine, peer, config.peer_timeout);
+            }
+        }
+        // Phase three: start the gossip runtimes, which keep it.
         let mut running = Vec::new();
         for (id, handle, engine, partitioned) in nodes {
-            let stop = Arc::new(AtomicBool::new(false));
+            let (stop, stopped) = mpsc::channel();
             let thread = spawn_gossip_runtime(
                 Arc::clone(&shared),
                 Arc::clone(&engine),
@@ -206,14 +234,14 @@ impl Cluster {
                 config.gossip_interval,
                 config.peer_timeout,
                 Arc::clone(&partitioned),
-                Arc::clone(&stop),
+                stopped,
             )?;
             running.push(ClusterNode {
                 id,
                 handle,
                 engine,
                 partitioned,
-                stop,
+                stop: Some(stop),
                 gossip_thread: Some(thread),
             });
         }
@@ -286,8 +314,10 @@ impl Cluster {
     pub fn shutdown(self) {}
 }
 
-/// One node's gossip loop: start the engine's next round, exchange
-/// digests with the round's seeded target, refresh the liveness gauges.
+/// One node's gossip loop: once per `interval`, start the engine's
+/// next round, exchange digests with the round's seeded target and
+/// refresh the liveness gauges. It ends as soon as `stop`'s sender is
+/// dropped.
 fn spawn_gossip_runtime(
     topology: SharedTopology,
     engine: Arc<Mutex<GossipEngine>>,
@@ -295,7 +325,7 @@ fn spawn_gossip_runtime(
     interval: Duration,
     peer_timeout: Duration,
     partitioned: Arc<AtomicBool>,
-    stop: Arc<AtomicBool>,
+    stop: mpsc::Receiver<()>,
 ) -> io::Result<JoinHandle<()>> {
     let registry = handle.registry();
     let round_ns: Arc<Histogram> =
@@ -315,36 +345,27 @@ fn spawn_gossip_runtime(
     std::thread::Builder::new()
         .name(format!("rota-gossip-{me}"))
         .spawn(move || {
-            while !stop.load(Ordering::SeqCst) {
-                std::thread::sleep(interval);
-                if stop.load(Ordering::SeqCst) {
-                    break;
+            let refresh_gauges = || {
+                let engine = lock(&engine);
+                for (peer, gauge) in &peer_gauges {
+                    gauge.set(i64::from(engine.alive(peer)));
                 }
+            };
+            // Launch already proved the reachable peers alive.
+            refresh_gauges();
+            while let Err(RecvTimeoutError::Timeout) = stop.recv_timeout(interval) {
                 let started = Instant::now();
                 // Rounds advance even while partitioned, so the cut-off
                 // node's own suspicion arithmetic keeps moving too.
-                let (target, outbound) = {
+                let target = {
                     let mut engine = lock(&engine);
                     engine.beat();
-                    (engine.pick_target(), engine.digest())
+                    engine.pick_target()
                 };
                 if let Some(target) = target.filter(|_| !partitioned.load(Ordering::SeqCst)) {
-                    let addr = read(&topology)
-                        .node(&target)
-                        .map(|node| node.addr.clone())
-                        .unwrap_or_default();
-                    // A still-empty address does not parse: the round
-                    // is skipped.
-                    if let Some(ack) = exchange(&addr, &me, outbound, peer_timeout) {
-                        lock(&engine).absorb(&ack);
-                    }
+                    exchange(&topology, &engine, &target, peer_timeout);
                 }
-                {
-                    let engine = lock(&engine);
-                    for (peer, gauge) in &peer_gauges {
-                        gauge.set(i64::from(engine.alive(peer)));
-                    }
-                }
+                refresh_gauges();
                 round_ns.observe(
                     u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX),
                 );
@@ -352,19 +373,28 @@ fn spawn_gossip_runtime(
         })
 }
 
-/// One wire exchange: handshake, send our digest, absorb the ack's.
+/// One wire exchange with `target` at its topology address: handshake,
+/// send this node's digest, absorb the ack's. A failed exchange (an
+/// address still empty, a dial error, a reset) changes nothing.
 fn exchange(
-    addr: &str,
-    me: &str,
-    digest: rota_server::GossipDigest,
+    topology: &SharedTopology,
+    engine: &Mutex<GossipEngine>,
+    target: &str,
     timeout: Duration,
-) -> Option<rota_server::GossipDigest> {
-    let socket: SocketAddr = addr.parse().ok()?;
-    let mut client = rota_client::Client::connect_timeout(socket, timeout).ok()?;
+) -> Option<()> {
+    let addr: SocketAddr = read(topology).node(target)?.addr.parse().ok()?;
+    let (me, digest) = {
+        let engine = lock(engine);
+        (engine.me().to_string(), engine.digest())
+    };
+    let mut client = rota_client::Client::connect_timeout(addr, timeout).ok()?;
     client.set_io_timeout(crate::links::io_timeout(timeout)).ok()?;
-    client.hello_as(Some(me)).ok()?;
+    client.hello_as(Some(&me)).ok()?;
     match client.call(&Request::Gossip { digest }).ok()? {
-        Response::GossipAck { digest } => Some(digest),
+        Response::GossipAck { digest } => {
+            lock(engine).absorb(&digest);
+            Some(())
+        }
         _ => None,
     }
 }

@@ -1,5 +1,5 @@
-//! End-to-end cluster tests over real TCP: gossip convergence,
-//! location routing (local fast path, forward, 2PC, including an
+//! End-to-end cluster tests over real TCP: a federation live at
+//! launch, gossip convergence, prompt shutdown, location routing (local fast path, forward, 2PC, including an
 //! owner coordinator's in-process reject, idempotent resubmits and
 //! snapshots scoped to the request), offer splitting, the `R0016`
 //! ownership lint, and the version handshake.
@@ -89,6 +89,62 @@ fn gossip_converges() {
         assert_eq!(node.alive_nodes().len(), 3, "node {}", node.id());
     }
     cluster.shutdown();
+}
+
+/// Launch proves membership: rounds are a second apart, so no gossip
+/// round runs during this test, yet every node counts every peer alive
+/// and a spanning admit through a non-owner reaches the policy.
+#[test]
+fn launch_returns_a_live_federation() {
+    let cluster = Cluster::launch(
+        Topology::auto(3),
+        &theta(&["l0", "l1", "l2"]),
+        RotaPolicy,
+        ClusterConfig {
+            gossip_interval: Duration::from_secs(1),
+            ..test_config()
+        },
+    )
+    .unwrap();
+    for node in cluster.nodes() {
+        let alive: Vec<String> = node.alive_nodes().into_iter().collect();
+        assert_eq!(alive, ["node0", "node1", "node2"], "node {}", node.id());
+    }
+    let response = client_for(&cluster, 2)
+        .admit(&job("span", &["l0", "l1"], 16), Granularity::MaximalRun)
+        .unwrap();
+    match &response {
+        Response::Decision { accepted, reason, .. } => {
+            assert!(*accepted, "{response:?}");
+            assert!(reason.contains("two-phase commit"), "{reason}");
+        }
+        other => panic!("expected a policy decision, got {other:?}"),
+    }
+    for index in 0..3 {
+        assert_eq!(
+            counter(&cluster, index, "cluster.router.degraded_rejects"),
+            0,
+            "node{index}"
+        );
+    }
+    cluster.shutdown();
+}
+
+/// Stopping a node wakes its gossip runtime at once: shutdown does not
+/// wait out a round per node.
+#[test]
+fn shutdown_does_not_wait_out_the_gossip_interval() {
+    let cluster = launch(
+        3,
+        ClusterConfig {
+            gossip_interval: Duration::from_secs(2),
+            ..test_config()
+        },
+    );
+    let started = Instant::now();
+    cluster.shutdown();
+    let elapsed = started.elapsed();
+    assert!(elapsed < Duration::from_millis(500), "shutdown took {elapsed:?}");
 }
 
 #[test]

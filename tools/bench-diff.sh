@@ -10,6 +10,12 @@
 # metric where lower is better (latencies, CPU), above 1 for one where
 # higher is better (throughput, ratios); the `better` column names the
 # direction. It only reads the two files and gates nothing.
+#
+# It prints both files' dates. Passes taken further apart than one pass
+# lasts (the longer `pass_seconds` of the two, or 4 minutes for a file
+# without it) are records, not evidence: on a 2-vCPU VM a repeat pass
+# over one tree has read 12–37% worse. It says so, and names
+# tools/bench-pair.sh, which alternates the two trees, as the evidence.
 set -euo pipefail
 
 if [[ $# -ne 2 ]]; then
@@ -17,11 +23,19 @@ if [[ $# -ne 2 ]]; then
     exit 1
 fi
 python3 - "$1" "$2" <<'EOF'
-import json, sys
+import datetime, json, sys
 a, b = (json.load(open(path)) for path in sys.argv[1:3])
 for label, path, doc in (("A", sys.argv[1], a), ("B", sys.argv[2], b)):
     revision = doc["revision"][:12] + ("-dirty" if doc["revision"].endswith("-dirty") else "")
     print(f"{label}: {path} ({revision}, {doc['date']}, {doc['nproc']} CPUs, {doc['cpu_model']})")
+apart = abs((datetime.datetime.fromisoformat(b["date"])
+             - datetime.datetime.fromisoformat(a["date"])).total_seconds())
+one_pass = max(a.get("pass_seconds", 240), b.get("pass_seconds", 240))
+print(f"taken {apart / 60:.0f} min apart; one pass lasts {one_pass / 60:.0f} min")
+if apart > one_pass:
+    print("The passes were not taken together, so the ratios below are records, not")
+    print("evidence: a repeat pass over one tree has read 12-37% worse. For evidence,")
+    print("alternate the two trees with tools/bench-pair.sh.")
 
 def ratio(x, y):
     return f"{y / x:.3f}" if x else "-"

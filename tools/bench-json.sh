@@ -15,11 +15,14 @@
 # BENCHMARK.json as the median and interquartile range of those runs,
 # plus how many runs were `correct` and how many admits `failed`. Then
 # one traced run per workload (`--trace 1`, the first seed) records
-# `server.request_p50_us` and every `cluster.*_p50_us` as read.
+# `server.request_p50_us` as read, and, for a workload that runs a
+# cluster (CLUSTER_WORKLOADS below), every `cluster.*_p50_us`: on a
+# `serve` workload admbench files every admit under the direct route,
+# so those figures would be a plain client round trip, not a route.
 #
 # The file, at the repository root, also names the revision (with
-# `-dirty` for a working tree that differs from HEAD), the date, `nproc`,
-# the CPU model and this command. It changes no gate: BENCHMARK.json and
+# `-dirty` for a working tree that differs from HEAD), the date, the
+# pass's length in seconds, `nproc`, the CPU model and this command. It changes no gate: BENCHMARK.json and
 # tools/bench-pair.sh stay the gates; `tools/bench-diff.sh A B` compares
 # two files. Each run's result and record lines are kept in
 # .bench_out/bench-json-NUMBER.jsonl. A pass takes 2–4 minutes on a
@@ -27,6 +30,9 @@
 set -euo pipefail
 
 WORKLOADS=(mixed-small chain-deep cluster-mixed)
+# The workloads admbench runs against `rota-cli cluster` (its
+# `Deployment::Cluster` rows in admbench/src/workload.rs).
+CLUSTER_WORKLOADS=(cluster-mixed)
 SEEDS=(11 12 13 14 15)
 SECONDS_PER_RUN=15
 
@@ -92,9 +98,10 @@ done
 
 cpu_model="$(awk -F': ' '/^model name/ { print $2; exit }' /proc/cpuinfo)"
 python3 - "$out" BENCHMARK.json "BENCH_$number.json" "$number" "$revision" "$(nproc)" \
-    "${cpu_model:-unknown}" "$command" "$SECONDS_PER_RUN" <<'EOF'
+    "${cpu_model:-unknown}" "$command" "$SECONDS_PER_RUN" "$SECONDS" "${CLUSTER_WORKLOADS[*]}" <<'EOF'
 import datetime, json, statistics, sys
-out, bench, path, number, revision, nproc, cpu, command, seconds = sys.argv[1:10]
+out, bench, path, number, revision, nproc, cpu, command, seconds, elapsed, clusters = sys.argv[1:12]
+clusters = clusters.split()
 runs = [json.loads(line) for line in open(out)]
 metrics = json.load(open(bench))["end_to_end"]
 
@@ -122,7 +129,8 @@ for workload in dict.fromkeys(run["workload"] for run in runs):
     for run in traced:
         for name, metric in ((run["result"] or {}).get("metrics") or {}).items():
             if name == "server.request_p50_us" or (
-                    name.startswith("cluster.") and name.endswith("_p50_us")):
+                    workload in clusters
+                    and name.startswith("cluster.") and name.endswith("_p50_us")):
                 per_layer[name] = metric.get("value")
     workloads[workload] = {
         "seeds": [r["seed"] for r in plain],
@@ -138,6 +146,7 @@ doc = {
     "number": int(number),
     "revision": revision,
     "date": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
+    "pass_seconds": int(elapsed),
     "nproc": int(nproc),
     "cpu_model": cpu,
     "command": command,
