@@ -2,6 +2,7 @@
 //! deadline-miss accounting.
 
 use core::fmt;
+use std::collections::HashMap;
 
 use rota_actor::ActorName;
 use rota_interval::TimePoint;
@@ -106,10 +107,12 @@ pub struct AdmissionController<P> {
     policy: P,
     strategy: ExecutionStrategy,
     stats: ControllerStats,
-    // Per admitted *request*: its actors and its deadline, for miss
-    // accounting (the State reaps completed commitments silently; a
-    // request completes when all of its actors have).
-    in_flight: Vec<(Vec<ActorName>, TimePoint)>,
+    // Per admitted *request*, keyed by its actors: its deadline, for
+    // miss accounting (the State reaps completed commitments silently; a
+    // request completes when all of its actors have), and how many
+    // admitted requests have exactly those actors. ρ keeps actor names
+    // unique, so that is one, except for requests without actors.
+    in_flight: HashMap<Vec<ActorName>, (TimePoint, usize)>,
     obs: Option<AdmissionObs>,
     // The most recent submit verdict, so `explain` works without an
     // attached observability bundle (with one, the journal holds it).
@@ -125,7 +128,7 @@ impl<P: AdmissionPolicy> AdmissionController<P> {
             policy,
             strategy: ExecutionStrategy::default(),
             stats: ControllerStats::default(),
-            in_flight: Vec::new(),
+            in_flight: HashMap::new(),
             obs: None,
             last_decision: None,
         }
@@ -245,9 +248,10 @@ impl<P: AdmissionPolicy> AdmissionController<P> {
         deadline: TimePoint,
     ) -> Result<(), TransitionError> {
         let mut installed: Vec<ActorName> = Vec::with_capacity(commitments.len());
-        for c in &commitments {
-            match self.state.accommodate(c.clone()) {
-                Ok(_) => installed.push(c.actor().clone()),
+        for c in commitments {
+            let actor = c.actor().clone();
+            match self.state.accommodate(c) {
+                Ok(_) => installed.push(actor),
                 Err(err) => {
                     for actor in &installed {
                         self.state.evict(actor);
@@ -256,7 +260,7 @@ impl<P: AdmissionPolicy> AdmissionController<P> {
                 }
             }
         }
-        self.in_flight.push((installed, deadline));
+        self.in_flight.entry(installed).or_insert((deadline, 0)).1 += 1;
         self.stats.accepted += 1;
         if let Some(obs) = &self.obs {
             obs.add_in_flight(1);
@@ -270,20 +274,29 @@ impl<P: AdmissionPolicy> AdmissionController<P> {
     /// enforces the paper's leave-rule guard). Returns `true` when the
     /// computation was known and its commitments were evicted; the
     /// `accepted` counter is rolled back so an aborted prepare leaves no
-    /// accounting trace.
+    /// accounting trace. Finding it costs O(actors), not a scan of the
+    /// in-flight requests.
     pub fn withdraw(&mut self, actors: &[ActorName]) -> bool {
-        let Some(pos) = self
-            .in_flight
-            .iter()
-            .position(|(flight, _)| flight == actors)
-        else {
+        if !self.forget_in_flight(actors) {
             return false;
-        };
+        }
         for actor in actors {
             self.state.evict(actor);
         }
-        self.in_flight.remove(pos);
         self.stats.accepted = self.stats.accepted.saturating_sub(1);
+        true
+    }
+
+    /// Drops one in-flight request with exactly `actors`, if there is
+    /// one.
+    fn forget_in_flight(&mut self, actors: &[ActorName]) -> bool {
+        let Some((deadline, count)) = self.in_flight.remove(actors) else {
+            return false;
+        };
+        if count > 1 {
+            self.in_flight
+                .insert(actors.to_vec(), (deadline, count - 1));
+        }
         if let Some(obs) = &self.obs {
             obs.add_in_flight(-1);
         }
@@ -358,30 +371,30 @@ impl<P: AdmissionPolicy> AdmissionController<P> {
     /// the dead commitment is evicted so it stops consuming resources).
     fn settle(&mut self) {
         let now = self.state.now();
-        let before = self.in_flight.len();
-        let mut still = Vec::with_capacity(before);
-        for (actors, deadline) in std::mem::take(&mut self.in_flight) {
-            let all_done = actors.iter().all(|a| self.state.rho().get(a).is_none());
-            if all_done {
-                self.stats.completed += 1;
+        let (state, stats) = (&mut self.state, &mut self.stats);
+        let mut resolved = 0;
+        self.in_flight.retain(|actors, &mut (deadline, count)| {
+            if actors.iter().all(|a| state.rho().get(a).is_none()) {
+                stats.completed += count as u64;
             } else if now >= deadline {
-                for a in &actors {
-                    self.state.evict(a);
+                for a in actors {
+                    state.evict(a);
                 }
-                self.stats.missed += 1;
+                stats.missed += count as u64;
             } else {
-                still.push((actors, deadline));
+                return true;
             }
-        }
-        self.in_flight = still;
+            resolved += count;
+            false
+        });
         if let Some(obs) = &self.obs {
-            obs.add_in_flight(-((before - self.in_flight.len()) as i64));
+            obs.add_in_flight(-(resolved as i64));
         }
     }
 
     /// Number of admitted computations still executing.
     pub fn in_flight(&self) -> usize {
-        self.in_flight.len()
+        self.in_flight.values().map(|&(_, count)| count).sum()
     }
 
     /// Total resource units actually delivered to admitted work — the
@@ -396,13 +409,9 @@ impl<P: AdmissionPolicy> AdmissionController<P> {
     /// and changes nothing if the computation is unknown or any actor has
     /// already started.
     pub fn cancel(&mut self, actors: &[ActorName]) -> bool {
-        let Some(pos) = self
-            .in_flight
-            .iter()
-            .position(|(flight, _)| flight == actors)
-        else {
+        if !self.in_flight.contains_key(actors) {
             return false;
-        };
+        }
         // All-or-nothing: check every guard before removing anyone.
         let can_leave = actors.iter().all(|a| {
             self.state
@@ -417,11 +426,8 @@ impl<P: AdmissionPolicy> AdmissionController<P> {
         for a in actors {
             self.state.leave(a).expect("guards checked above");
         }
-        self.in_flight.remove(pos);
+        self.forget_in_flight(actors);
         self.stats.withdrawn += 1;
-        if let Some(obs) = &self.obs {
-            obs.add_in_flight(-1);
-        }
         true
     }
 }
@@ -619,6 +625,27 @@ mod tests {
                 ..
             }
         ));
+    }
+
+    #[test]
+    fn withdraw_evicts_exactly_its_actors_and_rolls_back_once() {
+        let mut ctl = AdmissionController::new(RotaPolicy, cpu_theta(4, 0, 64), TimePoint::ZERO);
+        for i in 0..6 {
+            assert!(ctl.submit(&request(&format!("job{i}"), 1, 0, 64)).is_accept());
+        }
+        let actors = |i: usize| vec![ActorName::new(format!("job{i}-actor"))];
+        let expiring = ctl.state().expiring_resources();
+        assert!(ctl.withdraw(&actors(3)));
+        assert_eq!((ctl.stats().accepted, ctl.in_flight()), (5, 5));
+        let rho: Vec<&ActorName> = ctl.state().rho().iter().map(|c| c.actor()).collect();
+        let kept: Vec<ActorName> = [0, 1, 2, 4, 5].iter().map(|&i| actors(i).remove(0)).collect();
+        assert_eq!(rho, kept.iter().collect::<Vec<_>>(), "the others keep their order");
+        assert!(ctl.state().expiring_resources().dominates(&expiring));
+        // A second withdraw of the same computation finds nothing.
+        assert!(!ctl.withdraw(&actors(3)));
+        assert_eq!((ctl.stats().accepted, ctl.in_flight()), (5, 5));
+        ctl.run_until(TimePoint::new(64));
+        assert_eq!((ctl.stats().completed, ctl.stats().missed), (5, 0));
     }
 
     #[test]

@@ -134,7 +134,8 @@ impl AdmissionPolicy for RotaPolicy {
         if state.now() >= request.deadline() {
             return Decision::Reject(RejectReason::DeadlinePassed);
         }
-        let expiring = state.expiring_for(&request.requirement().total_demand());
+        let demand = request.requirement().total_demand();
+        let expiring = state.expiring_in(demand.located_types(), request.window());
         match schedule_concurrent(&expiring, request.requirement(), state.now()) {
             Ok(schedules) => {
                 let commitments = schedules

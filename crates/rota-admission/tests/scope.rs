@@ -11,7 +11,7 @@ use proptest::test_runner::TestRng;
 use rota_actor::{
     ActionKind, ActorComputation, DistributedComputation, Granularity, TableCostModel,
 };
-use rota_admission::{standard_policies, AdmissionRequest};
+use rota_admission::{standard_policies, AdmissionPolicy, AdmissionRequest, Decision, RotaPolicy};
 use rota_interval::{TimeInterval, TimePoint};
 use rota_logic::{Scope, State};
 use rota_resource::{LocatedType, Location, Rate, ResourceSet, ResourceTerm};
@@ -77,16 +77,24 @@ fn arb_request() -> impl Strategy<Value = (Vec<Actor>, u64, u64)> {
     (proptest::collection::vec(actor, 1..4), 0u64..16, 1u64..15)
 }
 
-fn request((actors, start, span): &(Vec<Actor>, u64, u64)) -> AdmissionRequest {
+fn request(shape: &(Vec<Actor>, u64, u64)) -> AdmissionRequest {
+    named_request("", shape)
+}
+
+/// [`request`] with every actor name prefixed by `tag`, so requests with
+/// different tags can be committed side by side.
+fn named_request(tag: &str, (actors, start, span): &(Vec<Actor>, u64, u64)) -> AdmissionRequest {
     let actors = actors
         .iter()
         .enumerate()
         .map(|(i, (origin, actions))| {
-            let mut gamma = ActorComputation::new(format!("a{i}"), location(*origin));
+            let mut gamma = ActorComputation::new(format!("{tag}a{i}"), location(*origin));
             for &(verb, at, work) in actions {
                 gamma.push(match verb {
                     0..=2 => ActionKind::evaluate_units(work),
-                    3 => ActionKind::send(format!("a{}", (i + 1) % actors.len()), location(at)),
+                    3 => {
+                        ActionKind::send(format!("{tag}a{}", (i + 1) % actors.len()), location(at))
+                    }
                     _ => ActionKind::migrate(location(at)),
                 });
             }
@@ -94,7 +102,7 @@ fn request((actors, start, span): &(Vec<Actor>, u64, u64)) -> AdmissionRequest {
         })
         .collect();
     let lambda = DistributedComputation::new(
-        "job",
+        format!("{tag}job"),
         actors,
         TimePoint::new(*start),
         TimePoint::new(start + span),
@@ -111,7 +119,26 @@ fn scope_of(request: &AdmissionRequest) -> Scope {
 /// `basis` restricted to `scope`, as a participant's shards answer a
 /// scoped snapshot: Θ_expire of the state, within the scope.
 fn scoped(basis: &ResourceSet, scope: &Scope) -> ResourceSet {
-    State::new(basis.clone(), TimePoint::ZERO).expiring_in(scope)
+    State::new(basis.clone(), TimePoint::ZERO).expiring_in(scope.types(), scope.window())
+}
+
+/// A live state: `basis` with each of `earlier` that ROTA accepts
+/// committed in turn, then `ticks` greedy steps.
+fn live_state(basis: ResourceSet, earlier: &[(Vec<Actor>, u64, u64)], ticks: u64) -> State {
+    let mut state = State::new(basis, TimePoint::ZERO);
+    for (k, shape) in earlier.iter().enumerate() {
+        let request = named_request(&format!("e{k}"), shape);
+        if let Decision::Accept(commitments) = RotaPolicy.decide(&state, &request) {
+            for commitment in commitments {
+                state.accommodate(commitment).unwrap();
+            }
+        }
+    }
+    for _ in 0..ticks {
+        let assignments = state.greedy_assignments();
+        state.step(&assignments).unwrap();
+    }
+    state
 }
 
 proptest! {
@@ -130,6 +157,26 @@ proptest! {
             let on_scope = row.policy.decide(&State::new(scoped.clone(), TimePoint::ZERO), &request);
             prop_assert_eq!(on_whole, on_scope, "policy {}", row.name);
         }
+    }
+
+    /// On a live state, where commitments hold reserved ticks and time
+    /// has moved, ROTA's window-bounded decision equals its decision on
+    /// a fresh state over the whole of Θ_expire, the whole-horizon
+    /// reference.
+    #[test]
+    fn rota_decides_a_live_state_as_on_its_whole_expiring_set(
+        terms in arb_basis(),
+        earlier in proptest::collection::vec(arb_request(), 1..6),
+        ticks in 0u64..6,
+        shape in arb_request(),
+    ) {
+        let state = live_state(basis(&terms), &earlier, ticks);
+        let request = request(&shape);
+        let reference = State::new(state.expiring_resources(), state.now());
+        prop_assert_eq!(
+            RotaPolicy.decide(&state, &request),
+            RotaPolicy.decide(&reference, &request)
+        );
     }
 }
 
@@ -169,5 +216,23 @@ fn the_generators_exercise_both_verdicts_and_every_cut() {
     assert!(
         undemanded > 0 && early > 0 && late > 0,
         "{undemanded} {early} {late}"
+    );
+    // The live states hold commitments, and ROTA both accepts and
+    // rejects on them.
+    let (mut committed, mut live_accepts, mut live_rejects) = (0, 0, 0);
+    for _ in 0..300 {
+        let earlier = proptest::collection::vec(arb_request(), 1..6).new_value(&mut rng);
+        let state = live_state(basis(&arb_basis().new_value(&mut rng)), &earlier, 3);
+        committed += usize::from(!state.rho().is_empty());
+        let request = request(&arb_request().new_value(&mut rng));
+        if RotaPolicy.decide(&state, &request).is_accept() {
+            live_accepts += 1;
+        } else {
+            live_rejects += 1;
+        }
+    }
+    assert!(
+        committed >= 100 && live_accepts >= 30 && live_rejects >= 30,
+        "{committed} live states with commitments, {live_accepts} accepts, {live_rejects} rejects"
     );
 }

@@ -1,5 +1,6 @@
-//! E4 — Theorem-4 incremental admission: decision latency vs the number
-//! of computations already committed — plus the observability overhead
+//! E4 — Theorem-4 incremental admission: decision latency, and the whole
+//! submit (decide plus install), vs the number of computations already
+//! committed — plus the observability overhead
 //! check: the same accept path with and without a metrics registry
 //! attached (target: <5% overhead; see EXPERIMENTS.md).
 
@@ -70,6 +71,74 @@ fn bench_admission_vs_committed(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("naive-total", n), &n, |b, _| {
             b.iter(|| black_box(NaiveTotalPolicy.decide(&state, &probe).is_accept()))
+        });
+    }
+    group.finish();
+}
+
+/// Ticks per slot of the fragmented controller: a two-evaluate job needs
+/// 16 units, four ticks at rate 4, so each committed slot reserves its
+/// first half and leaves its second half free.
+const SLOT: u64 = 8;
+
+/// A job on `l0` whose window is slot `k`.
+fn slot_request(name: &str, k: u64) -> AdmissionRequest {
+    let gamma = ActorComputation::new(format!("{name}-actor"), "l0")
+        .then(ActionKind::evaluate())
+        .then(ActionKind::evaluate());
+    AdmissionRequest::price(
+        DistributedComputation::single(
+            name,
+            gamma,
+            TimePoint::new(k * SLOT),
+            TimePoint::new((k + 1) * SLOT),
+        )
+        .expect("slot start < end"),
+        &TableCostModel::paper(),
+        Granularity::MaximalRun,
+    )
+}
+
+/// A controller over one located type, `cpu@l0`, with `n` computations
+/// committed in `n` of the slots `0..=n`, each reserving the first half
+/// of its slot: the reserved profile holds `n` segments spread over the
+/// horizon. The free slot, returned with it, lies in the middle.
+fn fragmented_controller(n: u64) -> (AdmissionController<RotaPolicy>, u64) {
+    let window = rota_interval::TimeInterval::from_ticks(0, (n + 1) * SLOT).expect("valid");
+    let theta = ResourceSet::from_terms([ResourceTerm::new(
+        Rate::new(4),
+        window,
+        LocatedType::cpu(Location::new("l0")),
+    )])
+    .expect("bounded rates");
+    let mut ctl = AdmissionController::new(RotaPolicy, theta, TimePoint::ZERO);
+    let free = n.div_ceil(2);
+    for k in (0..=n).filter(|&k| k != free) {
+        assert!(ctl.submit(&slot_request(&format!("pre{k}"), k)).is_accept());
+    }
+    (ctl, free)
+}
+
+/// E4 carried to the whole admit: `submit` (decide plus install) against
+/// n live commitments whose reservations all lie on the probe's own
+/// located type, so the reserved profile the decision reads and the
+/// install writes has n segments. Each iteration withdraws the probe
+/// again, so the row times submit plus withdraw on an unchanging state.
+fn bench_submit_vs_committed(c: &mut Criterion) {
+    let mut group = c.benchmark_group("e4/submit_vs_committed");
+    group.sample_size(20);
+    for &n in &[1u64, 8, 32, 128, 512, 10_000] {
+        let (mut ctl, free) = fragmented_controller(n);
+        assert_eq!(ctl.state().rho().len() as u64, n, "every pre-committed request fits");
+        let probe = slot_request("probe", free);
+        let actors = probe.actor_names();
+        group.bench_with_input(BenchmarkId::new("rota", n), &n, |b, _| {
+            b.iter(|| {
+                let accepted = ctl.submit(&probe).is_accept();
+                assert!(accepted, "the probe's slot is free");
+                assert!(ctl.withdraw(&actors), "the probe withdraws");
+                black_box(accepted)
+            })
         });
     }
     group.finish();
@@ -158,6 +227,7 @@ fn bench_metrics_overhead(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_admission_vs_committed,
+    bench_submit_vs_committed,
     bench_edf_simulation_cost,
     bench_metrics_overhead
 );

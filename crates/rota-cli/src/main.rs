@@ -896,6 +896,24 @@ fn server_config(args: &Args, addr: SocketAddr) -> ServerConfig {
     }
 }
 
+/// Writes one line to stdout, ignoring a closed pipe: `serve` and
+/// `cluster` keep running, and exit cleanly, after whoever read their
+/// first lines has gone away.
+macro_rules! say {
+    ($($arg:tt)*) => {
+        say(format_args!($($arg)*))
+    };
+}
+
+fn say(line: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    if let Err(e) = writeln!(std::io::stdout().lock(), "{line}") {
+        if e.kind() != std::io::ErrorKind::BrokenPipe {
+            eprintln!("stdout: {e}");
+        }
+    }
+}
+
 fn cmd_serve(args: &Args) -> ExitCode {
     let policy = chosen_policy(args);
     let addr = args
@@ -914,7 +932,7 @@ fn cmd_serve(args: &Args) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    println!(
+    say!(
         "serving `{}` admission on {} — {} shards, queue {} each, {} resource terms over {} nodes",
         policy.name,
         handle.local_addr(),
@@ -924,17 +942,17 @@ fn cmd_serve(args: &Args) -> ExitCode {
         workload.nodes,
     );
     if let Some(plan) = chaos {
-        println!(
+        say!(
             "CHAOS MODE: injecting faults under seed {} ({plan:?})",
             plan.seed
         );
     }
-    println!("send {{\"op\":\"shutdown\"}} (or drop the process) to stop; draining is graceful");
+    say!("send {{\"op\":\"shutdown\"}} (or drop the process) to stop; draining is graceful");
     handle.wait();
     if !write_metrics_out(args, &handle.registry(), &handle.journal().snapshot()) {
         return ExitCode::FAILURE;
     }
-    println!("drained; bye");
+    say!("drained; bye");
     ExitCode::SUCCESS
 }
 
@@ -1022,7 +1040,7 @@ fn cmd_cluster(args: &Args) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    println!(
+    say!(
         "cluster: {} nodes, {} resource terms, gossip every {}ms (seed {})",
         cluster.nodes().len(),
         theta.term_count(),
@@ -1040,15 +1058,15 @@ fn cmd_cluster(args: &Args) -> ExitCode {
                 .node(node.id())
                 .map(|s| s.locations.join(","))
                 .unwrap_or_default();
-            println!("  {} @ {} owns {}", node.id(), node.addr(), locations);
+            say!("  {} @ {} owns {}", node.id(), node.addr(), locations);
         }
     }
     if cluster.await_converged(std::time::Duration::from_secs(10)) {
-        println!("gossip converged; every node sees every peer alive");
+        say!("gossip converged; every node sees every peer alive");
     } else {
         eprintln!("warning: gossip has not converged after 10s; serving anyway");
     }
-    println!("admit at any node: owners decide locally, cross-location demand two-phase commits");
+    say!("admit at any node: owners decide locally, cross-location demand two-phase commits");
     match args.value::<u64>("--duration-ms") {
         Some(ms) => {
             std::thread::sleep(std::time::Duration::from_millis(ms));
@@ -1066,13 +1084,13 @@ fn cmd_cluster(args: &Args) -> ExitCode {
                 )
             });
             cluster.shutdown();
-            println!("duration elapsed; cluster stopped");
+            say!("duration elapsed; cluster stopped");
             if !written {
                 return ExitCode::FAILURE;
             }
         }
         None => {
-            println!("(drop the process to stop)");
+            say!("(drop the process to stop)");
             loop {
                 std::thread::sleep(std::time::Duration::from_secs(1));
             }

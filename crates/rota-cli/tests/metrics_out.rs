@@ -107,6 +107,48 @@ fn serve_writes_metrics_after_it_drains() {
     assert_eq!(decisions.len(), 1, "{doc}");
 }
 
+/// A `serve` whose stdout reader has gone away still drains, writes
+/// its metrics and exits zero: the lines it prints after the banner
+/// meet a closed pipe and are dropped.
+#[test]
+fn serve_exits_zero_after_its_stdout_reader_leaves() {
+    let path = out_path("serve-closed-stdout");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_rota-cli"))
+        .args([
+            "serve",
+            "--addr",
+            "127.0.0.1:0",
+            "--shards",
+            "1",
+            "--metrics-out",
+        ])
+        .arg(&path)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("binary runs");
+    let mut lines = BufReader::new(child.stdout.take().expect("piped")).lines();
+    let banner = lines
+        .by_ref()
+        .map(|line| line.expect("utf-8"))
+        .find(|line| line.starts_with("serving"))
+        .expect("serve prints its address");
+    drop(lines);
+    let addr: SocketAddr = banner
+        .split_whitespace()
+        .nth(4)
+        .and_then(|word| word.parse().ok())
+        .unwrap_or_else(|| panic!("no address in `{banner}`"));
+
+    rota_client::Client::connect(addr)
+        .expect("serve accepts")
+        .shutdown()
+        .expect("shutdown verb");
+    assert!(wait_bounded(&mut child), "serve exits zero");
+    let doc = read_doc(&path);
+    assert!(doc.get("metrics").is_some(), "{doc}");
+}
+
 #[test]
 fn cluster_writes_one_document_keyed_by_node_id() {
     let path = out_path("cluster");

@@ -461,7 +461,8 @@ fn a_spanning_admit_snapshots_only_its_scope() {
     let mut in_scope = 0;
     for index in [0, 1] {
         let whole = snapshot_set(&cluster, index, &Request::ClusterSnapshot);
-        let expected = State::new(whole.clone(), TimePoint::ZERO).expiring_in(&scope);
+        let expected = State::new(whole.clone(), TimePoint::ZERO)
+            .expiring_in(scope.types(), scope.window());
         assert_eq!(
             snapshot_set(&cluster, index, &scoped),
             expected,

@@ -15,7 +15,7 @@
 //! contend.
 
 use core::fmt;
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 
 use rota_actor::{ActorName, ResourceDemand, SimpleRequirement};
 use rota_interval::TimePoint;
@@ -265,18 +265,20 @@ impl fmt::Display for Commitment {
 }
 
 /// The full `ρ` of a state: every admitted actor's commitment, in
-/// admission order.
+/// admission order, with each actor's slot in that order kept beside it
+/// so that looking an actor up does not scan.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Commitments {
     entries: Vec<Commitment>,
+    // Each actor's first entry. Derived from `entries`: appending keeps
+    // it, a removal re-indexes the entries from the first one removed.
+    slots: HashMap<ActorName, usize>,
 }
 
 impl Commitments {
     /// No commitments.
     pub fn new() -> Self {
-        Commitments {
-            entries: Vec::new(),
-        }
+        Commitments::default()
     }
 
     /// Whether no actor is committed.
@@ -284,35 +286,71 @@ impl Commitments {
         self.entries.is_empty()
     }
 
-    /// Number of committed actors.
+    /// Number of commitments.
     pub fn len(&self) -> usize {
         self.entries.len()
     }
 
-    /// Adds a commitment.
+    /// Adds a commitment at the end of the admission order.
     pub fn push(&mut self, commitment: Commitment) {
+        self.slots
+            .entry(commitment.actor().clone())
+            .or_insert(self.entries.len());
         self.entries.push(commitment);
     }
 
     /// Removes (and returns) every commitment for `actor`.
     pub fn remove_actor(&mut self, actor: &ActorName) -> Vec<Commitment> {
+        let Some(&first) = self.slots.get(actor) else {
+            return Vec::new();
+        };
+        self.unindex(first);
         let mut removed = Vec::new();
-        self.entries.retain(|c| {
+        for c in self.entries.split_off(first) {
             if c.actor() == actor {
-                removed.push(c.clone());
-                false
+                removed.push(c);
             } else {
-                true
+                self.entries.push(c);
             }
-        });
+        }
+        self.index(first);
         removed
     }
 
     /// Drops completed commitments, returning how many finished.
     pub fn reap_complete(&mut self) -> usize {
+        let Some(first) = self.entries.iter().position(Commitment::is_complete) else {
+            return 0;
+        };
+        self.unindex(first);
         let before = self.entries.len();
         self.entries.retain(|c| !c.is_complete());
+        self.index(first);
         before - self.entries.len()
+    }
+
+    /// Forgets the slots of the entries from `from` on, which are about
+    /// to move.
+    fn unindex(&mut self, from: usize) {
+        for c in &self.entries[from..] {
+            match self.slots.remove(c.actor()) {
+                // An earlier entry of the same actor stays first.
+                Some(slot) if slot < from => {
+                    self.slots.insert(c.actor().clone(), slot);
+                }
+                _ => {}
+            }
+        }
+    }
+
+    /// Records the slot of each actor whose first entry lies from `from`
+    /// on.
+    fn index(&mut self, from: usize) {
+        for (slot, c) in self.entries.iter().enumerate().skip(from) {
+            if !self.slots.contains_key(c.actor()) {
+                self.slots.insert(c.actor().clone(), slot);
+            }
+        }
     }
 
     /// Iterates over commitments in admission order.
@@ -320,19 +358,17 @@ impl Commitments {
         self.entries.iter()
     }
 
-    /// Mutable iteration for the transition rules.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut Commitment> {
-        self.entries.iter_mut()
-    }
-
     /// The first commitment for `actor`, if present.
     pub fn get(&self, actor: &ActorName) -> Option<&Commitment> {
-        self.entries.iter().find(|c| c.actor() == actor)
+        self.slots.get(actor).map(|&slot| &self.entries[slot])
     }
 
-    /// Mutable lookup.
+    /// Mutable lookup. The commitment must stay `actor`'s: replacing it
+    /// with another actor's would leave the lookup pointing at the wrong
+    /// entry.
     pub fn get_mut(&mut self, actor: &ActorName) -> Option<&mut Commitment> {
-        self.entries.iter_mut().find(|c| c.actor() == actor)
+        let slot = *self.slots.get(actor)?;
+        self.entries.get_mut(slot)
     }
 
     /// Aggregate remaining demand across all commitments.
@@ -357,9 +393,11 @@ impl Commitments {
 
 impl FromIterator<Commitment> for Commitments {
     fn from_iter<I: IntoIterator<Item = Commitment>>(iter: I) -> Self {
-        Commitments {
-            entries: iter.into_iter().collect(),
+        let mut rho = Commitments::new();
+        for commitment in iter {
+            rho.push(commitment);
         }
+        rho
     }
 }
 

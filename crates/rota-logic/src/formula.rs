@@ -398,7 +398,7 @@ fn satisfy_simple(state: &State, req: &SimpleRequirement) -> bool {
     let Some(window) = eval_window(req.window(), state.now()) else {
         return req.demand().is_empty();
     };
-    let expiring = state.expiring_for(req.demand()).clamp(&window);
+    let expiring = state.expiring_in(req.demand().located_types(), window);
     SimpleRequirement::new(req.demand().clone(), window).satisfied_by(&expiring)
 }
 
@@ -406,7 +406,8 @@ fn satisfy_complex(state: &State, req: &ComplexRequirement) -> bool {
     let Some(window) = eval_window(req.window(), state.now()) else {
         return req.is_empty();
     };
-    let expiring = state.expiring_for(&req.total_demand()).clamp(&window);
+    let demand = req.total_demand();
+    let expiring = state.expiring_in(demand.located_types(), window);
     let clipped = ComplexRequirement::new(req.segments().to_vec(), window);
     schedule_complex(&expiring, &clipped, state.now()).is_ok()
 }
@@ -415,7 +416,8 @@ fn satisfy_concurrent(state: &State, req: &ConcurrentRequirement) -> bool {
     let Some(window) = eval_window(req.window(), state.now()) else {
         return req.parts().iter().all(ComplexRequirement::is_empty);
     };
-    let expiring = state.expiring_for(&req.total_demand()).clamp(&window);
+    let demand = req.total_demand();
+    let expiring = state.expiring_in(demand.located_types(), window);
     let clipped = ConcurrentRequirement::new(
         req.parts()
             .iter()

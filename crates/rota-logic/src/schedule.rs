@@ -145,7 +145,7 @@ pub fn schedule_complex(
                     // tick's overshoot expires (cannot serve anyone else).
                     let span = TimeInterval::new(cursor, cover_end)
                         .expect("cover extends past the cursor");
-                    let slice = free.clamp(&span).profile(lt);
+                    let slice = free.profile(lt).clamp(&span);
                     for (iv, r) in slice.segments() {
                         reservation
                             .insert(rota_resource::ResourceTerm::new(*r, *iv, lt.clone()))

@@ -30,10 +30,10 @@ use crate::commitment::{Commitment, Commitments};
 
 /// What one admission decision reads of the obtainable resources: the
 /// located types a request `(Λ, s, d)` demands, over its window
-/// `[s, d)`. Theorem 4 places the request only there, so a decision at
-/// any `now ≤ s` on Θ_expire restricted to the scope
-/// ([`State::expiring_in`]) equals the decision on the whole of it — a
-/// two-phase commit's snapshots and basis carry only this slice.
+/// `[s, d)`. Theorem 4 places the request only there, so a decision on
+/// Θ_expire restricted to the scope ([`State::expiring_in`]) equals the
+/// decision on the whole of it — a two-phase commit's snapshots and
+/// basis carry only this slice.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Scope {
     types: Vec<LocatedType>,
@@ -515,28 +515,26 @@ impl State {
         self.expiring_by_simulation()
     }
 
-    /// Θ_expire restricted to the located types `demand` names — all that
-    /// a scheduler placing `demand` reads. On the fast path only those
-    /// types' profiles are touched, so the cost follows the request, not
-    /// the number of live commitments.
-    pub fn expiring_for(&self, demand: &ResourceDemand) -> ResourceSet {
-        self.expiring_on(demand.located_types())
-    }
-
-    /// Θ_expire within `scope`: its located types, clamped to its
-    /// window — the slice of Θ_expire a decision on the request the
-    /// scope was taken from reads (see [`Scope`]).
-    pub fn expiring_in(&self, scope: &Scope) -> ResourceSet {
-        self.expiring_on(&scope.types).clamp(&scope.window)
-    }
-
-    fn expiring_on<'a>(&self, types: impl IntoIterator<Item = &'a LocatedType>) -> ResourceSet {
+    /// Θ_expire within a scope (see [`Scope`]): the located types
+    /// `types`, clamped to `window` — all that a decision on a request
+    /// demanding `types` over `window` reads. On the fast path each
+    /// type's availability and reserved profile are read only where they
+    /// overlap the window, in one pass that allocates only the result,
+    /// so the cost follows the request and its window, not the number of
+    /// live commitments or the length of the horizon.
+    pub fn expiring_in<'a>(
+        &self,
+        types: impl IntoIterator<Item = &'a LocatedType>,
+        window: TimeInterval,
+    ) -> ResourceSet {
         if self.unreserved == 0 {
-            return self.theta.exclude_support_within(&self.reserved, types);
+            return self
+                .theta
+                .exclude_support_within(&self.reserved, types, &window);
         }
-        // Excluding nothing restricts the simulated set to the types.
+        // Excluding nothing restricts the simulated set to the scope.
         self.expiring_by_simulation()
-            .exclude_support_within(&ResourceSet::new(), types)
+            .exclude_support_within(&ResourceSet::new(), types, &window)
     }
 
     /// Simulation fallback for [`State::expiring_resources`]: run the
@@ -916,9 +914,14 @@ mod tests {
             vec![ResourceDemand::single(lt, Quantity::new(q))],
             window(0, d),
         );
-        schedule_complex(&s.expiring_for(&req.total_demand()), &req, s.now())
-            .expect("feasible")
-            .into_commitment(ActorName::new(actor), TimePoint::new(d))
+        let demand = req.total_demand();
+        schedule_complex(
+            &s.expiring_in(demand.located_types(), req.window()),
+            &req,
+            s.now(),
+        )
+        .expect("feasible")
+        .into_commitment(ActorName::new(actor), TimePoint::new(d))
     }
 
     #[test]

@@ -145,10 +145,10 @@ impl Admission {
 /// `(s, d)` — `⋃ Θ_expire` — satisfy its complex requirement.
 ///
 /// The procedure computes `Θ_expire` over the demanded located types
-/// ([`State::expiring_for`]), schedules the new requirement against
-/// it (Theorem 2), and combines the paths by adding the reserved
-/// commitment — the executable form of the paper's concurrent-rule path
-/// combination.
+/// within `(s, d)` ([`State::expiring_in`]), schedules the new
+/// requirement against it (Theorem 2), and combines the paths by adding
+/// the reserved commitment — the executable form of the paper's
+/// concurrent-rule path combination.
 ///
 /// # Errors
 ///
@@ -160,7 +160,8 @@ pub fn accommodate_additional(
     actor: &ActorName,
     requirement: &ComplexRequirement,
 ) -> Result<Admission, InfeasibleError> {
-    let expiring = state.expiring_for(&requirement.total_demand());
+    let demand = requirement.total_demand();
+    let expiring = state.expiring_in(demand.located_types(), requirement.window());
     let schedule = schedule_complex(&expiring, requirement, state.now())?;
     let mut next = state.clone();
     next.accommodate(

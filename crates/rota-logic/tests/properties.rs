@@ -6,7 +6,8 @@ use rota_actor::{ActorName, ComplexRequirement, ResourceDemand, SimpleRequiremen
 use rota_interval::{TimeInterval, TimePoint};
 use rota_logic::theorems::accommodate_additional;
 use rota_logic::{
-    exhaustive_schedule_exists, schedule_complex, Commitment, ScheduledSegment, Scope, State,
+    exhaustive_schedule_exists, schedule_complex, tick_delivery, Commitment, Commitments,
+    ScheduledSegment, Scope, State,
 };
 use rota_resource::{LocatedType, Location, Quantity, Rate, ResourceSet, ResourceTerm};
 
@@ -121,9 +122,14 @@ fn apply(state: &mut State, op: &Op, name: ActorName) {
             .collect::<Vec<_>>()
     };
     let reserved = |state: &State, req: &ComplexRequirement| {
-        schedule_complex(&state.expiring_for(&req.total_demand()), req, now)
-            .ok()
-            .map(|schedule| schedule.segments().to_vec())
+        let demand = req.total_demand();
+        schedule_complex(
+            &state.expiring_in(demand.located_types(), req.window()),
+            req,
+            now,
+        )
+        .ok()
+        .map(|schedule| schedule.segments().to_vec())
     };
     let deadline = TimePoint::new(HORIZON);
     match op {
@@ -176,30 +182,144 @@ proptest! {
 
     /// The reserved profile `State` maintains across accommodate, leave,
     /// evict, step and acquire yields exactly the from-scratch Θ_expire
-    /// after every operation, the demanded-types view is its
-    /// restriction, and a scope's view that restriction clamped to the
-    /// scope's window.
+    /// after every operation, and a scope's view is its restriction to
+    /// the scope's types, clamped to the scope's window. Windows start
+    /// anywhere up to past the supply's horizon and run up to a whole
+    /// horizon long, so they cut through reserved segments, lie wholly
+    /// before the present or after all supply, or cover everything.
     #[test]
     fn incremental_expire_matches_oracle(
         theta in arb_theta(),
         ops in proptest::collection::vec(arb_op(), 1..24),
         probe in arb_requirement(),
-        cut in (0u64..HORIZON, 1u64..6),
+        cut in (0u64..HORIZON + 4, 1u64..=HORIZON + 4),
     ) {
         let window = TimeInterval::from_ticks(cut.0, cut.0 + cut.1).unwrap();
+        let everything = TimeInterval::from_ticks(0, 2 * HORIZON + 8).unwrap();
         let mut state = State::new(theta, TimePoint::ZERO);
         for (k, op) in ops.iter().enumerate() {
             apply(&mut state, op, ActorName::new(format!("a{k}")));
             let full = state.expiring_resources();
             prop_assert_eq!(&full, &expiring_oracle(&state), "after {:?}", op);
             let demand = probe.total_demand();
-            prop_assert_eq!(state.expiring_for(&demand), restricted(&full, &demand));
+            let scope = Scope::of(&demand, window);
             prop_assert_eq!(
-                state.expiring_in(&Scope::of(&demand, window)),
+                state.expiring_in(demand.located_types(), everything),
+                restricted(&full, &demand)
+            );
+            prop_assert_eq!(
+                state.expiring_in(scope.types(), scope.window()),
                 restricted(&full, &demand).clamp(&window)
             );
             if state.rho().iter().any(|c| !c.is_reserved()) {
                 prop_assert_eq!(&full, &state.expiring_by_simulation());
+            }
+        }
+    }
+
+    /// `State`'s actor-keyed ρ agrees with a `Vec` reference kept by
+    /// hand across accommodate, evict, leave, step (its absorptions and
+    /// reaping) and acquire: the same length, the same admission order
+    /// and the same commitment for every actor name, present or not.
+    #[test]
+    fn actor_keyed_rho_matches_vec_reference(
+        theta in arb_theta(),
+        ops in proptest::collection::vec(arb_op(), 1..24),
+    ) {
+        let names: Vec<ActorName> = (0..ops.len()).map(|k| ActorName::new(format!("a{k}"))).collect();
+        let mut state = State::new(theta, TimePoint::ZERO);
+        let mut reference: Vec<Commitment> = Vec::new();
+        for (k, op) in ops.iter().enumerate() {
+            let before = state.clone();
+            let deliveries: Vec<(LocatedType, ActorName, Quantity)> = before
+                .greedy_assignments()
+                .into_iter()
+                .map(|(lt, actor)| {
+                    let rate = before.theta().rate_at(&lt, before.now());
+                    (lt, actor, tick_delivery(rate))
+                })
+                .collect();
+            apply(&mut state, op, names[k].clone());
+            match op {
+                Op::Reserved(_) | Op::Opportunistic(_) | Op::Mixed(_) => {
+                    if let Some(added) = state.rho().get(&names[k]) {
+                        reference.push(added.clone());
+                    }
+                }
+                Op::Leave(_) | Op::Evict(_) => {
+                    reference.retain(|c| state.rho().get(c.actor()).is_some());
+                }
+                Op::Step => {
+                    for (lt, actor, delivered) in deliveries {
+                        if let Some(c) = reference.iter_mut().find(|c| c.actor() == &actor) {
+                            c.absorb(&lt, delivered);
+                        }
+                    }
+                    reference.retain(|c| !c.is_complete());
+                }
+                Op::Acquire(_) => {}
+            }
+            prop_assert_eq!(state.rho().len(), reference.len(), "after {:?}", op);
+            prop_assert!(state.rho().iter().eq(reference.iter()), "after {:?}", op);
+            for name in &names {
+                prop_assert_eq!(
+                    state.rho().get(name),
+                    reference.iter().find(|c| c.actor() == name)
+                );
+            }
+        }
+    }
+
+    /// `Commitments` on its own agrees with a `Vec` reference over push
+    /// (duplicate actors included), `get_mut` absorptions, `remove_actor`
+    /// and `reap_complete`: `get`, `get_mut`, `len`, the removed
+    /// commitments and iteration order.
+    #[test]
+    fn commitments_match_vec_reference(
+        ops in proptest::collection::vec((0u8..4, 0usize..5, 1u64..6), 1..40),
+    ) {
+        let names: Vec<ActorName> = (0..5).map(|k| ActorName::new(format!("a{k}"))).collect();
+        let mut rho = Commitments::new();
+        let mut reference: Vec<Commitment> = Vec::new();
+        for (kind, k, q) in ops {
+            let actor = &names[k];
+            match kind {
+                0 => {
+                    let c = Commitment::opportunistic(
+                        actor.clone(),
+                        [SimpleRequirement::new(
+                            ResourceDemand::single(cpu(0), Quantity::new(q)),
+                            iv(0, HORIZON),
+                        )],
+                        TimePoint::new(HORIZON),
+                    );
+                    rho.push(c.clone());
+                    reference.push(c);
+                }
+                1 => {
+                    let expected: Vec<Commitment> =
+                        reference.iter().filter(|c| c.actor() == actor).cloned().collect();
+                    reference.retain(|c| c.actor() != actor);
+                    prop_assert_eq!(rho.remove_actor(actor), expected);
+                }
+                2 => {
+                    let got = rho.get_mut(actor).map(|c| c.absorb(&cpu(0), Quantity::new(q)));
+                    let want = reference
+                        .iter_mut()
+                        .find(|c| c.actor() == actor)
+                        .map(|c| c.absorb(&cpu(0), Quantity::new(q)));
+                    prop_assert_eq!(got, want);
+                }
+                _ => {
+                    let before = reference.len();
+                    reference.retain(|c| !c.is_complete());
+                    prop_assert_eq!(rho.reap_complete(), before - reference.len());
+                }
+            }
+            prop_assert_eq!(rho.len(), reference.len());
+            prop_assert!(rho.iter().eq(reference.iter()));
+            for name in &names {
+                prop_assert_eq!(rho.get(name), reference.iter().find(|c| c.actor() == name));
             }
         }
     }

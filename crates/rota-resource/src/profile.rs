@@ -14,6 +14,7 @@
 //! queries O(log n) or a single sweep.
 
 use core::fmt;
+use core::ops::Range;
 
 use rota_interval::{IntervalSet, TimeInterval, TimePoint};
 
@@ -89,7 +90,7 @@ impl std::error::Error for InsufficientRateError {}
 
 impl ResourceProfile {
     /// The empty profile (rate 0 everywhere).
-    pub fn new() -> Self {
+    pub const fn new() -> Self {
         ResourceProfile {
             segments: Vec::new(),
         }
@@ -120,7 +121,7 @@ impl ResourceProfile {
     /// rates (null terms are dropped by the caller). The list is cut
     /// into runs of ascending, disjoint segments, each of which already
     /// is a profile, and the runs are summed by balanced pairwise
-    /// merges, each a linear [`zip_with`](ResourceProfile::zip_with).
+    /// merges, each one linear merge.
     /// `n` segments in `r` runs cost O(n log r): one pass when they are
     /// sorted (a canonical basis is), O(n log n) at worst.
     ///
@@ -254,32 +255,15 @@ impl ResourceProfile {
     ///
     /// Returns [`OverflowError`] if a summed rate exceeds `u64`.
     pub fn add(&mut self, interval: TimeInterval, rate: Rate) -> Result<(), OverflowError> {
-        if rate.is_zero() {
-            return Ok(()); // null term
-        }
-        *self = self.sum(&ResourceProfile::segment(interval, rate))?;
+        let patch = self.patch(&ResourceProfile::segment(interval, rate), add_rates)?;
+        self.apply(patch);
         Ok(())
     }
 
     /// The pointwise sum `self + other`.
     pub(crate) fn sum(&self, other: &ResourceProfile) -> Result<ResourceProfile, OverflowError> {
-        self.zip_with(other, |_, have, add| {
-            have.checked_add(add).ok_or(OverflowError)
-        })
-    }
-
-    /// The pointwise difference `self - other`, failing at the first
-    /// instant where `other` exceeds `self`.
-    pub(crate) fn difference(
-        &self,
-        other: &ResourceProfile,
-    ) -> Result<ResourceProfile, InsufficientRateError> {
-        self.zip_with(other, |at, have, sub| {
-            have.checked_sub(sub).ok_or(InsufficientRateError {
-                at,
-                available: have,
-                demanded: sub,
-            })
+        Ok(ResourceProfile {
+            segments: zip(&self.segments, &other.segments, add_rates)?,
         })
     }
 
@@ -296,11 +280,48 @@ impl ResourceProfile {
         interval: TimeInterval,
         rate: Rate,
     ) -> Result<(), InsufficientRateError> {
-        if rate.is_zero() {
-            return Ok(());
-        }
-        *self = self.difference(&ResourceProfile::segment(interval, rate))?;
+        let patch = self.patch(&ResourceProfile::segment(interval, rate), subtract_rates)?;
+        self.apply(patch);
         Ok(())
+    }
+
+    /// The change `op` makes to `self` where `other` is non-zero:
+    /// `op(t, self(t), other(t))` recomputed over the segments of `self`
+    /// that `other`'s span overlaps or meets, and nothing else. The
+    /// segments that meet the span are recomputed too, so that
+    /// [`apply`](ResourceProfile::apply) leaves the profile canonical:
+    /// outside the span `other` is zero and `op` keeps `self`'s rate, so
+    /// the pieces at either end of the patch keep the rates of the
+    /// segments they came from, which differ from any unpatched segment
+    /// they meet. `n` segments in `self`, `m` in `other` and `k` of
+    /// `self`'s under the span cost O(log n + m + k). An error names the
+    /// first instant at which `op` fails, as a whole-profile merge
+    /// would, since `op` cannot fail where `other` is zero.
+    pub(crate) fn patch<E>(
+        &self,
+        other: &ResourceProfile,
+        op: impl Fn(TimePoint, Rate, Rate) -> Result<Rate, E>,
+    ) -> Result<Patch, E> {
+        let (Some((first, _)), Some((last, _))) = (other.segments.first(), other.segments.last())
+        else {
+            return Ok(Patch {
+                range: 0..0,
+                pieces: Vec::new(),
+            });
+        };
+        let lo = self
+            .segments
+            .partition_point(|(iv, _)| iv.end() < first.start());
+        let hi = lo + self.segments[lo..].partition_point(|(iv, _)| iv.start() <= last.end());
+        Ok(Patch {
+            pieces: zip(&self.segments[lo..hi], &other.segments, op)?,
+            range: lo..hi,
+        })
+    }
+
+    /// Splices a [`patch`](ResourceProfile::patch) of this profile in.
+    pub(crate) fn apply(&mut self, patch: Patch) {
+        self.segments.splice(patch.range, patch.pieces);
     }
 
     /// Whether `self` pointwise dominates `other` (can supply at least
@@ -327,30 +348,44 @@ impl ResourceProfile {
         self.segments = out;
     }
 
-    /// Zeroes the profile over every tick covered by `ticks`, keeping the
-    /// rest — the complement of [`clamp`](ResourceProfile::clamp) against
-    /// an arbitrary tick set. Used to mark whole ticks as claimed: ROTA's
-    /// transition rules deliver a located type's full tick to a single
-    /// consumer, so a claimed tick offers nothing to anyone else even if
-    /// extra rate later joins on it. One sweep over segments and spans.
+    /// The profile within `window`, zeroed on every tick on which
+    /// `claimed` has any availability: the restriction to `window` and
+    /// the complement against `claimed`'s support, in one pass over the
+    /// segments of both that overlap `window`. Used to mark whole ticks
+    /// as claimed: ROTA's transition rules deliver a located type's full
+    /// tick to a single consumer, so a claimed tick offers nothing to
+    /// anyone else even if extra rate later joins on it. Both steps act
+    /// tick by tick, so their order does not matter. Only the result is
+    /// allocated.
     #[must_use]
-    pub fn exclude(&self, ticks: &IntervalSet) -> ResourceProfile {
-        let cuts = ticks.spans();
-        let mut segments = Vec::with_capacity(self.segments.len());
+    pub fn exclude_within(
+        &self,
+        claimed: &ResourceProfile,
+        window: &TimeInterval,
+    ) -> ResourceProfile {
+        let cuts = &claimed.segments[claimed.overlapping(window)];
+        let within = &self.segments[self.overlapping(window)];
+        let mut segments = Vec::with_capacity(within.len());
         let mut first = 0;
-        for &(iv, r) in &self.segments {
-            // Cuts ending by this segment's start miss every later one too.
-            while cuts.get(first).is_some_and(|cut| cut.end() <= iv.start()) {
+        for (iv, r) in within {
+            let iv = iv
+                .intersect(window)
+                .expect("overlapping segments meet the window");
+            // Cuts ending by this piece's start miss every later one too.
+            while cuts
+                .get(first)
+                .is_some_and(|(cut, _)| cut.end() <= iv.start())
+            {
                 first += 1;
             }
             let mut start = iv.start();
-            for cut in &cuts[first..] {
+            for (cut, _) in &cuts[first..] {
                 if cut.start() >= iv.end() {
                     break;
                 }
                 if cut.start() > start {
                     let kept = TimeInterval::new(start, cut.start()).expect("start < cut start");
-                    segments.push((kept, r));
+                    segments.push((kept, *r));
                 }
                 start = start.max(cut.end());
                 if start >= iv.end() {
@@ -359,7 +394,7 @@ impl ResourceProfile {
             }
             if start < iv.end() {
                 let kept = TimeInterval::new(start, iv.end()).expect("start < segment end");
-                segments.push((kept, r));
+                segments.push((kept, *r));
             }
         }
         // Removing ticks never makes two equal-rate pieces meet: canonical
@@ -370,59 +405,95 @@ impl ResourceProfile {
     /// Restricts the profile to `window`.
     #[must_use]
     pub fn clamp(&self, window: &TimeInterval) -> ResourceProfile {
-        let segments = self
-            .segments
+        let segments = self.segments[self.overlapping(window)]
             .iter()
             .filter_map(|(iv, r)| iv.intersect(window).map(|shared| (shared, *r)))
             .collect();
         ResourceProfile { segments }
     }
 
-    /// Pointwise `op(t, self(t), other(t))` over every maximal piece on
-    /// which both profiles are constant and at least one is non-zero, in
-    /// one merge of the two segment lists. `op` must map two zero rates to
-    /// zero; the gaps where both profiles are zero are skipped.
-    fn zip_with<E>(
-        &self,
-        other: &ResourceProfile,
-        op: impl Fn(TimePoint, Rate, Rate) -> Result<Rate, E>,
-    ) -> Result<ResourceProfile, E> {
-        let (a, b) = (&self.segments, &other.segments);
-        let (mut i, mut j) = (0, 0);
-        let mut pieces: Vec<(TimeInterval, Rate)> = Vec::with_capacity(a.len() + b.len());
-        let mut at = TimePoint::ZERO;
-        loop {
-            while a.get(i).is_some_and(|(iv, _)| iv.end() <= at) {
-                i += 1;
-            }
-            while b.get(j).is_some_and(|(iv, _)| iv.end() <= at) {
-                j += 1;
-            }
-            // Rate and next boundary of one side at `at`.
-            let side = |seg: Option<&(TimeInterval, Rate)>| match seg {
-                Some((iv, r)) if iv.start() <= at => (*r, Some(iv.end())),
-                Some((iv, _)) => (Rate::ZERO, Some(iv.start())),
-                None => (Rate::ZERO, None),
-            };
-            let ((ra, na), (rb, nb)) = (side(a.get(i)), side(b.get(j)));
-            let next = match (na, nb) {
-                (Some(x), Some(y)) => x.min(y),
-                (Some(x), None) | (None, Some(x)) => x,
-                (None, None) => break,
-            };
-            if !(ra.is_zero() && rb.is_zero()) {
-                let value = op(at, ra, rb)?;
-                if !value.is_zero() {
-                    let piece = TimeInterval::new(at, next).expect("boundaries ascend");
-                    pieces.push((piece, value));
-                }
-            }
-            at = next;
-        }
-        Ok(ResourceProfile {
-            segments: canonicalize(pieces),
-        })
+    /// The first and last instant of availability, or `None` when empty.
+    pub(crate) fn extent(&self) -> Option<TimeInterval> {
+        let (first, _) = self.segments.first()?;
+        let (last, _) = self.segments.last()?;
+        TimeInterval::new(first.start(), last.end()).ok()
     }
+
+    /// The index range of the segments that overlap `window`, found by
+    /// binary search.
+    fn overlapping(&self, window: &TimeInterval) -> Range<usize> {
+        let lo = self
+            .segments
+            .partition_point(|(iv, _)| iv.end() <= window.start());
+        let hi = lo + self.segments[lo..].partition_point(|(iv, _)| iv.start() < window.end());
+        lo..hi
+    }
+}
+
+/// A recomputed run of a profile's segments: the result of
+/// [`ResourceProfile::patch`], stored by [`ResourceProfile::apply`].
+pub(crate) struct Patch {
+    range: Range<usize>,
+    pieces: Vec<(TimeInterval, Rate)>,
+}
+
+pub(crate) fn add_rates(_: TimePoint, have: Rate, add: Rate) -> Result<Rate, OverflowError> {
+    have.checked_add(add).ok_or(OverflowError)
+}
+
+pub(crate) fn subtract_rates(
+    at: TimePoint,
+    have: Rate,
+    sub: Rate,
+) -> Result<Rate, InsufficientRateError> {
+    have.checked_sub(sub).ok_or(InsufficientRateError {
+        at,
+        available: have,
+        demanded: sub,
+    })
+}
+
+/// Pointwise `op(t, a(t), b(t))` over every maximal piece on which both
+/// segment lists are constant and at least one is non-zero, in one merge
+/// of the two; the result is canonical. `op` must map two zero rates to
+/// zero; the gaps where both lists are zero are skipped.
+pub(crate) fn zip<E>(
+    a: &[(TimeInterval, Rate)],
+    b: &[(TimeInterval, Rate)],
+    op: impl Fn(TimePoint, Rate, Rate) -> Result<Rate, E>,
+) -> Result<Vec<(TimeInterval, Rate)>, E> {
+    let (mut i, mut j) = (0, 0);
+    let mut pieces: Vec<(TimeInterval, Rate)> = Vec::with_capacity(a.len() + b.len());
+    let mut at = TimePoint::ZERO;
+    loop {
+        while a.get(i).is_some_and(|(iv, _)| iv.end() <= at) {
+            i += 1;
+        }
+        while b.get(j).is_some_and(|(iv, _)| iv.end() <= at) {
+            j += 1;
+        }
+        // Rate and next boundary of one side at `at`.
+        let side = |seg: Option<&(TimeInterval, Rate)>| match seg {
+            Some((iv, r)) if iv.start() <= at => (*r, Some(iv.end())),
+            Some((iv, _)) => (Rate::ZERO, Some(iv.start())),
+            None => (Rate::ZERO, None),
+        };
+        let ((ra, na), (rb, nb)) = (side(a.get(i)), side(b.get(j)));
+        let next = match (na, nb) {
+            (Some(x), Some(y)) => x.min(y),
+            (Some(x), None) | (None, Some(x)) => x,
+            (None, None) => break,
+        };
+        if !(ra.is_zero() && rb.is_zero()) {
+            let value = op(at, ra, rb)?;
+            if !value.is_zero() {
+                let piece = TimeInterval::new(at, next).expect("boundaries ascend");
+                pieces.push((piece, value));
+            }
+        }
+        at = next;
+    }
+    Ok(canonicalize(pieces))
 }
 
 /// Merges meeting equal-rate segments in place; input must be sorted
@@ -600,10 +671,10 @@ mod tests {
 
     #[test]
     fn exclude_zeroes_claimed_ticks() {
-        use rota_interval::IntervalSet;
         let p = profile(&[(0, 6, 5)]);
-        let claimed: IntervalSet = [iv(1, 2), iv(4, 5)].into_iter().collect();
-        let left = p.exclude(&claimed);
+        let claimed = profile(&[(1, 2, 1), (4, 5, 3)]);
+        let everything = iv(0, 6);
+        let left = p.exclude_within(&claimed, &everything);
         assert_eq!(
             left.segments(),
             &[
@@ -612,9 +683,16 @@ mod tests {
                 (iv(5, 6), Rate::new(5)),
             ]
         );
+        // The window clips the pieces left over.
+        assert_eq!(
+            p.exclude_within(&claimed, &iv(3, 9)).segments(),
+            &[(iv(3, 4), Rate::new(5)), (iv(5, 6), Rate::new(5))]
+        );
         // excluding nothing is identity; excluding everything empties
-        assert_eq!(p.exclude(&IntervalSet::new()), p);
-        assert!(p.exclude(&IntervalSet::from_interval(iv(0, 6))).is_empty());
+        assert_eq!(p.exclude_within(&ResourceProfile::new(), &everything), p);
+        assert!(p
+            .exclude_within(&profile(&[(0, 6, 1)]), &everything)
+            .is_empty());
         assert_canonical(&left);
     }
 
@@ -626,6 +704,9 @@ mod tests {
             c.segments(),
             &[(iv(2, 3), Rate::new(5)), (iv(5, 6), Rate::new(2))]
         );
+        assert_eq!(p.clamp(&iv(3, 5)), ResourceProfile::new());
+        assert_eq!(p.clamp(&iv(8, 9)), ResourceProfile::new());
+        assert_eq!(p.clamp(&iv(0, 9)), p);
     }
 
     #[test]

@@ -7,7 +7,7 @@ use std::collections::BTreeMap;
 use rota_interval::{TimeInterval, TimePoint};
 
 use crate::located::LocatedType;
-use crate::profile::{InsufficientRateError, ResourceProfile};
+use crate::profile::{add_rates, subtract_rates, InsufficientRateError, Patch, ResourceProfile};
 use crate::rate::{OverflowError, Quantity, Rate};
 use crate::term::ResourceTerm;
 
@@ -137,8 +137,9 @@ impl ResourceSet {
     }
 
     /// The availability profile for `located` (empty profile if absent).
-    pub fn profile(&self, located: &LocatedType) -> ResourceProfile {
-        self.profiles.get(located).cloned().unwrap_or_default()
+    pub fn profile(&self, located: &LocatedType) -> &ResourceProfile {
+        static EMPTY: ResourceProfile = ResourceProfile::new();
+        self.profiles.get(located).unwrap_or(&EMPTY)
     }
 
     /// Whether any availability of `located` exists — `!profile(located).is_empty()`
@@ -176,15 +177,16 @@ impl ResourceSet {
         Ok(out)
     }
 
-    /// In-place union `Θ₁ := Θ₁ ∪ Θ₂`: one sweep per located type of
-    /// `other`, leaving every other type untouched.
+    /// In-place union `Θ₁ := Θ₁ ∪ Θ₂`: per located type of `other`, only
+    /// the segments its span overlaps or meets are recomputed and spliced
+    /// in; every other segment and type is left untouched.
     ///
     /// # Errors
     ///
     /// Returns [`ResourceSetError::Overflow`] on rate overflow; `self` is
     /// unchanged on error.
     pub fn add_set(&mut self, other: &ResourceSet) -> Result<(), ResourceSetError> {
-        self.merge_with(other, |_, have, add| Ok(have.sum(add)?))
+        self.splice_each(other, |_, ours, theirs| Ok(ours.patch(theirs, add_rates)?))
     }
 
     /// Relative complement `Θ₁ \ Θ₂`, defined (per the paper) only when
@@ -201,8 +203,9 @@ impl ResourceSet {
         Ok(out)
     }
 
-    /// In-place relative complement `Θ₁ := Θ₁ \ Θ₂`: one sweep per located
-    /// type of `other`.
+    /// In-place relative complement `Θ₁ := Θ₁ \ Θ₂`, recomputing per
+    /// located type of `other` only the segments its span overlaps or
+    /// meets.
     ///
     /// # Errors
     ///
@@ -210,8 +213,8 @@ impl ResourceSet {
     /// shortfall when `other` is not dominated; `self` is unchanged on
     /// error.
     pub fn subtract_set(&mut self, other: &ResourceSet) -> Result<(), ResourceSetError> {
-        self.merge_with(other, |located, have, sub| {
-            have.difference(sub)
+        self.splice_each(other, |located, ours, theirs| {
+            ours.patch(theirs, subtract_rates)
                 .map_err(|e| ResourceSetError::NotDominated {
                     located: located.clone(),
                     at: e.at(),
@@ -221,29 +224,35 @@ impl ResourceSet {
         })
     }
 
-    /// Replaces each profile of a type in `other` by `op(type, ours,
-    /// theirs)`, all or nothing: every result is computed before any is
-    /// stored.
-    fn merge_with(
+    /// Patches each profile of a type in `other` with `patch(type, ours,
+    /// theirs)`, all or nothing: every patch is computed before any is
+    /// applied.
+    fn splice_each(
         &mut self,
         other: &ResourceSet,
-        op: impl Fn(
+        patch: impl Fn(
             &LocatedType,
             &ResourceProfile,
             &ResourceProfile,
-        ) -> Result<ResourceProfile, ResourceSetError>,
+        ) -> Result<Patch, ResourceSetError>,
     ) -> Result<(), ResourceSetError> {
-        let empty = ResourceProfile::new();
-        let mut merged = Vec::with_capacity(other.profiles.len());
+        let mut patches = Vec::with_capacity(other.profiles.len());
         for (lt, theirs) in &other.profiles {
-            let ours = self.profiles.get(lt).unwrap_or(&empty);
-            merged.push((lt, op(lt, ours, theirs)?));
+            patches.push((lt, patch(lt, self.profile(lt), theirs)?));
         }
-        for (lt, profile) in merged {
-            if profile.is_empty() {
-                self.profiles.remove(lt);
-            } else {
-                self.profiles.insert(lt.clone(), profile);
+        for (lt, patch) in patches {
+            match self.profiles.get_mut(lt) {
+                Some(profile) => {
+                    profile.apply(patch);
+                    if profile.is_empty() {
+                        self.profiles.remove(lt);
+                    }
+                }
+                None => {
+                    let mut profile = ResourceProfile::new();
+                    profile.apply(patch);
+                    self.keep(lt, profile);
+                }
             }
         }
         Ok(())
@@ -263,11 +272,11 @@ impl ResourceSet {
         rate: Rate,
     ) -> Result<(), InsufficientRateError> {
         let profile = self.profiles.entry(located.clone()).or_default();
-        profile.subtract(window, rate)?;
+        let consumed = profile.subtract(window, rate);
         if profile.is_empty() {
             self.profiles.remove(located);
         }
-        Ok(())
+        consumed
     }
 
     /// Rate of `located` available at tick `t`.
@@ -305,30 +314,31 @@ impl ResourceSet {
     /// with any reservation on it offers nothing to anyone else.
     #[must_use]
     pub fn exclude_support(&self, claimed: &ResourceSet) -> ResourceSet {
-        self.exclude_support_within(claimed, self.profiles.keys())
+        let mut out = ResourceSet::new();
+        for (lt, p) in &self.profiles {
+            if let Some(extent) = p.extent() {
+                out.keep(lt, p.exclude_within(claimed.profile(lt), &extent));
+            }
+        }
+        out
     }
 
     /// [`exclude_support`](ResourceSet::exclude_support) restricted to
-    /// `types`: the result holds only those located types, and no other
-    /// type's profile is read. With an empty `claimed` this is plain
-    /// restriction to `types`.
+    /// `types` and clamped to `window`, in one pass per type over the
+    /// segments that overlap the window: the result holds only those
+    /// located types within the window, and nothing else is read. With an
+    /// empty `claimed` this is plain restriction to `types` and `window`.
     #[must_use]
     pub fn exclude_support_within<'a>(
         &self,
         claimed: &ResourceSet,
         types: impl IntoIterator<Item = &'a LocatedType>,
+        window: &TimeInterval,
     ) -> ResourceSet {
         let mut out = ResourceSet::new();
         for lt in types {
-            let Some(p) = self.profiles.get(lt) else {
-                continue;
-            };
-            let trimmed = match claimed.profiles.get(lt) {
-                Some(c) => p.exclude(&c.support()),
-                None => p.clone(),
-            };
-            if !trimmed.is_empty() {
-                out.profiles.insert(lt.clone(), trimmed);
+            if let Some(p) = self.profiles.get(lt) {
+                out.keep(lt, p.exclude_within(claimed.profile(lt), window));
             }
         }
         out
@@ -340,12 +350,16 @@ impl ResourceSet {
     pub fn clamp(&self, window: &TimeInterval) -> ResourceSet {
         let mut out = ResourceSet::new();
         for (lt, p) in &self.profiles {
-            let clamped = p.clamp(window);
-            if !clamped.is_empty() {
-                out.profiles.insert(lt.clone(), clamped);
-            }
+            out.keep(lt, p.clamp(window));
         }
         out
+    }
+
+    /// Stores `profile` for `located` unless it is empty.
+    fn keep(&mut self, located: &LocatedType, profile: ResourceProfile) {
+        if !profile.is_empty() {
+            self.profiles.insert(located.clone(), profile);
+        }
     }
 
     /// Expires everything before `t` (the expiration rules' effect of
@@ -355,14 +369,6 @@ impl ResourceSet {
             p.truncate_before(t);
         }
         self.prune();
-    }
-
-    /// The resource available during `window` that the rest of the set's
-    /// consumers do not need — everything here, clamped. Exposed as a
-    /// building block for Θ_expire computations in the logic crate.
-    #[must_use]
-    pub fn expiring_within(&self, window: &TimeInterval) -> ResourceSet {
-        self.clamp(window)
     }
 
     /// The latest instant with any availability.
@@ -659,6 +665,74 @@ mod tests {
             .collect();
         assert_eq!(theta.horizon(), Some(TimePoint::new(12)));
         assert_eq!(ResourceSet::new().horizon(), None);
+    }
+
+    /// A set of up to 7 terms over two located types, rates 1–4, on
+    /// ticks 0–16: overlapping, meeting and separated segments.
+    fn arb_set() -> impl proptest::strategy::Strategy<Value = ResourceSet> {
+        use proptest::prelude::*;
+        proptest::collection::vec((0u8..2, 0u64..16, 1u64..6, 1u64..5), 0..7).prop_map(|parts| {
+            parts
+                .into_iter()
+                .map(|(l, s, len, r)| term(cpu(&format!("l{l}")), r, s, (s + len).min(16)))
+                .collect()
+        })
+    }
+
+    /// `self ∘ other` by merging every whole profile with `op`, in type
+    /// order, stopping at the first error — what the splices must equal.
+    fn merged<E>(
+        ours: &ResourceSet,
+        theirs: &ResourceSet,
+        op: impl Fn(TimePoint, Rate, Rate) -> Result<Rate, E>,
+        error: impl Fn(&LocatedType, E) -> ResourceSetError,
+    ) -> Result<ResourceSet, ResourceSetError> {
+        let mut out = ours.clone();
+        for (lt, p) in &theirs.profiles {
+            let have = ours.profiles.get(lt).map(|p| p.segments()).unwrap_or(&[]);
+            let segments =
+                crate::profile::zip(have, p.segments(), &op).map_err(|e| error(lt, e))?;
+            let terms = segments
+                .iter()
+                .map(|(iv, r)| ResourceTerm::new(*r, *iv, lt.clone()));
+            out.profiles.remove(lt);
+            out.profiles
+                .extend(ResourceSet::from_terms(terms)?.profiles);
+        }
+        Ok(out)
+    }
+
+    proptest::proptest! {
+        /// Splicing `add_set` and `subtract_set` equal whole-profile
+        /// merges: same set (so canonical), same error, and on error the
+        /// set is unchanged.
+        #[test]
+        fn splices_equal_whole_profile_merges(a in arb_set(), b in arb_set()) {
+            let sum = merged(&a, &b, add_rates, |_, _| ResourceSetError::Overflow);
+            let mut spliced = a.clone();
+            proptest::prop_assert_eq!(spliced.add_set(&b).map(|()| spliced.clone()), sum);
+            let whole = a.union(&b).unwrap();
+            for (from, take) in [(&a, &b), (&b, &a), (&whole, &b)] {
+                let difference = merged(from, take, subtract_rates, |lt, e| {
+                    ResourceSetError::NotDominated {
+                        located: lt.clone(),
+                        at: e.at(),
+                        available: e.available(),
+                        demanded: e.demanded(),
+                    }
+                });
+                let mut spliced = from.clone();
+                let result = spliced.subtract_set(take);
+                proptest::prop_assert_eq!(result.is_err(), difference.is_err());
+                match difference {
+                    Ok(expected) => proptest::prop_assert_eq!(&spliced, &expected),
+                    Err(expected) => {
+                        proptest::prop_assert_eq!(result, Err(expected));
+                        proptest::prop_assert_eq!(&spliced, from);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

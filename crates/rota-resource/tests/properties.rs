@@ -191,21 +191,21 @@ proptest! {
         prop_assert_eq!(p.support(), reference);
     }
 
-    /// `exclude` zeroes exactly the given ticks and keeps the rest, in
-    /// canonical form.
+    /// `exclude_within` keeps exactly the ticks of the window that the
+    /// claimed profile does not supply, in canonical form.
     #[test]
     fn exclude_matches_tickwise_reference(
         p in arb_profile(),
-        cut in proptest::collection::vec(arb_interval(), 0..6),
+        claimed in arb_profile(),
+        window in arb_interval(),
     ) {
-        let ticks: IntervalSet = cut.into_iter().collect();
         let mut reference = ResourceProfile::new();
         for t in (0..=MAX_TICK).map(TimePoint::new) {
-            if !ticks.contains_tick(t) {
+            if window.contains_tick(t) && claimed.rate_at(t).is_zero() {
                 reference.add(TimeInterval::tick(t), p.rate_at(t)).unwrap();
             }
         }
-        prop_assert_eq!(p.exclude(&ticks), reference);
+        prop_assert_eq!(p.exclude_within(&claimed, &window), reference);
     }
 
     /// In-place `add_set` / `subtract_set` agree with `union` /
@@ -230,12 +230,13 @@ proptest! {
 
     /// `exclude_support` drops exactly the claimed ticks of each type, and
     /// the restricted exclusion is it with every other located type
-    /// dropped.
+    /// dropped, clamped to the window.
     #[test]
     fn exclude_support_within_restricts(
         theta in arb_terms(8),
         claimed in arb_terms(5),
         wanted in proptest::collection::vec(arb_located(), 0..3),
+        window in arb_interval(),
     ) {
         let theta = ResourceSet::from_terms(theta).unwrap();
         let claimed = ResourceSet::from_terms(claimed).unwrap();
@@ -255,7 +256,10 @@ proptest! {
             .into_iter()
             .filter(|t| wanted.contains(t.located()))
             .collect();
-        prop_assert_eq!(theta.exclude_support_within(&claimed, &wanted), reference);
+        prop_assert_eq!(
+            theta.exclude_support_within(&claimed, &wanted, &window),
+            reference.clamp(&window)
+        );
     }
 
     /// Term dominance (`exceeds`) is a strict partial order on same-typed

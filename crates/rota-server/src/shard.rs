@@ -471,7 +471,7 @@ impl ShardPool {
             let (epoch, theta) = self.locked(index, |state| {
                 let logic = state.controller.state();
                 let theta = match scope {
-                    Some(scope) => logic.expiring_in(scope),
+                    Some(scope) => logic.expiring_in(scope.types(), scope.window()),
                     None => logic.expiring_resources(),
                 };
                 (state.epoch, theta)

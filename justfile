@@ -87,9 +87,10 @@ bench-diff A B:
 bench-e2:
     cargo bench -p rota-bench --bench resource_set
 
-# E4 on its own: Theorem-4 decision cost vs committed count n, up to
-# n = 10⁴ (the admission bench binary runs all its groups; this keeps
-# the E4 lines).
+# E4 on its own: Theorem-4 decision cost, and the whole submit with
+# every reservation on the probe's own located type, vs committed count
+# n, up to n = 10⁴ (the admission bench binary runs all its groups;
+# this keeps the E4 lines).
 bench-e4:
     cargo bench -p rota-bench --bench admission | grep 'e4/'
 

@@ -6,7 +6,9 @@
 # For every workload and metric the two files share, prints A's and B's
 # value and the ratio B / A: for an end-to-end metric the medians, with
 # A's interquartile range beside them, and for a traced per-layer metric
-# the single traced reading. A ratio below 1 is an improvement for a
+# the single traced reading; and, when both files hold it, item 11's
+# loadtest (median req/s and p90, and the accept counts). A ratio
+# below 1 is an improvement for a
 # metric where lower is better (latencies, CPU), above 1 for one where
 # higher is better (throughput, ratios); the `better` column names the
 # direction. It only reads the two files and gates nothing.
@@ -58,4 +60,14 @@ for workload, wa in a["workloads"].items():
         if va is None or vb is None:
             continue
         print(f"  {name:28} {va:12.4g} {'(traced)':>10} {vb:12.4g} {ratio(va, vb):>7}  lower")
+
+la, lb = a.get("loadtest"), b.get("loadtest")
+if la and lb:
+    print(f"\nloadtest ({lb['command']}): accepted A {la['accepted']}, B {lb['accepted']}")
+    print(f"  {'metric':28} {'A median':>12} {'':>10} {'B median':>12} {'B/A':>7}  better")
+    for name, better in (("req_per_s", "higher"), ("p90_us", "lower")):
+        va, vb = la.get(name), lb.get(name)
+        if va is None or vb is None:
+            continue
+        print(f"  {name:28} {va:12.4g} {'':>10} {vb:12.4g} {ratio(va, vb):>7}  {better}")
 EOF

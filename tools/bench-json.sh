@@ -20,12 +20,18 @@
 # `serve` workload admbench files every admit under the direct route,
 # so those figures would be a plain client round trip, not a route.
 #
+# Then it runs the loadtest of ROADMAP item 11 (LOADTEST below: one
+# shard, 64 locations, a 4000-tick horizon and 20,000 chain jobs, which
+# leave ~15k live commitments) LOADTEST_RUNS times with the rota-cli
+# that admbench built, and records the median req/s and p90 latency
+# and every run's accept count.
+#
 # The file, at the repository root, also names the revision (with
 # `-dirty` for a working tree that differs from HEAD), the date, the
 # pass's length in seconds, `nproc`, the CPU model and this command. It changes no gate: BENCHMARK.json and
 # tools/bench-pair.sh stay the gates; `tools/bench-diff.sh A B` compares
 # two files. Each run's result and record lines are kept in
-# .bench_out/bench-json-NUMBER.jsonl. A pass takes 2–4 minutes on a
+# .bench_out/bench-json-NUMBER.jsonl. A pass takes 3–5 minutes on a
 # 2-vCPU machine.
 set -euo pipefail
 
@@ -35,6 +41,9 @@ WORKLOADS=(mixed-small chain-deep cluster-mixed)
 CLUSTER_WORKLOADS=(cluster-mixed)
 SEEDS=(11 12 13 14 15)
 SECONDS_PER_RUN=15
+LOADTEST=(loadtest --policy rota --nodes 64 --horizon 4000 --shape chain
+    --jobs 20000 --connections 1 --seed 7 --shards 1)
+LOADTEST_RUNS=3
 
 if [[ $# -lt 1 || $# -gt 2 ]]; then
     echo "usage: bash tools/bench-json.sh NUMBER [REV]" >&2
@@ -96,13 +105,36 @@ for workload in "${WORKLOADS[@]}"; do
     run "$workload" "${SEEDS[0]}" 1
 done
 
+for run in $(seq "$LOADTEST_RUNS"); do
+    log="$(mktemp)"
+    if ! (cd "$tree" && "$target/release/rota-cli" "${LOADTEST[@]}") > "$log"; then
+        echo "  loadtest run $run: rota-cli exited non-zero" >&2
+    fi
+    python3 - "$log" >> "$out" <<'EOF'
+import json, re, sys
+text = open(sys.argv[1]).read()
+def number(pattern):
+    found = re.search(pattern, text)
+    return float(found.group(1)) if found else None
+print(json.dumps({"loadtest": {
+    "req_per_s": number(r"throughput\s+([0-9.]+) req/s"),
+    "p90_us": number(r"p90=([0-9.]+)us"),
+    "accepted": int(number(r"accepted=([0-9]+)") or 0),
+}}))
+EOF
+    rm -f "$log"
+    echo "  loadtest run $run done" >&2
+done
+
 cpu_model="$(awk -F': ' '/^model name/ { print $2; exit }' /proc/cpuinfo)"
 python3 - "$out" BENCHMARK.json "BENCH_$number.json" "$number" "$revision" "$(nproc)" \
-    "${cpu_model:-unknown}" "$command" "$SECONDS_PER_RUN" "$SECONDS" "${CLUSTER_WORKLOADS[*]}" <<'EOF'
+    "${cpu_model:-unknown}" "$command" "$SECONDS_PER_RUN" "$SECONDS" "${CLUSTER_WORKLOADS[*]}" "rota-cli ${LOADTEST[*]}" <<'EOF'
 import datetime, json, statistics, sys
-out, bench, path, number, revision, nproc, cpu, command, seconds, elapsed, clusters = sys.argv[1:12]
+out, bench, path, number, revision, nproc, cpu, command, seconds, elapsed, clusters, loadtest_command = sys.argv[1:13]
 clusters = clusters.split()
-runs = [json.loads(line) for line in open(out)]
+lines = [json.loads(line) for line in open(out)]
+runs = [line for line in lines if "loadtest" not in line]
+loadtests = [line["loadtest"] for line in lines if "loadtest" in line]
 metrics = json.load(open(bench))["end_to_end"]
 
 def value(run, name):
@@ -153,6 +185,17 @@ doc = {
     "run": f"bash admbench/run.sh --workload W --seed S --seconds {seconds} --trace 0|1",
     "workloads": workloads,
 }
+if loadtests:
+    def middle(name):
+        values = [run[name] for run in loadtests if run[name] is not None]
+        return statistics.median(values) if values else None
+    doc["loadtest"] = {
+        "command": loadtest_command,
+        "req_per_s": middle("req_per_s"),
+        "p90_us": middle("p90_us"),
+        "accepted": [run["accepted"] for run in loadtests],
+        "runs": loadtests,
+    }
 with open(path, "w") as f:
     json.dump(doc, f, indent=2)
     f.write("\n")
