@@ -151,11 +151,6 @@ impl<P: AdmissionPolicy> AdmissionController<P> {
         self
     }
 
-    /// The attached observability bundle, if any.
-    pub fn obs(&self) -> Option<&AdmissionObs> {
-        self.obs.as_ref()
-    }
-
     /// The controller's current state.
     pub fn state(&self) -> &State {
         &self.state
@@ -185,20 +180,35 @@ impl<P: AdmissionPolicy> AdmissionController<P> {
         self.state.acquire(theta_join).map(|_| ())
     }
 
-    /// Submits a request; on acceptance the commitments are installed
-    /// immediately.
-    ///
-    /// A policy accept whose commitments the state refuses to install
-    /// (e.g. an actor name already committed by an earlier request) is
-    /// downgraded to a rejection after rolling back any partial
-    /// install — the state never ends up holding a half-admitted
-    /// computation, and the caller never observes a panic.
+    /// Submits a request: [`decide`](Self::decide) it, then
+    /// [`enact`](Self::enact) the verdict.
     pub fn submit(&mut self, request: &AdmissionRequest) -> Decision {
+        let decision = self.decide(request);
+        self.enact(request, decision)
+    }
+
+    /// The policy's verdict on `request` against the current state,
+    /// timed into the decide-latency histogram. It only reads the
+    /// controller, so a panic inside it leaves the controller as it was.
+    pub fn decide(&self, request: &AdmissionRequest) -> Decision {
         let started = self.obs.as_ref().map(|_| std::time::Instant::now());
-        let mut decision = self.policy.decide(&self.state, request);
+        let decision = self.policy.decide(&self.state, request);
         if let (Some(obs), Some(t0)) = (&self.obs, started) {
             obs.observe_decide_ns(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
         }
+        decision
+    }
+
+    /// Acts on a verdict [`decide`](Self::decide) returned for
+    /// `request`: installs an accept's commitments, counts the verdict
+    /// and journals it.
+    ///
+    /// An accept whose commitments the state refuses to install (e.g.
+    /// an actor name already committed by an earlier request) is
+    /// downgraded to a rejection after rolling back any partial
+    /// install — the state never ends up holding a half-admitted
+    /// computation, and the caller never observes a panic.
+    pub fn enact(&mut self, request: &AdmissionRequest, mut decision: Decision) -> Decision {
         match &decision {
             Decision::Accept(commitments) => {
                 match self.install(commitments.clone(), request.deadline()) {
@@ -230,7 +240,7 @@ impl<P: AdmissionPolicy> AdmissionController<P> {
     }
 
     /// Installs already-decided commitments directly (the mechanism
-    /// under [`AdmissionController::submit`], and the *prepare* half of
+    /// under [`AdmissionController::enact`], and the *prepare* half of
     /// a distributed two-phase commit): every commitment is
     /// accommodated, the request joins the in-flight accounting, and
     /// `accepted` is counted.
@@ -277,7 +287,7 @@ impl<P: AdmissionPolicy> AdmissionController<P> {
     /// accounting trace. Finding it costs O(actors), not a scan of the
     /// in-flight requests.
     pub fn withdraw(&mut self, actors: &[ActorName]) -> bool {
-        if !self.forget_in_flight(actors) {
+        if !self.release_in_flight(actors) {
             return false;
         }
         for actor in actors {
@@ -289,7 +299,7 @@ impl<P: AdmissionPolicy> AdmissionController<P> {
 
     /// Drops one in-flight request with exactly `actors`, if there is
     /// one.
-    fn forget_in_flight(&mut self, actors: &[ActorName]) -> bool {
+    fn release_in_flight(&mut self, actors: &[ActorName]) -> bool {
         let Some((deadline, count)) = self.in_flight.remove(actors) else {
             return false;
         };
@@ -426,7 +436,7 @@ impl<P: AdmissionPolicy> AdmissionController<P> {
         for a in actors {
             self.state.leave(a).expect("guards checked above");
         }
-        self.forget_in_flight(actors);
+        self.release_in_flight(actors);
         self.stats.withdrawn += 1;
         true
     }

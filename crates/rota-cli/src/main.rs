@@ -59,6 +59,25 @@ use rota_server::{FaultPlan, Server, ServerConfig, ServerHandle};
 use rota_sim::{compare_policies, run_scenario_observed, run_scenario_traced_observed};
 use rota_workload::{base_resources, build_scenario, JobShape, WorkloadConfig};
 
+/// Writes one line to stdout — every verb's only way to print —
+/// ignoring a closed pipe: a verb keeps running, and exits with its own
+/// code, after whoever read its first lines has gone away (`rota
+/// compare | head -1`, or a `serve` whose launcher stopped reading).
+macro_rules! say {
+    ($($arg:tt)*) => {
+        say(format_args!($($arg)*))
+    };
+}
+
+fn say(line: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    if let Err(e) = writeln!(std::io::stdout().lock(), "{line}") {
+        if e.kind() != std::io::ErrorKind::BrokenPipe {
+            eprintln!("stdout: {e}");
+        }
+    }
+}
+
 fn main() -> ExitCode {
     let raw: Vec<String> = std::env::args().skip(1).collect();
     let verb = match raw.first().map(String::as_str) {
@@ -460,7 +479,7 @@ fn cmd_check(args: &Args) -> ExitCode {
                 Err(code) => return code,
             }
         };
-        println!(
+        say!(
             "{}",
             Json::Obj(vec![
                 ("file".into(), Json::Str(path.clone())),
@@ -510,8 +529,8 @@ fn check_verdict(
         }
     };
     if !quiet {
-        println!("system Θ     : {theta}");
-        println!("computation  : {lambda}");
+        say!("system Θ     : {theta}");
+        say!("computation  : {lambda}");
     }
     let request = AdmissionRequest::price(
         lambda,
@@ -519,7 +538,7 @@ fn check_verdict(
         granularity,
     );
     if !quiet {
-        println!("requirement  : {}", request.requirement());
+        say!("requirement  : {}", request.requirement());
     }
     // Decide through an instrumented controller so --metrics-out captures
     // the decision counters and the journal's explanation.
@@ -530,23 +549,23 @@ fn check_verdict(
     let code = match &decision {
         Decision::Accept(commitments) => {
             if !quiet {
-                println!("verdict      : ADMISSIBLE — the deadline is assured");
+                say!("verdict      : ADMISSIBLE — the deadline is assured");
                 for c in commitments {
-                    println!("  actor {}", c.actor());
+                    say!("  actor {}", c.actor());
                     for seg in c.pending() {
-                        println!("    {}", seg.requirement());
+                        say!("    {}", seg.requirement());
                     }
                 }
-                println!();
+                say!("");
                 print_gantt(commitments, request.window());
             }
             ExitCode::SUCCESS
         }
         Decision::Reject(reason) => {
             if !quiet {
-                println!("verdict      : INFEASIBLE — {reason}");
+                say!("verdict      : INFEASIBLE — {reason}");
                 if let Some(term) = reason.violated_term() {
-                    println!("violated     : {term} ({})", reason.clause());
+                    say!("violated     : {term} ({})", reason.clause());
                 }
             }
             ExitCode::from(2)
@@ -563,7 +582,7 @@ fn check_verdict(
 fn print_gantt(commitments: &[rota_logic::Commitment], window: rota_interval::TimeInterval) {
     let span = window.duration().ticks().min(120); // keep rows terminal-sized
     let start = window.start().ticks();
-    println!("schedule     : t{start} … t{} (one column per Δt)", start + span);
+    say!("schedule     : t{start} … t{} (one column per Δt)", start + span);
     for c in commitments {
         let mut row = String::with_capacity(span as usize);
         for t in start..start + span {
@@ -578,7 +597,7 @@ fn print_gantt(commitments: &[rota_logic::Commitment], window: rota_interval::Ti
                 .unwrap_or('·');
             row.push(mark);
         }
-        println!("  {:>10} |{row}|", c.actor().to_string());
+        say!("  {:>10} |{row}|", c.actor().to_string());
     }
 }
 
@@ -638,10 +657,10 @@ fn cmd_holds(args: &Args) -> ExitCode {
                             for c in commitments {
                                 state.accommodate(c).expect("policy checked the guard");
                             }
-                            println!("(computation admitted before evaluation)");
+                            say!("(computation admitted before evaluation)");
                         }
                         Decision::Reject(reason) => {
-                            println!("(computation not admitted: {reason})");
+                            say!("(computation not admitted: {reason})");
                         }
                     }
                 }
@@ -671,23 +690,23 @@ fn cmd_holds(args: &Args) -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
-    println!("formula : {formula}");
+    say!("formula : {formula}");
     let registry = Registry::new();
     let journal = std::sync::Arc::new(rota_obs::Journal::new(16));
     let checker = rota_logic::ModelChecker::greedy(depth).with_obs(
         rota_logic::CheckObs::new(&registry).with_journal(std::sync::Arc::clone(&journal)),
     );
     let verdict = checker.check(&state, &formula);
-    println!("verdict : {}", if verdict { "HOLDS" } else { "DOES NOT HOLD" });
+    say!("verdict : {}", if verdict { "HOLDS" } else { "DOES NOT HOLD" });
     let decisions = journal.snapshot();
     if let Some(DecisionEvent::ModelCheck {
         falsifying_prefix, ..
     }) = decisions.last()
     {
         if !falsifying_prefix.is_empty() {
-            println!("falsified after:");
+            say!("falsified after:");
             for (i, step) in falsifying_prefix.iter().enumerate() {
-                println!("  {i:>3}. {step}");
+                say!("  {i:>3}. {step}");
             }
         }
     }
@@ -717,19 +736,19 @@ fn run_simulation(args: &Args, compare: bool) -> ExitCode {
         config = config.with_churn(churn, 12, 3);
     }
     let scenario = build_scenario(&config);
-    println!(
+    say!(
         "scenario: seed {seed}, load {load}, {nodes} nodes, horizon {horizon}, {} arrivals",
         scenario.arrival_count()
     );
     let registry = Registry::new();
     if compare {
-        println!(
+        say!(
             "{:<12} {:>8} {:>8} {:>10} {:>7} {:>12}",
             "policy", "accept%", "miss%", "completed", "util%", "delivered"
         );
         let mut decisions = Vec::new();
         for (name, report) in compare_policies(&scenario, &registry) {
-            println!(
+            say!(
                 "{:<12} {:>7.1}% {:>7.1}% {:>10} {:>6.1}% {:>12}",
                 name,
                 report.acceptance_rate() * 100.0,
@@ -749,8 +768,8 @@ fn run_simulation(args: &Args, compare: bool) -> ExitCode {
     let traced = args.has("--trace");
     let (report, trace) =
         run_scenario_traced_observed(&scenario, policy.policy, policy.strategy, &registry);
-    println!("policy {}: {report}", policy.name);
-    println!(
+    say!("policy {}: {report}", policy.name);
+    say!(
         "utilization {:.1}% ({} of {} offered units delivered), withdrawn {}",
         report.utilization() * 100.0,
         report.delivered_units,
@@ -758,8 +777,8 @@ fn run_simulation(args: &Args, compare: bool) -> ExitCode {
         report.withdrawn
     );
     if traced {
-        println!("in-flight : {}", trace.sparkline());
-        println!(
+        say!("in-flight : {}", trace.sparkline());
+        say!(
             "peak {} in flight; per-tick throughput max {}",
             trace.peak_in_flight(),
             trace.throughput().into_iter().max().unwrap_or(0)
@@ -849,7 +868,7 @@ fn cmd_stats(args: &Args) -> ExitCode {
             }
             eprintln!("(stats written to {path})");
         }
-        None => print!("{rendered}"),
+        None => say!("{}", rendered.trim_end_matches('\n')),
     }
     if !write_metrics_out(args, &registry, &decisions) {
         return ExitCode::FAILURE;
@@ -893,24 +912,6 @@ fn server_config(args: &Args, addr: SocketAddr) -> ServerConfig {
             .get("--chaos")
             .and_then(|spec| FaultPlan::parse(spec).ok()),
         ..defaults
-    }
-}
-
-/// Writes one line to stdout, ignoring a closed pipe: `serve` and
-/// `cluster` keep running, and exit cleanly, after whoever read their
-/// first lines has gone away.
-macro_rules! say {
-    ($($arg:tt)*) => {
-        say(format_args!($($arg)*))
-    };
-}
-
-fn say(line: std::fmt::Arguments<'_>) {
-    use std::io::Write;
-    if let Err(e) = writeln!(std::io::stdout().lock(), "{line}") {
-        if e.kind() != std::io::ErrorKind::BrokenPipe {
-            eprintln!("stdout: {e}");
-        }
     }
 }
 
@@ -1212,18 +1213,18 @@ impl Target {
                 side.or_else(|_| server_side(addrs[0]))
             });
             match side {
-                Ok(line) => println!("  server side  {line}\n"),
-                Err(e) => println!("  server side  (stats unavailable: {e})\n"),
+                Ok(line) => say!("  server side  {line}\n"),
+                Err(e) => say!("  server side  (stats unavailable: {e})\n"),
             }
             return;
         }
         for (i, addr) in addrs.iter().enumerate() {
             match Client::connect(*addr).and_then(|mut c| c.stats()) {
-                Ok((stats, shards)) => println!(
+                Ok((stats, shards)) => say!(
                     "  node{i}        {} accepted / {} rejected across {} shard(s)",
                     stats.accepted, stats.rejected, shards
                 ),
-                Err(e) => println!("  node{i}        (stats unavailable: {e})"),
+                Err(e) => say!("  node{i}        (stats unavailable: {e})"),
             }
         }
         let counters = cluster_counter_sums(&addrs);
@@ -1232,9 +1233,9 @@ impl Target {
                 .into_iter()
                 .map(|(name, value)| format!("{name}={value}"))
                 .collect();
-            println!("  cluster      {}", rendered.join(" "));
+            say!("  cluster      {}", rendered.join(" "));
         }
-        println!();
+        say!("");
     }
 
     fn shutdown(self) {
@@ -1326,7 +1327,7 @@ fn cmd_loadtest(args: &Args) -> ExitCode {
             Target::Cluster(_) => format!("rota ({}-node cluster)", addrs.len()),
             _ => policy.name.to_string(),
         };
-        print!("{}", report.render(&label));
+        say!("{}", report.render(&label).trim_end_matches('\n'));
         target.print_tally();
         target.shutdown();
     }

@@ -1,7 +1,8 @@
 //! `serve` and `cluster` honour `--metrics-out`: through the real
 //! binary, `serve` writes its registry snapshot and decision journal
 //! once it has drained, and `cluster` writes one document keyed by node
-//! id once `--duration-ms` elapses.
+//! id once `--duration-ms` elapses. A verb whose stdout reader has gone
+//! still exits zero.
 
 use std::io::{BufRead, BufReader};
 use std::net::SocketAddr;
@@ -147,6 +148,28 @@ fn serve_exits_zero_after_its_stdout_reader_leaves() {
     assert!(wait_bounded(&mut child), "serve exits zero");
     let doc = read_doc(&path);
     assert!(doc.get("metrics").is_some(), "{doc}");
+}
+
+/// Every verb prints through one writer that drops output to a closed
+/// pipe, so `rota compare | head -c 10` exits zero. The read end is
+/// closed before the verb prints anything, so the first line already
+/// meets the closed pipe.
+#[test]
+fn one_shot_verbs_exit_zero_when_stdout_is_closed() {
+    for args in [
+        &["compare", "--seed", "1"][..],
+        &["simulate", "--seed", "1", "--trace"],
+        &["stats"],
+    ] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_rota-cli"))
+            .args(args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("binary runs");
+        drop(child.stdout.take());
+        assert!(wait_bounded(&mut child), "`{}` exits zero", args.join(" "));
+    }
 }
 
 #[test]

@@ -5,11 +5,11 @@
 //! The seeded [`FaultPlan`] adds latency, truncates response frames
 //! mid-write (forcing client reconnect + retry, absorbed by the
 //! server's per-shard decision cache), and fires one forced shard
-//! panic (forcing an `overloaded` bounce, a worker restart, and a
+//! panic (forcing a panic bounce, answered `overloaded`, and a
 //! retry). Through all of it:
 //!
 //! * the server never crashes and keeps answering,
-//! * the panicked shard restarts exactly once and keeps its state
+//! * the panicked shard counts exactly one panic and keeps its state
 //!   (injected panics fire *before* the controller mutates),
 //! * the [`ResilientClient`] turns every fault into a successful
 //!   decision that matches what a monolithic controller decides.
@@ -107,7 +107,7 @@ fn retrying_client_agrees_with_reference_under_chaos() {
     let restarts: u64 = (0..shards)
         .map(|s| {
             snapshot
-                .counter(&format!("server.shard.restarts{{shard={s}}}"))
+                .counter(&format!("server.shard.panics{{shard={s}}}"))
                 .unwrap_or(0)
         })
         .sum();

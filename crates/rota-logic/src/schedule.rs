@@ -190,6 +190,10 @@ pub fn schedule_complex(
 /// motivates in Section IV-B3.
 ///
 /// Returns per-actor schedules in the order of `requirement.parts()`.
+/// Always sound. Exact, and monotone in `free`, when the parts demand
+/// pairwise disjoint located types; when they share one, an accept can
+/// depend on the parts' order, and added supply can turn it into a
+/// reject (DESIGN.md §4).
 ///
 /// # Errors
 ///
@@ -449,6 +453,37 @@ mod tests {
         );
         let err = schedule_concurrent(&free, &req3, TimePoint::ZERO).unwrap_err();
         assert_eq!(err.0, 2);
+    }
+
+    /// Serial carving is sound but neither complete nor monotone when
+    /// actors share a located type. Both actors need `b`, which is on
+    /// offer only over (1,3). On Θ, `a1` spends (0,2) on `a` and takes
+    /// `b` over (2,3), leaving (1,2) for `a2`, which then meets `c`'s
+    /// only tick (2,3). Doubling `a`'s rate lets `a1` finish `a` at 1
+    /// and take `b` over (1,2) instead, so `a2` cannot finish `b` before
+    /// (2,3) and misses `c`: more supply, a reject. Scheduling `a2`
+    /// first fits on the same Θ′. Disjoint actor types avoid this: each
+    /// actor then gets Theorem 2's complete greedy on its own types.
+    #[test]
+    fn shared_types_make_the_concurrent_decision_order_dependent() {
+        let (a, b, c) = (cpu("a"), cpu("b"), cpu("c"));
+        let a1 = complex(&[(a.clone(), 2), (b.clone(), 1)], 0, 3);
+        let a2 = complex(&[(b.clone(), 1), (c.clone(), 1)], 0, 3);
+        let supply = |rate_a| {
+            theta(&[(a.clone(), rate_a, 0, 10), (b.clone(), 1, 1, 3), (c.clone(), 1, 2, 3)])
+        };
+        let decide = |free: &ResourceSet, parts: [&ComplexRequirement; 2]| {
+            let req = ConcurrentRequirement::new(parts.map(Clone::clone).to_vec(), window(0, 3));
+            schedule_concurrent(free, &req, TimePoint::ZERO)
+        };
+        let accepted = decide(&supply(1), [&a1, &a2]).expect("Θ accepts");
+        assert_eq!(accepted[0].completion(), TimePoint::new(3), "a1 takes b over (2,3)");
+        assert_eq!(accepted[1].completion(), TimePoint::new(3), "a2 takes b over (1,2)");
+        let richer = supply(2);
+        assert!(richer.dominates(&supply(1)));
+        let (actor, _) = decide(&richer, [&a1, &a2]).expect_err("Θ′ rejects");
+        assert_eq!(actor, 1, "a2 is the one left without a fit");
+        assert!(decide(&richer, [&a2, &a1]).is_ok(), "the reversed order fits Θ′");
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! | reset | connection, after read, **before** handling | close without answering (the request was never decided — safe to retry) |
 //! | truncate | connection, on the response | write a prefix of the frame, then close |
 //! | corrupt | connection, on the response | flip one byte of the frame |
-//! | panic | shard, under its lock, before the controller decides | deliberate panic; the shard restarts (see [`crate::shard`]) |
+//! | panic | shard, under its lock, in the admit's reading half | deliberate panic; the admit answers `overloaded` and the shard keeps its state (see [`crate::shard`]) |
 //! | reset_first | the first N connections, at their first frame | deterministic heal-able partition (gossip heartbeats burn the budget, then recover) |
 //! | panic_2pc | cluster router, between 2PC prepare and commit | the coordinating connection dies with reservations prepared everywhere; they must TTL-expire (see `rota-cluster`) |
 //!
@@ -33,8 +33,8 @@ use std::time::Duration;
 
 use rota_obs::{Counter, Registry};
 
-/// Panic payload used for injected shard panics, so the restart loop can
-/// tell a drill from a genuine controller bug.
+/// Panic payload of the injected drills (shard and 2PC coordinator), so
+/// a backtrace on stderr names the drill.
 pub const INJECTED_PANIC: &str = "rota-injected-shard-panic";
 
 /// What faults to inject, with probabilities in `[0, 1]`.
@@ -257,18 +257,6 @@ impl std::fmt::Debug for FaultInjector {
     }
 }
 
-/// Returns `true` when a caught panic payload is an injected drill (the
-/// controller state is then known-good: the panic fired before any
-/// mutation).
-pub fn is_injected_panic(payload: &(dyn std::any::Any + Send)) -> bool {
-    payload
-        .downcast_ref::<&str>()
-        .is_some_and(|s| *s == INJECTED_PANIC)
-        || payload
-            .downcast_ref::<String>()
-            .is_some_and(|s| s == INJECTED_PANIC)
-}
-
 /// What to do to one outgoing response frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WireFault {
@@ -467,14 +455,6 @@ mod tests {
         let plan = FaultPlan::parse("panic_2pc_nth=2,reset_first=3").unwrap();
         assert_eq!(plan.panic_2pc_nth, Some(2));
         assert_eq!(plan.reset_first, 3);
-    }
-
-    #[test]
-    fn injected_panic_payload_is_recognized() {
-        let caught = std::panic::catch_unwind(|| panic!("{}", INJECTED_PANIC)).unwrap_err();
-        assert!(is_injected_panic(caught.as_ref()));
-        let other = std::panic::catch_unwind(|| panic!("controller bug")).unwrap_err();
-        assert!(!is_injected_panic(other.as_ref()));
     }
 
     #[test]

@@ -21,8 +21,9 @@
 //!   journal of admit/reject events;
 //! - **deterministic chaos**: a seeded [`fault::FaultPlan`] injects
 //!   latency, wire truncation/corruption, connection resets, and forced
-//!   shard panics ([`fault`]); a panicking shard is isolated and
-//!   restarted instead of taking the process down ([`shard`]).
+//!   shard panics ([`fault`]); a panic while deciding an admit costs
+//!   that admit an `overloaded` answer and leaves its shard's state as
+//!   it was ([`shard`]).
 //!
 //! The [`spec`] module is `rota_analyze::spec` re-exported: the spec
 //! types and their JSON codec, which the wire protocol carries.

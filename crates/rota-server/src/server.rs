@@ -645,7 +645,9 @@ fn serve_connection(stream: TcpStream, inner: &Arc<Inner>) {
                 // coordinator dying mid-flight, or a hook bug) kills
                 // only this connection; the shards and the acceptor
                 // keep running, and any tentative reservations the dead
-                // coordinator left behind expire by TTL.
+                // coordinator left behind expire by TTL. (A panic in a
+                // shard's write also lands here unanswered, and poisons
+                // that shard's lock: its next call aborts the process.)
                 match catch_unwind(AssertUnwindSafe(|| inner.handle(request))) {
                     Ok(response) => (response, bye),
                     Err(_) => {

@@ -22,17 +22,20 @@
 //! Control-plane calls (offer, stats, snapshot, prepare, commit, abort)
 //! are not counted: they visit the shards one at a time in index order.
 //!
-//! ## Panic isolation and idempotency
+//! ## Panics and idempotency
 //!
-//! Every locked section runs inside [`std::panic::catch_unwind`], so a
-//! panic (an injected chaos drill, or a genuine controller bug) never
-//! poisons the lock or kills the process. The caller gets
-//! [`Response::Overloaded`] — an honest "try again" — and
-//! `server.shard.restarts{shard=N}` counts the event. An *injected*
-//! panic fires before the controller mutates, so its state is kept; an
-//! unrecognized panic rebuilds the controller from the shard's pristine
-//! resource slice (an amnesiac restart: prior commitments and offered
-//! resources are forgotten — see DESIGN.md §10).
+//! An admit is split where the types already split it: its reading
+//! half (the chaos drill's ticket, pre-validation and the policy's
+//! decision) takes the shard state by shared reference, and only it
+//! runs inside [`std::panic::catch_unwind`]. A panic there, injected or
+//! a genuine bug, has changed nothing: the caller gets
+//! [`Response::Overloaded`] — an honest "try again" — the shard keeps
+//! its state, and `server.shard.panics{shard=N}` counts the event. The
+//! writing half (install, offer, the 2PC steps, the TTL sweep) reports
+//! every failure it can meet as a typed error; if it panics anyway, the
+//! lock is poisoned and the next call on that shard aborts the process
+//! rather than answer from a state the unwind may have torn (see
+//! DESIGN.md §10).
 //!
 //! Computation names are idempotency keys, but a verdict is only
 //! replayed when the retry's *content hash* (name, computation body,
@@ -61,7 +64,7 @@ use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use rota_actor::ActorName;
@@ -141,7 +144,7 @@ struct ShardObs {
     overloaded: Arc<Counter>,
     queue_depth: Arc<Gauge>,
     request_ns: Arc<Histogram>,
-    restarts: Arc<Counter>,
+    panics: Arc<Counter>,
     dedup_hits: Arc<Counter>,
     lint_rejects: Arc<Counter>,
     reservations: Arc<Gauge>,
@@ -161,7 +164,7 @@ impl ShardObs {
                 &format!("server.request_ns{{shard={shard}}}"),
                 Histogram::latency_ns_bounds(),
             ),
-            restarts: registry.counter(&format!("server.shard.restarts{{shard={shard}}}")),
+            panics: registry.counter(&format!("server.shard.panics{{shard={shard}}}")),
             dedup_hits: registry.counter(&format!("server.shard.dedup_hits{{shard={shard}}}")),
             lint_rejects: registry.counter(&format!("server.shard.lint_rejects{{shard={shard}}}")),
             reservations: registry.gauge(&format!("server.shard.reservations{{shard={shard}}}")),
@@ -209,7 +212,7 @@ enum CacheLookup {
 /// pinned forever. Eviction is safe against double commits even when an
 /// evicted accept is resubmitted verbatim: the controller still holds
 /// the actor names, so the re-decided request fails the install and is
-/// rejected (see `AdmissionController::submit`) rather than committed a
+/// rejected (see `AdmissionController::enact`) rather than committed a
 /// second time.
 struct DecisionCache {
     capacity: usize,
@@ -284,8 +287,6 @@ pub(crate) struct ShardPool {
     /// Waiters an admit may join behind the lock holder before it is
     /// answered `overloaded`.
     queue_capacity: usize,
-    registry: Arc<Registry>,
-    journal: Arc<Journal<DecisionEvent>>,
     faults: Option<Arc<FaultInjector>>,
 }
 
@@ -294,8 +295,6 @@ struct Shard {
     state: Mutex<ShardState>,
     /// Admits holding or waiting for `state` — the backpressure count.
     admits: AtomicUsize,
-    /// The shard's original resource slice, kept for amnesiac restarts.
-    pristine: ResourceSet,
     obs: Arc<ShardObs>,
 }
 
@@ -320,22 +319,21 @@ impl ShardPool {
     where
         P: AdmissionPolicy + Send + Sync + 'static,
     {
-        let mut pool = ShardPool {
-            policy: Arc::new(policy),
-            shards: Vec::new(),
-            queue_capacity: queue_capacity.max(1),
-            registry: Arc::clone(registry),
-            journal: Arc::clone(journal),
-            faults,
-        };
-        pool.shards = split_by_shard(theta, shards.max(1))
+        let policy: SharedPolicy = Arc::new(policy);
+        let shards = split_by_shard(theta, shards.max(1))
             .into_iter()
             .enumerate()
-            .map(|(shard, pristine)| {
+            .map(|(shard, slice)| {
                 let obs = Arc::new(ShardObs::new(registry, shard));
+                let controller =
+                    AdmissionController::new(Arc::clone(&policy), slice, TimePoint::ZERO)
+                        .with_obs(
+                            AdmissionObs::new(registry, policy.name())
+                                .with_journal(Arc::clone(journal)),
+                        );
                 let state = ShardState {
                     shard,
-                    controller: pool.fresh_controller(&pristine),
+                    controller,
                     obs: Arc::clone(&obs),
                     dedup: DecisionCache::new(dedup_capacity),
                     reservations: HashMap::new(),
@@ -346,53 +344,42 @@ impl ShardPool {
                 Shard {
                     state: Mutex::new(state),
                     admits: AtomicUsize::new(0),
-                    pristine,
                     obs,
                 }
             })
             .collect();
-        pool
+        ShardPool {
+            policy,
+            shards,
+            queue_capacity: queue_capacity.max(1),
+            faults,
+        }
     }
 
     pub(crate) fn shards(&self) -> usize {
         self.shards.len()
     }
 
-    fn fresh_controller(&self, pristine: &ResourceSet) -> AdmissionController<SharedPolicy> {
-        AdmissionController::new(Arc::clone(&self.policy), pristine.clone(), TimePoint::ZERO)
-            .with_obs(
-                AdmissionObs::new(&self.registry, self.policy.name())
-                    .with_journal(Arc::clone(&self.journal)),
-            )
-    }
-
     /// Runs `f` on shard `index` under its lock, after withdrawing the
-    /// shard's lapsed reservations. A panic is caught before the guard
-    /// drops, so the lock is never poisoned: it counts a restart, keeps
-    /// the state after an injected drill, rebuilds the controller from
-    /// the pristine slice after anything else, and comes back as `Err`.
-    fn locked<R>(&self, index: usize, f: impl FnOnce(&mut ShardState) -> R) -> Result<R, String> {
+    /// shard's lapsed reservations. A poisoned lock means a write
+    /// panicked halfway through a mutation, so the state behind it may
+    /// be torn: no answer may be built from it, and the process aborts.
+    fn locked<R>(&self, index: usize, f: impl FnOnce(&mut ShardState) -> R) -> R {
         let shard = &self.shards[index];
         shard.obs.queue_depth.add(1);
-        let mut state = shard.state.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut state = shard.state.lock().unwrap_or_else(|_| {
+            eprintln!("shard {index}: a write panicked under its lock; aborting");
+            std::process::abort()
+        });
         shard.obs.queue_depth.add(-1);
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            state.sweep_expired();
-            f(&mut state)
-        }));
-        outcome.map_err(|payload| {
-            shard.obs.restarts.inc();
-            if !fault::is_injected_panic(payload.as_ref()) {
-                state.forget(self.fresh_controller(&shard.pristine));
-            }
-            format!("shard {index} panicked and was restarted")
-        })
+        state.sweep_expired();
+        f(&mut state)
     }
 
     /// Routes one admission request and decides it under its shard's
     /// lock. Returns [`Response::Overloaded`] when the shard already
     /// has a holder and `queue_capacity` waiters, or when the decision
-    /// panicked.
+    /// panicked (which leaves the shard's state as it was).
     pub(crate) fn admit(&self, request: AdmissionRequest) -> Response {
         let index = route_request(&request, self.shards());
         let shard = &self.shards[index];
@@ -403,7 +390,6 @@ impl ShardPool {
         } else {
             let faults = self.faults.as_deref();
             self.locked(index, |state| state.admit(&request, arrived, faults))
-                .ok()
         };
         shard.admits.fetch_sub(1, Ordering::Relaxed);
         verdict.unwrap_or_else(|| {
@@ -424,10 +410,7 @@ impl ShardPool {
                 continue;
             }
             let terms = slice.term_count() as u64;
-            match self
-                .locked(index, |state| state.offer(slice))
-                .and_then(std::convert::identity)
-            {
+            match self.locked(index, |state| state.offer(slice)) {
                 Ok(()) => installed += terms,
                 Err(message) => return Response::Error { message },
             }
@@ -439,16 +422,12 @@ impl ShardPool {
     pub(crate) fn stats(&self) -> Response {
         let mut total = ControllerStats::default();
         for index in 0..self.shards() {
-            match self.locked(index, |state| state.controller.stats()) {
-                Ok(stats) => {
-                    total.accepted += stats.accepted;
-                    total.rejected += stats.rejected;
-                    total.completed += stats.completed;
-                    total.missed += stats.missed;
-                    total.withdrawn += stats.withdrawn;
-                }
-                Err(message) => return Response::Error { message },
-            }
+            let stats = self.locked(index, |state| state.controller.stats());
+            total.accepted += stats.accepted;
+            total.rejected += stats.rejected;
+            total.completed += stats.completed;
+            total.missed += stats.missed;
+            total.withdrawn += stats.withdrawn;
         }
         Response::Stats {
             stats: total,
@@ -475,7 +454,7 @@ impl ShardPool {
                     None => logic.expiring_resources(),
                 };
                 (state.epoch, theta)
-            })?;
+            });
             epochs.push(epoch);
             merged = merged
                 .union(&theta)
@@ -521,12 +500,9 @@ impl ShardPool {
         }
         let name = request.name().to_string();
         for (index, &expected) in epochs.iter().enumerate() {
-            let failure = self
-                .locked(index, |state| {
-                    state.prepare(request, verdict, expected, ttl)
-                })
-                .unwrap_or_else(|message| Some(Response::Error { message }));
-            if let Some(failure) = failure {
+            if let Some(failure) =
+                self.locked(index, |state| state.prepare(request, verdict, expected, ttl))
+            {
                 self.abort(&name);
                 return failure;
             }
@@ -539,10 +515,8 @@ impl ShardPool {
     /// commit (its reservation expired), every shard is compensated
     /// with an abort and the error is returned.
     pub(crate) fn commit(&self, name: &str) -> Result<(), String> {
-        let outcome = (0..self.shards()).try_for_each(|index| {
-            self.locked(index, |state| state.commit(name))
-                .and_then(std::convert::identity)
-        });
+        let outcome =
+            (0..self.shards()).try_for_each(|index| self.locked(index, |state| state.commit(name)));
         if outcome.is_err() {
             self.abort(name);
         }
@@ -555,7 +529,7 @@ impl ShardPool {
     pub(crate) fn abort(&self, name: &str) -> bool {
         let mut released = false;
         for index in 0..self.shards() {
-            released |= self.locked(index, |state| state.abort(name)) == Ok(true);
+            released |= self.locked(index, |state| state.abort(name));
         }
         released
     }
@@ -593,7 +567,7 @@ struct ShardState {
     committed: HashMap<String, Vec<ActorName>>,
     committed_order: VecDeque<String>,
     /// Bumped on every state mutation (accepted admit, offer, prepare,
-    /// abort, expiry, amnesiac restart) — never on rejects or reads. A 2PC coordinator
+    /// abort, expiry) — never on rejects or reads. A 2PC coordinator
     /// snapshots the epoch with the supply and sends it back with the
     /// prepare; a mismatch means the basis is stale and the prepare is
     /// refused rather than decided on outdated supply.
@@ -601,26 +575,6 @@ struct ShardState {
 }
 
 impl ShardState {
-    /// The amnesiac restart after an unrecognized panic: the controller
-    /// may be inconsistent, so it is replaced by `fresh`. Tentative and
-    /// committed 2PC holds reference the old controller's entries and
-    /// are forgotten with it; its computations leave the in-flight
-    /// gauge. The dedup cache survives — verdicts already delivered
-    /// stay authoritative. The epoch moves, like any other change of
-    /// supply: a 2PC snapshot taken before the restart must not pass a
-    /// prepare's epoch check after it.
-    fn forget(&mut self, fresh: AdmissionController<SharedPolicy>) {
-        if let Some(obs) = self.controller.obs() {
-            obs.add_in_flight(-(self.controller.in_flight() as i64));
-        }
-        self.controller = fresh;
-        self.epoch += 1;
-        self.reservations.clear();
-        self.committed.clear();
-        self.committed_order.clear();
-        self.obs.reservations.set(0);
-    }
-
     /// Withdraws every reservation whose TTL has lapsed — run lazily at
     /// the head of every locked section, so expiry needs no timer thread
     /// and is observable through any subsequent request (stats included).
@@ -658,57 +612,85 @@ impl ShardState {
         }
     }
 
+    /// Answers `request` from the dedup cache, or decides it and
+    /// enacts the verdict. `None` when the reading half ([`Self::judge`])
+    /// panicked: the shard's state is then as it was before the call.
     fn admit(
         &mut self,
         request: &AdmissionRequest,
         arrived: Instant,
         faults: Option<&FaultInjector>,
-    ) -> Response {
+    ) -> Option<Response> {
         let key = dedup_key(request);
         match self.dedup.lookup(request.name(), key) {
             CacheLookup::Replay(verdict) => {
                 self.obs.dedup_hits.inc();
-                return verdict;
+                return Some(verdict);
             }
             CacheLookup::Conflict => {
-                return Response::Error {
+                return Some(Response::Error {
                     message: format!(
                         "idempotency conflict: computation `{}` was already decided with \
                          different content; use a fresh name",
                         request.name()
                     ),
-                }
+                })
             }
             CacheLookup::Miss => {}
         }
+        // The closure reads the state through a shared reference; the
+        // assertion is needed only for the policy, a trait object the
+        // compiler cannot prove free of interior mutability.
+        let this = &*self;
+        let Ok(judged) = catch_unwind(AssertUnwindSafe(|| this.judge(request, faults))) else {
+            self.obs.panics.inc();
+            return None;
+        };
+        let response = match judged {
+            Err(lint) => {
+                self.obs.lint_rejects.inc();
+                lint_response(request, &lint, self.shard)
+            }
+            Ok(decision) => {
+                let decision = self.controller.enact(request, decision);
+                if matches!(decision, Decision::Accept(_)) {
+                    self.epoch += 1;
+                }
+                self.obs
+                    .request_ns
+                    .observe(u64::try_from(arrived.elapsed().as_nanos()).unwrap_or(u64::MAX));
+                decision_response(request, &decision, self.shard)
+            }
+        };
+        self.dedup
+            .insert(request.name().to_string(), key, response.clone());
+        Some(response)
+    }
+
+    /// An admit's reading half: the chaos drill's ticket, then
+    /// pre-admission static analysis against this shard's live supply
+    /// (structurally broken requests bounce with machine diagnostics
+    /// before the policy spends scheduling time on them), then the
+    /// policy's verdict. It holds the state by shared reference, so a
+    /// panic anywhere in it has changed nothing.
+    fn judge(
+        &self,
+        request: &AdmissionRequest,
+        faults: Option<&FaultInjector>,
+    ) -> Result<Decision, LintReport> {
         if faults.is_some_and(FaultInjector::take_panic_ticket) {
             panic!("{}", fault::INJECTED_PANIC);
         }
-        // Pre-admission static analysis against this shard's live
-        // supply: structurally broken requests bounce with machine
-        // diagnostics before the policy spends scheduling time on them.
         let demand = request.requirement().total_demand();
         let lint = prevalidate_request(
             request.computation(),
             self.controller.state().theta(),
             &demand,
         );
-        let response = if lint.has_errors() {
-            self.obs.lint_rejects.inc();
-            lint_response(request, &lint, self.shard)
-        } else {
-            let decision = self.controller.submit(request);
-            if matches!(decision, Decision::Accept(_)) {
-                self.epoch += 1;
-            }
-            self.obs
-                .request_ns
-                .observe(u64::try_from(arrived.elapsed().as_nanos()).unwrap_or(u64::MAX));
-            decision_response(request, &decision, self.shard)
-        };
-        self.dedup
-            .insert(request.name().to_string(), key, response.clone());
-        response
+        if lint.has_errors() {
+            return Err(lint);
+        }
+        Ok(self.controller.decide(request))
     }
 
     fn offer(&mut self, theta: ResourceSet) -> Result<(), String> {
@@ -1251,7 +1233,7 @@ mod tests {
     }
 
     #[test]
-    fn injected_panic_restarts_worker_and_keeps_state() {
+    fn injected_panic_bounces_and_keeps_state() {
         use crate::fault::{FaultInjector, FaultPlan};
 
         let registry = Arc::new(Registry::new());
@@ -1269,18 +1251,19 @@ mod tests {
         // First admit fills the shard's slice partially and succeeds.
         let first = pool.admit(request_at("p1", "l0", 1, 16));
         assert!(matches!(first, Response::Decision { accepted: true, .. }), "{first:?}");
-        // Second admit trips the drill: the worker panics with our
+        // Second admit trips the drill: the shard panics with our
         // request in hand, so we get the honest `overloaded` bounce.
         let bounced = pool.admit(request_at("p2", "l0", 1, 16));
         assert!(matches!(bounced, Response::Overloaded { shard: 0 }), "{bounced:?}");
-        // The worker restarted with its controller intact: the retry is
-        // decided normally, and the first verdict is still cached.
+        // The drill fired in the reading half, so nothing changed: the
+        // retry is decided normally, and the first verdict is still
+        // cached.
         let retried = pool.admit(request_at("p2", "l0", 1, 16));
         assert!(matches!(retried, Response::Decision { .. }), "{retried:?}");
         let replay = pool.admit(request_at("p1", "l0", 1, 16));
-        assert_eq!(replay, first, "dedup cache survived the restart");
+        assert_eq!(replay, first, "dedup cache survived the panic");
         let snap = registry.snapshot();
-        assert_eq!(snap.counter("server.shard.restarts{shard=0}"), Some(1));
+        assert_eq!(snap.counter("server.shard.panics{shard=0}"), Some(1));
         assert_eq!(snap.counter("server.faults.panic"), Some(1));
     }
 
@@ -1313,79 +1296,93 @@ mod tests {
         }
     }
 
-    #[test]
-    fn unrecognized_panic_rebuilds_only_its_shard() {
-        let (home, other) = (location_on(0, 2), location_on(1, 2));
-        let registry = Arc::new(Registry::new());
-        let journal = Arc::new(Journal::new(64));
-        let theta = theta_at(&[&home, &other], 4, 16);
-        let pool = ShardPool::new(
-            BuggyPolicy { doomed: "boom" },
-            &theta,
-            2,
-            8,
-            DEDUP_CAPACITY,
-            &registry,
-            &journal,
-            None,
-        );
-        let kept = pool.admit(request_at("kept", &other, 1, 16));
-        assert!(
-            matches!(
-                kept,
-                Response::Decision {
-                    accepted: true,
-                    shard: 1,
-                    ..
-                }
-            ),
-            "{kept:?}"
-        );
-        let (_, supply_with_only_kept) = pool.cluster_state(None).unwrap();
-        let lost = pool.admit(request_at("lost", &home, 1, 16));
-        assert!(
-            matches!(
-                lost,
-                Response::Decision {
-                    accepted: true,
-                    shard: 0,
-                    ..
-                }
-            ),
-            "{lost:?}"
-        );
-        let boom = pool.admit(request_at("boom", &home, 1, 16));
-        assert!(
-            matches!(boom, Response::Overloaded { shard: 0 }),
-            "{boom:?}"
-        );
+    /// What a panic must leave as it was: the epochs and available
+    /// resources, the aggregated stats, and each shard's reservations
+    /// gauge.
+    fn observed(
+        pool: &ShardPool,
+        registry: &Registry,
+    ) -> (Vec<u64>, ResourceSet, ControllerStats, Vec<Option<i64>>) {
+        let (epochs, resources) = pool.cluster_state(None).unwrap();
+        let Response::Stats { stats, .. } = pool.stats() else {
+            panic!("stats answers stats");
+        };
         let snap = registry.snapshot();
-        assert_eq!(snap.counter("server.shard.restarts{shard=0}"), Some(1));
-        assert_eq!(
-            snap.counter("server.shard.restarts{shard=1}").unwrap_or(0),
-            0
-        );
+        let gauges = (0..pool.shards())
+            .map(|s| snap.gauge(&format!("server.shard.reservations{{shard={s}}}")))
+            .collect();
+        (epochs, resources, stats, gauges)
+    }
+
+    #[test]
+    fn unrecognized_panic_keeps_the_shards_state() {
+        let (home, other) = (location_on(0, 2), location_on(1, 2));
+        let theta = theta_at(&[&home, &other], 4, 16);
+        let ttl = Duration::from_secs(60);
+        // Two pools take the same admits and 2PC hold; only `buggy`
+        // also sees the request its policy panics on.
+        let build = || {
+            let registry = Arc::new(Registry::new());
+            let journal = Arc::new(Journal::new(64));
+            let pool = ShardPool::new(
+                BuggyPolicy { doomed: "boom" },
+                &theta,
+                2,
+                8,
+                DEDUP_CAPACITY,
+                &registry,
+                &journal,
+                None,
+            );
+            for (name, location) in [("kept", &other), ("lost", &home)] {
+                let verdict = pool.admit(request_at(name, location, 1, 16));
+                let accepted = matches!(verdict, Response::Decision { accepted: true, .. });
+                assert!(accepted, "{verdict:?}");
+            }
+            let (epochs, basis) = pool.cluster_state(None).unwrap();
+            let held = request_at("held", &home, 1, 16);
+            let held = decide_and_prepare(&pool, held, &basis, &epochs, ttl);
+            assert!(matches!(held, Response::Prepared { .. }), "{held:?}");
+            (pool, registry)
+        };
+        let ((buggy, registry), (reference, _)) = (build(), build());
+        let before = observed(&buggy, &registry);
+        let in_flight = registry.snapshot().gauge("admission.in_flight{policy=buggy}");
+        assert_eq!(before.3, vec![Some(1), Some(1)], "each shard holds `held`");
+
+        let boom = buggy.admit(request_at("boom", &home, 1, 16));
+        assert!(matches!(boom, Response::Overloaded { shard: 0 }), "{boom:?}");
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter("server.shard.panics{shard=0}"), Some(1));
+        assert_eq!(snap.counter("server.shard.panics{shard=1}").unwrap_or(0), 0);
         assert_eq!(snap.counter("server.overloaded{shard=0}"), Some(1));
-        assert_eq!(snap.gauge("admission.in_flight{policy=buggy}"), Some(1));
-        // Shard 0 came back from its pristine slice and forgot `lost`;
-        // shard 1 still holds `kept`.
-        assert_eq!(pool.cluster_state(None).unwrap().1, supply_with_only_kept);
-        match pool.stats() {
-            Response::Stats { stats, .. } => assert_eq!(stats.accepted, 1, "only `kept` survives"),
-            other => panic!("unexpected {other:?}"),
-        }
-        // The lock was not poisoned: the rebuilt shard decides again.
-        let after = pool.admit(request_at("after", &home, 1, 16));
+        assert_eq!(snap.gauge("admission.in_flight{policy=buggy}"), in_flight);
+        assert_eq!(observed(&buggy, &registry), before, "the panic changed nothing");
+        let lost = ActorName::from("lost-a");
         assert!(
-            matches!(
-                after,
-                Response::Decision {
-                    accepted: true,
-                    shard: 0,
-                    ..
-                }
-            ),
-            "{after:?}"
+            buggy.locked(0, |state| state.controller.state().rho().get(&lost).is_some()),
+            "`lost` is still committed"
+        );
+
+        // The lock was not poisoned, and the next admits decide as if
+        // the panic never happened: `lost` and `held` leave 48 of the
+        // home shard's 64 units, so 7 evaluations (56 units) no longer
+        // fit and 6 do.
+        for pool in [&buggy, &reference] {
+            pool.commit("held").unwrap();
+        }
+        for (evals, fits) in [(7, false), (6, true)] {
+            let name = format!("after-{evals}");
+            let after = buggy.admit(request_at(&name, &home, evals, 16));
+            assert!(
+                matches!(after, Response::Decision { shard: 0, accepted, .. } if accepted == fits),
+                "{after:?}"
+            );
+            assert_eq!(after, reference.admit(request_at(&name, &home, evals, 16)));
+        }
+        assert_eq!(
+            buggy.cluster_state(None).unwrap(),
+            reference.cluster_state(None).unwrap()
         );
     }
 
@@ -1548,7 +1545,7 @@ mod tests {
         assert_eq!(
             registry
                 .snapshot()
-                .counter("server.shard.restarts{shard=0}")
+                .counter("server.shard.panics{shard=0}")
                 .unwrap_or(0),
             0,
             "the duplicate install is handled, not panicked on"
@@ -1716,7 +1713,7 @@ mod tests {
         Abort { name: u8 },
         Stats,
         ClusterState,
-        /// A panic that is not an injected drill: an amnesiac restart.
+        /// An admit the policy panics on: it must change nothing.
         Panic { shard: usize },
     }
 
@@ -1757,8 +1754,8 @@ mod tests {
             let registry = Arc::new(Registry::new());
             let journal = Arc::new(Journal::new(64));
             let theta = theta_at(&[&locations[0], &locations[1]], 4, 16);
-            let pool =
-                ShardPool::new(RotaPolicy, &theta, 2, 8, 4, &registry, &journal, None);
+            let policy = BuggyPolicy { doomed: "doomed" };
+            let pool = ShardPool::new(policy, &theta, 2, 8, 4, &registry, &journal, None);
             let first = pool.cluster_state(None).unwrap();
             let (mut epochs, mut resources) = first.clone();
             for step in steps {
@@ -1794,9 +1791,12 @@ mod tests {
                         pool.cluster_state(None).unwrap();
                     }
                     Step::Panic { shard } => {
-                        let restarted: Result<(), String> =
-                            pool.locked(shard, |_| panic!("a forced controller bug"));
-                        prop_assert!(restarted.is_err());
+                        let bounced = pool.admit(request_at("doomed", &locations[shard], 1, 16));
+                        prop_assert_eq!(bounced, Response::Overloaded { shard });
+                        prop_assert_eq!(
+                            pool.cluster_state(None).unwrap(),
+                            (epochs.clone(), resources.clone())
+                        );
                     }
                 }
                 let (now_epochs, now_resources) = pool.cluster_state(None).unwrap();

@@ -157,7 +157,7 @@ loadtest-cluster *ARGS:
 
 # The E14 chaos drill: deterministic faults (latency, truncation, resets,
 # one forced shard panic) against a retrying/hedging client. Must finish
-# with errors=0 and a shard restart on the server side (DESIGN.md §10).
+# with errors=0 and one counted shard panic on the server side (DESIGN.md §10).
 chaos *ARGS:
     cargo run --release -p rota-cli --bin rota-cli -- loadtest \
         --policy rota --nodes 4 --jobs 2000 --connections 8 --seed 42 \
