@@ -258,10 +258,8 @@ impl DistributedComputation {
         start: TimePoint,
         deadline: TimePoint,
     ) -> Result<Self, InvalidWindowError> {
-        let window = TimeInterval::new(start, deadline).map_err(|_| InvalidWindowError {
-            start,
-            deadline,
-        })?;
+        let window = TimeInterval::new(start, deadline)
+            .map_err(|_| InvalidWindowError { start, deadline })?;
         Ok(DistributedComputation {
             name: Arc::from(name.as_ref()),
             actors,
@@ -440,21 +438,12 @@ mod tests {
 
     #[test]
     fn distributed_window_validation() {
-        let err = DistributedComputation::new(
-            "bad",
-            vec![],
-            TimePoint::new(5),
-            TimePoint::new(5),
-        )
-        .unwrap_err();
+        let err = DistributedComputation::new("bad", vec![], TimePoint::new(5), TimePoint::new(5))
+            .unwrap_err();
         assert!(err.to_string().contains("not after"));
-        let ok = DistributedComputation::single(
-            "ok",
-            gamma(),
-            TimePoint::new(0),
-            TimePoint::new(10),
-        )
-        .unwrap();
+        let ok =
+            DistributedComputation::single("ok", gamma(), TimePoint::new(0), TimePoint::new(10))
+                .unwrap();
         assert_eq!(ok.start(), TimePoint::new(0));
         assert_eq!(ok.deadline(), TimePoint::new(10));
         assert_eq!(ok.window(), TimeInterval::from_ticks(0, 10).unwrap());
@@ -466,8 +455,8 @@ mod tests {
     fn display_forms() {
         let g = ActorComputation::new("a1", "l1").then(ActionKind::Ready);
         assert_eq!(g.to_string(), "Γ_a1@l1 = ⟨ready(b)⟩");
-        let c = DistributedComputation::single("job", g, TimePoint::new(0), TimePoint::new(4))
-            .unwrap();
+        let c =
+            DistributedComputation::single("job", g, TimePoint::new(0), TimePoint::new(4)).unwrap();
         assert_eq!(c.to_string(), "(job, s=t0, d=t4) [1 actors, 1 actions]");
     }
 }

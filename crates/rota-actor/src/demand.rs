@@ -176,12 +176,9 @@ mod tests {
     #[test]
     fn merge_combines() {
         let mut a = ResourceDemand::single(cpu("l1"), Quantity::new(3));
-        let b: ResourceDemand = [
-            (cpu("l1"), Quantity::new(2)),
-            (cpu("l2"), Quantity::new(9)),
-        ]
-        .into_iter()
-        .collect();
+        let b: ResourceDemand = [(cpu("l1"), Quantity::new(2)), (cpu("l2"), Quantity::new(9))]
+            .into_iter()
+            .collect();
         a.merge(&b);
         assert_eq!(a.amount(&cpu("l1")), Quantity::new(5));
         assert_eq!(a.amount(&cpu("l2")), Quantity::new(9));
@@ -194,12 +191,9 @@ mod tests {
         assert_eq!(single.sole_located_type(), Some(&cpu("l1")));
         let empty = ResourceDemand::new();
         assert_eq!(empty.sole_located_type(), None);
-        let multi: ResourceDemand = [
-            (cpu("l1"), Quantity::new(1)),
-            (cpu("l2"), Quantity::new(1)),
-        ]
-        .into_iter()
-        .collect();
+        let multi: ResourceDemand = [(cpu("l1"), Quantity::new(1)), (cpu("l2"), Quantity::new(1))]
+            .into_iter()
+            .collect();
         assert_eq!(multi.sole_located_type(), None);
     }
 
@@ -212,12 +206,9 @@ mod tests {
 
     #[test]
     fn iteration_is_ordered() {
-        let d: ResourceDemand = [
-            (cpu("l2"), Quantity::new(1)),
-            (cpu("l1"), Quantity::new(2)),
-        ]
-        .into_iter()
-        .collect();
+        let d: ResourceDemand = [(cpu("l2"), Quantity::new(1)), (cpu("l1"), Quantity::new(2))]
+            .into_iter()
+            .collect();
         let types: Vec<_> = d.located_types().cloned().collect();
         assert_eq!(types, vec![cpu("l1"), cpu("l2")]);
         assert_eq!(d.iter().count(), 2);

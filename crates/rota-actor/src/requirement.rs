@@ -301,13 +301,9 @@ mod tests {
     fn concurrent_from_distributed_computation() {
         let g1 = ActorComputation::new("a1", "l1").then(ActionKind::evaluate());
         let g2 = ActorComputation::new("a2", "l2").then(ActionKind::evaluate());
-        let lambda = DistributedComputation::new(
-            "job",
-            vec![g1, g2],
-            TimePoint::new(0),
-            TimePoint::new(6),
-        )
-        .unwrap();
+        let lambda =
+            DistributedComputation::new("job", vec![g1, g2], TimePoint::new(0), TimePoint::new(6))
+                .unwrap();
         let rho = ConcurrentRequirement::of_computation(
             &lambda,
             &TableCostModel::paper(),

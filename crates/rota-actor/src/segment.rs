@@ -68,7 +68,10 @@ impl Granularity {
 /// let per_action = segment_demands(&demands, Granularity::PerAction);
 /// assert_eq!(per_action.len(), 3);
 /// ```
-pub fn segment_demands(demands: &[ResourceDemand], granularity: Granularity) -> Vec<ResourceDemand> {
+pub fn segment_demands(
+    demands: &[ResourceDemand],
+    granularity: Granularity,
+) -> Vec<ResourceDemand> {
     let mut segments: Vec<ResourceDemand> = Vec::with_capacity(demands.len());
     for demand in demands {
         if demand.is_empty() {
@@ -153,10 +156,7 @@ mod tests {
             d(cpu("l1"), 1),
             d(cpu("l2"), 1),
         ];
-        assert_eq!(
-            segment_demands(&demands, Granularity::MaximalRun).len(),
-            4
-        );
+        assert_eq!(segment_demands(&demands, Granularity::MaximalRun).len(), 4);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 
 use proptest::prelude::*;
 use rota_actor::{
-    segment_demands, ActionKind, ActorComputation, ComplexRequirement, Granularity,
-    ResourceDemand, SimpleRequirement, TableCostModel,
+    segment_demands, ActionKind, ActorComputation, ComplexRequirement, Granularity, ResourceDemand,
+    SimpleRequirement, TableCostModel,
 };
 use rota_interval::TimeInterval;
 use rota_resource::{LocatedType, Location, Quantity, Rate, ResourceSet, ResourceTerm};

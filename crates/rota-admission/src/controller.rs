@@ -528,8 +528,9 @@ mod tests {
 
     #[test]
     fn optimistic_controller_misses_under_overload() {
-        let mut ctl = AdmissionController::new(OptimisticPolicy, cpu_theta(4, 0, 8), TimePoint::ZERO)
-            .with_strategy(ExecutionStrategy::EarliestDeadline);
+        let mut ctl =
+            AdmissionController::new(OptimisticPolicy, cpu_theta(4, 0, 8), TimePoint::ZERO)
+                .with_strategy(ExecutionStrategy::EarliestDeadline);
         for i in 0..8 {
             let _ = ctl.submit(&request(&format!("job{i}"), 2, 0, 8));
         }
@@ -604,7 +605,15 @@ mod tests {
         assert_eq!(events.len(), 8);
         let rejects: Vec<_> = events
             .iter()
-            .filter(|e| matches!(e, rota_obs::DecisionEvent::Admission { accepted: false, .. }))
+            .filter(|e| {
+                matches!(
+                    e,
+                    rota_obs::DecisionEvent::Admission {
+                        accepted: false,
+                        ..
+                    }
+                )
+            })
             .collect();
         assert_eq!(rejects.len(), 6);
         for event in rejects {
@@ -641,15 +650,24 @@ mod tests {
     fn withdraw_evicts_exactly_its_actors_and_rolls_back_once() {
         let mut ctl = AdmissionController::new(RotaPolicy, cpu_theta(4, 0, 64), TimePoint::ZERO);
         for i in 0..6 {
-            assert!(ctl.submit(&request(&format!("job{i}"), 1, 0, 64)).is_accept());
+            assert!(ctl
+                .submit(&request(&format!("job{i}"), 1, 0, 64))
+                .is_accept());
         }
         let actors = |i: usize| vec![ActorName::new(format!("job{i}-actor"))];
         let expiring = ctl.state().expiring_resources();
         assert!(ctl.withdraw(&actors(3)));
         assert_eq!((ctl.stats().accepted, ctl.in_flight()), (5, 5));
         let rho: Vec<&ActorName> = ctl.state().rho().iter().map(|c| c.actor()).collect();
-        let kept: Vec<ActorName> = [0, 1, 2, 4, 5].iter().map(|&i| actors(i).remove(0)).collect();
-        assert_eq!(rho, kept.iter().collect::<Vec<_>>(), "the others keep their order");
+        let kept: Vec<ActorName> = [0, 1, 2, 4, 5]
+            .iter()
+            .map(|&i| actors(i).remove(0))
+            .collect();
+        assert_eq!(
+            rho,
+            kept.iter().collect::<Vec<_>>(),
+            "the others keep their order"
+        );
         assert!(ctl.state().expiring_resources().dominates(&expiring));
         // A second withdraw of the same computation finds nothing.
         assert!(!ctl.withdraw(&actors(3)));

@@ -49,10 +49,12 @@ impl AdmissionObs {
                 Histogram::latency_ns_bounds(),
             ),
             in_flight: registry.gauge(&format!("admission.in_flight{{policy={policy}}}")),
-            rules: RuleKind::ALL
-                .map(|kind| {
-                    registry.counter(&format!("admission.rule.{}{{policy={policy}}}", kind.name()))
-                }),
+            rules: RuleKind::ALL.map(|kind| {
+                registry.counter(&format!(
+                    "admission.rule.{}{{policy={policy}}}",
+                    kind.name()
+                ))
+            }),
             journal: Arc::new(Journal::new(DEFAULT_JOURNAL_CAPACITY)),
         }
     }

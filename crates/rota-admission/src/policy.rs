@@ -141,9 +141,7 @@ impl AdmissionPolicy for RotaPolicy {
                 let commitments = schedules
                     .into_iter()
                     .zip(request.actor_names())
-                    .map(|(schedule, actor)| {
-                        schedule.into_commitment(actor, request.deadline())
-                    })
+                    .map(|(schedule, actor)| schedule.into_commitment(actor, request.deadline()))
                     .collect();
                 Decision::Accept(commitments)
             }
@@ -307,13 +305,10 @@ pub fn standard_policies() -> [StandardPolicy; 4] {
 
 /// Earliest-deadline-first maximal assignment: every available located
 /// type goes to the entitled commitment with the soonest deadline.
-pub fn edf_assignments(
-    state: &State,
-) -> Vec<(rota_resource::LocatedType, rota_actor::ActorName)> {
+pub fn edf_assignments(state: &State) -> Vec<(rota_resource::LocatedType, rota_actor::ActorName)> {
     let now = state.now();
     let mut out = Vec::new();
-    let types: Vec<rota_resource::LocatedType> =
-        state.theta().located_types().cloned().collect();
+    let types: Vec<rota_resource::LocatedType> = state.theta().located_types().cloned().collect();
     for lt in types {
         if state.theta().rate_at(&lt, now).is_zero() {
             continue;
@@ -356,7 +351,9 @@ fn opportunistic_commitments(request: &AdmissionRequest) -> Vec<Commitment> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rota_actor::{ActionKind, ActorComputation, DistributedComputation, Granularity, TableCostModel};
+    use rota_actor::{
+        ActionKind, ActorComputation, DistributedComputation, Granularity, TableCostModel,
+    };
     use rota_interval::{TimeInterval, TimePoint};
     use rota_resource::{LocatedType, Location, Rate, ResourceSet, ResourceTerm};
 
@@ -414,7 +411,10 @@ mod tests {
                 assert!(detail.contains("segment"));
                 let term = violated_term.expect("shortfall names a located type");
                 assert!(term.contains("cpu"), "term names the resource: {term}");
-                assert!(term.contains("short by"), "term names the shortfall: {term}");
+                assert!(
+                    term.contains("short by"),
+                    "term names the shortfall: {term}"
+                );
             }
             other => panic!("expected infeasible, got {other:?}"),
         }

@@ -98,7 +98,8 @@ mod tests {
             TimePoint::new(10),
         )
         .unwrap();
-        let req = AdmissionRequest::price(lambda, &TableCostModel::paper(), Granularity::MaximalRun);
+        let req =
+            AdmissionRequest::price(lambda, &TableCostModel::paper(), Granularity::MaximalRun);
         assert_eq!(req.name(), "job");
         assert_eq!(req.requirement().parts().len(), 2);
         assert_eq!(req.actor_names().len(), 2);

@@ -75,9 +75,13 @@ pub(crate) fn unknown_supply(
                     "R0006",
                     Severity::Error,
                     demand_site(computation, lt),
-                    format!("computation demands {q} of {lt}, but the spec declares no such resource"),
+                    format!(
+                        "computation demands {q} of {lt}, but the spec declares no such resource"
+                    ),
                 )
-                .with_note("every located type a computation touches needs at least one resource term")
+                .with_note(
+                    "every located type a computation touches needs at least one resource term",
+                )
                 .with_note("check the location name for typos"),
             );
         }
@@ -113,7 +117,10 @@ pub(crate) fn run(
                     "R0007",
                     Severity::Warning,
                     format!("resources[{i}]"),
-                    format!("resource {} is never demanded by the computation", decl.located),
+                    format!(
+                        "resource {} is never demanded by the computation",
+                        decl.located
+                    ),
                 )
                 .with_note("harmless for this check, but the declaration may be stale"),
             );

@@ -133,7 +133,9 @@ pub(crate) fn run(model: &SpecModel, report: &mut Report) {
                             "R0012",
                             Severity::Error,
                             format!("constraints[{ci}].{field}"),
-                            format!("constraint references `resources[{i}]`, which is out of range"),
+                            format!(
+                                "constraint references `resources[{i}]`, which is out of range"
+                            ),
                         )
                         .with_note(format!(
                             "the spec declares {} resource term(s)",

@@ -239,11 +239,6 @@ impl Report {
 
     /// The machine-readable form: an array of diagnostic objects.
     pub fn to_json(&self, source: Option<&str>) -> Json {
-        Json::Arr(
-            self.diagnostics
-                .iter()
-                .map(|d| d.to_json(source))
-                .collect(),
-        )
+        Json::Arr(self.diagnostics.iter().map(|d| d.to_json(source)).collect())
     }
 }

@@ -35,11 +35,9 @@ pub(crate) fn run(
         return;
     }
     let state = State::new(theta.clone(), TimePoint::new(0));
-    if let Err((actor_index, err)) = schedule_concurrent(
-        &state.expiring_resources(),
-        requirement,
-        state.now(),
-    ) {
+    if let Err((actor_index, err)) =
+        schedule_concurrent(&state.expiring_resources(), requirement, state.now())
+    {
         let actor_name = model
             .computation
             .actors

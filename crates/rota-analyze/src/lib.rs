@@ -88,17 +88,37 @@ pub const CODES: &[(&str, Severity, &str)] = &[
     ("R0003", Severity::Error, "deadline does not follow start"),
     ("R0004", Severity::Warning, "duplicate resource declaration"),
     ("R0005", Severity::Error, "duplicate actor name"),
-    ("R0006", Severity::Error, "demand on undeclared located type"),
+    (
+        "R0006",
+        Severity::Error,
+        "demand on undeclared located type",
+    ),
     ("R0007", Severity::Warning, "unused resource term"),
     ("R0008", Severity::Error, "provable overcommitment"),
     ("R0009", Severity::Warning, "supply exactly tight"),
-    ("R0010", Severity::Error, "deadline infeasible (Theorem 3/4)"),
-    ("R0011", Severity::Error, "temporal constraints unsatisfiable"),
+    (
+        "R0010",
+        Severity::Error,
+        "deadline infeasible (Theorem 3/4)",
+    ),
+    (
+        "R0011",
+        Severity::Error,
+        "temporal constraints unsatisfiable",
+    ),
     ("R0012", Severity::Error, "unknown constraint reference"),
     ("R0013", Severity::Note, "actor with no actions"),
-    ("R0014", Severity::Warning, "resource outside computation window"),
+    (
+        "R0014",
+        Severity::Warning,
+        "resource outside computation window",
+    ),
     ("R0015", Severity::Error, "unknown Allen relation name"),
-    ("R0016", Severity::Error, "location owned by no cluster node"),
+    (
+        "R0016",
+        Severity::Error,
+        "location owned by no cluster node",
+    ),
 ];
 
 /// Runs every pass with the paper's cost model at the default
@@ -303,9 +323,12 @@ mod tests {
         });
         // Link supply: 8 units total (≥ send's 4·2 = 8? send size 2 →
         // demand 4·2? paper: send = 4 network units × size factor).
-        model
-            .resources
-            .push(decl(LocatedType::network(Location::new("l1"), Location::new("l2")), 8, 0, 2));
+        model.resources.push(decl(
+            LocatedType::network(Location::new("l1"), Location::new("l2")),
+            8,
+            0,
+            2,
+        ));
         let report = analyze(&model);
         // The CPU run (8 units at rate 4) completes at t=2; whether the
         // link window suffices depends on ordering — assert only that
@@ -340,7 +363,10 @@ mod tests {
         assert_eq!(r11.len(), 1);
         // The satisfied `equals` constraint is not in the core.
         assert!(r11[0].notes.iter().any(|n| n.contains("constraints[1]")));
-        assert!(!r11[0].notes.iter().any(|n| n.contains("constraints[0] asserts")));
+        assert!(!r11[0]
+            .notes
+            .iter()
+            .any(|n| n.contains("constraints[0] asserts")));
     }
 
     #[test]

@@ -220,9 +220,7 @@ pub fn locate(text: &str, path: &str) -> Option<Loc> {
     scanner.skip_ws();
     let offset = scanner.pos.min(text.len());
     let line_start = text[..offset].rfind('\n').map_or(0, |i| i + 1);
-    let line_end = text[offset..]
-        .find('\n')
-        .map_or(text.len(), |i| offset + i);
+    let line_end = text[offset..].find('\n').map_or(text.len(), |i| offset + i);
     Some(Loc {
         line: text[..offset].matches('\n').count() + 1,
         column: offset - line_start + 1,

@@ -64,7 +64,9 @@ fn resource_shape(resources: &[ResourceSpec], report: &mut Report) {
 
     for (j, decl) in resources.iter().enumerate() {
         if let Some(i) = resources[..j].iter().position(|earlier| {
-            earlier.located == decl.located && earlier.start == decl.start && earlier.end == decl.end
+            earlier.located == decl.located
+                && earlier.start == decl.start
+                && earlier.end == decl.end
         }) {
             report.push(
                 Diagnostic::new(

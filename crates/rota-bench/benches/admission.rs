@@ -129,7 +129,11 @@ fn bench_submit_vs_committed(c: &mut Criterion) {
     group.sample_size(20);
     for &n in &[1u64, 8, 32, 128, 512, 10_000] {
         let (mut ctl, free) = fragmented_controller(n);
-        assert_eq!(ctl.state().rho().len() as u64, n, "every pre-committed request fits");
+        assert_eq!(
+            ctl.state().rho().len() as u64,
+            n,
+            "every pre-committed request fits"
+        );
         let probe = slot_request("probe", free);
         let actors = probe.actor_names();
         group.bench_with_input(BenchmarkId::new("rota", n), &n, |b, _| {
@@ -211,8 +215,7 @@ fn bench_metrics_overhead(c: &mut Criterion) {
             })
         });
         let registry = Registry::new();
-        let mut observed =
-            committed_controller(n, Some(AdmissionObs::new(&registry, "rota")));
+        let mut observed = committed_controller(n, Some(AdmissionObs::new(&registry, "rota")));
         group.bench_with_input(BenchmarkId::new("enabled", n), &n, |b, _| {
             b.iter(|| {
                 let accepted = observed.submit(&probe).is_accept();

@@ -24,7 +24,10 @@ fn busy_state(actors: usize, horizon: u64) -> State {
             .accommodate(Commitment::opportunistic(
                 ActorName::new(format!("a{k}")),
                 [SimpleRequirement::new(
-                    ResourceDemand::single(cpu(if k % 2 == 0 { "l0" } else { "l1" }), Quantity::new(8)),
+                    ResourceDemand::single(
+                        cpu(if k % 2 == 0 { "l0" } else { "l1" }),
+                        Quantity::new(8),
+                    ),
                     window,
                 )],
                 TimePoint::new(horizon),
@@ -70,8 +73,12 @@ fn bench_always_branching(c: &mut Criterion) {
             BenchmarkId::from_parameter(branches),
             &branches,
             |b, &branches| {
-                let checker =
-                    ModelChecker::with_unfolding(ChoiceUnfolding { max_branches: branches }, 8);
+                let checker = ModelChecker::with_unfolding(
+                    ChoiceUnfolding {
+                        max_branches: branches,
+                    },
+                    8,
+                );
                 b.iter(|| black_box(checker.holds(&state, &formula)))
             },
         );

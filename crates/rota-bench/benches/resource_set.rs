@@ -83,7 +83,9 @@ fn bench_worst_order(c: &mut Criterion) {
             group.throughput(Throughput::Elements(n));
             group.bench_with_input(BenchmarkId::new(order, n), &terms, |b, terms| {
                 b.iter(|| {
-                    black_box(ResourceSet::from_terms(terms.iter().cloned()).expect("bounded rates"))
+                    black_box(
+                        ResourceSet::from_terms(terms.iter().cloned()).expect("bounded rates"),
+                    )
                 })
             });
         }

@@ -52,7 +52,10 @@ fn main() {
         if csv {
             println!("seed,churn,accepted,missed");
         } else {
-            println!("{:>6} {:>7} {:>9} {:>7}", "seed", "churn", "accepted", "missed");
+            println!(
+                "{:>6} {:>7} {:>9} {:>7}",
+                "seed", "churn", "accepted", "missed"
+            );
         }
         let mut total_missed = 0;
         for (seed, churn, accepted, missed) in soundness_table(0..10, &[0.0, 0.05, 0.1, 0.2]) {
@@ -63,7 +66,10 @@ fn main() {
             }
             total_missed += missed;
         }
-        println!("# total ROTA misses: {total_missed} (assurance holds: {})", total_missed == 0);
+        println!(
+            "# total ROTA misses: {total_missed} (assurance holds: {})",
+            total_missed == 0
+        );
     }
 
     if want("e9") {
@@ -146,7 +152,10 @@ fn main() {
         println!("\n# scheduler cross-check vs exhaustive reference (2000 cases)");
         let ok = scheduler_crosscheck(2000);
         println!("# greedy == exhaustive on all cases: {ok}");
-        assert!(ok, "Theorem-2 scheduler diverged from the exhaustive reference");
+        assert!(
+            ok,
+            "Theorem-2 scheduler diverged from the exhaustive reference"
+        );
     }
 }
 

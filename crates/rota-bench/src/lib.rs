@@ -234,7 +234,10 @@ pub fn encapsulation_table(job_counts: &[usize]) -> Vec<EncapsulationRow> {
         for k in 0..jobs {
             let node = k % NODES;
             let _ = orgs
-                .admit(format!("org{node}").as_str(), &request(&format!("pre{k}"), node))
+                .admit(
+                    format!("org{node}").as_str(),
+                    &request(&format!("pre{k}"), node),
+                )
                 .expect("org exists");
         }
         let state = orgs.state("org3").expect("org exists");
@@ -318,7 +321,10 @@ mod tests {
     fn ablation_coarse_has_fewer_segments() {
         let rows = segmentation_ablation(5, &[6]);
         let per_action = rows.iter().find(|r| r.granularity == "per-action").unwrap();
-        let maximal = rows.iter().find(|r| r.granularity == "maximal-run").unwrap();
+        let maximal = rows
+            .iter()
+            .find(|r| r.granularity == "maximal-run")
+            .unwrap();
         assert!(maximal.mean_segments < per_action.mean_segments);
         assert_eq!(per_action.miss_rate, 0.0);
         assert_eq!(maximal.miss_rate, 0.0);

@@ -204,8 +204,8 @@ impl Parser {
         let start: u64 = self.int()?;
         self.expect("..")?;
         let end: u64 = self.int()?;
-        let window = TimeInterval::from_ticks(start, end)
-            .map_err(|e| ParseError::new(e.to_string()))?;
+        let window =
+            TimeInterval::from_ticks(start, end).map_err(|e| ParseError::new(e.to_string()))?;
         Ok(SimpleRequirement::new(demand, window))
     }
 

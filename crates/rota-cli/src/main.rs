@@ -50,11 +50,11 @@ use rota_admission::{
     standard_policies, AdmissionController, AdmissionObs, AdmissionPolicy, AdmissionRequest,
     Decision, RotaPolicy, StandardPolicy,
 };
+use rota_analyze::spec::{resource_set, SpecModel};
+use rota_client::{run_loadtest, Client, ClientError, HedgeConfig, LoadtestConfig, RetryConfig};
 use rota_interval::TimePoint;
 use rota_logic::State;
 use rota_obs::{DecisionEvent, Json, Registry};
-use rota_client::{run_loadtest, Client, ClientError, HedgeConfig, LoadtestConfig, RetryConfig};
-use rota_analyze::spec::{resource_set, SpecModel};
 use rota_server::{FaultPlan, Server, ServerConfig, ServerHandle};
 use rota_sim::{compare_policies, run_scenario_observed, run_scenario_traced_observed};
 use rota_workload::{base_resources, build_scenario, JobShape, WorkloadConfig};
@@ -464,11 +464,8 @@ fn cmd_check(args: &Args) -> ExitCode {
     // Static analysis before any admission machinery: the lint passes
     // see the declarations as written, including content the library
     // types refuse to represent, and anchor findings to source spans.
-    let report = rota_analyze::analyze_with(
-        &spec,
-        &rota_actor::TableCostModel::paper(),
-        granularity,
-    );
+    let report =
+        rota_analyze::analyze_with(&spec, &rota_actor::TableCostModel::paper(), granularity);
     if format_json {
         let (verdict, code) = if report.has_errors() {
             ("lint-error", ExitCode::FAILURE)
@@ -532,11 +529,8 @@ fn check_verdict(
         say!("system Θ     : {theta}");
         say!("computation  : {lambda}");
     }
-    let request = AdmissionRequest::price(
-        lambda,
-        &rota_actor::TableCostModel::paper(),
-        granularity,
-    );
+    let request =
+        AdmissionRequest::price(lambda, &rota_actor::TableCostModel::paper(), granularity);
     if !quiet {
         say!("requirement  : {}", request.requirement());
     }
@@ -582,7 +576,10 @@ fn check_verdict(
 fn print_gantt(commitments: &[rota_logic::Commitment], window: rota_interval::TimeInterval) {
     let span = window.duration().ticks().min(120); // keep rows terminal-sized
     let start = window.start().ticks();
-    say!("schedule     : t{start} … t{} (one column per Δt)", start + span);
+    say!(
+        "schedule     : t{start} … t{} (one column per Δt)",
+        start + span
+    );
     for c in commitments {
         let mut row = String::with_capacity(span as usize);
         for t in start..start + span {
@@ -591,9 +588,7 @@ fn print_gantt(commitments: &[rota_logic::Commitment], window: rota_interval::Ti
                 .pending()
                 .enumerate()
                 .find(|(_, seg)| seg.requirement().window().contains_tick(tick))
-                .map(|(i, _)| {
-                    char::from_digit(((i + 1) % 36) as u32, 36).unwrap_or('#')
-                })
+                .map(|(i, _)| char::from_digit(((i + 1) % 36) as u32, 36).unwrap_or('#'))
                 .unwrap_or('·');
             row.push(mark);
         }
@@ -697,7 +692,10 @@ fn cmd_holds(args: &Args) -> ExitCode {
         rota_logic::CheckObs::new(&registry).with_journal(std::sync::Arc::clone(&journal)),
     );
     let verdict = checker.check(&state, &formula);
-    say!("verdict : {}", if verdict { "HOLDS" } else { "DOES NOT HOLD" });
+    say!(
+        "verdict : {}",
+        if verdict { "HOLDS" } else { "DOES NOT HOLD" }
+    );
     let decisions = journal.snapshot();
     if let Some(DecisionEvent::ModelCheck {
         falsifying_prefix, ..
@@ -744,7 +742,12 @@ fn run_simulation(args: &Args, compare: bool) -> ExitCode {
     if compare {
         say!(
             "{:<12} {:>8} {:>8} {:>10} {:>7} {:>12}",
-            "policy", "accept%", "miss%", "completed", "util%", "delivered"
+            "policy",
+            "accept%",
+            "miss%",
+            "completed",
+            "util%",
+            "delivered"
         );
         let mut decisions = Vec::new();
         for (name, report) in compare_policies(&scenario, &registry) {
@@ -841,8 +844,8 @@ fn cmd_stats(args: &Args) -> ExitCode {
     let checker = rota_logic::ModelChecker::greedy(16).with_obs(
         rota_logic::CheckObs::new(&registry).with_journal(std::sync::Arc::clone(&journal)),
     );
-    let formula = formula::parse_formula("always satisfy(cpu@l1:4 in 0..8)")
-        .expect("static demo formula");
+    let formula =
+        formula::parse_formula("always satisfy(cpu@l1:4 in 0..8)").expect("static demo formula");
     let state = State::new(theta, TimePoint::ZERO);
     let _ = checker.check(&state, &formula);
     decisions.extend(journal.snapshot());
@@ -1108,7 +1111,9 @@ fn cluster_counter_sums(addrs: &[SocketAddr]) -> Vec<(String, u64)> {
         let Ok(snapshot) = Client::connect(*addr).and_then(|mut c| c.metrics()) else {
             continue;
         };
-        let Json::Obj(entries) = snapshot else { continue };
+        let Json::Obj(entries) = snapshot else {
+            continue;
+        };
         for (name, metric) in entries {
             let Some(rest) = name.strip_prefix("cluster.") else {
                 continue;
@@ -1222,7 +1227,9 @@ impl Target {
             match Client::connect(*addr).and_then(|mut c| c.stats()) {
                 Ok((stats, shards)) => say!(
                     "  node{i}        {} accepted / {} rejected across {} shard(s)",
-                    stats.accepted, stats.rejected, shards
+                    stats.accepted,
+                    stats.rejected,
+                    shards
                 ),
                 Err(e) => say!("  node{i}        (stats unavailable: {e})"),
             }

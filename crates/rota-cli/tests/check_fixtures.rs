@@ -68,7 +68,8 @@ fn fixtures_emit_exactly_their_codes() {
             exit, *expected_exit,
             "{name}: exit {exit}, expected {expected_exit}\nstdout: {stdout}\nstderr: {stderr}"
         );
-        let doc = Json::parse(&stdout).unwrap_or_else(|e| panic!("{name}: bad JSON ({e}): {stdout}"));
+        let doc =
+            Json::parse(&stdout).unwrap_or_else(|e| panic!("{name}: bad JSON ({e}): {stdout}"));
         let emitted: BTreeSet<String> = doc
             .get("diagnostics")
             .and_then(Json::as_array)
@@ -148,7 +149,9 @@ fn clean_fixture_reports_zero_counts() {
     assert_eq!(doc.get("errors").and_then(Json::as_u64), Some(0));
     assert_eq!(doc.get("warnings").and_then(Json::as_u64), Some(0));
     assert_eq!(
-        doc.get("diagnostics").and_then(Json::as_array).map(<[Json]>::len),
+        doc.get("diagnostics")
+            .and_then(Json::as_array)
+            .map(<[Json]>::len),
         Some(0)
     );
 }

@@ -164,7 +164,11 @@ fn every_verb_knows_the_same_four_policies() {
         .skip(2)
         .filter_map(|row| row.split_whitespace().next())
         .collect();
-    assert_eq!(rows, ["rota", "greedy-edf", "naive-total", "optimistic"], "{stdout}");
+    assert_eq!(
+        rows,
+        ["rota", "greedy-edf", "naive-total", "optimistic"],
+        "{stdout}"
+    );
 
     for verb in ["serve", "loadtest", "simulate"] {
         let (status, stdout, stderr) = run_bounded(&[verb, "--policy", "bogus"]);

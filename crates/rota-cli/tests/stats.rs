@@ -80,7 +80,10 @@ fn stats_json_covers_the_acceptance_criteria() {
         .and_then(Json::as_str)
         .unwrap();
     assert!(term.contains("cpu"), "term names the resource: {term}");
-    assert!(term.contains("short by"), "term names the shortfall: {term}");
+    assert!(
+        term.contains("short by"),
+        "term names the shortfall: {term}"
+    );
     let clause = violated[0].get("clause").and_then(Json::as_str).unwrap();
     assert!(clause.contains("Theorem 4"), "clause cites the theorem");
 }

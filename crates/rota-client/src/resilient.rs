@@ -525,8 +525,7 @@ mod tests {
                 initial_delay: Duration::from_millis(50),
                 floor: Duration::from_millis(2),
                 cap: Duration::from_millis(20),
-            },
-        );
+            });
         // Cold: initial delay, clamped into [floor, cap].
         assert_eq!(client.hedge_delay(), Some(Duration::from_millis(20)));
         // Warm with fast samples: p99 below the floor clamps up.

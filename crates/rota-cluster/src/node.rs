@@ -175,9 +175,11 @@ impl Cluster {
         for (index, spec) in topology.nodes().iter().enumerate() {
             let slice = topology.slice(theta, &spec.id);
             let server_config = ServerConfig {
-                // PANIC-OK: `Topology::new` and `Topology::set_addr`
-                // admit only empty or `ip:port` addresses.
-                addr: spec.bind_addr().expect("topology addresses are empty or ip:port"),
+                addr: spec
+                    .bind_addr()
+                    // PANIC-OK: `Topology::new` and `Topology::set_addr`
+                    // admit only empty or `ip:port` addresses.
+                    .expect("topology addresses are empty or ip:port"),
                 shards: config.shards,
                 fault_plan: config.fault_plans.get(&spec.id).cloned(),
                 queue_capacity: config.queue_capacity,
@@ -198,11 +200,8 @@ impl Cluster {
             let hook_topology = Arc::clone(&shared);
             let hook_engine = Arc::clone(&engine);
             let hook_partitioned = Arc::clone(&partitioned);
-            let handle = Server::spawn_hooked(
-                server_config,
-                policy.clone(),
-                &slice,
-                move |local| {
+            let handle =
+                Server::spawn_hooked(server_config, policy.clone(), &slice, move |local| {
                     Arc::new(ClusterRouter::new(
                         router_config,
                         hook_topology,
@@ -210,8 +209,7 @@ impl Cluster {
                         local,
                         hook_partitioned,
                     ))
-                },
-            )?;
+                })?;
             write(&shared).set_addr(&spec.id, &handle.local_addr().to_string());
             nodes.push((spec.id.clone(), handle, engine, partitioned));
         }
@@ -366,9 +364,7 @@ fn spawn_gossip_runtime(
                     exchange(&topology, &engine, &target, peer_timeout);
                 }
                 refresh_gauges();
-                round_ns.observe(
-                    u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX),
-                );
+                round_ns.observe(u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX));
             }
         })
 }
@@ -388,7 +384,9 @@ fn exchange(
         (engine.me().to_string(), engine.digest())
     };
     let mut client = rota_client::Client::connect_timeout(addr, timeout).ok()?;
-    client.set_io_timeout(crate::links::io_timeout(timeout)).ok()?;
+    client
+        .set_io_timeout(crate::links::io_timeout(timeout))
+        .ok()?;
     client.hello_as(Some(&me)).ok()?;
     match client.call(&Request::Gossip { digest }).ok()? {
         Response::GossipAck { digest } => {

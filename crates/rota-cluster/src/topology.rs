@@ -182,23 +182,23 @@ impl Topology {
             let locations_value = entry
                 .get("locations")
                 .and_then(Json::as_array)
-                .ok_or_else(|| {
-                    TopologyError(format!("node `{id}` missing `locations` array"))
-                })?;
+                .ok_or_else(|| TopologyError(format!("node `{id}` missing `locations` array")))?;
             let mut locations = Vec::new();
             for location in locations_value {
                 locations.push(
                     location
                         .as_str()
                         .ok_or_else(|| {
-                            TopologyError(format!(
-                                "node `{id}`: locations must be strings"
-                            ))
+                            TopologyError(format!("node `{id}`: locations must be strings"))
                         })?
                         .to_string(),
                 );
             }
-            nodes.push(NodeSpec { id, addr, locations });
+            nodes.push(NodeSpec {
+                id,
+                addr,
+                locations,
+            });
         }
         Topology::new(nodes)
     }
@@ -402,10 +402,7 @@ mod tests {
         // Each slice holds exactly its own location.
         let slice = topology.slice(&full, "node1");
         assert_eq!(slice.to_terms().len(), 1);
-        assert_eq!(
-            slice.to_terms()[0].located().locations()[0].name(),
-            "l1"
-        );
+        assert_eq!(slice.to_terms()[0].located().locations()[0].name(), "l1");
     }
 
     #[test]

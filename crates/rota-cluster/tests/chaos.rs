@@ -40,8 +40,7 @@ fn spanning_job(name: &str) -> DistributedComputation {
 fn local_job(name: &str, location: &str) -> DistributedComputation {
     DistributedComputation::new(
         name,
-        vec![ActorComputation::new(format!("{name}-a0"), location)
-            .then(ActionKind::evaluate())],
+        vec![ActorComputation::new(format!("{name}-a0"), location).then(ActionKind::evaluate())],
         TimePoint::ZERO,
         TimePoint::new(16),
     )
@@ -53,7 +52,10 @@ fn client(cluster: &Cluster, index: usize) -> rota_client::Client {
 }
 
 fn obtainable(cluster: &Cluster, index: usize) -> String {
-    match client(cluster, index).call(&Request::ClusterSnapshot).unwrap() {
+    match client(cluster, index)
+        .call(&Request::ClusterSnapshot)
+        .unwrap()
+    {
         Response::ClusterState { resources, .. } => resources.to_string(),
         other => panic!("unexpected {other:?}"),
     }
@@ -106,7 +108,10 @@ fn coordinator_death_mid_2pc_leaks_nothing_and_never_double_commits() {
     // a response.
     let mut doomed = client(&cluster, 2);
     let result = doomed.admit(&spanning_job("drilled"), Granularity::MaximalRun);
-    assert!(result.is_err(), "the drilled coordinator must die: {result:?}");
+    assert!(
+        result.is_err(),
+        "the drilled coordinator must die: {result:?}"
+    );
 
     // The prepared-but-uncommitted reservations expire: the owners'
     // obtainable snapshots return to the pre-drill state. (Polling the
@@ -142,7 +147,11 @@ fn coordinator_death_mid_2pc_leaks_nothing_and_never_double_commits() {
         .admit(&spanning_job("drilled"), Granularity::MaximalRun)
         .unwrap();
     match &response {
-        Response::Decision { accepted: true, reason, .. } => {
+        Response::Decision {
+            accepted: true,
+            reason,
+            ..
+        } => {
             assert!(reason.contains("two-phase commit"), "{reason}");
         }
         other => panic!("resubmission failed: {other:?}"),
@@ -190,7 +199,13 @@ fn partition_degrades_routing_then_recovers() {
         .admit(&local_job("degraded", "l1"), Granularity::MaximalRun)
         .unwrap();
     match &response {
-        Response::Decision { accepted, clause, reason, diagnostics, .. } => {
+        Response::Decision {
+            accepted,
+            clause,
+            reason,
+            diagnostics,
+            ..
+        } => {
             assert!(!accepted);
             assert_eq!(
                 clause.as_deref(),
@@ -212,7 +227,11 @@ fn partition_degrades_routing_then_recovers() {
         .admit(&spanning_job("degraded-span"), Granularity::MaximalRun)
         .unwrap();
     match &response {
-        Response::Decision { accepted: false, clause, .. } => {
+        Response::Decision {
+            accepted: false,
+            clause,
+            ..
+        } => {
             assert_eq!(
                 clause.as_deref(),
                 Some("cluster routing (degraded: peer unavailable)")
@@ -318,7 +337,13 @@ fn killed_node_degrades_only_its_own_locations() {
         .admit(&local_job("dead-loc", "l2"), Granularity::MaximalRun)
         .unwrap();
     assert!(
-        matches!(response, Response::Decision { accepted: false, .. }),
+        matches!(
+            response,
+            Response::Decision {
+                accepted: false,
+                ..
+            }
+        ),
         "{response:?}"
     );
     // …but the survivors' locations still admit, including across the

@@ -55,8 +55,7 @@ fn test_config() -> ClusterConfig {
 fn launch(n: usize, config: ClusterConfig) -> Cluster {
     let locations: Vec<String> = (0..n).map(|i| format!("l{i}")).collect();
     let refs: Vec<&str> = locations.iter().map(String::as_str).collect();
-    let cluster =
-        Cluster::launch(Topology::auto(n), &theta(&refs), RotaPolicy, config).unwrap();
+    let cluster = Cluster::launch(Topology::auto(n), &theta(&refs), RotaPolicy, config).unwrap();
     assert!(
         cluster.await_converged(Duration::from_secs(10)),
         "gossip failed to converge"
@@ -114,7 +113,9 @@ fn launch_returns_a_live_federation() {
         .admit(&job("span", &["l0", "l1"], 16), Granularity::MaximalRun)
         .unwrap();
     match &response {
-        Response::Decision { accepted, reason, .. } => {
+        Response::Decision {
+            accepted, reason, ..
+        } => {
             assert!(*accepted, "{response:?}");
             assert!(reason.contains("two-phase commit"), "{reason}");
         }
@@ -144,14 +145,19 @@ fn shutdown_does_not_wait_out_the_gossip_interval() {
     let started = Instant::now();
     cluster.shutdown();
     let elapsed = started.elapsed();
-    assert!(elapsed < Duration::from_millis(500), "shutdown took {elapsed:?}");
+    assert!(
+        elapsed < Duration::from_millis(500),
+        "shutdown took {elapsed:?}"
+    );
 }
 
 #[test]
 fn local_demand_takes_the_fast_path() {
     let cluster = launch(2, test_config());
     let mut client = client_for(&cluster, 0);
-    let response = client.admit(&job("local", &["l0"], 16), Granularity::MaximalRun).unwrap();
+    let response = client
+        .admit(&job("local", &["l0"], 16), Granularity::MaximalRun)
+        .unwrap();
     assert!(accepted(&response), "{response:?}");
     let (stats0, _) = client.stats().unwrap();
     assert_eq!(stats0.accepted, 1);
@@ -164,7 +170,9 @@ fn local_demand_takes_the_fast_path() {
 fn remote_demand_is_forwarded_to_the_owner() {
     let cluster = launch(2, test_config());
     let mut client = client_for(&cluster, 0);
-    let response = client.admit(&job("remote", &["l1"], 16), Granularity::MaximalRun).unwrap();
+    let response = client
+        .admit(&job("remote", &["l1"], 16), Granularity::MaximalRun)
+        .unwrap();
     assert!(accepted(&response), "{response:?}");
     // The decision was made (and the commitments installed) on node1.
     let (stats1, _) = client_for(&cluster, 1).stats().unwrap();
@@ -180,9 +188,13 @@ fn cross_location_demand_runs_two_phase_commit() {
     // Submit to node2, which owns neither demanded location: the
     // router coordinates nodes 0 and 1.
     let mut client = client_for(&cluster, 2);
-    let response = client.admit(&job("span", &["l0", "l1"], 16), Granularity::MaximalRun).unwrap();
+    let response = client
+        .admit(&job("span", &["l0", "l1"], 16), Granularity::MaximalRun)
+        .unwrap();
     match &response {
-        Response::Decision { accepted, reason, .. } => {
+        Response::Decision {
+            accepted, reason, ..
+        } => {
             assert!(*accepted, "{response:?}");
             assert!(reason.contains("two-phase commit"), "{reason}");
         }
@@ -207,7 +219,9 @@ fn cross_location_demand_runs_two_phase_commit() {
     .unwrap();
     let response = client.admit(&heavy, Granularity::MaximalRun).unwrap();
     match &response {
-        Response::Decision { accepted: false, .. } => {}
+        Response::Decision {
+            accepted: false, ..
+        } => {}
         other => panic!("expected a policy reject, got {other:?}"),
     }
     cluster.shutdown();
@@ -270,7 +284,13 @@ fn a_spanning_reject_decided_by_an_owner_sends_no_prepare() {
             .admit(&heavy, Granularity::MaximalRun)
             .unwrap();
         assert!(
-            matches!(response, Response::Decision { accepted: false, .. }),
+            matches!(
+                response,
+                Response::Decision {
+                    accepted: false,
+                    ..
+                }
+            ),
             "via node{via}: {response:?}"
         );
         let sent = counter(&cluster, via, "cluster.twopc.prepares") - before;
@@ -301,7 +321,9 @@ fn offers_are_split_by_owner() {
     .unwrap();
     assert_eq!(client.offer(&offer).unwrap(), 2);
     // node1's obtainable snapshot now covers the late window.
-    let response = client_for(&cluster, 1).call(&Request::ClusterSnapshot).unwrap();
+    let response = client_for(&cluster, 1)
+        .call(&Request::ClusterSnapshot)
+        .unwrap();
     match response {
         Response::ClusterState { resources, .. } => {
             assert!(resources.to_string().contains("96"), "{resources}");
@@ -327,7 +349,10 @@ fn offers_skip_zero_rates_and_leave_empty_intervals_to_the_core() {
     let l1 = r#"{"kind":"cpu","location":"l1","rate":2,"start":64,"end":96}"#;
     let zero_rate = r#"{"kind":"cpu","location":"l9","rate":0,"start":0,"end":8}"#;
     let response = client.call(&offer(&format!("{zero_rate},{l1}"))).unwrap();
-    assert!(matches!(response, Response::Offered { terms: 1 }), "{response:?}");
+    assert!(
+        matches!(response, Response::Offered { terms: 1 }),
+        "{response:?}"
+    );
     let empty = r#"{"kind":"cpu","location":"l1","rate":2,"start":5,"end":5}"#;
     match client.call(&offer(&format!("{empty},{l1}"))).unwrap() {
         Response::Error { message } => assert!(
@@ -343,13 +368,22 @@ fn offers_skip_zero_rates_and_leave_empty_intervals_to_the_core() {
 fn unowned_locations_are_rejected_with_r0016() {
     let cluster = launch(2, test_config());
     let mut client = client_for(&cluster, 0);
-    let response = client.admit(&job("nowhere", &["l9"], 16), Granularity::MaximalRun).unwrap();
+    let response = client
+        .admit(&job("nowhere", &["l9"], 16), Granularity::MaximalRun)
+        .unwrap();
     match &response {
-        Response::Decision { accepted, clause, diagnostics, .. } => {
+        Response::Decision {
+            accepted,
+            clause,
+            diagnostics,
+            ..
+        } => {
             assert!(!accepted);
-            assert_eq!(clause.as_deref(), Some("cluster routing (location ownership)"));
-            let rendered: String =
-                diagnostics.iter().map(|d| d.to_string()).collect();
+            assert_eq!(
+                clause.as_deref(),
+                Some("cluster routing (location ownership)")
+            );
+            let rendered: String = diagnostics.iter().map(|d| d.to_string()).collect();
             assert!(rendered.contains("R0016"), "{rendered}");
             assert!(rendered.contains("l9"), "{rendered}");
         }
@@ -386,7 +420,10 @@ fn version_mismatch_is_a_structured_error() {
     let cluster = launch(1, test_config());
     let mut client = client_for(&cluster, 0);
     let response = client
-        .call(&Request::Hello { version: 99, node: None })
+        .call(&Request::Hello {
+            version: 99,
+            node: None,
+        })
         .unwrap();
     match response {
         Response::Error { message } => {
@@ -461,8 +498,8 @@ fn a_spanning_admit_snapshots_only_its_scope() {
     let mut in_scope = 0;
     for index in [0, 1] {
         let whole = snapshot_set(&cluster, index, &Request::ClusterSnapshot);
-        let expected = State::new(whole.clone(), TimePoint::ZERO)
-            .expiring_in(scope.types(), scope.window());
+        let expected =
+            State::new(whole.clone(), TimePoint::ZERO).expiring_in(scope.types(), scope.window());
         assert_eq!(
             snapshot_set(&cluster, index, &scoped),
             expected,

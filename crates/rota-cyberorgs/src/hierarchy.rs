@@ -168,11 +168,7 @@ impl CyberOrgs {
             .ok_or(CyberOrgsError::UnknownOrg(org))
     }
 
-    fn take_free(
-        &mut self,
-        org: &OrgName,
-        carve: &ResourceSet,
-    ) -> Result<(), CyberOrgsError> {
+    fn take_free(&mut self, org: &OrgName, carve: &ResourceSet) -> Result<(), CyberOrgsError> {
         let entry = self
             .orgs
             .get_mut(org)
@@ -185,12 +181,12 @@ impl CyberOrgs {
             });
         }
         let (theta, rho, now) = entry.state.clone().into_parts();
-        let theta = theta
-            .relative_complement(carve)
-            .map_err(|e| CyberOrgsError::InsufficientFreeResources {
+        let theta = theta.relative_complement(carve).map_err(|e| {
+            CyberOrgsError::InsufficientFreeResources {
                 org: org.clone(),
                 detail: e.to_string(),
-            })?;
+            }
+        })?;
         entry.state = State::with_commitments(theta, rho, now);
         Ok(())
     }
@@ -233,8 +229,10 @@ impl CyberOrgs {
             return Err(CyberOrgsError::UnknownOrg(parent));
         }
         self.take_free(&parent, &carve)?;
-        self.orgs
-            .insert(child.clone(), Org::new(Some(parent.clone()), carve, self.now));
+        self.orgs.insert(
+            child.clone(),
+            Org::new(Some(parent.clone()), carve, self.now),
+        );
         self.orgs
             .get_mut(&parent)
             .expect("checked above")
@@ -480,8 +478,14 @@ mod tests {
     fn local_admission_and_execution() {
         let mut orgs = CyberOrgs::new("root", theta(8, 0, 32), TimePoint::ZERO);
         orgs.create_org("root", "tenant", theta(4, 0, 32)).unwrap();
-        assert!(orgs.admit("tenant", &request("t-job", 2, 32)).unwrap().is_accept());
-        assert!(orgs.admit("root", &request("r-job", 2, 32)).unwrap().is_accept());
+        assert!(orgs
+            .admit("tenant", &request("t-job", 2, 32))
+            .unwrap()
+            .is_accept());
+        assert!(orgs
+            .admit("root", &request("r-job", 2, 32))
+            .unwrap()
+            .is_accept());
         assert_eq!(orgs.total_commitments(), 2);
         orgs.run_until(TimePoint::new(32));
         assert_eq!(orgs.total_commitments(), 0);
@@ -495,9 +499,18 @@ mod tests {
         // two do not — even though the root still has plenty.
         let mut orgs = CyberOrgs::new("root", theta(8, 0, 8), TimePoint::ZERO);
         orgs.create_org("root", "tenant", theta(2, 0, 8)).unwrap();
-        assert!(orgs.admit("tenant", &request("one", 2, 8)).unwrap().is_accept());
-        assert!(!orgs.admit("tenant", &request("two", 2, 8)).unwrap().is_accept());
-        assert!(orgs.admit("root", &request("rooty", 2, 8)).unwrap().is_accept());
+        assert!(orgs
+            .admit("tenant", &request("one", 2, 8))
+            .unwrap()
+            .is_accept());
+        assert!(!orgs
+            .admit("tenant", &request("two", 2, 8))
+            .unwrap()
+            .is_accept());
+        assert!(orgs
+            .admit("root", &request("rooty", 2, 8))
+            .unwrap()
+            .is_accept());
     }
 
     #[test]
@@ -506,12 +519,18 @@ mod tests {
         orgs.create_org("root", "tenant", theta(2, 0, 16)).unwrap();
         orgs.grant("root", "tenant", theta(3, 0, 16)).unwrap();
         assert_eq!(
-            orgs.state("tenant").unwrap().theta().rate_at(&cpu("l1"), TimePoint::ZERO),
+            orgs.state("tenant")
+                .unwrap()
+                .theta()
+                .rate_at(&cpu("l1"), TimePoint::ZERO),
             Rate::new(5)
         );
         orgs.release("tenant", theta(1, 0, 16)).unwrap();
         assert_eq!(
-            orgs.state("root").unwrap().theta().rate_at(&cpu("l1"), TimePoint::ZERO),
+            orgs.state("root")
+                .unwrap()
+                .theta()
+                .rate_at(&cpu("l1"), TimePoint::ZERO),
             Rate::new(4)
         );
         // releasing from the root is meaningless
@@ -532,7 +551,10 @@ mod tests {
             Err(CyberOrgsError::HasChildren(_))
         ));
         // b busy: refuse
-        assert!(orgs.admit("b", &request("busy", 1, 16)).unwrap().is_accept());
+        assert!(orgs
+            .admit("b", &request("busy", 1, 16))
+            .unwrap()
+            .is_accept());
         assert!(matches!(
             orgs.dissolve("b"),
             Err(CyberOrgsError::HasCommitments(_))
@@ -543,7 +565,10 @@ mod tests {
         orgs.dissolve("a").unwrap();
         assert_eq!(orgs.len(), 1);
         assert_eq!(
-            orgs.state("root").unwrap().theta().rate_at(&cpu("l1"), TimePoint::new(8)),
+            orgs.state("root")
+                .unwrap()
+                .theta()
+                .rate_at(&cpu("l1"), TimePoint::new(8)),
             Rate::new(8)
         );
         assert!(matches!(

@@ -182,8 +182,7 @@ mod tests {
                         compose(ab, bc).contains(ac),
                         "unsound: {ab} ∘ {bc} missing {ac} for {a},{b},{c}"
                     );
-                    witnessed[ab.index()][bc.index()] =
-                        witnessed[ab.index()][bc.index()].with(ac);
+                    witnessed[ab.index()][bc.index()] = witnessed[ab.index()][bc.index()].with(ac);
                 }
             }
         }

@@ -278,7 +278,10 @@ mod tests {
     #[test]
     fn duration_counts_ticks() {
         assert_eq!(iv(0, 3).duration(), TickDuration::new(3));
-        assert_eq!(TimeInterval::tick(TimePoint::new(7)).duration(), TickDuration::DELTA);
+        assert_eq!(
+            TimeInterval::tick(TimePoint::new(7)).duration(),
+            TickDuration::DELTA
+        );
     }
 
     #[test]

@@ -147,8 +147,7 @@ impl Default for RelationSet {
 
 impl FromIterator<AllenRelation> for RelationSet {
     fn from_iter<I: IntoIterator<Item = AllenRelation>>(iter: I) -> Self {
-        iter.into_iter()
-            .fold(RelationSet::EMPTY, RelationSet::with)
+        iter.into_iter().fold(RelationSet::EMPTY, RelationSet::with)
     }
 }
 

@@ -321,7 +321,10 @@ mod tests {
             let t = TimePoint::new(t);
             assert_eq!(u.contains_tick(t), a.contains_tick(t) || b.contains_tick(t));
             assert_eq!(i.contains_tick(t), a.contains_tick(t) && b.contains_tick(t));
-            assert_eq!(d.contains_tick(t), a.contains_tick(t) && !b.contains_tick(t));
+            assert_eq!(
+                d.contains_tick(t),
+                a.contains_tick(t) && !b.contains_tick(t)
+            );
         }
         assert_normal(&u);
         assert_normal(&i);

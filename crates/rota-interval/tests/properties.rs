@@ -17,8 +17,7 @@ fn arb_relation_set() -> impl Strategy<Value = RelationSet> {
 }
 
 fn arb_interval_set(max: u64) -> impl Strategy<Value = IntervalSet> {
-    proptest::collection::vec(arb_interval(max), 0..8)
-        .prop_map(|ivs| ivs.into_iter().collect())
+    proptest::collection::vec(arb_interval(max), 0..8).prop_map(|ivs| ivs.into_iter().collect())
 }
 
 proptest! {

@@ -510,7 +510,10 @@ mod tests {
             [ScheduledSegment::reserved(simple(cpu("l1"), 8, 0, 4), res)],
             TimePoint::new(4),
         );
-        assert!(!c.entitled(&cpu("l1"), TimePoint::new(0)), "tick 0 not reserved");
+        assert!(
+            !c.entitled(&cpu("l1"), TimePoint::new(0)),
+            "tick 0 not reserved"
+        );
         assert!(c.entitled(&cpu("l1"), TimePoint::new(2)));
         assert!(c.entitled(&cpu("l1"), TimePoint::new(3)));
     }
@@ -607,10 +610,7 @@ mod tests {
         assert_eq!(commitment().to_string(), "ρ[a1: 2 pending, d=t8]");
         let seg = ScheduledSegment::opportunistic(simple(cpu("l1"), 8, 0, 4));
         assert!(!seg.to_string().ends_with('*'));
-        let seg = ScheduledSegment::reserved(
-            simple(cpu("l1"), 8, 0, 4),
-            ResourceSet::new(),
-        );
+        let seg = ScheduledSegment::reserved(simple(cpu("l1"), 8, 0, 4), ResourceSet::new());
         assert!(seg.to_string().ends_with('*'));
     }
 }

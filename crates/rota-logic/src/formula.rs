@@ -436,9 +436,7 @@ mod tests {
     use super::*;
     use crate::commitment::{window, Commitment};
     use rota_actor::{ActorName, ResourceDemand};
-    use rota_resource::{
-        LocatedType, Location, Quantity, Rate, ResourceSet, ResourceTerm,
-    };
+    use rota_resource::{LocatedType, Location, Quantity, Rate, ResourceSet, ResourceTerm};
 
     fn cpu(l: &str) -> LocatedType {
         LocatedType::cpu(Location::new(l))
@@ -479,14 +477,8 @@ mod tests {
         // Free system: everything expires, so the atom sees all of Θ.
         let s = State::new(theta(&[(cpu("l1"), 2, 0, 4)]), TimePoint::ZERO);
         let c = checker();
-        assert!(c.holds(
-            &s,
-            &Formula::SatisfySimple(simple(cpu("l1"), 8, 0, 4))
-        ));
-        assert!(!c.holds(
-            &s,
-            &Formula::SatisfySimple(simple(cpu("l1"), 9, 0, 4))
-        ));
+        assert!(c.holds(&s, &Formula::SatisfySimple(simple(cpu("l1"), 8, 0, 4))));
+        assert!(!c.holds(&s, &Formula::SatisfySimple(simple(cpu("l1"), 9, 0, 4))));
     }
 
     #[test]

@@ -69,8 +69,8 @@ mod workflow;
 
 pub use commitment::{Commitment, Commitments, ScheduledSegment};
 pub use formula::{ChoiceUnfolding, Formula, GreedyUnfolding, ModelChecker, Unfolding};
-pub use obs::{describe_label, CheckObs, RuleKind};
 pub use model::SystemModel;
+pub use obs::{describe_label, CheckObs, RuleKind};
 pub use path::ComputationPath;
 pub use planner::{choose_plan, PlanChoice, PlanObjective};
 pub use schedule::{

@@ -133,8 +133,8 @@ pub struct CheckObs {
 impl CheckObs {
     /// Wires the logic metrics into `registry`.
     pub fn new(registry: &Registry) -> Self {
-        let rules = RuleKind::ALL
-            .map(|kind| registry.counter(&format!("logic.rule.{}", kind.name())));
+        let rules =
+            RuleKind::ALL.map(|kind| registry.counter(&format!("logic.rule.{}", kind.name())));
         // Per-rule wall-time histograms are registered only when timers
         // actually measure, so disabled builds don't export dead zeros.
         let rule_timing = ScopeTimer::enabled().then(|| {

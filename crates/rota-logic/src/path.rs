@@ -73,10 +73,7 @@ impl ComputationPath {
     /// The last state whose time is ≤ `t` — "the system state that `σ, t`
     /// specifies". `None` if the path starts after `t`.
     pub fn state_at(&self, t: TimePoint) -> Option<&State> {
-        self.states
-            .iter()
-            .rev()
-            .find(|s| s.now() <= t)
+        self.states.iter().rev().find(|s| s.now() <= t)
     }
 
     fn apply<E>(
@@ -252,9 +249,18 @@ mod tests {
             ComputationPath::new(State::new(theta(&[(cpu("l1"), 1, 0, 3)]), TimePoint::ZERO));
         sigma.step_expire();
         sigma.step_expire();
-        assert_eq!(sigma.state_at(TimePoint::new(1)).unwrap().now(), TimePoint::new(1));
-        assert_eq!(sigma.state_at(TimePoint::new(9)).unwrap().now(), TimePoint::new(2));
-        assert_eq!(sigma.state_at(TimePoint::ZERO).unwrap().now(), TimePoint::ZERO);
+        assert_eq!(
+            sigma.state_at(TimePoint::new(1)).unwrap().now(),
+            TimePoint::new(1)
+        );
+        assert_eq!(
+            sigma.state_at(TimePoint::new(9)).unwrap().now(),
+            TimePoint::new(2)
+        );
+        assert_eq!(
+            sigma.state_at(TimePoint::ZERO).unwrap().now(),
+            TimePoint::ZERO
+        );
     }
 
     #[test]

@@ -88,9 +88,7 @@ pub fn choose_plan(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rota_actor::{
-        ActionKind, ActorComputation, Granularity, ResourceDemand, TableCostModel,
-    };
+    use rota_actor::{ActionKind, ActorComputation, Granularity, ResourceDemand, TableCostModel};
     use rota_interval::{TimeInterval, TimePoint};
     use rota_resource::{LocatedType, Location, Quantity, Rate, ResourceSet, ResourceTerm};
 
@@ -133,8 +131,13 @@ mod tests {
         .into_iter()
         .collect();
         let state = State::new(theta, TimePoint::ZERO);
-        let choice =
-            choose_plan(&state, &a1, &alternatives, PlanObjective::EarliestCompletion).unwrap();
+        let choice = choose_plan(
+            &state,
+            &a1,
+            &alternatives,
+            PlanObjective::EarliestCompletion,
+        )
+        .unwrap();
         assert_eq!(choice.index, 1, "migrating is faster");
 
         // No l2 at all: staying is the only feasible plan.
@@ -142,8 +145,13 @@ mod tests {
             .into_iter()
             .collect();
         let state = State::new(theta, TimePoint::ZERO);
-        let choice =
-            choose_plan(&state, &a1, &alternatives, PlanObjective::EarliestCompletion).unwrap();
+        let choice = choose_plan(
+            &state,
+            &a1,
+            &alternatives,
+            PlanObjective::EarliestCompletion,
+        )
+        .unwrap();
         assert_eq!(choice.index, 0);
     }
 
@@ -164,11 +172,15 @@ mod tests {
         // Both feasible; the second would finish earlier (smaller), but
         // FirstFeasible picks index 0.
         let alternatives = vec![alt(16), alt(2)];
-        let choice =
-            choose_plan(&state, &a1, &alternatives, PlanObjective::FirstFeasible).unwrap();
+        let choice = choose_plan(&state, &a1, &alternatives, PlanObjective::FirstFeasible).unwrap();
         assert_eq!(choice.index, 0);
-        let choice =
-            choose_plan(&state, &a1, &alternatives, PlanObjective::EarliestCompletion).unwrap();
+        let choice = choose_plan(
+            &state,
+            &a1,
+            &alternatives,
+            PlanObjective::EarliestCompletion,
+        )
+        .unwrap();
         assert_eq!(choice.index, 1);
     }
 
@@ -183,9 +195,13 @@ mod tests {
             )
         };
         let state = State::new(ResourceSet::new(), TimePoint::ZERO);
-        let failures =
-            choose_plan(&state, &a1, &[alt(4), alt(8)], PlanObjective::EarliestCompletion)
-                .unwrap_err();
+        let failures = choose_plan(
+            &state,
+            &a1,
+            &[alt(4), alt(8)],
+            PlanObjective::EarliestCompletion,
+        )
+        .unwrap_err();
         assert_eq!(failures.len(), 2);
     }
 
@@ -201,8 +217,7 @@ mod tests {
             vec![ResourceDemand::single(cpu("l1"), Quantity::new(8))],
             window,
         );
-        let choice =
-            choose_plan(&state, &a1, &[alt], PlanObjective::EarliestCompletion).unwrap();
+        let choice = choose_plan(&state, &a1, &[alt], PlanObjective::EarliestCompletion).unwrap();
         let mut installed = choice.admission.into_state();
         installed.run_greedy(TimePoint::new(8));
         assert!(installed.rho().is_empty());

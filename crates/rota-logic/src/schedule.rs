@@ -170,8 +170,7 @@ pub fn schedule_complex(
             // Zero-demand segment (empty demand): takes no time.
             continue;
         }
-        let seg_window =
-            TimeInterval::new(cursor, segment_end).expect("non-empty segment window");
+        let seg_window = TimeInterval::new(cursor, segment_end).expect("non-empty segment window");
         segments.push(ScheduledSegment::reserved(
             SimpleRequirement::new(demand.clone(), seg_window),
             reservation,
@@ -286,12 +285,7 @@ pub fn exhaustive_schedule_exists(
     }
     let window = requirement.window();
     let cursor = window.start().max(earliest);
-    recurse(
-        free,
-        requirement.segments(),
-        cursor,
-        window.end(),
-    )
+    recurse(free, requirement.segments(), cursor, window.end())
 }
 
 #[cfg(test)]
@@ -333,7 +327,10 @@ mod tests {
         assert_eq!(seg.requirement().window(), window(0, 3));
         // reserved the full rate over the three ticks
         assert_eq!(
-            seg.reservation().unwrap().quantity_over(&cpu("l1"), &window(0, 3)).unwrap(),
+            seg.reservation()
+                .unwrap()
+                .quantity_over(&cpu("l1"), &window(0, 3))
+                .unwrap(),
             Quantity::new(12)
         );
     }
@@ -447,10 +444,8 @@ mod tests {
         let both = r0.union(&r1).unwrap();
         assert!(free.dominates(&both));
         // a third identical actor no longer fits... (only 2 rate-ticks left)
-        let req3 = ConcurrentRequirement::new(
-            vec![part.clone(), part.clone(), part],
-            window(0, 10),
-        );
+        let req3 =
+            ConcurrentRequirement::new(vec![part.clone(), part.clone(), part], window(0, 10));
         let err = schedule_concurrent(&free, &req3, TimePoint::ZERO).unwrap_err();
         assert_eq!(err.0, 2);
     }
@@ -470,20 +465,35 @@ mod tests {
         let a1 = complex(&[(a.clone(), 2), (b.clone(), 1)], 0, 3);
         let a2 = complex(&[(b.clone(), 1), (c.clone(), 1)], 0, 3);
         let supply = |rate_a| {
-            theta(&[(a.clone(), rate_a, 0, 10), (b.clone(), 1, 1, 3), (c.clone(), 1, 2, 3)])
+            theta(&[
+                (a.clone(), rate_a, 0, 10),
+                (b.clone(), 1, 1, 3),
+                (c.clone(), 1, 2, 3),
+            ])
         };
         let decide = |free: &ResourceSet, parts: [&ComplexRequirement; 2]| {
             let req = ConcurrentRequirement::new(parts.map(Clone::clone).to_vec(), window(0, 3));
             schedule_concurrent(free, &req, TimePoint::ZERO)
         };
         let accepted = decide(&supply(1), [&a1, &a2]).expect("Θ accepts");
-        assert_eq!(accepted[0].completion(), TimePoint::new(3), "a1 takes b over (2,3)");
-        assert_eq!(accepted[1].completion(), TimePoint::new(3), "a2 takes b over (1,2)");
+        assert_eq!(
+            accepted[0].completion(),
+            TimePoint::new(3),
+            "a1 takes b over (2,3)"
+        );
+        assert_eq!(
+            accepted[1].completion(),
+            TimePoint::new(3),
+            "a2 takes b over (1,2)"
+        );
         let richer = supply(2);
         assert!(richer.dominates(&supply(1)));
         let (actor, _) = decide(&richer, [&a1, &a2]).expect_err("Θ′ rejects");
         assert_eq!(actor, 1, "a2 is the one left without a fit");
-        assert!(decide(&richer, [&a2, &a1]).is_ok(), "the reversed order fits Θ′");
+        assert!(
+            decide(&richer, [&a2, &a1]).is_ok(),
+            "the reversed order fits Θ′"
+        );
     }
 
     #[test]

@@ -114,7 +114,10 @@ impl fmt::Display for TransitionError {
                 write!(f, "located type {lt} assigned to more than one actor")
             }
             TransitionError::DeadlinePassed { now, deadline } => {
-                write!(f, "cannot accommodate at {now}: deadline {deadline} has passed")
+                write!(
+                    f,
+                    "cannot accommodate at {now}: deadline {deadline} has passed"
+                )
             }
             TransitionError::ActorAlreadyCommitted(a) => {
                 write!(f, "actor {a} already has a pending commitment")
@@ -375,12 +378,7 @@ impl State {
         }
         // Whatever availability remains within this tick expires as time
         // advances past it.
-        let expired: Vec<LocatedType> = self
-            .theta
-            .clamp(&tick)
-            .located_types()
-            .cloned()
-            .collect();
+        let expired: Vec<LocatedType> = self.theta.clamp(&tick).located_types().cloned().collect();
         self.now += TickDuration::DELTA;
         self.theta.truncate_before(self.now);
         self.rho.reap_complete();
@@ -667,10 +665,7 @@ mod tests {
     }
 
     fn simple(lt: LocatedType, q: u64, s: u64, e: u64) -> SimpleRequirement {
-        SimpleRequirement::new(
-            ResourceDemand::single(lt, Quantity::new(q)),
-            window(s, e),
-        )
+        SimpleRequirement::new(ResourceDemand::single(lt, Quantity::new(q)), window(s, e))
     }
 
     fn committed_state() -> State {
@@ -687,9 +682,7 @@ mod tests {
     #[test]
     fn sequential_rule_consumes_and_advances() {
         let mut s = committed_state();
-        let label = s
-            .step_sequential(cpu("l1"), ActorName::new("a1"))
-            .unwrap();
+        let label = s.step_sequential(cpu("l1"), ActorName::new("a1")).unwrap();
         match label {
             TransitionLabel::Step {
                 assignments,
@@ -767,9 +760,7 @@ mod tests {
         let mut s = committed_state();
         let before = s.clone();
         // unknown actor
-        let err = s
-            .step(&[(cpu("l1"), ActorName::new("ghost"))])
-            .unwrap_err();
+        let err = s.step(&[(cpu("l1"), ActorName::new("ghost"))]).unwrap_err();
         assert!(matches!(err, TransitionError::UnknownActor(_)));
         // wrong type
         let err = s.step(&[(cpu("l9"), ActorName::new("a1"))]).unwrap_err();

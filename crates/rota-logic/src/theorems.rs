@@ -206,10 +206,7 @@ mod tests {
     #[test]
     fn theorem1_needs_both_conditions() {
         let w = window(0, 4);
-        let rho = SimpleRequirement::new(
-            ResourceDemand::single(cpu("l1"), Quantity::new(8)),
-            w,
-        );
+        let rho = SimpleRequirement::new(ResourceDemand::single(cpu("l1"), Quantity::new(8)), w);
         let enough = theta(&[(cpu("l1"), 2, 0, 4)]);
         let starved = theta(&[(cpu("l1"), 1, 0, 4)]);
         assert!(single_action_accommodation(&enough, &rho, true));
@@ -232,8 +229,7 @@ mod tests {
     fn theorem3_constructs_witness_path() {
         let free = theta(&[(cpu("l1"), 2, 0, 10)]);
         let req = complex(&[(cpu("l1"), 6)], 0, 10);
-        let witness =
-            meets_deadline(&free, &ActorName::new("a1"), &req, TimePoint::ZERO).unwrap();
+        let witness = meets_deadline(&free, &ActorName::new("a1"), &req, TimePoint::ZERO).unwrap();
         assert_eq!(witness.completion(), TimePoint::new(3));
         let final_state = witness.path().current();
         assert!(final_state.rho().is_empty(), "(Θ', ∅, t_n)");
@@ -290,12 +286,10 @@ mod tests {
         let free = theta(&[(cpu("l1"), 4, 0, 8)]);
         let base = State::new(free, TimePoint::ZERO);
         let a1 = ActorName::new("a1");
-        let state =
-            accommodate_additional(&base, &a1, &complex(&[(cpu("l1"), 8)], 0, 8))
-                .unwrap()
-                .into_state();
-        let a1_pending_before: Vec<_> =
-            state.rho().get(&a1).unwrap().pending().cloned().collect();
+        let state = accommodate_additional(&base, &a1, &complex(&[(cpu("l1"), 8)], 0, 8))
+            .unwrap()
+            .into_state();
+        let a1_pending_before: Vec<_> = state.rho().get(&a1).unwrap().pending().cloned().collect();
         let state2 = accommodate_additional(
             &state,
             &ActorName::new("a2"),
@@ -303,8 +297,7 @@ mod tests {
         )
         .unwrap()
         .into_state();
-        let a1_pending_after: Vec<_> =
-            state2.rho().get(&a1).unwrap().pending().cloned().collect();
+        let a1_pending_after: Vec<_> = state2.rho().get(&a1).unwrap().pending().cloned().collect();
         assert_eq!(a1_pending_before, a1_pending_after);
     }
 }

@@ -62,9 +62,7 @@ impl fmt::Display for WorkflowError {
             WorkflowError::UnknownPart { index } => {
                 write!(f, "precedence edge references unknown actor #{index}")
             }
-            WorkflowError::CyclicDependencies => {
-                f.write_str("precedence edges contain a cycle")
-            }
+            WorkflowError::CyclicDependencies => f.write_str("precedence edges contain a cycle"),
             WorkflowError::Infeasible { part, error } => {
                 write!(f, "actor #{part} unschedulable: {error}")
             }
@@ -212,10 +210,7 @@ mod tests {
     }
 
     fn part(lt: LocatedType, q: u64, s: u64, d: u64) -> ComplexRequirement {
-        ComplexRequirement::new(
-            vec![ResourceDemand::single(lt, Quantity::new(q))],
-            iv(s, d),
-        )
+        ComplexRequirement::new(vec![ResourceDemand::single(lt, Quantity::new(q))], iv(s, d))
     }
 
     fn theta(rate: u64, s: u64, e: u64) -> ResourceSet {
@@ -232,11 +227,7 @@ mod tests {
             Err(WorkflowError::UnknownPart { index: 3 })
         ));
         assert!(matches!(
-            WorkflowRequirement::new(
-                vec![p.clone(), p.clone()],
-                vec![(0, 1), (1, 0)],
-                iv(0, 10)
-            ),
+            WorkflowRequirement::new(vec![p.clone(), p.clone()], vec![(0, 1), (1, 0)], iv(0, 10)),
             Err(WorkflowError::CyclicDependencies)
         ));
         let ok = WorkflowRequirement::new(vec![p.clone(), p], vec![(0, 1)], iv(0, 10)).unwrap();
@@ -314,7 +305,9 @@ mod tests {
 
     #[test]
     fn error_display() {
-        assert!(WorkflowError::CyclicDependencies.to_string().contains("cycle"));
+        assert!(WorkflowError::CyclicDependencies
+            .to_string()
+            .contains("cycle"));
         assert!(WorkflowError::UnknownPart { index: 9 }
             .to_string()
             .contains("#9"));

@@ -25,9 +25,23 @@ enum Chaos {
     StepGreedy,
     StepBogusActor(u8),
     StepWrongType(u8),
-    Acquire { loc: u8, rate: u64, s: u64, len: u64 },
-    Accommodate { loc: u8, q: u64, s: u64, len: u64, name: u8 },
-    AccommodateStale { loc: u8, name: u8 },
+    Acquire {
+        loc: u8,
+        rate: u64,
+        s: u64,
+        len: u64,
+    },
+    Accommodate {
+        loc: u8,
+        q: u64,
+        s: u64,
+        len: u64,
+        name: u8,
+    },
+    AccommodateStale {
+        loc: u8,
+        name: u8,
+    },
     Leave(u8),
     Evict(u8),
 }
@@ -38,11 +52,21 @@ fn arb_chaos() -> impl Strategy<Value = Chaos> {
         Just(Chaos::StepGreedy),
         any::<u8>().prop_map(Chaos::StepBogusActor),
         any::<u8>().prop_map(Chaos::StepWrongType),
-        (0u8..3, 0u64..6, 0u64..HORIZON, 1u64..6)
-            .prop_map(|(loc, rate, s, len)| Chaos::Acquire { loc, rate, s, len }),
-        (0u8..3, 1u64..10, 0u64..HORIZON, 2u64..8, 0u8..4).prop_map(
-            |(loc, q, s, len, name)| Chaos::Accommodate { loc, q, s, len, name }
-        ),
+        (0u8..3, 0u64..6, 0u64..HORIZON, 1u64..6).prop_map(|(loc, rate, s, len)| Chaos::Acquire {
+            loc,
+            rate,
+            s,
+            len
+        }),
+        (0u8..3, 1u64..10, 0u64..HORIZON, 2u64..8, 0u8..4).prop_map(|(loc, q, s, len, name)| {
+            Chaos::Accommodate {
+                loc,
+                q,
+                s,
+                len,
+                name,
+            }
+        }),
         (0u8..3, 0u8..4).prop_map(|(loc, name)| Chaos::AccommodateStale { loc, name }),
         (0u8..4).prop_map(Chaos::Leave),
         (0u8..4).prop_map(Chaos::Evict),
@@ -79,14 +103,18 @@ fn apply(state: &mut State, action: &Chaos) {
         }
         Chaos::Acquire { loc, rate, s, len } => {
             let theta: ResourceSet = (*rate > 0)
-                .then(|| {
-                    ResourceTerm::new(Rate::new(*rate), iv(*s, s + len), cpu(*loc))
-                })
+                .then(|| ResourceTerm::new(Rate::new(*rate), iv(*s, s + len), cpu(*loc)))
                 .into_iter()
                 .collect();
             state.acquire(theta).expect("acquisition has no guard");
         }
-        Chaos::Accommodate { loc, q, s, len, name } => {
+        Chaos::Accommodate {
+            loc,
+            q,
+            s,
+            len,
+            name,
+        } => {
             let deadline = s + len;
             let commitment = Commitment::opportunistic(
                 ActorName::new(format!("a{name}")),

@@ -22,11 +22,7 @@ fn cpu(i: u8) -> LocatedType {
 }
 
 fn arb_theta() -> impl Strategy<Value = ResourceSet> {
-    proptest::collection::vec(
-        (0u8..2, 0u64..HORIZON, 1u64..=4, 0u64..5),
-        0..5,
-    )
-    .prop_map(|parts| {
+    proptest::collection::vec((0u8..2, 0u64..HORIZON, 1u64..=4, 0u64..5), 0..5).prop_map(|parts| {
         let mut set = ResourceSet::new();
         for (loc, start, len, rate) in parts {
             if rate == 0 {

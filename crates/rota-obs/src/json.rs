@@ -693,10 +693,7 @@ mod tests {
         let value = Json::parse(doc).unwrap();
         let resources = value.get("resources").unwrap().as_array().unwrap();
         assert_eq!(resources.len(), 1);
-        assert_eq!(
-            resources[0].get("kind").unwrap().as_str(),
-            Some("cpu")
-        );
+        assert_eq!(resources[0].get("kind").unwrap().as_str(), Some("cpu"));
         assert_eq!(resources[0].get("capacity").unwrap().as_u64(), Some(4));
         assert_eq!(value.get("ok").unwrap().as_bool(), Some(true));
         assert_eq!(value.get("missing"), None);
@@ -704,18 +701,25 @@ mod tests {
 
     #[test]
     fn parses_unicode_escapes() {
-        assert_eq!(
-            Json::parse(r#""é😀""#).unwrap(),
-            Json::Str("é😀".into())
-        );
+        assert_eq!(Json::parse(r#""é😀""#).unwrap(), Json::Str("é😀".into()));
         assert!(Json::parse(r#""\ud83d""#).is_err());
     }
 
     #[test]
     fn rejects_malformed_documents() {
         for bad in [
-            "", "{", "[1,", "{\"a\"}", "{\"a\":}", "tru", "01", "1.", "1e",
-            "\"unterminated", "[1] extra", "{'a': 1}",
+            "",
+            "{",
+            "[1,",
+            "{\"a\"}",
+            "{\"a\":}",
+            "tru",
+            "01",
+            "1.",
+            "1e",
+            "\"unterminated",
+            "[1] extra",
+            "{'a': 1}",
         ] {
             assert!(Json::parse(bad).is_err(), "accepted: {bad:?}");
         }
@@ -810,10 +814,7 @@ mod tests {
     fn surrogate_pairs_round_trip() {
         let value = Json::Str("𝄞 clef and 🜚 gold".into());
         assert_eq!(Json::parse(&value.to_string()).unwrap(), value);
-        assert_eq!(
-            Json::parse(r#""𝄞""#).unwrap(),
-            Json::Str("𝄞".into())
-        );
+        assert_eq!(Json::parse(r#""𝄞""#).unwrap(), Json::Str("𝄞".into()));
     }
 
     /// Differential test of the string scanner: `Json::parse` against a

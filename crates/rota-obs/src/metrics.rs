@@ -98,15 +98,7 @@ impl Histogram {
     /// roughly ×4 per bucket.
     pub fn latency_ns_bounds() -> &'static [u64] {
         &[
-            250,
-            1_000,
-            4_000,
-            16_000,
-            64_000,
-            256_000,
-            1_000_000,
-            4_000_000,
-            16_000_000,
+            250, 1_000, 4_000, 16_000, 64_000, 256_000, 1_000_000, 4_000_000, 16_000_000,
         ]
     }
 

@@ -302,8 +302,7 @@ impl Parser<'_> {
                                 if !(0xDC00..0xE000).contains(&low) {
                                     return Err(self.err("invalid low surrogate"));
                                 }
-                                let code =
-                                    0x10000 + ((high - 0xD800) << 10) + (low - 0xDC00);
+                                let code = 0x10000 + ((high - 0xD800) << 10) + (low - 0xDC00);
                                 char::from_u32(code)
                             } else {
                                 char::from_u32(high)
@@ -331,8 +330,7 @@ impl Parser<'_> {
         }
         let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
             .map_err(|_| self.err("invalid unicode escape"))?;
-        let value =
-            u32::from_str_radix(hex, 16).map_err(|_| self.err("invalid unicode escape"))?;
+        let value = u32::from_str_radix(hex, 16).map_err(|_| self.err("invalid unicode escape"))?;
         self.pos += 4;
         Ok(value)
     }
@@ -373,8 +371,8 @@ impl Parser<'_> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("number bytes are ascii");
+        let text =
+            std::str::from_utf8(&self.bytes[start..self.pos]).expect("number bytes are ascii");
         text.parse::<f64>()
             .map(Value::Num)
             .map_err(|_| self.err("number out of range"))

@@ -201,7 +201,10 @@ mod tests {
         assert_eq!(NodeResourceKind::Memory.label(), "memory");
         assert_eq!(NodeResourceKind::Disk.label(), "disk");
         assert_eq!(NodeResourceKind::custom("gpu").label(), "gpu");
-        assert_eq!(NodeResourceKind::custom("gpu"), NodeResourceKind::custom("gpu"));
+        assert_eq!(
+            NodeResourceKind::custom("gpu"),
+            NodeResourceKind::custom("gpu")
+        );
     }
 
     #[test]

@@ -135,8 +135,8 @@ impl FromStr for ResourceTerm {
             .trim()
             .parse()
             .map_err(|_| ParseTermError::new(format!("`{end}` is not a tick")))?;
-        let interval = TimeInterval::from_ticks(start, end)
-            .map_err(|e| ParseTermError::new(e.to_string()))?;
+        let interval =
+            TimeInterval::from_ticks(start, end).map_err(|e| ParseTermError::new(e.to_string()))?;
         let located = rest
             .strip_prefix('_')
             .ok_or_else(|| ParseTermError::new("expected `_kind@location`"))?

@@ -176,10 +176,7 @@ impl ResourceProfile {
 
     /// The rate available at tick `t`.
     pub fn rate_at(&self, t: TimePoint) -> Rate {
-        match self
-            .segments
-            .binary_search_by(|(iv, _)| iv.start().cmp(&t))
-        {
+        match self.segments.binary_search_by(|(iv, _)| iv.start().cmp(&t)) {
             Ok(idx) => self.segments[idx].1,
             Err(0) => Rate::ZERO,
             Err(idx) => {

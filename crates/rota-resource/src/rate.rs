@@ -319,7 +319,10 @@ mod tests {
             Quantity::new(8).ticks_at(Rate::new(4)),
             Some(TickDuration::new(2))
         );
-        assert_eq!(Quantity::ZERO.ticks_at(Rate::ZERO), Some(TickDuration::ZERO));
+        assert_eq!(
+            Quantity::ZERO.ticks_at(Rate::ZERO),
+            Some(TickDuration::ZERO)
+        );
         assert_eq!(Quantity::new(1).ticks_at(Rate::ZERO), None);
     }
 
@@ -327,6 +330,9 @@ mod tests {
     fn displays() {
         assert_eq!(Rate::new(5).to_string(), "5/Δt");
         assert_eq!(Quantity::new(5).to_string(), "5u");
-        assert_eq!(OverflowError.to_string(), "resource arithmetic overflowed u64");
+        assert_eq!(
+            OverflowError.to_string(),
+            "resource arithmetic overflowed u64"
+        );
     }
 }

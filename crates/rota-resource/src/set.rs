@@ -197,7 +197,10 @@ impl ResourceSet {
     /// Returns [`ResourceSetError::NotDominated`] describing the first
     /// shortfall when the complement is undefined; `self` is not modified
     /// (the operation is non-destructive).
-    pub fn relative_complement(&self, other: &ResourceSet) -> Result<ResourceSet, ResourceSetError> {
+    pub fn relative_complement(
+        &self,
+        other: &ResourceSet,
+    ) -> Result<ResourceSet, ResourceSetError> {
         let mut out = self.clone();
         out.subtract_set(other)?;
         Ok(out)
@@ -373,7 +376,10 @@ impl ResourceSet {
 
     /// The latest instant with any availability.
     pub fn horizon(&self) -> Option<TimePoint> {
-        self.profiles.values().filter_map(ResourceProfile::horizon).max()
+        self.profiles
+            .values()
+            .filter_map(ResourceProfile::horizon)
+            .max()
     }
 
     /// The canonical term decomposition — one term per maximal
@@ -477,12 +483,9 @@ mod tests {
     /// Paper worked example 1: distinct located types do not aggregate.
     #[test]
     fn paper_example_distinct_types() {
-        let theta: ResourceSet = [
-            term(cpu("l1"), 5, 0, 3),
-            term(net("l1", "l2"), 5, 0, 5),
-        ]
-        .into_iter()
-        .collect();
+        let theta: ResourceSet = [term(cpu("l1"), 5, 0, 3), term(net("l1", "l2"), 5, 0, 5)]
+            .into_iter()
+            .collect();
         let terms = theta.to_terms();
         assert_eq!(terms.len(), 2);
         assert_eq!(terms[0], term(cpu("l1"), 5, 0, 3));
@@ -628,7 +631,10 @@ mod tests {
             .into_iter()
             .collect();
         let free = theta.exclude_support(&claimed);
-        assert_eq!(free.quantity_over(&cpu("l2"), &iv(0, 6)).unwrap(), Quantity::new(18));
+        assert_eq!(
+            free.quantity_over(&cpu("l2"), &iv(0, 6)).unwrap(),
+            Quantity::new(18)
+        );
         // claiming a type we do not have is a no-op
         let alien: ResourceSet = [term(cpu("l9"), 1, 0, 6)].into_iter().collect();
         assert_eq!(theta.exclude_support(&alien), theta);

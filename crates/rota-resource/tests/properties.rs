@@ -16,7 +16,10 @@ fn arb_located() -> impl Strategy<Value = LocatedType> {
     prop_oneof![
         (0u8..3).prop_map(|i| LocatedType::cpu(Location::new(format!("l{i}")))),
         (0u8..2).prop_map(|i| LocatedType::memory(Location::new(format!("l{i}")))),
-        Just(LocatedType::network(Location::new("l0"), Location::new("l1"))),
+        Just(LocatedType::network(
+            Location::new("l0"),
+            Location::new("l1")
+        )),
     ]
 }
 
@@ -33,7 +36,8 @@ fn arb_profile() -> impl Strategy<Value = ResourceProfile> {
     proptest::collection::vec((arb_interval(), 1u64..20), 0..6).prop_map(|parts| {
         let mut p = ResourceProfile::new();
         for (iv, r) in parts {
-            p.add(iv, Rate::new(r)).expect("small rates cannot overflow");
+            p.add(iv, Rate::new(r))
+                .expect("small rates cannot overflow");
         }
         p
     })

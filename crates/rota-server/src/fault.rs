@@ -406,10 +406,7 @@ mod tests {
         );
         let fired: Vec<bool> = (0..6).map(|_| injector.take_panic_ticket()).collect();
         assert_eq!(fired, vec![false, false, true, false, false, false]);
-        assert_eq!(
-            registry.snapshot().counter("server.faults.panic"),
-            Some(1)
-        );
+        assert_eq!(registry.snapshot().counter("server.faults.panic"), Some(1));
     }
 
     #[test]

@@ -694,17 +694,15 @@ impl Response {
             }),
             "aborted" => Ok(Response::Aborted {
                 name: fields.str("name")?,
-                released: fields
-                    .required("released")?
-                    .as_bool()
-                    .ok_or_else(|| SpecError::Parse("response: `released` must be a bool".into()))?,
+                released: fields.required("released")?.as_bool().ok_or_else(|| {
+                    SpecError::Parse("response: `released` must be a bool".into())
+                })?,
             }),
             "decision" => Ok(Response::Decision {
                 computation: fields.str("computation")?,
-                accepted: fields
-                    .required("accepted")?
-                    .as_bool()
-                    .ok_or_else(|| SpecError::Parse("response: `accepted` must be a bool".into()))?,
+                accepted: fields.required("accepted")?.as_bool().ok_or_else(|| {
+                    SpecError::Parse("response: `accepted` must be a bool".into())
+                })?,
                 shard: fields.u64("shard")? as usize,
                 reason: fields.str("reason")?,
                 violated_term: opt_str(&fields, "violated_term")?,
@@ -1024,7 +1022,10 @@ mod tests {
             expected: 0
         }
         .is_ok());
-        assert!(!Response::Error { message: "x".into() }.is_ok());
+        assert!(!Response::Error {
+            message: "x".into()
+        }
+        .is_ok());
     }
 
     #[test]
@@ -1431,8 +1432,12 @@ mod tests {
             other => panic!("wrong decode: {other:?}"),
         }
         for request in [
-            Request::CommitReservation { name: "job7".into() },
-            Request::AbortReservation { name: "job7".into() },
+            Request::CommitReservation {
+                name: "job7".into(),
+            },
+            Request::AbortReservation {
+                name: "job7".into(),
+            },
         ] {
             let line = request.to_json().to_string();
             let back = Request::from_line(&line).unwrap();

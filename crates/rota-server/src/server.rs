@@ -178,7 +178,9 @@ impl LocalHandle {
     /// gauges and counters into the same `metrics` snapshot. `None`
     /// once the server is draining.
     pub fn registry(&self) -> Option<Arc<rota_obs::Registry>> {
-        self.inner.upgrade().map(|inner| Arc::clone(&inner.registry))
+        self.inner
+            .upgrade()
+            .map(|inner| Arc::clone(&inner.registry))
     }
 
     /// Draws the deterministic mid-2PC panic ticket (chaos drills):

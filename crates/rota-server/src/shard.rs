@@ -169,8 +169,7 @@ impl ShardObs {
             lint_rejects: registry.counter(&format!("server.shard.lint_rejects{{shard={shard}}}")),
             reservations: registry.gauge(&format!("server.shard.reservations{{shard={shard}}}")),
             twopc_prepared: registry.counter(&format!("server.twopc.prepared{{shard={shard}}}")),
-            twopc_committed: registry
-                .counter(&format!("server.twopc.committed{{shard={shard}}}")),
+            twopc_committed: registry.counter(&format!("server.twopc.committed{{shard={shard}}}")),
             twopc_aborted: registry.counter(&format!("server.twopc.aborted{{shard={shard}}}")),
             twopc_expired: registry.counter(&format!("server.twopc.expired{{shard={shard}}}")),
         }
@@ -326,11 +325,10 @@ impl ShardPool {
             .map(|(shard, slice)| {
                 let obs = Arc::new(ShardObs::new(registry, shard));
                 let controller =
-                    AdmissionController::new(Arc::clone(&policy), slice, TimePoint::ZERO)
-                        .with_obs(
-                            AdmissionObs::new(registry, policy.name())
-                                .with_journal(Arc::clone(journal)),
-                        );
+                    AdmissionController::new(Arc::clone(&policy), slice, TimePoint::ZERO).with_obs(
+                        AdmissionObs::new(registry, policy.name())
+                            .with_journal(Arc::clone(journal)),
+                    );
                 let state = ShardState {
                     shard,
                     controller,
@@ -500,9 +498,9 @@ impl ShardPool {
         }
         let name = request.name().to_string();
         for (index, &expected) in epochs.iter().enumerate() {
-            if let Some(failure) =
-                self.locked(index, |state| state.prepare(request, verdict, expected, ttl))
-            {
+            if let Some(failure) = self.locked(index, |state| {
+                state.prepare(request, verdict, expected, ttl)
+            }) {
                 self.abort(&name);
                 return failure;
             }
@@ -845,7 +843,9 @@ fn lint_response(request: &AdmissionRequest, report: &LintReport, shard: usize) 
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use rota_actor::{ActionKind, ActorComputation, DistributedComputation, Granularity, TableCostModel};
+    use rota_actor::{
+        ActionKind, ActorComputation, DistributedComputation, Granularity, TableCostModel,
+    };
     use rota_admission::RotaPolicy;
     use rota_interval::TimeInterval;
     use rota_resource::{LocatedType, Rate, ResourceTerm};
@@ -906,13 +906,33 @@ mod tests {
         let registry = Arc::new(Registry::new());
         let journal = Arc::new(Journal::new(64));
         let theta = theta_at(&["l0", "l1"], 4, 16);
-        let pool =
-            ShardPool::new(RotaPolicy, &theta, 2, 8, DEDUP_CAPACITY, &registry, &journal, None);
+        let pool = ShardPool::new(
+            RotaPolicy,
+            &theta,
+            2,
+            8,
+            DEDUP_CAPACITY,
+            &registry,
+            &journal,
+            None,
+        );
         // Feasible job at l0, infeasible (too much work) job at l1.
         let yes = pool.admit(request_at("yes", "l0", 1, 16));
         let no = pool.admit(request_at("no", "l1", 64, 16));
-        assert!(matches!(yes, Response::Decision { accepted: true, .. }), "{yes:?}");
-        assert!(matches!(no, Response::Decision { accepted: false, .. }), "{no:?}");
+        assert!(
+            matches!(yes, Response::Decision { accepted: true, .. }),
+            "{yes:?}"
+        );
+        assert!(
+            matches!(
+                no,
+                Response::Decision {
+                    accepted: false,
+                    ..
+                }
+            ),
+            "{no:?}"
+        );
         match pool.stats() {
             Response::Stats { stats, shards } => {
                 assert_eq!(shards, 2);
@@ -924,7 +944,10 @@ mod tests {
         assert_eq!(journal.len(), 2, "both verdicts journaled");
         let snap = registry.snapshot();
         let routed: u64 = (0..2)
-            .map(|s| snap.counter(&format!("server.requests{{shard={s}}}")).unwrap())
+            .map(|s| {
+                snap.counter(&format!("server.requests{{shard={s}}}"))
+                    .unwrap()
+            })
             .sum();
         assert_eq!(routed, 2);
     }
@@ -935,14 +958,27 @@ mod tests {
         let registry = Arc::new(Registry::new());
         let journal = Arc::new(Journal::new(8));
         let theta = theta_at(&[&a, &b], 4, 16);
-        let pool =
-            ShardPool::new(RotaPolicy, &theta, 2, 8, DEDUP_CAPACITY, &registry, &journal, None);
+        let pool = ShardPool::new(
+            RotaPolicy,
+            &theta,
+            2,
+            8,
+            DEDUP_CAPACITY,
+            &registry,
+            &journal,
+            None,
+        );
         for (name, location) in [("on-a", &a), ("on-b", &b)] {
             let verdict = pool.admit(request_at(name, location, 1, 16));
-            assert!(matches!(verdict, Response::Decision { accepted: true, .. }), "{verdict:?}");
+            assert!(
+                matches!(verdict, Response::Decision { accepted: true, .. }),
+                "{verdict:?}"
+            );
         }
         assert_eq!(
-            registry.snapshot().gauge("admission.in_flight{policy=rota}"),
+            registry
+                .snapshot()
+                .gauge("admission.in_flight{policy=rota}"),
             Some(2)
         );
     }
@@ -963,13 +999,22 @@ mod tests {
         );
         // Without resources the job is refused; after an offer it fits.
         let before = pool.admit(request_at("j", "l0", 1, 16));
-        assert!(matches!(before, Response::Decision { accepted: false, .. }));
+        assert!(matches!(
+            before,
+            Response::Decision {
+                accepted: false,
+                ..
+            }
+        ));
         match pool.offer(theta_at(&["l0"], 4, 16)) {
             Response::Offered { terms } => assert_eq!(terms, 1),
             other => panic!("unexpected {other:?}"),
         }
         let after = pool.admit(request_at("j2", "l0", 1, 16));
-        assert!(matches!(after, Response::Decision { accepted: true, .. }), "{after:?}");
+        assert!(
+            matches!(after, Response::Decision { accepted: true, .. }),
+            "{after:?}"
+        );
     }
 
     #[test]
@@ -977,8 +1022,16 @@ mod tests {
         let registry = Arc::new(Registry::new());
         let journal = Arc::new(Journal::new(64));
         let theta = theta_at(&["l0"], 4, 16);
-        let pool =
-            ShardPool::new(RotaPolicy, &theta, 1, 8, DEDUP_CAPACITY, &registry, &journal, None);
+        let pool = ShardPool::new(
+            RotaPolicy,
+            &theta,
+            1,
+            8,
+            DEDUP_CAPACITY,
+            &registry,
+            &journal,
+            None,
+        );
         let first = pool.admit(request_at("same", "l0", 1, 16));
         let again = pool.admit(request_at("same", "l0", 1, 16));
         assert_eq!(first, again, "idempotent by request content");
@@ -1002,10 +1055,21 @@ mod tests {
         let registry = Arc::new(Registry::new());
         let journal = Arc::new(Journal::new(64));
         let theta = theta_at(&["l0"], 4, 16);
-        let pool =
-            ShardPool::new(RotaPolicy, &theta, 1, 8, DEDUP_CAPACITY, &registry, &journal, None);
+        let pool = ShardPool::new(
+            RotaPolicy,
+            &theta,
+            1,
+            8,
+            DEDUP_CAPACITY,
+            &registry,
+            &journal,
+            None,
+        );
         let first = pool.admit(request_at("same", "l0", 1, 16));
-        assert!(matches!(first, Response::Decision { accepted: true, .. }), "{first:?}");
+        assert!(
+            matches!(first, Response::Decision { accepted: true, .. }),
+            "{first:?}"
+        );
         // Same name, different body: neither the stale verdict nor a
         // double commit — an explicit conflict.
         let conflicting = pool.admit(request_at("same", "l0", 2, 16));
@@ -1015,7 +1079,11 @@ mod tests {
             }
             other => panic!("expected a conflict error, got {other:?}"),
         }
-        assert_eq!(journal.len(), 1, "the conflicting body never reached the controller");
+        assert_eq!(
+            journal.len(),
+            1,
+            "the conflicting body never reached the controller"
+        );
         assert_eq!(
             registry
                 .snapshot()
@@ -1035,8 +1103,16 @@ mod tests {
         let registry = Arc::new(Registry::new());
         let journal = Arc::new(Journal::new(64));
         let theta = theta_at(&["l0"], 4, 16);
-        let pool =
-            ShardPool::new(RotaPolicy, &theta, 1, 8, DEDUP_CAPACITY, &registry, &journal, None);
+        let pool = ShardPool::new(
+            RotaPolicy,
+            &theta,
+            1,
+            8,
+            DEDUP_CAPACITY,
+            &registry,
+            &journal,
+            None,
+        );
         // Demand at a location with no declared supply: R0006, decided
         // by the analyzer, never by the policy.
         let bounced = pool.admit(request_at("ghost", "l9", 1, 16));
@@ -1050,10 +1126,9 @@ mod tests {
                 assert!(!accepted);
                 assert_eq!(clause.as_deref(), Some("static analysis (pre-admission)"));
                 assert!(
-                    diagnostics.iter().any(|d| d
-                        .get("code")
-                        .and_then(rota_obs::Json::as_str)
-                        == Some("R0006")),
+                    diagnostics
+                        .iter()
+                        .any(|d| d.get("code").and_then(rota_obs::Json::as_str) == Some("R0006")),
                     "{bounced:?}"
                 );
             }
@@ -1098,12 +1173,25 @@ mod tests {
         let registry = Arc::new(Registry::new());
         let journal = Arc::new(Journal::new(64));
         let theta = theta_at(&["l0"], 4, 64);
-        let pool =
-            ShardPool::new(RotaPolicy, &theta, 1, 8, DEDUP_CAPACITY, &registry, &journal, None);
+        let pool = ShardPool::new(
+            RotaPolicy,
+            &theta,
+            1,
+            8,
+            DEDUP_CAPACITY,
+            &registry,
+            &journal,
+            None,
+        );
         let twin = || ActorComputation::new("twin", "l0").then(ActionKind::evaluate());
         let request = AdmissionRequest::price(
-            DistributedComputation::new("dup", vec![twin(), twin()], TimePoint::ZERO, TimePoint::new(64))
-                .unwrap(),
+            DistributedComputation::new(
+                "dup",
+                vec![twin(), twin()],
+                TimePoint::ZERO,
+                TimePoint::new(64),
+            )
+            .unwrap(),
             &TableCostModel::paper(),
             Granularity::MaximalRun,
         );
@@ -1130,8 +1218,16 @@ mod tests {
         let registry = Arc::new(Registry::new());
         let journal = Arc::new(Journal::new(64));
         let theta = theta_at(&[home, away], 4, 64);
-        let pool =
-            ShardPool::new(RotaPolicy, &theta, 2, 8, DEDUP_CAPACITY, &registry, &journal, None);
+        let pool = ShardPool::new(
+            RotaPolicy,
+            &theta,
+            2,
+            8,
+            DEDUP_CAPACITY,
+            &registry,
+            &journal,
+            None,
+        );
         let gamma = ActorComputation::new("mover", home)
             .then(ActionKind::evaluate())
             .then(ActionKind::migrate(away))
@@ -1246,15 +1342,29 @@ mod tests {
             },
             &registry,
         ));
-        let pool =
-            ShardPool::new(RotaPolicy, &theta, 1, 8, DEDUP_CAPACITY, &registry, &journal, Some(faults));
+        let pool = ShardPool::new(
+            RotaPolicy,
+            &theta,
+            1,
+            8,
+            DEDUP_CAPACITY,
+            &registry,
+            &journal,
+            Some(faults),
+        );
         // First admit fills the shard's slice partially and succeeds.
         let first = pool.admit(request_at("p1", "l0", 1, 16));
-        assert!(matches!(first, Response::Decision { accepted: true, .. }), "{first:?}");
+        assert!(
+            matches!(first, Response::Decision { accepted: true, .. }),
+            "{first:?}"
+        );
         // Second admit trips the drill: the shard panics with our
         // request in hand, so we get the honest `overloaded` bounce.
         let bounced = pool.admit(request_at("p2", "l0", 1, 16));
-        assert!(matches!(bounced, Response::Overloaded { shard: 0 }), "{bounced:?}");
+        assert!(
+            matches!(bounced, Response::Overloaded { shard: 0 }),
+            "{bounced:?}"
+        );
         // The drill fired in the reading half, so nothing changed: the
         // retry is decided normally, and the first verdict is still
         // cached.
@@ -1347,20 +1457,34 @@ mod tests {
         };
         let ((buggy, registry), (reference, _)) = (build(), build());
         let before = observed(&buggy, &registry);
-        let in_flight = registry.snapshot().gauge("admission.in_flight{policy=buggy}");
+        let in_flight = registry
+            .snapshot()
+            .gauge("admission.in_flight{policy=buggy}");
         assert_eq!(before.3, vec![Some(1), Some(1)], "each shard holds `held`");
 
         let boom = buggy.admit(request_at("boom", &home, 1, 16));
-        assert!(matches!(boom, Response::Overloaded { shard: 0 }), "{boom:?}");
+        assert!(
+            matches!(boom, Response::Overloaded { shard: 0 }),
+            "{boom:?}"
+        );
         let snap = registry.snapshot();
         assert_eq!(snap.counter("server.shard.panics{shard=0}"), Some(1));
         assert_eq!(snap.counter("server.shard.panics{shard=1}").unwrap_or(0), 0);
         assert_eq!(snap.counter("server.overloaded{shard=0}"), Some(1));
         assert_eq!(snap.gauge("admission.in_flight{policy=buggy}"), in_flight);
-        assert_eq!(observed(&buggy, &registry), before, "the panic changed nothing");
+        assert_eq!(
+            observed(&buggy, &registry),
+            before,
+            "the panic changed nothing"
+        );
         let lost = ActorName::from("lost-a");
         assert!(
-            buggy.locked(0, |state| state.controller.state().rho().get(&lost).is_some()),
+            buggy.locked(0, |state| state
+                .controller
+                .state()
+                .rho()
+                .get(&lost)
+                .is_some()),
             "`lost` is still committed"
         );
 
@@ -1518,13 +1642,18 @@ mod tests {
         let registry = Arc::new(Registry::new());
         let journal = Arc::new(Journal::new(64));
         let theta = theta_at(&["l0"], 4, 16);
-        let pool =
-            ShardPool::new(RotaPolicy, &theta, 1, 8, 1, &registry, &journal, None);
+        let pool = ShardPool::new(RotaPolicy, &theta, 1, 8, 1, &registry, &journal, None);
         let first = pool.admit(request_at("a", "l0", 1, 16));
-        assert!(matches!(first, Response::Decision { accepted: true, .. }), "{first:?}");
+        assert!(
+            matches!(first, Response::Decision { accepted: true, .. }),
+            "{first:?}"
+        );
         // Capacity is 1: admitting `b` evicts `a` from the cache.
         let second = pool.admit(request_at("b", "l0", 1, 16));
-        assert!(matches!(second, Response::Decision { accepted: true, .. }), "{second:?}");
+        assert!(
+            matches!(second, Response::Decision { accepted: true, .. }),
+            "{second:?}"
+        );
         let resub = pool.admit(request_at("a", "l0", 1, 16));
         match &resub {
             Response::Decision {
@@ -1585,17 +1714,33 @@ mod tests {
         // Prepare holds the supply tentatively and bumps the epoch.
         let prepared =
             decide_and_prepare(&pool, request_at("r1", "l0", 1, 16), &basis, &epochs, ttl);
-        assert!(matches!(&prepared, Response::Prepared { name } if name == "r1"), "{prepared:?}");
+        assert!(
+            matches!(&prepared, Response::Prepared { name } if name == "r1"),
+            "{prepared:?}"
+        );
         let (epochs2, basis2) = pool.cluster_state(None).unwrap();
         assert_eq!(epochs2, vec![1]);
-        assert_ne!(basis2, theta, "the reservation is excluded from the snapshot");
+        assert_ne!(
+            basis2, theta,
+            "the reservation is excluded from the snapshot"
+        );
         // A prepare against the stale basis is refused, not mis-decided.
         let stale = decide_and_prepare(&pool, request_at("r2", "l0", 1, 16), &basis, &epochs, ttl);
-        assert!(matches!(stale, Response::StaleEpoch { shard: 0, .. }), "{stale:?}");
+        assert!(
+            matches!(stale, Response::StaleEpoch { shard: 0, .. }),
+            "{stale:?}"
+        );
         // Re-preparing the same name refreshes instead of double-holding.
         let again = decide_and_prepare(&pool, request_at("r1", "l0", 1, 16), &basis, &epochs, ttl);
-        assert!(matches!(&again, Response::Prepared { name } if name == "r1"), "{again:?}");
-        assert_eq!(pool.cluster_state(None).unwrap().0, vec![1], "no second install");
+        assert!(
+            matches!(&again, Response::Prepared { name } if name == "r1"),
+            "{again:?}"
+        );
+        assert_eq!(
+            pool.cluster_state(None).unwrap().0,
+            vec![1],
+            "no second install"
+        );
         // Commit is permanent and idempotent.
         pool.commit("r1").unwrap();
         pool.commit("r1").unwrap();
@@ -1631,24 +1776,43 @@ mod tests {
         let registry = Arc::new(Registry::new());
         let journal = Arc::new(Journal::new(64));
         let theta = theta_at(&[&home, &other], 4, 16);
-        let pool =
-            ShardPool::new(RotaPolicy, &theta, 2, 8, DEDUP_CAPACITY, &registry, &journal, None);
+        let pool = ShardPool::new(
+            RotaPolicy,
+            &theta,
+            2,
+            8,
+            DEDUP_CAPACITY,
+            &registry,
+            &journal,
+            None,
+        );
         let ttl = Duration::from_secs(30);
         let (stale_epochs, _) = pool.cluster_state(None).unwrap();
         // An accepted admit on shard 1 moves its epoch, not shard 0's.
         let moved = pool.admit(request_at("mover", &other, 1, 16));
-        assert!(matches!(moved, Response::Decision { accepted: true, .. }), "{moved:?}");
+        assert!(
+            matches!(moved, Response::Decision { accepted: true, .. }),
+            "{moved:?}"
+        );
         let (epochs, basis) = pool.cluster_state(None).unwrap();
         assert_eq!(epochs, vec![stale_epochs[0], stale_epochs[1] + 1]);
         let held = request_at("held", &home, 1, 16);
         let stale = decide_and_prepare(&pool, held, &basis, &stale_epochs, ttl);
         match &stale {
-            Response::StaleEpoch { shard, epoch, expected } => {
+            Response::StaleEpoch {
+                shard,
+                epoch,
+                expected,
+            } => {
                 assert_eq!((*shard, *epoch, *expected), (1, epochs[1], stale_epochs[1]));
             }
             other => panic!("expected a stale-epoch answer, got {other:?}"),
         }
-        assert_eq!(pool.cluster_state(None).unwrap().1, basis, "shard 0 keeps no hold");
+        assert_eq!(
+            pool.cluster_state(None).unwrap().1,
+            basis,
+            "shard 0 keeps no hold"
+        );
         let snap = registry.snapshot();
         assert_eq!(snap.gauge("server.shard.reservations{shard=0}"), Some(0));
         assert_eq!(snap.gauge("server.shard.reservations{shard=1}"), Some(0));
@@ -1679,7 +1843,10 @@ mod tests {
             &epochs,
             Duration::from_millis(30),
         );
-        assert!(matches!(prepared, Response::Prepared { .. }), "{prepared:?}");
+        assert!(
+            matches!(prepared, Response::Prepared { .. }),
+            "{prepared:?}"
+        );
         std::thread::sleep(Duration::from_millis(60));
         // The lazy sweep runs at the head of the next message: the
         // commit arrives too late and the hold is gone.
@@ -1702,25 +1869,49 @@ mod tests {
     #[derive(Debug, Clone)]
     enum Step {
         /// Accepted or rejected by capacity, at a location of `shard`.
-        Admit { name: u8, shard: usize, evals: usize },
+        Admit {
+            name: u8,
+            shard: usize,
+            evals: usize,
+        },
         /// Demand at a location nobody supplies: an R0006 bounce.
-        LintReject { name: u8 },
-        Offer { shard: usize, rate: u64 },
+        LintReject {
+            name: u8,
+        },
+        Offer {
+            shard: usize,
+            rate: u64,
+        },
         /// Against the latest snapshot, or the pool's first one; a
         /// zero TTL lapses at the next call that locks the shard.
-        Prepare { name: u8, shard: usize, evals: usize, fresh: bool, lapses: bool },
-        Commit { name: u8 },
-        Abort { name: u8 },
+        Prepare {
+            name: u8,
+            shard: usize,
+            evals: usize,
+            fresh: bool,
+            lapses: bool,
+        },
+        Commit {
+            name: u8,
+        },
+        Abort {
+            name: u8,
+        },
         Stats,
         ClusterState,
         /// An admit the policy panics on: it must change nothing.
-        Panic { shard: usize },
+        Panic {
+            shard: usize,
+        },
     }
 
     fn step() -> impl Strategy<Value = Step> {
         prop_oneof![
-            (0u8..4, 0usize..2, 1usize..7)
-                .prop_map(|(name, shard, evals)| Step::Admit { name, shard, evals }),
+            (0u8..4, 0usize..2, 1usize..7).prop_map(|(name, shard, evals)| Step::Admit {
+                name,
+                shard,
+                evals
+            }),
             (0u8..4).prop_map(|name| Step::LintReject { name }),
             (0usize..2, 1u64..3).prop_map(|(shard, rate)| Step::Offer { shard, rate }),
             (0u8..4, 0usize..2, 1usize..7, any::<bool>(), any::<bool>()).prop_map(

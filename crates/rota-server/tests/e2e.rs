@@ -9,7 +9,9 @@ use std::net::TcpStream;
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-use rota_actor::{ActionKind, ActorComputation, DistributedComputation, Granularity, TableCostModel};
+use rota_actor::{
+    ActionKind, ActorComputation, DistributedComputation, Granularity, TableCostModel,
+};
 use rota_admission::{
     AdmissionController, AdmissionPolicy, AdmissionRequest, Decision, RotaPolicy,
 };
@@ -69,12 +71,11 @@ fn chain_workload() -> WorkloadConfig {
 fn server_decisions_match_in_process_controller() {
     let workload = chain_workload();
     let theta = base_resources(&workload);
-    let server = Server::spawn(ServerConfig::ephemeral(), RotaPolicy, &theta)
-        .expect("spawn server");
+    let server =
+        Server::spawn(ServerConfig::ephemeral(), RotaPolicy, &theta).expect("spawn server");
     let (mut stream, mut reader) = connect(server.local_addr());
 
-    let mut reference =
-        AdmissionController::new(RotaPolicy, theta, TimePoint::ZERO);
+    let mut reference = AdmissionController::new(RotaPolicy, theta, TimePoint::ZERO);
     let phi = TableCostModel::paper();
     let mut rng = StdRng::seed_from_u64(workload.seed);
     let mut agreements = 0usize;
@@ -361,8 +362,15 @@ fn idle_connections_are_reaped() {
     let mut line = String::new();
     reader.read_line(&mut line).expect("read reap notice");
     let notice = Json::parse(line.trim_end()).expect("reap notice is JSON");
-    assert_eq!(notice.get("op").and_then(Json::as_str), Some("error"), "notice: {notice}");
-    let message = notice.get("error").and_then(Json::as_str).unwrap_or_default();
+    assert_eq!(
+        notice.get("op").and_then(Json::as_str),
+        Some("error"),
+        "notice: {notice}"
+    );
+    let message = notice
+        .get("error")
+        .and_then(Json::as_str)
+        .unwrap_or_default();
     assert!(message.contains("idle"), "unexpected notice: {notice}");
     let mut rest = String::new();
     assert_eq!(reader.read_line(&mut rest).expect("eof"), 0);

@@ -34,8 +34,8 @@ use rota_server::spec::{
 /// Strings that stress the JSON escaper: quotes, backslashes, control
 /// characters, tabs/newlines, and multi-byte UTF-8.
 const ALPHABET: &[char] = &[
-    'a', 'Z', '7', ' ', '_', '"', '\\', '/', '\n', '\r', '\t', '\u{1}', '\u{1f}', 'λ', 'Ω',
-    '→', '🦀',
+    'a', 'Z', '7', ' ', '_', '"', '\\', '/', '\n', '\r', '\t', '\u{1}', '\u{1f}', 'λ', 'Ω', '→',
+    '🦀',
 ];
 
 fn arb_string() -> impl Strategy<Value = String> {
@@ -44,10 +44,7 @@ fn arb_string() -> impl Strategy<Value = String> {
 }
 
 fn arb_opt_string() -> impl Strategy<Value = Option<String>> {
-    prop_oneof![
-        Just(None),
-        arb_string().prop_map(Some),
-    ]
+    prop_oneof![Just(None), arb_string().prop_map(Some),]
 }
 
 fn loc(i: u8) -> Location {
@@ -85,8 +82,7 @@ fn arb_computation() -> impl Strategy<Value = DistributedComputation> {
                 .into_iter()
                 .enumerate()
                 .map(|(i, (actions, origin))| {
-                    let mut gamma =
-                        ActorComputation::new(format!("a{i}"), format!("l{origin}"));
+                    let mut gamma = ActorComputation::new(format!("a{i}"), format!("l{origin}"));
                     for action in actions {
                         gamma = gamma.then(action);
                     }
@@ -118,8 +114,8 @@ fn arb_resource_set() -> impl Strategy<Value = ResourceSet> {
                     1 => LocatedType::memory(loc(i)),
                     _ => LocatedType::network(loc(i), loc(i + 1)),
                 };
-                let window = TimeInterval::from_ticks(start, start + len)
-                    .expect("len >= 1 by construction");
+                let window =
+                    TimeInterval::from_ticks(start, start + len).expect("len >= 1 by construction");
                 ResourceTerm::new(Rate::new(rate), window, located)
             })
             .collect::<ResourceSet>()
@@ -154,8 +150,11 @@ fn arb_action_spec() -> impl Strategy<Value = ActionSpec> {
     prop_oneof![
         Just(ActionSpec::Evaluate { work: None }),
         (0u64..9).prop_map(|w| ActionSpec::Evaluate { work: Some(w) }),
-        (arb_string(), arb_string(), 0u64..4)
-            .prop_map(|(to, dest, size)| ActionSpec::Send { to, dest, size }),
+        (arb_string(), arb_string(), 0u64..4).prop_map(|(to, dest, size)| ActionSpec::Send {
+            to,
+            dest,
+            size
+        }),
         arb_string().prop_map(|child| ActionSpec::Create { child }),
         Just(ActionSpec::Ready),
         arb_string().prop_map(|dest| ActionSpec::Migrate { dest }),
@@ -170,7 +169,11 @@ fn arb_computation_spec() -> impl Strategy<Value = ComputationSpec> {
         arb_tick(),
         arb_tick(),
         proptest::collection::vec(
-            (arb_string(), arb_string(), proptest::collection::vec(arb_action_spec(), 0..4)),
+            (
+                arb_string(),
+                arb_string(),
+                proptest::collection::vec(arb_action_spec(), 0..4),
+            ),
             0..3,
         ),
     )
@@ -204,17 +207,19 @@ fn arb_response() -> impl Strategy<Value = Response> {
             arb_opt_string(),
             arb_opt_string(),
         )
-            .prop_map(|(computation, accepted, shard, reason, violated_term, clause)| {
-                Response::Decision {
-                    computation,
-                    accepted: accepted == 1,
-                    shard,
-                    reason,
-                    violated_term,
-                    clause,
-                    diagnostics: Vec::new(),
+            .prop_map(
+                |(computation, accepted, shard, reason, violated_term, clause)| {
+                    Response::Decision {
+                        computation,
+                        accepted: accepted == 1,
+                        shard,
+                        reason,
+                        violated_term,
+                        clause,
+                        diagnostics: Vec::new(),
+                    }
                 }
-            }),
+            ),
     ]
 }
 

@@ -169,7 +169,9 @@ mod tests {
     }
 
     fn dummy_request() -> AdmissionRequest {
-        use rota_actor::{ActionKind, ActorComputation, DistributedComputation, Granularity, TableCostModel};
+        use rota_actor::{
+            ActionKind, ActorComputation, DistributedComputation, Granularity, TableCostModel,
+        };
         AdmissionRequest::price(
             DistributedComputation::single(
                 "dummy",

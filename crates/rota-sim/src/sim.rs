@@ -324,7 +324,10 @@ mod tests {
     fn compare_policies_covers_all_four() {
         let results = compare_policies(&overload_scenario(), &Registry::new());
         let names: Vec<_> = results.iter().map(|(n, _)| *n).collect();
-        assert_eq!(names, vec!["rota", "greedy-edf", "naive-total", "optimistic"]);
+        assert_eq!(
+            names,
+            vec!["rota", "greedy-edf", "naive-total", "optimistic"]
+        );
         let rota = &results[0].1;
         let optimistic = &results[3].1;
         assert_eq!(rota.missed, 0);

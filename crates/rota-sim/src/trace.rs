@@ -146,9 +146,13 @@ mod tests {
             gamma.push(ActionKind::evaluate());
         }
         AdmissionRequest::price(
-            DistributedComputation::single(name, gamma, rota_interval::TimePoint::ZERO,
-                rota_interval::TimePoint::new(d))
-                .unwrap(),
+            DistributedComputation::single(
+                name,
+                gamma,
+                rota_interval::TimePoint::ZERO,
+                rota_interval::TimePoint::new(d),
+            )
+            .unwrap(),
             &TableCostModel::paper(),
             Granularity::MaximalRun,
         )

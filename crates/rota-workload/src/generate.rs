@@ -3,9 +3,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use rota_actor::{
-    ActionKind, ActorComputation, DistributedComputation, TableCostModel,
-};
+use rota_actor::{ActionKind, ActorComputation, DistributedComputation, TableCostModel};
 use rota_admission::AdmissionRequest;
 use rota_interval::{TimeInterval, TimePoint};
 use rota_resource::{LocatedType, Location, Rate, ResourceSet, ResourceTerm};
@@ -190,8 +188,7 @@ pub fn build_scenario(config: &WorkloadConfig) -> Scenario {
             "generator emitted a structurally invalid job: {:?}",
             validate_job(&base, &job).diagnostics()
         );
-        demanded =
-            demanded.saturating_add(job.total_demand(&phi).total_units());
+        demanded = demanded.saturating_add(job.total_demand(&phi).total_units());
         let start = job.start();
         let request = AdmissionRequest::price(job, &phi, config.granularity);
         // A slice of delayed-start jobs withdraws before starting (the
@@ -200,12 +197,7 @@ pub fn build_scenario(config: &WorkloadConfig) -> Scenario {
         let leave = (config.cancel_prob > 0.0
             && start.ticks() > arrival
             && rng.gen_bool(config.cancel_prob.clamp(0.0, 1.0)))
-        .then(|| {
-            (
-                rng.gen_range(arrival..start.ticks()),
-                request.actor_names(),
-            )
-        });
+        .then(|| (rng.gen_range(arrival..start.ticks()), request.actor_names()));
         // Arrival first so a same-instant leave sees the admitted job.
         scenario.add_arrival(TimePoint::new(arrival), request);
         if let Some((leave_at, actors)) = leave {
@@ -244,9 +236,7 @@ mod tests {
         assert_eq!(a.offered_units(), b.offered_units());
         // different seed → different workload (overwhelmingly likely)
         let c = build_scenario(&WorkloadConfig::new(43).with_load(0.8).with_churn(0.1, 8, 2));
-        assert!(
-            a.arrival_count() != c.arrival_count() || a.offered_units() != c.offered_units()
-        );
+        assert!(a.arrival_count() != c.arrival_count() || a.offered_units() != c.offered_units());
     }
 
     #[test]

@@ -12,12 +12,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ── Section III: Table I, the interval algebra. ──────────────────────
     let tau1 = TimeInterval::from_ticks(0, 3)?;
     let tau2 = TimeInterval::from_ticks(3, 5)?;
-    println!("Table I  : {tau1} {} {tau2}", AllenRelation::relate(&tau1, &tau2));
+    println!(
+        "Table I  : {tau1} {} {tau2}",
+        AllenRelation::relate(&tau1, &tau2)
+    );
 
     // ── Section III: the worked resource-set calculations. ──────────────
     let cpu_l1 = LocatedType::cpu(Location::new("l1"));
     let t = |r: u64, s: u64, e: u64| {
-        ResourceTerm::new(Rate::new(r), TimeInterval::from_ticks(s, e).unwrap(), cpu_l1.clone())
+        ResourceTerm::new(
+            Rate::new(r),
+            TimeInterval::from_ticks(s, e).unwrap(),
+            cpu_l1.clone(),
+        )
     };
     let aggregated = ResourceSet::from_terms([t(5, 0, 3), t(5, 0, 5)])?;
     println!("example 2: [5]^(0,3) ∪ [5]^(0,5) = {aggregated}");
@@ -59,8 +66,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Theorem 3: construct the witness path.
-    let witness = theorems::meets_deadline(&theta, &a1, &rho, TimePoint::ZERO)
-        .expect("Theorem 2 said yes");
+    let witness =
+        theorems::meets_deadline(&theta, &a1, &rho, TimePoint::ZERO).expect("Theorem 2 said yes");
     println!(
         "Theorem 3: witness path with {} states, completion {}",
         witness.path().len(),
@@ -70,11 +77,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Theorem 4: admit a second computation into the expiring resources.
     let state = State::new(theta, TimePoint::ZERO);
     let admitted = theorems::accommodate_additional(&state, &a1, &rho)?;
-    let second = theorems::accommodate_additional(
-        admitted.state(),
-        &ActorName::new("a2"),
-        &rho,
-    )?;
+    let second = theorems::accommodate_additional(admitted.state(), &ActorName::new("a2"), &rho)?;
     println!(
         "Theorem 4: second computation admitted, completes at {}",
         second.schedule().completion()

@@ -23,13 +23,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ── A provider with two nodes, carved into tenant orgs. ─────────────
     let pool = cpu_set(8, "l1").union(&cpu_set(8, "l2"))?;
     let mut orgs = CyberOrgs::new("provider", pool, TimePoint::ZERO);
-    orgs.create_org("provider", "acme", cpu_set(4, "l1").union(&cpu_set(2, "l2"))?)?;
+    orgs.create_org(
+        "provider",
+        "acme",
+        cpu_set(4, "l1").union(&cpu_set(2, "l2"))?,
+    )?;
     orgs.create_org("provider", "globex", cpu_set(2, "l1"))?;
     println!("orgs         : {orgs}");
 
     // ── acme decides where to run a heavy job: stay on l1 or migrate. ───
-    let stay = ActorComputation::new("acme-heavy", "l1")
-        .then(ActionKind::evaluate_units(24));
+    let stay = ActorComputation::new("acme-heavy", "l1").then(ActionKind::evaluate_units(24));
     let migrate = ActorComputation::new("acme-heavy", "l1")
         .then(ActionKind::migrate("l2"))
         .then(ActionKind::evaluate_units(24));
@@ -48,15 +51,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     .expect("acme has capacity for at least one plan");
     println!(
         "acme plan    : {} (completes at {})",
-        if choice.index == 0 { "stay on l1" } else { "migrate to l2" },
+        if choice.index == 0 {
+            "stay on l1"
+        } else {
+            "migrate to l2"
+        },
         choice.admission.schedule().completion()
     );
 
     // ── globex runs an interacting pipeline: producer then consumer. ────
-    let producer = ActorComputation::new("globex-producer", "l1")
-        .then(ActionKind::evaluate());
-    let consumer = ActorComputation::new("globex-consumer", "l1")
-        .then(ActionKind::evaluate());
+    let producer = ActorComputation::new("globex-producer", "l1").then(ActionKind::evaluate());
+    let consumer = ActorComputation::new("globex-consumer", "l1").then(ActionKind::evaluate());
     let parts = vec![
         ComplexRequirement::of_actor(&producer, &phi, iv(0, 32), Granularity::MaximalRun),
         ComplexRequirement::of_actor(&consumer, &phi, iv(0, 32), Granularity::MaximalRun),

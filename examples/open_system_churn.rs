@@ -13,8 +13,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let phi = TableCostModel::paper();
 
     // The system starts almost empty: a trickle of 1 unit/tick.
-    let trickle =
-        ResourceSet::from_terms([ResourceTerm::new(Rate::new(1), TimeInterval::from_ticks(0, 40)?, cpu.clone())])?;
+    let trickle = ResourceSet::from_terms([ResourceTerm::new(
+        Rate::new(1),
+        TimeInterval::from_ticks(0, 40)?,
+        cpu.clone(),
+    )])?;
     let mut controller = AdmissionController::new(RotaPolicy, trickle, TimePoint::ZERO);
 
     let job = |name: &str, evals: usize, s: u64, d: u64| {
@@ -23,7 +26,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             gamma.push(ActionKind::evaluate());
         }
         AdmissionRequest::price(
-            DistributedComputation::single(name, gamma, TimePoint::new(s), TimePoint::new(d)).unwrap(),
+            DistributedComputation::single(name, gamma, TimePoint::new(s), TimePoint::new(d))
+                .unwrap(),
             &phi,
             Granularity::MaximalRun,
         )

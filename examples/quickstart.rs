@@ -16,7 +16,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let span = TimeInterval::from_ticks(0, 20)?;
     let theta = ResourceSet::from_terms([
         ResourceTerm::new(Rate::new(4), span, LocatedType::cpu(l1.clone())),
-        ResourceTerm::new(Rate::new(4), span, LocatedType::network(l1.clone(), l2.clone())),
+        ResourceTerm::new(
+            Rate::new(4),
+            span,
+            LocatedType::network(l1.clone(), l2.clone()),
+        ),
     ])?;
     println!("resources Θ = {theta}");
 
@@ -27,7 +31,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .then(ActionKind::evaluate())
         .then(ActionKind::evaluate())
         .then(ActionKind::send("collector", "l2"));
-    let job = DistributedComputation::single("report-job", gamma, TimePoint::ZERO, TimePoint::new(20))?;
+    let job =
+        DistributedComputation::single("report-job", gamma, TimePoint::ZERO, TimePoint::new(20))?;
     println!("computation  = {job}");
 
     // ── 3. Price it with Φ and ask the logic (Theorems 2–4). ────────────

@@ -462,11 +462,9 @@ pub fn run_property<S, V>(
     let mut rng = test_runner::TestRng::for_test(test_name);
     for case in 0..config.cases {
         let value = strategies.new_value(&mut rng);
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            match body(value) {
-                Ok(()) | Err(TestCaseError::Reject(_)) => {}
-                Err(TestCaseError::Fail(msg)) => panic!("property failed: {msg}"),
-            }
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match body(value) {
+            Ok(()) | Err(TestCaseError::Reject(_)) => {}
+            Err(TestCaseError::Fail(msg)) => panic!("property failed: {msg}"),
         }));
         if let Err(panic) = result {
             // Re-draw the same case for the report: the stream is

@@ -52,8 +52,8 @@
 #![warn(missing_docs)]
 
 pub use rota_actor as actor;
-pub use rota_cyberorgs as cyberorgs;
 pub use rota_admission as admission;
+pub use rota_cyberorgs as cyberorgs;
 pub use rota_interval as interval;
 pub use rota_logic as logic;
 pub use rota_obs as obs;
@@ -72,6 +72,7 @@ pub mod prelude {
         AdmissionController, AdmissionPolicy, AdmissionRequest, Decision, ExecutionStrategy,
         GreedyEdfPolicy, NaiveTotalPolicy, OptimisticPolicy, RotaPolicy,
     };
+    pub use rota_cyberorgs::{CyberOrgs, OrgName};
     pub use rota_interval::{
         AllenRelation, ConstraintNetwork, IntervalSet, RelationSet, TickDuration, TimeInterval,
         TimePoint,
@@ -84,7 +85,6 @@ pub mod prelude {
     pub use rota_resource::{
         LocatedType, Location, Quantity, Rate, ResourceProfile, ResourceSet, ResourceTerm,
     };
-    pub use rota_cyberorgs::{CyberOrgs, OrgName};
     pub use rota_sim::{compare_policies, run_scenario, Scenario, SimulationReport};
     pub use rota_workload::{build_scenario, JobShape, WorkloadConfig};
 }

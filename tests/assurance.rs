@@ -171,5 +171,8 @@ fn acceptance_degrades_gracefully_with_load() {
     let light = rate_at(0.3);
     let heavy = rate_at(1.8);
     assert!(light > heavy, "acceptance should fall with load");
-    assert!(light > 0.7, "light load should admit most work, got {light}");
+    assert!(
+        light > 0.7,
+        "light load should admit most work, got {light}"
+    );
 }

@@ -2,9 +2,7 @@
 //! interacting actors (workflows), migration-choice planning, and
 //! CyberOrgs resource encapsulation.
 
-use rota::logic::{
-    choose_plan, schedule_workflow, PlanObjective, WorkflowRequirement,
-};
+use rota::logic::{choose_plan, schedule_workflow, PlanObjective, WorkflowRequirement};
 use rota::prelude::*;
 
 fn iv(s: u64, e: u64) -> TimeInterval {
@@ -58,10 +56,7 @@ fn workflow_request_reply_executes_in_order() {
 
     let schedules = schedule_workflow(&theta, &wf, TimePoint::ZERO).unwrap();
     // server starts only after the client's completion
-    assert!(
-        schedules[1].segments()[0].requirement().window().start()
-            >= schedules[0].completion()
-    );
+    assert!(schedules[1].segments()[0].requirement().window().start() >= schedules[0].completion());
 
     // Install both commitments and execute: everything completes.
     let mut state = rota::logic::State::new(theta, TimePoint::ZERO);

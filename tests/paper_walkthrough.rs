@@ -46,7 +46,10 @@ fn section3_example1_distinct_types() {
     ])
     .unwrap();
     assert_eq!(theta.term_count(), 2);
-    assert_eq!(theta.quantity_over(&cpu("l1"), &iv(0, 5)).unwrap().units(), 15);
+    assert_eq!(
+        theta.quantity_over(&cpu("l1"), &iv(0, 5)).unwrap().units(),
+        15
+    );
     assert_eq!(theta.quantity_over(&net, &iv(0, 5)).unwrap().units(), 25);
 }
 
@@ -55,7 +58,10 @@ fn section3_example1_distinct_types() {
 #[test]
 fn section3_example2_aggregation() {
     let theta = ResourceSet::from_terms([cpu_term(5, 0, 3), cpu_term(5, 0, 5)]).unwrap();
-    assert_eq!(theta.to_terms(), vec![cpu_term(10, 0, 3), cpu_term(5, 3, 5)]);
+    assert_eq!(
+        theta.to_terms(),
+        vec![cpu_term(10, 0, 3), cpu_term(5, 3, 5)]
+    );
 }
 
 /// Section III, worked example 3: relative complement.
@@ -138,9 +144,7 @@ fn section5_sequential_transition() {
             TimePoint::new(6),
         ))
         .unwrap();
-    state
-        .step(&[(cpu("l1"), ActorName::new("a1"))])
-        .unwrap();
+    state.step(&[(cpu("l1"), ActorName::new("a1"))]).unwrap();
     assert_eq!(state.now(), TimePoint::new(1));
     assert_eq!(state.total_remaining_demand().amount(&cpu("l1")).units(), 4);
 }
@@ -233,8 +237,7 @@ fn section5_theorems_combined() {
     assert!(schedule.completion() <= TimePoint::new(16));
 
     // Theorem 3.
-    let witness =
-        theorems::meets_deadline(&theta, gamma.actor(), &rho, TimePoint::ZERO).unwrap();
+    let witness = theorems::meets_deadline(&theta, gamma.actor(), &rho, TimePoint::ZERO).unwrap();
     assert!(witness.path().current().rho().is_empty());
 
     // Theorem 4: admit twice, run, nothing late.

@@ -225,6 +225,10 @@ fn generators_exercise_both_verdicts() {
         start: 0,
         duration: 2,
     };
-    assert!(RotaPolicy.decide(&state, &to_request(&cheap, 0)).is_accept());
-    assert!(!RotaPolicy.decide(&state, &to_request(&greedy, 1)).is_accept());
+    assert!(RotaPolicy
+        .decide(&state, &to_request(&cheap, 0))
+        .is_accept());
+    assert!(!RotaPolicy
+        .decide(&state, &to_request(&greedy, 1))
+        .is_accept());
 }

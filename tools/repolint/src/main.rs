@@ -59,7 +59,8 @@ fn main() {
             let Ok(text) = std::fs::read_to_string(file) else {
                 continue;
             };
-            let is_root = file.ends_with(Path::new("lib.rs")) || file.ends_with(Path::new("main.rs"));
+            let is_root =
+                file.ends_with(Path::new("lib.rs")) || file.ends_with(Path::new("main.rs"));
             let is_direct_child = file.parent() == Some(src.as_path());
             if is_root && is_direct_child {
                 has_root = true;
