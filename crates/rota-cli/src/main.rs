@@ -30,10 +30,11 @@
 //!
 //! Each verb has one table of accepted flags ([`VERBS`]): an unknown
 //! flag, a missing value, or a value that does not parse exits `1` with
-//! the usage text. Every verb accepts `--metrics-out <path>`; all but
-//! `loadtest` write their run's metric snapshot and decisions there as
-//! JSON (`serve` once it has drained, `cluster` one document keyed by
-//! node id once `--duration-ms` elapses).
+//! the usage text. Every verb accepts `--metrics-out <path>` and writes
+//! its run's metric snapshot and decisions there as JSON (`serve` once
+//! it has drained, `cluster` one document keyed by node id once
+//! `--duration-ms` elapses, `loadtest` what its target holds once the
+//! run ends).
 
 #![forbid(unsafe_code)]
 
@@ -142,9 +143,10 @@ fn print_usage() {
     eprintln!("are ridden out, not tallied.");
     eprintln!();
     eprintln!("Every subcommand also accepts --metrics-out <path> to dump its");
-    eprintln!("metric snapshot and decision journal as JSON (loadtest accepts it");
-    eprintln!("but does not write it yet). An unknown flag, or a value that does");
-    eprintln!("not parse, exits 1 with this text.");
+    eprintln!("metric snapshot and decision journal as JSON (loadtest: its spawned");
+    eprintln!("server's, one document per node id for --cluster, the metrics answer");
+    eprintln!("of the --addr server; keyed by policy for --policy all). An unknown");
+    eprintln!("flag, or a value that does not parse, exits 1 with this text.");
     eprintln!();
     eprintln!("FORMULAS (rota holds):");
     eprintln!("  satisfy(cpu@l1:8 in 0..10)    eventually …    always …    not …");
@@ -402,6 +404,21 @@ fn observability_json(registry: &Registry, decisions: &[DecisionEvent]) -> Json 
             Json::Arr(decisions.iter().map(DecisionEvent::to_json).collect()),
         ),
     ])
+}
+
+/// Every node's observability JSON, keyed by node id.
+fn cluster_metrics_json(cluster: &rota_cluster::Cluster) -> Json {
+    Json::Obj(
+        cluster
+            .nodes()
+            .iter()
+            .map(|node| {
+                let journal = node.journal().snapshot();
+                let doc = observability_json(&node.registry(), &journal);
+                (node.id().to_string().into(), doc)
+            })
+            .collect(),
+    )
 }
 
 /// Honors `--metrics-out <path>`: writes the run's observability JSON.
@@ -1074,19 +1091,7 @@ fn cmd_cluster(args: &Args) -> ExitCode {
     match args.value::<u64>("--duration-ms") {
         Some(ms) => {
             std::thread::sleep(std::time::Duration::from_millis(ms));
-            let written = write_metrics_doc(args, || {
-                Json::Obj(
-                    cluster
-                        .nodes()
-                        .iter()
-                        .map(|node| {
-                            let journal = node.journal().snapshot();
-                            let doc = observability_json(&node.registry(), &journal);
-                            (node.id().to_string().into(), doc)
-                        })
-                        .collect(),
-                )
-            });
+            let written = write_metrics_doc(args, || cluster_metrics_json(&cluster));
             cluster.shutdown();
             say!("duration elapsed; cluster stopped");
             if !written {
@@ -1245,6 +1250,27 @@ impl Target {
         say!("");
     }
 
+    /// What `--metrics-out` records for the target: a spawned server's
+    /// registry and journal (as `serve` writes them), one such document
+    /// per node id for a cluster (as `cluster` writes), or an external
+    /// server's `metrics` answer under `metrics`.
+    fn metrics_doc(&self) -> Result<Json, ClientError> {
+        match self {
+            Target::Server(handle) => Ok(observability_json(
+                &handle.registry(),
+                &handle.journal().snapshot(),
+            )),
+            Target::Cluster(cluster) => Ok(cluster_metrics_json(cluster)),
+            Target::External(addr) => {
+                // An idempotent read: retry the few that a fault
+                // injector truncates or resets, up to five in all.
+                let read = || Client::connect(*addr).and_then(|mut c| c.metrics());
+                let snapshot = (1..5).fold(read(), |got, _| got.or_else(|_| read()))?;
+                Ok(Json::Obj(vec![("metrics".into(), snapshot)]))
+            }
+        }
+    }
+
     fn shutdown(self) {
         match self {
             Target::External(_) => {}
@@ -1288,6 +1314,7 @@ fn cmd_loadtest(args: &Args) -> ExitCode {
         // the node count wins over `--nodes`.
         workload = workload.with_nodes(nodes);
     }
+    let mut docs = Vec::new();
     for policy in policies {
         let target = match Target::spawn(args, &policy, nodes, external, &workload) {
             Ok(target) => target,
@@ -1336,7 +1363,28 @@ fn cmd_loadtest(args: &Args) -> ExitCode {
         };
         say!("{}", report.render(&label).trim_end_matches('\n'));
         target.print_tally();
+        if args.has("--metrics-out") {
+            match target.metrics_doc() {
+                Ok(doc) => docs.push((policy.name, doc)),
+                Err(e) => {
+                    eprintln!("loadtest: cannot read the target's metrics: {e}");
+                    target.shutdown();
+                    return ExitCode::FAILURE;
+                }
+            }
+        }
         target.shutdown();
+    }
+    // One target's document as it is; several (`--policy all`) keyed by
+    // policy name.
+    let doc = if docs.len() == 1 {
+        docs.remove(0).1
+    } else {
+        let keyed = docs.into_iter().map(|(name, doc)| (name.into(), doc));
+        Json::Obj(keyed.collect())
+    };
+    if !write_metrics_doc(args, || doc) {
+        return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
 }

@@ -1,8 +1,9 @@
-//! `serve` and `cluster` honour `--metrics-out`: through the real
-//! binary, `serve` writes its registry snapshot and decision journal
-//! once it has drained, and `cluster` writes one document keyed by node
-//! id once `--duration-ms` elapses. A verb whose stdout reader has gone
-//! still exits zero.
+//! `serve`, `cluster` and `loadtest` honour `--metrics-out`: through
+//! the real binary, `serve` writes its registry snapshot and decision
+//! journal once it has drained, `cluster` writes one document keyed by
+//! node id once `--duration-ms` elapses, and `loadtest` writes the same
+//! for the server or cluster it spawned once its run ends. A verb whose
+//! stdout reader has gone still exits zero.
 
 use std::io::{BufRead, BufReader};
 use std::net::SocketAddr;
@@ -207,4 +208,83 @@ fn cluster_writes_one_document_keyed_by_node_id() {
             "{id} has a journal"
         );
     }
+}
+
+/// Runs `rota-cli loadtest` with `args` plus `--metrics-out`, and
+/// returns the document it wrote.
+fn loadtest_doc(name: &str, args: &[&str]) -> Json {
+    let path = out_path(name);
+    let mut child = Command::new(env!("CARGO_BIN_EXE_rota-cli"))
+        .arg("loadtest")
+        .args(args)
+        .arg("--metrics-out")
+        .arg(&path)
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("binary runs");
+    assert!(wait_bounded(&mut child), "loadtest exits zero");
+    read_doc(&path)
+}
+
+/// Admits the snapshot's shards counted, summed over shards.
+fn admits(metrics: &Json) -> u64 {
+    let Json::Obj(entries) = metrics else {
+        panic!("the snapshot is an object: {metrics}");
+    };
+    entries
+        .iter()
+        .filter(|(name, _)| name.as_str().starts_with("server.requests{"))
+        .filter_map(|(_, metric)| metric.get("value").and_then(Json::as_u64))
+        .sum()
+}
+
+#[test]
+fn loadtest_writes_its_servers_metrics() {
+    let doc = loadtest_doc(
+        "loadtest",
+        &["--jobs", "40", "--connections", "2", "--seed", "3"],
+    );
+    let metrics = doc.get("metrics").expect("snapshot present");
+    assert_eq!(admits(metrics), 40, "one attempt per job: {doc}");
+    let decisions = doc
+        .get("decisions")
+        .and_then(Json::as_array)
+        .expect("journal");
+    // Lint rejects are decided before the policy and not journaled.
+    assert!(
+        (1..=40).contains(&decisions.len()),
+        "{} decisions",
+        decisions.len()
+    );
+}
+
+#[test]
+fn loadtest_writes_one_document_per_cluster_node() {
+    let doc = loadtest_doc(
+        "loadtest-cluster",
+        &[
+            "--cluster",
+            "2",
+            "--jobs",
+            "20",
+            "--connections",
+            "2",
+            "--seed",
+            "3",
+        ],
+    );
+    let mut routed = 0;
+    for id in ["node0", "node1"] {
+        let node = doc.get(id).unwrap_or_else(|| panic!("{id} missing: {doc}"));
+        let metrics = node.get("metrics").expect("snapshot present");
+        routed += admits(metrics) + counter(metrics, "cluster.twopc.started");
+        assert!(
+            node.get("decisions").and_then(Json::as_array).is_some(),
+            "{id} has a journal"
+        );
+    }
+    // Each job is admitted by its one owner's shards (locally or
+    // forwarded) or coordinated as one two-phase commit.
+    assert_eq!(routed, 20, "{doc}");
 }

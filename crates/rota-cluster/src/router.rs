@@ -65,6 +65,7 @@
 //! a structured `peer-unavailable` diagnostic — degraded mode, not a
 //! hang.
 
+use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -76,7 +77,7 @@ use rota_analyze::{check_ownership, Diagnostic, Report, Severity};
 use rota_logic::Scope;
 use rota_obs::{Counter, Histogram, Registry};
 use rota_server::spec::{self, resources_from_json, ComputationSpec, ResourceSpec};
-use rota_server::{fault, LocalHandle, Request, RequestHook, Response};
+use rota_server::{fault, LocalHandle, Reply, Request, RequestHook, Response};
 
 use crate::gossip::GossipEngine;
 use crate::links::{self, PeerLinks};
@@ -160,6 +161,10 @@ struct RouterObs {
     twopc_prepares: Arc<Counter>,
     /// Terms in the merged basis of each snapshot round.
     twopc_basis_terms: Arc<Histogram>,
+    /// Peer calls per two-phase admission, retries included: `[0]`
+    /// when the coordinator owns none of the demand, `[1]` when it
+    /// owns some.
+    twopc_peer_calls: [Arc<Histogram>; 2],
 }
 
 impl RouterObs {
@@ -177,6 +182,12 @@ impl RouterObs {
             twopc_prepares: registry.counter("cluster.twopc.prepares"),
             twopc_basis_terms: registry
                 .histogram("cluster.twopc.basis_terms", Histogram::depth_bounds()),
+            twopc_peer_calls: ["other", "owner"].map(|coordinator| {
+                registry.histogram(
+                    &format!("cluster.twopc.peer_calls{{coordinator={coordinator}}}"),
+                    Histogram::depth_bounds(),
+                )
+            }),
         }
     }
 }
@@ -234,12 +245,31 @@ impl ClusterRouter {
     }
 
     /// Calls `owner` with `request`: through the loopback handle when
-    /// the owner is this node, over a peer link otherwise.
-    fn call_owner(&self, owner: &str, addr: &str, request: Request) -> Result<Response, String> {
+    /// the owner is this node, over a peer link (counted in `calls`)
+    /// otherwise.
+    fn call_owner(
+        &self,
+        owner: &str,
+        addr: &str,
+        request: Request,
+        calls: &Cell<u64>,
+    ) -> Result<Response, String> {
         if owner == self.config.me {
             return Ok(self.local.call(request));
         }
-        self.links.call(owner, addr, &request)
+        self.call_peer(owner, addr, &request, calls)
+    }
+
+    /// One call to another node over its peer link, counted in `calls`.
+    fn call_peer(
+        &self,
+        peer: &str,
+        addr: &str,
+        request: &Request,
+        calls: &Cell<u64>,
+    ) -> Result<Response, String> {
+        calls.set(calls.get() + 1);
+        self.links.call(peer, addr, request)
     }
 
     fn handle_gossip(&self, digest: &rota_server::GossipDigest) -> Response {
@@ -308,26 +338,30 @@ impl ClusterRouter {
         }
     }
 
+    /// Routes a fresh admission. A local verdict is passed on as the
+    /// frame the shard encoded and cached; every other route answers
+    /// typed.
     fn route_admit(
         &self,
         computation: &ComputationSpec,
         granularity: Granularity,
-    ) -> Option<Response> {
+    ) -> Option<Reply> {
         // Unbuildable specs fall through: the local core produces the
         // canonical spec-error response.
         let lambda = computation.build().ok()?;
         let request = AdmissionRequest::price(lambda, &self.cost_model, granularity);
         let demand = request.requirement().total_demand();
         let route = classify(&demand, &read(&self.topology), &self.config.me);
-        Some(match route {
+        let response = match route {
             Route::Unowned(report) => self.unowned(request.name(), &report),
-            Route::Local => self.local.admit(request),
+            Route::Local => return Some(self.local.admit(request)),
             Route::Forward(owner) => self.forward(&owner, computation, granularity, request.name()),
             Route::TwoPhase(participants) => {
                 let scope = Scope::of(&demand, request.window());
                 self.two_phase(&participants, computation, granularity, &request, &scope)
             }
-        })
+        };
+        Some(Reply::Typed(response))
     }
 
     /// Sends an admission whole to its one owner, another node.
@@ -363,6 +397,9 @@ impl ClusterRouter {
     /// once, here. A reject is confirmed by this node's own prepare and
     /// returned without a remote prepare; an accept is prepared in
     /// node-id order, this node installing the verdict it already has.
+    ///
+    /// Every peer call the admission makes, retries included, is
+    /// counted into `cluster.twopc.peer_calls{coordinator=…}`.
     fn two_phase(
         &self,
         participants: &[Participant],
@@ -375,6 +412,31 @@ impl ClusterRouter {
             return self.peer_unavailable(request.name(), peer);
         }
         self.obs.twopc_started.inc();
+        let calls = Cell::new(0);
+        let response = self.two_phase_rounds(
+            participants,
+            computation,
+            granularity,
+            request,
+            scope,
+            &calls,
+        );
+        let owner = participants.iter().any(|(id, _)| *id == self.config.me);
+        self.obs.twopc_peer_calls[usize::from(owner)].observe(calls.get());
+        response
+    }
+
+    /// The snapshot, prepare and commit rounds of [`Self::two_phase`],
+    /// retried on a lost epoch race; peer calls are counted in `calls`.
+    fn two_phase_rounds(
+        &self,
+        participants: &[Participant],
+        computation: &ComputationSpec,
+        granularity: Granularity,
+        request: &AdmissionRequest,
+        scope: &Scope,
+        calls: &Cell<u64>,
+    ) -> Response {
         let name = request.name().to_string();
         let ttl_ms = u64::try_from(self.config.ttl.as_millis()).unwrap_or(u64::MAX);
         let ttl = Duration::from_millis(ttl_ms);
@@ -382,12 +444,12 @@ impl ClusterRouter {
             .iter()
             .position(|(participant, _)| *participant == self.config.me);
         for _attempt in 0..=MAX_RETRIES {
-            let round = self
-                .snapshot(participants, me, scope)
-                .and_then(|(epochs_by, basis)| {
-                    let verdict = me.map(|_| self.decide_here(request, &basis)).transpose()?;
-                    Ok((epochs_by, basis, verdict))
-                });
+            let round =
+                self.snapshot(participants, me, scope, calls)
+                    .and_then(|(epochs_by, basis)| {
+                        let verdict = me.map(|_| self.decide_here(request, &basis)).transpose()?;
+                        Ok((epochs_by, basis, verdict))
+                    });
             let (epochs_by, basis, verdict) = match round {
                 Ok(round) => round,
                 Err(message) => {
@@ -432,7 +494,7 @@ impl ClusterRouter {
                                     epochs,
                                     ttl_ms,
                                 };
-                                self.links.call(participant, addr, &prepare)
+                                self.call_peer(participant, addr, &prepare, calls)
                             }
                         };
                         match answer {
@@ -443,9 +505,9 @@ impl ClusterRouter {
                 )
             });
             let Some((prepared, participant, answer)) = failure else {
-                return self.commit_all(participants, &name);
+                return self.commit_all(participants, &name, calls);
             };
-            self.release(&participants[..prepared], &name);
+            self.release(&participants[..prepared], &name, calls);
             match answer {
                 Ok(decision @ Response::Decision { .. }) => {
                     self.obs.twopc_rejected.inc();
@@ -483,6 +545,7 @@ impl ClusterRouter {
         participants: &[Participant],
         me: Option<usize>,
         scope: &Scope,
+        calls: &Cell<u64>,
     ) -> Result<(Vec<Vec<u64>>, Vec<ResourceSpec>), String> {
         let own = me
             .map(|_| self.local.cluster_state_in(Some(scope)))
@@ -500,7 +563,7 @@ impl ClusterRouter {
         let mut slices = Vec::with_capacity(participants.len());
         for (participant, addr) in participants {
             if *participant != self.config.me {
-                let answer = self.links.call(participant, addr, &request);
+                let answer = self.call_peer(participant, addr, &request, calls);
                 slices.push(read_snapshot(participant, answer)?);
             }
         }
@@ -531,7 +594,7 @@ impl ClusterRouter {
     /// Phase two: commits `name` on every (prepared) participant. A
     /// participant that cannot commit releases everything, including
     /// any participant that already committed.
-    fn commit_all(&self, participants: &[Participant], name: &str) -> Response {
+    fn commit_all(&self, participants: &[Participant], name: &str, calls: &Cell<u64>) -> Response {
         if self.local.take_2pc_ticket() {
             // PANIC-OK: deterministic chaos drill — the coordinator dies
             // between prepare and commit; the connection thread unwinds
@@ -542,14 +605,13 @@ impl ClusterRouter {
             let commit = Request::CommitReservation {
                 name: name.to_string(),
             };
-            if let Err(message) = self
-                .call_owner(participant, addr, commit)
-                .and_then(|response| match response {
+            if let Err(message) = self.call_owner(participant, addr, commit, calls).and_then(
+                |response| match response {
                     Response::Committed { .. } => Ok(()),
                     other => Err(format!("{other:?}")),
-                })
-            {
-                self.release(participants, name);
+                },
+            ) {
+                self.release(participants, name, calls);
                 self.obs.twopc_aborted.inc();
                 return Response::Error {
                     message: format!(
@@ -575,15 +637,12 @@ impl ClusterRouter {
     }
 
     /// Asks each of `participants` to release the reservation `name`.
-    fn release(&self, participants: &[Participant], name: &str) {
+    fn release(&self, participants: &[Participant], name: &str, calls: &Cell<u64>) {
         for (participant, addr) in participants {
-            let _ = self.call_owner(
-                participant,
-                addr,
-                Request::AbortReservation {
-                    name: name.to_string(),
-                },
-            );
+            let abort = Request::AbortReservation {
+                name: name.to_string(),
+            };
+            let _ = self.call_owner(participant, addr, abort, calls);
         }
     }
 
@@ -627,17 +686,17 @@ impl ClusterRouter {
         }
         let mut terms = 0u64;
         for ((owner, addr), group) in groups {
-            if owner != self.config.me {
+            let offer = Request::Offer {
+                resources: group,
+                forwarded: true,
+            };
+            let answer = if owner == self.config.me {
+                Ok(self.local.call(offer))
+            } else {
                 self.obs.forwards.inc();
-            }
-            match self.call_owner(
-                &owner,
-                &addr,
-                Request::Offer {
-                    resources: group,
-                    forwarded: true,
-                },
-            ) {
+                self.links.call(&owner, &addr, &offer)
+            };
+            match answer {
                 Ok(Response::Offered { terms: installed }) => terms += installed,
                 Ok(other) => {
                     return Some(Response::Error {
@@ -691,9 +750,9 @@ fn unexpected(participant: &str, phase: &str, answer: Result<Response, String>) 
 }
 
 impl RequestHook for ClusterRouter {
-    fn intercept(&self, request: &Request) -> Option<Response> {
+    fn intercept(&self, request: &Request) -> Option<Reply> {
         match request {
-            Request::Gossip { digest } => Some(self.handle_gossip(digest)),
+            Request::Gossip { digest } => Some(self.handle_gossip(digest).into()),
             Request::Admit {
                 computation,
                 granularity,
@@ -702,7 +761,7 @@ impl RequestHook for ClusterRouter {
             Request::Offer {
                 resources,
                 forwarded: false,
-            } => self.route_offer(resources),
+            } => self.route_offer(resources).map(Reply::from),
             _ => None,
         }
     }

@@ -1,7 +1,7 @@
 //! End-to-end cluster tests over real TCP: a federation live at
 //! launch, gossip convergence, prompt shutdown, location routing (local fast path, forward, 2PC, including an
-//! owner coordinator's in-process reject, idempotent resubmits and
-//! snapshots scoped to the request), offer splitting, the `R0016`
+//! owner coordinator's in-process reject, idempotent resubmits,
+//! snapshots scoped to the request and peer calls counted per 2PC), offer splitting, the `R0016`
 //! ownership lint, and the version handshake.
 
 use std::net::TcpListener;
@@ -79,6 +79,21 @@ fn counter(cluster: &Cluster, index: usize, name: &str) -> u64 {
         .and_then(rota_obs::Json::as_f64)
         .map(|v| v as u64)
         .unwrap_or(0)
+}
+
+/// `(count, sum)` of node `index`'s peer calls per two-phase commit
+/// coordinated as `coordinator` (`owner` or `other`).
+fn peer_calls(cluster: &Cluster, index: usize, coordinator: &str) -> (u64, u64) {
+    let snapshot = client_for(cluster, index).metrics().unwrap();
+    let name = format!("cluster.twopc.peer_calls{{coordinator={coordinator}}}");
+    let field = |key| {
+        snapshot
+            .get(&name)
+            .and_then(|m| m.get(key))
+            .and_then(rota_obs::Json::as_f64)
+            .map_or(0, |v| v as u64)
+    };
+    (field("count"), field("sum"))
 }
 
 #[test]
@@ -205,6 +220,8 @@ fn cross_location_demand_runs_two_phase_commit() {
         let (stats, _) = client_for(&cluster, index).stats().unwrap();
         assert_eq!(stats.accepted, 1, "node{index}");
     }
+    // Two snapshots, two prepares and two commits, all to peers.
+    assert_eq!(peer_calls(&cluster, 2, "other"), (1, 6));
     // And a spanning job whose demand exceeds the supply obtainable
     // before its deadline is rejected by the policy, not an error.
     let heavy = DistributedComputation::new(
@@ -276,10 +293,14 @@ fn a_spanning_reject_decided_by_an_owner_sends_no_prepare() {
     )
     .unwrap();
     // node0 and node1 own the demand and confirm the reject with their
-    // own prepare; node2 owns none of it and asks node0 to prepare.
+    // own prepare after one peer call, the other owner's snapshot;
+    // node2 owns none of it, snapshots both and asks node0 to prepare.
     let mut rejects = Vec::new();
-    for (via, prepares_sent) in [(0, 0), (1, 0), (2, 1)] {
+    for (via, prepares_sent, coordinator, calls) in
+        [(0, 0, "owner", 1), (1, 0, "owner", 1), (2, 1, "other", 3)]
+    {
         let before = counter(&cluster, via, "cluster.twopc.prepares");
+        let (count, sum) = peer_calls(&cluster, via, coordinator);
         let response = client_for(&cluster, via)
             .admit(&heavy, Granularity::MaximalRun)
             .unwrap();
@@ -295,9 +316,28 @@ fn a_spanning_reject_decided_by_an_owner_sends_no_prepare() {
         );
         let sent = counter(&cluster, via, "cluster.twopc.prepares") - before;
         assert_eq!(sent, prepares_sent, "prepares sent via node{via}");
+        assert_eq!(
+            peer_calls(&cluster, via, coordinator),
+            (count + 1, sum + calls),
+            "peer calls via node{via}"
+        );
         rejects.push(response.to_json().to_string());
     }
     assert!(rejects.windows(2).all(|w| w[0] == w[1]), "{rejects:#?}");
+    cluster.shutdown();
+}
+
+#[test]
+fn an_owner_coordinated_accept_makes_three_peer_calls() {
+    let cluster = launch(3, test_config());
+    let response = client_for(&cluster, 0)
+        .admit(&job("span", &["l0", "l1"], 16), Granularity::MaximalRun)
+        .unwrap();
+    assert!(accepted(&response), "{response:?}");
+    // node1's snapshot, its prepare and its commit; node0's own steps
+    // go through its local handle.
+    assert_eq!(peer_calls(&cluster, 0, "owner"), (1, 3));
+    assert_eq!(peer_calls(&cluster, 0, "other"), (0, 0));
     cluster.shutdown();
 }
 

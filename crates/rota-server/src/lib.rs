@@ -38,6 +38,8 @@ pub mod shard;
 pub use rota_analyze::spec;
 
 pub use fault::{FaultInjector, FaultPlan};
-pub use protocol::{GossipDigest, PeerBeat, Request, Response, MAX_FRAME_BYTES, PROTOCOL_VERSION};
+pub use protocol::{
+    GossipDigest, PeerBeat, Reply, Request, Response, MAX_FRAME_BYTES, PROTOCOL_VERSION,
+};
 pub use server::{LocalHandle, RequestHook, Server, ServerConfig, ServerHandle};
 pub use shard::{route_request, shard_of, split_by_shard};

@@ -43,6 +43,7 @@
 pub const PROTOCOL_VERSION: u64 = 6;
 
 use std::io::{BufRead, Write};
+use std::sync::Arc;
 
 use rota_actor::Granularity;
 use rota_admission::ControllerStats;
@@ -930,6 +931,72 @@ pub fn write_frame<W: Write>(writer: &mut W, doc: &Json) -> std::io::Result<()> 
     line.push('\n');
     writer.write_all(line.as_bytes())?;
     writer.flush()
+}
+
+/// Encodes `response` once, into the frame the wire carries for it
+/// (without the trailing newline), held at its exact length.
+pub(crate) fn encode_frame(response: Response) -> Arc<str> {
+    let mut line = String::with_capacity(FRAME_BUFFER_BYTES);
+    response.into_json().write_compact(&mut line);
+    Arc::from(line)
+}
+
+/// One answer on its way to a connection: a typed [`Response`], encoded
+/// as it is written, or a frame already encoded — a shard's fresh or
+/// cached verdict — written byte for byte.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Reply {
+    /// Encoded when written.
+    Typed(Response),
+    /// A response encoded once, by the shard that decided it: the
+    /// bytes [`write_frame`] would send for it, without the newline.
+    Frame(Arc<str>),
+}
+
+impl Reply {
+    /// The typed answer; a frame is decoded, and one that does not
+    /// decode becomes an [`Response::Error`] saying so.
+    pub(crate) fn into_response(self) -> Response {
+        match self {
+            Reply::Typed(response) => response,
+            Reply::Frame(frame) => {
+                Response::from_line(&frame).unwrap_or_else(|err| Response::Error {
+                    message: format!("undecodable frame: {err}"),
+                })
+            }
+        }
+    }
+
+    /// The frame's bytes without the newline: a copy a wire fault may
+    /// damage without touching the frame a cache holds.
+    pub(crate) fn into_bytes(self) -> Vec<u8> {
+        match self {
+            Reply::Typed(response) => response.into_json().to_string().into_bytes(),
+            Reply::Frame(frame) => frame.as_bytes().to_vec(),
+        }
+    }
+
+    /// Writes the answer as one frame and flushes it.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the underlying I/O error.
+    pub(crate) fn write<W: Write>(self, writer: &mut W) -> std::io::Result<()> {
+        match self {
+            Reply::Typed(response) => write_frame(writer, &response.into_json()),
+            Reply::Frame(frame) => {
+                writer.write_all(frame.as_bytes())?;
+                writer.write_all(b"\n")?;
+                writer.flush()
+            }
+        }
+    }
+}
+
+impl From<Response> for Reply {
+    fn from(response: Response) -> Reply {
+        Reply::Typed(response)
+    }
 }
 
 #[cfg(test)]

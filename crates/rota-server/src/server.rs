@@ -28,8 +28,8 @@ use rota_resource::ResourceSet;
 
 use crate::fault::{ConnectionFaults, FaultInjector, FaultPlan, WireFault};
 use crate::protocol::{
-    read_frame, version_mismatch, write_frame, FrameError, Request, Response, MAX_FRAME_BYTES,
-    PROTOCOL_VERSION,
+    read_frame, version_mismatch, write_frame, FrameError, Reply, Request, Response,
+    MAX_FRAME_BYTES, PROTOCOL_VERSION,
 };
 use crate::shard::{ShardPool, DEDUP_CAPACITY};
 use crate::spec;
@@ -80,8 +80,10 @@ impl ServerConfig {
 /// The hook runs on the connection thread inside a panic guard: a hook
 /// that panics kills only that connection, never the server.
 pub trait RequestHook: Send + Sync {
-    /// A response to short-circuit with, or `None` to handle locally.
-    fn intercept(&self, request: &Request) -> Option<Response>;
+    /// An answer to short-circuit with, or `None` to handle locally. A
+    /// frame the hook got from [`LocalHandle::admit`] is written as it
+    /// is.
+    fn intercept(&self, request: &Request) -> Option<Reply>;
 }
 
 /// A hook's view of its own server: dispatch requests straight to the
@@ -100,20 +102,22 @@ impl LocalHandle {
         self.inner.upgrade().and_then(|inner| inner.try_pool(f))
     }
 
-    /// Handles `request` with the local core; the hook is bypassed.
+    /// Handles `request` with the local core; the hook is bypassed. An
+    /// admit's verdict frame is decoded into its typed answer.
     pub fn call(&self, request: Request) -> Response {
         match self.inner.upgrade() {
-            Some(inner) => inner.handle_core(request),
+            Some(inner) => inner.handle_core(request).into_response(),
             None => draining(),
         }
     }
 
     /// Decides an already-priced admission with the local shard pool,
     /// so a hook that priced the request to route it does not make the
-    /// core build and price it again.
-    pub fn admit(&self, request: AdmissionRequest) -> Response {
+    /// core build and price it again. The verdict comes back as the
+    /// frame the shard encoded and cached, for the hook to pass on.
+    pub fn admit(&self, request: AdmissionRequest) -> Reply {
         self.with_pool(|pool| pool.admit(request))
-            .unwrap_or_else(draining)
+            .unwrap_or_else(|| draining().into())
     }
 
     /// This node's bare `cluster-snapshot` answer as typed values: the
@@ -217,15 +221,17 @@ struct Inner {
 }
 
 impl Inner {
-    fn handle(&self, request: Request) -> Response {
-        if let Some(response) = self.hook.get().and_then(|hook| hook.intercept(&request)) {
-            return response;
+    fn handle(&self, request: Request) -> Reply {
+        if let Some(reply) = self.hook.get().and_then(|hook| hook.intercept(&request)) {
+            return reply;
         }
         self.handle_core(request)
     }
 
-    fn handle_core(&self, request: Request) -> Response {
-        match request {
+    /// Answers `request` locally: an admit with the frame its shard
+    /// encoded, everything else typed.
+    fn handle_core(&self, request: Request) -> Reply {
+        let response = match request {
             Request::Hello { version, node: _ } => {
                 if version == PROTOCOL_VERSION {
                     Response::Welcome {
@@ -243,18 +249,18 @@ impl Inner {
                 computation,
                 granularity,
                 forwarded: _,
-            } => {
-                let computation = match computation.build() {
-                    Ok(computation) => computation,
-                    Err(err) => {
-                        return Response::Error {
-                            message: format!("bad computation: {err}"),
-                        }
-                    }
-                };
-                let priced = AdmissionRequest::price(computation, &self.cost_model, granularity);
-                self.with_pool(|pool| pool.admit(priced))
-            }
+            } => match computation.build() {
+                Ok(computation) => {
+                    let priced =
+                        AdmissionRequest::price(computation, &self.cost_model, granularity);
+                    return self
+                        .try_pool(|pool| pool.admit(priced))
+                        .unwrap_or_else(|| draining().into());
+                }
+                Err(err) => Response::Error {
+                    message: format!("bad computation: {err}"),
+                },
+            },
             Request::Offer {
                 resources,
                 forwarded: _,
@@ -287,6 +293,7 @@ impl Inner {
                         return Response::Error {
                             message: format!("bad computation: {err}"),
                         }
+                        .into()
                     }
                 };
                 if computation.name() != name {
@@ -295,7 +302,8 @@ impl Inner {
                             "prepare name `{name}` does not match computation name `{}`",
                             computation.name()
                         ),
-                    };
+                    }
+                    .into();
                 }
                 let basis = match spec::resource_set(&basis) {
                     Ok(basis) => basis,
@@ -303,6 +311,7 @@ impl Inner {
                         return Response::Error {
                             message: format!("bad basis: {err}"),
                         }
+                        .into()
                     }
                 };
                 let priced = AdmissionRequest::price(computation, &self.cost_model, granularity);
@@ -321,7 +330,8 @@ impl Inner {
                 let released = pool.abort(&name);
                 Response::Aborted { name, released }
             }),
-        }
+        };
+        Reply::Typed(response)
     }
 
     /// Answers `cluster-snapshot`, bare (`None`) or within a scope.
@@ -640,7 +650,7 @@ fn serve_connection(stream: TcpStream, inner: &Arc<Inner>) {
                 return;
             }
         }
-        let (response, bye) = match Request::from_line(&line) {
+        let (reply, bye) = match Request::from_line(&line) {
             Ok(request) => {
                 let bye = matches!(request, Request::Shutdown);
                 // A panic while handling (a chaos-drilled 2PC
@@ -651,7 +661,7 @@ fn serve_connection(stream: TcpStream, inner: &Arc<Inner>) {
                 // shard's write also lands here unanswered, and poisons
                 // that shard's lock: its next call aborts the process.)
                 match catch_unwind(AssertUnwindSafe(|| inner.handle(request))) {
-                    Ok(response) => (response, bye),
+                    Ok(reply) => (reply, bye),
                     Err(_) => {
                         shutdown_stream(&mut writer);
                         return;
@@ -660,15 +670,13 @@ fn serve_connection(stream: TcpStream, inner: &Arc<Inner>) {
             }
             Err(err) => {
                 malformed.inc();
-                (
-                    Response::Error {
-                        message: err.to_string(),
-                    },
-                    false,
-                )
+                let error = Response::Error {
+                    message: err.to_string(),
+                };
+                (error.into(), false)
             }
         };
-        match write_response(&mut writer, response, faults.as_mut()) {
+        match write_reply(&mut writer, reply, faults.as_mut()) {
             Ok(false) => {}
             // A wire fault destroyed the frame; the rest of the stream
             // cannot be trusted, so hang up (the client must reconnect).
@@ -686,19 +694,20 @@ fn serve_connection(stream: TcpStream, inner: &Arc<Inner>) {
     }
 }
 
-/// Writes one response frame, applying the connection's wire fault (if
-/// any). Returns `Ok(true)` when the connection must close because the
-/// frame was deliberately destroyed.
-fn write_response(
+/// Writes one answer frame, applying the connection's wire fault (if
+/// any) to a copy of its bytes, never to a frame a shard has cached.
+/// Returns `Ok(true)` when the connection must close because the frame
+/// was deliberately destroyed.
+fn write_reply(
     writer: &mut BufWriter<TcpStream>,
-    response: Response,
+    reply: Reply,
     faults: Option<&mut ConnectionFaults<'_>>,
 ) -> std::io::Result<bool> {
     let Some(faults) = faults else {
-        write_frame(writer, &response.into_json())?;
+        reply.write(writer)?;
         return Ok(false);
     };
-    let mut bytes = response.into_json().to_string().into_bytes();
+    let mut bytes = reply.into_bytes();
     match faults.wire_fault(bytes.len()) {
         WireFault::None => {
             bytes.push(b'\n');

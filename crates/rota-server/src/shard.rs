@@ -41,8 +41,10 @@
 //! replayed when the retry's *content hash* (name, computation body,
 //! priced requirement) matches the original's: a client that retries
 //! (because a response was lost to a reset or truncation) or hedges
-//! (duplicate in-flight attempt) gets the original verdict back
-//! instead of committing the same computation twice, while a
+//! (duplicate in-flight attempt) gets the original verdict back, byte
+//! for byte — the cache holds each verdict as the frame its first
+//! submitter was sent — instead of committing the same computation
+//! twice, while a
 //! *different* computation reusing a decided name is answered with an
 //! explicit idempotency-conflict error — the stale verdict would be a
 //! lie, and deciding it fresh would double-commit the same actor
@@ -79,7 +81,7 @@ use rota_obs::{Counter, DecisionEvent, Gauge, Histogram, Journal, Registry};
 use rota_resource::{Location, ResourceSet};
 
 use crate::fault::{self, FaultInjector};
-use crate::protocol::Response;
+use crate::protocol::{encode_frame, Reply, Response};
 
 /// Stable location → shard routing: FNV-1a over the location name.
 ///
@@ -191,8 +193,8 @@ fn dedup_key(request: &AdmissionRequest) -> u64 {
 enum CacheLookup {
     /// Never seen: decide it.
     Miss,
-    /// Same name, same content: replay the verdict.
-    Replay(Response),
+    /// Same name, same content: replay the verdict's frame.
+    Replay(Arc<str>),
     /// Same name, different content: refuse — the name was already
     /// decided for a different computation.
     Conflict,
@@ -202,7 +204,9 @@ enum CacheLookup {
 /// the request's content hash ([`dedup_key`]) stored alongside — the
 /// idempotency layer that keeps client retries and hedges from
 /// double-committing, without ever replaying a verdict for a body it
-/// was not decided on.
+/// was not decided on. Each verdict is held as the encoded frame its
+/// first submitter was sent ([`encode_frame`]), so a replay is those
+/// same bytes, shared, never decoded or rebuilt.
 ///
 /// Eviction is least-recently-*used*: a replay refreshes its entry, so
 /// a name being actively retried stays cached while cold verdicts age
@@ -218,7 +222,7 @@ struct DecisionCache {
     /// Recency order, oldest at the front. Names are moved to the back
     /// on use; the front is the eviction victim.
     order: VecDeque<String>,
-    verdicts: HashMap<String, (u64, Response)>,
+    verdicts: HashMap<String, (u64, Arc<str>)>,
 }
 
 impl DecisionCache {
@@ -242,21 +246,17 @@ impl DecisionCache {
     fn lookup(&mut self, name: &str, hash: u64) -> CacheLookup {
         match self.verdicts.get(name) {
             None => CacheLookup::Miss,
-            Some((cached_hash, response)) if *cached_hash == hash => {
-                let response = response.clone();
+            Some((cached_hash, frame)) if *cached_hash == hash => {
+                let frame = Arc::clone(frame);
                 self.touch(name);
-                CacheLookup::Replay(response)
+                CacheLookup::Replay(frame)
             }
             Some(_) => CacheLookup::Conflict,
         }
     }
 
-    fn insert(&mut self, name: String, hash: u64, response: Response) {
-        if self
-            .verdicts
-            .insert(name.clone(), (hash, response))
-            .is_some()
-        {
+    fn insert(&mut self, name: String, hash: u64, frame: Arc<str>) {
+        if self.verdicts.insert(name.clone(), (hash, frame)).is_some() {
             self.touch(&name);
             return;
         }
@@ -375,10 +375,11 @@ impl ShardPool {
     }
 
     /// Routes one admission request and decides it under its shard's
-    /// lock. Returns [`Response::Overloaded`] when the shard already
+    /// lock. A verdict, fresh or replayed, comes back as its encoded
+    /// frame. Returns [`Response::Overloaded`] when the shard already
     /// has a holder and `queue_capacity` waiters, or when the decision
     /// panicked (which leaves the shard's state as it was).
-    pub(crate) fn admit(&self, request: AdmissionRequest) -> Response {
+    pub(crate) fn admit(&self, request: AdmissionRequest) -> Reply {
         let index = route_request(&request, self.shards());
         let shard = &self.shards[index];
         shard.obs.requests.inc();
@@ -392,7 +393,7 @@ impl ShardPool {
         shard.admits.fetch_sub(1, Ordering::Relaxed);
         verdict.unwrap_or_else(|| {
             shard.obs.overloaded.inc();
-            Response::Overloaded { shard: index }
+            Reply::Typed(Response::Overloaded { shard: index })
         })
     }
 
@@ -610,29 +611,30 @@ impl ShardState {
         }
     }
 
-    /// Answers `request` from the dedup cache, or decides it and
-    /// enacts the verdict. `None` when the reading half ([`Self::judge`])
+    /// Answers `request` from the dedup cache, or decides it, enacts
+    /// the verdict and encodes it once into the frame that is both
+    /// cached and sent. `None` when the reading half ([`Self::judge`])
     /// panicked: the shard's state is then as it was before the call.
     fn admit(
         &mut self,
         request: &AdmissionRequest,
         arrived: Instant,
         faults: Option<&FaultInjector>,
-    ) -> Option<Response> {
+    ) -> Option<Reply> {
         let key = dedup_key(request);
         match self.dedup.lookup(request.name(), key) {
-            CacheLookup::Replay(verdict) => {
+            CacheLookup::Replay(frame) => {
                 self.obs.dedup_hits.inc();
-                return Some(verdict);
+                return Some(Reply::Frame(frame));
             }
             CacheLookup::Conflict => {
-                return Some(Response::Error {
+                return Some(Reply::Typed(Response::Error {
                     message: format!(
                         "idempotency conflict: computation `{}` was already decided with \
                          different content; use a fresh name",
                         request.name()
                     ),
-                })
+                }));
             }
             CacheLookup::Miss => {}
         }
@@ -660,9 +662,10 @@ impl ShardState {
                 decision_response(request, &decision, self.shard)
             }
         };
+        let frame = encode_frame(response);
         self.dedup
-            .insert(request.name().to_string(), key, response.clone());
-        Some(response)
+            .insert(request.name().to_string(), key, Arc::clone(&frame));
+        Some(Reply::Frame(frame))
     }
 
     /// An admit's reading half: the chaos drill's ticket, then
@@ -917,8 +920,8 @@ mod tests {
             None,
         );
         // Feasible job at l0, infeasible (too much work) job at l1.
-        let yes = pool.admit(request_at("yes", "l0", 1, 16));
-        let no = pool.admit(request_at("no", "l1", 64, 16));
+        let yes = pool.admit(request_at("yes", "l0", 1, 16)).into_response();
+        let no = pool.admit(request_at("no", "l1", 64, 16)).into_response();
         assert!(
             matches!(yes, Response::Decision { accepted: true, .. }),
             "{yes:?}"
@@ -969,7 +972,9 @@ mod tests {
             None,
         );
         for (name, location) in [("on-a", &a), ("on-b", &b)] {
-            let verdict = pool.admit(request_at(name, location, 1, 16));
+            let verdict = pool
+                .admit(request_at(name, location, 1, 16))
+                .into_response();
             assert!(
                 matches!(verdict, Response::Decision { accepted: true, .. }),
                 "{verdict:?}"
@@ -998,7 +1003,7 @@ mod tests {
             None,
         );
         // Without resources the job is refused; after an offer it fits.
-        let before = pool.admit(request_at("j", "l0", 1, 16));
+        let before = pool.admit(request_at("j", "l0", 1, 16)).into_response();
         assert!(matches!(
             before,
             Response::Decision {
@@ -1010,7 +1015,7 @@ mod tests {
             Response::Offered { terms } => assert_eq!(terms, 1),
             other => panic!("unexpected {other:?}"),
         }
-        let after = pool.admit(request_at("j2", "l0", 1, 16));
+        let after = pool.admit(request_at("j2", "l0", 1, 16)).into_response();
         assert!(
             matches!(after, Response::Decision { accepted: true, .. }),
             "{after:?}"
@@ -1032,16 +1037,50 @@ mod tests {
             &journal,
             None,
         );
-        let first = pool.admit(request_at("same", "l0", 1, 16));
-        let again = pool.admit(request_at("same", "l0", 1, 16));
-        assert_eq!(first, again, "idempotent by request content");
-        // Only the first submission reached the controller.
-        assert_eq!(journal.len(), 1);
+        // An accept, a policy reject (64 evaluations outrun 64 units by
+        // tick 16) and an R0006 lint reject carrying its diagnostics.
+        for (name, location, evals, accepted, code) in [
+            ("same", "l0", 1, true, None),
+            ("heavy", "l0", 64, false, None),
+            ("ghost", "l9", 1, false, Some("R0006")),
+        ] {
+            let first = pool.admit(request_at(name, location, evals, 16));
+            let Reply::Frame(sent) = &first else {
+                panic!("a verdict is sent as its frame: {first:?}");
+            };
+            // The frame is the wire encoding of the typed verdict.
+            let verdict = first.clone().into_response();
+            assert_eq!(**sent, verdict.to_json().to_string());
+            let Response::Decision {
+                accepted: was_accepted,
+                diagnostics,
+                ..
+            } = &verdict
+            else {
+                panic!("unexpected {verdict:?}");
+            };
+            assert_eq!(*was_accepted, accepted, "{verdict:?}");
+            let codes: Vec<_> = diagnostics
+                .iter()
+                .filter_map(|d| d.get("code").and_then(rota_obs::Json::as_str))
+                .collect();
+            assert_eq!(codes.first().copied(), code, "{verdict:?}");
+            // The retry gets the cached frame itself: the same bytes.
+            let again = pool.admit(request_at(name, location, evals, 16));
+            let Reply::Frame(replayed) = &again else {
+                panic!("a replay is a frame: {again:?}");
+            };
+            assert!(Arc::ptr_eq(sent, replayed), "{name}: not the cached frame");
+            assert_eq!(again, first, "{name}: idempotent by request content");
+        }
+        // Only the first submissions reached the controller; the lint
+        // reject never reached the policy.
+        assert_eq!(journal.len(), 2);
         assert_eq!(
             registry
                 .snapshot()
                 .counter("server.shard.dedup_hits{shard=0}"),
-            Some(1)
+            Some(3)
         );
     }
 
@@ -1065,14 +1104,14 @@ mod tests {
             &journal,
             None,
         );
-        let first = pool.admit(request_at("same", "l0", 1, 16));
+        let first = pool.admit(request_at("same", "l0", 1, 16)).into_response();
         assert!(
             matches!(first, Response::Decision { accepted: true, .. }),
             "{first:?}"
         );
         // Same name, different body: neither the stale verdict nor a
         // double commit — an explicit conflict.
-        let conflicting = pool.admit(request_at("same", "l0", 2, 16));
+        let conflicting = pool.admit(request_at("same", "l0", 2, 16)).into_response();
         match &conflicting {
             Response::Error { message } => {
                 assert!(message.contains("idempotency conflict"), "{message}");
@@ -1093,7 +1132,7 @@ mod tests {
             "a conflict is not a dedup hit"
         );
         // An identical retry of the first body still dedups.
-        let replay = pool.admit(request_at("same", "l0", 1, 16));
+        let replay = pool.admit(request_at("same", "l0", 1, 16)).into_response();
         assert_eq!(replay, first);
         assert_eq!(journal.len(), 1, "the replay was served from cache");
     }
@@ -1115,7 +1154,7 @@ mod tests {
         );
         // Demand at a location with no declared supply: R0006, decided
         // by the analyzer, never by the policy.
-        let bounced = pool.admit(request_at("ghost", "l9", 1, 16));
+        let bounced = pool.admit(request_at("ghost", "l9", 1, 16)).into_response();
         match &bounced {
             Response::Decision {
                 accepted,
@@ -1195,7 +1234,7 @@ mod tests {
             &TableCostModel::paper(),
             Granularity::MaximalRun,
         );
-        let diagnostics = lint_bounce(&pool.admit(request));
+        let diagnostics = lint_bounce(&pool.admit(request).into_response());
         assert_eq!(diagnostics.len(), 1, "{diagnostics:?}");
         assert_eq!(diagnostics[0].0, "R0005");
         assert_eq!(diagnostics[0].1, "computation.actors[1].name");
@@ -1239,7 +1278,7 @@ mod tests {
             Granularity::MaximalRun,
         );
         assert_eq!(route_request(&request, 2), 0);
-        let diagnostics = lint_bounce(&pool.admit(request));
+        let diagnostics = lint_bounce(&pool.admit(request).into_response());
         assert!(!diagnostics.is_empty());
         for (code, path, message) in &diagnostics {
             assert_eq!(code, "R0006");
@@ -1353,14 +1392,14 @@ mod tests {
             Some(faults),
         );
         // First admit fills the shard's slice partially and succeeds.
-        let first = pool.admit(request_at("p1", "l0", 1, 16));
+        let first = pool.admit(request_at("p1", "l0", 1, 16)).into_response();
         assert!(
             matches!(first, Response::Decision { accepted: true, .. }),
             "{first:?}"
         );
         // Second admit trips the drill: the shard panics with our
         // request in hand, so we get the honest `overloaded` bounce.
-        let bounced = pool.admit(request_at("p2", "l0", 1, 16));
+        let bounced = pool.admit(request_at("p2", "l0", 1, 16)).into_response();
         assert!(
             matches!(bounced, Response::Overloaded { shard: 0 }),
             "{bounced:?}"
@@ -1368,9 +1407,9 @@ mod tests {
         // The drill fired in the reading half, so nothing changed: the
         // retry is decided normally, and the first verdict is still
         // cached.
-        let retried = pool.admit(request_at("p2", "l0", 1, 16));
+        let retried = pool.admit(request_at("p2", "l0", 1, 16)).into_response();
         assert!(matches!(retried, Response::Decision { .. }), "{retried:?}");
-        let replay = pool.admit(request_at("p1", "l0", 1, 16));
+        let replay = pool.admit(request_at("p1", "l0", 1, 16)).into_response();
         assert_eq!(replay, first, "dedup cache survived the panic");
         let snap = registry.snapshot();
         assert_eq!(snap.counter("server.shard.panics{shard=0}"), Some(1));
@@ -1445,7 +1484,9 @@ mod tests {
                 None,
             );
             for (name, location) in [("kept", &other), ("lost", &home)] {
-                let verdict = pool.admit(request_at(name, location, 1, 16));
+                let verdict = pool
+                    .admit(request_at(name, location, 1, 16))
+                    .into_response();
                 let accepted = matches!(verdict, Response::Decision { accepted: true, .. });
                 assert!(accepted, "{verdict:?}");
             }
@@ -1462,7 +1503,9 @@ mod tests {
             .gauge("admission.in_flight{policy=buggy}");
         assert_eq!(before.3, vec![Some(1), Some(1)], "each shard holds `held`");
 
-        let boom = buggy.admit(request_at("boom", &home, 1, 16));
+        let boom = buggy
+            .admit(request_at("boom", &home, 1, 16))
+            .into_response();
         assert!(
             matches!(boom, Response::Overloaded { shard: 0 }),
             "{boom:?}"
@@ -1497,12 +1540,19 @@ mod tests {
         }
         for (evals, fits) in [(7, false), (6, true)] {
             let name = format!("after-{evals}");
-            let after = buggy.admit(request_at(&name, &home, evals, 16));
+            let after = buggy
+                .admit(request_at(&name, &home, evals, 16))
+                .into_response();
             assert!(
                 matches!(after, Response::Decision { shard: 0, accepted, .. } if accepted == fits),
                 "{after:?}"
             );
-            assert_eq!(after, reference.admit(request_at(&name, &home, evals, 16)));
+            assert_eq!(
+                after,
+                reference
+                    .admit(request_at(&name, &home, evals, 16))
+                    .into_response()
+            );
         }
         assert_eq!(
             buggy.cluster_state(None).unwrap(),
@@ -1560,12 +1610,14 @@ mod tests {
             None,
         );
         std::thread::scope(|scope| {
-            let held = scope.spawn(|| pool.admit(request_at("held", &slow, 1, 16)));
+            let held = scope.spawn(|| pool.admit(request_at("held", &slow, 1, 16)).into_response());
             while !entered.load(Ordering::SeqCst) {
                 std::thread::sleep(Duration::from_millis(1));
             }
             // Shard 0 is locked inside the policy; shard 1 answers anyway.
-            let quick = pool.admit(request_at("quick", &fast, 1, 16));
+            let quick = pool
+                .admit(request_at("quick", &fast, 1, 16))
+                .into_response();
             assert!(
                 matches!(
                     quick,
@@ -1597,40 +1649,49 @@ mod tests {
         });
     }
 
+    /// A cached frame, distinct per `shard`.
+    fn frame(shard: usize) -> Arc<str> {
+        encode_frame(Response::Overloaded { shard })
+    }
+
+    /// Whether `cache` replays `name` with exactly the frame `shard`'s.
+    fn replays(cache: &mut DecisionCache, name: &str, hash: u64, shard: usize) -> bool {
+        matches!(cache.lookup(name, hash), CacheLookup::Replay(cached) if cached == frame(shard))
+    }
+
     #[test]
     fn decision_cache_evicts_lru_and_use_refreshes() {
-        let resp = |shard: usize| Response::Overloaded { shard };
         let mut cache = DecisionCache::new(2);
-        cache.insert("a".into(), 1, resp(1));
-        cache.insert("b".into(), 2, resp(2));
+        cache.insert("a".into(), 1, frame(1));
+        cache.insert("b".into(), 2, frame(2));
         // A replay moves `a` to most-recently-used, so the next insert
         // evicts `b` instead.
-        assert!(matches!(cache.lookup("a", 1), CacheLookup::Replay(_)));
-        cache.insert("c".into(), 3, resp(3));
+        assert!(replays(&mut cache, "a", 1, 1));
+        cache.insert("c".into(), 3, frame(3));
         assert!(matches!(cache.lookup("b", 2), CacheLookup::Miss));
-        assert!(matches!(cache.lookup("a", 1), CacheLookup::Replay(_)));
+        assert!(replays(&mut cache, "a", 1, 1));
         assert_eq!(cache.len(), 2);
         // Re-inserting an existing name refreshes it too: the later
-        // insert of `d` evicts `c`, not the re-inserted `a`.
-        cache.insert("a".into(), 9, resp(9));
-        cache.insert("d".into(), 4, resp(4));
+        // insert of `d` evicts `c`, not the re-inserted `a`, which now
+        // replays its new frame.
+        cache.insert("a".into(), 9, frame(9));
+        cache.insert("d".into(), 4, frame(4));
         assert!(matches!(cache.lookup("c", 3), CacheLookup::Miss));
-        assert!(matches!(cache.lookup("a", 9), CacheLookup::Replay(_)));
+        assert!(replays(&mut cache, "a", 9, 9));
         assert_eq!(cache.len(), 2);
     }
 
     #[test]
     fn decision_cache_conflict_does_not_refresh() {
-        let resp = |shard: usize| Response::Overloaded { shard };
         let mut cache = DecisionCache::new(2);
-        cache.insert("a".into(), 1, resp(1));
-        cache.insert("b".into(), 2, resp(2));
+        cache.insert("a".into(), 1, frame(1));
+        cache.insert("b".into(), 2, frame(2));
         // A conflicting submission must not keep the stale name pinned:
         // `a` stays least-recently-used and is the next eviction victim.
         assert!(matches!(cache.lookup("a", 99), CacheLookup::Conflict));
-        cache.insert("c".into(), 3, resp(3));
+        cache.insert("c".into(), 3, frame(3));
         assert!(matches!(cache.lookup("a", 1), CacheLookup::Miss));
-        assert!(matches!(cache.lookup("b", 2), CacheLookup::Replay(_)));
+        assert!(replays(&mut cache, "b", 2, 2));
     }
 
     #[test]
@@ -1643,18 +1704,18 @@ mod tests {
         let journal = Arc::new(Journal::new(64));
         let theta = theta_at(&["l0"], 4, 16);
         let pool = ShardPool::new(RotaPolicy, &theta, 1, 8, 1, &registry, &journal, None);
-        let first = pool.admit(request_at("a", "l0", 1, 16));
+        let first = pool.admit(request_at("a", "l0", 1, 16)).into_response();
         assert!(
             matches!(first, Response::Decision { accepted: true, .. }),
             "{first:?}"
         );
         // Capacity is 1: admitting `b` evicts `a` from the cache.
-        let second = pool.admit(request_at("b", "l0", 1, 16));
+        let second = pool.admit(request_at("b", "l0", 1, 16)).into_response();
         assert!(
             matches!(second, Response::Decision { accepted: true, .. }),
             "{second:?}"
         );
-        let resub = pool.admit(request_at("a", "l0", 1, 16));
+        let resub = pool.admit(request_at("a", "l0", 1, 16)).into_response();
         match &resub {
             Response::Decision {
                 accepted, reason, ..
@@ -1789,7 +1850,9 @@ mod tests {
         let ttl = Duration::from_secs(30);
         let (stale_epochs, _) = pool.cluster_state(None).unwrap();
         // An accepted admit on shard 1 moves its epoch, not shard 0's.
-        let moved = pool.admit(request_at("mover", &other, 1, 16));
+        let moved = pool
+            .admit(request_at("mover", &other, 1, 16))
+            .into_response();
         assert!(
             matches!(moved, Response::Decision { accepted: true, .. }),
             "{moved:?}"
@@ -1953,10 +2016,10 @@ mod tests {
                 let name = |n: u8| format!("j{n}");
                 match step {
                     Step::Admit { name: n, shard, evals } => {
-                        pool.admit(request_at(&name(n), &locations[shard], evals, 16));
+                        pool.admit(request_at(&name(n), &locations[shard], evals, 16)).into_response();
                     }
                     Step::LintReject { name: n } => {
-                        pool.admit(request_at(&name(n), "unsupplied", 1, 16));
+                        pool.admit(request_at(&name(n), "unsupplied", 1, 16)).into_response();
                     }
                     Step::Offer { shard, rate } => {
                         pool.offer(theta_at(&[&locations[shard]], rate, 16));
@@ -1982,7 +2045,7 @@ mod tests {
                         pool.cluster_state(None).unwrap();
                     }
                     Step::Panic { shard } => {
-                        let bounced = pool.admit(request_at("doomed", &locations[shard], 1, 16));
+                        let bounced = pool.admit(request_at("doomed", &locations[shard], 1, 16)).into_response();
                         prop_assert_eq!(bounced, Response::Overloaded { shard });
                         prop_assert_eq!(
                             pool.cluster_state(None).unwrap(),

@@ -20,7 +20,7 @@ use rota_logic::State;
 use rota_obs::Json;
 use rota_resource::{LocatedType, NodeResourceKind, Rate, ResourceTerm};
 use rota_server::spec::{computation_to_json, resources_from_json};
-use rota_server::{LocalHandle, Request, RequestHook, Response, Server, ServerConfig};
+use rota_server::{LocalHandle, Reply, Request, RequestHook, Server, ServerConfig};
 use rota_workload::{base_resources, generate_job, JobShape, WorkloadConfig};
 
 use rand::rngs::StdRng;
@@ -387,7 +387,7 @@ fn idle_connections_are_reaped() {
 struct PassThrough;
 
 impl RequestHook for PassThrough {
-    fn intercept(&self, _request: &Request) -> Option<Response> {
+    fn intercept(&self, _request: &Request) -> Option<Reply> {
         None
     }
 }

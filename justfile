@@ -1,16 +1,17 @@
 # Development shortcuts. Install `just` (https://just.systems) or copy
 # the recipe bodies into a shell.
 
-# Build, test, lint and warning-free rustdoc — the bar every change
-# must clear. The cluster and chaos-cluster drills run first (they are
-# also part of `cargo test`, but failures there should name the
-# federation, not a test id).
+# Build, test, lint, formatting and warning-free rustdoc — the bar
+# every change must clear. The cluster and chaos-cluster drills run
+# first (they are also part of `cargo test`, but failures there should
+# name the federation, not a test id).
 # The benchmark's own tests run last, so an API change that breaks
 # `admbench` fails here too.
 verify: cluster chaos-cluster
     cargo build --release
     cargo test -q --workspace
     cargo clippy --workspace --all-targets -- -D warnings
+    cargo fmt --all -- --check
     RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
     cargo run -q -p repolint
     just admbench-test
