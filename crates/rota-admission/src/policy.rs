@@ -11,12 +11,18 @@
 //! simulation-based earliest-deadline-first feasibility test; and
 //! [`RotaPolicy`] is the paper's contribution (Theorem 4 applied actor by
 //! actor).
+//!
+//! The total check cannot *admit*, but its converse is sound: a located
+//! type whose whole supply over `(s, d)` falls short of the request's
+//! demand for it leaves no schedule at all. [`AdmissionPolicy::refute`]
+//! is that refutation, and ROTA decides with it first.
 
 use core::fmt;
 use std::sync::Arc;
 
+use rota_actor::ResourceDemand;
 use rota_logic::{schedule_concurrent, Commitment, State};
-use rota_resource::Quantity;
+use rota_resource::{LocatedType, Quantity};
 
 use crate::controller::ExecutionStrategy;
 use crate::request::AdmissionRequest;
@@ -102,6 +108,21 @@ pub trait AdmissionPolicy {
     /// Decide on `request` in `state`. Must not mutate anything — the
     /// controller installs accepted commitments itself.
     fn decide(&self, state: &State, request: &AdmissionRequest) -> Decision;
+
+    /// A reject that `supply` alone already proves, where `supply` gives
+    /// the obtainable quantity of a demanded located type over the
+    /// request's window, or `None` while it is unknown. A policy that
+    /// refutes returns exactly the reject [`AdmissionPolicy::decide`]
+    /// gives on a state with that supply, so a caller that has read only
+    /// part of the supply (a two-phase coordinator) can stop there. The
+    /// default refutes nothing.
+    fn refute(
+        &self,
+        _request: &AdmissionRequest,
+        _supply: &dyn Fn(&LocatedType) -> Option<Quantity>,
+    ) -> Option<RejectReason> {
+        None
+    }
 }
 
 /// A shared policy decides as the policy it points to, so one policy
@@ -114,6 +135,14 @@ impl<P: AdmissionPolicy + ?Sized> AdmissionPolicy for Arc<P> {
     fn decide(&self, state: &State, request: &AdmissionRequest) -> Decision {
         (**self).decide(state, request)
     }
+
+    fn refute(
+        &self,
+        request: &AdmissionRequest,
+        supply: &dyn Fn(&LocatedType) -> Option<Quantity>,
+    ) -> Option<RejectReason> {
+        (**self).refute(request, supply)
+    }
 }
 
 /// The paper's admission reasoning (Theorem 4): schedule every actor of
@@ -122,8 +151,49 @@ impl<P: AdmissionPolicy + ?Sized> AdmissionPolicy for Arc<P> {
 ///
 /// Computations admitted by this policy never miss their deadlines
 /// (validated by experiment E8 and the property suite).
+///
+/// Before it schedules, ROTA refutes ([`AdmissionPolicy::refute`]): the
+/// Section III total-quantity bound cannot admit a request, but it can
+/// refuse one. The first demanded located type, in type order, whose
+/// whole Θ_expire over `(s, d)` is below the request's demand for it
+/// rejects the request without a schedule search, naming that type and
+/// the first actor that demands it.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RotaPolicy;
+
+impl RotaPolicy {
+    /// The refutation over `demand`, the request's total demand: the
+    /// scan stops at the first type whose supply is unknown, so a
+    /// partial supply refutes only where the whole one would refute
+    /// first.
+    fn refutation(
+        request: &AdmissionRequest,
+        demand: &ResourceDemand,
+        supply: &dyn Fn(&LocatedType) -> Option<Quantity>,
+    ) -> Option<RejectReason> {
+        for (located, demanded) in demand.iter() {
+            let have = supply(located)?;
+            if have >= demanded {
+                continue;
+            }
+            let actor_index = request
+                .requirement()
+                .parts()
+                .iter()
+                .position(|part| part.segments().iter().any(|s| !s.amount(located).is_zero()))
+                .unwrap_or(0);
+            return Some(RejectReason::Infeasible {
+                actor_index,
+                violated_term: Some(format!("{located} short by {}", demanded - have)),
+                detail: format!(
+                    "total {located} over {} is {have}, below the {demanded} demanded",
+                    request.window()
+                ),
+            });
+        }
+        None
+    }
+}
 
 impl AdmissionPolicy for RotaPolicy {
     fn name(&self) -> &'static str {
@@ -135,7 +205,12 @@ impl AdmissionPolicy for RotaPolicy {
             return Decision::Reject(RejectReason::DeadlinePassed);
         }
         let demand = request.requirement().total_demand();
-        let expiring = state.expiring_in(demand.located_types(), request.window());
+        let window = request.window();
+        let expiring = state.expiring_in(demand.located_types(), window);
+        let supply = |located: &LocatedType| expiring.quantity_over(located, &window).ok();
+        if let Some(reject) = Self::refutation(request, &demand, &supply) {
+            return Decision::Reject(reject);
+        }
         match schedule_concurrent(&expiring, request.requirement(), state.now()) {
             Ok(schedules) => {
                 let commitments = schedules
@@ -153,6 +228,14 @@ impl AdmissionPolicy for RotaPolicy {
                 detail: err.to_string(),
             }),
         }
+    }
+
+    fn refute(
+        &self,
+        request: &AdmissionRequest,
+        supply: &dyn Fn(&LocatedType) -> Option<Quantity>,
+    ) -> Option<RejectReason> {
+        Self::refutation(request, &request.requirement().total_demand(), supply)
     }
 }
 
@@ -408,7 +491,7 @@ mod tests {
                 violated_term,
             }) => {
                 assert_eq!(actor_index, 0);
-                assert!(detail.contains("segment"));
+                assert!(detail.contains("total"));
                 let term = violated_term.expect("shortfall names a located type");
                 assert!(term.contains("cpu"), "term names the resource: {term}");
                 assert!(
@@ -418,6 +501,44 @@ mod tests {
             }
             other => panic!("expected infeasible, got {other:?}"),
         }
+    }
+
+    /// A refutation names the first short type in type order and the
+    /// first actor demanding it; an unknown supply before it refutes
+    /// nothing.
+    #[test]
+    fn rota_refutes_the_first_short_type_in_order() {
+        let request = AdmissionRequest::price(
+            DistributedComputation::new(
+                "two",
+                vec![
+                    ActorComputation::new("a0", "l2").then(ActionKind::evaluate()),
+                    ActorComputation::new("a1", "l1").then(ActionKind::evaluate()),
+                ],
+                TimePoint::ZERO,
+                TimePoint::new(4),
+            )
+            .unwrap(),
+            &TableCostModel::paper(),
+            Granularity::MaximalRun,
+        );
+        let short =
+            |located: &LocatedType| Some(Quantity::new(if *located == cpu("l1") { 3 } else { 2 }));
+        match RotaPolicy.refute(&request, &short) {
+            Some(RejectReason::Infeasible {
+                actor_index,
+                violated_term,
+                ..
+            }) => {
+                assert_eq!(actor_index, 1);
+                assert_eq!(violated_term, Some(format!("{} short by 5u", cpu("l1"))));
+            }
+            other => panic!("expected a refutation, got {other:?}"),
+        }
+        let unknown_first =
+            |located: &LocatedType| (*located != cpu("l1")).then_some(Quantity::ZERO);
+        assert_eq!(RotaPolicy.refute(&request, &unknown_first), None);
+        assert_eq!(NaiveTotalPolicy.refute(&request, &short), None);
     }
 
     #[test]
@@ -569,9 +690,23 @@ mod tests {
         );
         // Totals: 16 cpu ≥ 8 ✓, 8 net ≥ 4 ✓ — naive accepts.
         assert!(NaiveTotalPolicy.decide(&state, &request).is_accept());
-        // ROTA: cpu completes earliest at t=3, but network exists only
-        // before t=2 — infeasible. Rejects.
-        assert!(!RotaPolicy.decide(&state, &request).is_accept());
+        // ROTA: the totals refute nothing, but cpu completes earliest
+        // at t=3 and network exists only before t=2 — infeasible. The
+        // scheduler rejects, naming the segment.
+        let window = request.window();
+        let supply = |located: &LocatedType| state.theta().quantity_over(located, &window).ok();
+        assert_eq!(RotaPolicy.refute(&request, &supply), None);
+        match RotaPolicy.decide(&state, &request) {
+            Decision::Reject(RejectReason::Infeasible {
+                detail,
+                violated_term,
+                ..
+            }) => {
+                assert!(detail.contains("segment 1"), "{detail}");
+                assert_eq!(violated_term, Some(format!("{net} short by 4u")));
+            }
+            other => panic!("expected infeasible, got {other:?}"),
+        }
         // EDF simulation also discovers the miss.
         assert!(!GreedyEdfPolicy.decide(&state, &request).is_accept());
     }

@@ -3,7 +3,9 @@
 //! scope — its demanded located types over its window `[s, d)`, what a
 //! two-phase commit's snapshots and basis carry — exactly as on the
 //! whole of them: the same verdict, the same commitments, the same
-//! reject reason.
+//! reject reason. And ROTA's refutation, the total-supply bound it
+//! checks before it schedules, is sound: whatever it refutes has no
+//! schedule.
 
 use proptest::prelude::*;
 use proptest::strategy::Strategy;
@@ -11,10 +13,12 @@ use proptest::test_runner::TestRng;
 use rota_actor::{
     ActionKind, ActorComputation, DistributedComputation, Granularity, TableCostModel,
 };
-use rota_admission::{standard_policies, AdmissionPolicy, AdmissionRequest, Decision, RotaPolicy};
+use rota_admission::{
+    standard_policies, AdmissionPolicy, AdmissionRequest, Decision, RejectReason, RotaPolicy,
+};
 use rota_interval::{TimeInterval, TimePoint};
-use rota_logic::{Scope, State};
-use rota_resource::{LocatedType, Location, Rate, ResourceSet, ResourceTerm};
+use rota_logic::{schedule_concurrent, Scope, State};
+use rota_resource::{LocatedType, Location, Quantity, Rate, ResourceSet, ResourceTerm};
 
 /// Locations `l0`..`l2`; a basis and a request draw from the same ones,
 /// so some basis types are demanded and others are not.
@@ -122,6 +126,18 @@ fn scoped(basis: &ResourceSet, scope: &Scope) -> ResourceSet {
     State::new(basis.clone(), TimePoint::ZERO).expiring_in(scope.types(), scope.window())
 }
 
+/// ROTA's refutation of `request` on the whole supply of `state`, and
+/// the Θ_expire it read that supply from.
+fn refutation(state: &State, request: &AdmissionRequest) -> (Option<RejectReason>, ResourceSet) {
+    let window = request.window();
+    let demand = request.requirement().total_demand();
+    let expiring = state.expiring_in(demand.located_types(), window);
+    let supply = |located: &LocatedType| -> Option<Quantity> {
+        expiring.quantity_over(located, &window).ok()
+    };
+    (RotaPolicy.refute(request, &supply), expiring)
+}
+
 /// A live state: `basis` with each of `earlier` that ROTA accepts
 /// committed in turn, then `ticks` greedy steps.
 fn live_state(basis: ResourceSet, earlier: &[(Vec<Actor>, u64, u64)], ticks: u64) -> State {
@@ -178,6 +194,34 @@ proptest! {
             RotaPolicy.decide(&reference, &request)
         );
     }
+
+    /// Whatever ROTA refutes on the whole supply, the scheduler cannot
+    /// place in the same Θ_expire; and `decide` answers with that very
+    /// reject on the whole basis and on the scoped one, so a refuting
+    /// two-phase coordinator and a deciding participant word it alike.
+    #[test]
+    fn a_refutation_proves_that_no_schedule_exists(
+        terms in arb_basis(),
+        shape in arb_request(),
+    ) {
+        let whole = basis(&terms);
+        let request = request(&shape);
+        let state = State::new(whole.clone(), TimePoint::ZERO);
+        let (refuted, expiring) = refutation(&state, &request);
+        if let Some(reject) = refuted {
+            prop_assert!(
+                schedule_concurrent(&expiring, request.requirement(), state.now()).is_err(),
+                "refuted but schedulable: {}", reject
+            );
+            let scoped = scoped(&whole, &scope_of(&request));
+            for basis in [whole, scoped] {
+                prop_assert_eq!(
+                    RotaPolicy.decide(&State::new(basis, TimePoint::ZERO), &request),
+                    Decision::Reject(reject.clone())
+                );
+            }
+        }
+    }
 }
 
 /// The property above sees accepts and rejects from every policy but
@@ -216,6 +260,22 @@ fn the_generators_exercise_both_verdicts_and_every_cut() {
     assert!(
         undemanded > 0 && early > 0 && late > 0,
         "{undemanded} {early} {late}"
+    );
+    // ROTA's rejects include refutations and, about one in a hundred,
+    // rejects only the scheduler finds.
+    let (mut refuted, mut scheduled_rejects) = (0, 0);
+    for _ in 0..2_000 {
+        let state = State::new(basis(&arb_basis().new_value(&mut rng)), TimePoint::ZERO);
+        let request = request(&arb_request().new_value(&mut rng));
+        if refutation(&state, &request).0.is_some() {
+            refuted += 1;
+        } else if !RotaPolicy.decide(&state, &request).is_accept() {
+            scheduled_rejects += 1;
+        }
+    }
+    assert!(
+        refuted >= 300 && scheduled_rejects >= 8,
+        "{refuted} refuted, {scheduled_rejects} rejected by the scheduler"
     );
     // The live states hold commitments, and ROTA both accepts and
     // rejects on them.

@@ -58,7 +58,22 @@
 //! the ordered prepares run, so a resubmitted 2PC stays idempotent. An
 //! accept is prepared in node-id order, this node installing the
 //! verdict it already has. A coordinator that owns none of the demand
-//! keeps the plain path: participant 1's prepare decides and confirms.
+//! has no in-process confirmer: participant 1's prepare decides and
+//! confirms.
+//!
+//! A reject the slices already read prove ends the round early. The
+//! policy's refutation ([`LocalHandle::refute`]) is asked after this
+//! node's own slice and after each remote one (a non-owner: after
+//! participant 1's only), with each demanded type's supply read from
+//! its owner's slice, unknown while that slice is unread. ROTA refutes
+//! at the first demanded type, in type order, whose supply over the
+//! window is below its demand, and never reads past an unknown one,
+//! so a refutation is the reject the merged basis would give, word for
+//! word. It skips the remaining snapshots and the decision, and is
+//! confirmed as a decided reject is: by this node's own prepare, or a
+//! non-owner's `prepare` to participant 1 carrying participant 1's
+//! slice as the basis. `prepared` there (a held or committed name)
+//! reruns the attempt without refuting.
 //!
 //! Participants the node's gossip engine believes **suspect** are
 //! never contacted: requests touching them are rejected up front with
@@ -72,10 +87,12 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use rota_actor::{Granularity, ResourceDemand, TableCostModel};
-use rota_admission::{AdmissionRequest, Decision};
+use rota_admission::{AdmissionRequest, Decision, RejectReason};
 use rota_analyze::{check_ownership, Diagnostic, Report, Severity};
+use rota_interval::TimeInterval;
 use rota_logic::Scope;
 use rota_obs::{Counter, Histogram, Registry};
+use rota_resource::{LocatedType, Quantity, Rate};
 use rota_server::spec::{self, resources_from_json, ComputationSpec, ResourceSpec};
 use rota_server::{fault, LocalHandle, Reply, Request, RequestHook, Response};
 
@@ -117,12 +134,17 @@ pub(crate) enum Route {
     Forward(Participant),
     /// Several owners, in id order; this node is among them iff it owns
     /// some of the demand.
-    TwoPhase(Vec<Participant>),
+    TwoPhase(Vec<Participant>, Owners),
 }
+
+/// Each demanded located type's owner, as an index into a two-phase
+/// admission's participants.
+pub(crate) type Owners = BTreeMap<LocatedType, usize>;
 
 /// Classifies the demand an admission received by node `me` prices
 /// to, in one pass over its non-zero terms, each keyed (like slicing)
-/// by its first location.
+/// by its first location. A two-phase route also maps each demanded
+/// type to its owner, while the caller still holds the topology guard.
 pub(crate) fn classify(demand: &ResourceDemand, topology: &Topology, me: &str) -> Route {
     let mut owners: BTreeMap<&str, &str> = BTreeMap::new();
     let report = check_ownership(demand, |location| match topology.owner_of(location) {
@@ -140,7 +162,17 @@ pub(crate) fn classify(demand: &ResourceDemand, topology: &Topology, me: &str) -
         .map(|(id, addr)| (id.to_string(), addr.to_string()))
         .collect();
     if participants.len() > 1 {
-        return Route::TwoPhase(participants);
+        let owners = demand
+            .located_types()
+            .filter_map(|located| {
+                let node = topology.owner_of(located.locations().first()?.name())?;
+                let index = participants
+                    .binary_search_by(|(id, _)| id.as_str().cmp(&node.id))
+                    .ok()?;
+                Some((located.clone(), index))
+            })
+            .collect();
+        return Route::TwoPhase(participants, owners);
     }
     match participants.pop() {
         Some(owner) if owner.0 != me => Route::Forward(owner),
@@ -159,6 +191,10 @@ struct RouterObs {
     twopc_aborted: Arc<Counter>,
     twopc_retries: Arc<Counter>,
     twopc_prepares: Arc<Counter>,
+    /// Two-phase admissions a refutation from the slices read so far
+    /// ended: `[0]` when the coordinator owns none of the demand, `[1]`
+    /// when it owns some.
+    twopc_refuted: [Arc<Counter>; 2],
     /// Terms in the merged basis of each snapshot round.
     twopc_basis_terms: Arc<Histogram>,
     /// Peer calls per two-phase admission, retries included: `[0]`
@@ -180,6 +216,11 @@ impl RouterObs {
             twopc_aborted: registry.counter("cluster.twopc.aborted"),
             twopc_retries: registry.counter("cluster.twopc.retries"),
             twopc_prepares: registry.counter("cluster.twopc.prepares"),
+            twopc_refuted: ["other", "owner"].map(|coordinator| {
+                registry.counter(&format!(
+                    "cluster.twopc.refuted{{coordinator={coordinator}}}"
+                ))
+            }),
             twopc_basis_terms: registry
                 .histogram("cluster.twopc.basis_terms", Histogram::depth_bounds()),
             twopc_peer_calls: ["other", "owner"].map(|coordinator| {
@@ -356,9 +397,15 @@ impl ClusterRouter {
             Route::Unowned(report) => self.unowned(request.name(), &report),
             Route::Local => return Some(self.local.admit(request)),
             Route::Forward(owner) => self.forward(&owner, computation, granularity, request.name()),
-            Route::TwoPhase(participants) => {
+            Route::TwoPhase(participants, owners) => {
                 let scope = Scope::of(&demand, request.window());
-                self.two_phase(&participants, computation, granularity, &request, &scope)
+                let admission = Admission {
+                    computation,
+                    granularity,
+                    request: &request,
+                    scope: &scope,
+                };
+                self.two_phase(&participants, &owners, &admission)
             }
         };
         Some(Reply::Typed(response))
@@ -390,194 +437,333 @@ impl ClusterRouter {
     /// node-id order. This node's own snapshot and prepare go through
     /// the local handle as typed values; only a remote participant's
     /// slice and basis cross a socket as JSON. Every snapshot is taken
-    /// within `scope`, the request's demanded located types over its
-    /// window, so the basis holds only what the decision reads.
+    /// within the admission's scope, the request's demanded located
+    /// types over its window, so the basis holds only what the decision
+    /// reads.
     ///
-    /// A coordinator that owns some of the demand decides the verdict
-    /// once, here. A reject is confirmed by this node's own prepare and
-    /// returned without a remote prepare; an accept is prepared in
-    /// node-id order, this node installing the verdict it already has.
+    /// The slices read so far can refute the request before the rest
+    /// are asked for (see [`Self::snapshot`]); a refutation is confirmed
+    /// by one prepare and returned. Otherwise a coordinator that owns
+    /// some of the demand decides the verdict once, here. A reject is
+    /// confirmed by this node's own prepare and returned without a
+    /// remote prepare; an accept is prepared in node-id order, this node
+    /// installing the verdict it already has.
     ///
     /// Every peer call the admission makes, retries included, is
     /// counted into `cluster.twopc.peer_calls{coordinator=…}`.
     fn two_phase(
         &self,
         participants: &[Participant],
-        computation: &ComputationSpec,
-        granularity: Granularity,
-        request: &AdmissionRequest,
-        scope: &Scope,
+        owners: &Owners,
+        admission: &Admission,
     ) -> Response {
+        let request = admission.request;
         if let Some(peer) = self.first_suspect(participants.iter().map(|(id, _)| id.as_str())) {
             return self.peer_unavailable(request.name(), peer);
         }
         self.obs.twopc_started.inc();
         let calls = Cell::new(0);
-        let response = self.two_phase_rounds(
-            participants,
-            computation,
-            granularity,
-            request,
-            scope,
-            &calls,
-        );
+        let response = self.two_phase_rounds(participants, owners, admission, &calls);
         let owner = participants.iter().any(|(id, _)| *id == self.config.me);
         self.obs.twopc_peer_calls[usize::from(owner)].observe(calls.get());
         response
     }
 
-    /// The snapshot, prepare and commit rounds of [`Self::two_phase`],
-    /// retried on a lost epoch race; peer calls are counted in `calls`.
+    /// The attempts of [`Self::two_phase`], retried on a lost epoch
+    /// race; peer calls are counted in `calls`. An attempt whose
+    /// refutation meets a name already held or committed is run again
+    /// without refuting, and that rerun is no retry.
     fn two_phase_rounds(
         &self,
         participants: &[Participant],
-        computation: &ComputationSpec,
-        granularity: Granularity,
-        request: &AdmissionRequest,
-        scope: &Scope,
+        owners: &Owners,
+        admission: &Admission,
         calls: &Cell<u64>,
     ) -> Response {
-        let name = request.name().to_string();
-        let ttl_ms = u64::try_from(self.config.ttl.as_millis()).unwrap_or(u64::MAX);
-        let ttl = Duration::from_millis(ttl_ms);
         let me = participants
             .iter()
             .position(|(participant, _)| *participant == self.config.me);
-        for _attempt in 0..=MAX_RETRIES {
-            let round =
-                self.snapshot(participants, me, scope, calls)
-                    .and_then(|(epochs_by, basis)| {
-                        let verdict = me.map(|_| self.decide_here(request, &basis)).transpose()?;
-                        Ok((epochs_by, basis, verdict))
-                    });
-            let (epochs_by, basis, verdict) = match round {
-                Ok(round) => round,
-                Err(message) => {
-                    self.obs.twopc_aborted.inc();
-                    return Response::Error {
-                        message: format!("two-phase admission failed before prepare: {message}"),
-                    };
-                }
-            };
-            // A reject installs nothing, so this node's prepare confirms
-            // it first: the reject stands if this node's epochs — taken
-            // before every remote snapshot, checked after the last —
-            // have not moved. A name this node already holds answers
-            // `prepared` and falls through to the ordered prepares, as a
-            // retried 2PC must.
-            let confirmed = match (me, &verdict) {
-                (Some(index), Some(reject @ Decision::Reject(_))) => {
-                    match self.local.prepare(request, reject, &epochs_by[index], ttl) {
-                        Response::Prepared { .. } => None,
-                        other => Some((0, &participants[index].0, Ok(other))),
-                    }
-                }
-                _ => None,
-            };
-            // Phase one: prepare in order, stopping at the first
-            // participant that does not prepare — so the prepared ones
-            // are always a prefix of `participants`.
-            let failure = confirmed.or_else(|| {
-                participants.iter().zip(epochs_by).enumerate().find_map(
-                    |(index, ((participant, addr), epochs))| {
-                        let answer = match &verdict {
-                            Some(verdict) if Some(index) == me => {
-                                Ok(self.local.prepare(request, verdict, &epochs, ttl))
-                            }
-                            _ => {
-                                self.obs.twopc_prepares.inc();
-                                let prepare = Request::Prepare {
-                                    name: name.clone(),
-                                    computation: computation.clone(),
-                                    granularity,
-                                    basis: basis.clone(),
-                                    epochs,
-                                    ttl_ms,
-                                };
-                                self.call_peer(participant, addr, &prepare, calls)
-                            }
-                        };
-                        match answer {
-                            Ok(Response::Prepared { .. }) => None,
-                            other => Some((index, participant, other)),
-                        }
-                    },
-                )
-            });
-            let Some((prepared, participant, answer)) = failure else {
-                return self.commit_all(participants, &name, calls);
-            };
-            self.release(&participants[..prepared], &name, calls);
-            match answer {
-                Ok(decision @ Response::Decision { .. }) => {
-                    self.obs.twopc_rejected.inc();
-                    return decision;
-                }
-                Ok(Response::StaleEpoch { .. }) => self.obs.twopc_retries.inc(),
-                other => {
-                    self.obs.twopc_aborted.inc();
-                    return Response::Error {
-                        message: format!(
-                            "two-phase admission failed: {}",
-                            unexpected(participant, "prepare", other)
-                        ),
-                    };
+        let mut refuting = true;
+        let mut attempts = 0;
+        while attempts <= MAX_RETRIES {
+            match self.attempt(participants, me, owners, admission, refuting, calls) {
+                Attempt::Done(response) => return response,
+                Attempt::Held => refuting = false,
+                Attempt::Stale => {
+                    self.obs.twopc_retries.inc();
+                    attempts += 1;
                 }
             }
         }
         self.obs.twopc_aborted.inc();
         Response::Error {
             message: format!(
-                "two-phase admission for `{name}` lost {} epoch races; \
+                "two-phase admission for `{}` lost {} epoch races; \
                  the cluster state keeps changing, retry later",
+                admission.request.name(),
                 MAX_RETRIES + 1
             ),
         }
     }
 
-    /// Snapshots every participant within `scope` — this node
-    /// (`participants[me]`) first, in-process, then the others in order
-    /// — and merges the slices into the basis in node-id order; the
-    /// union of disjoint slices is the merged single-node basis. Returns
-    /// each participant's epochs, in order, with the basis.
+    /// One snapshot, prepare and commit round of a two-phase admission;
+    /// `me` is this node's index among `participants`, if it is one.
+    fn attempt(
+        &self,
+        participants: &[Participant],
+        me: Option<usize>,
+        owners: &Owners,
+        admission: &Admission,
+        refuting: bool,
+        calls: &Cell<u64>,
+    ) -> Attempt {
+        let request = admission.request;
+        let name = request.name().to_string();
+        let ttl = Duration::from_millis(self.ttl_ms());
+        let owners = refuting.then_some(owners);
+        let round = match self.snapshot(participants, me, owners, admission, calls) {
+            Ok(Round::Refuted(refutation)) => {
+                return self.confirm_refutation(participants, me, admission, refutation, calls)
+            }
+            Ok(Round::Full(epochs_by, basis)) => me
+                .map(|_| self.decide_here(request, &basis))
+                .transpose()
+                .map(|verdict| (epochs_by, basis, verdict)),
+            Err(message) => Err(message),
+        };
+        let (epochs_by, basis, verdict) = match round {
+            Ok(round) => round,
+            Err(message) => {
+                self.obs.twopc_aborted.inc();
+                return Attempt::Done(Response::Error {
+                    message: format!("two-phase admission failed before prepare: {message}"),
+                });
+            }
+        };
+        // A reject installs nothing, so this node's prepare confirms
+        // it first: the reject stands if this node's epochs — taken
+        // before every remote snapshot, checked after the last — have
+        // not moved. A name this node already holds answers `prepared`
+        // and falls through to the ordered prepares, as a retried 2PC
+        // must.
+        let confirmed = match (me, &verdict) {
+            (Some(index), Some(reject @ Decision::Reject(_))) => {
+                match self.local.prepare(request, reject, &epochs_by[index], ttl) {
+                    Response::Prepared { .. } => None,
+                    other => Some((0, &participants[index].0, Ok(other))),
+                }
+            }
+            _ => None,
+        };
+        // Phase one: prepare in order, stopping at the first
+        // participant that does not prepare — so the prepared ones
+        // are always a prefix of `participants`.
+        let failure = confirmed.or_else(|| {
+            participants.iter().zip(epochs_by).enumerate().find_map(
+                |(index, ((participant, addr), epochs))| {
+                    let answer = match &verdict {
+                        Some(verdict) if Some(index) == me => {
+                            Ok(self.local.prepare(request, verdict, &epochs, ttl))
+                        }
+                        _ => self.prepare_peer(participant, addr, admission, &basis, epochs, calls),
+                    };
+                    match answer {
+                        Ok(Response::Prepared { .. }) => None,
+                        other => Some((index, participant, other)),
+                    }
+                },
+            )
+        });
+        let Some((prepared, participant, answer)) = failure else {
+            return Attempt::Done(self.commit_all(participants, &name, calls));
+        };
+        self.release(&participants[..prepared], &name, calls);
+        self.settle(participant, answer)
+    }
+
+    /// How `participant`'s answer to a prepare that did not prepare
+    /// ends the attempt: a reject is the admission's answer,
+    /// `stale-epoch` a retry, anything else an abort.
+    fn settle(&self, participant: &str, answer: Result<Response, String>) -> Attempt {
+        match answer {
+            Ok(decision @ Response::Decision { .. }) => {
+                self.obs.twopc_rejected.inc();
+                Attempt::Done(decision)
+            }
+            Ok(Response::StaleEpoch { .. }) => Attempt::Stale,
+            other => {
+                self.obs.twopc_aborted.inc();
+                Attempt::Done(Response::Error {
+                    message: format!(
+                        "two-phase admission failed: {}",
+                        unexpected(participant, "prepare", other)
+                    ),
+                })
+            }
+        }
+    }
+
+    /// The TTL of a tentative reservation, in the whole milliseconds a
+    /// `prepare` frame carries.
+    fn ttl_ms(&self) -> u64 {
+        u64::try_from(self.config.ttl.as_millis()).unwrap_or(u64::MAX)
+    }
+
+    /// Sends `participant` a `prepare` carrying `basis` and its
+    /// `epochs`, counted as a prepare and a peer call.
+    fn prepare_peer(
+        &self,
+        participant: &str,
+        addr: &str,
+        admission: &Admission,
+        basis: &[ResourceSpec],
+        epochs: Vec<u64>,
+        calls: &Cell<u64>,
+    ) -> Result<Response, String> {
+        self.obs.twopc_prepares.inc();
+        let prepare = Request::Prepare {
+            name: admission.request.name().to_string(),
+            computation: admission.computation.clone(),
+            granularity: admission.granularity,
+            basis: basis.to_vec(),
+            epochs,
+            ttl_ms: self.ttl_ms(),
+        };
+        self.call_peer(participant, addr, &prepare, calls)
+    }
+
+    /// Confirms a refutation with one prepare, as a decided reject is
+    /// confirmed: this node's own, with its epochs, when it owns some
+    /// of the demand; otherwise participant 1's, with the slice and
+    /// epochs the refutation read, and which re-decides on that slice
+    /// (refuting is its policy's first step, so it rejects alike). A
+    /// reject that stands is returned; `stale-epoch` is a retry;
+    /// `prepared` means the name is already held or committed there, and
+    /// the attempt runs again on the full path.
+    fn confirm_refutation(
+        &self,
+        participants: &[Participant],
+        me: Option<usize>,
+        admission: &Admission,
+        Refutation {
+            reject,
+            epochs,
+            slice,
+        }: Refutation,
+        calls: &Cell<u64>,
+    ) -> Attempt {
+        let (participant, answer) = match me {
+            Some(index) => {
+                let verdict = Decision::Reject(reject);
+                let ttl = Duration::from_millis(self.ttl_ms());
+                let answer = self
+                    .local
+                    .prepare(admission.request, &verdict, &epochs, ttl);
+                (&participants[index].0, Ok(answer))
+            }
+            None => {
+                let (participant, addr) = &participants[0];
+                let answer = self.prepare_peer(participant, addr, admission, &slice, epochs, calls);
+                (participant, answer)
+            }
+        };
+        match answer {
+            Ok(Response::Prepared { .. }) => return Attempt::Held,
+            Ok(Response::Decision { .. }) => {
+                self.obs.twopc_refuted[usize::from(me.is_some())].inc();
+            }
+            _ => {}
+        }
+        self.settle(participant, answer)
+    }
+
+    /// Snapshots every participant within the admission's scope — this
+    /// node (`participants[me]`) first, in-process, then the others in
+    /// order — and merges the slices into the basis in node-id order;
+    /// the union of disjoint slices is the merged single-node basis.
+    /// Returns each participant's epochs, in order, with the basis.
+    ///
+    /// Given the demand's `owners`, the round offers the supply read so
+    /// far to the policy's refutation ([`LocalHandle::refute`]) after
+    /// this node's own slice and after each remote one; a coordinator
+    /// that owns none of the demand offers it once, after participant
+    /// 1's slice, the only one it can confirm a refutation with. A
+    /// refutation ends the round there: no further snapshot and no
+    /// basis. A demanded type whose owner's slice is not read yet is
+    /// unknown supply, which the refutation never reads past.
     fn snapshot(
         &self,
         participants: &[Participant],
         me: Option<usize>,
-        scope: &Scope,
+        owners: Option<&Owners>,
+        admission: &Admission,
         calls: &Cell<u64>,
-    ) -> Result<(Vec<Vec<u64>>, Vec<ResourceSpec>), String> {
-        let own = me
-            .map(|_| self.local.cluster_state_in(Some(scope)))
-            .transpose()
-            .map_err(|message| {
-                unexpected(
-                    &self.config.me,
-                    "the snapshot",
-                    Ok(Response::Error { message }),
-                )
-            })?;
-        let request = Request::ScopedSnapshot {
-            scope: scope.clone(),
-        };
-        let mut slices = Vec::with_capacity(participants.len());
-        for (participant, addr) in participants {
-            if *participant != self.config.me {
-                let answer = self.call_peer(participant, addr, &request, calls);
-                slices.push(read_snapshot(participant, answer)?);
-            }
+    ) -> Result<Round, String> {
+        let mut slices: Vec<Option<Slice>> = vec![None; participants.len()];
+        if let Some(index) = me {
+            let own = self
+                .local
+                .cluster_state_in(Some(admission.scope))
+                .map_err(|message| {
+                    unexpected(
+                        &self.config.me,
+                        "the snapshot",
+                        Ok(Response::Error { message }),
+                    )
+                })?;
+            slices[index] = Some(own);
         }
-        if let (Some(index), Some(own)) = (me, own) {
-            slices.insert(index, own);
+        let request = Request::ScopedSnapshot {
+            scope: admission.scope.clone(),
+        };
+        let confirmer = me.unwrap_or(0);
+        let remote = (0..participants.len()).filter(|&index| Some(index) != me);
+        for index in me.into_iter().chain(remote) {
+            if Some(index) != me {
+                let (participant, addr) = &participants[index];
+                let answer = self.call_peer(participant, addr, &request, calls);
+                slices[index] = Some(read_snapshot(participant, answer)?);
+            }
+            let Some(owners) = owners.filter(|_| me.is_some() || index == 0) else {
+                continue;
+            };
+            if let Some(reject) = self.refute(admission.request, owners, &slices) {
+                // The confirming participant's slice is the first read.
+                if let Some((epochs, slice)) = slices[confirmer].take() {
+                    return Ok(Round::Refuted(Refutation {
+                        reject,
+                        epochs,
+                        slice,
+                    }));
+                }
+            }
         }
         let mut epochs_by = Vec::with_capacity(slices.len());
         let mut basis = Vec::new();
-        for (epochs, terms) in slices {
+        for (epochs, terms) in slices.into_iter().flatten() {
             basis.extend(terms);
             epochs_by.push(epochs);
         }
         self.obs.twopc_basis_terms.observe(basis.len() as u64);
-        Ok((epochs_by, basis))
+        Ok(Round::Full(epochs_by, basis))
+    }
+
+    /// The reject this node's policy proves for `request` from the
+    /// `slices` read so far: a demanded type's supply is its owner's
+    /// slice's quantity over the request's window, unknown while that
+    /// slice is unread.
+    fn refute(
+        &self,
+        request: &AdmissionRequest,
+        owners: &Owners,
+        slices: &[Option<Slice>],
+    ) -> Option<RejectReason> {
+        let window = request.window();
+        let supply = |located: &LocatedType| {
+            let (_, terms) = slices[*owners.get(located)?].as_ref()?;
+            slice_supply(terms, located, &window)
+        };
+        self.local.refute(request, &supply)
     }
 
     /// The verdict this node decides on the merged `basis`, built into
@@ -720,14 +906,78 @@ impl ClusterRouter {
     }
 }
 
+/// One participant's snapshot: its shard epochs and its slice of the
+/// basis.
+type Slice = (Vec<u64>, Vec<ResourceSpec>);
+
+/// An admission the router has priced, with what its two-phase rounds
+/// send and read.
+struct Admission<'a> {
+    computation: &'a ComputationSpec,
+    granularity: Granularity,
+    request: &'a AdmissionRequest,
+    /// The request's demanded located types over its window.
+    scope: &'a Scope,
+}
+
+/// How a snapshot round ended.
+enum Round {
+    /// Every slice was read: each participant's epochs, in order, and
+    /// the merged basis.
+    Full(Vec<Vec<u64>>, Vec<ResourceSpec>),
+    /// The slices read so far refute the request.
+    Refuted(Refutation),
+}
+
+/// A reject the slices read so far prove, with the epochs and slice of
+/// the participant that confirms it.
+struct Refutation {
+    reject: RejectReason,
+    epochs: Vec<u64>,
+    slice: Vec<ResourceSpec>,
+}
+
+/// How one attempt of a two-phase admission ended.
+enum Attempt {
+    /// With the admission's answer.
+    Done(Response),
+    /// A participant's epochs moved: retry.
+    Stale,
+    /// A refutation met a name already held or committed: run the
+    /// attempt again without refuting.
+    Held,
+}
+
+/// A slice's supply of `located` over `window`: the sum of its terms'
+/// rates over their overlap with the window, which is what the merged
+/// basis holds of that type, since all of a located type's terms sit in
+/// its owner's slice. `None` if the sum overflows.
+fn slice_supply(
+    slice: &[ResourceSpec],
+    located: &LocatedType,
+    window: &TimeInterval,
+) -> Option<Quantity> {
+    slice
+        .iter()
+        .filter(|term| term.located == *located)
+        .try_fold(Quantity::ZERO, |total, term| {
+            match term
+                .interval()
+                .and_then(|interval| interval.intersect(window))
+            {
+                Some(shared) => {
+                    total.checked_add(Rate::new(term.rate).over(shared.duration()).ok()?)
+                }
+                None => Some(total),
+            }
+        })
+}
+
 /// Reads a participant's snapshot answer: its shard epochs and its
 /// slice of the basis. A slice that does not decode is an error, never
 /// an empty slice: deciding without that participant's supply would
 /// pass a broken answer off as an ordinary policy reject.
-fn read_snapshot(
-    participant: &str,
-    answer: Result<Response, String>,
-) -> Result<(Vec<u64>, Vec<ResourceSpec>), String> {
+fn read_snapshot(participant: &str, answer: Result<Response, String>) -> Result<Slice, String> {
     match answer {
         Ok(Response::ClusterState { epochs, resources }) => resources
             .as_array()
@@ -820,11 +1070,19 @@ mod tests {
                 }
             } else {
                 match route {
-                    Route::TwoPhase(participants) => {
+                    Route::TwoPhase(participants, by_type) => {
                         let ids: Vec<String> = participants.into_iter().map(|(id, _)| id).collect();
                         prop_assert!(ids.windows(2).all(|w| w[0] < w[1]), "{ids:?}");
                         prop_assert_eq!(ids.iter().cloned().collect::<BTreeSet<_>>(), owners.clone());
                         prop_assert_eq!(ids.contains(&me), owners.contains(&me));
+                        // Every demanded type maps to the participant
+                        // owning its first location.
+                        let types: Vec<&LocatedType> = demand.located_types().collect();
+                        prop_assert_eq!(by_type.keys().collect::<Vec<_>>(), types);
+                        for (located, &index) in &by_type {
+                            let source = located.locations()[0].name();
+                            prop_assert_eq!(&ids[index], &format!("node{}", &source[1..]));
+                        }
                     }
                     other => panic!("expected a two-phase commit, got {other:?}"),
                 }

@@ -12,7 +12,7 @@ use std::time::{Duration, Instant};
 use rota_actor::{
     ActionKind, ActorComputation, DistributedComputation, Granularity, TableCostModel,
 };
-use rota_admission::{AdmissionRequest, RotaPolicy};
+use rota_admission::{AdmissionPolicy, AdmissionRequest, NaiveTotalPolicy, RotaPolicy};
 use rota_cluster::{Cluster, ClusterConfig, Topology};
 use rota_interval::{TimeInterval, TimePoint};
 use rota_logic::{Scope, State};
@@ -279,10 +279,11 @@ fn resubmitting_a_committed_spanning_job_is_idempotent() {
     cluster.shutdown();
 }
 
-#[test]
-fn a_spanning_reject_decided_by_an_owner_sends_no_prepare() {
-    let cluster = launch(3, test_config());
-    let heavy = DistributedComputation::new(
+/// Two actors at `l0` and `l1` that each need 64 cpu by t=2, where
+/// each location supplies 16: the total supply of either type refutes
+/// it.
+fn heavy() -> DistributedComputation {
+    DistributedComputation::new(
         "heavy",
         vec![
             ActorComputation::new("heavy-a0", "l0").then(ActionKind::evaluate_units(64)),
@@ -291,18 +292,25 @@ fn a_spanning_reject_decided_by_an_owner_sends_no_prepare() {
         TimePoint::ZERO,
         TimePoint::new(2),
     )
-    .unwrap();
-    // node0 and node1 own the demand and confirm the reject with their
-    // own prepare after one peer call, the other owner's snapshot;
-    // node2 owns none of it, snapshots both and asks node0 to prepare.
+    .unwrap()
+}
+
+/// Submits `job` through each `(via, prepares sent, coordinator, peer
+/// calls, refuted)` row in turn, checks that it is rejected with those
+/// counts, and returns the reject frames.
+fn spanning_rejects(
+    cluster: &Cluster,
+    job: &DistributedComputation,
+    rows: [(usize, u64, &str, u64, u64); 3],
+) -> Vec<Response> {
     let mut rejects = Vec::new();
-    for (via, prepares_sent, coordinator, calls) in
-        [(0, 0, "owner", 1), (1, 0, "owner", 1), (2, 1, "other", 3)]
-    {
-        let before = counter(&cluster, via, "cluster.twopc.prepares");
-        let (count, sum) = peer_calls(&cluster, via, coordinator);
-        let response = client_for(&cluster, via)
-            .admit(&heavy, Granularity::MaximalRun)
+    for (via, prepares_sent, coordinator, calls, refuted) in rows {
+        let refuted_name = format!("cluster.twopc.refuted{{coordinator={coordinator}}}");
+        let before = counter(cluster, via, "cluster.twopc.prepares");
+        let refuted_before = counter(cluster, via, &refuted_name);
+        let (count, sum) = peer_calls(cluster, via, coordinator);
+        let response = client_for(cluster, via)
+            .admit(job, Granularity::MaximalRun)
             .unwrap();
         assert!(
             matches!(
@@ -314,16 +322,85 @@ fn a_spanning_reject_decided_by_an_owner_sends_no_prepare() {
             ),
             "via node{via}: {response:?}"
         );
-        let sent = counter(&cluster, via, "cluster.twopc.prepares") - before;
+        let sent = counter(cluster, via, "cluster.twopc.prepares") - before;
         assert_eq!(sent, prepares_sent, "prepares sent via node{via}");
         assert_eq!(
-            peer_calls(&cluster, via, coordinator),
+            peer_calls(cluster, via, coordinator),
             (count + 1, sum + calls),
             "peer calls via node{via}"
         );
-        rejects.push(response.to_json().to_string());
+        assert_eq!(
+            counter(cluster, via, &refuted_name) - refuted_before,
+            refuted,
+            "refutations via node{via}"
+        );
+        rejects.push(response);
     }
-    assert!(rejects.windows(2).all(|w| w[0] == w[1]), "{rejects:#?}");
+    let frames: Vec<String> = rejects.iter().map(|r| r.to_json().to_string()).collect();
+    assert!(frames.windows(2).all(|w| w[0] == w[1]), "{frames:#?}");
+    rejects
+}
+
+#[test]
+fn a_spanning_reject_decided_by_an_owner_sends_no_prepare() {
+    let cluster = launch(3, test_config());
+    // The first demanded type in order, cpu at l0, is short. node0 owns
+    // it and refutes from its own slice, confirming with its own
+    // prepare: no peer call. node1 reads node0's slice first (one
+    // call). node2 owns none of the demand: it reads node0's slice and
+    // asks node0 to prepare on it (two calls).
+    let rejects = spanning_rejects(
+        &cluster,
+        &heavy(),
+        [
+            (0, 0, "owner", 0, 1),
+            (1, 0, "owner", 1, 1),
+            (2, 1, "other", 2, 1),
+        ],
+    );
+    // Worded as one node over the merged supply words it.
+    let request =
+        AdmissionRequest::price(heavy(), &TableCostModel::paper(), Granularity::MaximalRun);
+    let merged = State::new(theta(&["l0", "l1", "l2"]), TimePoint::ZERO);
+    let rota_admission::Decision::Reject(reject) = RotaPolicy.decide(&merged, &request) else {
+        panic!("the merged supply accepts `heavy`");
+    };
+    match &rejects[0] {
+        Response::Decision {
+            reason,
+            violated_term,
+            ..
+        } => {
+            assert_eq!(reason, &reject.to_string());
+            assert_eq!(violated_term.as_deref(), reject.violated_term());
+        }
+        other => panic!("{other:?}"),
+    }
+    cluster.shutdown();
+}
+
+/// A policy that refutes nothing keeps the full snapshot round: every
+/// participant is read, and the coordinator decides.
+#[test]
+fn a_policy_that_refutes_nothing_reads_every_slice() {
+    let locations = ["l0", "l1", "l2"];
+    let cluster = Cluster::launch(
+        Topology::auto(3),
+        &theta(&locations),
+        NaiveTotalPolicy,
+        test_config(),
+    )
+    .unwrap();
+    assert!(cluster.await_converged(Duration::from_secs(10)));
+    spanning_rejects(
+        &cluster,
+        &heavy(),
+        [
+            (0, 0, "owner", 1, 0),
+            (1, 0, "owner", 1, 0),
+            (2, 1, "other", 3, 0),
+        ],
+    );
     cluster.shutdown();
 }
 

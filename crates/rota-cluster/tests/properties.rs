@@ -6,10 +6,11 @@
 //! Each case seeds a workload over three locations, launches the
 //! cluster and a one-shard oracle server over the *full* supply, and
 //! replays the same job stream into both, rotating which cluster node
-//! receives each request. Accept/reject must match job for job (and
-//! the violated theorem clause must match on rejects); afterwards the
-//! union of the cluster's obtainable-resource snapshots must equal
-//! the oracle's — no supply leaked, none invented.
+//! receives each request. Accept/reject must match job for job (and a
+//! reject's clause, reason and violated term must match the oracle's
+//! word for word); afterwards the union of the cluster's
+//! obtainable-resource snapshots must equal the oracle's — no supply
+//! leaked, none invented.
 
 use std::time::Duration;
 
@@ -48,11 +49,23 @@ fn obtainable(client: &mut rota_client::Client) -> ResourceSet {
     }
 }
 
-fn verdict(response: &Response) -> (bool, Option<String>) {
+/// A reject's clause, reason and violated term.
+type Grounds = (Option<String>, String, Option<String>);
+
+/// A decision's verdict, and for a reject its grounds (an accept's
+/// reason names the route, so it is left out).
+fn verdict(response: &Response) -> (bool, Option<Grounds>) {
     match response {
         Response::Decision {
-            accepted, clause, ..
-        } => (*accepted, clause.clone()),
+            accepted,
+            clause,
+            reason,
+            violated_term,
+            ..
+        } => (
+            *accepted,
+            (!accepted).then(|| (clause.clone(), reason.clone(), violated_term.clone())),
+        ),
         other => panic!("expected a decision, got {other:?}"),
     }
 }
@@ -109,18 +122,16 @@ proptest! {
             .unwrap();
             let federated = node_client.admit(&job, config.granularity).unwrap();
             let single = oracle_client.admit(&job, config.granularity).unwrap();
-            let (fed_accepted, fed_clause) = verdict(&federated);
-            let (one_accepted, one_clause) = verdict(&single);
+            let (fed_accepted, fed_reject) = verdict(&federated);
+            let (one_accepted, one_reject) = verdict(&single);
             prop_assert_eq!(
                 fed_accepted, one_accepted,
                 "job{} diverged: cluster {:?} vs oracle {:?}", i, federated, single
             );
-            if !fed_accepted {
-                prop_assert_eq!(
-                    fed_clause, one_clause,
-                    "job{} rejected for different clauses", i
-                );
-            }
+            prop_assert_eq!(
+                fed_reject, one_reject,
+                "job{} rejected with a different clause, reason or term", i
+            );
         }
         // The cluster's merged obtainable state equals the oracle's:
         // every accept installed the same commitments on the owning

@@ -891,6 +891,10 @@ pub fn read_frame<R: BufRead>(reader: &mut R, max_bytes: usize) -> Result<String
             Ok([]) if buf.is_empty() => return Err(FrameError::Closed),
             Ok([]) => return Err(FrameError::Io(std::io::Error::other("eof mid-frame"))),
             Ok(bytes) => bytes,
+            // A read cut short by a signal (a stop and continue of the
+            // process is one, even with no handler) is retried, as
+            // `BufRead::read_until` does.
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
             Err(e) => return Err(FrameError::Io(e)),
         };
         let (chunk, done) = match available.iter().position(|&b| b == b'\n') {
@@ -1256,6 +1260,36 @@ mod tests {
         let mut reader = BufReader::new(&data[..]);
         assert_eq!(read_frame(&mut reader, 1024).unwrap(), "{\"op\":\"ping\"}");
         assert_eq!(read_frame(&mut reader, 1024).unwrap(), "{\"op\":\"stats\"}");
+        assert!(matches!(
+            read_frame(&mut reader, 1024),
+            Err(FrameError::Closed)
+        ));
+    }
+
+    /// A reader whose first read is interrupted by a signal, as a
+    /// socket read with a timeout is after a stop and continue.
+    struct InterruptedOnce<'a> {
+        interrupted: bool,
+        rest: &'a [u8],
+    }
+
+    impl std::io::Read for InterruptedOnce<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            if !self.interrupted {
+                self.interrupted = true;
+                return Err(std::io::ErrorKind::Interrupted.into());
+            }
+            std::io::Read::read(&mut self.rest, buf)
+        }
+    }
+
+    #[test]
+    fn read_frame_retries_an_interrupted_read() {
+        let mut reader = BufReader::new(InterruptedOnce {
+            interrupted: false,
+            rest: b"{\"op\":\"ping\"}\n",
+        });
+        assert_eq!(read_frame(&mut reader, 1024).unwrap(), "{\"op\":\"ping\"}");
         assert!(matches!(
             read_frame(&mut reader, 1024),
             Err(FrameError::Closed)

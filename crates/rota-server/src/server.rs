@@ -21,10 +21,10 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use rota_actor::TableCostModel;
-use rota_admission::{AdmissionPolicy, AdmissionRequest, Decision};
+use rota_admission::{AdmissionPolicy, AdmissionRequest, Decision, RejectReason};
 use rota_logic::Scope;
 use rota_obs::{DecisionEvent, Journal, Registry};
-use rota_resource::ResourceSet;
+use rota_resource::{LocatedType, Quantity, ResourceSet};
 
 use crate::fault::{ConnectionFaults, FaultInjector, FaultPlan, WireFault};
 use crate::protocol::{
@@ -162,6 +162,21 @@ impl LocalHandle {
     ) -> Result<Decision, String> {
         self.with_pool(|pool| pool.decide(request, basis))
             .ok_or_else(|| DRAINING.into())
+    }
+
+    /// The reject this node's policy proves for a request the hook
+    /// already priced from `supply` alone, the obtainable quantity of
+    /// each demanded located type over the request's window (`None`
+    /// while unknown): the refutation [`LocalHandle::decide`] would
+    /// start with. `None` when the policy refutes nothing, or once the
+    /// server is draining.
+    pub fn refute(
+        &self,
+        request: &AdmissionRequest,
+        supply: &dyn Fn(&LocatedType) -> Option<Quantity>,
+    ) -> Option<RejectReason> {
+        self.with_pool(|pool| pool.refute(request, supply))
+            .flatten()
     }
 
     /// Phase one of a two-phase commit on this node, as a `prepare`

@@ -72,13 +72,13 @@ use std::time::{Duration, Instant};
 use rota_actor::ActorName;
 use rota_admission::{
     AdmissionController, AdmissionObs, AdmissionPolicy, AdmissionRequest, ControllerStats,
-    Decision, SharedPolicy,
+    Decision, RejectReason, SharedPolicy,
 };
 use rota_analyze::{prevalidate_request, Report as LintReport, Severity as LintSeverity};
 use rota_interval::TimePoint;
 use rota_logic::{Scope, State};
 use rota_obs::{Counter, DecisionEvent, Gauge, Histogram, Journal, Registry};
-use rota_resource::{Location, ResourceSet};
+use rota_resource::{LocatedType, Location, Quantity, ResourceSet};
 
 use crate::fault::{self, FaultInjector};
 use crate::protocol::{encode_frame, Reply, Response};
@@ -470,6 +470,16 @@ impl ShardPool {
     pub(crate) fn decide(&self, request: &AdmissionRequest, basis: &ResourceSet) -> Decision {
         self.policy
             .decide(&State::new(basis.clone(), TimePoint::ZERO), request)
+    }
+
+    /// The reject the pool's policy proves for `request` from `supply`
+    /// alone ([`AdmissionPolicy::refute`]).
+    pub(crate) fn refute(
+        &self,
+        request: &AdmissionRequest,
+        supply: &dyn Fn(&LocatedType) -> Option<Quantity>,
+    ) -> Option<RejectReason> {
+        self.policy.refute(request, supply)
     }
 
     /// Phase one of two-phase commit for a `verdict` already decided

@@ -12,9 +12,10 @@
 #
 # for seeds FIRST_SEED .. FIRST_SEED+N-1, one run per side and seed,
 # alternating which side runs first. For every end-to-end metric in
-# BENCHMARK.json it prints each side's median and quartiles, how many
-# pairs the working tree won (ties count for neither side), and two
-# verdicts:
+# BENCHMARK.json it prints each side's median and quartiles, the pairs
+# the working tree won and tied out of all pairs (`wins/ties/pairs`; a
+# tie counts for neither side, and a metric read in coarse steps, like
+# `cpu_us_per_admit` on `cluster-mixed`, ties often), and two verdicts:
 #
 #   gain   `yes` when the working tree won at least 9 in 10 pairs and
 #          its median differs from the base's by more than the base's
@@ -136,7 +137,7 @@ def bound_verdict(base, change, bound, lower):
     worse_by = (change_median - median) if lower else (median - change_median)
     return "WORSE" if worse_by > allowed else "ok"
 
-print(f"{'metric':20} {'base q1/median/q3':>32} {'change q1/median/q3':>32}  wins   gain  bound")
+print(f"{'metric':20} {'base q1/median/q3':>32} {'change q1/median/q3':>32}  wins/ties/pairs  gain  bound")
 for metric in metrics:
     name, lower = metric["name"], metric["better"] == "lower"
     pairs = [(value(by["base"][s], name), value(by["change"][s], name)) for s in seeds]
@@ -144,12 +145,13 @@ for metric in metrics:
     if not pairs:
         continue
     wins = sum((c < b) if lower else (c > b) for b, c in pairs)
+    ties = sum(c == b for b, c in pairs)
     base_runs, change_runs = [b for b, _ in pairs], [c for _, c in pairs]
     (q1, base_median, q3), change_median = spread(base_runs), spread(change_runs)[1]
     gain = "yes" if 10 * wins >= 9 * len(pairs) and abs(change_median - base_median) > q3 - q1 else "-"
     bound = bound_verdict(base_runs, change_runs, metric["bound"], lower)
     base = "/".join(f"{v:.4g}" for v in (q1, base_median, q3))
     change = "/".join(f"{v:.4g}" for v in spread(change_runs))
-    print(f"{name:20} {base:>32} {change:>32}  {f'{wins}/{len(pairs)}':5}  {gain:4}  {bound}")
+    print(f"{name:20} {base:>32} {change:>32}  {f'{wins}/{ties}/{len(pairs)}':15}  {gain:4}  {bound}")
 EOF
 echo "raw results: $out" >&2
