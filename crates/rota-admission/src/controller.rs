@@ -625,7 +625,11 @@ mod tests {
             else {
                 unreachable!()
             };
-            assert!(clause.as_deref().unwrap().contains("Theorem 4"));
+            // The supply is spent, so the total bound refutes each.
+            assert_eq!(
+                clause.as_deref(),
+                Some("Section III: total supply over (s, d) below demand")
+            );
             assert!(violated_term.as_deref().unwrap().contains("short by"));
         }
     }

@@ -59,6 +59,17 @@ pub enum RejectReason {
         /// the scheduler could attribute the failure to one.
         violated_term: Option<String>,
     },
+    /// ROTA's refutation: the whole supply of a demanded located type
+    /// over `(s, d)` is below the request's demand for it, so no
+    /// schedule exists and none was searched for.
+    Refuted {
+        /// Index of the first actor demanding the short type.
+        actor_index: usize,
+        /// The type's total against its demand.
+        detail: String,
+        /// The short type and its shortfall (`cpu@l1 short by 4`).
+        violated_term: Option<String>,
+    },
     /// Naive/EDF: the policy's own feasibility check failed.
     PolicyCheckFailed {
         /// Policy-specific explanation.
@@ -72,6 +83,7 @@ impl RejectReason {
         match self {
             RejectReason::DeadlinePassed => "accommodation rule: guard t < d",
             RejectReason::Infeasible { .. } => "Theorem 4: segment feasibility over Θ_expire",
+            RejectReason::Refuted { .. } => "Section III: total supply over (s, d) below demand",
             RejectReason::PolicyCheckFailed { .. } => "policy feasibility check",
         }
     }
@@ -79,7 +91,8 @@ impl RejectReason {
     /// The violated resource term, when the rejection names one.
     pub fn violated_term(&self) -> Option<&str> {
         match self {
-            RejectReason::Infeasible { violated_term, .. } => violated_term.as_deref(),
+            RejectReason::Infeasible { violated_term, .. }
+            | RejectReason::Refuted { violated_term, .. } => violated_term.as_deref(),
             _ => None,
         }
     }
@@ -90,6 +103,11 @@ impl fmt::Display for RejectReason {
         match self {
             RejectReason::DeadlinePassed => f.write_str("deadline has already passed"),
             RejectReason::Infeasible {
+                actor_index,
+                detail,
+                ..
+            }
+            | RejectReason::Refuted {
                 actor_index,
                 detail,
                 ..
@@ -182,7 +200,7 @@ impl RotaPolicy {
                 .iter()
                 .position(|part| part.segments().iter().any(|s| !s.amount(located).is_zero()))
                 .unwrap_or(0);
-            return Some(RejectReason::Infeasible {
+            return Some(RejectReason::Refuted {
                 actor_index,
                 violated_term: Some(format!("{located} short by {}", demanded - have)),
                 detail: format!(
@@ -485,7 +503,7 @@ mod tests {
         let state = State::new(theta(1, 0, 4), TimePoint::ZERO);
         let decision = RotaPolicy.decide(&state, &eval_request("r", 2, 0, 4));
         match decision {
-            Decision::Reject(RejectReason::Infeasible {
+            Decision::Reject(RejectReason::Refuted {
                 actor_index,
                 detail,
                 violated_term,
@@ -501,6 +519,30 @@ mod tests {
             }
             other => panic!("expected infeasible, got {other:?}"),
         }
+    }
+
+    /// A refuted reject cites the Section III total bound it rests on,
+    /// and a reject the scheduler found cites Theorem 4.
+    #[test]
+    fn a_refuted_reject_cites_the_total_bound() {
+        let state = State::new(theta(1, 0, 4), TimePoint::ZERO);
+        let Decision::Reject(refuted) = RotaPolicy.decide(&state, &eval_request("r", 2, 0, 4))
+        else {
+            panic!("the totals refute the request");
+        };
+        assert_eq!(
+            refuted.clause(),
+            "Section III: total supply over (s, d) below demand"
+        );
+        let scheduled = RejectReason::Infeasible {
+            actor_index: 0,
+            detail: String::new(),
+            violated_term: None,
+        };
+        assert_eq!(
+            scheduled.clause(),
+            "Theorem 4: segment feasibility over Θ_expire"
+        );
     }
 
     /// A refutation names the first short type in type order and the
@@ -525,7 +567,7 @@ mod tests {
         let short =
             |located: &LocatedType| Some(Quantity::new(if *located == cpu("l1") { 3 } else { 2 }));
         match RotaPolicy.refute(&request, &short) {
-            Some(RejectReason::Infeasible {
+            Some(RejectReason::Refuted {
                 actor_index,
                 violated_term,
                 ..
@@ -754,6 +796,13 @@ mod tests {
         assert!(infeasible.to_string().contains("actor #1"));
         assert_eq!(infeasible.violated_term(), Some("cpu@l1 short by 2"));
         assert!(infeasible.clause().contains("Theorem 4"));
+        let refuted = RejectReason::Refuted {
+            actor_index: 1,
+            detail: "x".into(),
+            violated_term: Some("cpu@l1 short by 2".into()),
+        };
+        assert_eq!(refuted.to_string(), infeasible.to_string());
+        assert_eq!(refuted.violated_term(), infeasible.violated_term());
         assert_eq!(RejectReason::DeadlinePassed.violated_term(), None);
         assert!(RejectReason::DeadlinePassed.clause().contains("t < d"));
         assert_eq!(

@@ -7,6 +7,7 @@
 
 use core::fmt;
 
+use rota_obs::json::write_string;
 use rota_obs::Json;
 
 use crate::span::locate;
@@ -149,6 +150,30 @@ impl Diagnostic {
             ));
         }
         Json::Obj(pairs)
+    }
+
+    /// Appends the compact JSON `to_json(None)` writes, without
+    /// building it.
+    pub fn write_json(&self, out: &mut String) {
+        out.push_str("{\"code\":");
+        write_string(out, self.code);
+        out.push_str(",\"severity\":");
+        write_string(out, self.severity.label());
+        out.push_str(",\"message\":");
+        write_string(out, &self.message);
+        out.push_str(",\"path\":");
+        write_string(out, &self.path);
+        if !self.notes.is_empty() {
+            out.push_str(",\"notes\":[");
+            for (i, note) in self.notes.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                write_string(out, note);
+            }
+            out.push(']');
+        }
+        out.push('}');
     }
 }
 

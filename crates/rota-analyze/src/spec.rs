@@ -49,6 +49,10 @@
 
 use std::fmt;
 
+mod text;
+
+pub use text::{error_at, read_list, read_scope, write_scope, Listed, Members, Read};
+
 use rota_actor::{ActionKind, ActorComputation, DistributedComputation};
 use rota_interval::{TimeInterval, TimePoint};
 use rota_logic::Scope;

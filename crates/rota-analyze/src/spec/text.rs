@@ -1,0 +1,495 @@
+//! The spec types' text codec: a computation and a scope read straight
+//! from a [`Reader`] into their types, and written straight into a
+//! `String`, with no [`rota_obs::Json`] tree between.
+//!
+//! The tree forms ([`ComputationSpec::from_json`], [`scope_from_json`]
+//! and their encoders) are the reference: each reader accepts what the
+//! tree decoder accepts and refuses the rest with the same error, and
+//! each writer writes the same bytes. A reader reads every member of an
+//! object before it judges one, then makes its checks in the tree
+//! decoder's order, so fields may come in any order and the first error
+//! the tree decoder would report is the one reported.
+//!
+//! [`scope_from_json`]: super::scope_from_json
+
+use std::fmt;
+
+use rota_logic::Scope;
+use rota_obs::json::{write_number, write_string, JsonError, Kind, Object, Reader, Scalar};
+use rota_resource::LocatedType;
+
+use super::{ActionSpec, ActorSpec, At, ComputationSpec, Locations, SpecError};
+
+/// What a typed reader makes of one value: a syntax error (outer) ends
+/// the whole document, a schema error (inner) only this value. A frame
+/// decoder reports a syntax error anywhere in the frame before any
+/// schema error, as parsing the whole tree first does.
+pub type Read<T> = Result<Result<T, SpecError>, JsonError>;
+
+/// An object a typed reader has read, with the key table it was read
+/// with. Its checks are [`Fields`](super::Fields)'s, and each error is
+/// the text that follows the object's `ctx: ` prefix.
+pub struct Members<'o, 'a, const N: usize> {
+    keys: &'o [&'o str; N],
+    object: &'o Object<'a, N>,
+}
+
+impl<'o, 'a, const N: usize> Members<'o, 'a, N> {
+    /// `object`, read with `keys`.
+    pub fn new(keys: &'o [&'o str; N], object: &'o Object<'a, N>) -> Self {
+        Members { keys, object }
+    }
+
+    /// Refuses a repeated key, as [`Fields::of`](super::Fields::of)
+    /// does.
+    ///
+    /// # Errors
+    ///
+    /// The first repeated key.
+    pub fn unrepeated(&self) -> Result<(), String> {
+        match self.object.repeated() {
+            Some(key) => Err(format!("duplicate field `{key}`")),
+            None => Ok(()),
+        }
+    }
+
+    /// Refuses a key outside `allowed`, as
+    /// [`Fields::deny_unknown`](super::Fields::deny_unknown) does.
+    ///
+    /// # Errors
+    ///
+    /// The first such key.
+    pub fn only(&self, allowed: &[&str]) -> Result<(), String> {
+        match self.object.first_outside(self.keys, allowed) {
+            Some(key) => Err(format!(
+                "unknown field `{key}`, expected one of {allowed:?}"
+            )),
+            None => Ok(()),
+        }
+    }
+
+    /// Both checks in their order: no repeated key, and none outside
+    /// the table.
+    ///
+    /// # Errors
+    ///
+    /// The first violation.
+    pub fn strict(&self) -> Result<(), String> {
+        self.unrepeated()?;
+        match self.object.unknown() {
+            Some(key) => Err(format!(
+                "unknown field `{key}`, expected one of {:?}",
+                self.keys
+            )),
+            None => Ok(()),
+        }
+    }
+
+    /// Key `i`.
+    pub fn key(&self, i: usize) -> &'o str {
+        self.keys[i]
+    }
+
+    /// The list under key `i`, which the caller read with
+    /// [`read_list`]; the errors of its elements are left to the
+    /// caller.
+    ///
+    /// # Errors
+    ///
+    /// When it is absent or not an array.
+    pub fn list<T, E>(&self, i: usize, list: Listed<T, E>) -> Result<Result<Vec<T>, E>, String> {
+        match list {
+            None => Err(self.missing(i)),
+            Some(None) => Err(format!("field `{}` must be an array", self.keys[i])),
+            Some(Some(items)) => Ok(items),
+        }
+    }
+
+    /// The error for key `i` being absent.
+    pub fn missing(&self, i: usize) -> String {
+        format!("missing field `{}`", self.keys[i])
+    }
+
+    /// The scalar under key `i`, when present and not read by the
+    /// caller.
+    pub fn scalar(&self, i: usize) -> Option<&'o Scalar<'a>> {
+        self.object.scalar(i)
+    }
+
+    /// The string under key `i`, borrowed.
+    ///
+    /// # Errors
+    ///
+    /// When it is absent or not a string.
+    pub fn text(&self, i: usize) -> Result<&'o str, String> {
+        let value = self.scalar(i).ok_or_else(|| self.missing(i))?;
+        value
+            .as_str()
+            .ok_or_else(|| format!("field `{}` must be a string", self.keys[i]))
+    }
+
+    /// The string under key `i`.
+    ///
+    /// # Errors
+    ///
+    /// When it is absent or not a string.
+    pub fn string(&self, i: usize) -> Result<String, String> {
+        self.text(i).map(str::to_owned)
+    }
+
+    /// The non-negative integer under key `i`, when present.
+    ///
+    /// # Errors
+    ///
+    /// When it is present but not an integer `Json::as_u64` reads.
+    pub fn u64_opt(&self, i: usize) -> Result<Option<u64>, String> {
+        self.scalar(i)
+            .map(|value| {
+                value.as_u64().ok_or_else(|| {
+                    format!("field `{}` must be a non-negative integer", self.keys[i])
+                })
+            })
+            .transpose()
+    }
+
+    /// The non-negative integer under key `i`.
+    ///
+    /// # Errors
+    ///
+    /// When it is absent or not an integer `Json::as_u64` reads.
+    pub fn u64(&self, i: usize) -> Result<u64, String> {
+        self.u64_opt(i)?.ok_or_else(|| self.missing(i))
+    }
+}
+
+/// The error of an object at `ctx`, from its text after the prefix.
+pub fn error_at(ctx: &dyn fmt::Display) -> impl Fn(String) -> SpecError + '_ {
+    move |detail| SpecError::Parse(format!("{ctx}: {detail}"))
+}
+
+/// Reads an array with `item`, handed each element's index, keeping
+/// the elements up to the first error; the rest are only skipped.
+/// `None`, with the value skipped, when the value is not an array.
+///
+/// # Errors
+///
+/// Where the array is malformed.
+pub fn read_list<'a, T, E>(
+    reader: &mut Reader<'a>,
+    mut item: impl FnMut(&mut Reader<'a>, usize) -> Result<Result<T, E>, JsonError>,
+) -> Result<Option<Result<Vec<T>, E>>, JsonError> {
+    if reader.kind()? != Kind::Arr {
+        reader.skip()?;
+        return Ok(None);
+    }
+    let mut items = Vec::new();
+    let mut failed = None;
+    let mut more = reader.array()?;
+    while more {
+        if failed.is_none() {
+            match item(reader, items.len())? {
+                Ok(value) => items.push(value),
+                Err(err) => failed = Some(err),
+            }
+        } else {
+            reader.skip()?;
+        }
+        more = reader.next_item()?;
+    }
+    Ok(Some(failed.map_or(Ok(items), Err)))
+}
+
+/// The list under a key a reader read itself, with [`read_list`]:
+/// absent, not an array, or the list read.
+pub type Listed<T, E> = Option<Option<Result<Vec<T>, E>>>;
+
+const COMPUTATION_KEYS: [&str; 4] = ["name", "start", "deadline", "actors"];
+const ACTOR_KEYS: [&str; 3] = ["name", "origin", "actions"];
+const ACTION_KEYS: [&str; 6] = ["do", "work", "to", "dest", "size", "child"];
+
+impl ComputationSpec {
+    /// Reads the object [`ComputationSpec::from_json`] decodes, as
+    /// strictly and with the same errors.
+    ///
+    /// # Errors
+    ///
+    /// Where the value is malformed JSON.
+    pub fn read_json(reader: &mut Reader<'_>) -> Read<ComputationSpec> {
+        let mut actors = None;
+        let object = reader.members(&COMPUTATION_KEYS, |reader, i| {
+            if i != 3 {
+                return Ok(false);
+            }
+            actors = Some(read_list(reader, read_actor)?);
+            Ok(true)
+        })?;
+        let own = error_at(&"computation");
+        let Some(object) = object else {
+            return Ok(Err(own("expected an object".into())));
+        };
+        let fields = Members::new(&COMPUTATION_KEYS, &object);
+        Ok((|| {
+            fields.strict().map_err(&own)?;
+            Ok(ComputationSpec {
+                name: fields.string(0).map_err(&own)?,
+                start: fields.u64(1).map_err(&own)?,
+                deadline: fields.u64(2).map_err(&own)?,
+                actors: fields.list(3, actors).map_err(&own)??,
+            })
+        })())
+    }
+
+    /// Appends the compact JSON [`ComputationSpec::to_json`] writes.
+    pub fn write_json(&self, out: &mut String) {
+        out.push_str("{\"name\":");
+        write_string(out, &self.name);
+        out.push_str(",\"start\":");
+        write_number(out, self.start as f64);
+        out.push_str(",\"deadline\":");
+        write_number(out, self.deadline as f64);
+        out.push_str(",\"actors\":[");
+        for (i, actor) in self.actors.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str("{\"name\":");
+            write_string(out, &actor.name);
+            out.push_str(",\"origin\":");
+            write_string(out, &actor.origin);
+            out.push_str(",\"actions\":[");
+            for (j, action) in actor.actions.iter().enumerate() {
+                if j > 0 {
+                    out.push(',');
+                }
+                action.write_json(out);
+            }
+            out.push_str("]}");
+        }
+        out.push_str("]}");
+    }
+}
+
+fn read_actor(reader: &mut Reader<'_>, index: usize) -> Read<ActorSpec> {
+    let mut actions = None;
+    let object = reader.members(&ACTOR_KEYS, |reader, i| {
+        if i != 2 {
+            return Ok(false);
+        }
+        actions = Some(read_list(reader, |reader, j| {
+            Ok(read_action(reader)?.map_err(|detail| (j, detail)))
+        })?);
+        Ok(true)
+    })?;
+    let ctx = At::element("actors", index);
+    let own = error_at(&ctx);
+    let Some(object) = object else {
+        return Ok(Err(own("expected an object".into())));
+    };
+    let fields = Members::new(&ACTOR_KEYS, &object);
+    Ok((|| {
+        fields.strict().map_err(&own)?;
+        let name = fields.string(0).map_err(&own)?;
+        // An action's errors name its actor, whose name may follow it.
+        let actions = fields
+            .list(2, actions)
+            .map_err(&own)?
+            .map_err(|(j, detail)| {
+                let ctx = At {
+                    actor: Some(&name),
+                    list: "actions",
+                    index: j,
+                };
+                SpecError::Parse(format!("{ctx}: {detail}"))
+            })?;
+        Ok(ActorSpec {
+            origin: fields.string(1).map_err(&own)?,
+            actions,
+            name,
+        })
+    })())
+}
+
+/// An action, its errors as their text after the action's place.
+fn read_action(reader: &mut Reader<'_>) -> Result<Result<ActionSpec, String>, JsonError> {
+    let Some(object) = reader.members(&ACTION_KEYS, |_, _| Ok(false))? else {
+        return Ok(Err("expected an object".into()));
+    };
+    let fields = Members::new(&ACTION_KEYS, &object);
+    Ok((|| {
+        fields.unrepeated()?;
+        match fields.text(0)? {
+            "evaluate" => {
+                fields.only(&["do", "work"])?;
+                Ok(ActionSpec::Evaluate {
+                    work: fields.u64_opt(1)?,
+                })
+            }
+            "send" => {
+                fields.only(&["do", "to", "dest", "size"])?;
+                Ok(ActionSpec::Send {
+                    to: fields.string(2)?,
+                    dest: fields.string(3)?,
+                    size: fields.u64_opt(4)?.unwrap_or(1),
+                })
+            }
+            "create" => {
+                fields.only(&["do", "child"])?;
+                Ok(ActionSpec::Create {
+                    child: fields.string(5)?,
+                })
+            }
+            "ready" => {
+                fields.only(&["do"])?;
+                Ok(ActionSpec::Ready)
+            }
+            "migrate" => {
+                fields.only(&["do", "dest"])?;
+                Ok(ActionSpec::Migrate {
+                    dest: fields.string(3)?,
+                })
+            }
+            other => Err(format!(
+                "unknown action `{other}`, expected `evaluate`, `send`, `create`, `ready`, or `migrate`"
+            )),
+        }
+    })())
+}
+
+impl ActionSpec {
+    /// Appends the compact JSON the action's tree form writes.
+    fn write_json(&self, out: &mut String) {
+        match self {
+            ActionSpec::Evaluate { work: None } => out.push_str("{\"do\":\"evaluate\"}"),
+            ActionSpec::Evaluate { work: Some(work) } => {
+                out.push_str("{\"do\":\"evaluate\",\"work\":");
+                write_number(out, *work as f64);
+                out.push('}');
+            }
+            ActionSpec::Send { to, dest, size } => {
+                out.push_str("{\"do\":\"send\",\"to\":");
+                write_string(out, to);
+                out.push_str(",\"dest\":");
+                write_string(out, dest);
+                out.push_str(",\"size\":");
+                write_number(out, *size as f64);
+                out.push('}');
+            }
+            ActionSpec::Create { child } => {
+                out.push_str("{\"do\":\"create\",\"child\":");
+                write_string(out, child);
+                out.push('}');
+            }
+            ActionSpec::Ready => out.push_str("{\"do\":\"ready\"}"),
+            ActionSpec::Migrate { dest } => {
+                out.push_str("{\"do\":\"migrate\",\"dest\":");
+                write_string(out, dest);
+                out.push('}');
+            }
+        }
+    }
+}
+
+const SCOPE_KEYS: [&str; 3] = ["types", "start", "end"];
+const LOCATED_KEYS: [&str; 4] = ["kind", "location", "from", "to"];
+
+/// Reads the object [`scope_from_json`](super::scope_from_json)
+/// decodes, as strictly and with the same errors.
+///
+/// # Errors
+///
+/// Where the value is malformed JSON.
+pub fn read_scope(reader: &mut Reader<'_>) -> Read<Scope> {
+    let mut locations = Locations::default();
+    let mut types = None;
+    let object = reader.members(&SCOPE_KEYS, |reader, i| {
+        if i != 0 {
+            return Ok(false);
+        }
+        types = Some(read_list(reader, |reader, index| {
+            read_located(reader, index, &mut locations)
+        })?);
+        Ok(true)
+    })?;
+    let own = error_at(&"scope");
+    let Some(object) = object else {
+        return Ok(Err(own("expected an object".into())));
+    };
+    let fields = Members::new(&SCOPE_KEYS, &object);
+    Ok((|| {
+        fields.strict().map_err(&own)?;
+        let types = fields.list(0, types).map_err(&own)??;
+        let (start, end) = (fields.u64(1).map_err(&own)?, fields.u64(2).map_err(&own)?);
+        let window = rota_interval::TimeInterval::from_ticks(start, end)
+            .map_err(|_| own(format!("`end` ({end}) must follow `start` ({start})")))?;
+        Ok(Scope::new(types, window))
+    })())
+}
+
+/// One of a scope's located types, as a term names it.
+fn read_located(
+    reader: &mut Reader<'_>,
+    index: usize,
+    locations: &mut Locations,
+) -> Read<LocatedType> {
+    let object = reader.members(&LOCATED_KEYS, |_, _| Ok(false))?;
+    let ctx = At::element("scope types", index);
+    let own = error_at(&ctx);
+    let Some(object) = object else {
+        return Ok(Err(own("expected an object".into())));
+    };
+    let fields = Members::new(&LOCATED_KEYS, &object);
+    Ok((|| {
+        fields.unrepeated()?;
+        match fields.text(0)? {
+            kind @ ("cpu" | "memory") => {
+                fields.only(&["kind", "location"])?;
+                let location = locations.get(fields.text(1)?);
+                Ok(if kind == "cpu" {
+                    LocatedType::cpu(location)
+                } else {
+                    LocatedType::memory(location)
+                })
+            }
+            "network" => {
+                fields.only(&["kind", "from", "to"])?;
+                let from = locations.get(fields.text(2)?);
+                Ok(LocatedType::network(from, locations.get(fields.text(3)?)))
+            }
+            other => Err(format!(
+                "unknown resource kind `{other}`, expected `cpu`, `memory`, or `network`"
+            )),
+        }
+    })()
+    .map_err(own))
+}
+
+/// Appends the compact JSON [`scope_to_json`](super::scope_to_json)
+/// writes for `scope`.
+pub fn write_scope(scope: &Scope, out: &mut String) {
+    out.push_str("{\"types\":[");
+    for (i, located) in scope.types().iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        match located {
+            LocatedType::Node { kind, location } => {
+                out.push_str("{\"kind\":");
+                write_string(out, kind.label());
+                out.push_str(",\"location\":");
+                write_string(out, location.name());
+            }
+            LocatedType::Link { from, to } => {
+                out.push_str("{\"kind\":\"network\",\"from\":");
+                write_string(out, from.name());
+                out.push_str(",\"to\":");
+                write_string(out, to.name());
+            }
+        }
+        out.push('}');
+    }
+    out.push_str("],\"start\":");
+    write_number(out, scope.window().start().ticks() as f64);
+    out.push_str(",\"end\":");
+    write_number(out, scope.window().end().ticks() as f64);
+    out.push('}');
+}

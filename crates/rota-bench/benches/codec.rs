@@ -1,5 +1,6 @@
 //! E17 — wire codec cost against frame size: decode (`from_line`) and
-//! encode (`to_json().to_string()`) of the frames a federation ships.
+//! encode (`write_json`) of the frames a federation ships, with the
+//! text codec the wire runs, against the tree forms it replaced.
 //!
 //! The 2PC frames carry the obtainable resources Θ_expire: a node's
 //! whole profile in every `cluster-state` answer and the merged basis
@@ -13,8 +14,14 @@
 //! last frame is the worst case the frame cap admits: an admit of
 //! exactly `MAX_FRAME_BYTES` whose computation name is one string.
 //!
-//! `frame` is the writer alone, as the wire runs it: `write_frame` of
-//! an already built document into a reused buffer, newline included.
+//! Four rows per frame, the `tree` rows after all the others:
+//! - `decode`: `from_line`, the text codec's reader;
+//! - `encode`: `write_json` into a reused buffer, the text codec's
+//!   writer;
+//! - `frame`: `write_frame` into a reused sink, as a connection writes
+//!   an answer, newline and flush included;
+//! - `tree`: the reference forms' round, `Json::parse` plus `from_json`
+//!   and then `to_json().to_string()`, which the wire no longer runs.
 //!
 //! `convert` is the step a 2PC coordinator takes after decoding each
 //! answer: the `resources` array into spec terms (`resources_from_json`)
@@ -33,7 +40,7 @@ use rota_client::Client;
 use rota_interval::TimeInterval;
 use rota_obs::Json;
 use rota_resource::{LocatedType, Location, Rate, ResourceSet, ResourceTerm};
-use rota_server::protocol::write_frame;
+use rota_server::protocol::{write_frame, Encode};
 use rota_server::spec::{
     self, resources_from_json, ActionSpec, ActorSpec, ComputationSpec, ResourceSpec,
 };
@@ -137,7 +144,7 @@ fn lint_reject() -> Response {
     server.shutdown();
     assert!(
         matches!(&answer, Response::Decision { diagnostics, .. }
-            if diagnostics.iter().any(|d| d.get("code").and_then(Json::as_str) == Some("R0006"))),
+            if diagnostics.parse().iter().any(|d| d.get("code").and_then(Json::as_str) == Some("R0006"))),
         "expected an R0006 lint reject, got {answer:?}"
     );
     answer
@@ -176,32 +183,78 @@ fn cap_sized_admit() -> Request {
     admit("n".repeat(MAX_FRAME_BYTES - overhead))
 }
 
-/// Times decode and encode of one frame, labelled with its length.
-fn bench_frame<T>(
-    c: &mut Criterion,
-    label: &str,
-    encode: impl Fn() -> Json,
-    decode: impl Fn(&str) -> T,
-) {
-    let line = encode().to_string();
+/// A wire type's decoders and its tree encoder; its writer is
+/// [`Encode::write_json`].
+trait Codec: Sized {
+    fn from_line(line: &str) -> Self;
+    fn from_tree(line: &str) -> Self;
+    fn to_json(&self) -> Json;
+}
+
+impl Codec for Request {
+    fn from_line(line: &str) -> Self {
+        Request::from_line(line).expect("the frame decodes")
+    }
+    fn from_tree(line: &str) -> Self {
+        Request::from_json(&Json::parse(line).expect("the frame parses"))
+            .expect("the frame decodes")
+    }
+    fn to_json(&self) -> Json {
+        Request::to_json(self)
+    }
+}
+
+impl Codec for Response {
+    fn from_line(line: &str) -> Self {
+        Response::from_line(line).expect("the frame decodes")
+    }
+    fn from_tree(line: &str) -> Self {
+        Response::from_json(Json::parse(line).expect("the frame parses"))
+            .expect("the frame decodes")
+    }
+    fn to_json(&self) -> Json {
+        Response::to_json(self)
+    }
+}
+
+/// Times the rows of one frame, labelled with its length: `decode`,
+/// `encode` and `frame`, or with `tree` set the `tree` row alone.
+fn bench_frame<T: Codec + Encode>(c: &mut Criterion, label: &str, value: &T, tree: bool) {
+    let mut line = String::new();
+    value.write_json(&mut line);
+    assert_eq!(
+        line,
+        value.to_json().to_string(),
+        "{label}: the codecs agree"
+    );
     let bytes = line.len();
     let mut group = c.benchmark_group("e17");
     // The cap-sized frame takes seconds per decode at the quadratic
     // baseline; ten samples keep that run short.
     group.sample_size(if bytes > 64 * 1024 { 10 } else { 40 });
     group.throughput(Throughput::Bytes(bytes as u64));
+    if tree {
+        group.bench_function(format!("tree/{label}/{bytes}B"), |b| {
+            b.iter(|| T::from_tree(black_box(&line)).to_json().to_string())
+        });
+        group.finish();
+        return;
+    }
     group.bench_function(format!("decode/{label}/{bytes}B"), |b| {
-        b.iter(|| decode(black_box(&line)))
+        b.iter(|| T::from_line(black_box(&line)))
     });
+    let mut buffer = String::with_capacity(bytes);
     group.bench_function(format!("encode/{label}/{bytes}B"), |b| {
-        b.iter(|| encode().to_string())
+        b.iter(|| {
+            buffer.clear();
+            black_box(value).write_json(&mut buffer);
+        })
     });
-    let doc = encode();
     let mut sink = Vec::with_capacity(bytes + 1);
     group.bench_function(format!("frame/{label}/{bytes}B"), |b| {
         b.iter(|| {
             sink.clear();
-            write_frame(&mut sink, black_box(&doc)).expect("a Vec takes every write");
+            write_frame(&mut sink, black_box(value)).expect("a Vec takes every write");
         })
     });
     group.finish();
@@ -224,53 +277,25 @@ fn bench_convert(c: &mut Criterion, terms: usize) {
 }
 
 fn bench_codec(c: &mut Criterion) {
-    let response = cluster_state(20);
-    bench_frame(
-        c,
-        "cluster-state-20t",
-        || response.to_json(),
-        |line| Response::from_line(line).expect("cluster-state decodes"),
-    );
-    for terms in [27, 55] {
-        bench_convert(c, terms);
-    }
-    for terms in [3, 27, 55, 110] {
-        let request = prepare(terms);
-        bench_frame(
-            c,
-            &format!("prepare-{terms}t"),
-            || request.to_json(),
-            |line| Request::from_line(line).expect("prepare decodes"),
-        );
-        let response = cluster_state(terms);
-        bench_frame(
-            c,
-            &format!("cluster-state-{terms}t"),
-            || response.to_json(),
-            |line| Response::from_line(line).expect("cluster-state decodes"),
-        );
-    }
     let reject = lint_reject();
-    bench_frame(
-        c,
-        "r0006-decision",
-        || reject.to_json(),
-        |line| Response::from_line(line).expect("decision decodes"),
-    );
-    let request = admit();
-    bench_frame(
-        c,
-        "admit",
-        || request.to_json(),
-        |line| Request::from_line(line).expect("admit decodes"),
-    );
-    let request = cap_sized_admit();
-    bench_frame(
-        c,
-        "cap-one-string",
-        || request.to_json(),
-        |line| Request::from_line(line).expect("cap-sized admit decodes"),
-    );
+    // The `tree` rows run last, so the heap their trees churn is not
+    // the one the wire's rows start from.
+    for tree in [false, true] {
+        bench_frame(c, "cluster-state-20t", &cluster_state(20), tree);
+        if !tree {
+            for terms in [27, 55] {
+                bench_convert(c, terms);
+            }
+        }
+        for terms in [3, 27, 55, 110] {
+            bench_frame(c, &format!("prepare-{terms}t"), &prepare(terms), tree);
+            let label = format!("cluster-state-{terms}t");
+            bench_frame(c, &label, &cluster_state(terms), tree);
+        }
+        bench_frame(c, "r0006-decision", &reject, tree);
+        bench_frame(c, "admit", &admit(), tree);
+        bench_frame(c, "cap-one-string", &cap_sized_admit(), tree);
+    }
 }
 
 criterion_group!(benches, bench_codec);

@@ -84,8 +84,18 @@ fn stats_json_covers_the_acceptance_criteria() {
         term.contains("short by"),
         "term names the shortfall: {term}"
     );
+    // The demo's rejects are refuted by the total bound: no segment was
+    // scheduled, so the clause is Section III's, not Theorem 4's.
     let clause = violated[0].get("clause").and_then(Json::as_str).unwrap();
-    assert!(clause.contains("Theorem 4"), "clause cites the theorem");
+    assert_eq!(
+        clause, "Section III: total supply over (s, d) below demand",
+        "a refuted reject cites the total bound"
+    );
+    let reason = violated[0].get("reason").and_then(Json::as_str).unwrap();
+    assert!(
+        reason.contains("total"),
+        "the reason states the total: {reason}"
+    );
 }
 
 #[test]

@@ -138,7 +138,7 @@ impl Client {
 
     /// Sends one request frame and reads one response frame.
     pub fn call(&mut self, request: &Request) -> Result<Response, ClientError> {
-        write_frame(&mut self.writer, &request.to_json())?;
+        write_frame(&mut self.writer, request)?;
         let line = read_frame(&mut self.reader, rota_server::MAX_FRAME_BYTES)?;
         Ok(Response::from_line(&line)?)
     }

@@ -405,7 +405,7 @@ mod tests {
             reason: String::new(),
             violated_term: None,
             clause: None,
-            diagnostics: Vec::new(),
+            diagnostics: rota_server::Diagnostics::default(),
         }
     }
 

@@ -193,8 +193,10 @@ enum Doc {
     Raw(String),
     Arr(Vec<Doc>),
     /// Members, each key as the JSON text of the key.
-    Obj(Vec<(String, Doc)>),
+    Obj(Members),
 }
+
+type Members = Vec<(String, Doc)>;
 
 impl Doc {
     fn of(value: &Json) -> Doc {
@@ -322,7 +324,7 @@ fn mutations(frame: &str) -> Vec<String> {
             Doc::Obj(members) => {
                 let n = members.len();
                 for k in 0..n {
-                    let mutate = |edit: &dyn Fn(&mut Vec<(String, Doc)>)| {
+                    let mutate = |edit: &dyn Fn(&mut Members)| {
                         let mut doc = root.clone();
                         if let Doc::Obj(members) = doc.at(path) {
                             edit(members);
@@ -440,14 +442,23 @@ fn frames() -> Vec<(bool, String)> {
     frames
 }
 
-/// The outcome the wire decoders give for `frame`.
+/// The outcome the wire's text codec gives for `frame`: `from_line`,
+/// then the value written again by `write_json`, which must write what
+/// the tree encoder writes.
 fn wire_outcome(request: bool, frame: &str) -> String {
+    let mut line = String::new();
     let decoded = if request {
-        Request::from_line(frame).map(|request| request.to_json().to_string())
+        Request::from_line(frame).map(|request| {
+            request.write_json(&mut line);
+            assert_eq!(line, request.to_json().to_string(), "{frame}");
+        })
     } else {
-        Response::from_line(frame).map(|response| response.to_json().to_string())
+        Response::from_line(frame).map(|response| {
+            response.write_json(&mut line);
+            assert_eq!(line, response.to_json().to_string(), "{frame}");
+        })
     };
-    outcome(frame, decoded.map_err(|err| err.to_string()))
+    outcome(frame, decoded.map(|()| line).map_err(|err| err.to_string()))
 }
 
 #[test]
@@ -466,7 +477,10 @@ fn every_corpus_frame_decodes_as_recorded() {
             "{direction}frame {frame}"
         );
     }
-    assert!(requests > 0 && requests < lines.len() / 2, "both directions");
+    assert!(
+        requests > 0 && requests < lines.len() / 2,
+        "both directions"
+    );
 }
 
 #[test]

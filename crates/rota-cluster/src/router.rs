@@ -94,7 +94,7 @@ use rota_logic::Scope;
 use rota_obs::{Counter, Histogram, Registry};
 use rota_resource::{LocatedType, Quantity, Rate};
 use rota_server::spec::{self, resources_from_json, ComputationSpec, ResourceSpec};
-use rota_server::{fault, LocalHandle, Reply, Request, RequestHook, Response};
+use rota_server::{fault, Diagnostics, LocalHandle, Reply, Request, RequestHook, Response};
 
 use crate::gossip::GossipEngine;
 use crate::links::{self, PeerLinks};
@@ -352,7 +352,7 @@ impl ClusterRouter {
             ),
             violated_term: None,
             clause: Some("cluster routing (degraded: peer unavailable)".to_string()),
-            diagnostics: vec![diagnostic.to_json(None)],
+            diagnostics: Diagnostics::of(&[diagnostic]),
         }
     }
 
@@ -371,11 +371,7 @@ impl ClusterRouter {
             ),
             violated_term: None,
             clause: Some("cluster routing (location ownership)".to_string()),
-            diagnostics: report
-                .diagnostics()
-                .iter()
-                .map(|d| d.to_json(None))
-                .collect(),
+            diagnostics: Diagnostics::of(report.diagnostics()),
         }
     }
 
@@ -818,7 +814,7 @@ impl ClusterRouter {
             ),
             violated_term: None,
             clause: None,
-            diagnostics: Vec::new(),
+            diagnostics: Diagnostics::default(),
         }
     }
 

@@ -212,7 +212,7 @@ fn partition_degrades_routing_then_recovers() {
                 Some("cluster routing (degraded: peer unavailable)"),
                 "{reason}"
             );
-            let rendered: String = diagnostics.iter().map(|d| d.to_string()).collect();
+            let rendered: String = diagnostics.parse().iter().map(|d| d.to_string()).collect();
             assert!(rendered.contains("peer-unavailable"), "{rendered}");
             assert!(rendered.contains("node1"), "{rendered}");
         }

@@ -500,7 +500,7 @@ fn unowned_locations_are_rejected_with_r0016() {
                 clause.as_deref(),
                 Some("cluster routing (location ownership)")
             );
-            let rendered: String = diagnostics.iter().map(|d| d.to_string()).collect();
+            let rendered: String = diagnostics.parse().iter().map(|d| d.to_string()).collect();
             assert!(rendered.contains("R0016"), "{rendered}");
             assert!(rendered.contains("l9"), "{rendered}");
         }

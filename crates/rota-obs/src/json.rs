@@ -14,8 +14,15 @@
 //! object's keys are most of them: a resource term has five or six. A
 //! [`Key`] holds a short key inline, so neither an encoder nor the
 //! parser allocates for one.
+//!
+//! [`Reader`] is the one lexer. [`Json::parse`] builds a tree with it,
+//! and the wire's typed decoders read a frame with it straight into
+//! their own types, with no tree; [`write_string`] and [`write_number`]
+//! are the writers both [`Json`] and those types' encoders use.
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
+use std::collections::BTreeSet;
 use std::fmt::{self, Write as _};
 use std::ops::Deref;
 
@@ -180,13 +187,9 @@ impl Json {
     /// Parses `input` as a single JSON document (trailing content is an
     /// error).
     pub fn parse(input: &str) -> Result<Json, JsonError> {
-        let mut parser = Parser::new(input);
-        parser.skip_ws();
-        let value = parser.value()?;
-        parser.skip_ws();
-        if parser.pos != parser.bytes.len() {
-            return Err(parser.err("trailing characters after document"));
-        }
+        let mut reader = Reader::new(input);
+        let value = reader.tree()?;
+        reader.finish()?;
         Ok(value)
     }
 
@@ -220,9 +223,8 @@ impl Json {
     /// (`9007199254740993` reads as …992), so it is refused rather than
     /// returned wrong.
     pub fn as_u64(&self) -> Option<u64> {
-        const MAX_EXACT: f64 = 9_007_199_254_740_991.0;
         match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= MAX_EXACT => Some(*n as u64),
+            Json::Num(n) => exact_u64(*n),
             _ => None,
         }
     }
@@ -269,12 +271,8 @@ impl Json {
             Json::Null => out.push_str("null"),
             Json::Bool(true) => out.push_str("true"),
             Json::Bool(false) => out.push_str("false"),
-            Json::Num(n) if n.fract() == 0.0 && n.abs() < 1e15 => write_integer(out, *n as i64),
-            // Formatting into a `String` cannot fail.
-            Json::Num(n) => {
-                let _ = write!(out, "{n}");
-            }
-            Json::Str(s) => write_escaped(out, s),
+            Json::Num(n) => write_number(out, *n),
+            Json::Str(s) => write_string(out, s),
             Json::Arr(items) => {
                 if items.is_empty() {
                     out.push_str("[]");
@@ -302,7 +300,7 @@ impl Json {
                         out.push(',');
                     }
                     newline_indent(out, indent, depth + 1);
-                    write_escaped(out, key.as_str());
+                    write_string(out, key.as_str());
                     out.push(':');
                     if indent.is_some() {
                         out.push(' ');
@@ -335,6 +333,25 @@ fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
     }
 }
 
+/// `n` as an integer, when it is one and at most 2^53 − 1 (see
+/// [`Json::as_u64`]).
+fn exact_u64(n: f64) -> Option<u64> {
+    const MAX_EXACT: f64 = 9_007_199_254_740_991.0;
+    (n >= 0.0 && n.fract() == 0.0 && n <= MAX_EXACT).then_some(n as u64)
+}
+
+/// Appends the text [`Json::Num`] of `n` is written as: an integer
+/// below 10^15 in magnitude without a fraction, any other number as
+/// `{n}` formats it.
+pub fn write_number(out: &mut String, n: f64) {
+    if n.fract() == 0.0 && n.abs() < 1e15 {
+        write_integer(out, n as i64);
+    } else {
+        // Formatting into a `String` cannot fail.
+        let _ = write!(out, "{n}");
+    }
+}
+
 /// Appends `n` in decimal, the text `{n}` formats, without the
 /// formatting machinery.
 fn write_integer(out: &mut String, n: i64) {
@@ -355,7 +372,9 @@ fn write_integer(out: &mut String, n: i64) {
     out.extend(digits[first..].iter().map(|&digit| char::from(digit)));
 }
 
-fn write_escaped(out: &mut String, s: &str) {
+/// Appends `s` as a JSON string: quoted, with `"`, `\\` and every
+/// control character escaped, so the text holds no raw line break.
+pub fn write_string(out: &mut String, s: &str) {
     out.push('"');
     // Copy each run of bytes that need no escape in one step. Every
     // escaped byte is ASCII, so each run ends on a character boundary.
@@ -383,26 +402,233 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
-struct Parser<'a> {
+/// The kind of value a [`Reader`] stands at, told by its first byte.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    /// `null`
+    Null,
+    /// `true` or `false`
+    Bool,
+    /// A number.
+    Num,
+    /// A string.
+    Str,
+    /// An array.
+    Arr,
+    /// An object.
+    Obj,
+}
+
+/// One value as [`Reader::scalar`] reads it: a scalar with its payload,
+/// or the kind of a container, which is skipped.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Scalar<'a> {
+    /// `null`
+    Null,
+    /// `true` / `false`
+    Bool(bool),
+    /// A number.
+    Num(f64),
+    /// A string, borrowed from the document when it has no escapes.
+    Str(Cow<'a, str>),
+    /// An array, skipped.
+    Arr,
+    /// An object, skipped.
+    Obj,
+}
+
+impl Scalar<'_> {
+    /// The string payload, when this is a string.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Scalar::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The payload as a non-negative integer, read as [`Json::as_u64`]
+    /// reads it.
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            Scalar::Num(n) => exact_u64(*n),
+            _ => None,
+        }
+    }
+
+    /// The boolean payload, when this is a boolean.
+    pub fn as_bool(&self) -> Option<bool> {
+        match self {
+            Scalar::Bool(b) => Some(*b),
+            _ => None,
+        }
+    }
+}
+
+/// Where [`Object`] notes a key that did not appear.
+const ABSENT: usize = usize::MAX;
+
+/// What a strict decoder needs of one object once [`Reader::members`]
+/// has read it: where each key of its table first appeared, the scalar
+/// under each such key that the caller did not read itself, the first
+/// key that repeats an earlier one and the first key outside the
+/// table, each in document order.
+#[derive(Debug)]
+pub struct Object<'a, const N: usize> {
+    at: [usize; N],
+    scalars: [Option<Scalar<'a>>; N],
+    repeated: Option<Cow<'a, str>>,
+    unknown: Option<(usize, Cow<'a, str>)>,
+}
+
+impl<'a, const N: usize> Object<'a, N> {
+    /// The scalar under the table's key `i`: `None` when the key is
+    /// absent or the caller read its value.
+    pub fn scalar(&self, i: usize) -> Option<&Scalar<'a>> {
+        self.scalars[i].as_ref()
+    }
+
+    /// The first key that repeats an earlier one.
+    pub fn repeated(&self) -> Option<&str> {
+        self.repeated.as_deref()
+    }
+
+    /// The first key outside the table the object was read with.
+    pub fn unknown(&self) -> Option<&str> {
+        self.unknown.as_ref().map(|(_, key)| key.as_ref())
+    }
+
+    /// The first key, in document order, that `allowed` does not name:
+    /// a key outside `keys`, the table the object was read with, or one
+    /// of the table's keys that `allowed` leaves out.
+    pub fn first_outside<'s>(&'s self, keys: &'s [&str; N], allowed: &[&str]) -> Option<&'s str> {
+        let mut first = self.unknown.as_ref().map(|(at, key)| (*at, key.as_ref()));
+        for (key, &at) in keys.iter().zip(&self.at) {
+            if at < first.map_or(ABSENT, |(earliest, _)| earliest) && !allowed.contains(key) {
+                first = Some((at, key));
+            }
+        }
+        first.map(|(_, key)| key)
+    }
+}
+
+/// Where [`Reader::scan`] hands the tokens of a value: nothing when
+/// skipping, the compact text when transcribing, and the length of the
+/// compact text when checking whether the value already is it.
+trait Sink {
+    /// Punctuation and literals.
+    fn raw(&mut self, text: &str);
+    /// A string or key, and whether its source had escapes.
+    fn string(&mut self, text: &str, escaped: bool);
+    /// A number and its source text.
+    fn number(&mut self, n: f64, source: &str);
+}
+
+impl Sink for () {
+    fn raw(&mut self, _: &str) {}
+    fn string(&mut self, _: &str, _: bool) {}
+    fn number(&mut self, _: f64, _: &str) {}
+}
+
+impl Sink for String {
+    fn raw(&mut self, text: &str) {
+        self.push_str(text);
+    }
+    fn string(&mut self, text: &str, _: bool) {
+        write_string(self, text);
+    }
+    fn number(&mut self, n: f64, _: &str) {
+        write_number(self, n);
+    }
+}
+
+/// Whether a value's source is already its compact text: every token
+/// is written as it came (strings without escapes, integers of at most
+/// 15 digits other than `-0`), and the tokens' lengths add up to the
+/// source's, so no whitespace lies between them.
+struct Canonical {
+    length: usize,
+    exact: bool,
+}
+
+impl Sink for Canonical {
+    fn raw(&mut self, text: &str) {
+        self.length += text.len();
+    }
+    fn string(&mut self, text: &str, escaped: bool) {
+        self.exact &= !escaped;
+        self.length += text.len() + 2;
+    }
+    fn number(&mut self, _: f64, source: &str) {
+        let digits = source.strip_prefix('-').unwrap_or(source);
+        self.exact &=
+            digits.len() <= 15 && digits.bytes().all(|b| b.is_ascii_digit()) && source != "-0";
+        self.length += source.len();
+    }
+}
+
+/// The containers a scan has open, innermost last: a bit each (set for
+/// an object), the first 64 in a word and any deeper on the heap.
+#[derive(Default)]
+struct Open {
+    depth: usize,
+    shallow: u64,
+    deep: Vec<bool>,
+}
+
+impl Open {
+    fn push(&mut self, object: bool) {
+        if self.depth < 64 {
+            self.shallow = (self.shallow & !(1 << self.depth)) | (u64::from(object) << self.depth);
+        } else {
+            self.deep.push(object);
+        }
+        self.depth += 1;
+    }
+
+    /// Whether the innermost container is an object; `None` when none
+    /// is open.
+    fn last(&self) -> Option<bool> {
+        let top = self.depth.checked_sub(1)?;
+        if top < 64 {
+            Some((self.shallow >> top) & 1 == 1)
+        } else {
+            self.deep.last().copied()
+        }
+    }
+
+    fn pop(&mut self) {
+        self.depth -= 1;
+        if self.depth >= 64 {
+            self.deep.pop();
+        }
+    }
+}
+
+/// A pull reader over one JSON document: the strict lexer both
+/// [`Json::parse`] and the typed decoders of the wire frames read with.
+/// A typed decoder asks for the value it expects and reads it straight
+/// into its own types; the reader checks the syntax of every byte it
+/// passes, and fails with the offset and message `Json::parse` gives
+/// for the same document.
+///
+/// Values are read where the reader stands: after [`Reader::new`],
+/// after a key ([`Reader::object`], [`Reader::next_key`]) and where
+/// [`Reader::array`] or [`Reader::next_item`] says an element follows.
+/// [`Reader::finish`] then checks that only whitespace is left.
+#[derive(Debug)]
+pub struct Reader<'a> {
     text: &'a str,
     bytes: &'a [u8],
     pos: usize,
-    /// The elements of the arrays still open, innermost last. An array
-    /// moves its own elements off the top into an exactly sized `Vec`
-    /// when it closes, so no array or object grows by reallocation.
-    items: Vec<Json>,
-    /// The same for the members of the objects still open.
-    members: Vec<(Key, Json)>,
 }
 
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Self {
-        Parser {
+impl<'a> Reader<'a> {
+    /// A reader at the start of `text`.
+    pub fn new(text: &'a str) -> Reader<'a> {
+        Reader {
             text,
             bytes: text.as_bytes(),
             pos: 0,
-            items: Vec::new(),
-            members: Vec::new(),
         }
     }
 
@@ -432,78 +658,53 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, JsonError> {
+    fn literal(&mut self, word: &str) -> Result<(), JsonError> {
         if self.bytes[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
-            Ok(value)
+            Ok(())
         } else {
             Err(self.err(format!("expected `{word}`")))
         }
     }
 
-    fn value(&mut self) -> Result<Json, JsonError> {
+    /// The kind of the next value, whitespace before it skipped.
+    ///
+    /// # Errors
+    ///
+    /// Where no value can start.
+    pub fn kind(&mut self) -> Result<Kind, JsonError> {
+        self.skip_ws();
         match self.peek() {
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
-            Some(b'-' | b'0'..=b'9') => self.number(),
+            Some(b'n') => Ok(Kind::Null),
+            Some(b't' | b'f') => Ok(Kind::Bool),
+            Some(b'"') => Ok(Kind::Str),
+            Some(b'[') => Ok(Kind::Arr),
+            Some(b'{') => Ok(Kind::Obj),
+            Some(b'-' | b'0'..=b'9') => Ok(Kind::Num),
             Some(other) => Err(self.err(format!("unexpected character `{}`", other as char))),
             None => Err(self.err("unexpected end of input")),
         }
     }
 
-    fn array(&mut self) -> Result<Json, JsonError> {
-        self.expect(b'[')?;
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(Vec::new()));
-        }
-        let open = self.items.len();
-        loop {
-            self.skip_ws();
-            let item = self.value()?;
-            self.items.push(item);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(self.items.split_off(open)));
-                }
-                _ => return Err(self.err("expected `,` or `]` in array")),
-            }
-        }
+    /// Reads `null`.
+    ///
+    /// # Errors
+    ///
+    /// When the next value is not `null`.
+    pub fn null(&mut self) -> Result<(), JsonError> {
+        self.literal("null")
     }
 
-    fn object(&mut self) -> Result<Json, JsonError> {
-        self.expect(b'{')?;
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(Vec::new()));
-        }
-        let open = self.members.len();
-        loop {
-            self.skip_ws();
-            let key = self.key()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            self.members.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(self.members.split_off(open)));
-                }
-                _ => return Err(self.err("expected `,` or `}` in object")),
-            }
+    /// Reads `true` or `false`.
+    ///
+    /// # Errors
+    ///
+    /// When the next value is not a boolean.
+    pub fn bool(&mut self) -> Result<bool, JsonError> {
+        if self.peek() == Some(b't') {
+            self.literal("true").map(|()| true)
+        } else {
+            self.literal("false").map(|()| false)
         }
     }
 
@@ -521,27 +722,19 @@ impl<'a> Parser<'a> {
         &self.text[start..self.pos]
     }
 
-    /// An object key, read like a string but built without an
-    /// allocation when it is short and has no escapes.
-    fn key(&mut self) -> Result<Key, JsonError> {
-        let start = self.pos;
+    /// Reads a string: borrowed from the document when it has no
+    /// escapes, so most strings cost no copy until the caller keeps
+    /// one.
+    ///
+    /// # Errors
+    ///
+    /// When the next value is not a well-formed string.
+    pub fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
         self.expect(b'"')?;
         let run = self.plain_run();
         if self.peek() == Some(b'"') {
             self.pos += 1;
-            return Ok(Key::new(run));
-        }
-        self.pos = start;
-        self.string().map(Key::from)
-    }
-
-    fn string(&mut self) -> Result<String, JsonError> {
-        self.expect(b'"')?;
-        let run = self.plain_run();
-        if self.peek() == Some(b'"') {
-            // No escapes: the text is copied once, into its own string.
-            self.pos += 1;
-            return Ok(run.to_owned());
+            return Ok(Cow::Borrowed(run));
         }
         let mut out = String::from(run);
         loop {
@@ -549,7 +742,7 @@ impl<'a> Parser<'a> {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(Cow::Owned(out));
                 }
                 Some(b'\\') => {
                     self.pos += 1;
@@ -616,7 +809,12 @@ impl<'a> Parser<'a> {
         Ok(value)
     }
 
-    fn number(&mut self) -> Result<Json, JsonError> {
+    /// Reads a number as the `f64` its text rounds to.
+    ///
+    /// # Errors
+    ///
+    /// When the next value is not a well-formed number.
+    pub fn number(&mut self) -> Result<f64, JsonError> {
         let start = self.pos;
         let negative = self.peek() == Some(b'-');
         if negative {
@@ -640,7 +838,7 @@ impl<'a> Parser<'a> {
             // Below 10^15 < 2^53 an integer is an exact `f64`: the
             // value parsing its text rounds to, `-0` included.
             let magnitude = whole as f64;
-            return Ok(Json::Num(if negative { -magnitude } else { magnitude }));
+            return Ok(if negative { -magnitude } else { magnitude });
         }
         if self.peek() == Some(b'.') {
             self.pos += 1;
@@ -665,8 +863,357 @@ impl<'a> Parser<'a> {
         }
         self.text[start..self.pos]
             .parse::<f64>()
-            .map(Json::Num)
             .map_err(|_| self.err("number out of range"))
+    }
+
+    /// Reads any value: a scalar with its payload, an array or an
+    /// object skipped.
+    ///
+    /// # Errors
+    ///
+    /// Where the value is malformed.
+    pub fn scalar(&mut self) -> Result<Scalar<'a>, JsonError> {
+        Ok(match self.kind()? {
+            Kind::Null => {
+                self.null()?;
+                Scalar::Null
+            }
+            Kind::Bool => Scalar::Bool(self.bool()?),
+            Kind::Num => Scalar::Num(self.number()?),
+            Kind::Str => Scalar::Str(self.string()?),
+            Kind::Arr => {
+                self.skip()?;
+                Scalar::Arr
+            }
+            Kind::Obj => {
+                self.skip()?;
+                Scalar::Obj
+            }
+        })
+    }
+
+    /// Opens an object: its first key, with the reader at that key's
+    /// value, or `None` for `{}`.
+    ///
+    /// # Errors
+    ///
+    /// When the next value does not open an object with a well-formed
+    /// first member.
+    pub fn object(&mut self) -> Result<Option<Cow<'a, str>>, JsonError> {
+        self.expect(b'{')?;
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(None);
+        }
+        self.member_key().map(Some)
+    }
+
+    /// After a member's value: the next key, with the reader at its
+    /// value, or `None` where the object closes.
+    ///
+    /// # Errors
+    ///
+    /// When neither a well-formed member nor the object's end follows.
+    pub fn next_key(&mut self) -> Result<Option<Cow<'a, str>>, JsonError> {
+        self.skip_ws();
+        match self.peek() {
+            Some(b',') => {
+                self.pos += 1;
+                self.member_key().map(Some)
+            }
+            Some(b'}') => {
+                self.pos += 1;
+                Ok(None)
+            }
+            _ => Err(self.err("expected `,` or `}` in object")),
+        }
+    }
+
+    fn member_key(&mut self) -> Result<Cow<'a, str>, JsonError> {
+        self.skip_ws();
+        let key = self.string()?;
+        self.skip_ws();
+        self.expect(b':')?;
+        self.skip_ws();
+        Ok(key)
+    }
+
+    /// Opens an array: whether an element follows, with the reader at
+    /// it.
+    ///
+    /// # Errors
+    ///
+    /// When the next value is not an array.
+    pub fn array(&mut self) -> Result<bool, JsonError> {
+        self.expect(b'[')?;
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(false);
+        }
+        Ok(true)
+    }
+
+    /// After an element: whether another follows, with the reader at
+    /// it, or the array closes.
+    ///
+    /// # Errors
+    ///
+    /// When neither a comma nor the array's end follows.
+    pub fn next_item(&mut self) -> Result<bool, JsonError> {
+        self.skip_ws();
+        match self.peek() {
+            Some(b',') => {
+                self.pos += 1;
+                self.skip_ws();
+                Ok(true)
+            }
+            Some(b']') => {
+                self.pos += 1;
+                Ok(false)
+            }
+            _ => Err(self.err("expected `,` or `]` in array")),
+        }
+    }
+
+    /// Reads one object member by member. The first member under each
+    /// of `keys` is handed to `read` with its key's index, and `read`
+    /// says whether it read the value; a value it left is read as a
+    /// [`Scalar`]. Every other member's value is skipped. `None`, with
+    /// the value skipped, when the value is not an object.
+    ///
+    /// Finding a repeated key costs O(log k) per key outside the table,
+    /// for an object of `k` keys.
+    ///
+    /// # Errors
+    ///
+    /// Where the value, or a value `read` reads, is malformed.
+    pub fn members<const N: usize>(
+        &mut self,
+        keys: &[&str; N],
+        mut read: impl FnMut(&mut Reader<'a>, usize) -> Result<bool, JsonError>,
+    ) -> Result<Option<Object<'a, N>>, JsonError> {
+        if self.kind()? != Kind::Obj {
+            self.skip()?;
+            return Ok(None);
+        }
+        let mut object = Object {
+            at: [ABSENT; N],
+            scalars: std::array::from_fn(|_| None),
+            repeated: None,
+            unknown: None,
+        };
+        // The keys outside the table, kept to find a repeat among them.
+        let mut others = BTreeSet::new();
+        let mut next = self.object()?;
+        let mut index = 0;
+        while let Some(key) = next {
+            match keys.iter().position(|k| *k == key) {
+                Some(i) if object.at[i] == ABSENT => {
+                    object.at[i] = index;
+                    if !read(self, i)? {
+                        object.scalars[i] = Some(self.scalar()?);
+                    }
+                }
+                Some(_) => {
+                    object.repeated.get_or_insert(key);
+                    self.skip()?;
+                }
+                None => {
+                    if object.repeated.is_none() {
+                        if others.contains(&key) {
+                            object.repeated = Some(key);
+                        } else {
+                            if object.unknown.is_none() {
+                                object.unknown = Some((index, key.clone()));
+                            }
+                            others.insert(key);
+                        }
+                    }
+                    self.skip()?;
+                }
+            }
+            index += 1;
+            next = self.next_key()?;
+        }
+        Ok(Some(object))
+    }
+
+    /// Skips one value, checking its syntax.
+    ///
+    /// # Errors
+    ///
+    /// Where the value is malformed.
+    pub fn skip(&mut self) -> Result<(), JsonError> {
+        self.scan(&mut ())
+    }
+
+    /// Reads one value and appends the compact text
+    /// [`Json::write_compact`] writes for it to `out`, without building
+    /// it. A value already in that form, as every value this module
+    /// writes is, is copied as it stands.
+    ///
+    /// # Errors
+    ///
+    /// Where the value is malformed.
+    pub fn compact(&mut self, out: &mut String) -> Result<(), JsonError> {
+        self.skip_ws();
+        let start = self.pos;
+        let mut canonical = Canonical {
+            length: 0,
+            exact: true,
+        };
+        self.scan(&mut canonical)?;
+        if canonical.exact && canonical.length == self.pos - start {
+            out.push_str(&self.text[start..self.pos]);
+        } else {
+            self.pos = start;
+            self.scan(out)?;
+        }
+        Ok(())
+    }
+
+    /// One value, handed to `sink` token by token. Nesting costs a bit
+    /// per level, not a stack frame.
+    fn scan(&mut self, sink: &mut impl Sink) -> Result<(), JsonError> {
+        let mut open = Open::default();
+        loop {
+            match self.kind()? {
+                Kind::Null => {
+                    self.null()?;
+                    sink.raw("null");
+                }
+                Kind::Bool => sink.raw(if self.bool()? { "true" } else { "false" }),
+                Kind::Num => {
+                    let start = self.pos;
+                    let n = self.number()?;
+                    sink.number(n, &self.text[start..self.pos]);
+                }
+                Kind::Str => {
+                    let text = self.string()?;
+                    sink.string(&text, matches!(text, Cow::Owned(_)));
+                }
+                Kind::Arr if self.array()? => {
+                    sink.raw("[");
+                    open.push(false);
+                    continue;
+                }
+                Kind::Arr => sink.raw("[]"),
+                Kind::Obj => match self.object()? {
+                    Some(key) => {
+                        sink.raw("{");
+                        sink.string(&key, matches!(key, Cow::Owned(_)));
+                        sink.raw(":");
+                        open.push(true);
+                        continue;
+                    }
+                    None => sink.raw("{}"),
+                },
+            }
+            // A value ended: close every container it was the last of.
+            loop {
+                match open.last() {
+                    None => return Ok(()),
+                    Some(true) => match self.next_key()? {
+                        Some(key) => {
+                            sink.raw(",");
+                            sink.string(&key, matches!(key, Cow::Owned(_)));
+                            sink.raw(":");
+                            break;
+                        }
+                        None => {
+                            sink.raw("}");
+                            open.pop();
+                        }
+                    },
+                    Some(false) => {
+                        if self.next_item()? {
+                            sink.raw(",");
+                            break;
+                        }
+                        sink.raw("]");
+                        open.pop();
+                    }
+                }
+            }
+        }
+    }
+
+    /// Reads one value as a tree.
+    ///
+    /// # Errors
+    ///
+    /// Where the value is malformed.
+    pub fn tree(&mut self) -> Result<Json, JsonError> {
+        Parser {
+            reader: self,
+            items: Vec::new(),
+            members: Vec::new(),
+        }
+        .value()
+    }
+
+    /// Checks that only whitespace follows the document.
+    ///
+    /// # Errors
+    ///
+    /// When anything else does.
+    pub fn finish(&mut self) -> Result<(), JsonError> {
+        self.skip_ws();
+        if self.pos != self.bytes.len() {
+            return Err(self.err("trailing characters after document"));
+        }
+        Ok(())
+    }
+}
+
+/// Builds a tree from a [`Reader`].
+struct Parser<'r, 'a> {
+    reader: &'r mut Reader<'a>,
+    /// The elements of the arrays still open, innermost last. An array
+    /// moves its own elements off the top into an exactly sized `Vec`
+    /// when it closes, so no array or object grows by reallocation.
+    items: Vec<Json>,
+    /// The same for the members of the objects still open.
+    members: Vec<(Key, Json)>,
+}
+
+impl Parser<'_, '_> {
+    fn value(&mut self) -> Result<Json, JsonError> {
+        Ok(match self.reader.kind()? {
+            Kind::Null => {
+                self.reader.null()?;
+                Json::Null
+            }
+            Kind::Bool => Json::Bool(self.reader.bool()?),
+            Kind::Num => Json::Num(self.reader.number()?),
+            Kind::Str => Json::Str(self.reader.string()?.into_owned()),
+            Kind::Arr => {
+                let open = self.items.len();
+                let mut more = self.reader.array()?;
+                while more {
+                    let item = self.value()?;
+                    self.items.push(item);
+                    more = self.reader.next_item()?;
+                }
+                Json::Arr(self.items.split_off(open))
+            }
+            Kind::Obj => {
+                let open = self.members.len();
+                let mut next = self.reader.object()?;
+                while let Some(key) = next {
+                    let key = match key {
+                        Cow::Borrowed(text) => Key::new(text),
+                        Cow::Owned(text) => Key::from(text),
+                    };
+                    let value = self.value()?;
+                    self.members.push((key, value));
+                    next = self.reader.next_key()?;
+                }
+                Json::Obj(self.members.split_off(open))
+            }
+        })
     }
 }
 
@@ -827,7 +1374,7 @@ mod tests {
         use proptest::prelude::*;
 
         /// The replaced scanner, kept verbatim as the oracle.
-        fn reference_string(p: &mut Parser<'_>) -> Result<String, JsonError> {
+        fn reference_string(p: &mut Reader<'_>) -> Result<String, JsonError> {
             p.expect(b'"')?;
             let mut out = String::new();
             loop {
@@ -890,7 +1437,7 @@ mod tests {
         /// `Json::parse` for a document that opens with a string,
         /// decoded by the oracle.
         fn reference_parse(input: &str) -> Result<Json, JsonError> {
-            let mut parser = Parser::new(input);
+            let mut parser = Reader::new(input);
             let value = reference_string(&mut parser)?;
             parser.skip_ws();
             if parser.pos != parser.bytes.len() {

@@ -4,7 +4,8 @@
 //! and its neighbours, short, long and escaped keys — and on corrupted
 //! copies of them, both parsers must return bit-equal values or fail at
 //! the same offset with the same message, and both writers must emit the
-//! same bytes.
+//! same bytes. The pull reader, `Json::parse`'s lexer, must skip and
+//! transcribe each document with the parser's outcome.
 
 mod json_reference;
 
@@ -12,7 +13,7 @@ use json_reference::Value;
 use proptest::prelude::*;
 use proptest::strategy::Strategy;
 use proptest::test_runner::TestRng;
-use rota_obs::json::Key;
+use rota_obs::json::{Key, Reader};
 use rota_obs::Json;
 
 /// Whether the live value equals the reference one, numbers compared
@@ -385,6 +386,27 @@ proptest! {
             (live, reference) => {
                 prop_assert_eq!(live.err(), reference.err(), "{:?}", doc);
             }
+        }
+    }
+
+    /// The pull reader skips and transcribes each document with the
+    /// outcome the tree parser has: the same error, or the compact
+    /// text of the same tree.
+    #[test]
+    fn reader_skips_and_transcribes_as_the_parser_parses(doc in Document) {
+        let tree = Json::parse(&doc);
+        let mut reader = Reader::new(&doc);
+        let skipped = reader.skip().and_then(|()| reader.finish());
+        prop_assert_eq!(skipped.err(), tree.as_ref().err().cloned(), "{:?}", doc);
+        let mut text = String::new();
+        let mut reader = Reader::new(&doc);
+        let copied = reader.compact(&mut text).and_then(|()| reader.finish());
+        match tree {
+            Ok(tree) => {
+                prop_assert!(copied.is_ok(), "{:?}", doc);
+                prop_assert_eq!(text, tree.to_string(), "{:?}", doc);
+            }
+            Err(err) => prop_assert_eq!(copied.err(), Some(err), "{:?}", doc),
         }
     }
 

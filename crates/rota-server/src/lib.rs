@@ -39,7 +39,8 @@ pub use rota_analyze::spec;
 
 pub use fault::{FaultInjector, FaultPlan};
 pub use protocol::{
-    GossipDigest, PeerBeat, Reply, Request, Response, MAX_FRAME_BYTES, PROTOCOL_VERSION,
+    Diagnostics, GossipDigest, PeerBeat, Reply, Request, Response, MAX_FRAME_BYTES,
+    PROTOCOL_VERSION,
 };
 pub use server::{LocalHandle, RequestHook, Server, ServerConfig, ServerHandle};
 pub use shard::{route_request, shard_of, split_by_shard};

@@ -6,8 +6,14 @@
 //! matching every op. Frames are capped at
 //! [`MAX_FRAME_BYTES`] (oversized frames are rejected *without* buffering
 //! the rest of the line), and the encoder never emits raw newlines —
-//! [`rota_obs::Json`] escapes control characters inside strings, which
-//! is what makes a line-delimited framing sound.
+//! [`rota_obs::json::write_string`] escapes control characters inside
+//! strings, which is what makes a line-delimited framing sound.
+//!
+//! Each frame type is read and written by its text codec (`read_json`
+//! behind [`Request::from_line`] and [`Response::from_line`],
+//! `write_json` behind [`write_frame`]), straight between the bytes and
+//! the type. The tree forms (`to_json`, `from_json`) are the codec's
+//! reference and are not on the wire.
 //!
 //! Requests:
 //!
@@ -47,9 +53,12 @@ use std::sync::Arc;
 
 use rota_actor::Granularity;
 use rota_admission::ControllerStats;
+use rota_analyze::Diagnostic;
 use rota_logic::Scope;
 use rota_obs::json::Key;
 use rota_obs::Json;
+
+mod text;
 
 use crate::spec::{
     resources_from_json, scope_from_json, scope_to_json, ComputationSpec, Fields, ResourceSpec,
@@ -134,7 +143,7 @@ impl GossipDigest {
 }
 
 /// A client → server request.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Request {
     /// Version handshake: name the protocol version (and optionally the
     /// calling node) before any other traffic.
@@ -410,14 +419,15 @@ impl Request {
         }
     }
 
-    /// Parses a request from one frame (no trailing newline).
+    /// Parses a request from one frame (no trailing newline) with the
+    /// text codec: the value, or the error, [`Json::parse`] and
+    /// [`Request::from_json`] give, without building the tree.
     ///
     /// # Errors
     ///
     /// [`SpecError::Parse`] on malformed JSON or schema violations.
     pub fn from_line(line: &str) -> Result<Request, SpecError> {
-        let doc = Json::parse(line).map_err(|e| SpecError::Parse(e.to_string()))?;
-        Request::from_json(&doc)
+        text::decode(line, Request::read_json)
     }
 }
 
@@ -494,7 +504,7 @@ pub enum Response {
         /// For lint-stage rejections: structured analyzer diagnostics
         /// (see `rota-analyze`), each in `Diagnostic::to_json` form.
         /// Empty for policy verdicts; omitted from the wire when empty.
-        diagnostics: Vec<Json>,
+        diagnostics: Diagnostics,
     },
     /// Reply to `offer`: how many terms were installed.
     Offered {
@@ -610,7 +620,7 @@ impl Response {
                 .into_iter()
                 .chain(
                     (!diagnostics.is_empty())
-                        .then(|| ("diagnostics".into(), Json::Arr(diagnostics))),
+                        .then(|| ("diagnostics".into(), Json::Arr(diagnostics.parse()))),
                 ),
             ),
             Response::Offered { terms } => {
@@ -709,8 +719,8 @@ impl Response {
                 violated_term: opt_str(&fields, "violated_term")?,
                 clause: opt_str(&fields, "clause")?,
                 diagnostics: match take_field(&mut doc, "diagnostics") {
-                    Json::Null => Vec::new(),
-                    Json::Arr(diagnostics) => diagnostics,
+                    Json::Null => Diagnostics::default(),
+                    Json::Arr(diagnostics) => Diagnostics::from_trees(diagnostics),
                     _ => {
                         return Err(SpecError::Parse(
                             "response: `diagnostics` must be an array".into(),
@@ -753,14 +763,77 @@ impl Response {
         }
     }
 
-    /// Parses a response from one frame (no trailing newline).
+    /// Parses a response from one frame (no trailing newline) with the
+    /// text codec: the value, or the error, [`Json::parse`] and
+    /// [`Response::from_json`] give, without building the tree.
     ///
     /// # Errors
     ///
     /// [`SpecError::Parse`] on malformed JSON or schema violations.
     pub fn from_line(line: &str) -> Result<Response, SpecError> {
-        let doc = Json::parse(line).map_err(|e| SpecError::Parse(e.to_string()))?;
-        Response::from_json(doc)
+        text::decode(line, Response::read_json)
+    }
+}
+
+/// A decision's analyzer diagnostics as the wire carries them: the
+/// compact JSON text of their array, each one an object with the keys
+/// `Diagnostic::to_json(None)` writes. A frame's diagnostics are read
+/// as that text, checked to be JSON, and a router passes a peer's on as
+/// they came. Empty when there are none.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct Diagnostics(String);
+
+impl Diagnostics {
+    /// The analyzer's `diagnostics`, each written as
+    /// `Diagnostic::to_json(None)` writes it.
+    pub fn of(diagnostics: &[Diagnostic]) -> Diagnostics {
+        if diagnostics.is_empty() {
+            return Diagnostics::default();
+        }
+        let mut text = String::with_capacity(FRAME_BUFFER_BYTES);
+        text.push('[');
+        for (i, diagnostic) in diagnostics.iter().enumerate() {
+            if i > 0 {
+                text.push(',');
+            }
+            diagnostic.write_json(&mut text);
+        }
+        text.push(']');
+        Diagnostics(text)
+    }
+
+    /// Diagnostics given as trees, as the tree decoder reads them.
+    pub fn from_trees(trees: Vec<Json>) -> Diagnostics {
+        if trees.is_empty() {
+            return Diagnostics::default();
+        }
+        Diagnostics(Json::Arr(trees).to_string())
+    }
+
+    /// The compact text of an array; `[]` holds none.
+    fn from_text(text: String) -> Diagnostics {
+        if text == "[]" {
+            return Diagnostics::default();
+        }
+        Diagnostics(text)
+    }
+
+    /// Whether there are none.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// The array's compact text, empty when there are none.
+    pub fn as_str(&self) -> &str {
+        &self.0
+    }
+
+    /// The diagnostics as trees, one each: for tests and printing.
+    pub fn parse(&self) -> Vec<Json> {
+        match Json::parse(&self.0) {
+            Ok(Json::Arr(trees)) => trees,
+            _ => Vec::new(),
+        }
     }
 }
 
@@ -923,15 +996,39 @@ pub fn read_frame<R: BufRead>(reader: &mut R, max_bytes: usize) -> Result<String
 /// growing it, and a 4 KiB basis grows it twice.
 const FRAME_BUFFER_BYTES: usize = 1024;
 
+/// A value written as one frame: its compact JSON text.
+pub trait Encode {
+    /// Appends the value's compact JSON to `out`.
+    fn write_json(&self, out: &mut String);
+}
+
+impl Encode for Json {
+    fn write_json(&self, out: &mut String) {
+        self.write_compact(out);
+    }
+}
+
+impl Encode for Request {
+    fn write_json(&self, out: &mut String) {
+        Request::write_json(self, out);
+    }
+}
+
+impl Encode for Response {
+    fn write_json(&self, out: &mut String) {
+        Response::write_json(self, out);
+    }
+}
+
 /// Writes one value as a frame: compact JSON plus `\n`, encoded into
 /// one buffer and flushed.
 ///
 /// # Errors
 ///
 /// Propagates the underlying I/O error.
-pub fn write_frame<W: Write>(writer: &mut W, doc: &Json) -> std::io::Result<()> {
+pub fn write_frame<W: Write>(writer: &mut W, value: &impl Encode) -> std::io::Result<()> {
     let mut line = String::with_capacity(FRAME_BUFFER_BYTES);
-    doc.write_compact(&mut line);
+    value.write_json(&mut line);
     line.push('\n');
     writer.write_all(line.as_bytes())?;
     writer.flush()
@@ -939,9 +1036,9 @@ pub fn write_frame<W: Write>(writer: &mut W, doc: &Json) -> std::io::Result<()> 
 
 /// Encodes `response` once, into the frame the wire carries for it
 /// (without the trailing newline), held at its exact length.
-pub(crate) fn encode_frame(response: Response) -> Arc<str> {
+pub(crate) fn encode_frame(response: &Response) -> Arc<str> {
     let mut line = String::with_capacity(FRAME_BUFFER_BYTES);
-    response.into_json().write_compact(&mut line);
+    response.write_json(&mut line);
     Arc::from(line)
 }
 
@@ -975,7 +1072,11 @@ impl Reply {
     /// damage without touching the frame a cache holds.
     pub(crate) fn into_bytes(self) -> Vec<u8> {
         match self {
-            Reply::Typed(response) => response.into_json().to_string().into_bytes(),
+            Reply::Typed(response) => {
+                let mut line = String::with_capacity(FRAME_BUFFER_BYTES);
+                response.write_json(&mut line);
+                line.into_bytes()
+            }
             Reply::Frame(frame) => frame.as_bytes().to_vec(),
         }
     }
@@ -987,7 +1088,7 @@ impl Reply {
     /// Propagates the underlying I/O error.
     pub(crate) fn write<W: Write>(self, writer: &mut W) -> std::io::Result<()> {
         match self {
-            Reply::Typed(response) => write_frame(writer, &response.into_json()),
+            Reply::Typed(response) => write_frame(writer, &response),
             Reply::Frame(frame) => {
                 writer.write_all(frame.as_bytes())?;
                 writer.write_all(b"\n")?;
@@ -1037,7 +1138,7 @@ mod tests {
                 reason: "segment 0 short".into(),
                 violated_term: Some("cpu[0,8) short by 2".into()),
                 clause: Some("Theorem 4: segment feasibility".into()),
-                diagnostics: Vec::new(),
+                diagnostics: Diagnostics::default(),
             },
             Response::Decision {
                 computation: "linted".into(),
@@ -1046,12 +1147,12 @@ mod tests {
                 reason: "1 lint error".into(),
                 violated_term: None,
                 clause: Some("static analysis".into()),
-                diagnostics: vec![Json::Obj(vec![
+                diagnostics: Diagnostics::from_trees(vec![Json::Obj(vec![
                     ("code".into(), Json::Str("R0006".into())),
                     ("severity".into(), Json::Str("error".into())),
                     ("message".into(), Json::Str("no such resource".into())),
                     ("path".into(), Json::Str("computation.actors[0]".into())),
-                ])],
+                ])]),
             },
             Response::Offered { terms: 4 },
             Response::Stats {

@@ -619,8 +619,7 @@ fn serve_connection(stream: TcpStream, inner: &Arc<Inner>) {
                             "frame exceeds {} bytes (got at least {seen})",
                             inner.config.max_frame_bytes
                         ),
-                    }
-                    .to_json(),
+                    },
                 );
                 shutdown_stream(&mut writer);
                 return;
@@ -639,8 +638,7 @@ fn serve_connection(stream: TcpStream, inner: &Arc<Inner>) {
                         &mut writer,
                         &Response::Error {
                             message: "idle timeout".into(),
-                        }
-                        .to_json(),
+                        },
                     );
                     shutdown_stream(&mut writer);
                     return;

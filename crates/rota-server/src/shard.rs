@@ -81,7 +81,7 @@ use rota_obs::{Counter, DecisionEvent, Gauge, Histogram, Journal, Registry};
 use rota_resource::{LocatedType, Location, Quantity, ResourceSet};
 
 use crate::fault::{self, FaultInjector};
-use crate::protocol::{encode_frame, Reply, Response};
+use crate::protocol::{encode_frame, Diagnostics, Reply, Response};
 
 /// Stable location → shard routing: FNV-1a over the location name.
 ///
@@ -672,7 +672,7 @@ impl ShardState {
                 decision_response(request, &decision, self.shard)
             }
         };
-        let frame = encode_frame(response);
+        let frame = encode_frame(&response);
         self.dedup
             .insert(request.name().to_string(), key, Arc::clone(&frame));
         Some(Reply::Frame(frame))
@@ -816,7 +816,7 @@ fn decision_response(request: &AdmissionRequest, decision: &Decision, shard: usi
             reason: format!("{} commitment(s) scheduled", commitments.len()),
             violated_term: None,
             clause: None,
-            diagnostics: Vec::new(),
+            diagnostics: Diagnostics::default(),
         },
         Decision::Reject(reject) => Response::Decision {
             computation: request.name().to_string(),
@@ -825,7 +825,7 @@ fn decision_response(request: &AdmissionRequest, decision: &Decision, shard: usi
             reason: reject.to_string(),
             violated_term: reject.violated_term().map(str::to_string),
             clause: Some(reject.clause().to_string()),
-            diagnostics: Vec::new(),
+            diagnostics: Diagnostics::default(),
         },
     }
 }
@@ -844,11 +844,7 @@ fn lint_response(request: &AdmissionRequest, report: &LintReport, shard: usize) 
         ),
         violated_term: None,
         clause: Some("static analysis (pre-admission)".to_string()),
-        diagnostics: report
-            .diagnostics()
-            .iter()
-            .map(|d| d.to_json(None))
-            .collect(),
+        diagnostics: Diagnostics::of(report.diagnostics()),
     }
 }
 
@@ -1070,6 +1066,7 @@ mod tests {
                 panic!("unexpected {verdict:?}");
             };
             assert_eq!(*was_accepted, accepted, "{verdict:?}");
+            let diagnostics = diagnostics.parse();
             let codes: Vec<_> = diagnostics
                 .iter()
                 .filter_map(|d| d.get("code").and_then(rota_obs::Json::as_str))
@@ -1176,6 +1173,7 @@ mod tests {
                 assert_eq!(clause.as_deref(), Some("static analysis (pre-admission)"));
                 assert!(
                     diagnostics
+                        .parse()
                         .iter()
                         .any(|d| d.get("code").and_then(rota_obs::Json::as_str) == Some("R0006")),
                     "{bounced:?}"
@@ -1202,6 +1200,7 @@ mod tests {
                 diagnostics,
                 ..
             } if clause.as_deref() == Some("static analysis (pre-admission)") => diagnostics
+                .parse()
                 .iter()
                 .map(|d| {
                     let field = |key| {
@@ -1661,7 +1660,7 @@ mod tests {
 
     /// A cached frame, distinct per `shard`.
     fn frame(shard: usize) -> Arc<str> {
-        encode_frame(Response::Overloaded { shard })
+        encode_frame(&Response::Overloaded { shard })
     }
 
     /// Whether `cache` replays `name` with exactly the frame `shard`'s.

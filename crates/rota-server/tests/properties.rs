@@ -18,10 +18,13 @@
 use proptest::prelude::*;
 
 use rota_actor::{ActionKind, ActorComputation, ActorName, DistributedComputation};
+use rota_admission::ControllerStats;
+use rota_analyze::{Diagnostic, Severity};
 use rota_interval::{TimeInterval, TimePoint};
+use rota_logic::Scope;
 use rota_obs::Json;
 use rota_resource::{LocatedType, Location, Rate, ResourceSet, ResourceTerm};
-use rota_server::protocol::{read_frame, Request, Response};
+use rota_server::protocol::{read_frame, Diagnostics, GossipDigest, PeerBeat, Request, Response};
 use rota_server::spec::{
     computation_to_json, resource_set, resource_set_to_json, resources_from_json, ActionSpec,
     ActorSpec, ComputationSpec, ResourceSpec,
@@ -216,7 +219,7 @@ fn arb_response() -> impl Strategy<Value = Response> {
                         reason,
                         violated_term,
                         clause,
-                        diagnostics: Vec::new(),
+                        diagnostics: Default::default(),
                     }
                 }
             ),
@@ -368,6 +371,315 @@ proptest! {
     }
 }
 
+// ---------------------------------------------------------------------
+// the text codec against the tree forms
+// ---------------------------------------------------------------------
+
+fn arb_scope() -> impl Strategy<Value = Scope> {
+    (
+        proptest::collection::vec((0u8..3, 0u8..4, 0u8..4), 0..4),
+        0u64..8,
+        1u64..16,
+    )
+        .prop_map(|(types, start, len)| {
+            let types = types.into_iter().map(|(kind, here, there)| match kind {
+                0 => LocatedType::cpu(loc(here)),
+                1 => LocatedType::memory(loc(here)),
+                _ => LocatedType::network(loc(here), loc(there)),
+            });
+            Scope::new(
+                types,
+                TimeInterval::from_ticks(start, start + len).expect("len >= 1"),
+            )
+        })
+}
+
+fn arb_digest() -> impl Strategy<Value = GossipDigest> {
+    (
+        arb_string(),
+        arb_tick(),
+        proptest::collection::vec((arb_string(), arb_tick()), 0..3),
+    )
+        .prop_map(|(from, seq, beats)| GossipDigest {
+            from,
+            seq,
+            beats: beats
+                .into_iter()
+                .map(|(node, seq)| PeerBeat { node, seq })
+                .collect(),
+        })
+}
+
+fn arb_granularity() -> impl Strategy<Value = rota_actor::Granularity> {
+    prop_oneof![
+        Just(rota_actor::Granularity::PerAction),
+        Just(rota_actor::Granularity::MaximalRun),
+    ]
+}
+
+/// A request of any op, with raw specs and strings full of escapes.
+fn arb_any_request() -> impl Strategy<Value = Request> {
+    let terms = || proptest::collection::vec(arb_resource_spec(), 0..3);
+    prop_oneof![
+        (arb_tick(), arb_opt_string()).prop_map(|(version, node)| Request::Hello { version, node }),
+        Just(Request::Ping),
+        (arb_computation_spec(), arb_granularity(), 0u8..2).prop_map(
+            |(computation, granularity, forwarded)| Request::Admit {
+                computation,
+                granularity,
+                forwarded: forwarded == 1,
+            }
+        ),
+        (terms(), 0u8..2).prop_map(|(resources, forwarded)| Request::Offer {
+            resources,
+            forwarded: forwarded == 1,
+        }),
+        Just(Request::Stats),
+        Just(Request::Metrics),
+        Just(Request::Shutdown),
+        arb_digest().prop_map(|digest| Request::Gossip { digest }),
+        Just(Request::ClusterSnapshot),
+        arb_scope().prop_map(|scope| Request::ScopedSnapshot { scope }),
+        (
+            arb_string(),
+            arb_computation_spec(),
+            arb_granularity(),
+            terms(),
+            proptest::collection::vec(arb_tick(), 0..4),
+            arb_tick(),
+        )
+            .prop_map(|(name, computation, granularity, basis, epochs, ttl_ms)| {
+                Request::Prepare {
+                    name,
+                    computation,
+                    granularity,
+                    basis,
+                    epochs,
+                    ttl_ms,
+                }
+            }),
+        arb_string().prop_map(|name| Request::CommitReservation { name }),
+        arb_string().prop_map(|name| Request::AbortReservation { name }),
+    ]
+}
+
+fn arb_diagnostics() -> impl Strategy<Value = Diagnostics> {
+    proptest::collection::vec(
+        (
+            0u8..3,
+            arb_string(),
+            arb_string(),
+            proptest::collection::vec(arb_string(), 0..3),
+        ),
+        0..3,
+    )
+    .prop_map(|list| {
+        let list: Vec<Diagnostic> = list
+            .into_iter()
+            .map(|(level, path, message, notes)| {
+                let severity = [Severity::Note, Severity::Warning, Severity::Error];
+                let mut diagnostic =
+                    Diagnostic::new("R0006", severity[usize::from(level)], path, message);
+                for note in notes {
+                    diagnostic = diagnostic.with_note(note);
+                }
+                diagnostic
+            })
+            .collect();
+        Diagnostics::of(&list)
+    })
+}
+
+/// A response of any op.
+fn arb_any_response() -> impl Strategy<Value = Response> {
+    prop_oneof![
+        arb_tick().prop_map(|version| Response::Welcome { version }),
+        arb_response(),
+        arb_digest().prop_map(|digest| Response::GossipAck { digest }),
+        (
+            proptest::collection::vec(arb_tick(), 0..4),
+            proptest::collection::vec(arb_resource_spec(), 0..3),
+        )
+            .prop_map(|(epochs, terms)| Response::ClusterState {
+                epochs,
+                resources: Json::Arr(terms.iter().map(ResourceSpec::to_json).collect()),
+            }),
+        arb_string().prop_map(|name| Response::Prepared { name }),
+        arb_string().prop_map(|name| Response::Committed { name }),
+        (arb_string(), 0u8..2).prop_map(|(name, released)| Response::Aborted {
+            name,
+            released: released == 1,
+        }),
+        (0usize..8, arb_tick(), arb_tick()).prop_map(|(shard, epoch, expected)| {
+            Response::StaleEpoch {
+                shard,
+                epoch,
+                expected,
+            }
+        }),
+        (arb_string(), 0usize..16, arb_diagnostics()).prop_map(|(reason, shard, diagnostics)| {
+            Response::Decision {
+                computation: "linted".into(),
+                accepted: false,
+                shard,
+                reason,
+                violated_term: None,
+                clause: Some("static analysis (pre-admission)".into()),
+                diagnostics,
+            }
+        }),
+        proptest::collection::vec(arb_tick(), 6).prop_map(|n| Response::Stats {
+            stats: ControllerStats {
+                accepted: n[0],
+                rejected: n[1],
+                completed: n[2],
+                missed: n[3],
+                withdrawn: n[4],
+            },
+            shards: n[5] as usize,
+        }),
+        (arb_string(), arb_tick()).prop_map(|(name, count)| Response::Metrics {
+            snapshot: Json::Obj(vec![(
+                "counters".into(),
+                Json::Obj(vec![(name.into(), Json::Num(count as f64))]),
+            )]),
+        }),
+    ]
+}
+
+/// Edits `doc`: one member of its `nth` object, in the order objects
+/// close, dropped, repeated, moved first, renamed or given another
+/// value (edit `draws[1]`, member `draws[2]`, value `draws[3]`).
+/// Returns how many objects were still to pass.
+fn edit(doc: &mut Json, nth: u64, draws: &[u64]) -> u64 {
+    let mut nth = nth;
+    match doc {
+        Json::Arr(items) => {
+            for item in items.iter_mut() {
+                nth = edit(item, nth, draws);
+            }
+            nth
+        }
+        Json::Obj(pairs) => {
+            for (_, value) in pairs.iter_mut() {
+                nth = edit(value, nth, draws);
+            }
+            if nth > 0 || pairs.is_empty() {
+                return nth.saturating_sub(1);
+            }
+            let k = (draws[2] % pairs.len() as u64) as usize;
+            let values = [
+                Json::Null,
+                Json::Bool(true),
+                Json::Num(1.5),
+                Json::Num(-0.0),
+                Json::Num(9_007_199_254_740_993.0),
+                Json::Str("x".into()),
+                Json::Arr(vec![Json::Num(1.0)]),
+                Json::Obj(Vec::new()),
+            ];
+            match draws[1] % 5 {
+                0 => {
+                    pairs.remove(k);
+                }
+                1 => {
+                    let copy = pairs[k].clone();
+                    pairs.push(copy);
+                }
+                2 => {
+                    let member = pairs.remove(k);
+                    pairs.insert(0, member);
+                }
+                3 => pairs[k].0 = format!("zz{}", pairs[k].0).into(),
+                _ => pairs[k].1 = values[(draws[3] % values.len() as u64) as usize].clone(),
+            }
+            u64::MAX
+        }
+        _ => nth,
+    }
+}
+
+/// What the tree forms make of a frame: the value re-encoded, or the
+/// error text.
+fn reference(request: bool, frame: &str) -> Result<String, String> {
+    let doc = Json::parse(frame).map_err(|err| format!("spec parse error: {err}"))?;
+    if request {
+        Request::from_json(&doc).map(|r| r.to_json().to_string())
+    } else {
+        Response::from_json(doc).map(|r| r.to_json().to_string())
+    }
+    .map_err(|err| err.to_string())
+}
+
+/// What the text codec makes of a frame, re-encoded by the writer.
+fn text_codec(request: bool, frame: &str) -> Result<String, String> {
+    let mut line = String::new();
+    if request {
+        Request::from_line(frame).map(|r| r.write_json(&mut line))
+    } else {
+        Response::from_line(frame).map(|r| r.write_json(&mut line))
+    }
+    .map(|()| line)
+    .map_err(|err| err.to_string())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2_000))]
+
+    /// The writer writes the tree encoder's bytes, and the reader reads
+    /// them back to the value written.
+    #[test]
+    fn text_codec_writes_the_tree_bytes_and_reads_them_back(
+        request in arb_any_request(),
+        response in arb_any_response(),
+    ) {
+        let mut line = String::new();
+        request.write_json(&mut line);
+        prop_assert_eq!(&line, &request.to_json().to_string());
+        prop_assert_eq!(Request::from_line(&line).expect("writer output decodes"), request);
+        let mut line = String::new();
+        response.write_json(&mut line);
+        prop_assert_eq!(&line, &response.to_json().to_string());
+        prop_assert_eq!(Response::from_line(&line).expect("writer output decodes"), response);
+    }
+
+    /// Edited, cut and padded frames decode to what the tree forms
+    /// make of them: the same value, or the same error text.
+    #[test]
+    fn text_codec_decodes_edited_frames_as_the_tree_forms_do(
+        request in arb_any_request(),
+        response in arb_any_response(),
+        draws in proptest::collection::vec(0u64..64, 4),
+        cut in 0usize..4096,
+        shape in 0u8..6,
+    ) {
+        for (is_request, mut doc) in [(true, request.to_json()), (false, response.to_json())] {
+            edit(&mut doc, draws[0] % 4, &draws);
+            let mut frame = match shape {
+                0 => doc.pretty(),
+                _ => doc.to_string(),
+            };
+            match shape {
+                1 => {
+                    let mut at = cut % frame.len();
+                    while !frame.is_char_boundary(at) {
+                        at -= 1;
+                    }
+                    frame.truncate(at);
+                }
+                2 => frame.push_str(" x"),
+                _ => {}
+            }
+            prop_assert_eq!(
+                text_codec(is_request, &frame),
+                reference(is_request, &frame),
+                "{}",
+                frame
+            );
+        }
+    }
+}
+
 /// The raw generators reach every shape the library refuses, so the
 /// round trip above covers them rather than only buildable specs.
 #[test]
@@ -398,4 +710,38 @@ fn raw_generators_reach_unbuildable_specs() {
         }
     }
     assert_eq!(seen.len(), 6, "{seen:?}");
+}
+
+/// The edited frames reach decoded values and every kind of refusal,
+/// in both directions, so the comparison above is not a vacuous one.
+#[test]
+fn frame_edits_reach_values_and_every_refusal() {
+    let mut rng = proptest::test_runner::TestRng::from_seed(29);
+    let mut seen = std::collections::BTreeSet::new();
+    for _ in 0..2_000 {
+        let draws: Vec<u64> = (0..4).map(|_| rng.below(64)).collect();
+        let requests = arb_any_request().new_value(&mut rng).to_json();
+        let responses = arb_any_response().new_value(&mut rng).to_json();
+        for (is_request, mut doc) in [(true, requests), (false, responses)] {
+            edit(&mut doc, draws[0] % 4, &draws);
+            let outcome = match reference(is_request, &doc.to_string()) {
+                Ok(_) => "decoded",
+                Err(err) if err.contains("duplicate field") => "duplicate",
+                Err(err) if err.contains("unknown field") => "unknown",
+                Err(err) if err.contains("missing field") => "missing",
+                Err(err) if err.contains("must be") => "mistyped",
+                Err(_) => "other",
+            };
+            seen.insert((is_request, outcome));
+        }
+    }
+    for is_request in [true, false] {
+        for outcome in ["decoded", "duplicate", "missing", "mistyped", "other"] {
+            assert!(
+                seen.contains(&(is_request, outcome)),
+                "never {outcome} (request: {is_request}): {seen:?}"
+            );
+        }
+    }
+    assert!(seen.contains(&(true, "unknown")), "{seen:?}");
 }
