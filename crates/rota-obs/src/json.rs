@@ -639,16 +639,19 @@ impl<'a> Reader<'a> {
         }
     }
 
+    #[inline]
     fn peek(&self) -> Option<u8> {
         self.bytes.get(self.pos).copied()
     }
 
+    #[inline]
     fn skip_ws(&mut self) {
         while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
 
+    #[inline]
     fn expect(&mut self, byte: u8) -> Result<(), JsonError> {
         if self.peek() == Some(byte) {
             self.pos += 1;
@@ -672,6 +675,7 @@ impl<'a> Reader<'a> {
     /// # Errors
     ///
     /// Where no value can start.
+    #[inline]
     pub fn kind(&mut self) -> Result<Kind, JsonError> {
         self.skip_ws();
         match self.peek() {
@@ -712,6 +716,7 @@ impl<'a> Reader<'a> {
     /// or control byte (or the end of input) and returns it. Those stop
     /// bytes are ASCII and the run starts after one, so it is already
     /// valid text: slicing the input costs nothing per byte.
+    #[inline]
     fn plain_run(&mut self) -> &'a str {
         let start = self.pos;
         let rest = &self.bytes[start..];
@@ -729,6 +734,7 @@ impl<'a> Reader<'a> {
     /// # Errors
     ///
     /// When the next value is not a well-formed string.
+    #[inline]
     pub fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
         self.expect(b'"')?;
         let run = self.plain_run();
@@ -736,13 +742,21 @@ impl<'a> Reader<'a> {
             self.pos += 1;
             return Ok(Cow::Borrowed(run));
         }
+        self.escaped(run).map(Cow::Owned)
+    }
+
+    /// The rest of a string whose first escape, control byte or end of
+    /// input follows `run`: the slow path of [`Reader::string`], kept
+    /// out of line so the plain one inlines where it is called.
+    #[cold]
+    fn escaped(&mut self, run: &str) -> Result<String, JsonError> {
         let mut out = String::from(run);
         loop {
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(Cow::Owned(out));
+                    return Ok(out);
                 }
                 Some(b'\\') => {
                     self.pos += 1;
@@ -899,6 +913,7 @@ impl<'a> Reader<'a> {
     ///
     /// When the next value does not open an object with a well-formed
     /// first member.
+    #[inline]
     pub fn object(&mut self) -> Result<Option<Cow<'a, str>>, JsonError> {
         self.expect(b'{')?;
         self.skip_ws();
@@ -915,6 +930,7 @@ impl<'a> Reader<'a> {
     /// # Errors
     ///
     /// When neither a well-formed member nor the object's end follows.
+    #[inline]
     pub fn next_key(&mut self) -> Result<Option<Cow<'a, str>>, JsonError> {
         self.skip_ws();
         match self.peek() {
@@ -930,6 +946,7 @@ impl<'a> Reader<'a> {
         }
     }
 
+    #[inline]
     fn member_key(&mut self) -> Result<Cow<'a, str>, JsonError> {
         self.skip_ws();
         let key = self.string()?;
@@ -945,6 +962,7 @@ impl<'a> Reader<'a> {
     /// # Errors
     ///
     /// When the next value is not an array.
+    #[inline]
     pub fn array(&mut self) -> Result<bool, JsonError> {
         self.expect(b'[')?;
         self.skip_ws();
@@ -961,6 +979,7 @@ impl<'a> Reader<'a> {
     /// # Errors
     ///
     /// When neither a comma nor the array's end follows.
+    #[inline]
     pub fn next_item(&mut self) -> Result<bool, JsonError> {
         self.skip_ws();
         match self.peek() {
