@@ -1113,12 +1113,14 @@ impl<'a> Reader<'a> {
                     let text = self.string()?;
                     sink.string(&text, matches!(text, Cow::Owned(_)));
                 }
-                Kind::Arr if self.array()? => {
-                    sink.raw("[");
-                    open.push(false);
-                    continue;
+                Kind::Arr => {
+                    if self.array()? {
+                        sink.raw("[");
+                        open.push(false);
+                        continue;
+                    }
+                    sink.raw("[]");
                 }
-                Kind::Arr => sink.raw("[]"),
                 Kind::Obj => match self.object()? {
                     Some(key) => {
                         sink.raw("{");

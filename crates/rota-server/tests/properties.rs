@@ -599,6 +599,16 @@ fn edit(doc: &mut Json, nth: u64, draws: &[u64]) -> u64 {
     }
 }
 
+/// How many objects `doc` holds, itself included.
+fn objects(doc: &Json) -> u64 {
+    let own = u64::from(matches!(doc, Json::Obj(_)));
+    match doc {
+        Json::Arr(items) => items.iter().map(objects).sum(),
+        Json::Obj(pairs) => own + pairs.iter().map(|(_, value)| objects(value)).sum::<u64>(),
+        _ => 0,
+    }
+}
+
 /// What the tree forms make of a frame: the value re-encoded, or the
 /// error text.
 fn reference(request: bool, frame: &str) -> Result<String, String> {
@@ -644,17 +654,24 @@ proptest! {
     }
 
     /// Edited, cut and padded frames decode to what the tree forms
-    /// make of them: the same value, or the same error text.
+    /// make of them: the same value, or the same error text. Half the
+    /// frames take two edits, so the order in which a reader checks
+    /// two faults is compared too.
     #[test]
     fn text_codec_decodes_edited_frames_as_the_tree_forms_do(
         request in arb_any_request(),
         response in arb_any_response(),
-        draws in proptest::collection::vec(0u64..64, 4),
+        draws in proptest::collection::vec(0u64..64, 8),
         cut in 0usize..4096,
         shape in 0u8..6,
     ) {
         for (is_request, mut doc) in [(true, request.to_json()), (false, response.to_json())] {
-            edit(&mut doc, draws[0] % 4, &draws);
+            let nth = draws[0] % objects(&doc);
+            edit(&mut doc, nth, &draws[..4]);
+            if shape >= 3 {
+                let nth = draws[4] % objects(&doc).max(1);
+                edit(&mut doc, nth, &draws[4..]);
+            }
             let mut frame = match shape {
                 0 => doc.pretty(),
                 _ => doc.to_string(),
@@ -723,7 +740,8 @@ fn frame_edits_reach_values_and_every_refusal() {
         let requests = arb_any_request().new_value(&mut rng).to_json();
         let responses = arb_any_response().new_value(&mut rng).to_json();
         for (is_request, mut doc) in [(true, requests), (false, responses)] {
-            edit(&mut doc, draws[0] % 4, &draws);
+            let nth = draws[0] % objects(&doc);
+            edit(&mut doc, nth, &draws);
             let outcome = match reference(is_request, &doc.to_string()) {
                 Ok(_) => "decoded",
                 Err(err) if err.contains("duplicate field") => "duplicate",
