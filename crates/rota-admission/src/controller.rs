@@ -107,16 +107,25 @@ pub struct AdmissionController<P> {
     policy: P,
     strategy: ExecutionStrategy,
     stats: ControllerStats,
-    // Per admitted *request*, keyed by its actors: its deadline, for
+    // Per admitted *request*, keyed by its actors, for completion and
     // miss accounting (the State reaps completed commitments silently; a
-    // request completes when all of its actors have), and how many
-    // admitted requests have exactly those actors. ρ keeps actor names
-    // unique, so that is one, except for requests without actors.
-    in_flight: HashMap<Vec<ActorName>, (TimePoint, usize)>,
+    // request completes when all of its actors have).
+    in_flight: HashMap<Vec<ActorName>, InFlight>,
     obs: Option<AdmissionObs>,
     // The most recent submit verdict, so `explain` works without an
     // attached observability bundle (with one, the journal holds it).
     last_decision: Option<DecisionEvent>,
+}
+
+/// One `in_flight` entry.
+#[derive(Debug, Clone)]
+struct InFlight {
+    deadline: TimePoint,
+    /// How many counted requests have exactly these actors: one, except
+    /// for requests without actors (ρ keeps actor names unique), and
+    /// zero for a share of a computation another controller counts
+    /// ([`AdmissionController::install_share`]).
+    counted: usize,
 }
 
 impl<P: AdmissionPolicy> AdmissionController<P> {
@@ -257,6 +266,32 @@ impl<P: AdmissionPolicy> AdmissionController<P> {
         commitments: Vec<Commitment>,
         deadline: TimePoint,
     ) -> Result<(), TransitionError> {
+        self.install_as(commitments, deadline, true)
+    }
+
+    /// Installs one owner's share of a computation that another
+    /// controller counts: like [`install`](Self::install), but neither
+    /// `accepted`, `completed` nor the in-flight gauge counts it. Only
+    /// a miss does, since the owner whose share missed is the one that
+    /// knows it. Withdrawing the share rolls back nothing.
+    ///
+    /// # Errors
+    ///
+    /// As [`install`](Self::install).
+    pub fn install_share(
+        &mut self,
+        commitments: Vec<Commitment>,
+        deadline: TimePoint,
+    ) -> Result<(), TransitionError> {
+        self.install_as(commitments, deadline, false)
+    }
+
+    fn install_as(
+        &mut self,
+        commitments: Vec<Commitment>,
+        deadline: TimePoint,
+        counted: bool,
+    ) -> Result<(), TransitionError> {
         let mut installed: Vec<ActorName> = Vec::with_capacity(commitments.len());
         for c in commitments {
             let actor = c.actor().clone();
@@ -270,10 +305,16 @@ impl<P: AdmissionPolicy> AdmissionController<P> {
                 }
             }
         }
-        self.in_flight.entry(installed).or_insert((deadline, 0)).1 += 1;
-        self.stats.accepted += 1;
-        if let Some(obs) = &self.obs {
-            obs.add_in_flight(1);
+        let entry = self.in_flight.entry(installed).or_insert(InFlight {
+            deadline,
+            counted: 0,
+        });
+        if counted {
+            entry.counted += 1;
+            self.stats.accepted += 1;
+            if let Some(obs) = &self.obs {
+                obs.add_in_flight(1);
+            }
         }
         Ok(())
     }
@@ -287,30 +328,36 @@ impl<P: AdmissionPolicy> AdmissionController<P> {
     /// accounting trace. Finding it costs O(actors), not a scan of the
     /// in-flight requests.
     pub fn withdraw(&mut self, actors: &[ActorName]) -> bool {
-        if !self.release_in_flight(actors) {
+        let Some(counted) = self.release_in_flight(actors) else {
             return false;
-        }
+        };
         for actor in actors {
             self.state.evict(actor);
         }
-        self.stats.accepted = self.stats.accepted.saturating_sub(1);
+        if counted {
+            self.stats.accepted = self.stats.accepted.saturating_sub(1);
+        }
         true
     }
 
     /// Drops one in-flight request with exactly `actors`, if there is
-    /// one.
-    fn release_in_flight(&mut self, actors: &[ActorName]) -> bool {
-        let Some((deadline, count)) = self.in_flight.remove(actors) else {
-            return false;
-        };
-        if count > 1 {
-            self.in_flight
-                .insert(actors.to_vec(), (deadline, count - 1));
+    /// one, and says whether it was counted.
+    fn release_in_flight(&mut self, actors: &[ActorName]) -> Option<bool> {
+        let entry = self.in_flight.remove(actors)?;
+        if entry.counted > 1 {
+            self.in_flight.insert(
+                actors.to_vec(),
+                InFlight {
+                    counted: entry.counted - 1,
+                    ..entry
+                },
+            );
         }
-        if let Some(obs) = &self.obs {
+        let counted = entry.counted > 0;
+        if let (true, Some(obs)) = (counted, &self.obs) {
             obs.add_in_flight(-1);
         }
-        true
+        Some(counted)
     }
 
     /// Packages a verdict as a journal event: accepted requests record
@@ -379,22 +426,23 @@ impl<P: AdmissionPolicy> AdmissionController<P> {
     /// Resolves in-flight accounting: completions (actor no longer in ρ)
     /// and misses (deadline reached with the commitment still pending;
     /// the dead commitment is evicted so it stops consuming resources).
+    /// An uncounted share counts its miss, not its completion.
     fn settle(&mut self) {
         let now = self.state.now();
         let (state, stats) = (&mut self.state, &mut self.stats);
         let mut resolved = 0;
-        self.in_flight.retain(|actors, &mut (deadline, count)| {
+        self.in_flight.retain(|actors, entry| {
             if actors.iter().all(|a| state.rho().get(a).is_none()) {
-                stats.completed += count as u64;
-            } else if now >= deadline {
+                stats.completed += entry.counted as u64;
+            } else if now >= entry.deadline {
                 for a in actors {
                     state.evict(a);
                 }
-                stats.missed += count as u64;
+                stats.missed += entry.counted.max(1) as u64;
             } else {
                 return true;
             }
-            resolved += count;
+            resolved += entry.counted;
             false
         });
         if let Some(obs) = &self.obs {
@@ -404,7 +452,7 @@ impl<P: AdmissionPolicy> AdmissionController<P> {
 
     /// Number of admitted computations still executing.
     pub fn in_flight(&self) -> usize {
-        self.in_flight.values().map(|&(_, count)| count).sum()
+        self.in_flight.values().map(|entry| entry.counted).sum()
     }
 
     /// Total resource units actually delivered to admitted work — the
@@ -678,6 +726,49 @@ mod tests {
         assert_eq!((ctl.stats().accepted, ctl.in_flight()), (5, 5));
         ctl.run_until(TimePoint::new(64));
         assert_eq!((ctl.stats().completed, ctl.stats().missed), (5, 0));
+    }
+
+    #[test]
+    fn a_share_counts_its_miss_and_nothing_else() {
+        let registry = rota_obs::Registry::new();
+        let mut ctl = AdmissionController::new(RotaPolicy, cpu_theta(4, 0, 8), TimePoint::ZERO)
+            .with_obs(AdmissionObs::new(&registry, "rota"));
+        let gauge = || {
+            registry
+                .snapshot()
+                .gauge("admission.in_flight{policy=rota}")
+        };
+        let Decision::Accept(fits) = ctl.decide(&request("fits", 2, 0, 8)) else {
+            panic!("the job fits");
+        };
+        let actors = vec![ActorName::new("fits-actor")];
+        ctl.install_share(fits.clone(), TimePoint::new(8)).unwrap();
+        assert_eq!(
+            (ctl.stats().accepted, ctl.in_flight(), gauge()),
+            (0, 0, Some(0))
+        );
+        assert!(ctl.withdraw(&actors), "the share is withdrawn");
+        assert_eq!(ctl.stats().accepted, 0, "and nothing is rolled back");
+        assert!(ctl.state().rho().is_empty());
+        // A share that completes counts nothing; one that no supply
+        // fuels counts its miss.
+        ctl.install_share(fits, TimePoint::new(8)).unwrap();
+        let starved = Commitment::opportunistic(
+            ActorName::new("starved"),
+            [rota_actor::SimpleRequirement::new(
+                rota_actor::ResourceDemand::single(
+                    LocatedType::cpu(Location::new("l9")),
+                    rota_resource::Quantity::new(1),
+                ),
+                iv(0, 4),
+            )],
+            TimePoint::new(4),
+        );
+        ctl.install_share(vec![starved], TimePoint::new(4)).unwrap();
+        ctl.run_until(TimePoint::new(8));
+        let stats = ctl.stats();
+        assert_eq!((stats.accepted, stats.completed, stats.missed), (0, 0, 1));
+        assert_eq!(gauge(), Some(0));
     }
 
     #[test]

@@ -18,7 +18,7 @@ use rota_logic::Scope;
 use rota_obs::json::{write_number, write_string, JsonError, Kind, Object, Reader, Scalar};
 use rota_resource::LocatedType;
 
-use super::{ActionSpec, ActorSpec, At, ComputationSpec, Locations, SpecError};
+use super::{ActionSpec, ActorSpec, At, ComputationSpec, Locations, ResourceSpec, SpecError};
 
 /// What a typed reader makes of one value: a syntax error (outer) ends
 /// the whole document, a schema error (inner) only this value. A frame
@@ -463,6 +463,40 @@ fn read_located(
     .map_err(own))
 }
 
+/// Appends the members that name `located`, as a term or a scope
+/// writes them, after an object's `{`.
+fn write_located(located: &LocatedType, out: &mut String) {
+    match located {
+        LocatedType::Node { kind, location } => {
+            out.push_str("\"kind\":");
+            write_string(out, kind.label());
+            out.push_str(",\"location\":");
+            write_string(out, location.name());
+        }
+        LocatedType::Link { from, to } => {
+            out.push_str("\"kind\":\"network\",\"from\":");
+            write_string(out, from.name());
+            out.push_str(",\"to\":");
+            write_string(out, to.name());
+        }
+    }
+}
+
+impl ResourceSpec {
+    /// Appends the compact JSON [`ResourceSpec::to_json`] writes.
+    pub fn write_json(&self, out: &mut String) {
+        out.push('{');
+        write_located(&self.located, out);
+        out.push_str(",\"rate\":");
+        write_number(out, self.rate as f64);
+        out.push_str(",\"start\":");
+        write_number(out, self.start as f64);
+        out.push_str(",\"end\":");
+        write_number(out, self.end as f64);
+        out.push('}');
+    }
+}
+
 /// Appends the compact JSON [`scope_to_json`](super::scope_to_json)
 /// writes for `scope`.
 pub fn write_scope(scope: &Scope, out: &mut String) {
@@ -471,20 +505,8 @@ pub fn write_scope(scope: &Scope, out: &mut String) {
         if i > 0 {
             out.push(',');
         }
-        match located {
-            LocatedType::Node { kind, location } => {
-                out.push_str("{\"kind\":");
-                write_string(out, kind.label());
-                out.push_str(",\"location\":");
-                write_string(out, location.name());
-            }
-            LocatedType::Link { from, to } => {
-                out.push_str("{\"kind\":\"network\",\"from\":");
-                write_string(out, from.name());
-                out.push_str(",\"to\":");
-                write_string(out, to.name());
-            }
-        }
+        out.push('{');
+        write_located(located, out);
         out.push('}');
     }
     out.push_str("],\"start\":");

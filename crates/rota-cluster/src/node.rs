@@ -53,9 +53,7 @@ use crate::{lock, read, write};
 /// Knobs for a whole cluster launch.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
-    /// Shards per node. Defaults to 1: with one shard per node,
-    /// per-node statistics aggregate exactly (a multi-shard node counts
-    /// a 2PC accept once per holding shard).
+    /// Shards per node. Defaults to 1.
     pub shards: usize,
     /// Per-shard queue capacity.
     pub queue_capacity: usize,

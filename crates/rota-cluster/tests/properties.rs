@@ -11,15 +11,25 @@
 //! word for word); afterwards the union of the cluster's
 //! obtainable-resource snapshots must equal the oracle's — no supply
 //! leaked, none invented.
+//!
+//! A second property runs random spanning jobs through a 3-node,
+//! 2-shards-per-node cluster and checks that each node holds each
+//! accepted job once: one ρ entry per actor and owning shard, and one
+//! `accepted` per node the job touches.
 
 use std::time::Duration;
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rota_admission::RotaPolicy;
-use rota_cluster::{Cluster, ClusterConfig, Topology};
-use rota_resource::ResourceSet;
+use rota_actor::{
+    ActionKind, ActorComputation, DistributedComputation, Granularity, TableCostModel,
+};
+use rota_admission::{AdmissionRequest, RotaPolicy};
+use rota_cluster::{Cluster, ClusterConfig, NodeSpec, Topology};
+use rota_interval::{TimeInterval, TimePoint};
+use rota_resource::{LocatedType, Location, Rate, ResourceSet, ResourceTerm};
+use rota_server::shard_of;
 use rota_server::spec::{resource_set, resource_set_to_json, resources_from_json};
 use rota_server::{Request, Response, Server, ServerConfig};
 use rota_workload::{base_resources, generate_job, validate_job, JobShape, WorkloadConfig};
@@ -149,5 +159,132 @@ proptest! {
         );
         cluster.shutdown();
         oracle.shutdown();
+    }
+}
+
+/// Nine locations, node `i` owning `l{i}`, `l{i+3}` and `l{i+6}`.
+const LOCATIONS: usize = 9;
+const SHARDS: usize = 2;
+
+/// A job of one actor per `(origin, evaluations, migration target)`.
+fn spanning_job(name: &str, actors: &[(usize, usize, Option<usize>)]) -> DistributedComputation {
+    let actors = actors
+        .iter()
+        .enumerate()
+        .map(|(i, &(origin, evals, target))| {
+            let mut gamma = ActorComputation::new(format!("{name}-a{i}"), format!("l{origin}"));
+            for _ in 0..evals {
+                gamma.push(ActionKind::evaluate());
+            }
+            if let Some(target) = target {
+                gamma.push(ActionKind::migrate(format!("l{target}")));
+            }
+            gamma
+        })
+        .collect();
+    DistributedComputation::new(name, actors, TimePoint::ZERO, TimePoint::new(48)).unwrap()
+}
+
+fn arb_job() -> impl Strategy<Value = Vec<(usize, usize, Option<usize>)>> {
+    let actor = (0..LOCATIONS, 1usize..3, 0..LOCATIONS * 2).prop_map(|(origin, evals, target)| {
+        (origin, evals, (target < LOCATIONS).then_some(target))
+    });
+    proptest::collection::vec(actor, 1..4)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    #[test]
+    fn each_node_holds_its_share_of_each_accept_once(
+        jobs in proptest::collection::vec(arb_job(), 12..20),
+    ) {
+        let topology = Topology::new(
+            (0..NODES)
+                .map(|i| NodeSpec {
+                    id: format!("node{i}"),
+                    addr: String::new(),
+                    locations: (i..LOCATIONS).step_by(NODES).map(|l| format!("l{l}")).collect(),
+                })
+                .collect(),
+        )
+        .unwrap();
+        let theta = ResourceSet::from_terms((0..LOCATIONS).map(|l| {
+            ResourceTerm::new(
+                Rate::new(2),
+                TimeInterval::from_ticks(0, 48).unwrap(),
+                LocatedType::cpu(Location::new(format!("l{l}"))),
+            )
+        }))
+        .unwrap();
+        let cluster = Cluster::launch(
+            topology,
+            &theta,
+            RotaPolicy,
+            ClusterConfig {
+                shards: SHARDS,
+                gossip_interval: Duration::from_millis(15),
+                ..ClusterConfig::default()
+            },
+        )
+        .unwrap();
+        prop_assert!(cluster.await_converged(Duration::from_secs(10)));
+        let node_of = |location: &Location| {
+            let l: usize = location.name()[1..].parse().unwrap();
+            l % NODES
+        };
+        // Per node: ρ entries and accepts the accepted jobs account for.
+        let mut entries = [0usize; NODES];
+        let mut accepts = [0u64; NODES];
+        let mut accepted_jobs = 0;
+        for (i, actors) in jobs.iter().enumerate() {
+            let job = spanning_job(&format!("job{i}"), actors);
+            let mut client = rota_client::Client::connect_timeout(
+                cluster.addrs()[i % NODES],
+                Duration::from_secs(2),
+            )
+            .unwrap();
+            let response = client.admit(&job, Granularity::MaximalRun).unwrap();
+            let (accepted, _) = verdict(&response);
+            if !accepted {
+                continue;
+            }
+            accepted_jobs += 1;
+            let priced =
+                AdmissionRequest::price(job, &TableCostModel::paper(), Granularity::MaximalRun);
+            let mut touched = [false; NODES];
+            for part in priced.requirement().parts() {
+                let mut owners: Vec<(usize, usize)> = part
+                    .total_demand()
+                    .located_types()
+                    .map(|lt| {
+                        let location = lt.locations()[0];
+                        (node_of(location), shard_of(location, SHARDS))
+                    })
+                    .collect();
+                owners.sort_unstable();
+                owners.dedup();
+                for (node, _) in owners {
+                    entries[node] += 1;
+                    touched[node] = true;
+                }
+            }
+            for node in 0..NODES {
+                accepts[node] += u64::from(touched[node]);
+            }
+        }
+        prop_assert!(accepted_jobs > 0, "no job was accepted");
+        for (node, addr) in cluster.addrs().into_iter().enumerate() {
+            let mut client =
+                rota_client::Client::connect_timeout(addr, Duration::from_secs(2)).unwrap();
+            let (stats, _) = client.stats().unwrap();
+            prop_assert_eq!(stats.accepted, accepts[node], "node{} accepts", node);
+            let snapshot = cluster.nodes()[node].registry().snapshot();
+            let live: i64 = (0..SHARDS)
+                .map(|s| snapshot.gauge(&format!("server.shard.commitments{{shard={s}}}")).unwrap_or(0))
+                .sum();
+            prop_assert_eq!(live, entries[node] as i64, "node{} ρ entries", node);
+        }
+        cluster.shutdown();
     }
 }

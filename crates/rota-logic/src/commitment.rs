@@ -74,6 +74,26 @@ impl ScheduledSegment {
         }
     }
 
+    /// The segment cut down to the located types `owns` accepts: their
+    /// demand and their reserved slices, in the same window. `None` when
+    /// none of its demand is on them.
+    fn project(&self, owns: &impl Fn(&LocatedType) -> bool) -> Option<ScheduledSegment> {
+        let demand: ResourceDemand = self
+            .requirement
+            .demand()
+            .iter()
+            .filter(|(located, _)| owns(located))
+            .map(|(located, amount)| (located.clone(), amount))
+            .collect();
+        if demand.is_empty() {
+            return None;
+        }
+        Some(ScheduledSegment {
+            requirement: SimpleRequirement::new(demand, self.requirement.window()),
+            reservation: self.reservation.as_ref().map(|res| res.restrict(owns)),
+        })
+    }
+
     fn reduce(&mut self, located: &LocatedType, absorbed: Quantity) {
         let mut next = ResourceDemand::new();
         for (lt, q) in self.requirement.demand().iter() {
@@ -139,6 +159,29 @@ impl Commitment {
             segments.into_iter().map(ScheduledSegment::opportunistic),
             deadline,
         )
+    }
+
+    /// The part of this commitment held by the owner of the located
+    /// types `owns` accepts: each pending segment cut down to those
+    /// types' demand and reserved slices, in its window, and the
+    /// segments left without demand dropped. `start` and `deadline` stay
+    /// the computation's. `None` when no segment is left.
+    ///
+    /// The projections onto the parts of a partition of the located
+    /// types hold every unit of demand and every reserved slice of the
+    /// commitment exactly once between them.
+    pub fn project(&self, owns: impl Fn(&LocatedType) -> bool) -> Option<Commitment> {
+        let pending: VecDeque<ScheduledSegment> = self
+            .pending
+            .iter()
+            .filter_map(|seg| seg.project(&owns))
+            .collect();
+        (!pending.is_empty()).then(|| Commitment {
+            actor: self.actor.clone(),
+            pending,
+            start: self.start,
+            deadline: self.deadline,
+        })
     }
 
     /// The committed actor.
@@ -602,6 +645,58 @@ mod tests {
         assert_eq!(rho.len(), 1);
         assert_eq!(rho.remove_actor(&ActorName::new("a1")).len(), 1);
         assert!(rho.is_empty());
+    }
+
+    #[test]
+    fn projections_onto_a_partition_hold_each_unit_once() {
+        let mut both = ResourceDemand::new();
+        both.add(cpu("l1"), Quantity::new(2));
+        both.add(cpu("l2"), Quantity::new(3));
+        let reserved = |terms: &[(&str, u64, u64, u64)]| -> ResourceSet {
+            terms
+                .iter()
+                .map(|&(l, rate, s, e)| ResourceTerm::new(Rate::new(rate), window(s, e), cpu(l)))
+                .collect()
+        };
+        let c = Commitment::new(
+            ActorName::new("a1"),
+            [
+                ScheduledSegment::reserved(
+                    SimpleRequirement::new(both, window(2, 4)),
+                    reserved(&[("l1", 1, 2, 4), ("l2", 3, 2, 3)]),
+                ),
+                ScheduledSegment::reserved(
+                    simple(cpu("l2"), 4, 4, 6),
+                    reserved(&[("l2", 2, 4, 6)]),
+                ),
+            ],
+            TimePoint::new(9),
+        );
+        let on_l1 = c.project(|lt| *lt == cpu("l1")).unwrap();
+        let rest = c.project(|lt| *lt != cpu("l1")).unwrap();
+        assert_eq!((on_l1.len(), rest.len()), (1, 2));
+        for part in [&on_l1, &rest] {
+            assert_eq!(part.actor(), c.actor());
+            assert_eq!((part.start(), part.deadline()), (c.start(), c.deadline()));
+        }
+        assert_eq!(
+            on_l1
+                .pending_reservation()
+                .unwrap()
+                .union(&rest.pending_reservation().unwrap())
+                .unwrap(),
+            c.pending_reservation().unwrap()
+        );
+        let mut demand = on_l1.remaining_demand();
+        demand.merge(&rest.remaining_demand());
+        assert_eq!(demand, c.remaining_demand());
+        assert_eq!(
+            rest.head().unwrap().requirement().window(),
+            window(2, 4),
+            "a cut segment keeps its window"
+        );
+        assert!(c.project(|lt| *lt == cpu("l9")).is_none());
+        assert_eq!(c.project(|_| true).unwrap(), c);
     }
 
     #[test]

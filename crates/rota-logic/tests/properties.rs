@@ -2,12 +2,14 @@
 //! soundness, and admission (Theorem 4) non-interference.
 
 use proptest::prelude::*;
-use rota_actor::{ActorName, ComplexRequirement, ResourceDemand, SimpleRequirement};
+use rota_actor::{
+    ActorName, ComplexRequirement, ConcurrentRequirement, ResourceDemand, SimpleRequirement,
+};
 use rota_interval::{TimeInterval, TimePoint};
 use rota_logic::theorems::accommodate_additional;
 use rota_logic::{
-    exhaustive_schedule_exists, schedule_complex, tick_delivery, Commitment, Commitments,
-    ScheduledSegment, Scope, State,
+    exhaustive_schedule_exists, schedule_complex, schedule_concurrent, tick_delivery, Commitment,
+    Commitments, ScheduledSegment, Scope, State,
 };
 use rota_resource::{LocatedType, Location, Quantity, Rate, ResourceSet, ResourceTerm};
 
@@ -435,5 +437,96 @@ proptest! {
             let state = adm.into_state();
             prop_assert_eq!(state.expiring_resources(), state.expiring_by_simulation());
         }
+    }
+}
+
+/// Supply over the eight CPUs `l0`…`l7`.
+fn arb_wide_theta() -> impl Strategy<Value = ResourceSet> {
+    proptest::collection::vec((0u8..8, 0u64..HORIZON, 1u64..=HORIZON, 1u64..6), 0..32).prop_map(
+        |parts| {
+            let mut set = ResourceSet::new();
+            for (loc, start, len, rate) in parts {
+                let end = (start + len).min(HORIZON);
+                set.insert(ResourceTerm::new(Rate::new(rate), iv(start, end), cpu(loc)))
+                    .unwrap();
+            }
+            set
+        },
+    )
+}
+
+/// A concurrent requirement whose actors demand pairwise disjoint
+/// located types: each of the eight CPUs belongs to one actor, and each
+/// segment demands one or two of its actor's CPUs. Actors left with no
+/// CPU are dropped.
+fn arb_disjoint_requirement() -> impl Strategy<Value = ConcurrentRequirement> {
+    let segment = (0usize..8, 0usize..8, 1u64..6, 0u64..3);
+    (
+        1usize..5,
+        proptest::collection::vec(0usize..4, 8),
+        proptest::collection::vec(proptest::collection::vec(segment, 1..4), 4),
+        0u64..4,
+        4u64..=HORIZON,
+    )
+        .prop_map(|(actors, owner, segments, start, end)| {
+            let window = iv(start, end);
+            let parts = (0..actors)
+                .filter_map(|actor| {
+                    let types: Vec<u8> = (0..8u8)
+                        .filter(|&l| owner[usize::from(l)] % actors == actor)
+                        .collect();
+                    if types.is_empty() {
+                        return None;
+                    }
+                    let demands = segments[actor]
+                        .iter()
+                        .map(|&(first, second, q1, q2)| {
+                            let mut demand = ResourceDemand::new();
+                            demand.add(cpu(types[first % types.len()]), Quantity::new(q1));
+                            demand.add(cpu(types[second % types.len()]), Quantity::new(q2));
+                            demand
+                        })
+                        .collect();
+                    Some(ComplexRequirement::new(demands, window))
+                })
+                .collect();
+            ConcurrentRequirement::new(parts, window)
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(10_000))]
+
+    /// ROADMAP item 13: when the actors' located types are pairwise
+    /// disjoint, serial carving takes nothing one actor needs from
+    /// another, so the concurrent decision is monotone in supply (an
+    /// accept on Θ stays an accept on every Θ′ ⊇ Θ) and does not depend
+    /// on the actors' order. The reject rule of a coordinator that
+    /// decides on partial supply rests on both.
+    #[test]
+    fn disjoint_actors_decide_monotonically_in_any_order(
+        theta in arb_wide_theta(),
+        extra in arb_wide_theta(),
+        requirement in arb_disjoint_requirement(),
+        order in proptest::collection::vec(0u64..1000, 4),
+    ) {
+        let wider = theta.union(&extra).unwrap();
+        let earliest = requirement.window().start();
+        let accepts = |free: &ResourceSet, parts: Vec<ComplexRequirement>| {
+            let requirement = ConcurrentRequirement::new(parts, requirement.window());
+            schedule_concurrent(free, &requirement, earliest).is_ok()
+        };
+        let parts = requirement.parts().to_vec();
+        let on_theta = accepts(&theta, parts.clone());
+        if on_theta {
+            prop_assert!(accepts(&wider, parts.clone()), "more supply turned an accept into a reject");
+        }
+        let mut shuffled: Vec<(u64, ComplexRequirement)> =
+            order.iter().copied().zip(parts.iter().cloned()).collect();
+        shuffled.sort_by_key(|(key, _)| *key);
+        let shuffled: Vec<ComplexRequirement> = shuffled.into_iter().map(|(_, part)| part).collect();
+        let reversed: Vec<ComplexRequirement> = parts.iter().rev().cloned().collect();
+        prop_assert_eq!(accepts(&theta, shuffled), on_theta);
+        prop_assert_eq!(accepts(&theta, reversed), on_theta);
     }
 }

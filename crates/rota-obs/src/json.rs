@@ -566,22 +566,25 @@ impl Sink for Canonical {
     }
 }
 
-/// The containers a scan has open, innermost last: a bit each (set for
-/// an object), the first 64 in a word and any deeper on the heap.
+/// The deepest nesting of arrays and objects a [`Reader`] reads in one
+/// value: a container deeper than this is refused. No document the
+/// workspace writes nests more than about 6 deep; the bound keeps the
+/// tree parser's recursion, and the drop of a parsed tree, far inside
+/// a thread's stack.
+pub const MAX_DEPTH: usize = 128;
+
+/// The containers a scan has open, innermost last: a bit each, set for
+/// an object.
 #[derive(Default)]
 struct Open {
     depth: usize,
-    shallow: u64,
-    deep: Vec<bool>,
+    bits: u128,
 }
 
 impl Open {
+    /// Opens a container; at most [`MAX_DEPTH`] are open.
     fn push(&mut self, object: bool) {
-        if self.depth < 64 {
-            self.shallow = (self.shallow & !(1 << self.depth)) | (u64::from(object) << self.depth);
-        } else {
-            self.deep.push(object);
-        }
+        self.bits = (self.bits & !(1 << self.depth)) | (u128::from(object) << self.depth);
         self.depth += 1;
     }
 
@@ -589,18 +592,11 @@ impl Open {
     /// is open.
     fn last(&self) -> Option<bool> {
         let top = self.depth.checked_sub(1)?;
-        if top < 64 {
-            Some((self.shallow >> top) & 1 == 1)
-        } else {
-            self.deep.last().copied()
-        }
+        Some((self.bits >> top) & 1 == 1)
     }
 
     fn pop(&mut self) {
         self.depth -= 1;
-        if self.depth >= 64 {
-            self.deep.pop();
-        }
     }
 }
 
@@ -636,6 +632,16 @@ impl<'a> Reader<'a> {
         JsonError {
             offset: self.pos,
             message: message.into(),
+        }
+    }
+
+    /// Refuses a container at the reader's position when `open`
+    /// containers enclose it already and it would exceed [`MAX_DEPTH`].
+    fn enter(&self, open: usize) -> Result<(), JsonError> {
+        if open < MAX_DEPTH {
+            Ok(())
+        } else {
+            Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")))
         }
     }
 
@@ -1098,7 +1104,11 @@ impl<'a> Reader<'a> {
     fn scan(&mut self, sink: &mut impl Sink) -> Result<(), JsonError> {
         let mut open = Open::default();
         loop {
-            match self.kind()? {
+            let kind = self.kind()?;
+            if matches!(kind, Kind::Arr | Kind::Obj) {
+                self.enter(open.depth)?;
+            }
+            match kind {
                 Kind::Null => {
                     self.null()?;
                     sink.raw("null");
@@ -1169,6 +1179,7 @@ impl<'a> Reader<'a> {
     pub fn tree(&mut self) -> Result<Json, JsonError> {
         Parser {
             reader: self,
+            depth: 0,
             items: Vec::new(),
             members: Vec::new(),
         }
@@ -1192,6 +1203,9 @@ impl<'a> Reader<'a> {
 /// Builds a tree from a [`Reader`].
 struct Parser<'r, 'a> {
     reader: &'r mut Reader<'a>,
+    /// The containers open around the value being read: each costs a
+    /// stack frame here, so [`MAX_DEPTH`] bounds them.
+    depth: usize,
     /// The elements of the arrays still open, innermost last. An array
     /// moves its own elements off the top into an exactly sized `Vec`
     /// when it closes, so no array or object grows by reallocation.
@@ -1211,6 +1225,8 @@ impl Parser<'_, '_> {
             Kind::Num => Json::Num(self.reader.number()?),
             Kind::Str => Json::Str(self.reader.string()?.into_owned()),
             Kind::Arr => {
+                self.reader.enter(self.depth)?;
+                self.depth += 1;
                 let open = self.items.len();
                 let mut more = self.reader.array()?;
                 while more {
@@ -1218,9 +1234,12 @@ impl Parser<'_, '_> {
                     self.items.push(item);
                     more = self.reader.next_item()?;
                 }
+                self.depth -= 1;
                 Json::Arr(self.items.split_off(open))
             }
             Kind::Obj => {
+                self.reader.enter(self.depth)?;
+                self.depth += 1;
                 let open = self.members.len();
                 let mut next = self.reader.object()?;
                 while let Some(key) = next {
@@ -1232,6 +1251,7 @@ impl Parser<'_, '_> {
                     self.members.push((key, value));
                     next = self.reader.next_key()?;
                 }
+                self.depth -= 1;
                 Json::Obj(self.members.split_off(open))
             }
         })
@@ -1291,6 +1311,31 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "accepted: {bad:?}");
         }
+    }
+
+    #[test]
+    fn nesting_is_read_to_max_depth_and_refused_past_it() {
+        let nested = |open: &str, close: &str, depth: usize| {
+            format!("{}0{}", open.repeat(depth), close.repeat(depth))
+        };
+        for (open, close) in [("[", "]"), ("{\"k\":", "}")] {
+            let deepest = nested(open, close, MAX_DEPTH);
+            assert!(Json::parse(&deepest).is_ok(), "{open}: depth {MAX_DEPTH}");
+            assert!(Reader::new(&deepest).skip().is_ok());
+            let too_deep = nested(open, close, MAX_DEPTH + 1);
+            let err = Json::parse(&too_deep).unwrap_err();
+            assert_eq!(err.message, "nesting deeper than 128 levels");
+            assert_eq!(err.offset, MAX_DEPTH * open.len());
+            assert_eq!(Reader::new(&too_deep).skip().unwrap_err(), err);
+            let mut out = String::new();
+            assert_eq!(Reader::new(&too_deep).compact(&mut out).unwrap_err(), err);
+        }
+        // An empty container past the bound is refused too, and so is a
+        // frame-sized run of brackets, without exhausting the stack.
+        let empty = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Json::parse(&empty(MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&empty(MAX_DEPTH + 1)).is_err());
+        assert_eq!(Json::parse(&empty(100_000)).unwrap_err().offset, MAX_DEPTH);
     }
 
     #[test]

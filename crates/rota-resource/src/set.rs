@@ -347,6 +347,19 @@ impl ResourceSet {
         out
     }
 
+    /// The part of the set on the located types `keep` accepts, every
+    /// interval kept.
+    #[must_use]
+    pub fn restrict(&self, keep: impl Fn(&LocatedType) -> bool) -> ResourceSet {
+        let mut out = ResourceSet::new();
+        for (lt, p) in &self.profiles {
+            if keep(lt) {
+                out.keep(lt, p.clone());
+            }
+        }
+        out
+    }
+
     /// Restricts the whole set to `window` — "the union of all resources
     /// in Θ which exist in the interval (s, d)".
     #[must_use]

@@ -5,13 +5,14 @@
 //! reference, and the two agree on every byte written and on every
 //! value or error read.
 //!
-//! Two kinds of member stay trees, both ways: a resource list (an
-//! offer's `resources`, a prepare's `basis`, a `cluster-state`
-//! answer's `resources`), read with [`Reader::tree`] and
-//! [`resources_from_json`] and written with [`ResourceSpec::to_json`],
-//! and a metrics snapshot, which is a [`Json`] by type. A decision's
-//! diagnostics are kept as the compact text of their array
-//! ([`Diagnostics`]), checked to be JSON as they are read.
+//! Two kinds of member are read as trees: a resource list (an offer's
+//! `resources`, a prepare's `basis`, a `cluster-state` answer's
+//! `resources`), with [`Reader::tree`] and [`resources_from_json`], and
+//! a metrics snapshot, which is a [`Json`] by type and written as one.
+//! A resource list is written straight, term by term
+//! ([`ResourceSpec::write_json`]). A decision's diagnostics are kept as
+//! the compact text of their array ([`Diagnostics`]), checked to be
+//! JSON as they are read.
 
 use rota_actor::Granularity;
 use rota_admission::ControllerStats;
@@ -59,7 +60,7 @@ fn write_terms(out: &mut String, terms: &[ResourceSpec]) {
         if i > 0 {
             out.push(',');
         }
-        term.to_json().write_compact(out);
+        term.write_json(out);
     }
     out.push(']');
 }

@@ -62,11 +62,11 @@
 //! Capacity and deadline feasibility stay with the policy, whose
 //! verdict carries the theorem-grade attribution.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 
 use rota_actor::ActorName;
@@ -76,7 +76,7 @@ use rota_admission::{
 };
 use rota_analyze::{prevalidate_request, Report as LintReport, Severity as LintSeverity};
 use rota_interval::TimePoint;
-use rota_logic::{Scope, State};
+use rota_logic::{Commitment, Scope, State};
 use rota_obs::{Counter, DecisionEvent, Gauge, Histogram, Journal, Registry};
 use rota_resource::{LocatedType, Location, Quantity, ResourceSet};
 
@@ -150,6 +150,8 @@ struct ShardObs {
     dedup_hits: Arc<Counter>,
     lint_rejects: Arc<Counter>,
     reservations: Arc<Gauge>,
+    /// Live commitments (ρ entries) in the shard's controller.
+    commitments: Arc<Gauge>,
     twopc_prepared: Arc<Counter>,
     twopc_committed: Arc<Counter>,
     twopc_aborted: Arc<Counter>,
@@ -170,6 +172,7 @@ impl ShardObs {
             dedup_hits: registry.counter(&format!("server.shard.dedup_hits{{shard={shard}}}")),
             lint_rejects: registry.counter(&format!("server.shard.lint_rejects{{shard={shard}}}")),
             reservations: registry.gauge(&format!("server.shard.reservations{{shard={shard}}}")),
+            commitments: registry.gauge(&format!("server.shard.commitments{{shard={shard}}}")),
             twopc_prepared: registry.counter(&format!("server.twopc.prepared{{shard={shard}}}")),
             twopc_committed: registry.counter(&format!("server.twopc.committed{{shard={shard}}}")),
             twopc_aborted: registry.counter(&format!("server.twopc.aborted{{shard={shard}}}")),
@@ -287,6 +290,9 @@ pub(crate) struct ShardPool {
     /// answered `overloaded`.
     queue_capacity: usize,
     faults: Option<Arc<FaultInjector>>,
+    /// The locations of the supply the pool was built with or offered:
+    /// the pool owns these, each at its [`shard_of`] shard.
+    supplied: RwLock<HashSet<Location>>,
 }
 
 /// One shard: its lock, plus what is needed outside it.
@@ -351,6 +357,7 @@ impl ShardPool {
             shards,
             queue_capacity: queue_capacity.max(1),
             faults,
+            supplied: RwLock::new(locations_of(theta).collect()),
         }
     }
 
@@ -359,9 +366,10 @@ impl ShardPool {
     }
 
     /// Runs `f` on shard `index` under its lock, after withdrawing the
-    /// shard's lapsed reservations. A poisoned lock means a write
-    /// panicked halfway through a mutation, so the state behind it may
-    /// be torn: no answer may be built from it, and the process aborts.
+    /// shard's lapsed reservations, then publishes the shard's live
+    /// commitment count. A poisoned lock means a write panicked halfway
+    /// through a mutation, so the state behind it may be torn: no
+    /// answer may be built from it, and the process aborts.
     fn locked<R>(&self, index: usize, f: impl FnOnce(&mut ShardState) -> R) -> R {
         let shard = &self.shards[index];
         shard.obs.queue_depth.add(1);
@@ -371,7 +379,10 @@ impl ShardPool {
         });
         shard.obs.queue_depth.add(-1);
         state.sweep_expired();
-        f(&mut state)
+        let result = f(&mut state);
+        let live = state.controller.state().rho().len();
+        shard.obs.commitments.set(live as i64);
+        result
     }
 
     /// Routes one admission request and decides it under its shard's
@@ -409,10 +420,15 @@ impl ShardPool {
                 continue;
             }
             let terms = slice.term_count() as u64;
+            let locations: Vec<Location> = locations_of(&slice).collect();
             match self.locked(index, |state| state.offer(slice)) {
                 Ok(()) => installed += terms,
                 Err(message) => return Response::Error { message },
             }
+            self.supplied
+                .write()
+                .unwrap_or_else(PoisonError::into_inner)
+                .extend(locations);
         }
         Response::Offered { terms: installed }
     }
@@ -483,14 +499,12 @@ impl ShardPool {
     }
 
     /// Phase one of two-phase commit for a `verdict` already decided
-    /// on the merged basis ([`ShardPool::decide`]): on accept, install
-    /// the commitments tentatively on every shard with a TTL. All shards
-    /// must hold the reservation for the prepare to stand; on a
-    /// rejection, stale epoch or error the partial reservations are
-    /// aborted and the first failing shard's answer is returned. Each
-    /// shard installs the full commitment set — terms at locations a
-    /// shard does not own are no-ops in its availability, so the union
-    /// over shards subtracts each term exactly once.
+    /// on the merged basis ([`ShardPool::decide`]): on accept, every
+    /// shard holds the name with a TTL and installs its share of the
+    /// commitments ([`ShardPool::shares`]). All shards must hold the
+    /// name for the prepare to stand; on a rejection, stale epoch or
+    /// error the partial holds are aborted and the first failing
+    /// shard's answer is returned.
     pub(crate) fn prepare(
         &self,
         request: &AdmissionRequest,
@@ -508,15 +522,50 @@ impl ShardPool {
             };
         }
         let name = request.name().to_string();
-        for (index, &expected) in epochs.iter().enumerate() {
+        let shares = self.shares(verdict);
+        for ((index, &expected), share) in epochs.iter().enumerate().zip(shares) {
             if let Some(failure) = self.locked(index, |state| {
-                state.prepare(request, verdict, expected, ttl)
+                state.prepare(request, verdict, share, expected, ttl)
             }) {
                 self.abort(&name);
                 return failure;
             }
         }
         Response::Prepared { name }
+    }
+
+    /// Each shard's share of an accept's commitments: the projection of
+    /// every commitment onto the located types the shard owns (a type
+    /// belongs to the shard of its first location, when the pool holds
+    /// supply there). A segment at a location the pool holds no supply
+    /// for is held by no shard. The first shard with a non-empty share,
+    /// or shard 0 when every share is empty, carries the computation's
+    /// accounting; the others install theirs uncounted. A reject has no
+    /// shares.
+    fn shares(&self, verdict: &Decision) -> Vec<Share> {
+        let mut shares: Vec<Share> = (0..self.shards()).map(|_| Share::default()).collect();
+        let Decision::Accept(commitments) = verdict else {
+            return shares;
+        };
+        let supplied = self.supplied.read().unwrap_or_else(PoisonError::into_inner);
+        let owner = |located: &LocatedType| {
+            let location = located.locations()[0];
+            supplied
+                .contains(location)
+                .then(|| shard_of(location, self.shards()))
+        };
+        for (index, share) in shares.iter_mut().enumerate() {
+            share.commitments = commitments
+                .iter()
+                .filter_map(|c| c.project(|located| owner(located) == Some(index)))
+                .collect();
+        }
+        let first = shares
+            .iter()
+            .position(|share| !share.commitments.is_empty())
+            .unwrap_or(0);
+        shares[first].counted = true;
+        shares
     }
 
     /// Phase two: makes the named reservation permanent on every shard.
@@ -556,10 +605,28 @@ pub(crate) const DEDUP_CAPACITY: usize = 1024;
 /// commitment itself.
 const COMMITTED_CAPACITY: usize = 1024;
 
-/// A tentatively-installed 2PC commitment: the actor names to withdraw
-/// on abort or expiry, and the wall-clock instant the hold lapses.
+/// The locations of `theta`'s terms, each keyed (like
+/// [`split_by_shard`]) by its first location.
+fn locations_of(theta: &ResourceSet) -> impl Iterator<Item = Location> + '_ {
+    theta
+        .located_types()
+        .map(|located| located.locations()[0].clone())
+}
+
+/// One shard's part of a prepared accept ([`ShardPool::shares`]).
+#[derive(Default)]
+struct Share {
+    commitments: Vec<Commitment>,
+    /// Whether this shard counts the computation's `accepted` and
+    /// `completed`.
+    counted: bool,
+}
+
+/// A 2PC hold on one shard: the actor names its install put in the
+/// controller, to withdraw on abort or expiry (`None` when the shard
+/// holds the name only), and the wall-clock instant the hold lapses.
 struct Reservation {
-    actors: Vec<ActorName>,
+    actors: Option<Vec<ActorName>>,
     expires_at: Instant,
 }
 
@@ -571,12 +638,14 @@ struct ShardState {
     dedup: DecisionCache,
     /// Prepared-but-uncommitted 2PC holds, keyed by computation name.
     reservations: HashMap<String, Reservation>,
-    /// Committed 2PC names → their actors, for idempotent re-commits
-    /// and compensating aborts. Bounded by `committed_order`.
-    committed: HashMap<String, Vec<ActorName>>,
+    /// Committed 2PC names → their installed actors, as in
+    /// [`Reservation`], for idempotent re-commits and compensating
+    /// aborts. Bounded by `committed_order`.
+    committed: HashMap<String, Option<Vec<ActorName>>>,
     committed_order: VecDeque<String>,
-    /// Bumped on every state mutation (accepted admit, offer, prepare,
-    /// abort, expiry) — never on rejects or reads. A 2PC coordinator
+    /// Bumped on every state mutation (accepted admit, offer, and the
+    /// prepare, abort or expiry of an install) — never on rejects,
+    /// reads, or a hold of the name only. A 2PC coordinator
     /// snapshots the epoch with the supply and sends it back with the
     /// prepare; a mismatch means the basis is stale and the prepare is
     /// refused rather than decided on outdated supply.
@@ -600,17 +669,27 @@ impl ShardState {
             .collect();
         for name in lapsed {
             if let Some(reservation) = self.reservations.remove(&name) {
-                self.controller.withdraw(&reservation.actors);
-                self.epoch += 1;
+                self.release(reservation.actors);
                 self.obs.twopc_expired.inc();
             }
         }
         self.obs.reservations.set(self.reservations.len() as i64);
     }
 
+    /// Withdraws what a hold installed, if it installed anything; a
+    /// hold of the name only changes nothing. (An actor-less install's
+    /// in-flight key is the empty list, so withdrawing `[]` for a name
+    /// only hold would release some other request.)
+    fn release(&mut self, actors: Option<Vec<ActorName>>) {
+        if let Some(actors) = actors {
+            self.controller.withdraw(&actors);
+            self.epoch += 1;
+        }
+    }
+
     /// Records a committed name (bounded), for idempotent re-commits
     /// and compensating aborts.
-    fn record_committed(&mut self, name: String, actors: Vec<ActorName>) {
+    fn record_committed(&mut self, name: String, actors: Option<Vec<ActorName>>) {
         if self.committed.insert(name.clone(), actors).is_none() {
             self.committed_order.push_back(name);
             if self.committed_order.len() > COMMITTED_CAPACITY {
@@ -712,13 +791,16 @@ impl ShardState {
         Ok(())
     }
 
-    /// This shard's half of a prepare whose `verdict` the pool already
-    /// decided: `None` once the shard holds the reservation, otherwise
-    /// the answer that fails the prepare.
+    /// This shard's part of a prepare whose `verdict` the pool already
+    /// decided: `None` once the shard holds the name, otherwise the
+    /// answer that fails the prepare. A shard installs its `share` of
+    /// an accept and bumps its epoch; an uncounted empty share records
+    /// the name only.
     fn prepare(
         &mut self,
         request: &AdmissionRequest,
         verdict: &Decision,
+        share: Share,
         expected_epoch: u64,
         ttl: Duration,
     ) -> Option<Response> {
@@ -741,21 +823,34 @@ impl ShardState {
                 expected: expected_epoch,
             });
         }
-        let Decision::Accept(commitments) = verdict else {
+        if !verdict.is_accept() {
             return Some(decision_response(request, verdict, self.shard));
-        };
-        let actors = commitments.iter().map(|c| c.actor().clone()).collect();
-        if let Err(err) = self
-            .controller
-            .install(commitments.clone(), request.deadline())
-        {
-            return Some(Response::Error {
-                message: format!(
-                    "shard {}: prepared commitments not installable: {err}",
-                    self.shard
-                ),
-            });
         }
+        let Share {
+            commitments,
+            counted,
+        } = share;
+        let actors = if counted || !commitments.is_empty() {
+            let actors = commitments.iter().map(|c| c.actor().clone()).collect();
+            let installed = if counted {
+                self.controller.install(commitments, request.deadline())
+            } else {
+                self.controller
+                    .install_share(commitments, request.deadline())
+            };
+            if let Err(err) = installed {
+                return Some(Response::Error {
+                    message: format!(
+                        "shard {}: prepared commitments not installable: {err}",
+                        self.shard
+                    ),
+                });
+            }
+            self.epoch += 1;
+            Some(actors)
+        } else {
+            None
+        };
         self.reservations.insert(
             name.to_string(),
             Reservation {
@@ -763,7 +858,6 @@ impl ShardState {
                 expires_at: Instant::now() + ttl,
             },
         );
-        self.epoch += 1;
         self.obs.twopc_prepared.inc();
         self.obs.reservations.set(self.reservations.len() as i64);
         None
@@ -787,8 +881,7 @@ impl ShardState {
 
     fn abort(&mut self, name: &str) -> bool {
         if let Some(reservation) = self.reservations.remove(name) {
-            self.controller.withdraw(&reservation.actors);
-            self.epoch += 1;
+            self.release(reservation.actors);
             self.obs.twopc_aborted.inc();
             self.obs.reservations.set(self.reservations.len() as i64);
             true
@@ -797,8 +890,7 @@ impl ShardState {
             // commit, so this already-committed hold is rolled back to
             // keep the cluster atomic.
             self.committed_order.retain(|n| n != name);
-            self.controller.withdraw(&actors);
-            self.epoch += 1;
+            self.release(actors);
             self.obs.twopc_aborted.inc();
             true
         } else {
@@ -1933,6 +2025,449 @@ mod tests {
             registry.snapshot().counter("server.twopc.expired{shard=0}"),
             Some(1)
         );
+    }
+
+    fn pool_over(theta: &ResourceSet, shards: usize) -> (ShardPool, Arc<Registry>) {
+        pool_with(RotaPolicy, theta, shards)
+    }
+
+    fn pool_with<P>(policy: P, theta: &ResourceSet, shards: usize) -> (ShardPool, Arc<Registry>)
+    where
+        P: AdmissionPolicy + Send + Sync + 'static,
+    {
+        let registry = Arc::new(Registry::new());
+        let journal = Arc::new(Journal::new(64));
+        let pool = ShardPool::new(
+            policy,
+            theta,
+            shards,
+            8,
+            DEDUP_CAPACITY,
+            &registry,
+            &journal,
+            None,
+        );
+        (pool, registry)
+    }
+
+    /// A computation of one actor per `(origin, evaluations, migration
+    /// target)`; a migration's segment demands CPU at both ends.
+    fn spanning(name: &str, actors: &[(&str, usize, Option<&str>)]) -> AdmissionRequest {
+        let actors = actors
+            .iter()
+            .enumerate()
+            .map(|(i, &(origin, evals, target))| {
+                let mut gamma = ActorComputation::new(format!("{name}-a{i}"), origin);
+                for _ in 0..evals {
+                    gamma.push(ActionKind::evaluate());
+                }
+                if let Some(target) = target {
+                    gamma.push(ActionKind::migrate(target));
+                    gamma.push(ActionKind::evaluate());
+                }
+                gamma
+            })
+            .collect();
+        AdmissionRequest::price(
+            DistributedComputation::new(name, actors, TimePoint::ZERO, TimePoint::new(64)).unwrap(),
+            &TableCostModel::paper(),
+            Granularity::MaximalRun,
+        )
+    }
+
+    /// Prepares `request` on a pool from a fresh snapshot of it.
+    fn prepare_fresh(pool: &ShardPool, request: &AdmissionRequest) -> Response {
+        let (epochs, basis) = pool.cluster_state(None).unwrap();
+        let verdict = pool.decide(request, &basis);
+        pool.prepare(request, &verdict, &epochs, Duration::from_secs(60))
+    }
+
+    /// Each shard's live commitments.
+    fn held(pool: &ShardPool) -> Vec<Vec<Commitment>> {
+        (0..pool.shards())
+            .map(|index| {
+                pool.locked(index, |state| {
+                    state.controller.state().rho().iter().cloned().collect()
+                })
+            })
+            .collect()
+    }
+
+    fn stats_of(pool: &ShardPool) -> ControllerStats {
+        let Response::Stats { stats, .. } = pool.stats() else {
+            panic!("stats answers stats");
+        };
+        stats
+    }
+
+    fn in_flight_gauge(registry: &Registry) -> Option<i64> {
+        registry
+            .snapshot()
+            .gauge("admission.in_flight{policy=rota}")
+    }
+
+    #[test]
+    fn a_spanning_accept_is_counted_once() {
+        let locations: Vec<String> = (0..4).map(|s| location_on(s, 4)).collect();
+        let theta = theta_at(
+            &locations.iter().map(String::as_str).collect::<Vec<_>>(),
+            4,
+            64,
+        );
+        let (pool, registry) = pool_over(&theta, 4);
+        let request = || {
+            spanning(
+                "wide",
+                &[
+                    (&locations[0], 1, None),
+                    (&locations[1], 1, Some(&locations[2])),
+                    (&locations[3], 2, None),
+                ],
+            )
+        };
+        let prepared = prepare_fresh(&pool, &request());
+        assert!(
+            matches!(prepared, Response::Prepared { .. }),
+            "{prepared:?}"
+        );
+        assert!(pool.abort("wide"));
+        assert_eq!(
+            (stats_of(&pool).accepted, in_flight_gauge(&registry)),
+            (0, Some(0))
+        );
+        assert_eq!(
+            pool.cluster_state(None).unwrap().1,
+            theta,
+            "abort released it all"
+        );
+        let prepared = prepare_fresh(&pool, &request());
+        assert!(
+            matches!(prepared, Response::Prepared { .. }),
+            "{prepared:?}"
+        );
+        pool.commit("wide").unwrap();
+        assert_eq!(
+            (stats_of(&pool).accepted, in_flight_gauge(&registry)),
+            (1, Some(1))
+        );
+        // Shard 0 counts, as the first owner; actor a1's migration
+        // segment is cut between shards 1 and 2.
+        let held = held(&pool);
+        let actors: Vec<Vec<&str>> = held
+            .iter()
+            .map(|rho| rho.iter().map(|c| c.actor().as_str()).collect())
+            .collect();
+        assert_eq!(
+            actors,
+            vec![
+                vec!["wide-a0"],
+                vec!["wide-a1"],
+                vec!["wide-a1"],
+                vec!["wide-a2"]
+            ]
+        );
+        let snap = registry.snapshot();
+        let live: Vec<Option<i64>> = (0..4)
+            .map(|s| snap.gauge(&format!("server.shard.commitments{{shard={s}}}")))
+            .collect();
+        assert_eq!(live, vec![Some(1); 4]);
+    }
+
+    #[test]
+    fn an_owner_with_nothing_to_hold_records_the_name_only() {
+        let (home, other) = (location_on(0, 2), location_on(1, 2));
+        let theta = theta_at(&[&home, &other], 4, 16);
+        let (pool, registry) = pool_over(&theta, 2);
+        let (epochs, _) = pool.cluster_state(None).unwrap();
+        let prepared = prepare_fresh(&pool, &request_at("here", &other, 1, 16));
+        assert!(
+            matches!(prepared, Response::Prepared { .. }),
+            "{prepared:?}"
+        );
+        assert_eq!(
+            pool.cluster_state(None).unwrap().0,
+            vec![epochs[0], epochs[1] + 1],
+            "only the owner's epoch moves"
+        );
+        assert_eq!(
+            held(&pool).iter().map(Vec::len).collect::<Vec<_>>(),
+            vec![0, 1]
+        );
+        let snap = registry.snapshot();
+        assert_eq!(snap.gauge("server.shard.reservations{shard=0}"), Some(1));
+        // An actor-less admit on shard 0 sits in its in-flight table
+        // under the empty key; aborting the name-only hold must not
+        // release it.
+        let idle = AdmissionRequest::price(
+            DistributedComputation::new("idle", vec![], TimePoint::ZERO, TimePoint::new(16))
+                .unwrap(),
+            &TableCostModel::paper(),
+            Granularity::MaximalRun,
+        );
+        let verdict = pool.admit(idle).into_response();
+        assert!(
+            matches!(verdict, Response::Decision { accepted: true, .. }),
+            "{verdict:?}"
+        );
+        assert!(pool.abort("here"));
+        assert_eq!(pool.cluster_state(None).unwrap().1, theta);
+        assert_eq!(stats_of(&pool).accepted, 1, "the actor-less admit stays");
+        assert_eq!(pool.locked(0, |state| state.controller.in_flight()), 1);
+        assert_eq!(in_flight_gauge(&registry), Some(1));
+    }
+
+    /// Ticks every shard's controller to `horizon`, then sums their
+    /// stats.
+    fn run_all_until(pool: &ShardPool, horizon: u64) -> ControllerStats {
+        for index in 0..pool.shards() {
+            pool.locked(index, |state| {
+                state.controller.run_until(TimePoint::new(horizon));
+            });
+        }
+        stats_of(pool)
+    }
+
+    #[test]
+    fn a_committed_accept_completes_once_and_misses_nowhere() {
+        let locations: Vec<String> = (0..4).map(|s| location_on(s, 4)).collect();
+        let theta = theta_at(
+            &locations.iter().map(String::as_str).collect::<Vec<_>>(),
+            4,
+            64,
+        );
+        for (name, request) in [
+            ("here", spanning("here", &[(&locations[0], 2, None)])),
+            (
+                "two",
+                spanning("two", &[(&locations[0], 1, None), (&locations[2], 2, None)]),
+            ),
+            (
+                "moves",
+                spanning("moves", &[(&locations[1], 1, Some(&locations[3]))]),
+            ),
+        ] {
+            let (pool, _) = pool_over(&theta, 4);
+            let prepared = prepare_fresh(&pool, &request);
+            assert!(
+                matches!(prepared, Response::Prepared { .. }),
+                "{prepared:?}"
+            );
+            pool.commit(name).unwrap();
+            let stats = run_all_until(&pool, 65);
+            assert_eq!(
+                (stats.accepted, stats.completed, stats.missed),
+                (1, 1, 0),
+                "{name}: one accept, completed once, missed nowhere"
+            );
+            assert!(held(&pool).iter().all(Vec::is_empty), "{name}");
+        }
+    }
+
+    #[test]
+    fn a_lapsed_owner_still_fails_the_commit() {
+        let (a, b) = (location_on(0, 2), location_on(1, 2));
+        let theta = theta_at(&[&a, &b], 4, 16);
+        let (pool, _) = pool_over(&theta, 2);
+        let request = spanning("both", &[(&a, 1, None), (&b, 1, None)]);
+        let prepared = prepare_fresh(&pool, &request);
+        assert!(
+            matches!(prepared, Response::Prepared { .. }),
+            "{prepared:?}"
+        );
+        assert!(held(&pool).iter().all(|rho| rho.len() == 1));
+        // Shard 1's hold lapses; shard 0's does not.
+        pool.locked(1, |state| {
+            state.reservations.get_mut("both").unwrap().expires_at = Instant::now();
+        });
+        let err = pool.commit("both").unwrap_err();
+        assert!(err.contains("expired or never prepared"), "{err}");
+        assert_eq!(
+            pool.cluster_state(None).unwrap().1,
+            theta,
+            "every shard's supply is back"
+        );
+        assert_eq!(stats_of(&pool).accepted, 0);
+        assert!(held(&pool).iter().all(Vec::is_empty));
+    }
+
+    #[test]
+    fn a_segment_where_the_pool_has_no_supply_is_held_by_no_shard() {
+        // A baseline that reserves nothing may accept demand at a
+        // location nobody supplies; ROTA reserves only supplied units.
+        let (a, b) = (location_on(0, 2), location_on(1, 2));
+        let theta = theta_at(&[&a, &b], 4, 16);
+        let (pool, _) = pool_with(rota_admission::OptimisticPolicy, &theta, 2);
+        let request = spanning("out", &[(&a, 1, None), ("nowhere", 1, None)]);
+        let prepared = prepare_fresh(&pool, &request);
+        assert!(
+            matches!(prepared, Response::Prepared { .. }),
+            "{prepared:?}"
+        );
+        let actors: Vec<Vec<String>> = held(&pool)
+            .iter()
+            .map(|rho| rho.iter().map(|c| c.actor().to_string()).collect())
+            .collect();
+        assert_eq!(actors, vec![vec!["out-a0".to_string()], vec![]]);
+        pool.commit("out").unwrap();
+        let stats = run_all_until(&pool, 17);
+        assert_eq!((stats.accepted, stats.completed, stats.missed), (1, 1, 0));
+    }
+
+    /// One 2PC admission for the held-once property: an actor per
+    /// `(origin, evaluations, migration target)` index into the
+    /// locations, and what happens after every participant prepared.
+    #[derive(Debug, Clone)]
+    struct Admission {
+        actors: Vec<(usize, usize, Option<usize>)>,
+        fate: Fate,
+    }
+
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Fate {
+        Commit,
+        Abort,
+        Hold,
+    }
+
+    fn admission() -> impl Strategy<Value = Admission> {
+        // A third of the actors migrate.
+        let actor = (0usize..6, 0usize..3, 0usize..9)
+            .prop_map(|(origin, evals, target)| (origin, evals, (target < 6).then_some(target)));
+        (
+            proptest::collection::vec(actor, 1..4),
+            prop_oneof![Just(Fate::Commit), Just(Fate::Abort), Just(Fate::Hold)],
+        )
+            .prop_map(|(actors, fate)| Admission { actors, fate })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+        /// Random spanning requests run through prepare, commit and
+        /// abort on one pool, or on three pools that each own every
+        /// third location — the nodes of a cluster, each prepared by
+        /// the coordinator with the same verdict. Every decided
+        /// reserved unit is held by exactly one shard of one pool, each
+        /// shard holds only its own located types, the live ρ entries
+        /// are the non-empty projections, and each participant counts
+        /// each live accept once.
+        #[test]
+        fn each_decided_unit_is_held_once(
+            shards in prop_oneof![Just(1usize), Just(2), Just(4)],
+            nodes in prop_oneof![Just(1usize), Just(3)],
+            admissions in proptest::collection::vec(admission(), 1..10),
+        ) {
+            let locations: Vec<String> = (0..6).map(|i| format!("l{i}")).collect();
+            let node_of = |location: &Location| {
+                locations.iter().position(|l| l == location.name()).unwrap() % nodes
+            };
+            let theta = theta_at(&locations.iter().map(String::as_str).collect::<Vec<_>>(), 6, 64);
+            let pools: Vec<(ShardPool, Arc<Registry>)> = (0..nodes)
+                .map(|node| {
+                    let slice = theta.restrict(|lt| node_of(lt.locations()[0]) == node);
+                    pool_over(&slice, shards)
+                })
+                .collect();
+            // Each live accept's commitments and participant nodes.
+            let mut live: Vec<(Vec<Commitment>, Vec<usize>)> = Vec::new();
+            for (k, admission) in admissions.iter().enumerate() {
+                let name = format!("r{k}");
+                let actors: Vec<(&str, usize, Option<&str>)> = admission
+                    .actors
+                    .iter()
+                    .map(|&(origin, evals, target)| {
+                        (locations[origin].as_str(), evals, target.map(|t| locations[t].as_str()))
+                    })
+                    .collect();
+                let request = spanning(&name, &actors);
+                let mut participants: Vec<usize> = request
+                    .requirement()
+                    .total_demand()
+                    .located_types()
+                    .map(|lt| node_of(lt.locations()[0]))
+                    .collect();
+                participants.sort_unstable();
+                participants.dedup();
+                let mut basis = ResourceSet::new();
+                let mut epochs = Vec::new();
+                for (pool, _) in &pools {
+                    let (e, theta) = pool.cluster_state(None).unwrap();
+                    basis = basis.union(&theta).unwrap();
+                    epochs.push(e);
+                }
+                let verdict = pools[0].0.decide(&request, &basis);
+                let Decision::Accept(decided) = &verdict else {
+                    continue;
+                };
+                for &node in &participants {
+                    let answer = pools[node].0.prepare(
+                        &request, &verdict, &epochs[node], Duration::from_secs(60),
+                    );
+                    prop_assert!(matches!(answer, Response::Prepared { .. }), "{:?}", answer);
+                }
+                match admission.fate {
+                    Fate::Commit => {
+                        for &node in &participants {
+                            pools[node].0.commit(&name).unwrap();
+                        }
+                    }
+                    Fate::Abort => {
+                        for &node in &participants {
+                            prop_assert!(pools[node].0.abort(&name));
+                        }
+                        continue;
+                    }
+                    Fate::Hold => {}
+                }
+                live.push((decided.clone(), participants));
+            }
+            let mut decided_units = ResourceSet::new();
+            for (commitments, _) in &live {
+                for c in commitments {
+                    decided_units.add_set(&c.pending_reservation().unwrap()).unwrap();
+                }
+            }
+            let mut held_units = ResourceSet::new();
+            for (node, (pool, registry)) in pools.iter().enumerate() {
+                let mut entries = 0;
+                for (shard, rho) in held(pool).iter().enumerate() {
+                    entries += rho.len();
+                    for c in rho {
+                        for lt in c.remaining_demand().located_types() {
+                            let location = lt.locations()[0];
+                            prop_assert_eq!(
+                                (node_of(location), shard_of(location, shards)),
+                                (node, shard),
+                                "{} holds {}", c.actor(), lt
+                            );
+                        }
+                        held_units.add_set(&c.pending_reservation().unwrap()).unwrap();
+                    }
+                }
+                // One ρ entry per actor and shard of this node its
+                // demand touches.
+                let projections: usize = live
+                    .iter()
+                    .flat_map(|(commitments, _)| commitments)
+                    .map(|c| {
+                        let mut owners: Vec<usize> = c
+                            .remaining_demand()
+                            .located_types()
+                            .map(|lt| lt.locations()[0])
+                            .filter(|l| node_of(l) == node)
+                            .map(|l| shard_of(l, shards))
+                            .collect();
+                        owners.sort_unstable();
+                        owners.dedup();
+                        owners.len()
+                    })
+                    .sum();
+                prop_assert_eq!(entries, projections, "node {}", node);
+                let accepts = live.iter().filter(|(_, p)| p.contains(&node)).count();
+                prop_assert_eq!(stats_of(pool).accepted, accepts as u64, "node {}", node);
+                prop_assert_eq!(in_flight_gauge(registry), Some(accepts as i64));
+            }
+            prop_assert_eq!(held_units, decided_units);
+        }
     }
 
     /// One call on a 2-shard pool, for the epoch property. Names are

@@ -204,6 +204,39 @@ fn malformed_frames_get_error_and_connection_survives() {
 }
 
 #[test]
+fn a_deeply_nested_frame_is_refused_and_the_server_lives_on() {
+    let server = Server::spawn(
+        ServerConfig::ephemeral(),
+        RotaPolicy,
+        &base_resources(&chain_workload()),
+    )
+    .expect("spawn server");
+    let (mut stream, mut reader) = connect(server.local_addr());
+    // 200 KB, under the frame cap: the resource list goes through the
+    // tree parser, whose recursion the nesting bound stops.
+    let depth = 100_000;
+    let flood = format!(
+        "{{\"op\":\"offer\",\"resources\":{}{}}}",
+        "[".repeat(depth),
+        "]".repeat(depth)
+    );
+    let response = roundtrip(&mut stream, &mut reader, &flood);
+    assert_eq!(
+        response.get("op").and_then(Json::as_str),
+        Some("error"),
+        "{response}"
+    );
+    let message = response.get("error").and_then(Json::as_str).unwrap();
+    assert!(
+        message.contains("nesting deeper than 128 levels"),
+        "{message}"
+    );
+    let pong = roundtrip(&mut stream, &mut reader, "{\"op\":\"ping\"}");
+    assert_eq!(pong.get("op").and_then(Json::as_str), Some("pong"));
+    server.shutdown();
+}
+
+#[test]
 fn oversized_frames_are_refused_at_the_limit() {
     let config = ServerConfig {
         max_frame_bytes: 1024,

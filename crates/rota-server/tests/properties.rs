@@ -637,12 +637,28 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(2_000))]
 
     /// The writer writes the tree encoder's bytes, and the reader reads
-    /// them back to the value written.
+    /// them back to the value written. So does each resource term's
+    /// writer, for terms at any location name.
     #[test]
     fn text_codec_writes_the_tree_bytes_and_reads_them_back(
         request in arb_any_request(),
         response in arb_any_response(),
+        term in arb_resource_spec(),
+        here in arb_string(),
+        there in arb_string(),
     ) {
+        let renamed = ResourceSpec {
+            located: match term.located.clone() {
+                LocatedType::Link { .. } => LocatedType::network(Location::new(&here), Location::new(&there)),
+                LocatedType::Node { kind, .. } => LocatedType::Node { kind, location: Location::new(&here) },
+            },
+            ..term.clone()
+        };
+        for term in [term, renamed] {
+            let mut line = String::new();
+            term.write_json(&mut line);
+            prop_assert_eq!(line, term.to_json().to_string());
+        }
         let mut line = String::new();
         request.write_json(&mut line);
         prop_assert_eq!(&line, &request.to_json().to_string());
