@@ -3,6 +3,7 @@
 
 use core::fmt;
 use std::collections::HashMap;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use rota_actor::ActorName;
 use rota_interval::TimePoint;
@@ -121,11 +122,94 @@ pub struct AdmissionController<P> {
 #[derive(Debug, Clone)]
 struct InFlight {
     deadline: TimePoint,
-    /// How many counted requests have exactly these actors: one, except
-    /// for requests without actors (ρ keeps actor names unique), and
-    /// zero for a share of a computation another controller counts
-    /// ([`AdmissionController::install_share`]).
+    /// How many accepts this entry carries: one per request with
+    /// exactly these actors (ρ keeps actor names unique, so more than
+    /// one only for requests without actors), and zero for a share
+    /// whose accept another share carries.
     counted: usize,
+    /// For a share ([`AdmissionController::install_share`]), what it
+    /// counts in common with the computation's other shares.
+    tally: Option<Arc<Tally>>,
+}
+
+impl InFlight {
+    /// What this entry's completion or miss adds to its counter: its own
+    /// accepts, or for a share whatever `shared` says its tally counts.
+    fn resolves(&self, shared: fn(&Tally) -> bool) -> u64 {
+        match &self.tally {
+            Some(tally) => u64::from(shared(tally)),
+            None => self.counted as u64,
+        }
+    }
+}
+
+/// What the shares of one computation, installed on several
+/// controllers ([`AdmissionController::install_share`]), count in
+/// common, so that the computation is counted once between them: the
+/// first share installed counts it `accepted`; it has `completed` when
+/// every share has, counted by the last; it has `missed` when any
+/// share misses, counted by the first to miss. Withdrawing a share ends
+/// the count, and the withdrawal of the share that counted the accept
+/// rolls it back unless the computation already completed or missed.
+///
+/// Every share is installed before any of them is run.
+#[derive(Debug, Default)]
+pub struct Tally(Mutex<TallyState>);
+
+#[derive(Debug, Default)]
+struct TallyState {
+    /// Whether a share was installed.
+    joined: bool,
+    /// Shares installed and not yet resolved.
+    open: usize,
+    /// Whether a completion or a miss was counted.
+    resolved: bool,
+    /// Whether a share was withdrawn.
+    left: bool,
+}
+
+impl Tally {
+    fn state(&self) -> std::sync::MutexGuard<'_, TallyState> {
+        // Every update below is one step that cannot panic halfway.
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// A share was installed: `true` for the first, which counts the
+    /// accept.
+    fn join(&self) -> bool {
+        let mut state = self.state();
+        state.open += 1;
+        !std::mem::replace(&mut state.joined, true)
+    }
+
+    /// A share completed: `true` for the last, when no share missed or
+    /// was withdrawn.
+    fn complete(&self) -> bool {
+        let mut state = self.state();
+        state.open -= 1;
+        let counts = state.open == 0 && !state.resolved && !state.left;
+        state.resolved |= counts;
+        counts
+    }
+
+    /// A share missed: `true` for the first to miss, when no share was
+    /// withdrawn.
+    fn miss(&self) -> bool {
+        let mut state = self.state();
+        state.open -= 1;
+        let counts = !state.resolved && !state.left;
+        state.resolved |= counts;
+        counts
+    }
+
+    /// A share was withdrawn: `true` unless the computation already
+    /// completed or missed.
+    fn leave(&self) -> bool {
+        let mut state = self.state();
+        state.open -= 1;
+        state.left = true;
+        !state.resolved
+    }
 }
 
 impl<P: AdmissionPolicy> AdmissionController<P> {
@@ -266,14 +350,14 @@ impl<P: AdmissionPolicy> AdmissionController<P> {
         commitments: Vec<Commitment>,
         deadline: TimePoint,
     ) -> Result<(), TransitionError> {
-        self.install_as(commitments, deadline, true)
+        self.install_as(commitments, deadline, None)
     }
 
-    /// Installs one owner's share of a computation that another
-    /// controller counts: like [`install`](Self::install), but neither
-    /// `accepted`, `completed` nor the in-flight gauge counts it. Only
-    /// a miss does, since the owner whose share missed is the one that
-    /// knows it. Withdrawing the share rolls back nothing.
+    /// Installs one owner's share of a computation whose commitments are
+    /// split over several controllers: like [`install`](Self::install),
+    /// but `accepted`, `completed`, `missed` and the in-flight gauge
+    /// count the computation once between the shares that hold `tally`
+    /// (see [`Tally`]).
     ///
     /// # Errors
     ///
@@ -282,15 +366,16 @@ impl<P: AdmissionPolicy> AdmissionController<P> {
         &mut self,
         commitments: Vec<Commitment>,
         deadline: TimePoint,
+        tally: &Arc<Tally>,
     ) -> Result<(), TransitionError> {
-        self.install_as(commitments, deadline, false)
+        self.install_as(commitments, deadline, Some(tally))
     }
 
     fn install_as(
         &mut self,
         commitments: Vec<Commitment>,
         deadline: TimePoint,
-        counted: bool,
+        tally: Option<&Arc<Tally>>,
     ) -> Result<(), TransitionError> {
         let mut installed: Vec<ActorName> = Vec::with_capacity(commitments.len());
         for c in commitments {
@@ -305,9 +390,11 @@ impl<P: AdmissionPolicy> AdmissionController<P> {
                 }
             }
         }
+        let counted = tally.is_none_or(|tally| tally.join());
         let entry = self.in_flight.entry(installed).or_insert(InFlight {
             deadline,
             counted: 0,
+            tally: tally.cloned(),
         });
         if counted {
             entry.counted += 1;
@@ -328,22 +415,25 @@ impl<P: AdmissionPolicy> AdmissionController<P> {
     /// accounting trace. Finding it costs O(actors), not a scan of the
     /// in-flight requests.
     pub fn withdraw(&mut self, actors: &[ActorName]) -> bool {
-        let Some(counted) = self.release_in_flight(actors) else {
+        let Some(open_accept) = self.release_in_flight(actors) else {
             return false;
         };
         for actor in actors {
             self.state.evict(actor);
         }
-        if counted {
+        if open_accept {
             self.stats.accepted = self.stats.accepted.saturating_sub(1);
         }
         true
     }
 
     /// Drops one in-flight request with exactly `actors`, if there is
-    /// one, and says whether it was counted.
+    /// one, and says whether it carried an accept that is still open:
+    /// a plain entry's always is, a share's is unless its computation
+    /// already completed or missed ([`Tally`]).
     fn release_in_flight(&mut self, actors: &[ActorName]) -> Option<bool> {
         let entry = self.in_flight.remove(actors)?;
+        let open = entry.tally.as_ref().is_none_or(|tally| tally.leave());
         if entry.counted > 1 {
             self.in_flight.insert(
                 actors.to_vec(),
@@ -357,7 +447,7 @@ impl<P: AdmissionPolicy> AdmissionController<P> {
         if let (true, Some(obs)) = (counted, &self.obs) {
             obs.add_in_flight(-1);
         }
-        Some(counted)
+        Some(counted && open)
     }
 
     /// Packages a verdict as a journal event: accepted requests record
@@ -426,19 +516,19 @@ impl<P: AdmissionPolicy> AdmissionController<P> {
     /// Resolves in-flight accounting: completions (actor no longer in ρ)
     /// and misses (deadline reached with the commitment still pending;
     /// the dead commitment is evicted so it stops consuming resources).
-    /// An uncounted share counts its miss, not its completion.
+    /// A share's completion and miss count as its [`Tally`] says.
     fn settle(&mut self) {
         let now = self.state.now();
         let (state, stats) = (&mut self.state, &mut self.stats);
         let mut resolved = 0;
         self.in_flight.retain(|actors, entry| {
             if actors.iter().all(|a| state.rho().get(a).is_none()) {
-                stats.completed += entry.counted as u64;
+                stats.completed += entry.resolves(Tally::complete);
             } else if now >= entry.deadline {
                 for a in actors {
                     state.evict(a);
                 }
-                stats.missed += entry.counted.max(1) as u64;
+                stats.missed += entry.resolves(Tally::miss);
             } else {
                 return true;
             }
@@ -728,33 +818,10 @@ mod tests {
         assert_eq!((ctl.stats().completed, ctl.stats().missed), (5, 0));
     }
 
-    #[test]
-    fn a_share_counts_its_miss_and_nothing_else() {
-        let registry = rota_obs::Registry::new();
-        let mut ctl = AdmissionController::new(RotaPolicy, cpu_theta(4, 0, 8), TimePoint::ZERO)
-            .with_obs(AdmissionObs::new(&registry, "rota"));
-        let gauge = || {
-            registry
-                .snapshot()
-                .gauge("admission.in_flight{policy=rota}")
-        };
-        let Decision::Accept(fits) = ctl.decide(&request("fits", 2, 0, 8)) else {
-            panic!("the job fits");
-        };
-        let actors = vec![ActorName::new("fits-actor")];
-        ctl.install_share(fits.clone(), TimePoint::new(8)).unwrap();
-        assert_eq!(
-            (ctl.stats().accepted, ctl.in_flight(), gauge()),
-            (0, 0, Some(0))
-        );
-        assert!(ctl.withdraw(&actors), "the share is withdrawn");
-        assert_eq!(ctl.stats().accepted, 0, "and nothing is rolled back");
-        assert!(ctl.state().rho().is_empty());
-        // A share that completes counts nothing; one that no supply
-        // fuels counts its miss.
-        ctl.install_share(fits, TimePoint::new(8)).unwrap();
-        let starved = Commitment::opportunistic(
-            ActorName::new("starved"),
+    /// A share that no supply fuels: it misses its deadline at 8.
+    fn starved(name: &str) -> Vec<Commitment> {
+        vec![Commitment::opportunistic(
+            ActorName::new(name),
             [rota_actor::SimpleRequirement::new(
                 rota_actor::ResourceDemand::single(
                     LocatedType::cpu(Location::new("l9")),
@@ -762,13 +829,112 @@ mod tests {
                 ),
                 iv(0, 4),
             )],
-            TimePoint::new(4),
+            TimePoint::new(8),
+        )]
+    }
+
+    #[test]
+    fn shares_count_their_computation_once() {
+        let registry = rota_obs::Registry::new();
+        let gauge = || {
+            registry
+                .snapshot()
+                .gauge("admission.in_flight{policy=rota}")
+        };
+        let deadline = TimePoint::new(8);
+        // Two controllers each hold one share, which completes (`true`)
+        // or misses; the computation completes only if both do, and
+        // misses once however many shares miss.
+        for (first, second, expected) in [
+            (true, true, (1, 0)),
+            (true, false, (0, 1)),
+            (false, true, (0, 1)),
+            (false, false, (0, 1)),
+        ] {
+            let mut ctls: Vec<_> = (0..2)
+                .map(|_| {
+                    AdmissionController::new(RotaPolicy, cpu_theta(4, 0, 8), TimePoint::ZERO)
+                        .with_obs(AdmissionObs::new(&registry, "rota"))
+                })
+                .collect();
+            let tally = Arc::new(Tally::default());
+            for (i, (ctl, completes)) in ctls.iter_mut().zip([first, second]).enumerate() {
+                let share = if completes {
+                    let Decision::Accept(fits) = ctl.decide(&request(&format!("s{i}"), 2, 0, 8))
+                    else {
+                        panic!("the share fits");
+                    };
+                    fits
+                } else {
+                    starved(&format!("s{i}"))
+                };
+                ctl.install_share(share, deadline, &tally).unwrap();
+            }
+            let accepted: Vec<u64> = ctls.iter().map(|ctl| ctl.stats().accepted).collect();
+            assert_eq!(accepted, vec![1, 0], "the first share counts the accept");
+            assert_eq!(gauge(), Some(1));
+            let mut total = (0, 0);
+            for ctl in &mut ctls {
+                ctl.run_until(deadline);
+                total.0 += ctl.stats().completed;
+                total.1 += ctl.stats().missed;
+            }
+            assert_eq!(total, expected, "shares complete {first} and {second}");
+            assert_eq!(gauge(), Some(0));
+        }
+    }
+
+    #[test]
+    fn a_withdrawn_share_ends_its_computation() {
+        let registry = rota_obs::Registry::new();
+        let mut ctls: Vec<_> = (0..2)
+            .map(|_| {
+                AdmissionController::new(RotaPolicy, cpu_theta(4, 0, 8), TimePoint::ZERO)
+                    .with_obs(AdmissionObs::new(&registry, "rota"))
+            })
+            .collect();
+        let deadline = TimePoint::new(8);
+        let accepted = |ctls: &[AdmissionController<RotaPolicy>]| -> u64 {
+            ctls.iter().map(|ctl| ctl.stats().accepted).sum()
+        };
+        // Withdrawn before anything resolved, the later share first (an
+        // expiry may reach it first): the accept is rolled back once.
+        let tally = Arc::new(Tally::default());
+        for (i, ctl) in ctls.iter_mut().enumerate() {
+            ctl.install_share(starved(&format!("a{i}")), deadline, &tally)
+                .unwrap();
+        }
+        assert!(ctls[1].withdraw(&[ActorName::new("a1")]));
+        assert_eq!(accepted(&ctls), 1);
+        assert!(ctls[0].withdraw(&[ActorName::new("a0")]));
+        assert_eq!(accepted(&ctls), 0);
+        assert_eq!(
+            registry
+                .snapshot()
+                .gauge("admission.in_flight{policy=rota}"),
+            Some(0)
         );
-        ctl.install_share(vec![starved], TimePoint::new(4)).unwrap();
-        ctl.run_until(TimePoint::new(8));
-        let stats = ctl.stats();
-        assert_eq!((stats.accepted, stats.completed, stats.missed), (0, 0, 1));
-        assert_eq!(gauge(), Some(0));
+        // Withdrawn after another share missed: the miss stands, and so
+        // does the accept.
+        let tally = Arc::new(Tally::default());
+        let Decision::Accept(fits) = ctls[0].decide(&request("b0", 2, 0, 8)) else {
+            panic!("the share fits");
+        };
+        ctls[0].install_share(fits, deadline, &tally).unwrap();
+        ctls[1]
+            .install_share(starved("b1"), deadline, &tally)
+            .unwrap();
+        ctls[1].run_until(deadline);
+        assert!(ctls[0].withdraw(&[ActorName::new("b0-actor")]));
+        ctls[0].run_until(deadline);
+        let stats: Vec<(u64, u64, u64)> = ctls
+            .iter()
+            .map(|ctl| {
+                let s = ctl.stats();
+                (s.accepted, s.completed, s.missed)
+            })
+            .collect();
+        assert_eq!(stats, vec![(1, 0, 0), (0, 0, 1)]);
     }
 
     #[test]

@@ -66,13 +66,13 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError, RwLock};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use rota_actor::ActorName;
 use rota_admission::{
     AdmissionController, AdmissionObs, AdmissionPolicy, AdmissionRequest, ControllerStats,
-    Decision, RejectReason, SharedPolicy,
+    Decision, RejectReason, SharedPolicy, Tally,
 };
 use rota_analyze::{prevalidate_request, Report as LintReport, Severity as LintSeverity};
 use rota_interval::TimePoint;
@@ -290,9 +290,6 @@ pub(crate) struct ShardPool {
     /// answered `overloaded`.
     queue_capacity: usize,
     faults: Option<Arc<FaultInjector>>,
-    /// The locations of the supply the pool was built with or offered:
-    /// the pool owns these, each at its [`shard_of`] shard.
-    supplied: RwLock<HashSet<Location>>,
 }
 
 /// One shard: its lock, plus what is needed outside it.
@@ -357,7 +354,6 @@ impl ShardPool {
             shards,
             queue_capacity: queue_capacity.max(1),
             faults,
-            supplied: RwLock::new(locations_of(theta).collect()),
         }
     }
 
@@ -366,10 +362,9 @@ impl ShardPool {
     }
 
     /// Runs `f` on shard `index` under its lock, after withdrawing the
-    /// shard's lapsed reservations, then publishes the shard's live
-    /// commitment count. A poisoned lock means a write panicked halfway
-    /// through a mutation, so the state behind it may be torn: no
-    /// answer may be built from it, and the process aborts.
+    /// shard's lapsed reservations. A poisoned lock means a write
+    /// panicked halfway through a mutation, so the state behind it may
+    /// be torn: no answer may be built from it, and the process aborts.
     fn locked<R>(&self, index: usize, f: impl FnOnce(&mut ShardState) -> R) -> R {
         let shard = &self.shards[index];
         shard.obs.queue_depth.add(1);
@@ -379,10 +374,7 @@ impl ShardPool {
         });
         shard.obs.queue_depth.add(-1);
         state.sweep_expired();
-        let result = f(&mut state);
-        let live = state.controller.state().rho().len();
-        shard.obs.commitments.set(live as i64);
-        result
+        f(&mut state)
     }
 
     /// Routes one admission request and decides it under its shard's
@@ -420,15 +412,10 @@ impl ShardPool {
                 continue;
             }
             let terms = slice.term_count() as u64;
-            let locations: Vec<Location> = locations_of(&slice).collect();
             match self.locked(index, |state| state.offer(slice)) {
                 Ok(()) => installed += terms,
                 Err(message) => return Response::Error { message },
             }
-            self.supplied
-                .write()
-                .unwrap_or_else(PoisonError::into_inner)
-                .extend(locations);
         }
         Response::Offered { terms: installed }
     }
@@ -501,7 +488,8 @@ impl ShardPool {
     /// Phase one of two-phase commit for a `verdict` already decided
     /// on the merged basis ([`ShardPool::decide`]): on accept, every
     /// shard holds the name with a TTL and installs its share of the
-    /// commitments ([`ShardPool::shares`]). All shards must hold the
+    /// commitments ([`ShardState::share`]), all the shares counting the
+    /// computation once through one [`Tally`]. All shards must hold the
     /// name for the prepare to stand; on a rejection, stale epoch or
     /// error the partial holds are aborted and the first failing
     /// shard's answer is returned.
@@ -522,50 +510,16 @@ impl ShardPool {
             };
         }
         let name = request.name().to_string();
-        let shares = self.shares(verdict);
-        for ((index, &expected), share) in epochs.iter().enumerate().zip(shares) {
+        let tally = Arc::new(Tally::default());
+        for (index, &expected) in epochs.iter().enumerate() {
             if let Some(failure) = self.locked(index, |state| {
-                state.prepare(request, verdict, share, expected, ttl)
+                state.prepare(request, verdict, &tally, expected, ttl)
             }) {
                 self.abort(&name);
                 return failure;
             }
         }
         Response::Prepared { name }
-    }
-
-    /// Each shard's share of an accept's commitments: the projection of
-    /// every commitment onto the located types the shard owns (a type
-    /// belongs to the shard of its first location, when the pool holds
-    /// supply there). A segment at a location the pool holds no supply
-    /// for is held by no shard. The first shard with a non-empty share,
-    /// or shard 0 when every share is empty, carries the computation's
-    /// accounting; the others install theirs uncounted. A reject has no
-    /// shares.
-    fn shares(&self, verdict: &Decision) -> Vec<Share> {
-        let mut shares: Vec<Share> = (0..self.shards()).map(|_| Share::default()).collect();
-        let Decision::Accept(commitments) = verdict else {
-            return shares;
-        };
-        let supplied = self.supplied.read().unwrap_or_else(PoisonError::into_inner);
-        let owner = |located: &LocatedType| {
-            let location = located.locations()[0];
-            supplied
-                .contains(location)
-                .then(|| shard_of(location, self.shards()))
-        };
-        for (index, share) in shares.iter_mut().enumerate() {
-            share.commitments = commitments
-                .iter()
-                .filter_map(|c| c.project(|located| owner(located) == Some(index)))
-                .collect();
-        }
-        let first = shares
-            .iter()
-            .position(|share| !share.commitments.is_empty())
-            .unwrap_or(0);
-        shares[first].counted = true;
-        shares
     }
 
     /// Phase two: makes the named reservation permanent on every shard.
@@ -604,23 +558,6 @@ pub(crate) const DEDUP_CAPACITY: usize = 1024;
 /// re-commit/compensation for that name, never the installed
 /// commitment itself.
 const COMMITTED_CAPACITY: usize = 1024;
-
-/// The locations of `theta`'s terms, each keyed (like
-/// [`split_by_shard`]) by its first location.
-fn locations_of(theta: &ResourceSet) -> impl Iterator<Item = Location> + '_ {
-    theta
-        .located_types()
-        .map(|located| located.locations()[0].clone())
-}
-
-/// One shard's part of a prepared accept ([`ShardPool::shares`]).
-#[derive(Default)]
-struct Share {
-    commitments: Vec<Commitment>,
-    /// Whether this shard counts the computation's `accepted` and
-    /// `completed`.
-    counted: bool,
-}
 
 /// A 2PC hold on one shard: the actor names its install put in the
 /// controller, to withdraw on abort or expiry (`None` when the shard
@@ -683,8 +620,16 @@ impl ShardState {
     fn release(&mut self, actors: Option<Vec<ActorName>>) {
         if let Some(actors) = actors {
             self.controller.withdraw(&actors);
-            self.epoch += 1;
+            self.changed();
         }
+    }
+
+    /// Marks a mutation: bumps the epoch and publishes the live
+    /// commitment count.
+    fn changed(&mut self) {
+        self.epoch += 1;
+        let live = self.controller.state().rho().len();
+        self.obs.commitments.set(live as i64);
     }
 
     /// Records a committed name (bounded), for idempotent re-commits
@@ -743,7 +688,7 @@ impl ShardState {
             Ok(decision) => {
                 let decision = self.controller.enact(request, decision);
                 if matches!(decision, Decision::Accept(_)) {
-                    self.epoch += 1;
+                    self.changed();
                 }
                 self.obs
                     .request_ns
@@ -787,20 +732,20 @@ impl ShardState {
         self.controller
             .offer_resources(theta)
             .map_err(|e| e.to_string())?;
-        self.epoch += 1;
+        self.changed();
         Ok(())
     }
 
     /// This shard's part of a prepare whose `verdict` the pool already
     /// decided: `None` once the shard holds the name, otherwise the
-    /// answer that fails the prepare. A shard installs its `share` of
-    /// an accept and bumps its epoch; an uncounted empty share records
-    /// the name only.
+    /// answer that fails the prepare. A shard installs its share of an
+    /// accept ([`Self::share`]), counted through `tally`, and bumps its
+    /// epoch; a shard whose share is empty records the name only.
     fn prepare(
         &mut self,
         request: &AdmissionRequest,
         verdict: &Decision,
-        share: Share,
+        tally: &Arc<Tally>,
         expected_epoch: u64,
         ttl: Duration,
     ) -> Option<Response> {
@@ -823,22 +768,18 @@ impl ShardState {
                 expected: expected_epoch,
             });
         }
-        if !verdict.is_accept() {
+        let Decision::Accept(commitments) = verdict else {
             return Some(decision_response(request, verdict, self.shard));
-        }
-        let Share {
-            commitments,
-            counted,
-        } = share;
-        let actors = if counted || !commitments.is_empty() {
-            let actors = commitments.iter().map(|c| c.actor().clone()).collect();
-            let installed = if counted {
-                self.controller.install(commitments, request.deadline())
-            } else {
-                self.controller
-                    .install_share(commitments, request.deadline())
-            };
-            if let Err(err) = installed {
+        };
+        let share = self.share(commitments);
+        let actors = if share.is_empty() {
+            None
+        } else {
+            let actors = share.iter().map(|c| c.actor().clone()).collect();
+            if let Err(err) = self
+                .controller
+                .install_share(share, request.deadline(), tally)
+            {
                 return Some(Response::Error {
                     message: format!(
                         "shard {}: prepared commitments not installable: {err}",
@@ -846,10 +787,8 @@ impl ShardState {
                     ),
                 });
             }
-            self.epoch += 1;
+            self.changed();
             Some(actors)
-        } else {
-            None
         };
         self.reservations.insert(
             name.to_string(),
@@ -861,6 +800,25 @@ impl ShardState {
         self.obs.twopc_prepared.inc();
         self.obs.reservations.set(self.reservations.len() as i64);
         None
+    }
+
+    /// This shard's share of an accept: every commitment projected onto
+    /// the located types it owns, those whose first location is the
+    /// first location of some supply the shard was given (its Θ, which
+    /// [`split_by_shard`] cut by that rule). A segment at a location no
+    /// shard was given supply for is held by none.
+    fn share(&self, commitments: &[Commitment]) -> Vec<Commitment> {
+        let owned: HashSet<&Location> = self
+            .controller
+            .state()
+            .theta()
+            .located_types()
+            .map(|located| located.locations()[0])
+            .collect();
+        commitments
+            .iter()
+            .filter_map(|c| c.project(|located| owned.contains(located.locations()[0])))
+            .collect()
     }
 
     fn commit(&mut self, name: &str) -> Result<(), String> {
@@ -2311,6 +2269,95 @@ mod tests {
         pool.commit("out").unwrap();
         let stats = run_all_until(&pool, 17);
         assert_eq!((stats.accepted, stats.completed, stats.missed), (1, 1, 0));
+    }
+
+    #[test]
+    fn a_computation_misses_once_when_any_owner_misses() {
+        // A baseline reserves nothing, so a share may miss. Location
+        // `a` on shard 0 has room; `b` on shard 1 and `c` on shard 0
+        // have two units each for their actors' demand.
+        let (a, b) = (location_on(0, 2), location_on(1, 2));
+        let c = (0..64)
+            .map(|i| format!("l{i}"))
+            .filter(|l| shard_of(&Location::new(l), 2) == 0)
+            .nth(1)
+            .unwrap();
+        let theta = theta_at(&[&a], 4, 64)
+            .union(&theta_at(&[&b, &c], 1, 2))
+            .unwrap();
+        for (name, actors) in [
+            ("one", [(a.as_str(), 1, None), (b.as_str(), 2, None)]),
+            ("both", [(c.as_str(), 2, None), (b.as_str(), 2, None)]),
+        ] {
+            let (pool, registry) = pool_with(rota_admission::OptimisticPolicy, &theta, 2);
+            let prepared = prepare_fresh(&pool, &spanning(name, &actors));
+            assert!(
+                matches!(prepared, Response::Prepared { .. }),
+                "{prepared:?}"
+            );
+            pool.commit(name).unwrap();
+            let stats = run_all_until(&pool, 65);
+            assert_eq!(
+                (stats.accepted, stats.completed, stats.missed),
+                (1, 0, 1),
+                "{name}: shard 1's share misses, and so does shard 0's or not"
+            );
+            let gauge = format!(
+                "admission.in_flight{{policy={}}}",
+                rota_admission::OptimisticPolicy.name()
+            );
+            assert_eq!(registry.snapshot().gauge(&gauge), Some(0));
+        }
+    }
+
+    #[test]
+    fn a_prepare_holds_what_an_offer_racing_it_supplied() {
+        // Each round the main thread offers a new location while the
+        // other polls snapshots and prepares a job there as soon as the
+        // supply shows, with the offer perhaps still returning. Whatever
+        // the prepare holds must include the job.
+        let (pool, _) = pool_over(&theta_at(&["l0"], 1, 64), 2);
+        let rounds = 256;
+        let done = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            let preparer = scope.spawn(|| {
+                for round in 0..rounds {
+                    let location = LocatedType::cpu(Location::new(format!("n{round}")));
+                    let name = format!("job{round}");
+                    let request = request_at(&name, location.locations()[0].name(), 1, 64);
+                    let give_up = Instant::now() + Duration::from_secs(10);
+                    loop {
+                        assert!(Instant::now() < give_up, "{location} never showed");
+                        let (epochs, basis) = pool.cluster_state(None).unwrap();
+                        if basis.profile(&location).is_empty() {
+                            std::thread::yield_now();
+                            continue;
+                        }
+                        let verdict = pool.decide(&request, &basis);
+                        match pool.prepare(&request, &verdict, &epochs, Duration::from_secs(60)) {
+                            Response::Prepared { .. } => break,
+                            Response::StaleEpoch { .. } => continue,
+                            other => panic!("{other:?}"),
+                        }
+                    }
+                    let actor = ActorName::new(format!("{name}-a"));
+                    assert!(
+                        held(&pool).iter().flatten().any(|c| *c.actor() == actor),
+                        "{name} prepared but held by no shard"
+                    );
+                    assert!(pool.abort(&name));
+                    done.store(round + 1, Ordering::Release);
+                }
+            });
+            for round in 0..rounds {
+                while done.load(Ordering::Acquire) < round && !preparer.is_finished() {
+                    std::thread::yield_now();
+                }
+                let theta = theta_at(&[&format!("n{round}")], 4, 64);
+                assert!(matches!(pool.offer(theta), Response::Offered { .. }));
+            }
+        });
+        assert_eq!(done.into_inner(), rounds);
     }
 
     /// One 2PC admission for the held-once property: an actor per
