@@ -146,6 +146,140 @@ pub fn segmentation_ablation(seed: u64, action_counts: &[usize]) -> Vec<Ablation
     rows
 }
 
+/// The deterministic exhibits as `figures` prints them and
+/// EXPERIMENTS.md records them, each its `# title` line and its table
+/// (or CSV): E5 and E6 (one load sweep), E8, E9 and E9b (one churn
+/// sweep) and E10, for the `figures` names `wanted` selects.
+pub fn exhibits(wanted: impl Fn(&str) -> bool, csv: bool) -> Vec<String> {
+    let mut out = Vec::new();
+    let [acceptance, misses]: [fn(&PolicyRow) -> f64; 2] =
+        [|r| r.report.acceptance_rate(), |r| r.report.miss_rate()];
+    if wanted("e5") || wanted("e6") {
+        let rows = load_sweep(7, &[20, 40, 60, 80, 100, 120, 140, 160, 180, 200]);
+        for (name, title, metric) in [
+            ("e5", "E5: acceptance rate vs offered load", acceptance),
+            ("e6", "E6: deadline-miss rate vs offered load", misses),
+        ] {
+            if wanted(name) {
+                out.push(policy_figure(title, "load", &rows, csv, metric));
+            }
+        }
+    }
+    if wanted("e8") {
+        let mut text =
+            "# E8: soundness — ROTA misses across seeds × churn (expect 0)\n".to_string();
+        text += &if csv {
+            "seed,churn,accepted,missed\n".to_string()
+        } else {
+            format!(
+                "{:>6} {:>7} {:>9} {:>7}\n",
+                "seed", "churn", "accepted", "missed"
+            )
+        };
+        let mut total_missed = 0;
+        for (seed, churn, accepted, missed) in soundness_table(0..10, &[0.0, 0.05, 0.1, 0.2]) {
+            text += &if csv {
+                format!("{seed},{churn},{accepted},{missed}\n")
+            } else {
+                format!("{seed:>6} {churn:>7.2} {accepted:>9} {missed:>7}\n")
+            };
+            total_missed += missed;
+        }
+        text += &format!(
+            "# total ROTA misses: {total_missed} (assurance holds: {})\n",
+            total_missed == 0
+        );
+        out.push(text);
+    }
+    if wanted("e9") {
+        let rows = churn_sweep(7, &[0, 2, 5, 10, 15, 20]);
+        for (title, metric) in [
+            (
+                "E9: acceptance rate vs churn probability (load 1.0)",
+                acceptance,
+            ),
+            (
+                "E9b: deadline-miss rate vs churn probability (load 1.0)",
+                misses,
+            ),
+        ] {
+            out.push(policy_figure(title, "churn", &rows, csv, metric));
+        }
+    }
+    if wanted("e10") {
+        let mut text = "# E10: segmentation ablation (ROTA policy, chain jobs)\n".to_string();
+        text += &if csv {
+            "actions,granularity,mean_segments,acceptance,miss_rate\n".to_string()
+        } else {
+            format!(
+                "{:>8} {:>12} {:>14} {:>11} {:>9}\n",
+                "actions", "granularity", "mean_segments", "acceptance", "miss"
+            )
+        };
+        for row in segmentation_ablation(7, &[2, 4, 8, 16]) {
+            text += &if csv {
+                format!(
+                    "{},{},{:.2},{:.4},{:.4}\n",
+                    row.actions, row.granularity, row.mean_segments, row.acceptance, row.miss_rate
+                )
+            } else {
+                format!(
+                    "{:>8} {:>12} {:>14.2} {:>10.1}% {:>8.1}%\n",
+                    row.actions,
+                    row.granularity,
+                    row.mean_segments,
+                    row.acceptance * 100.0,
+                    row.miss_rate * 100.0
+                )
+            };
+        }
+        out.push(text);
+    }
+    out
+}
+
+/// One policy-comparison exhibit: a row per swept `x`, a column per
+/// standard policy, each cell `metric` as a percentage (CSV: a ratio).
+fn policy_figure(
+    title: &str,
+    x_name: &str,
+    rows: &[PolicyRow],
+    csv: bool,
+    metric: fn(&PolicyRow) -> f64,
+) -> String {
+    let policies = rota_admission::standard_policies().map(|p| p.policy.name());
+    let mut text = format!("# {title}\n");
+    if csv {
+        text += &format!("{x_name},{}\n", policies.join(","));
+    } else {
+        text += &format!("{x_name:>7}");
+        for p in policies {
+            text += &format!(" {p:>12}");
+        }
+        text += "\n";
+    }
+    let mut xs: Vec<f64> = rows.iter().map(|r| r.x).collect();
+    xs.dedup();
+    for x in xs {
+        let series = policies.iter().map(|p| {
+            rows.iter()
+                .find(|r| r.x == x && r.policy == *p)
+                .map_or(f64::NAN, metric)
+        });
+        if csv {
+            let vals: Vec<String> = series.map(|v| format!("{v:.4}")).collect();
+            text += &format!("{x},{}\n", vals.join(","));
+        } else {
+            text += &format!("{x:>7.2}");
+            for v in series {
+                text += &format!(" {:>11.1}%", v * 100.0);
+            }
+            text += "\n";
+        }
+    }
+    text
+}
+
 /// One row of the E11 encapsulation experiment: admission-decision
 /// latency, global reasoning vs per-org reasoning at equal total load.
 #[derive(Debug, Clone, PartialEq)]

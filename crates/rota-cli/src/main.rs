@@ -52,11 +52,11 @@ use rota_admission::{
     Decision, RotaPolicy, StandardPolicy,
 };
 use rota_analyze::spec::{resource_set, SpecModel};
-use rota_client::{run_loadtest, Client, ClientError, HedgeConfig, LoadtestConfig, RetryConfig};
+use rota_client::{run_loadtest, Client, ClientError, LoadtestConfig};
 use rota_interval::TimePoint;
 use rota_logic::State;
 use rota_obs::{DecisionEvent, Json, Registry};
-use rota_server::{FaultPlan, Server, ServerConfig, ServerHandle};
+use rota_server::{Server, ServerConfig, ServerHandle};
 use rota_sim::{compare_policies, run_scenario_observed, run_scenario_traced_observed};
 use rota_workload::{base_resources, build_scenario, JobShape, WorkloadConfig};
 
@@ -120,8 +120,6 @@ fn print_usage() {
     eprintln!("  rota serve    [--addr HOST:PORT] [--policy rota|naive|optimistic|edf]");
     eprintln!("                [--shards N] [--queue N] [--nodes N] [--horizon T] [--seed N]");
     eprintln!("                [--slack X] [--shape …]");
-    eprintln!("                [--chaos seed=N,latency_ms=N,latency_p=P,truncate_p=P,");
-    eprintln!("                         corrupt_p=P,reset_p=P,panic_nth=N]");
     eprintln!("  rota cluster  [--nodes N | --topology FILE] [--base-port P] [--seed N]");
     eprintln!("                [--horizon T] [--slack X] [--shape …] [--gossip-ms N]");
     eprintln!("                [--shards N] [--queue N] [--duration-ms N]   (N-node");
@@ -132,15 +130,13 @@ fn print_usage() {
     eprintln!("                [--jobs N] [--connections N] [--shape …] [--slack X]");
     eprintln!("                [--granularity …] [--shards N] [--queue N] [--horizon T]");
     eprintln!("                [--seed N] [--addr HOST:PORT] [--cluster N [--gossip-ms N]]");
-    eprintln!("                [--chaos <spec as above>]");
     eprintln!();
     eprintln!("loadtest drives a fresh server per policy, the server at --addr, or");
     eprintln!("a fresh N-node --cluster; connection i starts at node i mod N and");
     eprintln!("moves to the next node if its node stops answering. --seed N also");
     eprintln!("makes the request schedule deterministic (static round-robin");
     eprintln!("partition). Each job gets one attempt, so `overloaded` answers are");
-    eprintln!("tallied; --chaos turns on retries and hedging so injected faults");
-    eprintln!("are ridden out, not tallied.");
+    eprintln!("tallied.");
     eprintln!();
     eprintln!("Every subcommand also accepts --metrics-out <path> to dump its");
     eprintln!("metric snapshot and decision journal as JSON (loadtest: its spawned");
@@ -233,11 +229,7 @@ const WORKLOAD: Flags = &[
     ("--shape", SHAPE),
 ];
 /// [`server_config`]'s flags.
-const SERVER: Flags = &[
-    ("--shards", COUNT),
-    ("--queue", COUNT),
-    ("--chaos", Takes::Value(|v| FaultPlan::parse(v).map(drop))),
-];
+const SERVER: Flags = &[("--shards", COUNT), ("--queue", COUNT)];
 /// [`cluster_config`]'s flags.
 const CLUSTER: Flags = &[
     ("--gossip-ms", INT),
@@ -928,9 +920,6 @@ fn server_config(args: &Args, addr: SocketAddr) -> ServerConfig {
         addr,
         shards: args.value("--shards").unwrap_or(defaults.shards),
         queue_capacity: args.value("--queue").unwrap_or(defaults.queue_capacity),
-        fault_plan: args
-            .get("--chaos")
-            .and_then(|spec| FaultPlan::parse(spec).ok()),
         ..defaults
     }
 }
@@ -945,7 +934,6 @@ fn cmd_serve(args: &Args) -> ExitCode {
     let config = server_config(args, addr);
     let shards = config.shards;
     let queue = config.queue_capacity;
-    let chaos = config.fault_plan.clone();
     let handle = match Server::spawn(config, policy.policy, &theta) {
         Ok(handle) => handle,
         Err(e) => {
@@ -962,12 +950,6 @@ fn cmd_serve(args: &Args) -> ExitCode {
         theta.term_count(),
         workload.nodes,
     );
-    if let Some(plan) = chaos {
-        say!(
-            "CHAOS MODE: injecting faults under seed {} ({plan:?})",
-            plan.seed
-        );
-    }
     say!("send {{\"op\":\"shutdown\"}} (or drop the process) to stop; draining is graceful");
     handle.wait();
     if !write_metrics_out(args, &handle.registry(), &handle.journal().snapshot()) {
@@ -1217,12 +1199,7 @@ impl Target {
     fn print_tally(&self) {
         let addrs = self.addrs();
         if !matches!(self, Target::Cluster(_)) {
-            // Both reads are idempotent; retry the few that `--chaos`
-            // truncates or resets, up to five reads in all.
-            let side = (1..5).fold(server_side(addrs[0]), |side, _| {
-                side.or_else(|_| server_side(addrs[0]))
-            });
-            match side {
+            match server_side(addrs[0]) {
                 Ok(line) => say!("  server side  {line}\n"),
                 Err(e) => say!("  server side  (stats unavailable: {e})\n"),
             }
@@ -1262,10 +1239,7 @@ impl Target {
             )),
             Target::Cluster(cluster) => Ok(cluster_metrics_json(cluster)),
             Target::External(addr) => {
-                // An idempotent read: retry the few that a fault
-                // injector truncates or resets, up to five in all.
-                let read = || Client::connect(*addr).and_then(|mut c| c.metrics());
-                let snapshot = (1..5).fold(read(), |got, _| got.or_else(|_| read()))?;
+                let snapshot = Client::connect(*addr).and_then(|mut c| c.metrics())?;
                 Ok(Json::Obj(vec![("metrics".into(), snapshot)]))
             }
         }
@@ -1301,8 +1275,6 @@ fn cmd_loadtest(args: &Args) -> ExitCode {
             Some("--cluster spawns its own nodes; drop --addr")
         } else if policy_flag != "rota" {
             Some("--cluster federates the rota policy; drop --policy")
-        } else if args.has("--chaos") {
-            Some("--chaos is per-server; not supported with --cluster")
         } else {
             None
         };
@@ -1324,7 +1296,7 @@ fn cmd_loadtest(args: &Args) -> ExitCode {
             }
         };
         let addrs = target.addrs();
-        let mut config = LoadtestConfig {
+        let config = LoadtestConfig {
             addrs: addrs.clone(),
             connections: args.value("--connections").unwrap_or(4),
             jobs: args.value("--jobs").unwrap_or(400),
@@ -1338,17 +1310,6 @@ fn cmd_loadtest(args: &Args) -> ExitCode {
             deterministic: args.has("--seed"),
             ..LoadtestConfig::new(addrs[0])
         };
-        // `--chaos` arms the server's fault injector *and* the client's
-        // retry/hedge layer — injected faults get ridden out, and the
-        // report shows how much riding was needed.
-        if args.has("--chaos") {
-            config.retry = RetryConfig {
-                max_attempts: 8,
-                seed: workload.seed,
-                ..RetryConfig::default()
-            };
-            config.hedge = Some(HedgeConfig::default());
-        }
         let report = match run_loadtest(&config) {
             Ok(report) => report,
             Err(e) => {

@@ -43,7 +43,7 @@ use std::time::{Duration, Instant};
 use rota_admission::AdmissionPolicy;
 use rota_obs::{DecisionEvent, Histogram, Journal, Registry};
 use rota_resource::ResourceSet;
-use rota_server::{FaultPlan, Request, Response, Server, ServerConfig, ServerHandle};
+use rota_server::{Request, Response, Server, ServerConfig, ServerHandle};
 
 use crate::gossip::GossipEngine;
 use crate::router::{ClusterRouter, RouterConfig};
@@ -70,8 +70,6 @@ pub struct ClusterConfig {
     pub ttl: Duration,
     /// Base RNG seed; node `i` gossips with seed `seed + i`.
     pub seed: u64,
-    /// Per-node fault plans for chaos drills, keyed by node id.
-    pub fault_plans: BTreeMap<String, FaultPlan>,
 }
 
 impl Default for ClusterConfig {
@@ -84,7 +82,6 @@ impl Default for ClusterConfig {
             peer_timeout: Duration::from_secs(1),
             ttl: Duration::from_secs(2),
             seed: 0,
-            fault_plans: BTreeMap::new(),
         }
     }
 }
@@ -179,7 +176,6 @@ impl Cluster {
                     // admit only empty or `ip:port` addresses.
                     .expect("topology addresses are empty or ip:port"),
                 shards: config.shards,
-                fault_plan: config.fault_plans.get(&spec.id).cloned(),
                 queue_capacity: config.queue_capacity,
                 ..ServerConfig::default()
             };

@@ -94,7 +94,7 @@ use rota_logic::Scope;
 use rota_obs::{Counter, Histogram, Registry};
 use rota_resource::{LocatedType, Quantity, Rate};
 use rota_server::spec::{self, resources_from_json, ComputationSpec, ResourceSpec};
-use rota_server::{fault, Diagnostics, LocalHandle, Reply, Request, RequestHook, Response};
+use rota_server::{Diagnostics, LocalHandle, Reply, Request, RequestHook, Response};
 
 use crate::gossip::GossipEngine;
 use crate::links::{self, PeerLinks};
@@ -777,12 +777,6 @@ impl ClusterRouter {
     /// participant that cannot commit releases everything, including
     /// any participant that already committed.
     fn commit_all(&self, participants: &[Participant], name: &str, calls: &Cell<u64>) -> Response {
-        if self.local.take_2pc_ticket() {
-            // PANIC-OK: deterministic chaos drill — the coordinator dies
-            // between prepare and commit; the connection thread unwinds
-            // and the TTL must release every tentative reservation.
-            std::panic::panic_any(fault::INJECTED_PANIC);
-        }
         for (participant, addr) in participants {
             let commit = Request::CommitReservation {
                 name: name.to_string(),

@@ -1,9 +1,14 @@
 //! Cluster failure drills: a coordinator killed mid-2PC (tentative
 //! reservations must TTL-expire, never leak, never double-commit),
 //! a gossip-plane partition (degraded-mode rejections, then recovery),
-//! and gossip convergence despite injected connection resets.
+//! and gossip convergence despite connection resets from a proxy in
+//! front of a node.
 
-use std::collections::BTreeMap;
+// Shared with the client drills; this file uses part of it.
+#[allow(dead_code)]
+#[path = "../../rota-client/tests/support/proxy.rs"]
+mod proxy;
+
 use std::time::{Duration, Instant};
 
 use rota_actor::{ActionKind, ActorComputation, DistributedComputation, Granularity};
@@ -11,7 +16,10 @@ use rota_admission::RotaPolicy;
 use rota_cluster::{Cluster, ClusterConfig, Topology};
 use rota_interval::{TimeInterval, TimePoint};
 use rota_resource::{LocatedType, Location, Rate, ResourceSet, ResourceTerm};
-use rota_server::{FaultPlan, Request, Response};
+use rota_server::spec::{resources_from_json, ComputationSpec};
+use rota_server::{Request, Response};
+
+use proxy::{Faults, Proxy};
 
 fn theta(locations: &[&str]) -> ResourceSet {
     ResourceSet::from_terms(locations.iter().map(|l| {
@@ -77,16 +85,12 @@ fn counter(cluster: &Cluster, index: usize, name: &str) -> u64 {
 /// the obtainable-resource snapshots), nothing is committed, and the
 /// same computation resubmitted through a healthy coordinator is
 /// admitted exactly once.
+///
+/// The test is the coordinator: it takes both owners' snapshots, sends
+/// each its `prepare` over the merged basis, and then dies — it never
+/// commits.
 #[test]
 fn coordinator_death_mid_2pc_leaks_nothing_and_never_double_commits() {
-    let mut fault_plans = BTreeMap::new();
-    fault_plans.insert(
-        "node2".to_string(),
-        FaultPlan {
-            panic_2pc_nth: Some(1),
-            ..FaultPlan::default()
-        },
-    );
     let cluster = Cluster::launch(
         Topology::auto(3),
         &theta(&["l0", "l1", "l2"]),
@@ -94,7 +98,6 @@ fn coordinator_death_mid_2pc_leaks_nothing_and_never_double_commits() {
         ClusterConfig {
             gossip_interval: Duration::from_millis(20),
             ttl: Duration::from_millis(250),
-            fault_plans,
             ..ClusterConfig::default()
         },
     )
@@ -103,20 +106,40 @@ fn coordinator_death_mid_2pc_leaks_nothing_and_never_double_commits() {
     let before_node0 = obtainable(&cluster, 0);
     let before_node1 = obtainable(&cluster, 1);
 
-    // Submitted through node2, whose first 2PC coordination is rigged
-    // to die between prepare and commit: the connection drops without
-    // a response.
-    let mut doomed = client(&cluster, 2);
-    let result = doomed.admit(&spanning_job("drilled"), Granularity::MaximalRun);
-    assert!(
-        result.is_err(),
-        "the drilled coordinator must die: {result:?}"
-    );
+    // Phase one as a coordinator runs it, against the owners of l0
+    // and l1.
+    let snapshots: Vec<(Vec<u64>, Vec<_>)> = [0, 1]
+        .map(
+            |index| match client(&cluster, index).call(&Request::ClusterSnapshot) {
+                Ok(Response::ClusterState { epochs, resources }) => {
+                    let terms = resources.as_array().expect("resources are an array");
+                    (epochs, resources_from_json(terms).expect("spec-form terms"))
+                }
+                other => panic!("node{index} snapshot: {other:?}"),
+            },
+        )
+        .into();
+    let basis: Vec<_> = snapshots
+        .iter()
+        .flat_map(|(_, terms)| terms.clone())
+        .collect();
+    for (index, (epochs, _)) in snapshots.into_iter().enumerate() {
+        let prepare = Request::Prepare {
+            name: "drilled".into(),
+            computation: ComputationSpec::from(&spanning_job("drilled")),
+            granularity: Granularity::MaximalRun,
+            basis: basis.clone(),
+            epochs,
+            ttl_ms: 250,
+        };
+        let answer = client(&cluster, index).call(&prepare).unwrap();
+        assert!(
+            matches!(answer, Response::Prepared { .. }),
+            "node{index} must hold the prepare: {answer:?}"
+        );
+    }
+    // The coordinator dies here: no commit, no abort.
 
-    // The prepared-but-uncommitted reservations expire: the owners'
-    // obtainable snapshots return to the pre-drill state. (Polling the
-    // snapshot is what drives the lazy sweep, exactly like any other
-    // shard traffic.)
     let deadline = Instant::now() + Duration::from_secs(5);
     loop {
         let now_node0 = obtainable(&cluster, 0);
@@ -257,39 +280,39 @@ fn partition_degrades_routing_then_recovers() {
     cluster.shutdown();
 }
 
-/// Injected connection resets (the `reset_first` fault) only delay
-/// convergence: heartbeats are re-attempted every round, so once the
-/// reset budget is burnt the cluster converges and serves cross-node
+/// Connection resets in front of a node only delay convergence:
+/// heartbeats are re-attempted every round, so once the proxy's reset
+/// budget is burnt the cluster converges and serves cross-node
 /// admissions normally.
 #[test]
 fn gossip_converges_despite_injected_connection_resets() {
-    let mut fault_plans = BTreeMap::new();
-    fault_plans.insert(
-        "node1".to_string(),
-        FaultPlan {
-            reset_first: 8,
-            ..FaultPlan::default()
-        },
-    );
+    const RESETS: u64 = 8;
     let cluster = Cluster::launch(
         Topology::auto(2),
         &theta(&["l0", "l1"]),
         RotaPolicy,
         ClusterConfig {
             gossip_interval: Duration::from_millis(20),
-            fault_plans,
             ..ClusterConfig::default()
         },
     )
     .unwrap();
-    assert!(
-        cluster.await_converged(Duration::from_secs(10)),
-        "resets must only delay convergence, not prevent it"
+    // Every dial to node1 (gossip, forwards) now goes through a proxy
+    // that resets the first RESETS connections at their first frame.
+    let proxy = Proxy::start(
+        cluster.addrs()[1],
+        Faults {
+            reset_first: RESETS,
+            ..Faults::default()
+        },
     );
-    // Convergence can complete through node1's own outbound dials, so
-    // its inbound reset budget may still be live: forwarded admissions
-    // fail with structured errors (never hang) until it is burnt, then
-    // succeed.
+    cluster
+        .topology()
+        .write()
+        .unwrap()
+        .set_addr("node1", &proxy.addr().to_string());
+    // Forwarded admissions fail with structured errors (never hang)
+    // while the reset budget is live, then succeed.
     let deadline = Instant::now() + Duration::from_secs(5);
     let verdict = loop {
         let response = client(&cluster, 0)
@@ -306,6 +329,21 @@ fn gossip_converges_despite_injected_connection_resets() {
     assert!(
         matches!(verdict, Response::Decision { accepted: true, .. }),
         "{verdict:?}"
+    );
+    // The forward got through, so the budget is burnt. Its link is
+    // kept for reuse, so the next dial through the proxy is one of
+    // node0's heartbeats, and it is not reset.
+    let seen = proxy.counts().connections;
+    assert!(seen > RESETS, "{:?}", proxy.counts());
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while proxy.counts().connections == seen {
+        assert!(Instant::now() < deadline, "no heartbeat reached node1");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(proxy.counts().reset, RESETS);
+    assert!(
+        cluster.await_converged(Duration::from_secs(10)),
+        "resets must only delay convergence, not prevent it"
     );
     cluster.shutdown();
 }

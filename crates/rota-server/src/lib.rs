@@ -19,11 +19,10 @@
 //! - observability through [`rota_obs`]: per-shard counters and
 //!   lock-wait gauges, decision-latency histograms, and a shared
 //!   journal of admit/reject events;
-//! - **deterministic chaos**: a seeded [`fault::FaultPlan`] injects
-//!   latency, wire truncation/corruption, connection resets, and forced
-//!   shard panics ([`fault`]); a panic while deciding an admit costs
-//!   that admit an `overloaded` answer and leaves its shard's state as
-//!   it was ([`shard`]).
+//! - **recovery without a restart**: a panic while deciding an admit
+//!   costs that admit an `overloaded` answer and leaves its shard's
+//!   state as it was, and a retried admit gets its first verdict back
+//!   from the shard's decision cache ([`shard`]).
 //!
 //! The [`spec`] module is `rota_analyze::spec` re-exported: the spec
 //! types and their JSON codec, which the wire protocol carries.
@@ -31,13 +30,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod fault;
 pub mod protocol;
 pub mod server;
 pub mod shard;
 pub use rota_analyze::spec;
 
-pub use fault::{FaultInjector, FaultPlan};
 pub use protocol::{
     Diagnostics, GossipDigest, PeerBeat, Reply, Request, Response, MAX_FRAME_BYTES,
     PROTOCOL_VERSION,

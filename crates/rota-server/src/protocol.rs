@@ -1068,19 +1068,6 @@ impl Reply {
         }
     }
 
-    /// The frame's bytes without the newline: a copy a wire fault may
-    /// damage without touching the frame a cache holds.
-    pub(crate) fn into_bytes(self) -> Vec<u8> {
-        match self {
-            Reply::Typed(response) => {
-                let mut line = String::with_capacity(FRAME_BUFFER_BYTES);
-                response.write_json(&mut line);
-                line.into_bytes()
-            }
-            Reply::Frame(frame) => frame.as_bytes().to_vec(),
-        }
-    }
-
     /// Writes the answer as one frame and flushes it.
     ///
     /// # Errors

@@ -26,7 +26,6 @@ use rota_logic::Scope;
 use rota_obs::{DecisionEvent, Journal, Registry};
 use rota_resource::{LocatedType, Quantity, ResourceSet};
 
-use crate::fault::{ConnectionFaults, FaultInjector, FaultPlan, WireFault};
 use crate::protocol::{
     read_frame, version_mismatch, write_frame, FrameError, Reply, Request, Response,
     MAX_FRAME_BYTES, PROTOCOL_VERSION,
@@ -48,9 +47,6 @@ pub struct ServerConfig {
     pub max_frame_bytes: usize,
     /// Connections silent for this long are reaped.
     pub idle_timeout: Duration,
-    /// Deterministic fault injection (chaos testing); `None` in
-    /// production.
-    pub fault_plan: Option<FaultPlan>,
 }
 
 impl Default for ServerConfig {
@@ -61,7 +57,6 @@ impl Default for ServerConfig {
             queue_capacity: 64,
             max_frame_bytes: MAX_FRAME_BYTES,
             idle_timeout: Duration::from_secs(30),
-            fault_plan: None,
         }
     }
 }
@@ -88,8 +83,7 @@ pub trait RequestHook: Send + Sync {
 
 /// A hook's view of its own server: dispatch requests straight to the
 /// local admission core (the hook is *not* consulted again, so a hook
-/// can safely re-enter its own node) and draw deterministic 2PC chaos
-/// tickets.
+/// can safely re-enter its own node).
 #[derive(Clone)]
 pub struct LocalHandle {
     inner: Weak<Inner>,
@@ -201,15 +195,6 @@ impl LocalHandle {
             .upgrade()
             .map(|inner| Arc::clone(&inner.registry))
     }
-
-    /// Draws the deterministic mid-2PC panic ticket (chaos drills):
-    /// `true` means the caller should die between prepare and commit.
-    pub fn take_2pc_ticket(&self) -> bool {
-        self.inner
-            .upgrade()
-            .and_then(|inner| inner.faults.clone())
-            .is_some_and(|faults| faults.take_2pc_ticket())
-    }
 }
 
 /// What a call answers once the server is draining.
@@ -228,7 +213,6 @@ struct Inner {
     journal: Arc<Journal<DecisionEvent>>,
     cost_model: TableCostModel,
     config: ServerConfig,
-    faults: Option<Arc<FaultInjector>>,
     /// Set once, before the acceptor starts (see
     /// [`Server::spawn_hooked`]), so connections never race a
     /// half-initialized hook.
@@ -501,11 +485,6 @@ impl Server {
         let local_addr = listener.local_addr()?;
         let registry = Arc::new(Registry::new());
         let journal = Arc::new(Journal::new(4096));
-        let faults = config
-            .fault_plan
-            .clone()
-            .filter(FaultPlan::is_active)
-            .map(|plan| Arc::new(FaultInjector::new(plan, &registry)));
         let pool = ShardPool::new(
             policy,
             theta,
@@ -514,7 +493,6 @@ impl Server {
             DEDUP_CAPACITY,
             &registry,
             &journal,
-            faults.clone(),
         );
         let inner = Arc::new(Inner {
             pool: RwLock::new(Some(pool)),
@@ -523,7 +501,6 @@ impl Server {
             journal,
             cost_model: TableCostModel::paper(),
             config,
-            faults,
             hook: OnceLock::new(),
         });
         if let Some(make_hook) = make_hook {
@@ -605,7 +582,6 @@ fn serve_connection(stream: TcpStream, inner: &Arc<Inner>) {
     });
     let mut writer = BufWriter::new(stream);
     let mut last_activity = Instant::now();
-    let mut faults = inner.faults.as_ref().map(|f| f.connection());
     loop {
         let line = match read_frame(&mut reader, inner.config.max_frame_bytes) {
             Ok(line) => line,
@@ -651,26 +627,14 @@ fn serve_connection(stream: TcpStream, inner: &Arc<Inner>) {
         if line.trim().is_empty() {
             continue;
         }
-        if let Some(conn_faults) = faults.as_mut() {
-            if let Some(delay) = conn_faults.latency() {
-                std::thread::sleep(delay);
-            }
-            // A reset here drops the request *before* any shard decides
-            // it, so a retrying client can never double-commit through
-            // this fault.
-            if conn_faults.reset_before_handling() {
-                shutdown_stream(&mut writer);
-                return;
-            }
-        }
         let (reply, bye) = match Request::from_line(&line) {
             Ok(request) => {
                 let bye = matches!(request, Request::Shutdown);
-                // A panic while handling (a chaos-drilled 2PC
-                // coordinator dying mid-flight, or a hook bug) kills
-                // only this connection; the shards and the acceptor
-                // keep running, and any tentative reservations the dead
-                // coordinator left behind expire by TTL. (A panic in a
+                // A panic while handling (a hook bug, say, in a 2PC
+                // coordinator mid-flight) kills only this connection;
+                // the shards and the acceptor keep running, and any
+                // tentative reservations a dead coordinator left behind
+                // expire by TTL. (A panic in a
                 // shard's write also lands here unanswered, and poisons
                 // that shard's lock: its next call aborts the process.)
                 match catch_unwind(AssertUnwindSafe(|| inner.handle(request))) {
@@ -689,56 +653,13 @@ fn serve_connection(stream: TcpStream, inner: &Arc<Inner>) {
                 (error.into(), false)
             }
         };
-        match write_reply(&mut writer, reply, faults.as_mut()) {
-            Ok(false) => {}
-            // A wire fault destroyed the frame; the rest of the stream
-            // cannot be trusted, so hang up (the client must reconnect).
-            Ok(true) => {
-                shutdown_stream(&mut writer);
-                return;
-            }
-            Err(_) => return,
+        if reply.write(&mut writer).is_err() {
+            return;
         }
         if bye {
             inner.begin_shutdown();
             shutdown_stream(&mut writer);
             return;
-        }
-    }
-}
-
-/// Writes one answer frame, applying the connection's wire fault (if
-/// any) to a copy of its bytes, never to a frame a shard has cached.
-/// Returns `Ok(true)` when the connection must close because the frame
-/// was deliberately destroyed.
-fn write_reply(
-    writer: &mut BufWriter<TcpStream>,
-    reply: Reply,
-    faults: Option<&mut ConnectionFaults<'_>>,
-) -> std::io::Result<bool> {
-    let Some(faults) = faults else {
-        reply.write(writer)?;
-        return Ok(false);
-    };
-    let mut bytes = reply.into_bytes();
-    match faults.wire_fault(bytes.len()) {
-        WireFault::None => {
-            bytes.push(b'\n');
-            writer.write_all(&bytes)?;
-            writer.flush()?;
-            Ok(false)
-        }
-        WireFault::Truncate(keep) => {
-            writer.write_all(&bytes[..keep])?;
-            writer.flush()?;
-            Ok(true)
-        }
-        WireFault::Corrupt(index) => {
-            bytes[index] ^= 0x01;
-            bytes.push(b'\n');
-            writer.write_all(&bytes)?;
-            writer.flush()?;
-            Ok(false)
         }
     }
 }

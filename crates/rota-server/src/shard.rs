@@ -25,10 +25,10 @@
 //! ## Panics and idempotency
 //!
 //! An admit is split where the types already split it: its reading
-//! half (the chaos drill's ticket, pre-validation and the policy's
-//! decision) takes the shard state by shared reference, and only it
-//! runs inside [`std::panic::catch_unwind`]. A panic there, injected or
-//! a genuine bug, has changed nothing: the caller gets
+//! half (pre-validation and the policy's decision) takes the shard
+//! state by shared reference, and only it runs inside
+//! [`std::panic::catch_unwind`]. A panic there, a genuine bug in the
+//! policy, has changed nothing: the caller gets
 //! [`Response::Overloaded`] — an honest "try again" — the shard keeps
 //! its state, and `server.shard.panics{shard=N}` counts the event. The
 //! writing half (install, offer, the 2PC steps, the TTL sweep) reports
@@ -80,7 +80,6 @@ use rota_logic::{Commitment, Scope, State};
 use rota_obs::{Counter, DecisionEvent, Gauge, Histogram, Journal, Registry};
 use rota_resource::{LocatedType, Location, Quantity, ResourceSet};
 
-use crate::fault::{self, FaultInjector};
 use crate::protocol::{encode_frame, Diagnostics, Reply, Response};
 
 /// Stable location → shard routing: FNV-1a over the location name.
@@ -289,7 +288,6 @@ pub(crate) struct ShardPool {
     /// Waiters an admit may join behind the lock holder before it is
     /// answered `overloaded`.
     queue_capacity: usize,
-    faults: Option<Arc<FaultInjector>>,
 }
 
 /// One shard: its lock, plus what is needed outside it.
@@ -305,9 +303,7 @@ impl ShardPool {
     /// of `theta`, all journaling into `journal` and counting into
     /// `registry` (admission metrics labeled by `policy`, server metrics
     /// by shard). `queue_capacity` bounds each shard's waiting admits;
-    /// `faults` enables forced-panic chaos drills; `dedup_capacity`
-    /// bounds each shard's idempotency cache.
-    #[allow(clippy::too_many_arguments)]
+    /// `dedup_capacity` bounds each shard's idempotency cache.
     pub(crate) fn new<P>(
         policy: P,
         theta: &ResourceSet,
@@ -316,7 +312,6 @@ impl ShardPool {
         dedup_capacity: usize,
         registry: &Arc<Registry>,
         journal: &Arc<Journal<DecisionEvent>>,
-        faults: Option<Arc<FaultInjector>>,
     ) -> ShardPool
     where
         P: AdmissionPolicy + Send + Sync + 'static,
@@ -353,7 +348,6 @@ impl ShardPool {
             policy,
             shards,
             queue_capacity: queue_capacity.max(1),
-            faults,
         }
     }
 
@@ -390,8 +384,7 @@ impl ShardPool {
         let verdict = if shard.admits.fetch_add(1, Ordering::Relaxed) > self.queue_capacity {
             None
         } else {
-            let faults = self.faults.as_deref();
-            self.locked(index, |state| state.admit(&request, arrived, faults))
+            self.locked(index, |state| state.admit(&request, arrived))
         };
         shard.admits.fetch_sub(1, Ordering::Relaxed);
         verdict.unwrap_or_else(|| {
@@ -649,12 +642,7 @@ impl ShardState {
     /// the verdict and encodes it once into the frame that is both
     /// cached and sent. `None` when the reading half ([`Self::judge`])
     /// panicked: the shard's state is then as it was before the call.
-    fn admit(
-        &mut self,
-        request: &AdmissionRequest,
-        arrived: Instant,
-        faults: Option<&FaultInjector>,
-    ) -> Option<Reply> {
+    fn admit(&mut self, request: &AdmissionRequest, arrived: Instant) -> Option<Reply> {
         let key = dedup_key(request);
         match self.dedup.lookup(request.name(), key) {
             CacheLookup::Replay(frame) => {
@@ -676,7 +664,7 @@ impl ShardState {
         // assertion is needed only for the policy, a trait object the
         // compiler cannot prove free of interior mutability.
         let this = &*self;
-        let Ok(judged) = catch_unwind(AssertUnwindSafe(|| this.judge(request, faults))) else {
+        let Ok(judged) = catch_unwind(AssertUnwindSafe(|| this.judge(request))) else {
             self.obs.panics.inc();
             return None;
         };
@@ -702,20 +690,12 @@ impl ShardState {
         Some(Reply::Frame(frame))
     }
 
-    /// An admit's reading half: the chaos drill's ticket, then
-    /// pre-admission static analysis against this shard's live supply
-    /// (structurally broken requests bounce with machine diagnostics
-    /// before the policy spends scheduling time on them), then the
-    /// policy's verdict. It holds the state by shared reference, so a
+    /// An admit's reading half: pre-admission static analysis against
+    /// this shard's live supply (structurally broken requests bounce
+    /// with machine diagnostics before the policy spends scheduling
+    /// time on them), then the policy's verdict. It holds the state by shared reference, so a
     /// panic anywhere in it has changed nothing.
-    fn judge(
-        &self,
-        request: &AdmissionRequest,
-        faults: Option<&FaultInjector>,
-    ) -> Result<Decision, LintReport> {
-        if faults.is_some_and(FaultInjector::take_panic_ticket) {
-            panic!("{}", fault::INJECTED_PANIC);
-        }
+    fn judge(&self, request: &AdmissionRequest) -> Result<Decision, LintReport> {
         let demand = request.requirement().total_demand();
         let lint = prevalidate_request(
             request.computation(),
@@ -908,7 +888,7 @@ mod tests {
     use rota_admission::RotaPolicy;
     use rota_interval::TimeInterval;
     use rota_resource::{LocatedType, Rate, ResourceTerm};
-    use std::sync::atomic::AtomicBool;
+    use std::sync::atomic::{AtomicBool, AtomicU64};
 
     fn theta_at(locations: &[&str], rate: u64, end: u64) -> ResourceSet {
         ResourceSet::from_terms(locations.iter().map(|l| {
@@ -973,7 +953,6 @@ mod tests {
             DEDUP_CAPACITY,
             &registry,
             &journal,
-            None,
         );
         // Feasible job at l0, infeasible (too much work) job at l1.
         let yes = pool.admit(request_at("yes", "l0", 1, 16)).into_response();
@@ -1025,7 +1004,6 @@ mod tests {
             DEDUP_CAPACITY,
             &registry,
             &journal,
-            None,
         );
         for (name, location) in [("on-a", &a), ("on-b", &b)] {
             let verdict = pool
@@ -1056,7 +1034,6 @@ mod tests {
             DEDUP_CAPACITY,
             &registry,
             &journal,
-            None,
         );
         // Without resources the job is refused; after an offer it fits.
         let before = pool.admit(request_at("j", "l0", 1, 16)).into_response();
@@ -1091,7 +1068,6 @@ mod tests {
             DEDUP_CAPACITY,
             &registry,
             &journal,
-            None,
         );
         // An accept, a policy reject (64 evaluations outrun 64 units by
         // tick 16) and an R0006 lint reject carrying its diagnostics.
@@ -1159,7 +1135,6 @@ mod tests {
             DEDUP_CAPACITY,
             &registry,
             &journal,
-            None,
         );
         let first = pool.admit(request_at("same", "l0", 1, 16)).into_response();
         assert!(
@@ -1207,7 +1182,6 @@ mod tests {
             DEDUP_CAPACITY,
             &registry,
             &journal,
-            None,
         );
         // Demand at a location with no declared supply: R0006, decided
         // by the analyzer, never by the policy.
@@ -1279,7 +1253,6 @@ mod tests {
             DEDUP_CAPACITY,
             &registry,
             &journal,
-            None,
         );
         let twin = || ActorComputation::new("twin", "l0").then(ActionKind::evaluate());
         let request = AdmissionRequest::price(
@@ -1324,7 +1297,6 @@ mod tests {
             DEDUP_CAPACITY,
             &registry,
             &journal,
-            None,
         );
         let gamma = ActorComputation::new("mover", home)
             .then(ActionKind::evaluate())
@@ -1427,52 +1399,65 @@ mod tests {
     }
 
     #[test]
-    fn injected_panic_bounces_and_keeps_state() {
-        use crate::fault::{FaultInjector, FaultPlan};
-
+    fn a_panicking_decision_bounces_and_keeps_state() {
         let registry = Arc::new(Registry::new());
         let journal = Arc::new(Journal::new(64));
         let theta = theta_at(&["l0"], 4, 16);
-        let faults = Arc::new(FaultInjector::new(
-            FaultPlan {
-                panic_nth: Some(2),
-                ..FaultPlan::default()
-            },
-            &registry,
-        ));
-        let pool = ShardPool::new(
-            RotaPolicy,
-            &theta,
-            1,
-            8,
-            DEDUP_CAPACITY,
-            &registry,
-            &journal,
-            Some(faults),
-        );
+        let policy = PanicNth::new(2);
+        let decided = Arc::clone(&policy.decided);
+        let pool = ShardPool::new(policy, &theta, 1, 8, DEDUP_CAPACITY, &registry, &journal);
         // First admit fills the shard's slice partially and succeeds.
         let first = pool.admit(request_at("p1", "l0", 1, 16)).into_response();
         assert!(
             matches!(first, Response::Decision { accepted: true, .. }),
             "{first:?}"
         );
-        // Second admit trips the drill: the shard panics with our
-        // request in hand, so we get the honest `overloaded` bounce.
+        // The second decision panics with our request in hand, so we
+        // get the honest `overloaded` bounce.
         let bounced = pool.admit(request_at("p2", "l0", 1, 16)).into_response();
         assert!(
             matches!(bounced, Response::Overloaded { shard: 0 }),
             "{bounced:?}"
         );
-        // The drill fired in the reading half, so nothing changed: the
-        // retry is decided normally, and the first verdict is still
-        // cached.
+        // The panic fired in the reading half, so nothing changed: the
+        // retry is decided normally, and the first verdict is replayed
+        // from the cache without a third decision.
         let retried = pool.admit(request_at("p2", "l0", 1, 16)).into_response();
         assert!(matches!(retried, Response::Decision { .. }), "{retried:?}");
         let replay = pool.admit(request_at("p1", "l0", 1, 16)).into_response();
         assert_eq!(replay, first, "dedup cache survived the panic");
+        assert_eq!(decided.load(Ordering::Relaxed), 3, "p1, p2 and its retry");
         let snap = registry.snapshot();
         assert_eq!(snap.counter("server.shard.panics{shard=0}"), Some(1));
-        assert_eq!(snap.counter("server.faults.panic"), Some(1));
+    }
+
+    /// Decides like [`RotaPolicy`], but panics on its `nth` decision
+    /// (1-based) and on no other, so a retry outlives it.
+    struct PanicNth {
+        nth: u64,
+        decided: Arc<AtomicU64>,
+    }
+
+    impl PanicNth {
+        fn new(nth: u64) -> PanicNth {
+            PanicNth {
+                nth,
+                decided: Arc::new(AtomicU64::new(0)),
+            }
+        }
+    }
+
+    impl AdmissionPolicy for PanicNth {
+        fn name(&self) -> &'static str {
+            "panic-nth"
+        }
+
+        fn decide(&self, state: &State, request: &AdmissionRequest) -> Decision {
+            if self.decided.fetch_add(1, Ordering::Relaxed) + 1 == self.nth {
+                panic!("decision {} panics", self.nth);
+            }
+            RotaPolicy.decide(state, request)
+        }
     }
 
     /// A location owned by `shard` of `shards`.
@@ -1540,7 +1525,6 @@ mod tests {
                 DEDUP_CAPACITY,
                 &registry,
                 &journal,
-                None,
             );
             for (name, location) in [("kept", &other), ("lost", &home)] {
                 let verdict = pool
@@ -1658,16 +1642,7 @@ mod tests {
         let registry = Arc::new(Registry::new());
         let journal = Arc::new(Journal::new(64));
         let theta = theta_at(&[&slow, &fast], 4, 16);
-        let pool = ShardPool::new(
-            policy,
-            &theta,
-            2,
-            8,
-            DEDUP_CAPACITY,
-            &registry,
-            &journal,
-            None,
-        );
+        let pool = ShardPool::new(policy, &theta, 2, 8, DEDUP_CAPACITY, &registry, &journal);
         std::thread::scope(|scope| {
             let held = scope.spawn(|| pool.admit(request_at("held", &slow, 1, 16)).into_response());
             while !entered.load(Ordering::SeqCst) {
@@ -1762,7 +1737,7 @@ mod tests {
         let registry = Arc::new(Registry::new());
         let journal = Arc::new(Journal::new(64));
         let theta = theta_at(&["l0"], 4, 16);
-        let pool = ShardPool::new(RotaPolicy, &theta, 1, 8, 1, &registry, &journal, None);
+        let pool = ShardPool::new(RotaPolicy, &theta, 1, 8, 1, &registry, &journal);
         let first = pool.admit(request_at("a", "l0", 1, 16)).into_response();
         assert!(
             matches!(first, Response::Decision { accepted: true, .. }),
@@ -1825,7 +1800,6 @@ mod tests {
             DEDUP_CAPACITY,
             &registry,
             &journal,
-            None,
         );
         let ttl = Duration::from_secs(30);
         let (epochs, basis) = pool.cluster_state(None).unwrap();
@@ -1904,7 +1878,6 @@ mod tests {
             DEDUP_CAPACITY,
             &registry,
             &journal,
-            None,
         );
         let ttl = Duration::from_secs(30);
         let (stale_epochs, _) = pool.cluster_state(None).unwrap();
@@ -1955,7 +1928,6 @@ mod tests {
             DEDUP_CAPACITY,
             &registry,
             &journal,
-            None,
         );
         let (epochs, basis) = pool.cluster_state(None).unwrap();
         let prepared = decide_and_prepare(
@@ -2003,7 +1975,6 @@ mod tests {
             DEDUP_CAPACITY,
             &registry,
             &journal,
-            None,
         );
         (pool, registry)
     }
@@ -2600,7 +2571,7 @@ mod tests {
             let journal = Arc::new(Journal::new(64));
             let theta = theta_at(&[&locations[0], &locations[1]], 4, 16);
             let policy = BuggyPolicy { doomed: "doomed" };
-            let pool = ShardPool::new(policy, &theta, 2, 8, 4, &registry, &journal, None);
+            let pool = ShardPool::new(policy, &theta, 2, 8, 4, &registry, &journal);
             let first = pool.cluster_state(None).unwrap();
             let (mut epochs, mut resources) = first.clone();
             for step in steps {

@@ -11,9 +11,9 @@
 //! 2. **Robustness** — arbitrary byte-level mutations (bit flips,
 //!    truncations) of valid frames may be rejected with a protocol
 //!    error but must never panic the parser or the framing layer. This
-//!    is the guarantee the chaos layer's `truncate_p`/`corrupt_p`
-//!    faults lean on: a corrupted frame degrades to an `error`
-//!    response, not a crashed connection thread.
+//!    is the guarantee the failure drills' proxy leans on when it
+//!    truncates or flips a byte of a frame: a corrupted frame degrades
+//!    to an `error` response, not a crashed connection thread.
 
 use proptest::prelude::*;
 
@@ -326,7 +326,7 @@ proptest! {
 
     /// Flip up to four bytes of a valid frame and truncate it at an
     /// arbitrary point: both parsers must return (Ok or Err), never
-    /// panic — exactly what the chaos layer's wire faults rely on.
+    /// panic — exactly what the drills' proxy faults rely on.
     #[test]
     fn mutated_frames_never_panic_the_parsers(
         response in arb_response(),

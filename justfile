@@ -140,8 +140,8 @@ cluster:
 
 # Federation failure drills: a coordinator killed mid-2PC must leak no
 # reservations and double-commit nothing; partitions degrade to
-# structured `peer-unavailable` rejects and recover; injected resets
-# only delay gossip convergence.
+# structured `peer-unavailable` rejects and recover; resets from a
+# proxy in front of a node only delay gossip convergence.
 chaos-cluster:
     cargo test -q -p rota-cluster --test chaos
 
@@ -156,11 +156,10 @@ loadtest-cluster *ARGS:
     cargo run --release -p rota-cli --bin rota-cli -- loadtest --cluster 3 \
         --jobs 2000 --connections 8 {{ARGS}}
 
-# The E14 chaos drill: deterministic faults (latency, truncation, resets,
-# one forced shard panic) against a retrying/hedging client. Must finish
-# with errors=0 and one counted shard panic on the server side (DESIGN.md §10).
-chaos *ARGS:
-    cargo run --release -p rota-cli --bin rota-cli -- loadtest \
-        --policy rota --nodes 4 --jobs 2000 --connections 8 --seed 42 \
-        --chaos "seed=42,latency_ms=2,latency_p=0.1,truncate_p=0.05,reset_p=0.03,panic_nth=500" \
-        {{ARGS}}
+# The E14 chaos battery: seeded faults from a test proxy in front of a
+# 4-shard server (latency, truncation, resets) plus a policy that panics
+# on its 500th decision, against a retrying/hedging loadtest. Prints the
+# report; fails unless errors=0 and exactly one shard panic is counted
+# (DESIGN.md §10, EXPERIMENTS.md E14).
+chaos:
+    cargo test --release -p rota-client --test chaos -- --ignored --nocapture e14_battery
