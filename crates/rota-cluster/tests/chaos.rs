@@ -1,8 +1,9 @@
 //! Cluster failure drills: a coordinator killed mid-2PC (tentative
 //! reservations must TTL-expire, never leak, never double-commit),
 //! a gossip-plane partition (degraded-mode rejections, then recovery),
-//! and gossip convergence despite connection resets from a proxy in
-//! front of a node.
+//! and connection resets from a proxy in front of a node (forwards
+//! fail with structured errors, then recover; the cluster stays
+//! converged).
 
 // Shared with the client drills; this file uses part of it.
 #[allow(dead_code)]
@@ -280,10 +281,16 @@ fn partition_degrades_routing_then_recovers() {
     cluster.shutdown();
 }
 
-/// Connection resets in front of a node only delay convergence:
-/// heartbeats are re-attempted every round, so once the proxy's reset
-/// budget is burnt the cluster converges and serves cross-node
-/// admissions normally.
+/// Connection resets in front of a node are ridden out: a forward that
+/// meets one fails with a structured error (never hangs), the next
+/// forward after the proxy's reset budget is burnt is admitted, the
+/// proxy counts exactly its budget of resets, and later heartbeats
+/// reach the node through it.
+///
+/// The proxy goes in after launch, so launch's own exchange is not
+/// reset, and node1's dials to node0 bypass it and keep both liveness
+/// views fresh: the resets cannot make the cluster lose convergence,
+/// and the drill checks only that it stays converged.
 #[test]
 fn gossip_converges_despite_injected_connection_resets() {
     const RESETS: u64 = 8;
@@ -314,6 +321,7 @@ fn gossip_converges_despite_injected_connection_resets() {
     // Forwarded admissions fail with structured errors (never hang)
     // while the reset budget is live, then succeed.
     let deadline = Instant::now() + Duration::from_secs(5);
+    let mut refused = 0;
     let verdict = loop {
         let response = client(&cluster, 0)
             .admit(&local_job("after-resets", "l1"), Granularity::MaximalRun)
@@ -321,11 +329,13 @@ fn gossip_converges_despite_injected_connection_resets() {
         match response {
             Response::Decision { .. } => break response,
             Response::Error { .. } if Instant::now() < deadline => {
+                refused += 1;
                 std::thread::sleep(Duration::from_millis(20));
             }
             other => panic!("forwarding never recovered from resets: {other:?}"),
         }
     };
+    assert!(refused >= 1, "no forward met a reset");
     assert!(
         matches!(verdict, Response::Decision { accepted: true, .. }),
         "{verdict:?}"
@@ -343,7 +353,7 @@ fn gossip_converges_despite_injected_connection_resets() {
     assert_eq!(proxy.counts().reset, RESETS);
     assert!(
         cluster.await_converged(Duration::from_secs(10)),
-        "resets must only delay convergence, not prevent it"
+        "resets in front of node1 must not cost the cluster its convergence"
     );
     cluster.shutdown();
 }

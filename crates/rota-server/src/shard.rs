@@ -888,7 +888,7 @@ mod tests {
     use rota_admission::RotaPolicy;
     use rota_interval::TimeInterval;
     use rota_resource::{LocatedType, Rate, ResourceTerm};
-    use std::sync::atomic::{AtomicBool, AtomicU64};
+    use std::sync::atomic::AtomicBool;
 
     fn theta_at(locations: &[&str], rate: u64, end: u64) -> ResourceSet {
         ResourceSet::from_terms(locations.iter().map(|l| {
@@ -1398,68 +1398,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn a_panicking_decision_bounces_and_keeps_state() {
-        let registry = Arc::new(Registry::new());
-        let journal = Arc::new(Journal::new(64));
-        let theta = theta_at(&["l0"], 4, 16);
-        let policy = PanicNth::new(2);
-        let decided = Arc::clone(&policy.decided);
-        let pool = ShardPool::new(policy, &theta, 1, 8, DEDUP_CAPACITY, &registry, &journal);
-        // First admit fills the shard's slice partially and succeeds.
-        let first = pool.admit(request_at("p1", "l0", 1, 16)).into_response();
-        assert!(
-            matches!(first, Response::Decision { accepted: true, .. }),
-            "{first:?}"
-        );
-        // The second decision panics with our request in hand, so we
-        // get the honest `overloaded` bounce.
-        let bounced = pool.admit(request_at("p2", "l0", 1, 16)).into_response();
-        assert!(
-            matches!(bounced, Response::Overloaded { shard: 0 }),
-            "{bounced:?}"
-        );
-        // The panic fired in the reading half, so nothing changed: the
-        // retry is decided normally, and the first verdict is replayed
-        // from the cache without a third decision.
-        let retried = pool.admit(request_at("p2", "l0", 1, 16)).into_response();
-        assert!(matches!(retried, Response::Decision { .. }), "{retried:?}");
-        let replay = pool.admit(request_at("p1", "l0", 1, 16)).into_response();
-        assert_eq!(replay, first, "dedup cache survived the panic");
-        assert_eq!(decided.load(Ordering::Relaxed), 3, "p1, p2 and its retry");
-        let snap = registry.snapshot();
-        assert_eq!(snap.counter("server.shard.panics{shard=0}"), Some(1));
-    }
-
-    /// Decides like [`RotaPolicy`], but panics on its `nth` decision
-    /// (1-based) and on no other, so a retry outlives it.
-    struct PanicNth {
-        nth: u64,
-        decided: Arc<AtomicU64>,
-    }
-
-    impl PanicNth {
-        fn new(nth: u64) -> PanicNth {
-            PanicNth {
-                nth,
-                decided: Arc::new(AtomicU64::new(0)),
-            }
-        }
-    }
-
-    impl AdmissionPolicy for PanicNth {
-        fn name(&self) -> &'static str {
-            "panic-nth"
-        }
-
-        fn decide(&self, state: &State, request: &AdmissionRequest) -> Decision {
-            if self.decided.fetch_add(1, Ordering::Relaxed) + 1 == self.nth {
-                panic!("decision {} panics", self.nth);
-            }
-            RotaPolicy.decide(state, request)
-        }
-    }
-
     /// A location owned by `shard` of `shards`.
     fn location_on(shard: usize, shards: usize) -> String {
         (0..64)
@@ -1468,9 +1406,8 @@ mod tests {
             .unwrap()
     }
 
-    /// Decides like [`RotaPolicy`], but panics with an ordinary (not
-    /// injected) payload on the request named `doomed` — a stand-in
-    /// for a genuine controller bug.
+    /// Decides like [`RotaPolicy`], but panics on the request named
+    /// `doomed`: a stand-in for a genuine controller bug.
     #[derive(Clone)]
     struct BuggyPolicy {
         doomed: &'static str,
@@ -1526,20 +1463,21 @@ mod tests {
                 &registry,
                 &journal,
             );
-            for (name, location) in [("kept", &other), ("lost", &home)] {
+            let verdicts = [("kept", &other), ("lost", &home)].map(|(name, location)| {
                 let verdict = pool
                     .admit(request_at(name, location, 1, 16))
                     .into_response();
                 let accepted = matches!(verdict, Response::Decision { accepted: true, .. });
                 assert!(accepted, "{verdict:?}");
-            }
+                verdict
+            });
             let (epochs, basis) = pool.cluster_state(None).unwrap();
             let held = request_at("held", &home, 1, 16);
             let held = decide_and_prepare(&pool, held, &basis, &epochs, ttl);
             assert!(matches!(held, Response::Prepared { .. }), "{held:?}");
-            (pool, registry)
+            (pool, registry, verdicts)
         };
-        let ((buggy, registry), (reference, _)) = (build(), build());
+        let ((buggy, registry, verdicts), (reference, ..)) = (build(), build());
         let before = observed(&buggy, &registry);
         let in_flight = registry
             .snapshot()
@@ -1572,6 +1510,23 @@ mod tests {
                 .get(&lost)
                 .is_some()),
             "`lost` is still committed"
+        );
+        // The dedup cache survived too: `lost` resent replays its first
+        // verdict without a decision.
+        let replay = buggy
+            .admit(request_at("lost", &home, 1, 16))
+            .into_response();
+        assert_eq!(replay, verdicts[1], "the cache replays the first verdict");
+        assert_eq!(
+            registry
+                .snapshot()
+                .counter("server.shard.dedup_hits{shard=0}"),
+            Some(1)
+        );
+        assert_eq!(
+            observed(&buggy, &registry),
+            before,
+            "a replay decides nothing"
         );
 
         // The lock was not poisoned, and the next admits decide as if
