@@ -10,15 +10,20 @@
 //! [`resource_set`] and [`ComputationSpec::build`], leniently through
 //! [`SpecModel::theta`].
 //!
-//! Decoding is hand-rolled over [`rota_obs::Json`] (the build is
-//! offline, so there is no serde; see `shims/README.md`) and is strict
-//! like a `deny_unknown_fields` serde derive: unknown or duplicate
-//! keys, missing fields, and wrong types are all [`SpecError::Parse`]
-//! errors naming the offending field. Each type's `to_json` is the
-//! exact inverse of its decoder, and the library encoders
-//! ([`computation_to_json`], [`resource_set_to_json`]) go library →
-//! spec → JSON, so there is one encoder per wire shape and requests
-//! round-trip.
+//! Decoding is hand-rolled (the build is offline, so there is no
+//! serde; see `shims/README.md`) and is strict like a
+//! `deny_unknown_fields` serde derive: unknown or duplicate keys,
+//! missing fields, and wrong types are all [`SpecError::Parse`] errors
+//! naming the offending field. Spec files and frames are read straight
+//! from their text ([`SpecModel::from_json`], [`read_resources`],
+//! [`ComputationSpec::read_json`], [`read_scope`]). The tree decoders
+//! kept beside them ([`ComputationSpec::from_json`],
+//! [`resources_from_json`], [`scope_from_json`], over [`Fields`]) read
+//! a [`Json`] already built, with the same errors. Each type's
+//! `to_json` is the exact inverse of its decoders, and the library
+//! encoders ([`computation_to_json`], [`resource_set_to_json`]) go
+//! library → spec → JSON, so there is one encoder per wire shape and
+//! requests round-trip.
 //!
 //! A spec file describes a system's resource terms and one
 //! deadline-constrained computation:
@@ -51,7 +56,10 @@ use std::fmt;
 
 mod text;
 
-pub use text::{error_at, read_list, read_scope, write_scope, Listed, Members, Read};
+pub use text::{
+    error_at, read_document, read_list, read_resources, read_scope, write_scope, Listed, Members,
+    Read,
+};
 
 use rota_actor::{ActionKind, ActorComputation, DistributedComputation};
 use rota_interval::{TimeInterval, TimePoint};
@@ -570,28 +578,6 @@ fn decode_actor(value: &Json, index: usize) -> Result<ActorSpec, SpecError> {
     })
 }
 
-fn decode_constraint(value: &Json, index: usize) -> Result<ConstraintSpec, SpecError> {
-    let ctx = At::element("constraints", index);
-    let fields = Fields::of(value, &ctx)?;
-    fields.deny_unknown(&["left", "rel", "right"])?;
-    let rel = fields
-        .array("rel")?
-        .iter()
-        .map(|r| {
-            r.as_str().map(str::to_string).ok_or_else(|| {
-                SpecError::Parse(format!(
-                    "{ctx}: `rel` entries must be relation-name strings"
-                ))
-            })
-        })
-        .collect::<Result<_, _>>()?;
-    Ok(ConstraintSpec {
-        left: fields.str("left")?,
-        rel,
-        right: fields.str("right")?,
-    })
-}
-
 /// Decodes a list of resource specs from a JSON array.
 ///
 /// # Errors
@@ -880,33 +866,6 @@ pub fn computation_to_json(lambda: &DistributedComputation) -> Json {
 }
 
 impl SpecModel {
-    /// Parses a spec file from JSON text.
-    ///
-    /// # Errors
-    ///
-    /// [`SpecError::Parse`] on malformed JSON, unknown fields, missing
-    /// fields, or wrong value types.
-    pub fn from_json(text: &str) -> Result<Self, SpecError> {
-        let doc = Json::parse(text).map_err(|e| SpecError::Parse(e.to_string()))?;
-        let fields = Fields::of(&doc, &"spec")?;
-        fields.deny_unknown(&["resources", "computation", "constraints"])?;
-        let constraints = match fields.optional("constraints") {
-            None => Vec::new(),
-            Some(v) => v
-                .as_array()
-                .ok_or_else(|| SpecError::Parse("spec: `constraints` must be an array".into()))?
-                .iter()
-                .enumerate()
-                .map(|(i, c)| decode_constraint(c, i))
-                .collect::<Result<_, _>>()?,
-        };
-        Ok(SpecModel {
-            resources: resources_from_json(fields.array("resources")?)?,
-            computation: ComputationSpec::from_json(fields.required("computation")?)?,
-            constraints,
-        })
-    }
-
     /// Builds a model from validated library types (no constraints) —
     /// the path `rota-workload` uses.
     pub fn from_parts(terms: &[ResourceTerm], lambda: &DistributedComputation) -> Self {

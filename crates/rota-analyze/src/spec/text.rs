@@ -1,15 +1,20 @@
-//! The spec types' text codec: a computation and a scope read straight
-//! from a [`Reader`] into their types, and written straight into a
-//! `String`, with no [`rota_obs::Json`] tree between.
+//! The spec types' text codec: a spec file, a computation, a list of
+//! resource terms and a scope read straight from a [`Reader`] into
+//! their types, and written straight into a `String`, with no
+//! [`rota_obs::Json`] tree between. It is the one decoder spec files
+//! and frames run.
 //!
-//! The tree forms ([`ComputationSpec::from_json`], [`scope_from_json`]
-//! and their encoders) are the reference: each reader accepts what the
-//! tree decoder accepts and refuses the rest with the same error, and
-//! each writer writes the same bytes. A reader reads every member of an
-//! object before it judges one, then makes its checks in the tree
-//! decoder's order, so fields may come in any order and the first error
-//! the tree decoder would report is the one reported.
+//! A reader reads every member of an object before it judges one, then
+//! makes its checks in a fixed order, so fields may come in any order
+//! and the error reported is the first a strict field-by-field decoder
+//! meets: a repeated key, then an unknown one, then each field in the
+//! order the type lists them. The tree decoders
+//! ([`ComputationSpec::from_json`], [`resources_from_json`],
+//! [`scope_from_json`]) word every error the same way; the test
+//! support keeps a tree decoder of the whole spec file and of every
+//! frame as the readers' reference.
 //!
+//! [`resources_from_json`]: super::resources_from_json
 //! [`scope_from_json`]: super::scope_from_json
 
 use std::fmt;
@@ -18,7 +23,10 @@ use rota_logic::Scope;
 use rota_obs::json::{write_number, write_string, JsonError, Kind, Object, Reader, Scalar};
 use rota_resource::LocatedType;
 
-use super::{ActionSpec, ActorSpec, At, ComputationSpec, Locations, ResourceSpec, SpecError};
+use super::{
+    ActionSpec, ActorSpec, At, ComputationSpec, ConstraintSpec, Locations, ResourceSpec, SpecError,
+    SpecModel,
+};
 
 /// What a typed reader makes of one value: a syntax error (outer) ends
 /// the whole document, a schema error (inner) only this value. A frame
@@ -160,6 +168,22 @@ impl<'o, 'a, const N: usize> Members<'o, 'a, N> {
     pub fn u64(&self, i: usize) -> Result<u64, String> {
         self.u64_opt(i)?.ok_or_else(|| self.missing(i))
     }
+}
+
+/// Reads one whole document with `read`: the first syntax error
+/// anywhere in it, trailing bytes included, before any schema error, as
+/// parsing the whole tree first reports it.
+///
+/// # Errors
+///
+/// [`SpecError::Parse`] on malformed JSON or schema violations.
+pub fn read_document<T>(
+    text: &str,
+    read: impl FnOnce(&mut Reader<'_>) -> Read<T>,
+) -> Result<T, SpecError> {
+    let mut reader = Reader::new(text);
+    let decoded = read(&mut reader).and_then(|value| reader.finish().map(|()| value));
+    decoded.map_err(|err| SpecError::Parse(err.to_string()))?
 }
 
 /// The error of an object at `ctx`, from its text after the prefix.
@@ -391,6 +415,8 @@ impl ActionSpec {
 
 const SCOPE_KEYS: [&str; 3] = ["types", "start", "end"];
 const LOCATED_KEYS: [&str; 4] = ["kind", "location", "from", "to"];
+/// A term's keys: [`LOCATED_KEYS`], then its rate and window.
+const RESOURCE_KEYS: [&str; 7] = ["kind", "location", "from", "to", "rate", "start", "end"];
 
 /// Reads the object [`scope_from_json`](super::scope_from_json)
 /// decodes, as strictly and with the same errors.
@@ -440,25 +466,169 @@ fn read_located(
     let fields = Members::new(&LOCATED_KEYS, &object);
     Ok((|| {
         fields.unrepeated()?;
-        match fields.text(0)? {
-            kind @ ("cpu" | "memory") => {
-                fields.only(&["kind", "location"])?;
-                let location = locations.get(fields.text(1)?);
-                Ok(if kind == "cpu" {
-                    LocatedType::cpu(location)
-                } else {
-                    LocatedType::memory(location)
-                })
-            }
-            "network" => {
-                fields.only(&["kind", "from", "to"])?;
-                let from = locations.get(fields.text(2)?);
-                Ok(LocatedType::network(from, locations.get(fields.text(3)?)))
-            }
-            other => Err(format!(
-                "unknown resource kind `{other}`, expected `cpu`, `memory`, or `network`"
-            )),
+        located(
+            &fields,
+            locations,
+            &["kind", "location"],
+            &["kind", "from", "to"],
+        )
+    })()
+    .map_err(own))
+}
+
+/// The located type of a term-shaped object read with a table that
+/// starts with [`LOCATED_KEYS`]: `kind` with `location`, or `network`
+/// with `from` and `to`. A node kind's object may carry only
+/// `node_keys`, a link's only `link_keys`.
+fn located<const N: usize>(
+    fields: &Members<'_, '_, N>,
+    locations: &mut Locations,
+    node_keys: &[&str],
+    link_keys: &[&str],
+) -> Result<LocatedType, String> {
+    match fields.text(0)? {
+        kind @ ("cpu" | "memory") => {
+            fields.only(node_keys)?;
+            let location = locations.get(fields.text(1)?);
+            Ok(if kind == "cpu" {
+                LocatedType::cpu(location)
+            } else {
+                LocatedType::memory(location)
+            })
         }
+        "network" => {
+            fields.only(link_keys)?;
+            let from = locations.get(fields.text(2)?);
+            Ok(LocatedType::network(from, locations.get(fields.text(3)?)))
+        }
+        other => Err(format!(
+            "unknown resource kind `{other}`, expected `cpu`, `memory`, or `network`"
+        )),
+    }
+}
+
+/// Reads a list of resource terms, as
+/// [`resources_from_json`](super::resources_from_json) decodes one,
+/// as strictly and with the same errors; the locations the terms name
+/// are allocated once for the list. `None`, with the value skipped,
+/// when the value is not an array.
+///
+/// # Errors
+///
+/// Where the value is malformed JSON.
+pub fn read_resources(
+    reader: &mut Reader<'_>,
+) -> Result<Option<Result<Vec<ResourceSpec>, SpecError>>, JsonError> {
+    let mut locations = Locations::default();
+    read_list(reader, |reader, index| {
+        read_resource(reader, index, &mut locations)
+    })
+}
+
+fn read_resource(
+    reader: &mut Reader<'_>,
+    index: usize,
+    locations: &mut Locations,
+) -> Read<ResourceSpec> {
+    let object = reader.members(&RESOURCE_KEYS, |_, _| Ok(false))?;
+    let ctx = At::element("resources", index);
+    let own = error_at(&ctx);
+    let Some(object) = object else {
+        return Ok(Err(own("expected an object".into())));
+    };
+    let fields = Members::new(&RESOURCE_KEYS, &object);
+    Ok((|| {
+        fields.unrepeated()?;
+        let located = located(
+            &fields,
+            locations,
+            &["kind", "location", "rate", "start", "end"],
+            &["kind", "from", "to", "rate", "start", "end"],
+        )?;
+        Ok(ResourceSpec {
+            located,
+            rate: fields.u64(4)?,
+            start: fields.u64(5)?,
+            end: fields.u64(6)?,
+        })
+    })()
+    .map_err(own))
+}
+
+const SPEC_KEYS: [&str; 3] = ["resources", "computation", "constraints"];
+const CONSTRAINT_KEYS: [&str; 3] = ["left", "rel", "right"];
+
+impl SpecModel {
+    /// Parses a spec file from JSON text, reading it straight into the
+    /// model. The constraints are checked first, then the resources,
+    /// then the computation.
+    ///
+    /// # Errors
+    ///
+    /// [`SpecError::Parse`] on malformed JSON, unknown fields, missing
+    /// fields, or wrong value types.
+    pub fn from_json(text: &str) -> Result<Self, SpecError> {
+        read_document(text, read_spec)
+    }
+}
+
+fn read_spec(reader: &mut Reader<'_>) -> Read<SpecModel> {
+    let (mut resources, mut computation, mut constraints) = (None, None, None);
+    let object = reader.members(&SPEC_KEYS, |reader, i| {
+        match i {
+            0 => resources = Some(read_resources(reader)?),
+            1 => computation = Some(ComputationSpec::read_json(reader)?),
+            _ => constraints = Some(read_list(reader, read_constraint)?),
+        }
+        Ok(true)
+    })?;
+    let own = error_at(&"spec");
+    let Some(object) = object else {
+        return Ok(Err(own("expected an object".into())));
+    };
+    let fields = Members::new(&SPEC_KEYS, &object);
+    Ok((|| {
+        fields.strict().map_err(&own)?;
+        let constraints = match constraints {
+            None => Vec::new(),
+            Some(None) => return Err(own("`constraints` must be an array".into())),
+            Some(Some(constraints)) => constraints?,
+        };
+        Ok(SpecModel {
+            resources: fields.list(0, resources).map_err(&own)??,
+            computation: computation.ok_or_else(|| own(fields.missing(1)))??,
+            constraints,
+        })
+    })())
+}
+
+fn read_constraint(reader: &mut Reader<'_>, index: usize) -> Read<ConstraintSpec> {
+    let mut rel = None;
+    let object = reader.members(&CONSTRAINT_KEYS, |reader, i| {
+        if i != 1 {
+            return Ok(false);
+        }
+        rel = Some(read_list(reader, |reader, _| {
+            Ok(reader.scalar()?.as_str().map(str::to_owned).ok_or(()))
+        })?);
+        Ok(true)
+    })?;
+    let ctx = At::element("constraints", index);
+    let own = error_at(&ctx);
+    let Some(object) = object else {
+        return Ok(Err(own("expected an object".into())));
+    };
+    let fields = Members::new(&CONSTRAINT_KEYS, &object);
+    Ok((|| {
+        fields.strict()?;
+        let rel = fields
+            .list(1, rel)?
+            .map_err(|()| "`rel` entries must be relation-name strings".to_string())?;
+        Ok(ConstraintSpec {
+            left: fields.string(0)?,
+            rel,
+            right: fields.string(2)?,
+        })
     })()
     .map_err(own))
 }

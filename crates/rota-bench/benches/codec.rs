@@ -20,8 +20,9 @@
 //!   writer;
 //! - `frame`: `write_frame` into a reused sink, as a connection writes
 //!   an answer, newline and flush included;
-//! - `tree`: the reference forms' round, `Json::parse` plus `from_json`
-//!   and then `to_json().to_string()`, which the wire no longer runs.
+//! - `tree`: the reference forms' round, `Json::parse` plus the tree
+//!   decoder of `rota-server/tests/support/tree.rs` and then
+//!   `to_json().to_string()`, which the wire no longer runs.
 //!
 //! `convert` is the step a 2PC coordinator takes after decoding each
 //! answer: the `resources` array into spec terms (`resources_from_json`)
@@ -30,6 +31,12 @@
 //! Every bench id carries the frame's length in bytes and its
 //! throughput is that length, so cost per byte reads straight off the
 //! `B/s` column: a linear codec keeps it flat as frames grow.
+
+// The tree decoders, kept as the text codec's reference in
+// rota-server's test support; this file uses part of it.
+#[allow(dead_code)]
+#[path = "../../rota-server/tests/support/tree.rs"]
+mod tree;
 
 use std::time::Duration;
 
@@ -196,7 +203,7 @@ impl Codec for Request {
         Request::from_line(line).expect("the frame decodes")
     }
     fn from_tree(line: &str) -> Self {
-        Request::from_json(&Json::parse(line).expect("the frame parses"))
+        tree::request_from_json(&Json::parse(line).expect("the frame parses"))
             .expect("the frame decodes")
     }
     fn to_json(&self) -> Json {
@@ -209,7 +216,7 @@ impl Codec for Response {
         Response::from_line(line).expect("the frame decodes")
     }
     fn from_tree(line: &str) -> Self {
-        Response::from_json(Json::parse(line).expect("the frame parses"))
+        tree::response_from_json(Json::parse(line).expect("the frame parses"))
             .expect("the frame decodes")
     }
     fn to_json(&self) -> Json {

@@ -8,9 +8,8 @@
 //! retrying client: over a list of addresses (one server, or every node
 //! of a rota-cluster federation) it layers deterministic retry,
 //! exponential backoff with seeded jitter, per-request deadline
-//! budgets, sticky failover on transport errors, and p99-triggered
-//! hedging on top of the raw client. The load test drives every
-//! connection through it.
+//! budgets and sticky failover on transport errors on top of the raw
+//! client. The load test drives every connection through it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,7 +29,7 @@ use rota_server::protocol::{read_frame, write_frame, FrameError, Request, Respon
 use rota_server::spec::{ComputationSpec, ResourceSpec, SpecError};
 
 pub use loadtest::{request_schedule, run_loadtest, LoadtestConfig, LoadtestReport};
-pub use resilient::{HedgeConfig, ResilienceStats, ResilientClient, RetryConfig};
+pub use resilient::{ResilienceStats, ResilientClient, RetryConfig};
 
 /// Anything that can go wrong on a client call.
 #[derive(Debug)]

@@ -19,7 +19,7 @@ use rota_server::protocol::Response;
 use rota_server::spec::ComputationSpec;
 use rota_workload::{generate_job, WorkloadConfig};
 
-use crate::resilient::{HedgeConfig, ResilienceStats, ResilientClient, RetryConfig};
+use crate::resilient::{ResilienceStats, ResilientClient, RetryConfig};
 use crate::ClientError;
 
 /// What to throw at the server.
@@ -45,8 +45,6 @@ pub struct LoadtestConfig {
     /// Retry/backoff for each connection's [`ResilientClient`] (its
     /// seed is offset by the connection index).
     pub retry: RetryConfig,
-    /// Hedged requests.
-    pub hedge: Option<HedgeConfig>,
 }
 
 impl LoadtestConfig {
@@ -65,7 +63,6 @@ impl LoadtestConfig {
                 max_attempts: 1,
                 ..RetryConfig::default()
             },
-            hedge: None,
         }
     }
 }
@@ -100,8 +97,6 @@ pub struct LoadtestReport {
     pub first_error: Option<String>,
     /// Retries performed by the resilience layer (0 with one attempt).
     pub retries: u64,
-    /// Hedge attempts fired by the resilience layer.
-    pub hedges: u64,
     /// Moves to the next address after a transport failure.
     pub failovers: u64,
 }
@@ -162,11 +157,8 @@ impl LoadtestReport {
             us(self.percentile_ns(99.0)),
             us(self.latencies_ns.last().copied().unwrap_or(0)),
         ));
-        if self.retries > 0 || self.hedges > 0 || self.failovers > 0 {
-            out.push_str(&format!(
-                "  resilience   retries={} hedges={}",
-                self.retries, self.hedges
-            ));
+        if self.retries > 0 || self.failovers > 0 {
+            out.push_str(&format!("  resilience   retries={}", self.retries));
             if self.failovers > 0 {
                 out.push_str(&format!(" failovers={}", self.failovers));
             }
@@ -200,10 +192,7 @@ pub fn run_loadtest(config: &LoadtestConfig) -> Result<LoadtestReport, ClientErr
             seed: config.retry.seed.wrapping_add(connection as u64),
             ..config.retry.clone()
         };
-        let mut client = ResilientClient::new(addrs, retry)?;
-        if let Some(hedge) = &config.hedge {
-            client = client.with_hedging(hedge.clone());
-        }
+        let client = ResilientClient::new(addrs, retry)?;
         let shared = Arc::clone(&shared);
         let schedule = if config.deterministic {
             Schedule::Fixed(partition(total, connections, connection).into_iter())
@@ -223,7 +212,6 @@ pub fn run_loadtest(config: &LoadtestConfig) -> Result<LoadtestReport, ClientErr
         let (samples, worker_stats) = handle.join().expect("loadtest worker panicked");
         outcomes.extend(samples);
         stats.retries += worker_stats.retries;
-        stats.hedges += worker_stats.hedges;
         stats.failovers += worker_stats.failovers;
     }
     let elapsed = started.elapsed();
@@ -238,7 +226,6 @@ pub fn run_loadtest(config: &LoadtestConfig) -> Result<LoadtestReport, ClientErr
         latencies_ns: Vec::with_capacity(outcomes.len()),
         first_error: None,
         retries: stats.retries,
-        hedges: stats.hedges,
         failovers: stats.failovers,
     };
     for (outcome, ns, err) in outcomes {

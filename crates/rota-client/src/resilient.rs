@@ -1,9 +1,8 @@
-//! Retry, backoff, failover, and hedging on top of the blocking
-//! [`Client`].
+//! Retry, backoff and failover on top of the blocking [`Client`].
 //!
 //! A [`ResilientClient`] wraps a list of server addresses — one server,
 //! or the nodes of a rota-cluster federation, where any node admits
-//! anything — with four layers of fault tolerance, all deterministic
+//! anything — with three layers of fault tolerance, all deterministic
 //! under a seed:
 //!
 //! - **retry with exponential backoff + jitter** — transport errors and
@@ -18,22 +17,17 @@
 //! - **sticky failover** — the client stays on one address; a transport
 //!   error (`ClientError::Io`/`Frame`) drops the connection and moves it
 //!   to the next address before the next attempt, while answers —
-//!   server `error`s included — leave it where it is;
-//! - **deadline-aware hedging** — an optional second attempt fired when
-//!   the first has been in flight for the client's running p99 latency
-//!   estimate; whichever attempt answers first wins.
+//!   server `error`s included — leave it where it is.
 //!
 //! The client sends admits only. Retrying an admit whose *response* was
 //! lost (connection reset, truncated frame) is safe because rota-server
 //! treats computation names as idempotency keys (DESIGN §10): the retry
 //! reaches the shard owning the demand and gets the original verdict
-//! from its decision cache rather than committing twice. The same
-//! property makes hedge duplicates harmless. An `offer`, `prepare` or
+//! from its decision cache rather than committing twice. An `offer`,
+//! `prepare` or
 //! `commit` has no such key, so none of them is ever re-sent.
 
-use std::collections::VecDeque;
 use std::net::SocketAddr;
-use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -71,42 +65,13 @@ impl Default for RetryConfig {
     }
 }
 
-/// Hedged-request knobs.
-#[derive(Debug, Clone)]
-pub struct HedgeConfig {
-    /// Latency samples needed before the p99 estimate is trusted;
-    /// until then [`HedgeConfig::initial_delay`] is used.
-    pub min_samples: usize,
-    /// Hedge delay before enough samples exist.
-    pub initial_delay: Duration,
-    /// Lower clamp on the hedge delay (don't hedge *everything*).
-    pub floor: Duration,
-    /// Upper clamp on the hedge delay.
-    pub cap: Duration,
-}
-
-impl Default for HedgeConfig {
-    fn default() -> Self {
-        HedgeConfig {
-            min_samples: 16,
-            initial_delay: Duration::from_millis(50),
-            floor: Duration::from_millis(1),
-            cap: Duration::from_millis(250),
-        }
-    }
-}
-
 /// Counters describing what the resilience layer actually did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ResilienceStats {
-    /// Attempts sent (including firsts, retries, and hedges).
+    /// Attempts sent (firsts and retries).
     pub attempts: u64,
     /// Retries after a transport error or `overloaded` bounce.
     pub retries: u64,
-    /// Hedge attempts fired.
-    pub hedges: u64,
-    /// Requests won by the hedge attempt rather than the primary.
-    pub hedge_wins: u64,
     /// Fresh connections dialed after a transport failure.
     pub reconnects: u64,
     /// Moves to the next address after a transport failure (never with
@@ -114,19 +79,14 @@ pub struct ResilienceStats {
     pub failovers: u64,
 }
 
-/// How many recent request latencies feed the p99 hedge estimate.
-const LATENCY_WINDOW: usize = 256;
-
-/// A [`Client`] wrapper that retries, backs off, fails over, and
-/// (optionally) hedges — deterministically under [`RetryConfig::seed`].
+/// A [`Client`] wrapper that retries, backs off and fails over —
+/// deterministically under [`RetryConfig::seed`].
 pub struct ResilientClient {
     addrs: Vec<SocketAddr>,
     cursor: usize,
     retry: RetryConfig,
-    hedge: Option<HedgeConfig>,
     rng: StdRng,
     connection: Option<Client>,
-    latencies: VecDeque<u64>,
     stats: ResilienceStats,
 }
 
@@ -143,18 +103,10 @@ impl ResilientClient {
             addrs,
             cursor: 0,
             retry,
-            hedge: None,
             rng,
             connection: None,
-            latencies: VecDeque::new(),
             stats: ResilienceStats::default(),
         })
-    }
-
-    /// Enables hedged requests.
-    pub fn with_hedging(mut self, hedge: HedgeConfig) -> ResilientClient {
-        self.hedge = Some(hedge);
-        self
     }
 
     /// What the resilience layer has done so far.
@@ -167,21 +119,7 @@ impl ResilientClient {
         self.addrs[self.cursor]
     }
 
-    /// The hedge delay currently in force: running p99 of the latency
-    /// window, clamped to `[floor, cap]`.
-    pub fn hedge_delay(&self) -> Option<Duration> {
-        let hedge = self.hedge.as_ref()?;
-        if self.latencies.len() < hedge.min_samples.max(1) {
-            return Some(hedge.initial_delay.clamp(hedge.floor, hedge.cap));
-        }
-        let mut sorted: Vec<u64> = self.latencies.iter().copied().collect();
-        sorted.sort_unstable();
-        let rank = (0.99 * (sorted.len() - 1) as f64).round() as usize;
-        let p99 = Duration::from_nanos(sorted[rank.min(sorted.len() - 1)]);
-        Some(p99.clamp(hedge.floor, hedge.cap))
-    }
-
-    /// Submits an admit with retries, backoff, budget, and hedging.
+    /// Submits an admit with retries, backoff and budget.
     ///
     /// Returns the first decisive response. `overloaded` is retried;
     /// if retries or budget run out it is returned as-is (the caller
@@ -210,16 +148,11 @@ impl ResilientClient {
                 }
                 std::thread::sleep(sleep);
             }
-            let started = Instant::now();
-            let outcome = self.attempt(&request, deadline);
-            match outcome {
+            match self.attempt(&request) {
                 Ok(response @ Response::Overloaded { .. }) => {
                     last = Ok(response);
                 }
-                Ok(response) => {
-                    self.record_latency(started.elapsed());
-                    return Ok(response);
-                }
+                Ok(response) => return Ok(response),
                 Err(err) => {
                     // The connection is suspect after any error; the
                     // next attempt dials fresh, on the next address if
@@ -241,16 +174,9 @@ impl ResilientClient {
         last
     }
 
-    /// One attempt: hedged when configured, plain otherwise.
-    fn attempt(&mut self, request: &Request, deadline: Instant) -> Result<Response, ClientError> {
+    /// One attempt, on the open connection or a fresh one.
+    fn attempt(&mut self, request: &Request) -> Result<Response, ClientError> {
         self.stats.attempts += 1;
-        match self.hedge_delay() {
-            Some(delay) => self.hedged_call(request, delay, deadline),
-            None => self.plain_call(request),
-        }
-    }
-
-    fn plain_call(&mut self, request: &Request) -> Result<Response, ClientError> {
         let addr = self.current_addr();
         let client = match &mut self.connection {
             Some(client) => client,
@@ -259,44 +185,9 @@ impl ResilientClient {
                 slot.insert(Client::connect_timeout(addr, Duration::from_secs(5))?)
             }
         };
-        request_on(client, request)
-    }
-
-    /// Fires the primary attempt on its own thread; if it has not
-    /// answered within `delay`, fires a hedge attempt on a second
-    /// connection. First answer wins; the loser's thread parks on a
-    /// dead channel and exits on its own.
-    fn hedged_call(
-        &mut self,
-        request: &Request,
-        delay: Duration,
-        deadline: Instant,
-    ) -> Result<Response, ClientError> {
-        let (tx, rx) = mpsc::channel::<(bool, Result<Response, ClientError>)>();
-        let addr = self.current_addr();
-        spawn_attempt(addr, request.clone(), false, tx.clone());
-        match rx.recv_timeout(delay) {
-            Ok((_, outcome)) => return outcome,
-            Err(mpsc::RecvTimeoutError::Timeout) => {}
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                return Err(ClientError::Server("attempt thread died".into()))
-            }
-        }
-        self.stats.hedges += 1;
-        spawn_attempt(addr, request.clone(), true, tx);
-        let remaining = deadline
-            .saturating_duration_since(Instant::now())
-            .max(Duration::from_millis(1));
-        match rx.recv_timeout(remaining) {
-            Ok((hedged, outcome)) => {
-                if hedged && outcome.is_ok() {
-                    self.stats.hedge_wins += 1;
-                }
-                outcome
-            }
-            Err(_) => Err(ClientError::Server(
-                "request budget exhausted while hedging".into(),
-            )),
+        match client.call(request)? {
+            Response::Error { message } => Err(ClientError::Server(message)),
+            response => Ok(response),
         }
     }
 
@@ -311,37 +202,6 @@ impl ResilientClient {
         let unit = (self.rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
         nominal.mul_f64(0.5 + 0.5 * unit)
     }
-
-    fn record_latency(&mut self, elapsed: Duration) {
-        let ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
-        self.latencies.push_back(ns);
-        if self.latencies.len() > LATENCY_WINDOW {
-            self.latencies.pop_front();
-        }
-    }
-}
-
-fn request_on(client: &mut Client, request: &Request) -> Result<Response, ClientError> {
-    match client.call(request)? {
-        Response::Error { message } => Err(ClientError::Server(message)),
-        response => Ok(response),
-    }
-}
-
-/// One attempt on its own thread and connection. The result channel may
-/// be gone by the time it answers (the other attempt won) — that is the
-/// normal fate of a losing hedge.
-fn spawn_attempt(
-    addr: SocketAddr,
-    request: Request,
-    hedged: bool,
-    tx: mpsc::Sender<(bool, Result<Response, ClientError>)>,
-) {
-    std::thread::spawn(move || {
-        let outcome = Client::connect_timeout(addr, Duration::from_secs(5))
-            .and_then(|mut client| request_on(&mut client, &request));
-        let _ = tx.send((hedged, outcome));
-    });
 }
 
 #[cfg(test)]
@@ -513,37 +373,5 @@ mod tests {
         let schedule_a: Vec<_> = (1..=8).map(|i| a.backoff(i)).collect();
         let schedule_b: Vec<_> = (1..=8).map(|i| b.backoff(i)).collect();
         assert_ne!(schedule_a, schedule_b);
-    }
-
-    #[test]
-    fn hedge_delay_clamps_and_warms_up() {
-        let addr: SocketAddr = "127.0.0.1:1".parse().unwrap();
-        let mut client = ResilientClient::new(vec![addr], RetryConfig::default())
-            .unwrap()
-            .with_hedging(HedgeConfig {
-                min_samples: 4,
-                initial_delay: Duration::from_millis(50),
-                floor: Duration::from_millis(2),
-                cap: Duration::from_millis(20),
-            });
-        // Cold: initial delay, clamped into [floor, cap].
-        assert_eq!(client.hedge_delay(), Some(Duration::from_millis(20)));
-        // Warm with fast samples: p99 below the floor clamps up.
-        for _ in 0..8 {
-            client.record_latency(Duration::from_micros(100));
-        }
-        assert_eq!(client.hedge_delay(), Some(Duration::from_millis(2)));
-        // Slow samples: p99 above the cap clamps down.
-        for _ in 0..8 {
-            client.record_latency(Duration::from_millis(400));
-        }
-        assert_eq!(client.hedge_delay(), Some(Duration::from_millis(20)));
-    }
-
-    #[test]
-    fn no_hedge_config_means_no_hedging() {
-        let addr: SocketAddr = "127.0.0.1:1".parse().unwrap();
-        let client = ResilientClient::new(vec![addr], RetryConfig::default()).unwrap();
-        assert_eq!(client.hedge_delay(), None);
     }
 }

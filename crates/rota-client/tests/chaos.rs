@@ -12,9 +12,9 @@
 //! * the panicked shard counts exactly one panic and keeps its state
 //!   (the panic fires in the admit's reading half, before anything
 //!   mutates),
-//! * the [`ResilientClient`], retrying alone or retrying and hedging,
-//!   turns every fault into a successful decision that matches what a
-//!   monolithic controller decides.
+//! * the retrying [`ResilientClient`] turns every fault into a
+//!   successful decision that matches what a monolithic controller
+//!   decides.
 //!
 //! `e14_battery_rides_out_every_fault` is experiment E14 (`just
 //! chaos`). Also pins down loadtest determinism: with `deterministic`
@@ -31,8 +31,7 @@ use rota_admission::{
     AdmissionController, AdmissionPolicy, AdmissionRequest, Decision, RotaPolicy,
 };
 use rota_client::{
-    run_loadtest, Client, HedgeConfig, LoadtestConfig, ResilienceStats, ResilientClient,
-    RetryConfig,
+    run_loadtest, Client, LoadtestConfig, ResilienceStats, ResilientClient, RetryConfig,
 };
 use rota_interval::TimePoint;
 use rota_logic::State;
@@ -108,14 +107,10 @@ struct Drill {
 
 /// Admits `jobs` chain jobs through a proxy injecting `faults` in front
 /// of a 2-shard server whose policy panics on decision `panic_nth`
-/// (0: never), with a retrying client that hedges when `hedge` is set,
-/// and checks every verdict against an in-process reference controller.
-fn agree_with_reference(
-    faults: Faults,
-    jobs: usize,
-    panic_nth: u64,
-    hedge: Option<HedgeConfig>,
-) -> Drill {
+/// (0: never), with a retrying client on one connection, redialled
+/// after each fault, and checks every verdict against an in-process
+/// reference controller.
+fn agree_with_reference(faults: Faults, jobs: usize, panic_nth: u64) -> Drill {
     let workload = chain_workload();
     let theta = base_resources(&workload);
     let shards = 2;
@@ -135,12 +130,7 @@ fn agree_with_reference(
         budget: Duration::from_secs(10),
         seed: 99,
     };
-    // Unhedged, one connection, redialled after each fault, carries
-    // the drill; hedged, every attempt dials a connection of its own.
     let mut client = ResilientClient::new(vec![proxy.addr()], retry).expect("one address");
-    if let Some(hedge) = hedge {
-        client = client.with_hedging(hedge);
-    }
 
     let mut rng = StdRng::seed_from_u64(workload.seed);
     let mut accepted = 0usize;
@@ -192,7 +182,6 @@ fn retrying_client_agrees_with_reference_under_chaos() {
         },
         JOBS,
         10,
-        None,
     );
     // Chaos must not have biased the workload into one verdict.
     assert!(drill.accepted > 0, "no job was admitted");
@@ -210,43 +199,6 @@ fn retrying_client_agrees_with_reference_under_chaos() {
     assert!(counts.delayed >= 1, "no request was delayed: {counts:?}");
 }
 
-/// Hedging keeps verdict agreement: every delayed request outlasts the
-/// 1 ms hedge delay, so a second attempt races the first on a
-/// connection of its own, and whichever answers first is the verdict.
-/// The server's decision cache makes the pair one decision, and the
-/// panic bounce is retried like any other. Each attempt dials the
-/// proxy anew, so the drill stays short.
-#[test]
-fn hedging_client_agrees_with_reference_under_chaos() {
-    const JOBS: usize = 20;
-    let drill = agree_with_reference(
-        Faults {
-            seed: 5,
-            latency_ms: 5,
-            latency_p: 0.3,
-            truncate_p: 0.1,
-            ..Faults::default()
-        },
-        JOBS,
-        5,
-        Some(HedgeConfig {
-            min_samples: usize::MAX,
-            initial_delay: Duration::from_millis(1),
-            floor: Duration::from_millis(1),
-            cap: Duration::from_millis(1),
-        }),
-    );
-    assert_eq!(drill.panics, 1, "exactly one shard panic is counted");
-    assert!(drill.client.retries >= 1, "the panic bounce is retried");
-    let counts = drill.counts;
-    assert!(counts.delayed >= 1, "no request was delayed: {counts:?}");
-    assert!(
-        drill.client.hedges >= 1,
-        "no hedged attempt ran: {:?}",
-        drill.client
-    );
-}
-
 /// One flipped bit cannot turn one verdict into the other: a damaged
 /// answer either fails to decode, and is retried (the decision cache
 /// replays it), or decodes with its verdict intact.
@@ -260,7 +212,6 @@ fn a_flipped_answer_byte_never_changes_a_verdict() {
         },
         40,
         0,
-        None,
     );
     let counts = drill.counts;
     assert!(counts.corrupted >= 1, "no answer was corrupted: {counts:?}");
@@ -270,8 +221,8 @@ fn a_flipped_answer_byte_never_changes_a_verdict() {
 /// E14: the E13 battery (2000 mixed jobs, 8 connections, 4 shards,
 /// seed 42) through the proxy — 10% of requests delayed up to 2 ms, 5%
 /// of answers truncated, 3% of requests reset — with the 500th
-/// decision panicking its shard, against a retrying and hedging
-/// loadtest. Every fault is ridden out: no job ends in an error, and
+/// decision panicking its shard, against a loadtest retrying up to 8
+/// attempts. Every fault is ridden out: no job ends in an error, and
 /// exactly one panic is counted. Prints the report EXPERIMENTS.md
 /// records; run it with `just chaos`.
 #[test]
@@ -310,7 +261,6 @@ fn e14_battery_rides_out_every_fault() {
             seed: 42,
             ..RetryConfig::default()
         },
-        hedge: Some(HedgeConfig::default()),
         ..LoadtestConfig::new(proxy.addr())
     };
     let report = run_loadtest(&config).expect("the loadtest runs");

@@ -6,13 +6,19 @@
 //! past 2^53; frames cut short or followed by more bytes.
 //!
 //! The file was generated with the tree decoders (`Json::parse`, then
-//! `Request::from_json` or `Response::from_json`), which were the wire
-//! decoders when it was recorded. Each entry is two lines: the direction
+//! the request or response decoder of `rota-server/tests/support/tree.rs`),
+//! which were the wire decoders when it was recorded. Each entry is two lines: the direction
 //! (`>` request, `<` response) and the frame, then `=` and the decoded
 //! value re-encoded (`=` alone when that is the frame itself), or `!`
 //! and the error text.
 //! `cargo test -p rota-client --test decode_corpus -- --ignored`
 //! rewrites it from the tree decoders.
+
+// Shared with rota-server's properties and the codec bench; this file
+// uses part of it.
+#[allow(dead_code)]
+#[path = "../../rota-server/tests/support/tree.rs"]
+mod tree;
 
 use rota_actor::Granularity;
 use rota_interval::TimeInterval;
@@ -408,12 +414,12 @@ fn reference_outcome(request: bool, frame: &str) -> String {
     let decoded = if request {
         parsed
             .map_err(|err| format!("spec parse error: {err}"))
-            .and_then(|doc| Request::from_json(&doc).map_err(|err| err.to_string()))
+            .and_then(|doc| tree::request_from_json(&doc).map_err(|err| err.to_string()))
             .map(|request| request.to_json().to_string())
     } else {
         parsed
             .map_err(|err| format!("spec parse error: {err}"))
-            .and_then(|doc| Response::from_json(doc).map_err(|err| err.to_string()))
+            .and_then(|doc| tree::response_from_json(doc).map_err(|err| err.to_string()))
             .map(|response| response.to_json().to_string())
     };
     outcome(frame, decoded)

@@ -1,18 +1,19 @@
 //! The frames' text codec: [`Request`], [`Response`] and
 //! [`GossipDigest`] read straight from a frame's bytes with a
-//! [`Reader`] and written straight into a `String`. This is the codec
-//! the wire runs; the tree forms (`to_json`, `from_json`) are its
-//! reference, and the two agree on every byte written and on every
-//! value or error read.
+//! [`Reader`] and written straight into a `String`. It is the one
+//! decoder and the one writer each frame type has. The tree encoders
+//! (`to_json`) write the same bytes; the tree decoders kept in the test
+//! support read every frame to the same value or the same error.
 //!
-//! Two kinds of member are read as trees: a resource list (an offer's
-//! `resources`, a prepare's `basis`, a `cluster-state` answer's
-//! `resources`), with [`Reader::tree`] and [`resources_from_json`], and
-//! a metrics snapshot, which is a [`Json`] by type and written as one.
-//! A resource list is written straight, term by term
-//! ([`ResourceSpec::write_json`]). A decision's diagnostics are kept as
-//! the compact text of their array ([`Diagnostics`]), checked to be
-//! JSON as they are read.
+//! Every member is read straight into its type, resource lists (an
+//! offer's `resources`, a prepare's `basis`) with [`read_resources`],
+//! except two, which are read as trees with [`Reader::tree`]: a
+//! `cluster-state` answer's `resources`, a [`Json`] by type until
+//! admbench reads it another way, and a metrics snapshot, which is a
+//! [`Json`] by type and written as one. A resource list is written
+//! straight, term by term ([`ResourceSpec::write_json`]). A decision's
+//! diagnostics are kept as the compact text of their array
+//! ([`Diagnostics`]), checked to be JSON as they are read.
 
 use rota_actor::Granularity;
 use rota_admission::ControllerStats;
@@ -21,37 +22,14 @@ use rota_obs::Json;
 
 use super::{Diagnostics, GossipDigest, PeerBeat, Request, Response};
 use crate::spec::{
-    error_at, read_list, read_scope, resources_from_json, write_scope, ComputationSpec, Members,
-    Read, ResourceSpec, SpecError,
+    error_at, read_list, read_resources, read_scope, write_scope, ComputationSpec, Members, Read,
+    ResourceSpec, SpecError,
 };
-
-/// Decodes one frame with `read`: the first syntax error anywhere in
-/// the frame, trailing bytes included, before any schema error.
-pub(super) fn decode<T>(
-    line: &str,
-    read: impl FnOnce(&mut Reader<'_>) -> Read<T>,
-) -> Result<T, SpecError> {
-    let mut reader = Reader::new(line);
-    let decoded = read(&mut reader).and_then(|value| reader.finish().map(|()| value));
-    decoded.map_err(|err| SpecError::Parse(err.to_string()))?
-}
 
 /// Reads a list of unsigned integers; an element that is not one fails
 /// the list.
 fn read_epochs(reader: &mut Reader<'_>) -> Result<Option<Result<Vec<u64>, ()>>, JsonError> {
     read_list(reader, |reader, _| Ok(reader.scalar()?.as_u64().ok_or(())))
-}
-
-/// Reads a resource list as a tree and decodes its terms.
-fn read_terms(
-    reader: &mut Reader<'_>,
-) -> Result<Option<Result<Vec<ResourceSpec>, SpecError>>, JsonError> {
-    if reader.kind()? != Kind::Arr {
-        reader.skip()?;
-        return Ok(None);
-    }
-    let terms = reader.tree()?;
-    Ok(Some(resources_from_json(terms.as_array().unwrap_or(&[]))))
 }
 
 fn write_terms(out: &mut String, terms: &[ResourceSpec]) {
@@ -76,8 +54,7 @@ fn write_epochs(out: &mut String, epochs: &[u64]) {
     out.push(']');
 }
 
-/// A string or `null` under key `i`, as the tree decoder's `opt_str`
-/// reads it.
+/// A string or `null` under key `i`.
 fn opt_str<const N: usize>(
     fields: &Members<'_, '_, N>,
     i: usize,
@@ -94,8 +71,7 @@ const DIGEST_KEYS: [&str; 3] = ["from", "seq", "beats"];
 const BEAT_KEYS: [&str; 2] = ["node", "seq"];
 
 impl GossipDigest {
-    /// Reads the object [`GossipDigest::from_json`] decodes, as
-    /// strictly and with the same errors.
+    /// Reads a digest's object, as strictly as a request.
     ///
     /// # Errors
     ///
@@ -215,9 +191,8 @@ const R_VERSION: usize = index(&REQUEST_KEYS, "version");
 const R_NODE: usize = index(&REQUEST_KEYS, "node");
 
 impl Request {
-    /// Reads the document [`Request::from_json`] decodes, as strictly
-    /// and with the same errors. Every member is read before the op is
-    /// looked at, so the op may come anywhere.
+    /// Reads a request's document. Every member is read before the op
+    /// is looked at, so the op may come anywhere.
     ///
     /// # Errors
     ///
@@ -232,10 +207,10 @@ impl Request {
         let object = reader.members(&REQUEST_KEYS, |reader, i| {
             match i {
                 R_COMPUTATION => computation = Some(ComputationSpec::read_json(reader)?),
-                R_RESOURCES => resources = Some(read_terms(reader)?),
+                R_RESOURCES => resources = Some(read_resources(reader)?),
                 R_DIGEST => digest = Some(GossipDigest::read_json(reader)?),
                 R_SCOPE => scope = Some(read_scope(reader)?),
-                R_BASIS => basis = Some(read_terms(reader)?),
+                R_BASIS => basis = Some(read_resources(reader)?),
                 R_EPOCHS => epochs = Some(read_epochs(reader)?),
                 _ => return Ok(false),
             }
@@ -508,8 +483,7 @@ fn read_diagnostics(reader: &mut Reader<'_>) -> Result<Result<Diagnostics, ()>, 
 }
 
 impl Response {
-    /// Reads the document [`Response::from_json`] decodes, as strictly
-    /// and with the same errors.
+    /// Reads a response's document.
     ///
     /// # Errors
     ///

@@ -40,8 +40,8 @@
 //! Computation names are idempotency keys, but a verdict is only
 //! replayed when the retry's *content hash* (name, computation body,
 //! priced requirement) matches the original's: a client that retries
-//! (because a response was lost to a reset or truncation) or hedges
-//! (duplicate in-flight attempt) gets the original verdict back, byte
+//! (because a response was lost to a reset or truncation) or sends a
+//! duplicate in-flight attempt gets the original verdict back, byte
 //! for byte — the cache holds each verdict as the frame its first
 //! submitter was sent — instead of committing the same computation
 //! twice, while a
@@ -204,7 +204,7 @@ enum CacheLookup {
 
 /// Bounded LRU cache of recent verdicts, keyed by computation name with
 /// the request's content hash ([`dedup_key`]) stored alongside — the
-/// idempotency layer that keeps client retries and hedges from
+/// idempotency layer that keeps client retries and duplicates from
 /// double-committing, without ever replaying a verdict for a body it
 /// was not decided on. Each verdict is held as the encoded frame its
 /// first submitter was sent ([`encode_frame`]), so a replay is those
@@ -540,7 +540,7 @@ impl ShardPool {
     }
 }
 
-/// Verdicts remembered per shard for retry/hedge idempotency. Bounded
+/// Verdicts remembered per shard for retry idempotency. Bounded
 /// so a long-lived server cannot grow without limit; LRU eviction keeps
 /// actively-retried names cached while cold verdicts age out.
 pub(crate) const DEDUP_CAPACITY: usize = 1024;

@@ -14,6 +14,16 @@
 //!    is the guarantee the failure drills' proxy leans on when it
 //!    truncates or flips a byte of a frame: a corrupted frame degrades
 //!    to an `error` response, not a crashed connection thread.
+//!
+//! Beside them, the text readers are compared with the tree decoders
+//! kept in `support/tree.rs`: edited frames and edited spec files read
+//! to the same value or the same error text.
+
+// Shared with the decode corpus and the codec bench; this file uses
+// part of it.
+#[allow(dead_code)]
+#[path = "support/tree.rs"]
+mod tree;
 
 use proptest::prelude::*;
 
@@ -27,7 +37,7 @@ use rota_resource::{LocatedType, Location, Rate, ResourceSet, ResourceTerm};
 use rota_server::protocol::{read_frame, Diagnostics, GossipDigest, PeerBeat, Request, Response};
 use rota_server::spec::{
     computation_to_json, resource_set, resource_set_to_json, resources_from_json, ActionSpec,
-    ActorSpec, ComputationSpec, ResourceSpec,
+    ActorSpec, ComputationSpec, ConstraintSpec, ResourceSpec, SpecModel,
 };
 
 // ---------------------------------------------------------------------
@@ -609,14 +619,42 @@ fn objects(doc: &Json) -> u64 {
     }
 }
 
+/// `doc` with one edit (`draws[..4]`), or with two when `shape` ≥ 3
+/// (`draws[4..]` the second), then written out: pretty-printed
+/// (`shape` 0), cut at `cut` (1), with trailing bytes (2), or compact.
+fn edited(mut doc: Json, draws: &[u64], cut: usize, shape: u8) -> String {
+    let nth = draws[0] % objects(&doc);
+    edit(&mut doc, nth, &draws[..4]);
+    if shape >= 3 {
+        let nth = draws[4] % objects(&doc).max(1);
+        edit(&mut doc, nth, &draws[4..]);
+    }
+    let mut text = match shape {
+        0 => doc.pretty(),
+        _ => doc.to_string(),
+    };
+    match shape {
+        1 => {
+            let mut at = cut % text.len();
+            while !text.is_char_boundary(at) {
+                at -= 1;
+            }
+            text.truncate(at);
+        }
+        2 => text.push_str(" x"),
+        _ => {}
+    }
+    text
+}
+
 /// What the tree forms make of a frame: the value re-encoded, or the
 /// error text.
 fn reference(request: bool, frame: &str) -> Result<String, String> {
     let doc = Json::parse(frame).map_err(|err| format!("spec parse error: {err}"))?;
     if request {
-        Request::from_json(&doc).map(|r| r.to_json().to_string())
+        tree::request_from_json(&doc).map(|r| r.to_json().to_string())
     } else {
-        Response::from_json(doc).map(|r| r.to_json().to_string())
+        tree::response_from_json(doc).map(|r| r.to_json().to_string())
     }
     .map_err(|err| err.to_string())
 }
@@ -681,28 +719,8 @@ proptest! {
         cut in 0usize..4096,
         shape in 0u8..6,
     ) {
-        for (is_request, mut doc) in [(true, request.to_json()), (false, response.to_json())] {
-            let nth = draws[0] % objects(&doc);
-            edit(&mut doc, nth, &draws[..4]);
-            if shape >= 3 {
-                let nth = draws[4] % objects(&doc).max(1);
-                edit(&mut doc, nth, &draws[4..]);
-            }
-            let mut frame = match shape {
-                0 => doc.pretty(),
-                _ => doc.to_string(),
-            };
-            match shape {
-                1 => {
-                    let mut at = cut % frame.len();
-                    while !frame.is_char_boundary(at) {
-                        at -= 1;
-                    }
-                    frame.truncate(at);
-                }
-                2 => frame.push_str(" x"),
-                _ => {}
-            }
+        for (is_request, doc) in [(true, request.to_json()), (false, response.to_json())] {
+            let frame = edited(doc, &draws, cut, shape);
             prop_assert_eq!(
                 text_codec(is_request, &frame),
                 reference(is_request, &frame),
@@ -710,6 +728,127 @@ proptest! {
                 frame
             );
         }
+    }
+}
+
+fn arb_constraint_spec() -> impl Strategy<Value = ConstraintSpec> {
+    (
+        arb_string(),
+        proptest::collection::vec(arb_string(), 0..3),
+        arb_string(),
+    )
+        .prop_map(|(left, rel, right)| ConstraintSpec { left, rel, right })
+}
+
+/// A spec file's model: raw terms, a raw computation, and constraints,
+/// written without the key when there are none.
+fn arb_spec_model() -> impl Strategy<Value = SpecModel> {
+    (
+        proptest::collection::vec(arb_resource_spec(), 0..4),
+        arb_computation_spec(),
+        proptest::collection::vec(arb_constraint_spec(), 0..3),
+    )
+        .prop_map(|(resources, computation, constraints)| SpecModel {
+            resources,
+            computation,
+            constraints,
+        })
+}
+
+/// The document of a spec file holding `model`.
+fn spec_doc(model: &SpecModel) -> Json {
+    let text = |s: &str| Json::Str(s.into());
+    let mut pairs = vec![
+        (
+            "resources".into(),
+            Json::Arr(model.resources.iter().map(ResourceSpec::to_json).collect()),
+        ),
+        ("computation".into(), model.computation.to_json()),
+    ];
+    if !model.constraints.is_empty() {
+        let constraints = model.constraints.iter().map(|c| {
+            Json::Obj(vec![
+                ("left".into(), text(&c.left)),
+                (
+                    "rel".into(),
+                    Json::Arr(c.rel.iter().map(|r| text(r)).collect()),
+                ),
+                ("right".into(), text(&c.right)),
+            ])
+        });
+        pairs.push(("constraints".into(), Json::Arr(constraints.collect())));
+    }
+    Json::Obj(pairs)
+}
+
+/// What a spec reader makes of a file: the model, or the error text.
+fn spec_outcome(
+    read: fn(&str) -> Result<SpecModel, rota_server::spec::SpecError>,
+    text: &str,
+) -> Result<SpecModel, String> {
+    read(text).map_err(|err| err.to_string())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2_000))]
+
+    /// Spec files read to their model, and edited, cut and padded ones
+    /// to what the tree decoder makes of them: the same model, or the
+    /// same error text.
+    #[test]
+    fn spec_reader_reads_edited_files_as_the_tree_decoder_does(
+        model in arb_spec_model(),
+        draws in proptest::collection::vec(0u64..64, 8),
+        cut in 0usize..4096,
+        shape in 0u8..6,
+    ) {
+        let doc = spec_doc(&model);
+        prop_assert_eq!(SpecModel::from_json(&doc.pretty()).expect("a written spec reads"), model);
+        let text = edited(doc, &draws, cut, shape);
+        prop_assert_eq!(
+            spec_outcome(SpecModel::from_json, &text),
+            spec_outcome(tree::spec_model_from_json, &text),
+            "{}",
+            text
+        );
+    }
+}
+
+/// The edited spec files reach read models and every kind of refusal,
+/// the constraints' own among them, so the comparison above is not a
+/// vacuous one.
+#[test]
+fn spec_edits_reach_models_and_every_refusal() {
+    let mut rng = proptest::test_runner::TestRng::from_seed(34);
+    let mut seen = std::collections::BTreeSet::new();
+    for _ in 0..2_000 {
+        let draws: Vec<u64> = (0..4).map(|_| rng.below(64)).collect();
+        let mut doc = spec_doc(&arb_spec_model().new_value(&mut rng));
+        let nth = draws[0] % objects(&doc);
+        edit(&mut doc, nth, &draws);
+        let outcome = match tree::spec_model_from_json(&doc.to_string()) {
+            Ok(_) => "decoded",
+            Err(err) if err.to_string().contains("`rel` entries") => "rel entry",
+            Err(err) if err.to_string().contains("`constraints` must be") => "constraints",
+            Err(err) if err.to_string().contains("duplicate field") => "duplicate",
+            Err(err) if err.to_string().contains("unknown field") => "unknown",
+            Err(err) if err.to_string().contains("missing field") => "missing",
+            Err(err) if err.to_string().contains("must be") => "mistyped",
+            Err(_) => "other",
+        };
+        seen.insert(outcome);
+    }
+    for outcome in [
+        "decoded",
+        "rel entry",
+        "constraints",
+        "duplicate",
+        "unknown",
+        "missing",
+        "mistyped",
+        "other",
+    ] {
+        assert!(seen.contains(outcome), "never {outcome}: {seen:?}");
     }
 }
 

@@ -72,8 +72,10 @@ bench-pair W FIRST N BASE="HEAD":
 
 # The perf record (ROADMAP item 14): writes BENCH_<NUMBER>.json with each
 # workload's end-to-end medians and IQRs over five fixed seeds, one
-# traced run's `server.request_p50_us` and `cluster.*_p50_us`, and the
-# revision, date, nproc and CPU model. Measures the working tree, or
+# traced run's `server.request_p50_us` and `cluster.*_p50_us`, item
+# 11's loadtest, one run of E17's codec rows (`decode`, `encode`,
+# `frame`), and the revision, date, nproc and CPU model. Measures the
+# working tree, or
 # REV when given (built in a temporary `git archive` extract).
 bench-json NUMBER REV="":
     bash tools/bench-json.sh {{NUMBER}} {{REV}}
@@ -158,8 +160,8 @@ loadtest-cluster *ARGS:
 
 # The E14 chaos battery: seeded faults from a test proxy in front of a
 # 4-shard server (latency, truncation, resets) plus a policy that panics
-# on its 500th decision, against a retrying/hedging loadtest. Prints the
-# report; fails unless errors=0 and exactly one shard panic is counted
-# (DESIGN.md §10, EXPERIMENTS.md E14).
+# on its 500th decision, against a loadtest retrying up to 8 attempts
+# per job. Prints the report; fails unless errors=0 and exactly one
+# shard panic is counted (DESIGN.md §10, EXPERIMENTS.md E14).
 chaos:
     cargo test --release -p rota-client --test chaos -- --ignored --nocapture e14_battery

@@ -7,7 +7,8 @@
 # value and the ratio B / A: for an end-to-end metric the medians, with
 # A's interquartile range beside them, and for a traced per-layer metric
 # the single traced reading; and, when both files hold it, item 11's
-# loadtest (median req/s and p90, and the accept counts). A ratio
+# loadtest (median req/s and p90, and the accept counts), and E17's
+# codec rows (ns/iter of one run each, lower is better). A ratio
 # below 1 is an improvement for a
 # metric where lower is better (latencies, CPU), above 1 for one where
 # higher is better (throughput, ratios); the `better` column names the
@@ -70,4 +71,14 @@ if la and lb:
         if va is None or vb is None:
             continue
         print(f"  {name:28} {va:12.4g} {'':>10} {vb:12.4g} {ratio(va, vb):>7}  {better}")
+
+ca, cb = a.get("codec"), b.get("codec")
+if ca and cb:
+    print(f"\ncodec ({cb['command']}), ns/iter of one run each")
+    print(f"  {'row':28} {'A':>12} {'':>10} {'B':>12} {'B/A':>7}  better")
+    for name, va in ca["ns_per_iter"].items():
+        vb = cb["ns_per_iter"].get(name)
+        if vb is None:
+            continue
+        print(f"  {name:28} {va:12.4g} {'':>10} {vb:12.4g} {ratio(va, vb):>7}  lower")
 EOF

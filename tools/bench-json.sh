@@ -26,13 +26,18 @@
 # that admbench built, and records the median req/s and p90 latency
 # and every run's accept count.
 #
+# Last it runs E17's codec bench once (CODEC below, the criterion shim
+# of shims/criterion) and records each `decode`, `encode` and `frame`
+# row's ns/iter from the shim's `bench:` lines, keyed by its name
+# without the frame's byte count (`decode/prepare-110t`).
+#
 # The file, at the repository root, also names the revision (with
 # `-dirty` for a working tree that differs from HEAD), the date, the
 # pass's length in seconds, `nproc`, the CPU model and this command. It changes no gate: BENCHMARK.json and
 # tools/bench-pair.sh stay the gates; `tools/bench-diff.sh A B` compares
 # two files. Each run's result and record lines are kept in
-# .bench_out/bench-json-NUMBER.jsonl. A pass takes 3–5 minutes on a
-# 2-vCPU machine.
+# .bench_out/bench-json-NUMBER.jsonl. A pass takes 4–7 minutes on a
+# 2-vCPU machine, the codec bench's build included.
 set -euo pipefail
 
 WORKLOADS=(mixed-small chain-deep cluster-mixed)
@@ -44,6 +49,7 @@ SECONDS_PER_RUN=15
 LOADTEST=(loadtest --policy rota --nodes 64 --horizon 4000 --shape chain
     --jobs 20000 --connections 1 --seed 7 --shards 1)
 LOADTEST_RUNS=3
+CODEC=(cargo bench -q -p rota-bench --bench codec)
 
 if [[ $# -lt 1 || $# -gt 2 ]]; then
     echo "usage: bash tools/bench-json.sh NUMBER [REV]" >&2
@@ -126,15 +132,34 @@ EOF
     echo "  loadtest run $run done" >&2
 done
 
+log="$(mktemp)"
+if ! (cd "$tree" && CARGO_TARGET_DIR="$target" "${CODEC[@]}") > "$log" 2> /dev/null; then
+    echo "  codec bench: cargo bench exited non-zero" >&2
+fi
+python3 - "$log" >> "$out" <<'EOF'
+import json, re, sys
+rows = {}
+for line in open(sys.argv[1]):
+    found = re.match(r"bench: e17/((?:decode|encode|frame)/\S+?)(?:/\d+B)?\s+([0-9.]+) ns/iter", line)
+    if found:
+        rows[found.group(1)] = float(found.group(2))
+print(json.dumps({"codec": rows}))
+EOF
+rm -f "$log"
+echo "  codec bench done" >&2
+
 cpu_model="$(awk -F': ' '/^model name/ { print $2; exit }' /proc/cpuinfo)"
 python3 - "$out" BENCHMARK.json "BENCH_$number.json" "$number" "$revision" "$(nproc)" \
-    "${cpu_model:-unknown}" "$command" "$SECONDS_PER_RUN" "$SECONDS" "${CLUSTER_WORKLOADS[*]}" "rota-cli ${LOADTEST[*]}" <<'EOF'
+    "${cpu_model:-unknown}" "$command" "$SECONDS_PER_RUN" "$SECONDS" "${CLUSTER_WORKLOADS[*]}" "rota-cli ${LOADTEST[*]}" \
+    "${CODEC[*]}" <<'EOF'
 import datetime, json, statistics, sys
-out, bench, path, number, revision, nproc, cpu, command, seconds, elapsed, clusters, loadtest_command = sys.argv[1:13]
+(out, bench, path, number, revision, nproc, cpu, command, seconds, elapsed, clusters,
+ loadtest_command, codec_command) = sys.argv[1:14]
 clusters = clusters.split()
 lines = [json.loads(line) for line in open(out)]
-runs = [line for line in lines if "loadtest" not in line]
+runs = [line for line in lines if "workload" in line]
 loadtests = [line["loadtest"] for line in lines if "loadtest" in line]
+codec = next((line["codec"] for line in lines if "codec" in line), {})
 metrics = json.load(open(bench))["end_to_end"]
 
 def value(run, name):
@@ -196,6 +221,8 @@ if loadtests:
         "accepted": [run["accepted"] for run in loadtests],
         "runs": loadtests,
     }
+if codec:
+    doc["codec"] = {"command": codec_command, "ns_per_iter": codec}
 with open(path, "w") as f:
     json.dump(doc, f, indent=2)
     f.write("\n")
