@@ -24,8 +24,8 @@
 //! treats computation names as idempotency keys (DESIGN §10): the retry
 //! reaches the shard owning the demand and gets the original verdict
 //! from its decision cache rather than committing twice. An `offer`,
-//! `prepare` or
-//! `commit` has no such key, so none of them is ever re-sent.
+//! `prepare` or `commit` has no such key, so none of them is ever
+//! re-sent.
 
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};

@@ -826,14 +826,14 @@ fn spec_edits_reach_models_and_every_refusal() {
         let mut doc = spec_doc(&arb_spec_model().new_value(&mut rng));
         let nth = draws[0] % objects(&doc);
         edit(&mut doc, nth, &draws);
-        let outcome = match tree::spec_model_from_json(&doc.to_string()) {
+        let outcome = match spec_outcome(tree::spec_model_from_json, &doc.to_string()) {
             Ok(_) => "decoded",
-            Err(err) if err.to_string().contains("`rel` entries") => "rel entry",
-            Err(err) if err.to_string().contains("`constraints` must be") => "constraints",
-            Err(err) if err.to_string().contains("duplicate field") => "duplicate",
-            Err(err) if err.to_string().contains("unknown field") => "unknown",
-            Err(err) if err.to_string().contains("missing field") => "missing",
-            Err(err) if err.to_string().contains("must be") => "mistyped",
+            Err(err) if err.contains("`rel` entries") => "rel entry",
+            Err(err) if err.contains("`constraints` must be") => "constraints",
+            Err(err) if err.contains("duplicate field") => "duplicate",
+            Err(err) if err.contains("unknown field") => "unknown",
+            Err(err) if err.contains("missing field") => "missing",
+            Err(err) if err.contains("must be") => "mistyped",
             Err(_) => "other",
         };
         seen.insert(outcome);

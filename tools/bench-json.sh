@@ -36,8 +36,9 @@
 # pass's length in seconds, `nproc`, the CPU model and this command. It changes no gate: BENCHMARK.json and
 # tools/bench-pair.sh stay the gates; `tools/bench-diff.sh A B` compares
 # two files. Each run's result and record lines are kept in
-# .bench_out/bench-json-NUMBER.jsonl. A pass takes 4–7 minutes on a
-# 2-vCPU machine, the codec bench's build included.
+# .bench_out/bench-json-NUMBER.jsonl. On a 2-vCPU machine with warm
+# builds, a pass without the codec bench took 45 s (BENCH_31.json) and
+# one with it 97 s (BENCH_34.json), most of the difference its build.
 set -euo pipefail
 
 WORKLOADS=(mixed-small chain-deep cluster-mixed)
