@@ -32,11 +32,13 @@
 //!
 //! Location ownership is disjoint, so the union of per-node
 //! obtainable-resource snapshots *is* the merged single-node state.
-//! Every 2PC participant re-derives the decision itself against that
-//! shared basis with the same deterministic policy — so participants
-//! cannot disagree, and the verdict equals the one a single node
-//! holding all resources would return (property-tested in
-//! `tests/properties.rs`). Tentative reservations carry a TTL, so a
+//! The coordinator decides a 2PC on that shared basis, and every
+//! participant it reaches over the wire re-derives the decision with
+//! the same deterministic policy — so participants cannot disagree, and
+//! the verdict equals the one a single node holding all resources would
+//! return (property-tested in `tests/properties.rs`, and over every
+//! interleaving of a few racing operations, up to a bound, in the
+//! coordinator's own tests). Tentative reservations carry a TTL, so a
 //! coordinator dying between prepare and commit leaks nothing: the
 //! owning shards release the hold themselves (chaos-tested in
 //! `tests/chaos.rs`).
@@ -49,6 +51,7 @@ mod links;
 pub mod node;
 pub mod router;
 pub mod topology;
+mod twopc;
 
 use std::sync::{Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 

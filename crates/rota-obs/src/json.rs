@@ -616,6 +616,11 @@ pub struct Reader<'a> {
     text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// The containers open around the reader's position, counted from
+    /// the document's root whoever opened them, so a value read on its
+    /// own ([`Reader::skip`], [`Reader::tree`]) is held to
+    /// [`MAX_DEPTH`] as `Json::parse` holds the whole document.
+    depth: usize,
 }
 
 impl<'a> Reader<'a> {
@@ -625,6 +630,7 @@ impl<'a> Reader<'a> {
             text,
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         }
     }
 
@@ -635,10 +641,10 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// Refuses a container at the reader's position when `open`
-    /// containers enclose it already and it would exceed [`MAX_DEPTH`].
-    fn enter(&self, open: usize) -> Result<(), JsonError> {
-        if open < MAX_DEPTH {
+    /// Refuses a container at the reader's position when it would
+    /// exceed [`MAX_DEPTH`].
+    fn enter(&self) -> Result<(), JsonError> {
+        if self.depth < MAX_DEPTH {
             Ok(())
         } else {
             Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")))
@@ -927,6 +933,7 @@ impl<'a> Reader<'a> {
             self.pos += 1;
             return Ok(None);
         }
+        self.depth += 1;
         self.member_key().map(Some)
     }
 
@@ -946,6 +953,7 @@ impl<'a> Reader<'a> {
             }
             Some(b'}') => {
                 self.pos += 1;
+                self.depth -= 1;
                 Ok(None)
             }
             _ => Err(self.err("expected `,` or `}` in object")),
@@ -976,6 +984,7 @@ impl<'a> Reader<'a> {
             self.pos += 1;
             return Ok(false);
         }
+        self.depth += 1;
         Ok(true)
     }
 
@@ -996,6 +1005,7 @@ impl<'a> Reader<'a> {
             }
             Some(b']') => {
                 self.pos += 1;
+                self.depth -= 1;
                 Ok(false)
             }
             _ => Err(self.err("expected `,` or `]` in array")),
@@ -1106,7 +1116,7 @@ impl<'a> Reader<'a> {
         loop {
             let kind = self.kind()?;
             if matches!(kind, Kind::Arr | Kind::Obj) {
-                self.enter(open.depth)?;
+                self.enter()?;
             }
             match kind {
                 Kind::Null => {
@@ -1179,7 +1189,6 @@ impl<'a> Reader<'a> {
     pub fn tree(&mut self) -> Result<Json, JsonError> {
         Parser {
             reader: self,
-            depth: 0,
             items: Vec::new(),
             members: Vec::new(),
         }
@@ -1202,10 +1211,9 @@ impl<'a> Reader<'a> {
 
 /// Builds a tree from a [`Reader`].
 struct Parser<'r, 'a> {
+    /// Each container open in the reader costs a stack frame here, so
+    /// [`MAX_DEPTH`] bounds them.
     reader: &'r mut Reader<'a>,
-    /// The containers open around the value being read: each costs a
-    /// stack frame here, so [`MAX_DEPTH`] bounds them.
-    depth: usize,
     /// The elements of the arrays still open, innermost last. An array
     /// moves its own elements off the top into an exactly sized `Vec`
     /// when it closes, so no array or object grows by reallocation.
@@ -1225,8 +1233,7 @@ impl Parser<'_, '_> {
             Kind::Num => Json::Num(self.reader.number()?),
             Kind::Str => Json::Str(self.reader.string()?.into_owned()),
             Kind::Arr => {
-                self.reader.enter(self.depth)?;
-                self.depth += 1;
+                self.reader.enter()?;
                 let open = self.items.len();
                 let mut more = self.reader.array()?;
                 while more {
@@ -1234,12 +1241,10 @@ impl Parser<'_, '_> {
                     self.items.push(item);
                     more = self.reader.next_item()?;
                 }
-                self.depth -= 1;
                 Json::Arr(self.items.split_off(open))
             }
             Kind::Obj => {
-                self.reader.enter(self.depth)?;
-                self.depth += 1;
+                self.reader.enter()?;
                 let open = self.members.len();
                 let mut next = self.reader.object()?;
                 while let Some(key) = next {
@@ -1251,7 +1256,6 @@ impl Parser<'_, '_> {
                     self.members.push((key, value));
                     next = self.reader.next_key()?;
                 }
-                self.depth -= 1;
                 Json::Obj(self.members.split_off(open))
             }
         })

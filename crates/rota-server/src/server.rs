@@ -114,20 +114,11 @@ impl LocalHandle {
             .unwrap_or_else(|| draining().into())
     }
 
-    /// This node's bare `cluster-snapshot` answer as typed values: the
-    /// per-shard epochs and exactly the specs the wire answer carries
-    /// ([`spec::resource_specs`]).
-    ///
-    /// # Errors
-    ///
-    /// The message a `cluster-snapshot` would answer with as an error.
-    pub fn cluster_state(&self) -> Result<(Vec<u64>, Vec<spec::ResourceSpec>), String> {
-        self.cluster_state_in(None)
-    }
-
     /// This node's `cluster-snapshot` answer within `scope` (the whole
-    /// node for `None`) as typed values, so a coordinator's own slice
-    /// of a two-phase basis never goes through JSON.
+    /// node for `None`) as typed values: the per-shard epochs and exactly
+    /// the specs the wire answer carries ([`spec::resource_specs`]), so a
+    /// coordinator's own slice of a two-phase basis never goes through
+    /// JSON.
     ///
     /// # Errors
     ///

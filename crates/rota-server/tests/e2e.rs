@@ -458,7 +458,7 @@ fn local_cluster_state_is_the_wire_snapshot() {
     let (epochs, specs) = local
         .get()
         .expect("hook installed")
-        .cluster_state()
+        .cluster_state_in(None)
         .expect("local snapshot");
     let (mut stream, mut reader) = connect(server.local_addr());
     let answer = roundtrip(&mut stream, &mut reader, "{\"op\":\"cluster-snapshot\"}");
