@@ -133,8 +133,7 @@ fn lint_reject() -> Response {
             .map(|l| ResourceTerm::new(Rate::new(4), window, LocatedType::cpu(Location::new(*l)))),
     )
     .expect("bounded rates");
-    let server =
-        Server::spawn(ServerConfig::ephemeral(), RotaPolicy, &theta).expect("spawn server");
+    let server = Server::spawn(ServerConfig::default(), RotaPolicy, &theta).expect("spawn server");
     let mut client =
         Client::connect_timeout(server.local_addr(), Duration::from_secs(2)).expect("connect");
     let mut job = computation("c4711");

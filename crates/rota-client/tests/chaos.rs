@@ -20,6 +20,8 @@
 //! chaos`). Also pins down loadtest determinism: with `deterministic`
 //! set, the request schedule is a pure function of the config.
 
+// Shared with the cluster drills; this file uses part of it.
+#[allow(dead_code)]
 #[path = "support/proxy.rs"]
 mod proxy;
 
@@ -116,7 +118,7 @@ fn agree_with_reference(faults: Faults, jobs: usize, panic_nth: u64) -> Drill {
     let shards = 2;
     let config = ServerConfig {
         shards,
-        ..ServerConfig::ephemeral()
+        ..ServerConfig::default()
     };
     let server = Server::spawn(config, PanicNth::new(panic_nth), &theta).expect("spawn the server");
     let proxy = Proxy::start(server.local_addr(), faults);
@@ -237,7 +239,7 @@ fn e14_battery_rides_out_every_fault() {
     let shards = 4;
     let config = ServerConfig {
         shards,
-        ..ServerConfig::ephemeral()
+        ..ServerConfig::default()
     };
     let server = Server::spawn(config, PanicNth::new(500), &theta).expect("spawn the server");
     let proxy = Proxy::start(

@@ -36,7 +36,7 @@ fn dead_addr() -> SocketAddr {
 fn dead_first_address_costs_a_failover_not_a_job() {
     let workload = chain_workload();
     let server = Server::spawn(
-        ServerConfig::ephemeral(),
+        ServerConfig::default(),
         RotaPolicy,
         &base_resources(&workload),
     )
@@ -95,7 +95,7 @@ fn default_config_tallies_overloaded_instead_of_retrying() {
     let server_config = ServerConfig {
         shards: 1,
         queue_capacity: 1,
-        ..ServerConfig::ephemeral()
+        ..ServerConfig::default()
     };
     let server =
         Server::spawn(server_config, SlowPolicy, &base_resources(&workload)).expect("spawn server");

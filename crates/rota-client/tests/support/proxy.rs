@@ -20,11 +20,18 @@
 //! stream derived from the seed and the connection's index, and every
 //! fault injected is counted ([`Proxy::counts`]), so a drill can check
 //! that its faults really fired.
+//!
+//! Two switches partition a node behind its proxy: [`Proxy::cut`]
+//! refuses new connections and drops the ones being relayed (a pooled
+//! peer link dies with them), and [`Proxy::refuse_hello_from`] refuses
+//! a connection whose first frame is a `hello` naming a given node,
+//! which is how a cut node's own gossip dials are stopped at its peers.
 
+use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -62,6 +69,9 @@ pub struct Counts {
     pub corrupted: u64,
     /// Connections reset before a request reached the server.
     pub reset: u64,
+    /// Connections refused: accepted while cut, or opened with a
+    /// refused `hello`.
+    pub refused: u64,
 }
 
 #[derive(Default)]
@@ -71,6 +81,17 @@ struct Counters {
     truncated: AtomicU64,
     corrupted: AtomicU64,
     reset: AtomicU64,
+    refused: AtomicU64,
+}
+
+/// The partition switches and the connections they act on.
+#[derive(Default)]
+struct Gate {
+    cut: bool,
+    /// The node whose `hello` is refused.
+    refused_hello: Option<String>,
+    /// The client end of every connection being relayed, by index.
+    live: BTreeMap<usize, TcpStream>,
 }
 
 /// A running proxy. Dropping it stops accepting; connections already
@@ -78,6 +99,7 @@ struct Counters {
 pub struct Proxy {
     addr: SocketAddr,
     counters: Arc<Counters>,
+    gate: Arc<Mutex<Gate>>,
     stop: Arc<AtomicBool>,
     acceptor: Option<JoinHandle<()>>,
 }
@@ -89,9 +111,11 @@ impl Proxy {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind the proxy");
         let addr = listener.local_addr().expect("proxy address");
         let counters = Arc::new(Counters::default());
+        let gate = Arc::new(Mutex::new(Gate::default()));
         let stop = Arc::new(AtomicBool::new(false));
         let acceptor = {
-            let (counters, stop) = (Arc::clone(&counters), Arc::clone(&stop));
+            let (counters, gate, stop) =
+                (Arc::clone(&counters), Arc::clone(&gate), Arc::clone(&stop));
             std::thread::spawn(move || {
                 for (index, client) in listener.incoming().enumerate() {
                     if stop.load(Ordering::SeqCst) {
@@ -99,15 +123,30 @@ impl Proxy {
                     }
                     let Ok(client) = client else { continue };
                     counters.connections.fetch_add(1, Ordering::Relaxed);
+                    let Ok(handle) = client.try_clone() else {
+                        continue;
+                    };
+                    {
+                        let mut gate = gate.lock().unwrap();
+                        if gate.cut {
+                            counters.refused.fetch_add(1, Ordering::Relaxed);
+                            continue;
+                        }
+                        gate.live.insert(index, handle);
+                    }
                     let stream = Stream::new(&faults, index as u64);
-                    let counters = Arc::clone(&counters);
-                    std::thread::spawn(move || relay(client, upstream, stream, &counters));
+                    let (counters, gate) = (Arc::clone(&counters), Arc::clone(&gate));
+                    std::thread::spawn(move || {
+                        relay(client, upstream, stream, &counters, &gate);
+                        gate.lock().unwrap().live.remove(&index);
+                    });
                 }
             })
         };
         Proxy {
             addr,
             counters,
+            gate,
             stop,
             acceptor: Some(acceptor),
         }
@@ -127,7 +166,27 @@ impl Proxy {
             truncated: read(&self.counters.truncated),
             corrupted: read(&self.counters.corrupted),
             reset: read(&self.counters.reset),
+            refused: read(&self.counters.refused),
         }
+    }
+
+    /// Cuts the proxy (`true`) or heals it (`false`). While cut it
+    /// refuses new connections, and cutting drops every connection it
+    /// is relaying.
+    pub fn cut(&self, cut: bool) {
+        let mut gate = self.gate.lock().unwrap();
+        gate.cut = cut;
+        if cut {
+            for client in std::mem::take(&mut gate.live).into_values() {
+                let _ = client.shutdown(Shutdown::Both);
+            }
+        }
+    }
+
+    /// Refuses every new connection whose first frame is a `hello`
+    /// naming `node`; `None` refuses none.
+    pub fn refuse_hello_from(&self, node: Option<&str>) {
+        self.gate.lock().unwrap().refused_hello = node.map(str::to_string);
     }
 }
 
@@ -181,9 +240,26 @@ impl Stream {
     }
 }
 
+/// Whether `line` is a `hello` from the node `gate` refuses.
+fn refused_hello(gate: &Mutex<Gate>, line: &[u8]) -> bool {
+    let gate = gate.lock().unwrap();
+    let Some(refused) = gate.refused_hello.as_deref() else {
+        return false;
+    };
+    let request =
+        std::str::from_utf8(line).map(|text| rota_server::Request::from_line(text.trim_end()));
+    matches!(request, Ok(Ok(rota_server::Request::Hello { node: Some(node), .. })) if node == refused)
+}
+
 /// Relays one client connection: a request in, a request out, an
 /// answer back, with the stream's faults on the way.
-fn relay(client: TcpStream, upstream: SocketAddr, mut stream: Stream, counters: &Counters) {
+fn relay(
+    client: TcpStream,
+    upstream: SocketAddr,
+    mut stream: Stream,
+    counters: &Counters,
+    gate: &Mutex<Gate>,
+) {
     let hang_up = |socket: &TcpStream| {
         let _ = socket.shutdown(Shutdown::Both);
     };
@@ -198,9 +274,14 @@ fn relay(client: TcpStream, upstream: SocketAddr, mut stream: Stream, counters: 
         (BufReader::new(client_reader), BufReader::new(server_reader));
     let (mut client, mut server) = (client, server);
     let mut line = Vec::new();
+    let mut first = true;
     loop {
         line.clear();
         if !matches!(requests.read_until(b'\n', &mut line), Ok(n) if n > 0) {
+            break;
+        }
+        if std::mem::take(&mut first) && refused_hello(gate, &line) {
+            counters.refused.fetch_add(1, Ordering::Relaxed);
             break;
         }
         if std::mem::take(&mut stream.reset_first) || stream.fires(stream.faults.reset_p) {

@@ -16,7 +16,7 @@
 //!
 //! Failure detection is purely local arithmetic on the engine's own
 //! round counter: a peer is **suspect** once no fresher beat has
-//! arrived for `suspect_after` rounds (and until its first beat ever
+//! arrived for [`SUSPECT_AFTER`] rounds (and until its first beat ever
 //! arrives — nodes start suspect and are proven alive, not the
 //! reverse). The router asks the engine and degrades: cross-location
 //! requests touching a suspect peer are rejected with a structured
@@ -32,34 +32,35 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rota_server::{GossipDigest, PeerBeat};
 
+/// Beat-free rounds after which a previously live peer goes suspect.
+pub(crate) const SUSPECT_AFTER: u64 = 3;
+
 /// What one engine knows about one peer.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PeerView {
+pub(crate) struct PeerView {
     /// Freshest heartbeat sequence number heard, directly or not.
-    pub last_seq: u64,
+    last_seq: u64,
     /// The round a fresher beat last arrived in; `None` until the
     /// first beat (never-heard peers are suspect).
-    pub last_heard_round: Option<u64>,
+    last_heard_round: Option<u64>,
 }
 
 /// One node's deterministic gossip state machine.
 #[derive(Debug)]
-pub struct GossipEngine {
+pub(crate) struct GossipEngine {
     me: String,
     /// Rounds started so far; also this node's own heartbeat sequence
     /// number.
     round: u64,
     peers: BTreeMap<String, PeerView>,
     rng: StdRng,
-    suspect_after: u64,
 }
 
 impl GossipEngine {
     /// Creates an engine for node `me` among the cluster's `nodes` (ids;
     /// `me` may be among them). A peer is suspect until its first beat
-    /// arrives; `suspect_after` is the number of beat-free rounds after
-    /// which a previously live peer goes suspect again.
-    pub fn new(me: &str, nodes: &[String], seed: u64, suspect_after: u64) -> GossipEngine {
+    /// arrives, and again after [`SUSPECT_AFTER`] beat-free rounds.
+    pub(crate) fn new(me: &str, nodes: &[String], seed: u64) -> GossipEngine {
         GossipEngine {
             me: me.to_string(),
             round: 0,
@@ -69,18 +70,17 @@ impl GossipEngine {
                 .map(|id| (id.clone(), PeerView::default()))
                 .collect(),
             rng: StdRng::seed_from_u64(seed),
-            suspect_after,
         }
     }
 
     /// This engine's node id.
-    pub fn me(&self) -> &str {
+    pub(crate) fn me(&self) -> &str {
         &self.me
     }
 
     /// Starts the next round, which advances this node's own
     /// heartbeat; called once per round.
-    pub fn beat(&mut self) {
+    pub(crate) fn beat(&mut self) {
         self.round += 1;
     }
 
@@ -88,7 +88,7 @@ impl GossipEngine {
     /// the engine's seeded RNG — the whole schedule is a pure function
     /// of the seed. Suspect peers stay in the draw, which is what lets
     /// a recovered peer be re-proven.
-    pub fn pick_target(&mut self) -> Option<String> {
+    pub(crate) fn pick_target(&mut self) -> Option<String> {
         if self.peers.is_empty() {
             return None;
         }
@@ -98,7 +98,7 @@ impl GossipEngine {
 
     /// This node's current digest: its own beat plus the freshest beat
     /// it has heard for every peer.
-    pub fn digest(&self) -> GossipDigest {
+    pub(crate) fn digest(&self) -> GossipDigest {
         let mut beats = vec![PeerBeat {
             node: self.me.clone(),
             seq: self.round,
@@ -123,7 +123,7 @@ impl GossipEngine {
     /// heard directly, and every strictly fresher indirect beat
     /// refreshes that peer's liveness too. Nodes outside the peer
     /// table are ignored.
-    pub fn absorb(&mut self, digest: &GossipDigest) {
+    pub(crate) fn absorb(&mut self, digest: &GossipDigest) {
         let round = self.round;
         if let Some(view) = self.peers.get_mut(&digest.from) {
             view.last_seq = view.last_seq.max(digest.seq);
@@ -140,19 +140,19 @@ impl GossipEngine {
     }
 
     /// Whether `node` counts as alive in the current round: itself, or
-    /// any peer heard within the last `suspect_after` rounds.
-    pub fn alive(&self, node: &str) -> bool {
+    /// any peer heard within the last [`SUSPECT_AFTER`] rounds.
+    pub(crate) fn alive(&self, node: &str) -> bool {
         if node == self.me {
             return true;
         }
         self.peers
             .get(node)
             .and_then(|view| view.last_heard_round)
-            .is_some_and(|heard| self.round.saturating_sub(heard) <= self.suspect_after)
+            .is_some_and(|heard| self.round.saturating_sub(heard) <= SUSPECT_AFTER)
     }
 
     /// Every node alive in the current round, including this one.
-    pub fn alive_set(&self) -> BTreeSet<String> {
+    pub(crate) fn alive_set(&self) -> BTreeSet<String> {
         std::iter::once(&self.me)
             .chain(self.peers.keys())
             .filter(|id| self.alive(id))
@@ -161,7 +161,7 @@ impl GossipEngine {
     }
 
     /// The peer table, for inspection.
-    pub fn peers(&self) -> &BTreeMap<String, PeerView> {
+    pub(crate) fn peers(&self) -> &BTreeMap<String, PeerView> {
         &self.peers
     }
 }
@@ -177,7 +177,7 @@ mod tests {
     fn ring(n: usize) -> Vec<GossipEngine> {
         let nodes = ids(n);
         (0..n)
-            .map(|i| GossipEngine::new(&nodes[i], &nodes, 7 + i as u64, 3))
+            .map(|i| GossipEngine::new(&nodes[i], &nodes, 7 + i as u64))
             .collect()
     }
 
@@ -211,8 +211,8 @@ mod tests {
     #[test]
     fn same_seed_means_same_target_schedule() {
         let nodes = ids(5);
-        let mut a = GossipEngine::new("node0", &nodes, 42, 3);
-        let mut b = GossipEngine::new("node0", &nodes, 42, 3);
+        let mut a = GossipEngine::new("node0", &nodes, 42);
+        let mut b = GossipEngine::new("node0", &nodes, 42);
         for _ in 0..64 {
             assert_eq!(a.pick_target(), b.pick_target());
         }
@@ -224,7 +224,7 @@ mod tests {
     #[test]
     fn the_seeded_target_schedule_is_pinned() {
         let nodes = ids(6);
-        let mut engine = GossipEngine::new("node0", &nodes, 42, 3);
+        let mut engine = GossipEngine::new("node0", &nodes, 42);
         let schedule: String = (0..64)
             .map(|_| {
                 let id = engine.pick_target().expect("five peers");
@@ -283,7 +283,7 @@ mod tests {
             run_round(&mut engines, &[]);
         }
         assert!(engines[0].alive("node2"));
-        // node2 goes dark: after suspect_after rounds the others
+        // node2 goes dark: after SUSPECT_AFTER rounds the others
         // notice, because no fresher beat arrives.
         for _ in 0..6 {
             run_round(&mut engines, &[2]);
@@ -291,7 +291,7 @@ mod tests {
         assert!(!engines[0].alive("node2"));
         assert!(!engines[1].alive("node2"));
         // node2 comes back: one successful exchange re-proves it
-        // (directly or via an indirect beat within suspect_after).
+        // (directly or via an indirect beat within SUSPECT_AFTER).
         for _ in 0..8 {
             run_round(&mut engines, &[]);
         }

@@ -11,11 +11,11 @@
 //!   from a JSON file or [`Topology::auto`]. Ownership is the routing
 //!   key for everything else, and the topology is the one place node
 //!   addresses are kept.
-//! - [`gossip`] — seeded, round-based membership: heartbeats with
+//! - `gossip` — seeded, round-based membership: heartbeats with
 //!   indirect beats, deterministic given the seed. Peers missing
 //!   heartbeats go **suspect**; routing degrades instead of hanging.
 //!   Each node's engine is its one source of liveness.
-//! - [`router`] — a [`RequestHook`](rota_server::RequestHook) mounted
+//! - `router` — a [`RequestHook`](rota_server::RequestHook) mounted
 //!   on each node: one pass over an admission's priced demand routes
 //!   it. Demand the node owns entirely is decided locally; demand owned
 //!   by one other node is forwarded (loop-safe via the protocol's
@@ -46,18 +46,16 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod gossip;
+mod gossip;
 mod links;
 pub mod node;
-pub mod router;
+mod router;
 pub mod topology;
 mod twopc;
 
 use std::sync::{Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-pub use gossip::{GossipEngine, PeerView};
 pub use node::{Cluster, ClusterConfig, ClusterNode};
-pub use router::{ClusterRouter, RouterConfig};
 pub use topology::{NodeSpec, SharedTopology, Topology, TopologyError};
 
 /// Locks `mutex`, recovering the value from a poisoned lock: every

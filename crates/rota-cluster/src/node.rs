@@ -1,8 +1,8 @@
 //! Launching and running a cluster of federated admission nodes.
 //!
 //! [`Cluster::launch`] starts one `rota-server` per topology node, each
-//! serving the slice of the supply its node owns and mounting a
-//! [`ClusterRouter`] as its request hook. Launch proves membership
+//! serving the slice of the supply its node owns and mounting the
+//! cluster router as its request hook. Launch proves membership
 //! before it returns, in three steps so ephemeral ports work: first
 //! every server binds (recording its real address into the shared
 //! topology); then, for every pair of nodes, the first in topology
@@ -24,17 +24,10 @@
 //! ask it. Stopping a node is prompt: its runtime waits for the next
 //! round on a channel the node drops, so it wakes and ends at once
 //! instead of sleeping out the interval.
-//!
-//! Test hooks: [`Cluster::partition`] cuts a node off the gossip
-//! plane deterministically — its runtime stops dialing out and its
-//! router answers inbound gossip with an error — so failure detection,
-//! degraded-mode routing, and recovery can be drilled without timing
-//! races; [`Cluster::kill`] stops a node outright.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::io;
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
@@ -46,7 +39,7 @@ use rota_resource::ResourceSet;
 use rota_server::{Request, Response, Server, ServerConfig, ServerHandle};
 
 use crate::gossip::GossipEngine;
-use crate::router::{ClusterRouter, RouterConfig};
+use crate::router::ClusterRouter;
 use crate::topology::{SharedTopology, Topology};
 use crate::{lock, read, write};
 
@@ -59,15 +52,11 @@ pub struct ClusterConfig {
     pub queue_capacity: usize,
     /// Wall-clock length of one gossip round.
     pub gossip_interval: Duration,
-    /// Beat-free rounds before a peer goes suspect.
-    pub suspect_after: u64,
     /// Bound on dialling a peer (gossip, forwards, 2PC legs). Once
     /// connected, each read or write of a peer call may block for this
     /// plus a fixed 5 s allowance for the peer's answer
     /// (`PEER_ANSWER_BUDGET` in the peer-link module).
     pub peer_timeout: Duration,
-    /// TTL on tentative 2PC reservations.
-    pub ttl: Duration,
     /// Base RNG seed; node `i` gossips with seed `seed + i`.
     pub seed: u64,
 }
@@ -78,9 +67,7 @@ impl Default for ClusterConfig {
             shards: 1,
             queue_capacity: 64,
             gossip_interval: Duration::from_millis(200),
-            suspect_after: 3,
             peer_timeout: Duration::from_secs(1),
-            ttl: Duration::from_secs(2),
             seed: 0,
         }
     }
@@ -91,7 +78,6 @@ pub struct ClusterNode {
     id: String,
     handle: ServerHandle,
     engine: Arc<Mutex<GossipEngine>>,
-    partitioned: Arc<AtomicBool>,
     /// Dropping it wakes the gossip runtime out of its wait and ends it.
     stop: Option<mpsc::Sender<()>>,
     gossip_thread: Option<JoinHandle<()>>,
@@ -183,41 +169,34 @@ impl Cluster {
                 &spec.id,
                 &ids,
                 config.seed + index as u64,
-                config.suspect_after,
             )));
-            let router_config = RouterConfig {
-                me: spec.id.clone(),
-                peer_timeout: config.peer_timeout,
-                ttl: config.ttl,
-            };
-            let partitioned = Arc::new(AtomicBool::new(false));
+            let me = spec.id.clone();
             let hook_topology = Arc::clone(&shared);
             let hook_engine = Arc::clone(&engine);
-            let hook_partitioned = Arc::clone(&partitioned);
             let handle =
                 Server::spawn_hooked(server_config, policy.clone(), &slice, move |local| {
                     Arc::new(ClusterRouter::new(
-                        router_config,
+                        me,
+                        config.peer_timeout,
                         hook_topology,
                         hook_engine,
                         local,
-                        hook_partitioned,
                     ))
                 })?;
             write(&shared).set_addr(&spec.id, &handle.local_addr().to_string());
-            nodes.push((spec.id.clone(), handle, engine, partitioned));
+            nodes.push((spec.id.clone(), handle, engine));
         }
         // Phase two: every address is known; one exchange per pair
         // proves each reachable peer alive at round 0. A failed
         // exchange leaves the pair suspect for the rounds to settle.
-        for (i, (_, _, engine, _)) in nodes.iter().enumerate() {
+        for (i, (_, _, engine)) in nodes.iter().enumerate() {
             for (peer, ..) in &nodes[i + 1..] {
                 exchange(&shared, engine, peer, config.peer_timeout);
             }
         }
         // Phase three: start the gossip runtimes, which keep it.
         let mut running = Vec::new();
-        for (id, handle, engine, partitioned) in nodes {
+        for (id, handle, engine) in nodes {
             let (stop, stopped) = mpsc::channel();
             let thread = spawn_gossip_runtime(
                 Arc::clone(&shared),
@@ -225,14 +204,12 @@ impl Cluster {
                 &handle,
                 config.gossip_interval,
                 config.peer_timeout,
-                Arc::clone(&partitioned),
                 stopped,
             )?;
             running.push(ClusterNode {
                 id,
                 handle,
                 engine,
-                partitioned,
                 stop: Some(stop),
                 gossip_thread: Some(thread),
             });
@@ -282,21 +259,9 @@ impl Cluster {
         }
     }
 
-    /// Cuts a node off the gossip plane (`true`) or reconnects it
-    /// (`false`): its runtime stops dialing out and its router answers
-    /// inbound gossip with an injected error, so the rest of the
-    /// cluster stops hearing fresh beats — a deterministic partition.
-    /// Admission traffic is unaffected at the socket level; what
-    /// protects it is the degraded-mode routing this partition trips.
-    pub fn partition(&self, id: &str, partitioned: bool) {
-        if let Some(node) = self.node(id) {
-            node.partitioned.store(partitioned, Ordering::SeqCst);
-        }
-    }
-
     /// Stops a node outright: gossip runtime first, then its server.
-    /// The survivors' gossip marks it suspect within `suspect_after`
-    /// rounds.
+    /// The survivors' gossip marks it suspect once it has missed the
+    /// gossip engine's `SUSPECT_AFTER` rounds.
     pub fn kill(&mut self, id: &str) {
         self.nodes.retain(|node| node.id != id);
     }
@@ -316,7 +281,6 @@ fn spawn_gossip_runtime(
     handle: &ServerHandle,
     interval: Duration,
     peer_timeout: Duration,
-    partitioned: Arc<AtomicBool>,
     stop: mpsc::Receiver<()>,
 ) -> io::Result<JoinHandle<()>> {
     let registry = handle.registry();
@@ -347,14 +311,12 @@ fn spawn_gossip_runtime(
             refresh_gauges();
             while let Err(RecvTimeoutError::Timeout) = stop.recv_timeout(interval) {
                 let started = Instant::now();
-                // Rounds advance even while partitioned, so the cut-off
-                // node's own suspicion arithmetic keeps moving too.
                 let target = {
                     let mut engine = lock(&engine);
                     engine.beat();
                     engine.pick_target()
                 };
-                if let Some(target) = target.filter(|_| !partitioned.load(Ordering::SeqCst)) {
+                if let Some(target) = target {
                     exchange(&topology, &engine, &target, peer_timeout);
                 }
                 refresh_gauges();

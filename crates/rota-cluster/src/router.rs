@@ -47,7 +47,6 @@
 
 use std::cell::Cell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -65,19 +64,8 @@ use crate::topology::{SharedTopology, Topology};
 use crate::twopc::{Admission, Coordinator, Local, Owners, Participant, Peer, TwoPhaseObs};
 use crate::{lock, read};
 
-/// Knobs for one node's router.
-#[derive(Debug, Clone)]
-pub struct RouterConfig {
-    /// This node's id in the topology.
-    pub me: String,
-    /// Bound on dialling a peer. Once connected, each read or write of
-    /// a peer call may block for this plus a fixed 5 s allowance for the
-    /// peer's answer (`PEER_ANSWER_BUDGET` in the peer-link module); a
-    /// call that outlives it fails and its link is dropped.
-    pub peer_timeout: Duration,
-    /// TTL on tentative 2PC reservations.
-    pub ttl: Duration,
-}
+/// TTL on the tentative reservations of a two-phase admission.
+const HOLD_TTL: Duration = Duration::from_secs(2);
 
 /// A node the router calls: id and address.
 type Node = (String, String);
@@ -157,47 +145,47 @@ impl RouterObs {
 }
 
 /// One node's request router; see the module docs for the rules.
-pub struct ClusterRouter {
-    config: RouterConfig,
+pub(crate) struct ClusterRouter {
+    /// This node's id in the topology.
+    me: String,
     topology: SharedTopology,
     gossip: Arc<Mutex<GossipEngine>>,
     local: LocalHandle,
     links: PeerLinks,
     cost_model: TableCostModel,
     obs: RouterObs,
-    /// Chaos hook: while set, inbound gossip is answered with an error
-    /// (and the node's runtime stops dialing out) — a deterministic
-    /// full partition of the gossip plane. See `Cluster::partition`.
-    partitioned: Arc<AtomicBool>,
 }
 
 impl ClusterRouter {
-    /// Builds the router for node `config.me`, publishing its metrics
-    /// into the server registry behind `local`.
-    pub fn new(
-        config: RouterConfig,
+    /// Builds the router for node `me`, publishing its metrics into the
+    /// server registry behind `local`. `peer_timeout` bounds dialling a
+    /// peer; once connected, each read or write of a peer call may block
+    /// for it plus a fixed 5 s allowance for the peer's answer
+    /// (`PEER_ANSWER_BUDGET` in the peer-link module), and a call that
+    /// outlives that fails and its link is dropped.
+    pub(crate) fn new(
+        me: String,
+        peer_timeout: Duration,
         topology: SharedTopology,
         gossip: Arc<Mutex<GossipEngine>>,
         local: LocalHandle,
-        partitioned: Arc<AtomicBool>,
     ) -> ClusterRouter {
         let registry = local.registry().unwrap_or_default();
         let obs = RouterObs::new(&registry);
         let links = PeerLinks::new(
             &registry,
-            config.peer_timeout,
-            links::io_timeout(config.peer_timeout),
+            peer_timeout,
+            links::io_timeout(peer_timeout),
             links::max_idle(),
         );
         ClusterRouter {
-            config,
+            me,
             topology,
             gossip,
             local,
             links,
             cost_model: TableCostModel::paper(),
             obs,
-            partitioned,
         }
     }
 
@@ -209,11 +197,6 @@ impl ClusterRouter {
     }
 
     fn handle_gossip(&self, digest: &rota_server::GossipDigest) -> Response {
-        if self.partitioned.load(Ordering::SeqCst) {
-            return Response::Error {
-                message: "gossip partitioned (injected)".into(),
-            };
-        }
         self.obs.gossip_exchanges.inc();
         let mut engine = lock(&self.gossip);
         engine.absorb(digest);
@@ -283,7 +266,7 @@ impl ClusterRouter {
         let lambda = computation.build().ok()?;
         let request = AdmissionRequest::price(lambda, &self.cost_model, granularity);
         let demand = request.requirement().total_demand();
-        let route = classify(&demand, &read(&self.topology), &self.config.me);
+        let route = classify(&demand, &read(&self.topology), &self.me);
         let response = match route {
             Route::Unowned(report) => self.unowned(request.name(), &report),
             Route::Local => return Some(self.local.admit(request)),
@@ -335,13 +318,11 @@ impl ClusterRouter {
             return self.peer_unavailable(admission.request.name(), peer);
         }
         self.obs.twopc.started.inc();
-        let me = participants
-            .iter()
-            .position(|(id, _)| *id == self.config.me);
+        let me = participants.iter().position(|(id, _)| *id == self.me);
         let label = usize::from(me.is_some());
         let calls = Cell::new(0);
         let local = Local {
-            id: &self.config.me,
+            id: &self.me,
             handle: &self.local,
         };
         let peers: Vec<Peer> = participants
@@ -357,7 +338,7 @@ impl ClusterRouter {
         let reached: Vec<&dyn Participant> = peers
             .iter()
             .map(|peer| {
-                if peer.id == self.config.me {
+                if peer.id == self.me {
                     &local as &dyn Participant
                 } else {
                     peer
@@ -368,7 +349,7 @@ impl ClusterRouter {
             local: &self.local,
             obs: &self.obs.twopc,
             refuted: &self.obs.twopc.refuted[label],
-            ttl: self.config.ttl,
+            ttl: HOLD_TTL,
         };
         let response = coordinator.admit(&reached, me.unwrap_or(0), owners, admission);
         self.obs.twopc.peer_calls[label].observe(calls.get());
@@ -402,7 +383,7 @@ impl ClusterRouter {
             }
         }
         drop(topology);
-        if groups.iter().all(|((id, _), _)| *id == self.config.me) {
+        if groups.iter().all(|((id, _), _)| *id == self.me) {
             return None; // everything ours: the local core installs it
         }
         if let Some(owner) = self.first_suspect(groups.iter().map(|((id, _), _)| id.as_str())) {
@@ -419,7 +400,7 @@ impl ClusterRouter {
                 resources: group,
                 forwarded: true,
             };
-            let answer = if owner == self.config.me {
+            let answer = if owner == self.me {
                 Ok(self.local.call(offer))
             } else {
                 self.obs.forwards.inc();

@@ -694,7 +694,7 @@ mod tests {
                 let local = OnceLock::new();
                 let config = ServerConfig {
                     shards: 1,
-                    ..ServerConfig::ephemeral()
+                    ..ServerConfig::default()
                 };
                 let slice = topology.slice(&theta, &node.id);
                 let server = Server::spawn_hooked(config, RotaPolicy, &slice, |handle| {

@@ -1,9 +1,13 @@
-//! Cluster failure drills: a coordinator killed mid-2PC (tentative
-//! reservations must TTL-expire, never leak, never double-commit),
-//! a gossip-plane partition (degraded-mode rejections, then recovery),
-//! and connection resets from a proxy in front of a node (forwards
-//! fail with structured errors, then recover; the cluster stays
-//! converged).
+//! Cluster failure drills, with every network fault coming from
+//! outside the nodes: one test proxy sits in front of each node, and
+//! the shared topology names the proxies, so every gossip dial and peer
+//! call goes through one. The drills: a coordinator killed mid-2PC
+//! (tentative reservations must TTL-expire, never leak, never
+//! double-commit), a partition made of proxy cuts (degraded-mode
+//! rejections, then recovery), connection resets in front of both
+//! nodes of a pair (convergence is lost while they last, forwards fail
+//! with structured errors or degrade, then everything recovers), and a
+//! killed node.
 
 // Shared with the client drills; this file uses part of it.
 #[allow(dead_code)]
@@ -21,6 +25,67 @@ use rota_server::spec::{resources_from_json, ComputationSpec};
 use rota_server::{Request, Response};
 
 use proxy::{Faults, Proxy};
+
+/// A launched cluster with a proxy in front of every node.
+///
+/// The proxies go in after launch, so launch's own exchanges reach the
+/// nodes directly; from then on the topology names the proxies. The
+/// drills' own clients dial the nodes, not the proxies.
+struct Federation {
+    cluster: Cluster,
+    /// Each node's id and its proxy, in topology order.
+    proxies: Vec<(String, Proxy)>,
+}
+
+impl Federation {
+    /// Launches one node per location, gossiping every 20 ms, each
+    /// behind a proxy injecting `faults`.
+    fn launch(locations: &[&str], faults: Faults) -> Federation {
+        let cluster = Cluster::launch(
+            Topology::auto(locations.len()),
+            &theta(locations),
+            RotaPolicy,
+            ClusterConfig {
+                gossip_interval: Duration::from_millis(20),
+                ..ClusterConfig::default()
+            },
+        )
+        .unwrap();
+        let proxies: Vec<(String, Proxy)> = cluster
+            .nodes()
+            .iter()
+            .map(|node| (node.id().to_string(), Proxy::start(node.addr(), faults)))
+            .collect();
+        let topology = cluster.topology();
+        let mut topology = topology.write().unwrap();
+        for (id, proxy) in &proxies {
+            topology.set_addr(id, &proxy.addr().to_string());
+        }
+        drop(topology);
+        Federation { cluster, proxies }
+    }
+
+    /// The proxy in front of node `id`.
+    fn proxy(&self, id: &str) -> &Proxy {
+        let (_, proxy) = self.proxies.iter().find(|(node, _)| node == id).unwrap();
+        proxy
+    }
+
+    /// Partitions node `id` off (`cut`) or heals it. Its proxy is cut,
+    /// and every other proxy refuses a connection that opens with a
+    /// `hello` naming it: only gossip dials open that way, and without
+    /// that rule the cut node's own exchanges would keep proving it
+    /// alive at its peers.
+    fn partition(&self, id: &str, cut: bool) {
+        for (node, proxy) in &self.proxies {
+            if node == id {
+                proxy.cut(cut);
+            } else {
+                proxy.refuse_hello_from(cut.then_some(id));
+            }
+        }
+    }
+}
 
 fn theta(locations: &[&str]) -> ResourceSet {
     ResourceSet::from_terms(locations.iter().map(|l| {
@@ -70,6 +135,15 @@ fn obtainable(cluster: &Cluster, index: usize) -> String {
     }
 }
 
+/// Polls `done` every 10 ms; fails with `what` after 5 s.
+fn wait_for(what: &str, mut done: impl FnMut() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while !done() {
+        assert!(Instant::now() < deadline, "{what}");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
 fn counter(cluster: &Cluster, index: usize, name: &str) -> u64 {
     let snapshot = client(cluster, index).metrics().unwrap();
     snapshot
@@ -92,26 +166,17 @@ fn counter(cluster: &Cluster, index: usize, name: &str) -> u64 {
 /// commits.
 #[test]
 fn coordinator_death_mid_2pc_leaks_nothing_and_never_double_commits() {
-    let cluster = Cluster::launch(
-        Topology::auto(3),
-        &theta(&["l0", "l1", "l2"]),
-        RotaPolicy,
-        ClusterConfig {
-            gossip_interval: Duration::from_millis(20),
-            ttl: Duration::from_millis(250),
-            ..ClusterConfig::default()
-        },
-    )
-    .unwrap();
+    let federation = Federation::launch(&["l0", "l1", "l2"], Faults::default());
+    let cluster = &federation.cluster;
     assert!(cluster.await_converged(Duration::from_secs(10)));
-    let before_node0 = obtainable(&cluster, 0);
-    let before_node1 = obtainable(&cluster, 1);
+    let before_node0 = obtainable(cluster, 0);
+    let before_node1 = obtainable(cluster, 1);
 
     // Phase one as a coordinator runs it, against the owners of l0
     // and l1.
     let snapshots: Vec<(Vec<u64>, Vec<_>)> = [0, 1]
         .map(
-            |index| match client(&cluster, index).call(&Request::ClusterSnapshot) {
+            |index| match client(cluster, index).call(&Request::ClusterSnapshot) {
                 Ok(Response::ClusterState { epochs, resources }) => {
                     let terms = resources.as_array().expect("resources are an array");
                     (epochs, resources_from_json(terms).expect("spec-form terms"))
@@ -133,7 +198,7 @@ fn coordinator_death_mid_2pc_leaks_nothing_and_never_double_commits() {
             epochs,
             ttl_ms: 250,
         };
-        let answer = client(&cluster, index).call(&prepare).unwrap();
+        let answer = client(cluster, index).call(&prepare).unwrap();
         assert!(
             matches!(answer, Response::Prepared { .. }),
             "node{index} must hold the prepare: {answer:?}"
@@ -143,8 +208,8 @@ fn coordinator_death_mid_2pc_leaks_nothing_and_never_double_commits() {
 
     let deadline = Instant::now() + Duration::from_secs(5);
     loop {
-        let now_node0 = obtainable(&cluster, 0);
-        let now_node1 = obtainable(&cluster, 1);
+        let now_node0 = obtainable(cluster, 0);
+        let now_node1 = obtainable(cluster, 1);
         if now_node0 == before_node0 && now_node1 == before_node1 {
             break;
         }
@@ -156,18 +221,18 @@ fn coordinator_death_mid_2pc_leaks_nothing_and_never_double_commits() {
     }
     for index in [0, 1] {
         assert!(
-            counter(&cluster, index, "server.twopc.expired{shard=0}") >= 1,
+            counter(cluster, index, "server.twopc.expired{shard=0}") >= 1,
             "node{index} never counted the expiry"
         );
     }
     for index in [0, 1] {
-        let (stats, _) = client(&cluster, index).stats().unwrap();
+        let (stats, _) = client(cluster, index).stats().unwrap();
         assert_eq!(stats.accepted, 0, "node{index} committed a dead 2PC");
     }
 
     // The same computation through a healthy coordinator is admitted
     // exactly once — no lingering hold blocks it, no double-commit.
-    let response = client(&cluster, 0)
+    let response = client(cluster, 0)
         .admit(&spanning_job("drilled"), Granularity::MaximalRun)
         .unwrap();
     match &response {
@@ -181,10 +246,9 @@ fn coordinator_death_mid_2pc_leaks_nothing_and_never_double_commits() {
         other => panic!("resubmission failed: {other:?}"),
     }
     for index in [0, 1] {
-        let (stats, _) = client(&cluster, index).stats().unwrap();
+        let (stats, _) = client(cluster, index).stats().unwrap();
         assert_eq!(stats.accepted, 1, "node{index}");
     }
-    cluster.shutdown();
 }
 
 /// A partitioned peer is detected by missed heartbeats; requests
@@ -193,33 +257,29 @@ fn coordinator_death_mid_2pc_leaks_nothing_and_never_double_commits() {
 /// partition restores full routing.
 #[test]
 fn partition_degrades_routing_then_recovers() {
-    let cluster = Cluster::launch(
-        Topology::auto(3),
-        &theta(&["l0", "l1", "l2"]),
-        RotaPolicy,
-        ClusterConfig {
-            gossip_interval: Duration::from_millis(20),
-            suspect_after: 3,
-            ..ClusterConfig::default()
-        },
-    )
-    .unwrap();
+    let federation = Federation::launch(&["l0", "l1", "l2"], Faults::default());
+    let cluster = &federation.cluster;
     assert!(cluster.await_converged(Duration::from_secs(10)));
+    // Forwards reach node1 through its proxy, and leave a pooled link
+    // for the cut to drop.
+    let response = client(cluster, 0)
+        .admit(&local_job("before", "l1"), Granularity::MaximalRun)
+        .unwrap();
+    assert!(
+        matches!(response, Response::Decision { accepted: true, .. }),
+        "{response:?}"
+    );
 
-    // Cut node1 off the gossip plane. Within suspect_after rounds the
-    // survivors stop hearing fresh beats and mark it suspect.
-    cluster.partition("node1", true);
+    // Cut node1 off at the proxies. Within a few rounds the survivors
+    // stop hearing fresh beats and mark it suspect.
+    federation.partition("node1", true);
     let node0 = cluster.node("node0").unwrap();
-    let deadline = Instant::now() + Duration::from_secs(5);
-    while node0.is_alive("node1") {
-        assert!(Instant::now() < deadline, "node1 never went suspect");
-        std::thread::sleep(Duration::from_millis(10));
-    }
+    wait_for("node1 never went suspect", || !node0.is_alive("node1"));
 
     // Degraded mode: a request needing l1 is rejected up front with
     // the structured diagnostic — the policy is never consulted and no
     // socket to the dead peer is touched.
-    let response = client(&cluster, 0)
+    let response = client(cluster, 0)
         .admit(&local_job("degraded", "l1"), Granularity::MaximalRun)
         .unwrap();
     match &response {
@@ -243,11 +303,11 @@ fn partition_degrades_routing_then_recovers() {
         other => panic!("unexpected {other:?}"),
     }
     assert!(
-        counter(&cluster, 0, "cluster.router.degraded_rejects") >= 1,
+        counter(cluster, 0, "cluster.router.degraded_rejects") >= 1,
         "degraded rejects must be counted"
     );
     // Cross-location 2PC touching the dead peer degrades identically.
-    let response = client(&cluster, 2)
+    let response = client(cluster, 2)
         .admit(&spanning_job("degraded-span"), Granularity::MaximalRun)
         .unwrap();
     match &response {
@@ -263,125 +323,122 @@ fn partition_degrades_routing_then_recovers() {
         }
         other => panic!("unexpected {other:?}"),
     }
+    // The partition was the proxies' doing: node1's proxy refused
+    // dials to it, and node0's refused node1's gossip.
+    assert!(federation.proxy("node1").counts().refused >= 1);
+    assert!(federation.proxy("node0").counts().refused >= 1);
 
     // Heal the partition: gossip re-proves node1 and routing recovers.
-    cluster.partition("node1", false);
-    let deadline = Instant::now() + Duration::from_secs(5);
-    while !node0.is_alive("node1") {
-        assert!(Instant::now() < deadline, "node1 never recovered");
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    let response = client(&cluster, 0)
+    federation.partition("node1", false);
+    wait_for("node1 never recovered", || node0.is_alive("node1"));
+    let response = client(cluster, 0)
         .admit(&local_job("recovered", "l1"), Granularity::MaximalRun)
         .unwrap();
     assert!(
         matches!(response, Response::Decision { accepted: true, .. }),
         "{response:?}"
     );
-    cluster.shutdown();
 }
 
-/// Connection resets in front of a node are ridden out: a forward that
-/// meets one fails with a structured error (never hangs), the next
-/// forward after the proxy's reset budget is burnt is admitted, the
-/// proxy counts exactly its budget of resets, and later heartbeats
-/// reach the node through it.
+/// Connection resets in front of both nodes of a pair cost the
+/// federation its convergence while they last, and are ridden out.
+/// Each proxy resets the first `RESETS` connections at their first
+/// frame, so node0's dials to node1 and node1's dials to node0 both
+/// fail. Suspicion takes four failed rounds in a row from both sides
+/// (three beat-free rounds are still alive); node1's side fails for
+/// `RESETS` rounds, and node0's for `RESETS` connections shared between
+/// its heartbeats and the forwards below, at most one each per 20 ms
+/// round, so both sides fail for at least eight rounds.
 ///
-/// The proxy goes in after launch, so launch's own exchange is not
-/// reset, and node1's dials to node0 bypass it and keep both liveness
-/// views fresh: the resets cannot make the cluster lose convergence,
-/// and the drill checks only that it stays converged.
+/// A forward that meets a reset fails with a structured error (never
+/// hangs), one sent while node1 is suspect is a `peer-unavailable`
+/// reject, and one after node1's budget is burnt is admitted. Then
+/// heartbeats reach node1 through its proxy, each proxy has reset
+/// exactly its budget, and the cluster converges again.
 #[test]
-fn gossip_converges_despite_injected_connection_resets() {
-    const RESETS: u64 = 8;
-    let cluster = Cluster::launch(
-        Topology::auto(2),
-        &theta(&["l0", "l1"]),
-        RotaPolicy,
-        ClusterConfig {
-            gossip_interval: Duration::from_millis(20),
-            ..ClusterConfig::default()
-        },
-    )
-    .unwrap();
-    // Every dial to node1 (gossip, forwards) now goes through a proxy
-    // that resets the first RESETS connections at their first frame.
-    let proxy = Proxy::start(
-        cluster.addrs()[1],
+fn gossip_reconverges_after_injected_connection_resets() {
+    const RESETS: u64 = 16;
+    let federation = Federation::launch(
+        &["l0", "l1"],
         Faults {
             reset_first: RESETS,
             ..Faults::default()
         },
     );
-    cluster
-        .topology()
-        .write()
-        .unwrap()
-        .set_addr("node1", &proxy.addr().to_string());
-    // Forwarded admissions fail with structured errors (never hang)
-    // while the reset budget is live, then succeed.
+    let cluster = &federation.cluster;
+    let node0 = cluster.node("node0").unwrap();
     let deadline = Instant::now() + Duration::from_secs(5);
-    let mut refused = 0;
+    let (mut refused, mut degraded, mut suspected) = (0, 0, false);
     let verdict = loop {
-        let response = client(&cluster, 0)
+        let response = client(cluster, 0)
             .admit(&local_job("after-resets", "l1"), Granularity::MaximalRun)
             .unwrap();
-        match response {
-            Response::Decision { .. } => break response,
-            Response::Error { .. } if Instant::now() < deadline => {
-                refused += 1;
-                std::thread::sleep(Duration::from_millis(20));
+        match &response {
+            Response::Decision { accepted: true, .. } => break response,
+            Response::Decision {
+                accepted: false,
+                clause,
+                ..
+            } => {
+                assert_eq!(
+                    clause.as_deref(),
+                    Some("cluster routing (degraded: peer unavailable)"),
+                    "{response:?}"
+                );
+                degraded += 1;
             }
+            Response::Error { .. } => refused += 1,
             other => panic!("forwarding never recovered from resets: {other:?}"),
+        }
+        assert!(Instant::now() < deadline, "forwarding never recovered");
+        // Watch node0's view of node1 between forwards.
+        for _ in 0..10 {
+            suspected |= !node0.is_alive("node1");
+            std::thread::sleep(Duration::from_millis(2));
         }
     };
     assert!(refused >= 1, "no forward met a reset");
     assert!(
+        suspected,
+        "node0 never suspected node1 ({degraded} degraded)"
+    );
+    assert!(
         matches!(verdict, Response::Decision { accepted: true, .. }),
         "{verdict:?}"
     );
-    // The forward got through, so the budget is burnt. Its link is
-    // kept for reuse, so the next dial through the proxy is one of
+    // The forward got through, so node1's budget is burnt. Its link is
+    // kept for reuse, so the next dial through node1's proxy is one of
     // node0's heartbeats, and it is not reset.
-    let seen = proxy.counts().connections;
-    assert!(seen > RESETS, "{:?}", proxy.counts());
-    let deadline = Instant::now() + Duration::from_secs(5);
-    while proxy.counts().connections == seen {
-        assert!(Instant::now() < deadline, "no heartbeat reached node1");
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    assert_eq!(proxy.counts().reset, RESETS);
+    let to_node1 = federation.proxy("node1");
+    let seen = to_node1.counts().connections;
+    assert!(seen > RESETS, "{:?}", to_node1.counts());
+    wait_for("no heartbeat reached node1", || {
+        to_node1.counts().connections > seen
+    });
+    let to_node0 = federation.proxy("node0");
+    wait_for("node1 stopped dialling node0", || {
+        to_node0.counts().connections > RESETS
+    });
+    assert_eq!(to_node1.counts().reset, RESETS);
+    assert_eq!(to_node0.counts().reset, RESETS);
     assert!(
         cluster.await_converged(Duration::from_secs(10)),
-        "resets in front of node1 must not cost the cluster its convergence"
+        "the cluster must converge again once the resets are spent"
     );
-    cluster.shutdown();
 }
 
 /// A killed node is detected like a partitioned one: the survivors
 /// degrade requests touching its locations and keep serving their own.
 #[test]
 fn killed_node_degrades_only_its_own_locations() {
-    let mut cluster = Cluster::launch(
-        Topology::auto(3),
-        &theta(&["l0", "l1", "l2"]),
-        RotaPolicy,
-        ClusterConfig {
-            gossip_interval: Duration::from_millis(20),
-            ..ClusterConfig::default()
-        },
-    )
-    .unwrap();
+    let mut federation = Federation::launch(&["l0", "l1", "l2"], Faults::default());
+    let cluster = &mut federation.cluster;
     assert!(cluster.await_converged(Duration::from_secs(10)));
     cluster.kill("node2");
     let node0 = cluster.node("node0").unwrap();
-    let deadline = Instant::now() + Duration::from_secs(5);
-    while node0.is_alive("node2") {
-        assert!(Instant::now() < deadline, "node2 never went suspect");
-        std::thread::sleep(Duration::from_millis(10));
-    }
+    wait_for("node2 never went suspect", || !node0.is_alive("node2"));
     // l2 is degraded…
-    let response = client(&cluster, 0)
+    let response = client(cluster, 0)
         .admit(&local_job("dead-loc", "l2"), Granularity::MaximalRun)
         .unwrap();
     assert!(
@@ -396,12 +453,11 @@ fn killed_node_degrades_only_its_own_locations() {
     );
     // …but the survivors' locations still admit, including across the
     // surviving pair.
-    let response = client(&cluster, 0)
+    let response = client(cluster, 0)
         .admit(&spanning_job("survivors"), Granularity::MaximalRun)
         .unwrap();
     assert!(
         matches!(response, Response::Decision { accepted: true, .. }),
         "{response:?}"
     );
-    cluster.shutdown();
 }

@@ -12,7 +12,7 @@
 //! poll, then takes the shard pool's write lock, which waits for every
 //! call still inside the pool before the pool is dropped.
 
-use std::io::{BufReader, BufWriter, Write};
+use std::io::{BufReader, BufWriter, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -43,8 +43,6 @@ pub struct ServerConfig {
     /// Admits that may wait per shard behind the one deciding; past
     /// that an admit answers `overloaded`.
     pub queue_capacity: usize,
-    /// Largest accepted request frame, in bytes.
-    pub max_frame_bytes: usize,
     /// Connections silent for this long are reaped.
     pub idle_timeout: Duration,
 }
@@ -55,16 +53,8 @@ impl Default for ServerConfig {
             addr: SocketAddr::from(([127, 0, 0, 1], 0)),
             shards: 4,
             queue_capacity: 64,
-            max_frame_bytes: MAX_FRAME_BYTES,
             idle_timeout: Duration::from_secs(30),
         }
-    }
-}
-
-impl ServerConfig {
-    /// Config bound to an ephemeral localhost port (for tests/loadtests).
-    pub fn ephemeral() -> Self {
-        ServerConfig::default()
     }
 }
 
@@ -401,10 +391,15 @@ impl ServerHandle {
     /// acceptor has exited.
     pub fn shutdown(&self) {
         self.inner.begin_shutdown();
-        // The acceptor blocks in accept(); poke it awake so it can see
-        // the flag even if the flag was raised by a protocol `shutdown`
-        // verb. Connect errors just mean it already exited.
-        let _ = TcpStream::connect_timeout(&self.local_addr, Duration::from_millis(250));
+        // Wake the acceptor out of `accept()` so it sees the flag, even
+        // one a `shutdown` verb raised, and leave no socket in TIME_WAIT:
+        // the acceptor closes with this byte unread, which resets the
+        // connection, and the waker waits for that reset instead of
+        // closing first. A dial error means the acceptor has exited.
+        if let Ok(mut waker) = TcpStream::connect_timeout(&self.local_addr, WAKE_STEP) {
+            let _ = waker.set_read_timeout(Some(WAKE_STEP));
+            let _ = waker.write_all(&[0]).and_then(|()| waker.read(&mut [0]));
+        }
         let acceptor = self
             .acceptor
             .lock()
@@ -513,6 +508,10 @@ impl Server {
     }
 }
 
+/// Bound on each step of waking the acceptor (dial, wait for the reset,
+/// wait for the byte): a stop waits at most twice this.
+const WAKE_STEP: Duration = Duration::from_millis(125);
+
 /// How long the acceptor sleeps after a failed `accept` (say, at the
 /// file-descriptor limit) before it tries again, so a listener that
 /// keeps failing does not spin a core.
@@ -532,6 +531,9 @@ fn accept_loop(listener: &TcpListener, inner: &Arc<Inner>) {
             }
         };
         if inner.shutting_down.load(Ordering::SeqCst) {
+            // Close with the waker's byte unread (see `ServerHandle::shutdown`).
+            let _ = stream.set_read_timeout(Some(WAKE_STEP));
+            let _ = stream.peek(&mut [0]);
             break;
         }
         accepted.inc();
@@ -556,25 +558,23 @@ fn serve_connection(stream: TcpStream, inner: &Arc<Inner>) {
     let oversized = inner.registry.counter("server.frames.oversized");
     let reaped = inner.registry.counter("server.connections.idle_reaped");
     // Short read timeouts let us notice both idle expiry and shutdown
-    // without a dedicated watchdog thread.
+    // without a dedicated watchdog thread. Every answer is one flushed
+    // frame: send it whole rather than let Nagle's algorithm hold back
+    // the tail segment of one larger than an MSS until the peer
+    // acknowledges the head.
     let poll = Duration::from_millis(100).min(inner.config.idle_timeout);
-    if stream.set_read_timeout(Some(poll)).is_err() {
+    let Ok(clone) = stream
+        .set_read_timeout(Some(poll))
+        .and_then(|()| stream.set_nodelay(true))
+        .and_then(|()| stream.try_clone())
+    else {
         return;
-    }
-    // Every answer is one flushed frame: send it whole rather than let
-    // Nagle's algorithm hold back the tail segment of one larger than
-    // an MSS until the peer acknowledges the head.
-    if stream.set_nodelay(true).is_err() {
-        return;
-    }
-    let mut reader = BufReader::new(match stream.try_clone() {
-        Ok(clone) => clone,
-        Err(_) => return,
-    });
+    };
+    let mut reader = BufReader::new(clone);
     let mut writer = BufWriter::new(stream);
     let mut last_activity = Instant::now();
     loop {
-        let line = match read_frame(&mut reader, inner.config.max_frame_bytes) {
+        let line = match read_frame(&mut reader, MAX_FRAME_BYTES) {
             Ok(line) => line,
             Err(FrameError::Closed) => return,
             Err(FrameError::TooLarge { seen }) => {
@@ -583,8 +583,7 @@ fn serve_connection(stream: TcpStream, inner: &Arc<Inner>) {
                     &mut writer,
                     &Response::Error {
                         message: format!(
-                            "frame exceeds {} bytes (got at least {seen})",
-                            inner.config.max_frame_bytes
+                            "frame exceeds {MAX_FRAME_BYTES} bytes (got at least {seen})"
                         ),
                     },
                 );

@@ -4,8 +4,9 @@
 //! cycle) so they also pin down the wire format itself: one JSON
 //! document per line, `"ok"` flag on every response.
 
+use std::collections::BTreeSet;
 use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::net::{IpAddr, SocketAddr, TcpStream};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -20,7 +21,9 @@ use rota_logic::State;
 use rota_obs::Json;
 use rota_resource::{LocatedType, NodeResourceKind, Rate, ResourceTerm};
 use rota_server::spec::{computation_to_json, resources_from_json};
-use rota_server::{LocalHandle, Reply, Request, RequestHook, Server, ServerConfig};
+use rota_server::{
+    LocalHandle, Reply, Request, RequestHook, Server, ServerConfig, MAX_FRAME_BYTES,
+};
 use rota_workload::{base_resources, generate_job, JobShape, WorkloadConfig};
 
 use rand::rngs::StdRng;
@@ -71,8 +74,7 @@ fn chain_workload() -> WorkloadConfig {
 fn server_decisions_match_in_process_controller() {
     let workload = chain_workload();
     let theta = base_resources(&workload);
-    let server =
-        Server::spawn(ServerConfig::ephemeral(), RotaPolicy, &theta).expect("spawn server");
+    let server = Server::spawn(ServerConfig::default(), RotaPolicy, &theta).expect("spawn server");
     let (mut stream, mut reader) = connect(server.local_addr());
 
     let mut reference = AdmissionController::new(RotaPolicy, theta, TimePoint::ZERO);
@@ -118,7 +120,7 @@ fn server_decisions_match_in_process_controller() {
 #[test]
 fn lint_erroring_spec_is_rejected_before_policy() {
     let server = Server::spawn(
-        ServerConfig::ephemeral(),
+        ServerConfig::default(),
         RotaPolicy,
         &base_resources(&chain_workload()),
     )
@@ -170,7 +172,7 @@ fn lint_erroring_spec_is_rejected_before_policy() {
 #[test]
 fn malformed_frames_get_error_and_connection_survives() {
     let server = Server::spawn(
-        ServerConfig::ephemeral(),
+        ServerConfig::default(),
         RotaPolicy,
         &base_resources(&chain_workload()),
     )
@@ -206,7 +208,7 @@ fn malformed_frames_get_error_and_connection_survives() {
 #[test]
 fn a_deeply_nested_frame_is_refused_and_the_server_lives_on() {
     let server = Server::spawn(
-        ServerConfig::ephemeral(),
+        ServerConfig::default(),
         RotaPolicy,
         &base_resources(&chain_workload()),
     )
@@ -238,23 +240,25 @@ fn a_deeply_nested_frame_is_refused_and_the_server_lives_on() {
 
 #[test]
 fn oversized_frames_are_refused_at_the_limit() {
-    let config = ServerConfig {
-        max_frame_bytes: 1024,
-        ..ServerConfig::ephemeral()
-    };
-    let server = Server::spawn(config, RotaPolicy, &base_resources(&chain_workload()))
-        .expect("spawn server");
+    let server = Server::spawn(
+        ServerConfig::default(),
+        RotaPolicy,
+        &base_resources(&chain_workload()),
+    )
+    .expect("spawn server");
     let (mut stream, mut reader) = connect(server.local_addr());
-    // 64 KiB of syntactically valid JSON in one frame: the server must
-    // refuse it while reading, not after buffering all of it.
-    let huge = format!("{{\"op\":\"ping\",\"pad\":\"{}\"}}", "x".repeat(64 * 1024));
+    // A frame of syntactically valid JSON a few KiB past the cap: the
+    // server must refuse it while reading, not after buffering all of
+    // it.
+    let pad = "x".repeat(MAX_FRAME_BYTES + 4 * 1024);
+    let huge = format!("{{\"op\":\"ping\",\"pad\":\"{pad}\"}}");
     let response = roundtrip(&mut stream, &mut reader, &huge);
     assert_eq!(response.get("op").and_then(Json::as_str), Some("error"));
     let message = response
         .get("error")
         .and_then(Json::as_str)
         .expect("error carries message");
-    assert!(message.contains("1024"), "unhelpful message: {message}");
+    assert!(message.contains("262144"), "unhelpful message: {message}");
     // The server hangs up after an oversized frame (the rest of the
     // stream cannot be re-synchronized): next read sees EOF.
     let mut rest = String::new();
@@ -265,6 +269,66 @@ fn oversized_frames_are_refused_at_the_limit() {
         Err(err) => assert_eq!(err.kind(), std::io::ErrorKind::ConnectionReset),
     }
     server.shutdown();
+}
+
+/// The TIME_WAIT connections in `/proc/net/tcp` with `addr` at either
+/// end, as (local, remote) pairs, or `None` where the file cannot be
+/// read.
+fn time_wait_rows(addr: SocketAddr) -> Option<BTreeSet<(String, String)>> {
+    let table = std::fs::read_to_string("/proc/net/tcp").ok()?;
+    let IpAddr::V4(ip) = addr.ip() else {
+        return None;
+    };
+    // The kernel prints an IPv4 address as its 32 bits in host order.
+    let hex = format!(
+        "{:08X}:{:04X}",
+        u32::from_le_bytes(ip.octets()),
+        addr.port()
+    );
+    let rows = table.lines().skip(1).filter_map(|row| {
+        let fields: Vec<&str> = row.split_whitespace().collect();
+        (fields.len() > 3 && fields[3] == "06" && (fields[1] == hex || fields[2] == hex))
+            .then(|| (fields[1].to_string(), fields[2].to_string()))
+    });
+    Some(rows.collect())
+}
+
+/// Stopping a server wakes its acceptor without an active close on
+/// either end, so start/stop cycles leave no socket in TIME_WAIT. Rows
+/// already there when a server binds (an earlier user of the same port
+/// left them) are not counted.
+#[test]
+fn stopping_a_server_leaves_no_time_wait_socket() {
+    const CYCLES: usize = 20;
+    let theta = base_resources(&chain_workload());
+    let mut stopped = Vec::new();
+    for _ in 0..CYCLES {
+        let server = Server::spawn(ServerConfig::default(), RotaPolicy, &theta).expect("spawn");
+        let addr = server.local_addr();
+        let Some(before) = time_wait_rows(addr) else {
+            eprintln!("skipped: /proc/net/tcp cannot be read");
+            return;
+        };
+        // Let the acceptor reach `accept()`, as it has in any server
+        // that served: a stop before that wakes nothing.
+        std::thread::sleep(Duration::from_millis(10));
+        let started = Instant::now();
+        server.shutdown();
+        assert!(
+            started.elapsed() < Duration::from_millis(250),
+            "{:?}",
+            started.elapsed()
+        );
+        stopped.push((addr, before));
+    }
+    let left: usize = stopped
+        .iter()
+        .map(|(addr, before)| {
+            let after = time_wait_rows(*addr).unwrap_or_default();
+            after.difference(before).count()
+        })
+        .sum();
+    assert_eq!(left, 0, "{left} TIME_WAIT sockets after {CYCLES} stops");
 }
 
 /// A policy that takes its time: lets tests fill the shard queue
@@ -291,7 +355,7 @@ fn overload_answers_explicit_backpressure() {
     let config = ServerConfig {
         shards: 1,
         queue_capacity: 1,
-        ..ServerConfig::ephemeral()
+        ..ServerConfig::default()
     };
     let server = Server::spawn(
         config,
@@ -349,7 +413,7 @@ fn overload_answers_explicit_backpressure() {
 fn protocol_shutdown_drains_and_stops_accepting() {
     let workload = chain_workload();
     let server = Server::spawn(
-        ServerConfig::ephemeral(),
+        ServerConfig::default(),
         RotaPolicy,
         &base_resources(&workload),
     )
@@ -385,7 +449,7 @@ fn protocol_shutdown_drains_and_stops_accepting() {
 fn idle_connections_are_reaped() {
     let config = ServerConfig {
         idle_timeout: Duration::from_millis(200),
-        ..ServerConfig::ephemeral()
+        ..ServerConfig::default()
     };
     let server = Server::spawn(config, RotaPolicy, &base_resources(&chain_workload()))
         .expect("spawn server");
@@ -449,7 +513,7 @@ fn local_cluster_state_is_the_wire_snapshot() {
         ))
         .expect("bounded rates");
     let local: Arc<OnceLock<LocalHandle>> = Arc::new(OnceLock::new());
-    let server = Server::spawn_hooked(ServerConfig::ephemeral(), RotaPolicy, &theta, |handle| {
+    let server = Server::spawn_hooked(ServerConfig::default(), RotaPolicy, &theta, |handle| {
         assert!(local.set(handle).is_ok(), "the hook is built once");
         Arc::new(PassThrough) as Arc<dyn RequestHook>
     })

@@ -22,7 +22,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The server owns the resources, split across 4 shard controllers
     // by location; every connection gets Theorem-4 answers over TCP.
-    let server = Server::spawn(ServerConfig::ephemeral(), RotaPolicy, &theta)?;
+    let server = Server::spawn(ServerConfig::default(), RotaPolicy, &theta)?;
     println!("admission service on {}", server.local_addr());
 
     // One hand-built job over the wire.

@@ -140,10 +140,12 @@ loadtest *ARGS:
 cluster:
     cargo test -q -p rota-cluster --lib --test e2e --test properties
 
-# Federation failure drills: a coordinator killed mid-2PC must leak no
-# reservations and double-commit nothing; partitions degrade to
-# structured `peer-unavailable` rejects and recover; resets from a
-# proxy in front of a node only delay gossip convergence.
+# Federation failure drills, with a test proxy in front of every node:
+# a coordinator killed mid-2PC must leak no reservations and
+# double-commit nothing; partitions (proxy cuts) degrade to structured
+# `peer-unavailable` rejects and recover; resets in front of both nodes
+# of a pair cost convergence (the peer goes suspect) until their budget
+# is spent, then it comes back.
 chaos-cluster:
     cargo test -q -p rota-cluster --test chaos
 

@@ -5,10 +5,10 @@
 //!
 //! 1. `todo!(` / `dbg!(` anywhere (debug leftovers);
 //! 2. `.unwrap()` / `.expect(` in **non-test** code of the service
-//!    crates (`rota-server`, `rota-client`) — the serving path must
-//!    degrade, not panic. A line may opt out with a `// PANIC-OK:
-//!    <reason>` comment on the same line or in the comment block
-//!    immediately above;
+//!    crates (`rota-server`, `rota-client`, `rota-cluster`) — the
+//!    serving path must degrade, not panic. A line may opt out with a
+//!    `// PANIC-OK: <reason>` comment on the same line or in the comment
+//!    block immediately above;
 //! 3. crate roots (`src/lib.rs` / `src/main.rs`) must carry
 //!    `#![forbid(unsafe_code)]`.
 //!
