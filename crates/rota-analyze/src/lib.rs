@@ -281,6 +281,38 @@ mod tests {
         report.diagnostics().iter().map(|d| d.code).collect()
     }
 
+    /// A caret stands under the value its diagnostic names however many
+    /// bytes the characters before it on the line take, and the JSON
+    /// form reports that same column, in characters.
+    #[test]
+    fn carets_stand_under_the_value_after_multibyte_characters() {
+        let text = concat!(
+            "{\n",
+            "  \"resources\": [],\n",
+            "  \"computation\": { \"name\": \"café\", \"start\": 9, \"deadline\": 5, \"actors\": [] }\n",
+            "}\n"
+        );
+        let report = analyze(&SpecModel::from_json(text).unwrap());
+        let r0003 = report
+            .diagnostics()
+            .iter()
+            .find(|d| d.code == "R0003")
+            .expect("the window is empty");
+        let rendered = r0003.render(Some("spec.json"), Some(text));
+        let source = rendered.lines().find(|l| l.starts_with("3 | ")).unwrap();
+        let caret = rendered.lines().find(|l| l.ends_with('^')).unwrap();
+        // The gutters are as wide, so the caret's character index is
+        // the one it points at on the source line.
+        let under = source.chars().nth(caret.chars().count() - 1);
+        assert_eq!(under, Some('5'), "{rendered}");
+        let column = r0003
+            .to_json(Some(text))
+            .get("column")
+            .and_then(rota_obs::Json::as_u64);
+        let line = text.lines().nth(2).unwrap();
+        assert_eq!(line.chars().nth(column.unwrap() as usize - 1), Some('5'));
+    }
+
     #[test]
     fn clean_spec_produces_zero_diagnostics() {
         let report = analyze(&simple_model());

@@ -2,18 +2,22 @@
 //! `computation.actors[0].actions[2]`) to a line/column in the raw
 //! spec text, so diagnostics can point into the file the user wrote.
 //!
-//! This is a cursor over the original text, not a DOM lookup:
-//! `rota_obs::Json` does not retain offsets, so we re-scan the source
-//! following the path. The scanner only needs to *skip* values
-//! correctly (strings with escapes, nested containers); it never
-//! interprets them.
+//! `rota_obs::Json` does not retain offsets, so the path is followed
+//! through the source with the one JSON lexer, [`Reader`]: into each
+//! named member or element, skipping the values before it, and the
+//! reader's offset is where the value starts. A path is only resolved
+//! in text `SpecModel::from_json` has accepted, so the reader's
+//! strictness refuses nothing there.
+
+use rota_obs::json::{Kind, Reader};
 
 /// A resolved location in the spec source.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Loc {
     /// 1-based line number.
     pub line: usize,
-    /// 1-based column of the value the path names.
+    /// 1-based column of the value the path names, in characters, so
+    /// a caret padded with `column - 1` spaces stands under it.
     pub column: usize,
     /// The full text of that line (without its newline).
     pub text: String,
@@ -52,155 +56,37 @@ fn parse_path(path: &str) -> Option<Vec<Step>> {
     Some(steps)
 }
 
-struct Scanner<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Scanner<'a> {
-    fn new(text: &'a str) -> Self {
-        Scanner {
-            bytes: text.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
+/// With `reader` at a value, moves it to the start of the member or
+/// element `step` names; `None` when the value has none.
+fn descend(reader: &mut Reader<'_>, step: &Step) -> Option<()> {
+    match step {
+        Step::Key(key) => {
+            if reader.kind().ok()? != Kind::Obj {
+                return None;
             }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Option<()> {
-        self.skip_ws();
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Some(())
-        } else {
+            let mut next = reader.object().ok()?;
+            while let Some(name) = next {
+                if name == key.as_str() {
+                    return Some(());
+                }
+                reader.skip().ok()?;
+                next = reader.next_key().ok()?;
+            }
             None
         }
-    }
-
-    /// Consumes a JSON string, returning its unescaped content only as
-    /// far as key comparison needs (escapes beyond `\"` and `\\` are
-    /// kept verbatim — spec keys are plain identifiers).
-    fn string(&mut self) -> Option<String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let b = self.peek()?;
-            self.pos += 1;
-            match b {
-                b'"' => return Some(out),
-                b'\\' => {
-                    let esc = self.peek()?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        other => {
-                            out.push('\\');
-                            out.push(other as char);
-                        }
-                    }
-                }
-                other => out.push(other as char),
+        Step::Index(i) => {
+            if reader.kind().ok()? != Kind::Arr {
+                return None;
             }
-        }
-    }
-
-    /// Skips one complete JSON value of any shape.
-    fn skip_value(&mut self) -> Option<()> {
-        self.skip_ws();
-        match self.peek()? {
-            b'"' => {
-                self.string()?;
-                Some(())
-            }
-            b'{' => self.skip_container(b'{', b'}'),
-            b'[' => self.skip_container(b'[', b']'),
-            _ => {
-                // Number / literal: run to a structural delimiter.
-                while let Some(b) = self.peek() {
-                    if b",]} \t\n\r".contains(&b) {
-                        break;
-                    }
-                    self.pos += 1;
-                }
-                Some(())
-            }
-        }
-    }
-
-    fn skip_container(&mut self, open: u8, close: u8) -> Option<()> {
-        self.expect(open)?;
-        let mut depth = 1usize;
-        while depth > 0 {
-            let b = self.peek()?;
-            if b == b'"' {
-                self.string()?;
-                continue;
-            }
-            self.pos += 1;
-            if b == open {
-                depth += 1;
-            } else if b == close {
-                depth -= 1;
-            }
-        }
-        Some(())
-    }
-
-    /// With the cursor at a value, descends one path step and leaves
-    /// the cursor at the start of the named sub-value.
-    fn descend(&mut self, step: &Step) -> Option<()> {
-        self.skip_ws();
-        match step {
-            Step::Key(key) => {
-                self.expect(b'{')?;
-                loop {
-                    self.skip_ws();
-                    if self.peek() == Some(b'}') {
-                        return None;
-                    }
-                    let name = self.string()?;
-                    self.expect(b':')?;
-                    self.skip_ws();
-                    if &name == key {
-                        return Some(());
-                    }
-                    self.skip_value()?;
-                    self.skip_ws();
-                    if self.peek() == Some(b',') {
-                        self.pos += 1;
-                    }
-                }
-            }
-            Step::Index(i) => {
-                self.expect(b'[')?;
-                for _ in 0..*i {
-                    self.skip_value()?;
-                    self.skip_ws();
-                    if self.peek() == Some(b',') {
-                        self.pos += 1;
-                    } else {
-                        return None;
-                    }
-                }
-                self.skip_ws();
-                if self.peek() == Some(b']') {
+            let mut more = reader.array().ok()?;
+            for _ in 0..*i {
+                if !more {
                     return None;
                 }
-                Some(())
+                reader.skip().ok()?;
+                more = reader.next_item().ok()?;
             }
+            more.then_some(())
         }
     }
 }
@@ -212,18 +98,17 @@ pub fn locate(text: &str, path: &str) -> Option<Loc> {
         return None;
     }
     let steps = parse_path(path)?;
-    let mut scanner = Scanner::new(text);
-    scanner.skip_ws();
+    let mut reader = Reader::new(text);
     for step in &steps {
-        scanner.descend(step)?;
+        descend(&mut reader, step)?;
     }
-    scanner.skip_ws();
-    let offset = scanner.pos.min(text.len());
+    reader.kind().ok()?;
+    let offset = reader.offset();
     let line_start = text[..offset].rfind('\n').map_or(0, |i| i + 1);
     let line_end = text[offset..].find('\n').map_or(text.len(), |i| offset + i);
     Some(Loc {
         line: text[..offset].matches('\n').count() + 1,
-        column: offset - line_start + 1,
+        column: text[line_start..offset].chars().count() + 1,
         text: text[line_start..line_end].trim_end().to_string(),
     })
 }

@@ -16,14 +16,18 @@
 //! missing fields, and wrong types are all [`SpecError::Parse`] errors
 //! naming the offending field. Spec files and frames are read straight
 //! from their text ([`SpecModel::from_json`], [`read_resources`],
-//! [`ComputationSpec::read_json`], [`read_scope`]). The tree decoders
-//! kept beside them ([`ComputationSpec::from_json`],
-//! [`resources_from_json`], [`scope_from_json`], over [`Fields`]) read
-//! a [`Json`] already built, with the same errors. Each type's
-//! `to_json` is the exact inverse of its decoders, and the library
-//! encoders ([`computation_to_json`], [`resource_set_to_json`]) go
-//! library → spec → JSON, so there is one encoder per wire shape and
-//! requests round-trip.
+//! [`ComputationSpec::read_json`], [`read_scope`]) and written straight
+//! into it (`write_json`, [`write_scope`]): one codec per shape.
+//!
+//! One per-field [`Json`] pair is left: [`resource_set_to_json`] and
+//! [`ResourceSpec::to_json`] encode a resource list as a tree, and
+//! [`resources_from_json`] decodes one over [`Fields`], because a
+//! `cluster-state` answer carries its Θ_expire as a [`Json`] array that
+//! a two-phase commit builds and decodes on every snapshot.
+//! [`ComputationSpec::from_json`] and [`computation_to_json`] keep
+//! their signatures as bridges over the text codec, for the benchmark
+//! harness; the tree forms of computations and scopes are kept in the
+//! test support as the codec's reference.
 //!
 //! A spec file describes a system's resource terms and one
 //! deadline-constrained computation:
@@ -63,7 +67,6 @@ pub use text::{
 
 use rota_actor::{ActionKind, ActorComputation, DistributedComputation};
 use rota_interval::{TimeInterval, TimePoint};
-use rota_logic::Scope;
 use rota_obs::json::Key;
 use rota_obs::Json;
 use rota_resource::{
@@ -361,7 +364,7 @@ impl fmt::Display for At<'_> {
 /// The locations a list of terms names, each allocated once: a basis
 /// names a handful of locations across dozens of terms.
 #[derive(Default)]
-struct Locations(Vec<Location>);
+pub struct Locations(Vec<Location>);
 
 impl Locations {
     /// How many distinct locations are kept for reuse.
@@ -403,8 +406,14 @@ fn decode_resource(
 
 /// The located type of a term-shaped object: `kind` with `location`,
 /// or `network` with `from` and `to`. A node kind's object may carry
-/// only `node_keys`, a link's only `link_keys`.
-fn decode_located(
+/// only `node_keys`, a link's only `link_keys`. Public for the tree
+/// decoder of a scope that the test support keeps as the reference of
+/// [`read_scope`].
+///
+/// # Errors
+///
+/// [`SpecError::Parse`] naming `ctx` and the first violation.
+pub fn decode_located(
     fields: &Fields<'_>,
     ctx: &dyn fmt::Display,
     locations: &mut Locations,
@@ -449,133 +458,6 @@ fn located_pairs(located: &LocatedType, pairs: &mut Vec<(Key, Json)>) {
             pairs.push(("to".into(), Json::Str(to.name().into())));
         }
     }
-}
-
-/// Encodes a [`Scope`] as the object [`scope_from_json`] decodes: its
-/// located types, each written as a term names it without `rate`,
-/// `start` and `end`, and its window as `start` and `end` ticks.
-///
-/// ```json
-/// { "types": [ { "kind": "cpu", "location": "l1" },
-///              { "kind": "network", "from": "l1", "to": "l2" } ],
-///   "start": 4, "end": 20 }
-/// ```
-pub fn scope_to_json(scope: &Scope) -> Json {
-    let types = scope
-        .types()
-        .iter()
-        .map(|located| {
-            let mut pairs = Vec::with_capacity(3);
-            located_pairs(located, &mut pairs);
-            Json::Obj(pairs)
-        })
-        .collect();
-    Json::Obj(vec![
-        ("types".into(), Json::Arr(types)),
-        (
-            "start".into(),
-            Json::Num(scope.window().start().ticks() as f64),
-        ),
-        ("end".into(), Json::Num(scope.window().end().ticks() as f64)),
-    ])
-}
-
-/// Decodes the object [`scope_to_json`] writes, as strictly as a term:
-/// an unknown key, an unknown kind, a tick that is not a non-negative
-/// integer or an empty window is an error.
-///
-/// # Errors
-///
-/// [`SpecError::Parse`] naming the first violation.
-pub fn scope_from_json(value: &Json) -> Result<Scope, SpecError> {
-    let fields = Fields::of(value, &"scope")?;
-    fields.deny_unknown(&["types", "start", "end"])?;
-    let mut locations = Locations::default();
-    let types = fields
-        .array("types")?
-        .iter()
-        .enumerate()
-        .map(|(index, value)| {
-            let ctx = At::element("scope types", index);
-            decode_located(
-                &Fields::of(value, &ctx)?,
-                &ctx,
-                &mut locations,
-                &["kind", "location"],
-                &["kind", "from", "to"],
-            )
-        })
-        .collect::<Result<Vec<_>, SpecError>>()?;
-    let (start, end) = (fields.u64("start")?, fields.u64("end")?);
-    let window = TimeInterval::from_ticks(start, end).map_err(|_| {
-        SpecError::Parse(format!(
-            "scope: `end` ({end}) must follow `start` ({start})"
-        ))
-    })?;
-    Ok(Scope::new(types, window))
-}
-
-fn decode_action(value: &Json, actor: &str, index: usize) -> Result<ActionSpec, SpecError> {
-    let ctx = At {
-        actor: Some(actor),
-        list: "actions",
-        index,
-    };
-    let fields = Fields::of(value, &ctx)?;
-    let verb = fields.text("do")?;
-    match verb {
-        "evaluate" => {
-            fields.deny_unknown(&["do", "work"])?;
-            Ok(ActionSpec::Evaluate {
-                work: fields.u64_opt("work")?,
-            })
-        }
-        "send" => {
-            fields.deny_unknown(&["do", "to", "dest", "size"])?;
-            Ok(ActionSpec::Send {
-                to: fields.str("to")?,
-                dest: fields.str("dest")?,
-                size: fields.u64_opt("size")?.unwrap_or(1),
-            })
-        }
-        "create" => {
-            fields.deny_unknown(&["do", "child"])?;
-            Ok(ActionSpec::Create {
-                child: fields.str("child")?,
-            })
-        }
-        "ready" => {
-            fields.deny_unknown(&["do"])?;
-            Ok(ActionSpec::Ready)
-        }
-        "migrate" => {
-            fields.deny_unknown(&["do", "dest"])?;
-            Ok(ActionSpec::Migrate {
-                dest: fields.str("dest")?,
-            })
-        }
-        other => Err(SpecError::Parse(format!(
-            "{ctx}: unknown action `{other}`, expected `evaluate`, `send`, `create`, `ready`, or `migrate`"
-        ))),
-    }
-}
-
-fn decode_actor(value: &Json, index: usize) -> Result<ActorSpec, SpecError> {
-    let ctx = At::element("actors", index);
-    let fields = Fields::of(value, &ctx)?;
-    fields.deny_unknown(&["name", "origin", "actions"])?;
-    let name = fields.str("name")?;
-    let actions = fields
-        .array("actions")?
-        .iter()
-        .enumerate()
-        .map(|(i, a)| decode_action(a, &name, i))
-        .collect::<Result<_, _>>()?;
-    Ok(ActorSpec {
-        origin: fields.str("origin")?,
-        actions,
-        name,
-    })
 }
 
 /// Decodes a list of resource specs from a JSON array.
@@ -736,26 +618,6 @@ impl ActionSpec {
             ActionSpec::Migrate { dest } => ActionKind::migrate(dest.as_str()),
         }
     }
-
-    fn into_json(self) -> Json {
-        let verb = |name: &str| ("do".into(), Json::Str(name.into()));
-        let text = |key: &'static str, value: String| (key.into(), Json::Str(value));
-        Json::Obj(match self {
-            ActionSpec::Evaluate { work: None } => vec![verb("evaluate")],
-            ActionSpec::Evaluate { work: Some(work) } => {
-                vec![verb("evaluate"), ("work".into(), Json::Num(work as f64))]
-            }
-            ActionSpec::Send { to, dest, size } => vec![
-                verb("send"),
-                text("to", to),
-                text("dest", dest),
-                ("size".into(), Json::Num(size as f64)),
-            ],
-            ActionSpec::Create { child } => vec![verb("create"), text("child", child)],
-            ActionSpec::Ready => vec![verb("ready")],
-            ActionSpec::Migrate { dest } => vec![verb("migrate"), text("dest", dest)],
-        })
-    }
 }
 
 impl From<&DistributedComputation> for ComputationSpec {
@@ -778,57 +640,17 @@ impl From<&DistributedComputation> for ComputationSpec {
 }
 
 impl ComputationSpec {
-    /// Decodes a computation spec from its JSON object form.
+    /// Decodes a computation spec from its JSON object form: the
+    /// tree's compact text read with [`ComputationSpec::read_json`], so
+    /// the value and every error are the text codec's. A bridge that
+    /// exists for admbench until ROADMAP item 10; no shipped path calls
+    /// it.
     ///
     /// # Errors
     ///
     /// [`SpecError::Parse`] on schema violations.
     pub fn from_json(value: &Json) -> Result<Self, SpecError> {
-        let fields = Fields::of(value, &"computation")?;
-        fields.deny_unknown(&["name", "start", "deadline", "actors"])?;
-        Ok(ComputationSpec {
-            name: fields.str("name")?,
-            start: fields.u64("start")?,
-            deadline: fields.u64("deadline")?,
-            actors: fields
-                .array("actors")?
-                .iter()
-                .enumerate()
-                .map(|(i, a)| decode_actor(a, i))
-                .collect::<Result<_, _>>()?,
-        })
-    }
-
-    /// Encodes the spec as the object [`ComputationSpec::from_json`]
-    /// decodes — field for field, so even a spec that does not build
-    /// (deadline not after start) survives the wire intact.
-    pub fn to_json(&self) -> Json {
-        self.clone().into_json()
-    }
-
-    /// Encodes the spec as [`to_json`](ComputationSpec::to_json) does,
-    /// moving its strings into the document instead of copying them.
-    pub fn into_json(self) -> Json {
-        let actors = self
-            .actors
-            .into_iter()
-            .map(|a| {
-                Json::Obj(vec![
-                    ("name".into(), Json::Str(a.name)),
-                    ("origin".into(), Json::Str(a.origin)),
-                    (
-                        "actions".into(),
-                        Json::Arr(a.actions.into_iter().map(ActionSpec::into_json).collect()),
-                    ),
-                ])
-            })
-            .collect();
-        Json::Obj(vec![
-            ("name".into(), Json::Str(self.name)),
-            ("start".into(), Json::Num(self.start as f64)),
-            ("deadline".into(), Json::Num(self.deadline as f64)),
-            ("actors".into(), Json::Arr(actors)),
-        ])
+        read_document(&value.to_string(), ComputationSpec::read_json)
     }
 
     /// Converts the spec into a library [`DistributedComputation`].
@@ -860,9 +682,14 @@ impl ComputationSpec {
 }
 
 /// Serializes a [`DistributedComputation`] as the spec's `computation`
-/// object, through its [`ComputationSpec`] form.
+/// object: its [`ComputationSpec`] written with the text codec, then
+/// parsed. A bridge that exists for admbench until ROADMAP item 10; no
+/// shipped path calls it.
 pub fn computation_to_json(lambda: &DistributedComputation) -> Json {
-    ComputationSpec::from(lambda).into_json()
+    let mut text = String::new();
+    ComputationSpec::from(lambda).write_json(&mut text);
+    // PANIC-OK: a computation is written four levels deep, as JSON.
+    Json::parse(&text).expect("a written computation parses")
 }
 
 impl SpecModel {

@@ -1,21 +1,19 @@
 //! The spec types' text codec: a spec file, a computation, a list of
 //! resource terms and a scope read straight from a [`Reader`] into
 //! their types, and written straight into a `String`, with no
-//! [`rota_obs::Json`] tree between. It is the one decoder spec files
-//! and frames run.
+//! [`rota_obs::Json`] tree between. It is the one codec spec files and
+//! frames run.
 //!
 //! A reader reads every member of an object before it judges one, then
 //! makes its checks in a fixed order, so fields may come in any order
 //! and the error reported is the first a strict field-by-field decoder
 //! meets: a repeated key, then an unknown one, then each field in the
-//! order the type lists them. The tree decoders
-//! ([`ComputationSpec::from_json`], [`resources_from_json`],
-//! [`scope_from_json`]) word every error the same way; the test
-//! support keeps a tree decoder of the whole spec file and of every
-//! frame as the readers' reference.
+//! order the type lists them. [`resources_from_json`] words every
+//! error the same way; the test support keeps a tree decoder of the
+//! whole spec file, of a computation, of a scope and of every frame as
+//! the readers' reference.
 //!
 //! [`resources_from_json`]: super::resources_from_json
-//! [`scope_from_json`]: super::scope_from_json
 
 use std::fmt;
 
@@ -232,8 +230,8 @@ const ACTOR_KEYS: [&str; 3] = ["name", "origin", "actions"];
 const ACTION_KEYS: [&str; 6] = ["do", "work", "to", "dest", "size", "child"];
 
 impl ComputationSpec {
-    /// Reads the object [`ComputationSpec::from_json`] decodes, as
-    /// strictly and with the same errors.
+    /// Reads a computation's object, strictly: an unknown or repeated
+    /// key, a missing field or a mistyped one is an error naming it.
     ///
     /// # Errors
     ///
@@ -263,7 +261,8 @@ impl ComputationSpec {
         })())
     }
 
-    /// Appends the compact JSON [`ComputationSpec::to_json`] writes.
+    /// Appends the computation's compact JSON: its fields in the order
+    /// the type lists them, and a send's `size` always.
     pub fn write_json(&self, out: &mut String) {
         out.push_str("{\"name\":");
         write_string(out, &self.name);
@@ -380,7 +379,7 @@ fn read_action(reader: &mut Reader<'_>) -> Result<Result<ActionSpec, String>, Js
 }
 
 impl ActionSpec {
-    /// Appends the compact JSON the action's tree form writes.
+    /// Appends the action's compact JSON: `do`, then its fields.
     fn write_json(&self, out: &mut String) {
         match self {
             ActionSpec::Evaluate { work: None } => out.push_str("{\"do\":\"evaluate\"}"),
@@ -418,8 +417,9 @@ const LOCATED_KEYS: [&str; 4] = ["kind", "location", "from", "to"];
 /// A term's keys: [`LOCATED_KEYS`], then its rate and window.
 const RESOURCE_KEYS: [&str; 7] = ["kind", "location", "from", "to", "rate", "start", "end"];
 
-/// Reads the object [`scope_from_json`](super::scope_from_json)
-/// decodes, as strictly and with the same errors.
+/// Reads the object [`write_scope`] writes, as strictly as a term: an
+/// unknown key, an unknown kind, a tick that is not a non-negative
+/// integer or an empty window is an error.
 ///
 /// # Errors
 ///
@@ -667,8 +667,13 @@ impl ResourceSpec {
     }
 }
 
-/// Appends the compact JSON [`scope_to_json`](super::scope_to_json)
-/// writes for `scope`.
+/// Appends `scope`'s compact JSON: its located types, each written as
+/// a term names it without `rate`, `start` and `end`, and its window
+/// as `start` and `end` ticks.
+///
+/// ```json
+/// {"types":[{"kind":"cpu","location":"l1"},{"kind":"network","from":"l1","to":"l2"}],"start":4,"end":20}
+/// ```
 pub fn write_scope(scope: &Scope, out: &mut String) {
     out.push_str("{\"types\":[");
     for (i, located) in scope.types().iter().enumerate() {

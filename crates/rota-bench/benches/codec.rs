@@ -22,7 +22,8 @@
 //!   an answer, newline and flush included;
 //! - `tree`: the reference forms' round, `Json::parse` plus the tree
 //!   decoder of `rota-server/tests/support/tree.rs` and then
-//!   `to_json().to_string()`, which the wire no longer runs.
+//!   the reference tree encoder's `to_string()`, which the wire no
+//!   longer runs.
 //!
 //! `convert` is the step a 2PC coordinator takes after decoding each
 //! answer: the `resources` array into spec terms (`resources_from_json`)
@@ -32,8 +33,8 @@
 //! throughput is that length, so cost per byte reads straight off the
 //! `B/s` column: a linear codec keeps it flat as frames grow.
 
-// The tree decoders, kept as the text codec's reference in
-// rota-server's test support; this file uses part of it.
+// The tree forms, kept as the text codec's reference in rota-server's
+// test support; this file uses part of it.
 #[allow(dead_code)]
 #[path = "../../rota-server/tests/support/tree.rs"]
 mod tree;
@@ -185,12 +186,14 @@ fn cap_sized_admit() -> Request {
         granularity: Granularity::MaximalRun,
         forwarded: false,
     };
-    let overhead = admit(String::new()).to_json().to_string().len();
+    let overhead = tree::request_to_json(&admit(String::new()))
+        .to_string()
+        .len();
     admit("n".repeat(MAX_FRAME_BYTES - overhead))
 }
 
-/// A wire type's decoders and its tree encoder; its writer is
-/// [`Encode::write_json`].
+/// A wire type's decoders and its reference tree encoder; its writer
+/// is [`Encode::write_json`].
 trait Codec: Sized {
     fn from_line(line: &str) -> Self;
     fn from_tree(line: &str) -> Self;
@@ -206,7 +209,7 @@ impl Codec for Request {
             .expect("the frame decodes")
     }
     fn to_json(&self) -> Json {
-        Request::to_json(self)
+        tree::request_to_json(self)
     }
 }
 
@@ -219,7 +222,7 @@ impl Codec for Response {
             .expect("the frame decodes")
     }
     fn to_json(&self) -> Json {
-        Response::to_json(self)
+        tree::response_to_json(self)
     }
 }
 

@@ -217,6 +217,13 @@ impl Client {
         }
     }
 
+    /// Ends the connection where the server closes after its last
+    /// answer (a gossip exchange), leaving no socket in TIME_WAIT on
+    /// either end: see [`rota_server::server::hang_up`].
+    pub fn hang_up(mut self) {
+        rota_server::server::hang_up(self.writer.get_mut());
+    }
+
     /// Asks the server to shut down gracefully.
     pub fn shutdown(&mut self) -> Result<(), ClientError> {
         match self.call(&Request::Shutdown)? {
@@ -229,6 +236,13 @@ impl Client {
 fn unexpected(response: &Response) -> ClientError {
     match response {
         Response::Error { message } => ClientError::Server(message.clone()),
-        other => ClientError::Server(format!("unexpected response: {:?}", other.to_json())),
+        other => ClientError::Server(format!("unexpected response: {}", frame_text(other))),
     }
+}
+
+/// The frame the wire carries for `response`, without the newline.
+pub(crate) fn frame_text(response: &Response) -> String {
+    let mut line = String::new();
+    response.write_json(&mut line);
+    line
 }

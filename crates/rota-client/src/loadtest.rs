@@ -301,7 +301,10 @@ fn classify(answer: Result<Response, ClientError>, start: Instant) -> Sample {
         Ok(other) => (
             Outcome::Error,
             0,
-            Some(format!("unexpected response: {:?}", other.to_json())),
+            Some(format!(
+                "unexpected response: {}",
+                crate::frame_text(&other)
+            )),
         ),
         Err(err) => (Outcome::Error, 0, Some(err.to_string())),
     }

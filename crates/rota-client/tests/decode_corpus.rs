@@ -415,12 +415,12 @@ fn reference_outcome(request: bool, frame: &str) -> String {
         parsed
             .map_err(|err| format!("spec parse error: {err}"))
             .and_then(|doc| tree::request_from_json(&doc).map_err(|err| err.to_string()))
-            .map(|request| request.to_json().to_string())
+            .map(|request| tree::request_to_json(&request).to_string())
     } else {
         parsed
             .map_err(|err| format!("spec parse error: {err}"))
             .and_then(|doc| tree::response_from_json(doc).map_err(|err| err.to_string()))
-            .map(|response| response.to_json().to_string())
+            .map(|response| tree::response_into_json(response).to_string())
     };
     outcome(frame, decoded)
 }
@@ -439,7 +439,7 @@ fn outcome(frame: &str, decoded: Result<String, String>) -> String {
 fn frames() -> Vec<(bool, String)> {
     let mut frames = Vec::new();
     for request in requests() {
-        let frame = request.to_json().to_string();
+        let frame = tree::request_to_json(&request).to_string();
         frames.extend(mutations(&frame).into_iter().map(|m| (true, m)));
     }
     for frame in RESPONSES {
@@ -456,12 +456,16 @@ fn wire_outcome(request: bool, frame: &str) -> String {
     let decoded = if request {
         Request::from_line(frame).map(|request| {
             request.write_json(&mut line);
-            assert_eq!(line, request.to_json().to_string(), "{frame}");
+            assert_eq!(line, tree::request_to_json(&request).to_string(), "{frame}");
         })
     } else {
         Response::from_line(frame).map(|response| {
             response.write_json(&mut line);
-            assert_eq!(line, response.to_json().to_string(), "{frame}");
+            assert_eq!(
+                line,
+                tree::response_to_json(&response).to_string(),
+                "{frame}"
+            );
         })
     };
     outcome(frame, decoded.map(|()| line).map_err(|err| err.to_string()))

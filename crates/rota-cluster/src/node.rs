@@ -344,7 +344,11 @@ fn exchange(
         .set_io_timeout(crate::links::io_timeout(timeout))
         .ok()?;
     client.hello_as(Some(&me)).ok()?;
-    match client.call(&Request::Gossip { digest }).ok()? {
+    let answer = client.call(&Request::Gossip { digest }).ok()?;
+    // The server closes after the ack; hanging up leaves no socket in
+    // TIME_WAIT on either end.
+    client.hang_up();
+    match answer {
         Response::GossipAck { digest } => {
             lock(engine).absorb(&digest);
             Some(())

@@ -4,6 +4,7 @@
 //! snapshots scoped to the request and peer calls counted per 2PC), offer splitting, the `R0016`
 //! ownership lint, and the version handshake.
 
+use std::collections::BTreeSet;
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -163,6 +164,80 @@ fn shutdown_does_not_wait_out_the_gossip_interval() {
     assert!(
         elapsed < Duration::from_millis(500),
         "shutdown took {elapsed:?}"
+    );
+}
+
+/// The TIME_WAIT rows (state `06`) of `/proc/net/tcp` and
+/// `/proc/net/tcp6` with `port` at either end, as (local, remote)
+/// address pairs; `None` when neither file can be read.
+fn time_wait_rows(port: u16) -> Option<BTreeSet<(String, String)>> {
+    let suffix = format!(":{port:04X}");
+    let mut rows = BTreeSet::new();
+    let mut read = false;
+    for table in ["/proc/net/tcp", "/proc/net/tcp6"] {
+        let Ok(text) = std::fs::read_to_string(table) else {
+            continue;
+        };
+        read = true;
+        for row in text.lines().skip(1) {
+            let fields: Vec<&str> = row.split_whitespace().collect();
+            if fields.len() > 3
+                && fields[3] == "06"
+                && (fields[1].ends_with(&suffix) || fields[2].ends_with(&suffix))
+            {
+                rows.insert((fields[1].to_string(), fields[2].to_string()));
+            }
+        }
+    }
+    read.then_some(rows)
+}
+
+/// Each gossip round's connection ends with a hang-up on both sides,
+/// not an active close, so a federation that gossips leaves no socket
+/// in TIME_WAIT at its nodes' ports, and every exchange is still one
+/// accepted connection. Rows already there when the ports are bound
+/// (an earlier user of a port left them) are not counted.
+#[test]
+fn gossip_leaves_no_time_wait_socket() {
+    const EXCHANGES: u64 = 40;
+    let mut topology = Topology::auto(2);
+    let mut before = Vec::new();
+    for id in ["node0", "node1"] {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let Some(rows) = time_wait_rows(addr.port()) else {
+            eprintln!("skipped: /proc/net/tcp cannot be read");
+            return;
+        };
+        before.push((addr.port(), rows));
+        drop(listener);
+        topology.set_addr(id, &addr.to_string());
+    }
+    let config = ClusterConfig {
+        gossip_interval: Duration::from_millis(10),
+        ..test_config()
+    };
+    let cluster = Cluster::launch(topology, &theta(&["l0", "l1"]), RotaPolicy, config).unwrap();
+    let registries: Vec<_> = cluster.nodes().iter().map(|n| n.registry()).collect();
+    let total = |name: &str| -> u64 { registries.iter().map(|r| r.counter(name).get()).sum() };
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while total("cluster.gossip.exchanges") < EXCHANGES {
+        assert!(Instant::now() < deadline, "gossip stalled");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    cluster.shutdown();
+    let exchanges = total("cluster.gossip.exchanges");
+    assert_eq!(total("server.connections.accepted"), exchanges);
+    let left: usize = before
+        .iter()
+        .map(|(port, rows)| {
+            let after = time_wait_rows(*port).unwrap_or_default();
+            after.difference(rows).count()
+        })
+        .sum();
+    assert_eq!(
+        left, 0,
+        "{left} TIME_WAIT sockets after {exchanges} gossip exchanges"
     );
 }
 

@@ -1195,6 +1195,13 @@ impl<'a> Reader<'a> {
         .value()
     }
 
+    /// The byte offset of the reader's position in the text: where the
+    /// value it stands at starts, once [`Reader::kind`] has passed the
+    /// whitespace before it.
+    pub fn offset(&self) -> usize {
+        self.pos
+    }
+
     /// Checks that only whitespace follows the document.
     ///
     /// # Errors

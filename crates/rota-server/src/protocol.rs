@@ -12,9 +12,13 @@
 //! Each frame type has one decoder and one writer, its text codec
 //! (`read_json` behind [`Request::from_line`] and
 //! [`Response::from_line`], `write_json` behind [`write_frame`]),
-//! straight between the bytes and the type. The tree encoders
-//! (`to_json`) are not on the wire; the tree decoders they invert live
-//! in the test support, as the codec's reference.
+//! straight between the bytes and the type. The tree forms of the
+//! frames (a per-field encoder and decoder over [`Json`]) live in the
+//! test support, as the codec's reference. [`Request::to_json`] and
+//! [`Response::to_json`] only bridge the text codec to a tree for the
+//! benchmark harness. The one tree a frame still holds is a
+//! `cluster-state` answer's `resources`, which the server builds and a
+//! two-phase commit decodes with the spec's resource-list pair.
 //!
 //! Requests:
 //!
@@ -56,12 +60,11 @@ use rota_actor::Granularity;
 use rota_admission::ControllerStats;
 use rota_analyze::Diagnostic;
 use rota_logic::Scope;
-use rota_obs::json::Key;
 use rota_obs::Json;
 
 mod text;
 
-use crate::spec::{read_document, scope_to_json, ComputationSpec, ResourceSpec, SpecError};
+use crate::spec::{read_document, ComputationSpec, ResourceSpec, SpecError};
 
 /// Hard cap on one frame (request or response line), in bytes.
 ///
@@ -90,30 +93,6 @@ pub struct GossipDigest {
     /// Freshest heartbeats the sender has heard, including indirect
     /// ones — how liveness propagates without all-to-all traffic.
     pub beats: Vec<PeerBeat>,
-}
-
-impl GossipDigest {
-    /// Serializes the digest as a JSON object.
-    pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("from".into(), Json::Str(self.from.clone())),
-            ("seq".into(), Json::Num(self.seq as f64)),
-            (
-                "beats".into(),
-                Json::Arr(
-                    self.beats
-                        .iter()
-                        .map(|b| {
-                            Json::Obj(vec![
-                                ("node".into(), Json::Str(b.node.clone())),
-                                ("seq".into(), Json::Num(b.seq as f64)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
 }
 
 /// A client → server request.
@@ -208,85 +187,12 @@ pub enum Request {
 }
 
 impl Request {
-    /// Serializes the request as a single-line JSON document.
+    /// The request's frame as a [`Json`] tree: written with the text
+    /// codec, then parsed; a frame that does not parse comes back as a
+    /// string holding it. A bridge that exists for admbench until
+    /// ROADMAP item 10; no shipped path calls it.
     pub fn to_json(&self) -> Json {
-        match self {
-            Request::Hello { version, node } => op_obj(
-                "hello",
-                [("version".into(), Json::Num(*version as f64))]
-                    .into_iter()
-                    .chain(
-                        node.as_ref()
-                            .map(|node| ("node".into(), Json::Str(node.clone()))),
-                    ),
-            ),
-            Request::Ping => op_obj("ping", []),
-            Request::Admit {
-                computation,
-                granularity,
-                forwarded,
-            } => op_obj(
-                "admit",
-                [
-                    ("computation".into(), computation.to_json()),
-                    ("granularity".into(), Json::Str(granularity.name().into())),
-                ]
-                .into_iter()
-                .chain(forwarded_flag(*forwarded)),
-            ),
-            Request::Offer {
-                resources,
-                forwarded,
-            } => op_obj(
-                "offer",
-                [(
-                    "resources".into(),
-                    Json::Arr(resources.iter().map(ResourceSpec::to_json).collect()),
-                )]
-                .into_iter()
-                .chain(forwarded_flag(*forwarded)),
-            ),
-            Request::Stats => op_obj("stats", []),
-            Request::Metrics => op_obj("metrics", []),
-            Request::Shutdown => op_obj("shutdown", []),
-            Request::Gossip { digest } => op_obj("gossip", [("digest".into(), digest.to_json())]),
-            Request::ClusterSnapshot => op_obj("cluster-snapshot", []),
-            Request::ScopedSnapshot { scope } => {
-                op_obj("cluster-snapshot", [("scope".into(), scope_to_json(scope))])
-            }
-            Request::Prepare {
-                name,
-                computation,
-                granularity,
-                basis,
-                epochs,
-                ttl_ms,
-            } => op_obj(
-                "prepare",
-                [
-                    ("name".into(), Json::Str(name.clone())),
-                    ("computation".into(), computation.to_json()),
-                    ("granularity".into(), Json::Str(granularity.name().into())),
-                    (
-                        "basis".into(),
-                        Json::Arr(basis.iter().map(ResourceSpec::to_json).collect()),
-                    ),
-                    (
-                        "epochs".into(),
-                        Json::Arr(epochs.iter().map(|e| Json::Num(*e as f64)).collect()),
-                    ),
-                    ("ttl_ms".into(), Json::Num(*ttl_ms as f64)),
-                ],
-            ),
-            Request::CommitReservation { name } => op_obj(
-                "commit-reservation",
-                [("name".into(), Json::Str(name.clone()))],
-            ),
-            Request::AbortReservation { name } => op_obj(
-                "abort-reservation",
-                [("name".into(), Json::Str(name.clone()))],
-            ),
-        }
+        tree_of(self)
     }
 
     /// Parses a request from one frame (no trailing newline) with the
@@ -420,120 +326,12 @@ impl Response {
         )
     }
 
-    /// Serializes the response as a single-line JSON document; a copy
-    /// of [`into_json`](Response::into_json).
+    /// The response's frame as a [`Json`] tree: written with the text
+    /// codec, then parsed; a frame that does not parse comes back as a
+    /// string holding it. A bridge that exists for admbench until
+    /// ROADMAP item 10; no shipped path calls it.
     pub fn to_json(&self) -> Json {
-        self.clone().into_json()
-    }
-
-    /// Serializes the response as a single-line JSON document, moving
-    /// its strings and documents (a snapshot's `resources`, a metrics
-    /// snapshot, diagnostics) into it instead of copying them.
-    pub fn into_json(self) -> Json {
-        match self {
-            Response::Welcome { version } => answer(
-                true,
-                "welcome",
-                [("version".into(), Json::Num(version as f64))],
-            ),
-            Response::Pong => answer(true, "pong", []),
-            Response::GossipAck { digest } => {
-                answer(true, "gossip-ack", [("digest".into(), digest.to_json())])
-            }
-            Response::ClusterState { epochs, resources } => answer(
-                true,
-                "cluster-state",
-                [
-                    (
-                        "epochs".into(),
-                        Json::Arr(epochs.into_iter().map(|e| Json::Num(e as f64)).collect()),
-                    ),
-                    ("resources".into(), resources),
-                ],
-            ),
-            Response::Prepared { name } => {
-                answer(true, "prepared", [("name".into(), Json::Str(name))])
-            }
-            Response::Committed { name } => {
-                answer(true, "committed", [("name".into(), Json::Str(name))])
-            }
-            Response::Aborted { name, released } => answer(
-                true,
-                "aborted",
-                [
-                    ("name".into(), Json::Str(name)),
-                    ("released".into(), Json::Bool(released)),
-                ],
-            ),
-            Response::Decision {
-                computation,
-                accepted,
-                shard,
-                reason,
-                violated_term,
-                clause,
-                diagnostics,
-            } => answer(
-                true,
-                "decision",
-                [
-                    ("computation".into(), Json::Str(computation)),
-                    ("accepted".into(), Json::Bool(accepted)),
-                    ("shard".into(), Json::Num(shard as f64)),
-                    ("reason".into(), Json::Str(reason)),
-                    (
-                        "violated_term".into(),
-                        violated_term.map_or(Json::Null, Json::Str),
-                    ),
-                    ("clause".into(), clause.map_or(Json::Null, Json::Str)),
-                ]
-                .into_iter()
-                .chain(
-                    (!diagnostics.is_empty())
-                        .then(|| ("diagnostics".into(), Json::Arr(diagnostics.parse()))),
-                ),
-            ),
-            Response::Offered { terms } => {
-                answer(true, "offered", [("terms".into(), Json::Num(terms as f64))])
-            }
-            Response::Stats { stats, shards } => answer(
-                true,
-                "stats",
-                [
-                    ("accepted".into(), Json::Num(stats.accepted as f64)),
-                    ("rejected".into(), Json::Num(stats.rejected as f64)),
-                    ("completed".into(), Json::Num(stats.completed as f64)),
-                    ("missed".into(), Json::Num(stats.missed as f64)),
-                    ("withdrawn".into(), Json::Num(stats.withdrawn as f64)),
-                    ("shards".into(), Json::Num(shards as f64)),
-                ],
-            ),
-            Response::Metrics { snapshot } => {
-                answer(true, "metrics", [("metrics".into(), snapshot)])
-            }
-            Response::Bye => answer(true, "bye", []),
-            Response::Overloaded { shard } => answer(
-                false,
-                "overloaded",
-                [("shard".into(), Json::Num(shard as f64))],
-            ),
-            Response::StaleEpoch {
-                shard,
-                epoch,
-                expected,
-            } => answer(
-                false,
-                "stale-epoch",
-                [
-                    ("shard".into(), Json::Num(shard as f64)),
-                    ("epoch".into(), Json::Num(epoch as f64)),
-                    ("expected".into(), Json::Num(expected as f64)),
-                ],
-            ),
-            Response::Error { message } => {
-                answer(false, "error", [("error".into(), Json::Str(message))])
-            }
-        }
+        tree_of(self)
     }
 
     /// Parses a response from one frame (no trailing newline) with the
@@ -614,30 +412,14 @@ pub fn version_mismatch(theirs: u64) -> Response {
     }
 }
 
-/// The `forwarded` flag's pair, present only when the flag is set.
-fn forwarded_flag(forwarded: bool) -> Option<(Key, Json)> {
-    forwarded.then(|| ("forwarded".into(), Json::Bool(true)))
-}
-
-/// A request: `op`, then `rest`, built in one allocation.
-fn op_obj(op: &str, rest: impl IntoIterator<Item = (Key, Json)>) -> Json {
-    tagged(None, op, rest.into_iter())
-}
-
-/// A response: `ok`, `op`, then `rest`, built in one allocation.
-fn answer(ok: bool, op: &str, rest: impl IntoIterator<Item = (Key, Json)>) -> Json {
-    tagged(Some(ok), op, rest.into_iter())
-}
-
-fn tagged(ok: Option<bool>, op: &str, rest: impl Iterator<Item = (Key, Json)>) -> Json {
-    let (fewest, most) = rest.size_hint();
-    let mut pairs = Vec::with_capacity(usize::from(ok.is_some()) + 1 + most.unwrap_or(fewest));
-    if let Some(ok) = ok {
-        pairs.push(("ok".into(), Json::Bool(ok)));
-    }
-    pairs.push(("op".into(), Json::Str(op.into())));
-    pairs.extend(rest);
-    Json::Obj(pairs)
+/// `value`'s frame parsed into a tree. A frame `Json::parse` refuses
+/// (only a hand-built metrics snapshot nested past
+/// [`rota_obs::json::MAX_DEPTH`], or diagnostics text that is not JSON,
+/// makes one) comes back as a string holding it.
+fn tree_of(value: &impl Encode) -> Json {
+    let mut line = String::with_capacity(FRAME_BUFFER_BYTES);
+    value.write_json(&mut line);
+    Json::parse(&line).unwrap_or(Json::Str(line))
 }
 
 /// Reading one frame failed.
@@ -1187,7 +969,12 @@ mod tests {
             }],
         };
         assert!(computation.build().is_err());
-        let sent = computation.to_json().to_string();
+        let written = |computation: &crate::spec::ComputationSpec| {
+            let mut text = String::new();
+            computation.write_json(&mut text);
+            text
+        };
+        let sent = written(&computation);
         let request = Request::Admit {
             computation,
             granularity: Granularity::MaximalRun,
@@ -1197,7 +984,7 @@ mod tests {
         match Request::from_line(&line).unwrap() {
             Request::Admit { computation, .. } => {
                 assert_eq!(computation.actors[0].actions.len(), 2);
-                assert_eq!(computation.to_json().to_string(), sent);
+                assert_eq!(written(&computation), sent);
             }
             other => panic!("wrong decode: {other:?}"),
         }

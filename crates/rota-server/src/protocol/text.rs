@@ -1,9 +1,9 @@
 //! The frames' text codec: [`Request`], [`Response`] and
 //! [`GossipDigest`] read straight from a frame's bytes with a
 //! [`Reader`] and written straight into a `String`. It is the one
-//! decoder and the one writer each frame type has. The tree encoders
-//! (`to_json`) write the same bytes; the tree decoders kept in the test
-//! support read every frame to the same value or the same error.
+//! decoder and the one writer each frame type has. The tree forms kept
+//! in the test support as its reference encode every frame to the same
+//! bytes and read every frame to the same value or the same error.
 //!
 //! Every member is read straight into its type, resource lists (an
 //! offer's `resources`, a prepare's `basis`) with [`read_resources`],
@@ -101,7 +101,8 @@ impl GossipDigest {
         })())
     }
 
-    /// Appends the compact JSON [`GossipDigest::to_json`] writes.
+    /// Appends the digest's compact JSON: `from`, `seq`, then its
+    /// `beats`, each a `node` and a `seq`.
     pub fn write_json(&self, out: &mut String) {
         out.push_str("{\"from\":");
         write_string(out, &self.from);
@@ -329,7 +330,7 @@ impl Request {
         )
     }
 
-    /// Appends the compact JSON [`Request::to_json`] writes: the frame
+    /// Appends the request's compact JSON, `op` first: the frame
     /// without its newline.
     pub fn write_json(&self, out: &mut String) {
         let forwarded = |out: &mut String, forwarded: bool| {
@@ -590,8 +591,8 @@ impl Response {
         )
     }
 
-    /// Appends the compact JSON [`Response::to_json`] writes: the frame
-    /// without its newline.
+    /// Appends the response's compact JSON, `ok` and `op` first: the
+    /// frame without its newline.
     pub fn write_json(&self, out: &mut String) {
         let named = |out: &mut String, head: &str, name: &str| {
             out.push_str(head);

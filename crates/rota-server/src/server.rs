@@ -392,13 +392,10 @@ impl ServerHandle {
     pub fn shutdown(&self) {
         self.inner.begin_shutdown();
         // Wake the acceptor out of `accept()` so it sees the flag, even
-        // one a `shutdown` verb raised, and leave no socket in TIME_WAIT:
-        // the acceptor closes with this byte unread, which resets the
-        // connection, and the waker waits for that reset instead of
-        // closing first. A dial error means the acceptor has exited.
+        // one a `shutdown` verb raised, and hang up (leaving no socket
+        // in TIME_WAIT). A dial error means the acceptor has exited.
         if let Ok(mut waker) = TcpStream::connect_timeout(&self.local_addr, WAKE_STEP) {
-            let _ = waker.set_read_timeout(Some(WAKE_STEP));
-            let _ = waker.write_all(&[0]).and_then(|()| waker.read(&mut [0]));
+            hang_up(&mut waker);
         }
         let acceptor = self
             .acceptor
@@ -509,8 +506,31 @@ impl Server {
 }
 
 /// Bound on each step of waking the acceptor (dial, wait for the reset,
-/// wait for the byte): a stop waits at most twice this.
+/// wait for the byte), and on either side's wait in [`hang_up`]: a
+/// stop waits at most twice this.
 const WAKE_STEP: Duration = Duration::from_millis(125);
+
+/// Ends a connection from the dialling side where the other side
+/// closes once it has answered, so neither end's socket is left in
+/// TIME_WAIT. Sends one newline, which the other side leaves unread (a
+/// server does after a `gossip` answer) so its close resets the
+/// connection, then waits at most 125 ms for that reset, or for the end
+/// of stream a relay in between passes on. Closing first, the dialler
+/// would keep its socket in TIME_WAIT; a close with nothing unread
+/// would leave the other side's. A newline, a blank frame, is what a
+/// line relay passes on and a server skips.
+pub fn hang_up(stream: &mut TcpStream) {
+    let _ = stream.set_read_timeout(Some(WAKE_STEP));
+    let _ = stream.write_all(b"\n").and_then(|()| stream.read(&mut [0]));
+}
+
+/// The answering side of [`hang_up`]: waits at most [`WAKE_STEP`] for
+/// the dialler's newline and leaves it unread, so dropping the stream
+/// then resets the connection.
+fn await_hang_up(stream: &TcpStream) {
+    let _ = stream.set_read_timeout(Some(WAKE_STEP));
+    let _ = stream.peek(&mut [0]);
+}
 
 /// How long the acceptor sleeps after a failed `accept` (say, at the
 /// file-descriptor limit) before it tries again, so a listener that
@@ -531,9 +551,7 @@ fn accept_loop(listener: &TcpListener, inner: &Arc<Inner>) {
             }
         };
         if inner.shutting_down.load(Ordering::SeqCst) {
-            // Close with the waker's byte unread (see `ServerHandle::shutdown`).
-            let _ = stream.set_read_timeout(Some(WAKE_STEP));
-            let _ = stream.peek(&mut [0]);
+            await_hang_up(&stream);
             break;
         }
         accepted.inc();
@@ -617,9 +635,10 @@ fn serve_connection(stream: TcpStream, inner: &Arc<Inner>) {
         if line.trim().is_empty() {
             continue;
         }
-        let (reply, bye) = match Request::from_line(&line) {
+        let (reply, bye, gossip) = match Request::from_line(&line) {
             Ok(request) => {
                 let bye = matches!(request, Request::Shutdown);
+                let gossip = matches!(request, Request::Gossip { .. });
                 // A panic while handling (a hook bug, say, in a 2PC
                 // coordinator mid-flight) kills only this connection;
                 // the shards and the acceptor keep running, and any
@@ -628,7 +647,7 @@ fn serve_connection(stream: TcpStream, inner: &Arc<Inner>) {
                 // shard's write also lands here unanswered, and poisons
                 // that shard's lock: its next call aborts the process.)
                 match catch_unwind(AssertUnwindSafe(|| inner.handle(request))) {
-                    Ok(reply) => (reply, bye),
+                    Ok(reply) => (reply, bye, gossip),
                     Err(_) => {
                         shutdown_stream(&mut writer);
                         return;
@@ -640,7 +659,7 @@ fn serve_connection(stream: TcpStream, inner: &Arc<Inner>) {
                 let error = Response::Error {
                     message: err.to_string(),
                 };
-                (error.into(), false)
+                (error.into(), false, false)
             }
         };
         if reply.write(&mut writer).is_err() {
@@ -649,6 +668,12 @@ fn serve_connection(stream: TcpStream, inner: &Arc<Inner>) {
         if bye {
             inner.begin_shutdown();
             shutdown_stream(&mut writer);
+            return;
+        }
+        if gossip {
+            // A gossip exchange is one connection, which its dialler
+            // ends with `hang_up` once it has read this answer.
+            await_hang_up(writer.get_ref());
             return;
         }
     }

@@ -1082,7 +1082,9 @@ mod tests {
             };
             // The frame is the wire encoding of the typed verdict.
             let verdict = first.clone().into_response();
-            assert_eq!(**sent, verdict.to_json().to_string());
+            let mut line = String::new();
+            verdict.write_json(&mut line);
+            assert_eq!(**sent, line);
             let Response::Decision {
                 accepted: was_accepted,
                 diagnostics,

@@ -15,9 +15,10 @@
 //!    truncates or flips a byte of a frame: a corrupted frame degrades
 //!    to an `error` response, not a crashed connection thread.
 //!
-//! Beside them, the text readers are compared with the tree decoders
-//! kept in `support/tree.rs`: edited frames and edited spec files read
-//! to the same value or the same error text.
+//! Beside them, the text codec is compared with the tree forms kept in
+//! `support/tree.rs`: it writes their bytes, and edited frames and
+//! edited spec files read to the same value or the same error text. So
+//! are the tree bridges the benchmark harness compiles against.
 
 // Shared with the decode corpus and the codec bench; this file uses
 // part of it.
@@ -300,7 +301,8 @@ proptest! {
         computation in arb_computation_spec(),
         resources in proptest::collection::vec(arb_resource_spec(), 0..4),
     ) {
-        let text = computation.to_json().to_string();
+        let mut text = String::new();
+        computation.write_json(&mut text);
         let back = ComputationSpec::from_json(&Json::parse(&text).expect("encoder emits JSON"));
         prop_assert_eq!(back.expect("encoder output decodes"), computation);
         let text = Json::Arr(resources.iter().map(ResourceSpec::to_json).collect()).to_string();
@@ -652,9 +654,9 @@ fn edited(mut doc: Json, draws: &[u64], cut: usize, shape: u8) -> String {
 fn reference(request: bool, frame: &str) -> Result<String, String> {
     let doc = Json::parse(frame).map_err(|err| format!("spec parse error: {err}"))?;
     if request {
-        tree::request_from_json(&doc).map(|r| r.to_json().to_string())
+        tree::request_from_json(&doc).map(|r| tree::request_to_json(&r).to_string())
     } else {
-        tree::response_from_json(doc).map(|r| r.to_json().to_string())
+        tree::response_from_json(doc).map(|r| tree::response_into_json(r).to_string())
     }
     .map_err(|err| err.to_string())
 }
@@ -699,11 +701,11 @@ proptest! {
         }
         let mut line = String::new();
         request.write_json(&mut line);
-        prop_assert_eq!(&line, &request.to_json().to_string());
+        prop_assert_eq!(&line, &tree::request_to_json(&request).to_string());
         prop_assert_eq!(Request::from_line(&line).expect("writer output decodes"), request);
         let mut line = String::new();
         response.write_json(&mut line);
-        prop_assert_eq!(&line, &response.to_json().to_string());
+        prop_assert_eq!(&line, &tree::response_to_json(&response).to_string());
         prop_assert_eq!(Response::from_line(&line).expect("writer output decodes"), response);
     }
 
@@ -719,7 +721,11 @@ proptest! {
         cut in 0usize..4096,
         shape in 0u8..6,
     ) {
-        for (is_request, doc) in [(true, request.to_json()), (false, response.to_json())] {
+        let docs = [
+            (true, tree::request_to_json(&request)),
+            (false, tree::response_into_json(response)),
+        ];
+        for (is_request, doc) in docs {
             // An unknown member whose arrays reach 127, 128 and 129
             // levels from the root, the frame's object being level 1:
             // skipped or refused as `Json::parse` refuses, at its byte.
@@ -739,6 +745,47 @@ proptest! {
                 );
             }
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1_000))]
+
+    /// The bridges the benchmark harness compiles against give what the
+    /// reference forms give: `Request::to_json`, `Response::to_json` and
+    /// `computation_to_json` the reference encoders' bytes, and
+    /// `ComputationSpec::from_json` the reference decoder's value or
+    /// exact error text on edited computation trees.
+    #[test]
+    fn bridges_give_what_the_reference_forms_give(
+        request in arb_any_request(),
+        response in arb_any_response(),
+        lambda in arb_computation(),
+        computation in arb_computation_spec(),
+        draws in proptest::collection::vec(0u64..64, 4),
+    ) {
+        prop_assert_eq!(
+            request.to_json().to_string(),
+            tree::request_to_json(&request).to_string()
+        );
+        prop_assert_eq!(
+            response.to_json().to_string(),
+            tree::response_to_json(&response).to_string()
+        );
+        prop_assert_eq!(
+            computation_to_json(&lambda).to_string(),
+            tree::computation_to_json(&ComputationSpec::from(&lambda)).to_string()
+        );
+        let mut doc = tree::computation_to_json(&computation);
+        prop_assert_eq!(ComputationSpec::from_json(&doc).ok(), Some(computation));
+        let nth = draws[0] % objects(&doc);
+        edit(&mut doc, nth, &draws);
+        prop_assert_eq!(
+            ComputationSpec::from_json(&doc).map_err(|err| err.to_string()),
+            tree::computation_from_json(&doc).map_err(|err| err.to_string()),
+            "{}",
+            doc
+        );
     }
 }
 
@@ -774,7 +821,10 @@ fn spec_doc(model: &SpecModel) -> Json {
             "resources".into(),
             Json::Arr(model.resources.iter().map(ResourceSpec::to_json).collect()),
         ),
-        ("computation".into(), model.computation.to_json()),
+        (
+            "computation".into(),
+            tree::computation_to_json(&model.computation),
+        ),
     ];
     if !model.constraints.is_empty() {
         let constraints = model.constraints.iter().map(|c| {
@@ -903,8 +953,8 @@ fn frame_edits_reach_values_and_every_refusal() {
     let mut seen = std::collections::BTreeSet::new();
     for _ in 0..2_000 {
         let draws: Vec<u64> = (0..4).map(|_| rng.below(64)).collect();
-        let requests = arb_any_request().new_value(&mut rng).to_json();
-        let responses = arb_any_response().new_value(&mut rng).to_json();
+        let requests = tree::request_to_json(&arb_any_request().new_value(&mut rng));
+        let responses = tree::response_into_json(arb_any_response().new_value(&mut rng));
         for (is_request, mut doc) in [(true, requests), (false, responses)] {
             let nth = draws[0] % objects(&doc);
             edit(&mut doc, nth, &draws);

@@ -33,7 +33,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut client = Client::connect_timeout(server.local_addr(), Duration::from_secs(2))?;
     client.ping()?;
     let verdict = client.admit(&job, Granularity::MaximalRun)?;
-    println!("verdict for `report`: {}", verdict.to_json());
+    let mut frame = String::new();
+    verdict.write_json(&mut frame);
+    println!("verdict for `report`: {frame}");
 
     // Then a seeded battery: 200 generated jobs over 4 connections.
     let report = run_loadtest(&LoadtestConfig {

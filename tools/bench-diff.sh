@@ -8,7 +8,8 @@
 # A's interquartile range beside them, and for a traced per-layer metric
 # the single traced reading; and, when both files hold it, item 11's
 # loadtest (median req/s and p90, and the accept counts), and E17's
-# codec rows (ns/iter of one run each, lower is better). A ratio
+# codec rows, `convert` among them when both files hold it (ns/iter of
+# one run each, lower is better). A ratio
 # below 1 is an improvement for a
 # metric where lower is better (latencies, CPU), above 1 for one where
 # higher is better (throughput, ratios); the `better` column names the

@@ -29,7 +29,11 @@
 # Last it runs E17's codec bench once (CODEC below, the criterion shim
 # of shims/criterion) and records each `decode`, `encode` and `frame`
 # row's ns/iter from the shim's `bench:` lines, keyed by its name
-# without the frame's byte count (`decode/prepare-110t`).
+# without the frame's byte count (`decode/prepare-110t`), and the
+# `convert` rows (`convert/basis-27t`, `convert/basis-55t`): the step a
+# two-phase commit takes from a decoded `cluster-state` answer's
+# `resources` tree to the set it decides on, which still runs the
+# spec's per-field tree decoder.
 #
 # The file, at the repository root, also names the revision (with
 # `-dirty` for a working tree that differs from HEAD), the date, the
@@ -141,7 +145,7 @@ python3 - "$log" >> "$out" <<'EOF'
 import json, re, sys
 rows = {}
 for line in open(sys.argv[1]):
-    found = re.match(r"bench: e17/((?:decode|encode|frame)/\S+?)(?:/\d+B)?\s+([0-9.]+) ns/iter", line)
+    found = re.match(r"bench: e17/((?:decode|encode|frame|convert)/\S+?)(?:/\d+B)?\s+([0-9.]+) ns/iter", line)
     if found:
         rows[found.group(1)] = float(found.group(2))
 print(json.dumps({"codec": rows}))
