@@ -68,6 +68,41 @@ impl ControllerStats {
     }
 }
 
+/// Packages the verdict `policy` reached on `request` at `time` as a
+/// journal event, for callers that keep a record of verdicts: an accept
+/// records how many commitments were installed; a rejection records the
+/// failing clause and (when attributable) the violated resource term.
+pub fn decision_event(
+    policy: &str,
+    time: TimePoint,
+    request: &AdmissionRequest,
+    decision: &Decision,
+) -> DecisionEvent {
+    let (accepted, reason, violated_term, clause) = match decision {
+        Decision::Accept(commitments) => (
+            true,
+            format!("{} commitment(s) scheduled", commitments.len()),
+            None,
+            None,
+        ),
+        Decision::Reject(reject) => (
+            false,
+            reject.to_string(),
+            reject.violated_term().map(str::to_string),
+            Some(reject.clause().to_string()),
+        ),
+    };
+    DecisionEvent::Admission {
+        time: time.ticks(),
+        policy: policy.to_string(),
+        computation: request.name().to_string(),
+        accepted,
+        reason,
+        violated_term,
+        clause,
+    }
+}
+
 /// A live admission controller: wraps a [`State`], consults its policy on
 /// each request, executes admitted work tick by tick, and accounts for
 /// completions and deadline misses.
@@ -113,9 +148,6 @@ pub struct AdmissionController<P> {
     // request completes when all of its actors have).
     in_flight: HashMap<Vec<ActorName>, InFlight>,
     obs: Option<AdmissionObs>,
-    // The most recent submit verdict, so `explain` works without an
-    // attached observability bundle (with one, the journal holds it).
-    last_decision: Option<DecisionEvent>,
 }
 
 /// One `in_flight` entry.
@@ -223,7 +255,6 @@ impl<P: AdmissionPolicy> AdmissionController<P> {
             stats: ControllerStats::default(),
             in_flight: HashMap::new(),
             obs: None,
-            last_decision: None,
         }
     }
 
@@ -235,9 +266,8 @@ impl<P: AdmissionPolicy> AdmissionController<P> {
     }
 
     /// Attaches an observability bundle: every submit updates the
-    /// per-policy counters and decide-latency histogram, every tick
-    /// counts the realized LTS rule, and every verdict lands in the
-    /// bundle's decision journal.
+    /// per-policy counters and decide-latency histogram, and every tick
+    /// counts the realized LTS rule.
     #[must_use]
     pub fn with_obs(mut self, obs: AdmissionObs) -> Self {
         self.obs = Some(obs);
@@ -293,8 +323,8 @@ impl<P: AdmissionPolicy> AdmissionController<P> {
     }
 
     /// Acts on a verdict [`decide`](Self::decide) returned for
-    /// `request`: installs an accept's commitments, counts the verdict
-    /// and journals it.
+    /// `request`: installs an accept's commitments and counts the
+    /// verdict.
     ///
     /// An accept whose commitments the state refuses to install (e.g.
     /// an actor name already committed by an earlier request) is
@@ -318,16 +348,9 @@ impl<P: AdmissionPolicy> AdmissionController<P> {
                 self.stats.rejected += 1;
             }
         }
-        let event = self.decision_event(request, &decision);
-        // `explain` reads the journal when one is attached, so the event
-        // goes to exactly one place. (`install` already updated the
-        // in-flight gauge on accept.)
-        match &self.obs {
-            Some(obs) => {
-                obs.count_decision(decision.is_accept());
-                obs.record(event);
-            }
-            None => self.last_decision = Some(event),
+        // (`install` already updated the in-flight gauge on accept.)
+        if let Some(obs) = &self.obs {
+            obs.count_decision(decision.is_accept());
         }
         decision
     }
@@ -448,45 +471,6 @@ impl<P: AdmissionPolicy> AdmissionController<P> {
             obs.add_in_flight(-1);
         }
         Some(counted && open)
-    }
-
-    /// Packages a verdict as a journal event: accepted requests record
-    /// how many commitments were installed; rejections record the
-    /// failing clause and (when attributable) the violated resource term.
-    fn decision_event(&self, request: &AdmissionRequest, decision: &Decision) -> DecisionEvent {
-        let (accepted, reason, violated_term, clause) = match decision {
-            Decision::Accept(commitments) => (
-                true,
-                format!("{} commitment(s) scheduled", commitments.len()),
-                None,
-                None,
-            ),
-            Decision::Reject(reject) => (
-                false,
-                reject.to_string(),
-                reject.violated_term().map(str::to_string),
-                Some(reject.clause().to_string()),
-            ),
-        };
-        DecisionEvent::Admission {
-            time: self.now().ticks(),
-            policy: self.policy.name().to_string(),
-            computation: request.name().to_string(),
-            accepted,
-            reason,
-            violated_term,
-            clause,
-        }
-    }
-
-    /// Why recent requests were admitted or refused: the decision
-    /// journal's events when an [`AdmissionObs`] is attached, otherwise
-    /// just the most recent verdict.
-    pub fn explain(&self) -> Vec<DecisionEvent> {
-        match &self.obs {
-            Some(obs) => obs.journal().snapshot(),
-            None => self.last_decision.clone().into_iter().collect(),
-        }
     }
 
     /// Advances one tick, delivering resources per the execution strategy
@@ -718,8 +702,11 @@ mod tests {
         let registry = rota_obs::Registry::new();
         let mut ctl = AdmissionController::new(RotaPolicy, cpu_theta(4, 0, 8), TimePoint::ZERO)
             .with_obs(AdmissionObs::new(&registry, "rota"));
+        let mut events = Vec::new();
         for i in 0..8 {
-            let _ = ctl.submit(&request(&format!("job{i}"), 2, 0, 8));
+            let r = request(&format!("job{i}"), 2, 0, 8);
+            let decision = ctl.submit(&r);
+            events.push(decision_event("rota", ctl.now(), &r, &decision));
         }
         ctl.run_until(TimePoint::new(8));
         let snap = registry.snapshot();
@@ -738,9 +725,7 @@ mod tests {
             })
             .sum();
         assert_eq!(fired, 8, "8 ticks → 8 rule firings");
-        // The journal explains each rejection with clause + violated term.
-        let events = ctl.explain();
-        assert_eq!(events.len(), 8);
+        // The events explain each rejection with clause + violated term.
         let rejects: Vec<_> = events
             .iter()
             .filter(|e| {
@@ -770,22 +755,6 @@ mod tests {
             );
             assert!(violated_term.as_deref().unwrap().contains("short by"));
         }
-    }
-
-    #[test]
-    fn explain_without_obs_returns_last_decision() {
-        let mut ctl = AdmissionController::new(RotaPolicy, ResourceSet::new(), TimePoint::ZERO);
-        assert!(ctl.explain().is_empty(), "no decisions yet");
-        let _ = ctl.submit(&request("job", 1, 0, 10));
-        let events = ctl.explain();
-        assert_eq!(events.len(), 1);
-        assert!(matches!(
-            &events[0],
-            rota_obs::DecisionEvent::Admission {
-                accepted: false,
-                ..
-            }
-        ));
     }
 
     #[test]

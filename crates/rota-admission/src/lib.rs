@@ -28,7 +28,9 @@ pub mod obs;
 mod policy;
 mod request;
 
-pub use controller::{AdmissionController, ControllerStats, ExecutionStrategy, Tally};
+pub use controller::{
+    decision_event, AdmissionController, ControllerStats, ExecutionStrategy, Tally,
+};
 pub use obs::AdmissionObs;
 pub use policy::{
     edf_assignments, standard_policies, AdmissionPolicy, Decision, GreedyEdfPolicy,

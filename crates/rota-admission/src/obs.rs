@@ -1,6 +1,10 @@
 //! Observability for the admission layer: per-policy counters, a
-//! decide-latency histogram, execution-rule accounting, and a decision
-//! journal recording *why* each request was admitted or refused.
+//! decide-latency histogram and execution-rule accounting. The bundle
+//! counts verdicts and records none: a caller that keeps a record of
+//! *why* each request was admitted or refused builds its events with
+//! [`decision_event`](crate::decision_event) (the simulator and
+//! `rota-cli check`), or keeps the verdict frames it already holds (the
+//! server's shards).
 //!
 //! Metric names (see `rota-obs` for the naming convention; `<p>` is the
 //! policy name, e.g. `rota`):
@@ -17,10 +21,7 @@
 use std::sync::Arc;
 
 use rota_logic::{RuleKind, TransitionLabel};
-use rota_obs::{Counter, DecisionEvent, Gauge, Histogram, Journal, Registry};
-
-/// How many decision events the default journal retains.
-pub const DEFAULT_JOURNAL_CAPACITY: usize = 256;
+use rota_obs::{Counter, Gauge, Histogram, Registry};
 
 /// The admission controller's observability bundle. Construct with
 /// [`AdmissionObs::new`] against a shared [`Registry`] and attach via
@@ -33,12 +34,10 @@ pub struct AdmissionObs {
     decide_ns: Arc<Histogram>,
     in_flight: Arc<Gauge>,
     rules: [Arc<Counter>; 8],
-    journal: Arc<Journal<DecisionEvent>>,
 }
 
 impl AdmissionObs {
-    /// Wires the admission metrics for `policy` into `registry`, with a
-    /// fresh journal of [`DEFAULT_JOURNAL_CAPACITY`].
+    /// Wires the admission metrics for `policy` into `registry`.
     pub fn new(registry: &Registry, policy: &str) -> Self {
         AdmissionObs {
             requests: registry.counter(&format!("admission.requests{{policy={policy}}}")),
@@ -55,16 +54,7 @@ impl AdmissionObs {
                     kind.name()
                 ))
             }),
-            journal: Arc::new(Journal::new(DEFAULT_JOURNAL_CAPACITY)),
         }
-    }
-
-    /// Shares an external journal (e.g. one also fed by the simulator)
-    /// instead of the bundle's own.
-    #[must_use]
-    pub fn with_journal(mut self, journal: Arc<Journal<DecisionEvent>>) -> Self {
-        self.journal = journal;
-        self
     }
 
     /// Counts one submitted request and its verdict.
@@ -92,16 +82,6 @@ impl AdmissionObs {
     /// Counts the LTS rule realized by an executed transition.
     pub fn count_transition(&self, label: &TransitionLabel) {
         self.rules[RuleKind::of(label) as usize].inc();
-    }
-
-    /// Records a decision event.
-    pub fn record(&self, event: DecisionEvent) {
-        self.journal.record(event);
-    }
-
-    /// The decision journal.
-    pub fn journal(&self) -> &Arc<Journal<DecisionEvent>> {
-        &self.journal
     }
 }
 
@@ -136,22 +116,5 @@ mod tests {
             .expect("decide histogram registered");
         assert_eq!(h.count, 1);
         assert_eq!(h.sum, 5_000);
-    }
-
-    #[test]
-    fn journal_can_be_shared() {
-        let registry = Registry::new();
-        let shared = Arc::new(Journal::new(8));
-        let obs = AdmissionObs::new(&registry, "rota").with_journal(Arc::clone(&shared));
-        obs.record(DecisionEvent::Admission {
-            time: 0,
-            policy: "rota".into(),
-            computation: "j".into(),
-            accepted: true,
-            reason: "ok".into(),
-            violated_term: None,
-            clause: None,
-        });
-        assert_eq!(shared.len(), 1);
     }
 }

@@ -38,37 +38,14 @@ fn parse_entity(s: &str) -> Option<Entity> {
     inner.parse().ok().map(Entity::Resource)
 }
 
-/// The canonical kebab-case name of each Allen relation, matching the
-/// paper's Table I vocabulary.
-pub fn relation_name(rel: AllenRelation) -> &'static str {
-    match rel {
-        AllenRelation::Before => "before",
-        AllenRelation::After => "after",
-        AllenRelation::Equals => "equals",
-        AllenRelation::During => "during",
-        AllenRelation::Contains => "contains",
-        AllenRelation::Meets => "meets",
-        AllenRelation::MetBy => "met-by",
-        AllenRelation::Overlaps => "overlaps",
-        AllenRelation::OverlappedBy => "overlapped-by",
-        AllenRelation::Starts => "starts",
-        AllenRelation::StartedBy => "started-by",
-        AllenRelation::Finishes => "finishes",
-        AllenRelation::FinishedBy => "finished-by",
-    }
-}
-
 fn relation_from_name(name: &str) -> Option<AllenRelation> {
-    ALL_RELATIONS
-        .iter()
-        .copied()
-        .find(|r| relation_name(*r) == name)
+    ALL_RELATIONS.iter().copied().find(|r| r.name() == name)
 }
 
 fn valid_names() -> String {
     ALL_RELATIONS
         .iter()
-        .map(|r| relation_name(*r))
+        .map(|r| r.name())
         .collect::<Vec<_>>()
         .join(", ")
 }
@@ -166,7 +143,7 @@ pub(crate) fn run(model: &SpecModel, report: &mut Report) {
             match relation_from_name(name) {
                 Some(r) => {
                     rel = rel.with(r);
-                    rel_names.push(relation_name(r));
+                    rel_names.push(r.name());
                 }
                 None => {
                     report.push(
@@ -263,7 +240,7 @@ pub(crate) fn run(model: &SpecModel, report: &mut Report) {
             c.left.label(),
             c.rel_names,
             c.right.label(),
-            relation_name(actual)
+            actual.name()
         ));
     }
     report.push(d);

@@ -66,7 +66,6 @@ mod constraints;
 mod feasibility;
 mod structural;
 
-pub use constraints::relation_name;
 pub use diag::{Diagnostic, Report, Severity};
 pub use span::{locate, Loc};
 pub use spec::{

@@ -48,8 +48,8 @@ use std::sync::Arc;
 
 use rota_actor::Granularity;
 use rota_admission::{
-    standard_policies, AdmissionController, AdmissionObs, AdmissionPolicy, AdmissionRequest,
-    Decision, RotaPolicy, StandardPolicy,
+    decision_event, standard_policies, AdmissionController, AdmissionObs, AdmissionPolicy,
+    AdmissionRequest, Decision, RotaPolicy, StandardPolicy,
 };
 use rota_analyze::spec::{resource_set, SpecModel};
 use rota_client::{run_loadtest, Client, ClientError, LoadtestConfig};
@@ -139,10 +139,14 @@ fn print_usage() {
     eprintln!("tallied.");
     eprintln!();
     eprintln!("Every subcommand also accepts --metrics-out <path> to dump its");
-    eprintln!("metric snapshot and decision journal as JSON (loadtest: its spawned");
+    eprintln!("metric snapshot and decisions as JSON (loadtest: its spawned");
     eprintln!("server's, one document per node id for --cluster, the metrics answer");
-    eprintln!("of the --addr server; keyed by policy for --policy all). An unknown");
-    eprintln!("flag, or a value that does not parse, exits 1 with this text.");
+    eprintln!("of the --addr server; keyed by policy for --policy all). A server's");
+    eprintln!("decisions are its shards' cached verdict frames, shard by shard:");
+    eprintln!("{{\"ok\", \"op\":\"decision\", \"computation\", \"accepted\", \"shard\",");
+    eprintln!("\"reason\", \"violated_term\", \"clause\"[, \"diagnostics\" for lint");
+    eprintln!("rejects]}}. An unknown flag, or a value that does not parse, exits 1");
+    eprintln!("with this text.");
     eprintln!();
     eprintln!("FORMULAS (rota holds):");
     eprintln!("  satisfy(cpu@l1:8 in 0..10)    eventually …    always …    not …");
@@ -386,16 +390,31 @@ impl Args {
     }
 }
 
-/// Packages a registry snapshot plus decision journal as one JSON value:
-/// `{"metrics": {...}, "decisions": [...]}`.
-fn observability_json(registry: &Registry, decisions: &[DecisionEvent]) -> Json {
+/// Packages a registry snapshot plus a record of decisions as one JSON
+/// value: `{"metrics": {...}, "decisions": [...]}`.
+fn observability_json(registry: &Registry, decisions: Vec<Json>) -> Json {
     Json::Obj(vec![
         ("metrics".into(), registry.snapshot().to_json()),
-        (
-            "decisions".into(),
-            Json::Arr(decisions.iter().map(DecisionEvent::to_json).collect()),
-        ),
+        ("decisions".into(), Json::Arr(decisions)),
     ])
+}
+
+/// [`observability_json`] with journal events as the decisions.
+fn events_json(registry: &Registry, events: &[DecisionEvent]) -> Json {
+    observability_json(
+        registry,
+        events.iter().map(DecisionEvent::to_json).collect(),
+    )
+}
+
+/// A server's observability JSON: its registry, and as `decisions` its
+/// shards' verdict frames ([`ServerHandle::decisions`]), parsed.
+fn server_metrics_json(registry: &Registry, frames: &[Arc<str>]) -> Json {
+    let decisions = frames
+        .iter()
+        .map(|frame| Json::parse(frame).unwrap_or_else(|_| Json::Str(frame.to_string())))
+        .collect();
+    observability_json(registry, decisions)
 }
 
 /// Every node's observability JSON, keyed by node id.
@@ -405,8 +424,7 @@ fn cluster_metrics_json(cluster: &rota_cluster::Cluster) -> Json {
             .nodes()
             .iter()
             .map(|node| {
-                let journal = node.journal().snapshot();
-                let doc = observability_json(&node.registry(), &journal);
+                let doc = server_metrics_json(&node.registry(), &node.decisions());
                 (node.id().to_string().into(), doc)
             })
             .collect(),
@@ -416,7 +434,7 @@ fn cluster_metrics_json(cluster: &rota_cluster::Cluster) -> Json {
 /// Honors `--metrics-out <path>`: writes the run's observability JSON.
 /// Returns `false` (printing an error) when the write fails.
 fn write_metrics_out(args: &Args, registry: &Registry, decisions: &[DecisionEvent]) -> bool {
-    write_metrics_doc(args, || observability_json(registry, decisions))
+    write_metrics_doc(args, || events_json(registry, decisions))
 }
 
 /// Writes the document `doc` builds to the `--metrics-out` path, if
@@ -544,7 +562,7 @@ fn check_verdict(
         say!("requirement  : {}", request.requirement());
     }
     // Decide through an instrumented controller so --metrics-out captures
-    // the decision counters and the journal's explanation.
+    // the decision counters, next to the verdict's event.
     let registry = Registry::new();
     let mut ctl = AdmissionController::new(RotaPolicy, theta, TimePoint::ZERO)
         .with_obs(AdmissionObs::new(&registry, RotaPolicy.name()));
@@ -574,7 +592,8 @@ fn check_verdict(
             ExitCode::from(2)
         }
     };
-    if !write_metrics_out(args, &registry, &ctl.explain()) {
+    let event = decision_event(RotaPolicy.name(), ctl.now(), &request, &decision);
+    if !write_metrics_out(args, &registry, &[event]) {
         return Err(ExitCode::FAILURE);
     }
     Ok(code)
@@ -861,7 +880,7 @@ fn cmd_stats(args: &Args) -> ExitCode {
 
     let json = args.has("--json");
     let rendered = if json {
-        observability_json(&registry, &decisions).pretty() + "\n"
+        events_json(&registry, &decisions).pretty() + "\n"
     } else {
         let mut out = registry.snapshot().render_table();
         out.push_str("\ndecisions:\n");
@@ -952,7 +971,8 @@ fn cmd_serve(args: &Args) -> ExitCode {
     );
     say!("send {{\"op\":\"shutdown\"}} (or drop the process) to stop; draining is graceful");
     handle.wait();
-    if !write_metrics_out(args, &handle.registry(), &handle.journal().snapshot()) {
+    let doc = || server_metrics_json(&handle.registry(), &handle.decisions());
+    if !write_metrics_doc(args, doc) {
         return ExitCode::FAILURE;
     }
     say!("drained; bye");
@@ -1228,15 +1248,14 @@ impl Target {
     }
 
     /// What `--metrics-out` records for the target: a spawned server's
-    /// registry and journal (as `serve` writes them), one such document
-    /// per node id for a cluster (as `cluster` writes), or an external
-    /// server's `metrics` answer under `metrics`.
+    /// registry and verdict frames (as `serve` writes them), one such
+    /// document per node id for a cluster (as `cluster` writes), or an
+    /// external server's `metrics` answer under `metrics`.
     fn metrics_doc(&self) -> Result<Json, ClientError> {
         match self {
-            Target::Server(handle) => Ok(observability_json(
-                &handle.registry(),
-                &handle.journal().snapshot(),
-            )),
+            Target::Server(handle) => {
+                Ok(server_metrics_json(&handle.registry(), &handle.decisions()))
+            }
             Target::Cluster(cluster) => Ok(cluster_metrics_json(cluster)),
             Target::External(addr) => {
                 let snapshot = Client::connect(*addr).and_then(|mut c| c.metrics())?;

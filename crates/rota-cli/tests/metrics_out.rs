@@ -1,6 +1,6 @@
 //! `serve`, `cluster` and `loadtest` honour `--metrics-out`: through
-//! the real binary, `serve` writes its registry snapshot and decision
-//! journal once it has drained, `cluster` writes one document keyed by
+//! the real binary, `serve` writes its registry snapshot and its
+//! shards' cached verdict frames once it has drained, `cluster` writes one document keyed by
 //! node id once `--duration-ms` elapses, and `loadtest` writes the same
 //! for the server or cluster it spawned once its run ends. A verb whose
 //! stdout reader has gone still exits zero.
@@ -251,7 +251,7 @@ fn loadtest_writes_its_servers_metrics() {
         .get("decisions")
         .and_then(Json::as_array)
         .expect("journal");
-    // Lint rejects are decided before the policy and not journaled.
+    // Every job's verdict is in its shard's record, lint rejects too.
     assert!(
         (1..=40).contains(&decisions.len()),
         "{} decisions",

@@ -34,7 +34,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use rota_admission::AdmissionPolicy;
-use rota_obs::{DecisionEvent, Histogram, Journal, Registry};
+use rota_obs::{Histogram, Registry};
 use rota_resource::ResourceSet;
 use rota_server::{Request, Response, Server, ServerConfig, ServerHandle};
 
@@ -110,9 +110,10 @@ impl ClusterNode {
         self.handle.registry()
     }
 
-    /// The node's journal of admit/reject decision events.
-    pub fn journal(&self) -> Arc<Journal<DecisionEvent>> {
-        self.handle.journal()
+    /// The node's record of its admit verdicts, as its server keeps it
+    /// ([`ServerHandle::decisions`]).
+    pub fn decisions(&self) -> Vec<Arc<str>> {
+        self.handle.decisions()
     }
 }
 

@@ -10,11 +10,10 @@
 //! | `logic.states_visited` | counter | states explored by temporal operators |
 //! | `logic.rule.<rule>` | counter | firings of each LTS rule (8 names) |
 //! | `logic.eval_depth` | histogram | syntactic depth of checked formulas |
-//! | `logic.rule_time_ns.<rule>` | histogram | per-rule wall time (`obs-timing` builds only) |
 
 use std::sync::Arc;
 
-use rota_obs::{Counter, DecisionEvent, Histogram, Journal, Registry, ScopeTimer};
+use rota_obs::{Counter, DecisionEvent, Histogram, Journal, Registry};
 
 use crate::state::TransitionLabel;
 
@@ -126,7 +125,6 @@ pub struct CheckObs {
     states_visited: Arc<Counter>,
     rules: [Arc<Counter>; 8],
     eval_depth: Arc<Histogram>,
-    rule_timing: Option<[Arc<Histogram>; 8]>,
     journal: Option<Arc<Journal<DecisionEvent>>>,
 }
 
@@ -135,21 +133,10 @@ impl CheckObs {
     pub fn new(registry: &Registry) -> Self {
         let rules =
             RuleKind::ALL.map(|kind| registry.counter(&format!("logic.rule.{}", kind.name())));
-        // Per-rule wall-time histograms are registered only when timers
-        // actually measure, so disabled builds don't export dead zeros.
-        let rule_timing = ScopeTimer::enabled().then(|| {
-            RuleKind::ALL.map(|kind| {
-                registry.histogram(
-                    &format!("logic.rule_time_ns.{}", kind.name()),
-                    Histogram::latency_ns_bounds(),
-                )
-            })
-        });
         CheckObs {
             states_visited: registry.counter("logic.states_visited"),
             rules,
             eval_depth: registry.histogram("logic.eval_depth", Histogram::depth_bounds()),
-            rule_timing,
             journal: None,
         }
     }
@@ -179,15 +166,6 @@ impl CheckObs {
     /// Records the syntactic depth of a checked formula.
     pub fn observe_eval_depth(&self, depth: u64) {
         self.eval_depth.observe(depth);
-    }
-
-    /// A timer attributing the enclosing scope's wall time to `kind`
-    /// (`None` unless built with `obs-timing`). Bind it to a named
-    /// variable — `let _guard = …` — so it measures to end of scope.
-    pub fn time_rule(&self, kind: RuleKind) -> Option<ScopeTimer<'_>> {
-        self.rule_timing
-            .as_ref()
-            .map(|hists| ScopeTimer::new(&hists[kind as usize]))
     }
 
     /// The attached journal, if any.

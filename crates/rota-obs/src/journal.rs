@@ -14,10 +14,7 @@ use crate::json::Json;
 
 /// A bounded, thread-safe ring buffer of events.
 ///
-/// Recording past capacity drops the oldest event. Every event gets a
-/// monotone sequence number, so callers can [`mark`](Journal::mark) a
-/// point in time and later collect only what happened since — even if
-/// unrelated events were evicted in between.
+/// Recording past capacity drops the oldest event.
 #[derive(Debug)]
 pub struct Journal<T> {
     inner: Mutex<Ring<T>>,
@@ -27,8 +24,6 @@ pub struct Journal<T> {
 struct Ring<T> {
     buf: VecDeque<T>,
     capacity: usize,
-    /// Sequence number of the next event to be recorded.
-    next_seq: u64,
 }
 
 impl<T: Clone> Journal<T> {
@@ -38,7 +33,6 @@ impl<T: Clone> Journal<T> {
             inner: Mutex::new(Ring {
                 buf: VecDeque::with_capacity(capacity.max(1)),
                 capacity: capacity.max(1),
-                next_seq: 0,
             }),
         }
     }
@@ -50,27 +44,6 @@ impl<T: Clone> Journal<T> {
             ring.buf.pop_front();
         }
         ring.buf.push_back(event);
-        ring.next_seq += 1;
-    }
-
-    /// Number of events currently held.
-    pub fn len(&self) -> usize {
-        self.inner.lock().expect("journal poisoned").buf.len()
-    }
-
-    /// True when no events are held.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Total events ever recorded (including evicted ones).
-    pub fn total_recorded(&self) -> u64 {
-        self.inner.lock().expect("journal poisoned").next_seq
-    }
-
-    /// A position to hand to [`snapshot_since`](Journal::snapshot_since).
-    pub fn mark(&self) -> u64 {
-        self.total_recorded()
     }
 
     /// Copies of all events currently held, oldest first.
@@ -82,15 +55,6 @@ impl<T: Clone> Journal<T> {
             .iter()
             .cloned()
             .collect()
-    }
-
-    /// Copies of the events recorded at or after `mark` that are still
-    /// in the buffer, oldest first.
-    pub fn snapshot_since(&self, mark: u64) -> Vec<T> {
-        let ring = self.inner.lock().expect("journal poisoned");
-        let oldest_seq = ring.next_seq - ring.buf.len() as u64;
-        let skip = mark.saturating_sub(oldest_seq) as usize;
-        ring.buf.iter().skip(skip).cloned().collect()
     }
 }
 
@@ -234,24 +198,6 @@ mod tests {
             journal.record(i);
         }
         assert_eq!(journal.snapshot(), vec![2, 3, 4]);
-        assert_eq!(journal.len(), 3);
-        assert_eq!(journal.total_recorded(), 5);
-    }
-
-    #[test]
-    fn snapshot_since_respects_marks() {
-        let journal = Journal::new(4);
-        journal.record("a");
-        let mark = journal.mark();
-        journal.record("b");
-        journal.record("c");
-        assert_eq!(journal.snapshot_since(mark), vec!["b", "c"]);
-        // Evict "a" and "b"; the mark still yields only what survives.
-        journal.record("d");
-        journal.record("e");
-        journal.record("f");
-        assert_eq!(journal.snapshot_since(mark), vec!["c", "d", "e", "f"]);
-        assert_eq!(journal.snapshot_since(journal.mark()), Vec::<&str>::new());
     }
 
     #[test]

@@ -16,8 +16,6 @@
 //! * [`json`] — a hand-rolled JSON value type, parser, and writer, so
 //!   snapshots and journals serialize without external crates (the
 //!   build environment is offline; see `shims/README.md`).
-//! * [`timing`] — RAII [`ScopeTimer`]s whose clock reads are compiled
-//!   in only under the `obs-timing` feature.
 //!
 //! Everything here is deliberately dependency-free so every other crate
 //! in the workspace can depend on it without cycles or build-time cost.
@@ -35,9 +33,7 @@
 pub mod journal;
 pub mod json;
 pub mod metrics;
-pub mod timing;
 
 pub use journal::{DecisionEvent, Journal};
 pub use json::Json;
 pub use metrics::{Counter, Gauge, Histogram, Registry, Snapshot};
-pub use timing::ScopeTimer;

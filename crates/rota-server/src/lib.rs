@@ -17,8 +17,10 @@
 //! - idle-connection reaping and a **graceful shutdown** that lets
 //!   in-flight decisions finish ([`server`]);
 //! - observability through [`rota_obs`]: per-shard counters and
-//!   lock-wait gauges, decision-latency histograms, and a shared
-//!   journal of admit/reject events;
+//!   lock-wait gauges and decision-latency histograms; the record of
+//!   each admit verdict is the frame its shard caches for retries
+//!   ([`ServerHandle::decisions`]), so no record is shared across
+//!   shards;
 //! - **recovery without a restart**: a panic while deciding an admit
 //!   costs that admit an `overloaded` answer and leaves its shard's
 //!   state as it was, and a retried admit gets its first verdict back

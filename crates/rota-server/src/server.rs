@@ -8,22 +8,24 @@
 //! zero and answer "can the system accommodate one more computation
 //! given its commitments?" for a stream of requests.
 //!
-//! Shutdown drains: it raises a flag the acceptor and every connection
-//! poll, then takes the shard pool's write lock, which waits for every
-//! call still inside the pool before the pool is dropped.
+//! Shutdown drains: it raises a flag the acceptor, every connection and
+//! every call into the shard pool check, then takes the pool's write
+//! lock, which waits for every call still inside it. The drained pool
+//! answers no more calls but stays readable, so its record of verdicts
+//! ([`ServerHandle::decisions`]) survives the drain.
 
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock, Weak};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use rota_actor::TableCostModel;
 use rota_admission::{AdmissionPolicy, AdmissionRequest, Decision, RejectReason};
 use rota_logic::Scope;
-use rota_obs::{DecisionEvent, Journal, Registry};
+use rota_obs::Registry;
 use rota_resource::{LocatedType, Quantity, ResourceSet};
 
 use crate::protocol::{
@@ -188,10 +190,9 @@ fn draining() -> Response {
 }
 
 struct Inner {
-    pool: RwLock<Option<ShardPool>>,
+    pool: RwLock<ShardPool>,
     shutting_down: AtomicBool,
     registry: Arc<Registry>,
-    journal: Arc<Journal<DecisionEvent>>,
     cost_model: TableCostModel,
     config: ServerConfig,
     /// Set once, before the acceptor starts (see
@@ -329,26 +330,20 @@ impl Inner {
         self.try_pool(f).unwrap_or_else(draining)
     }
 
-    /// Runs `f` on the shard pool, or `None` once it has been dropped.
+    /// Runs `f` on the shard pool, or `None` once the server drains.
     fn try_pool<T>(&self, f: impl FnOnce(&ShardPool) -> T) -> Option<T> {
-        // The pool is only ever replaced wholesale, so a poisoned lock
-        // still guards a usable value: keep serving.
-        let guard = self
-            .pool
-            .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        guard.as_ref().map(f)
+        // The write lock only marks the drain, so a poisoned lock still
+        // guards a usable pool. The flag is read under the read lock: a
+        // call runs before the drain's write lock is granted or not at all.
+        let guard = self.pool.read().unwrap_or_else(PoisonError::into_inner);
+        (!self.shutting_down.load(Ordering::SeqCst)).then(|| f(&guard))
     }
 
-    /// Raises the shutdown flag and, the first time, drops the shard
-    /// pool. Taking the pool's write lock waits for every call still
-    /// inside it, so in-flight decisions finish before the pool goes.
+    /// Raises the shutdown flag and, the first time, takes the shard
+    /// pool's write lock, which waits for every call still inside it.
     fn begin_shutdown(&self) {
         if !self.shutting_down.swap(true, Ordering::SeqCst) {
-            self.pool
-                .write()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .take();
+            drop(self.pool.write().unwrap_or_else(PoisonError::into_inner));
         }
     }
 }
@@ -371,9 +366,12 @@ impl ServerHandle {
         Arc::clone(&self.inner.registry)
     }
 
-    /// The shared journal of admit/reject decision events.
-    pub fn journal(&self) -> Arc<Journal<DecisionEvent>> {
-        Arc::clone(&self.inner.journal)
+    /// The record of admit verdicts: each shard's cached verdict frames,
+    /// shard by shard, least recently used first (at most 1,024 per
+    /// shard). Reading it counts nothing, and it survives the drain.
+    pub fn decisions(&self) -> Vec<Arc<str>> {
+        let pool = self.inner.pool.read();
+        pool.unwrap_or_else(PoisonError::into_inner).decisions()
     }
 
     /// Blocks until a shutdown has been requested (e.g. by a client's
@@ -387,8 +385,8 @@ impl ServerHandle {
     }
 
     /// Starts a graceful shutdown: stop accepting, let in-flight
-    /// decisions finish, drop the shard pool, then return once the
-    /// acceptor has exited.
+    /// decisions finish, refuse later calls into the shard pool, then
+    /// return once the acceptor has exited.
     pub fn shutdown(&self) {
         self.inner.begin_shutdown();
         // Wake the acceptor out of `accept()` so it sees the flag, even
@@ -400,7 +398,7 @@ impl ServerHandle {
         let acceptor = self
             .acceptor
             .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .unwrap_or_else(PoisonError::into_inner)
             .take();
         if let Some(handle) = acceptor {
             let _ = handle.join();
@@ -467,7 +465,6 @@ impl Server {
         let listener = TcpListener::bind(config.addr)?;
         let local_addr = listener.local_addr()?;
         let registry = Arc::new(Registry::new());
-        let journal = Arc::new(Journal::new(4096));
         let pool = ShardPool::new(
             policy,
             theta,
@@ -475,13 +472,11 @@ impl Server {
             config.queue_capacity,
             DEDUP_CAPACITY,
             &registry,
-            &journal,
         );
         let inner = Arc::new(Inner {
-            pool: RwLock::new(Some(pool)),
+            pool: RwLock::new(pool),
             shutting_down: AtomicBool::new(false),
             registry,
-            journal,
             cost_model: TableCostModel::paper(),
             config,
             hook: OnceLock::new(),

@@ -51,6 +51,10 @@
 //! names. Routing is deterministic by location hash, so a retry
 //! always lands on the shard that holds the cached verdict.
 //!
+//! That cache is also the shard's record of its verdicts, lint rejects
+//! included: there is no second, shared journal, so recording a
+//! verdict takes no lock beyond the shard's own.
+//!
 //! ## Pre-admission validation
 //!
 //! Before a request reaches the policy, the shard runs the
@@ -66,7 +70,7 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use rota_actor::ActorName;
@@ -77,7 +81,7 @@ use rota_admission::{
 use rota_analyze::{prevalidate_request, Report as LintReport, Severity as LintSeverity};
 use rota_interval::TimePoint;
 use rota_logic::{Commitment, Scope, State};
-use rota_obs::{Counter, DecisionEvent, Gauge, Histogram, Journal, Registry};
+use rota_obs::{Counter, Gauge, Histogram, Registry};
 use rota_resource::{LocatedType, Location, Quantity, ResourceSet};
 
 use crate::protocol::{encode_frame, Diagnostics, Reply, Response};
@@ -270,18 +274,21 @@ impl DecisionCache {
         }
     }
 
-    #[cfg(test)]
-    fn len(&self) -> usize {
-        debug_assert_eq!(self.order.len(), self.verdicts.len());
-        self.verdicts.len()
+    /// The cached verdict frames, least recently used first.
+    fn frames(&self) -> impl Iterator<Item = Arc<str>> + '_ {
+        self.order
+            .iter()
+            .filter_map(|name| self.verdicts.get(name))
+            .map(|(_, frame)| Arc::clone(frame))
     }
 }
 
 /// The shards of one server, each a lock around its own state.
 ///
-/// Calls run on the caller's thread. Dropping the pool drops every
-/// shard; the server drains by waiting for in-flight calls to leave
-/// the pool first (see `crate::server`).
+/// Calls run on the caller's thread. The server drains by waiting for
+/// in-flight calls to leave the pool, then refusing new ones; the pool
+/// itself lives on, so its record of verdicts can still be read (see
+/// `crate::server`).
 pub(crate) struct ShardPool {
     policy: SharedPolicy,
     shards: Vec<Shard>,
@@ -300,9 +307,8 @@ struct Shard {
 
 impl ShardPool {
     /// Builds `shards` shards, each owning a controller over its slice
-    /// of `theta`, all journaling into `journal` and counting into
-    /// `registry` (admission metrics labeled by `policy`, server metrics
-    /// by shard). `queue_capacity` bounds each shard's waiting admits;
+    /// of `theta`, all counting into `registry` (admission metrics
+    /// labeled by `policy`, server metrics by shard). `queue_capacity` bounds each shard's waiting admits;
     /// `dedup_capacity` bounds each shard's idempotency cache.
     pub(crate) fn new<P>(
         policy: P,
@@ -311,7 +317,6 @@ impl ShardPool {
         queue_capacity: usize,
         dedup_capacity: usize,
         registry: &Arc<Registry>,
-        journal: &Arc<Journal<DecisionEvent>>,
     ) -> ShardPool
     where
         P: AdmissionPolicy + Send + Sync + 'static,
@@ -323,10 +328,8 @@ impl ShardPool {
             .map(|(shard, slice)| {
                 let obs = Arc::new(ShardObs::new(registry, shard));
                 let controller =
-                    AdmissionController::new(Arc::clone(&policy), slice, TimePoint::ZERO).with_obs(
-                        AdmissionObs::new(registry, policy.name())
-                            .with_journal(Arc::clone(journal)),
-                    );
+                    AdmissionController::new(Arc::clone(&policy), slice, TimePoint::ZERO)
+                        .with_obs(AdmissionObs::new(registry, policy.name()));
                 let state = ShardState {
                     shard,
                     controller,
@@ -353,6 +356,18 @@ impl ShardPool {
 
     pub(crate) fn shards(&self) -> usize {
         self.shards.len()
+    }
+
+    /// Every shard's record of its verdicts: the frames its decision
+    /// cache holds, shard by shard, least recently used first. It skips
+    /// [`Self::locked`]'s sweep, so it counts nothing, and reads a
+    /// poisoned shard too: the frames themselves are immutable.
+    pub(crate) fn decisions(&self) -> Vec<Arc<str>> {
+        let frames = |shard: &Shard| {
+            let state = shard.state.lock().unwrap_or_else(PoisonError::into_inner);
+            state.dedup.frames().collect::<Vec<_>>()
+        };
+        self.shards.iter().flat_map(frames).collect()
     }
 
     /// Runs `f` on shard `index` under its lock, after withdrawing the
@@ -943,17 +958,8 @@ mod tests {
     #[test]
     fn pool_admits_and_aggregates_stats() {
         let registry = Arc::new(Registry::new());
-        let journal = Arc::new(Journal::new(64));
         let theta = theta_at(&["l0", "l1"], 4, 16);
-        let pool = ShardPool::new(
-            RotaPolicy,
-            &theta,
-            2,
-            8,
-            DEDUP_CAPACITY,
-            &registry,
-            &journal,
-        );
+        let pool = ShardPool::new(RotaPolicy, &theta, 2, 8, DEDUP_CAPACITY, &registry);
         // Feasible job at l0, infeasible (too much work) job at l1.
         let yes = pool.admit(request_at("yes", "l0", 1, 16)).into_response();
         let no = pool.admit(request_at("no", "l1", 64, 16)).into_response();
@@ -979,7 +985,7 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-        assert_eq!(journal.len(), 2, "both verdicts journaled");
+        assert_eq!(pool.decisions().len(), 2, "both verdicts recorded");
         let snap = registry.snapshot();
         let routed: u64 = (0..2)
             .map(|s| {
@@ -994,17 +1000,8 @@ mod tests {
     fn in_flight_gauge_sums_the_shards() {
         let (a, b) = (location_on(0, 2), location_on(1, 2));
         let registry = Arc::new(Registry::new());
-        let journal = Arc::new(Journal::new(8));
         let theta = theta_at(&[&a, &b], 4, 16);
-        let pool = ShardPool::new(
-            RotaPolicy,
-            &theta,
-            2,
-            8,
-            DEDUP_CAPACITY,
-            &registry,
-            &journal,
-        );
+        let pool = ShardPool::new(RotaPolicy, &theta, 2, 8, DEDUP_CAPACITY, &registry);
         for (name, location) in [("on-a", &a), ("on-b", &b)] {
             let verdict = pool
                 .admit(request_at(name, location, 1, 16))
@@ -1025,7 +1022,6 @@ mod tests {
     #[test]
     fn offer_reaches_the_owning_shard() {
         let registry = Arc::new(Registry::new());
-        let journal = Arc::new(Journal::new(8));
         let pool = ShardPool::new(
             RotaPolicy,
             &ResourceSet::new(),
@@ -1033,7 +1029,6 @@ mod tests {
             4,
             DEDUP_CAPACITY,
             &registry,
-            &journal,
         );
         // Without resources the job is refused; after an offer it fits.
         let before = pool.admit(request_at("j", "l0", 1, 16)).into_response();
@@ -1058,17 +1053,8 @@ mod tests {
     #[test]
     fn repeated_name_returns_cached_verdict() {
         let registry = Arc::new(Registry::new());
-        let journal = Arc::new(Journal::new(64));
         let theta = theta_at(&["l0"], 4, 16);
-        let pool = ShardPool::new(
-            RotaPolicy,
-            &theta,
-            1,
-            8,
-            DEDUP_CAPACITY,
-            &registry,
-            &journal,
-        );
+        let pool = ShardPool::new(RotaPolicy, &theta, 1, 8, DEDUP_CAPACITY, &registry);
         // An accept, a policy reject (64 evaluations outrun 64 units by
         // tick 16) and an R0006 lint reject carrying its diagnostics.
         for (name, location, evals, accepted, code) in [
@@ -1108,9 +1094,16 @@ mod tests {
             assert!(Arc::ptr_eq(sent, replayed), "{name}: not the cached frame");
             assert_eq!(again, first, "{name}: idempotent by request content");
         }
-        // Only the first submissions reached the controller; the lint
-        // reject never reached the policy.
-        assert_eq!(journal.len(), 2);
+        // The record holds each name once: the replays added nothing.
+        // Only the first submissions were decided, and the lint reject
+        // never reached the policy.
+        assert_eq!(pool.decisions().len(), 3);
+        assert_eq!(
+            registry
+                .snapshot()
+                .counter("admission.requests{policy=rota}"),
+            Some(2)
+        );
         assert_eq!(
             registry
                 .snapshot()
@@ -1127,17 +1120,8 @@ mod tests {
         // about a body the controller never looked at. Now the content
         // hash disagrees and the retry is refused outright.
         let registry = Arc::new(Registry::new());
-        let journal = Arc::new(Journal::new(64));
         let theta = theta_at(&["l0"], 4, 16);
-        let pool = ShardPool::new(
-            RotaPolicy,
-            &theta,
-            1,
-            8,
-            DEDUP_CAPACITY,
-            &registry,
-            &journal,
-        );
+        let pool = ShardPool::new(RotaPolicy, &theta, 1, 8, DEDUP_CAPACITY, &registry);
         let first = pool.admit(request_at("same", "l0", 1, 16)).into_response();
         assert!(
             matches!(first, Response::Decision { accepted: true, .. }),
@@ -1153,8 +1137,10 @@ mod tests {
             other => panic!("expected a conflict error, got {other:?}"),
         }
         assert_eq!(
-            journal.len(),
-            1,
+            registry
+                .snapshot()
+                .counter("admission.requests{policy=rota}"),
+            Some(1),
             "the conflicting body never reached the controller"
         );
         assert_eq!(
@@ -1168,23 +1154,24 @@ mod tests {
         // An identical retry of the first body still dedups.
         let replay = pool.admit(request_at("same", "l0", 1, 16)).into_response();
         assert_eq!(replay, first);
-        assert_eq!(journal.len(), 1, "the replay was served from cache");
+        assert_eq!(
+            pool.decisions().len(),
+            1,
+            "the replay was served from cache"
+        );
+        assert_eq!(
+            registry
+                .snapshot()
+                .counter("admission.requests{policy=rota}"),
+            Some(1)
+        );
     }
 
     #[test]
     fn lint_erroring_request_bounces_with_diagnostics() {
         let registry = Arc::new(Registry::new());
-        let journal = Arc::new(Journal::new(64));
         let theta = theta_at(&["l0"], 4, 16);
-        let pool = ShardPool::new(
-            RotaPolicy,
-            &theta,
-            1,
-            8,
-            DEDUP_CAPACITY,
-            &registry,
-            &journal,
-        );
+        let pool = ShardPool::new(RotaPolicy, &theta, 1, 8, DEDUP_CAPACITY, &registry);
         // Demand at a location with no declared supply: R0006, decided
         // by the analyzer, never by the policy.
         let bounced = pool.admit(request_at("ghost", "l9", 1, 16)).into_response();
@@ -1207,7 +1194,13 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-        assert_eq!(journal.len(), 0, "the policy was never consulted");
+        assert_eq!(
+            registry
+                .snapshot()
+                .counter("admission.requests{policy=rota}"),
+            Some(0),
+            "the policy was never consulted"
+        );
         assert_eq!(
             registry
                 .snapshot()
@@ -1245,17 +1238,8 @@ mod tests {
     #[test]
     fn duplicate_actor_request_bounces_with_r0005() {
         let registry = Arc::new(Registry::new());
-        let journal = Arc::new(Journal::new(64));
         let theta = theta_at(&["l0"], 4, 64);
-        let pool = ShardPool::new(
-            RotaPolicy,
-            &theta,
-            1,
-            8,
-            DEDUP_CAPACITY,
-            &registry,
-            &journal,
-        );
+        let pool = ShardPool::new(RotaPolicy, &theta, 1, 8, DEDUP_CAPACITY, &registry);
         let twin = || ActorComputation::new("twin", "l0").then(ActionKind::evaluate());
         let request = AdmissionRequest::price(
             DistributedComputation::new(
@@ -1272,7 +1256,13 @@ mod tests {
         assert_eq!(diagnostics.len(), 1, "{diagnostics:?}");
         assert_eq!(diagnostics[0].0, "R0005");
         assert_eq!(diagnostics[0].1, "computation.actors[1].name");
-        assert_eq!(journal.len(), 0, "the policy was never consulted");
+        assert_eq!(
+            registry
+                .snapshot()
+                .counter("admission.requests{policy=rota}"),
+            Some(0),
+            "the policy was never consulted"
+        );
     }
 
     #[test]
@@ -1289,17 +1279,8 @@ mod tests {
         };
         let (home, away) = (on_shard(0), on_shard(1));
         let registry = Arc::new(Registry::new());
-        let journal = Arc::new(Journal::new(64));
         let theta = theta_at(&[home, away], 4, 64);
-        let pool = ShardPool::new(
-            RotaPolicy,
-            &theta,
-            2,
-            8,
-            DEDUP_CAPACITY,
-            &registry,
-            &journal,
-        );
+        let pool = ShardPool::new(RotaPolicy, &theta, 2, 8, DEDUP_CAPACITY, &registry);
         let gamma = ActorComputation::new("mover", home)
             .then(ActionKind::evaluate())
             .then(ActionKind::migrate(away))
@@ -1318,7 +1299,13 @@ mod tests {
             assert_eq!(path, "computation.actors[0].actions[1]", "the migrate");
             assert!(message.contains(away), "{message}");
         }
-        assert_eq!(journal.len(), 0, "the policy was never consulted");
+        assert_eq!(
+            registry
+                .snapshot()
+                .counter("admission.requests{policy=rota}"),
+            Some(0),
+            "the policy was never consulted"
+        );
     }
 
     /// A two-actor request: `name`, and its first actor at `origin`
@@ -1455,7 +1442,6 @@ mod tests {
         // also sees the request its policy panics on.
         let build = || {
             let registry = Arc::new(Registry::new());
-            let journal = Arc::new(Journal::new(64));
             let pool = ShardPool::new(
                 BuggyPolicy { doomed: "boom" },
                 &theta,
@@ -1463,7 +1449,6 @@ mod tests {
                 8,
                 DEDUP_CAPACITY,
                 &registry,
-                &journal,
             );
             let verdicts = [("kept", &other), ("lost", &home)].map(|(name, location)| {
                 let verdict = pool
@@ -1597,9 +1582,8 @@ mod tests {
             release: Arc::clone(&release),
         };
         let registry = Arc::new(Registry::new());
-        let journal = Arc::new(Journal::new(64));
         let theta = theta_at(&[&slow, &fast], 4, 16);
-        let pool = ShardPool::new(policy, &theta, 2, 8, DEDUP_CAPACITY, &registry, &journal);
+        let pool = ShardPool::new(policy, &theta, 2, 8, DEDUP_CAPACITY, &registry);
         std::thread::scope(|scope| {
             let held = scope.spawn(|| pool.admit(request_at("held", &slow, 1, 16)).into_response());
             while !entered.load(Ordering::SeqCst) {
@@ -1650,6 +1634,59 @@ mod tests {
         matches!(cache.lookup(name, hash), CacheLookup::Replay(cached) if cached == frame(shard))
     }
 
+    /// A 2-shard pool's record is its shards' cached verdict frames:
+    /// a lint reject with its diagnostics, one entry per decided name,
+    /// and at most the cache's bound per shard.
+    #[test]
+    fn decisions_are_the_shards_cached_frames() {
+        let on_shard = |shard| {
+            (0..64)
+                .map(|i| format!("l{i}"))
+                .filter(move |l| shard_of(&Location::new(l), 2) == shard)
+        };
+        let mut shard0 = on_shard(0);
+        let (home, spare) = (shard0.next().unwrap(), shard0.next().unwrap());
+        let away = on_shard(1).next().unwrap();
+        let registry = Arc::new(Registry::new());
+        let theta = theta_at(&[&home], 4, 16);
+        let pool = ShardPool::new(RotaPolicy, &theta, 2, 8, DEDUP_CAPACITY, &registry);
+        let fits = pool.admit(request_at("fits", &home, 1, 16));
+        // No supply at `away`: an R0006 lint reject on shard 1.
+        let ghost = pool.admit(request_at("ghost", &away, 1, 16));
+        let record = pool.decisions();
+        let sent: Vec<Reply> = record.iter().cloned().map(Reply::Frame).collect();
+        assert_eq!(sent, [fits, ghost], "the frames sent, shard by shard");
+        let entry = rota_obs::Json::parse(&record[1]).unwrap();
+        assert_eq!(entry.get("shard").and_then(rota_obs::Json::as_u64), Some(1));
+        let codes: Vec<_> = entry
+            .get("diagnostics")
+            .and_then(rota_obs::Json::as_array)
+            .expect("a lint reject records its diagnostics")
+            .iter()
+            .filter_map(|d| d.get("code").and_then(rota_obs::Json::as_str))
+            .collect();
+        assert_eq!(codes, ["R0006"]);
+        // Replays add no entry, and reading the record counts nothing.
+        pool.admit(request_at("ghost", &away, 1, 16));
+        pool.admit(request_at("fits", &home, 1, 16));
+        let counted = registry.snapshot();
+        assert_eq!(pool.decisions(), record);
+        assert_eq!(registry.snapshot(), counted);
+        // Past the cache's bound, each shard keeps its newest frames.
+        for i in 0..DEDUP_CAPACITY {
+            for location in [&spare, &away] {
+                pool.admit(request_at(&format!("{location}-{i}"), location, 1, 16));
+            }
+        }
+        let mut per_shard = [0; 2];
+        for frame in pool.decisions() {
+            let entry = rota_obs::Json::parse(&frame).unwrap();
+            let shard = entry.get("shard").and_then(rota_obs::Json::as_u64);
+            per_shard[shard.unwrap() as usize] += 1;
+        }
+        assert_eq!(per_shard, [DEDUP_CAPACITY; 2]);
+    }
+
     #[test]
     fn decision_cache_evicts_lru_and_use_refreshes() {
         let mut cache = DecisionCache::new(2);
@@ -1661,7 +1698,8 @@ mod tests {
         cache.insert("c".into(), 3, frame(3));
         assert!(matches!(cache.lookup("b", 2), CacheLookup::Miss));
         assert!(replays(&mut cache, "a", 1, 1));
-        assert_eq!(cache.len(), 2);
+        // The record lists the frames least recently used first.
+        assert_eq!(cache.frames().collect::<Vec<_>>(), [frame(3), frame(1)]);
         // Re-inserting an existing name refreshes it too: the later
         // insert of `d` evicts `c`, not the re-inserted `a`, which now
         // replays its new frame.
@@ -1669,7 +1707,7 @@ mod tests {
         cache.insert("d".into(), 4, frame(4));
         assert!(matches!(cache.lookup("c", 3), CacheLookup::Miss));
         assert!(replays(&mut cache, "a", 9, 9));
-        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.frames().collect::<Vec<_>>(), [frame(4), frame(9)]);
     }
 
     #[test]
@@ -1692,9 +1730,8 @@ mod tests {
         // — and must end in a graceful reject (its actors are still
         // committed), never in a second commit or a worker panic.
         let registry = Arc::new(Registry::new());
-        let journal = Arc::new(Journal::new(64));
         let theta = theta_at(&["l0"], 4, 16);
-        let pool = ShardPool::new(RotaPolicy, &theta, 1, 8, 1, &registry, &journal);
+        let pool = ShardPool::new(RotaPolicy, &theta, 1, 8, 1, &registry);
         let first = pool.admit(request_at("a", "l0", 1, 16)).into_response();
         assert!(
             matches!(first, Response::Decision { accepted: true, .. }),
@@ -1747,17 +1784,8 @@ mod tests {
     #[test]
     fn two_phase_prepare_commit_abort_lifecycle() {
         let registry = Arc::new(Registry::new());
-        let journal = Arc::new(Journal::new(64));
         let theta = theta_at(&["l0"], 4, 16);
-        let pool = ShardPool::new(
-            RotaPolicy,
-            &theta,
-            1,
-            8,
-            DEDUP_CAPACITY,
-            &registry,
-            &journal,
-        );
+        let pool = ShardPool::new(RotaPolicy, &theta, 1, 8, DEDUP_CAPACITY, &registry);
         let ttl = Duration::from_secs(30);
         let (epochs, basis) = pool.cluster_state(None).unwrap();
         assert_eq!(epochs, vec![0]);
@@ -1825,17 +1853,8 @@ mod tests {
         };
         let (home, other) = (on_shard(0), on_shard(1));
         let registry = Arc::new(Registry::new());
-        let journal = Arc::new(Journal::new(64));
         let theta = theta_at(&[&home, &other], 4, 16);
-        let pool = ShardPool::new(
-            RotaPolicy,
-            &theta,
-            2,
-            8,
-            DEDUP_CAPACITY,
-            &registry,
-            &journal,
-        );
+        let pool = ShardPool::new(RotaPolicy, &theta, 2, 8, DEDUP_CAPACITY, &registry);
         let ttl = Duration::from_secs(30);
         let (stale_epochs, _) = pool.cluster_state(None).unwrap();
         // An accepted admit on shard 1 moves its epoch, not shard 0's.
@@ -1875,17 +1894,8 @@ mod tests {
     #[test]
     fn expired_reservation_is_released_not_leaked() {
         let registry = Arc::new(Registry::new());
-        let journal = Arc::new(Journal::new(64));
         let theta = theta_at(&["l0"], 4, 16);
-        let pool = ShardPool::new(
-            RotaPolicy,
-            &theta,
-            1,
-            8,
-            DEDUP_CAPACITY,
-            &registry,
-            &journal,
-        );
+        let pool = ShardPool::new(RotaPolicy, &theta, 1, 8, DEDUP_CAPACITY, &registry);
         let (epochs, basis) = pool.cluster_state(None).unwrap();
         let prepared = decide_and_prepare(
             &pool,
@@ -1923,16 +1933,7 @@ mod tests {
         P: AdmissionPolicy + Send + Sync + 'static,
     {
         let registry = Arc::new(Registry::new());
-        let journal = Arc::new(Journal::new(64));
-        let pool = ShardPool::new(
-            policy,
-            theta,
-            shards,
-            8,
-            DEDUP_CAPACITY,
-            &registry,
-            &journal,
-        );
+        let pool = ShardPool::new(policy, theta, shards, 8, DEDUP_CAPACITY, &registry);
         (pool, registry)
     }
 
@@ -2525,10 +2526,9 @@ mod tests {
         ) {
             let locations = [location_on(0, 2), location_on(1, 2)];
             let registry = Arc::new(Registry::new());
-            let journal = Arc::new(Journal::new(64));
             let theta = theta_at(&[&locations[0], &locations[1]], 4, 16);
             let policy = BuggyPolicy { doomed: "doomed" };
-            let pool = ShardPool::new(policy, &theta, 2, 8, 4, &registry, &journal);
+            let pool = ShardPool::new(policy, &theta, 2, 8, 4, &registry);
             let first = pool.cluster_state(None).unwrap();
             let (mut epochs, mut resources) = first.clone();
             for step in steps {

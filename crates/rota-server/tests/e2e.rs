@@ -158,10 +158,10 @@ fn lint_erroring_spec_is_rejected_before_policy() {
             .any(|d| d.get("code").and_then(Json::as_str) == Some("R0006")),
         "expected an R0006 diagnostic: {response}"
     );
-    // The policy was never consulted: the decision journal stayed
-    // empty and the lint counter recorded the bounce.
-    assert!(server.journal().is_empty());
+    // The policy was never consulted: it counted no request, and the
+    // lint counter recorded the bounce.
     let snapshot = server.registry().snapshot();
+    assert_eq!(snapshot.counter("admission.requests{policy=rota}"), Some(0));
     let linted: u64 = (0..16)
         .filter_map(|s| snapshot.counter(&format!("server.shard.lint_rejects{{shard={s}}}")))
         .sum();
@@ -437,8 +437,8 @@ fn protocol_shutdown_drains_and_stops_accepting() {
         "shutdown took {:?}",
         started.elapsed()
     );
-    // The journal survived the drain and recorded the decision.
-    assert!(!server.journal().is_empty());
+    // The record survived the drain and holds the decision.
+    assert_eq!(server.decisions().len(), 1);
     assert!(
         TcpStream::connect_timeout(&addr, Duration::from_millis(300)).is_err(),
         "listener should be gone after shutdown"

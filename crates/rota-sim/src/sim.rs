@@ -16,9 +16,11 @@
 
 use core::fmt;
 
-use rota_admission::{AdmissionController, AdmissionObs, AdmissionPolicy, ExecutionStrategy};
+use rota_admission::{
+    decision_event, AdmissionController, AdmissionObs, AdmissionPolicy, ExecutionStrategy,
+};
 use rota_interval::TimePoint;
-use rota_obs::{DecisionEvent, Registry};
+use rota_obs::{DecisionEvent, Journal, Registry};
 
 use crate::event::Event;
 use crate::scenario::Scenario;
@@ -43,10 +45,13 @@ pub struct SimulationReport {
     /// The horizon the run ended at.
     pub horizon: TimePoint,
     /// Why each request was admitted or refused, in submission order
-    /// (bounded: the journal retains the most recent
-    /// [`rota_admission::obs::DEFAULT_JOURNAL_CAPACITY`] verdicts).
+    /// (bounded: the run's journal retains the most recent 256
+    /// verdicts).
     pub decisions: Vec<DecisionEvent>,
 }
+
+/// How many verdicts a run's decision journal retains.
+const DECISION_CAPACITY: usize = 256;
 
 impl SimulationReport {
     /// Fraction of requests accepted.
@@ -166,6 +171,7 @@ fn run_impl<P: AdmissionPolicy>(
     let queue_depth = registry.gauge("sim.queue_depth");
     let ticks = registry.counter("sim.ticks");
     let misses = registry.counter("sim.misses");
+    let journal = Journal::new(DECISION_CAPACITY);
     let mut controller =
         AdmissionController::new(policy, scenario.initial().clone(), TimePoint::ZERO)
             .with_strategy(strategy)
@@ -183,7 +189,13 @@ fn run_impl<P: AdmissionPolicy>(
                         .expect("scenario resources stay within u64 rates");
                 }
                 Event::Arrival { request } => {
-                    let _ = controller.submit(&request);
+                    let decision = controller.submit(&request);
+                    journal.record(decision_event(
+                        controller.policy().name(),
+                        controller.now(),
+                        &request,
+                        &decision,
+                    ));
                 }
                 Event::ComputationLeave { actors } => {
                     let _ = controller.cancel(&actors);
@@ -215,7 +227,7 @@ fn run_impl<P: AdmissionPolicy>(
         offered_units: scenario.offered_units(),
         delivered_units: controller.delivered_units(),
         horizon: controller.now(),
-        decisions: controller.explain(),
+        decisions: journal.snapshot(),
     }
 }
 
