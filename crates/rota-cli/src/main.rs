@@ -142,7 +142,8 @@ fn print_usage() {
     eprintln!("metric snapshot and decisions as JSON (loadtest: its spawned");
     eprintln!("server's, one document per node id for --cluster, the metrics answer");
     eprintln!("of the --addr server; keyed by policy for --policy all). A server's");
-    eprintln!("decisions are its shards' cached verdict frames, shard by shard:");
+    eprintln!("decisions are the verdict frames its shards keep by name, shard by");
+    eprintln!("shard (admits, and the two-phase verdicts a shard confirmed or held):");
     eprintln!("{{\"ok\", \"op\":\"decision\", \"computation\", \"accepted\", \"shard\",");
     eprintln!("\"reason\", \"violated_term\", \"clause\"[, \"diagnostics\" for lint");
     eprintln!("rejects]}}. An unknown flag, or a value that does not parse, exits 1");

@@ -1,6 +1,6 @@
 //! `serve`, `cluster` and `loadtest` honour `--metrics-out`: through
 //! the real binary, `serve` writes its registry snapshot and its
-//! shards' cached verdict frames once it has drained, `cluster` writes one document keyed by
+//! shards' kept verdict frames once it has drained, `cluster` writes one document keyed by
 //! node id once `--duration-ms` elapses, and `loadtest` writes the same
 //! for the server or cluster it spawned once its run ends. A verb whose
 //! stdout reader has gone still exits zero.

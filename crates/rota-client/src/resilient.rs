@@ -23,7 +23,7 @@
 //! lost (connection reset, truncated frame) is safe because rota-server
 //! treats computation names as idempotency keys (DESIGN §10): the retry
 //! reaches the shard owning the demand and gets the original verdict
-//! from its decision cache rather than committing twice. An `offer`,
+//! from its table of names rather than committing twice. An `offer`,
 //! `prepare` or `commit` has no such key, so none of them is ever
 //! re-sent.
 

@@ -4,7 +4,7 @@
 //!
 //! The seeded proxy ([`proxy::Proxy`]) delays requests and truncates
 //! answer frames (forcing client reconnect + retry, absorbed by the
-//! server's per-shard decision cache), and the server's policy panics
+//! server's per-shard table of names), and the server's policy panics
 //! once, on its n-th decision (forcing a panic bounce, answered
 //! `overloaded`, and a retry). Through all of it:
 //!
@@ -202,8 +202,8 @@ fn retrying_client_agrees_with_reference_under_chaos() {
 }
 
 /// One flipped bit cannot turn one verdict into the other: a damaged
-/// answer either fails to decode, and is retried (the decision cache
-/// replays it), or decodes with its verdict intact.
+/// answer either fails to decode, and is retried (the shard's table of
+/// names replays it), or decodes with its verdict intact.
 #[test]
 fn a_flipped_answer_byte_never_changes_a_verdict() {
     let drill = agree_with_reference(

@@ -36,7 +36,7 @@ use std::time::{Duration, Instant};
 use rota_admission::AdmissionPolicy;
 use rota_obs::{Histogram, Registry};
 use rota_resource::ResourceSet;
-use rota_server::{Request, Response, Server, ServerConfig, ServerHandle};
+use rota_server::{Request, Response, Server, ServerConfig, ServerHandle, WallClock};
 
 use crate::gossip::GossipEngine;
 use crate::router::ClusterRouter;
@@ -174,8 +174,9 @@ impl Cluster {
             let me = spec.id.clone();
             let hook_topology = Arc::clone(&shared);
             let hook_engine = Arc::clone(&engine);
+            let clock = Arc::new(WallClock);
             let handle =
-                Server::spawn_hooked(server_config, policy.clone(), &slice, move |local| {
+                Server::spawn_hooked(server_config, policy.clone(), &slice, clock, move |local| {
                     Arc::new(ClusterRouter::new(
                         me,
                         config.peer_timeout,

@@ -454,6 +454,68 @@ fn a_spanning_reject_decided_by_an_owner_sends_no_prepare() {
     cluster.shutdown();
 }
 
+/// Each node's record of its verdicts, as `(computation, accepted)`.
+fn records(cluster: &Cluster) -> Vec<BTreeSet<(String, bool)>> {
+    let verdict = |frame: &Arc<str>| match Response::from_line(frame) {
+        Ok(Response::Decision {
+            computation,
+            accepted,
+            ..
+        }) => (computation, accepted),
+        other => panic!("a record entry is a verdict: {other:?}"),
+    };
+    cluster
+        .nodes()
+        .iter()
+        .map(|node| node.decisions().iter().map(verdict).collect())
+        .collect()
+}
+
+/// The cluster's record names every decided job: a direct admit at its
+/// owner, a spanning accept at each participant that holds a share, and
+/// a spanning reject at the node whose shard confirmed it.
+#[test]
+fn every_decided_job_is_in_a_nodes_record() {
+    let cluster = launch(3, test_config());
+    let direct = client_for(&cluster, 0)
+        .admit(&job("direct", &["l0"], 16), Granularity::MaximalRun)
+        .unwrap();
+    assert!(accepted(&direct), "{direct:?}");
+    // node2 owns neither location: node0 and node1 take part, and node0
+    // confirms the reject (see the reject's peer calls above).
+    let mut via_other = client_for(&cluster, 2);
+    let span = via_other
+        .admit(&job("span", &["l0", "l1"], 16), Granularity::MaximalRun)
+        .unwrap();
+    assert!(accepted(&span), "{span:?}");
+    let reject = via_other.admit(&heavy(), Granularity::MaximalRun).unwrap();
+    assert!(
+        matches!(
+            reject,
+            Response::Decision {
+                accepted: false,
+                ..
+            }
+        ),
+        "{reject:?}"
+    );
+    let expected = |names: &[(&str, bool)]| -> BTreeSet<(String, bool)> {
+        names
+            .iter()
+            .map(|&(name, accepted)| (name.to_string(), accepted))
+            .collect()
+    };
+    assert_eq!(
+        records(&cluster),
+        [
+            expected(&[("direct", true), ("span", true), ("heavy", false)]),
+            expected(&[("span", true)]),
+            expected(&[]),
+        ]
+    );
+    cluster.shutdown();
+}
+
 /// A policy that refutes nothing keeps the full snapshot round: every
 /// participant is read, and the coordinator decides.
 #[test]

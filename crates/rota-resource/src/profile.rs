@@ -96,16 +96,6 @@ impl ResourceProfile {
         }
     }
 
-    /// Builds a profile from one constant segment.
-    ///
-    /// # Errors
-    ///
-    /// Never fails for a single term; the `Result` mirrors
-    /// [`add`](ResourceProfile::add) for composability.
-    pub fn from_segment(interval: TimeInterval, rate: Rate) -> Result<Self, OverflowError> {
-        Ok(ResourceProfile::segment(interval, rate))
-    }
-
     /// The canonical profile of one constant segment: empty when `rate`
     /// is zero (a null term).
     fn segment(interval: TimeInterval, rate: Rate) -> Self {

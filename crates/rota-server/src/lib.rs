@@ -18,13 +18,13 @@
 //!   in-flight decisions finish ([`server`]);
 //! - observability through [`rota_obs`]: per-shard counters and
 //!   lock-wait gauges and decision-latency histograms; the record of
-//!   each admit verdict is the frame its shard caches for retries
-//!   ([`ServerHandle::decisions`]), so no record is shared across
-//!   shards;
+//!   each verdict is the frame its shard keeps in its table of names,
+//!   for retries and two-phase steps ([`ServerHandle::decisions`]), so
+//!   no record is shared across shards;
 //! - **recovery without a restart**: a panic while deciding an admit
 //!   costs that admit an `overloaded` answer and leaves its shard's
 //!   state as it was, and a retried admit gets its first verdict back
-//!   from the shard's decision cache ([`shard`]).
+//!   from the shard's table of names ([`shard`]).
 //!
 //! The [`spec`] module is `rota_analyze::spec` re-exported: the spec
 //! types and their JSON codec, which the wire protocol carries.
@@ -41,5 +41,5 @@ pub use protocol::{
     Diagnostics, GossipDigest, PeerBeat, Reply, Request, Response, MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
 };
-pub use server::{LocalHandle, RequestHook, Server, ServerConfig, ServerHandle};
+pub use server::{Clock, LocalHandle, RequestHook, Server, ServerConfig, ServerHandle, WallClock};
 pub use shard::{route_request, shard_of, split_by_shard};

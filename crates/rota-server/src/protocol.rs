@@ -550,7 +550,7 @@ pub(crate) fn encode_frame(response: &Response) -> Arc<str> {
 
 /// One answer on its way to a connection: a typed [`Response`], encoded
 /// as it is written, or a frame already encoded — a shard's fresh or
-/// cached verdict — written byte for byte.
+/// kept verdict — written byte for byte.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Reply {
     /// Encoded when written.

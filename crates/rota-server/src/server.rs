@@ -60,6 +60,23 @@ impl Default for ServerConfig {
     }
 }
 
+/// Where a server's shards read the time, to pass it in (see
+/// [`crate::shard`]): [`WallClock`], or in a test a clock it moves.
+pub trait Clock: Send + Sync {
+    /// The current instant.
+    fn now(&self) -> Instant;
+}
+
+/// The operating system's monotonic clock.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct WallClock;
+
+impl Clock for WallClock {
+    fn now(&self) -> Instant {
+        Instant::now()
+    }
+}
+
 /// Intercepts requests before the local admission core sees them — the
 /// extension point `rota-cluster` uses to route, gossip, and coordinate
 /// two-phase commits. Returning `None` falls through to local handling.
@@ -71,6 +88,15 @@ pub trait RequestHook: Send + Sync {
     /// frame the hook got from [`LocalHandle::admit`] is written as it
     /// is.
     fn intercept(&self, request: &Request) -> Option<Reply>;
+}
+
+/// The hook of a server spawned without one: everything is local.
+struct Unhooked;
+
+impl RequestHook for Unhooked {
+    fn intercept(&self, _: &Request) -> Option<Reply> {
+        None
+    }
 }
 
 /// A hook's view of its own server: dispatch requests straight to the
@@ -152,7 +178,7 @@ impl LocalHandle {
         request: &AdmissionRequest,
         supply: &dyn Fn(&LocatedType) -> Option<Quantity>,
     ) -> Option<RejectReason> {
-        self.with_pool(|pool| pool.refute(request, supply))
+        self.with_pool(|pool| pool.policy.refute(request, supply))
             .flatten()
     }
 
@@ -268,38 +294,26 @@ impl Inner {
                 epochs,
                 ttl_ms,
             } => {
-                let computation = match computation.build() {
-                    Ok(computation) => computation,
-                    Err(err) => {
-                        return Response::Error {
-                            message: format!("bad computation: {err}"),
-                        }
-                        .into()
-                    }
-                };
-                if computation.name() != name {
-                    return Response::Error {
-                        message: format!(
+                let prepared = || {
+                    let computation = computation
+                        .build()
+                        .map_err(|err| format!("bad computation: {err}"))?;
+                    if computation.name() != name {
+                        return Err(format!(
                             "prepare name `{name}` does not match computation name `{}`",
                             computation.name()
-                        ),
+                        ));
                     }
-                    .into();
-                }
-                let basis = match spec::resource_set(&basis) {
-                    Ok(basis) => basis,
-                    Err(err) => {
-                        return Response::Error {
-                            message: format!("bad basis: {err}"),
-                        }
-                        .into()
-                    }
+                    let basis =
+                        spec::resource_set(&basis).map_err(|err| format!("bad basis: {err}"))?;
+                    let priced =
+                        AdmissionRequest::price(computation, &self.cost_model, granularity);
+                    let ttl = Duration::from_millis(ttl_ms);
+                    Ok(self.with_pool(|pool| {
+                        pool.prepare(&priced, &pool.decide(&priced, &basis), &epochs, ttl)
+                    }))
                 };
-                let priced = AdmissionRequest::price(computation, &self.cost_model, granularity);
-                self.with_pool(|pool| {
-                    let verdict = pool.decide(&priced, &basis);
-                    pool.prepare(&priced, &verdict, &epochs, Duration::from_millis(ttl_ms))
-                })
+                prepared().unwrap_or_else(|message| Response::Error { message })
             }
             Request::CommitReservation { name } => {
                 self.with_pool(|pool| match pool.commit(&name) {
@@ -366,9 +380,12 @@ impl ServerHandle {
         Arc::clone(&self.inner.registry)
     }
 
-    /// The record of admit verdicts: each shard's cached verdict frames,
+    /// The record of verdicts: the frames of each shard's settled names,
     /// shard by shard, least recently used first (at most 1,024 per
-    /// shard). Reading it counts nothing, and it survives the drain.
+    /// shard). They are the admits' verdicts as their submitters were
+    /// sent them, the two-phase rejects a shard confirmed, and, for each
+    /// committed two-phase admission, the shard's accept. Reading it
+    /// counts nothing, and it survives the drain.
     pub fn decisions(&self) -> Vec<Arc<str>> {
         let pool = self.inner.pool.read();
         pool.unwrap_or_else(PoisonError::into_inner).decisions()
@@ -426,37 +443,22 @@ impl Server {
     where
         P: AdmissionPolicy + Send + Sync + 'static,
     {
-        Self::spawn_internal(
-            config,
-            policy,
-            theta,
-            None::<fn(LocalHandle) -> Arc<dyn RequestHook>>,
-        )
+        let unhooked = |_| Arc::new(Unhooked) as Arc<dyn RequestHook>;
+        Self::spawn_hooked(config, policy, theta, Arc::new(WallClock), unhooked)
     }
 
     /// Like [`Server::spawn`], but installs the [`RequestHook`] built by
     /// `make_hook` before the acceptor starts. The hook receives a
     /// [`LocalHandle`] back onto this server, so it can route requests
     /// to the local core as well as to peers — this is how a
-    /// `rota-cluster` node mounts its router.
+    /// `rota-cluster` node mounts its router. The shards read the time
+    /// from `clock` ([`WallClock`] outside tests).
     pub fn spawn_hooked<P, F>(
         config: ServerConfig,
         policy: P,
         theta: &ResourceSet,
+        clock: Arc<dyn Clock>,
         make_hook: F,
-    ) -> std::io::Result<ServerHandle>
-    where
-        P: AdmissionPolicy + Send + Sync + 'static,
-        F: FnOnce(LocalHandle) -> Arc<dyn RequestHook>,
-    {
-        Self::spawn_internal(config, policy, theta, Some(make_hook))
-    }
-
-    fn spawn_internal<P, F>(
-        config: ServerConfig,
-        policy: P,
-        theta: &ResourceSet,
-        make_hook: Option<F>,
     ) -> std::io::Result<ServerHandle>
     where
         P: AdmissionPolicy + Send + Sync + 'static,
@@ -472,6 +474,7 @@ impl Server {
             config.queue_capacity,
             DEDUP_CAPACITY,
             &registry,
+            clock,
         );
         let inner = Arc::new(Inner {
             pool: RwLock::new(pool),
@@ -481,13 +484,11 @@ impl Server {
             config,
             hook: OnceLock::new(),
         });
-        if let Some(make_hook) = make_hook {
-            let hook = make_hook(LocalHandle {
-                inner: Arc::downgrade(&inner),
-            });
-            // The cell is new and set only here, so this cannot fail.
-            let _ = inner.hook.set(hook);
-        }
+        let hook = make_hook(LocalHandle {
+            inner: Arc::downgrade(&inner),
+        });
+        // The cell is new and set only here, so this cannot fail.
+        let _ = inner.hook.set(hook);
         let acceptor_inner = Arc::clone(&inner);
         let acceptor = std::thread::Builder::new()
             .name("rota-acceptor".into())

@@ -37,23 +37,24 @@
 //! rather than answer from a state the unwind may have torn (see
 //! DESIGN.md §10).
 //!
-//! Computation names are idempotency keys, but a verdict is only
-//! replayed when the retry's *content hash* (name, computation body,
-//! priced requirement) matches the original's: a client that retries
-//! (because a response was lost to a reset or truncation) or sends a
-//! duplicate in-flight attempt gets the original verdict back, byte
-//! for byte — the cache holds each verdict as the frame its first
-//! submitter was sent — instead of committing the same computation
-//! twice, while a
-//! *different* computation reusing a decided name is answered with an
-//! explicit idempotency-conflict error — the stale verdict would be a
-//! lie, and deciding it fresh would double-commit the same actor
-//! names. Routing is deterministic by location hash, so a retry
-//! always lands on the shard that holds the cached verdict.
+//! Computation names are idempotency keys, but a verdict is replayed
+//! only when the retry's *content hash* (name, computation body, priced
+//! requirement) matches the original's: a retry or a duplicate attempt
+//! gets the original verdict back, byte for byte, instead of committing
+//! the computation twice, while a *different* computation reusing a
+//! name gets an explicit idempotency-conflict error — the stale verdict
+//! would be a lie, and deciding it fresh would double-commit the same
+//! actor names. Routing is deterministic by location, so a retry always
+//! lands on the shard that holds the verdict.
 //!
-//! That cache is also the shard's record of its verdicts, lint rejects
-//! included: there is no second, shared journal, so recording a
-//! verdict takes no lock beyond the shard's own.
+//! ## One table of names, and the time passed in
+//!
+//! A shard keeps one table from name to entry: decided, held by a 2PC
+//! prepare, or committed. The 2PC's steps are its transitions, and the
+//! settled entries' frames are the shard's record of its verdicts. No
+//! method of a shard's state reads a clock: the pool reads its [`Clock`]
+//! and passes the instant in, so a shard's next state is a function of
+//! its state, the call and that instant.
 //!
 //! ## Pre-admission validation
 //!
@@ -66,7 +67,7 @@
 //! Capacity and deadline feasibility stay with the policy, whose
 //! verdict carries the theorem-grade attribution.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -76,15 +77,16 @@ use std::time::{Duration, Instant};
 use rota_actor::ActorName;
 use rota_admission::{
     AdmissionController, AdmissionObs, AdmissionPolicy, AdmissionRequest, ControllerStats,
-    Decision, RejectReason, SharedPolicy, Tally,
+    Decision, SharedPolicy, Tally,
 };
 use rota_analyze::{prevalidate_request, Report as LintReport, Severity as LintSeverity};
 use rota_interval::TimePoint;
 use rota_logic::{Commitment, Scope, State};
 use rota_obs::{Counter, Gauge, Histogram, Registry};
-use rota_resource::{LocatedType, Location, Quantity, ResourceSet};
+use rota_resource::{Location, ResourceSet};
 
 use crate::protocol::{encode_frame, Diagnostics, Reply, Response};
+use crate::server::Clock;
 
 /// Stable location → shard routing: FNV-1a over the location name.
 ///
@@ -195,91 +197,101 @@ fn dedup_key(request: &AdmissionRequest) -> u64 {
     hash.finish()
 }
 
-/// What the cache knows about a retried name.
-enum CacheLookup {
-    /// Never seen: decide it.
-    Miss,
-    /// Same name, same content: replay the verdict's frame.
-    Replay(Arc<str>),
-    /// Same name, different content: refuse — the name was already
-    /// decided for a different computation.
-    Conflict,
+/// Where a name stands on one shard, with the shard's verdict frame:
+/// for an admit, the frame its first submitter was sent
+/// ([`encode_frame`]), so a replay is those bytes, never rebuilt.
+enum Entry {
+    /// An admit's verdict, or a two-phase reject this shard confirmed,
+    /// with the request's content hash ([`dedup_key`]).
+    Decided { hash: u64, frame: Arc<str> },
+    /// A prepared two-phase hold: the actor names its install put in
+    /// the controller, to withdraw on abort or expiry (`None` for a
+    /// hold of the name only), until `expires_at`.
+    Held {
+        actors: Option<Box<[ActorName]>>,
+        expires_at: Instant,
+        frame: Arc<str>,
+    },
+    /// A committed hold, for re-commits and compensating aborts.
+    Committed {
+        actors: Option<Box<[ActorName]>>,
+        frame: Arc<str>,
+    },
 }
 
-/// Bounded LRU cache of recent verdicts, keyed by computation name with
-/// the request's content hash ([`dedup_key`]) stored alongside — the
-/// idempotency layer that keeps client retries and duplicates from
-/// double-committing, without ever replaying a verdict for a body it
-/// was not decided on. Each verdict is held as the encoded frame its
-/// first submitter was sent ([`encode_frame`]), so a replay is those
-/// same bytes, shared, never decoded or rebuilt.
-///
-/// Eviction is least-recently-*used*: a replay refreshes its entry, so
-/// a name being actively retried stays cached while cold verdicts age
-/// out. A [`CacheLookup::Conflict`] deliberately does **not** refresh —
-/// a stream of conflicting submissions must not keep the stale name
-/// pinned forever. Eviction is safe against double commits even when an
-/// evicted accept is resubmitted verbatim: the controller still holds
-/// the actor names, so the re-decided request fails the install and is
-/// rejected (see `AdmissionController::enact`) rather than committed a
-/// second time.
-struct DecisionCache {
+/// A shard's one table of names. Settled entries (decided and
+/// committed) share one recency order and one bound, `capacity`: a
+/// replay refreshes its entry, a conflict does not. A held entry is
+/// never evicted: its TTL bounds it. An evicted accept resubmitted
+/// verbatim fails the install, as its actors stay installed, and is
+/// rejected (see `AdmissionController::enact`).
+#[derive(Default)]
+struct Names {
     capacity: usize,
-    /// Recency order, oldest at the front. Names are moved to the back
-    /// on use; the front is the eviction victim.
-    order: VecDeque<String>,
-    verdicts: HashMap<String, (u64, Arc<str>)>,
+    /// Each name's entry and its key in `recency` or `expiry`.
+    entries: HashMap<Arc<str>, (Entry, u64)>,
+    /// Settled names by last use, oldest first.
+    recency: BTreeMap<u64, Arc<str>>,
+    /// Held names by lapse, soonest first.
+    expiry: BTreeMap<(Instant, u64), Arc<str>>,
+    next: u64,
 }
 
-impl DecisionCache {
-    fn new(capacity: usize) -> DecisionCache {
-        DecisionCache {
-            capacity: capacity.max(1),
-            order: VecDeque::new(),
-            verdicts: HashMap::new(),
-        }
+impl Names {
+    fn get(&self, name: &str) -> Option<&Entry> {
+        self.entries.get(name).map(|(entry, _)| entry)
     }
 
-    /// Moves `name` to the most-recently-used position.
-    fn touch(&mut self, name: &str) {
-        if let Some(pos) = self.order.iter().position(|n| n == name) {
-            if let Some(entry) = self.order.remove(pos) {
-                self.order.push_back(entry);
+    /// Enters `entry` as `name`'s, replacing any, as the most recently
+    /// used or in expiry order; past the bound, the least recently used
+    /// settled entry goes.
+    fn insert(&mut self, name: &str, entry: Entry) {
+        self.remove(name);
+        self.next += 1;
+        let (key, name) = (self.next, Arc::<str>::from(name));
+        match &entry {
+            Entry::Held { expires_at, .. } => self.expiry.insert((*expires_at, key), name.clone()),
+            _ => self.recency.insert(key, name.clone()),
+        };
+        self.entries.insert(name, (entry, key));
+        if self.recency.len() > self.capacity {
+            if let Some((_, oldest)) = self.recency.pop_first() {
+                self.entries.remove(&oldest);
             }
         }
     }
 
-    fn lookup(&mut self, name: &str, hash: u64) -> CacheLookup {
-        match self.verdicts.get(name) {
-            None => CacheLookup::Miss,
-            Some((cached_hash, frame)) if *cached_hash == hash => {
-                let frame = Arc::clone(frame);
-                self.touch(name);
-                CacheLookup::Replay(frame)
-            }
-            Some(_) => CacheLookup::Conflict,
-        }
+    fn remove(&mut self, name: &str) -> Option<Entry> {
+        let (entry, key) = self.entries.remove(name)?;
+        match &entry {
+            Entry::Held { expires_at, .. } => self.expiry.remove(&(*expires_at, key)),
+            _ => self.recency.remove(&key),
+        };
+        Some(entry)
     }
 
-    fn insert(&mut self, name: String, hash: u64, frame: Arc<str>) {
-        if self.verdicts.insert(name.clone(), (hash, frame)).is_some() {
-            self.touch(&name);
-            return;
-        }
-        self.order.push_back(name);
-        if self.order.len() > self.capacity {
-            if let Some(evicted) = self.order.pop_front() {
-                self.verdicts.remove(&evicted);
-            }
-        }
+    /// Removes `name`'s entry if `take` accepts it.
+    fn take(&mut self, name: &str, take: impl FnOnce(&Entry) -> bool) -> Option<Entry> {
+        take(self.get(name)?).then(|| self.remove(name)).flatten()
     }
 
-    /// The cached verdict frames, least recently used first.
+    /// Removes the hold that lapses first, if it has lapsed by `now`.
+    fn lapsed(&mut self, now: Instant) -> Option<Entry> {
+        let (&(expires_at, _), name) = self.expiry.first_key_value()?;
+        let name = (expires_at <= now).then(|| Arc::clone(name))?;
+        self.remove(&name)
+    }
+
+    /// The settled entries' frames, least recently used first.
     fn frames(&self) -> impl Iterator<Item = Arc<str>> + '_ {
-        self.order
-            .iter()
-            .filter_map(|name| self.verdicts.get(name))
-            .map(|(_, frame)| Arc::clone(frame))
+        self.recency
+            .values()
+            .filter_map(|name| match self.get(name)? {
+                Entry::Decided { frame, .. } | Entry::Committed { frame, .. } => {
+                    Some(Arc::clone(frame))
+                }
+                Entry::Held { .. } => None,
+            })
     }
 }
 
@@ -290,11 +302,13 @@ impl DecisionCache {
 /// itself lives on, so its record of verdicts can still be read (see
 /// `crate::server`).
 pub(crate) struct ShardPool {
-    policy: SharedPolicy,
+    pub(crate) policy: SharedPolicy,
     shards: Vec<Shard>,
     /// Waiters an admit may join behind the lock holder before it is
     /// answered `overloaded`.
     queue_capacity: usize,
+    /// Read for each locked section, and passed in.
+    clock: Arc<dyn Clock>,
 }
 
 /// One shard: its lock, plus what is needed outside it.
@@ -308,8 +322,9 @@ struct Shard {
 impl ShardPool {
     /// Builds `shards` shards, each owning a controller over its slice
     /// of `theta`, all counting into `registry` (admission metrics
-    /// labeled by `policy`, server metrics by shard). `queue_capacity` bounds each shard's waiting admits;
-    /// `dedup_capacity` bounds each shard's idempotency cache.
+    /// labeled by `policy`, server metrics by shard). `queue_capacity`
+    /// bounds each shard's waiting admits; `dedup_capacity` bounds each
+    /// shard's settled names; `clock` tells the time.
     pub(crate) fn new<P>(
         policy: P,
         theta: &ResourceSet,
@@ -317,6 +332,7 @@ impl ShardPool {
         queue_capacity: usize,
         dedup_capacity: usize,
         registry: &Arc<Registry>,
+        clock: Arc<dyn Clock>,
     ) -> ShardPool
     where
         P: AdmissionPolicy + Send + Sync + 'static,
@@ -334,10 +350,10 @@ impl ShardPool {
                     shard,
                     controller,
                     obs: Arc::clone(&obs),
-                    dedup: DecisionCache::new(dedup_capacity),
-                    reservations: HashMap::new(),
-                    committed: HashMap::new(),
-                    committed_order: VecDeque::new(),
+                    names: Names {
+                        capacity: dedup_capacity.max(1),
+                        ..Names::default()
+                    },
                     epoch: 0,
                 };
                 Shard {
@@ -351,6 +367,7 @@ impl ShardPool {
             policy,
             shards,
             queue_capacity: queue_capacity.max(1),
+            clock,
         }
     }
 
@@ -358,23 +375,24 @@ impl ShardPool {
         self.shards.len()
     }
 
-    /// Every shard's record of its verdicts: the frames its decision
-    /// cache holds, shard by shard, least recently used first. It skips
+    /// Every shard's record of its verdicts: the frames of its settled
+    /// names, shard by shard, least recently used first. It skips
     /// [`Self::locked`]'s sweep, so it counts nothing, and reads a
     /// poisoned shard too: the frames themselves are immutable.
     pub(crate) fn decisions(&self) -> Vec<Arc<str>> {
         let frames = |shard: &Shard| {
             let state = shard.state.lock().unwrap_or_else(PoisonError::into_inner);
-            state.dedup.frames().collect::<Vec<_>>()
+            state.names.frames().collect::<Vec<_>>()
         };
         self.shards.iter().flat_map(frames).collect()
     }
 
     /// Runs `f` on shard `index` under its lock, after withdrawing the
-    /// shard's lapsed reservations. A poisoned lock means a write
-    /// panicked halfway through a mutation, so the state behind it may
-    /// be torn: no answer may be built from it, and the process aborts.
-    fn locked<R>(&self, index: usize, f: impl FnOnce(&mut ShardState) -> R) -> R {
+    /// shard's reservations lapsed by `now`. A poisoned lock means a
+    /// write panicked halfway through a mutation, so the state behind
+    /// it may be torn: no answer may be built from it, and the process
+    /// aborts.
+    fn locked<R>(&self, index: usize, now: Instant, f: impl FnOnce(&mut ShardState) -> R) -> R {
         let shard = &self.shards[index];
         shard.obs.queue_depth.add(1);
         let mut state = shard.state.lock().unwrap_or_else(|_| {
@@ -382,7 +400,7 @@ impl ShardPool {
             std::process::abort()
         });
         shard.obs.queue_depth.add(-1);
-        state.sweep_expired();
+        state.sweep_expired(now);
         f(&mut state)
     }
 
@@ -395,11 +413,20 @@ impl ShardPool {
         let index = route_request(&request, self.shards());
         let shard = &self.shards[index];
         shard.obs.requests.inc();
-        let arrived = Instant::now();
+        let arrived = self.clock.now();
         let verdict = if shard.admits.fetch_add(1, Ordering::Relaxed) > self.queue_capacity {
             None
         } else {
-            self.locked(index, |state| state.admit(&request, arrived))
+            self.locked(index, arrived, |state| match state.admit(&request)? {
+                Admitted::Answered(reply) => Some(reply),
+                Admitted::Decided(hash, decision) => {
+                    let waited = self.clock.now().saturating_duration_since(arrived);
+                    let nanos = u64::try_from(waited.as_nanos()).unwrap_or(u64::MAX);
+                    shard.obs.request_ns.observe(nanos);
+                    let response = decision_response(&request, &decision, index);
+                    Some(state.record(request.name(), hash, &response))
+                }
+            })
         };
         shard.admits.fetch_sub(1, Ordering::Relaxed);
         verdict.unwrap_or_else(|| {
@@ -420,7 +447,7 @@ impl ShardPool {
                 continue;
             }
             let terms = slice.term_count() as u64;
-            match self.locked(index, |state| state.offer(slice)) {
+            match self.locked(index, self.clock.now(), |state| state.offer(slice)) {
                 Ok(()) => installed += terms,
                 Err(message) => return Response::Error { message },
             }
@@ -432,7 +459,7 @@ impl ShardPool {
     pub(crate) fn stats(&self) -> Response {
         let mut total = ControllerStats::default();
         for index in 0..self.shards() {
-            let stats = self.locked(index, |state| state.controller.stats());
+            let stats = self.locked(index, self.clock.now(), |state| state.controller.stats());
             total.accepted += stats.accepted;
             total.rejected += stats.rejected;
             total.completed += stats.completed;
@@ -457,7 +484,7 @@ impl ShardPool {
         let mut epochs = Vec::with_capacity(self.shards());
         let mut merged = ResourceSet::new();
         for index in 0..self.shards() {
-            let (epoch, theta) = self.locked(index, |state| {
+            let (epoch, theta) = self.locked(index, self.clock.now(), |state| {
                 let logic = state.controller.state();
                 let theta = match scope {
                     Some(scope) => logic.expiring_in(scope.types(), scope.window()),
@@ -483,19 +510,9 @@ impl ShardPool {
             .decide(&State::new(basis.clone(), TimePoint::ZERO), request)
     }
 
-    /// The reject the pool's policy proves for `request` from `supply`
-    /// alone ([`AdmissionPolicy::refute`]).
-    pub(crate) fn refute(
-        &self,
-        request: &AdmissionRequest,
-        supply: &dyn Fn(&LocatedType) -> Option<Quantity>,
-    ) -> Option<RejectReason> {
-        self.policy.refute(request, supply)
-    }
-
     /// Phase one of two-phase commit for a `verdict` already decided
     /// on the merged basis ([`ShardPool::decide`]): on accept, every
-    /// shard holds the name with a TTL and installs its share of the
+    /// shard holds the name for `ttl` and installs its share of the
     /// commitments ([`ShardState::share`]), all the shares counting the
     /// computation once through one [`Tally`]. All shards must hold the
     /// name for the prepare to stand; on a rejection, stale epoch or
@@ -517,11 +534,12 @@ impl ShardPool {
                 ),
             };
         }
+        let now = self.clock.now();
         let name = request.name().to_string();
         let tally = Arc::new(Tally::default());
         for (index, &expected) in epochs.iter().enumerate() {
-            if let Some(failure) = self.locked(index, |state| {
-                state.prepare(request, verdict, &tally, expected, ttl)
+            if let Some(failure) = self.locked(index, now, |state| {
+                state.prepare(request, verdict, &tally, expected, now + ttl)
             }) {
                 self.abort(&name);
                 return failure;
@@ -535,8 +553,8 @@ impl ShardPool {
     /// commit (its reservation expired), every shard is compensated
     /// with an abort and the error is returned.
     pub(crate) fn commit(&self, name: &str) -> Result<(), String> {
-        let outcome =
-            (0..self.shards()).try_for_each(|index| self.locked(index, |state| state.commit(name)));
+        let outcome = (0..self.shards())
+            .try_for_each(|index| self.locked(index, self.clock.now(), |state| state.commit(name)));
         if outcome.is_err() {
             self.abort(name);
         }
@@ -549,45 +567,22 @@ impl ShardPool {
     pub(crate) fn abort(&self, name: &str) -> bool {
         let mut released = false;
         for index in 0..self.shards() {
-            released |= self.locked(index, |state| state.abort(name));
+            released |= self.locked(index, self.clock.now(), |state| state.abort(name));
         }
         released
     }
 }
 
-/// Verdicts remembered per shard for retry idempotency. Bounded
-/// so a long-lived server cannot grow without limit; LRU eviction keeps
-/// actively-retried names cached while cold verdicts age out.
+/// Settled names kept per shard: the one bound of its table of names.
 pub(crate) const DEDUP_CAPACITY: usize = 1024;
 
-/// Committed 2PC names remembered per shard so commits are idempotent
-/// and a failed commit round can be compensated. Bounded like the
-/// dedup cache; an entry aging out only forfeits late
-/// re-commit/compensation for that name, never the installed
-/// commitment itself.
-const COMMITTED_CAPACITY: usize = 1024;
-
-/// A 2PC hold on one shard: the actor names its install put in the
-/// controller, to withdraw on abort or expiry (`None` when the shard
-/// holds the name only), and the wall-clock instant the hold lapses.
-struct Reservation {
-    actors: Option<Vec<ActorName>>,
-    expires_at: Instant,
-}
-
-/// Everything a shard's lock guards.
+/// Everything a shard's lock guards. No method reads a clock: the time
+/// a transition needs is passed in.
 struct ShardState {
     shard: usize,
     controller: AdmissionController<SharedPolicy>,
     obs: Arc<ShardObs>,
-    dedup: DecisionCache,
-    /// Prepared-but-uncommitted 2PC holds, keyed by computation name.
-    reservations: HashMap<String, Reservation>,
-    /// Committed 2PC names → their installed actors, as in
-    /// [`Reservation`], for idempotent re-commits and compensating
-    /// aborts. Bounded by `committed_order`.
-    committed: HashMap<String, Option<Vec<ActorName>>>,
-    committed_order: VecDeque<String>,
+    names: Names,
     /// Bumped on every state mutation (accepted admit, offer, and the
     /// prepare, abort or expiry of an install) — never on rejects,
     /// reads, or a hold of the name only. A 2PC coordinator
@@ -597,35 +592,32 @@ struct ShardState {
     epoch: u64,
 }
 
+/// How an admit left its locked section's first half.
+enum Admitted {
+    /// With its answer: a replay, a conflict or a lint reject.
+    Answered(Reply),
+    /// With the policy's enacted verdict, to record under its content
+    /// hash.
+    Decided(u64, Decision),
+}
+
 impl ShardState {
-    /// Withdraws every reservation whose TTL has lapsed — run lazily at
-    /// the head of every locked section, so expiry needs no timer thread
-    /// and is observable through any subsequent request (stats included).
-    fn sweep_expired(&mut self) {
-        if self.reservations.is_empty() {
-            return;
+    /// Withdraws the holds lapsed by `now`, soonest first, up to a live
+    /// one — run lazily at the head of every locked section, so expiry
+    /// needs no timer thread and shows in any subsequent request.
+    fn sweep_expired(&mut self, now: Instant) {
+        while let Some(Entry::Held { actors, .. }) = self.names.lapsed(now) {
+            self.release(actors);
+            self.obs.twopc_expired.inc();
+            self.obs.reservations.set(self.names.expiry.len() as i64);
         }
-        let now = Instant::now();
-        let lapsed: Vec<String> = self
-            .reservations
-            .iter()
-            .filter(|(_, r)| r.expires_at <= now)
-            .map(|(name, _)| name.clone())
-            .collect();
-        for name in lapsed {
-            if let Some(reservation) = self.reservations.remove(&name) {
-                self.release(reservation.actors);
-                self.obs.twopc_expired.inc();
-            }
-        }
-        self.obs.reservations.set(self.reservations.len() as i64);
     }
 
     /// Withdraws what a hold installed, if it installed anything; a
     /// hold of the name only changes nothing. (An actor-less install's
     /// in-flight key is the empty list, so withdrawing `[]` for a name
     /// only hold would release some other request.)
-    fn release(&mut self, actors: Option<Vec<ActorName>>) {
+    fn release(&mut self, actors: Option<Box<[ActorName]>>) {
         if let Some(actors) = actors {
             self.controller.withdraw(&actors);
             self.changed();
@@ -640,40 +632,34 @@ impl ShardState {
         self.obs.commitments.set(live as i64);
     }
 
-    /// Records a committed name (bounded), for idempotent re-commits
-    /// and compensating aborts.
-    fn record_committed(&mut self, name: String, actors: Option<Vec<ActorName>>) {
-        if self.committed.insert(name.clone(), actors).is_none() {
-            self.committed_order.push_back(name);
-            if self.committed_order.len() > COMMITTED_CAPACITY {
-                if let Some(old) = self.committed_order.pop_front() {
-                    self.committed.remove(&old);
+    /// Answers `request` from its name's entry, or decides and enacts
+    /// it. A lint reject is recorded here; a policy verdict is handed
+    /// back for [`Self::record`]. `None` when the reading half
+    /// ([`Self::judge`]) panicked: the shard's state is then as it was
+    /// before the call.
+    fn admit(&mut self, request: &AdmissionRequest) -> Option<Admitted> {
+        let name = request.name();
+        let hash = dedup_key(request);
+        let conflict = match self.names.get(name) {
+            None => None,
+            Some(Entry::Decided { hash: first, frame }) if *first == hash => {
+                let frame = Reply::Frame(Arc::clone(frame));
+                // Re-entered as the most recently used.
+                if let Some(entry) = self.names.remove(name) {
+                    self.names.insert(name, entry);
                 }
-            }
-        }
-    }
-
-    /// Answers `request` from the dedup cache, or decides it, enacts
-    /// the verdict and encodes it once into the frame that is both
-    /// cached and sent. `None` when the reading half ([`Self::judge`])
-    /// panicked: the shard's state is then as it was before the call.
-    fn admit(&mut self, request: &AdmissionRequest, arrived: Instant) -> Option<Reply> {
-        let key = dedup_key(request);
-        match self.dedup.lookup(request.name(), key) {
-            CacheLookup::Replay(frame) => {
                 self.obs.dedup_hits.inc();
-                return Some(Reply::Frame(frame));
+                return Some(Admitted::Answered(frame));
             }
-            CacheLookup::Conflict => {
-                return Some(Reply::Typed(Response::Error {
-                    message: format!(
-                        "idempotency conflict: computation `{}` was already decided with \
-                         different content; use a fresh name",
-                        request.name()
-                    ),
-                }));
-            }
-            CacheLookup::Miss => {}
+            Some(Entry::Decided { .. }) => Some("was already decided with different content"),
+            Some(_) => Some("is held or committed by a two-phase admission"),
+        };
+        if let Some(why) = conflict {
+            return Some(Admitted::Answered(Reply::Typed(Response::Error {
+                message: format!(
+                    "idempotency conflict: computation `{name}` {why}; use a fresh name"
+                ),
+            })));
         }
         // The closure reads the state through a shared reference; the
         // assertion is needed only for the policy, a trait object the
@@ -683,26 +669,32 @@ impl ShardState {
             self.obs.panics.inc();
             return None;
         };
-        let response = match judged {
+        match judged {
             Err(lint) => {
                 self.obs.lint_rejects.inc();
-                lint_response(request, &lint, self.shard)
+                let response = lint_response(request, &lint, self.shard);
+                Some(Admitted::Answered(self.record(name, hash, &response)))
             }
             Ok(decision) => {
                 let decision = self.controller.enact(request, decision);
                 if matches!(decision, Decision::Accept(_)) {
                     self.changed();
                 }
-                self.obs
-                    .request_ns
-                    .observe(u64::try_from(arrived.elapsed().as_nanos()).unwrap_or(u64::MAX));
-                decision_response(request, &decision, self.shard)
+                Some(Admitted::Decided(hash, decision))
             }
+        }
+    }
+
+    /// Encodes a fresh verdict once into the frame that is both kept
+    /// as `name`'s entry and sent.
+    fn record(&mut self, name: &str, hash: u64, response: &Response) -> Reply {
+        let frame = encode_frame(response);
+        let entry = Entry::Decided {
+            hash,
+            frame: Arc::clone(&frame),
         };
-        let frame = encode_frame(&response);
-        self.dedup
-            .insert(request.name().to_string(), key, Arc::clone(&frame));
-        Some(Reply::Frame(frame))
+        self.names.insert(name, entry);
+        Reply::Frame(frame)
     }
 
     /// An admit's reading half: pre-admission static analysis against
@@ -732,28 +724,35 @@ impl ShardState {
     }
 
     /// This shard's part of a prepare whose `verdict` the pool already
-    /// decided: `None` once the shard holds the name, otherwise the
-    /// answer that fails the prepare. A shard installs its share of an
-    /// accept ([`Self::share`]), counted through `tally`, and bumps its
-    /// epoch; a shard whose share is empty records the name only.
+    /// decided: `None` once the shard holds the name until `expires_at`,
+    /// otherwise the answer that fails the prepare. A shard installs its
+    /// share of an accept ([`Self::share`]), counted through `tally`,
+    /// and bumps its epoch; a shard whose share is empty holds the name
+    /// only. A reject is recorded as this shard's verdict on the name.
     fn prepare(
         &mut self,
         request: &AdmissionRequest,
         verdict: &Decision,
         tally: &Arc<Tally>,
         expected_epoch: u64,
-        ttl: Duration,
+        expires_at: Instant,
     ) -> Option<Response> {
         let name = request.name();
-        // Idempotent re-prepare: a coordinator retrying after a lost
-        // reply refreshes the hold instead of double-installing. Content
-        // is not re-verified — names are the 2PC identity, as in the
-        // dedup cache.
-        if let Some(reservation) = self.reservations.get_mut(name) {
-            reservation.expires_at = Instant::now() + ttl;
+        // Idempotent re-prepare: a retry after a lost reply refreshes the
+        // hold instead of installing twice (names are the 2PC identity;
+        // content is not re-verified). A decided name is decided again.
+        if let Some(Entry::Held { actors, frame, .. }) =
+            self.names.take(name, |e| matches!(e, Entry::Held { .. }))
+        {
+            let held = Entry::Held {
+                actors,
+                expires_at,
+                frame,
+            };
+            self.names.insert(name, held);
             return None;
         }
-        if self.committed.contains_key(name) {
+        if matches!(self.names.get(name), Some(Entry::Committed { .. })) {
             return None;
         }
         if expected_epoch != self.epoch {
@@ -764,7 +763,9 @@ impl ShardState {
             });
         }
         let Decision::Accept(commitments) = verdict else {
-            return Some(decision_response(request, verdict, self.shard));
+            let response = decision_response(request, verdict, self.shard);
+            self.record(name, dedup_key(request), &response);
+            return Some(response);
         };
         let share = self.share(commitments);
         let actors = if share.is_empty() {
@@ -785,15 +786,15 @@ impl ShardState {
             self.changed();
             Some(actors)
         };
-        self.reservations.insert(
-            name.to_string(),
-            Reservation {
-                actors,
-                expires_at: Instant::now() + ttl,
-            },
-        );
+        let frame = encode_frame(&decision_response(request, verdict, self.shard));
+        let held = Entry::Held {
+            actors,
+            expires_at,
+            frame,
+        };
+        self.names.insert(name, held);
         self.obs.twopc_prepared.inc();
-        self.obs.reservations.set(self.reservations.len() as i64);
+        self.obs.reservations.set(self.names.expiry.len() as i64);
         None
     }
 
@@ -817,38 +818,35 @@ impl ShardState {
     }
 
     fn commit(&mut self, name: &str) -> Result<(), String> {
-        if let Some(reservation) = self.reservations.remove(name) {
-            self.record_committed(name.to_string(), reservation.actors);
-            self.obs.twopc_committed.inc();
-            self.obs.reservations.set(self.reservations.len() as i64);
-            Ok(())
-        } else if self.committed.contains_key(name) {
-            Ok(())
-        } else {
-            Err(format!(
+        match self.names.take(name, |e| matches!(e, Entry::Held { .. })) {
+            Some(Entry::Held { actors, frame, .. }) => {
+                self.names.insert(name, Entry::Committed { actors, frame });
+                self.obs.twopc_committed.inc();
+                self.obs.reservations.set(self.names.expiry.len() as i64);
+                Ok(())
+            }
+            _ if matches!(self.names.get(name), Some(Entry::Committed { .. })) => Ok(()),
+            _ => Err(format!(
                 "shard {}: no reservation named `{name}` (expired or never prepared)",
                 self.shard
-            ))
+            )),
         }
     }
 
+    /// Releases a held name, or compensates a committed one: some other
+    /// shard or node failed its commit, so this one is rolled back to
+    /// keep the admission atomic. A decided name stays.
     fn abort(&mut self, name: &str) -> bool {
-        if let Some(reservation) = self.reservations.remove(name) {
-            self.release(reservation.actors);
-            self.obs.twopc_aborted.inc();
-            self.obs.reservations.set(self.reservations.len() as i64);
-            true
-        } else if let Some(actors) = self.committed.remove(name) {
-            // Compensating abort: some other shard or node failed its
-            // commit, so this already-committed hold is rolled back to
-            // keep the cluster atomic.
-            self.committed_order.retain(|n| n != name);
-            self.release(actors);
-            self.obs.twopc_aborted.inc();
-            true
-        } else {
-            false
-        }
+        let taken = self
+            .names
+            .take(name, |entry| !matches!(entry, Entry::Decided { .. }));
+        let Some(Entry::Held { actors, .. } | Entry::Committed { actors, .. }) = taken else {
+            return false;
+        };
+        self.release(actors);
+        self.obs.twopc_aborted.inc();
+        self.obs.reservations.set(self.names.expiry.len() as i64);
+        true
     }
 }
 
@@ -905,6 +903,33 @@ mod tests {
     use rota_resource::{LocatedType, Rate, ResourceTerm};
     use std::sync::atomic::AtomicBool;
 
+    use crate::server::WallClock;
+
+    fn wall() -> Arc<dyn Clock> {
+        Arc::new(WallClock)
+    }
+
+    /// A clock that moves only when a test moves it.
+    struct ManualClock(Mutex<Instant>);
+
+    impl Default for ManualClock {
+        fn default() -> Self {
+            ManualClock(Mutex::new(Instant::now()))
+        }
+    }
+
+    impl ManualClock {
+        fn advance(&self, by: Duration) {
+            *self.0.lock().unwrap() += by;
+        }
+    }
+
+    impl Clock for ManualClock {
+        fn now(&self) -> Instant {
+            *self.0.lock().unwrap()
+        }
+    }
+
     fn theta_at(locations: &[&str], rate: u64, end: u64) -> ResourceSet {
         ResourceSet::from_terms(locations.iter().map(|l| {
             ResourceTerm::new(
@@ -959,7 +984,7 @@ mod tests {
     fn pool_admits_and_aggregates_stats() {
         let registry = Arc::new(Registry::new());
         let theta = theta_at(&["l0", "l1"], 4, 16);
-        let pool = ShardPool::new(RotaPolicy, &theta, 2, 8, DEDUP_CAPACITY, &registry);
+        let pool = ShardPool::new(RotaPolicy, &theta, 2, 8, DEDUP_CAPACITY, &registry, wall());
         // Feasible job at l0, infeasible (too much work) job at l1.
         let yes = pool.admit(request_at("yes", "l0", 1, 16)).into_response();
         let no = pool.admit(request_at("no", "l1", 64, 16)).into_response();
@@ -1001,7 +1026,7 @@ mod tests {
         let (a, b) = (location_on(0, 2), location_on(1, 2));
         let registry = Arc::new(Registry::new());
         let theta = theta_at(&[&a, &b], 4, 16);
-        let pool = ShardPool::new(RotaPolicy, &theta, 2, 8, DEDUP_CAPACITY, &registry);
+        let pool = ShardPool::new(RotaPolicy, &theta, 2, 8, DEDUP_CAPACITY, &registry, wall());
         for (name, location) in [("on-a", &a), ("on-b", &b)] {
             let verdict = pool
                 .admit(request_at(name, location, 1, 16))
@@ -1029,6 +1054,7 @@ mod tests {
             4,
             DEDUP_CAPACITY,
             &registry,
+            wall(),
         );
         // Without resources the job is refused; after an offer it fits.
         let before = pool.admit(request_at("j", "l0", 1, 16)).into_response();
@@ -1054,7 +1080,7 @@ mod tests {
     fn repeated_name_returns_cached_verdict() {
         let registry = Arc::new(Registry::new());
         let theta = theta_at(&["l0"], 4, 16);
-        let pool = ShardPool::new(RotaPolicy, &theta, 1, 8, DEDUP_CAPACITY, &registry);
+        let pool = ShardPool::new(RotaPolicy, &theta, 1, 8, DEDUP_CAPACITY, &registry, wall());
         // An accept, a policy reject (64 evaluations outrun 64 units by
         // tick 16) and an R0006 lint reject carrying its diagnostics.
         for (name, location, evals, accepted, code) in [
@@ -1121,7 +1147,7 @@ mod tests {
         // hash disagrees and the retry is refused outright.
         let registry = Arc::new(Registry::new());
         let theta = theta_at(&["l0"], 4, 16);
-        let pool = ShardPool::new(RotaPolicy, &theta, 1, 8, DEDUP_CAPACITY, &registry);
+        let pool = ShardPool::new(RotaPolicy, &theta, 1, 8, DEDUP_CAPACITY, &registry, wall());
         let first = pool.admit(request_at("same", "l0", 1, 16)).into_response();
         assert!(
             matches!(first, Response::Decision { accepted: true, .. }),
@@ -1171,7 +1197,7 @@ mod tests {
     fn lint_erroring_request_bounces_with_diagnostics() {
         let registry = Arc::new(Registry::new());
         let theta = theta_at(&["l0"], 4, 16);
-        let pool = ShardPool::new(RotaPolicy, &theta, 1, 8, DEDUP_CAPACITY, &registry);
+        let pool = ShardPool::new(RotaPolicy, &theta, 1, 8, DEDUP_CAPACITY, &registry, wall());
         // Demand at a location with no declared supply: R0006, decided
         // by the analyzer, never by the policy.
         let bounced = pool.admit(request_at("ghost", "l9", 1, 16)).into_response();
@@ -1239,7 +1265,7 @@ mod tests {
     fn duplicate_actor_request_bounces_with_r0005() {
         let registry = Arc::new(Registry::new());
         let theta = theta_at(&["l0"], 4, 64);
-        let pool = ShardPool::new(RotaPolicy, &theta, 1, 8, DEDUP_CAPACITY, &registry);
+        let pool = ShardPool::new(RotaPolicy, &theta, 1, 8, DEDUP_CAPACITY, &registry, wall());
         let twin = || ActorComputation::new("twin", "l0").then(ActionKind::evaluate());
         let request = AdmissionRequest::price(
             DistributedComputation::new(
@@ -1280,7 +1306,7 @@ mod tests {
         let (home, away) = (on_shard(0), on_shard(1));
         let registry = Arc::new(Registry::new());
         let theta = theta_at(&[home, away], 4, 64);
-        let pool = ShardPool::new(RotaPolicy, &theta, 2, 8, DEDUP_CAPACITY, &registry);
+        let pool = ShardPool::new(RotaPolicy, &theta, 2, 8, DEDUP_CAPACITY, &registry, wall());
         let gamma = ActorComputation::new("mover", home)
             .then(ActionKind::evaluate())
             .then(ActionKind::migrate(away))
@@ -1449,6 +1475,7 @@ mod tests {
                 8,
                 DEDUP_CAPACITY,
                 &registry,
+                wall(),
             );
             let verdicts = [("kept", &other), ("lost", &home)].map(|(name, location)| {
                 let verdict = pool
@@ -1490,7 +1517,7 @@ mod tests {
         );
         let lost = ActorName::from("lost-a");
         assert!(
-            buggy.locked(0, |state| state
+            buggy.locked(0, buggy.clock.now(), |state| state
                 .controller
                 .state()
                 .rho()
@@ -1498,7 +1525,7 @@ mod tests {
                 .is_some()),
             "`lost` is still committed"
         );
-        // The dedup cache survived too: `lost` resent replays its first
+        // The table of names survived too: `lost` resent replays its first
         // verdict without a decision.
         let replay = buggy
             .admit(request_at("lost", &home, 1, 16))
@@ -1583,7 +1610,7 @@ mod tests {
         };
         let registry = Arc::new(Registry::new());
         let theta = theta_at(&[&slow, &fast], 4, 16);
-        let pool = ShardPool::new(policy, &theta, 2, 8, DEDUP_CAPACITY, &registry);
+        let pool = ShardPool::new(policy, &theta, 2, 8, DEDUP_CAPACITY, &registry, wall());
         std::thread::scope(|scope| {
             let held = scope.spawn(|| pool.admit(request_at("held", &slow, 1, 16)).into_response());
             while !entered.load(Ordering::SeqCst) {
@@ -1624,17 +1651,7 @@ mod tests {
         });
     }
 
-    /// A cached frame, distinct per `shard`.
-    fn frame(shard: usize) -> Arc<str> {
-        encode_frame(&Response::Overloaded { shard })
-    }
-
-    /// Whether `cache` replays `name` with exactly the frame `shard`'s.
-    fn replays(cache: &mut DecisionCache, name: &str, hash: u64, shard: usize) -> bool {
-        matches!(cache.lookup(name, hash), CacheLookup::Replay(cached) if cached == frame(shard))
-    }
-
-    /// A 2-shard pool's record is its shards' cached verdict frames:
+    /// A 2-shard pool's record is its shards' kept verdict frames:
     /// a lint reject with its diagnostics, one entry per decided name,
     /// and at most the cache's bound per shard.
     #[test]
@@ -1649,7 +1666,7 @@ mod tests {
         let away = on_shard(1).next().unwrap();
         let registry = Arc::new(Registry::new());
         let theta = theta_at(&[&home], 4, 16);
-        let pool = ShardPool::new(RotaPolicy, &theta, 2, 8, DEDUP_CAPACITY, &registry);
+        let pool = ShardPool::new(RotaPolicy, &theta, 2, 8, DEDUP_CAPACITY, &registry, wall());
         let fits = pool.admit(request_at("fits", &home, 1, 16));
         // No supply at `away`: an R0006 lint reject on shard 1.
         let ghost = pool.admit(request_at("ghost", &away, 1, 16));
@@ -1687,51 +1704,74 @@ mod tests {
         assert_eq!(per_shard, [DEDUP_CAPACITY; 2]);
     }
 
-    #[test]
-    fn decision_cache_evicts_lru_and_use_refreshes() {
-        let mut cache = DecisionCache::new(2);
-        cache.insert("a".into(), 1, frame(1));
-        cache.insert("b".into(), 2, frame(2));
-        // A replay moves `a` to most-recently-used, so the next insert
-        // evicts `b` instead.
-        assert!(replays(&mut cache, "a", 1, 1));
-        cache.insert("c".into(), 3, frame(3));
-        assert!(matches!(cache.lookup("b", 2), CacheLookup::Miss));
-        assert!(replays(&mut cache, "a", 1, 1));
-        // The record lists the frames least recently used first.
-        assert_eq!(cache.frames().collect::<Vec<_>>(), [frame(3), frame(1)]);
-        // Re-inserting an existing name refreshes it too: the later
-        // insert of `d` evicts `c`, not the re-inserted `a`, which now
-        // replays its new frame.
-        cache.insert("a".into(), 9, frame(9));
-        cache.insert("d".into(), 4, frame(4));
-        assert!(matches!(cache.lookup("c", 3), CacheLookup::Miss));
-        assert!(replays(&mut cache, "a", 9, 9));
-        assert_eq!(cache.frames().collect::<Vec<_>>(), [frame(4), frame(9)]);
+    /// A one-shard pool over 64 units at `l0` that keeps `capacity`
+    /// settled names.
+    fn pool_keeping(capacity: usize) -> (ShardPool, Arc<Registry>) {
+        let registry = Arc::new(Registry::new());
+        let theta = theta_at(&["l0"], 4, 16);
+        let pool = ShardPool::new(RotaPolicy, &theta, 1, 8, capacity, &registry, wall());
+        (pool, registry)
+    }
+
+    /// The frame a one-evaluation job `name` at `l0` is answered with.
+    fn admitted(pool: &ShardPool, name: &str) -> Arc<str> {
+        match pool.admit(request_at(name, "l0", 1, 16)) {
+            Reply::Frame(frame) => frame,
+            other => panic!("a verdict is a frame: {other:?}"),
+        }
+    }
+
+    fn counted(registry: &Registry, name: &str) -> u64 {
+        registry.snapshot().counter(name).unwrap_or(0)
     }
 
     #[test]
-    fn decision_cache_conflict_does_not_refresh() {
-        let mut cache = DecisionCache::new(2);
-        cache.insert("a".into(), 1, frame(1));
-        cache.insert("b".into(), 2, frame(2));
+    fn the_table_evicts_the_least_recently_used_and_a_replay_refreshes() {
+        let (pool, registry) = pool_keeping(2);
+        let a = admitted(&pool, "a");
+        let b = admitted(&pool, "b");
+        // A replay moves `a` to most-recently-used, so the next insert
+        // evicts `b` instead.
+        assert!(Arc::ptr_eq(&admitted(&pool, "a"), &a));
+        let c = admitted(&pool, "c");
+        assert_eq!(
+            pool.decisions(),
+            [a.clone(), c.clone()],
+            "least recent first"
+        );
+        assert!(Arc::ptr_eq(&admitted(&pool, "a"), &a));
+        assert_eq!(pool.decisions(), [c, a]);
+        assert_eq!(counted(&registry, "server.shard.dedup_hits{shard=0}"), 2);
+        // `b` is gone: it is decided again, not replayed.
+        assert_ne!(admitted(&pool, "b"), b);
+        assert_eq!(counted(&registry, "admission.requests{policy=rota}"), 4);
+    }
+
+    #[test]
+    fn a_conflict_does_not_refresh_its_entry() {
+        let (pool, registry) = pool_keeping(2);
+        let a = admitted(&pool, "a");
+        let b = admitted(&pool, "b");
         // A conflicting submission must not keep the stale name pinned:
         // `a` stays least-recently-used and is the next eviction victim.
-        assert!(matches!(cache.lookup("a", 99), CacheLookup::Conflict));
-        cache.insert("c".into(), 3, frame(3));
-        assert!(matches!(cache.lookup("a", 1), CacheLookup::Miss));
-        assert!(replays(&mut cache, "b", 2, 2));
+        let conflict = pool.admit(request_at("a", "l0", 2, 16)).into_response();
+        assert!(matches!(conflict, Response::Error { .. }), "{conflict:?}");
+        let c = admitted(&pool, "c");
+        assert_eq!(pool.decisions(), [b.clone(), c]);
+        assert!(Arc::ptr_eq(&admitted(&pool, "b"), &b));
+        assert_ne!(admitted(&pool, "a"), a, "`a` is decided again");
+        assert_eq!(counted(&registry, "server.shard.dedup_hits{shard=0}"), 1);
     }
 
     #[test]
     fn eviction_never_double_commits() {
         // Regression for the bounded cache: once an accepted name ages
-        // out of the dedup cache, a verbatim resubmission is re-decided
+        // out of the table of names, a verbatim resubmission is re-decided
         // — and must end in a graceful reject (its actors are still
         // committed), never in a second commit or a worker panic.
         let registry = Arc::new(Registry::new());
         let theta = theta_at(&["l0"], 4, 16);
-        let pool = ShardPool::new(RotaPolicy, &theta, 1, 8, 1, &registry);
+        let pool = ShardPool::new(RotaPolicy, &theta, 1, 8, 1, &registry, wall());
         let first = pool.admit(request_at("a", "l0", 1, 16)).into_response();
         assert!(
             matches!(first, Response::Decision { accepted: true, .. }),
@@ -1785,7 +1825,7 @@ mod tests {
     fn two_phase_prepare_commit_abort_lifecycle() {
         let registry = Arc::new(Registry::new());
         let theta = theta_at(&["l0"], 4, 16);
-        let pool = ShardPool::new(RotaPolicy, &theta, 1, 8, DEDUP_CAPACITY, &registry);
+        let pool = ShardPool::new(RotaPolicy, &theta, 1, 8, DEDUP_CAPACITY, &registry, wall());
         let ttl = Duration::from_secs(30);
         let (epochs, basis) = pool.cluster_state(None).unwrap();
         assert_eq!(epochs, vec![0]);
@@ -1854,7 +1894,7 @@ mod tests {
         let (home, other) = (on_shard(0), on_shard(1));
         let registry = Arc::new(Registry::new());
         let theta = theta_at(&[&home, &other], 4, 16);
-        let pool = ShardPool::new(RotaPolicy, &theta, 2, 8, DEDUP_CAPACITY, &registry);
+        let pool = ShardPool::new(RotaPolicy, &theta, 2, 8, DEDUP_CAPACITY, &registry, wall());
         let ttl = Duration::from_secs(30);
         let (stale_epochs, _) = pool.cluster_state(None).unwrap();
         // An accepted admit on shard 1 moves its epoch, not shard 0's.
@@ -1895,7 +1935,16 @@ mod tests {
     fn expired_reservation_is_released_not_leaked() {
         let registry = Arc::new(Registry::new());
         let theta = theta_at(&["l0"], 4, 16);
-        let pool = ShardPool::new(RotaPolicy, &theta, 1, 8, DEDUP_CAPACITY, &registry);
+        let clock = Arc::new(ManualClock::default());
+        let pool = ShardPool::new(
+            RotaPolicy,
+            &theta,
+            1,
+            8,
+            DEDUP_CAPACITY,
+            &registry,
+            clock.clone(),
+        );
         let (epochs, basis) = pool.cluster_state(None).unwrap();
         let prepared = decide_and_prepare(
             &pool,
@@ -1908,7 +1957,7 @@ mod tests {
             matches!(prepared, Response::Prepared { .. }),
             "{prepared:?}"
         );
-        std::thread::sleep(Duration::from_millis(60));
+        clock.advance(Duration::from_millis(60));
         // The lazy sweep runs at the head of the next message: the
         // commit arrives too late and the hold is gone.
         let err = pool.commit("t1").unwrap_err();
@@ -1933,7 +1982,7 @@ mod tests {
         P: AdmissionPolicy + Send + Sync + 'static,
     {
         let registry = Arc::new(Registry::new());
-        let pool = ShardPool::new(policy, theta, shards, 8, DEDUP_CAPACITY, &registry);
+        let pool = ShardPool::new(policy, theta, shards, 8, DEDUP_CAPACITY, &registry, wall());
         (pool, registry)
     }
 
@@ -1973,7 +2022,7 @@ mod tests {
     fn held(pool: &ShardPool) -> Vec<Vec<Commitment>> {
         (0..pool.shards())
             .map(|index| {
-                pool.locked(index, |state| {
+                pool.locked(index, pool.clock.now(), |state| {
                     state.controller.state().rho().iter().cloned().collect()
                 })
             })
@@ -2099,7 +2148,10 @@ mod tests {
         assert!(pool.abort("here"));
         assert_eq!(pool.cluster_state(None).unwrap().1, theta);
         assert_eq!(stats_of(&pool).accepted, 1, "the actor-less admit stays");
-        assert_eq!(pool.locked(0, |state| state.controller.in_flight()), 1);
+        assert_eq!(
+            pool.locked(0, pool.clock.now(), |state| state.controller.in_flight()),
+            1
+        );
         assert_eq!(in_flight_gauge(&registry), Some(1));
     }
 
@@ -2107,7 +2159,7 @@ mod tests {
     /// stats.
     fn run_all_until(pool: &ShardPool, horizon: u64) -> ControllerStats {
         for index in 0..pool.shards() {
-            pool.locked(index, |state| {
+            pool.locked(index, pool.clock.now(), |state| {
                 state.controller.run_until(TimePoint::new(horizon));
             });
         }
@@ -2154,7 +2206,17 @@ mod tests {
     fn a_lapsed_owner_still_fails_the_commit() {
         let (a, b) = (location_on(0, 2), location_on(1, 2));
         let theta = theta_at(&[&a, &b], 4, 16);
-        let (pool, _) = pool_over(&theta, 2);
+        let clock = Arc::new(ManualClock::default());
+        let registry = Arc::new(Registry::new());
+        let pool = ShardPool::new(
+            RotaPolicy,
+            &theta,
+            2,
+            8,
+            DEDUP_CAPACITY,
+            &registry,
+            clock.clone(),
+        );
         let request = spanning("both", &[(&a, 1, None), (&b, 1, None)]);
         let prepared = prepare_fresh(&pool, &request);
         assert!(
@@ -2163,8 +2225,18 @@ mod tests {
         );
         assert!(held(&pool).iter().all(|rho| rho.len() == 1));
         // Shard 1's hold lapses; shard 0's does not.
-        pool.locked(1, |state| {
-            state.reservations.get_mut("both").unwrap().expires_at = Instant::now();
+        let now = clock.now();
+        pool.locked(1, now, |state| {
+            let Some(Entry::Held { actors, frame, .. }) = state.names.remove("both") else {
+                panic!("shard 1 holds `both`");
+            };
+            let expires_at = now;
+            let held = Entry::Held {
+                actors,
+                expires_at,
+                frame,
+            };
+            state.names.insert("both", held);
         });
         let err = pool.commit("both").unwrap_err();
         assert!(err.contains("expired or never prepared"), "{err}");
@@ -2287,6 +2359,215 @@ mod tests {
             }
         });
         assert_eq!(done.into_inner(), rounds);
+    }
+
+    /// The verdicts a pool's record lists, as `(computation, accepted)`.
+    fn recorded(pool: &ShardPool) -> Vec<(String, bool)> {
+        pool.decisions()
+            .iter()
+            .map(|frame| match Response::from_line(frame).unwrap() {
+                Response::Decision {
+                    computation,
+                    accepted,
+                    ..
+                } => (computation, accepted),
+                other => panic!("the record holds verdicts: {other:?}"),
+            })
+            .collect()
+    }
+
+    fn owned(names: &[(&str, bool)]) -> Vec<(String, bool)> {
+        names
+            .iter()
+            .map(|&(name, accepted)| (name.to_string(), accepted))
+            .collect()
+    }
+
+    #[test]
+    fn a_prepare_refreshes_a_held_name_and_answers_prepared_for_a_committed_one() {
+        let theta = theta_at(&["l0"], 4, 16);
+        let clock = Arc::new(ManualClock::default());
+        let registry = Arc::new(Registry::new());
+        let pool = ShardPool::new(
+            RotaPolicy,
+            &theta,
+            1,
+            8,
+            DEDUP_CAPACITY,
+            &registry,
+            clock.clone(),
+        );
+        let ttl = Duration::from_secs(30);
+        let (epochs, basis) = pool.cluster_state(None).unwrap();
+        let prepare =
+            || decide_and_prepare(&pool, request_at("r", "l0", 1, 16), &basis, &epochs, ttl);
+        assert!(matches!(prepare(), Response::Prepared { .. }));
+        // A re-prepare 20 s in moves the lapse to 50 s, so the hold
+        // outlives its first 30 s.
+        clock.advance(Duration::from_secs(20));
+        assert!(matches!(prepare(), Response::Prepared { .. }));
+        clock.advance(Duration::from_secs(20));
+        assert!(recorded(&pool).is_empty(), "a hold is not a verdict yet");
+        pool.commit("r").unwrap();
+        assert_eq!(recorded(&pool), owned(&[("r", true)]));
+        // A committed name answers "prepared" with the stale epochs it
+        // was first prepared on, and installs nothing.
+        assert!(matches!(prepare(), Response::Prepared { .. }));
+        assert_eq!(pool.cluster_state(None).unwrap().0, vec![1]);
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter("server.twopc.prepared{shard=0}"), Some(1));
+        assert_eq!(
+            snap.counter("server.twopc.expired{shard=0}").unwrap_or(0),
+            0
+        );
+        assert_eq!(
+            snap.counter("server.shard.dedup_hits{shard=0}")
+                .unwrap_or(0),
+            0
+        );
+    }
+
+    #[test]
+    fn a_prepare_meeting_a_decided_name_decides_again() {
+        let (pool, registry) = pool_over(&theta_at(&["l0"], 1, 16), 1);
+        // 32 units by tick 16 where 16 are supplied: the shard confirms
+        // the reject and records it.
+        let request = || request_at("big", "l0", 4, 16);
+        let reject = prepare_fresh(&pool, &request());
+        assert!(
+            matches!(
+                reject,
+                Response::Decision {
+                    accepted: false,
+                    ..
+                }
+            ),
+            "{reject:?}"
+        );
+        assert_eq!(recorded(&pool), owned(&[("big", false)]));
+        // Aborting the failed prepare leaves the verdict.
+        assert!(!pool.abort("big"));
+        assert_eq!(recorded(&pool), owned(&[("big", false)]));
+        // An admit of the same content replays it.
+        assert_eq!(pool.admit(request()).into_response(), reject);
+        assert_eq!(
+            registry
+                .snapshot()
+                .counter("server.shard.dedup_hits{shard=0}"),
+            Some(1)
+        );
+        // Once supply is offered, the same content prepares: the name is
+        // decided again, held, and recorded as accepted on commit.
+        assert!(matches!(
+            pool.offer(theta_at(&["l0"], 3, 16)),
+            Response::Offered { .. }
+        ));
+        let prepared = prepare_fresh(&pool, &request());
+        assert!(
+            matches!(prepared, Response::Prepared { .. }),
+            "{prepared:?}"
+        );
+        assert!(recorded(&pool).is_empty());
+        pool.commit("big").unwrap();
+        assert_eq!(recorded(&pool), owned(&[("big", true)]));
+        assert_eq!(stats_of(&pool).accepted, 1);
+    }
+
+    #[test]
+    fn abort_and_expiry_never_remove_a_decided_name() {
+        let theta = theta_at(&["l0"], 4, 16);
+        let clock = Arc::new(ManualClock::default());
+        let registry = Arc::new(Registry::new());
+        let pool = ShardPool::new(
+            RotaPolicy,
+            &theta,
+            1,
+            8,
+            DEDUP_CAPACITY,
+            &registry,
+            clock.clone(),
+        );
+        let first = pool.admit(request_at("a", "l0", 1, 16)).into_response();
+        assert!(
+            matches!(first, Response::Decision { accepted: true, .. }),
+            "{first:?}"
+        );
+        assert!(!pool.abort("a"), "an admit's verdict is not a hold");
+        // A hold of another name lapses past its TTL; the verdict stays.
+        let (epochs, basis) = pool.cluster_state(None).unwrap();
+        let held = request_at("h", "l0", 1, 16);
+        let ttl = Duration::from_millis(25);
+        assert!(matches!(
+            decide_and_prepare(&pool, held, &basis, &epochs, ttl),
+            Response::Prepared { .. }
+        ));
+        clock.advance(ttl);
+        assert_eq!(stats_of(&pool).accepted, 1, "`h` lapsed and `a` stays");
+        assert_eq!(
+            registry.snapshot().counter("server.twopc.expired{shard=0}"),
+            Some(1)
+        );
+        assert_eq!(recorded(&pool), owned(&[("a", true)]));
+        assert_eq!(
+            pool.admit(request_at("a", "l0", 1, 16)).into_response(),
+            first
+        );
+    }
+
+    #[test]
+    fn an_admit_meeting_a_held_or_committed_name_is_a_conflict() {
+        let (pool, registry) = pool_over(&theta_at(&["l0"], 4, 16), 1);
+        let prepared = prepare_fresh(&pool, &request_at("n", "l0", 1, 16));
+        assert!(
+            matches!(prepared, Response::Prepared { .. }),
+            "{prepared:?}"
+        );
+        for commit in [true, false] {
+            let answer = pool.admit(request_at("n", "l0", 2, 16)).into_response();
+            match &answer {
+                Response::Error { message } => {
+                    assert!(message.contains("idempotency conflict"), "{message}");
+                }
+                other => panic!("expected a conflict error, got {other:?}"),
+            }
+            if commit {
+                pool.commit("n").unwrap();
+            }
+        }
+        let snap = registry.snapshot();
+        assert_eq!(
+            snap.counter("admission.requests{policy=rota}").unwrap_or(0),
+            0
+        );
+        assert_eq!(
+            snap.counter("server.shard.dedup_hits{shard=0}")
+                .unwrap_or(0),
+            0
+        );
+        assert_eq!(stats_of(&pool).accepted, 1);
+    }
+
+    #[test]
+    fn a_hold_is_never_evicted_and_commits_share_the_bound() {
+        let (pool, _) = pool_keeping(1);
+        let prepared = prepare_fresh(&pool, &request_at("h", "l0", 1, 16));
+        assert!(
+            matches!(prepared, Response::Prepared { .. }),
+            "{prepared:?}"
+        );
+        admitted(&pool, "a");
+        admitted(&pool, "b");
+        assert_eq!(recorded(&pool), owned(&[("b", true)]));
+        pool.commit("h")
+            .expect("the hold outlived two settled names");
+        assert_eq!(
+            recorded(&pool),
+            owned(&[("h", true)]),
+            "the commit evicted `b`"
+        );
+        admitted(&pool, "c");
+        assert_eq!(recorded(&pool), owned(&[("c", true)]));
+        assert!(pool.commit("h").is_err(), "the evicted commit is forgotten");
     }
 
     /// One 2PC admission for the held-once property: an actor per
@@ -2528,7 +2809,7 @@ mod tests {
             let registry = Arc::new(Registry::new());
             let theta = theta_at(&[&locations[0], &locations[1]], 4, 16);
             let policy = BuggyPolicy { doomed: "doomed" };
-            let pool = ShardPool::new(policy, &theta, 2, 8, 4, &registry);
+            let pool = ShardPool::new(policy, &theta, 2, 8, 4, &registry, wall());
             let first = pool.cluster_state(None).unwrap();
             let (mut epochs, mut resources) = first.clone();
             for step in steps {

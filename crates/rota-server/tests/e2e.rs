@@ -22,7 +22,7 @@ use rota_obs::Json;
 use rota_resource::{LocatedType, NodeResourceKind, Rate, ResourceTerm};
 use rota_server::spec::{computation_to_json, resources_from_json};
 use rota_server::{
-    LocalHandle, Reply, Request, RequestHook, Server, ServerConfig, MAX_FRAME_BYTES,
+    LocalHandle, Reply, Request, RequestHook, Server, ServerConfig, WallClock, MAX_FRAME_BYTES,
 };
 use rota_workload::{base_resources, generate_job, JobShape, WorkloadConfig};
 
@@ -513,10 +513,17 @@ fn local_cluster_state_is_the_wire_snapshot() {
         ))
         .expect("bounded rates");
     let local: Arc<OnceLock<LocalHandle>> = Arc::new(OnceLock::new());
-    let server = Server::spawn_hooked(ServerConfig::default(), RotaPolicy, &theta, |handle| {
-        assert!(local.set(handle).is_ok(), "the hook is built once");
-        Arc::new(PassThrough) as Arc<dyn RequestHook>
-    })
+    let clock = Arc::new(WallClock);
+    let server = Server::spawn_hooked(
+        ServerConfig::default(),
+        RotaPolicy,
+        &theta,
+        clock,
+        |handle| {
+            assert!(local.set(handle).is_ok(), "the hook is built once");
+            Arc::new(PassThrough) as Arc<dyn RequestHook>
+        },
+    )
     .expect("spawn server");
 
     let (epochs, specs) = local

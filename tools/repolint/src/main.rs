@@ -10,10 +10,14 @@
 //!    `// PANIC-OK: <reason>` comment on the same line or in the comment
 //!    block immediately above;
 //! 3. crate roots (`src/lib.rs` / `src/main.rs`) must carry
-//!    `#![forbid(unsafe_code)]`.
+//!    `#![forbid(unsafe_code)]`;
+//! 4. no clock read (`Instant::now`, `SystemTime::now`, `.elapsed()`)
+//!    in the **non-test** code of `rota-server`'s `src/shard.rs` — a
+//!    shard is a state machine whose time is passed in by its pool,
+//!    which reads it through `rota_server::Clock` (defined elsewhere).
 //!
 //! Test code — `#[cfg(test)]` modules, `tests/`, `benches/`,
-//! `examples/` — is exempt from rule 2.
+//! `examples/` — is exempt from rules 2 and 4.
 //!
 //! Exit status: 0 clean, 1 findings, 2 usage/IO error.
 
@@ -24,6 +28,12 @@ use std::path::{Path, PathBuf};
 
 /// Crates whose non-test code must not panic on `Option`/`Result`.
 const NO_PANIC_CRATES: &[&str] = &["rota-server", "rota-client", "rota-cluster"];
+
+/// `(crate, file under src/)` whose non-test code must not read a clock.
+const CLOCKLESS_FILES: &[(&str, &str)] = &[("rota-server", "shard.rs")];
+
+/// What reads a clock.
+const CLOCK_READS: &[&str] = &["Instant::now", "SystemTime::now", ".elapsed()"];
 
 #[derive(Debug)]
 struct Finding {
@@ -243,6 +253,9 @@ fn code_portion(line: &str, mode: &mut Mode) -> String {
 
 fn lint_file(crate_name: &str, file: &Path, text: &str, findings: &mut Vec<Finding>) {
     let no_panic = NO_PANIC_CRATES.contains(&crate_name);
+    let clockless = CLOCKLESS_FILES
+        .iter()
+        .any(|&(krate, name)| krate == crate_name && file.ends_with(Path::new("src").join(name)));
     // Depth of the brace nesting, and the depth at which a
     // `#[cfg(test)]` item started — everything inside is test code.
     let mut depth: i64 = 0;
@@ -270,6 +283,18 @@ fn lint_file(crate_name: &str, file: &Path, text: &str, findings: &mut Vec<Findi
                         file: file.to_path_buf(),
                         line: line_no,
                         message: format!("banned pattern `{}`", &pattern[..pattern.len() - 1]),
+                    });
+                }
+            }
+            if clockless {
+                for read in CLOCK_READS.iter().filter(|read| code.contains(*read)) {
+                    findings.push(Finding {
+                        file: file.to_path_buf(),
+                        line: line_no,
+                        message: format!(
+                            "clock read `{read}` in {crate_name} non-test code of a clockless \
+                             file (read the pool's `Clock` once and pass the time in)"
+                        ),
                     });
                 }
             }
