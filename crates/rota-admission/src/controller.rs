@@ -69,7 +69,7 @@ impl ControllerStats {
 }
 
 /// Packages the verdict `policy` reached on `request` at `time` as a
-/// journal event, for callers that keep a record of verdicts: an accept
+/// decision event, for callers that keep a record of verdicts: an accept
 /// records how many commitments were installed; a rejection records the
 /// failing clause and (when attributable) the violated resource term.
 pub fn decision_event(
@@ -310,16 +310,11 @@ impl<P: AdmissionPolicy> AdmissionController<P> {
         self.enact(request, decision)
     }
 
-    /// The policy's verdict on `request` against the current state,
-    /// timed into the decide-latency histogram. It only reads the
-    /// controller, so a panic inside it leaves the controller as it was.
+    /// The policy's verdict on `request` against the current state. It
+    /// only reads the controller, so a panic inside it leaves the
+    /// controller as it was.
     pub fn decide(&self, request: &AdmissionRequest) -> Decision {
-        let started = self.obs.as_ref().map(|_| std::time::Instant::now());
-        let decision = self.policy.decide(&self.state, request);
-        if let (Some(obs), Some(t0)) = (&self.obs, started) {
-            obs.observe_decide_ns(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
-        }
-        decision
+        self.policy.decide(&self.state, request)
     }
 
     /// Acts on a verdict [`decide`](Self::decide) returned for
@@ -714,8 +709,6 @@ mod tests {
         assert_eq!(snap.counter("admission.accepted{policy=rota}"), Some(2));
         assert_eq!(snap.counter("admission.rejected{policy=rota}"), Some(6));
         assert_eq!(snap.gauge("admission.in_flight{policy=rota}"), Some(0));
-        let decide = snap.histogram("admission.decide_ns{policy=rota}").unwrap();
-        assert_eq!(decide.count, 8);
         // Every tick fires exactly one LTS rule.
         let fired: u64 = rota_logic::RuleKind::ALL
             .iter()

@@ -1,6 +1,6 @@
-//! Observability for the admission layer: per-policy counters, a
-//! decide-latency histogram and execution-rule accounting. The bundle
-//! counts verdicts and records none: a caller that keeps a record of
+//! Observability for the admission layer: per-policy counters and
+//! execution-rule accounting. The bundle reads no clock, and it counts
+//! verdicts and records none: a caller that keeps a record of
 //! *why* each request was admitted or refused builds its events with
 //! [`decision_event`](crate::decision_event) (the simulator and
 //! `rota-cli check`), or keeps the verdict frames it already holds (the
@@ -14,14 +14,13 @@
 //! | `admission.requests{policy=<p>}` | counter | requests submitted |
 //! | `admission.accepted{policy=<p>}` | counter | requests admitted |
 //! | `admission.rejected{policy=<p>}` | counter | requests refused |
-//! | `admission.decide_ns{policy=<p>}` | histogram | wall time of one policy decision |
 //! | `admission.in_flight{policy=<p>}` | gauge | admitted computations still executing |
 //! | `admission.rule.<rule>{policy=<p>}` | counter | LTS rule firings realized by [`tick`](crate::AdmissionController::tick) |
 
 use std::sync::Arc;
 
 use rota_logic::{RuleKind, TransitionLabel};
-use rota_obs::{Counter, Gauge, Histogram, Registry};
+use rota_obs::{Counter, Gauge, Registry};
 
 /// The admission controller's observability bundle. Construct with
 /// [`AdmissionObs::new`] against a shared [`Registry`] and attach via
@@ -31,7 +30,6 @@ pub struct AdmissionObs {
     requests: Arc<Counter>,
     accepted: Arc<Counter>,
     rejected: Arc<Counter>,
-    decide_ns: Arc<Histogram>,
     in_flight: Arc<Gauge>,
     rules: [Arc<Counter>; 8],
 }
@@ -43,10 +41,6 @@ impl AdmissionObs {
             requests: registry.counter(&format!("admission.requests{{policy={policy}}}")),
             accepted: registry.counter(&format!("admission.accepted{{policy={policy}}}")),
             rejected: registry.counter(&format!("admission.rejected{{policy={policy}}}")),
-            decide_ns: registry.histogram(
-                &format!("admission.decide_ns{{policy={policy}}}"),
-                Histogram::latency_ns_bounds(),
-            ),
             in_flight: registry.gauge(&format!("admission.in_flight{{policy={policy}}}")),
             rules: RuleKind::ALL.map(|kind| {
                 registry.counter(&format!(
@@ -65,11 +59,6 @@ impl AdmissionObs {
         } else {
             self.rejected.inc();
         }
-    }
-
-    /// Records the wall time of one policy decision.
-    pub fn observe_decide_ns(&self, nanos: u64) {
-        self.decide_ns.observe(nanos);
     }
 
     /// Moves the count of admitted computations still executing by
@@ -98,7 +87,6 @@ mod tests {
         obs.count_decision(false);
         obs.count_decision(false);
         obs.add_in_flight(1);
-        obs.observe_decide_ns(5_000);
         obs.count_transition(&TransitionLabel::Accommodate {
             actor: ActorName::new("a1"),
         });
@@ -111,10 +99,5 @@ mod tests {
             snap.counter("admission.rule.accommodation{policy=rota}"),
             Some(1)
         );
-        let h = snap
-            .histogram("admission.decide_ns{policy=rota}")
-            .expect("decide histogram registered");
-        assert_eq!(h.count, 1);
-        assert_eq!(h.sum, 5_000);
     }
 }

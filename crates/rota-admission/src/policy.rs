@@ -78,7 +78,7 @@ pub enum RejectReason {
 }
 
 impl RejectReason {
-    /// The paper clause whose premise failed, for decision journals.
+    /// The paper clause whose premise failed, for decision events.
     pub fn clause(&self) -> &'static str {
         match self {
             RejectReason::DeadlinePassed => "accommodation rule: guard t < d",

@@ -23,7 +23,7 @@
 //! document. `simulate` and `compare`
 //! run seeded synthetic open-system workloads. `stats` runs an
 //! instrumented demo (admission under overload plus one model-check)
-//! and dumps the metrics registry and the decision journal. `serve`
+//! and dumps the metrics registry and its decisions. `serve`
 //! runs the sharded TCP admission service; `cluster` runs an in-process
 //! federation; `loadtest` drives a server or cluster with generated
 //! traffic and reports throughput/latency/acceptance.
@@ -54,7 +54,7 @@ use rota_admission::{
 use rota_analyze::spec::{resource_set, SpecModel};
 use rota_client::{run_loadtest, Client, ClientError, LoadtestConfig};
 use rota_interval::TimePoint;
-use rota_logic::State;
+use rota_logic::{CheckOutcome, Formula, State};
 use rota_obs::{DecisionEvent, Json, Registry};
 use rota_server::{Server, ServerConfig, ServerHandle};
 use rota_sim::{compare_policies, run_scenario_observed, run_scenario_traced_observed};
@@ -400,7 +400,17 @@ fn observability_json(registry: &Registry, decisions: Vec<Json>) -> Json {
     ])
 }
 
-/// [`observability_json`] with journal events as the decisions.
+/// A model-check run on `formula` as its decision event.
+fn model_check_event(formula: &Formula, outcome: CheckOutcome) -> DecisionEvent {
+    DecisionEvent::ModelCheck {
+        formula: formula.to_string(),
+        verdict: outcome.holds,
+        states_visited: outcome.states_visited,
+        falsifying_prefix: outcome.falsifying_prefix,
+    }
+}
+
+/// [`observability_json`] with decision events as the decisions.
 fn events_json(registry: &Registry, events: &[DecisionEvent]) -> Json {
     observability_json(
         registry,
@@ -716,28 +726,21 @@ fn cmd_holds(args: &Args) -> ExitCode {
     }
     say!("formula : {formula}");
     let registry = Registry::new();
-    let journal = std::sync::Arc::new(rota_obs::Journal::new(16));
-    let checker = rota_logic::ModelChecker::greedy(depth).with_obs(
-        rota_logic::CheckObs::new(&registry).with_journal(std::sync::Arc::clone(&journal)),
-    );
-    let verdict = checker.check(&state, &formula);
+    let checker =
+        rota_logic::ModelChecker::greedy(depth).with_obs(rota_logic::CheckObs::new(&registry));
+    let outcome = checker.check(&state, &formula);
+    let verdict = outcome.holds;
     say!(
         "verdict : {}",
         if verdict { "HOLDS" } else { "DOES NOT HOLD" }
     );
-    let decisions = journal.snapshot();
-    if let Some(DecisionEvent::ModelCheck {
-        falsifying_prefix, ..
-    }) = decisions.last()
-    {
-        if !falsifying_prefix.is_empty() {
-            say!("falsified after:");
-            for (i, step) in falsifying_prefix.iter().enumerate() {
-                say!("  {i:>3}. {step}");
-            }
+    if !outcome.falsifying_prefix.is_empty() {
+        say!("falsified after:");
+        for (i, step) in outcome.falsifying_prefix.iter().enumerate() {
+            say!("  {i:>3}. {step}");
         }
     }
-    if !write_metrics_out(args, &registry, &decisions) {
+    if !write_metrics_out(args, &registry, &[model_check_event(&formula, outcome)]) {
         return ExitCode::FAILURE;
     }
     if verdict {
@@ -824,7 +827,7 @@ fn run_simulation(args: &Args, compare: bool) -> ExitCode {
 
 /// `rota stats`: run a small fully-instrumented demo — an overloaded
 /// admission scenario (2 of 8 requests fit) plus one bounded model-check
-/// — and dump the resulting metric snapshot and decision journal.
+/// — and dump the resulting metric snapshot and decisions.
 fn cmd_stats(args: &Args) -> ExitCode {
     use rota_actor::{ActionKind, ActorComputation, DistributedComputation, TableCostModel};
     use rota_resource::{LocatedType, Location, Rate, ResourceSet, ResourceTerm};
@@ -869,15 +872,13 @@ fn cmd_stats(args: &Args) -> ExitCode {
 
     // One model-check run, so LTS rule-firing counts appear: the demand
     // that was admissible must be deliverable on every path.
-    let journal = std::sync::Arc::new(rota_obs::Journal::new(16));
-    let checker = rota_logic::ModelChecker::greedy(16).with_obs(
-        rota_logic::CheckObs::new(&registry).with_journal(std::sync::Arc::clone(&journal)),
-    );
+    let checker =
+        rota_logic::ModelChecker::greedy(16).with_obs(rota_logic::CheckObs::new(&registry));
     let formula =
         formula::parse_formula("always satisfy(cpu@l1:4 in 0..8)").expect("static demo formula");
     let state = State::new(theta, TimePoint::ZERO);
-    let _ = checker.check(&state, &formula);
-    decisions.extend(journal.snapshot());
+    let outcome = checker.check(&state, &formula);
+    decisions.push(model_check_event(&formula, outcome));
 
     let json = args.has("--json");
     let rendered = if json {

@@ -159,3 +159,104 @@ fn loadtest_server_side_line_accounts_for_lint_rejects() {
     assert_eq!(accepted + rejected + linted, decided);
     assert_eq!(decided, 120, "every sent job is decided somewhere: {line}");
 }
+
+/// Runs `args` plus `--metrics-out` and returns stdout and the written
+/// document's text.
+fn run_with_metrics_out(name: &str, args: &[&str]) -> (String, String) {
+    let path = std::env::temp_dir().join(format!("rota-{name}-{}.json", std::process::id()));
+    let path_str = path.to_str().unwrap();
+    let mut full = args.to_vec();
+    full.extend(["--metrics-out", path_str]);
+    let (stdout, stderr, _) = run_cli(&full);
+    let text = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("{name}: metrics file not written ({e}): {stderr}"));
+    std::fs::remove_file(&path).ok();
+    (stdout, text)
+}
+
+#[test]
+fn library_metrics_are_reproducible() {
+    let (first, _, ok) = run_cli(&["stats", "--json"]);
+    assert!(ok);
+    let (second, _, _) = run_cli(&["stats", "--json"]);
+    assert_eq!(first, second, "two stats --json runs print the same bytes");
+    let args = ["simulate", "--seed", "3", "--load", "1.2"];
+    let (_, first) = run_with_metrics_out("sim-repro-a", &args);
+    let (_, second) = run_with_metrics_out("sim-repro-b", &args);
+    assert_eq!(first, second, "two simulate runs write the same document");
+}
+
+#[test]
+fn holds_prints_the_falsifying_prefix_it_records() {
+    let (stdout, doc) = run_with_metrics_out(
+        "holds-falsified",
+        &[
+            "holds",
+            "--resources",
+            "[4]^(0,8)_cpu@l1",
+            "--formula",
+            "always satisfy(cpu@l1:8 in 0..8)",
+        ],
+    );
+    let lines: Vec<&str> = stdout.lines().collect();
+    assert_eq!(lines[1], "verdict : DOES NOT HOLD");
+    assert_eq!(lines[2], "falsified after:");
+    let printed: Vec<&str> = lines[3..].to_vec();
+    let expected: Vec<String> = (0..7)
+        .map(|i| format!("  {i:>3}. step{{expire ⟨cpu, l1⟩}}"))
+        .collect();
+    assert_eq!(printed, expected);
+    let doc = Json::parse(&doc).expect("metrics file is JSON");
+    let decisions = doc.get("decisions").and_then(Json::as_array).unwrap();
+    let [check] = decisions else {
+        panic!("one model-check decision: {decisions:?}");
+    };
+    assert_eq!(
+        check.get("type").and_then(Json::as_str),
+        Some("model_check")
+    );
+    assert_eq!(check.get("verdict").and_then(Json::as_bool), Some(false));
+    let prefix: Vec<&str> = check
+        .get("falsifying_prefix")
+        .and_then(Json::as_array)
+        .unwrap()
+        .iter()
+        .map(|step| step.as_str().unwrap())
+        .collect();
+    let printed_steps: Vec<&str> = printed
+        .iter()
+        .map(|line| line.split_once(". ").unwrap().1)
+        .collect();
+    assert_eq!(
+        prefix, printed_steps,
+        "the record carries the printed prefix"
+    );
+}
+
+#[test]
+fn holds_prints_nothing_after_a_held_verdict() {
+    let (stdout, doc) = run_with_metrics_out(
+        "holds-held",
+        &[
+            "holds",
+            "--resources",
+            "[4]^(0,100)_cpu@l1",
+            "--formula",
+            "always satisfy(cpu@l1:4 in 0..100)",
+        ],
+    );
+    let lines: Vec<&str> = stdout.lines().collect();
+    assert_eq!(lines.len(), 2, "{stdout}");
+    assert_eq!(lines[1], "verdict : HOLDS");
+    let doc = Json::parse(&doc).expect("metrics file is JSON");
+    let decisions = doc.get("decisions").and_then(Json::as_array).unwrap();
+    assert_eq!(decisions.len(), 1);
+    assert_eq!(
+        decisions[0].get("verdict").and_then(Json::as_bool),
+        Some(true)
+    );
+    let prefix = decisions[0]
+        .get("falsifying_prefix")
+        .and_then(Json::as_array);
+    assert_eq!(prefix.map(<[Json]>::len), Some(0));
+}

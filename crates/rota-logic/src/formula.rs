@@ -26,8 +26,6 @@ use core::fmt;
 use rota_actor::{ComplexRequirement, ConcurrentRequirement, SimpleRequirement};
 use rota_interval::{TimeInterval, TimePoint};
 
-use rota_obs::DecisionEvent;
-
 use crate::obs::{describe_label, CheckObs, RuleKind};
 use crate::schedule::{schedule_complex, schedule_concurrent};
 use crate::state::{State, TransitionLabel};
@@ -252,9 +250,7 @@ impl<U: Unfolding> ModelChecker<U> {
     }
 
     /// Attaches observability: states-visited and per-rule firing
-    /// counters, the formula-depth histogram, and (when the bundle
-    /// carries a journal) a [`DecisionEvent::ModelCheck`] per
-    /// [`check`](ModelChecker::check) call.
+    /// counters and the formula-depth histogram.
     pub fn with_obs(mut self, obs: CheckObs) -> Self {
         self.obs = Some(obs);
         self
@@ -263,59 +259,63 @@ impl<U: Unfolding> ModelChecker<U> {
     /// Evaluates `M, σ, t ⊨ ψ` with `σ, t` given by `state` (the path's
     /// current point); temporal operators explore up to the depth bound.
     pub fn holds(&self, state: &State, formula: &Formula) -> bool {
-        if let Some(obs) = &self.obs {
-            obs.observe_eval_depth(formula_depth(formula));
-        }
-        self.eval(state, formula)
-    }
-
-    /// Like [`holds`](ModelChecker::holds), but additionally records a
-    /// [`DecisionEvent::ModelCheck`] into the attached journal (when
-    /// one is attached via [`CheckObs::with_journal`]) carrying the
-    /// states-visited count of this run and — for a falsified `□ψ` —
-    /// the first falsifying path prefix.
-    pub fn check(&self, state: &State, formula: &Formula) -> bool {
-        let visited_before = self.obs.as_ref().map_or(0, CheckObs::states_visited);
-        if let Some(obs) = &self.obs {
-            obs.observe_eval_depth(formula_depth(formula));
-        }
-        let mut prefix = Vec::new();
-        let verdict = match formula {
-            Formula::Always(p) => self.forall_traced(state, p, self.max_depth, &mut prefix),
-            _ => self.eval(state, formula),
-        };
-        if let Some(journal) = self.obs.as_ref().and_then(CheckObs::journal) {
-            let visited = self.obs.as_ref().map_or(0, CheckObs::states_visited) - visited_before;
-            journal.record(DecisionEvent::ModelCheck {
-                formula: formula.to_string(),
-                verdict,
-                states_visited: visited,
-                falsifying_prefix: if verdict { Vec::new() } else { prefix },
-            });
-        }
+        let mut visited = 0;
+        let verdict = self.eval(state, formula, &mut visited);
+        self.observe(formula, visited);
         verdict
     }
 
-    fn eval(&self, state: &State, formula: &Formula) -> bool {
+    /// Like [`holds`](ModelChecker::holds), but returns the run's
+    /// explanation with its verdict: the states this run visited and,
+    /// for a falsified `□ψ`, the first falsifying path prefix.
+    pub fn check(&self, state: &State, formula: &Formula) -> CheckOutcome {
+        let (mut visited, mut falsifying_prefix) = (0, Vec::new());
+        let holds = match formula {
+            Formula::Always(p) => self.forall_traced(
+                state,
+                p,
+                self.max_depth,
+                &mut visited,
+                &mut falsifying_prefix,
+            ),
+            _ => self.eval(state, formula, &mut visited),
+        };
+        self.observe(formula, visited);
+        CheckOutcome {
+            holds,
+            states_visited: visited,
+            falsifying_prefix,
+        }
+    }
+
+    fn observe(&self, formula: &Formula, visited: u64) {
+        if let Some(obs) = &self.obs {
+            obs.observe_eval_depth(formula_depth(formula));
+            obs.count_states(visited);
+        }
+    }
+
+    fn eval(&self, state: &State, formula: &Formula, visited: &mut u64) -> bool {
         match formula {
             Formula::True => true,
             Formula::False => false,
             Formula::SatisfySimple(req) => satisfy_simple(state, req),
             Formula::SatisfyComplex(req) => satisfy_complex(state, req),
             Formula::SatisfyConcurrent(req) => satisfy_concurrent(state, req),
-            Formula::Not(p) => !self.eval(state, p),
-            Formula::Or(a, b) => self.eval(state, a) || self.eval(state, b),
-            Formula::Eventually(p) => self.exists(state, p, self.max_depth),
-            Formula::Always(p) => self.forall(state, p, self.max_depth),
+            Formula::Not(p) => !self.eval(state, p, visited),
+            Formula::Or(a, b) => self.eval(state, a, visited) || self.eval(state, b, visited),
+            Formula::Eventually(p) => self.exists(state, p, self.max_depth, visited),
+            Formula::Always(p) => self.forall(state, p, self.max_depth, visited),
         }
     }
 
-    /// One level of instrumented unfolding: counts explored states and
-    /// attributes each realized transition to its LTS rule.
-    fn explore(&self, state: &State) -> Vec<(State, TransitionLabel)> {
+    /// One level of unfolding: counts the explored states into
+    /// `visited` and attributes each realized transition to its LTS
+    /// rule.
+    fn explore(&self, state: &State, visited: &mut u64) -> Vec<(State, TransitionLabel)> {
         let successors = self.unfolding.successors_labeled(state);
+        *visited += successors.len() as u64;
         if let Some(obs) = &self.obs {
-            obs.count_states(successors.len() as u64);
             for (_, label) in &successors {
                 obs.count_rule(RuleKind::of(label));
             }
@@ -323,28 +323,28 @@ impl<U: Unfolding> ModelChecker<U> {
         successors
     }
 
-    fn exists(&self, state: &State, p: &Formula, depth: usize) -> bool {
-        if self.eval(state, p) {
+    fn exists(&self, state: &State, p: &Formula, depth: usize, visited: &mut u64) -> bool {
+        if self.eval(state, p, visited) {
             return true;
         }
         if depth == 0 {
             return false;
         }
-        self.explore(state)
+        self.explore(state, visited)
             .iter()
-            .any(|(next, _)| self.exists(next, p, depth - 1))
+            .any(|(next, _)| self.exists(next, p, depth - 1, visited))
     }
 
-    fn forall(&self, state: &State, p: &Formula, depth: usize) -> bool {
-        if !self.eval(state, p) {
+    fn forall(&self, state: &State, p: &Formula, depth: usize, visited: &mut u64) -> bool {
+        if !self.eval(state, p, visited) {
             return false;
         }
         if depth == 0 {
             return true;
         }
-        self.explore(state)
+        self.explore(state, visited)
             .iter()
-            .all(|(next, _)| self.forall(next, p, depth - 1))
+            .all(|(next, _)| self.forall(next, p, depth - 1, visited))
     }
 
     /// `forall` threading the label trail from the root, so a failure
@@ -355,23 +355,36 @@ impl<U: Unfolding> ModelChecker<U> {
         state: &State,
         p: &Formula,
         depth: usize,
+        visited: &mut u64,
         trail: &mut Vec<String>,
     ) -> bool {
-        if !self.eval(state, p) {
+        if !self.eval(state, p, visited) {
             return false;
         }
         if depth == 0 {
             return true;
         }
-        for (next, label) in self.explore(state) {
+        for (next, label) in self.explore(state, visited) {
             trail.push(describe_label(&label));
-            if !self.forall_traced(&next, p, depth - 1, trail) {
+            if !self.forall_traced(&next, p, depth - 1, visited, trail) {
                 return false;
             }
             trail.pop();
         }
         true
     }
+}
+
+/// What one [`ModelChecker::check`] run decided, and why.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CheckOutcome {
+    /// Whether the formula held.
+    pub holds: bool,
+    /// States the run explored.
+    pub states_visited: u64,
+    /// For a falsified `□ψ`: the labels of the first falsifying path
+    /// prefix, outermost transition first. Empty otherwise.
+    pub falsifying_prefix: Vec<String>,
 }
 
 /// Syntactic nesting depth of a formula (atoms are depth 1).
@@ -531,6 +544,27 @@ mod tests {
         // □ of the atom fails: once t passes 4 the window shrinks until
         // the integral cannot cover the demand.
         assert!(!c.holds(&s, &atom.always()));
+    }
+
+    #[test]
+    fn check_returns_its_explanation() {
+        let s = State::new(theta(&[(cpu("l1"), 4, 0, 8)]), TimePoint::ZERO);
+        let registry = rota_obs::Registry::new();
+        let c = ModelChecker::greedy(16).with_obs(CheckObs::new(&registry));
+        let falsified = Formula::SatisfySimple(simple(cpu("l1"), 8, 0, 8)).always();
+        let outcome = c.check(&s, &falsified);
+        assert!(!outcome.holds);
+        assert!(!outcome.falsifying_prefix.is_empty());
+        assert!(outcome.states_visited > 0);
+        let held = c.check(&s, &Formula::True.always());
+        assert!(held.holds);
+        assert!(held.falsifying_prefix.is_empty());
+        let counted = registry.snapshot().counter("logic.states_visited");
+        assert_eq!(
+            counted,
+            Some(outcome.states_visited + held.states_visited),
+            "the counter sums what each run returned"
+        );
     }
 
     #[test]

@@ -68,7 +68,9 @@ pub mod theorems;
 mod workflow;
 
 pub use commitment::{Commitment, Commitments, ScheduledSegment};
-pub use formula::{ChoiceUnfolding, Formula, GreedyUnfolding, ModelChecker, Unfolding};
+pub use formula::{
+    CheckOutcome, ChoiceUnfolding, Formula, GreedyUnfolding, ModelChecker, Unfolding,
+};
 pub use model::SystemModel;
 pub use obs::{describe_label, CheckObs, RuleKind};
 pub use path::ComputationPath;

@@ -1,7 +1,8 @@
 //! Observability hooks for the logic layer: classification of realized
-//! transitions onto the paper's eight LTS rules, and the metric /
-//! journal bundle the [`ModelChecker`](crate::ModelChecker) reports
-//! into.
+//! transitions onto the paper's eight LTS rules, and the metric bundle
+//! the [`ModelChecker`](crate::ModelChecker) counts into. The bundle
+//! records no verdict: [`check`](crate::ModelChecker::check) returns
+//! its explanation to the caller.
 //!
 //! Metric names (see `rota-obs` for the naming convention):
 //!
@@ -13,7 +14,7 @@
 
 use std::sync::Arc;
 
-use rota_obs::{Counter, DecisionEvent, Histogram, Journal, Registry};
+use rota_obs::{Counter, Histogram, Registry};
 
 use crate::state::TransitionLabel;
 
@@ -90,7 +91,7 @@ impl RuleKind {
     }
 }
 
-/// Renders a transition label as a short journal-friendly string, e.g.
+/// Renders a transition label as a short string, e.g.
 /// `step{cpu@l1↦a1}`, `expire{cpu@l1}`, `accommodate{a2}`.
 pub fn describe_label(label: &TransitionLabel) -> String {
     match label {
@@ -118,14 +119,12 @@ pub fn describe_label(label: &TransitionLabel) -> String {
 }
 
 /// The model checker's observability bundle: rule-firing counters,
-/// states-visited counter, formula-depth histogram, and an optional
-/// decision journal for check verdicts.
+/// states-visited counter and formula-depth histogram.
 #[derive(Debug, Clone)]
 pub struct CheckObs {
     states_visited: Arc<Counter>,
     rules: [Arc<Counter>; 8],
     eval_depth: Arc<Histogram>,
-    journal: Option<Arc<Journal<DecisionEvent>>>,
 }
 
 impl CheckObs {
@@ -137,15 +136,7 @@ impl CheckObs {
             states_visited: registry.counter("logic.states_visited"),
             rules,
             eval_depth: registry.histogram("logic.eval_depth", Histogram::depth_bounds()),
-            journal: None,
         }
-    }
-
-    /// Also records check verdicts (with falsifying prefixes) into
-    /// `journal`.
-    pub fn with_journal(mut self, journal: Arc<Journal<DecisionEvent>>) -> Self {
-        self.journal = Some(journal);
-        self
     }
 
     /// Counts one firing of `kind`.
@@ -158,19 +149,9 @@ impl CheckObs {
         self.states_visited.add(n);
     }
 
-    /// Total states explored so far (used for per-run deltas).
-    pub fn states_visited(&self) -> u64 {
-        self.states_visited.get()
-    }
-
     /// Records the syntactic depth of a checked formula.
     pub fn observe_eval_depth(&self, depth: u64) {
         self.eval_depth.observe(depth);
-    }
-
-    /// The attached journal, if any.
-    pub fn journal(&self) -> Option<&Arc<Journal<DecisionEvent>>> {
-        self.journal.as_ref()
     }
 }
 

@@ -1,62 +1,14 @@
-//! A bounded ring-buffer journal of decision events.
+//! Decision events: why an admission verdict or a model-checking run
+//! came out as it did.
 //!
-//! Metrics say *how often*; the journal says *why*. Each admission
-//! verdict and model-check run can append a [`DecisionEvent`] carrying
+//! Metrics say *how often*; a [`DecisionEvent`] says *why*. It carries
 //! the decisive fact — the violated resource term and the theorem
-//! clause that failed, or the first falsifying path prefix — without
-//! unbounded memory: old events are overwritten once capacity is
-//! reached.
-
-use std::collections::VecDeque;
-use std::sync::Mutex;
+//! clause that failed, or the first falsifying path prefix. The event
+//! is a value: whoever keeps a record of verdicts (the simulator's
+//! report, the CLI's `--metrics-out` document) holds its own, bounded
+//! as it needs.
 
 use crate::json::Json;
-
-/// A bounded, thread-safe ring buffer of events.
-///
-/// Recording past capacity drops the oldest event.
-#[derive(Debug)]
-pub struct Journal<T> {
-    inner: Mutex<Ring<T>>,
-}
-
-#[derive(Debug)]
-struct Ring<T> {
-    buf: VecDeque<T>,
-    capacity: usize,
-}
-
-impl<T: Clone> Journal<T> {
-    /// A journal keeping at most `capacity` events (at least 1).
-    pub fn new(capacity: usize) -> Self {
-        Journal {
-            inner: Mutex::new(Ring {
-                buf: VecDeque::with_capacity(capacity.max(1)),
-                capacity: capacity.max(1),
-            }),
-        }
-    }
-
-    /// Appends an event, evicting the oldest when full.
-    pub fn record(&self, event: T) {
-        let mut ring = self.inner.lock().expect("journal poisoned");
-        if ring.buf.len() == ring.capacity {
-            ring.buf.pop_front();
-        }
-        ring.buf.push_back(event);
-    }
-
-    /// Copies of all events currently held, oldest first.
-    pub fn snapshot(&self) -> Vec<T> {
-        self.inner
-            .lock()
-            .expect("journal poisoned")
-            .buf
-            .iter()
-            .cloned()
-            .collect()
-    }
-}
 
 /// Why an observed subsystem decided what it decided.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -190,15 +142,6 @@ impl DecisionEvent {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn ring_evicts_oldest() {
-        let journal = Journal::new(3);
-        for i in 0..5 {
-            journal.record(i);
-        }
-        assert_eq!(journal.snapshot(), vec![2, 3, 4]);
-    }
 
     #[test]
     fn admission_event_renders_term() {

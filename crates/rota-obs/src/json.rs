@@ -1,6 +1,6 @@
 //! A small JSON value type with a strict parser and writer.
 //!
-//! The workspace serializes metric snapshots and decision journals, and
+//! The workspace serializes metric snapshots and decision events, and
 //! `rota-cli` parses check specs; both need JSON but the offline build
 //! cannot pull `serde`. This module covers the whole of RFC 8259 except
 //! that numbers are held as `f64` (integers above 2^53 lose precision —

@@ -9,12 +9,12 @@
 //!   [`Gauge`]s, and fixed-bucket [`Histogram`]s built on `AtomicU64`.
 //!   Hot-path updates are single atomic ops; registration and
 //!   snapshots take a mutex on the cold path only.
-//! * [`journal`] — a bounded ring-buffer [`Journal`] of
-//!   [`DecisionEvent`]s recording *why* a request was rejected (the
-//!   violated resource term and theorem clause) or a formula falsified
-//!   (the first falsifying path prefix).
+//! * [`event`] — the [`DecisionEvent`] value saying *why* a request
+//!   was rejected (the violated resource term and theorem clause) or a
+//!   formula falsified (the first falsifying path prefix). Nothing here
+//!   records events: a verdict's explanation is returned to its caller.
 //! * [`json`] — a hand-rolled JSON value type, parser, and writer, so
-//!   snapshots and journals serialize without external crates (the
+//!   snapshots and decision events serialize without external crates (the
 //!   build environment is offline; see `shims/README.md`).
 //!
 //! Everything here is deliberately dependency-free so every other crate
@@ -30,10 +30,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod journal;
+pub mod event;
 pub mod json;
 pub mod metrics;
 
-pub use journal::{DecisionEvent, Journal};
+pub use event::DecisionEvent;
 pub use json::Json;
 pub use metrics::{Counter, Gauge, Histogram, Registry, Snapshot};

@@ -516,8 +516,9 @@ impl ShardPool {
     /// commitments ([`ShardState::share`]), all the shares counting the
     /// computation once through one [`Tally`]. All shards must hold the
     /// name for the prepare to stand; on a rejection, stale epoch or
-    /// error the partial holds are aborted and the first failing
-    /// shard's answer is returned.
+    /// error the first failing shard's answer is returned, after the
+    /// shards before it release their holds. The failing shard holds
+    /// nothing for the name, and no later shard was touched.
     pub(crate) fn prepare(
         &self,
         request: &AdmissionRequest,
@@ -541,7 +542,9 @@ impl ShardPool {
             if let Some(failure) = self.locked(index, now, |state| {
                 state.prepare(request, verdict, &tally, expected, now + ttl)
             }) {
-                self.abort(&name);
+                for prepared in 0..index {
+                    self.locked(prepared, now, |state| state.abort(&name));
+                }
                 return failure;
             }
         }
@@ -2471,6 +2474,54 @@ mod tests {
         pool.commit("big").unwrap();
         assert_eq!(recorded(&pool), owned(&[("big", true)]));
         assert_eq!(stats_of(&pool).accepted, 1);
+    }
+
+    /// A wall clock that counts its reads.
+    #[derive(Default)]
+    struct CountingClock(AtomicUsize);
+
+    impl Clock for CountingClock {
+        fn now(&self) -> Instant {
+            self.0.fetch_add(1, Ordering::Relaxed);
+            Instant::now()
+        }
+    }
+
+    #[test]
+    fn a_confirmed_reject_locks_its_shard_once() {
+        let clock = Arc::new(CountingClock::default());
+        let registry = Arc::new(Registry::new());
+        let theta = theta_at(&["l0"], 1, 16);
+        let pool = ShardPool::new(
+            RotaPolicy,
+            &theta,
+            1,
+            8,
+            DEDUP_CAPACITY,
+            &registry,
+            clock.clone(),
+        );
+        let (epochs, basis) = pool.cluster_state(None).unwrap();
+        let request = request_at("big", "l0", 4, 16);
+        let verdict = pool.decide(&request, &basis);
+        let reads = clock.0.load(Ordering::Relaxed);
+        let reject = pool.prepare(&request, &verdict, &epochs, Duration::from_secs(60));
+        assert!(
+            matches!(
+                reject,
+                Response::Decision {
+                    accepted: false,
+                    ..
+                }
+            ),
+            "{reject:?}"
+        );
+        assert_eq!(
+            clock.0.load(Ordering::Relaxed) - reads,
+            1,
+            "one locked section, no abort of a name nobody holds"
+        );
+        assert_eq!(recorded(&pool), owned(&[("big", false)]));
     }
 
     #[test]

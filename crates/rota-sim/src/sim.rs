@@ -3,9 +3,9 @@
 //!
 //! Every run is instrumented: admission counters flow into a
 //! [`Registry`] (a private throwaway one unless the caller supplies
-//! their own via [`run_scenario_observed`]) and each admission verdict
-//! lands in a decision journal surfaced as
-//! [`SimulationReport::decisions`]. Driver-level metric names:
+//! their own via [`run_scenario_observed`]) and the run keeps the
+//! latest admission verdicts as [`SimulationReport::decisions`].
+//! Driver-level metric names:
 //!
 //! | name | kind | meaning |
 //! |---|---|---|
@@ -15,12 +15,13 @@
 //! | `sim.misses` | counter | deadline misses observed |
 
 use core::fmt;
+use std::collections::VecDeque;
 
 use rota_admission::{
     decision_event, AdmissionController, AdmissionObs, AdmissionPolicy, ExecutionStrategy,
 };
 use rota_interval::TimePoint;
-use rota_obs::{DecisionEvent, Journal, Registry};
+use rota_obs::{DecisionEvent, Registry};
 
 use crate::event::Event;
 use crate::scenario::Scenario;
@@ -45,12 +46,11 @@ pub struct SimulationReport {
     /// The horizon the run ended at.
     pub horizon: TimePoint,
     /// Why each request was admitted or refused, in submission order
-    /// (bounded: the run's journal retains the most recent 256
-    /// verdicts).
+    /// (bounded: the run keeps the most recent 256 verdicts).
     pub decisions: Vec<DecisionEvent>,
 }
 
-/// How many verdicts a run's decision journal retains.
+/// How many verdicts a run keeps.
 const DECISION_CAPACITY: usize = 256;
 
 impl SimulationReport {
@@ -136,7 +136,7 @@ pub fn run_scenario_observed<P: AdmissionPolicy>(
 /// Like [`run_scenario`], additionally recording a per-tick
 /// [`Trace`](crate::Trace) of the controller's state. Traced runs go
 /// through the same driver as untraced ones — the trace is sampled off
-/// the controller after each tick, and the decision journal is fed
+/// the controller after each tick, and the decisions are kept
 /// identically.
 pub fn run_scenario_traced<P: AdmissionPolicy>(
     scenario: &Scenario,
@@ -147,7 +147,7 @@ pub fn run_scenario_traced<P: AdmissionPolicy>(
 }
 
 /// [`run_scenario_traced`] with a caller-supplied [`Registry`] — trace,
-/// metrics, and decision journal from one run.
+/// metrics, and decisions from one run.
 pub fn run_scenario_traced_observed<P: AdmissionPolicy>(
     scenario: &Scenario,
     policy: P,
@@ -171,7 +171,7 @@ fn run_impl<P: AdmissionPolicy>(
     let queue_depth = registry.gauge("sim.queue_depth");
     let ticks = registry.counter("sim.ticks");
     let misses = registry.counter("sim.misses");
-    let journal = Journal::new(DECISION_CAPACITY);
+    let mut decisions = VecDeque::with_capacity(DECISION_CAPACITY);
     let mut controller =
         AdmissionController::new(policy, scenario.initial().clone(), TimePoint::ZERO)
             .with_strategy(strategy)
@@ -190,7 +190,10 @@ fn run_impl<P: AdmissionPolicy>(
                 }
                 Event::Arrival { request } => {
                     let decision = controller.submit(&request);
-                    journal.record(decision_event(
+                    if decisions.len() == DECISION_CAPACITY {
+                        decisions.pop_front();
+                    }
+                    decisions.push_back(decision_event(
                         controller.policy().name(),
                         controller.now(),
                         &request,
@@ -227,7 +230,7 @@ fn run_impl<P: AdmissionPolicy>(
         offered_units: scenario.offered_units(),
         delivered_units: controller.delivered_units(),
         horizon: controller.now(),
-        decisions: journal.snapshot(),
+        decisions: decisions.into(),
     }
 }
 
@@ -394,6 +397,31 @@ mod tests {
             ExecutionStrategy::FirstEntitled,
         );
         assert_eq!(empty.utilization(), 0.0);
+    }
+
+    #[test]
+    fn decisions_keep_the_last_256_verdicts_in_submission_order() {
+        let mut scenario = Scenario::new(TimePoint::new(8)).with_initial(theta(4, 0, 8));
+        for i in 0..300 {
+            scenario.add_arrival(TimePoint::new(i % 4), request(&format!("j{i}"), 2, 0, 8));
+        }
+        let report = run_scenario(&scenario, RotaPolicy, ExecutionStrategy::FirstEntitled);
+        assert_eq!(report.accepted + report.rejected, 300);
+        let names: Vec<&str> = report
+            .decisions
+            .iter()
+            .map(|event| match event {
+                DecisionEvent::Admission { computation, .. } => computation.as_str(),
+                DecisionEvent::ModelCheck { .. } => unreachable!("a run records verdicts"),
+            })
+            .collect();
+        let mut submitted: Vec<u64> = (0..300).collect();
+        submitted.sort_by_key(|i| i % 4);
+        let expected: Vec<String> = submitted[300 - 256..]
+            .iter()
+            .map(|i| format!("j{i}"))
+            .collect();
+        assert_eq!(names, expected);
     }
 
     #[test]
