@@ -26,7 +26,7 @@
 //! schedule — the convergence tests below drive several engines
 //! synchronously and assert the exact same behaviour on every run.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -151,15 +151,6 @@ impl GossipEngine {
             .is_some_and(|heard| self.round.saturating_sub(heard) <= SUSPECT_AFTER)
     }
 
-    /// Every node alive in the current round, including this one.
-    pub(crate) fn alive_set(&self) -> BTreeSet<String> {
-        std::iter::once(&self.me)
-            .chain(self.peers.keys())
-            .filter(|id| self.alive(id))
-            .cloned()
-            .collect()
-    }
-
     /// The peer table, for inspection.
     pub(crate) fn peers(&self) -> &BTreeMap<String, PeerView> {
         &self.peers
@@ -169,6 +160,17 @@ impl GossipEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
+
+    /// Every node `engine` counts alive in its current round, itself
+    /// included.
+    fn alive_set(engine: &GossipEngine) -> BTreeSet<String> {
+        std::iter::once(&engine.me)
+            .chain(engine.peers.keys())
+            .filter(|id| engine.alive(id))
+            .cloned()
+            .collect()
+    }
 
     fn ids(n: usize) -> Vec<String> {
         (0..n).map(|i| format!("node{i}")).collect()
@@ -244,7 +246,7 @@ mod tests {
         let mut converged_at = None;
         for round in 1..=32 {
             run_round(&mut engines, &[]);
-            if engines.iter().all(|e| e.alive_set() == all) {
+            if engines.iter().all(|e| alive_set(e) == all) {
                 converged_at = Some(round);
                 break;
             }
@@ -254,7 +256,7 @@ mod tests {
         for later in round + 1..round + 8 {
             run_round(&mut engines, &[]);
             for engine in &engines {
-                assert_eq!(engine.alive_set(), all, "round {later}");
+                assert_eq!(alive_set(engine), all, "round {later}");
             }
         }
     }
@@ -266,7 +268,7 @@ mod tests {
             let all: BTreeSet<String> = ids(4).into_iter().collect();
             for round in 1..=32 {
                 run_round(&mut engines, &[]);
-                if engines.iter().all(|e| e.alive_set() == all) {
+                if engines.iter().all(|e| alive_set(e) == all) {
                     return round;
                 }
             }

@@ -25,7 +25,7 @@
 //! round on a channel the node drops, so it wakes and ends at once
 //! instead of sleeping out the interval.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::io;
 use std::net::SocketAddr;
 use std::sync::mpsc::{self, RecvTimeoutError};
@@ -97,12 +97,6 @@ impl ClusterNode {
     /// Whether this node's gossip engine believes `node` alive now.
     pub fn is_alive(&self, node: &str) -> bool {
         lock(&self.engine).alive(node)
-    }
-
-    /// Every node this node's gossip engine believes alive now,
-    /// including itself.
-    pub fn alive_nodes(&self) -> BTreeSet<String> {
-        lock(&self.engine).alive_set()
     }
 
     /// The node's metrics registry, shared by its server and router.

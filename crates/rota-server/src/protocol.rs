@@ -32,8 +32,8 @@
 //! | `metrics` | — | `metrics` (registry snapshot) |
 //! | `shutdown` | — | `bye`, then the server drains and stops |
 //! | `gossip` | `digest` | `gossip-ack` (cluster members only) |
-//! | `cluster-snapshot` | optional `scope` (`types`, `start`, `end`) | `cluster-state` (per-shard epochs + Θ_expire, within the scope when one is given) |
-//! | `prepare` | `name`, `computation`, `granularity`, `basis`, `epochs`, `ttl_ms` | `prepared`, a rejecting `decision`, `stale-epoch`, or `error` |
+//! | `cluster-snapshot` | optional `scope` (`types`, `start`, `end`) | `cluster-state` (Θ_expire, within the scope when one is given; `epochs` is one `0` per shard) |
+//! | `prepare` | `name`, `computation`, `granularity`, `basis`, `epochs` (read and ignored), `ttl_ms` | `prepared`, a rejecting `decision`, `stale-epoch` (the basis no longer holds what a shard has), or `error` |
 //! | `commit-reservation` | `name` | `committed` or `error` |
 //! | `abort-reservation` | `name` | `aborted` |
 //!
@@ -45,6 +45,10 @@
 //! the federation mechanism used by `rota-cluster`; a standalone server
 //! answers `gossip` with an error and serves the reservation ops
 //! against its own shards.
+//!
+//! `epochs` (in `cluster-state` and `prepare`) and `epoch` and
+//! `expected` (in `stale-epoch`) stay in v6 for the benchmark harness:
+//! no node reads them, and nodes write zeros.
 
 /// Version of this wire protocol, carried by the `hello` handshake.
 ///
@@ -139,14 +143,14 @@ pub enum Request {
         /// The sender's digest.
         digest: GossipDigest,
     },
-    /// Ask for the per-shard state epochs and the currently obtainable
-    /// resources Θ_expire — the basis a 2PC coordinator merges.
+    /// Ask for the currently obtainable resources Θ_expire — the basis
+    /// a 2PC coordinator merges.
     ClusterSnapshot,
     /// [`Request::ClusterSnapshot`] within `scope`: the same
     /// `cluster-snapshot` op carrying a `scope`, answered by the same
     /// handler with Θ_expire on the scope's located types, clamped to
     /// its window — all a decision on the request it was taken from
-    /// reads. The epochs are the whole node's, as for the bare op.
+    /// reads.
     ScopedSnapshot {
         /// The demanded located types and the window `[s, d)` of the
         /// request a two-phase commit is deciding.
@@ -166,8 +170,10 @@ pub enum Request {
         /// request's scope when the snapshots were scoped) to decide
         /// against, in spec form.
         basis: Vec<ResourceSpec>,
-        /// Expected per-shard state epochs (from a `cluster-snapshot`);
-        /// a mismatch aborts the prepare with a `stale-epoch` answer.
+        /// Read and ignored: a v6 member the benchmark harness still
+        /// sends. Each shard checks `basis` itself: the prepare is
+        /// answered `stale-epoch` when the basis no longer holds that
+        /// shard's supply within the request's scope.
         epochs: Vec<u64>,
         /// How long the tentative reservation may sit uncommitted
         /// before it self-releases, in milliseconds.
@@ -225,10 +231,8 @@ pub enum Response {
     },
     /// Reply to `cluster-snapshot`.
     ClusterState {
-        /// Per-shard state epochs, in shard order. Any mutation
-        /// (admit-install, offer, prepare, abort, expiry) bumps the
-        /// owning shard's epoch, so a coordinator can detect that its
-        /// snapshot went stale before its prepare landed.
+        /// One `0` per shard: a v6 member the benchmark harness still
+        /// reads, which no node reads.
         epochs: Vec<u64>,
         /// The currently obtainable resources Θ_expire (supply minus
         /// installed reservations), as a spec-form array document.
@@ -252,15 +256,16 @@ pub enum Response {
         /// name was unknown or had already expired).
         released: bool,
     },
-    /// Reply to `prepare`: a shard's state moved since the snapshot the
-    /// prepare was based on, so nothing was decided or held. The
-    /// coordinator should re-snapshot and retry.
+    /// Reply to `prepare`: a shard's supply within the request's scope
+    /// is no longer what the prepare's basis holds, so the verdict read
+    /// stale supply, and nothing was held. The coordinator should
+    /// re-snapshot and retry.
     StaleEpoch {
-        /// The shard whose epoch moved.
+        /// The shard whose supply moved.
         shard: usize,
-        /// The shard's current epoch.
+        /// 0: a v6 member the benchmark harness still reads.
         epoch: u64,
-        /// The epoch the prepare expected.
+        /// 0, as `epoch`.
         expected: u64,
     },
     /// An admission verdict.

@@ -132,23 +132,19 @@ impl LocalHandle {
             .unwrap_or_else(|| draining().into())
     }
 
-    /// This node's `cluster-snapshot` answer within `scope` (the whole
-    /// node for `None`) as typed values: the per-shard epochs and exactly
-    /// the specs the wire answer carries ([`spec::resource_specs`]), so a
+    /// The resources this node's `cluster-snapshot` answers within
+    /// `scope` (the whole node for `None`), as the set itself, so a
     /// coordinator's own slice of a two-phase basis never goes through
-    /// JSON.
+    /// JSON. The wire answer is this set's [`spec::resource_specs`],
+    /// which leave out the kinds the spec cannot name; a request demands
+    /// only cpu and links, so a scoped set holds no such kind.
     ///
     /// # Errors
     ///
     /// The message a `cluster-snapshot` would answer with as an error.
-    pub fn cluster_state_in(
-        &self,
-        scope: Option<&Scope>,
-    ) -> Result<(Vec<u64>, Vec<spec::ResourceSpec>), String> {
-        let (epochs, merged) = self
-            .with_pool(|pool| pool.cluster_state(scope))
-            .unwrap_or_else(|| Err(DRAINING.into()))?;
-        Ok((epochs, spec::resource_specs(&merged)))
+    pub fn cluster_state_in(&self, scope: Option<&Scope>) -> Result<ResourceSet, String> {
+        self.with_pool(|pool| pool.cluster_state(scope))
+            .unwrap_or_else(|| Err(DRAINING.into()))
     }
 
     /// The verdict a `prepare` frame would decide on this node for a
@@ -183,16 +179,17 @@ impl LocalHandle {
     }
 
     /// Phase one of a two-phase commit on this node, as a `prepare`
-    /// frame would run it, for a `verdict` the hook already decided
-    /// ([`LocalHandle::decide`]).
+    /// frame would run it, for a `verdict` the hook already decided on
+    /// `basis` ([`LocalHandle::decide`]): `stale-epoch` once this node's
+    /// part of what the verdict read has moved.
     pub fn prepare(
         &self,
         request: &AdmissionRequest,
         verdict: &Decision,
-        epochs: &[u64],
+        basis: &ResourceSet,
         ttl: Duration,
     ) -> Response {
-        self.with_pool(|pool| pool.prepare(request, verdict, epochs, ttl))
+        self.with_pool(|pool| pool.prepare(request, verdict, basis, ttl))
             .unwrap_or_else(draining)
     }
 
@@ -291,7 +288,8 @@ impl Inner {
                 computation,
                 granularity,
                 basis,
-                epochs,
+                // v6 keeps the member; the basis is what is checked.
+                epochs: _,
                 ttl_ms,
             } => {
                 let prepared = || {
@@ -310,7 +308,7 @@ impl Inner {
                         AdmissionRequest::price(computation, &self.cost_model, granularity);
                     let ttl = Duration::from_millis(ttl_ms);
                     Ok(self.with_pool(|pool| {
-                        pool.prepare(&priced, &pool.decide(&priced, &basis), &epochs, ttl)
+                        pool.prepare(&priced, &pool.decide(&priced, &basis), &basis, ttl)
                     }))
                 };
                 prepared().unwrap_or_else(|message| Response::Error { message })
@@ -332,8 +330,8 @@ impl Inner {
     /// Answers `cluster-snapshot`, bare (`None`) or within a scope.
     fn cluster_state(&self, scope: Option<&Scope>) -> Response {
         self.with_pool(|pool| match pool.cluster_state(scope) {
-            Ok((epochs, merged)) => Response::ClusterState {
-                epochs,
+            Ok(merged) => Response::ClusterState {
+                epochs: vec![0; pool.shards()],
                 resources: spec::resource_set_to_json(&merged),
             },
             Err(message) => Response::Error { message },

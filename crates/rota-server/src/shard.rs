@@ -83,7 +83,7 @@ use rota_analyze::{prevalidate_request, Report as LintReport, Severity as LintSe
 use rota_interval::TimePoint;
 use rota_logic::{Commitment, Scope, State};
 use rota_obs::{Counter, Gauge, Histogram, Registry};
-use rota_resource::{Location, ResourceSet};
+use rota_resource::{LocatedType, Location, ResourceSet};
 
 use crate::protocol::{encode_frame, Diagnostics, Reply, Response};
 use crate::server::Clock;
@@ -354,7 +354,6 @@ impl ShardPool {
                         capacity: dedup_capacity.max(1),
                         ..Names::default()
                     },
-                    epoch: 0,
                 };
                 Shard {
                     state: Mutex::new(state),
@@ -472,32 +471,26 @@ impl ShardPool {
         }
     }
 
-    /// Collects every shard's epoch and the resources still available
-    /// after every commitment and tentative reservation — within
-    /// `scope` when one is given, else all of them — and merges the
-    /// (disjoint) supplies into one resource set: the node's
-    /// contribution to a 2PC coordinator's basis.
-    pub(crate) fn cluster_state(
-        &self,
-        scope: Option<&Scope>,
-    ) -> Result<(Vec<u64>, ResourceSet), String> {
-        let mut epochs = Vec::with_capacity(self.shards());
+    /// Collects the resources every shard still has available after
+    /// every commitment and tentative reservation — within `scope` when
+    /// one is given, else all of them — and merges the (disjoint)
+    /// supplies into one resource set: the node's contribution to a 2PC
+    /// coordinator's basis.
+    pub(crate) fn cluster_state(&self, scope: Option<&Scope>) -> Result<ResourceSet, String> {
         let mut merged = ResourceSet::new();
         for index in 0..self.shards() {
-            let (epoch, theta) = self.locked(index, self.clock.now(), |state| {
+            let theta = self.locked(index, self.clock.now(), |state| {
                 let logic = state.controller.state();
-                let theta = match scope {
+                match scope {
                     Some(scope) => logic.expiring_in(scope.types(), scope.window()),
                     None => logic.expiring_resources(),
-                };
-                (state.epoch, theta)
+                }
             });
-            epochs.push(epoch);
-            merged = merged
-                .union(&theta)
+            merged
+                .add_set(&theta)
                 .map_err(|e| format!("merging shard {index} snapshot: {e}"))?;
         }
-        Ok((epochs, merged))
+        Ok(merged)
     }
 
     /// The verdict a single merged node would issue for `request` on
@@ -511,38 +504,38 @@ impl ShardPool {
     }
 
     /// Phase one of two-phase commit for a `verdict` already decided
-    /// on the merged basis ([`ShardPool::decide`]): on accept, every
-    /// shard holds the name for `ttl` and installs its share of the
-    /// commitments ([`ShardState::share`]), all the shares counting the
-    /// computation once through one [`Tally`]. All shards must hold the
-    /// name for the prepare to stand; on a rejection, stale epoch or
-    /// error the first failing shard's answer is returned, after the
-    /// shards before it release their holds. The failing shard holds
-    /// nothing for the name, and no later shard was touched.
+    /// on the merged `basis` ([`ShardPool::decide`]). Each shard first
+    /// checks, under its lock, that what the verdict read of it stands
+    /// ([`ShardState::read_stands`]), and answers `stale-epoch` if not.
+    /// On accept, the shards, in index order, hold the name for `ttl`
+    /// and install their shares of the commitments
+    /// ([`ShardState::share`]), all the shares counting the computation
+    /// once through one [`Tally`]; the first failing shard's answer is
+    /// returned after the shards before it release their holds. A
+    /// reject installs nothing: the shards check it last to first, and
+    /// shard 0 records it.
     pub(crate) fn prepare(
         &self,
         request: &AdmissionRequest,
         verdict: &Decision,
-        epochs: &[u64],
+        basis: &ResourceSet,
         ttl: Duration,
     ) -> Response {
-        if epochs.len() != self.shards() {
-            return Response::Error {
-                message: format!(
-                    "epoch vector has {} entries but the node runs {} shard(s)",
-                    epochs.len(),
-                    self.shards()
-                ),
-            };
-        }
         let now = self.clock.now();
         let name = request.name().to_string();
+        let scope = Scope::of(&request.requirement().total_demand(), request.window());
         let tally = Arc::new(Tally::default());
-        for (index, &expected) in epochs.iter().enumerate() {
+        let accept = matches!(verdict, Decision::Accept(_));
+        let order: Vec<usize> = if accept {
+            (0..self.shards()).collect()
+        } else {
+            (0..self.shards()).rev().collect()
+        };
+        for index in order {
             if let Some(failure) = self.locked(index, now, |state| {
-                state.prepare(request, verdict, &tally, expected, now + ttl)
+                state.prepare(request, verdict, &scope, basis, &tally, now + ttl)
             }) {
-                for prepared in 0..index {
+                for prepared in (0..index).filter(|_| accept) {
                     self.locked(prepared, now, |state| state.abort(&name));
                 }
                 return failure;
@@ -586,13 +579,6 @@ struct ShardState {
     controller: AdmissionController<SharedPolicy>,
     obs: Arc<ShardObs>,
     names: Names,
-    /// Bumped on every state mutation (accepted admit, offer, and the
-    /// prepare, abort or expiry of an install) — never on rejects,
-    /// reads, or a hold of the name only. A 2PC coordinator
-    /// snapshots the epoch with the supply and sends it back with the
-    /// prepare; a mismatch means the basis is stale and the prepare is
-    /// refused rather than decided on outdated supply.
-    epoch: u64,
 }
 
 /// How an admit left its locked section's first half.
@@ -627,10 +613,8 @@ impl ShardState {
         }
     }
 
-    /// Marks a mutation: bumps the epoch and publishes the live
-    /// commitment count.
+    /// Marks a mutation: publishes the live commitment count.
     fn changed(&mut self) {
-        self.epoch += 1;
         let live = self.controller.state().rho().len();
         self.obs.commitments.set(live as i64);
     }
@@ -727,17 +711,19 @@ impl ShardState {
     }
 
     /// This shard's part of a prepare whose `verdict` the pool already
-    /// decided: `None` once the shard holds the name until `expires_at`,
+    /// decided on `basis`: `None` once the shard holds the name until
+    /// `expires_at`, or has checked a reject it does not record;
     /// otherwise the answer that fails the prepare. A shard installs its
-    /// share of an accept ([`Self::share`]), counted through `tally`,
-    /// and bumps its epoch; a shard whose share is empty holds the name
-    /// only. A reject is recorded as this shard's verdict on the name.
+    /// share of an accept ([`Self::share`]), counted through `tally`; a
+    /// shard whose share is empty holds the name only. Shard 0 records a
+    /// reject as its verdict on the name.
     fn prepare(
         &mut self,
         request: &AdmissionRequest,
         verdict: &Decision,
+        scope: &Scope,
+        basis: &ResourceSet,
         tally: &Arc<Tally>,
-        expected_epoch: u64,
         expires_at: Instant,
     ) -> Option<Response> {
         let name = request.name();
@@ -758,14 +744,18 @@ impl ShardState {
         if matches!(self.names.get(name), Some(Entry::Committed { .. })) {
             return None;
         }
-        if expected_epoch != self.epoch {
+        if !self.read_stands(scope, basis) {
+            // The v6 frame keeps its epoch members; they read 0.
             return Some(Response::StaleEpoch {
                 shard: self.shard,
-                epoch: self.epoch,
-                expected: expected_epoch,
+                epoch: 0,
+                expected: 0,
             });
         }
         let Decision::Accept(commitments) = verdict else {
+            if self.shard != 0 {
+                return None;
+            }
             let response = decision_response(request, verdict, self.shard);
             self.record(name, dedup_key(request), &response);
             return Some(response);
@@ -801,19 +791,45 @@ impl ShardState {
         None
     }
 
-    /// This shard's share of an accept: every commitment projected onto
-    /// the located types it owns, those whose first location is the
-    /// first location of some supply the shard was given (its Θ, which
-    /// [`split_by_shard`] cut by that rule). A segment at a location no
-    /// shard was given supply for is held by none.
-    fn share(&self, commitments: &[Commitment]) -> Vec<Commitment> {
-        let owned: HashSet<&Location> = self
-            .controller
+    /// The first locations of the supply this shard was given (its Θ,
+    /// which [`split_by_shard`] cut by that rule): the shard owns a
+    /// located type whose first location is one of them.
+    fn owned(&self) -> HashSet<&Location> {
+        self.controller
             .state()
             .theta()
             .located_types()
             .map(|located| located.locations()[0])
+            .collect()
+    }
+
+    /// Whether a two-phase verdict decided on `basis` still reads, of
+    /// this shard, what the shard holds: its Θ_expire on the types of
+    /// `scope` it owns, over the scope's window, equals `basis` cut to
+    /// the same. That is all a decision on the request reads of the
+    /// shard (DESIGN.md §12), so the verdict is the one a live decision
+    /// would give. A shard that owns none of the scope read nothing.
+    fn read_stands(&self, scope: &Scope, basis: &ResourceSet) -> bool {
+        let owned = self.owned();
+        let types: Vec<&LocatedType> = scope
+            .types()
+            .iter()
+            .filter(|located| owned.contains(located.locations()[0]))
             .collect();
+        let window = scope.window();
+        types.is_empty()
+            || self
+                .controller
+                .state()
+                .expiring_in(types.iter().copied(), window)
+                == basis.exclude_support_within(&ResourceSet::new(), types, &window)
+    }
+
+    /// This shard's share of an accept: every commitment projected onto
+    /// the located types it owns ([`Self::owned`]). A segment at a
+    /// location no shard was given supply for is held by none.
+    fn share(&self, commitments: &[Commitment]) -> Vec<Commitment> {
+        let owned = self.owned();
         commitments
             .iter()
             .filter_map(|c| c.project(|located| owned.contains(located.locations()[0])))
@@ -1444,14 +1460,13 @@ mod tests {
         }
     }
 
-    /// What a panic must leave as it was: the epochs and available
-    /// resources, the aggregated stats, and each shard's reservations
-    /// gauge.
+    /// What a panic must leave as it was: the available resources, the
+    /// aggregated stats, and each shard's reservations gauge.
     fn observed(
         pool: &ShardPool,
         registry: &Registry,
-    ) -> (Vec<u64>, ResourceSet, ControllerStats, Vec<Option<i64>>) {
-        let (epochs, resources) = pool.cluster_state(None).unwrap();
+    ) -> (ResourceSet, ControllerStats, Vec<Option<i64>>) {
+        let resources = pool.cluster_state(None).unwrap();
         let Response::Stats { stats, .. } = pool.stats() else {
             panic!("stats answers stats");
         };
@@ -1459,7 +1474,7 @@ mod tests {
         let gauges = (0..pool.shards())
             .map(|s| snap.gauge(&format!("server.shard.reservations{{shard={s}}}")))
             .collect();
-        (epochs, resources, stats, gauges)
+        (resources, stats, gauges)
     }
 
     #[test]
@@ -1488,9 +1503,9 @@ mod tests {
                 assert!(accepted, "{verdict:?}");
                 verdict
             });
-            let (epochs, basis) = pool.cluster_state(None).unwrap();
+            let basis = pool.cluster_state(None).unwrap();
             let held = request_at("held", &home, 1, 16);
-            let held = decide_and_prepare(&pool, held, &basis, &epochs, ttl);
+            let held = decide_and_prepare(&pool, held, &basis, ttl);
             assert!(matches!(held, Response::Prepared { .. }), "{held:?}");
             (pool, registry, verdicts)
         };
@@ -1499,7 +1514,7 @@ mod tests {
         let in_flight = registry
             .snapshot()
             .gauge("admission.in_flight{policy=buggy}");
-        assert_eq!(before.3, vec![Some(1), Some(1)], "each shard holds `held`");
+        assert_eq!(before.2, vec![Some(1), Some(1)], "each shard holds `held`");
 
         let boom = buggy
             .admit(request_at("boom", &home, 1, 16))
@@ -1818,10 +1833,9 @@ mod tests {
         pool: &ShardPool,
         request: AdmissionRequest,
         basis: &ResourceSet,
-        epochs: &[u64],
         ttl: Duration,
     ) -> Response {
-        pool.prepare(&request, &pool.decide(&request, basis), epochs, ttl)
+        pool.prepare(&request, &pool.decide(&request, basis), basis, ttl)
     }
 
     #[test]
@@ -1830,50 +1844,47 @@ mod tests {
         let theta = theta_at(&["l0"], 4, 16);
         let pool = ShardPool::new(RotaPolicy, &theta, 1, 8, DEDUP_CAPACITY, &registry, wall());
         let ttl = Duration::from_secs(30);
-        let (epochs, basis) = pool.cluster_state(None).unwrap();
-        assert_eq!(epochs, vec![0]);
+        let basis = pool.cluster_state(None).unwrap();
         assert_eq!(basis, theta, "untouched node offers its full supply");
-        // Prepare holds the supply tentatively and bumps the epoch.
-        let prepared =
-            decide_and_prepare(&pool, request_at("r1", "l0", 1, 16), &basis, &epochs, ttl);
+        // Prepare holds the supply tentatively.
+        let prepared = decide_and_prepare(&pool, request_at("r1", "l0", 1, 16), &basis, ttl);
         assert!(
             matches!(&prepared, Response::Prepared { name } if name == "r1"),
             "{prepared:?}"
         );
-        let (epochs2, basis2) = pool.cluster_state(None).unwrap();
-        assert_eq!(epochs2, vec![1]);
+        let basis2 = pool.cluster_state(None).unwrap();
         assert_ne!(
             basis2, theta,
             "the reservation is excluded from the snapshot"
         );
         // A prepare against the stale basis is refused, not mis-decided.
-        let stale = decide_and_prepare(&pool, request_at("r2", "l0", 1, 16), &basis, &epochs, ttl);
+        let stale = decide_and_prepare(&pool, request_at("r2", "l0", 1, 16), &basis, ttl);
         assert!(
             matches!(stale, Response::StaleEpoch { shard: 0, .. }),
             "{stale:?}"
         );
         // Re-preparing the same name refreshes instead of double-holding.
-        let again = decide_and_prepare(&pool, request_at("r1", "l0", 1, 16), &basis, &epochs, ttl);
+        let again = decide_and_prepare(&pool, request_at("r1", "l0", 1, 16), &basis, ttl);
         assert!(
             matches!(&again, Response::Prepared { name } if name == "r1"),
             "{again:?}"
         );
         assert_eq!(
-            pool.cluster_state(None).unwrap().0,
-            vec![1],
+            pool.cluster_state(None).unwrap(),
+            basis2,
             "no second install"
         );
         // Commit is permanent and idempotent.
         pool.commit("r1").unwrap();
         pool.commit("r1").unwrap();
         // Abort of a fresh reservation releases its supply.
-        let (epochs3, basis3) = pool.cluster_state(None).unwrap();
-        let r2 = decide_and_prepare(&pool, request_at("r2", "l0", 1, 16), &basis3, &epochs3, ttl);
+        let basis3 = pool.cluster_state(None).unwrap();
+        let r2 = decide_and_prepare(&pool, request_at("r2", "l0", 1, 16), &basis3, ttl);
         assert!(matches!(r2, Response::Prepared { .. }), "{r2:?}");
         assert!(pool.abort("r2"));
         assert!(!pool.abort("r2"), "second abort finds nothing");
         assert_eq!(
-            pool.cluster_state(None).unwrap().1,
+            pool.cluster_state(None).unwrap(),
             basis3,
             "abort restored the supply"
         );
@@ -1885,22 +1896,19 @@ mod tests {
 
     #[test]
     fn stale_prepare_on_one_shard_releases_the_others() {
-        // Every other prepare test runs one shard; here shard 0 prepares
-        // cleanly while shard 1's epoch has moved, so the pool must undo
-        // shard 0's hold before answering with the stale refusal.
-        let on_shard = |shard: usize| {
-            (0..64)
-                .map(|i| format!("l{i}"))
-                .find(|l| shard_of(&Location::new(l), 2) == shard)
-                .unwrap()
-        };
-        let (home, other) = (on_shard(0), on_shard(1));
+        // Every other prepare test runs one shard; here the request
+        // spans both, shard 0 prepares cleanly, and shard 1's supply
+        // within the request's window has moved since the snapshot, so
+        // the pool must undo shard 0's hold before answering with the
+        // stale refusal.
+        let (home, other) = (location_on(0, 2), location_on(1, 2));
         let registry = Arc::new(Registry::new());
         let theta = theta_at(&[&home, &other], 4, 16);
         let pool = ShardPool::new(RotaPolicy, &theta, 2, 8, DEDUP_CAPACITY, &registry, wall());
         let ttl = Duration::from_secs(30);
-        let (stale_epochs, _) = pool.cluster_state(None).unwrap();
-        // An accepted admit on shard 1 moves its epoch, not shard 0's.
+        let stale_basis = pool.cluster_state(None).unwrap();
+        // An accepted admit on shard 1 takes some of its supply in the
+        // window.
         let moved = pool
             .admit(request_at("mover", &other, 1, 16))
             .into_response();
@@ -1908,22 +1916,19 @@ mod tests {
             matches!(moved, Response::Decision { accepted: true, .. }),
             "{moved:?}"
         );
-        let (epochs, basis) = pool.cluster_state(None).unwrap();
-        assert_eq!(epochs, vec![stale_epochs[0], stale_epochs[1] + 1]);
-        let held = request_at("held", &home, 1, 16);
-        let stale = decide_and_prepare(&pool, held, &basis, &stale_epochs, ttl);
-        match &stale {
-            Response::StaleEpoch {
-                shard,
-                epoch,
-                expected,
-            } => {
-                assert_eq!((*shard, *epoch, *expected), (1, epochs[1], stale_epochs[1]));
-            }
-            other => panic!("expected a stale-epoch answer, got {other:?}"),
-        }
+        let basis = pool.cluster_state(None).unwrap();
+        let held = spanning("held", &[(&home, 1, None), (&other, 1, None)]);
+        let stale = decide_and_prepare(&pool, held, &stale_basis, ttl);
         assert_eq!(
-            pool.cluster_state(None).unwrap().1,
+            stale,
+            Response::StaleEpoch {
+                shard: 1,
+                epoch: 0,
+                expected: 0
+            }
+        );
+        assert_eq!(
+            pool.cluster_state(None).unwrap(),
             basis,
             "shard 0 keeps no hold"
         );
@@ -1948,12 +1953,11 @@ mod tests {
             &registry,
             clock.clone(),
         );
-        let (epochs, basis) = pool.cluster_state(None).unwrap();
+        let basis = pool.cluster_state(None).unwrap();
         let prepared = decide_and_prepare(
             &pool,
             request_at("t1", "l0", 1, 16),
             &basis,
-            &epochs,
             Duration::from_millis(30),
         );
         assert!(
@@ -1966,7 +1970,7 @@ mod tests {
         let err = pool.commit("t1").unwrap_err();
         assert!(err.contains("expired or never prepared"), "{err}");
         assert_eq!(
-            pool.cluster_state(None).unwrap().1,
+            pool.cluster_state(None).unwrap(),
             theta,
             "expiry returned the supply — nothing leaked"
         );
@@ -2016,9 +2020,9 @@ mod tests {
 
     /// Prepares `request` on a pool from a fresh snapshot of it.
     fn prepare_fresh(pool: &ShardPool, request: &AdmissionRequest) -> Response {
-        let (epochs, basis) = pool.cluster_state(None).unwrap();
+        let basis = pool.cluster_state(None).unwrap();
         let verdict = pool.decide(request, &basis);
-        pool.prepare(request, &verdict, &epochs, Duration::from_secs(60))
+        pool.prepare(request, &verdict, &basis, Duration::from_secs(60))
     }
 
     /// Each shard's live commitments.
@@ -2075,7 +2079,7 @@ mod tests {
             (0, Some(0))
         );
         assert_eq!(
-            pool.cluster_state(None).unwrap().1,
+            pool.cluster_state(None).unwrap(),
             theta,
             "abort released it all"
         );
@@ -2117,16 +2121,17 @@ mod tests {
         let (home, other) = (location_on(0, 2), location_on(1, 2));
         let theta = theta_at(&[&home, &other], 4, 16);
         let (pool, registry) = pool_over(&theta, 2);
-        let (epochs, _) = pool.cluster_state(None).unwrap();
         let prepared = prepare_fresh(&pool, &request_at("here", &other, 1, 16));
         assert!(
             matches!(prepared, Response::Prepared { .. }),
             "{prepared:?}"
         );
+        let home_cpu = LocatedType::cpu(Location::new(&home));
+        let home_supply = Scope::new([home_cpu.clone()], TimeInterval::from_ticks(0, 16).unwrap());
         assert_eq!(
-            pool.cluster_state(None).unwrap().0,
-            vec![epochs[0], epochs[1] + 1],
-            "only the owner's epoch moves"
+            pool.cluster_state(Some(&home_supply)).unwrap(),
+            theta.restrict(|located| *located == home_cpu),
+            "only the owner's supply moves"
         );
         assert_eq!(
             held(&pool).iter().map(Vec::len).collect::<Vec<_>>(),
@@ -2149,7 +2154,7 @@ mod tests {
             "{verdict:?}"
         );
         assert!(pool.abort("here"));
-        assert_eq!(pool.cluster_state(None).unwrap().1, theta);
+        assert_eq!(pool.cluster_state(None).unwrap(), theta);
         assert_eq!(stats_of(&pool).accepted, 1, "the actor-less admit stays");
         assert_eq!(
             pool.locked(0, pool.clock.now(), |state| state.controller.in_flight()),
@@ -2244,7 +2249,7 @@ mod tests {
         let err = pool.commit("both").unwrap_err();
         assert!(err.contains("expired or never prepared"), "{err}");
         assert_eq!(
-            pool.cluster_state(None).unwrap().1,
+            pool.cluster_state(None).unwrap(),
             theta,
             "every shard's supply is back"
         );
@@ -2332,13 +2337,13 @@ mod tests {
                     let give_up = Instant::now() + Duration::from_secs(10);
                     loop {
                         assert!(Instant::now() < give_up, "{location} never showed");
-                        let (epochs, basis) = pool.cluster_state(None).unwrap();
+                        let basis = pool.cluster_state(None).unwrap();
                         if basis.profile(&location).is_empty() {
                             std::thread::yield_now();
                             continue;
                         }
                         let verdict = pool.decide(&request, &basis);
-                        match pool.prepare(&request, &verdict, &epochs, Duration::from_secs(60)) {
+                        match pool.prepare(&request, &verdict, &basis, Duration::from_secs(60)) {
                             Response::Prepared { .. } => break,
                             Response::StaleEpoch { .. } => continue,
                             other => panic!("{other:?}"),
@@ -2401,9 +2406,8 @@ mod tests {
             clock.clone(),
         );
         let ttl = Duration::from_secs(30);
-        let (epochs, basis) = pool.cluster_state(None).unwrap();
-        let prepare =
-            || decide_and_prepare(&pool, request_at("r", "l0", 1, 16), &basis, &epochs, ttl);
+        let basis = pool.cluster_state(None).unwrap();
+        let prepare = || decide_and_prepare(&pool, request_at("r", "l0", 1, 16), &basis, ttl);
         assert!(matches!(prepare(), Response::Prepared { .. }));
         // A re-prepare 20 s in moves the lapse to 50 s, so the hold
         // outlives its first 30 s.
@@ -2413,10 +2417,11 @@ mod tests {
         assert!(recorded(&pool).is_empty(), "a hold is not a verdict yet");
         pool.commit("r").unwrap();
         assert_eq!(recorded(&pool), owned(&[("r", true)]));
-        // A committed name answers "prepared" with the stale epochs it
-        // was first prepared on, and installs nothing.
+        // A committed name answers "prepared" on the stale basis it was
+        // first prepared on, and installs nothing.
+        let committed = pool.cluster_state(None).unwrap();
         assert!(matches!(prepare(), Response::Prepared { .. }));
-        assert_eq!(pool.cluster_state(None).unwrap().0, vec![1]);
+        assert_eq!(pool.cluster_state(None).unwrap(), committed);
         let snap = registry.snapshot();
         assert_eq!(snap.counter("server.twopc.prepared{shard=0}"), Some(1));
         assert_eq!(
@@ -2501,11 +2506,11 @@ mod tests {
             &registry,
             clock.clone(),
         );
-        let (epochs, basis) = pool.cluster_state(None).unwrap();
+        let basis = pool.cluster_state(None).unwrap();
         let request = request_at("big", "l0", 4, 16);
         let verdict = pool.decide(&request, &basis);
         let reads = clock.0.load(Ordering::Relaxed);
-        let reject = pool.prepare(&request, &verdict, &epochs, Duration::from_secs(60));
+        let reject = pool.prepare(&request, &verdict, &basis, Duration::from_secs(60));
         assert!(
             matches!(
                 reject,
@@ -2545,11 +2550,11 @@ mod tests {
         );
         assert!(!pool.abort("a"), "an admit's verdict is not a hold");
         // A hold of another name lapses past its TTL; the verdict stays.
-        let (epochs, basis) = pool.cluster_state(None).unwrap();
+        let basis = pool.cluster_state(None).unwrap();
         let held = request_at("h", "l0", 1, 16);
         let ttl = Duration::from_millis(25);
         assert!(matches!(
-            decide_and_prepare(&pool, held, &basis, &epochs, ttl),
+            decide_and_prepare(&pool, held, &basis, ttl),
             Response::Prepared { .. }
         ));
         clock.advance(ttl);
@@ -2696,11 +2701,8 @@ mod tests {
                 participants.sort_unstable();
                 participants.dedup();
                 let mut basis = ResourceSet::new();
-                let mut epochs = Vec::new();
                 for (pool, _) in &pools {
-                    let (e, theta) = pool.cluster_state(None).unwrap();
-                    basis = basis.union(&theta).unwrap();
-                    epochs.push(e);
+                    basis.add_set(&pool.cluster_state(None).unwrap()).unwrap();
                 }
                 let verdict = pools[0].0.decide(&request, &basis);
                 let Decision::Accept(decided) = &verdict else {
@@ -2708,7 +2710,7 @@ mod tests {
                 };
                 for &node in &participants {
                     let answer = pools[node].0.prepare(
-                        &request, &verdict, &epochs[node], Duration::from_secs(60),
+                        &request, &verdict, &basis, Duration::from_secs(60),
                     );
                     prop_assert!(matches!(answer, Response::Prepared { .. }), "{:?}", answer);
                 }
@@ -2778,7 +2780,7 @@ mod tests {
         }
     }
 
-    /// One call on a 2-shard pool, for the epoch property. Names are
+    /// One call on a 2-shard pool, for the read-set property. Names are
     /// drawn from a few, so retries, dedup replays, conflicts and
     /// commits or aborts of held names all occur.
     #[derive(Debug, Clone)]
@@ -2846,14 +2848,36 @@ mod tests {
         ]
     }
 
+    /// Whether any shard holds or has committed `name`, or has a live
+    /// commitment of one of `request`'s actors: a prepare of it is then
+    /// not decided again, or its install fails.
+    fn taken(pool: &ShardPool, request: &AdmissionRequest) -> bool {
+        let actors = request.actor_names();
+        (0..pool.shards()).any(|index| {
+            pool.locked(index, pool.clock.now(), |state| {
+                matches!(
+                    state.names.get(request.name()),
+                    Some(Entry::Held { .. } | Entry::Committed { .. })
+                ) || state
+                    .controller
+                    .state()
+                    .rho()
+                    .iter()
+                    .any(|c| actors.contains(c.actor()))
+            })
+        })
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
-        /// Whenever an operation leaves every shard's epoch where it
-        /// was, it leaves the pool's available resources unchanged too:
-        /// the rule a 2PC prepare's epoch check, and a coordinator that
-        /// confirms its reject with its own prepare, both rest on.
+        /// A two-phase verdict validated by what it read is the live
+        /// one. A prepare on the latest or on the pool's first snapshot
+        /// is refused exactly when some shard's supply within the
+        /// request's scope has moved since; when it is not, each shard
+        /// installs its share of the verdict `decide` gives on the live
+        /// merged Θ_expire, or shard 0 records that verdict's reject.
         #[test]
-        fn unchanged_epochs_mean_unchanged_resources(
+        fn a_validated_decision_is_the_live_decision(
             steps in proptest::collection::vec(step(), 1..40),
         ) {
             let locations = [location_on(0, 2), location_on(1, 2)];
@@ -2862,7 +2886,7 @@ mod tests {
             let policy = BuggyPolicy { doomed: "doomed" };
             let pool = ShardPool::new(policy, &theta, 2, 8, 4, &registry, wall());
             let first = pool.cluster_state(None).unwrap();
-            let (mut epochs, mut resources) = first.clone();
+            let mut resources = first.clone();
             for step in steps {
                 let name = |n: u8| format!("j{n}");
                 match step {
@@ -2876,12 +2900,46 @@ mod tests {
                         pool.offer(theta_at(&[&locations[shard]], rate, 16));
                     }
                     Step::Prepare { name: n, shard, evals, fresh, lapses } => {
-                        let (epochs, basis) =
-                            if fresh { (&epochs, &resources) } else { (&first.0, &first.1) };
+                        let basis = if fresh { &resources } else { &first };
                         let ttl =
                             if lapses { Duration::ZERO } else { Duration::from_secs(60) };
                         let request = request_at(&name(n), &locations[shard], evals, 16);
-                        decide_and_prepare(&pool, request, basis, epochs, ttl);
+                        let scope =
+                            Scope::of(&request.requirement().total_demand(), request.window());
+                        let read = basis.exclude_support_within(
+                            &ResourceSet::new(),
+                            scope.types(),
+                            &scope.window(),
+                        );
+                        let moved = pool.cluster_state(Some(&scope)).unwrap() != read;
+                        let live = pool.decide(&request, &pool.cluster_state(None).unwrap());
+                        let decided = !taken(&pool, &request);
+                        let answer = pool.prepare(&request, &pool.decide(&request, basis), basis, ttl);
+                        if decided {
+                            let refused = matches!(answer, Response::StaleEpoch { .. });
+                            prop_assert_eq!(refused, moved, "{:?}", answer);
+                        }
+                        match &live {
+                            _ if !decided || moved => {}
+                            Decision::Accept(commitments) => {
+                                prop_assert!(matches!(answer, Response::Prepared { .. }), "{:?}", answer);
+                                let actors = request.actor_names();
+                                for index in 0..pool.shards() {
+                                    let (installed, share) = pool.locked(index, pool.clock.now(), |state| {
+                                        let rho = state.controller.state().rho().iter();
+                                        let installed: Vec<Commitment> =
+                                            rho.filter(|c| actors.contains(c.actor())).cloned().collect();
+                                        (installed, state.share(commitments))
+                                    });
+                                    if !lapses {
+                                        prop_assert_eq!(installed, share, "shard {}", index);
+                                    }
+                                }
+                            }
+                            Decision::Reject(_) => {
+                                prop_assert_eq!(answer, decision_response(&request, &live, 0));
+                            }
+                        }
                     }
                     Step::Commit { name: n } => {
                         let _ = pool.commit(&name(n));
@@ -2898,18 +2956,10 @@ mod tests {
                     Step::Panic { shard } => {
                         let bounced = pool.admit(request_at("doomed", &locations[shard], 1, 16)).into_response();
                         prop_assert_eq!(bounced, Response::Overloaded { shard });
-                        prop_assert_eq!(
-                            pool.cluster_state(None).unwrap(),
-                            (epochs.clone(), resources.clone())
-                        );
+                        prop_assert_eq!(&pool.cluster_state(None).unwrap(), &resources);
                     }
                 }
-                let (now_epochs, now_resources) = pool.cluster_state(None).unwrap();
-                if now_epochs == epochs {
-                    prop_assert_eq!(&now_resources, &resources, "epochs {:?}", epochs);
-                }
-                epochs = now_epochs;
-                resources = now_resources;
+                resources = pool.cluster_state(None).unwrap();
             }
         }
     }

@@ -20,7 +20,7 @@ use rota_interval::{TimeInterval, TimePoint};
 use rota_logic::State;
 use rota_obs::Json;
 use rota_resource::{LocatedType, NodeResourceKind, Rate, ResourceTerm};
-use rota_server::spec::{computation_to_json, resources_from_json};
+use rota_server::spec::{self, computation_to_json, resources_from_json};
 use rota_server::{
     LocalHandle, Reply, Request, RequestHook, Server, ServerConfig, WallClock, MAX_FRAME_BYTES,
 };
@@ -491,9 +491,8 @@ impl RequestHook for PassThrough {
 
 /// A coordinator reads its own slice of a two-phase basis through its
 /// `LocalHandle`, a participant through a `cluster-snapshot` frame.
-/// Both must carry the same specs, so every participant decides on one
-/// basis: a term the wire cannot name (here `disk`) is left out of
-/// both.
+/// The frame carries the local set's specs: the set less the terms the
+/// wire cannot name (here `disk`), which no request demands.
 #[test]
 fn local_cluster_state_is_the_wire_snapshot() {
     let mut theta = base_resources(&chain_workload());
@@ -526,7 +525,7 @@ fn local_cluster_state_is_the_wire_snapshot() {
     )
     .expect("spawn server");
 
-    let (epochs, specs) = local
+    let set = local
         .get()
         .expect("hook installed")
         .cluster_state_in(None)
@@ -535,13 +534,6 @@ fn local_cluster_state_is_the_wire_snapshot() {
     let answer = roundtrip(&mut stream, &mut reader, "{\"op\":\"cluster-snapshot\"}");
     let op = answer.get("op").and_then(Json::as_str);
     assert_eq!(op, Some("cluster-state"));
-    let wire_epochs: Vec<u64> = answer
-        .get("epochs")
-        .and_then(Json::as_array)
-        .expect("epochs")
-        .iter()
-        .map(|e| e.as_u64().expect("epoch"))
-        .collect();
     let wire = resources_from_json(
         answer
             .get("resources")
@@ -550,9 +542,10 @@ fn local_cluster_state_is_the_wire_snapshot() {
     )
     .expect("the answer decodes");
 
-    assert_eq!(epochs, wire_epochs);
+    // A fresh server offers its whole supply; the wire, all but the disk.
+    assert_eq!(set, theta);
+    let specs = spec::resource_specs(&set);
     assert_eq!(specs, wire);
-    // A fresh server offers its whole supply: every term but the disk.
     assert_eq!(specs.len() + 1, theta.term_count());
     assert!(
         specs.iter().all(|spec| spec.located != disk),

@@ -160,6 +160,27 @@ loadtest-cluster *ARGS:
     cargo run --release -p rota-cli --bin rota-cli -- loadtest --cluster 3 \
         --jobs 2000 --connections 8 {{ARGS}}
 
+# The six-seed cluster loadtest (EXPERIMENTS E16, E20) on the release
+# build: per seed, the jobs decided, the jobs that ended in an error,
+# the 2PCs started and their retries after a `stale-epoch` answer, then
+# the sums.
+cluster-races:
+    #!/usr/bin/env bash
+    set -euo pipefail
+    cargo build --release -q -p rota-cli
+    printf '%-6s %8s %7s %7s %8s\n' seed decided errors 2pcs retries
+    sums=(0 0 0 0)
+    for seed in 1 2 3 4 5 6; do
+        row=($(./target/release/rota-cli loadtest --cluster 3 --nodes 3 --horizon 768 \
+            --shape mixed --slack 3 --jobs 700 --connections 2 --seed "$seed" |
+            awk '{ for (i = 1; i <= NF; i++) if (split($i, kv, "=") == 2) v[kv[1]] = kv[2] }
+                 END { print v["accepted"] + v["rejected"], v["errors"] + 0,
+                             v["twopc.started"] + 0, v["twopc.retries"] + 0 }'))
+        printf '%-6s %8d %7d %7d %8d\n' "$seed" "${row[@]}"
+        for i in 0 1 2 3; do sums[i]=$((sums[i] + row[i])); done
+    done
+    printf '%-6s %8d %7d %7d %8d\n' total "${sums[@]}"
+
 # The E14 chaos battery: seeded faults from a test proxy in front of a
 # 4-shard server (latency, truncation, resets) plus a policy that panics
 # on its 500th decision, against a loadtest retrying up to 8 attempts
