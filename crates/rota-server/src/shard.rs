@@ -535,8 +535,10 @@ impl ShardPool {
             if let Some(failure) = self.locked(index, now, |state| {
                 state.prepare(request, verdict, &scope, basis, &tally, now + ttl)
             }) {
-                for prepared in (0..index).filter(|_| accept) {
-                    self.locked(prepared, now, |state| state.abort(&name));
+                if accept {
+                    for prepared in 0..index {
+                        self.locked(prepared, now, |state| state.abort(&name));
+                    }
                 }
                 return failure;
             }
