@@ -5,12 +5,15 @@
 //! A [`ResourceDemand`] is such a set: a total quantity per located type.
 
 use core::fmt;
-use std::collections::BTreeMap;
 
 use rota_resource::{LocatedType, Quantity};
 
 /// A set of resource amounts `{q}_ξ` — what one action (or an aggregate of
 /// actions) requires, by located type.
+///
+/// Stored as one vector of `(type, amount)` pairs sorted by type, with
+/// no zero amount: a demand touches one to a few types, and a live
+/// commitment keeps one per segment.
 ///
 /// # Examples
 ///
@@ -26,15 +29,20 @@ use rota_resource::{LocatedType, Quantity};
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct ResourceDemand {
-    amounts: BTreeMap<LocatedType, Quantity>,
+    amounts: Vec<(LocatedType, Quantity)>,
 }
 
 impl ResourceDemand {
     /// The empty demand.
     pub fn new() -> Self {
         ResourceDemand {
-            amounts: BTreeMap::new(),
+            amounts: Vec::new(),
         }
+    }
+
+    /// Where `located` is, or would be inserted, in `amounts`.
+    fn slot(&self, located: &LocatedType) -> Result<usize, usize> {
+        self.amounts.binary_search_by(|(lt, _)| lt.cmp(located))
     }
 
     /// A demand for a single amount of one located type.
@@ -56,7 +64,10 @@ impl ResourceDemand {
 
     /// The demanded amount for `located` (zero if absent).
     pub fn amount(&self, located: &LocatedType) -> Quantity {
-        self.amounts.get(located).copied().unwrap_or(Quantity::ZERO)
+        match self.slot(located) {
+            Ok(i) => self.amounts[i].1,
+            Err(_) => Quantity::ZERO,
+        }
     }
 
     /// Adds `amount` of `located` to the demand; zero amounts are ignored.
@@ -70,10 +81,21 @@ impl ResourceDemand {
         if amount.is_zero() {
             return;
         }
-        let slot = self.amounts.entry(located).or_insert(Quantity::ZERO);
-        *slot = slot
-            .checked_add(amount)
-            .expect("ResourceDemand amount overflowed u64");
+        self.accumulate(&located, amount);
+    }
+
+    /// Adds a non-zero `amount` of `located`, cloning the type only to
+    /// insert it.
+    fn accumulate(&mut self, located: &LocatedType, amount: Quantity) {
+        match self.slot(located) {
+            Ok(i) => {
+                let slot = &mut self.amounts[i].1;
+                *slot = slot
+                    .checked_add(amount)
+                    .expect("ResourceDemand amount overflowed u64");
+            }
+            Err(i) => self.amounts.insert(i, (located.clone(), amount)),
+        }
     }
 
     /// Merges another demand into this one.
@@ -83,7 +105,7 @@ impl ResourceDemand {
     /// Panics on amount overflow, as in [`add`](ResourceDemand::add).
     pub fn merge(&mut self, other: &ResourceDemand) {
         for (lt, q) in &other.amounts {
-            self.add(lt.clone(), *q);
+            self.accumulate(lt, *q);
         }
     }
 
@@ -94,7 +116,7 @@ impl ResourceDemand {
 
     /// The located types demanded, in order.
     pub fn located_types(&self) -> impl Iterator<Item = &LocatedType> {
-        self.amounts.keys()
+        self.amounts.iter().map(|(lt, _)| lt)
     }
 
     /// If the demand touches exactly one located type, that type.
@@ -103,9 +125,8 @@ impl ResourceDemand {
     /// require the same single type of resource need not be broken down" —
     /// keys off this.
     pub fn sole_located_type(&self) -> Option<&LocatedType> {
-        let mut keys = self.amounts.keys();
-        match (keys.next(), keys.next()) {
-            (Some(lt), None) => Some(lt),
+        match self.amounts.as_slice() {
+            [(lt, _)] => Some(lt),
             _ => None,
         }
     }
@@ -113,7 +134,7 @@ impl ResourceDemand {
     /// Total units across all located types (a size metric, not a
     /// semantically meaningful aggregate across different types).
     pub fn total_units(&self) -> u64 {
-        self.amounts.values().map(|q| q.units()).sum()
+        self.amounts.iter().map(|(_, q)| q.units()).sum()
     }
 }
 
@@ -202,6 +223,110 @@ mod tests {
         let d = ResourceDemand::single(cpu("l1"), Quantity::new(8));
         assert_eq!(d.to_string(), "{{8}_⟨cpu, l1⟩}");
         assert_eq!(ResourceDemand::new().to_string(), "{}");
+    }
+
+    /// One of five located types, nodes and links.
+    fn located(i: u8) -> LocatedType {
+        match i % 5 {
+            4 => LocatedType::network(Location::new("l1"), Location::new("l0")),
+            3 => LocatedType::network(Location::new("l0"), Location::new("l1")),
+            n => cpu(&format!("l{n}")),
+        }
+    }
+
+    /// A demand operation, with its operands.
+    #[derive(Debug, Clone)]
+    enum Op {
+        Add(u8, u64),
+        Merge(Vec<(u8, u64)>),
+    }
+
+    /// The demand as it was stored before it became a sorted vector, with
+    /// the former bodies of `add` and `merge`.
+    type Model = std::collections::BTreeMap<LocatedType, Quantity>;
+
+    fn model_add(m: &mut Model, located: LocatedType, amount: Quantity) {
+        if amount.is_zero() {
+            return;
+        }
+        let slot = m.entry(located).or_insert(Quantity::ZERO);
+        *slot = slot.checked_add(amount).unwrap();
+    }
+
+    fn both(parts: &[(u8, u64)]) -> (ResourceDemand, Model) {
+        let mut model = Model::new();
+        for &(l, q) in parts {
+            model_add(&mut model, located(l), Quantity::new(q));
+        }
+        let demand: ResourceDemand = parts
+            .iter()
+            .map(|&(l, q)| (located(l), Quantity::new(q)))
+            .collect();
+        (demand, model)
+    }
+
+    fn assert_agrees(demand: &ResourceDemand, model: &Model) {
+        assert!(demand.iter().eq(model.iter().map(|(lt, q)| (lt, *q))));
+        assert!(demand.located_types().eq(model.keys()));
+        assert_eq!(demand.len(), model.len());
+        assert_eq!(demand.is_empty(), model.is_empty());
+        let sole = match model.len() {
+            1 => model.keys().next(),
+            _ => None,
+        };
+        assert_eq!(demand.sole_located_type(), sole);
+        for i in 0..5 {
+            let amount = model.get(&located(i)).copied().unwrap_or(Quantity::ZERO);
+            assert_eq!(demand.amount(&located(i)), amount);
+        }
+    }
+
+    fn arb_parts() -> impl proptest::strategy::Strategy<Value = Vec<(u8, u64)>> {
+        proptest::collection::vec((0u8..5, 0u64..4), 0..5)
+    }
+
+    fn arb_op() -> impl proptest::strategy::Strategy<Value = Op> {
+        use proptest::prelude::*;
+        prop_oneof![
+            (0u8..5, 0u64..4).prop_map(|(l, q)| Op::Add(l, q)),
+            arb_parts().prop_map(Op::Merge),
+        ]
+    }
+
+    proptest::proptest! {
+        /// Random `add` and `merge` sequences give the sorted-vector
+        /// demand the amounts, order, equality and hash of the
+        /// `BTreeMap` it replaced.
+        #[test]
+        fn demand_matches_its_btree_model(
+            start in arb_parts(),
+            ops in proptest::collection::vec(arb_op(), 0..10),
+        ) {
+            use std::hash::{BuildHasher, RandomState};
+            let (mut demand, mut model) = both(&start);
+            assert_agrees(&demand, &model);
+            let hasher = RandomState::new();
+            for op in ops {
+                let (before, before_model) = (demand.clone(), model.clone());
+                match op {
+                    Op::Add(l, q) => {
+                        demand.add(located(l), Quantity::new(q));
+                        model_add(&mut model, located(l), Quantity::new(q));
+                    }
+                    Op::Merge(parts) => {
+                        let (other, other_model) = both(&parts);
+                        demand.merge(&other);
+                        for (lt, q) in other_model.iter() {
+                            model_add(&mut model, lt.clone(), *q);
+                        }
+                        proptest::prop_assert_eq!(demand == other, model == other_model);
+                    }
+                }
+                assert_agrees(&demand, &model);
+                proptest::prop_assert_eq!(demand == before, model == before_model);
+                proptest::prop_assert_eq!(hasher.hash_one(&demand), hasher.hash_one(&model));
+            }
+        }
     }
 
     #[test]

@@ -304,10 +304,18 @@ impl<P: AdmissionPolicy> AdmissionController<P> {
     }
 
     /// Submits a request: [`decide`](Self::decide) it, then
-    /// [`enact`](Self::enact) the verdict.
+    /// [`enact`](Self::enact) the verdict, returned with a copy of an
+    /// accept's commitments.
     pub fn submit(&mut self, request: &AdmissionRequest) -> Decision {
         let decision = self.decide(request);
-        self.enact(request, decision)
+        let commitments = match &decision {
+            Decision::Accept(commitments) => commitments.clone(),
+            Decision::Reject(_) => Vec::new(),
+        };
+        match self.enact(request, decision) {
+            Ok(_) => Decision::Accept(commitments),
+            Err(reason) => Decision::Reject(reason),
+        }
     }
 
     /// The policy's verdict on `request` against the current state. It
@@ -318,36 +326,44 @@ impl<P: AdmissionPolicy> AdmissionController<P> {
     }
 
     /// Acts on a verdict [`decide`](Self::decide) returned for
-    /// `request`: installs an accept's commitments and counts the
-    /// verdict.
+    /// `request`: moves an accept's commitments into the state and
+    /// counts the verdict. Returns how many commitments were installed,
+    /// or the reason the request stands rejected.
     ///
     /// An accept whose commitments the state refuses to install (e.g.
     /// an actor name already committed by an earlier request) is
     /// downgraded to a rejection after rolling back any partial
     /// install — the state never ends up holding a half-admitted
     /// computation, and the caller never observes a panic.
-    pub fn enact(&mut self, request: &AdmissionRequest, mut decision: Decision) -> Decision {
-        match &decision {
+    ///
+    /// # Errors
+    ///
+    /// The policy's [`RejectReason`], or
+    /// [`RejectReason::PolicyCheckFailed`] for a downgraded accept.
+    pub fn enact(
+        &mut self,
+        request: &AdmissionRequest,
+        decision: Decision,
+    ) -> Result<usize, RejectReason> {
+        let enacted = match decision {
             Decision::Accept(commitments) => {
-                match self.install(commitments.clone(), request.deadline()) {
-                    Ok(()) => {}
-                    Err(err) => {
-                        decision = Decision::Reject(RejectReason::PolicyCheckFailed {
-                            detail: format!("commitments not installable: {err}"),
-                        });
-                        self.stats.rejected += 1;
-                    }
-                }
+                let count = commitments.len();
+                self.install(commitments, request.deadline())
+                    .map(|()| count)
+                    .map_err(|err| RejectReason::PolicyCheckFailed {
+                        detail: format!("commitments not installable: {err}"),
+                    })
             }
-            Decision::Reject(_) => {
-                self.stats.rejected += 1;
-            }
+            Decision::Reject(reason) => Err(reason),
+        };
+        if enacted.is_err() {
+            self.stats.rejected += 1;
         }
         // (`install` already updated the in-flight gauge on accept.)
         if let Some(obs) = &self.obs {
-            obs.count_decision(decision.is_accept());
+            obs.count_decision(enacted.is_ok());
         }
-        decision
+        enacted
     }
 
     /// Installs already-decided commitments directly (the mechanism

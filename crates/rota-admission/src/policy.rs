@@ -20,7 +20,6 @@
 use core::fmt;
 use std::sync::Arc;
 
-use rota_actor::ResourceDemand;
 use rota_logic::{schedule_concurrent, Commitment, State};
 use rota_resource::{LocatedType, Quantity};
 
@@ -179,17 +178,49 @@ impl<P: AdmissionPolicy + ?Sized> AdmissionPolicy for Arc<P> {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RotaPolicy;
 
-impl RotaPolicy {
-    /// The refutation over `demand`, the request's total demand: the
-    /// scan stops at the first type whose supply is unknown, so a
-    /// partial supply refutes only where the whole one would refute
-    /// first.
-    fn refutation(
+impl AdmissionPolicy for RotaPolicy {
+    fn name(&self) -> &'static str {
+        "rota"
+    }
+
+    fn decide(&self, state: &State, request: &AdmissionRequest) -> Decision {
+        if state.now() >= request.deadline() {
+            return Decision::Reject(RejectReason::DeadlinePassed);
+        }
+        let window = request.window();
+        let expiring = state.expiring_in(request.demand().located_types(), window);
+        let supply = |located: &LocatedType| expiring.quantity_over(located, &window).ok();
+        if let Some(reject) = self.refute(request, &supply) {
+            return Decision::Reject(reject);
+        }
+        match schedule_concurrent(&expiring, request.requirement(), state.now()) {
+            Ok(schedules) => {
+                let commitments = schedules
+                    .into_iter()
+                    .zip(request.actor_names())
+                    .map(|(schedule, actor)| schedule.into_commitment(actor, request.deadline()))
+                    .collect();
+                Decision::Accept(commitments)
+            }
+            Err((actor_index, err)) => Decision::Reject(RejectReason::Infeasible {
+                actor_index,
+                violated_term: err
+                    .located()
+                    .map(|lt| format!("{lt} short by {}", err.shortfall())),
+                detail: err.to_string(),
+            }),
+        }
+    }
+
+    /// The scan over the request's total demand stops at the first
+    /// type whose supply is unknown, so a partial supply refutes only
+    /// where the whole one would refute first.
+    fn refute(
+        &self,
         request: &AdmissionRequest,
-        demand: &ResourceDemand,
         supply: &dyn Fn(&LocatedType) -> Option<Quantity>,
     ) -> Option<RejectReason> {
-        for (located, demanded) in demand.iter() {
+        for (located, demanded) in request.demand().iter() {
             let have = supply(located)?;
             if have >= demanded {
                 continue;
@@ -213,50 +244,6 @@ impl RotaPolicy {
     }
 }
 
-impl AdmissionPolicy for RotaPolicy {
-    fn name(&self) -> &'static str {
-        "rota"
-    }
-
-    fn decide(&self, state: &State, request: &AdmissionRequest) -> Decision {
-        if state.now() >= request.deadline() {
-            return Decision::Reject(RejectReason::DeadlinePassed);
-        }
-        let demand = request.requirement().total_demand();
-        let window = request.window();
-        let expiring = state.expiring_in(demand.located_types(), window);
-        let supply = |located: &LocatedType| expiring.quantity_over(located, &window).ok();
-        if let Some(reject) = Self::refutation(request, &demand, &supply) {
-            return Decision::Reject(reject);
-        }
-        match schedule_concurrent(&expiring, request.requirement(), state.now()) {
-            Ok(schedules) => {
-                let commitments = schedules
-                    .into_iter()
-                    .zip(request.actor_names())
-                    .map(|(schedule, actor)| schedule.into_commitment(actor, request.deadline()))
-                    .collect();
-                Decision::Accept(commitments)
-            }
-            Err((actor_index, err)) => Decision::Reject(RejectReason::Infeasible {
-                actor_index,
-                violated_term: err
-                    .located()
-                    .map(|lt| format!("{lt} short by {}", err.shortfall())),
-                detail: err.to_string(),
-            }),
-        }
-    }
-
-    fn refute(
-        &self,
-        request: &AdmissionRequest,
-        supply: &dyn Fn(&LocatedType) -> Option<Quantity>,
-    ) -> Option<RejectReason> {
-        Self::refutation(request, &request.requirement().total_demand(), supply)
-    }
-}
-
 /// The strawman the paper warns about: admit iff, for every located type,
 /// the **total quantity** available in `(s, d)` minus what existing
 /// commitments still need covers the request's total demand. Ignores
@@ -275,8 +262,7 @@ impl AdmissionPolicy for NaiveTotalPolicy {
         }
         let window = request.window();
         let committed = state.rho().total_remaining();
-        let demand = request.requirement().total_demand();
-        for (lt, q) in demand.iter() {
+        for (lt, q) in request.demand().iter() {
             let available = state
                 .theta()
                 .quantity_over(lt, &window)

@@ -2,21 +2,34 @@
 //! with its derived resource requirement.
 
 use core::fmt;
+use core::hash::{Hash, Hasher};
 
 use rota_actor::{
     ActorName, ConcurrentRequirement, CostModel, DistributedComputation, Granularity,
+    ResourceDemand,
 };
 use rota_interval::{TimeInterval, TimePoint};
 
 /// A request to accommodate a distributed computation `(Λ, s, d)`.
 ///
 /// Carries the computation together with its concurrent resource
-/// requirement `ρ(Λ, s, d)` (derived once, via Φ, at construction) so
-/// policies can decide without re-pricing.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// requirement `ρ(Λ, s, d)` and that requirement's total demand (both
+/// derived once, via Φ, at construction) so policies can decide without
+/// re-pricing.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AdmissionRequest {
     computation: DistributedComputation,
     requirement: ConcurrentRequirement,
+    demand: ResourceDemand,
+}
+
+/// The demand is a function of the requirement, so it adds nothing to
+/// the request's identity and is not hashed.
+impl Hash for AdmissionRequest {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.computation.hash(state);
+        self.requirement.hash(state);
+    }
 }
 
 impl AdmissionRequest {
@@ -28,9 +41,11 @@ impl AdmissionRequest {
         granularity: Granularity,
     ) -> Self {
         let requirement = ConcurrentRequirement::of_computation(&computation, phi, granularity);
+        let demand = requirement.total_demand();
         AdmissionRequest {
             computation,
             requirement,
+            demand,
         }
     }
 
@@ -42,6 +57,13 @@ impl AdmissionRequest {
     /// The derived requirement `ρ(Λ, s, d)`.
     pub fn requirement(&self) -> &ConcurrentRequirement {
         &self.requirement
+    }
+
+    /// The requirement's total demand, `requirement().total_demand()`:
+    /// what each located type must supply over the window, order
+    /// forgotten.
+    pub fn demand(&self) -> &ResourceDemand {
+        &self.demand
     }
 
     /// The request's identifying name.
@@ -102,6 +124,7 @@ mod tests {
             AdmissionRequest::price(lambda, &TableCostModel::paper(), Granularity::MaximalRun);
         assert_eq!(req.name(), "job");
         assert_eq!(req.requirement().parts().len(), 2);
+        assert_eq!(req.demand(), &req.requirement().total_demand());
         assert_eq!(req.actor_names().len(), 2);
         assert_eq!(req.start(), TimePoint::ZERO);
         assert_eq!(req.deadline(), TimePoint::new(10));

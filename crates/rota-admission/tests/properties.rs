@@ -182,4 +182,42 @@ proptest! {
             prop_assert_eq!(ctl.in_flight(), 0);
         }
     }
+
+    /// The demand a request carries is its requirement's total demand,
+    /// at either granularity, for computations of several actors that
+    /// evaluate, send and migrate across locations.
+    #[test]
+    fn carried_demand_is_the_total_demand(
+        actors in proptest::collection::vec(
+            (0u8..4, proptest::collection::vec((0u8..3, 0u8..4), 0..5)),
+            0..4,
+        ),
+        per_action in any::<bool>(),
+    ) {
+        let actors = actors
+            .into_iter()
+            .enumerate()
+            .map(|(k, (origin, actions))| {
+                let mut gamma = ActorComputation::new(format!("a{k}"), format!("l{origin}"));
+                for (kind, at) in actions {
+                    gamma.push(match kind {
+                        0 => ActionKind::evaluate(),
+                        1 => ActionKind::send("peer", format!("l{at}").as_str()),
+                        _ => ActionKind::migrate(format!("l{at}").as_str()),
+                    });
+                }
+                gamma
+            })
+            .collect();
+        let lambda =
+            DistributedComputation::new("job", actors, TimePoint::ZERO, TimePoint::new(HORIZON))
+                .unwrap();
+        let granularity = if per_action {
+            Granularity::PerAction
+        } else {
+            Granularity::MaximalRun
+        };
+        let request = AdmissionRequest::price(lambda, &TableCostModel::paper(), granularity);
+        prop_assert_eq!(request.demand(), &request.requirement().total_demand());
+    }
 }

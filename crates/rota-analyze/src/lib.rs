@@ -72,10 +72,7 @@ pub use spec::{
     ActionSpec, ActorSpec, ComputationSpec, ConstraintSpec, ResourceSpec, SpecError, SpecModel,
 };
 
-use rota_actor::{
-    ConcurrentRequirement, CostModel, DistributedComputation, Granularity, ResourceDemand,
-    TableCostModel,
-};
+use rota_actor::{ConcurrentRequirement, CostModel, Granularity, ResourceDemand, TableCostModel};
 use rota_resource::ResourceSet;
 
 /// Every stable code with its default severity and a one-line summary
@@ -167,10 +164,11 @@ pub fn prevalidate(model: &SpecModel, demand: &ResourceDemand) -> Report {
 }
 
 /// Pre-admission validation for a serving layer: the computation half
-/// of the structural lints (R0003, R0005, R0013) on the request, then
-/// the unknown-supply check (R0006) against the live `supply`, with
-/// `demand` already priced by the admission layer. It costs one lookup
-/// per demanded located type, whatever the size of `supply`.
+/// of the structural lints (R0003, R0005, R0013) on the request's
+/// `computation` as decoded, then the unknown-supply check (R0006)
+/// against the live `supply`, with `demand` already priced by the
+/// admission layer. It costs one lookup per demanded located type,
+/// whatever the size of `supply`.
 ///
 /// The overcommitment sweep and the feasibility precheck are
 /// deliberately absent — the policy is about to decide those against
@@ -180,17 +178,12 @@ pub fn prevalidate(model: &SpecModel, demand: &ResourceDemand) -> Report {
 /// so they are not run; what remains is exactly the set of findings
 /// worth sending back to the client.
 pub fn prevalidate_request(
-    computation: &DistributedComputation,
+    computation: &ComputationSpec,
     supply: &ResourceSet,
     demand: &ResourceDemand,
 ) -> Report {
     let mut report = Report::new();
-    check_request(
-        &ComputationSpec::from(computation),
-        supply,
-        demand,
-        &mut report,
-    );
+    check_request(computation, supply, demand, &mut report);
     report
 }
 

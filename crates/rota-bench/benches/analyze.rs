@@ -7,7 +7,8 @@
 //! (`analyze_structural`, what `rota-workload` self-validation runs per
 //! generated job), and pre-admission validation — `prevalidate` over a
 //! spec model, and `prevalidate_request`, what every `rota-server`
-//! shard runs per admit request against its live Θ. Each is compared
+//! shard runs per admit request on the decoded computation spec against
+//! its live Θ. Each is compared
 //! to `RotaPolicy::decide` on the same request — the work the lint
 //! fronts.
 //!
@@ -21,7 +22,9 @@ use rota_actor::{
     ActionKind, ActorComputation, DistributedComputation, Granularity, TableCostModel,
 };
 use rota_admission::{AdmissionPolicy, AdmissionRequest, RotaPolicy};
-use rota_analyze::{analyze_structural, analyze_with, prevalidate, prevalidate_request, SpecModel};
+use rota_analyze::{
+    analyze_structural, analyze_with, prevalidate, prevalidate_request, ComputationSpec, SpecModel,
+};
 use rota_interval::{TimeInterval, TimePoint};
 use rota_logic::State;
 use rota_resource::{LocatedType, Location, Rate, ResourceSet, ResourceTerm};
@@ -101,7 +104,7 @@ fn bench_analyze_vs_decide(c: &mut Criterion) {
         let lambda = job(n);
         let model = SpecModel::from_parts(&theta.to_terms(), &lambda);
         let request = AdmissionRequest::price(lambda, &phi, Granularity::MaximalRun);
-        let demand = request.requirement().total_demand();
+        let demand = request.demand();
         group.bench_with_input(BenchmarkId::new("analyze-full", n), &n, |b, _| {
             b.iter(|| black_box(analyze_with(&model, &phi, Granularity::MaximalRun).has_errors()))
         });
@@ -109,11 +112,11 @@ fn bench_analyze_vs_decide(c: &mut Criterion) {
             b.iter(|| black_box(analyze_structural(&model).has_errors()))
         });
         group.bench_with_input(BenchmarkId::new("prevalidate", n), &n, |b, _| {
-            b.iter(|| black_box(prevalidate(&model, &demand).has_errors()))
+            b.iter(|| black_box(prevalidate(&model, demand).has_errors()))
         });
         group.bench_with_input(BenchmarkId::new("prevalidate-request", n), &n, |b, _| {
             b.iter(|| {
-                black_box(prevalidate_request(request.computation(), &theta, &demand).has_errors())
+                black_box(prevalidate_request(&model.computation, &theta, demand).has_errors())
             })
         });
         group.bench_with_input(BenchmarkId::new("policy-decide", n), &n, |b, _| {
@@ -127,7 +130,8 @@ fn bench_prevalidate_vs_supply(c: &mut Criterion) {
     let phi = TableCostModel::paper();
     let request = AdmissionRequest::price(job(NODES), &phi, Granularity::MaximalRun);
     let lambda = request.computation();
-    let demand = request.requirement().total_demand();
+    let spec = ComputationSpec::from(lambda);
+    let demand = request.demand();
     let mut group = c.benchmark_group("e15/prevalidate_vs_supply");
     group.sample_size(20);
     for segments in [1u64, 8, 32] {
@@ -135,15 +139,15 @@ fn bench_prevalidate_vs_supply(c: &mut Criterion) {
         let terms = theta.term_count();
         let model = SpecModel::from_parts(&theta.to_terms(), lambda);
         group.bench_with_input(BenchmarkId::new("request", terms), &terms, |b, _| {
-            b.iter(|| black_box(prevalidate_request(lambda, &theta, &demand).has_errors()))
+            b.iter(|| black_box(prevalidate_request(&spec, &theta, demand).has_errors()))
         });
         group.bench_with_input(BenchmarkId::new("model", terms), &terms, |b, _| {
-            b.iter(|| black_box(prevalidate(&model, &demand).has_errors()))
+            b.iter(|| black_box(prevalidate(&model, demand).has_errors()))
         });
         group.bench_with_input(BenchmarkId::new("spec-rebuild", terms), &terms, |b, _| {
             b.iter(|| {
                 let model = SpecModel::from_parts(&theta.to_terms(), lambda);
-                black_box(prevalidate(&model, &demand).has_errors())
+                black_box(prevalidate(&model, demand).has_errors())
             })
         });
     }

@@ -265,14 +265,13 @@ impl ClusterRouter {
         // canonical spec-error response.
         let lambda = computation.build().ok()?;
         let request = AdmissionRequest::price(lambda, &self.cost_model, granularity);
-        let demand = request.requirement().total_demand();
-        let route = classify(&demand, &read(&self.topology), &self.me);
+        let route = classify(request.demand(), &read(&self.topology), &self.me);
         let response = match route {
             Route::Unowned(report) => self.unowned(request.name(), &report),
-            Route::Local => return Some(self.local.admit(request)),
+            Route::Local => return Some(self.local.admit(computation, request)),
             Route::Forward(owner) => self.forward(&owner, computation, granularity, request.name()),
             Route::TwoPhase(participants, owners) => {
-                let scope = Scope::of(&demand, request.window());
+                let scope = Scope::of(request.demand(), request.window());
                 let admission = Admission {
                     computation,
                     granularity,

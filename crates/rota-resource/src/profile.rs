@@ -306,9 +306,14 @@ impl ResourceProfile {
         })
     }
 
-    /// Splices a [`patch`](ResourceProfile::patch) of this profile in.
+    /// Splices a [`patch`](ResourceProfile::patch) of this profile in;
+    /// an empty profile takes the patch's pieces as they are.
     pub(crate) fn apply(&mut self, patch: Patch) {
-        self.segments.splice(patch.range, patch.pieces);
+        if self.segments.is_empty() {
+            self.segments = patch.pieces;
+        } else {
+            self.segments.splice(patch.range, patch.pieces);
+        }
     }
 
     /// Whether `self` pointwise dominates `other` (can supply at least

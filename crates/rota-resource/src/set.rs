@@ -2,7 +2,6 @@
 //! types, kept in the paper's simplified (aggregated) normal form.
 
 use core::fmt;
-use std::collections::BTreeMap;
 
 use rota_interval::{TimeInterval, TimePoint};
 
@@ -84,22 +83,24 @@ impl From<OverflowError> for ResourceSetError {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ResourceSet {
-    profiles: BTreeMap<LocatedType, ResourceProfile>,
+    /// One non-empty profile per located type, sorted by type: a set
+    /// spans a few to a few dozen types, found by binary search.
+    profiles: Vec<(LocatedType, ResourceProfile)>,
 }
 
 impl ResourceSet {
     /// Creates the empty resource set.
     pub fn new() -> Self {
         ResourceSet {
-            profiles: BTreeMap::new(),
+            profiles: Vec::new(),
         }
     }
 
     /// Builds a set from any collection of terms, simplifying: the terms
-    /// are grouped by located type and each group is summed in one
-    /// pass when sorted, by balanced pairwise merges otherwise, so `n`
-    /// terms in any order cost O(n log n). The result equals inserting
-    /// the terms one by one.
+    /// are sorted by located type (stably, so a group keeps its order)
+    /// and each group is summed in one pass when sorted, by balanced
+    /// pairwise merges otherwise, so `n` terms in any order cost
+    /// O(n log n). The result equals inserting the terms one by one.
     ///
     /// # Errors
     ///
@@ -109,23 +110,32 @@ impl ResourceSet {
     where
         I: IntoIterator<Item = ResourceTerm>,
     {
-        let mut groups: BTreeMap<LocatedType, Vec<(TimeInterval, Rate)>> = BTreeMap::new();
-        for term in terms {
-            if !term.is_null() {
-                let group = groups.entry(term.located().clone()).or_default();
-                group.push((term.interval(), term.rate()));
-            }
-        }
-        let mut profiles = BTreeMap::new();
-        for (located, segments) in groups {
-            profiles.insert(located, ResourceProfile::from_segments(segments)?);
+        let mut terms: Vec<ResourceTerm> = terms.into_iter().filter(|t| !t.is_null()).collect();
+        terms.sort_by(|a, b| a.located().cmp(b.located()));
+        let mut profiles = Vec::new();
+        for group in terms.chunk_by(|a, b| a.located() == b.located()) {
+            let segments = group.iter().map(|t| (t.interval(), t.rate()));
+            profiles.push((
+                group[0].located().clone(),
+                ResourceProfile::from_segments(segments)?,
+            ));
         }
         Ok(ResourceSet { profiles })
     }
 
+    /// Where `located` is, or would be inserted, in `profiles`.
+    fn slot(&self, located: &LocatedType) -> Result<usize, usize> {
+        self.profiles.binary_search_by(|(lt, _)| lt.cmp(located))
+    }
+
+    /// The stored profile for `located`, if any.
+    fn get(&self, located: &LocatedType) -> Option<&ResourceProfile> {
+        self.slot(located).ok().map(|i| &self.profiles[i].1)
+    }
+
     /// Whether the set holds no resource at all.
     pub fn is_empty(&self) -> bool {
-        self.profiles.values().all(ResourceProfile::is_empty)
+        self.profiles.iter().all(|(_, p)| p.is_empty())
     }
 
     /// The located types with any availability, in order.
@@ -138,14 +148,13 @@ impl ResourceSet {
 
     /// The availability profile for `located` (empty profile if absent).
     pub fn profile(&self, located: &LocatedType) -> &ResourceProfile {
-        static EMPTY: ResourceProfile = ResourceProfile::new();
-        self.profiles.get(located).unwrap_or(&EMPTY)
+        self.get(located).unwrap_or(&EMPTY_PROFILE)
     }
 
     /// Whether any availability of `located` exists — `!profile(located).is_empty()`
     /// without cloning the profile.
     pub fn supplies(&self, located: &LocatedType) -> bool {
-        self.profiles.get(located).is_some_and(|p| !p.is_empty())
+        self.get(located).is_some_and(|p| !p.is_empty())
     }
 
     /// Inserts (unions) a term into the set — the paper's `Θ ∪ {[r]^τ_ξ}`
@@ -159,10 +168,14 @@ impl ResourceSet {
         if term.is_null() {
             return Ok(());
         }
-        self.profiles
-            .entry(term.located().clone())
-            .or_default()
-            .add(term.interval(), term.rate())?;
+        match self.slot(term.located()) {
+            Ok(i) => self.profiles[i].1.add(term.interval(), term.rate())?,
+            Err(i) => {
+                let mut profile = ResourceProfile::new();
+                profile.add(term.interval(), term.rate())?;
+                self.profiles.insert(i, (term.located().clone(), profile));
+            }
+        }
         Ok(())
     }
 
@@ -186,6 +199,10 @@ impl ResourceSet {
     /// Returns [`ResourceSetError::Overflow`] on rate overflow; `self` is
     /// unchanged on error.
     pub fn add_set(&mut self, other: &ResourceSet) -> Result<(), ResourceSetError> {
+        if self.profiles.is_empty() {
+            self.profiles = other.profiles.clone();
+            return Ok(());
+        }
         self.splice_each(other, |_, ours, theirs| Ok(ours.patch(theirs, add_rates)?))
     }
 
@@ -229,7 +246,9 @@ impl ResourceSet {
 
     /// Patches each profile of a type in `other` with `patch(type, ours,
     /// theirs)`, all or nothing: every patch is computed before any is
-    /// applied.
+    /// applied. When `self` holds every patched type, the patches apply
+    /// in place; otherwise the new types are merged in, in one pass.
+    /// Profiles left empty are dropped.
     fn splice_each(
         &mut self,
         other: &ResourceSet,
@@ -241,23 +260,47 @@ impl ResourceSet {
     ) -> Result<(), ResourceSetError> {
         let mut patches = Vec::with_capacity(other.profiles.len());
         for (lt, theirs) in &other.profiles {
-            patches.push((lt, patch(lt, self.profile(lt), theirs)?));
+            let slot = self.slot(lt);
+            let ours = slot.map_or(&EMPTY_PROFILE, |i| &self.profiles[i].1);
+            patches.push((lt, slot, patch(lt, ours, theirs)?));
         }
-        for (lt, patch) in patches {
-            match self.profiles.get_mut(lt) {
-                Some(profile) => {
+        let fresh = patches.iter().filter(|(_, slot, _)| slot.is_err()).count();
+        if fresh == 0 {
+            let mut emptied = false;
+            for (_, slot, patch) in patches {
+                if let Ok(i) = slot {
+                    let profile = &mut self.profiles[i].1;
                     profile.apply(patch);
-                    if profile.is_empty() {
-                        self.profiles.remove(lt);
-                    }
-                }
-                None => {
-                    let mut profile = ResourceProfile::new();
-                    profile.apply(patch);
-                    self.keep(lt, profile);
+                    emptied |= profile.is_empty();
                 }
             }
+            if emptied {
+                self.profiles.retain(|(_, p)| !p.is_empty());
+            }
+            return Ok(());
         }
+        let ours = std::mem::take(&mut self.profiles);
+        let mut merged = Vec::with_capacity(ours.len() + fresh);
+        let mut patches = patches.into_iter().peekable();
+        let mut push = |lt: LocatedType, mut profile: ResourceProfile, patch: Option<Patch>| {
+            if let Some(patch) = patch {
+                profile.apply(patch);
+            }
+            if !profile.is_empty() {
+                merged.push((lt, profile));
+            }
+        };
+        for (lt, profile) in ours {
+            while let Some((new, _, patch)) = patches.next_if(|(new, _, _)| **new < lt) {
+                push(new.clone(), ResourceProfile::new(), Some(patch));
+            }
+            let patch = patches.next_if(|(new, _, _)| **new == lt);
+            push(lt, profile, patch.map(|(_, _, patch)| patch));
+        }
+        for (new, _, patch) in patches {
+            push(new.clone(), ResourceProfile::new(), Some(patch));
+        }
+        self.profiles = merged;
         Ok(())
     }
 
@@ -274,18 +317,20 @@ impl ResourceSet {
         window: TimeInterval,
         rate: Rate,
     ) -> Result<(), InsufficientRateError> {
-        let profile = self.profiles.entry(located.clone()).or_default();
+        let Ok(i) = self.slot(located) else {
+            return ResourceProfile::new().subtract(window, rate);
+        };
+        let profile = &mut self.profiles[i].1;
         let consumed = profile.subtract(window, rate);
         if profile.is_empty() {
-            self.profiles.remove(located);
+            self.profiles.remove(i);
         }
         consumed
     }
 
     /// Rate of `located` available at tick `t`.
     pub fn rate_at(&self, located: &LocatedType, t: TimePoint) -> Rate {
-        self.profiles
-            .get(located)
+        self.get(located)
             .map(|p| p.rate_at(t))
             .unwrap_or(Rate::ZERO)
     }
@@ -303,7 +348,6 @@ impl ResourceSet {
         window: &TimeInterval,
     ) -> Result<Quantity, ResourceSetError> {
         Ok(self
-            .profiles
             .get(located)
             .map(|p| p.quantity_over(window))
             .transpose()?
@@ -317,13 +361,10 @@ impl ResourceSet {
     /// with any reservation on it offers nothing to anyone else.
     #[must_use]
     pub fn exclude_support(&self, claimed: &ResourceSet) -> ResourceSet {
-        let mut out = ResourceSet::new();
-        for (lt, p) in &self.profiles {
-            if let Some(extent) = p.extent() {
-                out.keep(lt, p.exclude_within(claimed.profile(lt), &extent));
-            }
-        }
-        out
+        self.map_profiles(|lt, p| {
+            p.extent()
+                .map(|extent| p.exclude_within(claimed.profile(lt), &extent))
+        })
     }
 
     /// [`exclude_support`](ResourceSet::exclude_support) restricted to
@@ -340,7 +381,7 @@ impl ResourceSet {
     ) -> ResourceSet {
         let mut out = ResourceSet::new();
         for lt in types {
-            if let Some(p) = self.profiles.get(lt) {
+            if let Some(p) = self.get(lt) {
                 out.keep(lt, p.exclude_within(claimed.profile(lt), window));
             }
         }
@@ -351,48 +392,54 @@ impl ResourceSet {
     /// interval kept.
     #[must_use]
     pub fn restrict(&self, keep: impl Fn(&LocatedType) -> bool) -> ResourceSet {
-        let mut out = ResourceSet::new();
-        for (lt, p) in &self.profiles {
-            if keep(lt) {
-                out.keep(lt, p.clone());
-            }
-        }
-        out
+        self.map_profiles(|lt, p| keep(lt).then(|| p.clone()))
     }
 
     /// Restricts the whole set to `window` — "the union of all resources
     /// in Θ which exist in the interval (s, d)".
     #[must_use]
     pub fn clamp(&self, window: &TimeInterval) -> ResourceSet {
-        let mut out = ResourceSet::new();
-        for (lt, p) in &self.profiles {
-            out.keep(lt, p.clamp(window));
-        }
-        out
+        self.map_profiles(|_, p| Some(p.clamp(window)))
     }
 
-    /// Stores `profile` for `located` unless it is empty.
+    /// The set of the non-empty profiles `f` makes of each of this set's,
+    /// in type order, so no type is searched for.
+    fn map_profiles(
+        &self,
+        f: impl Fn(&LocatedType, &ResourceProfile) -> Option<ResourceProfile>,
+    ) -> ResourceSet {
+        let profiles = self
+            .profiles
+            .iter()
+            .filter_map(|(lt, p)| Some((lt.clone(), f(lt, p).filter(|p| !p.is_empty())?)))
+            .collect();
+        ResourceSet { profiles }
+    }
+
+    /// Stores `profile` for `located`, replacing what was there, unless
+    /// it is empty. Types kept in type order append at the end.
     fn keep(&mut self, located: &LocatedType, profile: ResourceProfile) {
-        if !profile.is_empty() {
-            self.profiles.insert(located.clone(), profile);
+        if profile.is_empty() {
+            return;
+        }
+        match self.slot(located) {
+            Ok(i) => self.profiles[i].1 = profile,
+            Err(i) => self.profiles.insert(i, (located.clone(), profile)),
         }
     }
 
     /// Expires everything before `t` (the expiration rules' effect of
     /// advancing time).
     pub fn truncate_before(&mut self, t: TimePoint) {
-        for p in self.profiles.values_mut() {
+        for (_, p) in &mut self.profiles {
             p.truncate_before(t);
         }
-        self.prune();
+        self.profiles.retain(|(_, p)| !p.is_empty());
     }
 
     /// The latest instant with any availability.
     pub fn horizon(&self) -> Option<TimePoint> {
-        self.profiles
-            .values()
-            .filter_map(ResourceProfile::horizon)
-            .max()
+        self.profiles.iter().filter_map(|(_, p)| p.horizon()).max()
     }
 
     /// The canonical term decomposition — one term per maximal
@@ -409,23 +456,21 @@ impl ResourceSet {
 
     /// Number of terms in the canonical decomposition.
     pub fn term_count(&self) -> usize {
-        self.profiles.values().map(|p| p.segments().len()).sum()
+        self.profiles.iter().map(|(_, p)| p.segments().len()).sum()
     }
 
     /// Whether `self` pointwise dominates `other` for every located type.
     pub fn dominates(&self, other: &ResourceSet) -> bool {
         other.profiles.iter().all(|(lt, demand)| {
-            self.profiles
-                .get(lt)
+            self.get(lt)
                 .map(|have| have.dominates(demand))
                 .unwrap_or_else(|| demand.is_empty())
         })
     }
-
-    fn prune(&mut self) {
-        self.profiles.retain(|_, p| !p.is_empty());
-    }
 }
+
+/// The profile of a type a set does not hold.
+static EMPTY_PROFILE: ResourceProfile = ResourceProfile::new();
 
 impl FromIterator<ResourceTerm> for ResourceSet {
     /// Collects terms into a simplified set.
@@ -708,15 +753,16 @@ mod tests {
     ) -> Result<ResourceSet, ResourceSetError> {
         let mut out = ours.clone();
         for (lt, p) in &theirs.profiles {
-            let have = ours.profiles.get(lt).map(|p| p.segments()).unwrap_or(&[]);
+            let have = ours.profile(lt).segments();
             let segments =
                 crate::profile::zip(have, p.segments(), &op).map_err(|e| error(lt, e))?;
             let terms = segments
                 .iter()
                 .map(|(iv, r)| ResourceTerm::new(*r, *iv, lt.clone()));
-            out.profiles.remove(lt);
+            out.profiles.retain(|(kept, _)| kept != lt);
             out.profiles
                 .extend(ResourceSet::from_terms(terms)?.profiles);
+            out.profiles.sort_by(|a, b| a.0.cmp(&b.0));
         }
         Ok(out)
     }
@@ -750,6 +796,351 @@ mod tests {
                         proptest::prop_assert_eq!(&spliced, from);
                     }
                 }
+            }
+        }
+    }
+
+    /// The set as it was stored before it became a sorted vector: a
+    /// `BTreeMap` from located type to profile, with each operation's
+    /// former body. The reference the model test runs beside the set.
+    mod model {
+        use std::collections::BTreeMap;
+
+        use super::*;
+
+        pub type Model = BTreeMap<LocatedType, ResourceProfile>;
+
+        static EMPTY: ResourceProfile = ResourceProfile::new();
+
+        fn keep(out: &mut Model, lt: &LocatedType, profile: ResourceProfile) {
+            if !profile.is_empty() {
+                out.insert(lt.clone(), profile);
+            }
+        }
+
+        pub fn from_terms(terms: &[ResourceTerm]) -> Result<Model, ResourceSetError> {
+            let mut groups: BTreeMap<LocatedType, Vec<(TimeInterval, Rate)>> = BTreeMap::new();
+            for term in terms.iter().filter(|t| !t.is_null()) {
+                let group = groups.entry(term.located().clone()).or_default();
+                group.push((term.interval(), term.rate()));
+            }
+            let mut out = Model::new();
+            for (lt, segments) in groups {
+                out.insert(lt, ResourceProfile::from_segments(segments)?);
+            }
+            Ok(out)
+        }
+
+        pub fn insert(m: &mut Model, term: &ResourceTerm) -> Result<(), ResourceSetError> {
+            if term.is_null() {
+                return Ok(());
+            }
+            m.entry(term.located().clone())
+                .or_default()
+                .add(term.interval(), term.rate())?;
+            Ok(())
+        }
+
+        pub fn splice(
+            m: &mut Model,
+            other: &Model,
+            subtract: bool,
+        ) -> Result<(), ResourceSetError> {
+            let mut patches = Vec::new();
+            for (lt, theirs) in other {
+                let ours = m.get(lt).unwrap_or(&EMPTY);
+                let patch = if subtract {
+                    ours.patch(theirs, subtract_rates).map_err(|e| {
+                        ResourceSetError::NotDominated {
+                            located: lt.clone(),
+                            at: e.at(),
+                            available: e.available(),
+                            demanded: e.demanded(),
+                        }
+                    })?
+                } else {
+                    ours.patch(theirs, add_rates)?
+                };
+                patches.push((lt, patch));
+            }
+            for (lt, patch) in patches {
+                match m.get_mut(lt) {
+                    Some(profile) => {
+                        profile.apply(patch);
+                        if profile.is_empty() {
+                            m.remove(lt);
+                        }
+                    }
+                    None => {
+                        let mut profile = ResourceProfile::new();
+                        profile.apply(patch);
+                        keep(m, lt, profile);
+                    }
+                }
+            }
+            Ok(())
+        }
+
+        pub fn consume(
+            m: &mut Model,
+            lt: &LocatedType,
+            window: TimeInterval,
+            rate: Rate,
+        ) -> Result<(), InsufficientRateError> {
+            let profile = m.entry(lt.clone()).or_default();
+            let consumed = profile.subtract(window, rate);
+            if profile.is_empty() {
+                m.remove(lt);
+            }
+            consumed
+        }
+
+        pub fn exclude_support(m: &Model, claimed: &Model) -> Model {
+            let mut out = Model::new();
+            for (lt, p) in m {
+                if let Some(extent) = p.extent() {
+                    keep(
+                        &mut out,
+                        lt,
+                        p.exclude_within(claimed.get(lt).unwrap_or(&EMPTY), &extent),
+                    );
+                }
+            }
+            out
+        }
+
+        pub fn exclude_support_within(
+            m: &Model,
+            claimed: &Model,
+            types: &[LocatedType],
+            window: &TimeInterval,
+        ) -> Model {
+            let mut out = Model::new();
+            for lt in types {
+                if let Some(p) = m.get(lt) {
+                    keep(
+                        &mut out,
+                        lt,
+                        p.exclude_within(claimed.get(lt).unwrap_or(&EMPTY), window),
+                    );
+                }
+            }
+            out
+        }
+
+        pub fn restrict(m: &Model, keep_type: impl Fn(&LocatedType) -> bool) -> Model {
+            let mut out = Model::new();
+            for (lt, p) in m {
+                if keep_type(lt) {
+                    keep(&mut out, lt, p.clone());
+                }
+            }
+            out
+        }
+
+        pub fn clamp(m: &Model, window: &TimeInterval) -> Model {
+            let mut out = Model::new();
+            for (lt, p) in m {
+                keep(&mut out, lt, p.clamp(window));
+            }
+            out
+        }
+
+        pub fn dominates(m: &Model, other: &Model) -> bool {
+            other.iter().all(|(lt, demand)| {
+                m.get(lt)
+                    .map(|have| have.dominates(demand))
+                    .unwrap_or_else(|| demand.is_empty())
+            })
+        }
+
+        pub fn truncate_before(m: &mut Model, t: TimePoint) {
+            for p in m.values_mut() {
+                p.truncate_before(t);
+            }
+            m.retain(|_, p| !p.is_empty());
+        }
+    }
+
+    /// One of five located types: nodes and links, so both variants'
+    /// order shows.
+    fn located(i: u8) -> LocatedType {
+        match i % 5 {
+            4 => net("l1", "l0"),
+            3 => net("l0", "l1"),
+            n => cpu(&format!("l{n}")),
+        }
+    }
+
+    fn arb_terms() -> impl proptest::strategy::Strategy<Value = Vec<ResourceTerm>> {
+        use proptest::prelude::*;
+        proptest::collection::vec((0u8..5, 0u64..16, 1u64..6, 0u64..5), 0..6).prop_map(|parts| {
+            parts
+                .into_iter()
+                .map(|(l, s, len, r)| term(located(l), r, s, s + len))
+                .collect()
+        })
+    }
+
+    /// An operation of the set, with its operands.
+    #[derive(Debug, Clone)]
+    enum Op {
+        Insert(ResourceTerm),
+        FromTerms(Vec<ResourceTerm>),
+        AddSet(Vec<ResourceTerm>),
+        SubtractSet(Vec<ResourceTerm>),
+        Consume(u8, TimeInterval, Rate),
+        ExcludeSupport(Vec<ResourceTerm>),
+        ExcludeSupportWithin(Vec<ResourceTerm>, Vec<u8>, TimeInterval),
+        Restrict(u8),
+        Clamp(TimeInterval),
+        TruncateBefore(TimePoint),
+    }
+
+    fn arb_op() -> impl proptest::strategy::Strategy<Value = Op> {
+        use proptest::prelude::*;
+        let window = (0u64..18, 1u64..8).prop_map(|(s, len)| iv(s, s + len));
+        prop_oneof![
+            (0u8..5, 0u64..16, 1u64..6, 0u64..5).prop_map(|(l, s, len, r)| Op::Insert(term(
+                located(l),
+                r,
+                s,
+                s + len
+            ))),
+            arb_terms().prop_map(Op::FromTerms),
+            arb_terms().prop_map(Op::AddSet),
+            arb_terms().prop_map(Op::SubtractSet),
+            (0u8..5, window.clone(), 0u64..4).prop_map(|(l, w, r)| Op::Consume(l, w, Rate::new(r))),
+            arb_terms().prop_map(Op::ExcludeSupport),
+            (
+                arb_terms(),
+                proptest::collection::vec(0u8..5, 0..4),
+                window.clone()
+            )
+                .prop_map(|(terms, types, w)| Op::ExcludeSupportWithin(terms, types, w)),
+            (0u8..32).prop_map(Op::Restrict),
+            window.prop_map(Op::Clamp),
+            (0u64..20).prop_map(|t| Op::TruncateBefore(TimePoint::new(t))),
+        ]
+    }
+
+    /// Everything the set shows of itself equals the model's.
+    fn assert_agrees(set: &ResourceSet, model: &model::Model) {
+        assert!(set.profiles.iter().map(|(lt, p)| (lt, p)).eq(model.iter()));
+        assert!(set.located_types().eq(model.keys()));
+        let terms = model.iter().flat_map(|(lt, p)| {
+            p.segments()
+                .iter()
+                .map(|(iv, r)| ResourceTerm::new(*r, *iv, lt.clone()))
+        });
+        assert!(set.to_terms().into_iter().eq(terms));
+        assert_eq!(set.is_empty(), model.is_empty());
+        assert_eq!(
+            set.term_count(),
+            model.values().map(|p| p.segments().len()).sum()
+        );
+        assert_eq!(
+            set.horizon(),
+            model.values().filter_map(|p| p.horizon()).max()
+        );
+        for i in 0..5 {
+            let lt = located(i);
+            let profile = model.get(&lt).cloned().unwrap_or_default();
+            assert_eq!(set.profile(&lt), &profile);
+            assert_eq!(set.supplies(&lt), !profile.is_empty());
+            assert_eq!(
+                set.rate_at(&lt, TimePoint::new(3)),
+                profile.rate_at(TimePoint::new(3))
+            );
+            assert_eq!(
+                set.quantity_over(&lt, &iv(2, 9)).unwrap(),
+                profile.quantity_over(&iv(2, 9)).unwrap()
+            );
+        }
+    }
+
+    /// `ResourceSet::from_terms` beside the model's, which must agree.
+    fn both(terms: &[ResourceTerm]) -> (ResourceSet, model::Model) {
+        let set = ResourceSet::from_terms(terms.iter().cloned()).unwrap();
+        let model = model::from_terms(terms).unwrap();
+        assert_agrees(&set, &model);
+        (set, model)
+    }
+
+    proptest::proptest! {
+        /// Random operation sequences give the sorted-vector set the
+        /// results, order, equality and errors of the `BTreeMap` it
+        /// replaced.
+        #[test]
+        fn set_matches_its_btree_model(
+            start in arb_terms(),
+            ops in proptest::collection::vec(arb_op(), 0..12),
+        ) {
+            let (mut set, mut model) = both(&start);
+            for op in ops {
+                let (before, before_model) = (set.clone(), model.clone());
+                match op {
+                    Op::Insert(t) => {
+                        proptest::prop_assert_eq!(set.insert(t.clone()), model::insert(&mut model, &t));
+                    }
+                    Op::FromTerms(terms) => (set, model) = both(&terms),
+                    Op::AddSet(terms) => {
+                        let (other, other_model) = both(&terms);
+                        proptest::prop_assert_eq!(
+                            set.add_set(&other),
+                            model::splice(&mut model, &other_model, false)
+                        );
+                        proptest::prop_assert_eq!(set == other, model == other_model);
+                    }
+                    Op::SubtractSet(terms) => {
+                        let (other, other_model) = both(&terms);
+                        proptest::prop_assert_eq!(
+                            set.subtract_set(&other),
+                            model::splice(&mut model, &other_model, true)
+                        );
+                        proptest::prop_assert_eq!(set == other, model == other_model);
+                    }
+                    Op::Consume(l, window, rate) => {
+                        proptest::prop_assert_eq!(
+                            set.consume(&located(l), window, rate),
+                            model::consume(&mut model, &located(l), window, rate)
+                        );
+                    }
+                    Op::ExcludeSupport(terms) => {
+                        let (claimed, claimed_model) = both(&terms);
+                        let out = set.exclude_support(&claimed);
+                        assert_agrees(&out, &model::exclude_support(&model, &claimed_model));
+                    }
+                    Op::ExcludeSupportWithin(terms, types, window) => {
+                        let (claimed, claimed_model) = both(&terms);
+                        let types: Vec<LocatedType> = types.into_iter().map(located).collect();
+                        let out = set.exclude_support_within(&claimed, &types, &window);
+                        let expected =
+                            model::exclude_support_within(&model, &claimed_model, &types, &window);
+                        assert_agrees(&out, &expected);
+                    }
+                    Op::Restrict(mask) => {
+                        let keep = |lt: &LocatedType| (0..5).any(|i| mask >> i & 1 == 1 && *lt == located(i));
+                        assert_agrees(&set.restrict(keep), &model::restrict(&model, keep));
+                    }
+                    Op::Clamp(window) => {
+                        assert_agrees(&set.clamp(&window), &model::clamp(&model, &window));
+                    }
+                    Op::TruncateBefore(t) => {
+                        set.truncate_before(t);
+                        model::truncate_before(&mut model, t);
+                    }
+                }
+                assert_agrees(&set, &model);
+                proptest::prop_assert_eq!(set == before, model == before_model);
+                proptest::prop_assert_eq!(
+                    set.dominates(&before),
+                    model::dominates(&model, &before_model)
+                );
+                proptest::prop_assert_eq!(
+                    before.dominates(&set),
+                    model::dominates(&before_model, &model)
+                );
             }
         }
     }

@@ -33,7 +33,7 @@ use crate::protocol::{
     MAX_FRAME_BYTES, PROTOCOL_VERSION,
 };
 use crate::shard::{ShardPool, DEDUP_CAPACITY};
-use crate::spec;
+use crate::spec::{self, ComputationSpec};
 
 /// Tuning knobs for [`Server::spawn`].
 #[derive(Debug, Clone)]
@@ -125,10 +125,11 @@ impl LocalHandle {
 
     /// Decides an already-priced admission with the local shard pool,
     /// so a hook that priced the request to route it does not make the
-    /// core build and price it again. The verdict comes back as the
-    /// frame the shard encoded and cached, for the hook to pass on.
-    pub fn admit(&self, request: AdmissionRequest) -> Reply {
-        self.with_pool(|pool| pool.admit(request))
+    /// core build and price it again; `computation` is the spec the
+    /// request was built from. The verdict comes back as the frame the
+    /// shard encoded and cached, for the hook to pass on.
+    pub fn admit(&self, computation: &ComputationSpec, request: AdmissionRequest) -> Reply {
+        self.with_pool(|pool| pool.admit(computation, request))
             .unwrap_or_else(|| draining().into())
     }
 
@@ -254,11 +255,10 @@ impl Inner {
                 granularity,
                 forwarded: _,
             } => match computation.build() {
-                Ok(computation) => {
-                    let priced =
-                        AdmissionRequest::price(computation, &self.cost_model, granularity);
+                Ok(built) => {
+                    let priced = AdmissionRequest::price(built, &self.cost_model, granularity);
                     return self
-                        .try_pool(|pool| pool.admit(priced))
+                        .try_pool(|pool| pool.admit(&computation, priced))
                         .unwrap_or_else(|| draining().into());
                 }
                 Err(err) => Response::Error {

@@ -77,7 +77,7 @@ use std::time::{Duration, Instant};
 use rota_actor::ActorName;
 use rota_admission::{
     AdmissionController, AdmissionObs, AdmissionPolicy, AdmissionRequest, ControllerStats,
-    Decision, SharedPolicy, Tally,
+    Decision, RejectReason, SharedPolicy, Tally,
 };
 use rota_analyze::{prevalidate_request, Report as LintReport, Severity as LintSeverity};
 use rota_interval::TimePoint;
@@ -87,6 +87,7 @@ use rota_resource::{LocatedType, Location, ResourceSet};
 
 use crate::protocol::{encode_frame, Diagnostics, Reply, Response};
 use crate::server::Clock;
+use crate::spec::ComputationSpec;
 
 /// Stable location → shard routing: FNV-1a over the location name.
 ///
@@ -101,16 +102,45 @@ pub fn shard_of(location: &Location, shards: usize) -> usize {
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
 /// 64-bit FNV-1a: deterministic across runs and processes, unlike the
-/// standard library's seeded hasher.
+/// standard library's seeded hasher. Bytes fold one per round, as FNV
+/// defines; an integer folds whole, one word per round.
 struct Fnv1a(u64);
+
+impl Fnv1a {
+    fn fold(&mut self, word: u64) {
+        self.0 ^= word;
+        self.0 = self.0.wrapping_mul(FNV_PRIME);
+    }
+}
 
 impl Hasher for Fnv1a {
     fn write(&mut self, bytes: &[u8]) {
         for &byte in bytes {
-            self.0 ^= u64::from(byte);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+            self.fold(u64::from(byte));
         }
+    }
+
+    fn write_u8(&mut self, n: u8) {
+        self.fold(u64::from(n));
+    }
+
+    fn write_u16(&mut self, n: u16) {
+        self.fold(u64::from(n));
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.fold(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.fold(n);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.fold(n as u64);
     }
 
     fn finish(&self) -> u64 {
@@ -407,8 +437,10 @@ impl ShardPool {
     /// lock. A verdict, fresh or replayed, comes back as its encoded
     /// frame. Returns [`Response::Overloaded`] when the shard already
     /// has a holder and `queue_capacity` waiters, or when the decision
-    /// panicked (which leaves the shard's state as it was).
-    pub(crate) fn admit(&self, request: AdmissionRequest) -> Reply {
+    /// panicked (which leaves the shard's state as it was). `computation`
+    /// is the spec `request` was built from, as the server decoded it;
+    /// the lint reads it.
+    pub(crate) fn admit(&self, computation: &ComputationSpec, request: AdmissionRequest) -> Reply {
         let index = route_request(&request, self.shards());
         let shard = &self.shards[index];
         shard.obs.requests.inc();
@@ -416,14 +448,17 @@ impl ShardPool {
         let verdict = if shard.admits.fetch_add(1, Ordering::Relaxed) > self.queue_capacity {
             None
         } else {
-            self.locked(index, arrived, |state| match state.admit(&request)? {
-                Admitted::Answered(reply) => Some(reply),
-                Admitted::Decided(hash, decision) => {
-                    let waited = self.clock.now().saturating_duration_since(arrived);
-                    let nanos = u64::try_from(waited.as_nanos()).unwrap_or(u64::MAX);
-                    shard.obs.request_ns.observe(nanos);
-                    let response = decision_response(&request, &decision, index);
-                    Some(state.record(request.name(), hash, &response))
+            self.locked(index, arrived, |state| {
+                match state.admit(computation, &request)? {
+                    Admitted::Answered(reply) => Some(reply),
+                    Admitted::Decided(hash, enacted) => {
+                        let waited = self.clock.now().saturating_duration_since(arrived);
+                        let nanos = u64::try_from(waited.as_nanos()).unwrap_or(u64::MAX);
+                        shard.obs.request_ns.observe(nanos);
+                        let response =
+                            decision_response(&request, enacted.as_ref().copied(), index);
+                        Some(state.record(request.name(), hash, &response))
+                    }
                 }
             })
         };
@@ -523,7 +558,7 @@ impl ShardPool {
     ) -> Response {
         let now = self.clock.now();
         let name = request.name().to_string();
-        let scope = Scope::of(&request.requirement().total_demand(), request.window());
+        let scope = Scope::of(request.demand(), request.window());
         let tally = Arc::new(Tally::default());
         let accept = matches!(verdict, Decision::Accept(_));
         let order: Vec<usize> = if accept {
@@ -587,9 +622,9 @@ struct ShardState {
 enum Admitted {
     /// With its answer: a replay, a conflict or a lint reject.
     Answered(Reply),
-    /// With the policy's enacted verdict, to record under its content
-    /// hash.
-    Decided(u64, Decision),
+    /// With the policy's enacted verdict (the commitments installed, or
+    /// the reason for rejecting), to record under its content hash.
+    Decided(u64, Result<usize, RejectReason>),
 }
 
 impl ShardState {
@@ -626,7 +661,11 @@ impl ShardState {
     /// back for [`Self::record`]. `None` when the reading half
     /// ([`Self::judge`]) panicked: the shard's state is then as it was
     /// before the call.
-    fn admit(&mut self, request: &AdmissionRequest) -> Option<Admitted> {
+    fn admit(
+        &mut self,
+        computation: &ComputationSpec,
+        request: &AdmissionRequest,
+    ) -> Option<Admitted> {
         let name = request.name();
         let hash = dedup_key(request);
         let conflict = match self.names.get(name) {
@@ -654,7 +693,7 @@ impl ShardState {
         // assertion is needed only for the policy, a trait object the
         // compiler cannot prove free of interior mutability.
         let this = &*self;
-        let Ok(judged) = catch_unwind(AssertUnwindSafe(|| this.judge(request))) else {
+        let Ok(judged) = catch_unwind(AssertUnwindSafe(|| this.judge(computation, request))) else {
             self.obs.panics.inc();
             return None;
         };
@@ -665,11 +704,11 @@ impl ShardState {
                 Some(Admitted::Answered(self.record(name, hash, &response)))
             }
             Ok(decision) => {
-                let decision = self.controller.enact(request, decision);
-                if matches!(decision, Decision::Accept(_)) {
+                let enacted = self.controller.enact(request, decision);
+                if enacted.is_ok() {
                     self.changed();
                 }
-                Some(Admitted::Decided(hash, decision))
+                Some(Admitted::Decided(hash, enacted))
             }
         }
     }
@@ -691,12 +730,15 @@ impl ShardState {
     /// with machine diagnostics before the policy spends scheduling
     /// time on them), then the policy's verdict. It holds the state by shared reference, so a
     /// panic anywhere in it has changed nothing.
-    fn judge(&self, request: &AdmissionRequest) -> Result<Decision, LintReport> {
-        let demand = request.requirement().total_demand();
+    fn judge(
+        &self,
+        computation: &ComputationSpec,
+        request: &AdmissionRequest,
+    ) -> Result<Decision, LintReport> {
         let lint = prevalidate_request(
-            request.computation(),
+            computation,
             self.controller.state().theta(),
-            &demand,
+            request.demand(),
         );
         if lint.has_errors() {
             return Err(lint);
@@ -754,13 +796,14 @@ impl ShardState {
                 expected: 0,
             });
         }
-        let Decision::Accept(commitments) = verdict else {
-            if self.shard != 0 {
-                return None;
+        let commitments = match verdict {
+            Decision::Accept(commitments) => commitments,
+            Decision::Reject(_) if self.shard != 0 => return None,
+            Decision::Reject(reason) => {
+                let response = decision_response(request, Err(reason), self.shard);
+                self.record(name, dedup_key(request), &response);
+                return Some(response);
             }
-            let response = decision_response(request, verdict, self.shard);
-            self.record(name, dedup_key(request), &response);
-            return Some(response);
         };
         let share = self.share(commitments);
         let actors = if share.is_empty() {
@@ -781,7 +824,11 @@ impl ShardState {
             self.changed();
             Some(actors)
         };
-        let frame = encode_frame(&decision_response(request, verdict, self.shard));
+        let frame = encode_frame(&decision_response(
+            request,
+            Ok(commitments.len()),
+            self.shard,
+        ));
         let held = Entry::Held {
             actors,
             expires_at,
@@ -871,18 +918,22 @@ impl ShardState {
     }
 }
 
-fn decision_response(request: &AdmissionRequest, decision: &Decision, shard: usize) -> Response {
-    match decision {
-        Decision::Accept(commitments) => Response::Decision {
+fn decision_response(
+    request: &AdmissionRequest,
+    verdict: Result<usize, &RejectReason>,
+    shard: usize,
+) -> Response {
+    match verdict {
+        Ok(commitments) => Response::Decision {
             computation: request.name().to_string(),
             accepted: true,
             shard,
-            reason: format!("{} commitment(s) scheduled", commitments.len()),
+            reason: format!("{commitments} commitment(s) scheduled"),
             violated_term: None,
             clause: None,
             diagnostics: Diagnostics::default(),
         },
-        Decision::Reject(reject) => Response::Decision {
+        Err(reject) => Response::Decision {
             computation: request.name().to_string(),
             accepted: false,
             shard,
@@ -928,6 +979,18 @@ mod tests {
 
     fn wall() -> Arc<dyn Clock> {
         Arc::new(WallClock)
+    }
+
+    /// Admits a built request with the spec a server would have
+    /// decoded for it.
+    trait AdmitRequest {
+        fn admit_request(&self, request: AdmissionRequest) -> Reply;
+    }
+
+    impl AdmitRequest for ShardPool {
+        fn admit_request(&self, request: AdmissionRequest) -> Reply {
+            self.admit(&ComputationSpec::from(request.computation()), request)
+        }
     }
 
     /// A clock that moves only when a test moves it.
@@ -987,6 +1050,19 @@ mod tests {
         }
     }
 
+    /// Placement is FNV-1a over the location's bytes, so it is pinned:
+    /// clients, peers and benchmarks predict it.
+    #[test]
+    fn routing_places_locations_where_it_always_has() {
+        let place = |i: usize| shard_of(&Location::new(format!("l{i}")), 4);
+        assert_eq!((0..4).map(place).collect::<Vec<_>>(), [1, 2, 3, 0]);
+        let mut per_shard = [0; 4];
+        for i in 0..64 {
+            per_shard[place(i)] += 1;
+        }
+        assert_eq!(per_shard, [15, 17, 17, 15]);
+    }
+
     #[test]
     fn split_assigns_every_term_to_its_location_shard() {
         let theta = theta_at(&["l0", "l1", "l2", "l3"], 4, 16);
@@ -1007,8 +1083,12 @@ mod tests {
         let theta = theta_at(&["l0", "l1"], 4, 16);
         let pool = ShardPool::new(RotaPolicy, &theta, 2, 8, DEDUP_CAPACITY, &registry, wall());
         // Feasible job at l0, infeasible (too much work) job at l1.
-        let yes = pool.admit(request_at("yes", "l0", 1, 16)).into_response();
-        let no = pool.admit(request_at("no", "l1", 64, 16)).into_response();
+        let yes = pool
+            .admit_request(request_at("yes", "l0", 1, 16))
+            .into_response();
+        let no = pool
+            .admit_request(request_at("no", "l1", 64, 16))
+            .into_response();
         assert!(
             matches!(yes, Response::Decision { accepted: true, .. }),
             "{yes:?}"
@@ -1050,7 +1130,7 @@ mod tests {
         let pool = ShardPool::new(RotaPolicy, &theta, 2, 8, DEDUP_CAPACITY, &registry, wall());
         for (name, location) in [("on-a", &a), ("on-b", &b)] {
             let verdict = pool
-                .admit(request_at(name, location, 1, 16))
+                .admit_request(request_at(name, location, 1, 16))
                 .into_response();
             assert!(
                 matches!(verdict, Response::Decision { accepted: true, .. }),
@@ -1078,7 +1158,9 @@ mod tests {
             wall(),
         );
         // Without resources the job is refused; after an offer it fits.
-        let before = pool.admit(request_at("j", "l0", 1, 16)).into_response();
+        let before = pool
+            .admit_request(request_at("j", "l0", 1, 16))
+            .into_response();
         assert!(matches!(
             before,
             Response::Decision {
@@ -1090,7 +1172,9 @@ mod tests {
             Response::Offered { terms } => assert_eq!(terms, 1),
             other => panic!("unexpected {other:?}"),
         }
-        let after = pool.admit(request_at("j2", "l0", 1, 16)).into_response();
+        let after = pool
+            .admit_request(request_at("j2", "l0", 1, 16))
+            .into_response();
         assert!(
             matches!(after, Response::Decision { accepted: true, .. }),
             "{after:?}"
@@ -1109,7 +1193,7 @@ mod tests {
             ("heavy", "l0", 64, false, None),
             ("ghost", "l9", 1, false, Some("R0006")),
         ] {
-            let first = pool.admit(request_at(name, location, evals, 16));
+            let first = pool.admit_request(request_at(name, location, evals, 16));
             let Reply::Frame(sent) = &first else {
                 panic!("a verdict is sent as its frame: {first:?}");
             };
@@ -1134,7 +1218,7 @@ mod tests {
                 .collect();
             assert_eq!(codes.first().copied(), code, "{verdict:?}");
             // The retry gets the cached frame itself: the same bytes.
-            let again = pool.admit(request_at(name, location, evals, 16));
+            let again = pool.admit_request(request_at(name, location, evals, 16));
             let Reply::Frame(replayed) = &again else {
                 panic!("a replay is a frame: {again:?}");
             };
@@ -1169,14 +1253,18 @@ mod tests {
         let registry = Arc::new(Registry::new());
         let theta = theta_at(&["l0"], 4, 16);
         let pool = ShardPool::new(RotaPolicy, &theta, 1, 8, DEDUP_CAPACITY, &registry, wall());
-        let first = pool.admit(request_at("same", "l0", 1, 16)).into_response();
+        let first = pool
+            .admit_request(request_at("same", "l0", 1, 16))
+            .into_response();
         assert!(
             matches!(first, Response::Decision { accepted: true, .. }),
             "{first:?}"
         );
         // Same name, different body: neither the stale verdict nor a
         // double commit — an explicit conflict.
-        let conflicting = pool.admit(request_at("same", "l0", 2, 16)).into_response();
+        let conflicting = pool
+            .admit_request(request_at("same", "l0", 2, 16))
+            .into_response();
         match &conflicting {
             Response::Error { message } => {
                 assert!(message.contains("idempotency conflict"), "{message}");
@@ -1199,7 +1287,9 @@ mod tests {
             "a conflict is not a dedup hit"
         );
         // An identical retry of the first body still dedups.
-        let replay = pool.admit(request_at("same", "l0", 1, 16)).into_response();
+        let replay = pool
+            .admit_request(request_at("same", "l0", 1, 16))
+            .into_response();
         assert_eq!(replay, first);
         assert_eq!(
             pool.decisions().len(),
@@ -1221,7 +1311,9 @@ mod tests {
         let pool = ShardPool::new(RotaPolicy, &theta, 1, 8, DEDUP_CAPACITY, &registry, wall());
         // Demand at a location with no declared supply: R0006, decided
         // by the analyzer, never by the policy.
-        let bounced = pool.admit(request_at("ghost", "l9", 1, 16)).into_response();
+        let bounced = pool
+            .admit_request(request_at("ghost", "l9", 1, 16))
+            .into_response();
         match &bounced {
             Response::Decision {
                 accepted,
@@ -1299,7 +1391,7 @@ mod tests {
             &TableCostModel::paper(),
             Granularity::MaximalRun,
         );
-        let diagnostics = lint_bounce(&pool.admit(request).into_response());
+        let diagnostics = lint_bounce(&pool.admit_request(request).into_response());
         assert_eq!(diagnostics.len(), 1, "{diagnostics:?}");
         assert_eq!(diagnostics[0].0, "R0005");
         assert_eq!(diagnostics[0].1, "computation.actors[1].name");
@@ -1339,7 +1431,7 @@ mod tests {
             Granularity::MaximalRun,
         );
         assert_eq!(route_request(&request, 2), 0);
-        let diagnostics = lint_bounce(&pool.admit(request).into_response());
+        let diagnostics = lint_bounce(&pool.admit_request(request).into_response());
         assert!(!diagnostics.is_empty());
         for (code, path, message) in &diagnostics {
             assert_eq!(code, "R0006");
@@ -1499,7 +1591,7 @@ mod tests {
             );
             let verdicts = [("kept", &other), ("lost", &home)].map(|(name, location)| {
                 let verdict = pool
-                    .admit(request_at(name, location, 1, 16))
+                    .admit_request(request_at(name, location, 1, 16))
                     .into_response();
                 let accepted = matches!(verdict, Response::Decision { accepted: true, .. });
                 assert!(accepted, "{verdict:?}");
@@ -1519,7 +1611,7 @@ mod tests {
         assert_eq!(before.2, vec![Some(1), Some(1)], "each shard holds `held`");
 
         let boom = buggy
-            .admit(request_at("boom", &home, 1, 16))
+            .admit_request(request_at("boom", &home, 1, 16))
             .into_response();
         assert!(
             matches!(boom, Response::Overloaded { shard: 0 }),
@@ -1548,7 +1640,7 @@ mod tests {
         // The table of names survived too: `lost` resent replays its first
         // verdict without a decision.
         let replay = buggy
-            .admit(request_at("lost", &home, 1, 16))
+            .admit_request(request_at("lost", &home, 1, 16))
             .into_response();
         assert_eq!(replay, verdicts[1], "the cache replays the first verdict");
         assert_eq!(
@@ -1573,7 +1665,7 @@ mod tests {
         for (evals, fits) in [(7, false), (6, true)] {
             let name = format!("after-{evals}");
             let after = buggy
-                .admit(request_at(&name, &home, evals, 16))
+                .admit_request(request_at(&name, &home, evals, 16))
                 .into_response();
             assert!(
                 matches!(after, Response::Decision { shard: 0, accepted, .. } if accepted == fits),
@@ -1582,7 +1674,7 @@ mod tests {
             assert_eq!(
                 after,
                 reference
-                    .admit(request_at(&name, &home, evals, 16))
+                    .admit_request(request_at(&name, &home, evals, 16))
                     .into_response()
             );
         }
@@ -1632,13 +1724,16 @@ mod tests {
         let theta = theta_at(&[&slow, &fast], 4, 16);
         let pool = ShardPool::new(policy, &theta, 2, 8, DEDUP_CAPACITY, &registry, wall());
         std::thread::scope(|scope| {
-            let held = scope.spawn(|| pool.admit(request_at("held", &slow, 1, 16)).into_response());
+            let held = scope.spawn(|| {
+                pool.admit_request(request_at("held", &slow, 1, 16))
+                    .into_response()
+            });
             while !entered.load(Ordering::SeqCst) {
                 std::thread::sleep(Duration::from_millis(1));
             }
             // Shard 0 is locked inside the policy; shard 1 answers anyway.
             let quick = pool
-                .admit(request_at("quick", &fast, 1, 16))
+                .admit_request(request_at("quick", &fast, 1, 16))
                 .into_response();
             assert!(
                 matches!(
@@ -1687,9 +1782,9 @@ mod tests {
         let registry = Arc::new(Registry::new());
         let theta = theta_at(&[&home], 4, 16);
         let pool = ShardPool::new(RotaPolicy, &theta, 2, 8, DEDUP_CAPACITY, &registry, wall());
-        let fits = pool.admit(request_at("fits", &home, 1, 16));
+        let fits = pool.admit_request(request_at("fits", &home, 1, 16));
         // No supply at `away`: an R0006 lint reject on shard 1.
-        let ghost = pool.admit(request_at("ghost", &away, 1, 16));
+        let ghost = pool.admit_request(request_at("ghost", &away, 1, 16));
         let record = pool.decisions();
         let sent: Vec<Reply> = record.iter().cloned().map(Reply::Frame).collect();
         assert_eq!(sent, [fits, ghost], "the frames sent, shard by shard");
@@ -1704,15 +1799,15 @@ mod tests {
             .collect();
         assert_eq!(codes, ["R0006"]);
         // Replays add no entry, and reading the record counts nothing.
-        pool.admit(request_at("ghost", &away, 1, 16));
-        pool.admit(request_at("fits", &home, 1, 16));
+        pool.admit_request(request_at("ghost", &away, 1, 16));
+        pool.admit_request(request_at("fits", &home, 1, 16));
         let counted = registry.snapshot();
         assert_eq!(pool.decisions(), record);
         assert_eq!(registry.snapshot(), counted);
         // Past the cache's bound, each shard keeps its newest frames.
         for i in 0..DEDUP_CAPACITY {
             for location in [&spare, &away] {
-                pool.admit(request_at(&format!("{location}-{i}"), location, 1, 16));
+                pool.admit_request(request_at(&format!("{location}-{i}"), location, 1, 16));
             }
         }
         let mut per_shard = [0; 2];
@@ -1735,7 +1830,7 @@ mod tests {
 
     /// The frame a one-evaluation job `name` at `l0` is answered with.
     fn admitted(pool: &ShardPool, name: &str) -> Arc<str> {
-        match pool.admit(request_at(name, "l0", 1, 16)) {
+        match pool.admit_request(request_at(name, "l0", 1, 16)) {
             Reply::Frame(frame) => frame,
             other => panic!("a verdict is a frame: {other:?}"),
         }
@@ -1774,7 +1869,9 @@ mod tests {
         let b = admitted(&pool, "b");
         // A conflicting submission must not keep the stale name pinned:
         // `a` stays least-recently-used and is the next eviction victim.
-        let conflict = pool.admit(request_at("a", "l0", 2, 16)).into_response();
+        let conflict = pool
+            .admit_request(request_at("a", "l0", 2, 16))
+            .into_response();
         assert!(matches!(conflict, Response::Error { .. }), "{conflict:?}");
         let c = admitted(&pool, "c");
         assert_eq!(pool.decisions(), [b.clone(), c]);
@@ -1792,18 +1889,24 @@ mod tests {
         let registry = Arc::new(Registry::new());
         let theta = theta_at(&["l0"], 4, 16);
         let pool = ShardPool::new(RotaPolicy, &theta, 1, 8, 1, &registry, wall());
-        let first = pool.admit(request_at("a", "l0", 1, 16)).into_response();
+        let first = pool
+            .admit_request(request_at("a", "l0", 1, 16))
+            .into_response();
         assert!(
             matches!(first, Response::Decision { accepted: true, .. }),
             "{first:?}"
         );
         // Capacity is 1: admitting `b` evicts `a` from the cache.
-        let second = pool.admit(request_at("b", "l0", 1, 16)).into_response();
+        let second = pool
+            .admit_request(request_at("b", "l0", 1, 16))
+            .into_response();
         assert!(
             matches!(second, Response::Decision { accepted: true, .. }),
             "{second:?}"
         );
-        let resub = pool.admit(request_at("a", "l0", 1, 16)).into_response();
+        let resub = pool
+            .admit_request(request_at("a", "l0", 1, 16))
+            .into_response();
         match &resub {
             Response::Decision {
                 accepted, reason, ..
@@ -1912,7 +2015,7 @@ mod tests {
         // An accepted admit on shard 1 takes some of its supply in the
         // window.
         let moved = pool
-            .admit(request_at("mover", &other, 1, 16))
+            .admit_request(request_at("mover", &other, 1, 16))
             .into_response();
         assert!(
             matches!(moved, Response::Decision { accepted: true, .. }),
@@ -2150,7 +2253,7 @@ mod tests {
             &TableCostModel::paper(),
             Granularity::MaximalRun,
         );
-        let verdict = pool.admit(idle).into_response();
+        let verdict = pool.admit_request(idle).into_response();
         assert!(
             matches!(verdict, Response::Decision { accepted: true, .. }),
             "{verdict:?}"
@@ -2459,7 +2562,7 @@ mod tests {
         assert!(!pool.abort("big"));
         assert_eq!(recorded(&pool), owned(&[("big", false)]));
         // An admit of the same content replays it.
-        assert_eq!(pool.admit(request()).into_response(), reject);
+        assert_eq!(pool.admit_request(request()).into_response(), reject);
         assert_eq!(
             registry
                 .snapshot()
@@ -2545,7 +2648,9 @@ mod tests {
             &registry,
             clock.clone(),
         );
-        let first = pool.admit(request_at("a", "l0", 1, 16)).into_response();
+        let first = pool
+            .admit_request(request_at("a", "l0", 1, 16))
+            .into_response();
         assert!(
             matches!(first, Response::Decision { accepted: true, .. }),
             "{first:?}"
@@ -2567,7 +2672,8 @@ mod tests {
         );
         assert_eq!(recorded(&pool), owned(&[("a", true)]));
         assert_eq!(
-            pool.admit(request_at("a", "l0", 1, 16)).into_response(),
+            pool.admit_request(request_at("a", "l0", 1, 16))
+                .into_response(),
             first
         );
     }
@@ -2581,7 +2687,9 @@ mod tests {
             "{prepared:?}"
         );
         for commit in [true, false] {
-            let answer = pool.admit(request_at("n", "l0", 2, 16)).into_response();
+            let answer = pool
+                .admit_request(request_at("n", "l0", 2, 16))
+                .into_response();
             match &answer {
                 Response::Error { message } => {
                     assert!(message.contains("idempotency conflict"), "{message}");
@@ -2893,10 +3001,10 @@ mod tests {
                 let name = |n: u8| format!("j{n}");
                 match step {
                     Step::Admit { name: n, shard, evals } => {
-                        pool.admit(request_at(&name(n), &locations[shard], evals, 16)).into_response();
+                        pool.admit_request(request_at(&name(n), &locations[shard], evals, 16)).into_response();
                     }
                     Step::LintReject { name: n } => {
-                        pool.admit(request_at(&name(n), "unsupplied", 1, 16)).into_response();
+                        pool.admit_request(request_at(&name(n), "unsupplied", 1, 16)).into_response();
                     }
                     Step::Offer { shard, rate } => {
                         pool.offer(theta_at(&[&locations[shard]], rate, 16));
@@ -2938,8 +3046,8 @@ mod tests {
                                     }
                                 }
                             }
-                            Decision::Reject(_) => {
-                                prop_assert_eq!(answer, decision_response(&request, &live, 0));
+                            Decision::Reject(reason) => {
+                                prop_assert_eq!(answer, decision_response(&request, Err(reason), 0));
                             }
                         }
                     }
@@ -2956,7 +3064,7 @@ mod tests {
                         pool.cluster_state(None).unwrap();
                     }
                     Step::Panic { shard } => {
-                        let bounced = pool.admit(request_at("doomed", &locations[shard], 1, 16)).into_response();
+                        let bounced = pool.admit_request(request_at("doomed", &locations[shard], 1, 16)).into_response();
                         prop_assert_eq!(bounced, Response::Overloaded { shard });
                         prop_assert_eq!(&pool.cluster_state(None).unwrap(), &resources);
                     }

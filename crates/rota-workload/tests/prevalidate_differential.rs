@@ -11,17 +11,22 @@
 //! afterwards. The inputs are generated jobs of every `JobShape`,
 //! optionally mutated to trip R0005, R0013 and R0006, checked against
 //! random subsets of the base supply.
+//!
+//! A second property holds the shard path to its input: linting the
+//! computation spec as a server decodes it reports exactly what linting
+//! the spec rebuilt from the built computation reports.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rota_actor::{
-    ActionKind, ActorComputation, DistributedComputation, ResourceDemand, TableCostModel,
+    ActionKind, ActorComputation, DistributedComputation, Granularity, ResourceDemand,
+    TableCostModel,
 };
 use rota_admission::AdmissionRequest;
 use rota_analyze::{
-    prevalidate, prevalidate_request, ActionSpec, Diagnostic, Report, ResourceSpec, Severity,
-    SpecModel,
+    prevalidate, prevalidate_request, ActionSpec, ActorSpec, ComputationSpec, Diagnostic, Report,
+    ResourceSpec, Severity, SpecModel,
 };
 use rota_interval::TimeInterval;
 use rota_resource::{LocatedType, ResourceSet};
@@ -119,13 +124,83 @@ proptest! {
 
         let mut model = SpecModel::from_parts(&supply.to_terms(), &job);
         let expected = oracle(&model, &demand);
-        let shard = prevalidate_request(&job, &supply, &demand);
+        let shard = prevalidate_request(&ComputationSpec::from(&job), &supply, &demand);
         prop_assert_eq!(shard.diagnostics(), expected.diagnostics());
 
         mutate_resources(&mut model, bad);
         let expected = oracle(&model, &demand);
         prop_assert_eq!(prevalidate(&model, &demand).diagnostics(), expected.diagnostics());
     }
+
+    #[test]
+    fn decoded_spec_lints_as_the_built_one(spec in arb_spec(), seed in 0u64..64) {
+        let Ok(built) = spec.build() else {
+            // A server answers an unbuildable spec without linting it.
+            return Ok(());
+        };
+        let supply = base_resources(&WorkloadConfig::new(seed));
+        let request = AdmissionRequest::price(
+            built,
+            &TableCostModel::paper(),
+            Granularity::MaximalRun,
+        );
+        let rebuilt = ComputationSpec::from(request.computation());
+        let decoded = prevalidate_request(&spec, &supply, request.demand());
+        let parent = prevalidate_request(&rebuilt, &supply, request.demand());
+        prop_assert_eq!(decoded.diagnostics(), parent.diagnostics());
+    }
+}
+
+/// A location: one of the base supply's (`l0`…), or one no supply has.
+fn arb_location() -> impl Strategy<Value = String> {
+    prop_oneof![
+        (0usize..6).prop_map(|i| format!("l{i}")),
+        Just("ghost".to_string()),
+    ]
+}
+
+/// Any action, aimed at any location.
+fn arb_action() -> impl Strategy<Value = ActionSpec> {
+    prop_oneof![
+        (0u64..7).prop_map(|work| ActionSpec::Evaluate {
+            work: (work < 6).then_some(work),
+        }),
+        (0u8..4, arb_location(), 0u64..3).prop_map(|(to, dest, size)| ActionSpec::Send {
+            to: format!("a{to}"),
+            dest,
+            size,
+        }),
+        (0u8..4).prop_map(|child| ActionSpec::Create {
+            child: format!("c{child}"),
+        }),
+        Just(ActionSpec::Ready),
+        arb_location().prop_map(|dest| ActionSpec::Migrate { dest }),
+    ]
+}
+
+/// A computation spec as a server decodes one: actor names drawn from
+/// four, so repeats (R0005) are common; actions possibly none (R0013);
+/// origins and destinations possibly unsupplied (R0006); and windows
+/// possibly empty, which do not build.
+fn arb_spec() -> impl Strategy<Value = ComputationSpec> {
+    let actor = (
+        0u8..4,
+        arb_location(),
+        proptest::collection::vec(arb_action(), 0..4),
+    )
+        .prop_map(|(name, origin, actions)| ActorSpec {
+            name: format!("a{name}"),
+            origin,
+            actions,
+        });
+    (proptest::collection::vec(actor, 0..5), 0u64..8, 0u64..64).prop_map(
+        |(actors, start, deadline)| ComputationSpec {
+            name: "job".to_string(),
+            start,
+            deadline,
+            actors,
+        },
+    )
 }
 
 // The original implementation, unchanged but for formatting.
