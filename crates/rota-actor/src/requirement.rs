@@ -107,7 +107,7 @@ impl ComplexRequirement {
         window: TimeInterval,
         granularity: Granularity,
     ) -> Self {
-        let segments = segment_demands(&gamma.action_demands(model), granularity);
+        let segments = segment_demands(gamma.action_demands(model), granularity);
         ComplexRequirement { segments, window }
     }
 

@@ -43,7 +43,8 @@ impl Granularity {
 }
 
 /// Splits per-action demands into segment demands according to
-/// `granularity`. Empty demands are folded into the following segment (or
+/// `granularity`, moving each demand into its segment or merging it into
+/// the run before it. Empty demands are folded into the following segment (or
 /// dropped at the tail) — an action with no cost needs no resources and
 /// imposes no ordering constraint of its own.
 ///
@@ -60,16 +61,16 @@ impl Granularity {
 ///     ResourceDemand::single(cpu.clone(), Quantity::new(5)),
 ///     ResourceDemand::single(net.clone(), Quantity::new(4)),
 /// ];
-/// let runs = segment_demands(&demands, Granularity::MaximalRun);
+/// let runs = segment_demands(demands.clone(), Granularity::MaximalRun);
 /// assert_eq!(runs.len(), 2); // cpu run of 13, then the send
 /// assert_eq!(runs[0].amount(&cpu), Quantity::new(13));
 /// assert_eq!(runs[1].amount(&net), Quantity::new(4));
 ///
-/// let per_action = segment_demands(&demands, Granularity::PerAction);
+/// let per_action = segment_demands(demands, Granularity::PerAction);
 /// assert_eq!(per_action.len(), 3);
 /// ```
 pub fn segment_demands(
-    demands: &[ResourceDemand],
+    demands: Vec<ResourceDemand>,
     granularity: Granularity,
 ) -> Vec<ResourceDemand> {
     let mut segments: Vec<ResourceDemand> = Vec::with_capacity(demands.len());
@@ -78,7 +79,7 @@ pub fn segment_demands(
             continue;
         }
         match granularity {
-            Granularity::PerAction => segments.push(demand.clone()),
+            Granularity::PerAction => segments.push(demand),
             Granularity::MaximalRun => {
                 let mergeable = match (
                     segments.last().and_then(ResourceDemand::sole_located_type),
@@ -91,9 +92,9 @@ pub fn segment_demands(
                     segments
                         .last_mut()
                         .expect("mergeable implies a previous segment")
-                        .merge(demand);
+                        .merge(&demand);
                 } else {
-                    segments.push(demand.clone());
+                    segments.push(demand);
                 }
             }
         }
@@ -117,7 +118,7 @@ mod tests {
     #[test]
     fn per_action_keeps_every_nonempty_demand() {
         let demands = vec![d(cpu("l1"), 1), d(cpu("l1"), 2), d(cpu("l2"), 3)];
-        let segs = segment_demands(&demands, Granularity::PerAction);
+        let segs = segment_demands(demands.clone(), Granularity::PerAction);
         assert_eq!(segs, demands);
     }
 
@@ -130,7 +131,7 @@ mod tests {
             d(cpu("l2"), 3),
             d(cpu("l2"), 3),
         ];
-        let segs = segment_demands(&demands, Granularity::MaximalRun);
+        let segs = segment_demands(demands, Granularity::MaximalRun);
         assert_eq!(segs.len(), 2);
         assert_eq!(segs[0].amount(&cpu("l1")), Quantity::new(14));
         assert_eq!(segs[1].amount(&cpu("l2")), Quantity::new(6));
@@ -143,7 +144,7 @@ mod tests {
         migrate.add(cpu("l1"), Quantity::new(3));
         migrate.add(cpu("l2"), Quantity::new(3));
         let demands = vec![d(cpu("l1"), 8), migrate.clone(), d(cpu("l2"), 8)];
-        let segs = segment_demands(&demands, Granularity::MaximalRun);
+        let segs = segment_demands(demands, Granularity::MaximalRun);
         assert_eq!(segs.len(), 3);
         assert_eq!(segs[1], migrate);
     }
@@ -156,7 +157,7 @@ mod tests {
             d(cpu("l1"), 1),
             d(cpu("l2"), 1),
         ];
-        assert_eq!(segment_demands(&demands, Granularity::MaximalRun).len(), 4);
+        assert_eq!(segment_demands(demands, Granularity::MaximalRun).len(), 4);
     }
 
     #[test]
@@ -167,10 +168,10 @@ mod tests {
             ResourceDemand::new(),
             d(cpu("l1"), 2),
         ];
-        let segs = segment_demands(&demands, Granularity::MaximalRun);
+        let segs = segment_demands(demands, Granularity::MaximalRun);
         assert_eq!(segs.len(), 1);
         assert_eq!(segs[0].amount(&cpu("l1")), Quantity::new(3));
-        assert!(segment_demands(&[], Granularity::PerAction).is_empty());
+        assert!(segment_demands(Vec::new(), Granularity::PerAction).is_empty());
     }
 
     #[test]

@@ -36,7 +36,7 @@ proptest! {
         let phi = TableCostModel::paper();
         let demands = gamma.action_demands(&phi);
         for g in [Granularity::PerAction, Granularity::MaximalRun] {
-            let segs = segment_demands(&demands, g);
+            let segs = segment_demands(demands.clone(), g);
             let mut total = ResourceDemand::new();
             for s in &segs {
                 total.merge(s);
@@ -51,8 +51,8 @@ proptest! {
     fn maximal_run_is_coarser(gamma in arb_computation()) {
         let phi = TableCostModel::paper();
         let demands = gamma.action_demands(&phi);
-        let fine = segment_demands(&demands, Granularity::PerAction);
-        let coarse = segment_demands(&demands, Granularity::MaximalRun);
+        let fine = segment_demands(demands.clone(), Granularity::PerAction);
+        let coarse = segment_demands(demands, Granularity::MaximalRun);
         prop_assert!(coarse.len() <= fine.len());
         // no two consecutive coarse segments share the same sole type
         for w in coarse.windows(2) {

@@ -19,10 +19,7 @@
 //! * [`compose`] / [`compose_sets`] — the 13×13 composition table, derived
 //!   by exhaustive enumeration (provably Allen's table; see module docs).
 //! * [`ConstraintNetwork`] — qualitative constraint networks with path
-//!   consistency, scenario search and concrete realization.
-//! * [`PointRelation`] / [`PointNetwork`] — the point algebra the interval
-//!   algebra reduces to, with a complete path-consistency solver and the
-//!   endpoint encoding of every Allen relation.
+//!   consistency.
 //! * [`IntervalSet`] — canonical disjoint unions of intervals, closing
 //!   `TimeInterval` under ∪, ∩ and \.
 //!
@@ -46,7 +43,6 @@
 mod compose;
 mod interval;
 mod network;
-mod point;
 mod relation;
 mod relation_set;
 mod set;
@@ -54,8 +50,7 @@ mod time;
 
 pub use compose::{compose, compose_sets, equals_is_identity};
 pub use interval::{EmptyIntervalError, TimeInterval};
-pub use network::{ConstraintNetwork, Scenario, UnknownVarError, VarId};
-pub use point::{endpoint_encoding, PointNetwork, PointRelation};
+pub use network::{ConstraintNetwork, UnknownVarError, VarId};
 pub use relation::{AllenRelation, ALL_RELATIONS};
 pub use relation_set::RelationSet;
 pub use set::IntervalSet;

@@ -1,21 +1,17 @@
 //! Qualitative interval constraint networks.
 //!
 //! The paper grounds ROTA's time model in Allen's Interval Algebra. This
-//! module provides the standard reasoning machinery over that algebra: a
+//! module provides the reasoning the analyzer runs over that algebra: a
 //! network of interval variables with disjunctive [`RelationSet`]
-//! constraints, Allen's path-consistency algorithm, backtracking search for
-//! a consistent *atomic scenario* (one basic relation per pair), and
-//! realization of a scenario as concrete [`TimeInterval`]s. Admission
-//! planners can use this to check whether a set of qualitative ordering
-//! requirements between computation phases is jointly satisfiable.
+//! constraints, and Allen's path-consistency algorithm, which refutes a
+//! set of qualitative ordering requirements between computation phases
+//! that cannot hold together.
 
 use core::fmt;
 
 use crate::compose::compose_sets;
-use crate::interval::TimeInterval;
 use crate::relation::AllenRelation;
 use crate::relation_set::RelationSet;
-use crate::time::TimePoint;
 
 /// Identifier of an interval variable within a [`ConstraintNetwork`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -159,9 +155,8 @@ impl ConstraintNetwork {
     ///
     /// Path consistency is sound (never removes a relation that appears in
     /// a solution) but, for the full interval algebra, incomplete: a
-    /// path-consistent network may still lack an atomic scenario. Use
-    /// [`find_scenario`](ConstraintNetwork::find_scenario) for a complete
-    /// decision procedure.
+    /// path-consistent network may still lack an atomic scenario (one
+    /// basic relation per pair that holds together).
     pub fn path_consistency(&mut self) -> bool {
         if self.n == 0 {
             return true;
@@ -212,288 +207,11 @@ impl ConstraintNetwork {
         }
         true
     }
-
-    /// Searches for a consistent *atomic scenario*: a choice of one basic
-    /// relation per pair such that the resulting singleton network is path
-    /// consistent (which, for atomic interval networks, implies global
-    /// consistency). Returns `None` when the network is unsatisfiable.
-    ///
-    /// The search is backtracking over pairs, with path consistency as
-    /// pruning after each choice — complete but worst-case exponential, as
-    /// the problem is NP-complete in general.
-    pub fn find_scenario(&self) -> Option<Scenario> {
-        let mut work = self.clone();
-        if !work.path_consistency() {
-            return None;
-        }
-        if Self::scenario_search(&mut work) {
-            let mut relations = vec![AllenRelation::Equals; work.n * work.n];
-            for i in 0..work.n {
-                for j in 0..work.n {
-                    relations[i * work.n + j] = work.constraints[i * work.n + j]
-                        .as_singleton()
-                        .expect("scenario search leaves singletons");
-                }
-            }
-            Some(Scenario {
-                relations,
-                n: work.n,
-            })
-        } else {
-            None
-        }
-    }
-
-    fn scenario_search(net: &mut ConstraintNetwork) -> bool {
-        // Choose the non-singleton pair with the fewest alternatives.
-        let mut pick: Option<(usize, usize)> = None;
-        let mut best = usize::MAX;
-        for i in 0..net.n {
-            for j in (i + 1)..net.n {
-                let c = net.constraints[i * net.n + j];
-                if !c.is_singleton() && c.len() < best {
-                    best = c.len();
-                    pick = Some((i, j));
-                }
-            }
-        }
-        let Some((i, j)) = pick else {
-            return true; // all pairs atomic and path consistent
-        };
-        let candidates = net.constraints[i * net.n + j];
-        for r in candidates.iter() {
-            let mut child = net.clone();
-            child.constraints[i * child.n + j] = RelationSet::singleton(r);
-            child.constraints[j * child.n + i] = RelationSet::singleton(r.inverse());
-            if child.path_consistency() && Self::scenario_search(&mut child) {
-                *net = child;
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Whether the network admits at least one atomic scenario.
-    pub fn is_consistent(&self) -> bool {
-        self.find_scenario().is_some()
-    }
-
-    /// Computes the **minimal network**: for every pair, exactly the
-    /// relations that appear in *some* consistent atomic scenario. Path
-    /// consistency over-approximates this (it can leave relations no
-    /// scenario realizes); the minimal network is the tightest sound
-    /// labeling.
-    ///
-    /// Exponential in the worst case (each candidate label is tested with
-    /// a full scenario search) — intended for analysis and tests, not hot
-    /// paths. Returns `None` when the network is unsatisfiable.
-    pub fn minimal_network(&self) -> Option<ConstraintNetwork> {
-        let mut base = self.clone();
-        if !base.path_consistency() {
-            return None;
-        }
-        let mut minimal = base.clone();
-        for i in 0..self.n {
-            for j in (i + 1)..self.n {
-                let candidates = base.constraints[i * base.n + j];
-                let mut kept = RelationSet::EMPTY;
-                for r in candidates.iter() {
-                    let mut probe = base.clone();
-                    probe.constraints[i * probe.n + j] = RelationSet::singleton(r);
-                    probe.constraints[j * probe.n + i] = RelationSet::singleton(r.inverse());
-                    if probe.find_scenario().is_some() {
-                        kept = kept.with(r);
-                    }
-                }
-                if kept.is_empty() {
-                    return None;
-                }
-                minimal.constraints[i * minimal.n + j] = kept;
-                minimal.constraints[j * minimal.n + i] = kept.converse();
-            }
-        }
-        Some(minimal)
-    }
 }
 
 impl Default for ConstraintNetwork {
     fn default() -> Self {
         ConstraintNetwork::new()
-    }
-}
-
-/// A fully decided assignment of one basic relation to every ordered pair
-/// of variables, as produced by
-/// [`ConstraintNetwork::find_scenario`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Scenario {
-    relations: Vec<AllenRelation>,
-    n: usize,
-}
-
-impl Scenario {
-    /// Number of interval variables in the scenario.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Whether the scenario covers no variables.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    /// The decided relation from variable `a` to variable `b`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`UnknownVarError`] for foreign variables.
-    pub fn relation(&self, a: VarId, b: VarId) -> Result<AllenRelation, UnknownVarError> {
-        if a.0 >= self.n {
-            return Err(UnknownVarError(a));
-        }
-        if b.0 >= self.n {
-            return Err(UnknownVarError(b));
-        }
-        Ok(self.relations[a.0 * self.n + b.0])
-    }
-
-    /// Constructs concrete intervals realizing the scenario.
-    ///
-    /// Endpoints are produced by ranking the `2n` endpoint events under the
-    /// partial order the scenario's basic relations induce, then assigning
-    /// each rank a distinct tick, spaced two ticks apart so strict
-    /// inequalities stay strict. Returns `None` if the endpoint order is
-    /// cyclic, i.e. the atomic scenario was not actually consistent — which
-    /// cannot happen for scenarios returned by
-    /// [`ConstraintNetwork::find_scenario`].
-    pub fn realize(&self) -> Option<Vec<TimeInterval>> {
-        if self.n == 0 {
-            return Some(Vec::new());
-        }
-        // Endpoint variables: 2i = start of xi, 2i+1 = end of xi.
-        let m = 2 * self.n;
-        // order[a][b]: Some(Less) a<b, Some(Equal) a=b, from relation semantics.
-        #[derive(Clone, Copy, PartialEq)]
-        enum Rel {
-            Lt,
-            Eq,
-        }
-        let mut edges: Vec<(usize, usize, Rel)> = Vec::new();
-        for i in 0..self.n {
-            edges.push((2 * i, 2 * i + 1, Rel::Lt)); // start < end
-        }
-        for i in 0..self.n {
-            for j in 0..self.n {
-                if i == j {
-                    continue;
-                }
-                use AllenRelation::*;
-                let (si, ei, sj, ej) = (2 * i, 2 * i + 1, 2 * j, 2 * j + 1);
-                match self.relations[i * self.n + j] {
-                    Before => edges.push((ei, sj, Rel::Lt)),
-                    After => edges.push((ej, si, Rel::Lt)),
-                    Equals => {
-                        edges.push((si, sj, Rel::Eq));
-                        edges.push((ei, ej, Rel::Eq));
-                    }
-                    During => {
-                        edges.push((sj, si, Rel::Lt));
-                        edges.push((ei, ej, Rel::Lt));
-                    }
-                    Contains => {
-                        edges.push((si, sj, Rel::Lt));
-                        edges.push((ej, ei, Rel::Lt));
-                    }
-                    Meets => edges.push((ei, sj, Rel::Eq)),
-                    MetBy => edges.push((ej, si, Rel::Eq)),
-                    Overlaps => {
-                        edges.push((si, sj, Rel::Lt));
-                        edges.push((sj, ei, Rel::Lt));
-                        edges.push((ei, ej, Rel::Lt));
-                    }
-                    OverlappedBy => {
-                        edges.push((sj, si, Rel::Lt));
-                        edges.push((si, ej, Rel::Lt));
-                        edges.push((ej, ei, Rel::Lt));
-                    }
-                    Starts => {
-                        edges.push((si, sj, Rel::Eq));
-                        edges.push((ei, ej, Rel::Lt));
-                    }
-                    StartedBy => {
-                        edges.push((si, sj, Rel::Eq));
-                        edges.push((ej, ei, Rel::Lt));
-                    }
-                    Finishes => {
-                        edges.push((ei, ej, Rel::Eq));
-                        edges.push((sj, si, Rel::Lt));
-                    }
-                    FinishedBy => {
-                        edges.push((ei, ej, Rel::Eq));
-                        edges.push((si, sj, Rel::Lt));
-                    }
-                }
-            }
-        }
-        // Union equalities, then topologically rank the strict order.
-        let mut parent: Vec<usize> = (0..m).collect();
-        fn find(parent: &mut Vec<usize>, x: usize) -> usize {
-            if parent[x] != x {
-                let root = find(parent, parent[x]);
-                parent[x] = root;
-            }
-            parent[x]
-        }
-        for &(a, b, rel) in &edges {
-            if rel == Rel::Eq {
-                let (ra, rb) = (find(&mut parent, a), find(&mut parent, b));
-                parent[ra] = rb;
-            }
-        }
-        let mut adj: Vec<Vec<usize>> = vec![Vec::new(); m];
-        let mut indeg = vec![0usize; m];
-        for &(a, b, rel) in &edges {
-            if rel == Rel::Lt {
-                let (ra, rb) = (find(&mut parent, a), find(&mut parent, b));
-                if ra == rb {
-                    return None; // strict edge within an equality class: cycle
-                }
-                adj[ra].push(rb);
-                indeg[rb] += 1;
-            }
-        }
-        // Kahn's algorithm over class representatives; rank = longest path
-        // so every strict edge advances the tick.
-        let mut rank = vec![0u64; m];
-        let mut stack: Vec<usize> = (0..m)
-            .filter(|&v| find(&mut parent, v) == v && indeg[v] == 0)
-            .collect();
-        let mut seen = 0usize;
-        let classes = (0..m).filter(|&v| find(&mut parent, v) == v).count();
-        while let Some(v) = stack.pop() {
-            seen += 1;
-            for &w in &adj[v].clone() {
-                rank[w] = rank[w].max(rank[v] + 1);
-                indeg[w] -= 1;
-                if indeg[w] == 0 {
-                    stack.push(w);
-                }
-            }
-        }
-        if seen != classes {
-            return None; // cycle among strict edges
-        }
-        let mut out = Vec::with_capacity(self.n);
-        for i in 0..self.n {
-            let s = rank[find(&mut parent, 2 * i)];
-            let e = rank[find(&mut parent, 2 * i + 1)];
-            debug_assert!(s < e);
-            out.push(
-                TimeInterval::new(TimePoint::new(s), TimePoint::new(e))
-                    .expect("ranked start precedes end"),
-            );
-        }
-        Some(out)
     }
 }
 
@@ -506,8 +224,6 @@ mod tests {
         let mut net = ConstraintNetwork::new();
         assert!(net.is_empty());
         assert!(net.path_consistency());
-        assert!(net.is_consistent());
-        assert_eq!(net.find_scenario().unwrap().len(), 0);
     }
 
     #[test]
@@ -578,7 +294,6 @@ mod tests {
         net.constrain(b, c, before).unwrap();
         net.constrain(c, a, before).unwrap();
         assert!(!net.path_consistency());
-        assert!(!net.is_consistent());
     }
 
     #[test]
@@ -593,142 +308,5 @@ mod tests {
             .unwrap();
         assert!(c.is_empty());
         assert!(!net.path_consistency());
-    }
-
-    #[test]
-    fn scenario_realization_respects_relations() {
-        let mut net = ConstraintNetwork::new();
-        let a = net.add_variable();
-        let b = net.add_variable();
-        let c = net.add_variable();
-        net.constrain(
-            a,
-            b,
-            RelationSet::from_iter([AllenRelation::Overlaps, AllenRelation::Meets]),
-        )
-        .unwrap();
-        net.constrain(b, c, RelationSet::singleton(AllenRelation::During))
-            .unwrap();
-        net.constrain(a, c, RelationSet::singleton(AllenRelation::Starts))
-            .unwrap();
-        let scenario = net.find_scenario().expect("satisfiable");
-        let concrete = scenario.realize().expect("realizable");
-        assert_eq!(concrete.len(), 3);
-        for (i, vi) in [a, b, c].into_iter().enumerate() {
-            for (j, vj) in [a, b, c].into_iter().enumerate() {
-                assert_eq!(
-                    AllenRelation::relate(&concrete[i], &concrete[j]),
-                    scenario.relation(vi, vj).unwrap(),
-                    "pair ({i},{j})"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn scenario_search_handles_disjunctions() {
-        // a {before, after} b, b {before, after} c, a before c forces an order.
-        let mut net = ConstraintNetwork::new();
-        let a = net.add_variable();
-        let b = net.add_variable();
-        let c = net.add_variable();
-        let ba = RelationSet::from_iter([AllenRelation::Before, AllenRelation::After]);
-        net.constrain(a, b, ba).unwrap();
-        net.constrain(b, c, ba).unwrap();
-        net.constrain(a, c, RelationSet::singleton(AllenRelation::Before))
-            .unwrap();
-        let s = net.find_scenario().expect("satisfiable");
-        let r_ab = s.relation(a, b).unwrap();
-        let r_bc = s.relation(b, c).unwrap();
-        assert!(ba.contains(r_ab));
-        assert!(ba.contains(r_bc));
-        // and the composition must admit before
-        assert!(crate::compose::compose(r_ab, r_bc).contains(AllenRelation::Before));
-    }
-
-    #[test]
-    fn minimal_network_tightens_path_consistency() {
-        // a starts b, b starts c: path consistency already concludes
-        // a {starts, equals?} c — the minimal network must keep only
-        // relations some scenario realizes.
-        let mut net = ConstraintNetwork::new();
-        let a = net.add_variable();
-        let b = net.add_variable();
-        let c = net.add_variable();
-        net.constrain(a, b, RelationSet::singleton(AllenRelation::Starts))
-            .unwrap();
-        net.constrain(b, c, RelationSet::singleton(AllenRelation::Starts))
-            .unwrap();
-        let minimal = net.minimal_network().expect("satisfiable");
-        // starts ∘ starts = {starts}: the minimal a–c label is exactly it
-        assert_eq!(
-            minimal.constraint(a, c).unwrap(),
-            RelationSet::singleton(AllenRelation::Starts)
-        );
-        // every kept relation is genuinely realizable
-        for r in minimal.constraint(a, b).unwrap().iter() {
-            let mut probe = net.clone();
-            probe.constrain(a, b, RelationSet::singleton(r)).unwrap();
-            assert!(probe.is_consistent());
-        }
-    }
-
-    #[test]
-    fn minimal_network_of_inconsistent_is_none() {
-        let mut net = ConstraintNetwork::new();
-        let a = net.add_variable();
-        let b = net.add_variable();
-        let c = net.add_variable();
-        let before = RelationSet::singleton(AllenRelation::Before);
-        net.constrain(a, b, before).unwrap();
-        net.constrain(b, c, before).unwrap();
-        net.constrain(c, a, before).unwrap();
-        assert_eq!(net.minimal_network(), None);
-    }
-
-    #[test]
-    fn minimal_network_is_subset_of_path_consistent() {
-        let mut net = ConstraintNetwork::new();
-        let vars: Vec<_> = (0..4).map(|_| net.add_variable()).collect();
-        net.constrain(
-            vars[0],
-            vars[1],
-            RelationSet::from_iter([AllenRelation::Before, AllenRelation::Overlaps]),
-        )
-        .unwrap();
-        net.constrain(
-            vars[1],
-            vars[2],
-            RelationSet::from_iter([AllenRelation::During, AllenRelation::Meets]),
-        )
-        .unwrap();
-        net.constrain(
-            vars[2],
-            vars[3],
-            RelationSet::singleton(AllenRelation::Finishes),
-        )
-        .unwrap();
-        let minimal = net.minimal_network().expect("satisfiable");
-        let mut pc = net.clone();
-        assert!(pc.path_consistency());
-        for i in &vars {
-            for j in &vars {
-                assert!(minimal
-                    .constraint(*i, *j)
-                    .unwrap()
-                    .is_subset(pc.constraint(*i, *j).unwrap()));
-            }
-        }
-    }
-
-    #[test]
-    fn meets_realizes_shared_endpoint() {
-        let mut net = ConstraintNetwork::new();
-        let a = net.add_variable();
-        let b = net.add_variable();
-        net.constrain(a, b, RelationSet::singleton(AllenRelation::Meets))
-            .unwrap();
-        let concrete = net.find_scenario().unwrap().realize().unwrap();
-        assert_eq!(concrete[0].end(), concrete[1].start());
     }
 }

@@ -156,29 +156,4 @@ proptest! {
             + a.intersect(&b).total_duration().ticks();
         prop_assert_eq!(d, a.total_duration().ticks());
     }
-
-    /// Scenario realization: any consistent 3-variable singleton network
-    /// realizes to intervals exhibiting exactly the chosen relations.
-    #[test]
-    fn realize_small_scenarios(r1 in 0usize..13, r2 in 0usize..13) {
-        use rota_interval::ConstraintNetwork;
-        let mut net = ConstraintNetwork::new();
-        let a = net.add_variable();
-        let b = net.add_variable();
-        let c = net.add_variable();
-        net.constrain(a, b, RelationSet::singleton(ALL_RELATIONS[r1])).unwrap();
-        net.constrain(b, c, RelationSet::singleton(ALL_RELATIONS[r2])).unwrap();
-        if let Some(s) = net.find_scenario() {
-            let concrete = s.realize().expect("consistent scenario realizes");
-            let vars = [a, b, c];
-            for (i, vi) in vars.into_iter().enumerate() {
-                for (j, vj) in vars.into_iter().enumerate() {
-                    prop_assert_eq!(
-                        AllenRelation::relate(&concrete[i], &concrete[j]),
-                        s.relation(vi, vj).unwrap()
-                    );
-                }
-            }
-        }
-    }
 }

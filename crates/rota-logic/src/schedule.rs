@@ -207,8 +207,8 @@ pub fn schedule_concurrent(
     for (i, part) in requirement.parts().iter().enumerate() {
         let schedule = schedule_complex(&remaining, part, earliest).map_err(|e| (i, e))?;
         let reserved = schedule.total_reservation();
-        remaining = remaining
-            .relative_complement(&reserved)
+        remaining
+            .subtract_set(&reserved)
             .expect("reservations are carved from the remaining set");
         out.push(schedule);
     }

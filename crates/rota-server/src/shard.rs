@@ -6,21 +6,27 @@
 //! Sharding is by *location*: every location (and thus every resource
 //! term and every computation, keyed by its first actor's origin) is
 //! owned by exactly one shard, chosen by a stable hash. Shards never
-//! share state and a call holds at most one shard lock at a time, so
-//! calls on different shards never wait for each other. The cost of
-//! that isolation is honesty about multi-location computations: a
-//! request is decided against its home shard's resources only, so a
+//! share state and an admit holds only its own shard's lock, so admits
+//! on different shards never wait for each other. The cost of that
+//! isolation is honesty about multi-location computations: a request
+//! is decided against its home shard's resources only, so a
 //! computation spanning locations owned by different shards may be
 //! rejected where a monolithic controller would admit it (see
 //! DESIGN.md).
+//!
+//! ## One critical section per node-wide call
+//!
+//! Offer, stats, snapshot, prepare, commit and abort each take every
+//! shard's lock in index order (`ShardPool::locked_all`), one order
+//! for all, so none can deadlock; each sweeps the shards at one instant
+//! and changes all of them or none, so no call sees half of another.
 //!
 //! ## Backpressure
 //!
 //! Each shard counts the admits holding or waiting for its lock. Past
 //! one holder plus `queue_capacity` waiters, an admit is answered
 //! [`Response::Overloaded`] at once instead of joining the wait.
-//! Control-plane calls (offer, stats, snapshot, prepare, commit, abort)
-//! are not counted: they visit the shards one at a time in index order.
+//! Node-wide calls are not counted.
 //!
 //! ## Panics and idempotency
 //!
@@ -71,7 +77,7 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use rota_actor::ActorName;
@@ -81,7 +87,7 @@ use rota_admission::{
 };
 use rota_analyze::{prevalidate_request, Report as LintReport, Severity as LintSeverity};
 use rota_interval::TimePoint;
-use rota_logic::{Commitment, Scope, State};
+use rota_logic::{Commitment, Scope, State, TransitionError};
 use rota_obs::{Counter, Gauge, Histogram, Registry};
 use rota_resource::{LocatedType, Location, ResourceSet};
 
@@ -417,20 +423,35 @@ impl ShardPool {
     }
 
     /// Runs `f` on shard `index` under its lock, after withdrawing the
-    /// shard's reservations lapsed by `now`. A poisoned lock means a
-    /// write panicked halfway through a mutation, so the state behind
-    /// it may be torn: no answer may be built from it, and the process
-    /// aborts.
+    /// shard's reservations lapsed by `now`. A poisoned lock aborts the
+    /// process ([`torn`]).
     fn locked<R>(&self, index: usize, now: Instant, f: impl FnOnce(&mut ShardState) -> R) -> R {
         let shard = &self.shards[index];
         shard.obs.queue_depth.add(1);
-        let mut state = shard.state.lock().unwrap_or_else(|_| {
-            eprintln!("shard {index}: a write panicked under its lock; aborting");
-            std::process::abort()
-        });
+        let mut state = shard.state.lock().unwrap_or_else(|_| torn(index));
         shard.obs.queue_depth.add(-1);
         state.sweep_expired(now);
         f(&mut state)
+    }
+
+    /// Runs `f` over every shard's state as one critical section, locked
+    /// in index order (the one order, so no deadlock) and swept at `now`.
+    /// A poisoned lock aborts the process ([`torn`]).
+    fn locked_all<R>(
+        &self,
+        now: Instant,
+        f: impl FnOnce(&mut [MutexGuard<'_, ShardState>]) -> R,
+    ) -> R {
+        let mut states: Vec<MutexGuard<'_, ShardState>> = (self.shards.iter().enumerate())
+            .map(|(index, shard)| {
+                shard.obs.queue_depth.add(1);
+                let mut state = shard.state.lock().unwrap_or_else(|_| torn(index));
+                shard.obs.queue_depth.add(-1);
+                state.sweep_expired(now);
+                state
+            })
+            .collect();
+        f(&mut states)
     }
 
     /// Routes one admission request and decides it under its shard's
@@ -469,63 +490,67 @@ impl ShardPool {
         })
     }
 
-    /// Splits an offered resource set across shards and installs each
-    /// slice in shard order, stopping at the first slice that fails.
+    /// Splits an offered resource set across the shards and installs
+    /// every slice, or none when one would overflow a rate.
     pub(crate) fn offer(&self, theta: ResourceSet) -> Response {
-        let mut installed = 0u64;
-        for (index, slice) in split_by_shard(&theta, self.shards())
-            .into_iter()
-            .enumerate()
-        {
-            if slice.is_empty() {
-                continue;
+        let slices = split_by_shard(&theta, self.shards());
+        let terms = slices.iter().map(ResourceSet::term_count).sum::<usize>() as u64;
+        self.locked_all(self.clock.now(), |states| {
+            // Θ holds nothing before the present, so a slice overflows
+            // it exactly where the install, which clips to the present,
+            // would.
+            for (state, slice) in states.iter().zip(&slices) {
+                if let Err(e) = state.controller.state().theta().union(slice) {
+                    let message = TransitionError::from(e).to_string();
+                    return Response::Error { message };
+                }
             }
-            let terms = slice.term_count() as u64;
-            match self.locked(index, self.clock.now(), |state| state.offer(slice)) {
-                Ok(()) => installed += terms,
-                Err(message) => return Response::Error { message },
+            for (state, slice) in states.iter_mut().zip(slices) {
+                let offered = state.controller.offer_resources(slice);
+                // PANIC-OK: checked above, under the same locks.
+                offered.expect("a checked slice joins");
+                state.changed();
             }
-        }
-        Response::Offered { terms: installed }
+            Response::Offered { terms }
+        })
     }
 
-    /// Aggregates every shard's controller statistics.
+    /// Sums every shard's controller statistics, read at one instant.
     pub(crate) fn stats(&self) -> Response {
-        let mut total = ControllerStats::default();
-        for index in 0..self.shards() {
-            let stats = self.locked(index, self.clock.now(), |state| state.controller.stats());
-            total.accepted += stats.accepted;
-            total.rejected += stats.rejected;
-            total.completed += stats.completed;
-            total.missed += stats.missed;
-            total.withdrawn += stats.withdrawn;
-        }
-        Response::Stats {
-            stats: total,
-            shards: self.shards(),
-        }
+        self.locked_all(self.clock.now(), |states| {
+            let mut stats = ControllerStats::default();
+            for state in states.iter() {
+                let shard = state.controller.stats();
+                stats.accepted += shard.accepted;
+                stats.rejected += shard.rejected;
+                stats.completed += shard.completed;
+                stats.missed += shard.missed;
+                stats.withdrawn += shard.withdrawn;
+            }
+            let shards = states.len();
+            Response::Stats { stats, shards }
+        })
     }
 
     /// Collects the resources every shard still has available after
     /// every commitment and tentative reservation — within `scope` when
-    /// one is given, else all of them — and merges the (disjoint)
-    /// supplies into one resource set: the node's contribution to a 2PC
-    /// coordinator's basis.
+    /// one is given, else all of them — as a cut at one instant, and
+    /// merges the (disjoint) supplies into one resource set: the node's
+    /// contribution to a 2PC coordinator's basis.
     pub(crate) fn cluster_state(&self, scope: Option<&Scope>) -> Result<ResourceSet, String> {
-        let mut merged = ResourceSet::new();
-        for index in 0..self.shards() {
-            let theta = self.locked(index, self.clock.now(), |state| {
+        self.locked_all(self.clock.now(), |states| {
+            let mut merged = ResourceSet::new();
+            for state in states.iter() {
                 let logic = state.controller.state();
-                match scope {
+                let theta = match scope {
                     Some(scope) => logic.expiring_in(scope.types(), scope.window()),
                     None => logic.expiring_resources(),
-                }
-            });
-            merged
-                .add_set(&theta)
-                .map_err(|e| format!("merging shard {index} snapshot: {e}"))?;
-        }
-        Ok(merged)
+                };
+                (merged.add_set(&theta))
+                    .map_err(|e| format!("merging shard {} snapshot: {e}", state.shard))?;
+            }
+            Ok(merged)
+        })
     }
 
     /// The verdict a single merged node would issue for `request` on
@@ -538,17 +563,14 @@ impl ShardPool {
             .decide(&State::new(basis.clone(), TimePoint::ZERO), request)
     }
 
-    /// Phase one of two-phase commit for a `verdict` already decided
-    /// on the merged `basis` ([`ShardPool::decide`]). Each shard first
-    /// checks, under its lock, that what the verdict read of it stands
-    /// ([`ShardState::read_stands`]), and answers `stale-epoch` if not.
-    /// On accept, the shards, in index order, hold the name for `ttl`
-    /// and install their shares of the commitments
-    /// ([`ShardState::share`]), all the shares counting the computation
-    /// once through one [`Tally`]; the first failing shard's answer is
-    /// returned after the shards before it release their holds. A
-    /// reject installs nothing: the shards check it last to first, and
-    /// shard 0 records it.
+    /// Phase one of two-phase commit for a `verdict` already decided on
+    /// the merged `basis` ([`ShardPool::decide`]), changing every shard
+    /// or none. A name the node holds or has committed answers
+    /// `prepared`, its holds refreshed to lapse `ttl` from now. Else the
+    /// first shard whose part of what the verdict read has moved
+    /// ([`ShardState::read_stands`]) answers `stale-epoch`; then shard 0
+    /// records a reject, or every shard holds its share of an accept
+    /// ([`ShardState::hold`]), and a failed share aborts those before.
     pub(crate) fn prepare(
         &self,
         request: &AdmissionRequest,
@@ -557,53 +579,77 @@ impl ShardPool {
         ttl: Duration,
     ) -> Response {
         let now = self.clock.now();
-        let name = request.name().to_string();
+        let name = request.name();
         let scope = Scope::of(request.demand(), request.window());
-        let tally = Arc::new(Tally::default());
-        let accept = matches!(verdict, Decision::Accept(_));
-        let order: Vec<usize> = if accept {
-            (0..self.shards()).collect()
-        } else {
-            (0..self.shards()).rev().collect()
-        };
-        for index in order {
-            if let Some(failure) = self.locked(index, now, |state| {
-                state.prepare(request, verdict, &scope, basis, &tally, now + ttl)
-            }) {
-                if accept {
-                    for prepared in 0..index {
-                        self.locked(prepared, now, |state| state.abort(&name));
-                    }
-                }
-                return failure;
+        let prepared = Response::Prepared { name: name.into() };
+        self.locked_all(now, |states| {
+            if states.iter().any(|state| state.keeps(name)) {
+                states
+                    .iter_mut()
+                    .for_each(|state| state.refresh(name, now + ttl));
+                return prepared;
             }
-        }
-        Response::Prepared { name }
+            if let Some(state) = states.iter().find(|s| !s.read_stands(&scope, basis)) {
+                // The v6 frame keeps its epoch members; they read 0.
+                return Response::StaleEpoch {
+                    shard: state.shard,
+                    epoch: 0,
+                    expected: 0,
+                };
+            }
+            let commitments = match verdict {
+                Decision::Accept(commitments) => commitments,
+                Decision::Reject(reason) => {
+                    let response = decision_response(request, Err(reason), 0);
+                    states[0].record(name, dedup_key(request), &response);
+                    return response;
+                }
+            };
+            let tally = Arc::new(Tally::default());
+            for index in 0..states.len() {
+                if let Err(message) = states[index].hold(request, commitments, &tally, now + ttl) {
+                    for state in &mut states[..index] {
+                        state.abort(name);
+                    }
+                    return Response::Error { message };
+                }
+            }
+            prepared
+        })
     }
 
-    /// Phase two: makes the named reservation permanent on every shard.
-    /// Idempotent for already-committed names. If any shard cannot
-    /// commit (its reservation expired), every shard is compensated
-    /// with an abort and the error is returned.
+    /// Phase two: makes the named reservation permanent on every shard,
+    /// or fails, changing nothing, when some shard neither holds nor
+    /// has committed it (a node's holds from one prepare lapse
+    /// together). Idempotent for a committed name.
     pub(crate) fn commit(&self, name: &str) -> Result<(), String> {
-        let outcome = (0..self.shards())
-            .try_for_each(|index| self.locked(index, self.clock.now(), |state| state.commit(name)));
-        if outcome.is_err() {
-            self.abort(name);
-        }
-        outcome
+        self.locked_all(self.clock.now(), |states| {
+            if let Some(state) = states.iter().find(|state| !state.keeps(name)) {
+                return Err(format!(
+                    "shard {}: no reservation named `{name}` (expired or never prepared)",
+                    state.shard
+                ));
+            }
+            states.iter_mut().for_each(|state| state.commit(name));
+            Ok(())
+        })
     }
 
     /// Releases the named reservation on every shard (or compensates a
-    /// committed one after a failed commit round); returns whether any
-    /// shard actually released something.
+    /// committed one after another node's commit failed); returns
+    /// whether any shard actually released something.
     pub(crate) fn abort(&self, name: &str) -> bool {
-        let mut released = false;
-        for index in 0..self.shards() {
-            released |= self.locked(index, self.clock.now(), |state| state.abort(name));
-        }
-        released
+        self.locked_all(self.clock.now(), |states| {
+            (states.iter_mut()).fold(false, |released, state| state.abort(name) | released)
+        })
     }
+}
+
+/// A poisoned shard lock: a write panicked mid-mutation, so no answer
+/// may be built from the state behind it, and the process aborts.
+fn torn(index: usize) -> ! {
+    eprintln!("shard {index}: a write panicked under its lock; aborting");
+    std::process::abort()
 }
 
 /// Settled names kept per shard: the one bound of its table of names.
@@ -746,34 +792,14 @@ impl ShardState {
         Ok(self.controller.decide(request))
     }
 
-    fn offer(&mut self, theta: ResourceSet) -> Result<(), String> {
-        self.controller
-            .offer_resources(theta)
-            .map_err(|e| e.to_string())?;
-        self.changed();
-        Ok(())
+    /// Whether this shard holds `name` for a two-phase admission, or
+    /// has committed it.
+    fn keeps(&self, name: &str) -> bool {
+        !matches!(self.names.get(name), None | Some(Entry::Decided { .. }))
     }
 
-    /// This shard's part of a prepare whose `verdict` the pool already
-    /// decided on `basis`: `None` once the shard holds the name until
-    /// `expires_at`, or has checked a reject it does not record;
-    /// otherwise the answer that fails the prepare. A shard installs its
-    /// share of an accept ([`Self::share`]), counted through `tally`; a
-    /// shard whose share is empty holds the name only. Shard 0 records a
-    /// reject as its verdict on the name.
-    fn prepare(
-        &mut self,
-        request: &AdmissionRequest,
-        verdict: &Decision,
-        scope: &Scope,
-        basis: &ResourceSet,
-        tally: &Arc<Tally>,
-        expires_at: Instant,
-    ) -> Option<Response> {
-        let name = request.name();
-        // Idempotent re-prepare: a retry after a lost reply refreshes the
-        // hold instead of installing twice (names are the 2PC identity;
-        // content is not re-verified). A decided name is decided again.
+    /// Moves the lapse of `name`'s hold, if it is held, to `expires_at`.
+    fn refresh(&mut self, name: &str, expires_at: Instant) {
         if let Some(Entry::Held { actors, frame, .. }) =
             self.names.take(name, |e| matches!(e, Entry::Held { .. }))
         {
@@ -783,61 +809,38 @@ impl ShardState {
                 frame,
             };
             self.names.insert(name, held);
-            return None;
         }
-        if matches!(self.names.get(name), Some(Entry::Committed { .. })) {
-            return None;
-        }
-        if !self.read_stands(scope, basis) {
-            // The v6 frame keeps its epoch members; they read 0.
-            return Some(Response::StaleEpoch {
-                shard: self.shard,
-                epoch: 0,
-                expected: 0,
-            });
-        }
-        let commitments = match verdict {
-            Decision::Accept(commitments) => commitments,
-            Decision::Reject(_) if self.shard != 0 => return None,
-            Decision::Reject(reason) => {
-                let response = decision_response(request, Err(reason), self.shard);
-                self.record(name, dedup_key(request), &response);
-                return Some(response);
-            }
-        };
+    }
+
+    /// Holds `request`'s name until `expires_at` with this shard's share
+    /// of an accept ([`Self::share`]), installed and counted through
+    /// `tally`, all the shares counting the computation once; a shard
+    /// whose share is empty holds the name only.
+    fn hold(
+        &mut self,
+        request: &AdmissionRequest,
+        commitments: &[Commitment],
+        tally: &Arc<Tally>,
+        expires_at: Instant,
+    ) -> Result<(), String> {
         let share = self.share(commitments);
-        let actors = if share.is_empty() {
-            None
-        } else {
-            let actors = share.iter().map(|c| c.actor().clone()).collect();
-            if let Err(err) = self
-                .controller
-                .install_share(share, request.deadline(), tally)
-            {
-                return Some(Response::Error {
-                    message: format!(
-                        "shard {}: prepared commitments not installable: {err}",
-                        self.shard
-                    ),
-                });
-            }
+        let actors = (!share.is_empty()).then(|| share.iter().map(|c| c.actor().clone()).collect());
+        if actors.is_some() {
+            let (shard, deadline) = (self.shard, request.deadline());
+            (self.controller.install_share(share, deadline, tally))
+                .map_err(|e| format!("shard {shard}: prepared commitments not installable: {e}"))?;
             self.changed();
-            Some(actors)
-        };
-        let frame = encode_frame(&decision_response(
-            request,
-            Ok(commitments.len()),
-            self.shard,
-        ));
+        }
+        let accepted = decision_response(request, Ok(commitments.len()), self.shard);
         let held = Entry::Held {
             actors,
             expires_at,
-            frame,
+            frame: encode_frame(&accepted),
         };
-        self.names.insert(name, held);
+        self.names.insert(request.name(), held);
         self.obs.twopc_prepared.inc();
         self.obs.reservations.set(self.names.expiry.len() as i64);
-        None
+        Ok(())
     }
 
     /// The first locations of the supply this shard was given (its Θ,
@@ -885,25 +888,21 @@ impl ShardState {
             .collect()
     }
 
-    fn commit(&mut self, name: &str) -> Result<(), String> {
-        match self.names.take(name, |e| matches!(e, Entry::Held { .. })) {
-            Some(Entry::Held { actors, frame, .. }) => {
-                self.names.insert(name, Entry::Committed { actors, frame });
-                self.obs.twopc_committed.inc();
-                self.obs.reservations.set(self.names.expiry.len() as i64);
-                Ok(())
-            }
-            _ if matches!(self.names.get(name), Some(Entry::Committed { .. })) => Ok(()),
-            _ => Err(format!(
-                "shard {}: no reservation named `{name}` (expired or never prepared)",
-                self.shard
-            )),
+    /// Makes a held name permanent; a committed one stays. The pool
+    /// checks first that the name is one or the other ([`Self::keeps`]).
+    fn commit(&mut self, name: &str) {
+        if let Some(Entry::Held { actors, frame, .. }) =
+            self.names.take(name, |e| matches!(e, Entry::Held { .. }))
+        {
+            self.names.insert(name, Entry::Committed { actors, frame });
+            self.obs.twopc_committed.inc();
+            self.obs.reservations.set(self.names.expiry.len() as i64);
         }
     }
 
-    /// Releases a held name, or compensates a committed one: some other
-    /// shard or node failed its commit, so this one is rolled back to
-    /// keep the admission atomic. A decided name stays.
+    /// Releases a held name, or compensates a committed one: another
+    /// node failed its commit, so this one is rolled back to keep the
+    /// admission atomic. A decided name stays.
     fn abort(&mut self, name: &str) -> bool {
         let taken = self
             .names
@@ -1178,6 +1177,22 @@ mod tests {
         assert!(
             matches!(after, Response::Decision { accepted: true, .. }),
             "{after:?}"
+        );
+    }
+
+    #[test]
+    fn an_offer_that_overflows_one_slice_installs_none() {
+        let (home, other) = (location_on(0, 2), location_on(1, 2));
+        let theta = theta_at(&[&other], u64::MAX, 16);
+        let (pool, _) = pool_over(&theta, 2);
+        match pool.offer(theta_at(&[&home, &other], 4, 16)) {
+            Response::Error { message } => assert!(message.contains("overflow"), "{message}"),
+            other => panic!("expected an error, got {other:?}"),
+        }
+        assert_eq!(
+            pool.cluster_state(None).unwrap(),
+            theta,
+            "shard 0 took no slice either"
         );
     }
 
@@ -2000,12 +2015,11 @@ mod tests {
     }
 
     #[test]
-    fn stale_prepare_on_one_shard_releases_the_others() {
-        // Every other prepare test runs one shard; here the request
-        // spans both, shard 0 prepares cleanly, and shard 1's supply
-        // within the request's window has moved since the snapshot, so
-        // the pool must undo shard 0's hold before answering with the
-        // stale refusal.
+    fn a_stale_prepare_installs_nothing_anywhere() {
+        // The request spans both shards, shard 0's read set stands, and
+        // shard 1's supply within the request's window has moved since
+        // the snapshot: every read set is checked before anything is
+        // installed, so no shard ever holds the name.
         let (home, other) = (location_on(0, 2), location_on(1, 2));
         let registry = Arc::new(Registry::new());
         let theta = theta_at(&[&home, &other], 4, 16);
@@ -2040,8 +2054,11 @@ mod tests {
         let snap = registry.snapshot();
         assert_eq!(snap.gauge("server.shard.reservations{shard=0}"), Some(0));
         assert_eq!(snap.gauge("server.shard.reservations{shard=1}"), Some(0));
-        assert_eq!(snap.counter("server.twopc.prepared{shard=0}"), Some(1));
-        assert_eq!(snap.counter("server.twopc.aborted{shard=0}"), Some(1));
+        for shard in 0..2 {
+            let counted = |name: &str| snap.counter(&format!("{name}{{shard={shard}}}"));
+            assert_eq!(counted("server.twopc.prepared"), Some(0), "shard {shard}");
+            assert_eq!(counted("server.twopc.aborted"), Some(0), "shard {shard}");
+        }
     }
 
     #[test]
@@ -2132,13 +2149,11 @@ mod tests {
 
     /// Each shard's live commitments.
     fn held(pool: &ShardPool) -> Vec<Vec<Commitment>> {
-        (0..pool.shards())
-            .map(|index| {
-                pool.locked(index, pool.clock.now(), |state| {
-                    state.controller.state().rho().iter().cloned().collect()
-                })
-            })
-            .collect()
+        pool.locked_all(pool.clock.now(), |states| {
+            (states.iter())
+                .map(|state| state.controller.state().rho().iter().cloned().collect())
+                .collect()
+        })
     }
 
     fn stats_of(pool: &ShardPool) -> ControllerStats {
@@ -2271,11 +2286,11 @@ mod tests {
     /// Ticks every shard's controller to `horizon`, then sums their
     /// stats.
     fn run_all_until(pool: &ShardPool, horizon: u64) -> ControllerStats {
-        for index in 0..pool.shards() {
-            pool.locked(index, pool.clock.now(), |state| {
+        pool.locked_all(pool.clock.now(), |states| {
+            for state in states.iter_mut() {
                 state.controller.run_until(TimePoint::new(horizon));
-            });
-        }
+            }
+        });
         stats_of(pool)
     }
 
@@ -2337,20 +2352,8 @@ mod tests {
             "{prepared:?}"
         );
         assert!(held(&pool).iter().all(|rho| rho.len() == 1));
-        // Shard 1's hold lapses; shard 0's does not.
-        let now = clock.now();
-        pool.locked(1, now, |state| {
-            let Some(Entry::Held { actors, frame, .. }) = state.names.remove("both") else {
-                panic!("shard 1 holds `both`");
-            };
-            let expires_at = now;
-            let held = Entry::Held {
-                actors,
-                expires_at,
-                frame,
-            };
-            state.names.insert("both", held);
-        });
+        // Both owners' holds share one lapse, and one sweep takes both.
+        clock.advance(Duration::from_secs(61));
         let err = pool.commit("both").unwrap_err();
         assert!(err.contains("expired or never prepared"), "{err}");
         assert_eq!(
@@ -2360,6 +2363,43 @@ mod tests {
         );
         assert_eq!(stats_of(&pool).accepted, 0);
         assert!(held(&pool).iter().all(Vec::is_empty));
+    }
+
+    #[test]
+    fn a_committed_name_one_shard_forgot_still_answers_prepared() {
+        // A retried prepare of a committed name, after shard 1 evicted
+        // its entry: the node still has the name, so the prepare
+        // installs nothing and releases nothing.
+        let (a, b) = (location_on(0, 2), location_on(1, 2));
+        let theta = theta_at(&[&a, &b], 4, 16);
+        let registry = Arc::new(Registry::new());
+        let pool = ShardPool::new(RotaPolicy, &theta, 2, 8, 1, &registry, wall());
+        let request = spanning("both", &[(&a, 1, None), (&b, 1, None)]);
+        let prepared = prepare_fresh(&pool, &request);
+        assert!(
+            matches!(prepared, Response::Prepared { .. }),
+            "{prepared:?}"
+        );
+        pool.commit("both").unwrap();
+        let committed = pool.cluster_state(None).unwrap();
+        // A reject on shard 1 settles a name there and evicts `both`.
+        let big = pool
+            .admit_request(request_at("big", &b, 16, 16))
+            .into_response();
+        assert!(
+            matches!(
+                big,
+                Response::Decision {
+                    accepted: false,
+                    ..
+                }
+            ),
+            "{big:?}"
+        );
+        let again = prepare_fresh(&pool, &request);
+        assert!(matches!(again, Response::Prepared { .. }), "{again:?}");
+        assert_eq!(pool.cluster_state(None).unwrap(), committed);
+        assert_eq!(stats_of(&pool).accepted, 1);
     }
 
     #[test]
@@ -2472,6 +2512,42 @@ mod tests {
             }
         });
         assert_eq!(done.into_inner(), rounds);
+    }
+
+    #[test]
+    fn a_snapshot_never_shows_half_a_prepare() {
+        // One thread prepares and aborts a job spanning both shards
+        // while this one takes snapshots: each must be the whole supply
+        // or the supply less the whole hold, never one shard's share.
+        let (a, b) = (location_on(0, 2), location_on(1, 2));
+        let theta = theta_at(&[&a, &b], 4, 16);
+        let (pool, _) = pool_over(&theta, 2);
+        let request = spanning("both", &[(&a, 1, None), (&b, 1, None)]);
+        let prepared = prepare_fresh(&pool, &request);
+        assert!(
+            matches!(prepared, Response::Prepared { .. }),
+            "{prepared:?}"
+        );
+        let held = pool.cluster_state(None).unwrap();
+        assert!(held != theta && pool.abort("both"));
+        let done = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                for _ in 0..500 {
+                    let prepared = prepare_fresh(&pool, &request);
+                    assert!(
+                        matches!(prepared, Response::Prepared { .. }),
+                        "{prepared:?}"
+                    );
+                    assert!(pool.abort("both"));
+                }
+                done.store(true, Ordering::Release);
+            });
+            while !done.load(Ordering::Acquire) {
+                let snapshot = pool.cluster_state(None).unwrap();
+                assert!(snapshot == theta || snapshot == held, "{snapshot:?}");
+            }
+        });
     }
 
     /// The verdicts a pool's record lists, as `(computation, accepted)`.
@@ -2963,17 +3039,10 @@ mod tests {
     /// not decided again, or its install fails.
     fn taken(pool: &ShardPool, request: &AdmissionRequest) -> bool {
         let actors = request.actor_names();
-        (0..pool.shards()).any(|index| {
-            pool.locked(index, pool.clock.now(), |state| {
-                matches!(
-                    state.names.get(request.name()),
-                    Some(Entry::Held { .. } | Entry::Committed { .. })
-                ) || state
-                    .controller
-                    .state()
-                    .rho()
-                    .iter()
-                    .any(|c| actors.contains(c.actor()))
+        pool.locked_all(pool.clock.now(), |states| {
+            states.iter().any(|state| {
+                state.keeps(request.name())
+                    || (state.controller.state().rho().iter()).any(|c| actors.contains(c.actor()))
             })
         })
     }

@@ -18,10 +18,15 @@
 //!    passed in by its pool, which reads it through `rota_server::Clock`
 //!    (defined elsewhere), and the library's admission and
 //!    model-checking verdicts are functions of their inputs: whoever
-//!    wants them timed times the call.
+//!    wants them timed times the call;
+//! 5. in the **non-test** code of `rota-server`'s `src/shard.rs`, a
+//!    shard's `state.lock()` appears only in the functions `locked`,
+//!    `locked_all` and `decisions`. A call that holds several shard locks
+//!    is deadlock-free only while each takes them in the one index order
+//!    `ShardPool::locked_all` does, so no other function may take one.
 //!
 //! Test code — `#[cfg(test)]` modules, `tests/`, `benches/`,
-//! `examples/` — is exempt from rules 2 and 4.
+//! `examples/` — is exempt from rules 2, 4 and 5.
 //!
 //! Exit status: 0 clean, 1 findings, 2 usage/IO error.
 
@@ -42,6 +47,17 @@ const CLOCKLESS_FILES: &[(&str, &str)] = &[
 
 /// What reads a clock.
 const CLOCK_READS: &[&str] = &["Instant::now", "SystemTime::now", ".elapsed()"];
+
+/// `(crate, file under src/)` whose non-test code takes a shard's lock
+/// only in [`LOCK_TAKERS`].
+const LOCK_ORDER_FILE: (&str, &str) = ("rota-server", "shard.rs");
+
+/// The functions that may take a shard's lock: one shard, every shard
+/// in index order, and one shard at a time.
+const LOCK_TAKERS: &[&str] = &["locked", "locked_all", "decisions"];
+
+/// Taking a shard's lock.
+const SHARD_LOCK: &str = "state.lock()";
 
 #[derive(Debug)]
 struct Finding {
@@ -261,9 +277,16 @@ fn code_portion(line: &str, mode: &mut Mode) -> String {
 
 fn lint_file(crate_name: &str, file: &Path, text: &str, findings: &mut Vec<Finding>) {
     let no_panic = NO_PANIC_CRATES.contains(&crate_name);
-    let clockless = CLOCKLESS_FILES
-        .iter()
-        .any(|&(krate, name)| krate == crate_name && file.ends_with(Path::new("src").join(name)));
+    let in_src = |&(krate, name): &(&str, &str)| {
+        krate == crate_name && file.ends_with(Path::new("src").join(name))
+    };
+    let clockless = CLOCKLESS_FILES.iter().any(in_src);
+    let lock_ordered = in_src(&LOCK_ORDER_FILE);
+    // The functions whose bodies enclose the line, innermost last, each
+    // with the depth its body opened at; and a signature seen whose body
+    // has not opened yet.
+    let mut functions: Vec<(String, i64)> = Vec::new();
+    let mut signature: Option<String> = None;
     // Depth of the brace nesting, and the depth at which a
     // `#[cfg(test)]` item started — everything inside is test code.
     let mut depth: i64 = 0;
@@ -306,6 +329,20 @@ fn lint_file(crate_name: &str, file: &Path, text: &str, findings: &mut Vec<Findi
                     });
                 }
             }
+            if lock_ordered && code.contains(SHARD_LOCK) {
+                let within = functions.last().map_or("", |(name, _)| name.as_str());
+                if !LOCK_TAKERS.contains(&within) {
+                    findings.push(Finding {
+                        file: file.to_path_buf(),
+                        line: line_no,
+                        message: format!(
+                            "shard lock `{SHARD_LOCK}` taken in `{within}`: only {} may take \
+                             one, so every multi-shard call keeps the index order",
+                            LOCK_TAKERS.join(", ")
+                        ),
+                    });
+                }
+            }
             if no_panic
                 && (code.contains(".unwrap()") || code.contains(".expect("))
                 && !raw.contains("PANIC-OK")
@@ -326,6 +363,9 @@ fn lint_file(crate_name: &str, file: &Path, text: &str, findings: &mut Vec<Findi
             panic_ok_pending = false;
         }
 
+        if let Some(name) = declared_function(&code) {
+            signature = Some(name);
+        }
         for c in code.chars() {
             match c {
                 '{' => {
@@ -334,15 +374,116 @@ fn lint_file(crate_name: &str, file: &Path, text: &str, findings: &mut Vec<Findi
                         test_from = Some(depth);
                         pending_cfg_test = false;
                     }
+                    if let Some(name) = signature.take() {
+                        functions.push((name, depth));
+                    }
                 }
                 '}' => {
                     if test_from == Some(depth) {
                         test_from = None;
                     }
+                    if functions.last().is_some_and(|&(_, opened)| opened == depth) {
+                        functions.pop();
+                    }
                     depth -= 1;
                 }
+                // A declaration without a body.
+                ';' => signature = None,
                 _ => {}
             }
         }
+    }
+}
+
+/// The name of the last function a line of code declares (`fn name`),
+/// if any.
+fn declared_function(code: &str) -> Option<String> {
+    let is_ident = |c: char| c.is_ascii_alphanumeric() || c == '_';
+    let mut found = None;
+    for (at, _) in code.match_indices("fn ") {
+        if code[..at].chars().next_back().is_some_and(is_ident) {
+            continue;
+        }
+        let name: String = code[at + 3..]
+            .trim_start()
+            .chars()
+            .take_while(|&c| is_ident(c))
+            .collect();
+        if !name.is_empty() {
+            found = Some(name);
+        }
+    }
+    found
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn lint(crate_name: &str, file: &str, text: &str) -> Vec<(usize, String)> {
+        let mut findings = Vec::new();
+        lint_file(crate_name, Path::new(file), text, &mut findings);
+        findings.into_iter().map(|f| (f.line, f.message)).collect()
+    }
+
+    const SHARD: &str = "crates/rota-server/src/shard.rs";
+
+    #[test]
+    fn a_shard_lock_outside_the_lock_takers_is_flagged() {
+        let text = "\
+impl ShardPool {
+    fn locked_all<R>(&self, now: Instant, f: impl FnOnce(&mut [Guard]) -> R) -> R {
+        let states = self.shards.iter().map(|shard| shard.state.lock()).collect();
+        f(&mut states)
+    }
+
+    fn decisions(&self) -> Vec<Arc<str>> {
+        let frames = |shard: &Shard| {
+            let state = shard.state.lock().unwrap_or_else(PoisonError::into_inner);
+            state.frames()
+        };
+        self.shards.iter().flat_map(frames).collect()
+    }
+
+    fn stats(&self) -> Stats {
+        let first = self.shards[0].state.lock();
+        let second = self.shards[1].state.lock();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    fn reaches_in(pool: &ShardPool) {
+        pool.shards[1].state.lock();
+    }
+}
+";
+        let findings = lint("rota-server", SHARD, text);
+        let lines: Vec<usize> = findings.iter().map(|(line, _)| *line).collect();
+        assert_eq!(lines, [16, 17], "{findings:?}");
+        assert!(findings[0].1.contains("taken in `stats`"), "{findings:?}");
+        assert!(lint("rota-server", "crates/rota-server/src/server.rs", text).is_empty());
+    }
+
+    #[test]
+    fn a_declaration_without_a_body_does_not_name_the_next_block() {
+        let text = "\
+trait Lock {
+    fn lock_it(&self);
+}
+fn locked(shard: &Shard) {
+    let state = shard.state.lock();
+}
+fn other(shard: &Shard) {
+    if true {
+        let state = shard.state.lock();
+    }
+}
+";
+        let lines: Vec<usize> = lint("rota-server", SHARD, text)
+            .iter()
+            .map(|f| f.0)
+            .collect();
+        assert_eq!(lines, [9]);
     }
 }
